@@ -72,6 +72,7 @@ struct DatalogRow {
     rounds: u64,
     edb_facts: u64,
     join_batches: u64,
+    tuples_tried: u64,
 }
 
 struct DatalogBaselineRow {
@@ -216,6 +217,7 @@ fn measure_datalog(bench: &DatalogBenchmark, size: usize, runs: usize) -> Datalo
         rounds: stats.rounds,
         edb_facts: stats.edb_facts,
         join_batches: stats.join_batches,
+        tuples_tried: stats.tuples_tried,
     }
 }
 
@@ -299,7 +301,8 @@ fn to_json(
     for (i, row) in datalog.iter().enumerate() {
         let mut line = format!(
             "    {{\"name\": \"{}\", \"label\": \"{}\", \"wall_ms\": {:.3}, \
-             \"derived_facts\": {}, \"rounds\": {}, \"edb_facts\": {}, \"join_batches\": {}",
+             \"derived_facts\": {}, \"rounds\": {}, \"edb_facts\": {}, \"join_batches\": {}, \
+             \"tuples_tried\": {}",
             row.name,
             row.label,
             row.wall_ms,
@@ -307,6 +310,7 @@ fn to_json(
             row.rounds,
             row.edb_facts,
             row.join_batches,
+            row.tuples_tried,
         );
         if let Some(base) = datalog_baseline.iter().find(|b| b.name == row.name) {
             let _ = write!(
@@ -543,13 +547,19 @@ fn main() {
             }
             eprintln!(
                 "[bench_snapshot] {:<20} {:>9.3} ms bottom-up (baseline {:>9.3} ms; \
-                 {} facts in {} rounds)",
-                row.label, row.wall_ms, base.wall_ms, row.derived_facts, row.rounds
+                 {} facts in {} rounds, {} tuples tried)",
+                row.label,
+                row.wall_ms,
+                base.wall_ms,
+                row.derived_facts,
+                row.rounds,
+                row.tuples_tried
             );
         } else {
             eprintln!(
-                "[bench_snapshot] {:<20} {:>9.3} ms bottom-up ({} facts in {} rounds)",
-                row.label, row.wall_ms, row.derived_facts, row.rounds
+                "[bench_snapshot] {:<20} {:>9.3} ms bottom-up \
+                 ({} facts in {} rounds, {} tuples tried)",
+                row.label, row.wall_ms, row.derived_facts, row.rounds, row.tuples_tried
             );
         }
     }

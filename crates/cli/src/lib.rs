@@ -795,12 +795,14 @@ fn cmd_run_bottom_up(
     let stats = database.stats();
     writeln!(
         out,
-        "bottom-up: {} answers; {} facts derived in {} rounds ({} edb facts, {} join batches)",
+        "bottom-up: {} answers; {} facts derived in {} rounds \
+         ({} edb facts, {} join batches, {} tuples tried)",
         answers.rows.len(),
         stats.derived_facts,
         stats.rounds,
         stats.edb_facts,
-        stats.join_batches
+        stats.join_batches,
+        stats.tuples_tried
     )?;
     if let (Some(path), Some(t)) = (trace, &tracer) {
         t.emit(

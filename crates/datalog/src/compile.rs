@@ -5,9 +5,10 @@
 //! interned constant table ([`ConstTable`] — atoms and functors reuse the
 //! template machinery's global [`Symbol`] interner, and the table extends
 //! that interning to whole ground terms so tuples are fixed-width `u32`
-//! rows). Rules become [`PlannedRule`]s: a flat, ordered sequence of literal
-//! probes with per-position bound-column sets, each mapped to a registered
-//! hash-index key spec on its relation. Everything outside the subset —
+//! rows). Rules become [`PlannedRule`]s: a seeding plan in source order plus
+//! one delta-first plan per recursive body position, each a flat sequence of
+//! literal probes whose bound columns map to a registered hash-index key
+//! spec on the probed relation. Everything outside the subset —
 //! cut, disjunction, if-then-else, arithmetic, builtins, metacalls,
 //! non-ground compound arguments — is rejected with a typed
 //! [`DatalogError`] naming the offending clause before any evaluation
@@ -24,8 +25,8 @@ pub(crate) type ConstId = u32;
 
 /// Interning table for ground terms.
 ///
-/// Tuples in the evaluator are `Box<[ConstId]>` rows; equality and hashing
-/// are word comparisons, never term walks. Atoms are already interned
+/// Tuples in the evaluator are fixed-width [`ConstId`] rows; equality and
+/// hashing are word comparisons, never term walks. Atoms are already interned
 /// [`Symbol`]s, so for the common atom-constant case this adds one
 /// indirection over the global symbol table rather than a second string
 /// table.
@@ -313,7 +314,12 @@ impl<'a> LowerCtx<'a> {
     }
 }
 
-fn lower_clause(clause: &Clause, consts: &mut ConstTable) -> Result<LoweredClause, DatalogError> {
+/// Lowers one clause. A fact's constants are appended to `fact_args`.
+fn lower_clause(
+    clause: &Clause,
+    consts: &mut ConstTable,
+    fact_args: &mut Vec<ConstId>,
+) -> Result<LoweredClause, DatalogError> {
     let mut ctx = LowerCtx::new(clause.display().to_string(), &clause.var_names);
     let Some((name, arity)) = clause.head.functor() else {
         return Err(DatalogError::NotDatalog {
@@ -330,15 +336,7 @@ fn lower_clause(clause: &Clause, consts: &mut ConstTable) -> Result<LoweredClaus
 
     // Range restriction: every head variable and every variable of a negated
     // literal must occur in a positive body literal.
-    let positive: BTreeSet<u32> = body
-        .iter()
-        .filter(|l| !l.negated)
-        .flat_map(|l| l.args.iter())
-        .filter_map(|a| match a {
-            ArgPat::Var(s) => Some(*s),
-            ArgPat::Const(_) => None,
-        })
-        .collect();
+    let positive: BTreeSet<u32> = body.iter().filter(|l| !l.negated).flat_map(slots).collect();
     let check = |args: &[ArgPat]| -> Result<(), DatalogError> {
         for a in args {
             if let ArgPat::Var(s) = a {
@@ -359,14 +357,11 @@ fn lower_clause(clause: &Clause, consts: &mut ConstTable) -> Result<LoweredClaus
 
     if body.is_empty() {
         // All-const head (a variable would have failed the check above).
-        let tuple: Box<[ConstId]> = head_args
-            .iter()
-            .map(|a| match a {
-                ArgPat::Const(c) => *c,
-                ArgPat::Var(_) => unreachable!("unsafe fact passed the range check"),
-            })
-            .collect();
-        return Ok(LoweredClause::Fact(pred, tuple));
+        fact_args.extend(head_args.iter().map(|a| match a {
+            ArgPat::Const(c) => *c,
+            ArgPat::Var(_) => unreachable!("unsafe fact passed the range check"),
+        }));
+        return Ok(LoweredClause::Fact(pred));
     }
     Ok(LoweredClause::Rule(Rule {
         pred,
@@ -378,7 +373,7 @@ fn lower_clause(clause: &Clause, consts: &mut ConstTable) -> Result<LoweredClaus
 }
 
 enum LoweredClause {
-    Fact(PredId, Box<[ConstId]>),
+    Fact(PredId),
     Rule(Rule),
 }
 
@@ -417,35 +412,72 @@ fn stratify(
     }
 }
 
-/// A literal compiled to a probe: which relation, which columns are bound
-/// when the probe runs, and which registered index serves it.
+/// One column of a planned probe: what the join does with the tuple's
+/// value there. Which slots are bound when a probe runs is fixed by the
+/// plan, so a variable's first occurrence writes its slot and every later
+/// one compares — no unbound sentinel, nothing to undo on backtrack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ColOp {
+    /// Must equal this constant.
+    Const(ConstId),
+    /// Must equal the slot, written by an earlier probe or an earlier
+    /// column of this one.
+    Check(u32),
+    /// First occurrence: writes the slot.
+    Bind(u32),
+}
+
+/// Which tuples of its relation a probe reads in a semi-naive round. Fixed
+/// by the literal's *source* position relative to the plan's delta literal,
+/// not by where the plan executes it: before the delta position reads
+/// everything, after it only what predates the last round, so each new
+/// combination of tuples is joined by exactly one variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Range {
+    /// Every tuple (seeding plans, queries, literals before the delta).
+    Total,
+    /// The previous round's insertions.
+    Delta,
+    /// Tuples older than the previous round's insertions.
+    Old,
+}
+
+/// How a probe finds its candidate tuples.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Access {
+    /// Every tuple in range.
+    Scan,
+    /// The posting list of this registered index on the relation.
+    Index(usize),
+    /// Every column is bound: one set-membership test.
+    Member,
+}
+
+/// A literal compiled to a probe.
 #[derive(Debug, Clone)]
 pub(crate) struct PlannedLiteral {
     /// Relation (predicate) index in [`CompiledDatalog::preds`].
     pub(crate) rel: usize,
+    /// Anti-join: passes when the (fully bound) tuple is absent.
     pub(crate) negated: bool,
-    pub(crate) args: Vec<ArgPat>,
-    /// Slot in the relation's registered index list serving this probe's
-    /// bound columns (`None` when unindexed: full scan, all-columns-bound
-    /// membership, or a query-side probe).
-    pub(crate) index_slot: Option<usize>,
-    /// Every column is bound: the probe is a set-membership test.
-    pub(crate) all_bound: bool,
+    pub(crate) ops: Vec<ColOp>,
+    pub(crate) range: Range,
+    pub(crate) access: Access,
 }
 
-/// A rule compiled to a flat join plan.
+/// A rule compiled to flat join plans.
 #[derive(Debug, Clone)]
 pub(crate) struct PlannedRule {
     /// Head relation index.
     pub(crate) rel: usize,
     pub(crate) head_args: Vec<ArgPat>,
-    /// Probes in execution order: positive literals in source order, then
-    /// negated literals (whose variables are all bound by then).
-    pub(crate) lits: Vec<PlannedLiteral>,
     pub(crate) num_slots: usize,
-    /// Positions eligible to read the delta during semi-naive rounds:
-    /// positive literals over same-stratum IDB relations.
-    pub(crate) delta_positions: Vec<usize>,
+    /// The seeding round's plan: positive literals in source order (the
+    /// author's join-order hint), then the negated ones.
+    pub(crate) seed: Vec<PlannedLiteral>,
+    /// One plan per positive literal over a same-stratum IDB relation, led
+    /// by that literal reading the delta.
+    pub(crate) variants: Vec<Vec<PlannedLiteral>>,
     pub(crate) stratum: usize,
 }
 
@@ -473,7 +505,11 @@ pub(crate) struct StratumPlan {
 #[derive(Debug, Clone)]
 pub struct CompiledDatalog {
     pub(crate) rules: Vec<PlannedRule>,
-    pub(crate) facts: Vec<(usize, Box<[ConstId]>)>,
+    /// The relation of every ground fact, in program order; their
+    /// constants lie back to back in `fact_args`, each as wide as its
+    /// relation's arity.
+    pub(crate) facts: Vec<usize>,
+    pub(crate) fact_args: Vec<ConstId>,
     pub(crate) consts: ConstTable,
     pub(crate) preds: Vec<PredInfo>,
     pub(crate) pred_ix: FastMap<PredId, usize>,
@@ -490,10 +526,11 @@ impl CompiledDatalog {
     pub fn compile(program: &Program) -> Result<CompiledDatalog, DatalogError> {
         let mut consts = ConstTable::default();
         let mut rules = Vec::new();
-        let mut raw_facts = Vec::new();
+        let mut fact_preds = Vec::new();
+        let mut fact_args = Vec::new();
         for clause in program.clauses() {
-            match lower_clause(clause, &mut consts)? {
-                LoweredClause::Fact(pred, tuple) => raw_facts.push((pred, tuple)),
+            match lower_clause(clause, &mut consts, &mut fact_args)? {
+                LoweredClause::Fact(pred) => fact_preds.push(pred),
                 LoweredClause::Rule(rule) => rules.push(rule),
             }
         }
@@ -504,7 +541,7 @@ impl CompiledDatalog {
         let universe: BTreeSet<PredId> = rules
             .iter()
             .flat_map(|r| std::iter::once(r.pred).chain(r.body.iter().map(|l| l.pred)))
-            .chain(raw_facts.iter().map(|(p, _)| *p))
+            .chain(fact_preds.iter().copied())
             .collect();
         let preds_ordered: Vec<PredId> = universe.into_iter().collect();
         let pred_ix: FastMap<PredId, usize> = preds_ordered
@@ -549,14 +586,12 @@ impl CompiledDatalog {
             }
         }
 
-        let facts = raw_facts
-            .into_iter()
-            .map(|(pred, tuple)| (pred_ix[&pred], tuple))
-            .collect();
+        let facts = fact_preds.iter().map(|pred| pred_ix[pred]).collect();
 
         Ok(CompiledDatalog {
             rules: planned,
             facts,
+            fact_args,
             consts,
             preds,
             pred_ix,
@@ -585,11 +620,102 @@ impl CompiledDatalog {
     }
 }
 
-/// Flattens one rule into probe order and computes bound columns + index
-/// specs. Positive literals keep source order (Datalog conjunction is
-/// commutative, and source order is the author's join-order hint); negated
-/// literals run last, when range restriction guarantees their variables are
-/// bound.
+/// The slots a literal's arguments mention.
+pub(crate) fn slots(lit: &Literal) -> impl Iterator<Item = u32> + '_ {
+    lit.args.iter().filter_map(|a| match a {
+        ArgPat::Var(s) => Some(*s),
+        ArgPat::Const(_) => None,
+    })
+}
+
+/// Is this argument's value known once the slots in `bound` are?
+fn is_bound(arg: &ArgPat, bound: &BTreeSet<u32>) -> bool {
+    match arg {
+        ArgPat::Const(_) => true,
+        ArgPat::Var(s) => bound.contains(s),
+    }
+}
+
+/// Lowers the `body` literals named by `order` to probes, in that execution
+/// order. `delta` is the body position reading the delta (none for seeding
+/// plans and queries); `index_for` names the relation's index over a set of
+/// bound columns, if the caller has or wants one.
+pub(crate) fn plan_probes(
+    body: &[Literal],
+    order: &[usize],
+    delta: Option<usize>,
+    pred_ix: &FastMap<PredId, usize>,
+    mut index_for: impl FnMut(usize, &[u32]) -> Option<usize>,
+) -> Vec<PlannedLiteral> {
+    let mut bound: BTreeSet<u32> = BTreeSet::new();
+    order
+        .iter()
+        .map(|&at| {
+            let lit = &body[at];
+            let rel = pred_ix[&lit.pred];
+            let bound_cols: Vec<u32> = (0u32..)
+                .zip(&lit.args)
+                .filter(|(_, a)| is_bound(a, &bound))
+                .map(|(col, _)| col)
+                .collect();
+            let access = if bound_cols.len() == lit.args.len() {
+                Access::Member
+            } else if bound_cols.is_empty() || delta == Some(at) {
+                // The delta range is already the selective access path.
+                Access::Scan
+            } else {
+                index_for(rel, &bound_cols).map_or(Access::Scan, Access::Index)
+            };
+            let ops = lit
+                .args
+                .iter()
+                .map(|a| match *a {
+                    ArgPat::Const(c) => ColOp::Const(c),
+                    ArgPat::Var(s) if bound.insert(s) => ColOp::Bind(s),
+                    ArgPat::Var(s) => ColOp::Check(s),
+                })
+                .collect();
+            let range = match delta {
+                Some(d) if at == d => Range::Delta,
+                Some(d) if at > d => Range::Old,
+                _ => Range::Total,
+            };
+            PlannedLiteral {
+                rel,
+                negated: lit.negated,
+                ops,
+                range,
+                access,
+            }
+        })
+        .collect()
+}
+
+/// Execution order of a delta variant: the delta literal leads, the other
+/// positive literals follow greedily by how many of their columns are bound
+/// by then (ties: source order), the negated ones run last, when range
+/// restriction guarantees their variables are bound.
+fn delta_first_order(body: &[Literal], lead: usize) -> Vec<usize> {
+    let mut order = vec![lead];
+    let mut bound: BTreeSet<u32> = slots(&body[lead]).collect();
+    let mut rest: Vec<usize> = (0..body.len())
+        .filter(|&i| i != lead && !body[i].negated)
+        .collect();
+    while !rest.is_empty() {
+        let bound_cols = |i: usize| body[i].args.iter().filter(|a| is_bound(a, &bound)).count();
+        let best = (0..rest.len())
+            .max_by_key(|&k| (bound_cols(rest[k]), std::cmp::Reverse(k)))
+            .expect("rest is non-empty");
+        let next = rest.remove(best);
+        bound.extend(slots(&body[next]));
+        order.push(next);
+    }
+    order.extend((0..body.len()).filter(|&i| body[i].negated));
+    order
+}
+
+/// Plans one rule: the seeding plan, a delta-first variant per recursive
+/// position, and the index key specs every probe of either needs.
 fn plan_rule(
     rule: &Rule,
     preds: &[PredInfo],
@@ -597,68 +723,103 @@ fn plan_rule(
     rel_indexes: &mut [Vec<Vec<u32>>],
 ) -> PlannedRule {
     let head_stratum = preds[pred_ix[&rule.pred]].stratum;
-    let ordered: Vec<&Literal> = rule
-        .body
+    let mut register = |rel: usize, cols: &[u32]| {
+        let specs = &mut rel_indexes[rel];
+        Some(specs.iter().position(|s| s == cols).unwrap_or_else(|| {
+            specs.push(cols.to_vec());
+            specs.len() - 1
+        }))
+    };
+    let body = &rule.body;
+    let (negatives, positives): (Vec<usize>, Vec<usize>) =
+        (0..body.len()).partition(|&i| body[i].negated);
+    let seed_order: Vec<usize> = positives.iter().chain(&negatives).copied().collect();
+    let seed = plan_probes(body, &seed_order, None, pred_ix, &mut register);
+    let variants = positives
         .iter()
-        .filter(|l| !l.negated)
-        .chain(rule.body.iter().filter(|l| l.negated))
+        .filter(|&&i| {
+            let info = &preds[pred_ix[&body[i].pred]];
+            info.stratum == head_stratum && info.has_rules
+        })
+        .map(|&d| {
+            let order = delta_first_order(body, d);
+            plan_probes(body, &order, Some(d), pred_ix, &mut register)
+        })
         .collect();
-
-    let mut bound_slots: BTreeSet<u32> = BTreeSet::new();
-    let mut lits = Vec::with_capacity(ordered.len());
-    let mut delta_positions = Vec::new();
-    for (pos, lit) in ordered.iter().enumerate() {
-        let rel = pred_ix[&lit.pred];
-        let bound_cols: Vec<u32> = lit
-            .args
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| match a {
-                ArgPat::Const(_) => true,
-                ArgPat::Var(s) => bound_slots.contains(s),
-            })
-            .map(|(col, _)| col as u32)
-            .collect();
-        let all_bound = bound_cols.len() == lit.args.len();
-        let index_slot = if !lit.negated && !all_bound && !bound_cols.is_empty() {
-            let specs = &mut rel_indexes[rel];
-            Some(
-                specs
-                    .iter()
-                    .position(|s| *s == bound_cols)
-                    .unwrap_or_else(|| {
-                        specs.push(bound_cols.clone());
-                        specs.len() - 1
-                    }),
-            )
-        } else {
-            None
-        };
-        if !lit.negated {
-            if preds[rel].stratum == head_stratum && preds[rel].has_rules {
-                delta_positions.push(pos);
-            }
-            for a in &lit.args {
-                if let ArgPat::Var(s) = a {
-                    bound_slots.insert(*s);
-                }
-            }
-        }
-        lits.push(PlannedLiteral {
-            rel,
-            negated: lit.negated,
-            args: lit.args.clone(),
-            index_slot,
-            all_bound,
-        });
-    }
 
     PlannedRule {
         rel: pred_ix[&rule.pred],
         head_args: rule.head_args.clone(),
-        lits,
         num_slots: rule.num_slots,
-        delta_positions,
+        seed,
+        variants,
         stratum: head_stratum,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use granlog_ir::parser::parse_program;
+
+    /// Every delta variant leads with its delta literal (a range scan of
+    /// the delta, never an index probe), gives every other literal the
+    /// range its *source* position dictates, and has registered the index
+    /// its second probe uses over exactly the columns the lead binds.
+    #[test]
+    fn variants_lead_with_their_delta_and_index_the_second_probe() {
+        let program = parse_program(
+            "edge(a, b). vuln(b). owned(a).
+             tc(X, Y) :- edge(X, Y).
+             tc(X, Z) :- tc(X, Y), tc(Y, Z).
+             owned(T) :- edge(S, T), \\+ patched(T), vuln(T), owned(S).
+             mid(X, Z) :- edge(X, Y), mid(Y, W), edge(W, Z).
+             lone(X) :- vuln(X), \\+ owned(X).",
+        )
+        .expect("program parses");
+        let compiled = CompiledDatalog::compile(&program).expect("program is Datalog");
+        // Recursive positions per rule, in clause order.
+        let variants: Vec<usize> = compiled.rules.iter().map(|r| r.variants.len()).collect();
+        assert_eq!(variants, [0, 2, 1, 1, 0]);
+
+        for rule in &compiled.rules {
+            assert!(rule.seed.iter().all(|l| l.range == Range::Total));
+            for plan in &rule.variants {
+                let lead = &plan[0];
+                assert_eq!(lead.range, Range::Delta);
+                assert_eq!(lead.access, Access::Scan);
+                assert_eq!(compiled.preds[lead.rel].stratum, rule.stratum);
+                assert!(plan[1..].iter().all(|l| l.range != Range::Delta));
+                // Negations run last.
+                assert!(plan.iter().skip_while(|l| !l.negated).all(|l| l.negated));
+
+                let second = &plan[1];
+                let Access::Index(slot) = second.access else {
+                    panic!("second probe is not indexed: {second:?}");
+                };
+                let bound_by_lead: Vec<u32> = (0u32..)
+                    .zip(&second.ops)
+                    .filter(|(_, op)| matches!(op, ColOp::Check(_) | ColOp::Const(_)))
+                    .map(|(col, _)| col)
+                    .collect();
+                assert_eq!(compiled.rel_indexes[second.rel][slot], bound_by_lead);
+            }
+        }
+
+        // The non-linear rule: both orders, bounds by source position.
+        let tc = &compiled.rules[1];
+        assert_eq!(
+            tc.variants[0][1].range,
+            Range::Old,
+            "tc(Y,Z) follows the delta"
+        );
+        assert_eq!(tc.variants[1][1].range, Range::Total, "tc(X,Y) precedes it");
+        // The delta in the middle of three literals: greedy order probes
+        // both edge literals through an index, one per bound column.
+        let mid = &compiled.rules[3].variants[0];
+        let edge = compiled.pred_ix[&PredId::parse("edge", 2)];
+        assert_eq!((mid[1].rel, mid[1].range), (edge, Range::Total));
+        assert_eq!((mid[2].rel, mid[2].range), (edge, Range::Old));
+        assert_ne!(mid[1].access, mid[2].access);
     }
 }

@@ -1,29 +1,43 @@
 //! Semi-naive fixpoint evaluation and query answering.
 //!
-//! Strata run in dependency order. Within a stratum, a seeding round runs
-//! every rule against the current totals, then semi-naive rounds join each
-//! rule's delta position against the previous round's new tuples: for the
-//! delta literal the probe range is exactly the previous round's insertions,
-//! positions *before* it read the full total (old plus delta) and positions
-//! *after* it read only the old tuples — every new combination is derived
-//! exactly once. Relations keep their registered hash indexes incrementally
-//! (posting lists of ascending tuple indices, extended on insert), so a
-//! round touching a one-tuple delta costs a handful of probes rather than an
-//! index rebuild — on a chain topology the fixpoint is O(n) rounds of O(1)
-//! work instead of the O(n^2) a per-round rebuild would cost.
+//! Strata run in dependency order. Within a stratum a seeding round runs
+//! every rule's source-order plan against the current totals; every later
+//! round runs, for each recursive body position whose relation grew in the
+//! previous round, that position's *delta-first* plan (`compile.rs`,
+//! `PlannedRule::variants`): the delta literal leads and
+//! scans exactly the previous round's insertions, and the other literals
+//! are probed through hash indexes on the columns bound by then. Which
+//! tuples a literal may read is fixed by its *source* position, not by
+//! where the plan runs it — before the delta position the whole relation,
+//! after it only tuples older than the previous round's insertions — so
+//! every new combination is derived by exactly one variant, and `rounds`,
+//! `derived_facts` and `join_batches` do not depend on the join order. A
+//! round therefore costs what its delta costs: on a chain topology the
+//! fixpoint is O(n) rounds of O(1) probes, which the `tuples_tried` counter
+//! shows without a clock.
+//!
+//! A `Relation` stores each tuple once, in a flat arena strided by arity.
+//! Its dedup set and its indexes are open-addressed tables of `u32` tuple
+//! ids that hash and compare *through* the arena; an index chains the
+//! tuples sharing a key oldest-first through one `u32` per tuple, so
+//! inserting, probing and deriving allocate nothing per tuple. Rounds
+//! buffer their derivations and insert them when the round ends; the order
+//! of tuples — and hence of query answers — *within* a round is
+//! unspecified.
 //!
 //! Failpoint seams: `datalog.join` (one check per join batch, query probes
 //! included) and `datalog.fixpoint.round` (one check per round). Without
 //! `--features failpoints` both compile to const no-ops.
 
-use crate::compile::{ArgPat, CompiledDatalog, ConstId, ConstResolver, ConstTable, LowerCtx};
+use crate::compile::{
+    plan_probes, slots, Access, ArgPat, ColOp, CompiledDatalog, ConstId, ConstResolver, ConstTable,
+    Literal, LowerCtx, PlannedLiteral, Range,
+};
 use crate::error::DatalogError;
 use granlog_engine::rterm::RTerm;
-use granlog_ir::{FastMap, PredId, Symbol, Term};
+use granlog_ir::{FastHasher, FastMap, PredId, Symbol, Term};
 use std::collections::BTreeSet;
-
-/// Slot sentinel: not yet bound.
-const UNBOUND: u32 = u32::MAX;
+use std::hash::Hasher;
 
 /// Counters of one fixpoint evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,45 +48,163 @@ pub struct FixpointStats {
     pub derived_facts: u64,
     /// Ground facts loaded from the program.
     pub edb_facts: u64,
-    /// Join batches executed (one per rule/delta-variant/round, plus one
-    /// per query).
+    /// Join batches executed (one per rule/delta-variant/round).
     pub join_batches: u64,
+    /// Join work: tuples matched against a literal plus membership probes.
+    /// Deterministic, so scaling can be tested without a wall clock.
+    pub tuples_tried: u64,
 }
 
-/// One hash index over a relation: key columns → posting list of tuple
-/// indices, ascending (maintained incrementally on insert).
+/// Table-slot sentinel: no tuple id.
+const EMPTY: u32 = u32::MAX;
+
+/// Hash of a key given by its column values. [`FastHasher`] avalanches
+/// into the high bits, which is where [`IdTable`] indexes.
+fn hash_key(vals: impl Iterator<Item = ConstId>) -> u64 {
+    let mut hasher = FastHasher::default();
+    vals.for_each(|v| hasher.write_u32(v));
+    hasher.finish()
+}
+
+/// An open-addressed (linear probing) table of tuple ids. The keys live in
+/// the relation's arena, so callers supply hashing and equality per call.
 #[derive(Debug, Default)]
+struct IdTable {
+    /// A power of two long (empty until the first insert), at most half full.
+    slots: Vec<u32>,
+    used: usize,
+}
+
+impl IdTable {
+    /// The slot holding an id `eq` accepts, or else the empty slot ending
+    /// the probe sequence. The slot array must not be empty.
+    fn probe(&self, hash: u64, eq: impl Fn(u32) -> bool) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            let id = self.slots[at];
+            if id == EMPTY || eq(id) {
+                return at;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    fn find(&self, hash: u64, eq: impl Fn(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let id = self.slots[self.probe(hash, eq)];
+        (id != EMPTY).then_some(id)
+    }
+
+    /// Makes room for one more id, re-placing the present ones by `hash_of`
+    /// when the array doubles.
+    fn reserve(&mut self, hash_of: impl Fn(u32) -> u64) {
+        if (self.used + 1) * 2 <= self.slots.len() {
+            return;
+        }
+        let doubled = vec![EMPTY; (self.slots.len() * 2).max(8)];
+        for id in std::mem::replace(&mut self.slots, doubled) {
+            if id != EMPTY {
+                let at = self.probe(hash_of(id), |_| false);
+                self.slots[at] = id;
+            }
+        }
+    }
+
+    /// Writes `id` to a slot [`IdTable::probe`] returned.
+    fn put(&mut self, at: usize, id: u32) {
+        self.used += usize::from(self.slots[at] == EMPTY);
+        self.slots[at] = id;
+    }
+}
+
+/// One hash index over a relation. The table holds, per distinct key, the
+/// newest tuple with that key; `next` links the tuples sharing a key into a
+/// ring, so the newest's successor is the oldest and a probe walks the
+/// posting list in ascending id order.
+#[derive(Debug)]
 struct Index {
     cols: Vec<u32>,
-    map: FastMap<Box<[ConstId]>, Vec<usize>>,
+    newest: IdTable,
+    next: Vec<u32>,
 }
 
-/// A fact relation: insertion-ordered tuples, a dedup/membership map, and
-/// the registered indexes.
-#[derive(Debug, Default)]
+/// A fact relation: insertion-ordered tuples in one flat arena, a
+/// dedup/membership table, and the registered indexes.
+#[derive(Debug)]
 struct Relation {
-    tuples: Vec<Box<[ConstId]>>,
-    set: FastMap<Box<[ConstId]>, usize>,
+    arity: usize,
+    len: u32,
+    /// Tuple `id` is `data[id * arity..][..arity]`.
+    data: Vec<ConstId>,
+    set: IdTable,
     indexes: Vec<Index>,
 }
 
+fn row(data: &[ConstId], arity: usize, id: u32) -> &[ConstId] {
+    &data[id as usize * arity..][..arity]
+}
+
 impl Relation {
-    fn insert(&mut self, tuple: Box<[ConstId]>) -> bool {
-        if self.set.contains_key(&tuple) {
-            return false;
+    fn new(arity: usize, index_specs: &[Vec<u32>]) -> Self {
+        Relation {
+            arity,
+            len: 0,
+            data: Vec::new(),
+            set: IdTable::default(),
+            indexes: index_specs
+                .iter()
+                .map(|cols| Index {
+                    cols: cols.clone(),
+                    newest: IdTable::default(),
+                    next: Vec::new(),
+                })
+                .collect(),
         }
-        let idx = self.tuples.len();
-        for ix in &mut self.indexes {
-            let key: Box<[ConstId]> = ix.cols.iter().map(|&c| tuple[c as usize]).collect();
-            ix.map.entry(key).or_default().push(idx);
-        }
-        self.set.insert(tuple.clone(), idx);
-        self.tuples.push(tuple);
-        true
     }
 
-    fn len(&self) -> usize {
-        self.tuples.len()
+    fn tuple(&self, id: u32) -> &[ConstId] {
+        row(&self.data, self.arity, id)
+    }
+
+    fn insert(&mut self, tuple: &[ConstId]) -> bool {
+        let Relation {
+            arity,
+            len,
+            data,
+            set,
+            indexes,
+        } = self;
+        let arity = *arity;
+        let hash = hash_key(tuple.iter().copied());
+        if set.find(hash, |id| row(data, arity, id) == tuple).is_some() {
+            return false;
+        }
+        let id = *len;
+        assert!(id != EMPTY, "relation outgrew its u32 tuple ids");
+        *len += 1;
+        data.extend_from_slice(tuple);
+        let data = data.as_slice();
+        set.reserve(|i| hash_key(row(data, arity, i).iter().copied()));
+        set.put(set.probe(hash, |_| false), id);
+        for ix in indexes {
+            let Index { cols, newest, next } = ix;
+            let cols = cols.as_slice();
+            let key = |i: u32| cols.iter().map(move |&c| row(data, arity, i)[c as usize]);
+            newest.reserve(|i| hash_key(key(i)));
+            let at = newest.probe(hash_key(key(id)), |i| key(i).eq(key(id)));
+            match newest.slots[at] {
+                EMPTY => next.push(id),
+                prev => {
+                    next.push(next[prev as usize]);
+                    next[prev as usize] = id;
+                }
+            }
+            newest.put(at, id);
+        }
+        true
     }
 }
 
@@ -88,7 +220,7 @@ pub struct Database {
 }
 
 /// All answers to a query: the query's variables (first-occurrence order)
-/// and one ground row per answer, in derivation order.
+/// and one ground row per answer.
 ///
 /// Rows are materialized through the engine's canonical [`RTerm`] runtime
 /// boundary — the same representation SLD answers cross — so the two
@@ -99,6 +231,9 @@ pub struct QueryAnswers {
     pub vars: Vec<Symbol>,
     /// One ground row per answer (same length as `vars`).
     pub rows: Vec<Vec<RTerm>>,
+    /// Join work the query cost, counted like
+    /// [`FixpointStats::tuples_tried`].
+    pub tuples_tried: u64,
 }
 
 impl QueryAnswers {
@@ -129,153 +264,113 @@ fn rterm_to_ir(r: &RTerm) -> Term {
     }
 }
 
-/// A probe-ready literal for the join driver (compiled rules and lowered
-/// queries both reduce to this).
-struct EvalLit {
-    rel: usize,
-    negated: bool,
-    args: Vec<ArgPat>,
-    /// Registered index serving this probe (`None`: full scan within
-    /// bounds, or an all-columns-bound membership test).
-    index_slot: Option<usize>,
-    all_bound: bool,
-}
-
-/// Nested-loop join over indexed relation views with per-position
-/// tuple-index bounds `(lo, hi)` — the semi-naive delta/total split is
-/// expressed purely through these ranges.
-struct Join<'a, F: FnMut(&[u32])> {
-    rels: &'a [&'a Relation],
-    lits: &'a [EvalLit],
-    bounds: &'a [(usize, usize)],
-    /// Per-literal scratch recording which slots that probe bound, so the
-    /// bindings can be undone on backtrack without per-tuple allocation.
-    trails: Vec<Vec<u32>>,
+/// Nested-loop join over a plan's probes. `bounds[pos]` is the tuple-id
+/// range `lo..hi` probe `pos` may read — the semi-naive delta/total/old
+/// split is expressed purely through these ranges.
+struct Join<'a, F: FnMut(&[ConstId])> {
+    rels: &'a [Relation],
+    lits: &'a [PlannedLiteral],
+    bounds: &'a [(u32, u32)],
+    /// The binding frame, one value per rule slot. Slots are written by
+    /// [`ColOp::Bind`] before any probe reads them.
+    bind: &'a mut [ConstId],
+    /// See [`FixpointStats::tuples_tried`].
+    tried: u64,
     emit: F,
 }
 
-impl<'a, F: FnMut(&[u32])> Join<'a, F> {
-    fn new(
-        rels: &'a [&'a Relation],
-        lits: &'a [EvalLit],
-        bounds: &'a [(usize, usize)],
-        emit: F,
-    ) -> Self {
-        Join {
-            rels,
-            lits,
-            bounds,
-            trails: vec![Vec::new(); lits.len()],
-            emit,
-        }
-    }
-
-    fn run(&mut self, num_slots: usize) -> Result<(), DatalogError> {
+impl<F: FnMut(&[ConstId])> Join<'_, F> {
+    /// Runs the batch; returns its `tried` count.
+    fn run(mut self) -> Result<u64, DatalogError> {
         granlog_fault::fail_or("datalog.join", || DatalogError::Fault("datalog.join"))?;
-        let mut bind = vec![UNBOUND; num_slots];
-        self.step(0, &mut bind);
-        Ok(())
+        self.step(0);
+        Ok(self.tried)
     }
 
-    fn resolve(arg: ArgPat, bind: &[u32]) -> ConstId {
-        match arg {
-            ArgPat::Const(c) => c,
-            ArgPat::Var(s) => bind[s as usize],
-        }
-    }
-
-    fn step(&mut self, pos: usize, bind: &mut Vec<u32>) {
-        if pos == self.lits.len() {
-            (self.emit)(bind);
+    fn step(&mut self, pos: usize) {
+        let (rels, lits) = (self.rels, self.lits);
+        let Some(lit) = lits.get(pos) else {
+            (self.emit)(self.bind);
             return;
-        }
-        let lits = self.lits;
-        let rels = self.rels;
-        let lit = &lits[pos];
-        let rel = rels[lit.rel];
+        };
+        let rel = &rels[lit.rel];
         let (lo, hi) = self.bounds[pos];
-        if lit.negated {
-            // Anti-join: all columns are bound (range restriction) and the
-            // relation is from a strictly lower stratum, hence complete.
-            let key: Box<[ConstId]> = lit.args.iter().map(|&a| Self::resolve(a, bind)).collect();
-            if rel.set.get(&key).is_none_or(|&i| i >= hi) {
-                self.step(pos + 1, bind);
+        let bind = &*self.bind;
+        // The value a bound column must have.
+        let want = |op: &ColOp| match *op {
+            ColOp::Const(c) => c,
+            ColOp::Check(s) | ColOp::Bind(s) => bind[s as usize],
+        };
+        match lit.access {
+            Access::Member => {
+                // Negated literals land here: range restriction binds all
+                // their columns, and their relation is from a lower
+                // stratum, hence complete.
+                self.tried += 1;
+                let found = rel
+                    .set
+                    .find(hash_key(lit.ops.iter().map(want)), |id| {
+                        rel.tuple(id).iter().copied().eq(lit.ops.iter().map(want))
+                    })
+                    .is_some_and(|id| lo <= id && id < hi);
+                if found != lit.negated {
+                    self.step(pos + 1);
+                }
             }
-            return;
-        }
-        if lit.all_bound {
-            let key: Box<[ConstId]> = lit.args.iter().map(|&a| Self::resolve(a, bind)).collect();
-            if rel.set.get(&key).is_some_and(|&i| lo <= i && i < hi) {
-                self.step(pos + 1, bind);
-            }
-            return;
-        }
-        match lit.index_slot {
-            Some(slot) => {
+            Access::Index(slot) => {
                 let ix = &rel.indexes[slot];
-                let key: Box<[ConstId]> = ix
-                    .cols
-                    .iter()
-                    .map(|&c| Self::resolve(lit.args[c as usize], bind))
-                    .collect();
-                let Some(postings) = ix.map.get(&key) else {
+                let key = || ix.cols.iter().map(|&c| want(&lit.ops[c as usize]));
+                let Some(newest) = ix.newest.find(hash_key(key()), |id| {
+                    let tuple = rel.tuple(id);
+                    ix.cols.iter().map(|&c| tuple[c as usize]).eq(key())
+                }) else {
                     return;
                 };
-                let start = postings.partition_point(|&i| i < lo);
-                for &i in &postings[start..] {
-                    if i >= hi {
+                let mut id = ix.next[newest as usize];
+                while id < hi {
+                    if id >= lo {
+                        self.try_tuple(pos, id);
+                    }
+                    if id == newest {
                         break;
                     }
-                    self.try_tuple(pos, i, bind);
+                    id = ix.next[id as usize];
                 }
             }
-            None => {
-                let end = hi.min(rel.len());
-                for i in lo..end {
-                    self.try_tuple(pos, i, bind);
+            Access::Scan => {
+                for id in lo..hi {
+                    self.try_tuple(pos, id);
                 }
             }
         }
     }
 
-    fn try_tuple(&mut self, pos: usize, tuple_idx: usize, bind: &mut Vec<u32>) {
-        let lits = self.lits;
-        let rels = self.rels;
+    fn try_tuple(&mut self, pos: usize, id: u32) {
+        self.tried += 1;
+        let (rels, lits) = (self.rels, self.lits);
         let lit = &lits[pos];
-        let tuple = &rels[lit.rel].tuples[tuple_idx];
-        let mut matched = true;
-        self.trails[pos].clear();
-        for (col, &arg) in lit.args.iter().enumerate() {
-            let v = tuple[col];
-            match arg {
-                ArgPat::Const(c) => {
-                    if c != v {
-                        matched = false;
-                        break;
-                    }
-                }
-                ArgPat::Var(s) => {
-                    let slot = s as usize;
-                    if bind[slot] == UNBOUND {
-                        bind[slot] = v;
-                        self.trails[pos].push(s);
-                    } else if bind[slot] != v {
-                        matched = false;
-                        break;
-                    }
-                }
+        for (&v, op) in rels[lit.rel].tuple(id).iter().zip(&lit.ops) {
+            match *op {
+                ColOp::Const(c) if c != v => return,
+                ColOp::Check(s) if self.bind[s as usize] != v => return,
+                ColOp::Bind(s) => self.bind[s as usize] = v,
+                ColOp::Const(_) | ColOp::Check(_) => {}
             }
         }
-        if matched {
-            self.step(pos + 1, bind);
-        }
-        let mut k = 0;
-        while k < self.trails[pos].len() {
-            bind[self.trails[pos][k] as usize] = UNBOUND;
-            k += 1;
-        }
-        self.trails[pos].clear();
+        self.step(pos + 1);
     }
+}
+
+/// Join scratch, allocated once per [`CompiledDatalog::evaluate`] and
+/// reused by every batch.
+struct Scratch {
+    /// Wide enough for the widest rule.
+    bind: Vec<ConstId>,
+    bounds: Vec<(u32, u32)>,
+    /// The round's derived head tuples back to back, and per join batch
+    /// the head relation and how many tuples it emitted.
+    out: Vec<ConstId>,
+    batches: Vec<(usize, u32)>,
 }
 
 impl CompiledDatalog {
@@ -290,9 +385,10 @@ impl CompiledDatalog {
     /// [`CompiledDatalog::evaluate`] with structured trace emission: one
     /// `datalog_stratum` event per non-empty stratum and one
     /// `datalog_round` event per seeding/semi-naive round, carrying the
-    /// running round number and that round's insertion count. With
-    /// `tracer` absent (or disabled) evaluation is byte-for-byte the plain
-    /// path — the fixpoint itself never consults the tracer.
+    /// running round number, that round's insertion count and its
+    /// `tuples_tried`. With `tracer` absent (or disabled) evaluation is
+    /// byte-for-byte the plain path — the fixpoint itself never consults
+    /// the tracer.
     pub fn evaluate_traced(
         &self,
         tracer: Option<&granlog_obs::Tracer>,
@@ -301,25 +397,27 @@ impl CompiledDatalog {
         let mut rels: Vec<Relation> = self
             .preds
             .iter()
-            .enumerate()
-            .map(|(i, _)| Relation {
-                tuples: Vec::new(),
-                set: FastMap::default(),
-                indexes: self.rel_indexes[i]
-                    .iter()
-                    .map(|cols| Index {
-                        cols: cols.clone(),
-                        map: FastMap::default(),
-                    })
-                    .collect(),
-            })
+            .zip(&self.rel_indexes)
+            .map(|(pred, specs)| Relation::new(pred.arity, specs))
             .collect();
 
-        for (rel, tuple) in &self.facts {
-            if rels[*rel].insert(tuple.clone()) {
-                stats.edb_facts += 1;
-            }
+        let mut args = self.fact_args.as_slice();
+        for &rel in &self.facts {
+            let (tuple, rest) = args.split_at(rels[rel].arity);
+            args = rest;
+            stats.edb_facts += u64::from(rels[rel].insert(tuple));
         }
+
+        let mut scratch = Scratch {
+            bind: vec![0; self.rules.iter().map(|r| r.num_slots).max().unwrap_or(0)],
+            bounds: Vec::new(),
+            out: Vec::new(),
+            batches: Vec::new(),
+        };
+        // Per relation, its length before the previous round's insertions:
+        // the delta is `old[r]..len`, and it is empty for every relation
+        // the running stratum does not write.
+        let mut old: Vec<u32> = rels.iter().map(|r| r.len).collect();
 
         for (stratum_ix, stratum) in self.strata.iter().enumerate() {
             if stratum.rules.is_empty() {
@@ -334,31 +432,44 @@ impl CompiledDatalog {
                     ],
                 );
             }
-            // Delta ranges per relation written by this stratum:
-            // (start, end) of the tuples inserted by the previous round.
-            let mut delta: FastMap<usize, (usize, usize)> = FastMap::default();
-
-            // Seeding round: every rule once against the current totals
-            // (lower strata plus this stratum's ground facts).
-            granlog_fault::fail_or("datalog.fixpoint.round", || {
-                DatalogError::Fault("datalog.fixpoint.round")
-            })?;
-            stats.rounds += 1;
-            let mut out: Vec<(usize, Box<[ConstId]>)> = Vec::new();
-            for &r in &stratum.rules {
-                let rule = &self.rules[r];
-                let bounds: Vec<(usize, usize)> =
-                    rule.lits.iter().map(|l| (0, rels[l.rel].len())).collect();
-                run_rule(rule, &rels, &bounds, &mut out, &mut stats)?;
-            }
+            // The seeding round runs every rule once against the current
+            // totals (lower strata plus this stratum's ground facts); each
+            // later round joins the previous round's insertions.
+            let mut seeding = true;
             loop {
-                let before: Vec<usize> = stratum.rels.iter().map(|&r| rels[r].len()).collect();
-                let mut inserted = 0u64;
-                for (rel, tuple) in out.drain(..) {
-                    if rels[rel].insert(tuple) {
-                        inserted += 1;
+                granlog_fault::fail_or("datalog.fixpoint.round", || {
+                    DatalogError::Fault("datalog.fixpoint.round")
+                })?;
+                stats.rounds += 1;
+                let tried_before = stats.tuples_tried;
+                for &r in &stratum.rules {
+                    let rule = &self.rules[r];
+                    if seeding {
+                        run_plan(rule, &rule.seed, &rels, &old, &mut scratch, &mut stats)?;
+                        continue;
+                    }
+                    for plan in &rule.variants {
+                        let delta = &rels[plan[0].rel];
+                        if old[plan[0].rel] < delta.len {
+                            run_plan(rule, plan, &rels, &old, &mut scratch, &mut stats)?;
+                        }
                     }
                 }
+                seeding = false;
+
+                for &r in &stratum.rels {
+                    old[r] = rels[r].len;
+                }
+                let mut inserted = 0u64;
+                let mut tuples = scratch.out.as_slice();
+                for (rel, emitted) in scratch.batches.drain(..) {
+                    for _ in 0..emitted {
+                        let (tuple, rest) = tuples.split_at(rels[rel].arity);
+                        tuples = rest;
+                        inserted += u64::from(rels[rel].insert(tuple));
+                    }
+                }
+                scratch.out.clear();
                 stats.derived_facts += inserted;
                 if let Some(t) = tracer {
                     t.emit(
@@ -367,53 +478,12 @@ impl CompiledDatalog {
                             ("stratum", stratum_ix.into()),
                             ("round", stats.rounds.into()),
                             ("inserted", inserted.into()),
+                            ("tuples_tried", (stats.tuples_tried - tried_before).into()),
                         ],
                     );
                 }
-                delta.clear();
-                for (i, &r) in stratum.rels.iter().enumerate() {
-                    if rels[r].len() > before[i] {
-                        delta.insert(r, (before[i], rels[r].len()));
-                    }
-                }
-                if delta.is_empty() {
+                if inserted == 0 {
                     break;
-                }
-
-                // Semi-naive round: each rule joins its delta positions
-                // against the previous round's insertions.
-                granlog_fault::fail_or("datalog.fixpoint.round", || {
-                    DatalogError::Fault("datalog.fixpoint.round")
-                })?;
-                stats.rounds += 1;
-                for &r in &stratum.rules {
-                    let rule = &self.rules[r];
-                    for &dpos in &rule.delta_positions {
-                        let drel = rule.lits[dpos].rel;
-                        let Some(&(dlo, dhi)) = delta.get(&drel) else {
-                            continue;
-                        };
-                        let bounds: Vec<(usize, usize)> = rule
-                            .lits
-                            .iter()
-                            .enumerate()
-                            .map(|(pos, l)| {
-                                if pos == dpos {
-                                    (dlo, dhi)
-                                } else if pos > dpos {
-                                    // Strictly-old tuples after the delta
-                                    // position: no double derivation.
-                                    match delta.get(&l.rel) {
-                                        Some(&(lo, _)) => (0, lo),
-                                        None => (0, rels[l.rel].len()),
-                                    }
-                                } else {
-                                    (0, rels[l.rel].len())
-                                }
-                            })
-                            .collect();
-                        run_rule(rule, &rels, &bounds, &mut out, &mut stats)?;
-                    }
                 }
             }
         }
@@ -428,41 +498,47 @@ impl CompiledDatalog {
     }
 }
 
-/// Executes one rule (one join batch) under the given per-position bounds,
-/// collecting derived head tuples into `out`.
-fn run_rule(
+/// Executes one plan of `rule` (one join batch), buffering the derived head
+/// tuples in `scratch`.
+fn run_plan(
     rule: &crate::compile::PlannedRule,
+    plan: &[PlannedLiteral],
     rels: &[Relation],
-    bounds: &[(usize, usize)],
-    out: &mut Vec<(usize, Box<[ConstId]>)>,
+    old: &[u32],
+    scratch: &mut Scratch,
     stats: &mut FixpointStats,
 ) -> Result<(), DatalogError> {
     stats.join_batches += 1;
-    let lits: Vec<EvalLit> = rule
-        .lits
-        .iter()
-        .map(|l| EvalLit {
-            rel: l.rel,
-            negated: l.negated,
-            args: l.args.clone(),
-            index_slot: l.index_slot,
-            all_bound: l.all_bound,
-        })
-        .collect();
-    let views: Vec<&Relation> = rels.iter().collect();
-    let head_rel = rule.rel;
-    let head_args = &rule.head_args;
-    let mut join = Join::new(&views, &lits, bounds, |bind: &[u32]| {
-        let tuple: Box<[ConstId]> = head_args
-            .iter()
-            .map(|a| match a {
-                ArgPat::Const(c) => *c,
-                ArgPat::Var(s) => bind[*s as usize],
-            })
-            .collect();
-        out.push((head_rel, tuple));
-    });
-    join.run(rule.num_slots)
+    let Scratch {
+        bind,
+        bounds,
+        out,
+        batches,
+    } = scratch;
+    bounds.clear();
+    bounds.extend(plan.iter().map(|l| match l.range {
+        Range::Total => (0, rels[l.rel].len),
+        Range::Delta => (old[l.rel], rels[l.rel].len),
+        Range::Old => (0, old[l.rel]),
+    }));
+    let mut emitted = 0u32;
+    let join = Join {
+        rels,
+        lits: plan,
+        bounds,
+        bind,
+        tried: 0,
+        emit: |bind: &[ConstId]| {
+            emitted += 1;
+            out.extend(rule.head_args.iter().map(|a| match *a {
+                ArgPat::Const(c) => c,
+                ArgPat::Var(s) => bind[s as usize],
+            }));
+        },
+    };
+    stats.tuples_tried += join.run()?;
+    batches.push((rule.rel, emitted));
+    Ok(())
 }
 
 impl Database {
@@ -473,13 +549,15 @@ impl Database {
 
     /// Total tuples across every relation (EDB plus derived).
     pub fn total_facts(&self) -> u64 {
-        self.rels.iter().map(|r| r.len() as u64).sum()
+        self.rels.iter().map(|r| u64::from(r.len)).sum()
     }
 
     /// Tuples in one relation (0 for unknown predicates — legal Datalog,
     /// an empty relation).
     pub fn relation_size(&self, pred: PredId) -> usize {
-        self.pred_ix.get(&pred).map_or(0, |&i| self.rels[i].len())
+        self.pred_ix
+            .get(&pred)
+            .map_or(0, |&i| self.rels[i].len as usize)
     }
 
     /// Every predicate in the database with its relation size, in
@@ -487,8 +565,8 @@ impl Database {
     pub fn predicates(&self) -> impl Iterator<Item = (PredId, usize)> + '_ {
         self.preds
             .iter()
-            .enumerate()
-            .map(|(i, &(pred, _))| (pred, self.rels[i].len()))
+            .zip(&self.rels)
+            .map(|(&(pred, _), rel)| (pred, rel.len as usize))
     }
 
     /// Answers a query goal against the materialized database.
@@ -497,8 +575,9 @@ impl Database {
     /// program bodies (negation allowed, range-restricted over the goal's
     /// positive literals); `var_names` maps the goal's
     /// [`granlog_ir::VarId`]s to source names, exactly as
-    /// [`granlog_ir::parser::parse_term`] returns them. Answers come back
-    /// in derivation order, one row per distinct variable assignment.
+    /// [`granlog_ir::parser::parse_term`] returns them. One row comes back
+    /// per distinct variable assignment; a probe whose bound columns match
+    /// an index the program's rules registered uses it, any other scans.
     pub fn query(&self, goal: &Term, var_names: &[Symbol]) -> Result<QueryAnswers, DatalogError> {
         let display = granlog_ir::pretty::TermWithNames::new(goal, var_names).to_string();
         let mut ctx = LowerCtx::new(display, var_names);
@@ -508,100 +587,67 @@ impl Database {
 
         // The answer columns: every goal variable, first-occurrence order.
         let vars: Vec<Symbol> = ctx.slot_names.clone();
-        let num_slots = vars.len();
 
-        // Order probes like rule planning: positives first (source order),
-        // then negations; enforce range restriction over the goal itself.
-        let mut pos_lits = Vec::new();
-        let mut neg_lits = Vec::new();
+        // Order probes like a seeding plan: positives first (source order),
+        // then negations. A literal that cannot match — an unknown constant
+        // or a predicate the program never mentions (an empty relation) —
+        // empties the answer set when positive and is trivially true, so
+        // dropped, when negated.
+        let mut body: Vec<Literal> = Vec::new();
+        let mut negated = Vec::new();
         let mut impossible = false;
         for l in lowered {
-            if l.lit.negated {
-                if l.impossible {
-                    // `\+ p(<unknown constant>)`: trivially true, drop it.
-                    continue;
-                }
-                neg_lits.push(l.lit);
-            } else {
-                impossible |= l.impossible;
-                pos_lits.push(l.lit);
+            let matchable = !l.impossible && self.pred_ix.contains_key(&l.lit.pred);
+            if !l.lit.negated {
+                impossible |= !matchable;
+                body.push(l.lit);
+            } else if matchable {
+                negated.push(l.lit);
             }
         }
-        let positive_slots: BTreeSet<u32> = pos_lits
-            .iter()
-            .flat_map(|l| l.args.iter())
-            .filter_map(|a| match a {
-                ArgPat::Var(s) => Some(*s),
-                ArgPat::Const(_) => None,
-            })
-            .collect();
-        for s in 0..num_slots as u32 {
-            if !positive_slots.contains(&s) {
-                return Err(DatalogError::UnsafeClause {
-                    clause: ctx.display.clone(),
-                    var: ctx.slot_name(s).to_string(),
-                });
-            }
+        // Range restriction over the goal itself.
+        let positive_slots: BTreeSet<u32> = body.iter().flat_map(slots).collect();
+        if let Some(s) = (0..vars.len() as u32).find(|s| !positive_slots.contains(s)) {
+            return Err(DatalogError::UnsafeClause {
+                clause: ctx.display.clone(),
+                var: ctx.slot_name(s).to_string(),
+            });
         }
         if impossible {
             return Ok(QueryAnswers {
                 vars,
                 rows: Vec::new(),
+                tuples_tried: 0,
             });
         }
+        body.append(&mut negated);
 
-        // A positive literal over a predicate the program never mentions is
-        // an empty relation: no answers. A negated one passes trivially and
-        // is pointed at a shared empty relation view.
-        let empty = Relation::default();
-        let mut views: Vec<&Relation> = self.rels.iter().collect();
-        views.push(&empty);
-        let empty_idx = views.len() - 1;
-
-        let mut bound_slots: BTreeSet<u32> = BTreeSet::new();
-        let mut lits: Vec<EvalLit> = Vec::with_capacity(pos_lits.len() + neg_lits.len());
-        for l in pos_lits.iter().chain(neg_lits.iter()) {
-            let rel = match self.pred_ix.get(&l.pred) {
-                Some(&i) => i,
-                None if l.negated => empty_idx,
-                None => {
-                    return Ok(QueryAnswers {
-                        vars,
-                        rows: Vec::new(),
-                    })
-                }
-            };
-            let all_bound = l.args.iter().all(|a| match a {
-                ArgPat::Const(_) => true,
-                ArgPat::Var(s) => bound_slots.contains(s),
-            });
-            if !l.negated {
-                for a in &l.args {
-                    if let ArgPat::Var(s) = a {
-                        bound_slots.insert(*s);
-                    }
-                }
-            }
-            lits.push(EvalLit {
-                rel,
-                negated: l.negated,
-                args: l.args.clone(),
-                index_slot: None,
-                all_bound,
-            });
-        }
-
-        let bounds: Vec<(usize, usize)> = lits.iter().map(|_| (0, usize::MAX)).collect();
-        let mut rows: Vec<Vec<RTerm>> = Vec::new();
-        let mut join = Join::new(&views, &lits, &bounds, |bind: &[u32]| {
-            rows.push(
-                (0..num_slots)
-                    .map(|s| RTerm::from_ir(self.consts.term(bind[s]), 0))
-                    .collect(),
-            );
+        let order: Vec<usize> = (0..body.len()).collect();
+        let lits = plan_probes(&body, &order, None, &self.pred_ix, |rel, cols| {
+            self.rels[rel].indexes.iter().position(|ix| ix.cols == cols)
         });
-        join.run(num_slots)?;
-        drop(join);
-        Ok(QueryAnswers { vars, rows })
+
+        let bounds: Vec<(u32, u32)> = lits.iter().map(|l| (0, self.rels[l.rel].len)).collect();
+        let mut rows: Vec<Vec<RTerm>> = Vec::new();
+        let tuples_tried = Join {
+            rels: &self.rels,
+            lits: &lits,
+            bounds: &bounds,
+            bind: &mut vec![0; vars.len()],
+            tried: 0,
+            emit: |bind: &[ConstId]| {
+                rows.push(
+                    bind.iter()
+                        .map(|&c| RTerm::from_ir(self.consts.term(c), 0))
+                        .collect(),
+                );
+            },
+        }
+        .run()?;
+        Ok(QueryAnswers {
+            vars,
+            rows,
+            tuples_tried,
+        })
     }
 }

@@ -277,6 +277,26 @@ mod tests {
     }
 
     #[test]
+    fn partially_bound_query_probes_a_registered_index() {
+        // The recursive rule's delta variant probes `link` by its first
+        // column, so that index exists; nothing indexes the second column.
+        let mut src = String::from("reach(h0).\nreach(T) :- link(S, T), reach(S).\n");
+        for i in 0..50 {
+            src.push_str(&format!("link(h{}, h{}).\n", i, i + 1));
+        }
+        let db = db(&src);
+        let probe = |query: &str| {
+            let (goal, names) = parse_term(query).unwrap();
+            let answers = db.query(&goal, &names).unwrap();
+            (answers.rows.len(), answers.tuples_tried)
+        };
+        assert_eq!(probe("link(h7, X)"), (1, 1), "indexed: one posting tried");
+        assert_eq!(probe("link(X, h7)"), (1, 50), "no such index: a scan");
+        assert_eq!(probe("link(h7, X), link(X, Y)"), (1, 2));
+        assert_eq!(probe("link(h7, h8)"), (1, 1), "all bound: one membership");
+    }
+
+    #[test]
     fn answers_cross_the_rterm_boundary() {
         use granlog_engine::rterm::RTerm;
         let db = db("holds(key(red), door1). opens(K, D) :- holds(K, D).");

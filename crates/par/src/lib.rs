@@ -426,6 +426,10 @@ impl<'p> Shared<'p> {
     }
 
     fn finish(&self) {
+        // Under the injector lock: a worker that has read `done == false`
+        // still holds it until `work_cv.wait` parks it, so the store and
+        // the wake-up cannot fall between its check and its wait.
+        let _queue = lock_recovering(&self.injector);
         self.done.store(true, Ordering::Release);
         self.work_cv.notify_all();
     }

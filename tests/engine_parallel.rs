@@ -221,3 +221,51 @@ fn failing_arms_match_sequential() {
         assert_differential(src, "pick(2, R)", threads, Granularity::AlwaysSpawn);
     }
 }
+
+/// Pool shutdown must not lose its wake-up: `finish` publishes `done` to
+/// workers that may be between their `done` check and their condvar wait.
+/// Many short queries at 2 and 4 threads make that window likely; the
+/// watchdog turns a missed wake-up (a `run_goal` that never returns) into a
+/// failure instead of a stuck suite.
+#[test]
+fn short_queries_never_miss_the_shutdown_wakeup() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let queries = if cfg!(debug_assertions) {
+        3_000
+    } else {
+        30_000
+    };
+    let (done_tx, done_rx) = mpsc::channel();
+    let storm = std::thread::spawn(move || {
+        // The clause body mentions `&`, so every query starts pool workers.
+        let program = parse_program("ok(_, done). both(A, B) :- ok(1, A) & ok(2, B).")
+            .expect("program parses");
+        let (goal, names) = granlog_ir::parser::parse_term("both(A, B)").expect("goal parses");
+        for threads in [2, 4] {
+            let mut executor = ParExecutor::new(
+                &program,
+                ParConfig {
+                    threads,
+                    granularity: Granularity::AlwaysSpawn,
+                    ..ParConfig::default()
+                },
+            );
+            for _ in 0..queries {
+                let outcome = executor.run_goal(&goal, &names).expect("query runs");
+                assert!(outcome.succeeded);
+            }
+            done_tx.send(threads).expect("watchdog is listening");
+        }
+    });
+    for threads in [2, 4] {
+        let finished = done_rx.recv_timeout(Duration::from_secs(120));
+        assert_eq!(
+            finished,
+            Ok(threads),
+            "{queries} short queries at {threads} threads did not finish: a worker missed shutdown"
+        );
+    }
+    storm.join().expect("query thread finished cleanly");
+}
