@@ -72,7 +72,7 @@ pub use heap::HCell;
 pub use machine::{
     Budget, ClauseSelection, Machine, MachineConfig, MachineStats, QueryOutcome, Solve, SolveToken,
 };
-pub use par::{ArmAnswer, ParDecision, ParHook};
+pub use par::{ArmAnswer, Packet, ParDecision, ParHook};
 pub use profile::PredProfile;
 pub use tasktree::{ForkSpan, Segment, Task, TaskId, TaskRecorder, TaskTree};
 pub use template::{Cell, ClauseTemplate, Seq, Step};

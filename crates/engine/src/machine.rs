@@ -54,7 +54,7 @@ use crate::builtins::{self, Builtin};
 use crate::cost::{CostModel, Counters};
 use crate::error::{BudgetKind, EngineError, EngineResult};
 use crate::heap::HCell;
-use crate::par::{CellGuard, CellGuards, GuardMeasure, ParDecision, ParHook};
+use crate::par::{ArmAnswer, CellGuard, CellGuards, GuardMeasure, Packet, ParDecision, ParHook};
 use crate::tasktree::{TaskId, TaskRecorder, TaskTree};
 use crate::template::{Cell, ClauseTemplate, Seq, Step};
 use granlog_ir::symbol::well_known::{self, WellKnownSymbols};
@@ -525,6 +525,13 @@ pub struct Machine<'p> {
     /// Reusable scratch for flattening `&` conjunctions into arms (indexed
     /// by a per-fork base so nested forks share it without clearing).
     arm_scratch: Vec<HCell>,
+    /// Reusable packing scratch (see [`Machine::pack`]): unbound cell →
+    /// variable number, counted across the packets of one conjunction.
+    pack_vars: FastMap<u32, u32>,
+    /// The inverse of `pack_vars`: variable number → unbound cell. After a
+    /// conjunction's arms are packed this is the parents table of arm 0,
+    /// then of arm 1, and so on.
+    pack_parents: Vec<u32>,
     pub(crate) counters: Counters,
     recorder: TaskRecorder,
     stats: MachineStats,
@@ -610,6 +617,8 @@ impl<'p> Machine<'p> {
             base_goal: 0,
             base_cp: 0,
             arm_scratch: Vec::new(),
+            pack_vars: FastMap::default(),
+            pack_parents: Vec::new(),
             counters: Counters::default(),
             recorder: TaskRecorder::new(),
             stats: MachineStats::default(),
@@ -684,10 +693,7 @@ impl<'p> Machine<'p> {
     /// [`crate::par`]). With `None` this *is* `run_goal` — the machine runs
     /// every conjunction inline.
     ///
-    /// The goal's variables must be numbered `0..n`; they occupy the bottom
-    /// of the arena, so after the call `var i` can be read back with
-    /// [`Machine::resolve_var`] — which is how a parallel executor extracts
-    /// an arm's answer without naming its variables.
+    /// The goal's variables must be numbered `0..n`.
     ///
     /// # Errors
     ///
@@ -728,6 +734,58 @@ impl<'p> Machine<'p> {
         hook: Option<&dyn ParHook>,
         budget: &Budget,
     ) -> EngineResult<Solve> {
+        self.begin_solve(var_names);
+        // Query variables occupy the bottom of the arena, so their cell
+        // indices double as binding-table slots for answer extraction.
+        self.fresh_vars(var_names.len().max(goal.var_bound()));
+        let root = self.write_ir(goal, 0);
+        self.push_goal(Goal::Cell(root))?;
+        self.drive(hook, budget)
+    }
+
+    /// Runs a packed `&` arm (see [`crate::par`]) to its first solution —
+    /// the packet entry point a [`ParHook`] calls on the machine it chose
+    /// for the arm, passing itself as `hook` so nested conjunctions spawn
+    /// recursively. The packet is unpacked at the bottom of the emptied
+    /// arena, so its variables are cells `0..nvars`; on success their values
+    /// are packed back out as the answer. `Ok(None)` means the arm failed.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if execution hits a limit or runtime error (local or
+    /// inside a nested spawned arm); the run state is unwound as in
+    /// [`Machine::solve_goal`].
+    pub fn run_arm(
+        &mut self,
+        arm: &Packet,
+        hook: Option<&dyn ParHook>,
+    ) -> EngineResult<Option<ArmAnswer>> {
+        self.begin_solve(&[]);
+        let root = self.unpack(arm);
+        self.push_goal(Goal::Cell(self.heap[root]))?;
+        let Solve::Done(outcome) = self.drive(hook, &Budget::UNLIMITED)? else {
+            unreachable!("an unlimited budget never yields")
+        };
+        if !outcome.succeeded {
+            return Ok(None);
+        }
+        self.pack_vars.clear();
+        self.pack_parents.clear();
+        let packet = self
+            .pack((0..arm.nvars).map(HCell::Ref))
+            .expect("a lone packet has no earlier packet to share a variable with");
+        Ok(Some(ArmAnswer {
+            packet,
+            counters: outcome.counters,
+            work: outcome.work,
+        }))
+    }
+
+    /// Resets the machine for a new solve: run state, counters, task
+    /// recording, stats and profile are cleared, outstanding
+    /// [`SolveToken`]s are invalidated, and `var_names` become the query's
+    /// answer variables.
+    fn begin_solve(&mut self, var_names: &[Symbol]) {
         self.reset_run_state();
         self.counters = Counters::default();
         self.recorder = TaskRecorder::new();
@@ -738,16 +796,6 @@ impl<'p> Machine<'p> {
         self.solve_gen += 1;
         self.query_vars.clear();
         self.query_vars.extend_from_slice(var_names);
-
-        // Query variables occupy the bottom of the arena, so their cell
-        // indices double as binding-table slots for answer extraction.
-        let nvars = var_names.len().max(goal.var_bound());
-        for i in 0..nvars {
-            self.heap.push(HCell::unbound(i));
-        }
-        let root = self.write_ir(goal, 0);
-        self.push_goal(Goal::Cell(root))?;
-        self.drive(hook, budget)
     }
 
     /// Continues a solve suspended by [`Solve::Yield`], under a fresh slice
@@ -954,6 +1002,71 @@ impl<'p> Machine<'p> {
         base
     }
 
+    /// Packs the terms rooted at `roots` out of the arena into one
+    /// relocatable [`Packet`] whose first body cells are those roots, in a
+    /// single iterative pass: the packet under construction is its own work
+    /// queue (a Cheney scan), so nothing here recurses on term depth. Each
+    /// scanned cell is dereferenced; a struct's argument block is appended
+    /// raw, to be scanned in its turn, and an unbound cell becomes a packet
+    /// variable.
+    ///
+    /// Variables are numbered through `pack_vars` / `pack_parents`, which
+    /// the caller clears before the first packet of a conjunction (or
+    /// before a lone answer) and which this call extends — so the packets of
+    /// one conjunction draw on one numbering, each packet's variables being
+    /// the tail this call added, rebased to 0. Returns `None` on reaching an
+    /// unbound cell an *earlier* packet already numbered: the two arms are
+    /// not independent.
+    fn pack(&mut self, roots: impl IntoIterator<Item = HCell>) -> Option<Packet> {
+        let first_var = self.pack_parents.len() as u32;
+        let mut cells: Vec<HCell> = roots.into_iter().collect();
+        let mut at = 0;
+        while at < cells.len() {
+            cells[at] = match self.deref_cell(cells[at]) {
+                HCell::Ref(idx) => {
+                    let fresh = self.pack_parents.len() as u32;
+                    let var = *self.pack_vars.entry(idx).or_insert(fresh);
+                    if var == fresh {
+                        self.pack_parents.push(idx);
+                    } else if var < first_var {
+                        return None;
+                    }
+                    HCell::Ref(var - first_var)
+                }
+                HCell::Struct(name, arity, base) => {
+                    let block =
+                        u32::try_from(cells.len()).expect("packet exceeds u32 cell addressing");
+                    let base = base as usize;
+                    cells.extend_from_slice(&self.heap[base..base + arity as usize]);
+                    HCell::Struct(name, arity, block)
+                }
+                constant => constant,
+            };
+            at += 1;
+        }
+        Some(Packet {
+            nvars: self.pack_parents.len() as u32 - first_var,
+            cells,
+        })
+    }
+
+    /// Unpacks a packet on top of the arena — its variables as fresh unbound
+    /// cells, then its body with every `Ref` and `Struct` base moved by one
+    /// offset each — and returns the heap index of its first root.
+    fn unpack(&mut self, packet: &Packet) -> usize {
+        let vars = self.fresh_vars(packet.nvars as usize) as u32;
+        self.check_arena_capacity(packet.cells.len());
+        let body = self.heap.len();
+        let offset = body as u32;
+        self.heap
+            .extend(packet.cells.iter().map(|&cell| match cell {
+                HCell::Ref(var) => HCell::Ref(vars + var),
+                HCell::Struct(name, arity, block) => HCell::Struct(name, arity, offset + block),
+                constant => constant,
+            }));
+        body
+    }
+
     /// Builds a proper list of the given element cells in the arena,
     /// returning the list's root cell.
     pub(crate) fn write_list(&mut self, items: &[HCell]) -> HCell {
@@ -1061,14 +1174,6 @@ impl<'p> Machine<'p> {
                     .collect(),
             ),
         }
-    }
-
-    /// Resolves query variable `idx` of the most recent
-    /// [`Machine::run_goal_par`] call back into a source-level [`Term`]
-    /// (unbound variables appear as `Term::Var(cell index)`). Valid until
-    /// the next query resets the arena.
-    pub fn resolve_var(&self, idx: usize) -> Term {
-        self.resolve_idx(idx)
     }
 
     fn note_heap_high_water(&mut self) {
@@ -2059,23 +2164,26 @@ impl<'p> Machine<'p> {
     /// Offers the parallel conjunction whose arm cells sit in
     /// `arm_scratch[base..]` to the parallel hook. Returns:
     ///
-    /// * `Ok(None)` — the hook declined ([`ParDecision::Inline`]); the
-    ///   caller runs the arms inline (the scratch range is left in place).
+    /// * `Ok(None)` — a guard, the independence check or the hook
+    ///   ([`ParDecision::Inline`]) declined; the caller runs the arms inline
+    ///   (the scratch range is left in place).
     /// * `Ok(Some(ok))` — the hook executed the arms; `ok` is the
     ///   conjunction's outcome after the deterministic in-order join
     ///   (answer bindings unified into the parent arena, child counters and
     ///   work merged, fork recorded in the task tree). The scratch range is
     ///   consumed.
     ///
-    /// The join is the copy-in half of the spawn boundary documented in
-    /// [`crate::par`]: each answer's terms are written into this machine's
-    /// arena over a block of fresh variables and unified with the parent
-    /// cells the arm mentioned, so failures and backtracking behave exactly
-    /// as if the bindings had been made by inline execution.
+    /// This is the parent's half of the spawn boundary documented in
+    /// [`crate::par`]: the arms are packed (which is also the independence
+    /// check — a shared unbound cell inlines the conjunction), and each
+    /// answer packet is unpacked into this machine's arena and its values
+    /// unified with the parent cells the arm mentioned, so failures and
+    /// backtracking behave exactly as if the bindings had been made by
+    /// inline execution.
     fn try_spawn_par(&mut self, hook: &dyn ParHook, base: usize) -> EngineResult<Option<bool>> {
         // Cell-guard pre-screen: a bounded cell walk per arm decides most
         // granularity-control inlines for (at most) the cost of the
-        // threshold, before any arm is copied out of the arena.
+        // threshold, before any arm is packed.
         if let Some(guards) = hook.cell_guards() {
             for k in base..self.arm_scratch.len() {
                 if !self
@@ -2087,10 +2195,23 @@ impl<'p> Machine<'p> {
                 }
             }
         }
-        let arms: Vec<Term> = (base..self.arm_scratch.len())
-            .map(|k| self.resolve_cell(self.arm_scratch[k]))
-            .collect();
-        match hook.exec_arms(&arms)? {
+        self.pack_vars.clear();
+        self.pack_parents.clear();
+        let count = self.arm_scratch.len() - base;
+        let mut arms = Vec::with_capacity(count);
+        for k in base..self.arm_scratch.len() {
+            // An unbound variable shared between arms would make the arms'
+            // first solutions order-dependent: run such conjunctions inline,
+            // so parallel execution is always answer-equivalent to
+            // sequential execution.
+            let Some(arm) = self.pack([self.arm_scratch[k]]) else {
+                hook.note_inlined();
+                return Ok(None);
+            };
+            arms.push(arm);
+        }
+        let arm_vars: Vec<usize> = arms.iter().map(|arm| arm.nvars as usize).collect();
+        match hook.exec_arms(arms)? {
             ParDecision::Inline => Ok(None),
             ParDecision::Executed(None) => {
                 self.arm_scratch.truncate(base);
@@ -2098,23 +2219,27 @@ impl<'p> Machine<'p> {
             }
             ParDecision::Executed(Some(answers)) => {
                 self.arm_scratch.truncate(base);
-                let children = self.recorder.record_fork(arms.len());
+                let children = self.recorder.record_fork(count);
                 for (k, answer) in answers.iter().enumerate() {
                     self.recorder.push(children.start + k);
                     self.recorder.record_work(answer.work);
                     self.recorder.pop();
                     self.counters = self.counters.add(&answer.counters);
                 }
+                // `pack_parents` is untouched since packing (arms run on
+                // other machines): arm 0's parent cells, then arm 1's, ...
                 let mut ok = true;
-                'join: for answer in &answers {
-                    let fresh_base = self.fresh_vars(answer.fresh_vars);
-                    for (parent, term) in &answer.bindings {
-                        let cell = self.write_ir(term, fresh_base);
-                        if !self.unify_cell(*parent, cell) {
+                let mut parents = 0;
+                'join: for (answer, &nvars) in answers.iter().zip(&arm_vars) {
+                    let root = self.unpack(&answer.packet);
+                    for var in 0..nvars {
+                        let parent = self.pack_parents[parents + var] as usize;
+                        if !self.unify(parent, root + var) {
                             ok = false;
                             break 'join;
                         }
                     }
+                    parents += nvars;
                 }
                 self.note_heap_high_water();
                 Ok(Some(ok))
@@ -2785,6 +2910,46 @@ mod tests {
         assert_eq!(tree.total_work(), 23.0);
         // Critical path = 1 + max(11, 11).
         assert_eq!(tree.critical_path(), 12.0);
+    }
+
+    #[test]
+    fn packets_number_variables_per_conjunction_and_relocate() {
+        let program = parse_program("").unwrap();
+        let mut m = Machine::new(&program);
+        // The chain Z -> Y and the bound W make the packer dereference on
+        // its way; variables sit at the bottom of the fresh arena.
+        let (term, _) = parser::parse_term("t(f(X, g(Y, Z, 1.5)), h(W, V), k(X))").unwrap();
+        let at = m.write_term(&term);
+        let HCell::Struct(_, 3, arms) = m.heap[at] else {
+            panic!("t/3")
+        };
+        let arm = |m: &Machine, k: usize| m.heap[arms as usize + k];
+        // X, Y, Z, W, V are cells 0..5.
+        assert!(m.unify(2, 1));
+        assert!(m.unify_cell(3, HCell::Int(7)));
+
+        let first = m.pack([arm(&m, 0)]).expect("independent");
+        assert_eq!((first.nvars, first.cells()), (2, 2 + 1 + 2 + 3));
+        // The second arm's variable is numbered from 0 again, and follows
+        // the first arm's in the shared parents table.
+        let second = m.pack([arm(&m, 1)]).expect("independent");
+        assert_eq!(
+            second.cells,
+            [
+                HCell::Struct(Symbol::intern("h"), 2, 1),
+                HCell::Int(7),
+                HCell::Ref(0)
+            ]
+        );
+        assert_eq!(m.pack_parents, [0, 1, 4]);
+        assert!(m.pack([arm(&m, 2)]).is_none(), "X is arm 0's");
+
+        // Arm 0 unpacked above everything else reads back as a variant.
+        let root = m.unpack(&first);
+        assert_eq!(
+            m.resolve_idx(root).to_string(),
+            format!("f(_{0},g(_{1},_{1},1.5))", root - 2, root - 1)
+        );
     }
 
     #[test]

@@ -15,18 +15,25 @@
 //!
 //! # Copy semantics at the spawn boundary
 //!
-//! Arms cross the boundary **by value**. The machine resolves each arm out
-//! of its arena into a self-contained [`Term`] in which an unbound parent
-//! variable appears as `Term::Var(i)` where `i` is its parent *heap cell
-//! index*. The hook executes the arm elsewhere and hands back one
-//! [`ArmAnswer`] per arm: bindings for exactly those parent cells, expressed
-//! as terms over a small fresh-variable alphabet `0..fresh_vars` (shared
-//! across the bindings of one answer, so sharing between answer terms is
-//! preserved). The machine writes the answer terms into its own arena and
-//! *unifies* them with the parent cells at the join — so a conflicting
-//! answer (possible only when arms were not independent) fails the
-//! conjunction rather than corrupting state, and backtracking past the
-//! conjunction undoes the joined bindings through the ordinary trail.
+//! Arms cross the boundary **by value**, as [`Packet`]s: flat, relocatable
+//! runs of heap cells with no pointer into any arena. The machine packs each
+//! arm straight out of its arena in one iterative pass — bound `Ref` chains
+//! are dereferenced away, every distinct unbound parent cell becomes the
+//! next dense packet variable (the machine keeps the variable → parent cell
+//! table on its side of the boundary), and a parent cell reached from two
+//! arms declines the spawn, because such arms are not independent. The hook
+//! runs each packet elsewhere ([`crate::Machine::run_arm`] unpacks it at the
+//! bottom of an empty arena with one offset-fixup `extend` and solves it)
+//! and hands back one [`ArmAnswer`] per arm: a second packet holding the
+//! values of the arm's variables, in order, over a fresh-variable alphabet
+//! shared across the bindings of that answer, so sharing between answer
+//! terms is preserved. The machine unpacks the answer into its own arena and
+//! *unifies* each value with the parent cell it belongs to at the join — so
+//! a conflicting answer fails the conjunction rather than corrupting state,
+//! and backtracking past the conjunction undoes the joined bindings through
+//! the ordinary trail. No `Term` is built anywhere on this path, and neither
+//! packing nor unpacking recurses on term depth: a list of any length
+//! crosses the boundary on a constant amount of native stack.
 //!
 //! # Determinism guarantees
 //!
@@ -39,21 +46,41 @@
 
 use crate::cost::Counters;
 use crate::error::EngineResult;
-use granlog_ir::Term;
+use crate::heap::HCell;
+
+/// One or more terms copied out of an arena in relocatable form.
+///
+/// A packet's address space is its `nvars` variables (`0..nvars`, all
+/// unbound) followed by its body cells. In the body a [`HCell::Ref`] holds a
+/// variable number — bound references never survive packing, so a `Ref`
+/// always names a variable — and a [`HCell::Struct`] holds the body-relative
+/// index of its argument block. The first body cells are the packet's roots:
+/// the goal, for an arm; the value of each of the arm's variables, in order,
+/// for an answer. Unpacking at any arena height is one linear pass that adds
+/// an offset to each `Ref` and each `Struct` base.
+#[derive(Debug, Clone)]
+pub struct Packet {
+    pub(crate) nvars: u32,
+    pub(crate) cells: Vec<HCell>,
+}
+
+impl Packet {
+    /// The number of arena cells the packet occupies once unpacked: its
+    /// variables plus its body.
+    pub fn cells(&self) -> usize {
+        self.nvars as usize + self.cells.len()
+    }
+}
 
 /// One arm's answer, produced by a [`ParHook`] that executed the arm
-/// remotely.
+/// remotely (see [`crate::Machine::run_arm`]).
 #[derive(Debug, Clone)]
 pub struct ArmAnswer {
-    /// `(parent heap cell index, answer term)` pairs — one entry per
-    /// distinct unbound parent variable that occurred in the copied-out arm.
-    /// `Term::Var(k)` inside an answer term names the answer-local fresh
-    /// variable `k`; fresh variables are shared across the bindings of this
-    /// answer, preserving sharing.
-    pub bindings: Vec<(usize, Term)>,
-    /// Number of distinct fresh variables the answer terms mention
-    /// (`Term::Var(k)` with `k < fresh_vars`).
-    pub fresh_vars: usize,
+    /// The values of the arm packet's variables `0..nvars`, in order, as the
+    /// roots of one packet. The packet's own variables are the answer-local
+    /// fresh variables; they are shared across the values, preserving
+    /// sharing.
+    pub packet: Packet,
     /// The operation counters of the arm's execution, merged into the
     /// calling machine's counters at the join.
     pub counters: Counters,
@@ -67,9 +94,7 @@ pub struct ArmAnswer {
 pub enum ParDecision {
     /// Run the arms inline on the calling machine (sequentially, behind the
     /// machine's ordinary parallel-conjunction barrier). This is the
-    /// granularity-control "too small to spawn" outcome and the fallback
-    /// for arms the hook cannot isolate (e.g. arms sharing unbound
-    /// variables).
+    /// granularity-control "too small to spawn" outcome.
     Inline,
     /// The hook executed every arm to its first solution. `Some(answers)`
     /// carries one [`ArmAnswer`] per arm, in arm order; `None` means at
@@ -96,7 +121,7 @@ pub enum GuardMeasure {
 
 /// The cell-level spawn guard of one predicate: the threshold → guard
 /// lowering of the granularity analysis, in a form the machine can evaluate
-/// directly over heap cells *before* paying the copy-out of an arm.
+/// directly over heap cells *before* paying for packing an arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellGuard {
     /// Spawn unconditionally.
@@ -117,7 +142,7 @@ pub enum CellGuard {
 /// Per-predicate cell-level spawn guards, keyed by `(functor, arity)`. The
 /// machine consults this table at every `&` reached with a hook installed:
 /// if any arm's first guarded goal measures below its threshold, the
-/// conjunction is inlined without copying anything out.
+/// conjunction is inlined without packing anything.
 #[derive(Debug, Clone, Default)]
 pub struct CellGuards {
     map: granlog_ir::FastMap<(granlog_ir::Symbol, usize), CellGuard>,
@@ -158,25 +183,27 @@ impl CellGuards {
 /// worker passes the same hook to its own machine so nested conjunctions
 /// spawn recursively), hence the `Sync` bound.
 pub trait ParHook: Sync {
-    /// Offers a parallel conjunction to the hook. `arms` are the copied-out
-    /// arm terms, in source order, with unbound parent variables appearing
-    /// as `Term::Var(parent cell index)`.
+    /// Offers a parallel conjunction to the hook. `arms` are the packed
+    /// arms, in source order, each with the goal as its only root; they are
+    /// independent (no unbound parent cell occurs in two of them).
     ///
     /// # Errors
     ///
     /// A propagated engine error from any arm's execution aborts the query.
-    fn exec_arms(&self, arms: &[Term]) -> EngineResult<ParDecision>;
+    fn exec_arms(&self, arms: Vec<Packet>) -> EngineResult<ParDecision>;
 
-    /// Cell-level spawn guards the machine evaluates *before* copying an
-    /// arm out. Returning `Some` lets the machine inline a too-small
+    /// Cell-level spawn guards the machine evaluates *before* packing an
+    /// arm. Returning `Some` lets the machine inline a too-small
     /// conjunction for the cost of a bounded cell walk instead of a full
-    /// term copy; `None` (the default) sends every conjunction to
+    /// copy; `None` (the default) sends every conjunction to
     /// [`ParHook::exec_arms`].
     fn cell_guards(&self) -> Option<&CellGuards> {
         None
     }
 
-    /// Notification that the machine's cell-guard pre-screen inlined a
-    /// conjunction (so executors can keep their statistics). Default: no-op.
+    /// Notification that the machine inlined a conjunction without offering
+    /// it — the cell-guard pre-screen found it too small, or packing found
+    /// an unbound variable shared between arms — so executors can keep
+    /// their statistics. Default: no-op.
     fn note_inlined(&self) {}
 }

@@ -22,11 +22,13 @@
 //!   work-stealing design space, chosen because granularity control makes
 //!   spawns *coarse*: the queue is touched once per spawned task, not once
 //!   per resolution.
-//! * **Copy in, copy out.** Arms cross the spawn boundary by value (see
-//!   [`granlog_engine::par`]): the parent machine resolves each arm out of
-//!   its arena into a self-contained [`Term`], the child runs it as a fresh
-//!   query against its own arena, and the answer bindings are copied back
-//!   and unified at the join. No heap cell is ever shared between threads.
+//! * **Pack out, unpack in.** Arms cross the spawn boundary by value (see
+//!   [`granlog_engine::par`]): the parent machine packs each arm out of its
+//!   arena into a flat, relocatable [`Packet`] of heap cells in one
+//!   iterative pass, the child unpacks it at the bottom of its own empty
+//!   arena and solves it, and the values of the arm's variables travel back
+//!   as a second packet, unpacked and unified at the join. No heap cell is
+//!   ever shared between threads, and no `Term` is built on the way.
 //! * **Deterministic join, help-first waiting.** The spawning thread
 //!   executes arm 0 itself, then joins the remaining arms *in order*; while
 //!   a joined arm is still running elsewhere the joiner drains other
@@ -51,9 +53,9 @@
 //!   at the `par.spawn` (arm execution) and `par.join` (result collection)
 //!   seams — see the `granlog-fault` crate.
 //!
-//! Arms that share an unbound variable are not independent; the executor
-//! detects this during copy-out and runs such conjunctions inline, so the
-//! parallel execution always computes the same first answer as the
+//! Arms that share an unbound variable are not independent; the machine
+//! detects this while packing them and runs such conjunctions inline, so
+//! the parallel execution always computes the same first answer as the
 //! sequential engine.
 //!
 //! # Example
@@ -84,12 +86,14 @@
 use granlog_analysis::guard::{PredGuard, SpawnGuards};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_analysis::Measure;
-use granlog_engine::par::{ArmAnswer, CellGuard, CellGuards, GuardMeasure, ParDecision, ParHook};
+use granlog_engine::par::{
+    ArmAnswer, CellGuard, CellGuards, GuardMeasure, Packet, ParDecision, ParHook,
+};
 use granlog_engine::{
     Budget, ClauseTemplate, Counters, EngineError, EngineResult, Machine, MachineConfig, Solve,
 };
 use granlog_ir::{parser, Program, Symbol, Term};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -139,7 +143,7 @@ pub enum Granularity {
 pub struct ParConfig {
     /// Total number of threads executing the query: the caller plus
     /// `threads - 1` pool workers. `1` runs every spawned arm on the calling
-    /// thread (exercising the full copy-out/copy-in boundary without
+    /// thread (exercising the full pack/unpack boundary without
     /// concurrency).
     pub threads: usize,
     /// The spawn-decision mode.
@@ -192,17 +196,9 @@ impl ParOutcome {
     }
 }
 
-/// The raw result of one spawned arm, produced on whichever thread ran it.
-/// `var_terms[i]` is the answer for the arm's dense variable `i`, over the
-/// answer-local fresh alphabet `0..fresh` (shared across the arm's answers).
-struct RawAnswer {
-    var_terms: Vec<Term>,
-    fresh: usize,
-    counters: Counters,
-    work: f64,
-}
-
-type JobResult = Result<Option<RawAnswer>, EngineError>;
+/// The result of one spawned arm, produced on whichever thread ran it:
+/// `None` if the arm failed.
+type JobResult = Result<Option<ArmAnswer>, EngineError>;
 
 enum JobState {
     /// In the injector (or about to be): any thread may claim it.
@@ -215,11 +211,9 @@ enum JobState {
     Consumed,
 }
 
-/// One spawned arm: a self-contained goal (dense variables `0..nvars`) plus
-/// its completion state.
+/// One spawned arm: its packet plus its completion state.
 struct Job {
-    goal: Term,
-    nvars: usize,
+    arm: Packet,
     state: Mutex<JobState>,
     cv: Condvar,
 }
@@ -291,15 +285,14 @@ impl<'p> Shared<'p> {
         true
     }
 
-    /// Runs a job's goal to its first solution on a pooled machine and
-    /// extracts the dense-variable answers (see [`RawAnswer`]).
+    /// Runs a job's arm to its first solution on a pooled machine.
     fn exec_job(&self, job: &Job) -> JobResult {
         let mut machine = self.acquire_machine();
         // Injected failures discard the acquired machine (the early return
         // drops it), mirroring the hygiene of a real panic.
         granlog_fault::fail_or("par.spawn", || EngineError::Fault("par.spawn"))?;
         let started = self.obs.as_ref().map(|_| Instant::now());
-        let outcome = machine.run_goal_par(&job.goal, &[], Some(self));
+        let result = machine.run_arm(&job.arm, Some(self));
         if let (Some(obs), Some(started)) = (&self.obs, started) {
             let elapsed = started.elapsed();
             obs.arm_ms.observe_duration_ms(elapsed);
@@ -308,25 +301,6 @@ impl<'p> Shared<'p> {
                 vec![("ms", (elapsed.as_secs_f64() * 1e3).into())],
             );
         }
-        let result = match outcome {
-            Err(e) => Err(e),
-            Ok(out) if !out.succeeded => Ok(None),
-            Ok(out) => {
-                // Child-side copy-out: renumber the unbound cells of the
-                // answers into a dense answer-local alphabet, preserving
-                // sharing across the arm's variables.
-                let mut fresh: BTreeMap<usize, usize> = BTreeMap::new();
-                let var_terms: Vec<Term> = (0..job.nvars)
-                    .map(|i| renumber_answer(&machine.resolve_var(i), &mut fresh))
-                    .collect();
-                Ok(Some(RawAnswer {
-                    var_terms,
-                    fresh: fresh.len(),
-                    counters: out.counters,
-                    work: out.work,
-                }))
-            }
-        };
         self.release_machine(machine);
         result
     }
@@ -448,87 +422,59 @@ impl ParHook for Shared<'_> {
         }
     }
 
-    fn exec_arms(&self, arms: &[Term]) -> EngineResult<ParDecision> {
-        // Granularity-on conjunctions that reach this point already passed
-        // the machine's cell-guard pre-screen ([`ParHook::cell_guards`]);
-        // `Off` installs no hook at all, so only spawn-worthy conjunctions
-        // arrive here.
+    fn exec_arms(&self, arms: Vec<Packet>) -> EngineResult<ParDecision> {
+        // Conjunctions that reach this point already passed the machine's
+        // cell-guard pre-screen ([`ParHook::cell_guards`]) and its
+        // independence check; `Off` installs no hook at all, so only
+        // spawn-worthy conjunctions arrive here.
         if arms.len() < 2 {
             return Ok(ParDecision::Inline);
         }
-        // Copy-out: renumber each arm's unbound parent cells into a dense
-        // per-arm alphabet, remembering which parent cell each dense
-        // variable stands for.
-        let mut jobs: Vec<(Arc<Job>, Vec<usize>)> = Vec::with_capacity(arms.len());
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        for arm in arms {
-            let mut map = BTreeMap::new();
-            let mut parents = Vec::new();
-            let goal = renumber_goal(arm, &mut map, &mut parents);
-            // Independence check: an unbound variable shared between arms
-            // would make the arms' first solutions order-dependent — run
-            // such conjunctions inline so parallel execution is always
-            // answer-equivalent to sequential execution.
-            if parents.iter().any(|p| !seen.insert(*p)) {
-                self.inlined.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = &self.obs {
-                    obs.inlined.inc();
-                    obs.tracer.emit("par_inline", vec![]);
-                }
-                return Ok(ParDecision::Inline);
-            }
-            let nvars = parents.len();
-            jobs.push((
+        let mut copied: usize = arms.iter().map(Packet::cells).sum();
+        let jobs: Vec<Arc<Job>> = arms
+            .into_iter()
+            .map(|arm| {
                 Arc::new(Job {
-                    goal,
-                    nvars,
+                    arm,
                     state: Mutex::new(JobState::Pending),
                     cv: Condvar::new(),
-                }),
-                parents,
-            ));
-        }
+                })
+            })
+            .collect();
         self.spawned.fetch_add(jobs.len(), Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             obs.spawned.add(jobs.len() as u64);
-            obs.tracer
-                .emit("par_spawn", vec![("arms", jobs.len().into())]);
+            obs.tracer.emit(
+                "par_spawn",
+                vec![("arms", jobs.len().into()), ("cells", copied.into())],
+            );
         }
-        {
-            let mut queue = lock_recovering(&self.injector);
-            for (job, _) in jobs.iter().skip(1) {
-                queue.push_back(Arc::clone(job));
-            }
-        }
+        lock_recovering(&self.injector).extend(jobs.iter().skip(1).cloned());
         self.work_cv.notify_all();
-        // Run arm 0 on this thread, then join the rest in order.
-        self.run_job(&jobs[0].0);
-        let mut answers = Vec::with_capacity(jobs.len());
-        let mut failed = false;
+        // Run arm 0 on this thread, then join every arm in order. A failed
+        // arm fails the conjunction; an error outranks a failure.
+        self.run_job(&jobs[0]);
+        let mut answers = Some(Vec::with_capacity(jobs.len()));
         let mut error: Option<EngineError> = None;
-        for (job, parents) in &jobs {
+        for job in &jobs {
             match self.join_job(job) {
-                Ok(Some(raw)) => answers.push(ArmAnswer {
-                    bindings: parents
-                        .iter()
-                        .zip(raw.var_terms)
-                        .map(|(&parent, term)| (parent, term))
-                        .collect(),
-                    fresh_vars: raw.fresh,
-                    counters: raw.counters,
-                    work: raw.work,
-                }),
-                Ok(None) => failed = true,
+                Ok(Some(answer)) => {
+                    copied += answer.packet.cells();
+                    if let Some(answers) = &mut answers {
+                        answers.push(answer);
+                    }
+                }
+                Ok(None) => answers = None,
                 Err(e) => error = error.or(Some(e)),
             }
         }
-        if let Some(e) = error {
-            return Err(e);
+        if let Some(obs) = &self.obs {
+            obs.copied_cells.observe(copied as f64);
         }
-        if failed {
-            return Ok(ParDecision::Executed(None));
+        match error {
+            Some(e) => Err(e),
+            None => Ok(ParDecision::Executed(answers)),
         }
-        Ok(ParDecision::Executed(Some(answers)))
     }
 }
 
@@ -738,45 +684,6 @@ fn lower_guards(guards: &SpawnGuards) -> CellGuards {
     table
 }
 
-/// Copy-out renumbering: rewrites `Term::Var(parent cell)` into dense
-/// `Term::Var(0..n)`, recording which parent cell each dense variable stands
-/// for.
-fn renumber_goal(term: &Term, map: &mut BTreeMap<usize, usize>, parents: &mut Vec<usize>) -> Term {
-    match term {
-        Term::Var(parent) => {
-            let id = *map.entry(*parent).or_insert_with(|| {
-                parents.push(*parent);
-                parents.len() - 1
-            });
-            Term::Var(id)
-        }
-        Term::Struct(name, args) => Term::Struct(
-            *name,
-            args.iter()
-                .map(|a| renumber_goal(a, map, parents))
-                .collect(),
-        ),
-        other => other.clone(),
-    }
-}
-
-/// Child-side answer renumbering: rewrites the child machine's unbound cell
-/// indices into a dense answer-local alphabet (shared across one arm's
-/// answers, preserving sharing).
-fn renumber_answer(term: &Term, map: &mut BTreeMap<usize, usize>) -> Term {
-    match term {
-        Term::Var(cell) => {
-            let next = map.len();
-            Term::Var(*map.entry(*cell).or_insert(next))
-        }
-        Term::Struct(name, args) => Term::Struct(
-            *name,
-            args.iter().map(|a| renumber_answer(a, map)).collect(),
-        ),
-        other => other.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -868,9 +775,25 @@ mod tests {
             .histogram_snapshot("granlog_par_join_wait_ms")
             .expect("registered");
         assert_eq!(joins.count, out.spawned_tasks as u64);
-        let kinds: Vec<&str> = tracer.events().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&"par_spawn"));
-        assert!(kinds.contains(&"par_join"));
+        // One copied-cells observation per spawned conjunction (fib's are
+        // all two-armed), each at least the two goal cells it shipped; the
+        // `par_spawn` events carry the arm half of the same count.
+        let copied = registry
+            .histogram_snapshot("granlog_par_copied_cells")
+            .expect("registered");
+        assert_eq!(copied.count * 2, out.spawned_tasks as u64);
+        let events = tracer.events();
+        let spawn_cells: f64 = events
+            .iter()
+            .filter(|e| e.kind == "par_spawn")
+            .map(|e| match e.fields[..] {
+                [("arms", _), ("cells", granlog_obs::Value::U64(cells))] => cells as f64,
+                _ => panic!("par_spawn fields are arms, cells: {e:?}"),
+            })
+            .sum();
+        assert!(spawn_cells >= 2.0 * copied.count as f64);
+        assert!(copied.sum > spawn_cells, "answers are counted too");
+        assert!(events.iter().any(|e| e.kind == "par_join"));
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! These are exactly the measurements the ROADMAP's "adaptive granularity
 //! control" item needs: calibrating the spawn-overhead constant W online
 //! means comparing observed arm solve time ([`ParObs::arm_ms`]) against
-//! observed fork/join overhead ([`ParObs::join_wait_ms`]).
+//! observed fork/join overhead ([`ParObs::join_wait_ms`]), with what the
+//! boundary shipped per spawn ([`ParObs::copied_cells`]) as the part of
+//! that overhead that scales with the arms.
 
-use granlog_obs::{Counter, Histogram, Registry, Tracer, LATENCY_BUCKETS_MS};
+use granlog_obs::{Counter, Histogram, Registry, Tracer, LATENCY_BUCKETS_MS, WORK_BUCKETS};
 use std::sync::Arc;
 
 /// Metric and trace handles for the and-parallel executor.
@@ -30,6 +32,10 @@ pub struct ParObs {
     pub arm_ms: Arc<Histogram>,
     /// Wall time a joiner spent in `join_job` per arm (helping included).
     pub join_wait_ms: Arc<Histogram>,
+    /// Cells packed across the boundary per spawned conjunction: its arm
+    /// packets plus the answer packets that came back. The `par_spawn`
+    /// event's `cells` field is the arm half, known when it is emitted.
+    pub copied_cells: Arc<Histogram>,
     /// Event sink for `par_spawn` / `par_inline` / `par_steal` / `par_join`
     /// events.
     pub tracer: Arc<Tracer>,
@@ -45,6 +51,7 @@ impl ParObs {
             steals: registry.counter("granlog_par_steals_total"),
             arm_ms: registry.histogram("granlog_par_arm_ms", LATENCY_BUCKETS_MS),
             join_wait_ms: registry.histogram("granlog_par_join_wait_ms", LATENCY_BUCKETS_MS),
+            copied_cells: registry.histogram("granlog_par_copied_cells", WORK_BUCKETS),
             tracer,
         }
     }

@@ -7,20 +7,21 @@
 //! always-spawn mode — must produce the same success/failure and the same
 //! answer (bindings compared up to variable renaming) as
 //! [`granlog_engine::Machine`]. This pins the whole spawn boundary: the
-//! copy-out of arms, the deterministic in-order join, the copy-in
+//! packing of arms, the deterministic in-order join, the unpacking and
 //! unification of answers, the independence fallback and the cell-guard
 //! pre-screen.
 //!
-//! Counters are *not* compared: the parallel join performs its own
-//! unifications, so operation counts legitimately differ from the
-//! sequential engine (the sequential counters remain pinned by
-//! `bench_snapshot` and `tests/engine_indexing.rs`).
+//! Counters are *not* compared with the sequential engine's: the parallel
+//! join performs its own unifications, so operation counts legitimately
+//! differ (the sequential counters remain pinned by `bench_snapshot` and
+//! `tests/engine_indexing.rs`). The parallel counters are pinned against
+//! themselves in [`spawn_boundary_moves_no_observable_count`].
 
 use granlog_benchmarks::{all_benchmarks, control_benchmarks, nrev_benchmark};
-use granlog_engine::Machine;
+use granlog_engine::{Counters, Machine};
 use granlog_ir::parser::parse_program;
 use granlog_ir::Term;
-use granlog_par::{Granularity, ParConfig, ParExecutor};
+use granlog_par::{Granularity, ParConfig, ParExecutor, ParOutcome};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -62,8 +63,13 @@ fn canonical_bindings(bindings: &[(granlog_ir::Symbol, Term)]) -> Vec<(String, S
 }
 
 /// Runs one query sequentially and on the parallel executor under the given
-/// configuration, asserting answer equivalence.
-fn assert_differential(src: &str, query: &str, threads: usize, granularity: Granularity) {
+/// configuration, asserting answer equivalence; returns the parallel outcome.
+fn assert_differential(
+    src: &str,
+    query: &str,
+    threads: usize,
+    granularity: Granularity,
+) -> ParOutcome {
     let program = parse_program(src).unwrap_or_else(|e| panic!("program does not parse: {e}"));
     let mut machine = Machine::new(&program);
     let seq = machine
@@ -89,6 +95,7 @@ fn assert_differential(src: &str, query: &str, threads: usize, granularity: Gran
         canonical_bindings(&par.bindings),
         "{query}: answers diverge at {threads} threads, {granularity:?}"
     );
+    par
 }
 
 /// Every benchmark program (the 12 Table-1 entries, `nrev`, and the two
@@ -183,6 +190,181 @@ proptest! {
             items.join(",")
         );
         assert_differential(POOL_SRC, &query, threads, Granularity::AlwaysSpawn);
+    }
+}
+
+/// Renders a term as query text: variable `n` is `Vn`, floats keep their
+/// decimal point.
+fn term_text(term: &Term) -> String {
+    match term {
+        Term::Var(v) => format!("V{v}"),
+        Term::Float(x) => format!("{:?}", x.0),
+        Term::Struct(name, args) => {
+            let args: Vec<String> = args.iter().map(term_text).collect();
+            format!("{name}({})", args.join(","))
+        }
+        other => other.to_string(),
+    }
+}
+
+/// Terms over variables `V0..V4`, integers, floats, atoms and nested
+/// structs: everything a packet has a cell tag for.
+fn arb_term() -> impl Strategy<Value = Term> {
+    let leaf = prop_oneof![
+        (0usize..5).prop_map(Term::var),
+        (0i64..100).prop_map(Term::int),
+        (0i64..400).prop_map(|q| Term::float(q as f64 / 4.0)),
+        "[a-c]{1,2}".prop_map(|s| Term::atom(&s)),
+    ];
+    leaf.prop_recursive(4, 32, 3, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 1..4).prop_map(|args| Term::compound("f", args)),
+            prop::collection::vec(inner, 2..3).prop_map(|args| Term::compound("g", args)),
+        ]
+    })
+}
+
+const PACKET_SRC: &str = "same(X, X).";
+
+proptest! {
+    /// `unpack(pack(t))` is a variant of `t`, both ways across the boundary:
+    /// the arm `same(t, Out)` ships `t` to a child, whose answer ships it
+    /// back as `Out` together with a fresh variable per unbound parent
+    /// variable. The prefix aliases variables (bound `Ref` chains) and binds
+    /// one to a struct before the spawn, so the packer meets shared and
+    /// aliased unbound cells, chains and value cells, not just fresh ones.
+    /// Canonical renaming runs across all the bindings, so lost or invented
+    /// sharing between `Out` and the variables shows.
+    #[test]
+    fn packets_round_trip_to_a_variant(
+        term in arb_term(),
+        aliases in proptest::collection::vec((0usize..3, 0usize..3), 0..3),
+        threads in 1usize..3,
+    ) {
+        let prefix: String = aliases.iter().map(|(a, b)| format!("V{a} = V{b}, ")).collect();
+        let query = format!("{prefix}V3 = k(2.5, V4), (same({}, Out) & true)", term_text(&term));
+        let par = assert_differential(PACKET_SRC, &query, threads, Granularity::AlwaysSpawn);
+        prop_assert_eq!(par.spawned_tasks, 2, "{}: the arms must cross the boundary", query);
+    }
+
+    /// Fresh variables created in the child and shared across the bindings
+    /// of one answer stay shared after the join.
+    #[test]
+    fn fresh_variables_shared_across_an_answer_stay_shared(
+        left in arb_term(),
+        right in arb_term(),
+        threads in 1usize..3,
+    ) {
+        let src = format!("mk({}, {}).", term_text(&left), term_text(&right));
+        let par = assert_differential(&src, "mk(A, B) & mk(_, _)", threads, Granularity::AlwaysSpawn);
+        prop_assert_eq!(par.spawned_tasks, 2);
+    }
+
+    /// Two arms that mention one unbound parent cell are declined while
+    /// packing, wherever in the arms the cell sits.
+    #[test]
+    fn arms_sharing_an_unbound_cell_are_declined(
+        left in arb_term(),
+        right in arb_term(),
+        threads in 1usize..3,
+    ) {
+        let query = format!(
+            "same(f({}, V0), Out) & same(g(V0, {}), Back)",
+            term_text(&left),
+            term_text(&right),
+        );
+        let par = assert_differential(PACKET_SRC, &query, threads, Granularity::AlwaysSpawn);
+        prop_assert_eq!(par.spawned_tasks, 0, "{}", query);
+        prop_assert_eq!(par.inlined_conjunctions, 1);
+    }
+}
+
+/// A list far longer than any native stack is deep crosses the boundary:
+/// packing and unpacking are iterative. (The `Term`-tree boundary recursed
+/// once per list cell and overflowed the worker's stack — an abort no
+/// `catch_unwind` can contain — from about 20 000 elements.)
+#[test]
+fn long_lists_cross_the_spawn_boundary() {
+    const N: usize = 60_000;
+    let src = r#"
+        mk(0, []).
+        mk(N, [N|T]) :- N > 0, N1 is N - 1, mk(N1, T).
+        len([], 0).
+        len([_|T], N) :- len(T, M), N is M + 1.
+        both(L, A, B) :- len(L, A) & len(L, B).
+        go(N, A, B) :- mk(N, L), both(L, A, B).
+    "#;
+    let query = format!("go({N}, A, B)");
+    for granularity in [Granularity::Off, Granularity::On, Granularity::AlwaysSpawn] {
+        let par = assert_differential(src, &query, 2, granularity);
+        assert!(par.succeeded);
+        for name in ["A", "B"] {
+            assert_eq!(
+                par.binding(name),
+                Some(&Term::int(N as i64)),
+                "{granularity:?}"
+            );
+        }
+        assert_eq!(par.spawned_tasks > 0, granularity != Granularity::Off);
+    }
+}
+
+/// The spawn boundary's representation is not observable: under
+/// `Granularity::On` the input-independent benchmark goals report the same
+/// operation counters (join unifications included), spawn counts and inline
+/// counts at every thread count — the values the `Term`-tree boundary
+/// reported before packets replaced it. (On a large stack: extracting
+/// `hanoi(11)`'s 2 047-move answer recurses per list cell in a debug build,
+/// sequentially too; that is the answer boundary, not the spawn boundary.)
+#[test]
+fn spawn_boundary_moves_no_observable_count() {
+    granlog_engine::with_large_stack(pinned_counts_hold);
+}
+
+fn pinned_counts_hold() {
+    let counters = |resolutions, unifications, builtins| Counters {
+        resolutions,
+        head_attempts: resolutions,
+        unifications,
+        builtins,
+        grain_tests: 0,
+        grain_test_elements: 0,
+    };
+    for (name, size, pinned, spawned, inlined) in [
+        ("fib", 19, counters(13_529, 61_631, 27_056), 752, 6_388),
+        ("hanoi", 11, counters(15_359, 90_617, 4_094), 510, 1_792),
+        (
+            "tree_traversal",
+            12,
+            counters(8_191, 49_144, 4_095),
+            8_190,
+            0,
+        ),
+        ("matrix_mult", 24, counters(15_025, 130_468, 13_824), 48, 0),
+    ] {
+        let bench = granlog_benchmarks::benchmark(name).expect("suite program");
+        let program = bench.program().expect("suite program parses");
+        for threads in [1, 2, 4] {
+            let mut executor = ParExecutor::new(
+                &program,
+                ParConfig {
+                    threads,
+                    granularity: Granularity::On,
+                    ..ParConfig::default()
+                },
+            );
+            let out = executor.run_query(&bench.query(size)).expect("query runs");
+            assert!(out.succeeded);
+            assert_eq!(out.counters, pinned, "{name}({size}) at {threads} threads");
+            assert_eq!(
+                out.spawned_tasks, spawned,
+                "{name}({size}) at {threads} threads"
+            );
+            assert_eq!(
+                out.inlined_conjunctions, inlined,
+                "{name}({size}) at {threads} threads"
+            );
+        }
     }
 }
 
