@@ -20,11 +20,9 @@
 //! parallel, implementing the paper's "sequentialise a parallel language"
 //! philosophy.
 
-use crate::measure::Measure;
 use crate::pipeline::ProgramAnalysis;
-use crate::threshold::Threshold;
 use granlog_ir::symbol::well_known;
-use granlog_ir::{Clause, PredId, Program, Symbol, Term};
+use granlog_ir::{Clause, Guard, GuardTable, PredId, Program, Symbol, Term};
 
 /// Options for the granularity-control transformation.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -40,27 +38,20 @@ impl Default for AnnotateOptions {
     }
 }
 
-/// The decision taken for one arm of a parallel conjunction.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum ArmDecision {
-    /// The arm's work is unbounded or always exceeds the overhead: no test.
-    AlwaysParallel,
-    /// The arm's work never exceeds the overhead: spawning it never pays off.
-    NeverParallel,
-    /// Spawn only when the measured size of the given argument reaches `k`.
-    Test {
-        /// The predicate whose argument is measured.
-        pred: PredId,
-        /// The argument position (0-based) whose size is tested.
-        arg_pos: usize,
-        /// The measure used by the test.
-        measure: Measure,
-        /// The threshold size.
-        k: u64,
-    },
-    /// No information about the arm (e.g. it only calls unknown predicates):
-    /// stay parallel, as the paper prescribes.
-    Unknown,
+/// How a program is prepared before execution.
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+pub enum ControlMode {
+    /// Run the program exactly as annotated by the programmer (every `&`
+    /// spawns) — the paper's `T0`.
+    NoControl,
+    /// Apply the granularity analysis and guard parallel conjunctions with the
+    /// derived thresholds — the paper's `T1`.
+    WithControl,
+    /// Guard every parallel conjunction with a fixed grain-size threshold
+    /// (used for the Figure 2 sweep).
+    FixedThreshold(u64),
+    /// Strip all parallelism (the purely sequential baseline).
+    Sequential,
 }
 
 /// The decision record for one parallel conjunction.
@@ -70,8 +61,11 @@ pub struct ConjunctionDecision {
     pub clause_pred: PredId,
     /// Index of the clause among the predicate's clauses.
     pub clause_index: usize,
-    /// Per-arm decisions, in textual order.
-    pub arms: Vec<ArmDecision>,
+    /// Per arm, in textual order: the predicate of the arm's first guarded
+    /// goal and its guard-table entry. `None` means no goal of the arm has an
+    /// entry (e.g. it only calls unknown predicates): stay parallel, as the
+    /// paper prescribes.
+    pub arms: Vec<Option<(PredId, Guard)>>,
     /// The overall outcome: `None` keeps the conjunction parallel
     /// unconditionally, `Some(true)` guards it with runtime tests,
     /// `Some(false)` sequentialises it unconditionally.
@@ -87,12 +81,43 @@ pub struct AnnotatedProgram {
     pub decisions: Vec<ConjunctionDecision>,
 }
 
-/// Applies granularity control to every parallel conjunction of `program`.
+/// Applies granularity control to every parallel conjunction of `program`,
+/// with the guards the analysis derives for overhead `W`.
 pub fn apply_granularity_control(
     program: &Program,
     analysis: &ProgramAnalysis,
     options: &AnnotateOptions,
 ) -> AnnotatedProgram {
+    rewrite_with_guards(program, &analysis.guards_at(options.overhead))
+}
+
+/// Prepares a program according to the control mode.
+///
+/// `overhead` is the per-task overhead of the target machine, used as the
+/// threshold parameter `W` when `mode` is [`ControlMode::WithControl`].
+pub fn prepare_program(
+    program: &Program,
+    analysis: &ProgramAnalysis,
+    mode: ControlMode,
+    overhead: f64,
+) -> Program {
+    match mode {
+        ControlMode::NoControl => program.clone(),
+        ControlMode::Sequential => sequentialize(program),
+        ControlMode::WithControl => {
+            rewrite_with_guards(program, &analysis.guards_at(overhead)).program
+        }
+        ControlMode::FixedThreshold(k) => {
+            rewrite_with_guards(program, &analysis.fixed_guards(k)).program
+        }
+    }
+}
+
+/// The source-level enforcement of a guard table: rewrites every parallel
+/// conjunction of `program` into the conditional code the table calls for.
+/// A pure function of the program and the table — where the table came from
+/// (thresholds at some `W`, one fixed grain size) makes no difference.
+fn rewrite_with_guards(program: &Program, guards: &GuardTable) -> AnnotatedProgram {
     let mut out = Program::new();
     for directive in program.directives() {
         out.add_directive(directive.clone());
@@ -103,8 +128,7 @@ pub fn apply_granularity_control(
         let force_sequential = program.parallel_marking(predicate.id) == Some(false);
         for (clause_index, clause) in program.clauses_of(predicate.id).into_iter().enumerate() {
             let mut ctx = ClauseContext {
-                analysis,
-                options,
+                guards,
                 clause_pred: predicate.id,
                 clause_index,
                 force_sequential,
@@ -157,8 +181,7 @@ fn replace_par_with_seq(body: &Term) -> Term {
 }
 
 struct ClauseContext<'a> {
-    analysis: &'a ProgramAnalysis,
-    options: &'a AnnotateOptions,
+    guards: &'a GuardTable,
     clause_pred: PredId,
     clause_index: usize,
     force_sequential: bool,
@@ -167,13 +190,16 @@ struct ClauseContext<'a> {
 
 impl ClauseContext<'_> {
     /// Rewrites a body term, transforming every maximal parallel conjunction.
+    /// Each arm is judged as written — the goal the spawn site would measure
+    /// — and then rewritten itself (it may contain parallel conjunctions).
     fn rewrite(&mut self, body: &Term) -> Term {
         match body {
             Term::Struct(s, args) if *s == well_known::par_and() && args.len() == 2 => {
                 let mut arms = Vec::new();
                 flatten_par(body, &mut arms);
-                let arms: Vec<Term> = arms.iter().map(|arm| self.rewrite_inside(arm)).collect();
-                self.transform_parallel(&arms)
+                let deciding: Vec<_> = arms.iter().map(|a| self.first_guarded_goal(a)).collect();
+                let arms: Vec<Term> = arms.iter().map(|arm| self.rewrite(arm)).collect();
+                self.transform_parallel(&arms, &deciding)
             }
             Term::Struct(s, args) => {
                 Term::Struct(*s, args.iter().map(|a| self.rewrite(a)).collect())
@@ -182,43 +208,23 @@ impl ClauseContext<'_> {
         }
     }
 
-    /// Rewrites the inside of an arm (nested conjunctions may themselves
-    /// contain parallel conjunctions).
-    fn rewrite_inside(&mut self, arm: &Term) -> Term {
-        self.rewrite(arm)
-    }
-
-    fn transform_parallel(&mut self, arms: &[Term]) -> Term {
-        if self.force_sequential {
-            self.decisions.push(ConjunctionDecision {
-                clause_pred: self.clause_pred,
-                clause_index: self.clause_index,
-                arms: vec![ArmDecision::NeverParallel; arms.len()],
-                guarded: Some(false),
-            });
-            return seq_conjunction(arms);
-        }
-        let decisions: Vec<ArmDecision> = arms.iter().map(|arm| self.decide_arm(arm)).collect();
-        let any_never = decisions
+    fn transform_parallel(
+        &mut self,
+        arms: &[Term],
+        deciding: &[Option<(&Term, PredId, Guard)>],
+    ) -> Term {
+        let tests: Vec<Term> = deciding
             .iter()
-            .any(|d| matches!(d, ArmDecision::NeverParallel));
-        let tests: Vec<Term> = decisions
-            .iter()
-            .zip(arms)
-            .filter_map(|(d, arm)| match d {
-                ArmDecision::Test {
-                    pred,
-                    arg_pos,
-                    measure,
-                    k,
-                } => grain_test_term(arm, *pred, *arg_pos, *measure, *k),
-                _ => None,
-            })
+            .flatten()
+            .filter_map(|(goal, _, guard)| guard.test_for(goal))
             .collect();
+        let any_never = deciding
+            .iter()
+            .any(|d| matches!(d, Some((_, _, Guard::Never))));
 
-        let (result, guarded) = if any_never {
-            // Spawning at least one arm can never pay for itself: run the whole
-            // conjunction sequentially.
+        let (result, guarded) = if self.force_sequential || any_never {
+            // `:- sequential`, or spawning at least one arm can never pay for
+            // itself: run the whole conjunction sequentially.
             (seq_conjunction(arms), Some(false))
         } else if tests.is_empty() {
             // Nothing to test (all arms unbounded/unknown/always-big): stay
@@ -238,69 +244,29 @@ impl ClauseContext<'_> {
         self.decisions.push(ConjunctionDecision {
             clause_pred: self.clause_pred,
             clause_index: self.clause_index,
-            arms: decisions,
+            arms: deciding
+                .iter()
+                .map(|d| d.map(|(_, pred, guard)| (pred, guard)))
+                .collect(),
             guarded,
         });
         result
     }
 
-    /// Decides how to treat one arm of a parallel conjunction, based on the
-    /// cost of the first analysable goal in it.
-    fn decide_arm(&self, arm: &Term) -> ArmDecision {
-        let goals = collect_goals(arm);
-        for goal in goals {
-            let Some(pred) = PredId::of_term(goal) else {
-                continue;
-            };
-            let Some(info) = self.analysis.pred(pred) else {
-                continue;
-            };
-            match self.analysis.threshold_for(pred, self.options.overhead) {
-                Threshold::AlwaysParallel => return ArmDecision::AlwaysParallel,
-                Threshold::NeverParallel => return ArmDecision::NeverParallel,
-                Threshold::SizeAtLeast(k) => {
-                    let Some((arg_pos, _param)) = info.driving_input() else {
-                        return ArmDecision::AlwaysParallel;
-                    };
-                    let measure = info
-                        .measures
-                        .get(arg_pos)
-                        .copied()
-                        .unwrap_or(Measure::TermSize);
-                    return ArmDecision::Test {
-                        pred,
-                        arg_pos,
-                        measure,
-                        k,
-                    };
-                }
+    /// The first goal of an arm (in execution order, descending through `,`
+    /// only — nested control stays opaque) whose predicate has a guard, with
+    /// that guard: it decides how the arm is treated.
+    fn first_guarded_goal<'t>(&self, arm: &'t Term) -> Option<(&'t Term, PredId, Guard)> {
+        match arm {
+            Term::Struct(s, args) if *s == well_known::comma() && args.len() == 2 => self
+                .first_guarded_goal(&args[0])
+                .or_else(|| self.first_guarded_goal(&args[1])),
+            goal => {
+                let pred = PredId::of_term(goal)?;
+                Some((goal, pred, self.guards.get(pred)?))
             }
         }
-        ArmDecision::Unknown
     }
-}
-
-/// Builds the `'$grain_ge'(ArgTerm, measure, K)` runtime test for an arm.
-fn grain_test_term(
-    arm: &Term,
-    pred: PredId,
-    arg_pos: usize,
-    measure: Measure,
-    k: u64,
-) -> Option<Term> {
-    // Find the call to `pred` inside the arm and pull out its argument term.
-    let goal = collect_goals(arm)
-        .into_iter()
-        .find(|g| PredId::of_term(g) == Some(pred))?;
-    let arg = goal.args().get(arg_pos)?.clone();
-    Some(Term::compound(
-        "$grain_ge",
-        vec![
-            arg,
-            Term::atom(measure.name()),
-            Term::Int(i64::try_from(k).unwrap_or(i64::MAX)),
-        ],
-    ))
 }
 
 fn flatten_par<'a>(term: &'a Term, out: &mut Vec<&'a Term>) {
@@ -311,23 +277,6 @@ fn flatten_par<'a>(term: &'a Term, out: &mut Vec<&'a Term>) {
         }
         other => out.push(other),
     }
-}
-
-/// The goals of an arm in execution order (descending through `,` only —
-/// nested control stays opaque).
-fn collect_goals(arm: &Term) -> Vec<&Term> {
-    let mut out = Vec::new();
-    fn go<'a>(t: &'a Term, out: &mut Vec<&'a Term>) {
-        match t {
-            Term::Struct(s, args) if *s == well_known::comma() && args.len() == 2 => {
-                go(&args[0], out);
-                go(&args[1], out);
-            }
-            other => out.push(other),
-        }
-    }
-    go(arm, &mut out);
-    out
 }
 
 fn seq_conjunction(goals: &[Term]) -> Term {
@@ -355,6 +304,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{analyze_program, AnalysisOptions};
     use granlog_ir::parser::parse_program;
+    use granlog_ir::Measure;
 
     const QSORT_PAR: &str = r#"
         :- mode qsort(+, -).
@@ -388,12 +338,14 @@ mod tests {
         assert_eq!(decision.arms.len(), 2);
         for arm in &decision.arms {
             match arm {
-                ArmDecision::Test {
+                Some((
                     pred,
-                    arg_pos,
-                    measure,
-                    k,
-                } => {
+                    Guard::SizeAtLeast {
+                        arg_pos,
+                        measure,
+                        k,
+                    },
+                )) => {
                     assert_eq!(*pred, PredId::parse("qsort", 2));
                     assert_eq!(*arg_pos, 0);
                     assert_eq!(*measure, Measure::ListLength);
@@ -450,29 +402,57 @@ mod tests {
         "#;
         let annotated = annotate(src, 48.0);
         assert_eq!(annotated.decisions[0].guarded, None);
-        assert!(annotated.decisions[0]
-            .arms
-            .iter()
-            .all(|a| matches!(a, ArmDecision::Unknown)));
+        assert_eq!(annotated.decisions[0].arms, vec![None, None]);
     }
+
+    const SEQUENTIAL_P: &str = r#"
+        :- mode p(+, -).
+        :- sequential p/2.
+        p([], []).
+        p([H|T], [H|R]) :- q(T, A) & q(T, B), app(A, B, R).
+        q([], []).
+        q([H|T], [H|R]) :- q(T, R).
+        app([], L, L).
+        app([H|T], L, [H|R]) :- app(T, L, R).
+    "#;
 
     #[test]
     fn sequential_directive_forces_sequentialisation() {
-        let src = r#"
-            :- mode p(+, -).
-            :- sequential p/2.
-            p([], []).
-            p([H|T], [H|R]) :- q(T, A) & q(T, B), app(A, B, R).
-            q([], []).
-            q([H|T], [H|R]) :- q(T, R).
-            app([], L, L).
-            app([H|T], L, [H|R]) :- app(T, L, R).
-        "#;
-        let annotated = annotate(src, 1.0);
+        let annotated = annotate(SEQUENTIAL_P, 1.0);
         assert_eq!(annotated.decisions.len(), 1);
         assert_eq!(annotated.decisions[0].guarded, Some(false));
         let p = annotated.program.clauses_of(PredId::parse("p", 2));
         assert!(!p[1].display().to_string().contains('&'));
+    }
+
+    #[test]
+    fn fixed_threshold_rewrite_honours_the_sequential_directive() {
+        // One rewrite serves both tables, so `:- sequential` binds the
+        // Figure 2 sweep exactly as it binds the threshold rewrite.
+        let program = parse_program(SEQUENTIAL_P).unwrap();
+        let analysis = analyze_program(&program, &AnalysisOptions::default());
+        for k in [0, 3] {
+            let fixed = prepare_program(&program, &analysis, ControlMode::FixedThreshold(k), 1.0);
+            let p = fixed.clauses_of(PredId::parse("p", 2));
+            let body = p[1].display().to_string();
+            assert!(!body.contains('&') && !body.contains("$grain_ge"), "{body}");
+        }
+    }
+
+    #[test]
+    fn fixed_threshold_tests_every_arm_against_the_same_grain_size() {
+        let program = parse_program(QSORT_PAR).unwrap();
+        let analysis = analyze_program(&program, &AnalysisOptions::default());
+        let qsort = PredId::parse("qsort", 2);
+        let fixed = prepare_program(&program, &analysis, ControlMode::FixedThreshold(7), 1.0);
+        let body = fixed.clauses_of(qsort)[1].display().to_string();
+        assert_eq!(body.matches("length,7)").count(), 2, "{body}");
+        // Grain size 0 is no test at all.
+        let open = prepare_program(&program, &analysis, ControlMode::FixedThreshold(0), 1.0);
+        assert_eq!(
+            open.clauses_of(qsort)[1].body,
+            program.clauses_of(qsort)[1].body
+        );
     }
 
     #[test]
@@ -532,10 +512,10 @@ mod tests {
         let annotated = annotate(src, 30.0);
         let d = &annotated.decisions[0];
         assert_eq!(d.guarded, Some(true));
-        match &d.arms[0] {
-            ArmDecision::Test { measure, k, .. } => {
-                assert_eq!(*measure, Measure::IntValue);
-                assert!(*k <= 10, "fib threshold should be small, got {k}");
+        match d.arms[0] {
+            Some((_, Guard::SizeAtLeast { measure, k, .. })) => {
+                assert_eq!(measure, Measure::IntValue);
+                assert!(k <= 10, "fib threshold should be small, got {k}");
             }
             other => panic!("expected test, got {other:?}"),
         }

@@ -12,7 +12,7 @@
 //! literal succeeds, all of its variables become bound). Head modes come from
 //! the program's mode table.
 
-use crate::measure::{Measure, MeasureVec};
+use crate::measure::{Measure, MeasureVec, SizeFunctions};
 use granlog_ir::{Clause, ModeDecl, PredId, Term};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;

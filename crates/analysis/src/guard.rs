@@ -1,114 +1,80 @@
-//! Threshold → runtime spawn-guard lowering.
+//! Threshold → guard lowering: the *producer* of the grain-size decision.
 //!
-//! The annotator ([`crate::annotate`]) implements the paper's *source-level*
-//! granularity control: it rewrites parallel conjunctions into `'$grain_ge'`
-//! -guarded if-then-else code, and the rewritten program runs on any engine.
-//! A real multi-threaded executor has a second, complementary option: keep
-//! the program as written and decide **at the spawn site** whether a `&`
-//! conjunction is worth handing to the thread pool. This module compiles the
-//! analysis results into that runtime decision procedure.
+//! The decision itself — one [`Guard`] per predicate, in a [`GuardTable`] —
+//! is defined in [`granlog_ir::grain`], where both of its enforcement points
+//! can see it: the annotator ([`crate::annotate`]) rewrites `&` conjunctions
+//! into `'$grain_ge'`-guarded source code over the table, and a
+//! multi-threaded executor hands the same table to the engine, which
+//! evaluates it at the spawn site over heap cells. This module only fills
+//! the table in, in the two ways the experiments need:
 //!
-//! [`SpawnGuards::compile`] lowers each predicate's cost function and
-//! threshold (for a given task-management overhead `W`) into a compact
-//! per-predicate guard:
+//! * [`ProgramAnalysis::guards_at`] lowers each predicate's cost function
+//!   and threshold for a task-management overhead `W`: unbounded cost or
+//!   `AlwaysParallel` → [`Guard::Always`]; a cost that can never exceed `W`
+//!   → [`Guard::Never`]; `SizeAtLeast(k)` → measure the driving input
+//!   argument and spawn iff its size reaches `k`, i.e. iff the estimated
+//!   work of the arm is at least the spawn overhead.
+//! * [`ProgramAnalysis::fixed_guards`] tests the same argument against one
+//!   constant `k` whatever the cost function says (the Figure 2 sweep).
 //!
-//! * `AlwaysParallel` / unbounded cost → spawn unconditionally;
-//! * `NeverParallel` (the cost can never exceed `W`) → never spawn;
-//! * `SizeAtLeast(k)` → measure the driving input argument of the actual
-//!   call (the same argument position and size measure the `'$grain_ge'`
-//!   test would use) and spawn iff its size reaches `k` — i.e. iff the
-//!   estimated work of the arm is at least the spawn overhead.
-//!
-//! The guards themselves are *evaluated* by the engine, which lowers this
-//! table once more into its cell-level representation
-//! (`granlog_engine::par::CellGuards`) and measures the actual goal
-//! arguments directly over heap cells with bounded traversals — there is
-//! exactly one runtime decision procedure. Arms whose goals carry no
-//! analysis information spawn, following the paper's prescription for
-//! unknown costs (err on the parallel side of a parallel language).
+//! Predicates the analysis knows nothing about get no entry and spawn,
+//! following the paper's prescription for unknown costs (err on the parallel
+//! side of a parallel language).
 
 use crate::measure::Measure;
-use crate::pipeline::ProgramAnalysis;
+use crate::pipeline::{PredAnalysis, ProgramAnalysis};
 use crate::threshold::Threshold;
-use granlog_ir::PredId;
-use std::collections::BTreeMap;
+use granlog_ir::{Guard, GuardTable};
 
-/// The compiled runtime guard of one predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredGuard {
-    /// The predicate's work is unbounded or always exceeds the overhead.
-    Always,
-    /// The predicate's work can never exceed the overhead: spawning never
-    /// pays for itself.
-    Never,
-    /// Spawn iff the measured size of the driving input argument is at
-    /// least `k`.
-    SizeAtLeast {
-        /// 0-based argument position whose size is measured.
-        arg_pos: usize,
-        /// The size measure to apply to that argument.
-        measure: Measure,
-        /// The threshold size.
-        k: u64,
-    },
+/// `SizeAtLeast { k }` on argument `arg_pos` of a predicate, under the
+/// measure the analysis assigned to that argument.
+fn size_guard(info: &PredAnalysis, arg_pos: usize, k: u64) -> Guard {
+    Guard::SizeAtLeast {
+        arg_pos,
+        measure: info
+            .measures
+            .get(arg_pos)
+            .copied()
+            .unwrap_or(Measure::TermSize),
+        k,
+    }
 }
 
-/// Per-predicate runtime spawn guards for one task-management overhead `W`,
-/// compiled once from a [`ProgramAnalysis`] and evaluated in O(measured
-/// prefix) per spawn decision.
-#[derive(Debug, Clone, Default)]
-pub struct SpawnGuards {
-    guards: BTreeMap<PredId, PredGuard>,
-}
-
-impl SpawnGuards {
-    /// Lowers every analysed predicate's threshold (at overhead `W`) into
-    /// its runtime guard.
-    pub fn compile(analysis: &ProgramAnalysis, overhead: f64) -> SpawnGuards {
-        let mut guards = BTreeMap::new();
-        for (&pred, info) in &analysis.preds {
-            let guard = match analysis.threshold_for(pred, overhead) {
-                Threshold::AlwaysParallel => PredGuard::Always,
-                Threshold::NeverParallel => PredGuard::Never,
+impl ProgramAnalysis {
+    /// Lowers every analysed predicate's threshold at task-management
+    /// overhead `W` into its guard.
+    pub fn guards_at(&self, overhead: f64) -> GuardTable {
+        let guard_of = |(&pred, info): (_, &PredAnalysis)| {
+            let guard = match self.threshold_for(pred, overhead) {
+                Threshold::AlwaysParallel => Guard::Always,
+                Threshold::NeverParallel => Guard::Never,
                 Threshold::SizeAtLeast(k) => match info.driving_input() {
-                    Some((arg_pos, _param)) => PredGuard::SizeAtLeast {
-                        arg_pos,
-                        measure: info
-                            .measures
-                            .get(arg_pos)
-                            .copied()
-                            .unwrap_or(Measure::TermSize),
-                        k,
-                    },
+                    Some((arg_pos, _param)) => size_guard(info, arg_pos, k),
                     // A threshold without an identifiable driving argument:
-                    // stay parallel, as the annotator does.
-                    None => PredGuard::Always,
+                    // stay parallel.
+                    None => Guard::Always,
                 },
             };
-            guards.insert(pred, guard);
-        }
-        SpawnGuards { guards }
+            (pred, guard)
+        };
+        self.preds.iter().map(guard_of).collect()
     }
 
-    /// The compiled guard of one predicate, if it was analysed.
-    pub fn guard(&self, pred: PredId) -> Option<PredGuard> {
-        self.guards.get(&pred).copied()
-    }
-
-    /// Iterates over every compiled guard (used to lower the table further,
-    /// e.g. into the engine's cell-level guard representation).
-    pub fn iter(&self) -> impl Iterator<Item = (PredId, PredGuard)> + '_ {
-        self.guards.iter().map(|(&pred, &guard)| (pred, guard))
-    }
-
-    /// Number of compiled guards.
-    pub fn len(&self) -> usize {
-        self.guards.len()
-    }
-
-    /// `true` if no predicate was analysed.
-    pub fn is_empty(&self) -> bool {
-        self.guards.is_empty()
+    /// Guards every predicate that has an input argument with the fixed
+    /// grain size `k` on its driving (else first) input. `k == 0` is no
+    /// test at all: everything spawns.
+    pub fn fixed_guards(&self, k: u64) -> GuardTable {
+        let guard_of = |(&pred, info): (_, &PredAnalysis)| {
+            let (arg_pos, _param) = info
+                .driving_input()
+                .or_else(|| Some((*info.input_positions.first()?, *info.params.first()?)))?;
+            let guard = match k {
+                0 => Guard::Always,
+                _ => size_guard(info, arg_pos, k),
+            };
+            Some((pred, guard))
+        };
+        self.preds.iter().filter_map(guard_of).collect()
     }
 }
 
@@ -117,6 +83,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{analyze_program, AnalysisOptions};
     use granlog_ir::parser::parse_program;
+    use granlog_ir::PredId;
 
     const QSORT: &str = r#"
         :- mode qsort(+, -).
@@ -134,17 +101,16 @@ mod tests {
         app([H|T], L, [H|R]) :- app(T, L, R).
     "#;
 
-    fn guards(src: &str, overhead: f64) -> SpawnGuards {
+    fn guards(src: &str, overhead: f64) -> GuardTable {
         let program = parse_program(src).unwrap();
-        let analysis = analyze_program(&program, &AnalysisOptions::default());
-        SpawnGuards::compile(&analysis, overhead)
+        analyze_program(&program, &AnalysisOptions::default()).guards_at(overhead)
     }
 
     #[test]
     fn qsort_guard_is_a_size_test_on_the_list_argument() {
         let g = guards(QSORT, 20.0);
-        match g.guard(PredId::parse("qsort", 2)).unwrap() {
-            PredGuard::SizeAtLeast {
+        match g.get(PredId::parse("qsort", 2)).unwrap() {
+            Guard::SizeAtLeast {
                 arg_pos,
                 measure,
                 k,
@@ -155,7 +121,6 @@ mod tests {
             }
             other => panic!("expected a size guard, got {other:?}"),
         }
-        assert!(!g.is_empty());
     }
 
     #[test]
@@ -165,8 +130,7 @@ mod tests {
         let mut last = 0u64;
         for overhead in [5.0, 20.0, 80.0, 320.0] {
             let g = guards(QSORT, overhead);
-            let PredGuard::SizeAtLeast { k, .. } = g.guard(PredId::parse("qsort", 2)).unwrap()
-            else {
+            let Guard::SizeAtLeast { k, .. } = g.get(PredId::parse("qsort", 2)).unwrap() else {
                 panic!("expected a size guard at overhead {overhead}");
             };
             assert!(k >= last, "threshold must not shrink as overhead grows");
@@ -182,15 +146,15 @@ mod tests {
             p(X) :- tiny(X) & tiny(X).
         "#;
         let g = guards(src, 48.0);
-        assert_eq!(g.guard(PredId::parse("tiny", 1)), Some(PredGuard::Never));
+        assert_eq!(g.get(PredId::parse("tiny", 1)), Some(Guard::Never));
     }
 
     #[test]
     fn tiny_overhead_spawns_everything() {
         let g = guards(QSORT, 0.5);
-        assert_eq!(g.guard(PredId::parse("qsort", 2)), Some(PredGuard::Always));
+        assert_eq!(g.get(PredId::parse("qsort", 2)), Some(Guard::Always));
         // Unanalysed predicates have no guard at all: the engine spawns them
         // (unknown cost errs parallel).
-        assert_eq!(g.guard(PredId::parse("mystery", 1)), None);
+        assert_eq!(g.get(PredId::parse("mystery", 1)), None);
     }
 }

@@ -70,10 +70,12 @@ pub mod sizerel;
 pub mod solver;
 pub mod threshold;
 
-pub use annotate::{apply_granularity_control, sequentialize, AnnotateOptions, AnnotatedProgram};
+pub use annotate::{
+    apply_granularity_control, prepare_program, sequentialize, AnnotateOptions, AnnotatedProgram,
+    ControlMode,
+};
 pub use cost::CostMetric;
 pub use expr::{Expr, FnRef};
-pub use guard::{PredGuard, SpawnGuards};
 pub use measure::Measure;
 pub use pipeline::{analyze_program, AnalysisOptions, PredAnalysis, ProgramAnalysis};
 pub use solver::{SchemaKind, Solution};

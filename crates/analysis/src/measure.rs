@@ -11,55 +11,33 @@
 //! inter-literal relation `size_i = size_j + diff(T_j, T_i)` holds (e.g.
 //! `diff([H|L], L) = −1` gives `body[1] = head[1] − 1` for `nrev`).
 
+pub use granlog_ir::Measure;
 use granlog_ir::{Symbol, Term};
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// A size measure (the paper's `m`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
-pub enum Measure {
-    /// Length of a proper list (`list_length`).
-    ListLength,
-    /// Number of constant and function symbols (`term_size`).
-    TermSize,
-    /// Depth of the term's tree representation (`term_depth`).
-    TermDepth,
-    /// The value of an integer (`int_value`), clamped below at 0 for use as a
-    /// size.
-    IntValue,
-    /// The argument does not carry size information relevant to the analysis.
-    Ignore,
-}
-
-impl Measure {
-    /// Parses a measure name as used in `:- measure p(length, ...)` directives.
-    pub fn from_name(name: &str) -> Option<Measure> {
-        match name {
-            "length" | "list_length" | "list" => Some(Measure::ListLength),
-            "size" | "term_size" => Some(Measure::TermSize),
-            "depth" | "term_depth" => Some(Measure::TermDepth),
-            "int" | "value" | "int_value" | "nat" => Some(Measure::IntValue),
-            "void" | "ignore" | "none" | "_" => Some(Measure::Ignore),
-            _ => None,
-        }
-    }
-
-    /// The measure's canonical name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Measure::ListLength => "length",
-            Measure::TermSize => "size",
-            Measure::TermDepth => "depth",
-            Measure::IntValue => "int",
-            Measure::Ignore => "void",
-        }
-    }
-
+/// The paper's size functions over a [`Measure`] (the enum and its names are
+/// part of the grain-size contract in [`granlog_ir::grain`]; what a measure
+/// says about *source* terms is the analysis' business).
+pub trait SizeFunctions: Copy {
     /// `|t|_m` for a ground term: the size of `t` under this measure, or
     /// `None` (⊥) if the measure does not apply.
-    pub fn ground_size(self, t: &Term) -> Option<i64> {
+    fn ground_size(self, t: &Term) -> Option<i64>;
+
+    /// The paper's `size_m(t)`: defined iff every grounding of `t` has the same
+    /// size under the measure.
+    fn size(self, t: &Term) -> Option<i64>;
+
+    /// The paper's `diff_m(t1, t2) = |θ(t2)| − |θ(t1)|`, when that difference
+    /// is the same for every grounding `θ`.
+    fn diff(self, t1: &Term, t2: &Term) -> Option<i64>;
+
+    /// Picks a default measure for a term appearing in an argument position:
+    /// lists get `length`, integers `int`, other compound/atomic terms `size`.
+    fn default_for_term(t: &Term) -> Self;
+}
+
+impl SizeFunctions for Measure {
+    fn ground_size(self, t: &Term) -> Option<i64> {
         match self {
             Measure::ListLength => t.list_length().map(|n| n as i64),
             Measure::TermSize => t.is_ground().then(|| t.term_size() as i64),
@@ -72,9 +50,7 @@ impl Measure {
         }
     }
 
-    /// The paper's `size_m(t)`: defined iff every grounding of `t` has the same
-    /// size under the measure.
-    pub fn size(self, t: &Term) -> Option<i64> {
+    fn size(self, t: &Term) -> Option<i64> {
         match self {
             Measure::Ignore => Some(0),
             Measure::IntValue => match t {
@@ -96,9 +72,7 @@ impl Measure {
         }
     }
 
-    /// The paper's `diff_m(t1, t2) = |θ(t2)| − |θ(t1)|`, when that difference
-    /// is the same for every grounding `θ`.
-    pub fn diff(self, t1: &Term, t2: &Term) -> Option<i64> {
+    fn diff(self, t1: &Term, t2: &Term) -> Option<i64> {
         if t1 == t2 {
             return Some(0);
         }
@@ -131,9 +105,7 @@ impl Measure {
         }
     }
 
-    /// Picks a default measure for a term appearing in an argument position:
-    /// lists get `length`, integers `int`, other compound/atomic terms `size`.
-    pub fn default_for_term(t: &Term) -> Measure {
+    fn default_for_term(t: &Term) -> Measure {
         if t.is_nil() || t.is_cons() {
             Measure::ListLength
         } else {
@@ -142,12 +114,6 @@ impl Measure {
                 _ => Measure::TermSize,
             }
         }
-    }
-}
-
-impl fmt::Display for Measure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 

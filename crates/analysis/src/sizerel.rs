@@ -21,7 +21,7 @@
 
 use crate::ddg::{ArgPos, Ddg, NodeId};
 use crate::expr::{Expr, FnRef};
-use crate::measure::{Measure, MeasureVec};
+use crate::measure::{Measure, MeasureVec, SizeFunctions};
 use granlog_ir::{ModeDecl, PredId, Symbol, Term, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -1,7 +1,5 @@
 //! Criterion microbenchmarks for the engine's clause-activation fast paths:
 //!
-//! * clause-template body instantiation vs. the seed's per-attempt
-//!   `RTerm::from_ir` tree walk;
 //! * indexed clause selection (persistent first-argument index) vs. the
 //!   reference per-call linear scan;
 //! * dereferencing long bound-variable chains on the cell heap;
@@ -9,28 +7,10 @@
 //!   choice-point creation, trail/arena restoration and goal-stack reuse.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use granlog_engine::rterm::RTerm;
-use granlog_engine::{ClauseSelection, ClauseTemplate, Machine, MachineConfig};
+use granlog_engine::{ClauseSelection, Machine, MachineConfig};
 use granlog_ir::parser::parse_program;
 use std::fmt::Write as _;
 use std::hint::black_box;
-
-fn bench_template_instantiation(c: &mut Criterion) {
-    let program = parse_program(
-        "hanoi(N, From, To, Via, Moves) :- N > 0, N1 is N - 1, \
-         hanoi(N1, From, Via, To, Before) & hanoi(N1, Via, To, From, After), \
-         happ(Before, [mv(From, To)|After], Moves).",
-    )
-    .unwrap();
-    let clause = &program.clauses()[0];
-    let template = ClauseTemplate::compile(clause);
-    c.bench_function("clause body: template materialize", |b| {
-        b.iter(|| black_box(template.materialize_body(black_box(128))))
-    });
-    c.bench_function("clause body: RTerm::from_ir", |b| {
-        b.iter(|| black_box(RTerm::from_ir(black_box(&clause.body), black_box(128))))
-    });
-}
 
 fn bench_clause_selection(c: &mut Criterion) {
     // 64 facts with distinct first-argument keys; the query hits the last
@@ -103,7 +83,6 @@ fn bench_choice_points(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_template_instantiation,
     bench_clause_selection,
     bench_deref_chains,
     bench_choice_points

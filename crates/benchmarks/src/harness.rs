@@ -8,30 +8,12 @@
 //! function of the grain-size threshold).
 
 use crate::suite::Benchmark;
-use granlog_analysis::annotate::{apply_granularity_control, sequentialize, AnnotateOptions};
-use granlog_analysis::pipeline::{analyze_program, AnalysisOptions, ProgramAnalysis};
-use granlog_analysis::Measure;
+pub use granlog_analysis::annotate::{prepare_program, ControlMode};
+use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_engine::{Machine, MachineConfig, QueryOutcome};
-use granlog_ir::symbol::well_known;
-use granlog_ir::{Clause, PredId, Program, Term};
+use granlog_ir::Program;
 use granlog_sim::{simulate, speedup_percent, SimConfig, SimOutcome};
 use serde::{Deserialize, Serialize};
-
-/// How the program is prepared before execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ControlMode {
-    /// Run the program exactly as annotated by the programmer (every `&`
-    /// spawns) — the paper's `T0`.
-    NoControl,
-    /// Apply the granularity analysis and guard parallel conjunctions with the
-    /// derived thresholds — the paper's `T1`.
-    WithControl,
-    /// Guard every parallel conjunction with a fixed grain-size threshold
-    /// (used for the Figure 2 sweep).
-    FixedThreshold(u64),
-    /// Strip all parallelism (the purely sequential baseline).
-    Sequential,
-}
 
 /// The result of one benchmark run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -90,144 +72,6 @@ pub struct SweepPoint {
     pub time: f64,
     /// Number of tasks spawned at that threshold.
     pub spawned_tasks: usize,
-}
-
-/// Prepares a benchmark's program according to the control mode.
-///
-/// `overhead` is the per-task overhead of the target machine, used as the
-/// threshold parameter `W` when `mode` is [`ControlMode::WithControl`].
-pub fn prepare_program(
-    program: &Program,
-    analysis: &ProgramAnalysis,
-    mode: ControlMode,
-    overhead: f64,
-) -> Program {
-    match mode {
-        ControlMode::NoControl => program.clone(),
-        ControlMode::Sequential => sequentialize(program),
-        ControlMode::WithControl => {
-            apply_granularity_control(program, analysis, &AnnotateOptions { overhead }).program
-        }
-        ControlMode::FixedThreshold(k) => with_fixed_grain_size(program, analysis, k),
-    }
-}
-
-/// Rewrites every parallel conjunction so that it is guarded by grain-size
-/// tests with the fixed threshold `k` (measuring the driving input argument of
-/// the first analysable goal of each arm). Arms whose goals the analysis knows
-/// nothing about are left unguarded. `k == 0` keeps everything parallel.
-pub fn with_fixed_grain_size(program: &Program, analysis: &ProgramAnalysis, k: u64) -> Program {
-    if k == 0 {
-        return program.clone();
-    }
-    let mut out = Program::new();
-    for directive in program.directives() {
-        out.add_directive(directive.clone());
-    }
-    for clause in program.clauses() {
-        let body = rewrite_fixed(&clause.body, analysis, k);
-        out.add_clause(Clause::new(
-            clause.head.clone(),
-            body,
-            clause.var_names.clone(),
-        ));
-    }
-    out
-}
-
-fn rewrite_fixed(body: &Term, analysis: &ProgramAnalysis, k: u64) -> Term {
-    match body {
-        Term::Struct(s, args) if *s == well_known::par_and() && args.len() == 2 => {
-            let mut arms = Vec::new();
-            flatten_par(body, &mut arms);
-            let arms: Vec<Term> = arms.iter().map(|a| rewrite_fixed(a, analysis, k)).collect();
-            let tests: Vec<Term> = arms
-                .iter()
-                .filter_map(|arm| fixed_test_for_arm(arm, analysis, k))
-                .collect();
-            let par = fold(&arms, well_known::par_and());
-            if tests.is_empty() {
-                return par;
-            }
-            let seq = fold(&arms, well_known::comma());
-            let cond = fold(&tests, well_known::comma());
-            Term::Struct(
-                well_known::semicolon(),
-                vec![Term::Struct(well_known::arrow(), vec![cond, par]), seq],
-            )
-        }
-        Term::Struct(s, args) => Term::Struct(
-            *s,
-            args.iter().map(|a| rewrite_fixed(a, analysis, k)).collect(),
-        ),
-        other => other.clone(),
-    }
-}
-
-fn fixed_test_for_arm(arm: &Term, analysis: &ProgramAnalysis, k: u64) -> Option<Term> {
-    let goals = conj_goals(arm);
-    for goal in goals {
-        let Some(pred) = PredId::of_term(goal) else {
-            continue;
-        };
-        let Some(info) = analysis.pred(pred) else {
-            continue;
-        };
-        if info.params.is_empty() {
-            continue;
-        }
-        let (pos, _) = info
-            .driving_input()
-            .unwrap_or((info.input_positions[0], info.params[0]));
-        let arg = goal.args().get(pos)?.clone();
-        let measure = info.measures.get(pos).copied().unwrap_or(Measure::TermSize);
-        return Some(Term::compound(
-            "$grain_ge",
-            vec![
-                arg,
-                Term::atom(measure.name()),
-                Term::Int(i64::try_from(k).unwrap_or(i64::MAX)),
-            ],
-        ));
-    }
-    None
-}
-
-fn conj_goals(arm: &Term) -> Vec<&Term> {
-    let mut out = Vec::new();
-    fn go<'a>(t: &'a Term, out: &mut Vec<&'a Term>) {
-        match t {
-            Term::Struct(s, args) if *s == well_known::comma() && args.len() == 2 => {
-                go(&args[0], out);
-                go(&args[1], out);
-            }
-            other => out.push(other),
-        }
-    }
-    go(arm, &mut out);
-    out
-}
-
-fn flatten_par<'a>(t: &'a Term, out: &mut Vec<&'a Term>) {
-    match t {
-        Term::Struct(s, args) if *s == well_known::par_and() && args.len() == 2 => {
-            flatten_par(&args[0], out);
-            flatten_par(&args[1], out);
-        }
-        other => out.push(other),
-    }
-}
-
-fn fold(goals: &[Term], op: granlog_ir::Symbol) -> Term {
-    match goals.len() {
-        0 => Term::Atom(well_known::true_()),
-        1 => goals[0].clone(),
-        _ => {
-            let mut iter = goals.iter().rev();
-            let last = iter.next().expect("len >= 2").clone();
-            iter.fold(last, |acc, g| Term::Struct(op, vec![g.clone(), acc]))
-        }
-    }
 }
 
 /// Executes a prepared program on the engine (on a large-stack worker thread)

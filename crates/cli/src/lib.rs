@@ -4,19 +4,23 @@
 //! the argument parsing and each subcommand can be unit-tested without
 //! spawning processes.
 
-use granlog_analysis::annotate::{apply_granularity_control, sequentialize, AnnotateOptions};
+use granlog_analysis::annotate::{
+    apply_granularity_control, prepare_program, AnnotateOptions, ControlMode,
+};
 use granlog_analysis::ddg::Ddg;
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_analysis::report::render_report;
 use granlog_analysis::CostMetric;
 use granlog_engine::{Machine, MachineConfig};
-use granlog_ir::{parser::parse_program, PredId, Program};
+use granlog_ir::{parser::parse_program, PredId, Program, Symbol, Term};
 use granlog_par::{Granularity, ParConfig, ParExecutor};
 use granlog_serve::{BootError, PoolConfig, ServeConfig, Server, SessionBudget};
 use granlog_sim::{simulate, OverheadModel, SimConfig};
 use granlog_store::{FsyncPolicy, StoreConfig};
 use std::fmt;
 use std::io::Write;
+use std::str::FromStr;
+use std::sync::Arc;
 
 /// The usage string printed on argument errors.
 pub const USAGE: &str = "\
@@ -144,15 +148,15 @@ struct Options {
     overhead: f64,
     metric: CostMetric,
     processors: usize,
-    mode: RunMode,
+    /// `run`: `--control`/`--no-control`/`--sequential`, if one was passed
+    /// (simulated runs default to control).
+    mode: Option<ControlMode>,
     /// `Some(n)`: execute on a real pool of `n` threads instead of
     /// simulating.
     threads: Option<usize>,
     granularity: Granularity,
     /// `run`: which evaluation engine answers the query.
     engine: Engine,
-    /// Were `--control`/`--no-control`/`--sequential` passed explicitly?
-    mode_explicit: bool,
     /// Was `--processors` passed explicitly?
     processors_explicit: bool,
     /// `serve`: listen address.
@@ -189,13 +193,6 @@ struct Options {
     positional: Vec<String>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunMode {
-    Control,
-    NoControl,
-    Sequential,
-}
-
 /// Which evaluation strategy `granlog run` uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Engine {
@@ -210,11 +207,10 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         overhead: OverheadModel::rolog_like().per_task_overhead(),
         metric: CostMetric::Resolutions,
         processors: 4,
-        mode: RunMode::Control,
+        mode: None,
         threads: None,
         granularity: Granularity::On,
         engine: Engine::Sld,
-        mode_explicit: false,
         processors_explicit: false,
         addr: "127.0.0.1:4517".to_string(),
         serve_steps: None,
@@ -233,32 +229,18 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         slow_ms: None,
         positional: Vec::new(),
     };
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--overhead" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| usage("--overhead needs a value"))?;
-                options.overhead = value
-                    .parse()
-                    .map_err(|_| usage(&format!("invalid overhead {value:?}")))?;
-            }
+        let flag = arg.as_str();
+        match flag {
+            "--overhead" => options.overhead = value(flag, "overhead", &mut iter)?,
             "--processors" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| usage("--processors needs a value"))?;
-                options.processors = value
-                    .parse()
-                    .map_err(|_| usage(&format!("invalid processor count {value:?}")))?;
-                if options.processors == 0 {
-                    return Err(usage("--processors must be at least 1"));
-                }
+                options.processors =
+                    at_least_one(flag, value(flag, "processor count", &mut iter)?)?;
                 options.processors_explicit = true;
             }
             "--metric" => {
-                let value = iter.next().ok_or_else(|| usage("--metric needs a value"))?;
-                options.metric = match value.as_str() {
+                options.metric = match value::<String>(flag, "", &mut iter)?.as_str() {
                     "resolutions" => CostMetric::Resolutions,
                     "unifications" => CostMetric::Unifications,
                     "steps" => CostMetric::Steps,
@@ -266,20 +248,11 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 };
             }
             "--threads" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| usage("--threads needs a value"))?;
-                let threads: usize = value
-                    .parse()
-                    .map_err(|_| usage(&format!("invalid thread count {value:?}")))?;
-                if threads == 0 {
-                    return Err(usage("--threads must be at least 1"));
-                }
-                options.threads = Some(threads);
+                let threads = value(flag, "thread count", &mut iter)?;
+                options.threads = Some(at_least_one(flag, threads)?);
             }
             "--engine" => {
-                let value = iter.next().ok_or_else(|| usage("--engine needs a value"))?;
-                options.engine = match value.as_str() {
+                options.engine = match value::<String>(flag, "", &mut iter)?.as_str() {
                     "sld" => Engine::Sld,
                     "bottom-up" => Engine::BottomUp,
                     other => {
@@ -288,133 +261,44 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 };
             }
             "--granularity" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| usage("--granularity needs a value"))?;
-                options.granularity = match value.as_str() {
+                options.granularity = match value::<String>(flag, "", &mut iter)?.as_str() {
                     "on" => Granularity::On,
                     "off" => Granularity::Off,
                     "always-spawn" => Granularity::AlwaysSpawn,
                     other => return Err(usage(&format!("unknown granularity mode {other:?}"))),
                 };
             }
-            "--addr" => {
-                let value = iter.next().ok_or_else(|| usage("--addr needs a value"))?;
-                options.addr = value.clone();
-            }
-            "--steps" => {
-                let value = iter.next().ok_or_else(|| usage("--steps needs a value"))?;
-                let steps: u64 = value
-                    .parse()
-                    .map_err(|_| usage(&format!("invalid step budget {value:?}")))?;
-                options.serve_steps = Some(steps);
-            }
-            "--heap" => {
-                let value = iter.next().ok_or_else(|| usage("--heap needs a value"))?;
-                let cells: usize = value
-                    .parse()
-                    .map_err(|_| usage(&format!("invalid heap budget {value:?}")))?;
-                options.serve_heap = Some(cells);
-            }
-            "--wall" => {
-                let value = iter.next().ok_or_else(|| usage("--wall needs a value"))?;
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| usage(&format!("invalid wall budget {value:?}")))?;
-                options.serve_wall_ms = Some(ms);
-            }
-            "--data-dir" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| usage("--data-dir needs a value"))?;
-                options.data_dir = Some(value.clone());
-            }
+            "--addr" => options.addr = value(flag, "", &mut iter)?,
+            "--steps" => options.serve_steps = Some(value(flag, "step budget", &mut iter)?),
+            "--heap" => options.serve_heap = Some(value(flag, "heap budget", &mut iter)?),
+            "--wall" => options.serve_wall_ms = Some(value(flag, "wall budget", &mut iter)?),
+            "--data-dir" => options.data_dir = Some(value(flag, "", &mut iter)?),
             "--fsync" => {
-                let value = iter.next().ok_or_else(|| usage("--fsync needs a value"))?;
-                options.fsync = FsyncPolicy::parse(value).ok_or_else(|| {
+                let policy: String = value(flag, "", &mut iter)?;
+                options.fsync = FsyncPolicy::parse(&policy).ok_or_else(|| {
                     usage(&format!(
-                        "invalid fsync policy {value:?} (always|interval[=MS]|never)"
+                        "invalid fsync policy {policy:?} (always|interval[=MS]|never)"
                     ))
                 })?;
             }
-            "--wal-limit" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| usage("--wal-limit needs a value"))?;
-                options.wal_limit = value
-                    .parse()
-                    .map_err(|_| usage(&format!("invalid wal limit {value:?}")))?;
-            }
+            "--wal-limit" => options.wal_limit = value(flag, "wal limit", &mut iter)?,
             "--quantum" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| usage("--quantum needs a value"))?;
-                options.quantum = value
-                    .parse()
-                    .map_err(|_| usage(&format!("invalid quantum {value:?}")))?;
-                if options.quantum == 0 {
-                    return Err(usage("--quantum must be at least 1"));
-                }
+                options.quantum = at_least_one(flag, value(flag, "quantum", &mut iter)?)?;
             }
             "--cache" => {
-                let value = iter.next().ok_or_else(|| usage("--cache needs a value"))?;
-                options.cache = value
-                    .parse()
-                    .map_err(|_| usage(&format!("invalid cache capacity {value:?}")))?;
-                if options.cache == 0 {
-                    return Err(usage("--cache must be at least 1"));
-                }
+                options.cache = at_least_one(flag, value(flag, "cache capacity", &mut iter)?)?;
             }
-            "--max-conns" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| usage("--max-conns needs a value"))?;
-                options.max_conns = value
-                    .parse()
-                    .map_err(|_| usage(&format!("invalid connection cap {value:?}")))?;
-            }
+            "--max-conns" => options.max_conns = value(flag, "connection cap", &mut iter)?,
             "--idle-timeout" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| usage("--idle-timeout needs a value"))?;
-                options.idle_timeout_secs = value
-                    .parse()
-                    .map_err(|_| usage(&format!("invalid idle timeout {value:?}")))?;
+                options.idle_timeout_secs = value(flag, "idle timeout", &mut iter)?;
             }
-            "--trace" => {
-                let value = iter.next().ok_or_else(|| usage("--trace needs a file"))?;
-                options.trace = Some(value.clone());
-            }
-            "--profile" => {
-                options.profile = true;
-            }
-            "--metrics-addr" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| usage("--metrics-addr needs a value"))?;
-                options.metrics_addr = Some(value.clone());
-            }
-            "--slow-ms" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| usage("--slow-ms needs a value"))?;
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| usage(&format!("invalid slow threshold {value:?}")))?;
-                options.slow_ms = Some(ms);
-            }
-            "--control" => {
-                options.mode = RunMode::Control;
-                options.mode_explicit = true;
-            }
-            "--no-control" => {
-                options.mode = RunMode::NoControl;
-                options.mode_explicit = true;
-            }
-            "--sequential" => {
-                options.mode = RunMode::Sequential;
-                options.mode_explicit = true;
-            }
+            "--trace" => options.trace = Some(value(flag, "", &mut iter)?),
+            "--profile" => options.profile = true,
+            "--metrics-addr" => options.metrics_addr = Some(value(flag, "", &mut iter)?),
+            "--slow-ms" => options.slow_ms = Some(value(flag, "slow threshold", &mut iter)?),
+            "--control" => options.mode = Some(ControlMode::WithControl),
+            "--no-control" => options.mode = Some(ControlMode::NoControl),
+            "--sequential" => options.mode = Some(ControlMode::Sequential),
             other if other.starts_with("--") => {
                 return Err(usage(&format!("unknown option {other}")));
             }
@@ -422,6 +306,29 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         }
     }
     Ok(options)
+}
+
+/// The value following `flag`, parsed as a `T`; `what` names the value in
+/// the "invalid ..." diagnostic.
+fn value<T: FromStr>(
+    flag: &str,
+    what: &str,
+    iter: &mut std::slice::Iter<'_, String>,
+) -> Result<T, CliError> {
+    let noun = if flag == "--trace" { "file" } else { "value" };
+    let text = iter
+        .next()
+        .ok_or_else(|| usage(&format!("{flag} needs a {noun}")))?;
+    text.parse()
+        .map_err(|_| usage(&format!("invalid {what} {text:?}")))
+}
+
+/// Rejects a zero count for `flag`.
+fn at_least_one<T: PartialEq + Default>(flag: &str, n: T) -> Result<T, CliError> {
+    if n == T::default() {
+        return Err(usage(&format!("{flag} must be at least 1")));
+    }
+    Ok(n)
 }
 
 fn usage(msg: &str) -> CliError {
@@ -511,7 +418,7 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         // Bottom-up evaluation is set-at-a-time: there is no task tree to
         // simulate and no spawn decision to control, so the SLD-side knobs
         // are refused instead of silently ignored.
-        if options.threads.is_some() || options.mode_explicit || options.processors_explicit {
+        if options.threads.is_some() || options.mode.is_some() || options.processors_explicit {
             return Err(usage(
                 "--engine bottom-up evaluates a fixpoint; it cannot be combined \
                  with --threads/--processors/--control/--no-control/--sequential",
@@ -528,7 +435,7 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     if let Some(threads) = options.threads {
         // Real execution and the simulation path are mutually exclusive:
         // refuse silently-ignored flags instead of guessing.
-        if options.mode_explicit {
+        if options.mode.is_some() {
             return Err(usage(
                 "--threads selects real execution; it cannot be combined with \
                  --control/--no-control/--sequential (use --granularity)",
@@ -549,27 +456,8 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         return cmd_run_parallel(options, threads, &program, query, out);
     }
     let analysis = analyze_program(&program, &AnalysisOptions::default());
-    let prepared = match options.mode {
-        RunMode::Sequential => sequentialize(&program),
-        RunMode::NoControl => program.clone(),
-        RunMode::Control => {
-            apply_granularity_control(
-                &program,
-                &analysis,
-                &AnnotateOptions {
-                    overhead: options.overhead,
-                },
-            )
-            .program
-        }
-    };
-    let tracer = options
-        .trace
-        .as_ref()
-        .map(|_| granlog_obs::Tracer::new(TRACE_RING_CAPACITY));
-    if let Some(t) = &tracer {
-        t.emit("query_begin", vec![("goal", query.as_str().into())]);
-    }
+    let mode = options.mode.unwrap_or(ControlMode::WithControl);
+    let prepared = prepare_program(&program, &analysis, mode, options.overhead);
     let mut machine = Machine::with_config(
         &prepared,
         MachineConfig {
@@ -577,26 +465,15 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
             ..MachineConfig::default()
         },
     );
-    let outcome = machine.run_query(query)?;
-    if let Some(t) = &tracer {
-        t.emit(
-            "query_end",
-            vec![
-                ("ok", outcome.succeeded.into()),
-                ("resolutions", outcome.counters.resolutions.into()),
-            ],
-        );
-    }
-    if outcome.succeeded {
-        writeln!(out, "yes")?;
-        for (name, value) in &outcome.bindings {
-            if name.as_str() != "_" {
-                writeln!(out, "  {name} = {value}")?;
-            }
-        }
-    } else {
-        writeln!(out, "no")?;
-    }
+    let outcome = traced(options.trace.as_deref(), query, |_| {
+        let outcome = machine.run_query(query)?;
+        let end = vec![
+            ("ok", outcome.succeeded.into()),
+            ("resolutions", outcome.counters.resolutions.into()),
+        ];
+        Ok((outcome, end))
+    })?;
+    write_answers(out, outcome.succeeded.then_some(outcome.bindings), "\n  ")?;
     writeln!(
         out,
         "work: {:.0} units ({} resolutions, {} grain tests); tasks spawned: {}",
@@ -607,9 +484,6 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     )?;
     if let Some(rows) = machine.profile() {
         write_profile(out, &rows, &analysis)?;
-    }
-    if let (Some(path), Some(t)) = (&options.trace, &tracer) {
-        write_trace(path, t)?;
     }
     let scaled = OverheadModel::rolog_like();
     let per_task = scaled.per_task_overhead();
@@ -634,10 +508,53 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
 /// single CLI query rarely approaches it).
 const TRACE_RING_CAPACITY: usize = 65536;
 
-/// Writes the tracer's events to `path` as JSONL (one event object per
-/// line), without draining the ring.
-fn write_trace(path: &str, tracer: &granlog_obs::Tracer) -> Result<(), CliError> {
-    std::fs::write(path, tracer.jsonl(false))?;
+/// The `--trace` scope of one `run`: with a trace file requested, `run`
+/// executes between a `query_begin` and a `query_end` event (the latter
+/// carrying the fields `run` returns beside its result) on a fresh ring,
+/// which is then written to `path` as JSONL, one event object per line.
+/// Without one, `run` sees no tracer and nothing is recorded.
+fn traced<T>(
+    path: Option<&str>,
+    query: &str,
+    run: impl FnOnce(Option<&Arc<granlog_obs::Tracer>>) -> Result<(T, TraceFields), CliError>,
+) -> Result<T, CliError> {
+    let tracer = path.map(|_| Arc::new(granlog_obs::Tracer::new(TRACE_RING_CAPACITY)));
+    if let Some(t) = &tracer {
+        t.emit("query_begin", vec![("goal", query.into())]);
+    }
+    let (result, end) = run(tracer.as_ref())?;
+    if let (Some(path), Some(t)) = (path, &tracer) {
+        t.emit("query_end", end);
+        std::fs::write(path, t.jsonl(false))?;
+    }
+    Ok(result)
+}
+
+type TraceFields = Vec<(&'static str, granlog_obs::Value)>;
+
+/// Prints `yes` and one line per answer — its named bindings joined by
+/// `sep` — or `no` if there is no answer.
+fn write_answers(
+    out: &mut dyn Write,
+    answers: impl IntoIterator<Item = Vec<(Symbol, Term)>>,
+    sep: &str,
+) -> Result<(), CliError> {
+    let mut answers = answers.into_iter().peekable();
+    if answers.peek().is_none() {
+        writeln!(out, "no")?;
+    } else {
+        writeln!(out, "yes")?;
+    }
+    for bindings in answers {
+        let shown: Vec<String> = bindings
+            .iter()
+            .filter(|(name, _)| name.as_str() != "_")
+            .map(|(name, value)| format!("{name} = {value}"))
+            .collect();
+        if !shown.is_empty() {
+            writeln!(out, "  {}", shown.join(sep))?;
+        }
+    }
     Ok(())
 }
 
@@ -699,42 +616,23 @@ fn cmd_run_parallel(
             machine: MachineConfig::default(),
         },
     );
-    // With --trace, hook a local registry + ring into the executor so the
-    // spawn/inline/steal/join stream lands in the dump.
-    let tracer = options.trace.as_ref().map(|_| {
-        let registry = granlog_obs::Registry::new();
-        let tracer = std::sync::Arc::new(granlog_obs::Tracer::new(TRACE_RING_CAPACITY));
-        executor.set_obs(Some(std::sync::Arc::new(granlog_par::ParObs::register(
-            &registry,
-            std::sync::Arc::clone(&tracer),
-        ))));
-        tracer
-    });
-    if let Some(t) = &tracer {
-        t.emit("query_begin", vec![("goal", query.into())]);
-    }
-    let start = std::time::Instant::now();
-    let outcome = executor.run_query(query)?;
-    let wall = start.elapsed();
-    if let Some(t) = &tracer {
-        t.emit(
-            "query_end",
-            vec![
-                ("ok", outcome.succeeded.into()),
-                ("spawned", outcome.spawned_tasks.into()),
-            ],
-        );
-    }
-    if outcome.succeeded {
-        writeln!(out, "yes")?;
-        for (name, value) in &outcome.bindings {
-            if name.as_str() != "_" {
-                writeln!(out, "  {name} = {value}")?;
-            }
-        }
-    } else {
-        writeln!(out, "no")?;
-    }
+    let (outcome, wall) = traced(options.trace.as_deref(), query, |tracer| {
+        // With --trace, hook a local registry + the ring into the executor
+        // so the spawn/inline/steal/join stream lands in the dump.
+        executor.set_obs(tracer.map(|t| {
+            let registry = granlog_obs::Registry::new();
+            Arc::new(granlog_par::ParObs::register(&registry, Arc::clone(t)))
+        }));
+        let start = std::time::Instant::now();
+        let outcome = executor.run_query(query)?;
+        let wall = start.elapsed();
+        let end = vec![
+            ("ok", outcome.succeeded.into()),
+            ("spawned", outcome.spawned_tasks.into()),
+        ];
+        Ok(((outcome, wall), end))
+    })?;
+    write_answers(out, outcome.succeeded.then_some(outcome.bindings), "\n  ")?;
     writeln!(
         out,
         "work: {:.0} units ({} resolutions, {} grain tests)",
@@ -753,9 +651,6 @@ fn cmd_run_parallel(
         outcome.spawned_tasks,
         outcome.inlined_conjunctions
     )?;
-    if let (Some(path), Some(t)) = (&options.trace, &tracer) {
-        write_trace(path, t)?;
-    }
     Ok(())
 }
 
@@ -769,29 +664,21 @@ fn cmd_run_bottom_up(
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
     let compiled = granlog_datalog::CompiledDatalog::compile(program)?;
-    let tracer = trace.map(|_| granlog_obs::Tracer::new(TRACE_RING_CAPACITY));
-    if let Some(t) = &tracer {
-        t.emit("query_begin", vec![("goal", query.into())]);
-    }
-    let database = compiled.evaluate_traced(tracer.as_ref())?;
-    let (goal, var_names) = granlog_ir::parser::parse_term(query)?;
-    let answers = database.query(&goal, &var_names)?;
-    if answers.succeeded() {
-        writeln!(out, "yes")?;
-        for i in 0..answers.rows.len() {
-            let line: Vec<String> = answers
-                .bindings(i)
-                .iter()
-                .filter(|(name, _)| name.as_str() != "_")
-                .map(|(name, value)| format!("{name} = {value}"))
-                .collect();
-            if !line.is_empty() {
-                writeln!(out, "  {}", line.join(", "))?;
-            }
-        }
-    } else {
-        writeln!(out, "no")?;
-    }
+    let (database, answers) = traced(trace, query, |tracer| {
+        let database = compiled.evaluate_traced(tracer.map(|t| &**t))?;
+        let (goal, var_names) = granlog_ir::parser::parse_term(query)?;
+        let answers = database.query(&goal, &var_names)?;
+        let end = vec![
+            ("ok", answers.succeeded().into()),
+            ("answers", answers.rows.len().into()),
+        ];
+        Ok(((database, answers), end))
+    })?;
+    write_answers(
+        out,
+        (0..answers.rows.len()).map(|i| answers.bindings(i)),
+        ", ",
+    )?;
     let stats = database.stats();
     writeln!(
         out,
@@ -804,16 +691,6 @@ fn cmd_run_bottom_up(
         stats.join_batches,
         stats.tuples_tried
     )?;
-    if let (Some(path), Some(t)) = (trace, &tracer) {
-        t.emit(
-            "query_end",
-            vec![
-                ("ok", answers.succeeded().into()),
-                ("answers", answers.rows.len().into()),
-            ],
-        );
-        write_trace(path, t)?;
-    }
     Ok(())
 }
 

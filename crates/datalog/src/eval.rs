@@ -34,7 +34,6 @@ use crate::compile::{
     Literal, LowerCtx, PlannedLiteral, Range,
 };
 use crate::error::DatalogError;
-use granlog_engine::rterm::RTerm;
 use granlog_ir::{FastHasher, FastMap, PredId, Symbol, Term};
 use std::collections::BTreeSet;
 use std::hash::Hasher;
@@ -222,15 +221,15 @@ pub struct Database {
 /// All answers to a query: the query's variables (first-occurrence order)
 /// and one ground row per answer.
 ///
-/// Rows are materialized through the engine's canonical [`RTerm`] runtime
-/// boundary — the same representation SLD answers cross — so the two
-/// engines' answer sets are directly comparable.
+/// Rows are source-level [`Term`]s, like the bindings of an SLD
+/// [`granlog_engine::QueryOutcome`], so the two engines' answer sets are
+/// directly comparable.
 #[derive(Debug, Clone)]
 pub struct QueryAnswers {
     /// The query's variables, in first-occurrence order.
     pub vars: Vec<Symbol>,
     /// One ground row per answer (same length as `vars`).
-    pub rows: Vec<Vec<RTerm>>,
+    pub rows: Vec<Vec<Term>>,
     /// Join work the query cost, counted like
     /// [`FixpointStats::tuples_tried`].
     pub tuples_tried: u64,
@@ -247,20 +246,8 @@ impl QueryAnswers {
         self.vars
             .iter()
             .zip(&self.rows[i])
-            .map(|(&name, r)| (name, rterm_to_ir(r)))
+            .map(|(&name, value)| (name, value.clone()))
             .collect()
-    }
-}
-
-/// Converts a ground runtime term back to IR for display and comparison
-/// (the inverse of [`RTerm::from_ir`] on ground terms).
-fn rterm_to_ir(r: &RTerm) -> Term {
-    match r {
-        RTerm::Var(v) => Term::Var(*v),
-        RTerm::Atom(s) => Term::Atom(*s),
-        RTerm::Int(i) => Term::Int(*i),
-        RTerm::Float(x) => Term::float(*x),
-        RTerm::Struct(s, args) => Term::structure(*s, args.iter().map(rterm_to_ir).collect()),
     }
 }
 
@@ -628,7 +615,7 @@ impl Database {
         });
 
         let bounds: Vec<(u32, u32)> = lits.iter().map(|l| (0, self.rels[l.rel].len)).collect();
-        let mut rows: Vec<Vec<RTerm>> = Vec::new();
+        let mut rows: Vec<Vec<Term>> = Vec::new();
         let tuples_tried = Join {
             rels: &self.rels,
             lits: &lits,
@@ -636,11 +623,7 @@ impl Database {
             bind: &mut vec![0; vars.len()],
             tried: 0,
             emit: |bind: &[ConstId]| {
-                rows.push(
-                    bind.iter()
-                        .map(|&c| RTerm::from_ir(self.consts.term(c), 0))
-                        .collect(),
-                );
+                rows.push(bind.iter().map(|&c| self.consts.term(c).clone()).collect());
             },
         }
         .run()?;

@@ -15,10 +15,9 @@
 //! checks range restriction, stratifies negation, and flattens every rule
 //! into an indexed join plan. [`CompiledDatalog::evaluate`] then runs the
 //! stratified semi-naive fixpoint into an immutable [`Database`], and
-//! [`Database::query`] answers conjunctive goals with *all* answers,
-//! materialized through the engine's canonical
-//! [`RTerm`](granlog_engine::rterm::RTerm) boundary so they are directly
-//! comparable to SLD answer sets.
+//! [`Database::query`] answers conjunctive goals with *all* answers, as
+//! source-level [`granlog_ir::Term`]s directly comparable to SLD answer
+//! sets.
 
 mod compile;
 mod error;
@@ -297,22 +296,15 @@ mod tests {
     }
 
     #[test]
-    fn answers_cross_the_rterm_boundary() {
-        use granlog_engine::rterm::RTerm;
+    fn answers_are_source_terms() {
         let db = db("holds(key(red), door1). opens(K, D) :- holds(K, D).");
         let (goal, names) = parse_term("opens(K, D)").unwrap();
         let answers = db.query(&goal, &names).unwrap();
         assert_eq!(answers.vars, vec![Symbol::intern("K"), Symbol::intern("D")]);
         assert_eq!(answers.rows.len(), 1);
-        match &answers.rows[0][0] {
-            RTerm::Struct(name, args) => {
-                assert_eq!(name.as_str(), "key");
-                assert_eq!(args.len(), 1);
-            }
-            other => panic!("expected compound runtime term, got {other:?}"),
-        }
+        assert_eq!(answers.rows[0][0], parse_term("key(red)").unwrap().0);
         let bindings = answers.bindings(0);
-        assert_eq!(bindings[0].1, parse_term("key(red)").unwrap().0);
+        assert_eq!(bindings[0].1, answers.rows[0][0]);
         assert_eq!(bindings[1].1, Term::atom("door1"));
     }
 

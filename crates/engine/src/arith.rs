@@ -39,14 +39,6 @@ impl Num {
         }
     }
 
-    /// Converts to a runtime boundary term.
-    pub fn to_rterm(self) -> crate::rterm::RTerm {
-        match self {
-            Num::Int(i) => crate::rterm::RTerm::Int(i),
-            Num::Float(x) => crate::rterm::RTerm::Float(x),
-        }
-    }
-
     /// Numeric comparison (floats and integers compare by value).
     pub fn compare(self, other: Num) -> Ordering {
         match (self, other) {
@@ -434,10 +426,9 @@ mod tests {
     }
 
     #[test]
-    fn cell_and_rterm_round_trip() {
+    fn cell_round_trip() {
         assert_eq!(Num::Int(7).to_cell(), HCell::Int(7));
         assert_eq!(Num::Float(1.5).to_cell(), HCell::Float(1.5));
-        assert_eq!(Num::Int(7).to_rterm(), crate::rterm::RTerm::Int(7));
         assert_eq!(Num::Int(7).as_f64(), 7.0);
     }
 }

@@ -31,7 +31,7 @@ use crate::arith::eval;
 use crate::error::{EngineError, EngineResult};
 use crate::heap::HCell;
 use crate::machine::Machine;
-use granlog_ir::{FastMap, Symbol};
+use granlog_ir::{FastMap, Measure, Symbol};
 use std::cmp::Ordering;
 use std::sync::OnceLock;
 
@@ -276,11 +276,19 @@ pub(crate) fn dispatch(
                 HCell::Int(k) => k.max(0) as u64,
                 _ => 0,
             };
+            // An unnamed or unrecognised measure is term size.
             let measure = match machine.deref_arg(args, 1) {
-                HCell::Atom(s) => s,
-                _ => Symbol::intern("size"),
+                HCell::Atom(s) => Measure::of_symbol(s),
+                _ => None,
             };
-            grain_test(machine, args, measure, threshold)
+            let (holds, elements) = bounded_measure(
+                machine,
+                measure.unwrap_or(Measure::TermSize),
+                args,
+                threshold,
+            );
+            machine.charge_grain_test(elements);
+            holds
         }
         Builtin::WriteLike | Builtin::Nl => {
             machine.charge_builtin();
@@ -472,74 +480,39 @@ fn list_length(machine: &Machine<'_>, idx: usize, limit: u64) -> Option<u64> {
     }
 }
 
-/// The size measure named by a `$grain_ge` second argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MeasureKind {
-    Length,
-    Int,
-    Depth,
-    Size,
+/// `size(Term) >= K` under `measure`, plus the number of elements the test
+/// had to traverse. The one bounded measurement behind both enforcement
+/// points of the grain-size decision: the `'$grain_ge'` builtin charges the
+/// machine for the traversal (the runtime overhead the paper's Section 7
+/// studies), the spawn-site pre-screens do not. List and term walks stop as
+/// soon as `K` elements have been seen, mirroring the cheap tests the paper
+/// generates; an argument whose size is unknown errs on the parallel side.
+pub(crate) fn bounded_measure(
+    machine: &Machine<'_>,
+    measure: Measure,
+    term: usize,
+    k: u64,
+) -> (bool, u64) {
+    let seen = match measure {
+        Measure::ListLength => bounded_list_length(machine, term, k),
+        Measure::TermDepth => bounded_depth(machine, term, k),
+        Measure::TermSize => bounded_term_size(machine, term, k),
+        Measure::IntValue => return (int_at_least(machine.cell(machine.deref_idx(term)), k), 1),
+        Measure::Ignore => return (true, 0),
+    };
+    (seen >= k, seen)
 }
 
-/// Measure-name dispatch table (interned once; a grain test resolves its
-/// measure with one hash probe instead of a string match).
-fn measure_kind(measure: Symbol) -> MeasureKind {
-    static TABLE: OnceLock<FastMap<Symbol, MeasureKind>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let entries: &[(&str, MeasureKind)] = &[
-            ("length", MeasureKind::Length),
-            ("list_length", MeasureKind::Length),
-            ("list", MeasureKind::Length),
-            ("int", MeasureKind::Int),
-            ("value", MeasureKind::Int),
-            ("int_value", MeasureKind::Int),
-            ("nat", MeasureKind::Int),
-            ("depth", MeasureKind::Depth),
-            ("term_depth", MeasureKind::Depth),
-        ];
-        entries
-            .iter()
-            .map(|&(name, kind)| (Symbol::intern(name), kind))
-            .collect()
-    });
-    table.get(&measure).copied().unwrap_or(MeasureKind::Size)
-}
-
-/// The `$grain_ge(Term, Measure, K)` runtime grain-size test: succeeds iff the
-/// size of `Term` under `Measure` is at least `K`. Charges the machine a cost
-/// proportional to the number of elements it had to traverse (for list/term
-/// measures traversal stops as soon as `K` elements have been seen, mirroring
-/// the cheap tests the paper generates).
-fn grain_test(machine: &mut Machine<'_>, term: usize, measure: Symbol, k: u64) -> bool {
-    match measure_kind(measure) {
-        MeasureKind::Length => {
-            let seen = bounded_list_length(machine, term, k);
-            machine.charge_grain_test(seen.min(k));
-            seen >= k
-        }
-        MeasureKind::Int => {
-            machine.charge_grain_test(1);
-            match machine.cell(machine.deref_idx(term)) {
-                HCell::Int(v) => (v.max(0) as u64) >= k,
-                HCell::Float(v) => v >= k as f64,
-                _ => true, // unknown size: err on the parallel side
-            }
-        }
-        MeasureKind::Depth => {
-            let d = bounded_depth(machine, term, k);
-            machine.charge_grain_test(d.min(k));
-            d >= k
-        }
-        MeasureKind::Size => {
-            // term size (default): count symbols up to K.
-            let s = bounded_term_size(machine, term, k);
-            machine.charge_grain_test(s.min(k));
-            s >= k
-        }
+/// [`bounded_measure`] under `int` for a cell already in hand.
+pub(crate) fn int_at_least(cell: HCell, k: u64) -> bool {
+    match cell {
+        HCell::Int(v) => (v.max(0) as u64) >= k,
+        HCell::Float(v) => v >= k as f64,
+        _ => true, // unknown size: err on the parallel side
     }
 }
 
-pub(crate) fn bounded_list_length(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
+fn bounded_list_length(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
     let wk = granlog_ir::symbol::well_known::get();
     let mut count = 0u64;
     let mut cur = machine.deref_idx(idx);
@@ -555,7 +528,7 @@ pub(crate) fn bounded_list_length(machine: &Machine<'_>, idx: usize, limit: u64)
     count
 }
 
-pub(crate) fn bounded_term_size(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
+fn bounded_term_size(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
     let mut stack = vec![machine.deref_idx(idx)];
     let mut count = 0u64;
     while let Some(cur) = stack.pop() {
@@ -576,7 +549,7 @@ pub(crate) fn bounded_term_size(machine: &Machine<'_>, idx: usize, limit: u64) -
     count
 }
 
-pub(crate) fn bounded_depth(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
+fn bounded_depth(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
     fn go(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
         if limit == 0 {
             return 0;

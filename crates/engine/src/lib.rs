@@ -62,7 +62,6 @@ pub mod heap;
 pub mod machine;
 pub mod par;
 pub mod profile;
-pub mod rterm;
 pub mod tasktree;
 pub mod template;
 

@@ -54,11 +54,14 @@ use crate::builtins::{self, Builtin};
 use crate::cost::{CostModel, Counters};
 use crate::error::{BudgetKind, EngineError, EngineResult};
 use crate::heap::HCell;
-use crate::par::{ArmAnswer, CellGuard, CellGuards, GuardMeasure, Packet, ParDecision, ParHook};
+use crate::par::{ArmAnswer, Packet, ParDecision, ParHook};
 use crate::tasktree::{TaskId, TaskRecorder, TaskTree};
 use crate::template::{Cell, ClauseTemplate, Seq, Step};
 use granlog_ir::symbol::well_known::{self, WellKnownSymbols};
-use granlog_ir::{parser, ClauseId, FastMap, IndexKey, PredId, Predicate, Program, Symbol, Term};
+use granlog_ir::{
+    parser, ClauseId, FastMap, Guard, GuardTable, IndexKey, Measure, PredId, Predicate, Program,
+    Symbol, Term,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -1120,7 +1123,12 @@ impl<'p> Machine<'p> {
     /// Writes the template subtree at `*pos` into the arena, advancing
     /// `*pos` past it, and returns its root cell. Clause-local variables are
     /// renamed by `var_base` (the activation's variable block).
-    fn write_template(&mut self, cells: &[Cell], pos: &mut usize, var_base: usize) -> HCell {
+    pub(crate) fn write_template(
+        &mut self,
+        cells: &[Cell],
+        pos: &mut usize,
+        var_base: usize,
+    ) -> HCell {
         let cell = cells[*pos];
         *pos += 1;
         match cell {
@@ -2088,7 +2096,7 @@ impl<'p> Machine<'p> {
                     // the template cells and the activation's variable
                     // bindings — nothing is materialized, the compiled
                     // inline path below runs exactly as without a hook.
-                    let screened_out = h.cell_guards().is_some_and(|guards| {
+                    let screened_out = h.spawn_guards().is_some_and(|guards| {
                         (0..arms_len).any(|k| {
                             let pos = templ.par_arm_cell_positions()[(arms_at + k) as usize];
                             self.template_guard_decision(
@@ -2181,10 +2189,10 @@ impl<'p> Machine<'p> {
     /// backtracking behave exactly as if the bindings had been made by
     /// inline execution.
     fn try_spawn_par(&mut self, hook: &dyn ParHook, base: usize) -> EngineResult<Option<bool>> {
-        // Cell-guard pre-screen: a bounded cell walk per arm decides most
+        // Cell-level pre-screen: a bounded cell walk per arm decides most
         // granularity-control inlines for (at most) the cost of the
         // threshold, before any arm is packed.
-        if let Some(guards) = hook.cell_guards() {
+        if let Some(guards) = hook.spawn_guards() {
             for k in base..self.arm_scratch.len() {
                 if !self
                     .cell_guard_decision(guards, self.arm_scratch[k])
@@ -2272,55 +2280,37 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Evaluates an arm's cell-level spawn guard: walks the arm's
-    /// `','`-spine for the first goal with a registered guard and returns
-    /// its verdict (`None` if no goal in the arm is guarded, which spawns).
-    fn cell_guard_decision(&self, guards: &CellGuards, cell: HCell) -> Option<bool> {
+    /// Evaluates an arm's spawn guard over heap cells: walks the arm's
+    /// `','`-spine for the first goal with a guard and returns its verdict
+    /// (`None` if no goal in the arm is guarded, which spawns).
+    fn cell_guard_decision(&self, guards: &GuardTable, cell: HCell) -> Option<bool> {
         let wk = well_known::get();
         match self.deref_cell(cell) {
             HCell::Struct(s, 2, base) if s == wk.comma => self
                 .cell_guard_decision(guards, self.heap[base as usize])
                 .or_else(|| self.cell_guard_decision(guards, self.heap[base as usize + 1])),
-            HCell::Atom(s) => guards.get(s, 0).map(|g| self.eval_cell_guard(g, 0, 0)),
+            HCell::Atom(s) => guards
+                .get(PredId::new(s, 0))
+                .map(|g| self.eval_guard(g, 0, 0)),
             HCell::Struct(s, arity, base) => guards
-                .get(s, arity as usize)
-                .map(|g| self.eval_cell_guard(g, arity as usize, base as usize)),
+                .get(PredId::new(s, arity as usize))
+                .map(|g| self.eval_guard(g, arity as usize, base as usize)),
             _ => None,
         }
     }
 
-    /// Evaluates one goal's guard against its argument block, with the same
-    /// bounded traversals (and the same "unknown size errs parallel"
-    /// convention) as the `'$grain_ge'` builtin.
-    fn eval_cell_guard(&self, guard: CellGuard, arity: usize, args: usize) -> bool {
+    /// Evaluates one goal's guard against its argument block, through the
+    /// bounded measurement the `'$grain_ge'` builtin performs (uncharged: no
+    /// grain test was executed, a spawn was screened).
+    fn eval_guard(&self, guard: Guard, arity: usize, args: usize) -> bool {
         match guard {
-            CellGuard::Always => true,
-            CellGuard::Never => false,
-            CellGuard::SizeAtLeast {
+            Guard::Always => true,
+            Guard::Never => false,
+            Guard::SizeAtLeast {
                 arg_pos,
                 measure,
                 k,
-            } => {
-                if arg_pos as usize >= arity {
-                    return true;
-                }
-                self.eval_guard_measure(measure, args + arg_pos as usize, k)
-            }
-        }
-    }
-
-    /// `size_measure(heap[idx]) >= k`, with `'$grain_ge'`-style bounded
-    /// traversals (a walk never visits more than `k` elements).
-    fn eval_guard_measure(&self, measure: GuardMeasure, idx: usize, k: u64) -> bool {
-        match measure {
-            GuardMeasure::ListLength => builtins::bounded_list_length(self, idx, k) >= k,
-            GuardMeasure::TermDepth => builtins::bounded_depth(self, idx, k) >= k,
-            GuardMeasure::TermSize => builtins::bounded_term_size(self, idx, k) >= k,
-            GuardMeasure::IntValue => match self.heap[self.deref_idx(idx)] {
-                HCell::Int(v) => (v.max(0) as u64) >= k,
-                HCell::Float(v) => v >= k as f64,
-                _ => true,
-            },
+            } => arg_pos >= arity || builtins::bounded_measure(self, measure, args + arg_pos, k).0,
         }
     }
 
@@ -2335,7 +2325,7 @@ impl<'p> Machine<'p> {
     /// settles.
     fn template_guard_decision(
         &self,
-        guards: &CellGuards,
+        guards: &GuardTable,
         cells: &[Cell],
         pos: usize,
         var_base: usize,
@@ -2354,36 +2344,36 @@ impl<'p> Machine<'p> {
             Cell::Var(v) | Cell::VarFirst(v) => {
                 self.cell_guard_decision(guards, HCell::Ref((var_base + v as usize) as u32))
             }
-            Cell::Atom(s) => guards.get(s, 0).map(|g| self.eval_cell_guard(g, 0, 0)),
+            Cell::Atom(s) => guards
+                .get(PredId::new(s, 0))
+                .map(|g| self.eval_guard(g, 0, 0)),
             Cell::Struct(s, arity) => {
-                let guard = guards.get(s, arity as usize)?;
-                match guard {
-                    CellGuard::Always => Some(true),
-                    CellGuard::Never => Some(false),
-                    CellGuard::SizeAtLeast {
+                let arity = arity as usize;
+                match guards.get(PredId::new(s, arity))? {
+                    Guard::SizeAtLeast {
                         arg_pos,
                         measure,
                         k,
-                    } => {
-                        if arg_pos >= arity {
-                            return Some(true);
-                        }
+                    } if arg_pos < arity => {
                         let mut arg = pos + 1;
                         for _ in 0..arg_pos {
                             arg = crate::template::skip_subtree(cells, arg);
                         }
                         match cells[arg] {
-                            Cell::Var(v) | Cell::VarFirst(v) => {
-                                Some(self.eval_guard_measure(measure, var_base + v as usize, k))
-                            }
-                            Cell::Int(i) if measure == GuardMeasure::IntValue => {
-                                Some((i.max(0) as u64) >= k)
+                            Cell::Var(v) | Cell::VarFirst(v) => Some(
+                                builtins::bounded_measure(self, measure, var_base + v as usize, k)
+                                    .0,
+                            ),
+                            Cell::Int(i) if measure == Measure::IntValue => {
+                                Some(builtins::int_at_least(HCell::Int(i), k))
                             }
                             // A structured template literal: measuring it
                             // needs materialization — defer.
                             _ => None,
                         }
                     }
+                    // No argument to measure: the verdict is the guard's own.
+                    guard => Some(self.eval_guard(guard, 0, 0)),
                 }
             }
             _ => None,
@@ -3026,6 +3016,53 @@ mod tests {
         assert!(out.counters.grain_tests > 0);
         // Some conjunctions ran in parallel (big sublists), some sequentially.
         assert!(out.task_tree.spawned_tasks() > 0);
+    }
+
+    #[test]
+    fn unmeasured_arguments_err_parallel_in_the_builtin_and_at_the_spawn_site() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// Carries a guard table; counts conjunctions offered and screened.
+        struct Screen(GuardTable, AtomicUsize, AtomicUsize);
+        impl ParHook for Screen {
+            fn exec_arms(&self, _arms: Vec<Packet>) -> EngineResult<ParDecision> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                Ok(ParDecision::Inline)
+            }
+            fn spawn_guards(&self) -> Option<&GuardTable> {
+                Some(&self.0)
+            }
+            fn note_inlined(&self) {
+                self.2.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let program = parse_program("p(X, Y) :- w(X) & w(Y). w(_).").unwrap();
+        let (goal, vars) = parser::parse_term("p(a, b)").unwrap();
+        let verdicts = |measure, k| {
+            let guard = Guard::SizeAtLeast {
+                arg_pos: 0,
+                measure,
+                k,
+            };
+            let table = [(PredId::parse("w", 1), guard)].into_iter().collect();
+            let screen = Screen(table, AtomicUsize::new(0), AtomicUsize::new(0));
+            let mut machine = Machine::new(&program);
+            let out = machine.run_goal_par(&goal, &vars, Some(&screen)).unwrap();
+            assert!(out.succeeded);
+            let spawn_site = (screen.1.into_inner(), screen.2.into_inner()) == (1, 0);
+            let builtin = run("d.", &format!("'$grain_ge'(a, {measure}, {k})")).succeeded;
+            (spawn_site, builtin)
+        };
+        // An argument without size information passes both enforcement
+        // points (the paper's rule: unknown size errs parallel) ...
+        assert_eq!(verdicts(Measure::Ignore, 5), (true, true));
+        for name in ["void", "ignore", "none", "'_'"] {
+            let out = run("d.", &format!("'$grain_ge'(a, {name}, 5)"));
+            assert!(out.succeeded, "{name}");
+            assert_eq!(out.counters.grain_test_elements, 0);
+        }
+        // ... and a measured one gets one verdict from both.
+        assert_eq!(verdicts(Measure::TermSize, 5), (false, false));
+        assert_eq!(verdicts(Measure::TermSize, 1), (true, true));
     }
 
     #[test]

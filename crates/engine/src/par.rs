@@ -47,6 +47,7 @@
 use crate::cost::Counters;
 use crate::error::EngineResult;
 use crate::heap::HCell;
+use granlog_ir::GuardTable;
 
 /// One or more terms copied out of an arena in relocatable form.
 ///
@@ -103,78 +104,6 @@ pub enum ParDecision {
     Executed(Option<Vec<ArmAnswer>>),
 }
 
-/// The size measure of a cell-level spawn guard, evaluated with the same
-/// bounded traversals as the `'$grain_ge'` builtin (a list walk stops after
-/// `k` elements, a term walk after `k` symbols — the guard's cost is
-/// bounded by its threshold, never by the term).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardMeasure {
-    /// Proper-list prefix length.
-    ListLength,
-    /// The value of an integer (clamped below at 0); non-integers pass.
-    IntValue,
-    /// Term depth.
-    TermDepth,
-    /// Term size (symbol count).
-    TermSize,
-}
-
-/// The cell-level spawn guard of one predicate: the threshold → guard
-/// lowering of the granularity analysis, in a form the machine can evaluate
-/// directly over heap cells *before* paying for packing an arm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellGuard {
-    /// Spawn unconditionally.
-    Always,
-    /// Never spawn: the predicate's work cannot exceed the spawn overhead.
-    Never,
-    /// Spawn iff the measured size of argument `arg_pos` is at least `k`.
-    SizeAtLeast {
-        /// 0-based argument position whose size is measured.
-        arg_pos: u32,
-        /// The size measure to apply.
-        measure: GuardMeasure,
-        /// The threshold size.
-        k: u64,
-    },
-}
-
-/// Per-predicate cell-level spawn guards, keyed by `(functor, arity)`. The
-/// machine consults this table at every `&` reached with a hook installed:
-/// if any arm's first guarded goal measures below its threshold, the
-/// conjunction is inlined without packing anything.
-#[derive(Debug, Clone, Default)]
-pub struct CellGuards {
-    map: granlog_ir::FastMap<(granlog_ir::Symbol, usize), CellGuard>,
-}
-
-impl CellGuards {
-    /// An empty table (every conjunction proceeds to the hook).
-    pub fn new() -> Self {
-        CellGuards::default()
-    }
-
-    /// Registers a predicate's guard.
-    pub fn insert(&mut self, name: granlog_ir::Symbol, arity: usize, guard: CellGuard) {
-        self.map.insert((name, arity), guard);
-    }
-
-    /// The guard of a predicate, if one was registered.
-    pub fn get(&self, name: granlog_ir::Symbol, arity: usize) -> Option<CellGuard> {
-        self.map.get(&(name, arity)).copied()
-    }
-
-    /// Number of registered guards.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` if no guard was registered.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 /// A parallel-execution strategy consulted by the solve loop at every `&`
 /// conjunction. Implemented by `granlog-par`'s work-sharing executor; the
 /// engine crate only defines the boundary.
@@ -192,17 +121,18 @@ pub trait ParHook: Sync {
     /// A propagated engine error from any arm's execution aborts the query.
     fn exec_arms(&self, arms: Vec<Packet>) -> EngineResult<ParDecision>;
 
-    /// Cell-level spawn guards the machine evaluates *before* packing an
-    /// arm. Returning `Some` lets the machine inline a too-small
-    /// conjunction for the cost of a bounded cell walk instead of a full
-    /// copy; `None` (the default) sends every conjunction to
-    /// [`ParHook::exec_arms`].
-    fn cell_guards(&self) -> Option<&CellGuards> {
+    /// The grain-size decision ([`granlog_ir::grain`]) the machine enforces
+    /// at the spawn site, over heap cells, *before* packing an arm: if any
+    /// arm's first guarded goal measures below its threshold, the
+    /// conjunction is inlined for the cost of a bounded cell walk (the same
+    /// walk `'$grain_ge'` performs) instead of a full copy. `None` (the
+    /// default) sends every conjunction to [`ParHook::exec_arms`].
+    fn spawn_guards(&self) -> Option<&GuardTable> {
         None
     }
 
     /// Notification that the machine inlined a conjunction without offering
-    /// it — the cell-guard pre-screen found it too small, or packing found
+    /// it — the spawn-guard pre-screen found it too small, or packing found
     /// an unbound variable shared between arms — so executors can keep
     /// their statistics. Default: no-op.
     fn note_inlined(&self) {}

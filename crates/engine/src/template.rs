@@ -32,15 +32,10 @@
 //! flattening) conservatively compile to [`Step::Goal`] and take the
 //! machine's materialized-cell dispatch path, which performs the run-time
 //! check the seed engine always paid.
-//!
-//! [`ClauseTemplate::materialize_body`] still produces the seed's
-//! `Rc`-based [`RTerm`] form for tests and microbenchmarks.
 
 use crate::builtins::{self, Builtin};
-use crate::rterm::RTerm;
 use granlog_ir::symbol::well_known;
 use granlog_ir::{Clause, Program, Symbol, Term};
-use std::rc::Rc;
 
 /// One node of a flattened term, in preorder. A [`Cell::Struct`] with arity
 /// `n` is immediately followed by its `n` argument subtrees.
@@ -157,8 +152,6 @@ pub struct ClauseTemplate {
     cells: Vec<Cell>,
     /// Start offset of each head argument's subtree within `cells`.
     head_args: Vec<u32>,
-    /// Start offset of the body subtree within `cells`.
-    body_start: u32,
     /// The body's leading builtin goals, executed during activation without
     /// materialization (see [`EagerGoal`]).
     eager: Vec<EagerGoal>,
@@ -223,7 +216,6 @@ impl ClauseTemplate {
         ClauseTemplate {
             cells,
             head_args,
-            body_start,
             eager,
             steps,
             par_arms: par_arms.seqs,
@@ -283,15 +275,6 @@ impl ClauseTemplate {
     /// is only `true` literals).
     pub fn body_is_true(&self) -> bool {
         self.body.len == 0 && self.eager.is_empty()
-    }
-
-    /// Materializes the whole clause body as a runtime term, renaming
-    /// clause-local variables by `var_offset`. (The engine's fast path
-    /// executes the compiled [`Self::body_seq`] steps instead; this is the
-    /// one-shot equivalent, kept for comparison benchmarks and tests.)
-    pub fn materialize_body(&self, var_offset: usize) -> RTerm {
-        let mut pos = self.body_start as usize;
-        materialize(&self.cells, &mut pos, var_offset)
     }
 }
 
@@ -521,35 +504,26 @@ fn flatten(term: &Term, cells: &mut Vec<Cell>) {
     }
 }
 
-/// Builds the runtime term for the preorder subtree starting at `*pos`,
-/// advancing `*pos` past it. Clause-local variables are offset by
-/// `var_offset` (the activation's heap mark).
-pub fn materialize(cells: &[Cell], pos: &mut usize, var_offset: usize) -> RTerm {
-    let cell = cells[*pos];
-    *pos += 1;
-    match cell {
-        Cell::Var(v) | Cell::VarFirst(v) => RTerm::Var(v as usize + var_offset),
-        Cell::Atom(s) => RTerm::Atom(s),
-        Cell::Int(i) => RTerm::Int(i),
-        Cell::Float(x) => RTerm::Float(x),
-        Cell::Struct(s, arity) => {
-            // Exact-size collect over a range: a single allocation with the
-            // arguments materialized directly into it, in order.
-            let args: Rc<[RTerm]> = (0..arity)
-                .map(|_| materialize(cells, pos, var_offset))
-                .collect();
-            RTerm::Struct(s, args)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Machine;
     use granlog_ir::parser::parse_program;
 
     fn clause(src: &str) -> Clause {
         parse_program(src).unwrap().clauses()[0].clone()
+    }
+
+    /// Materializes the template subtree at `*pos` the way the machine does
+    /// — written into an arena whose activation variable block starts at
+    /// `var_base` — and resolves it back to a source term, so clause
+    /// variable `v` reads `Term::Var(var_base + v)`.
+    fn materialize(t: &ClauseTemplate, pos: &mut usize, var_base: usize) -> Term {
+        let program = Program::new();
+        let mut machine = Machine::new(&program);
+        machine.fresh_vars(var_base + t.num_vars());
+        let cell = machine.write_template(t.cells(), pos, var_base);
+        machine.resolve_cell(cell)
     }
 
     #[test]
@@ -559,15 +533,20 @@ mod tests {
         assert_eq!(t.num_vars(), 4);
         assert!(!t.body_is_true());
         for offset in [0usize, 10, 1000] {
-            assert_eq!(t.materialize_body(offset), RTerm::from_ir(&c.body, offset));
+            let mut pos = 0;
             for (k, pos0) in t.head_arg_positions().iter().enumerate() {
-                let mut pos = *pos0 as usize;
+                pos = *pos0 as usize;
                 assert_eq!(
-                    materialize(t.cells(), &mut pos, offset),
-                    RTerm::from_ir(&c.head.args()[k], offset),
+                    materialize(&t, &mut pos, offset),
+                    c.head.args()[k].offset_vars(offset),
                     "head arg {k} at offset {offset}"
                 );
             }
+            // The body subtree follows the last head argument.
+            assert_eq!(
+                materialize(&t, &mut pos, offset),
+                c.body.offset_vars(offset)
+            );
         }
     }
 
@@ -697,9 +676,9 @@ mod tests {
         let c = clause("p(f(g(1), [a]), X).");
         let t = ClauseTemplate::compile(&c);
         let mut pos = t.head_arg_positions()[0] as usize;
-        let first = materialize(t.cells(), &mut pos, 0);
+        let first = materialize(&t, &mut pos, 0);
         assert_eq!(pos, t.head_arg_positions()[1] as usize);
-        assert_eq!(first, RTerm::from_ir(&c.head.args()[0], 0));
+        assert_eq!(first, c.head.args()[0]);
     }
 
     #[test]
@@ -708,9 +687,6 @@ mod tests {
         let templates = compile_program(&p);
         assert_eq!(templates.len(), 3);
         let mut pos = templates[2].head_arg_positions()[0] as usize;
-        assert_eq!(
-            materialize(templates[2].cells(), &mut pos, 0),
-            RTerm::Int(3)
-        );
+        assert_eq!(materialize(&templates[2], &mut pos, 0), Term::Int(3));
     }
 }

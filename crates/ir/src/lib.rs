@@ -22,6 +22,10 @@
 //!   processing order and the recursion classification used in Section 3 of
 //!   the paper (nonrecursive / simple recursive / mutually recursive).
 //! * [`unify`] — substitution-based unification over [`Term`]s.
+//! * [`grain`] — the grain-size decision shared by the analysis that
+//!   produces it and the annotator and engine that enforce it: the
+//!   [`Measure`] vocabulary, the per-predicate [`Guard`] and the
+//!   [`GuardTable`].
 //!
 //! # Example
 //!
@@ -39,6 +43,7 @@
 
 pub mod callgraph;
 pub mod clause;
+pub mod grain;
 pub mod modes;
 pub mod parser;
 pub mod pretty;
@@ -49,6 +54,7 @@ pub mod unify;
 
 pub use callgraph::{CallGraph, RecursionClass, Scc};
 pub use clause::{Clause, ClauseId};
+pub use grain::{Guard, GuardTable, Measure};
 pub use modes::{ArgMode, ModeDecl};
 pub use parser::{parse_program, parse_term, ParseError};
 pub use program::{ClauseIndex, Directive, IndexKey, PredId, Predicate, Program};

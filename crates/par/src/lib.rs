@@ -37,10 +37,11 @@
 //!   deadlock.
 //! * **Runtime granularity control.** With [`Granularity::On`], the
 //!   analysis' cost functions and thresholds are lowered into per-predicate
-//!   spawn guards ([`SpawnGuards`]): at each `&`, the driving argument of
-//!   each arm is measured on the actual goal and the conjunction is spawned
-//!   only if every arm's estimated work reaches the spawn overhead —
-//!   otherwise it runs inline, sequentially, on the spawning machine.
+//!   guards (a [`GuardTable`], the same one the annotator rewrites source
+//!   code over): at each `&`, the machine measures the driving argument of
+//!   each arm on the actual goal and the conjunction is spawned only if
+//!   every arm's estimated work reaches the spawn overhead — otherwise it
+//!   runs inline, sequentially, on the spawning machine.
 //!   [`Granularity::AlwaysSpawn`] spawns every conjunction (the paper's
 //!   "no control" baseline) and [`Granularity::Off`] runs every conjunction
 //!   inline (the sequential baseline, on the same code path).
@@ -83,16 +84,12 @@
 
 #![warn(missing_docs)]
 
-use granlog_analysis::guard::{PredGuard, SpawnGuards};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
-use granlog_analysis::Measure;
-use granlog_engine::par::{
-    ArmAnswer, CellGuard, CellGuards, GuardMeasure, Packet, ParDecision, ParHook,
-};
+use granlog_engine::par::{ArmAnswer, Packet, ParDecision, ParHook};
 use granlog_engine::{
     Budget, ClauseTemplate, Counters, EngineError, EngineResult, Machine, MachineConfig, Solve,
 };
-use granlog_ir::{parser, Program, Symbol, Term};
+use granlog_ir::{parser, GuardTable, Program, Symbol, Term};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -226,9 +223,9 @@ struct Shared<'p> {
     templates: Arc<[ClauseTemplate]>,
     machine_config: MachineConfig,
     granularity: Granularity,
-    /// Cell-level spawn guards (granularity-on only): evaluated by the
-    /// machine over heap cells before any copy-out.
-    cell_guards: Option<CellGuards>,
+    /// The analysis' guards (granularity-on only): evaluated by the machine
+    /// over heap cells before any copy-out.
+    guards: Option<GuardTable>,
     injector: Mutex<VecDeque<Arc<Job>>>,
     work_cv: Condvar,
     done: AtomicBool,
@@ -410,8 +407,8 @@ impl<'p> Shared<'p> {
 }
 
 impl ParHook for Shared<'_> {
-    fn cell_guards(&self) -> Option<&CellGuards> {
-        self.cell_guards.as_ref()
+    fn spawn_guards(&self) -> Option<&GuardTable> {
+        self.guards.as_ref()
     }
 
     fn note_inlined(&self) {
@@ -424,7 +421,7 @@ impl ParHook for Shared<'_> {
 
     fn exec_arms(&self, arms: Vec<Packet>) -> EngineResult<ParDecision> {
         // Conjunctions that reach this point already passed the machine's
-        // cell-guard pre-screen ([`ParHook::cell_guards`]) and its
+        // spawn-guard pre-screen ([`ParHook::spawn_guards`]) and its
         // independence check; `Off` installs no hook at all, so only
         // spawn-worthy conjunctions arrive here.
         if arms.len() < 2 {
@@ -495,9 +492,8 @@ impl<'p> ParExecutor<'p> {
     /// program is analysed here and the thresholds are lowered into runtime
     /// spawn guards; the other modes skip the analysis.
     pub fn new(program: &'p Program, config: ParConfig) -> Self {
-        let cell_guards = matches!(config.granularity, Granularity::On).then(|| {
-            let analysis = analyze_program(program, &AnalysisOptions::default());
-            lower_guards(&SpawnGuards::compile(&analysis, config.overhead))
+        let guards = matches!(config.granularity, Granularity::On).then(|| {
+            analyze_program(program, &AnalysisOptions::default()).guards_at(config.overhead)
         });
         let templates: Arc<[ClauseTemplate]> =
             granlog_engine::template::compile_program(program).into();
@@ -511,7 +507,7 @@ impl<'p> ParExecutor<'p> {
                 templates,
                 machine_config: config.machine,
                 granularity: config.granularity,
-                cell_guards,
+                guards,
                 injector: Mutex::new(VecDeque::new()),
                 work_cv: Condvar::new(),
                 done: AtomicBool::new(false),
@@ -639,49 +635,6 @@ fn mentions_par(term: &Term) -> bool {
         }
         _ => false,
     }
-}
-
-/// Lowers the analysis' per-predicate spawn guards into the engine's
-/// cell-level table, so the machine can evaluate them over heap cells with
-/// bounded traversals before paying any copy-out.
-fn lower_guards(guards: &SpawnGuards) -> CellGuards {
-    let mut table = CellGuards::new();
-    for (pred, guard) in guards.iter() {
-        let lowered = match guard {
-            PredGuard::Always => CellGuard::Always,
-            PredGuard::Never => CellGuard::Never,
-            PredGuard::SizeAtLeast {
-                arg_pos,
-                measure,
-                k,
-            } => match measure {
-                Measure::ListLength => CellGuard::SizeAtLeast {
-                    arg_pos: arg_pos as u32,
-                    measure: GuardMeasure::ListLength,
-                    k,
-                },
-                Measure::IntValue => CellGuard::SizeAtLeast {
-                    arg_pos: arg_pos as u32,
-                    measure: GuardMeasure::IntValue,
-                    k,
-                },
-                Measure::TermDepth => CellGuard::SizeAtLeast {
-                    arg_pos: arg_pos as u32,
-                    measure: GuardMeasure::TermDepth,
-                    k,
-                },
-                Measure::TermSize => CellGuard::SizeAtLeast {
-                    arg_pos: arg_pos as u32,
-                    measure: GuardMeasure::TermSize,
-                    k,
-                },
-                // No size information: err on the parallel side.
-                Measure::Ignore => CellGuard::Always,
-            },
-        };
-        table.insert(pred.name, pred.arity, lowered);
-    }
-    table
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! cargo run -p granlog-benchmarks --example threshold_codegen
 //! ```
 
-use granlog_analysis::annotate::{apply_granularity_control, AnnotateOptions, ArmDecision};
+use granlog_analysis::annotate::{apply_granularity_control, AnnotateOptions};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_benchmarks::all_benchmarks;
+use granlog_ir::Guard;
 use granlog_sim::OverheadModel;
 
 fn main() {
@@ -35,12 +36,14 @@ fn main() {
             );
             for (i, arm) in decision.arms.iter().enumerate() {
                 match arm {
-                    ArmDecision::Test {
+                    Some((
                         pred,
-                        arg_pos,
-                        measure,
-                        k,
-                    } => println!(
+                        Guard::SizeAtLeast {
+                            arg_pos,
+                            measure,
+                            k,
+                        },
+                    )) => println!(
                         "    arm {}: test {}(arg {}) under '{measure}' against threshold {k}",
                         i + 1,
                         pred,

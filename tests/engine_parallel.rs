@@ -17,7 +17,8 @@
 //! `tests/engine_indexing.rs`). The parallel counters are pinned against
 //! themselves in [`spawn_boundary_moves_no_observable_count`].
 
-use granlog_benchmarks::{all_benchmarks, control_benchmarks, nrev_benchmark};
+mod support;
+
 use granlog_engine::{Counters, Machine};
 use granlog_ir::parser::parse_program;
 use granlog_ir::Term;
@@ -103,11 +104,7 @@ fn assert_differential(
 /// matrix.
 #[test]
 fn benchmarks_parallel_equals_sequential() {
-    for bench in all_benchmarks()
-        .into_iter()
-        .chain(std::iter::once(nrev_benchmark()))
-        .chain(control_benchmarks())
-    {
+    for bench in support::fifteen_benchmarks() {
         let query = bench.query(bench.test_size);
         for threads in [1, 2, 4] {
             for granularity in [Granularity::On, Granularity::AlwaysSpawn] {

@@ -21,21 +21,13 @@
 //! mid-parallel-join — and must leave the machine unwound (empty arena,
 //! empty trail) and immediately reusable.
 
-use granlog_benchmarks::{all_benchmarks, control_benchmarks, nrev_benchmark, Benchmark};
+mod support;
+
 use granlog_engine::{Budget, BudgetKind, EngineError, Machine, QueryOutcome, Solve};
 use granlog_ir::parser::{parse_program, parse_term};
 use granlog_par::{Granularity, ParConfig, ParExecutor};
 use proptest::prelude::*;
-
-/// The full 15-program suite: the 12 Table-1 entries, `nrev`, and the two
-/// granularity-control extras.
-fn suite() -> Vec<Benchmark> {
-    all_benchmarks()
-        .into_iter()
-        .chain(std::iter::once(nrev_benchmark()))
-        .chain(control_benchmarks())
-        .collect()
-}
+use support::fifteen_benchmarks;
 
 /// Runs `query` in `quantum`-step preemptible slices, resuming until the
 /// solve completes. Returns the final outcome and the slice count.
@@ -89,7 +81,7 @@ fn assert_preemption_invisible(source: &str, query: &str, quantum: u64) {
 /// a coarse one.
 #[test]
 fn benchmarks_sliced_equals_uninterrupted() {
-    for bench in suite() {
+    for bench in fifteen_benchmarks() {
         let query = bench.query(bench.test_size);
         for quantum in [1, 13, 256] {
             assert_preemption_invisible(bench.source, &query, quantum);
@@ -102,7 +94,7 @@ fn benchmarks_sliced_equals_uninterrupted() {
 /// and budgeted runs match unbudgeted ones bit-for-bit.
 #[test]
 fn benchmarks_sliced_parallel_equals_unbudgeted_parallel() {
-    for bench in suite() {
+    for bench in fifteen_benchmarks() {
         let query = bench.query(bench.test_size);
         let program = parse_program(bench.source).unwrap();
         let (goal, vars) = parse_term(&query).unwrap();
@@ -145,7 +137,7 @@ proptest! {
         bench_index in 0usize..15,
         quantum in 1u64..5000,
     ) {
-        let suite = suite();
+        let suite = fifteen_benchmarks();
         let bench = &suite[bench_index % suite.len()];
         let query = bench.query(bench.test_size);
         assert_preemption_invisible(bench.source, &query, quantum);

@@ -1,0 +1,142 @@
+//! The grain-size decision has one definition (`granlog_ir::grain`) and two
+//! enforcement points: the annotator rewrites `&` into `'$grain_ge'`-guarded
+//! source code, and the parallel executor screens the *unannotated*
+//! program's conjunctions at the spawn site. `sim_crossvalidation` compares
+//! a simulation driven by the first with a measurement driven by the second,
+//! so this suite pins that the two agree — with observables both already
+//! expose, over the 15 programs and three task overheads.
+
+mod support;
+
+use granlog_analysis::annotate::{apply_granularity_control, AnnotateOptions};
+use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
+use granlog_engine::Machine;
+use granlog_ir::symbol::well_known;
+use granlog_ir::{Guard, GuardTable, PredId, Term};
+use granlog_par::{Granularity, ParConfig, ParExecutor};
+use support::fifteen_benchmarks;
+
+const OVERHEADS: [f64; 3] = [8.0, 48.0, 400.0];
+
+/// Dynamic agreement: the sequential machine running the annotated program
+/// forks exactly the tasks a one-thread executor with granularity control on
+/// spawns from the unannotated one.
+#[test]
+fn annotated_and_spawn_site_control_spawn_the_same_tasks() {
+    for bench in fifteen_benchmarks() {
+        let program = bench.program().expect("benchmark parses");
+        let analysis = analyze_program(&program, &AnalysisOptions::default());
+        let query = bench.query(bench.test_size);
+        for overhead in OVERHEADS {
+            let annotated =
+                apply_granularity_control(&program, &analysis, &AnnotateOptions { overhead });
+            let sequential = Machine::new(&annotated.program)
+                .run_query(&query)
+                .unwrap_or_else(|e| panic!("{query} (annotated, W = {overhead}): {e}"));
+            let config = ParConfig {
+                threads: 1,
+                granularity: Granularity::On,
+                overhead,
+                ..ParConfig::default()
+            };
+            let parallel = ParExecutor::new(&program, config)
+                .run_query(&query)
+                .unwrap_or_else(|e| panic!("{query} (spawn site, W = {overhead}): {e}"));
+            assert_eq!(sequential.succeeded, parallel.succeeded, "{query}");
+            assert_eq!(
+                sequential.task_tree.spawned_tasks(),
+                parallel.spawned_tasks,
+                "{query} at W = {overhead}: annotator and spawn-site guard disagree"
+            );
+        }
+    }
+}
+
+/// The guard of the first goal along an arm's `','`-spine that has one — the
+/// spawn site's rule, restated over source terms.
+fn first_guarded(arm: &Term, guards: &GuardTable) -> Option<(PredId, Guard)> {
+    match arm {
+        Term::Struct(s, args) if *s == well_known::comma() && args.len() == 2 => {
+            first_guarded(&args[0], guards).or_else(|| first_guarded(&args[1], guards))
+        }
+        goal => {
+            let pred = PredId::of_term(goal)?;
+            Some((pred, guards.get(pred)?))
+        }
+    }
+}
+
+/// Every maximal `&` conjunction of a body, innermost first, as the per-arm
+/// table entries the spawn site would consult.
+fn expected_arms(body: &Term, guards: &GuardTable, out: &mut Vec<Vec<Option<(PredId, Guard)>>>) {
+    fn arms_of<'t>(t: &'t Term, arms: &mut Vec<&'t Term>) {
+        match t {
+            Term::Struct(s, args) if *s == well_known::par_and() && args.len() == 2 => {
+                arms_of(&args[0], arms);
+                arms_of(&args[1], arms);
+            }
+            arm => arms.push(arm),
+        }
+    }
+    match body {
+        Term::Struct(s, args) if *s == well_known::par_and() && args.len() == 2 => {
+            let mut arms = Vec::new();
+            arms_of(body, &mut arms);
+            for arm in &arms {
+                expected_arms(arm, guards, out);
+            }
+            out.push(arms.iter().map(|arm| first_guarded(arm, guards)).collect());
+        }
+        Term::Struct(_, args) => args.iter().for_each(|a| expected_arms(a, guards, out)),
+        _ => {}
+    }
+}
+
+/// Static agreement: every arm of every `ConjunctionDecision` is the table
+/// entry of the arm's first guarded goal in the *source* clause, and a
+/// conjunction is guarded exactly when one of those entries is a size test
+/// and none is `Never`.
+#[test]
+fn every_decision_arm_is_the_table_entry_of_its_first_guarded_goal() {
+    let mut conjunctions = 0;
+    for bench in fifteen_benchmarks() {
+        let program = bench.program().expect("benchmark parses");
+        let analysis = analyze_program(&program, &AnalysisOptions::default());
+        for overhead in OVERHEADS {
+            let guards = analysis.guards_at(overhead);
+            let annotated =
+                apply_granularity_control(&program, &analysis, &AnnotateOptions { overhead });
+            let mut decisions = annotated.decisions.iter();
+            for predicate in program.predicates() {
+                for (clause_index, clause) in program.clauses_of(predicate.id).iter().enumerate() {
+                    let mut expected = Vec::new();
+                    expected_arms(&clause.body, &guards, &mut expected);
+                    for arms in expected {
+                        let decision = decisions.next().expect("one decision per conjunction");
+                        let at =
+                            format!("{} clause {clause_index} at W = {overhead}", predicate.id);
+                        assert_eq!(decision.clause_pred, predicate.id, "{at}");
+                        assert_eq!(decision.clause_index, clause_index, "{at}");
+                        assert_eq!(decision.arms, arms, "{at}");
+                        let never = arms.iter().any(|a| matches!(a, Some((_, Guard::Never))));
+                        let tested = arms
+                            .iter()
+                            .any(|a| matches!(a, Some((_, Guard::SizeAtLeast { .. }))));
+                        let guarded = match (never, tested) {
+                            (true, _) => Some(false),
+                            (false, true) => Some(true),
+                            (false, false) => None,
+                        };
+                        assert_eq!(decision.guarded, guarded, "{at}");
+                        conjunctions += 1;
+                    }
+                }
+            }
+            assert!(decisions.next().is_none(), "{}: stray decision", bench.name);
+        }
+    }
+    assert!(
+        conjunctions >= 3 * 12,
+        "every Table 1 program has a conjunction"
+    );
+}

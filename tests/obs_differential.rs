@@ -24,23 +24,16 @@
 //! server's registry exposes a latency histogram whose count equals the
 //! number of queries served, and the `metrics` exposition is well-formed.
 
-use granlog_benchmarks::{all_benchmarks, control_benchmarks, nrev_benchmark, Benchmark};
+mod support;
+
+use granlog_benchmarks::{nrev_benchmark, Benchmark};
 use granlog_engine::{Machine, MachineConfig, PredProfile, QueryOutcome};
 use granlog_ir::parser::parse_program;
 use granlog_ir::PredId;
 use granlog_obs::Tracer;
 use granlog_serve::{ServeClient, ServeConfig, Server};
 use std::time::{Duration, Instant};
-
-/// The fifteen benchmark programs: the paper's twelve, the Appendix's
-/// `nrev`, and the two sequential controls.
-fn suite() -> Vec<Benchmark> {
-    all_benchmarks()
-        .into_iter()
-        .chain(std::iter::once(nrev_benchmark()))
-        .chain(control_benchmarks())
-        .collect()
-}
+use support::fifteen_benchmarks;
 
 /// One full run of a benchmark at test size under `config`.
 fn run(
@@ -73,7 +66,7 @@ fn rendered_bindings(outcome: &QueryOutcome) -> Vec<(String, String)> {
 fn profiler_is_invisible_to_execution_across_all_benchmarks() {
     let mut base_total = Duration::ZERO;
     let mut profiled_total = Duration::ZERO;
-    for bench in suite() {
+    for bench in fifteen_benchmarks() {
         let (base, base_profile, base_time) = run(&bench, MachineConfig::default());
         let (off, off_profile, _) = run(
             &bench,
@@ -147,7 +140,7 @@ fn profiler_is_invisible_to_execution_across_all_benchmarks() {
 /// exceeds the machine's global counters.
 #[test]
 fn profiler_port_counters_balance() {
-    for bench in suite() {
+    for bench in fifteen_benchmarks() {
         let (outcome, profile, _) = run(
             &bench,
             MachineConfig {

@@ -12,18 +12,19 @@
 //! The failpoint registry is process-global, so every test here serializes
 //! on one mutex.
 
-use granlog_benchmarks::{all_benchmarks, control_benchmarks, nrev_benchmark, Benchmark};
-use granlog_engine::{EngineError, Machine, MachineConfig};
+mod support;
+
+use granlog_engine::EngineError;
 use granlog_fault::{self as fault, Action};
 use granlog_ir::parser::parse_program;
 use granlog_par::{Granularity, ParConfig, ParExecutor};
-use granlog_serve::{ServeClient, ServeConfig, Server, ServerHandle};
-use std::collections::BTreeMap;
+use granlog_serve::{ServeClient, ServeConfig, ServerHandle};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+use support::{canonical, expected_answer, fifteen_benchmarks, start_server};
 
 /// Precomputed `(query, succeeded, bindings)` oracle for one benchmark.
 type ExpectedAnswer = (String, bool, Vec<(String, String)>);
@@ -32,62 +33,6 @@ type ExpectedAnswer = (String, bool, Vec<(String, String)>);
 fn chaos_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The full corpus: the paper's 12 table benchmarks, `nrev`, and the two
-/// control-construct extras — 15 programs.
-fn full_suite() -> Vec<Benchmark> {
-    all_benchmarks()
-        .into_iter()
-        .chain(std::iter::once(nrev_benchmark()))
-        .chain(control_benchmarks())
-        .collect()
-}
-
-/// Canonicalizes rendered binding terms (`_N` tokens renamed in
-/// first-occurrence order) so answers differing only in cell numbering
-/// compare equal.
-fn canonical(bindings: &[(String, String)]) -> Vec<(String, String)> {
-    let mut map: BTreeMap<String, usize> = BTreeMap::new();
-    bindings
-        .iter()
-        .map(|(name, term)| {
-            let mut out = String::new();
-            let mut chars = term.chars().peekable();
-            while let Some(c) = chars.next() {
-                if c == '_' && chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-                    let mut id = String::new();
-                    while let Some(d) = chars.peek().filter(|d| d.is_ascii_digit()) {
-                        id.push(*d);
-                        chars.next();
-                    }
-                    let next = map.len();
-                    let canon_id = *map.entry(id).or_insert(next);
-                    out.push_str(&format!("_V{canon_id}"));
-                } else {
-                    out.push(c);
-                }
-            }
-            (name.clone(), out)
-        })
-        .collect()
-}
-
-/// The oracle: the same query on a fresh, sequential, fault-free machine.
-fn expected_answer(bench: &Benchmark, query: &str) -> (bool, Vec<(String, String)>) {
-    let program = parse_program(bench.source).unwrap();
-    let mut machine = Machine::with_config(&program, MachineConfig::default());
-    let outcome = machine.run_query(query).unwrap();
-    let rendered = outcome
-        .bindings
-        .iter()
-        .map(|(name, term)| (name.to_string(), term.to_string()))
-        .collect();
-    (outcome.succeeded, rendered)
-}
-
-fn start_server(config: ServeConfig) -> ServerHandle {
-    Server::start(config).expect("server must bind an ephemeral port")
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -203,7 +148,7 @@ impl ChaosClient {
 #[test]
 fn chaos_storm_preserves_answers_and_pool_hygiene() {
     let _lock = chaos_lock();
-    let benches = full_suite();
+    let benches = fifteen_benchmarks();
     assert_eq!(benches.len(), 15, "the corpus is the full program set");
     let expected: Vec<ExpectedAnswer> = benches
         .iter()

@@ -21,24 +21,15 @@
 //! server process. A JSON artifact summarizing every scenario is written
 //! for CI (path override: `GRANLOG_KILL9_ARTIFACT`).
 
-use granlog_benchmarks::{all_benchmarks, control_benchmarks, nrev_benchmark, Benchmark};
+mod support;
+
 use granlog_serve::ServeClient;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let n = N.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("granlog-kill9-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
+use support::{canonical, fifteen_benchmarks, temp_dir};
 
 /// A live `granlog serve` child whose listening line has been scraped.
 struct ServeProc {
@@ -174,42 +165,6 @@ fn check_recovery(dir: &Path, extra: &[&str], expect_present: &[String], want: u
 /// corpus is saved for the differential scenario).
 fn tiny_corpus(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("t{i}(a).\nt{i}(b).")).collect()
-}
-
-/// Canonicalizes `_N` variable tokens in first-occurrence order so two
-/// servers' renderings compare equal across machine reuse.
-fn canonical(bindings: &[(String, String)]) -> Vec<(String, String)> {
-    let mut map: BTreeMap<String, usize> = BTreeMap::new();
-    bindings
-        .iter()
-        .map(|(name, term)| {
-            let mut out = String::new();
-            let mut chars = term.chars().peekable();
-            while let Some(c) = chars.next() {
-                if c == '_' && chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-                    let mut id = String::new();
-                    while let Some(d) = chars.peek().filter(|d| d.is_ascii_digit()) {
-                        id.push(*d);
-                        chars.next();
-                    }
-                    let next = map.len();
-                    let canon_id = *map.entry(id).or_insert(next);
-                    out.push_str(&format!("_V{canon_id}"));
-                } else {
-                    out.push(c);
-                }
-            }
-            (name.clone(), out)
-        })
-        .collect()
-}
-
-fn fifteen_benchmarks() -> Vec<Benchmark> {
-    let mut corpus = all_benchmarks();
-    corpus.push(nrev_benchmark());
-    corpus.extend(control_benchmarks());
-    assert_eq!(corpus.len(), 15);
-    corpus
 }
 
 /// The harness proper. One test, five seeded crash points, sequential —

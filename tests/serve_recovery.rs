@@ -12,98 +12,24 @@
 //! killing (SIGKILL of a real `granlog serve` process) lives in
 //! `tests/serve_kill9.rs`.
 
-use granlog_benchmarks::{all_benchmarks, control_benchmarks, nrev_benchmark, Benchmark};
-use granlog_engine::{Machine, MachineConfig};
-use granlog_ir::parser::parse_program;
-use granlog_ir::Term;
-use granlog_serve::{PoolConfig, ServeClient, ServeConfig, Server, ServerHandle, SessionBudget};
-use granlog_store::{FsyncPolicy, ProgramStore, StoreConfig};
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+mod support;
 
-/// A unique scratch directory per test invocation, so parallel tests and
-/// repeated runs never share WAL state.
-fn temp_dir(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let n = N.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("granlog-recovery-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
+use granlog_serve::{ServeClient, ServeConfig, Server};
+use granlog_store::{FsyncPolicy, ProgramStore, StoreConfig};
+use std::path::Path;
+use std::time::{Duration, Instant};
+use support::{canonical, expected_answer, fifteen_benchmarks, start_server, temp_dir};
 
 fn store_config(dir: &Path) -> StoreConfig {
     StoreConfig::new(dir)
 }
 
-/// A server journaling to `dir` on an ephemeral port.
-fn start_server(dir: &Path) -> ServerHandle {
-    Server::start(ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        cache_capacity: 64,
-        budget: SessionBudget::default(),
-        machine_config: MachineConfig::default(),
-        pool: PoolConfig::default(),
+/// The config of a server journaling to `dir` on an ephemeral port.
+fn durable(dir: &Path) -> ServeConfig {
+    ServeConfig {
         store: Some(store_config(dir)),
         ..ServeConfig::default()
-    })
-    .expect("server must bind an ephemeral port")
-}
-
-/// The full 15-program corpus the acceptance bar talks about: the paper's
-/// Table 1 suite, the Appendix A `nrev`, and the control-construct extras.
-fn fifteen_benchmarks() -> Vec<Benchmark> {
-    let mut corpus = all_benchmarks();
-    corpus.push(nrev_benchmark());
-    corpus.extend(control_benchmarks());
-    assert_eq!(corpus.len(), 15, "the acceptance corpus is 15 programs");
-    corpus
-}
-
-/// Canonicalizes rendered binding terms: every `_N` token is renamed in
-/// first-occurrence order, so answers that differ only in variable
-/// numbering (machine-reuse dependent) compare equal.
-fn canonical(bindings: &[(String, String)]) -> Vec<(String, String)> {
-    let mut map: BTreeMap<String, usize> = BTreeMap::new();
-    bindings
-        .iter()
-        .map(|(name, term)| {
-            let mut out = String::new();
-            let mut chars = term.chars().peekable();
-            while let Some(c) = chars.next() {
-                if c == '_' && chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-                    let mut id = String::new();
-                    while let Some(d) = chars.peek().filter(|d| d.is_ascii_digit()) {
-                        id.push(*d);
-                        chars.next();
-                    }
-                    let next = map.len();
-                    let canon_id = *map.entry(id).or_insert(next);
-                    out.push_str(&format!("_V{canon_id}"));
-                } else {
-                    out.push(c);
-                }
-            }
-            (name.clone(), out)
-        })
-        .collect()
-}
-
-/// The expected answer for one benchmark query, computed on a fresh
-/// sequential machine and rendered exactly as the server renders it.
-fn expected_answer(bench: &Benchmark, query: &str) -> (bool, Vec<(String, String)>) {
-    let program = parse_program(bench.source).unwrap();
-    let mut machine = Machine::with_config(&program, MachineConfig::default());
-    let outcome = machine.run_query(query).unwrap();
-    let rendered = outcome
-        .bindings
-        .iter()
-        .map(|(name, term): &(granlog_ir::Symbol, Term)| (name.to_string(), term.to_string()))
-        .collect::<Vec<_>>();
-    (outcome.succeeded, rendered)
+    }
 }
 
 /// The headline differential test: load the full 15-program corpus into a
@@ -126,7 +52,7 @@ fn a_restarted_server_answers_every_benchmark_identically() {
         .collect();
 
     // First life: load and verify everything, then a clean shutdown.
-    let server = start_server(&dir);
+    let server = start_server(durable(&dir));
     let mut client = ServeClient::connect(server.addr()).unwrap();
     for (bench, (query, want_success, want_bindings)) in corpus.iter().zip(&expected) {
         let (_, _, hit) = client.load(bench.source).unwrap().unwrap();
@@ -164,7 +90,7 @@ fn a_restarted_server_answers_every_benchmark_identically() {
     // debug builds get headroom but still catch order-of-magnitude
     // regressions.
     let boot = Instant::now();
-    let server = start_server(&dir);
+    let server = start_server(durable(&dir));
     let replay = boot.elapsed();
     assert_eq!(server.recovered_programs(), 15);
     assert!(
@@ -221,7 +147,7 @@ fn a_wal_only_store_boots_into_the_template_cache() {
     }
     assert!(!dir.join("snapshot.bin").exists());
 
-    let server = start_server(&dir);
+    let server = start_server(durable(&dir));
     assert_eq!(server.recovered_programs(), 2);
     let mut client = ServeClient::connect(server.addr()).unwrap();
     let (_, _, hit) = client.load("p(1).\np(2).").unwrap().unwrap();
@@ -251,7 +177,7 @@ fn a_torn_wal_tail_never_blocks_boot() {
     bytes.extend_from_slice(&[0x40, 0x00, 0x00, 0x00, 0xaa, 0xbb, 0xcc]);
     std::fs::write(&wal, &bytes).unwrap();
 
-    let server = start_server(&dir);
+    let server = start_server(durable(&dir));
     assert_eq!(
         server.recovered_programs(),
         3,

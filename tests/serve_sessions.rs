@@ -10,73 +10,17 @@
 //! per-session without disturbing neighbours, and eviction must be
 //! LRU-ordered and counted.
 
-use granlog_benchmarks::{all_benchmarks, Benchmark};
-use granlog_engine::{Machine, MachineConfig};
-use granlog_ir::parser::parse_program;
-use granlog_ir::Term;
-use granlog_serve::{PoolConfig, ServeClient, ServeConfig, Server, SessionBudget};
-use std::collections::BTreeMap;
+mod support;
+
+use granlog_benchmarks::all_benchmarks;
+use granlog_serve::{ServeClient, ServeConfig, Server};
 use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
+use support::{canonical, expected_answer, start_server};
 
 /// Precomputed `(query, succeeded, bindings)` oracle for one benchmark.
 type ExpectedAnswer = (String, bool, Vec<(String, String)>);
-
-/// Canonicalizes rendered binding terms: every `_N` token is renamed in
-/// first-occurrence order, so answers that differ only in variable
-/// numbering compare equal.
-fn canonical(bindings: &[(String, String)]) -> Vec<(String, String)> {
-    let mut map: BTreeMap<String, usize> = BTreeMap::new();
-    bindings
-        .iter()
-        .map(|(name, term)| {
-            let mut out = String::new();
-            let mut chars = term.chars().peekable();
-            while let Some(c) = chars.next() {
-                if c == '_' && chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-                    let mut id = String::new();
-                    while let Some(d) = chars.peek().filter(|d| d.is_ascii_digit()) {
-                        id.push(*d);
-                        chars.next();
-                    }
-                    let next = map.len();
-                    let canon_id = *map.entry(id).or_insert(next);
-                    out.push_str(&format!("_V{canon_id}"));
-                } else {
-                    out.push(c);
-                }
-            }
-            (name.clone(), out)
-        })
-        .collect()
-}
-
-/// The expected answer for one benchmark query, computed on a fresh
-/// sequential machine and rendered exactly as the server renders it.
-fn expected_answer(bench: &Benchmark, query: &str) -> (bool, Vec<(String, String)>) {
-    let program = parse_program(bench.source).unwrap();
-    let mut machine = Machine::with_config(&program, MachineConfig::default());
-    let outcome = machine.run_query(query).unwrap();
-    let rendered = outcome
-        .bindings
-        .iter()
-        .map(|(name, term): &(granlog_ir::Symbol, Term)| (name.to_string(), term.to_string()))
-        .collect::<Vec<_>>();
-    (outcome.succeeded, rendered)
-}
-
-fn start_server(budget: SessionBudget, cache_capacity: usize) -> granlog_serve::ServerHandle {
-    Server::start(ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        cache_capacity,
-        budget,
-        machine_config: MachineConfig::default(),
-        pool: PoolConfig::default(),
-        ..ServeConfig::default()
-    })
-    .expect("server must bind an ephemeral port")
-}
 
 /// Eight concurrent clients, each looping over the benchmark suite in its
 /// own rotation: every reply matches a fresh single-machine run, and the
@@ -93,7 +37,10 @@ fn eight_concurrent_sessions_get_correct_answers() {
             (query, succeeded, bindings)
         })
         .collect();
-    let server = start_server(SessionBudget::default(), 64);
+    let server = start_server(ServeConfig {
+        cache_capacity: 64,
+        ..ServeConfig::default()
+    });
     let addr = server.addr();
 
     std::thread::scope(|scope| {
@@ -161,7 +108,10 @@ fn budgets_are_enforced_per_session() {
         .expect("suite is non-empty");
     let heavy = bench.query(bench.default_size.min(30).max(bench.test_size));
     let light = bench.query(1);
-    let server = start_server(SessionBudget::default(), 16);
+    let server = start_server(ServeConfig {
+        cache_capacity: 16,
+        ..ServeConfig::default()
+    });
     let addr = server.addr();
 
     let mut throttled = ServeClient::connect(addr).unwrap();
@@ -208,7 +158,10 @@ fn budgets_are_enforced_per_session() {
 /// the least recently used entry — all visible in the counters.
 #[test]
 fn cache_keys_on_normalized_text_and_evicts_lru() {
-    let server = start_server(SessionBudget::default(), 2);
+    let server = start_server(ServeConfig {
+        cache_capacity: 2,
+        ..ServeConfig::default()
+    });
     let addr = server.addr();
     let mut client = ServeClient::connect(addr).unwrap();
 
@@ -255,7 +208,10 @@ fn cache_keys_on_normalized_text_and_evicts_lru() {
 /// commands get `err` replies rather than hangs or disconnects.
 #[test]
 fn sessions_survive_errors() {
-    let server = start_server(SessionBudget::default(), 4);
+    let server = start_server(ServeConfig {
+        cache_capacity: 4,
+        ..ServeConfig::default()
+    });
     let mut client = ServeClient::connect(server.addr()).unwrap();
 
     // Query before load.
@@ -285,7 +241,10 @@ fn sessions_survive_errors() {
 /// neighbour session still on the default engine.
 #[test]
 fn engine_command_switches_to_bottom_up_per_session() {
-    let server = start_server(SessionBudget::default(), 8);
+    let server = start_server(ServeConfig {
+        cache_capacity: 8,
+        ..ServeConfig::default()
+    });
     let addr = server.addr();
     let mut client = ServeClient::connect(addr).unwrap();
     let mut neighbour = ServeClient::connect(addr).unwrap();
