@@ -20,10 +20,10 @@
 //!   `&` arms run behind explicit barrier records instead of native Rust
 //!   recursion (see [`machine`] and [`template`]);
 //! * independent and-parallel semantics for `&` (each arm solved to its first
-//!   solution; the conjunction fails if any arm fails), executed inline by
-//!   default or offered to a pluggable parallel executor through the
-//!   [`par::ParHook`] spawn boundary (implemented by the `granlog-par`
-//!   crate's multi-threaded work-sharing executor);
+//!   solution; the conjunction fails if any arm fails), executed inline,
+//!   with the later arms of a conjunction on offer to a pluggable parallel
+//!   executor through the [`par::ParHook`] spawn boundary (implemented by
+//!   the `granlog-par` crate's multi-threaded work-stealing executor);
 //! * the `'$grain_ge'(Term, Measure, K)` runtime grain-size test emitted by
 //!   the granularity-control transformation, charged with a cost proportional
 //!   to the traversal it performs;
@@ -69,9 +69,10 @@ pub use cost::{CostModel, Counters};
 pub use error::{BudgetKind, EngineError, EngineResult};
 pub use heap::HCell;
 pub use machine::{
-    Budget, ClauseSelection, Machine, MachineConfig, MachineStats, QueryOutcome, Solve, SolveToken,
+    Budget, ClauseSelection, Dispatch, Machine, MachineConfig, MachineStats, QueryOutcome, Solve,
+    SolveToken,
 };
-pub use par::{ArmAnswer, Packet, ParDecision, ParHook};
+pub use par::{ArmAnswer, ArmResult, Offer, Packet, ParHook};
 pub use profile::PredProfile;
 pub use tasktree::{ForkSpan, Segment, Task, TaskId, TaskRecorder, TaskTree};
 pub use template::{Cell, ClauseTemplate, Seq, Step};

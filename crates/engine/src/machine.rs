@@ -46,15 +46,16 @@
 //! fork/join structure and each arm's work are recorded in a
 //! [`crate::tasktree::TaskTree`] for the multiprocessor simulator. With a
 //! parallel hook installed ([`Machine::run_goal_par`], [`crate::par`]),
-//! each conjunction is first offered to the hook — after an optional
-//! cell-level granularity pre-screen — and may execute on real worker
-//! threads instead, with the answers joined back deterministically.
+//! a conjunction that passes an optional cell-level granularity pre-screen
+//! still runs here, but arms `1..` are also offered to the hook: an arm an
+//! idle thread claims first is skipped, and its answer is joined back
+//! deterministically once the local arms are done.
 
 use crate::builtins::{self, Builtin};
 use crate::cost::{CostModel, Counters};
 use crate::error::{BudgetKind, EngineError, EngineResult};
 use crate::heap::HCell;
-use crate::par::{ArmAnswer, Packet, ParDecision, ParHook};
+use crate::par::{ArmAnswer, Offer, Packet, ParHook};
 use crate::tasktree::{TaskId, TaskRecorder, TaskTree};
 use crate::template::{Cell, ClauseTemplate, Seq, Step};
 use granlog_ir::symbol::well_known::{self, WellKnownSymbols};
@@ -333,14 +334,38 @@ pub struct MachineStats {
     pub max_barrier_depth: usize,
 }
 
-/// What a non-control goal resolves to: a builtin or a user predicate. The
-/// machine builds one `(functor, arity)` → `CallTarget` map at program load,
-/// so the solve loop identifies a goal with a single fast-hash probe instead
-/// of a missed builtin-table probe followed by a `BTreeMap` predicate walk.
+/// What a non-control goal resolves to: a builtin or a user predicate.
 #[derive(Debug, Clone, Copy)]
 enum CallTarget<'p> {
     Builtin(Builtin),
     User(&'p Predicate),
+}
+
+/// A program's `(functor, arity)` → call target table, built once at program
+/// load so the solve loop identifies a goal with a single fast-hash probe
+/// instead of a missed builtin-table probe followed by a `BTreeMap`
+/// predicate walk. Builtins shadow user predicates of the same name and
+/// arity, as they always have. Like the templates it is immutable and
+/// shared through an `Arc` by every machine over the program
+/// ([`Machine::with_dispatch`]).
+#[derive(Debug)]
+pub struct Dispatch<'p>(FastMap<(Symbol, usize), CallTarget<'p>>);
+
+impl<'p> Dispatch<'p> {
+    /// Builds the table for `program`.
+    pub fn new(program: &'p Program) -> Arc<Self> {
+        let mut table: FastMap<(Symbol, usize), CallTarget<'p>> = FastMap::default();
+        for predicate in program.predicates() {
+            table.insert(
+                (predicate.id.name, predicate.id.arity),
+                CallTarget::User(predicate),
+            );
+        }
+        for (&key, &builtin) in builtins::table() {
+            table.insert(key, CallTarget::Builtin(builtin));
+        }
+        Arc::new(Dispatch(table))
+    }
 }
 
 /// The candidate-clause list of one call, owned by its choice point while
@@ -449,10 +474,26 @@ struct ParState {
     arms: ArmSource,
     /// Total number of arms (the fork arity).
     count: u32,
-    /// Index of the next arm to start; `next - 1` is currently running.
+    /// Index of the next arm to start.
     next: u32,
     /// Task id of arm 0 (fork children get consecutive ids).
     first_task: TaskId,
+    /// Where arm 1's entry sits in the machine's offer table (arm `k`'s is
+    /// at `offers + k - 1`), or [`NOT_OFFERED`].
+    offers: u32,
+}
+
+/// [`ParState::offers`] of a conjunction no hook was offered.
+const NOT_OFFERED: u32 = u32::MAX;
+
+/// The forking machine's record of one arm on offer (see [`crate::par`]).
+struct Offered {
+    /// The slot shared with the hook; `None` once this machine claimed the
+    /// arm back or joined it.
+    arm: Option<Arc<Offer>>,
+    /// Where the arm's variable → parent cell table starts in
+    /// `offer_parents` (its length is the packet's variable count).
+    parents: u32,
 }
 
 /// What the completion (success or failure) of a barrier's sub-solve means.
@@ -497,9 +538,8 @@ pub struct Machine<'p> {
     /// machines — one per worker thread of a parallel executor — can share
     /// one compiled program.
     templates: Arc<[ClauseTemplate]>,
-    /// `(functor, arity)` → call target, built once at load. Builtins shadow
-    /// user predicates of the same name and arity, as they always have.
-    dispatch: FastMap<(Symbol, usize), CallTarget<'p>>,
+    /// `(functor, arity)` → call target, shared like the templates.
+    dispatch: Arc<Dispatch<'p>>,
     /// The arena term heap (see [`crate::heap`]).
     pub(crate) heap: Vec<HCell>,
     /// Bound-variable trail: indices of cells to restore to self-references.
@@ -535,6 +575,19 @@ pub struct Machine<'p> {
     /// conjunction's arms are packed this is the parents table of arm 0,
     /// then of arm 1, and so on.
     pack_parents: Vec<u32>,
+    /// The offer table: arms `1..` of every offered conjunction in flight,
+    /// innermost conjunction last (conjunctions nest, so it is a stack).
+    offers: Vec<Offered>,
+    /// The parents tables of the arms in `offers`, back to back.
+    offer_parents: Vec<u32>,
+    /// Reusable staging buffer for the slots of one conjunction between
+    /// packing and [`ParHook::offer`].
+    offer_batch: Vec<Arc<Offer>>,
+    /// Reusable buffer arm 0 of an offered conjunction is packed into.
+    pack_scratch: Vec<HCell>,
+    /// Emptied packet buffers awaiting the next pack (see
+    /// [`Machine::recycle`]).
+    packet_pool: Vec<Vec<HCell>>,
     pub(crate) counters: Counters,
     recorder: TaskRecorder,
     stats: MachineStats,
@@ -563,9 +616,9 @@ impl<'p> Machine<'p> {
     /// Creates a machine with an explicit configuration.
     ///
     /// Program load happens here: every clause is compiled once into its
-    /// [`ClauseTemplate`], and the goal-dispatch map (builtins and user
-    /// predicates) is built, so the solve loop never revisits the IR and
-    /// identifies every goal with one hash probe.
+    /// [`ClauseTemplate`], and the goal-dispatch table ([`Dispatch`]) is
+    /// built, so the solve loop never revisits the IR and identifies every
+    /// goal with one hash probe.
     pub fn with_config(program: &'p Program, config: MachineConfig) -> Self {
         let templates: Arc<[ClauseTemplate]> = crate::template::compile_program(program).into();
         Machine::with_templates(program, config, templates)
@@ -573,9 +626,9 @@ impl<'p> Machine<'p> {
 
     /// Creates a machine over an already-compiled template array (as
     /// returned by [`Machine::templates`]), skipping per-machine clause
-    /// compilation. This is how a parallel executor builds one machine per
-    /// worker thread cheaply: the program is compiled once and the `Arc` is
-    /// shared.
+    /// compilation; the dispatch table is still built here. A pool that
+    /// makes many machines over one program shares that too
+    /// ([`Machine::with_dispatch`]).
     ///
     /// `templates` must be the compilation of `program`
     /// ([`crate::template::compile_program`]); clause ids index into it.
@@ -589,21 +642,32 @@ impl<'p> Machine<'p> {
         config: MachineConfig,
         templates: Arc<[ClauseTemplate]>,
     ) -> Self {
+        Machine::with_dispatch(program, config, templates, Dispatch::new(program))
+    }
+
+    /// [`Machine::with_templates`] over an already-built dispatch table as
+    /// well: nothing here depends on the size of the program, so a machine
+    /// costs a handful of empty `Vec`s. This is how a parallel executor
+    /// makes a machine per stolen arm, and a server one per cold lease,
+    /// cheaply: the program is compiled once and both `Arc`s are shared.
+    ///
+    /// `templates` and `dispatch` must both have been built from `program`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the template array's length does not match the program's
+    /// clause count.
+    pub fn with_dispatch(
+        program: &'p Program,
+        config: MachineConfig,
+        templates: Arc<[ClauseTemplate]>,
+        dispatch: Arc<Dispatch<'p>>,
+    ) -> Self {
         assert_eq!(
             templates.len(),
             program.clauses().len(),
             "template array does not match the program"
         );
-        let mut dispatch: FastMap<(Symbol, usize), CallTarget<'p>> = FastMap::default();
-        for predicate in program.predicates() {
-            dispatch.insert(
-                (predicate.id.name, predicate.id.arity),
-                CallTarget::User(predicate),
-            );
-        }
-        for (&key, &builtin) in builtins::table() {
-            dispatch.insert(key, CallTarget::Builtin(builtin));
-        }
         Machine {
             program,
             config,
@@ -622,6 +686,11 @@ impl<'p> Machine<'p> {
             arm_scratch: Vec::new(),
             pack_vars: FastMap::default(),
             pack_parents: Vec::new(),
+            offers: Vec::new(),
+            offer_parents: Vec::new(),
+            offer_batch: Vec::new(),
+            pack_scratch: Vec::new(),
+            packet_pool: Vec::new(),
             counters: Counters::default(),
             recorder: TaskRecorder::new(),
             stats: MachineStats::default(),
@@ -691,10 +760,10 @@ impl<'p> Machine<'p> {
         self.run_goal_par(goal, var_names, None)
     }
 
-    /// [`Machine::run_goal`] with a parallel-execution hook: every `&`
-    /// conjunction the solve loop reaches is first offered to `hook` (see
-    /// [`crate::par`]). With `None` this *is* `run_goal` — the machine runs
-    /// every conjunction inline.
+    /// [`Machine::run_goal`] with a parallel-execution hook: the later arms
+    /// of every `&` conjunction the solve loop reaches are offered to `hook`
+    /// while the machine works on the first (see [`crate::par`]). With
+    /// `None` this *is* `run_goal` — nothing is offered.
     ///
     /// The goal's variables must be numbered `0..n`.
     ///
@@ -747,16 +816,16 @@ impl<'p> Machine<'p> {
     }
 
     /// Runs a packed `&` arm (see [`crate::par`]) to its first solution —
-    /// the packet entry point a [`ParHook`] calls on the machine it chose
-    /// for the arm, passing itself as `hook` so nested conjunctions spawn
-    /// recursively. The packet is unpacked at the bottom of the emptied
+    /// the packet entry point the thief that claimed an [`Offer`] calls on a
+    /// machine of its own, passing a hook so nested conjunctions are offered
+    /// in turn. The packet is unpacked at the bottom of the emptied
     /// arena, so its variables are cells `0..nvars`; on success their values
     /// are packed back out as the answer. `Ok(None)` means the arm failed.
     ///
     /// # Errors
     ///
     /// Returns an error if execution hits a limit or runtime error (local or
-    /// inside a nested spawned arm); the run state is unwound as in
+    /// inside a nested stolen arm); the run state is unwound as in
     /// [`Machine::solve_goal`].
     pub fn run_arm(
         &mut self,
@@ -840,6 +909,13 @@ impl<'p> Machine<'p> {
         self.heap.len()
     }
 
+    /// Arms this machine has on offer to a parallel hook and has not yet
+    /// claimed back, joined or cancelled (see [`crate::par`]). 0 whenever no
+    /// solve is in flight.
+    pub fn outstanding_offers(&self) -> usize {
+        self.offers.len()
+    }
+
     /// Current binding-trail length. 0 after an engine error (the unwind
     /// empties the trail).
     pub fn trail_len(&self) -> usize {
@@ -884,6 +960,7 @@ impl<'p> Machine<'p> {
                 // Errors unwind eagerly: truncate the arena and empty the
                 // trail *now*, so an erroring query can never leave a large
                 // heap pinned while the machine sits idle in a pool.
+                self.cancel_offers(hook, 0);
                 self.reset_run_state();
                 Err(e)
             }
@@ -895,6 +972,10 @@ impl<'p> Machine<'p> {
     /// the high-water stats first. Counters, recorder and stats survive —
     /// the start of a new solve resets those separately.
     fn reset_run_state(&mut self) {
+        // Arms still on offer belong to a suspended solve a new query is
+        // superseding. No hook is at hand to take them off its queue:
+        // claiming them is enough to keep anyone from starting them.
+        self.cancel_offers(None, 0);
         self.note_heap_high_water();
         self.stats.trail_high_water = self.stats.trail_high_water.max(self.trail.len());
         self.heap.clear();
@@ -1021,8 +1102,27 @@ impl<'p> Machine<'p> {
     /// unbound cell an *earlier* packet already numbered: the two arms are
     /// not independent.
     fn pack(&mut self, roots: impl IntoIterator<Item = HCell>) -> Option<Packet> {
+        let mut cells = self.packet_pool.pop().unwrap_or_default();
+        match self.pack_into(&mut cells, roots) {
+            Some(nvars) => Some(Packet { nvars, cells }),
+            None => {
+                self.packet_pool.push(cells);
+                None
+            }
+        }
+    }
+
+    /// [`Machine::pack`] into a caller-supplied (emptied) buffer, returning
+    /// the packet's variable count: what an arm that is packed only to be
+    /// checked for independence, and never shipped, goes through.
+    fn pack_into(
+        &mut self,
+        cells: &mut Vec<HCell>,
+        roots: impl IntoIterator<Item = HCell>,
+    ) -> Option<u32> {
         let first_var = self.pack_parents.len() as u32;
-        let mut cells: Vec<HCell> = roots.into_iter().collect();
+        cells.clear();
+        cells.extend(roots);
         let mut at = 0;
         while at < cells.len() {
             cells[at] = match self.deref_cell(cells[at]) {
@@ -1047,10 +1147,21 @@ impl<'p> Machine<'p> {
             };
             at += 1;
         }
-        Some(Packet {
-            nvars: self.pack_parents.len() as u32 - first_var,
-            cells,
-        })
+        Some(self.pack_parents.len() as u32 - first_var)
+    }
+
+    /// Keeps the buffer of a packet that has served its purpose — an arm
+    /// claimed back before any thief saw it, an answer that has been joined
+    /// — for the next [`Machine::pack`]. Almost every offered arm ends here,
+    /// so a forking machine packs into buffers it already owns instead of
+    /// allocating and freeing one per conjunction (arm packets run to
+    /// hundreds of kilobytes; at that size the allocator goes to the kernel,
+    /// and two threads doing so stall each other on the address space). The
+    /// pool cannot outgrow the deepest nest of offers the machine has had.
+    fn recycle(pool: &mut Vec<Vec<HCell>>, arm: Arc<Offer>) {
+        if let Some(offer) = Arc::into_inner(arm) {
+            pool.push(offer.into_arm().cells);
+        }
     }
 
     /// Unpacks a packet on top of the arena — its variables as fresh unbound
@@ -1243,10 +1354,12 @@ impl<'p> Machine<'p> {
     }
 
     /// Like [`Machine::unify`] but *uncounted*: the unifiability probe
-    /// behind `\=`. Bindings go on the trail as usual; the caller undoes
-    /// them with [`Machine::undo_trail`] from a saved [`Machine::trail_mark`].
-    /// Kept separate so the probe's internal steps never perturb the
-    /// operation counters the experiments pin.
+    /// behind `\=` (whose caller undoes the bindings with
+    /// [`Machine::undo_trail`] from a saved [`Machine::trail_mark`]), and the
+    /// binding of a stolen arm's answer at the join. Bindings go on the
+    /// trail as usual. Kept separate so that neither the probe's internal
+    /// steps nor which arms happened to be stolen perturb the operation
+    /// counters the experiments pin.
     pub(crate) fn unify_probe(&mut self, a: usize, b: usize) -> bool {
         let a = self.deref_idx(a);
         let b = self.deref_idx(b);
@@ -1696,7 +1809,7 @@ impl<'p> Machine<'p> {
                 if self.barriers.is_empty() {
                     return Ok(RunState::Done(true));
                 }
-                if !self.barrier_done(&templates)? && !self.fail(&templates)? {
+                if !self.barrier_done(&templates, hook)? && !self.fail(&templates, hook)? {
                     return Ok(RunState::Done(false));
                 }
             }
@@ -1754,7 +1867,7 @@ impl<'p> Machine<'p> {
                 Goal::Cell(cell) => self.exec_cell(&templates, cell, wk, hook)?,
                 Goal::Step(step) => self.exec_step(&templates, step, wk, hook)?,
             };
-            if !ok && !self.fail(&templates)? {
+            if !ok && !self.fail(&templates, hook)? {
                 return Ok(RunState::Done(false));
             }
         }
@@ -1764,22 +1877,37 @@ impl<'p> Machine<'p> {
     /// (success). Returns `Ok(false)` when the construct's semantics turn
     /// that success into failure (a succeeded `\+`), which the caller
     /// propagates through [`Machine::fail`].
-    fn barrier_done(&mut self, templates: &[ClauseTemplate]) -> EngineResult<bool> {
+    fn barrier_done(
+        &mut self,
+        templates: &[ClauseTemplate],
+        hook: Option<&dyn ParHook>,
+    ) -> EngineResult<bool> {
         // A parallel conjunction with arms remaining advances in place: the
         // finished arm's choice points are committed and the next arm starts
-        // under the same barrier.
+        // under the same barrier. An offered arm is claimed back first; one
+        // a thief holds is passed over, to be joined after the last arm.
         let top = self.barriers.len() - 1;
-        if let BarrierExit::Par(state) = &self.barriers[top].exit {
-            if state.next < state.count {
+        if let BarrierExit::Par(state) = &mut self.barriers[top].exit {
+            while state.next < state.count {
+                let arm = state.next;
+                state.next += 1;
+                if state.offers != NOT_OFFERED {
+                    let slot = &mut self.offers[(state.offers + arm - 1) as usize].arm;
+                    if !slot.as_ref().is_some_and(|offer| offer.claim()) {
+                        continue;
+                    }
+                    let offer = slot.take().expect("claimed just above");
+                    if let Some(hook) = hook {
+                        hook.taken_back(&offer, false);
+                    }
+                    Self::recycle(&mut self.packet_pool, offer);
+                }
                 let state = *state;
                 let cp_base = self.barriers[top].cp_base;
-                if let BarrierExit::Par(s) = &mut self.barriers[top].exit {
-                    s.next += 1;
-                }
                 self.commit_choice_points(cp_base);
                 self.recorder.pop();
-                self.recorder.push(state.first_task + state.next as usize);
-                self.push_arm(templates, state.arms, state.next)?;
+                self.recorder.push(state.first_task + arm as usize);
+                self.push_arm(templates, state.arms, arm)?;
                 return Ok(true);
             }
         }
@@ -1800,13 +1928,86 @@ impl<'p> Machine<'p> {
                 Ok(true)
             }
             BarrierExit::Par(state) => {
-                // The last arm succeeded: the conjunction succeeds.
+                // The last local arm succeeded: the conjunction succeeds if
+                // the arms that ran elsewhere did.
                 self.commit_choice_points(barrier.cp_base);
                 self.recorder.pop();
                 if let ArmSource::Scratch { base } = state.arms {
                     self.arm_scratch.truncate(base as usize);
                 }
-                Ok(true)
+                if state.offers == NOT_OFFERED {
+                    return Ok(true);
+                }
+                let ok = self.join_stolen(hook, state)?;
+                if !ok {
+                    // A stolen arm failed: leave what a local arm's failure
+                    // leaves, the conjunction's bindings undone.
+                    self.undo_to_barrier(barrier.trail_mark, barrier.heap_mark);
+                }
+                Ok(ok)
+            }
+        }
+    }
+
+    /// The join of an offered conjunction whose local arms are done: every
+    /// arm still in the offer table was claimed by a thief. In arm order,
+    /// each one's answer is waited for ([`ParHook::join`]), its counters and
+    /// work are merged as if the arm had run here, and its packet is
+    /// unpacked and bound to the parent cells saved when the arm was packed
+    /// — uncounted: a join binding is boundary bookkeeping, not program
+    /// work, which is what makes the counters schedule-independent. Returns
+    /// `Ok(false)` when a stolen arm failed.
+    fn join_stolen(&mut self, hook: Option<&dyn ParHook>, state: ParState) -> EngineResult<bool> {
+        let first = state.offers as usize;
+        let mut ok = true;
+        'join: for arm in 1..state.count as usize {
+            let offered = &mut self.offers[first + arm - 1];
+            let (Some(offer), parents) = (offered.arm.take(), offered.parents as usize) else {
+                continue;
+            };
+            let hook = hook.ok_or_else(|| EngineError::TypeError {
+                builtin: "resume",
+                message: "a solve that offered arms was resumed without its hook".into(),
+            })?;
+            let Some(answer) = hook.join(&offer)? else {
+                ok = false;
+                break;
+            };
+            self.recorder.push(state.first_task + arm);
+            self.recorder.record_work(answer.work);
+            self.recorder.pop();
+            self.counters = self.counters.add(&answer.counters);
+            let root = self.unpack(&answer.packet);
+            self.packet_pool.push(answer.packet.cells);
+            for var in 0..offer.arm().nvars as usize {
+                let parent = self.offer_parents[parents + var] as usize;
+                if !self.unify_probe(parent, root + var) {
+                    ok = false;
+                    break 'join;
+                }
+            }
+        }
+        self.note_heap_high_water();
+        self.cancel_offers(hook, first);
+        Ok(ok)
+    }
+
+    /// Drops the offer table from entry `from` up: an arm nobody has
+    /// claimed yet is claimed so that nobody will, and `hook` (when there is
+    /// one) takes it off its queue; the result of an arm a thief holds is
+    /// abandoned with the entry.
+    fn cancel_offers(&mut self, hook: Option<&dyn ParHook>, from: usize) {
+        let Some(first) = self.offers.get(from) else {
+            return;
+        };
+        self.offer_parents.truncate(first.parents as usize);
+        // Innermost first, the order a hook's queue gives them up in.
+        for offered in self.offers.drain(from..).rev() {
+            if let Some(offer) = offered.arm.filter(|offer| offer.claim()) {
+                if let Some(hook) = hook {
+                    hook.taken_back(&offer, true);
+                }
+                Self::recycle(&mut self.packet_pool, offer);
             }
         }
     }
@@ -1814,7 +2015,11 @@ impl<'p> Machine<'p> {
     /// Propagates failure: backtracks to the nearest resumable choice point,
     /// unwinding barriers (and applying their failure semantics) as their
     /// floors are reached. Returns `false` when the query itself has failed.
-    fn fail(&mut self, templates: &[ClauseTemplate]) -> EngineResult<bool> {
+    fn fail(
+        &mut self,
+        templates: &[ClauseTemplate],
+        hook: Option<&dyn ParHook>,
+    ) -> EngineResult<bool> {
         loop {
             if self.backtrack(templates)? {
                 return Ok(true);
@@ -1847,10 +2052,14 @@ impl<'p> Machine<'p> {
                 }
                 BarrierExit::Par(state) => {
                     // Independent and-parallelism: one failed arm fails the
-                    // whole conjunction (no backtracking across arms).
+                    // whole conjunction (no backtracking across arms), so
+                    // the arms still on offer are withdrawn.
                     self.recorder.pop();
                     if let ArmSource::Scratch { base } = state.arms {
                         self.arm_scratch.truncate(base as usize);
+                    }
+                    if state.offers != NOT_OFFERED {
+                        self.cancel_offers(hook, state.offers as usize);
                     }
                 }
             }
@@ -1897,12 +2106,19 @@ impl<'p> Machine<'p> {
             2 if name == wk.par_and => {
                 let base = self.arm_scratch.len();
                 self.collect_arms(cell);
-                if let Some(h) = hook {
-                    if let Some(done) = self.try_spawn_par(h, base)? {
-                        return Ok(done);
-                    }
-                }
-                self.begin_par_scratch(base)
+                let offers = hook.map_or(NOT_OFFERED, |h| self.try_offer(h, base));
+                let count = self.arm_scratch.len() - base;
+                let children = self.recorder.record_fork(count);
+                self.push_barrier(BarrierExit::Par(ParState {
+                    arms: ArmSource::Scratch { base: base as u32 },
+                    count: count as u32,
+                    next: 1,
+                    first_task: children.start,
+                    offers,
+                }))?;
+                self.recorder.push(children.start);
+                self.push_goal(Goal::Cell(self.arm_scratch[base]))?;
+                Ok(true)
             }
             2 if name == wk.semicolon => {
                 // (Cond -> Then ; Else): the if-then-else shape is decided
@@ -1956,7 +2172,7 @@ impl<'p> Machine<'p> {
             _ => {
                 // One probe identifies the goal: builtin or user predicate
                 // (builtins shadow same-name user predicates).
-                match self.dispatch.get(&(name, arity)).copied() {
+                match self.dispatch.0.get(&(name, arity)).copied() {
                     Some(CallTarget::Builtin(builtin)) => builtins::dispatch(self, builtin, cell),
                     Some(CallTarget::User(predicate)) => {
                         // First-argument indexing: the principal functor of
@@ -2089,13 +2305,14 @@ impl<'p> Machine<'p> {
                 Ok(true)
             }
             Step::Par { arms_at, arms_len } => {
+                let mut offers = NOT_OFFERED;
                 if let Some(h) = hook {
                     let templ = &templates[clause as usize];
                     // Template-level pre-screen: with granularity on, a
                     // below-threshold conjunction is recognised here from
                     // the template cells and the activation's variable
                     // bindings — nothing is materialized, the compiled
-                    // inline path below runs exactly as without a hook.
+                    // path below runs exactly as without a hook.
                     let screened_out = h.spawn_guards().is_some_and(|guards| {
                         (0..arms_len).any(|k| {
                             let pos = templ.par_arm_cell_positions()[(arms_at + k) as usize];
@@ -2110,9 +2327,11 @@ impl<'p> Machine<'p> {
                     if screened_out {
                         h.note_inlined();
                     } else {
-                        // Materialize the arm terms and offer the
-                        // conjunction to the hook; on `Inline` fall through
-                        // to the compiled in-place path below.
+                        // Materialize the arm terms only to measure and
+                        // pack them: the arms that run here run off their
+                        // compiled sequences below, so the copies are
+                        // dropped again.
+                        let heap_mark = self.heap.len();
                         let base = self.arm_scratch.len();
                         for k in 0..arms_len {
                             let positions = templates[clause as usize].par_arm_cell_positions();
@@ -2124,10 +2343,9 @@ impl<'p> Machine<'p> {
                             );
                             self.arm_scratch.push(cell);
                         }
-                        if let Some(done) = self.try_spawn_par(h, base)? {
-                            return Ok(done);
-                        }
+                        offers = self.try_offer(h, base);
                         self.arm_scratch.truncate(base);
+                        self.heap.truncate(heap_mark);
                     }
                 }
                 let children = self.recorder.record_fork(arms_len as usize);
@@ -2142,6 +2360,7 @@ impl<'p> Machine<'p> {
                     count: arms_len,
                     next: 1,
                     first_task: children.start,
+                    offers,
                 }))?;
                 self.recorder.push(children.start);
                 self.push_arm(templates, arms, 0)?;
@@ -2150,45 +2369,20 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Starts an inline parallel conjunction from arm cells already
-    /// collected in `arm_scratch[base..]` (a query or metacall `&` cell, or
-    /// a hook-declined spawn): records one batched fork and opens the
-    /// conjunction's barrier with arm 0 running.
-    fn begin_par_scratch(&mut self, base: usize) -> EngineResult<bool> {
-        let count = self.arm_scratch.len() - base;
-        let children = self.recorder.record_fork(count);
-        self.push_barrier(BarrierExit::Par(ParState {
-            arms: ArmSource::Scratch { base: base as u32 },
-            count: count as u32,
-            next: 1,
-            first_task: children.start,
-        }))?;
-        self.recorder.push(children.start);
-        let arm = self.arm_scratch[base];
-        self.push_goal(Goal::Cell(arm))?;
-        Ok(true)
-    }
-
-    /// Offers the parallel conjunction whose arm cells sit in
-    /// `arm_scratch[base..]` to the parallel hook. Returns:
+    /// Offers arms `1..` of the conjunction whose arm cells sit in
+    /// `arm_scratch[base..]` (left in place) to the parallel hook, and
+    /// returns where their entries start in the offer table — or
+    /// [`NOT_OFFERED`], with the hook notified, when a spawn guard found an
+    /// arm too small or the arms are not independent. Either way the caller
+    /// then runs the conjunction on its ordinary inline path.
     ///
-    /// * `Ok(None)` — a guard, the independence check or the hook
-    ///   ([`ParDecision::Inline`]) declined; the caller runs the arms inline
-    ///   (the scratch range is left in place).
-    /// * `Ok(Some(ok))` — the hook executed the arms; `ok` is the
-    ///   conjunction's outcome after the deterministic in-order join
-    ///   (answer bindings unified into the parent arena, child counters and
-    ///   work merged, fork recorded in the task tree). The scratch range is
-    ///   consumed.
-    ///
-    /// This is the parent's half of the spawn boundary documented in
-    /// [`crate::par`]: the arms are packed (which is also the independence
-    /// check — a shared unbound cell inlines the conjunction), and each
-    /// answer packet is unpacked into this machine's arena and its values
-    /// unified with the parent cells the arm mentioned, so failures and
-    /// backtracking behave exactly as if the bindings had been made by
-    /// inline execution.
-    fn try_spawn_par(&mut self, hook: &dyn ParHook, base: usize) -> EngineResult<Option<bool>> {
+    /// This is the forking half of the spawn boundary documented in
+    /// [`crate::par`]. Every arm is packed, arm 0 included: packing is also
+    /// the independence check, and an unbound variable shared between arms
+    /// would make their first solutions order-dependent, so such a
+    /// conjunction is not offered and parallel execution stays
+    /// answer-equivalent to sequential execution.
+    fn try_offer(&mut self, hook: &dyn ParHook, base: usize) -> u32 {
         // Cell-level pre-screen: a bounded cell walk per arm decides most
         // granularity-control inlines for (at most) the cost of the
         // threshold, before any arm is packed.
@@ -2199,60 +2393,52 @@ impl<'p> Machine<'p> {
                     .unwrap_or(true)
                 {
                     hook.note_inlined();
-                    return Ok(None);
+                    return NOT_OFFERED;
                 }
             }
         }
+        let Some(own_vars) = self.pack_arms(base) else {
+            hook.note_inlined();
+            self.offer_batch.clear();
+            return NOT_OFFERED;
+        };
+        // `pack_parents` is arm 0's parent cells, then arm 1's, and so on;
+        // nested conjunctions will reuse it, so the offered arms' tables
+        // move to the offer table's side.
+        let first = self.offers.len() as u32;
+        let mut parents = self.offer_parents.len() as u32;
+        self.offer_parents
+            .extend_from_slice(&self.pack_parents[own_vars..]);
+        hook.offer(&self.offer_batch);
+        for arm in self.offer_batch.drain(..) {
+            let nvars = arm.arm().nvars;
+            self.offers.push(Offered {
+                arm: Some(arm),
+                parents,
+            });
+            parents += nvars;
+        }
+        first
+    }
+
+    /// Packs the arms in `arm_scratch[base..]` over one variable numbering:
+    /// arm 0 into scratch (it never leaves; it is scanned for the cells the
+    /// later arms must not share), each later arm into a slot pushed on
+    /// `offer_batch`. Returns arm 0's variable count — where the later arms'
+    /// tables start in `pack_parents` — or `None` when two arms share an
+    /// unbound cell.
+    fn pack_arms(&mut self, base: usize) -> Option<usize> {
         self.pack_vars.clear();
         self.pack_parents.clear();
-        let count = self.arm_scratch.len() - base;
-        let mut arms = Vec::with_capacity(count);
-        for k in base..self.arm_scratch.len() {
-            // An unbound variable shared between arms would make the arms'
-            // first solutions order-dependent: run such conjunctions inline,
-            // so parallel execution is always answer-equivalent to
-            // sequential execution.
-            let Some(arm) = self.pack([self.arm_scratch[k]]) else {
-                hook.note_inlined();
-                return Ok(None);
-            };
-            arms.push(arm);
+        let mut own = std::mem::take(&mut self.pack_scratch);
+        let own_vars = self.pack_into(&mut own, [self.arm_scratch[base]]);
+        self.pack_scratch = own;
+        let own_vars = own_vars? as usize;
+        for k in base + 1..self.arm_scratch.len() {
+            let arm = self.pack([self.arm_scratch[k]])?;
+            self.offer_batch.push(Offer::new(arm));
         }
-        let arm_vars: Vec<usize> = arms.iter().map(|arm| arm.nvars as usize).collect();
-        match hook.exec_arms(arms)? {
-            ParDecision::Inline => Ok(None),
-            ParDecision::Executed(None) => {
-                self.arm_scratch.truncate(base);
-                Ok(Some(false))
-            }
-            ParDecision::Executed(Some(answers)) => {
-                self.arm_scratch.truncate(base);
-                let children = self.recorder.record_fork(count);
-                for (k, answer) in answers.iter().enumerate() {
-                    self.recorder.push(children.start + k);
-                    self.recorder.record_work(answer.work);
-                    self.recorder.pop();
-                    self.counters = self.counters.add(&answer.counters);
-                }
-                // `pack_parents` is untouched since packing (arms run on
-                // other machines): arm 0's parent cells, then arm 1's, ...
-                let mut ok = true;
-                let mut parents = 0;
-                'join: for (answer, &nvars) in answers.iter().zip(&arm_vars) {
-                    let root = self.unpack(&answer.packet);
-                    for var in 0..nvars {
-                        let parent = self.pack_parents[parents + var] as usize;
-                        if !self.unify(parent, root + var) {
-                            ok = false;
-                            break 'join;
-                        }
-                    }
-                    parents += nvars;
-                }
-                self.note_heap_high_water();
-                Ok(Some(ok))
-            }
-        }
+        Some(own_vars)
     }
 
     /// Pushes parallel arm `k` from its source (compiled sequence or
@@ -2321,7 +2507,7 @@ impl<'p> Machine<'p> {
     /// arena at `var_base + v` — zero cells are written. Returns `None`
     /// when the decision needs the materialized arm (no guarded goal found,
     /// or a guarded goal whose measured argument is a template literal),
-    /// which the cell-level pre-screen in [`Machine::try_spawn_par`] then
+    /// which the cell-level pre-screen in [`Machine::try_offer`] then
     /// settles.
     fn template_guard_decision(
         &self,
@@ -3022,11 +3208,15 @@ mod tests {
     fn unmeasured_arguments_err_parallel_in_the_builtin_and_at_the_spawn_site() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         /// Carries a guard table; counts conjunctions offered and screened.
+        /// Nobody takes its offers up, so the machine runs every arm itself.
         struct Screen(GuardTable, AtomicUsize, AtomicUsize);
         impl ParHook for Screen {
-            fn exec_arms(&self, _arms: Vec<Packet>) -> EngineResult<ParDecision> {
+            fn offer(&self, arms: &[Arc<Offer>]) {
+                assert_eq!(arms.len(), 1, "arm 0 is not on offer");
                 self.1.fetch_add(1, Ordering::Relaxed);
-                Ok(ParDecision::Inline)
+            }
+            fn join(&self, _arm: &Offer) -> crate::par::ArmResult {
+                unreachable!("no arm was stolen")
             }
             fn spawn_guards(&self) -> Option<&GuardTable> {
                 Some(&self.0)
@@ -3048,6 +3238,7 @@ mod tests {
             let mut machine = Machine::new(&program);
             let out = machine.run_goal_par(&goal, &vars, Some(&screen)).unwrap();
             assert!(out.succeeded);
+            assert_eq!(machine.outstanding_offers(), 0);
             let spawn_site = (screen.1.into_inner(), screen.2.into_inner()) == (1, 0);
             let builtin = run("d.", &format!("'$grain_ge'(a, {measure}, {k})")).succeeded;
             (spawn_site, builtin)

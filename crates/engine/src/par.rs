@@ -3,15 +3,25 @@
 //! The machine itself stays single-threaded: a [`crate::Machine`] owns one
 //! arena, one goal stack and one set of choice points, and nothing in it is
 //! shared. Real and-parallel execution is layered *on top* through the
-//! [`ParHook`] trait: when a hook is passed to
-//! [`crate::Machine::run_goal_par`], every parallel conjunction (`&`) the
-//! solve loop reaches is first offered to the hook, which may either
+//! [`ParHook`] trait, by **lazy task creation**: when a hook is passed to
+//! [`crate::Machine::run_goal_par`], a parallel conjunction (`&`) that
+//! passes the hook's spawn guards and whose arms are independent runs on the
+//! forking machine's ordinary inline path, exactly as it does without a hook
+//! — but arms `1..` are first packed and *offered* to the hook as [`Offer`]
+//! slots. An offer is a standing invitation, not a hand-over: whoever wins
+//! the slot's one compare-and-swap runs the arm.
 //!
-//! * decline ([`ParDecision::Inline`]) — the machine runs the arms inline,
-//!   sequentially, exactly as it does without a hook (this is how runtime
-//!   granularity control turns a spawn into a cheap sequential call); or
-//! * execute the arms itself ([`ParDecision::Executed`]) — typically on a
-//!   pool of worker threads, each with its own machine.
+//! * The forking machine claims each arm back as it reaches it and runs it
+//!   in place, on its compiled arm sequence. This is the common case, and it
+//!   costs the pack, one `Arc`, and two uncontended deque operations.
+//! * An idle thread that claims the slot first (a *thief*) unpacks the arm
+//!   on a machine of its own ([`crate::Machine::run_arm`]), solves it and
+//!   leaves an [`ArmAnswer`] in the slot. The forker skips that arm, and
+//!   when its local arms are done it asks the hook for each stolen arm's
+//!   result ([`ParHook::join`], which may block or help), in arm order.
+//! * A conjunction that fails, an engine error and a new solve on a machine
+//!   with a suspended one all claim the outstanding slots so nobody else
+//!   starts them; an arm a thief already runs finishes unobserved.
 //!
 //! # Copy semantics at the spawn boundary
 //!
@@ -20,34 +30,34 @@
 //! arm straight out of its arena in one iterative pass — bound `Ref` chains
 //! are dereferenced away, every distinct unbound parent cell becomes the
 //! next dense packet variable (the machine keeps the variable → parent cell
-//! table on its side of the boundary), and a parent cell reached from two
-//! arms declines the spawn, because such arms are not independent. The hook
-//! runs each packet elsewhere ([`crate::Machine::run_arm`] unpacks it at the
-//! bottom of an empty arena with one offset-fixup `extend` and solves it)
-//! and hands back one [`ArmAnswer`] per arm: a second packet holding the
-//! values of the arm's variables, in order, over a fresh-variable alphabet
-//! shared across the bindings of that answer, so sharing between answer
-//! terms is preserved. The machine unpacks the answer into its own arena and
-//! *unifies* each value with the parent cell it belongs to at the join — so
-//! a conflicting answer fails the conjunction rather than corrupting state,
-//! and backtracking past the conjunction undoes the joined bindings through
-//! the ordinary trail. No `Term` is built anywhere on this path, and neither
-//! packing nor unpacking recurses on term depth: a list of any length
-//! crosses the boundary on a constant amount of native stack.
+//! table of every offered arm on its side of the boundary), and a parent
+//! cell reached from two arms inlines the conjunction without offering it,
+//! because such arms are not independent. A thief's answer is a second
+//! packet holding the values of the arm's variables, in order, over a
+//! fresh-variable alphabet shared across the bindings of that answer, so
+//! sharing between answer terms is preserved. The forking machine unpacks it
+//! into its own arena and binds each parent cell to its value through the
+//! ordinary trail, so backtracking past the conjunction undoes the joined
+//! bindings. No `Term` is built anywhere on this path, and neither packing
+//! nor unpacking recurses on term depth: a list of any length crosses the
+//! boundary on a constant amount of native stack.
 //!
 //! # Determinism guarantees
 //!
-//! The join is deterministic: answers are applied in arm order on the
-//! calling machine, regardless of the order in which the hook finished the
-//! arms. Each arm is solved to its *first* solution and committed — the
-//! same semantics the inline path has always had — so for independent arms
-//! the parallel execution computes exactly the answer the sequential
-//! execution computes.
+//! Which arms cross is a race; what the query computes is not. Each arm is
+//! solved to its *first* solution and committed — the semantics the inline
+//! path has always had — stolen answers are joined in arm order on the
+//! forking machine, and the join's bindings are boundary bookkeeping that no
+//! operation counter is charged for. So for independent arms a run with a
+//! hook reports the same answer, the same [`Counters`] and the same work as
+//! the run without one, whatever the schedule.
 
 use crate::cost::Counters;
 use crate::error::EngineResult;
 use crate::heap::HCell;
 use granlog_ir::GuardTable;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One or more terms copied out of an arena in relocatable form.
 ///
@@ -73,8 +83,8 @@ impl Packet {
     }
 }
 
-/// One arm's answer, produced by a [`ParHook`] that executed the arm
-/// remotely (see [`crate::Machine::run_arm`]).
+/// One arm's answer, produced by the thief that ran the arm (see
+/// [`crate::Machine::run_arm`]).
 #[derive(Debug, Clone)]
 pub struct ArmAnswer {
     /// The values of the arm packet's variables `0..nvars`, in order, as the
@@ -83,50 +93,102 @@ pub struct ArmAnswer {
     /// sharing.
     pub packet: Packet,
     /// The operation counters of the arm's execution, merged into the
-    /// calling machine's counters at the join.
+    /// forking machine's counters at the join.
     pub counters: Counters,
     /// The arm's work in cost-model units, recorded as the forked child
-    /// task's work in the calling machine's task tree.
+    /// task's work in the forking machine's task tree.
     pub work: f64,
 }
 
-/// What a [`ParHook`] decided to do with a parallel conjunction.
+/// What running an arm elsewhere produced: its answer, `None` if the arm
+/// failed, or the engine error that aborts the query.
+pub type ArmResult = EngineResult<Option<ArmAnswer>>;
+
+/// In a deque (or about to be): the first claim wins the arm.
+const QUEUED: u8 = 0;
+/// Claimed — by the forker (which runs or cancels it and never completes the
+/// slot) or by a thief (which will).
+const CLAIMED: u8 = 1;
+/// A thief left its result in the slot.
+const DONE: u8 = 2;
+
+/// An arm on offer: its packet, the one atomic that decides who runs it, and
+/// the cell a thief leaves the result in. Shared (`Arc`) between the forking
+/// machine and wherever the hook queued it.
 #[derive(Debug)]
-pub enum ParDecision {
-    /// Run the arms inline on the calling machine (sequentially, behind the
-    /// machine's ordinary parallel-conjunction barrier). This is the
-    /// granularity-control "too small to spawn" outcome.
-    Inline,
-    /// The hook executed every arm to its first solution. `Some(answers)`
-    /// carries one [`ArmAnswer`] per arm, in arm order; `None` means at
-    /// least one arm failed, failing the whole conjunction (independent
-    /// and-parallel semantics — no backtracking across arms).
-    Executed(Option<Vec<ArmAnswer>>),
+pub struct Offer {
+    arm: Packet,
+    state: AtomicU8,
+    result: Mutex<Option<ArmResult>>,
+}
+
+impl Offer {
+    pub(crate) fn new(arm: Packet) -> Arc<Offer> {
+        Arc::new(Offer {
+            arm,
+            state: AtomicU8::new(QUEUED),
+            result: Mutex::new(None),
+        })
+    }
+
+    /// The arm's goal, packed.
+    pub fn arm(&self) -> &Packet {
+        &self.arm
+    }
+
+    /// The packet back, once the slot has no other holder.
+    pub(crate) fn into_arm(self) -> Packet {
+        self.arm
+    }
+
+    /// Tries to take the arm. Exactly one caller ever gets `true`; a thief
+    /// that does owes the slot a [`Offer::complete`].
+    pub fn claim(&self) -> bool {
+        // No data is published by a claim: the packet is immutable and was
+        // shared through the queue's own synchronization.
+        self.state
+            .compare_exchange(QUEUED, CLAIMED, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// Leaves the result of running the arm, for the forker's join.
+    pub fn complete(&self, result: ArmResult) {
+        *self.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+        // `SeqCst` pairs with [`Offer::is_done`]: a joiner announces that it
+        // is about to sleep and then re-reads this flag, while the thief
+        // sets the flag and then looks for announced sleepers — one of the
+        // two must see the other.
+        self.state.store(DONE, Ordering::SeqCst);
+    }
+
+    /// Has a thief completed the slot?
+    pub fn is_done(&self) -> bool {
+        self.state.load(Ordering::SeqCst) == DONE
+    }
+
+    /// Takes the thief's result; `None` until [`Offer::is_done`].
+    pub fn take_result(&self) -> Option<ArmResult> {
+        self.result
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+    }
 }
 
 /// A parallel-execution strategy consulted by the solve loop at every `&`
-/// conjunction. Implemented by `granlog-par`'s work-sharing executor; the
+/// conjunction. Implemented by `granlog-par`'s work-stealing executor; the
 /// engine crate only defines the boundary.
 ///
-/// Implementations are expected to be shared across worker threads (each
-/// worker passes the same hook to its own machine so nested conjunctions
-/// spawn recursively), hence the `Sync` bound.
+/// Implementations are shared across threads (a thief passes a hook to its
+/// own machine so nested conjunctions are offered recursively), hence the
+/// `Sync` bound.
 pub trait ParHook: Sync {
-    /// Offers a parallel conjunction to the hook. `arms` are the packed
-    /// arms, in source order, each with the goal as its only root; they are
-    /// independent (no unbound parent cell occurs in two of them).
-    ///
-    /// # Errors
-    ///
-    /// A propagated engine error from any arm's execution aborts the query.
-    fn exec_arms(&self, arms: Vec<Packet>) -> EngineResult<ParDecision>;
-
     /// The grain-size decision ([`granlog_ir::grain`]) the machine enforces
     /// at the spawn site, over heap cells, *before* packing an arm: if any
     /// arm's first guarded goal measures below its threshold, the
     /// conjunction is inlined for the cost of a bounded cell walk (the same
-    /// walk `'$grain_ge'` performs) instead of a full copy. `None` (the
-    /// default) sends every conjunction to [`ParHook::exec_arms`].
+    /// walk `'$grain_ge'` performs) instead of a pack. `None` (the default)
+    /// lets every independent conjunction through to [`ParHook::offer`].
     fn spawn_guards(&self) -> Option<&GuardTable> {
         None
     }
@@ -136,4 +198,23 @@ pub trait ParHook: Sync {
     /// an unbound variable shared between arms — so executors can keep
     /// their statistics. Default: no-op.
     fn note_inlined(&self) {}
+
+    /// Arms `1..` of a conjunction that passed the guards and the
+    /// independence check, in arm order. The machine runs arm 0 now and
+    /// will want `arms[0]` back first, so the cheap place for it is the
+    /// newest end of whatever the hook keeps.
+    fn offer(&self, arms: &[Arc<Offer>]);
+
+    /// The forking machine won `arm`'s claim — to run it in place, or
+    /// (`cancelled`) because the conjunction is over before the arm was
+    /// reached — so the hook drops its reference. Default: no-op.
+    fn taken_back(&self, _arm: &Arc<Offer>, _cancelled: bool) {}
+
+    /// The result of an arm a thief claimed, requested when the forking
+    /// machine has run out of local arms; blocks until the thief is done.
+    ///
+    /// # Errors
+    ///
+    /// The engine error the arm's execution raised, which aborts the query.
+    fn join(&self, arm: &Offer) -> ArmResult;
 }

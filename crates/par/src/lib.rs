@@ -6,58 +6,60 @@
 //! that a parallel conjunction is only spawned when the work under it
 //! exceeds the task-management overhead — a decision that only matters on a
 //! real multiprocessor. `granlog-sim` replays recorded fork-join trees on a
-//! *simulated* machine; this crate executes the annotated programs on a pool
-//! of actual worker threads and lets the analysis drive the spawn decision
-//! at run time.
+//! *simulated* machine; this crate executes the programs on actual threads
+//! and lets the analysis drive the spawn decision at run time. The runtime's
+//! half of that bargain is keeping the overhead small, so a spawn here is an
+//! *offer*: it costs a thread hand-over only when an idle thread takes it.
 //!
 //! # Architecture
 //!
-//! * **One machine per worker.** Each worker thread owns its own
-//!   [`Machine`] (bump arena, goal stack, choice points); the compiled
-//!   clause templates are shared across machines through an
-//!   `Arc<[ClauseTemplate]>` ([`Machine::with_templates`]), and idle
-//!   machines are parked in a free-list so nested spawns reuse warm arenas.
-//! * **A shared injector deque.** Spawned arms are pushed to a global
-//!   `Mutex<VecDeque>` and popped by idle workers — the simple end of the
-//!   work-stealing design space, chosen because granularity control makes
-//!   spawns *coarse*: the queue is touched once per spawned task, not once
-//!   per resolution.
-//! * **Pack out, unpack in.** Arms cross the spawn boundary by value (see
-//!   [`granlog_engine::par`]): the parent machine packs each arm out of its
-//!   arena into a flat, relocatable [`Packet`] of heap cells in one
-//!   iterative pass, the child unpacks it at the bottom of its own empty
-//!   arena and solves it, and the values of the arm's variables travel back
-//!   as a second packet, unpacked and unified at the join. No heap cell is
-//!   ever shared between threads, and no `Term` is built on the way.
-//! * **Deterministic join, help-first waiting.** The spawning thread
-//!   executes arm 0 itself, then joins the remaining arms *in order*; while
-//!   a joined arm is still running elsewhere the joiner drains other
-//!   pending jobs from the injector instead of blocking, so the wait-for
-//!   graph stays acyclic and no configuration of nested conjunctions can
-//!   deadlock.
+//! * **Offer, don't ship.** A conjunction that passes the guards runs on
+//!   the machine that forked it, on the ordinary inline path; arms `1..` are
+//!   packed and *offered* (see [`granlog_engine::par`]): one `Arc` slot
+//!   each, pushed on the forking thread's own deque. When the forker reaches
+//!   an arm it claims it back with one compare-and-swap, pops it and runs it
+//!   in place. Only an arm an idle thread claimed first (a *steal*) crosses
+//!   the spawn boundary — and almost none does.
+//! * **A deque per thread.** The owner pushes and pops at the newest end of
+//!   its `Mutex<VecDeque>`; idle workers take the oldest entry of any deque
+//!   (the biggest piece of work on offer). A worker with nothing to take
+//!   polls briefly, then parks; a push, a completed steal or the end of the
+//!   query wakes parked threads only when a sleeper count says there are
+//!   any, so the common path makes no system call.
+//! * **Pack out, unpack in — for stolen arms.** A stolen arm crosses by
+//!   value: the thief unpacks the arm's packet at the bottom of an empty
+//!   arena of its own ([`Machine::run_arm`]), solves it, and the values of
+//!   the arm's variables travel back as a second packet. No heap cell is
+//!   ever shared between threads. The executor keeps one idle machine and
+//!   makes others on the spot: templates and dispatch table are shared, so
+//!   a new machine is a handful of empty `Vec`s.
+//! * **Deterministic join, help-first waiting.** When its local arms are
+//!   done the forker joins the stolen ones *in arm order*. While a thief is
+//!   still running, the joiner runs other offers instead of blocking —
+//!   newest first, its own deque before the others', so what it takes on is
+//!   small and native stack depth stays bounded by the conjunction nest —
+//!   so the wait-for graph stays acyclic and nested conjunctions cannot
+//!   deadlock. Join bindings are charged to no counter: answers,
+//!   [`Counters`] and work are the same under every schedule, and the same
+//!   as [`Granularity::Off`]'s.
 //! * **Runtime granularity control.** With [`Granularity::On`], the
-//!   analysis' cost functions and thresholds are lowered into per-predicate
-//!   guards (a [`GuardTable`], the same one the annotator rewrites source
-//!   code over): at each `&`, the machine measures the driving argument of
-//!   each arm on the actual goal and the conjunction is spawned only if
-//!   every arm's estimated work reaches the spawn overhead — otherwise it
-//!   runs inline, sequentially, on the spawning machine.
-//!   [`Granularity::AlwaysSpawn`] spawns every conjunction (the paper's
-//!   "no control" baseline) and [`Granularity::Off`] runs every conjunction
-//!   inline (the sequential baseline, on the same code path).
-//! * **Fault isolation.** Every job runs under `catch_unwind`: a panic in a
-//!   spawned arm completes its job as [`EngineError::WorkerPanic`] instead
-//!   of leaving it claimed forever (which would spin its joiner for the
-//!   rest of the process), and the panicking arm's machine is discarded
-//!   rather than returned to the free-list. Executor locks recover from
-//!   poisoning. Builds with the `failpoints` feature add injectable faults
-//!   at the `par.spawn` (arm execution) and `par.join` (result collection)
-//!   seams — see the `granlog-fault` crate.
+//!   analysis' thresholds are lowered into per-predicate guards (a
+//!   [`GuardTable`], the same one the annotator rewrites source code over):
+//!   at each `&` the machine measures the driving argument of each arm and
+//!   the conjunction is offered only if every arm's estimated work reaches
+//!   the spawn overhead — otherwise nothing is packed.
+//! * **Fault isolation.** A stolen arm runs under `catch_unwind`: a panic
+//!   completes its slot as [`EngineError::WorkerPanic`] instead of hanging
+//!   its joiner, and the arm's machine is discarded. A failed conjunction,
+//!   an engine error and a budget overrun withdraw the arms still on offer,
+//!   so every deque is empty again when the query returns. Executor locks
+//!   recover from poisoning. The `failpoints` feature adds injectable faults
+//!   at the `par.spawn` (stolen-arm execution) and `par.join` (result
+//!   collection) seams — see the `granlog-fault` crate.
 //!
-//! Arms that share an unbound variable are not independent; the machine
-//! detects this while packing them and runs such conjunctions inline, so
-//! the parallel execution always computes the same first answer as the
-//! sequential engine.
+//! Arms that share an unbound variable are not independent: the machine
+//! detects this while packing and does not offer such conjunctions, so
+//! parallel execution computes the sequential engine's first answer.
 //!
 //! # Example
 //!
@@ -85,25 +87,25 @@
 #![warn(missing_docs)]
 
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
-use granlog_engine::par::{ArmAnswer, Packet, ParDecision, ParHook};
+use granlog_engine::par::{ArmResult, Offer, ParHook};
 use granlog_engine::{
-    Budget, ClauseTemplate, Counters, EngineError, EngineResult, Machine, MachineConfig, Solve,
+    Budget, ClauseTemplate, Counters, Dispatch, EngineError, EngineResult, Machine, MachineConfig,
+    Solve,
 };
 use granlog_ir::{parser, GuardTable, Program, Symbol, Term};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub mod obs;
 pub use obs::ParObs;
 
 /// Locks a mutex, recovering the data from a poisoned lock: a panic in one
-/// worker must never wedge the whole executor, and every structure guarded
-/// here (injector, machine pool, job states) stays consistent across a
-/// mid-critical-section unwind because mutations are single assignments or
-/// push/pop operations.
+/// worker must never wedge the whole executor, and what is guarded here
+/// (deques, the idle machine) is mutated by single assignments, pushes and
+/// pops, so it stays consistent across an unwind.
 fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -122,16 +124,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// How the executor decides whether a `&` conjunction is spawned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Granularity {
-    /// Granularity control on: spawn a conjunction only when every arm's
-    /// estimated work (the analysis cost function evaluated on the measured
-    /// size of the arm's driving argument) reaches the spawn overhead;
-    /// otherwise run it inline, sequentially.
+    /// Granularity control on: offer a conjunction's arms only when every
+    /// arm's estimated work (the analysis cost function evaluated on the
+    /// measured size of the arm's driving argument) reaches the spawn
+    /// overhead; otherwise run it inline with nothing packed.
     On,
-    /// Parallelism disabled: every conjunction runs inline on the spawning
-    /// machine (the sequential baseline, on the same code path).
+    /// Parallelism disabled: no hook is installed and every conjunction
+    /// runs inline on the one machine (the sequential baseline, on the same
+    /// code path).
     Off,
-    /// Spawn every conjunction unconditionally (the "no control" baseline
-    /// whose task-management overhead the paper measures).
+    /// Offers every independent conjunction (the "no control" baseline
+    /// whose task-management overhead the paper measures). An offer nobody
+    /// takes up is cheap, so what this mode pays over [`Granularity::On`] is
+    /// mostly packing: far less than when every arm was shipped.
     AlwaysSpawn,
 }
 
@@ -139,9 +144,9 @@ pub enum Granularity {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParConfig {
     /// Total number of threads executing the query: the caller plus
-    /// `threads - 1` pool workers. `1` runs every spawned arm on the calling
-    /// thread (exercising the full pack/unpack boundary without
-    /// concurrency).
+    /// `threads - 1` pool workers. `1` = everything in place, nothing
+    /// crosses: arms are still packed (the independence check) and offered,
+    /// and the caller takes every one back.
     pub threads: usize,
     /// The spawn-decision mode.
     pub granularity: Granularity,
@@ -172,11 +177,12 @@ pub struct ParOutcome {
     /// Bindings of the query's named variables, in source order.
     pub bindings: Vec<(Symbol, Term)>,
     /// Operation counters, aggregated across every machine that worked on
-    /// the query (join unifications included).
+    /// the query. Schedule-independent: equal to [`Granularity::Off`]'s.
     pub counters: Counters,
     /// Total work in cost-model units, aggregated like the counters.
     pub work: f64,
-    /// Number of arms handed to the thread pool.
+    /// Number of arms of conjunctions that passed the guards and the
+    /// independence check (first arms included), wherever they then ran.
     pub spawned_tasks: usize,
     /// Number of `&` conjunctions the granularity guards (or an
     /// independence fallback) ran inline instead of spawning.
@@ -193,45 +199,46 @@ impl ParOutcome {
     }
 }
 
-/// The result of one spawned arm, produced on whichever thread ran it:
-/// `None` if the arm failed.
-type JobResult = Result<Option<ArmAnswer>, EngineError>;
+/// How many times a thread with nothing to run polls the deques before it
+/// parks. The polls are a `yield_now` apart, not a `spin_loop`: with more
+/// threads than CPUs a spinning idler takes the working thread's time slices.
+const POLLS_BEFORE_PARK: u32 = 200;
 
-enum JobState {
-    /// In the injector (or about to be): any thread may claim it.
-    Pending,
-    /// Claimed by some thread and currently executing.
-    Claimed,
-    /// Finished; the result is waiting for its joiner.
-    Done(JobResult),
-    /// The joiner took the result.
-    Consumed,
+/// What one thread of a query writes on every conjunction: its deque of
+/// offered arms and its share of the outcome's counts. Aligned so that two
+/// threads forking at full speed never write the same (or, with
+/// adjacent-line prefetch, the neighbouring) cache line.
+#[repr(align(128))]
+#[derive(Default)]
+struct Lane {
+    deque: Mutex<VecDeque<Arc<Offer>>>,
+    spawned: AtomicUsize,
+    inlined: AtomicUsize,
 }
 
-/// One spawned arm: its packet plus its completion state.
-struct Job {
-    arm: Packet,
-    state: Mutex<JobState>,
-    cv: Condvar,
-}
-
-/// State shared between the spawning thread and the pool workers for the
-/// lifetime of the executor. Also the [`ParHook`] implementation the
-/// machines call at every `&`.
+/// State shared between the calling thread and the pool workers for the
+/// lifetime of the executor.
 struct Shared<'p> {
     program: &'p Program,
     templates: Arc<[ClauseTemplate]>,
+    dispatch: Arc<Dispatch<'p>>,
     machine_config: MachineConfig,
     granularity: Granularity,
     /// The analysis' guards (granularity-on only): evaluated by the machine
-    /// over heap cells before any copy-out.
+    /// over heap cells before anything is packed.
     guards: Option<GuardTable>,
-    injector: Mutex<VecDeque<Arc<Job>>>,
-    work_cv: Condvar,
+    /// One lane per thread of a query (0 = the caller).
+    lanes: Box<[Lane]>,
+    /// Threads parked on `wake` or about to be: what a push, a completed
+    /// steal and `finish` read before paying for a wake-up.
+    sleepers: AtomicUsize,
+    sleep: Mutex<()>,
+    wake: Condvar,
     done: AtomicBool,
-    machines: Mutex<Vec<Machine<'p>>>,
-    spawned: AtomicUsize,
-    inlined: AtomicUsize,
+    /// One idle machine, arena warm; a machine released while the slot is
+    /// taken is dropped. Not a free-list: inline arms leave their garbage in
+    /// the forker's arena, so each retained machine is a grown arena.
+    idle: Mutex<Option<Machine<'p>>>,
     /// Instrumentation bundle; `None` leaves every path unmeasured. The
     /// outcome's own spawn/inline counts never route through this.
     obs: Option<Arc<ParObs>>,
@@ -239,251 +246,236 @@ struct Shared<'p> {
 
 impl<'p> Shared<'p> {
     fn acquire_machine(&self) -> Machine<'p> {
-        let pooled = lock_recovering(&self.machines).pop();
-        pooled.unwrap_or_else(|| {
-            Machine::with_templates(
+        let idle = lock_recovering(&self.idle).take();
+        idle.unwrap_or_else(|| {
+            Machine::with_dispatch(
                 self.program,
                 self.machine_config,
                 Arc::clone(&self.templates),
+                Arc::clone(&self.dispatch),
             )
         })
     }
 
     fn release_machine(&self, machine: Machine<'p>) {
-        lock_recovering(&self.machines).push(machine);
-    }
-
-    /// Claims and executes a job if it is still pending; a no-op otherwise.
-    ///
-    /// The execution is wrapped in `catch_unwind`: a panic inside a spawned
-    /// arm must complete the job (as [`EngineError::WorkerPanic`]) rather
-    /// than leave it `Claimed` forever — a joiner waiting on a job that will
-    /// never transition to `Done` would spin for the rest of the process.
-    /// The panicking arm's machine is dropped mid-unwind, so it never
-    /// returns to the free-list.
-    fn run_job(&self, job: &Job) -> bool {
-        {
-            let mut state = lock_recovering(&job.state);
-            match *state {
-                JobState::Pending => *state = JobState::Claimed,
-                _ => return false,
-            }
-        }
-        let result = panic::catch_unwind(AssertUnwindSafe(|| self.exec_job(job))).unwrap_or_else(
-            |payload| {
-                Err(EngineError::WorkerPanic(
-                    panic_message(&*payload).to_string(),
-                ))
-            },
-        );
-        let mut state = lock_recovering(&job.state);
-        *state = JobState::Done(result);
-        job.cv.notify_all();
-        true
-    }
-
-    /// Runs a job's arm to its first solution on a pooled machine.
-    fn exec_job(&self, job: &Job) -> JobResult {
-        let mut machine = self.acquire_machine();
-        // Injected failures discard the acquired machine (the early return
-        // drops it), mirroring the hygiene of a real panic.
-        granlog_fault::fail_or("par.spawn", || EngineError::Fault("par.spawn"))?;
-        let started = self.obs.as_ref().map(|_| Instant::now());
-        let result = machine.run_arm(&job.arm, Some(self));
-        if let (Some(obs), Some(started)) = (&self.obs, started) {
-            let elapsed = started.elapsed();
-            obs.arm_ms.observe_duration_ms(elapsed);
-            obs.tracer.emit(
-                "par_arm",
-                vec![("ms", (elapsed.as_secs_f64() * 1e3).into())],
-            );
-        }
-        self.release_machine(machine);
-        result
-    }
-
-    /// Pops and runs one pending job from the injector. Returns `false` if
-    /// the injector was empty.
-    fn try_help(&self) -> bool {
-        let job = lock_recovering(&self.injector).pop_front();
-        match job {
-            Some(job) => {
-                if self.run_job(&job) {
-                    self.note_steal();
-                }
-                true
-            }
-            None => false,
+        let mut idle = lock_recovering(&self.idle);
+        if idle.is_none() {
+            *idle = Some(machine);
         }
     }
 
-    /// Records a job executed by a thread other than its forker (a pool
-    /// worker, or a joiner helping while it waits).
-    fn note_steal(&self) {
-        if let Some(obs) = &self.obs {
-            obs.steals.inc();
-            obs.tracer.emit("par_steal", vec![]);
+    fn has_offers(&self) -> bool {
+        self.lanes
+            .iter()
+            .any(|lane| !lock_recovering(&lane.deque).is_empty())
+    }
+
+    /// Wakes the parked threads, if there are any, after the state change
+    /// they wait for (a push, a completed slot, `done`). `SeqCst` pairs with
+    /// [`Shared::park_until`]: the sleeper announces itself and then re-reads
+    /// the state, the waker changes the state and then reads the
+    /// announcement, so one of the two sees the other. Taking the lock
+    /// orders the wake-up after the wait of a sleeper that saw nothing.
+    fn wake_sleepers(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            drop(lock_recovering(&self.sleep));
+            self.wake.notify_all();
         }
     }
 
-    /// Waits for a job's completion, running it inline if still pending and
-    /// draining other pending jobs while it runs elsewhere (help-first
-    /// joining: the wait-for graph stays acyclic, so nested conjunctions
-    /// cannot deadlock).
-    fn join_job(&self, job: &Job) -> JobResult {
-        granlog_fault::fail_or("par.join", || EngineError::Fault("par.join"))?;
-        let started = self.obs.as_ref().map(|_| Instant::now());
-        self.run_job(job);
-        let result = loop {
-            {
-                let mut state = lock_recovering(&job.state);
-                if matches!(*state, JobState::Done(_)) {
-                    let JobState::Done(result) = std::mem::replace(&mut *state, JobState::Consumed)
-                    else {
-                        unreachable!("matched Done above");
-                    };
-                    break result;
-                }
-            }
-            if !self.try_help() {
-                let state = lock_recovering(&job.state);
-                if !matches!(*state, JobState::Done(_)) {
-                    // Short-timeout wait: the runner's notify wakes us
-                    // early; the timeout bounds how long a newly injected
-                    // job can sit unseen while we sleep. A poisoned wait is
-                    // ignored — the loop re-reads the state either way.
-                    let _ = job.cv.wait_timeout(state, Duration::from_millis(1));
-                }
-            }
-        };
-        if let (Some(obs), Some(started)) = (&self.obs, started) {
-            let elapsed = started.elapsed();
-            obs.join_wait_ms.observe_duration_ms(elapsed);
-            obs.tracer.emit(
-                "par_join",
-                vec![("ms", (elapsed.as_secs_f64() * 1e3).into())],
-            );
+    /// Parks the calling thread until `ready()`.
+    fn park_until(&self, ready: impl Fn() -> bool) {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let mut guard = lock_recovering(&self.sleep);
+        while !ready() {
+            guard = self
+                .wake
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        result
+        drop(guard);
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// The pool worker's main loop: pop and run jobs until shutdown.
-    fn worker_loop(&self) {
-        loop {
-            let job = {
-                let mut queue = lock_recovering(&self.injector);
-                loop {
-                    if let Some(job) = queue.pop_front() {
-                        break Some(job);
-                    }
-                    if self.done.load(Ordering::Acquire) {
-                        break None;
-                    }
-                    queue = self
-                        .work_cv
-                        .wait(queue)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            match job {
-                Some(job) => {
-                    if self.run_job(&job) {
-                        self.note_steal();
-                    }
-                }
-                None => return,
-            }
-        }
+    /// Sums one of the lanes' counts and resets it for the next query.
+    fn take_count(&self, count: impl Fn(&Lane) -> &AtomicUsize) -> usize {
+        let lanes = self.lanes.iter();
+        lanes.map(|l| count(l).swap(0, Ordering::Relaxed)).sum()
     }
 
     fn finish(&self) {
-        // Under the injector lock: a worker that has read `done == false`
-        // still holds it until `work_cv.wait` parks it, so the store and
-        // the wake-up cannot fall between its check and its wait.
-        let _queue = lock_recovering(&self.injector);
-        self.done.store(true, Ordering::Release);
-        self.work_cv.notify_all();
+        self.done.store(true, Ordering::SeqCst);
+        self.wake_sleepers();
     }
 }
 
-impl ParHook for Shared<'_> {
+/// One thread's view of the executor — the [`ParHook`] its machines call at
+/// every `&`. `index` names the thread's own lane.
+struct Worker<'a, 'p> {
+    shared: &'a Shared<'p>,
+    index: usize,
+}
+
+impl Worker<'_, '_> {
+    fn lane(&self) -> &Lane {
+        &self.shared.lanes[self.index]
+    }
+
+    /// Takes an arm off a deque and claims it: this thread's deque first,
+    /// then the others in turn; the newest entry of each for a joiner that
+    /// helps while it waits, the oldest for an idle worker. An entry whose
+    /// claim is lost (its forker got there after the pop) is dropped.
+    fn steal(&self, newest_first: bool) -> Option<Arc<Offer>> {
+        let lanes = &self.shared.lanes;
+        let pop = match newest_first {
+            true => VecDeque::pop_back,
+            false => VecDeque::pop_front,
+        };
+        for step in 0..lanes.len() {
+            let lane = &lanes[(self.index + step) % lanes.len()];
+            while let Some(arm) = { pop(&mut lock_recovering(&lane.deque)) } {
+                if arm.claim() {
+                    return Some(arm);
+                }
+            }
+        }
+        None
+    }
+
+    /// Runs a claimed arm to its first solution on a machine of this
+    /// thread's own and completes its slot. Under `catch_unwind`: a panic
+    /// inside a stolen arm must complete the slot (as
+    /// [`EngineError::WorkerPanic`]) rather than leave it claimed forever,
+    /// which would hang its joiner. The panicking arm's machine is dropped
+    /// mid-unwind, so it is never retained.
+    fn run_stolen(&self, arm: &Offer) {
+        let shared = self.shared;
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            granlog_fault::fail_or("par.spawn", || EngineError::Fault("par.spawn"))?;
+            let mut machine = shared.acquire_machine();
+            let started = shared.obs.as_ref().map(|_| Instant::now());
+            let result = machine.run_arm(arm.arm(), Some(self));
+            if let (Some(obs), Some(started)) = (&shared.obs, started) {
+                obs.timed(&obs.arm_ms, "par_arm", started);
+            }
+            shared.release_machine(machine);
+            result
+        }))
+        .unwrap_or_else(|payload| {
+            Err(EngineError::WorkerPanic(
+                panic_message(&*payload).to_string(),
+            ))
+        });
+        if let Some(obs) = &shared.obs {
+            let answer = result.as_ref().ok().and_then(Option::as_ref);
+            let cells = arm.arm().cells() + answer.map_or(0, |a| a.packet.cells());
+            obs.copied_cells.observe(cells as f64);
+            obs.steals.inc();
+            obs.tracer.emit("par_steal", vec![("cells", cells.into())]);
+        }
+        arm.complete(result);
+        shared.wake_sleepers();
+    }
+
+    /// Runs offered arms until `finished()`: the pool worker's main loop
+    /// (until the query is over) and the joiner's wait (until the thief is
+    /// done). With nothing on offer the thread polls a bounded while, then
+    /// parks until there is an offer or it has finished.
+    fn help_until(&self, finished: impl Fn() -> bool, newest_first: bool) {
+        let mut polls = 0;
+        while !finished() {
+            match self.steal(newest_first) {
+                Some(arm) => {
+                    self.run_stolen(&arm);
+                    polls = 0;
+                }
+                None if polls < POLLS_BEFORE_PARK => {
+                    polls += 1;
+                    std::thread::yield_now();
+                }
+                None => {
+                    self.shared
+                        .park_until(|| finished() || self.shared.has_offers());
+                    polls = 0;
+                }
+            }
+        }
+    }
+}
+
+impl ParHook for Worker<'_, '_> {
     fn spawn_guards(&self) -> Option<&GuardTable> {
-        self.guards.as_ref()
+        self.shared.guards.as_ref()
     }
 
     fn note_inlined(&self) {
-        self.inlined.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
+        self.lane().inlined.fetch_add(1, Ordering::Relaxed);
+        if let Some(obs) = &self.shared.obs {
             obs.inlined.inc();
             obs.tracer.emit("par_inline", vec![]);
         }
     }
 
-    fn exec_arms(&self, arms: Vec<Packet>) -> EngineResult<ParDecision> {
+    fn offer(&self, arms: &[Arc<Offer>]) {
         // Conjunctions that reach this point already passed the machine's
-        // spawn-guard pre-screen ([`ParHook::spawn_guards`]) and its
-        // independence check; `Off` installs no hook at all, so only
-        // spawn-worthy conjunctions arrive here.
-        if arms.len() < 2 {
-            return Ok(ParDecision::Inline);
+        // spawn-guard pre-screen and its independence check. `spawned`
+        // counts their arms, the one the forker starts on included.
+        let (shared, count) = (self.shared, arms.len() + 1);
+        self.lane().spawned.fetch_add(count, Ordering::Relaxed);
+        if let Some(obs) = &shared.obs {
+            let cells: usize = arms.iter().map(|arm| arm.arm().cells()).sum();
+            obs.spawned.add(count as u64);
+            let fields = vec![("arms", count.into()), ("cells", cells.into())];
+            obs.tracer.emit("par_spawn", fields);
         }
-        let mut copied: usize = arms.iter().map(Packet::cells).sum();
-        let jobs: Vec<Arc<Job>> = arms
-            .into_iter()
-            .map(|arm| {
-                Arc::new(Job {
-                    arm,
-                    state: Mutex::new(JobState::Pending),
-                    cv: Condvar::new(),
-                })
-            })
-            .collect();
-        self.spawned.fetch_add(jobs.len(), Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.spawned.add(jobs.len() as u64);
-            obs.tracer.emit(
-                "par_spawn",
-                vec![("arms", jobs.len().into()), ("cells", copied.into())],
-            );
+        // Last arm first: the forker wants arm 1 back next, from the newest
+        // end.
+        lock_recovering(&self.lane().deque).extend(arms.iter().rev().cloned());
+        shared.wake_sleepers();
+    }
+
+    fn taken_back(&self, arm: &Arc<Offer>, cancelled: bool) {
+        // An arm taken back to run is this deque's newest entry (what was
+        // offered after it belonged to conjunctions nested in earlier arms,
+        // which are over) and a cancelled one is near it. The search finds
+        // nothing when a thief popped the arm and is about to lose the claim.
+        let mut deque = lock_recovering(&self.lane().deque);
+        if let Some(at) = deque.iter().rposition(|entry| Arc::ptr_eq(entry, arm)) {
+            deque.remove(at);
         }
-        lock_recovering(&self.injector).extend(jobs.iter().skip(1).cloned());
-        self.work_cv.notify_all();
-        // Run arm 0 on this thread, then join every arm in order. A failed
-        // arm fails the conjunction; an error outranks a failure.
-        self.run_job(&jobs[0]);
-        let mut answers = Some(Vec::with_capacity(jobs.len()));
-        let mut error: Option<EngineError> = None;
-        for job in &jobs {
-            match self.join_job(job) {
-                Ok(Some(answer)) => {
-                    copied += answer.packet.cells();
-                    if let Some(answers) = &mut answers {
-                        answers.push(answer);
-                    }
-                }
-                Ok(None) => answers = None,
-                Err(e) => error = error.or(Some(e)),
+        drop(deque);
+        if let Some(obs) = &self.shared.obs {
+            if cancelled {
+                obs.cancelled.inc();
+            } else {
+                obs.reclaimed.inc();
+                obs.tracer.emit("par_reclaim", vec![]);
             }
         }
-        if let Some(obs) = &self.obs {
-            obs.copied_cells.observe(copied as f64);
+    }
+
+    /// Waits for a stolen arm's completion, running other offers meanwhile
+    /// (help-first joining: the wait-for graph stays acyclic).
+    fn join(&self, arm: &Offer) -> ArmResult {
+        granlog_fault::fail_or("par.join", || EngineError::Fault("par.join"))?;
+        let started = self.shared.obs.as_ref().map(|_| Instant::now());
+        self.help_until(|| arm.is_done(), true);
+        if let (Some(obs), Some(started)) = (&self.shared.obs, started) {
+            obs.timed(&obs.join_wait_ms, "par_join", started);
         }
-        match error {
-            Some(e) => Err(e),
-            None => Ok(ParDecision::Executed(answers)),
-        }
+        arm.take_result()
+            .expect("a completed slot holds its result until the one join")
     }
 }
 
-/// The multi-threaded and-parallel executor: a program's compiled templates,
-/// a machine free-list, the spawn guards and the injector queue. Reusable
-/// across queries (machines stay warm); one query runs at a time.
+/// The multi-threaded and-parallel executor: a program's templates and
+/// dispatch table, the spawn guards, a deque per thread and one warm
+/// machine. Reusable across queries; one query runs at a time.
 pub struct ParExecutor<'p> {
     shared: Shared<'p>,
-    threads: usize,
     /// Does any clause body mention `&` at all? Purely sequential programs
-    /// skip worker startup entirely (a dynamically constructed `&` still
-    /// executes correctly — the spawning thread runs every job itself).
+    /// skip worker startup (a dynamically constructed `&` still executes
+    /// correctly — the calling thread takes every arm back).
     has_par: bool,
 }
 
@@ -495,8 +487,6 @@ impl<'p> ParExecutor<'p> {
         let guards = matches!(config.granularity, Granularity::On).then(|| {
             analyze_program(program, &AnalysisOptions::default()).guards_at(config.overhead)
         });
-        let templates: Arc<[ClauseTemplate]> =
-            granlog_engine::template::compile_program(program).into();
         let has_par = program
             .clauses()
             .iter()
@@ -504,26 +494,27 @@ impl<'p> ParExecutor<'p> {
         ParExecutor {
             shared: Shared {
                 program,
-                templates,
+                templates: granlog_engine::template::compile_program(program).into(),
+                dispatch: Dispatch::new(program),
                 machine_config: config.machine,
                 granularity: config.granularity,
                 guards,
-                injector: Mutex::new(VecDeque::new()),
-                work_cv: Condvar::new(),
+                lanes: (0..config.threads.max(1))
+                    .map(|_| Lane::default())
+                    .collect(),
+                sleepers: AtomicUsize::new(0),
+                sleep: Mutex::new(()),
+                wake: Condvar::new(),
                 done: AtomicBool::new(false),
-                machines: Mutex::new(Vec::new()),
-                spawned: AtomicUsize::new(0),
-                inlined: AtomicUsize::new(0),
+                idle: Mutex::new(None),
                 obs: None,
             },
-            threads: config.threads.max(1),
             has_par,
         }
     }
 
-    /// Installs (or clears) spawn/steal/join instrumentation (see
-    /// [`obs::ParObs`]). With no bundle installed the executor measures
-    /// nothing; either way its answers and counters are identical.
+    /// Installs (or clears) instrumentation (see [`obs::ParObs`]). Without
+    /// it nothing is measured; answers and counters are identical either way.
     pub fn set_obs(&mut self, obs: Option<Arc<ParObs>>) {
         self.shared.obs = obs;
     }
@@ -545,9 +536,9 @@ impl<'p> ParExecutor<'p> {
     /// Runs an already-parsed goal whose variables are numbered
     /// `0..var_names.len()`.
     ///
-    /// The calling thread executes the query's root (and arm 0 of every
-    /// conjunction it spawns); `threads - 1` scoped workers run spawned
-    /// arms. Workers live for the duration of the call.
+    /// The calling thread executes the query, every conjunction included;
+    /// `threads - 1` scoped workers, alive for the duration of the call,
+    /// steal the arms it has on offer (and offer arms of their own).
     ///
     /// # Errors
     ///
@@ -559,17 +550,16 @@ impl<'p> ParExecutor<'p> {
     }
 
     /// [`ParExecutor::run_goal`] under a per-slice [`Budget`]: the calling
-    /// thread's top-level machine runs in budget slices, resuming after each
-    /// [`Solve::Yield`] while the scoped workers stay alive across slices.
-    /// Spawned arms run to completion on their workers (an arm is joined
-    /// synchronously at its fork, so a yield can never strand one); the
-    /// budget throttles and bounds the *root* computation. Returns the
-    /// outcome plus the number of slices the solve took (1 = never
-    /// preempted).
+    /// thread's machine runs in budget slices, resuming after each
+    /// [`Solve::Yield`] while the scoped workers stay alive (and arms on
+    /// offer stay on offer) across slices. Stolen arms run to completion on
+    /// their thieves; the budget throttles and bounds what the calling
+    /// thread's machine runs itself. Returns the outcome plus the number of
+    /// slices the solve took (1 = never preempted).
     ///
-    /// Since parallel execution is deterministic here (in-order join, one
-    /// query at a time), a budgeted run produces bit-identical answers and
-    /// counters to an unbudgeted run of the same configuration.
+    /// Parallel execution is deterministic here (in-order join, uncounted
+    /// join bindings), so a budgeted run produces bit-identical answers and
+    /// counters to an unbudgeted run of any configuration.
     ///
     /// # Errors
     ///
@@ -581,19 +571,25 @@ impl<'p> ParExecutor<'p> {
         var_names: &[Symbol],
         budget: &Budget,
     ) -> EngineResult<(ParOutcome, usize)> {
-        self.shared.done.store(false, Ordering::Release);
-        self.shared.spawned.store(0, Ordering::Relaxed);
-        self.shared.inlined.store(0, Ordering::Relaxed);
+        self.shared.done.store(false, Ordering::SeqCst);
         let shared = &self.shared;
-        // Workers are useful only when something can reach the injector: a
+        // Workers are useful only when something can reach a deque: a
         // program with `&` in it, run in a mode that installs the hook.
         let spawns_possible = self.has_par && shared.granularity != Granularity::Off;
-        let workers = if spawns_possible { self.threads - 1 } else { 0 };
-        let (outcome, slices) = std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| shared.worker_loop());
+        let workers = if spawns_possible {
+            shared.lanes.len()
+        } else {
+            1
+        };
+        let solved = std::thread::scope(|scope| {
+            for index in 1..workers {
+                scope.spawn(move || {
+                    let worker = Worker { shared, index };
+                    worker.help_until(|| shared.done.load(Ordering::SeqCst), false);
+                });
             }
-            let hook = (shared.granularity != Granularity::Off).then_some(shared as &dyn ParHook);
+            let caller = Worker { shared, index: 0 };
+            let hook = (shared.granularity != Granularity::Off).then_some(&caller as &dyn ParHook);
             let mut machine = shared.acquire_machine();
             let mut slices = 1usize;
             let mut state = machine.solve_goal(goal, var_names, hook, budget);
@@ -610,15 +606,19 @@ impl<'p> ParExecutor<'p> {
             shared.release_machine(machine);
             shared.finish();
             outcome.map(|outcome| (outcome, slices))
-        })?;
+        });
+        // Taken (and so reset) whether or not the query got to report them.
+        let spawned_tasks = self.shared.take_count(|lane| &lane.spawned);
+        let inlined_conjunctions = self.shared.take_count(|lane| &lane.inlined);
+        let (outcome, slices) = solved?;
         Ok((
             ParOutcome {
                 succeeded: outcome.succeeded,
                 bindings: outcome.bindings,
                 counters: outcome.counters,
                 work: outcome.work,
-                spawned_tasks: self.shared.spawned.load(Ordering::Relaxed),
-                inlined_conjunctions: self.shared.inlined.load(Ordering::Relaxed),
+                spawned_tasks,
+                inlined_conjunctions,
             },
             slices,
         ))
@@ -692,19 +692,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn obs_observes_spawns_and_joins_without_perturbing_counters() {
-        #[cfg(feature = "failpoints")]
-        let _shared = fault_shared();
-        let program = parse_program(FIB).unwrap();
-        let plain = run(FIB, "fib(12, X)", 2, Granularity::AlwaysSpawn);
-
+    /// An executor with a private registry and a trace ring big enough for
+    /// every event of the test queries.
+    fn observed_executor(
+        program: &Program,
+        threads: usize,
+    ) -> (
+        ParExecutor<'_>,
+        granlog_obs::Registry,
+        Arc<granlog_obs::Tracer>,
+    ) {
         let registry = granlog_obs::Registry::new();
-        let tracer = Arc::new(granlog_obs::Tracer::new(4096));
+        let tracer = Arc::new(granlog_obs::Tracer::new(1 << 16));
         let mut exec = ParExecutor::new(
-            &program,
+            program,
             ParConfig {
-                threads: 2,
+                threads,
                 granularity: Granularity::AlwaysSpawn,
                 ..ParConfig::default()
             },
@@ -713,40 +716,143 @@ mod tests {
             &registry,
             Arc::clone(&tracer),
         ))));
+        (exec, registry, tracer)
+    }
+
+    fn events_of(tracer: &granlog_obs::Tracer, kind: &str) -> u64 {
+        assert_eq!(tracer.dropped(), 0, "the ring must hold the whole test");
+        tracer.events().iter().filter(|e| e.kind == kind).count() as u64
+    }
+
+    #[test]
+    fn obs_observes_spawns_and_joins_without_perturbing_counters() {
+        #[cfg(feature = "failpoints")]
+        let _shared = fault_shared();
+        let program = parse_program(FIB).unwrap();
+        let plain = run(FIB, "fib(12, X)", 2, Granularity::AlwaysSpawn);
+        let (mut exec, registry, tracer) = observed_executor(&program, 2);
         let out = exec.run_query("fib(12, X)").unwrap();
         assert!(out.succeeded);
         assert_eq!(out.binding("X").unwrap().to_string(), "144");
+        let count = |name: &str| registry.counter_value(name).expect("registered");
         // The instrumented registry mirrors the outcome's own counter...
-        assert_eq!(
-            registry.counter_value("granlog_par_spawned_total"),
-            Some(out.spawned_tasks as u64)
-        );
+        assert_eq!(count("granlog_par_spawned_total"), out.spawned_tasks as u64);
         // ...and the instrumented run is counter-identical to the plain one.
         assert_eq!(out.counters, plain.counters);
         assert_eq!(out.spawned_tasks, plain.spawned_tasks);
-        let joins = registry
-            .histogram_snapshot("granlog_par_join_wait_ms")
-            .expect("registered");
-        assert_eq!(joins.count, out.spawned_tasks as u64);
-        // One copied-cells observation per spawned conjunction (fib's are
-        // all two-armed), each at least the two goal cells it shipped; the
-        // `par_spawn` events carry the arm half of the same count.
-        let copied = registry
-            .histogram_snapshot("granlog_par_copied_cells")
-            .expect("registered");
-        assert_eq!(copied.count * 2, out.spawned_tasks as u64);
-        let events = tracer.events();
-        let spawn_cells: f64 = events
-            .iter()
-            .filter(|e| e.kind == "par_spawn")
-            .map(|e| match e.fields[..] {
-                [("arms", _), ("cells", granlog_obs::Value::U64(cells))] => cells as f64,
-                _ => panic!("par_spawn fields are arms, cells: {e:?}"),
-            })
-            .sum();
-        assert!(spawn_cells >= 2.0 * copied.count as f64);
-        assert!(copied.sum > spawn_cells, "answers are counted too");
-        assert!(events.iter().any(|e| e.kind == "par_join"));
+        // Every arm ends one way: it was its conjunction's first, its forker
+        // took it back, or a thief ran it (nothing fails here, so nothing is
+        // cancelled). fib's conjunctions are all two-armed.
+        let steals = count("granlog_par_steals_total");
+        let reclaimed = count("granlog_par_reclaimed_total");
+        assert_eq!(count("granlog_par_cancelled_total"), 0);
+        assert_eq!(
+            events_of(&tracer, "par_spawn") * 2,
+            out.spawned_tasks as u64
+        );
+        assert_eq!((reclaimed + steals) * 2, out.spawned_tasks as u64);
+        assert_eq!(events_of(&tracer, "par_reclaim"), reclaimed);
+        // The boundary histograms hold one observation per arm that crossed.
+        for name in [
+            "granlog_par_arm_ms",
+            "granlog_par_join_wait_ms",
+            "granlog_par_copied_cells",
+        ] {
+            let seen = registry.histogram_snapshot(name).expect("registered");
+            assert_eq!(seen.count, steals, "{name}");
+        }
+        assert_eq!(events_of(&tracer, "par_join"), steals);
+    }
+
+    /// [`FIB`] plus a conjunction whose second arm fails and one whose
+    /// second arm raises, each with arms behind it to withdraw.
+    const WAYS_TO_END: &str = r#"
+        ok(_).
+        fails(N) :- fib(N, _) & fail & ok(N) & ok(N).
+        bad(N) :- fib(N, _) & undefined_pred(N) & ok(N).
+    "#;
+
+    /// The executor's resting state, checked as "every query preserves it":
+    /// whatever a query did — succeed, fail in an arm, raise in an arm, run
+    /// out of budget with a nest of conjunctions open — afterwards no deque
+    /// holds an arm, the retained machine has nothing on offer, and every
+    /// arm the query offered was resolved exactly once. Before arms were
+    /// offered rather than shipped, `threads: 1` left every spawned arm in a
+    /// queue nothing ever popped, for the executor's lifetime.
+    #[test]
+    fn every_query_leaves_the_executor_at_rest() {
+        #[cfg(feature = "failpoints")]
+        let _shared = fault_shared();
+        let program = parse_program(&(FIB.to_owned() + WAYS_TO_END)).unwrap();
+        for threads in [1, 2, 4] {
+            let (mut exec, registry, tracer) = observed_executor(&program, threads);
+            let at_rest = |exec: &ParExecutor, after: &str| {
+                for (index, lane) in exec.shared.lanes.iter().enumerate() {
+                    let left = lock_recovering(&lane.deque).len();
+                    assert_eq!(left, 0, "deque {index} after {after}, {threads} threads");
+                }
+                let idle = lock_recovering(&exec.shared.idle);
+                let machine = idle.as_ref().expect("the caller's machine is retained");
+                assert_eq!(machine.outstanding_offers(), 0, "{after}");
+                let count = |name: &str| registry.counter_value(name).expect("registered");
+                assert_eq!(
+                    count("granlog_par_spawned_total"),
+                    events_of(&tracer, "par_spawn")
+                        + count("granlog_par_reclaimed_total")
+                        + count("granlog_par_steals_total")
+                        + count("granlog_par_cancelled_total"),
+                    "arms resolved once each, after {after} at {threads} threads"
+                );
+            };
+            for round in 0..3 {
+                let out = exec.run_query("fib(13, X)").unwrap();
+                assert_eq!(out.binding("X").unwrap().to_string(), "233");
+                assert_eq!(out.spawned_tasks, 2 * 376, "no count of the failed queries");
+                at_rest(&exec, "a success");
+
+                let cancelled = registry.counter_value("granlog_par_cancelled_total");
+                assert!(!exec.run_query("fails(9)").unwrap().succeeded);
+                at_rest(&exec, "a failed arm");
+                if threads == 1 {
+                    // Nobody to steal the two arms behind the failing one.
+                    assert_eq!(
+                        registry.counter_value("granlog_par_cancelled_total"),
+                        cancelled.map(|n| n + 2),
+                        "round {round}"
+                    );
+                }
+
+                let err = exec.run_query("bad(9)").unwrap_err();
+                assert!(matches!(err, EngineError::UnknownPredicate(_)), "{err}");
+                at_rest(&exec, "an error in an arm");
+
+                let (goal, vars) = granlog_ir::parser::parse_term("fib(16, X)").unwrap();
+                let err = exec
+                    .run_goal_budgeted(&goal, &vars, &Budget::hard_steps(500))
+                    .unwrap_err();
+                assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
+                at_rest(&exec, "a budget overrun");
+            }
+        }
+    }
+
+    /// Help-first joiners nest a native frame per arm they take on while
+    /// they wait. Taking the newest offer keeps that nest as deep as the
+    /// conjunction nest; taking the oldest (the biggest piece of work on
+    /// offer, each time) overflowed these default 2 MiB stacks.
+    #[test]
+    fn always_spawn_fits_default_thread_stacks() {
+        let chain = r#"
+            chain(0).
+            chain(N) :- N > 0, N1 is N - 1, chain(N1) & true.
+        "#;
+        for threads in [2, 4] {
+            let out = run(FIB, "fib(19, X)", threads, Granularity::AlwaysSpawn);
+            assert_eq!(out.binding("X").unwrap().to_string(), "4181");
+            let out = run(chain, "chain(2000)", threads, Granularity::AlwaysSpawn);
+            assert!(out.succeeded);
+            assert_eq!(out.spawned_tasks, 4000);
+        }
     }
 
     #[test]
@@ -936,59 +1042,72 @@ mod tests {
         use super::*;
         use granlog_fault::Action;
 
-        fn fresh_executor(program: &Program) -> ParExecutor<'_> {
-            ParExecutor::new(
-                program,
-                ParConfig {
-                    threads: 2,
-                    granularity: Granularity::AlwaysSpawn,
-                    ..ParConfig::default()
-                },
-            )
+        /// Arm 0 keeps the forker busy long enough for the pool worker to
+        /// start up and claim arm 1: the only way a query meets the
+        /// `par.spawn` and `par.join` seams, which sit on the stolen path.
+        const STEAL_ME: &str = r#"
+            count(0).
+            count(N) :- N > 0, N1 is N - 1, count(N1).
+            ok(_).
+            go :- count(200000) & ok(1).
+        "#;
+
+        /// Runs `go` with `site` armed until a run really stole the arm
+        /// (bounded: a worker that loses the race to a reclaim leaves the
+        /// query an ordinary success), and returns that run's error and the
+        /// executor.
+        fn error_of_a_stolen_arm<'p>(
+            program: &'p Program,
+            site: &'static str,
+            action: Action,
+        ) -> (EngineError, ParExecutor<'p>) {
+            let (mut exec, registry, _tracer) = observed_executor(program, 2);
+            for _ in 0..50 {
+                granlog_fault::arm(site, action, 1.0);
+                let outcome = exec.run_query("go");
+                granlog_fault::disarm_all();
+                let steals = registry.counter_value("granlog_par_steals_total");
+                match outcome {
+                    Err(err) => {
+                        assert!(steals >= Some(1), "{site} fired without a steal: {err}");
+                        return (err, exec);
+                    }
+                    Ok(out) => assert!(out.succeeded),
+                }
+            }
+            panic!("50 runs of a 200 000-step arm 0 and the worker never stole arm 1");
         }
 
         #[test]
         fn a_panicking_arm_errors_the_join_instead_of_hanging_it() {
             let _excl = fault_exclusive();
             granlog_fault::disarm_all();
-            granlog_fault::arm("par.spawn", Action::Panic, 1.0);
-            let program = parse_program(FIB).unwrap();
-            let mut exec = fresh_executor(&program);
-            let err = exec.run_query("fib(12, X)").unwrap_err();
-            granlog_fault::disarm_all();
+            let program = parse_program(STEAL_ME).unwrap();
+            let (err, mut exec) = error_of_a_stolen_arm(&program, "par.spawn", Action::Panic);
             assert!(matches!(err, EngineError::WorkerPanic(_)), "{err}");
             assert!(err.to_string().contains("par.spawn"), "{err}");
-            // The executor survives: the panicking arms' machines were
-            // discarded mid-unwind, fresh ones take their place.
-            let out = exec.run_query("fib(10, X)").unwrap();
-            assert!(out.succeeded);
-            assert_eq!(out.binding("X").unwrap().to_string(), "55");
+            // The executor survives the thief's panic.
+            assert!(exec.run_query("go").unwrap().succeeded);
         }
 
         #[test]
         fn an_injected_spawn_fault_is_typed_and_recoverable() {
             let _excl = fault_exclusive();
             granlog_fault::disarm_all();
-            granlog_fault::arm("par.spawn", Action::Error, 1.0);
-            let program = parse_program(FIB).unwrap();
-            let mut exec = fresh_executor(&program);
-            let err = exec.run_query("fib(12, X)").unwrap_err();
-            granlog_fault::disarm_all();
+            let program = parse_program(STEAL_ME).unwrap();
+            let (err, mut exec) = error_of_a_stolen_arm(&program, "par.spawn", Action::Error);
             assert_eq!(err, EngineError::Fault("par.spawn"));
-            assert!(exec.run_query("fib(8, X)").unwrap().succeeded);
+            assert!(exec.run_query("go").unwrap().succeeded);
         }
 
         #[test]
         fn an_injected_join_fault_is_typed_and_recoverable() {
             let _excl = fault_exclusive();
             granlog_fault::disarm_all();
-            granlog_fault::arm("par.join", Action::Error, 1.0);
-            let program = parse_program(FIB).unwrap();
-            let mut exec = fresh_executor(&program);
-            let err = exec.run_query("fib(12, X)").unwrap_err();
-            granlog_fault::disarm_all();
+            let program = parse_program(STEAL_ME).unwrap();
+            let (err, mut exec) = error_of_a_stolen_arm(&program, "par.join", Action::Error);
             assert_eq!(err, EngineError::Fault("par.join"));
-            assert!(exec.run_query("fib(8, X)").unwrap().succeeded);
+            assert!(exec.run_query("go").unwrap().succeeded);
         }
     }
 }

@@ -29,7 +29,7 @@
 
 use crate::ServeError;
 use granlog_datalog::{CompiledDatalog, Database, DatalogError};
-use granlog_engine::{ClauseTemplate, Machine, MachineConfig};
+use granlog_engine::{ClauseTemplate, Dispatch, Machine, MachineConfig};
 use granlog_ir::parser::parse_program;
 use granlog_ir::Program;
 use std::collections::{HashMap, VecDeque};
@@ -98,6 +98,13 @@ pub struct ProgramEntry {
     pool: PoolConfig,
     machine_config: MachineConfig,
     templates: Arc<[ClauseTemplate]>,
+    /// The goal-dispatch table, built on the first lease and shared by every
+    /// machine of the entry like the templates, so a cold lease makes a
+    /// machine without walking the program. It borrows `program` under the
+    /// same `'static` fiction as the machines (see [`ProgramEntry::lease`]);
+    /// it holds plain references, so its place in the drop order is
+    /// immaterial.
+    dispatch: OnceLock<Arc<Dispatch<'static>>>,
     /// Bottom-up join plans, compiled lazily on the first `engine
     /// bottom-up` query of this program. Compilation is deterministic (no
     /// failpoints cross it), so the result — including a rejection — is
@@ -222,11 +229,19 @@ impl ProgramEntry {
             // construction. Every `Machine<'static>` is confined to either
             // a `MachineLease` (which holds a clone of this `Arc`, so the
             // program outlives the lease) or `self.machines` (declared
-            // before `program`, so pooled machines drop first). Neither the
-            // lease's machine accessor nor this method is public, so no
-            // machine can outlive the entry from safe client code.
+            // before `program`, so pooled machines drop first). The dispatch
+            // table built from the same reference lives only in the private
+            // `self.dispatch` and in those machines. Neither the lease's
+            // machine accessor nor this method is public, so no machine can
+            // outlive the entry from safe client code.
             let program: &'static Program = unsafe { &*(&self.program as *const Program) };
-            Machine::with_templates(program, self.machine_config, Arc::clone(&self.templates))
+            let dispatch = self.dispatch.get_or_init(|| Dispatch::new(program));
+            Machine::with_dispatch(
+                program,
+                self.machine_config,
+                Arc::clone(&self.templates),
+                Arc::clone(dispatch),
+            )
         });
         self.counters.leases_active.fetch_add(1, Ordering::Relaxed);
         Ok(MachineLease {
@@ -421,6 +436,7 @@ impl TemplateCache {
             pool: self.pool,
             machine_config: self.machine_config,
             templates,
+            dispatch: OnceLock::new(),
             datalog_plans: OnceLock::new(),
             datalog_db: Mutex::new(None),
             normalized: normalized.clone(),

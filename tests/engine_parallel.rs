@@ -2,24 +2,28 @@
 //!
 //! The executor (`granlog-par`) must be *answer-equivalent* to the
 //! sequential engine: for every benchmark program and for
-//! proptest-generated conjunctions, running a query on the work-sharing
+//! proptest-generated conjunctions, running a query on the work-stealing
 //! pool — at 1, 2 and 4 threads, with granularity control on, off and in
 //! always-spawn mode — must produce the same success/failure and the same
 //! answer (bindings compared up to variable renaming) as
-//! [`granlog_engine::Machine`]. This pins the whole spawn boundary: the
-//! packing of arms, the deterministic in-order join, the unpacking and
-//! unification of answers, the independence fallback and the cell-guard
-//! pre-screen.
+//! [`granlog_engine::Machine`]. This pins the offer path: the independence
+//! fallback, the cell-guard pre-screen, claiming arms back, cancelling them,
+//! and the deterministic in-order join of whatever was stolen.
 //!
-//! Counters are *not* compared with the sequential engine's: the parallel
-//! join performs its own unifications, so operation counts legitimately
-//! differ (the sequential counters remain pinned by `bench_snapshot` and
-//! `tests/engine_indexing.rs`). The parallel counters are pinned against
-//! themselves in [`spawn_boundary_moves_no_observable_count`].
+//! Whether an arm actually crosses the spawn boundary on the executor is a
+//! race, and at one thread none does. The tests that are *about* the
+//! crossing — packing, unpacking, answer packets, the join's bindings —
+//! therefore also run under [`support::EagerThief`], which steals every
+//! offered arm on the calling thread.
+//!
+//! Counters are schedule-independent (join bindings are charged to nobody),
+//! so they are compared too:
+//! [`spawn_boundary_moves_no_observable_count`] holds every parallel
+//! configuration to `Granularity::Off`'s counters and work.
 
 mod support;
 
-use granlog_engine::{Counters, Machine};
+use granlog_engine::{EngineResult, Machine, QueryOutcome};
 use granlog_ir::parser::parse_program;
 use granlog_ir::Term;
 use granlog_par::{Granularity, ParConfig, ParExecutor, ParOutcome};
@@ -99,6 +103,39 @@ fn assert_differential(
     par
 }
 
+/// Runs one query sequentially and with every offered arm stolen
+/// ([`support::EagerThief`]): both results, and how many arms crossed.
+fn run_stolen(
+    src: &str,
+    query: &str,
+) -> (
+    EngineResult<QueryOutcome>,
+    EngineResult<QueryOutcome>,
+    usize,
+) {
+    let program = parse_program(src).unwrap_or_else(|e| panic!("program does not parse: {e}"));
+    let (goal, names) = granlog_ir::parser::parse_term(query).expect("query parses");
+    let seq = Machine::new(&program).run_goal(&goal, &names);
+    let thief = support::EagerThief::new(&program);
+    let par = Machine::new(&program).run_goal_par(&goal, &names, Some(&thief));
+    let stolen = thief.stolen.load(std::sync::atomic::Ordering::Relaxed);
+    (seq, par, stolen)
+}
+
+/// [`run_stolen`] for a query that raises no error, asserting answer
+/// equivalence; returns how many arms crossed.
+fn assert_stolen_differential(src: &str, query: &str) -> usize {
+    let (seq, par, stolen) = run_stolen(src, query);
+    let (seq, par) = (seq.expect("sequential run"), par.expect("stolen run"));
+    assert_eq!(seq.succeeded, par.succeeded, "{query}: success diverges");
+    assert_eq!(
+        canonical_bindings(&seq.bindings),
+        canonical_bindings(&par.bindings),
+        "{query}: answers diverge when every arm is stolen"
+    );
+    stolen
+}
+
 /// Every benchmark program (the 12 Table-1 entries, `nrev`, and the two
 /// control extras) at its test size, across the full thread × granularity
 /// matrix.
@@ -171,6 +208,7 @@ proptest! {
         let query = conjunction_query(&arms);
         let granularity = if mode == 0 { Granularity::AlwaysSpawn } else { Granularity::On };
         assert_differential(POOL_SRC, &query, threads, granularity);
+        prop_assert_eq!(assert_stolen_differential(POOL_SRC, &query), arms.len() - 1);
     }
 
     /// Dependent conjunctions (arms sharing an unbound variable) must fall
@@ -225,13 +263,13 @@ const PACKET_SRC: &str = "same(X, X).";
 
 proptest! {
     /// `unpack(pack(t))` is a variant of `t`, both ways across the boundary:
-    /// the arm `same(t, Out)` ships `t` to a child, whose answer ships it
-    /// back as `Out` together with a fresh variable per unbound parent
-    /// variable. The prefix aliases variables (bound `Ref` chains) and binds
-    /// one to a struct before the spawn, so the packer meets shared and
-    /// aliased unbound cells, chains and value cells, not just fresh ones.
-    /// Canonical renaming runs across all the bindings, so lost or invented
-    /// sharing between `Out` and the variables shows.
+    /// the stolen arm `same(t, Out)` ships `t` to a thief, whose answer
+    /// ships it back as `Out` together with a fresh variable per unbound
+    /// parent variable. The prefix aliases variables (bound `Ref` chains)
+    /// and binds one to a struct before the spawn, so the packer meets
+    /// shared and aliased unbound cells, chains and value cells, not just
+    /// fresh ones. Canonical renaming runs across all the bindings, so lost
+    /// or invented sharing between `Out` and the variables shows.
     #[test]
     fn packets_round_trip_to_a_variant(
         term in arb_term(),
@@ -239,9 +277,11 @@ proptest! {
         threads in 1usize..3,
     ) {
         let prefix: String = aliases.iter().map(|(a, b)| format!("V{a} = V{b}, ")).collect();
-        let query = format!("{prefix}V3 = k(2.5, V4), (same({}, Out) & true)", term_text(&term));
+        let query = format!("{prefix}V3 = k(2.5, V4), (true & same({}, Out))", term_text(&term));
+        let stolen = assert_stolen_differential(PACKET_SRC, &query);
+        prop_assert_eq!(stolen, 1, "{}: the arm must cross the boundary", query);
         let par = assert_differential(PACKET_SRC, &query, threads, Granularity::AlwaysSpawn);
-        prop_assert_eq!(par.spawned_tasks, 2, "{}: the arms must cross the boundary", query);
+        prop_assert_eq!(par.spawned_tasks, 2, "{}", query);
     }
 
     /// Fresh variables created in the child and shared across the bindings
@@ -253,7 +293,8 @@ proptest! {
         threads in 1usize..3,
     ) {
         let src = format!("mk({}, {}).", term_text(&left), term_text(&right));
-        let par = assert_differential(&src, "mk(A, B) & mk(_, _)", threads, Granularity::AlwaysSpawn);
+        prop_assert_eq!(assert_stolen_differential(&src, "mk(_, _) & mk(A, B)"), 1);
+        let par = assert_differential(&src, "mk(_, _) & mk(A, B)", threads, Granularity::AlwaysSpawn);
         prop_assert_eq!(par.spawned_tasks, 2);
     }
 
@@ -292,6 +333,11 @@ fn long_lists_cross_the_spawn_boundary() {
         go(N, A, B) :- mk(N, L), both(L, A, B).
     "#;
     let query = format!("go({N}, A, B)");
+    assert_eq!(
+        assert_stolen_differential(src, &query),
+        1,
+        "`len(L, B)` and its 60 000-cell list must cross"
+    );
     for granularity in [Granularity::Off, Granularity::On, Granularity::AlwaysSpawn] {
         let par = assert_differential(src, &query, 2, granularity);
         assert!(par.succeeded);
@@ -306,62 +352,80 @@ fn long_lists_cross_the_spawn_boundary() {
     }
 }
 
-/// The spawn boundary's representation is not observable: under
-/// `Granularity::On` the input-independent benchmark goals report the same
-/// operation counters (join unifications included), spawn counts and inline
-/// counts at every thread count — the values the `Term`-tree boundary
-/// reported before packets replaced it. (On a large stack: extracting
+/// Neither the spawn boundary nor the schedule is observable in the
+/// counts: on the input-independent benchmark goals, `On` and `AlwaysSpawn`
+/// at 1, 2 and 4 threads report exactly `Granularity::Off`'s operation
+/// counters and work, run after run — whichever arms were stolen — and so
+/// does a run in which *every* arm is stolen. What makes that true by
+/// construction is that the join's bindings are charged to no counter. The
+/// spawn and inline counts under `On` are the guards' decisions, pinned
+/// here to the values they have always had. (On a large stack: extracting
 /// `hanoi(11)`'s 2 047-move answer recurses per list cell in a debug build,
 /// sequentially too; that is the answer boundary, not the spawn boundary.)
 #[test]
 fn spawn_boundary_moves_no_observable_count() {
-    granlog_engine::with_large_stack(pinned_counts_hold);
+    granlog_engine::with_large_stack(counts_equal_the_sequential_ones);
 }
 
-fn pinned_counts_hold() {
-    let counters = |resolutions, unifications, builtins| Counters {
-        resolutions,
-        head_attempts: resolutions,
-        unifications,
-        builtins,
-        grain_tests: 0,
-        grain_test_elements: 0,
-    };
-    for (name, size, pinned, spawned, inlined) in [
-        ("fib", 19, counters(13_529, 61_631, 27_056), 752, 6_388),
-        ("hanoi", 11, counters(15_359, 90_617, 4_094), 510, 1_792),
-        (
-            "tree_traversal",
-            12,
-            counters(8_191, 49_144, 4_095),
-            8_190,
-            0,
-        ),
-        ("matrix_mult", 24, counters(15_025, 130_468, 13_824), 48, 0),
+fn counts_equal_the_sequential_ones() {
+    for (name, size, spawned, inlined) in [
+        ("fib", 19, 752, 6_388),
+        ("hanoi", 11, 510, 1_792),
+        ("tree_traversal", 12, 8_190, 0),
+        ("matrix_mult", 24, 48, 0),
     ] {
         let bench = granlog_benchmarks::benchmark(name).expect("suite program");
         let program = bench.program().expect("suite program parses");
-        for threads in [1, 2, 4] {
+        let query = bench.query(size);
+        let run = |threads, granularity| {
             let mut executor = ParExecutor::new(
                 &program,
                 ParConfig {
                     threads,
-                    granularity: Granularity::On,
+                    granularity,
                     ..ParConfig::default()
                 },
             );
-            let out = executor.run_query(&bench.query(size)).expect("query runs");
+            let out = executor.run_query(&query).expect("query runs");
             assert!(out.succeeded);
-            assert_eq!(out.counters, pinned, "{name}({size}) at {threads} threads");
-            assert_eq!(
-                out.spawned_tasks, spawned,
-                "{name}({size}) at {threads} threads"
-            );
-            assert_eq!(
-                out.inlined_conjunctions, inlined,
-                "{name}({size}) at {threads} threads"
-            );
+            out
+        };
+        let off = run(1, Granularity::Off);
+        assert_eq!((off.spawned_tasks, off.inlined_conjunctions), (0, 0));
+        for threads in [1, 2, 4] {
+            for granularity in [Granularity::On, Granularity::AlwaysSpawn] {
+                for attempt in 0..10 {
+                    let out = run(threads, granularity);
+                    let what = format!(
+                        "{name}({size}), {granularity:?}, {threads} threads, run {attempt}"
+                    );
+                    assert_eq!(out.counters, off.counters, "{what}");
+                    assert_eq!(out.work, off.work, "{what}");
+                    if granularity == Granularity::On {
+                        assert_eq!(
+                            (out.spawned_tasks, out.inlined_conjunctions),
+                            (spawned, inlined),
+                            "{what}"
+                        );
+                    }
+                }
+            }
         }
+        let (seq, stolen, crossed) = run_stolen(bench.source, &query);
+        let (seq, stolen) = (seq.expect("sequential run"), stolen.expect("stolen run"));
+        assert!(crossed > 0, "{name}({size}) has conjunctions to steal");
+        assert_eq!(
+            seq.counters, off.counters,
+            "{name}({size}): Off is the sequential engine"
+        );
+        assert_eq!(
+            stolen.counters, off.counters,
+            "{name}({size}) with every arm stolen"
+        );
+        assert_eq!(
+            stolen.work, off.work,
+            "{name}({size}) with every arm stolen"
+        );
     }
 }
 
@@ -385,20 +449,40 @@ fn nested_conjunctions_under_control_match_sequential() {
             assert_differential(src, query, threads, Granularity::AlwaysSpawn);
         }
     }
+    // Thieves that steal from inside stolen arms: 2^6 - 1 conjunctions.
+    assert_eq!(assert_stolen_differential(src, "tree(6, R)"), 63);
+    assert_eq!(assert_stolen_differential(src, "negated(5)"), 1);
 }
 
 /// A failing arm must fail the conjunction identically in both engines,
-/// including when the failure arrives from a spawned worker.
+/// including when the failure arrives from a thief, and an arm that raises
+/// must raise the same error from there.
 #[test]
 fn failing_arms_match_sequential() {
     let src = r#"
         ok(_, done).
         pick(N, R) :- ( N > 5, ok(N, R) & ok(N, _) ; R = small ).
+        lost(N, R) :- ( ok(N, R) & N > 5 & ok(N, _) ; R = small ).
+        bad(N) :- ok(N, _) & undefined_pred(N).
     "#;
     for threads in [1, 2, 4] {
         assert_differential(src, "pick(9, R)", threads, Granularity::AlwaysSpawn);
         assert_differential(src, "pick(2, R)", threads, Granularity::AlwaysSpawn);
+        assert_differential(src, "lost(2, R)", threads, Granularity::AlwaysSpawn);
     }
+    // A stolen arm fails: the conjunction fails at the join, its bindings
+    // are undone and the disjunction's other branch answers.
+    assert_eq!(assert_stolen_differential(src, "lost(2, R)"), 2);
+    assert_eq!(assert_stolen_differential(src, "lost(9, R)"), 2);
+    // A stolen arm raises: the join raises what the sequential engine does.
+    let (seq, par, stolen) = run_stolen(src, "bad(1)");
+    assert_eq!(stolen, 1);
+    let (seq, par) = (seq.unwrap_err(), par.unwrap_err());
+    assert!(
+        matches!(seq, granlog_engine::EngineError::UnknownPredicate(_)),
+        "{seq}"
+    );
+    assert_eq!(seq, par);
 }
 
 /// Pool shutdown must not lose its wake-up: `finish` publishes `done` to

@@ -1,15 +1,19 @@
 //! The integration suites' shared kit: the 15-program corpus, the sequential
-//! oracle, answer canonicalization, scratch directories and server start-up.
+//! oracle, answer canonicalization, a parallel hook that steals every arm,
+//! scratch directories and server start-up.
 //! Each suite pulls it in with `mod support;` and uses its own subset.
 #![allow(dead_code)]
 
 use granlog_benchmarks::{all_benchmarks, control_benchmarks, nrev_benchmark, Benchmark};
-use granlog_engine::{Machine, MachineConfig};
+use granlog_engine::par::{ArmResult, Offer, ParHook};
+use granlog_engine::{ClauseTemplate, Machine, MachineConfig};
 use granlog_ir::parser::parse_program;
+use granlog_ir::Program;
 use granlog_serve::{ServeConfig, Server, ServerHandle};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The full 15-program corpus the acceptance bars talk about: the paper's
 /// Table 1 suite, the Appendix A `nrev`, and the control-construct extras.
@@ -63,6 +67,49 @@ pub fn expected_answer(bench: &Benchmark, query: &str) -> (bool, Vec<(String, St
         .map(|(name, term)| (name.to_string(), term.to_string()))
         .collect();
     (outcome.succeeded, rendered)
+}
+
+/// A [`ParHook`] that steals everything: each offered arm is claimed and run
+/// to its first solution on a second machine *inside* `offer`, before the
+/// forker has started on arm 0. On the real executor whether an arm crosses
+/// the spawn boundary is a race (and at one thread it never does); under
+/// this hook every arm `1..` of every independent conjunction does — pack,
+/// unpack, solve, answer pack, unpack, join — deterministically, on the
+/// calling thread. No spawn guards: every conjunction is offered.
+pub struct EagerThief<'p> {
+    program: &'p Program,
+    templates: Arc<[ClauseTemplate]>,
+    /// Arms run on a second machine so far.
+    pub stolen: AtomicUsize,
+}
+
+impl<'p> EagerThief<'p> {
+    pub fn new(program: &'p Program) -> Self {
+        EagerThief {
+            program,
+            templates: granlog_engine::template::compile_program(program).into(),
+            stolen: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl ParHook for EagerThief<'_> {
+    fn offer(&self, arms: &[Arc<Offer>]) {
+        for arm in arms {
+            assert!(arm.claim(), "nobody else has seen the arm yet");
+            let mut machine = Machine::with_templates(
+                self.program,
+                MachineConfig::default(),
+                Arc::clone(&self.templates),
+            );
+            arm.complete(machine.run_arm(arm.arm(), Some(self)));
+            self.stolen.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn join(&self, arm: &Offer) -> ArmResult {
+        arm.take_result().expect("completed inside `offer`")
+    }
 }
 
 /// A unique scratch directory per invocation, so parallel tests and
