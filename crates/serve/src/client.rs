@@ -1,8 +1,12 @@
 //! A scripted client for the serve protocol, used by the integration
 //! tests, the CI smoke job and `bench_serve`. One blocking call per
-//! protocol command; replies are parsed into typed results.
+//! protocol command; replies are parsed into typed results. Like the
+//! server's replies, every command is rendered whole into one reusable
+//! buffer and leaves in a single write (a `load` header together with its
+//! payload).
 
 use crate::session::DatalogReplyStats;
+use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -80,6 +84,8 @@ pub struct ServerStats {
 pub struct ServeClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The command being rendered; reused across commands.
+    out: Vec<u8>,
 }
 
 impl ServeClient {
@@ -93,7 +99,7 @@ impl ServeClient {
     /// [`ServeClient::connect_with_retry`]) can treat it as retryable.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ServeClient> {
         let writer = TcpStream::connect(addr)?;
-        writer.set_nodelay(true)?; // commands are single small writes
+        writer.set_nodelay(true)?; // every command is one write (see `send`)
         let mut reader = BufReader::new(writer.try_clone()?);
         let mut greeting = String::new();
         reader.read_line(&mut greeting)?;
@@ -106,7 +112,11 @@ impl ServeClient {
         if !greeting.starts_with("ok granlog-serve") {
             return Err(protocol_err(format!("unexpected greeting: {greeting:?}")));
         }
-        Ok(ServeClient { reader, writer })
+        Ok(ServeClient {
+            reader,
+            writer,
+            out: Vec::new(),
+        })
     }
 
     /// [`ServeClient::connect`] with bounded retry: on a refused connection
@@ -154,8 +164,7 @@ impl ServeClient {
     ///
     /// I/O failures, or a reply that does not follow the protocol.
     pub fn load(&mut self, source: &str) -> io::Result<Result<(String, u64, bool), String>> {
-        write!(self.writer, "load {}\n{}", source.len(), source)?;
-        self.writer.flush()?;
+        self.send(format_args!("load {}\n{}", source.len(), source))?;
         let line = self.read_line()?;
         if let Some(err) = line.strip_prefix("err ") {
             return Ok(Err(err.to_string()));
@@ -177,8 +186,7 @@ impl ServeClient {
     ///
     /// I/O failures, or a reply that does not follow the protocol.
     pub fn query(&mut self, goal: &str) -> io::Result<Result<ClientReply, String>> {
-        writeln!(self.writer, "query {goal}")?;
-        self.writer.flush()?;
+        self.send(format_args!("query {goal}\n"))?;
         let mut bindings = Vec::new();
         loop {
             let line = self.read_line()?;
@@ -276,8 +284,7 @@ impl ServeClient {
     ///
     /// I/O failures, or a reply that does not follow the protocol.
     pub fn engine(&mut self, name: &str) -> io::Result<Result<(), String>> {
-        writeln!(self.writer, "engine {name}")?;
-        self.writer.flush()?;
+        self.send(format_args!("engine {name}\n"))?;
         let line = self.read_line()?;
         if let Some(err) = line.strip_prefix("err ") {
             return Ok(Err(err.to_string()));
@@ -296,8 +303,7 @@ impl ServeClient {
     ///
     /// I/O failures, or a reply that does not follow the protocol.
     pub fn stats(&mut self) -> io::Result<ServerStats> {
-        writeln!(self.writer, "stats")?;
-        self.writer.flush()?;
+        self.send(format_args!("stats\n"))?;
         let line = self.read_line()?;
         let fields = parse_fields(&line, "ok")?;
         let num = |key: &str| -> io::Result<u64> {
@@ -369,8 +375,7 @@ impl ServeClient {
     ///
     /// I/O failures, or a reply that does not follow the protocol.
     pub fn metrics(&mut self) -> io::Result<String> {
-        writeln!(self.writer, "metrics")?;
-        self.writer.flush()?;
+        self.send(format_args!("metrics\n"))?;
         self.read_counted_body()
     }
 
@@ -389,8 +394,7 @@ impl ServeClient {
     ///
     /// I/O failures, or a reply that does not follow the protocol.
     pub fn trace_dump(&mut self) -> io::Result<String> {
-        writeln!(self.writer, "trace dump")?;
-        self.writer.flush()?;
+        self.send(format_args!("trace dump\n"))?;
         self.read_counted_body()
     }
 
@@ -418,8 +422,7 @@ impl ServeClient {
     ///
     /// I/O failures writing the doomed command.
     pub fn kill_after_query(mut self, goal: &str) -> io::Result<()> {
-        writeln!(self.writer, "query {goal}")?;
-        self.writer.flush()
+        self.send(format_args!("query {goal}\n"))
     }
 
     /// Writes a partial command — no trailing newline — then drops the
@@ -431,8 +434,7 @@ impl ServeClient {
     ///
     /// I/O failures writing the fragment.
     pub fn kill_mid_command(mut self, partial: &str) -> io::Result<()> {
-        write!(self.writer, "{partial}")?;
-        self.writer.flush()
+        self.send(format_args!("{partial}"))
     }
 
     /// Ends the session politely.
@@ -441,8 +443,7 @@ impl ServeClient {
     ///
     /// I/O failures or a malformed farewell.
     pub fn quit(mut self) -> io::Result<()> {
-        writeln!(self.writer, "quit")?;
-        self.writer.flush()?;
+        self.send(format_args!("quit\n"))?;
         let line = self.read_line()?;
         if line.starts_with("ok") {
             Ok(())
@@ -457,8 +458,7 @@ impl ServeClient {
     ///
     /// I/O failures or a malformed acknowledgement.
     pub fn shutdown_server(mut self) -> io::Result<()> {
-        writeln!(self.writer, "shutdown")?;
-        self.writer.flush()?;
+        self.send(format_args!("shutdown\n"))?;
         let line = self.read_line()?;
         if line.starts_with("ok") {
             Ok(())
@@ -468,14 +468,21 @@ impl ServeClient {
     }
 
     fn simple_command(&mut self, cmd: &str) -> io::Result<()> {
-        writeln!(self.writer, "{cmd}")?;
-        self.writer.flush()?;
+        self.send(format_args!("{cmd}\n"))?;
         let line = self.read_line()?;
         if line.starts_with("ok") {
             Ok(())
         } else {
             Err(protocol_err(format!("server rejected `{cmd}`: {line:?}")))
         }
+    }
+
+    /// Renders one whole command into the reusable buffer and sends it in
+    /// a single write.
+    fn send(&mut self, command: fmt::Arguments<'_>) -> io::Result<()> {
+        self.out.clear();
+        self.out.write_fmt(command)?;
+        self.writer.write_all(&self.out)
     }
 
     fn read_line(&mut self) -> io::Result<String> {

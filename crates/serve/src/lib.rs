@@ -21,6 +21,7 @@
 
 pub mod cache;
 pub mod client;
+mod frame;
 pub mod obs;
 pub mod server;
 pub mod session;

@@ -17,6 +17,14 @@ use std::time::Instant;
 /// Events the serve trace ring can hold before dropping the oldest.
 const TRACE_CAPACITY: usize = 8192;
 
+/// Bucket bounds for the per-stage histograms, in milliseconds: a stage of
+/// a served query is microseconds, well under [`LATENCY_BUCKETS_MS`]' first
+/// bound.
+const STAGE_BUCKETS_MS: &[f64] = &[
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0,
+    4096.0,
+];
+
 /// Shared observability bundle for one server instance.
 ///
 /// Cloneable handles into one [`Registry`] plus the server-global trace
@@ -54,6 +62,27 @@ pub struct ServeObs {
     pub datalog_rounds: Arc<Counter>,
     /// Facts derived by bottom-up evaluation, summed over datalog queries.
     pub datalog_facts: Arc<Counter>,
+    /// Where an answered query's time went, one histogram per stage, in
+    /// milliseconds: goal parse, machine lease, solve (every slice), answer
+    /// rendering — these four add up to [`ServeObs::query_latency_ms`] —
+    /// and the reply's socket write, which the latency histogram excludes.
+    pub stage_parse_ms: Arc<Histogram>,
+    /// See [`ServeObs::stage_parse_ms`].
+    pub stage_lease_ms: Arc<Histogram>,
+    /// See [`ServeObs::stage_parse_ms`].
+    pub stage_solve_ms: Arc<Histogram>,
+    /// See [`ServeObs::stage_parse_ms`].
+    pub stage_render_ms: Arc<Histogram>,
+    /// See [`ServeObs::stage_parse_ms`].
+    pub stage_write_ms: Arc<Histogram>,
+    /// Replies sent (greetings, shed refusals and scrape responses
+    /// included): one per reply frame that left.
+    pub reply_frames: Arc<Counter>,
+    /// Socket writes those replies took. Equal to
+    /// [`ServeObs::reply_frames`] while every reply fits the frame buffer.
+    pub reply_writes: Arc<Counter>,
+    /// Bytes of those replies.
+    pub reply_bytes: Arc<Counter>,
 }
 
 impl ServeObs {
@@ -73,6 +102,14 @@ impl ServeObs {
             slices: registry.counter("granlog_slices_total"),
             datalog_rounds: registry.counter("granlog_datalog_rounds_total"),
             datalog_facts: registry.counter("granlog_datalog_derived_facts_total"),
+            stage_parse_ms: registry.histogram("granlog_query_parse_ms", STAGE_BUCKETS_MS),
+            stage_lease_ms: registry.histogram("granlog_query_lease_ms", STAGE_BUCKETS_MS),
+            stage_solve_ms: registry.histogram("granlog_query_solve_ms", STAGE_BUCKETS_MS),
+            stage_render_ms: registry.histogram("granlog_query_render_ms", STAGE_BUCKETS_MS),
+            stage_write_ms: registry.histogram("granlog_query_write_ms", STAGE_BUCKETS_MS),
+            reply_frames: registry.counter("granlog_reply_frames_total"),
+            reply_writes: registry.counter("granlog_reply_writes_total"),
+            reply_bytes: registry.counter("granlog_reply_bytes_total"),
             registry,
             tracer,
             started: Instant::now(),

@@ -37,6 +37,21 @@
 //! meters) and appends `answers=<n> rounds=<n> facts=<n>`; `bind` lines
 //! enumerate every answer, so variable names repeat once per answer.
 //!
+//! # Framing
+//!
+//! Nothing in this module writes to a socket except through a
+//! `frame::Frame`, the connection's one reusable reply buffer (16 KiB).
+//! Handlers receive it as `&mut impl io::Write`, render the *whole* reply
+//! and return; the connection loop then sends it with one `write_all` —
+//! one system call and, under `TCP_NODELAY`, one segment per reply rather
+//! than one per format fragment. A reply larger than the buffer streams
+//! out in buffer-sized writes as it is rendered, so per-connection memory
+//! stays bounded. Input is bounded too: a command line that passes 1 MiB
+//! without a newline is refused with `err too-large` and the connection
+//! closed. `granlog_reply_frames_total`, `granlog_reply_writes_total` and
+//! `granlog_reply_bytes_total` count what left; writes equal frames
+//! whenever every reply fits the buffer.
+//!
 //! # Robustness
 //!
 //! Reads are *ticked*: the socket runs under a short read timeout and the
@@ -63,6 +78,7 @@
 //! `stats` line.
 
 use crate::cache::{PoolConfig, TemplateCache};
+use crate::frame::Frame;
 use crate::obs::ServeObs;
 use crate::session::{EngineKind, Session, SessionBudget};
 use crate::ServeError;
@@ -77,6 +93,11 @@ use std::time::{Duration, Instant};
 
 /// Largest `load` payload the server will read, in bytes.
 const MAX_PROGRAM_BYTES: u64 = 16 * 1024 * 1024;
+
+/// Longest command line the server will buffer, in bytes (newline
+/// included). A goal is the only long command; a peer that streams past
+/// this without a newline is refused with `err too-large` and cut.
+const MAX_COMMAND_BYTES: usize = 1024 * 1024;
 
 /// Socket read-timeout tick: the granularity at which connection threads
 /// notice the stop flag and their idle clocks.
@@ -181,6 +202,9 @@ impl From<StoreError> for BootError {
 }
 
 struct ServerState {
+    /// The serve listener's bound address: where `shutdown` nudges the
+    /// accept loop out of its blocking `accept()`.
+    addr: SocketAddr,
     cache: Arc<TemplateCache>,
     default_budget: SessionBudget,
     stop: AtomicBool,
@@ -268,6 +292,7 @@ impl Server {
             })
             .transpose()?;
         let state = Arc::new(ServerState {
+            addr: local_addr,
             cache,
             default_budget: config.budget,
             stop: AtomicBool::new(false),
@@ -424,9 +449,7 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>, max_conns: usize)
         // load feedback; an unbounded thread pile-up is an outage.
         if max_conns > 0 && state.active_sessions.load(Ordering::SeqCst) >= max_conns as u64 {
             state.shed.fetch_add(1, Ordering::Relaxed);
-            let mut stream = stream;
-            let err = ServeError::Overloaded;
-            let _ = writeln!(stream, "err {} {}", err.code(), err);
+            shed(stream, &state.obs);
             continue;
         }
         state.active_sessions.fetch_add(1, Ordering::SeqCst);
@@ -468,15 +491,15 @@ enum ReadStatus {
     Idle,
     /// A partial command stalled past the io timeout (torn frame).
     Torn,
-    /// The peer sent bytes that are not UTF-8: not a command stream.
-    Garbage,
+    /// The line passed [`MAX_COMMAND_BYTES`] without a newline.
+    TooLong,
 }
 
 /// Reads one command line under the tick discipline: short socket timeouts,
 /// re-checking the stop flag and the idle/torn clocks between ticks.
 fn read_command(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut String,
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
     state: &ServerState,
 ) -> io::Result<ReadStatus> {
     line.clear();
@@ -485,18 +508,23 @@ fn read_command(
         if granlog_fault::should_fail("serve.sock.read") {
             return Err(injected_io_fault("serve.sock.read"));
         }
-        match reader.read_line(line) {
+        // One byte past the cap is enough to tell "too long" from "exactly
+        // at the cap"; a peer that never sends a newline cannot make `line`
+        // grow beyond that.
+        let room = (MAX_COMMAND_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', line) {
+            Ok(_) if line.ends_with(b"\n") => return Ok(ReadStatus::Line),
+            Ok(_) if line.len() > MAX_COMMAND_BYTES => return Ok(ReadStatus::TooLong),
             Ok(0) if line.is_empty() => return Ok(ReadStatus::Eof),
             // EOF mid-line: hand the partial line up; the next read sees
             // the clean EOF.
             Ok(0) => return Ok(ReadStatus::Line),
-            Ok(_) if line.ends_with('\n') => return Ok(ReadStatus::Line),
             Ok(_) => continue,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                // `read_line` keeps the bytes it consumed before the
+                // `read_until` keeps the bytes it consumed before the
                 // timeout in `line`, so a torn frame accumulates across
                 // ticks instead of being dropped.
                 if state.stop.load(Ordering::SeqCst) {
@@ -512,7 +540,6 @@ fn read_command(
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => return Ok(ReadStatus::Garbage),
             Err(e) => return Err(e),
         }
     }
@@ -525,128 +552,141 @@ fn injected_io_fault(name: &'static str) -> io::Error {
     )
 }
 
-fn write_err(writer: &mut TcpStream, err: &ServeError) -> io::Result<()> {
-    writeln!(writer, "err {} {}", err.code(), err)
+fn write_err(out: &mut impl Write, err: &ServeError) -> io::Result<()> {
+    writeln!(out, "err {} {}", err.code(), err)
 }
 
-fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) -> io::Result<()> {
-    // Replies are single small writes; without TCP_NODELAY the Nagle /
-    // delayed-ACK interaction adds tens of milliseconds to every command.
+/// The acceptor's refusal past the connection cap: one `err overloaded`
+/// frame instead of the greeting, then the socket is dropped.
+fn shed(sink: impl Write, obs: &ServeObs) {
+    let mut frame = Frame::new(sink, obs);
+    let _ = write_err(&mut frame, &ServeError::Overloaded).and_then(|()| frame.finish());
+}
+
+/// What the connection loop does once a command's reply has left.
+enum Then {
+    /// Read the next command.
+    Continue,
+    /// The reply answered a query: its flush is the query's `write` stage.
+    Answered,
+    /// `quit`: close the connection.
+    Close,
+    /// `shutdown`: raise the stop flag now that the acknowledgement is out.
+    Shutdown,
+}
+
+fn serve_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
+    // Every reply leaves in one write (see `frame`); without TCP_NODELAY
+    // the Nagle / delayed-ACK interaction adds tens of milliseconds to
+    // every command.
     stream.set_nodelay(true)?;
     // The tick: all reads time out quickly so the loop stays responsive to
     // stop/idle/torn conditions. Writes get the full io timeout — a peer
-    // that cannot drain a reply line in that long is gone.
+    // that cannot drain a reply in that long is gone.
     stream.set_read_timeout(Some(READ_TICK))?;
     stream.set_write_timeout(Some(state.io_timeout.max(READ_TICK)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    writeln!(writer, "ok granlog-serve")?;
+    let reader = BufReader::new(stream.try_clone()?);
+    serve_frames(reader, Frame::new(stream, &state.obs), state)
+}
+
+/// One connection over any byte source and reply sink; only
+/// `serve_connection` knows the two ends are a socket. Whatever ends the
+/// command loop — a refusal, a torn `load`, an I/O error — the `err` line
+/// it rendered last leaves best-effort (the peer may be gone already).
+fn serve_frames<W: Write>(
+    mut reader: impl BufRead,
+    mut frame: Frame<'_, W>,
+    state: &ServerState,
+) -> io::Result<()> {
+    let served = command_loop(&mut reader, &mut frame, state);
+    let _ = frame.finish();
+    served
+}
+
+/// Greet, then: read a command, render its whole reply into `frame`, send
+/// it in one write, repeat.
+fn command_loop<W: Write>(
+    reader: &mut impl BufRead,
+    frame: &mut Frame<'_, W>,
+    state: &ServerState,
+) -> io::Result<()> {
+    writeln!(frame, "ok granlog-serve")?;
+    frame.finish()?;
     let mut session = Session::new(Arc::clone(&state.cache), state.default_budget);
     session.set_tracer(Some(Arc::clone(&state.obs.tracer)));
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match read_command(&mut reader, &mut line, state)? {
+        match read_command(reader, &mut line, state)? {
             ReadStatus::Line => {}
             ReadStatus::Eof => return Ok(()), // client hung up
-            ReadStatus::Stopped => {
-                let _ = write_err(&mut writer, &ServeError::ShuttingDown);
-                return Ok(());
-            }
+            ReadStatus::Stopped => return write_err(frame, &ServeError::ShuttingDown),
             ReadStatus::Idle => {
-                let _ = writeln!(writer, "err timeout idle for longer than the idle timeout");
-                return Ok(());
+                return writeln!(frame, "err timeout idle for longer than the idle timeout");
             }
             ReadStatus::Torn => {
-                let _ = writeln!(writer, "err timeout torn frame: command stalled mid-line");
-                return Ok(());
+                return writeln!(frame, "err timeout torn frame: command stalled mid-line");
             }
-            ReadStatus::Garbage => {
-                let _ = writeln!(writer, "err proto command stream is not valid utf-8");
-                return Ok(());
+            ReadStatus::TooLong => {
+                return writeln!(
+                    frame,
+                    "err too-large command line longer than {MAX_COMMAND_BYTES} bytes"
+                );
             }
         }
+        // Bytes that are not UTF-8 are not a command stream.
+        let Ok(cmd) = std::str::from_utf8(&line) else {
+            return writeln!(frame, "err proto command stream is not valid utf-8");
+        };
         // Drain discipline: a command *read* after the stop flag rose is
         // refused — only commands already dispatched finish their reply.
         if state.stop.load(Ordering::SeqCst) {
-            let _ = write_err(&mut writer, &ServeError::ShuttingDown);
-            return Ok(());
+            return write_err(frame, &ServeError::ShuttingDown);
         }
         // An injected write fault tears the connection between a command
         // and its reply — the client sees an abandoned frame.
         if granlog_fault::should_fail("serve.sock.write") {
             return Err(injected_io_fault("serve.sock.write"));
         }
-        let cmd = line.trim_end_matches(['\r', '\n']);
+        let cmd = cmd.trim_end_matches(['\r', '\n']);
         let (verb, rest) = match cmd.split_once(' ') {
             Some((v, r)) => (v, r.trim()),
             None => (cmd, ""),
         };
+        let mut then = Then::Continue;
         match verb {
-            "load" => cmd_load(&mut reader, &mut writer, &mut session, state, rest)?,
-            "query" => cmd_query(&mut writer, &mut session, state, rest)?,
-            "budget" => cmd_budget(&mut writer, &mut session, rest)?,
-            "engine" => cmd_engine(&mut writer, &mut session, rest)?,
-            "metrics" => cmd_metrics(&mut writer, state)?,
-            "trace" => cmd_trace(&mut writer, state, rest)?,
-            "stats" => {
-                let s = state.cache.stats();
-                write!(
-                    writer,
-                    "ok hits={} misses={} evictions={} entries={} sessions={} \
-                     quarantined={} retired={} leases={} shed={}",
-                    s.hits,
-                    s.misses,
-                    s.evictions,
-                    s.entries,
-                    state.active_sessions.load(Ordering::SeqCst),
-                    s.quarantined,
-                    s.retired,
-                    s.leases_active,
-                    state.shed.load(Ordering::Relaxed),
-                )?;
-                // Durability fields ride the same line, appended so existing
-                // clients (which parse by field name) never notice. Ages are
-                // reported in ms; `last_fsync_ms` is 0 before the first sync.
-                if let Some(store) = &state.store {
-                    let d = store.stats();
-                    write!(
-                        writer,
-                        " recovered={} stored={} wal_bytes={} wal_records={} unsynced={} \
-                         snapshot_age_ms={} last_fsync_ms={}",
-                        state.recovered,
-                        d.programs,
-                        d.wal_bytes,
-                        d.wal_records,
-                        d.unsynced_records,
-                        d.snapshot_age.map_or(0, |a| a.as_millis() as u64),
-                        d.last_fsync_age.map_or(0, |a| a.as_millis() as u64),
-                    )?;
-                }
-                // Liveness and build identity close the line; clients parse
-                // by field name, so position is compatibility-irrelevant.
-                write!(
-                    writer,
-                    " uptime_ms={} version={}",
-                    state.obs.uptime_ms(),
-                    env!("CARGO_PKG_VERSION"),
-                )?;
-                writeln!(writer)?;
-            }
+            "load" => cmd_load(reader, frame, &mut session, state, rest)?,
+            "query" => then = cmd_query(frame, &mut session, state, rest)?,
+            "budget" => cmd_budget(frame, &mut session, rest)?,
+            "engine" => cmd_engine(frame, &mut session, rest)?,
+            "metrics" => cmd_metrics(frame, state)?,
+            "trace" => cmd_trace(frame, state, rest)?,
+            "stats" => cmd_stats(frame, state)?,
             "quit" => {
-                writeln!(writer, "ok bye")?;
-                return Ok(());
+                writeln!(frame, "ok bye")?;
+                then = Then::Close;
             }
             "shutdown" => {
-                writeln!(writer, "ok shutting-down")?;
-                state.stop.store(true, Ordering::SeqCst);
-                // Nudge the accept loop in case no other connection arrives.
-                if let Ok(addr) = writer.local_addr() {
-                    let _ = TcpStream::connect(addr);
-                }
-                return Ok(());
+                writeln!(frame, "ok shutting-down")?;
+                then = Then::Shutdown;
             }
             "" => {} // blank line: ignore
-            other => writeln!(writer, "err proto unknown command `{other}`")?,
+            other => writeln!(frame, "err proto unknown command `{other}`")?,
+        }
+        let flushing = Instant::now();
+        frame.finish()?;
+        match then {
+            Then::Continue => {}
+            Then::Answered => state
+                .obs
+                .stage_write_ms
+                .observe_duration_ms(flushing.elapsed()),
+            Then::Close => return Ok(()),
+            Then::Shutdown => {
+                state.stop.store(true, Ordering::SeqCst);
+                // Nudge the accept loop in case no other connection arrives.
+                let _ = TcpStream::connect(state.addr);
+                return Ok(());
+            }
         }
     }
 }
@@ -655,7 +695,7 @@ fn serve_connection(stream: TcpStream, state: &Arc<ServerState>) -> io::Result<(
 /// Returns the payload, or `None` when the frame tore (EOF or stall
 /// mid-payload) — the caller reports and drops the connection.
 fn read_payload(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut impl Read,
     nbytes: usize,
     state: &ServerState,
 ) -> io::Result<Option<Vec<u8>>> {
@@ -683,8 +723,8 @@ fn read_payload(
 }
 
 fn cmd_load(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut TcpStream,
+    reader: &mut impl Read,
+    out: &mut impl Write,
     session: &mut Session,
     state: &ServerState,
     arg: &str,
@@ -693,14 +733,14 @@ fn cmd_load(
         Ok(n) if n <= MAX_PROGRAM_BYTES => n,
         Ok(_) => {
             return writeln!(
-                writer,
+                out,
                 "err too-large program larger than {MAX_PROGRAM_BYTES} bytes"
             );
         }
-        Err(_) => return writeln!(writer, "err proto usage: load <nbytes>"),
+        Err(_) => return writeln!(out, "err proto usage: load <nbytes>"),
     };
     let Some(payload) = read_payload(reader, nbytes as usize, state)? else {
-        let _ = writeln!(writer, "err timeout torn frame: load payload truncated");
+        let _ = writeln!(out, "err timeout torn frame: load payload truncated");
         // The stream position is now mid-payload garbage; the only safe
         // continuation is none.
         return Err(io::Error::new(
@@ -710,7 +750,7 @@ fn cmd_load(
     };
     let source = match String::from_utf8(payload) {
         Ok(s) => s,
-        Err(_) => return writeln!(writer, "err proto program is not valid utf-8"),
+        Err(_) => return writeln!(out, "err proto program is not valid utf-8"),
     };
     match session.load(&source) {
         Ok(reply) => {
@@ -721,7 +761,7 @@ fn cmd_load(
             if let Some(store) = &state.store {
                 let entry = session.entry().expect("load just succeeded");
                 if let Err(e) = store.record_load(entry.normalized_text(), &source) {
-                    return write_err(writer, &ServeError::Store(e.to_string()));
+                    return write_err(out, &ServeError::Store(e.to_string()));
                 }
             }
             state.obs.loads.inc();
@@ -736,25 +776,26 @@ fn cmd_load(
                 );
             }
             writeln!(
-                writer,
+                out,
                 "ok program={:016x} clauses={} cache={}",
                 reply.hash,
                 reply.clauses,
                 if reply.cache_hit { "hit" } else { "miss" },
             )
         }
-        Err(e) => write_err(writer, &e),
+        Err(e) => write_err(out, &e),
     }
 }
 
 fn cmd_query(
-    writer: &mut TcpStream,
+    out: &mut impl Write,
     session: &mut Session,
     state: &ServerState,
     goal: &str,
-) -> io::Result<()> {
+) -> io::Result<Then> {
     if goal.is_empty() {
-        return writeln!(writer, "err proto usage: query <goal>");
+        writeln!(out, "err proto usage: query <goal>")?;
+        return Ok(Then::Continue);
     }
     let obs = &state.obs;
     if obs.tracer.is_enabled() {
@@ -765,8 +806,13 @@ fn cmd_query(
         Ok(reply) => {
             let elapsed = started.elapsed();
             let ms = elapsed.as_secs_f64() * 1e3;
+            let stages = session.last_stages();
             obs.queries.inc();
             obs.query_latency_ms.observe(ms);
+            obs.stage_parse_ms.observe_duration_ms(stages.parse);
+            obs.stage_lease_ms.observe_duration_ms(stages.lease);
+            obs.stage_solve_ms.observe_duration_ms(stages.solve);
+            obs.stage_render_ms.observe_duration_ms(stages.render);
             obs.query_steps.observe(reply.steps as f64);
             obs.query_heap.observe(reply.heap_high_water as f64);
             obs.slices.add(reply.slices as u64);
@@ -781,10 +827,18 @@ fn cmd_query(
                 if elapsed.as_millis() as u64 >= slow {
                     obs.slow_queries.inc();
                     let program = session.entry().map_or(0, |e| e.hash());
+                    let stage_ms = |d: Duration| d.as_secs_f64() * 1e3;
                     eprintln!(
                         "slow-query program={program:016x} goal={goal} ms={ms:.1} \
-                         steps={} heap={} slices={}",
-                        reply.steps, reply.heap_high_water, reply.slices,
+                         steps={} heap={} slices={} parse_ms={:.3} lease_ms={:.3} \
+                         solve_ms={:.3} render_ms={:.3}",
+                        reply.steps,
+                        reply.heap_high_water,
+                        reply.slices,
+                        stage_ms(stages.parse),
+                        stage_ms(stages.lease),
+                        stage_ms(stages.solve),
+                        stage_ms(stages.render),
                     );
                     if obs.tracer.is_enabled() {
                         obs.tracer.emit(
@@ -812,22 +866,23 @@ fn cmd_query(
             }
             if reply.succeeded {
                 for (name, term) in &reply.bindings {
-                    writeln!(writer, "bind {name} = {term}")?;
+                    writeln!(out, "bind {name} = {term}")?;
                 }
             }
             let status = if reply.succeeded { "ok" } else { "no" };
             match reply.datalog {
                 Some(d) => writeln!(
-                    writer,
+                    out,
                     "done {status} steps={} heap={} slices={} answers={} rounds={} facts={}",
                     reply.steps, reply.heap_high_water, reply.slices, d.answers, d.rounds, d.facts,
-                ),
+                )?,
                 None => writeln!(
-                    writer,
+                    out,
                     "done {status} steps={} heap={} slices={}",
                     reply.steps, reply.heap_high_water, reply.slices,
-                ),
+                )?,
             }
+            Ok(Then::Answered)
         }
         Err(e) => {
             obs.query_errors.inc();
@@ -835,38 +890,85 @@ fn cmd_query(
                 obs.tracer
                     .emit("query_end", vec![("error", e.code().into())]);
             }
-            write_err(writer, &e)
+            write_err(out, &e)?;
+            Ok(Then::Continue)
         }
     }
 }
 
+/// The `stats` command: cache, session and (with a store) durability
+/// figures on one `ok key=value ...` line.
+fn cmd_stats(out: &mut impl Write, state: &ServerState) -> io::Result<()> {
+    let s = state.cache.stats();
+    write!(
+        out,
+        "ok hits={} misses={} evictions={} entries={} sessions={} \
+         quarantined={} retired={} leases={} shed={}",
+        s.hits,
+        s.misses,
+        s.evictions,
+        s.entries,
+        state.active_sessions.load(Ordering::SeqCst),
+        s.quarantined,
+        s.retired,
+        s.leases_active,
+        state.shed.load(Ordering::Relaxed),
+    )?;
+    // Durability fields ride the same line, appended so existing
+    // clients (which parse by field name) never notice. Ages are
+    // reported in ms; `last_fsync_ms` is 0 before the first sync.
+    if let Some(store) = &state.store {
+        let d = store.stats();
+        write!(
+            out,
+            " recovered={} stored={} wal_bytes={} wal_records={} unsynced={} \
+             snapshot_age_ms={} last_fsync_ms={}",
+            state.recovered,
+            d.programs,
+            d.wal_bytes,
+            d.wal_records,
+            d.unsynced_records,
+            d.snapshot_age.map_or(0, |a| a.as_millis() as u64),
+            d.last_fsync_age.map_or(0, |a| a.as_millis() as u64),
+        )?;
+    }
+    // Liveness and build identity close the line; clients parse
+    // by field name, so position is compatibility-irrelevant.
+    writeln!(
+        out,
+        " uptime_ms={} version={}",
+        state.obs.uptime_ms(),
+        env!("CARGO_PKG_VERSION"),
+    )
+}
+
 /// The `metrics` command: a byte-counted Prometheus exposition frame,
 /// mirroring the `load` payload framing so the body may span lines.
-fn cmd_metrics(writer: &mut TcpStream, state: &ServerState) -> io::Result<()> {
+fn cmd_metrics(out: &mut impl Write, state: &ServerState) -> io::Result<()> {
     let body = scrape(state);
-    writeln!(writer, "ok {}", body.len())?;
-    writer.write_all(body.as_bytes())
+    writeln!(out, "ok {}", body.len())?;
+    out.write_all(body.as_bytes())
 }
 
 /// The `trace` command. `on`/`off` toggle the **server-global** ring (the
 /// trace is a server diagnostic, not a per-tenant stream — sessions share
 /// one ring); `dump` drains it as byte-counted JSONL.
-fn cmd_trace(writer: &mut TcpStream, state: &ServerState, arg: &str) -> io::Result<()> {
+fn cmd_trace(out: &mut impl Write, state: &ServerState, arg: &str) -> io::Result<()> {
     match arg.trim() {
         "on" => {
             state.obs.tracer.set_enabled(true);
-            writeln!(writer, "ok trace=on")
+            writeln!(out, "ok trace=on")
         }
         "off" => {
             state.obs.tracer.set_enabled(false);
-            writeln!(writer, "ok trace=off")
+            writeln!(out, "ok trace=off")
         }
         "dump" => {
             let body = state.obs.tracer.jsonl(true);
-            writeln!(writer, "ok {}", body.len())?;
-            writer.write_all(body.as_bytes())
+            writeln!(out, "ok {}", body.len())?;
+            out.write_all(body.as_bytes())
         }
-        _ => writeln!(writer, "err proto usage: trace on|off|dump"),
+        _ => writeln!(out, "err proto usage: trace on|off|dump"),
     }
 }
 
@@ -895,13 +997,7 @@ fn metrics_loop(listener: TcpListener, state: &Arc<ServerState>) {
                 let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
                 let mut discard = [0u8; 1024];
                 let _ = stream.read(&mut discard);
-                let body = scrape(state);
-                let _ = write!(
-                    stream,
-                    "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-                     Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                    body.len(),
-                );
+                http_scrape(stream, state);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(READ_TICK);
@@ -911,15 +1007,28 @@ fn metrics_loop(listener: TcpListener, state: &Arc<ServerState>) {
     }
 }
 
-fn cmd_engine(writer: &mut TcpStream, session: &mut Session, name: &str) -> io::Result<()> {
+/// One HTTP/1.0 response carrying the current exposition, as one frame.
+fn http_scrape(sink: impl Write, state: &ServerState) {
+    let body = scrape(state);
+    let mut frame = Frame::new(sink, &state.obs);
+    let _ = write!(
+        frame,
+        "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len(),
+    )
+    .and_then(|()| frame.finish());
+}
+
+fn cmd_engine(out: &mut impl Write, session: &mut Session, name: &str) -> io::Result<()> {
     let engine = match name.trim() {
         "sld" => EngineKind::Sld,
         "bottom-up" => EngineKind::BottomUp,
-        _ => return writeln!(writer, "err proto usage: engine sld|bottom-up"),
+        _ => return writeln!(out, "err proto usage: engine sld|bottom-up"),
     };
     session.set_engine(engine);
     writeln!(
-        writer,
+        out,
         "ok engine={}",
         if engine == EngineKind::Sld {
             "sld"
@@ -929,9 +1038,9 @@ fn cmd_engine(writer: &mut TcpStream, session: &mut Session, name: &str) -> io::
     )
 }
 
-fn cmd_budget(writer: &mut TcpStream, session: &mut Session, args: &str) -> io::Result<()> {
+fn cmd_budget(out: &mut impl Write, session: &mut Session, args: &str) -> io::Result<()> {
     let mut budget = session.budget();
-    let reply = match args.split_once(' ').map(|(k, v)| (k, v.trim())) {
+    let parsed = match args.split_once(' ').map(|(k, v)| (k, v.trim())) {
         Some(("steps", "off")) => {
             budget.steps = None;
             Ok(())
@@ -952,16 +1061,303 @@ fn cmd_budget(writer: &mut TcpStream, session: &mut Session, args: &str) -> io::
         Some(("quantum", v)) => v.parse().map(|n| budget.quantum = n),
         _ => {
             return writeln!(
-                writer,
+                out,
                 "err proto usage: budget steps|heap|wall <n|off> | budget quantum <n>"
             );
         }
     };
-    match reply {
+    match parsed {
         Ok(()) => {
             session.set_budget(budget);
-            writeln!(writer, "ok")
+            writeln!(out, "ok")
         }
-        Err(_) => writeln!(writer, "err proto not a number: `{args}`"),
+        Err(_) => writeln!(out, "err proto not a number: `{args}`"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::FRAME_BYTES;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Clone, Default)]
+    struct Wire(Rc<RefCell<Vec<Vec<u8>>>>);
+
+    impl Write for Wire {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.0.borrow_mut().push(data.to_vec());
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A peer that sends its script and then hangs up — or, when `silent`,
+    /// stays connected and sends nothing more (every read times out).
+    struct Peer {
+        script: io::Cursor<Vec<u8>>,
+        silent: bool,
+    }
+
+    impl Read for Peer {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.script.read(buf)? {
+                0 if self.silent => Err(io::ErrorKind::WouldBlock.into()),
+                n => Ok(n),
+            }
+        }
+    }
+
+    /// A server's shared state without its threads. The listener is only
+    /// somewhere for `shutdown`'s nudge to land.
+    fn state() -> (ServerState, TcpListener) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let state = ServerState {
+            addr: listener.local_addr().expect("bound"),
+            cache: Arc::new(TemplateCache::new(
+                8,
+                MachineConfig::default(),
+                PoolConfig::default(),
+            )),
+            default_budget: SessionBudget::default(),
+            stop: AtomicBool::new(false),
+            active_sessions: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            io_timeout: Duration::from_secs(10),
+            idle_timeout: None,
+            store: None,
+            recovered: 0,
+            obs: Arc::new(ServeObs::new(None)),
+        };
+        (state, listener)
+    }
+
+    /// Runs one connection over `script` through the real connection loop
+    /// and returns the writes its sink saw, in order.
+    fn converse(state: &ServerState, script: &[u8], silent: bool) -> Vec<Vec<u8>> {
+        let wire = Wire::default();
+        let peer = BufReader::new(Peer {
+            script: io::Cursor::new(script.to_vec()),
+            silent,
+        });
+        let _ = serve_frames(peer, Frame::new(wire.clone(), &state.obs), state);
+        wire.0.take()
+    }
+
+    fn load(source: &str) -> String {
+        format!("load {}\n{source}", source.len())
+    }
+
+    fn text(write: &[u8]) -> &str {
+        std::str::from_utf8(write).expect("replies are utf-8")
+    }
+
+    const PROGRAM: &str = "p(1). wide(a, b, c, d, e, f, g, h).\n\
+                           count(0). count(N) :- N > 0, N1 is N - 1, count(N1).";
+
+    /// Every verb and every `err` class the loop can produce in process:
+    /// the sink sees exactly one write per reply, each a whole reply.
+    #[test]
+    fn every_reply_leaves_in_one_write() {
+        #[cfg(feature = "failpoints")]
+        let _shared = crate::faultsync::shared();
+        let (state, _listener) = state();
+        let script: Vec<(Vec<u8>, &str)> = vec![
+            ("query p(X)\n".into(), "err no-program "),
+            (load("p(1").into(), "err parse "),
+            ("load 99999999999\n".into(), "err too-large "),
+            ("load many\n".into(), "err proto usage: load"),
+            (
+                b"load 2\n\xff\xfe".to_vec(),
+                "err proto program is not valid utf-8",
+            ),
+            (load(PROGRAM).into(), "ok program="),
+            (load(PROGRAM).into(), "ok program="),
+            ("query p(X)\n".into(), "bind X = 1\ndone ok "),
+            ("query p(2)\n".into(), "done no "),
+            (
+                "query wide(A, B, C, D, E, F, G, H)\n".into(),
+                "bind A = a\nbind B = b\nbind C = c\nbind D = d\nbind E = e\n\
+                 bind F = f\nbind G = g\nbind H = h\ndone ok ",
+            ),
+            ("query nowhere(X)\n".into(), "err engine "),
+            ("query p(\n".into(), "err parse "),
+            ("query\n".into(), "err proto usage: query"),
+            ("budget steps 5\n".into(), "ok\n"),
+            ("query count(50)\n".into(), "err budget "),
+            ("budget steps off\n".into(), "ok\n"),
+            ("budget heap 64\n".into(), "ok\n"),
+            ("budget wall 1000\n".into(), "ok\n"),
+            ("budget quantum 9\n".into(), "ok\n"),
+            ("budget heap off\n".into(), "ok\n"),
+            ("budget\n".into(), "err proto usage: budget"),
+            ("budget steps many\n".into(), "err proto not a number"),
+            ("engine magic\n".into(), "err proto usage: engine"),
+            ("engine bottom-up\n".into(), "ok engine=bottom-up\n"),
+            ("query count(3)\n".into(), "err engine bottom-up"),
+            ("engine sld\n".into(), "ok engine=sld\n"),
+            ("stats\n".into(), "ok hits="),
+            ("trace on\n".into(), "ok trace=on\n"),
+            ("query count(3)\n".into(), "done ok "),
+            ("trace off\n".into(), "ok trace=off\n"),
+            ("trace dump\n".into(), "ok "),
+            ("trace sideways\n".into(), "err proto usage: trace"),
+            ("metrics\n".into(), "ok "),
+            ("frobnicate\n".into(), "err proto unknown command"),
+            ("quit\n".into(), "ok bye\n"),
+        ];
+        // A blank line renders nothing, so it costs no write either.
+        let mut input = b"\n".to_vec();
+        for (command, _) in &script {
+            input.extend_from_slice(command);
+        }
+        input.extend_from_slice(b"stats\n"); // after `quit`: never answered
+
+        let writes = converse(&state, &input, false);
+        assert_eq!(text(&writes[0]), "ok granlog-serve\n");
+        for (i, (command, want)) in script.iter().enumerate() {
+            let got = writes.get(i + 1).map_or("<no write>", |w| text(w));
+            assert!(
+                got.starts_with(want) && got.ends_with('\n'),
+                "{:?} answered {got:?}, expected one write starting {want:?}",
+                String::from_utf8_lossy(command)
+            );
+        }
+        assert_eq!(writes.len(), script.len() + 1, "one write per reply");
+
+        // The registry saw what the sink saw.
+        let obs = &state.obs;
+        assert_eq!(obs.reply_frames.get(), writes.len() as u64);
+        assert_eq!(obs.reply_writes.get(), writes.len() as u64);
+        let bytes: usize = writes.iter().map(Vec::len).sum();
+        assert_eq!(obs.reply_bytes.get(), bytes as u64);
+        // Four answered queries (p, p(2), wide, count(3)) were attributed.
+        assert_eq!(obs.queries.get(), 4);
+        for stage in [
+            &obs.stage_parse_ms,
+            &obs.stage_lease_ms,
+            &obs.stage_solve_ms,
+            &obs.stage_render_ms,
+            &obs.stage_write_ms,
+        ] {
+            assert_eq!(stage.count(), 4);
+        }
+    }
+
+    /// Every way the loop refuses a peer and hangs up: greeting, then one
+    /// write carrying the typed `err` line, then nothing.
+    #[test]
+    fn every_refusal_is_one_write_then_a_close() {
+        #[cfg(feature = "failpoints")]
+        let _shared = crate::faultsync::shared();
+        let refusal = |tweak: &dyn Fn(&mut ServerState), script: &[u8], silent: bool| {
+            let (mut state, _listener) = state();
+            tweak(&mut state);
+            let writes = converse(&state, script, silent);
+            assert_eq!(writes.len(), 2, "greeting + refusal: {writes:?}");
+            assert_eq!(state.obs.reply_writes.get(), 2);
+            text(&writes[1]).to_string()
+        };
+        let stopped = |s: &mut ServerState| s.stop.store(true, Ordering::SeqCst);
+        let no_patience = |s: &mut ServerState| {
+            s.io_timeout = Duration::ZERO;
+            s.idle_timeout = Some(Duration::ZERO);
+        };
+        let oversized = vec![b'a'; MAX_COMMAND_BYTES + 10];
+
+        assert_eq!(
+            refusal(&stopped, b"", true),
+            "err shutdown server is shutting down\n"
+        );
+        // Drain discipline: a command read after the flag rose is refused.
+        assert_eq!(
+            refusal(&stopped, b"stats\nstats\n", false),
+            "err shutdown server is shutting down\n"
+        );
+        assert!(refusal(&no_patience, b"", true).starts_with("err timeout idle "));
+        assert!(refusal(&no_patience, b"quer", true).starts_with("err timeout torn frame: command"));
+        assert!(refusal(&|_| {}, b"stats \xff\xfe\nstats\n", false)
+            .starts_with("err proto command stream"));
+        assert!(refusal(&|_| {}, &oversized, true).starts_with("err too-large command line"));
+        assert!(refusal(&|_| {}, b"load 100\np(1).", false)
+            .starts_with("err timeout torn frame: load payload"));
+        assert!(refusal(&no_patience, b"load 100\np(1).", true)
+            .starts_with("err timeout torn frame: load payload"));
+    }
+
+    #[test]
+    fn shutdown_is_acknowledged_before_the_flag_rises() {
+        #[cfg(feature = "failpoints")]
+        let _shared = crate::faultsync::shared();
+        let (state, _listener) = state();
+        let writes = converse(&state, b"shutdown\nstats\n", false);
+        assert_eq!(writes.len(), 2);
+        assert_eq!(text(&writes[1]), "ok shutting-down\n");
+        assert!(state.stop.load(Ordering::SeqCst));
+    }
+
+    /// The two writers outside the connection loop — the acceptor's shed
+    /// refusal and the HTTP scrape response — are frames too.
+    #[test]
+    fn shed_and_scrape_replies_are_frames() {
+        let (state, _listener) = state();
+        let wire = Wire::default();
+        shed(wire.clone(), &state.obs);
+        let writes = wire.0.take();
+        assert_eq!(writes.len(), 1);
+        assert!(text(&writes[0]).starts_with("err overloaded "));
+
+        let wire = Wire::default();
+        http_scrape(wire.clone(), &state);
+        let writes = wire.0.take();
+        let response = writes.concat();
+        assert!(text(&response).starts_with("HTTP/1.0 200 OK\r\n"));
+        assert!(text(&response).contains("\r\n\r\n# TYPE granlog_"));
+        assert_eq!(writes.len(), response.len().div_ceil(FRAME_BYTES));
+        assert_eq!(state.obs.reply_frames.get(), 2);
+    }
+
+    /// A reply of several buffers' worth streams: buffer-sized writes, the
+    /// bytes identical to rendering the answer in one piece.
+    #[test]
+    fn a_reply_larger_than_the_buffer_streams_in_buffer_sized_writes() {
+        #[cfg(feature = "failpoints")]
+        let _shared = crate::faultsync::shared();
+        let (state, _listener) = state();
+        let facts: String = (0..6000).map(|i| format!("n({i}, item_{i}).\n")).collect();
+        let script = format!("{}engine bottom-up\nquery n(K, V)\n", load(&facts));
+        let writes = converse(&state, script.as_bytes(), false);
+
+        // greeting, load, engine, then the streamed answer.
+        let streamed = &writes[3..];
+        let mut session = Session::new(Arc::clone(&state.cache), state.default_budget);
+        session.load(&facts).expect("facts parse");
+        session.set_engine(EngineKind::BottomUp);
+        let reply = session.query("n(K, V)").expect("datalog answers");
+        let mut whole = String::new();
+        for (name, term) in &reply.bindings {
+            whole.push_str(&format!("bind {name} = {term}\n"));
+        }
+        let d = reply.datalog.expect("bottom-up stats");
+        whole.push_str(&format!(
+            "done ok steps=0 heap=0 slices=0 answers={} rounds={} facts={}\n",
+            d.answers, d.rounds, d.facts
+        ));
+        assert_eq!(d.answers, 6000);
+        assert_eq!(text(&streamed.concat()), whole);
+
+        assert!(whole.len() > 5 * FRAME_BYTES, "{} bytes", whole.len());
+        assert_eq!(streamed.len(), whole.len().div_ceil(FRAME_BYTES));
+        let (last, full) = streamed.split_last().expect("several writes");
+        assert!(full.iter().all(|w| w.len() == FRAME_BYTES));
+        assert!(last.len() <= FRAME_BYTES);
+        // Four frames; only the streamed one took more than one write.
+        assert_eq!(state.obs.reply_frames.get(), 4);
+        assert_eq!(state.obs.reply_writes.get(), 3 + streamed.len() as u64);
     }
 }

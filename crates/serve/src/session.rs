@@ -104,6 +104,33 @@ pub struct QueryReply {
     pub datalog: Option<DatalogReplyStats>,
 }
 
+/// Where an answered query's time went inside [`Session::query`]: four
+/// consecutive laps of one clock, so they add up to the call's duration.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct QueryStages {
+    /// Parsing the goal text.
+    pub(crate) parse: Duration,
+    /// Checking a machine out of the program's pool (zero under the
+    /// bottom-up engine, which leases none).
+    pub(crate) lease: Duration,
+    /// Solving: every slice under SLD, fixpoint lookup plus answer join
+    /// under bottom-up.
+    pub(crate) solve: Duration,
+    /// Rendering the bindings to text.
+    pub(crate) render: Duration,
+}
+
+/// A clock read once per stage boundary.
+struct Laps(Instant);
+
+impl Laps {
+    /// Time since the previous lap (or the start).
+    fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        now - std::mem::replace(&mut self.0, now)
+    }
+}
+
 /// One tenant's connection state: shared cache handle, loaded program,
 /// budgets.
 pub struct Session {
@@ -111,6 +138,7 @@ pub struct Session {
     entry: Option<Arc<ProgramEntry>>,
     budget: SessionBudget,
     engine: EngineKind,
+    stages: QueryStages,
     /// Event sink for slice yield/resume events; `None` (the default) and a
     /// disabled tracer both cost one branch per slice.
     tracer: Option<Arc<Tracer>>,
@@ -124,6 +152,7 @@ impl Session {
             entry: None,
             budget,
             engine: EngineKind::default(),
+            stages: QueryStages::default(),
             tracer: None,
         }
     }
@@ -182,6 +211,12 @@ impl Session {
         self.entry.as_ref()
     }
 
+    /// Stage times of the last query; complete only when that query was
+    /// answered (an erroring one stops the clock where it failed).
+    pub(crate) fn last_stages(&self) -> QueryStages {
+        self.stages
+    }
+
     /// Runs one query under the session budget, slicing by quantum.
     ///
     /// The whole solve runs under `catch_unwind`: a panic anywhere inside
@@ -204,9 +239,14 @@ impl Session {
     /// fault failed the fixpoint or a join.
     pub fn query(&mut self, goal_text: &str) -> Result<QueryReply, ServeError> {
         let entry = self.entry.clone().ok_or(ServeError::NoProgram)?;
+        let mut clock = Laps(Instant::now());
         let (goal, var_names) = parse_term(goal_text)?;
+        self.stages = QueryStages {
+            parse: clock.lap(),
+            ..QueryStages::default()
+        };
         if self.engine == EngineKind::BottomUp {
-            return query_bottom_up(&entry, &goal, &var_names);
+            return query_bottom_up(&entry, &goal, &var_names, &mut clock, &mut self.stages);
         }
         let quantum = self.budget.quantum.max(1);
         let heap_cells = self.budget.heap_cells;
@@ -217,6 +257,7 @@ impl Session {
         let deadline = session_wall.map(|w| Instant::now() + w);
 
         let mut lease = entry.lease()?;
+        self.stages.lease = clock.lap();
         let tracer = self.tracer.as_deref();
         // AssertUnwindSafe: on panic the closure's only captured state, the
         // leased machine, is quarantined below and never observed again.
@@ -232,16 +273,19 @@ impl Session {
                 tracer,
             )
         }));
+        self.stages.solve = clock.lap();
         match caught {
             Ok(Ok((outcome, slices))) => {
                 let heap_high_water = lease.machine().stats().heap_high_water;
+                let bindings = outcome
+                    .bindings
+                    .iter()
+                    .map(|(name, term)| (name.to_string(), term.to_string()))
+                    .collect();
+                self.stages.render = clock.lap();
                 Ok(QueryReply {
                     succeeded: outcome.succeeded,
-                    bindings: outcome
-                        .bindings
-                        .iter()
-                        .map(|(name, term)| (name.to_string(), term.to_string()))
-                        .collect(),
+                    bindings,
                     steps: outcome.counters.head_attempts,
                     heap_high_water,
                     slices,
@@ -299,15 +343,19 @@ fn query_bottom_up(
     entry: &Arc<ProgramEntry>,
     goal: &granlog_ir::Term,
     var_names: &[granlog_ir::Symbol],
+    clock: &mut Laps,
+    stages: &mut QueryStages,
 ) -> Result<QueryReply, ServeError> {
     let db = entry.datalog()?;
     let answers = db.query(goal, var_names).map_err(ServeError::Datalog)?;
+    stages.solve = clock.lap();
     let mut bindings = Vec::new();
     for i in 0..answers.rows.len() {
         for (name, term) in answers.bindings(i) {
             bindings.push((name.to_string(), term.to_string()));
         }
     }
+    stages.render = clock.lap();
     let stats = db.stats();
     Ok(QueryReply {
         succeeded: answers.succeeded(),

@@ -349,6 +349,35 @@ fn serve_metrics_populated_by_eight_client_stress() {
         Some(0)
     );
 
+    // Attribution: parse, lease, solve and render are consecutive laps of
+    // one clock inside `Session::query`, so nothing of the latency
+    // histogram is left unexplained; the reply's socket write is the fifth
+    // stage, outside that histogram, observed once per answer.
+    let stage = |name: &str| {
+        let h = obs
+            .registry
+            .histogram_snapshot(&format!("granlog_query_{name}_ms"))
+            .expect("serve registers its stage histograms at boot");
+        assert_eq!(h.count, expected, "one {name} observation per answer");
+        h.sum
+    };
+    let staged: f64 = ["parse", "lease", "solve", "render"]
+        .into_iter()
+        .map(stage)
+        .sum();
+    assert!(
+        staged <= latency.sum && staged >= 0.95 * latency.sum,
+        "stages sum to {staged} ms of {} ms served",
+        latency.sum
+    );
+    assert!(stage("write") > 0.0);
+    // Greeting, load, three answers and the farewell per client: six
+    // replies, each of which left in one write.
+    let replies = (CLIENTS * (ROUNDS + 3)) as u64;
+    for counter in ["granlog_reply_frames_total", "granlog_reply_writes_total"] {
+        assert_eq!(obs.registry.counter_value(counter), Some(replies));
+    }
+
     // The exposition itself: well-formed Prometheus text over the client
     // protocol, with the histogram's cumulative buckets summing to count.
     let mut client = ServeClient::connect(addr).expect("connect");

@@ -14,10 +14,11 @@ mod support;
 
 use granlog_benchmarks::all_benchmarks;
 use granlog_serve::{ServeClient, ServeConfig, Server};
-use std::io::{self, BufRead, BufReader};
+use granlog_store::StoreConfig;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-use support::{canonical, expected_answer, start_server};
+use support::{canonical, expected_answer, start_server, temp_dir};
 
 /// Precomputed `(query, succeeded, bindings)` oracle for one benchmark.
 type ExpectedAnswer = (String, bool, Vec<(String, String)>);
@@ -347,7 +348,6 @@ fn idle_connections_are_reaped_with_a_typed_timeout() {
     assert!(line.starts_with("ok granlog-serve"), "{line}");
 
     // Activity resets the clock: pauses shorter than the timeout are fine.
-    use std::io::Write as _;
     let mut writer = stream.try_clone().unwrap();
     for _ in 0..2 {
         std::thread::sleep(Duration::from_millis(150));
@@ -373,10 +373,201 @@ fn idle_connections_are_reaped_with_a_typed_timeout() {
     server.shutdown();
 }
 
+/// A command line with no newline is bounded: past the cap the server
+/// answers `err too-large` and closes instead of buffering whatever a peer
+/// streams for the whole io timeout — and a second tenant never notices.
+#[test]
+fn an_endless_command_line_is_refused_and_costs_the_neighbour_nothing() {
+    let server = start_server(ServeConfig::default());
+    let mut tenant = ServeClient::connect(server.addr()).unwrap();
+    tenant.load("p(1).").unwrap().unwrap();
+
+    let mut hog = TcpStream::connect(server.addr()).unwrap();
+    hog.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut replies = BufReader::new(hog.try_clone().unwrap());
+    let mut line = String::new();
+    replies.read_line(&mut line).unwrap();
+    assert!(line.starts_with("ok granlog-serve"), "{line}");
+    // 2 MiB of goal and still no newline: twice the cap. The server may
+    // cut the connection before the last chunk, hence no `unwrap`.
+    let chunk = vec![b'a'; 64 * 1024];
+    for _ in 0..32 {
+        if hog.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    line.clear();
+    // The refusal may be lost to a reset if our unread bytes pile up at the
+    // server; what must hold is that nothing but a refusal ever arrives.
+    if replies.read_line(&mut line).is_ok() && !line.is_empty() {
+        assert!(line.starts_with("err too-large command line"), "{line}");
+        line.clear();
+        assert_eq!(replies.read_line(&mut line).unwrap_or(0), 0, "then a close");
+    }
+
+    let reply = tenant.query("p(X)").unwrap().unwrap();
+    assert_eq!(reply.bindings, vec![("X".to_string(), "1".to_string())]);
+    // The hog's thread retires just after its socket closes: poll briefly.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while tenant.stats().unwrap().sessions != 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the hog's session must be gone"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    tenant.quit().unwrap();
+    server.shutdown();
+}
+
+/// The wire format, byte for byte: one scripted session whose replies are
+/// compared with `tests/golden/serve_transcript.txt`. Masked: the three
+/// time-dependent `stats` fields, and the byte-counted bodies (`metrics`:
+/// the whole exposition; `trace dump`: everything but each event's kind) —
+/// their `ok <nbytes>` framing is still checked by reading exactly that
+/// many bytes before the next reply.
+#[test]
+fn the_wire_transcript_matches_the_golden_file() {
+    const PROGRAM: &str = "edge(a, b). edge(b, c).\nreach(a).\nreach(T) :- edge(S, T), reach(S).\n\
+        count(0).\ncount(N) :- N > 0, N1 is N - 1, count(N1).\npair(1, two, [3, f(X, X)]).\n";
+    const DATALOG: &str = "edge(a, b). edge(b, c). reach(a). reach(T) :- edge(S, T), reach(S).";
+    let script = [
+        "query count(3)",
+        "load",
+        "load",
+        "query pair(A, B, C)",
+        "query count(3)",
+        "query edge(c, X)",
+        "query count(",
+        "query missing(1)",
+        "budget steps 10",
+        "query count(100)",
+        "budget steps off",
+        "budget heap 100000",
+        "budget wall 5000",
+        "budget quantum 64",
+        "query count(100)",
+        "budget tea 4",
+        "engine bottom-up",
+        "query reach(X)",
+        "load datalog",
+        "query reach(X)",
+        "query edge(X, X)",
+        "engine sld",
+        "engine warp",
+        "stats",
+        "trace on",
+        "query reach(X)",
+        "trace off",
+        "trace dump",
+        "trace dump",
+        "metrics",
+        "",
+        "nonsense",
+        "quit",
+    ];
+
+    let dir = temp_dir("transcript");
+    let server = start_server(ServeConfig {
+        store: Some(StoreConfig::new(&dir)),
+        ..ServeConfig::default()
+    });
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut replies = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    replies.read_line(&mut line).unwrap();
+    let mut transcript = line.clone();
+
+    for command in script {
+        transcript.push_str(&format!("> {command}\n"));
+        match command {
+            "load" => write!(stream, "load {}\n{PROGRAM}", PROGRAM.len()).unwrap(),
+            "load datalog" => write!(stream, "load {}\n{DATALOG}", DATALOG.len()).unwrap(),
+            _ => writeln!(stream, "{command}").unwrap(),
+        }
+        if command.is_empty() {
+            continue; // a blank line has no reply
+        }
+        // Every reply ends with its first `ok` / `done` / `err` line.
+        loop {
+            line.clear();
+            assert_ne!(replies.read_line(&mut line).unwrap(), 0, "closed early");
+            if line.starts_with("bind ") {
+                transcript.push_str(&line);
+                continue;
+            }
+            assert!(
+                ["ok", "done ", "err "].iter().any(|t| line.starts_with(t)),
+                "{command}: {line:?}"
+            );
+            break;
+        }
+        match command {
+            "stats" => {
+                for field in line.split_inclusive(' ') {
+                    match field.split_once('=') {
+                        Some((key @ ("uptime_ms" | "snapshot_age_ms" | "last_fsync_ms"), _)) => {
+                            transcript.push_str(&format!("{key}=* "));
+                        }
+                        _ => transcript.push_str(field),
+                    }
+                }
+            }
+            "metrics" | "trace dump" => {
+                let nbytes: usize = line["ok ".len()..].trim().parse().expect("byte count");
+                let mut body = vec![0u8; nbytes];
+                replies.read_exact(&mut body).unwrap();
+                let body = String::from_utf8(body).expect("utf-8 body");
+                assert!(body.is_empty() || body.ends_with('\n'));
+                if command == "metrics" {
+                    assert!(body.starts_with("# TYPE granlog_"), "{body}");
+                    transcript.push_str("ok <nbytes>\n<exposition>\n");
+                } else {
+                    transcript
+                        .push_str(&format!("ok <nbytes of {} events>\n", body.lines().count()));
+                    for event in body.lines() {
+                        let kind = event
+                            .split("\"kind\":\"")
+                            .nth(1)
+                            .and_then(|k| k.split('"').next());
+                        transcript.push_str(&format!("{}\n", kind.expect("events carry a kind")));
+                    }
+                }
+            }
+            _ => transcript.push_str(&line),
+        }
+    }
+    line.clear();
+    assert_eq!(replies.read_line(&mut line).unwrap(), 0, "`quit` closes");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let golden = include_str!("golden/serve_transcript.txt");
+    if transcript != golden {
+        let actual = std::env::temp_dir().join("granlog-serve-transcript.actual");
+        std::fs::write(&actual, &transcript).unwrap();
+        let differs = transcript
+            .lines()
+            .zip(golden.lines())
+            .position(|(got, want)| got != want)
+            .unwrap_or_else(|| transcript.lines().count().min(golden.lines().count()));
+        panic!(
+            "the wire transcript left tests/golden/serve_transcript.txt at line {}: \
+             got {:?}, golden {:?} (whole transcript written to {})",
+            differs + 1,
+            transcript.lines().nth(differs),
+            golden.lines().nth(differs),
+            actual.display()
+        );
+    }
+}
+
 mod protocol_fuzz {
     use super::*;
     use proptest::prelude::*;
-    use std::io::{Read as _, Write as _};
     use std::sync::OnceLock;
 
     /// One server shared by every fuzz case: the property under test is
