@@ -1,8 +1,7 @@
 //! # granlog-bench
 //!
-//! Experiment harness binaries and Criterion micro-benchmarks that regenerate
-//! the tables and figures of *Task Granularity Analysis in Logic Programs*
-//! (PLDI 1990).
+//! Experiment harness binaries that regenerate the tables and figures of
+//! *Task Granularity Analysis in Logic Programs* (PLDI 1990).
 //!
 //! Binaries (run with `cargo run --release -p granlog-bench --bin <name>`):
 //!
@@ -15,71 +14,13 @@
 //! | `run_all_experiments` | everything above, plus ablations |
 //!
 //! This library crate contains small formatting helpers shared by the
-//! binaries and the integration tests, plus (behind the default `alloc-count`
-//! feature) the counting global allocator that lets `bench_snapshot` and
-//! `alloc_profile` track allocations per resolution.
+//! binaries and the integration tests. The package also hosts the
+//! workspace-level integration suites under `tests/`. Nothing here measures
+//! wall clock: timings come from `benchmark/`, and the engines' operation
+//! counts are pinned by `tests/counter_oracle.rs`.
 
 use granlog_benchmarks::TableRow;
 use std::fmt::Write as _;
-
-/// A counting [`GlobalAlloc`](std::alloc::GlobalAlloc) wrapper around the
-/// system allocator, installed as the global allocator of every binary
-/// linking this crate when the (default) `alloc-count` feature is on.
-///
-/// The per-call overhead is one relaxed atomic increment — invisible next to
-/// the allocation itself — so the timing loops of `bench_snapshot` remain
-/// representative. Disable the feature (`--no-default-features`) for a
-/// byte-identical-to-system allocator build.
-#[cfg(feature = "alloc-count")]
-pub mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static FREES: AtomicU64 = AtomicU64::new(0);
-
-    /// The counting allocator (see the module docs).
-    pub struct Counting;
-
-    // SAFETY: defers entirely to `System`, only adding relaxed counters.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            FREES.fetch_add(1, Ordering::Relaxed);
-            System.dealloc(ptr, layout)
-        }
-    }
-
-    #[global_allocator]
-    static COUNTING: Counting = Counting;
-
-    /// Total allocations since process start.
-    pub fn allocations() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
-    }
-
-    /// Total frees since process start.
-    pub fn frees() -> u64 {
-        FREES.load(Ordering::Relaxed)
-    }
-}
-
-/// The number of allocations performed so far, if the `alloc-count` feature
-/// is enabled (`None` otherwise). Subtract two readings to attribute
-/// allocator traffic to a code region.
-pub fn allocations_now() -> Option<u64> {
-    #[cfg(feature = "alloc-count")]
-    {
-        Some(alloc_count::allocations())
-    }
-    #[cfg(not(feature = "alloc-count"))]
-    {
-        None
-    }
-}
 
 /// Renders Table-1/Table-2 style rows as a fixed-width text table.
 pub fn format_table(title: &str, rows: &[TableRow]) -> String {

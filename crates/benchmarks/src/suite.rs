@@ -247,8 +247,8 @@ pub fn nrev_benchmark() -> Benchmark {
 }
 
 /// Control-construct benchmarks (not part of the paper's tables): programs
-/// dominated by cut-driven pruning and if-then-else dispatch, tracking the
-/// engine's compiled-control path in the benchmark snapshot.
+/// dominated by cut-driven pruning and if-then-else dispatch, so the
+/// engine's compiled-control path is in every corpus-wide suite.
 pub fn control_benchmarks() -> Vec<Benchmark> {
     vec![
         Benchmark {
@@ -294,7 +294,7 @@ pub struct DatalogBenchmark {
     topology: fn(usize, u64) -> String,
     /// Seed for the topology generator (fixed per family).
     pub seed: u64,
-    /// Host count used by the benchmark snapshot (thousands of hosts).
+    /// Host count the counter oracle pins (thousands of hosts).
     pub default_size: usize,
     /// Smaller host count suitable for the differential test suite.
     pub test_size: usize,
@@ -327,7 +327,7 @@ impl DatalogBenchmark {
         ]
     }
 
-    /// The snapshot label, e.g. `attack_chain(2000)`.
+    /// The label at the default size, e.g. `attack_chain(2000)`.
     pub fn label(&self) -> String {
         format!("{}({})", self.name, self.default_size)
     }

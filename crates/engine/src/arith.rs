@@ -55,15 +55,26 @@ fn err(msg: impl Into<String>) -> EngineError {
     EngineError::Arithmetic(msg.into())
 }
 
-fn binary_int_or_float(
+/// The result of a checked `i64` operation: `None` is an overflow, which is
+/// an error (ISO's `evaluation_error(int_overflow)`), never a wrapped value
+/// and never a panic.
+fn int(checked: Option<i64>, op: &str) -> EngineResult<Num> {
+    checked
+        .map(Num::Int)
+        .ok_or_else(|| err(format!("integer overflow in {op}")))
+}
+
+/// `+`, `-`, `*`: checked on two integers, floating point otherwise.
+fn int_or_float(
     a: Num,
     b: Num,
-    fi: impl Fn(i64, i64) -> i64,
+    op: &str,
+    fi: impl Fn(i64, i64) -> Option<i64>,
     ff: impl Fn(f64, f64) -> f64,
-) -> Num {
+) -> EngineResult<Num> {
     match (a, b) {
-        (Num::Int(x), Num::Int(y)) => Num::Int(fi(x, y)),
-        _ => Num::Float(ff(a.as_f64(), b.as_f64())),
+        (Num::Int(x), Num::Int(y)) => int(fi(x, y), op),
+        _ => Ok(Num::Float(ff(a.as_f64(), b.as_f64()))),
     }
 }
 
@@ -181,7 +192,8 @@ fn table() -> &'static FastMap<(Symbol, usize), ArithOp> {
 /// # Errors
 ///
 /// Returns [`EngineError::Arithmetic`] for unbound variables, non-numeric
-/// operands, unknown functions, or division by zero.
+/// operands, unknown functions, division by zero, or an integer result
+/// that does not fit in 64 bits.
 pub(crate) fn eval(machine: &Machine<'_>, idx: usize) -> EngineResult<Num> {
     let d = machine.deref_idx(idx);
     match machine.cell(d) {
@@ -249,15 +261,15 @@ fn apply_op(op: ArithOp, a: Num, b: Option<Num>) -> EngineResult<Num> {
     match op {
         ArithOp::Add => {
             let b = b.expect("binary op");
-            Ok(binary_int_or_float(a, b, i64::wrapping_add, |x, y| x + y))
+            int_or_float(a, b, "+", i64::checked_add, |x, y| x + y)
         }
         ArithOp::Sub => {
             let b = b.expect("binary op");
-            Ok(binary_int_or_float(a, b, i64::wrapping_sub, |x, y| x - y))
+            int_or_float(a, b, "-", i64::checked_sub, |x, y| x - y)
         }
         ArithOp::Mul => {
             let b = b.expect("binary op");
-            Ok(binary_int_or_float(a, b, i64::wrapping_mul, |x, y| x * y))
+            int_or_float(a, b, "*", i64::checked_mul, |x, y| x * y)
         }
         ArithOp::Div => {
             let b = b.expect("binary op");
@@ -265,33 +277,34 @@ fn apply_op(op: ArithOp, a: Num, b: Option<Num>) -> EngineResult<Num> {
                 return Err(err("division by zero"));
             }
             match (a, b) {
-                (Num::Int(x), Num::Int(y)) if x % y == 0 => Ok(Num::Int(x / y)),
+                // An exact integer quotient stays an integer. `checked_rem`
+                // is `None` only for `i64::MIN / -1`: exact, but too large.
+                (Num::Int(x), Num::Int(y)) if matches!(x.checked_rem(y), None | Some(0)) => {
+                    int(x.checked_div(y), "/")
+                }
                 _ => Ok(Num::Float(a.as_f64() / b.as_f64())),
             }
         }
         ArithOp::IntDiv => match (a, b.expect("binary op")) {
             (_, Num::Int(0)) => Err(err("division by zero")),
-            (Num::Int(x), Num::Int(y)) => Ok(Num::Int(x.div_euclid(y))),
+            (Num::Int(x), Num::Int(y)) => int(x.checked_div_euclid(y), "//"),
             _ => Err(err("// requires integer operands")),
         },
         ArithOp::Mod | ArithOp::Rem => match (a, b.expect("binary op")) {
             (_, Num::Int(0)) => Err(err("modulo by zero")),
-            (Num::Int(x), Num::Int(y)) => Ok(Num::Int(if op == ArithOp::Mod {
-                x.rem_euclid(y)
-            } else {
-                x % y
-            })),
+            (Num::Int(x), Num::Int(y)) if op == ArithOp::Mod => int(x.checked_rem_euclid(y), "mod"),
+            (Num::Int(x), Num::Int(y)) => int(x.checked_rem(y), "rem"),
             _ => Err(err("mod requires integer operands")),
         },
-        ArithOp::Neg => Ok(match a {
-            Num::Int(x) => Num::Int(-x),
-            Num::Float(x) => Num::Float(-x),
-        }),
+        ArithOp::Neg => match a {
+            Num::Int(x) => int(x.checked_neg(), "-"),
+            Num::Float(x) => Ok(Num::Float(-x)),
+        },
         ArithOp::Plus => Ok(a),
-        ArithOp::Abs => Ok(match a {
-            Num::Int(x) => Num::Int(x.abs()),
-            Num::Float(x) => Num::Float(x.abs()),
-        }),
+        ArithOp::Abs => match a {
+            Num::Int(x) => int(x.checked_abs(), "abs"),
+            Num::Float(x) => Ok(Num::Float(x.abs())),
+        },
         ArithOp::Sign => Ok(match a {
             Num::Int(x) => Num::Int(x.signum()),
             Num::Float(x) => Num::Float(x.signum()),
@@ -311,9 +324,10 @@ fn apply_op(op: ArithOp, a: Num, b: Option<Num>) -> EngineResult<Num> {
         ArithOp::PowFloat | ArithOp::PowInt => {
             let b = b.expect("binary op");
             match (a, b) {
-                (Num::Int(x), Num::Int(y)) if y >= 0 && op == ArithOp::PowInt => Ok(Num::Int(
-                    x.pow(u32::try_from(y).map_err(|_| err("exponent too large"))?),
-                )),
+                (Num::Int(x), Num::Int(y)) if y >= 0 && op == ArithOp::PowInt => {
+                    let y = u32::try_from(y).map_err(|_| err("exponent too large"))?;
+                    int(x.checked_pow(y), "^")
+                }
                 _ => Ok(Num::Float(a.as_f64().powf(b.as_f64()))),
             }
         }
@@ -416,6 +430,39 @@ mod tests {
         assert!(eval_src("X + 1").is_err());
         assert!(eval_src("foo(3)").is_err());
         assert!(eval_src("hello").is_err());
+        // An integer result that does not fit is an error: never a wrapped
+        // value, never a panic.
+        const MIN: &str = "(-9223372036854775807 - 1)";
+        for src in [
+            "9223372036854775807 + 1",
+            "-9223372036854775807 - 2",
+            "4611686018427387904 * 2",
+            "MIN // -1",
+            "MIN / -1",
+            "MIN mod -1",
+            "MIN rem -1",
+            "-MIN",
+            "abs(MIN)",
+            "2 ^ 63",
+        ] {
+            match eval_src(&src.replace("MIN", MIN)) {
+                Err(EngineError::Arithmetic(msg)) => {
+                    assert!(msg.contains("integer overflow"), "{src}: {msg}")
+                }
+                other => panic!("{src} must overflow, got {other:?}"),
+            }
+        }
+        // The extremes themselves are representable.
+        assert_eq!(eval_src(MIN).unwrap(), Num::Int(i64::MIN));
+        assert_eq!(
+            eval_src("9223372036854775806 + 1").unwrap(),
+            Num::Int(i64::MAX)
+        );
+        assert_eq!(eval_src("2 ^ 62").unwrap(), Num::Int(1 << 62));
+        assert_eq!(
+            eval_src(&format!("{MIN} // 1")).unwrap(),
+            Num::Int(i64::MIN)
+        );
     }
 
     #[test]

@@ -317,18 +317,13 @@ impl QueryOutcome {
 }
 
 /// Peak-usage statistics of the machine's memory structures, reset per
-/// query. Diagnostic only (used by `alloc_profile`); maintained off the
-/// per-goal hot path except for one compare in the goal push.
+/// query. `heap_high_water` feeds the serve pool's retire policy and
+/// `QueryReply`. Neither mark is touched per goal: the heap's is noted
+/// where the arena is about to shrink, the barriers' where one is pushed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineStats {
     /// High-water mark of the arena heap, in cells.
     pub heap_high_water: usize,
-    /// High-water mark of the goal stack, in goals.
-    pub goal_stack_high_water: usize,
-    /// Deepest simultaneously-live choice-point count.
-    pub max_choice_depth: usize,
-    /// High-water mark of the binding trail, in entries.
-    pub trail_high_water: usize,
     /// Deepest simultaneously-live barrier count (nesting of negations,
     /// if-then-else conditions and `&` arms).
     pub max_barrier_depth: usize,
@@ -935,7 +930,6 @@ impl<'p> Machine<'p> {
         match injected.and_then(|()| self.run(hook, &limits)) {
             Ok(RunState::Done(succeeded)) => {
                 self.note_heap_high_water();
-                self.stats.trail_high_water = self.stats.trail_high_water.max(self.trail.len());
                 let bindings = self
                     .query_vars
                     .iter()
@@ -977,7 +971,6 @@ impl<'p> Machine<'p> {
         // claiming them is enough to keep anyone from starting them.
         self.cancel_offers(None, 0);
         self.note_heap_high_water();
-        self.stats.trail_high_water = self.stats.trail_high_water.max(self.trail.len());
         self.heap.clear();
         self.trail.clear();
         self.goal_top = 0;
@@ -1614,9 +1607,6 @@ impl<'p> Machine<'p> {
             self.goal_stack[self.goal_top] = goal;
         }
         self.goal_top += 1;
-        if self.goal_top > self.stats.goal_stack_high_water {
-            self.stats.goal_stack_high_water = self.goal_top;
-        }
         Ok(())
     }
 
@@ -1673,7 +1663,6 @@ impl<'p> Machine<'p> {
             heap_mark,
             goal_trail_mark,
         });
-        self.stats.max_choice_depth = self.stats.max_choice_depth.max(self.choice_points.len());
     }
 
     /// Discards choice points above `cp_base` without restoring state —
@@ -1695,7 +1684,6 @@ impl<'p> Machine<'p> {
         while self.choice_points.len() > self.base_cp {
             let cp = self.choice_points.pop().expect("length checked");
             self.protect = cp.protect_prev;
-            self.stats.trail_high_water = self.stats.trail_high_water.max(self.trail.len());
             self.undo_trail(cp.trail_mark);
             self.note_heap_high_water();
             self.heap.truncate(cp.heap_mark);
@@ -1762,7 +1750,6 @@ impl<'p> Machine<'p> {
     /// Undoes bindings and arena growth back to a barrier's entry marks (the
     /// "condition failed" / "negation" exit path).
     fn undo_to_barrier(&mut self, trail_mark: usize, heap_mark: usize) {
-        self.stats.trail_high_water = self.stats.trail_high_water.max(self.trail.len());
         self.undo_trail(trail_mark);
         self.note_heap_high_water();
         self.heap.truncate(heap_mark);
@@ -2688,7 +2675,6 @@ impl<'p> Machine<'p> {
                     return Ok(true);
                 }
             }
-            self.stats.trail_high_water = self.stats.trail_high_water.max(self.trail.len());
             self.undo_trail(trail_mark);
             self.note_heap_high_water();
             self.heap.truncate(heap_mark);
@@ -3294,10 +3280,6 @@ mod tests {
         assert!(out.succeeded);
         let stats = machine.stats();
         assert!(stats.heap_high_water > 0);
-        assert!(stats.goal_stack_high_water >= 1);
-        // color/1 keeps a clause choice point open while nice/1 fails twice.
-        assert!(stats.max_choice_depth >= 1);
-        assert!(stats.trail_high_water >= 1);
     }
 
     #[test]

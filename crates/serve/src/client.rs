@@ -1,5 +1,5 @@
 //! A scripted client for the serve protocol, used by the integration
-//! tests, the CI smoke job and `bench_serve`. One blocking call per
+//! tests and by the serve workloads of `benchmark/`. One blocking call per
 //! protocol command; replies are parsed into typed results. Like the
 //! server's replies, every command is rendered whole into one reusable
 //! buffer and leaves in a single write (a `load` header together with its

@@ -13,7 +13,7 @@
 //!   queries unwind through the engine's own error path.
 //! - [`server::Server`] — a thread-per-connection TCP front end speaking a
 //!   line protocol, plus [`client::ServeClient`], a scripted client used by
-//!   the integration tests, the CI smoke job and `bench_serve`.
+//!   the integration tests and by the serve workloads of `benchmark/`.
 //!
 //! The CLI exposes all of this as `granlog serve` (see the README).
 

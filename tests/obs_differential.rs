@@ -20,7 +20,7 @@
 //!    produces the same fixpoint and stats as the untraced one, with one
 //!    `datalog_round` event per round; a disabled tracer records nothing.
 //!
-//! Finally the serve acceptance criterion: after an 8-client stress, the
+//! Finally the serve acceptance bar: after an 8-client stress, the
 //! server's registry exposes a latency histogram whose count equals the
 //! number of queries served, and the `metrics` exposition is well-formed.
 
@@ -297,7 +297,7 @@ fn datalog_traced_evaluation_matches_untraced() {
     assert!(off.is_empty(), "a disabled tracer must record nothing");
 }
 
-/// The ISSUE's serve acceptance criterion: after an 8-client stress the
+/// The serve acceptance bar: after an 8-client stress the
 /// registry's latency histogram has one observation per query served, the
 /// exposition is well-formed Prometheus text, and the trace ring captures
 /// query events once enabled.

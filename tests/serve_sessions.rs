@@ -225,10 +225,23 @@ fn sessions_survive_errors() {
     client.load("p(1).").unwrap().unwrap();
     let err = client.query("p(").unwrap().expect_err("unbalanced goal");
     assert!(!err.is_empty());
+    // An integer result that does not fit in 64 bits is a typed engine
+    // error: no wrapped answer, and no panic for the pool to quarantine.
+    for goal in [
+        "X is -9223372036854775807 - 1, Y is X // -1",
+        "X is 9223372036854775807 + 1",
+    ] {
+        let err = client.query(goal).unwrap().expect_err("overflows");
+        assert!(
+            err.starts_with("engine") && err.contains("integer overflow"),
+            "{goal}: {err}"
+        );
+    }
     // The session still answers.
     let reply = client.query("p(X)").unwrap().unwrap();
     assert!(reply.succeeded);
     assert_eq!(reply.bindings, vec![("X".to_string(), "1".to_string())]);
+    assert_eq!(client.stats().unwrap().quarantined, 0);
 
     client.quit().unwrap();
     server.shutdown();
