@@ -13,9 +13,10 @@
 use crate::diffeq::CombineMode;
 use crate::expr::{Expr, FnRef};
 use crate::sizerel::ClauseSizeAnalysis;
-use granlog_ir::{Clause, ModeDecl, PredId, Program, Term};
+use granlog_ir::{Clause, ModeDecl, PredId, Program, Symbol, Term};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The unit in which work is counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
@@ -57,7 +58,7 @@ impl CostMetric {
             CostMetric::Resolutions | CostMetric::Unifications => 0.0,
             CostMetric::Steps => {
                 // Arithmetic costs a little more than a test.
-                if pred.name.as_str() == "is" {
+                if known_name(pred.name) == "is" {
                     2.0
                 } else {
                     1.0
@@ -67,10 +68,24 @@ impl CostMetric {
     }
 }
 
+/// The name of a builtin predicate or arithmetic functor the analysis
+/// dispatches on, `""` for every other symbol. The names are interned once,
+/// so the lookup, unlike `Symbol::as_str`, takes no interner lock.
+pub(crate) fn known_name(symbol: Symbol) -> &'static str {
+    const NAMES: &str = "is = \\= == \\== < > =< >= =:= =\\= @< @> @=< @>= true fail false ! nl \
+        write var nonvar atom atomic number integer float ground functor arg =.. length \
+        $grain_ge copy_term + - * / // div min max abs mod rem >> <<";
+    static KNOWN: OnceLock<Vec<(Symbol, &str)>> = OnceLock::new();
+    let intern = |name| (Symbol::intern(name), name);
+    let known = KNOWN.get_or_init(|| NAMES.split(' ').map(intern).collect());
+    let found = known.iter().find(|(s, _)| *s == symbol);
+    found.map_or("", |(_, name)| name)
+}
+
 /// Predicates the cost analysis treats as builtins with constant cost.
 pub fn is_builtin(pred: PredId) -> bool {
     matches!(
-        (pred.name.as_str(), pred.arity),
+        (known_name(pred.name), pred.arity),
         ("is", 2)
             | ("=", 2)
             | ("\\=", 2)
@@ -114,7 +129,7 @@ pub struct PredCost {
     /// The predicate's declared input positions (0-based), in order.
     pub input_positions: Vec<usize>,
     /// The parameter symbols corresponding to `input_positions`.
-    pub params: Vec<granlog_ir::Symbol>,
+    pub params: Vec<Symbol>,
     /// Closed-form cost upper bound in terms of `params`.
     pub cost: Expr,
 }
@@ -122,16 +137,7 @@ pub struct PredCost {
 impl PredCost {
     /// Applies the cost function to concrete argument size expressions.
     pub fn apply(&self, args: &[Expr]) -> Expr {
-        if args.len() != self.params.len() {
-            return Expr::Undefined;
-        }
-        let map: BTreeMap<granlog_ir::Symbol, Expr> = self
-            .params
-            .iter()
-            .copied()
-            .zip(args.iter().cloned())
-            .collect();
-        self.cost.subst_vars(&map).simplify()
+        self.cost.apply(&self.params, args)
     }
 }
 
@@ -218,23 +224,20 @@ pub fn clauses_are_exclusive(program: &Program, pred: PredId, modes: &ModeDecl) 
         return true;
     }
     let positions = modes.input_positions();
-    // Per clause and input position: (key, guarded).
-    let info: Vec<Vec<(Option<String>, bool)>> = clauses
+    // Per clause and input position: (the head argument unless it is a
+    // variable, guarded).
+    let info: Vec<Vec<(Option<&Term>, bool)>> = clauses
         .iter()
         .map(|clause| {
+            let guards = leading_guards(clause);
             positions
                 .iter()
                 .map(|&pos| {
                     let arg = &clause.head.args()[pos];
-                    let guarded = has_leading_guard(clause, &arg.variables());
-                    let key = match arg {
-                        Term::Var(_) => None,
-                        Term::Atom(s) => Some(format!("atom:{s}")),
-                        Term::Int(i) => Some(format!("int:{i}")),
-                        Term::Float(x) => Some(format!("float:{}", x.0)),
-                        Term::Struct(s, args) => Some(format!("struct:{s}/{}", args.len())),
-                    };
-                    (key, guarded)
+                    let guarded = guards
+                        .iter()
+                        .any(|guard| guard.args().iter().any(|a| share_a_variable(arg, a)));
+                    ((!matches!(arg, Term::Var(_))).then_some(arg), guarded)
                 })
                 .collect()
         })
@@ -246,7 +249,7 @@ pub fn clauses_are_exclusive(program: &Program, pred: PredId, modes: &ModeDecl) 
                 let (ka, ga) = &info[i][p];
                 let (kb, gb) = &info[j][p];
                 match (ka, kb) {
-                    (Some(a), Some(b)) if a != b => true,
+                    (Some(a), Some(b)) if !same_principal_functor(a, b) => true,
                     (Some(_), Some(_)) => *ga && *gb,
                     (Some(_), None) => *gb,
                     (None, Some(_)) => *ga,
@@ -261,31 +264,37 @@ pub fn clauses_are_exclusive(program: &Program, pred: PredId, modes: &ModeDecl) 
     true
 }
 
-/// Does the clause start (possibly after other guards) with an arithmetic
-/// comparison mentioning one of the given head variables?
-fn has_leading_guard(
-    clause: &Clause,
-    vars: &std::collections::BTreeSet<granlog_ir::VarId>,
-) -> bool {
-    for literal in clause.body_literals() {
-        let Some((name, 2)) = literal.functor() else {
-            return false;
-        };
-        match name.as_str() {
-            ">" | "<" | ">=" | "=<" | "=:=" | "=\\=" | "==" | "\\==" => {
-                let mentions = literal
-                    .args()
-                    .iter()
-                    .any(|a| vars.iter().any(|v| a.contains_var(*v)));
-                if mentions {
-                    return true;
-                }
-                // A guard on other variables: keep scanning.
-            }
-            _ => return false,
-        }
+/// First-argument-style indexing keys: do two non-variable head arguments
+/// have the same constant or the same functor and arity?
+fn same_principal_functor(a: &Term, b: &Term) -> bool {
+    match (a, b) {
+        (Term::Atom(x), Term::Atom(y)) => x == y,
+        (Term::Int(x), Term::Int(y)) => x == y,
+        (Term::Float(x), Term::Float(y)) => x.0.to_bits() == y.0.to_bits(),
+        (Term::Struct(f, xs), Term::Struct(g, ys)) => f == g && xs.len() == ys.len(),
+        _ => false,
     }
-    false
+}
+
+/// The arithmetic comparisons the clause body starts with.
+fn leading_guards(clause: &Clause) -> Vec<&Term> {
+    let is_guard = |literal: &&Term| match literal.functor() {
+        Some((name, 2)) => matches!(
+            known_name(name),
+            ">" | "<" | ">=" | "=<" | "=:=" | "=\\=" | "==" | "\\=="
+        ),
+        _ => false,
+    };
+    let literals = clause.body_literals().into_iter();
+    literals.take_while(is_guard).collect()
+}
+
+fn share_a_variable(a: &Term, b: &Term) -> bool {
+    match a {
+        Term::Var(v) => b.contains_var(*v),
+        Term::Struct(_, args) => args.iter().any(|x| share_a_variable(x, b)),
+        Term::Atom(_) | Term::Int(_) | Term::Float(_) => false,
+    }
 }
 
 /// The combine mode to use for a predicate's difference equations.

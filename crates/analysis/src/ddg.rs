@@ -13,7 +13,7 @@
 //! the program's mode table.
 
 use crate::measure::{Measure, MeasureVec, SizeFunctions};
-use granlog_ir::{Clause, ModeDecl, PredId, Term};
+use granlog_ir::{Clause, ModeDecl, PredId, Term, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -67,13 +67,17 @@ impl fmt::Display for ArgPos {
     }
 }
 
-/// The data dependency graph of a single clause.
+/// The data dependency graph of a single clause, borrowing the clause's
+/// terms and the head's mode declaration.
 #[derive(Debug, Clone)]
-pub struct Ddg {
-    head: Term,
+pub struct Ddg<'a> {
+    head: &'a Term,
     head_pred: Option<PredId>,
-    head_modes: ModeDecl,
-    literals: Vec<Term>,
+    head_modes: &'a ModeDecl,
+    /// The head's input and output positions under `head_modes`.
+    head_inputs: Vec<usize>,
+    head_outputs: Vec<usize>,
+    literals: Vec<&'a Term>,
     /// Input positions per body literal (0-based indices).
     literal_inputs: Vec<Vec<usize>>,
     /// Output positions per body literal.
@@ -85,35 +89,35 @@ pub struct Ddg {
     sources: BTreeMap<ArgPos, Vec<ArgPos>>,
 }
 
-impl Ddg {
+impl<'a> Ddg<'a> {
     /// Builds the data dependency graph of `clause`, whose head modes are
     /// given by `head_modes`.
     ///
     /// # Panics
     ///
     /// Panics if `head_modes` does not match the head's arity.
-    pub fn build(clause: &Clause, head_modes: &ModeDecl) -> Ddg {
+    pub fn build(clause: &'a Clause, head_modes: &'a ModeDecl) -> Ddg<'a> {
         assert_eq!(
             head_modes.modes.len(),
             clause.head.args().len(),
             "mode declaration does not match head arity"
         );
-        let literals: Vec<Term> = clause.body_literals().into_iter().cloned().collect();
-        let head = clause.head.clone();
+        let literals = clause.body_literals();
+        let head = &clause.head;
+        let head_inputs = head_modes.input_positions();
+        let head_outputs = head_modes.output_positions();
 
-        // Variables bound so far, mapped to the positions that produced them
-        // (most recent producer last).
-        let mut producers: BTreeMap<usize, Vec<ArgPos>> = BTreeMap::new();
-        let mut bound: BTreeSet<usize> = BTreeSet::new();
+        // Per clause variable, the positions that produced it (most recent
+        // producer last); a variable is bound once it is in the table.
+        let mut producers: BTreeMap<VarId, Vec<ArgPos>> = BTreeMap::new();
+        // The variables of the argument at hand.
+        let mut vars: BTreeSet<VarId> = BTreeSet::new();
 
-        for pos in head_modes.input_positions() {
-            let arg = &head.args()[pos];
-            for v in arg.variables() {
-                bound.insert(v);
-                producers
-                    .entry(v)
-                    .or_default()
-                    .push(ArgPos::new(NodeId::Start, pos));
+        for &pos in &head_inputs {
+            variables_of(&head.args()[pos], &mut vars);
+            for &v in &vars {
+                let produced = producers.entry(v).or_default();
+                produced.push(ArgPos::new(NodeId::Start, pos));
             }
         }
 
@@ -127,18 +131,13 @@ impl Ddg {
             let mut inputs = Vec::new();
             let mut outputs = Vec::new();
             for (i, arg) in lit.args().iter().enumerate() {
-                let vars = arg.variables();
-                let is_input =
-                    !vars.is_empty() && vars.iter().all(|v| bound.contains(v)) || vars.is_empty();
-                if is_input {
+                variables_of(arg, &mut vars);
+                if vars.iter().all(|v| producers.contains_key(v)) {
                     inputs.push(i);
-                    let consumer = ArgPos::new(node, i);
-                    let mut srcs = source_positions(&vars, &producers);
-                    srcs.reverse(); // most recent first
-                    for s in &srcs {
-                        edges.insert((s.node, node));
-                    }
-                    sources.insert(consumer, srcs);
+                    // Most recent producer first.
+                    let srcs = source_positions(&vars, &producers);
+                    edges.extend(srcs.iter().map(|s| (s.node, node)));
+                    sources.insert(ArgPos::new(node, i), srcs);
                 } else {
                     outputs.push(i);
                 }
@@ -147,14 +146,9 @@ impl Ddg {
             // After success, every variable of the literal becomes bound and
             // its output positions become producers.
             for &i in &outputs {
-                let arg = &lit.args()[i];
-                for v in arg.variables() {
+                variables_of(&lit.args()[i], &mut vars);
+                for &v in &vars {
                     producers.entry(v).or_default().push(ArgPos::new(node, i));
-                }
-            }
-            for arg in lit.args() {
-                for v in arg.variables() {
-                    bound.insert(v);
                 }
             }
             literal_inputs.push(inputs);
@@ -162,22 +156,19 @@ impl Ddg {
         }
 
         // Head output positions (the end node).
-        for pos in head_modes.output_positions() {
-            let arg = &head.args()[pos];
-            let vars = arg.variables();
-            let consumer = ArgPos::new(NodeId::End, pos);
-            let mut srcs = source_positions(&vars, &producers);
-            srcs.reverse();
-            for s in &srcs {
-                edges.insert((s.node, NodeId::End));
-            }
-            sources.insert(consumer, srcs);
+        for &pos in &head_outputs {
+            variables_of(&head.args()[pos], &mut vars);
+            let srcs = source_positions(&vars, &producers);
+            edges.extend(srcs.iter().map(|s| (s.node, NodeId::End)));
+            sources.insert(ArgPos::new(NodeId::End, pos), srcs);
         }
 
         Ddg {
             head_pred: clause.head_pred(),
             head,
-            head_modes: head_modes.clone(),
+            head_modes,
+            head_inputs,
+            head_outputs,
             literals,
             literal_inputs,
             literal_outputs,
@@ -187,8 +178,8 @@ impl Ddg {
     }
 
     /// The clause head term.
-    pub fn head(&self) -> &Term {
-        &self.head
+    pub fn head(&self) -> &'a Term {
+        self.head
     }
 
     /// The head predicate.
@@ -197,12 +188,12 @@ impl Ddg {
     }
 
     /// The head's mode declaration.
-    pub fn head_modes(&self) -> &ModeDecl {
-        &self.head_modes
+    pub fn head_modes(&self) -> &'a ModeDecl {
+        self.head_modes
     }
 
     /// The body literals, in textual order.
-    pub fn literals(&self) -> &[Term] {
+    pub fn literals(&self) -> &[&'a Term] {
         &self.literals
     }
 
@@ -218,25 +209,25 @@ impl Ddg {
     /// For the start node these are the head's input positions; the end node
     /// has none (its "inputs" are the head outputs it consumes, see
     /// [`Ddg::consumed_positions`]).
-    pub fn input(&self, node: NodeId) -> Vec<usize> {
+    pub fn input(&self, node: NodeId) -> &[usize] {
         match node {
-            NodeId::Start => Vec::new(),
-            NodeId::Body(j) => self.literal_inputs.get(j).cloned().unwrap_or_default(),
-            NodeId::End => self.head_modes.output_positions(),
+            NodeId::Start => &[],
+            NodeId::Body(j) => self.literal_inputs.get(j).map_or(&[], Vec::as_slice),
+            NodeId::End => &self.head_outputs,
         }
     }
 
     /// The paper's `output(G, n)`: output argument positions of a node.
-    pub fn output(&self, node: NodeId) -> Vec<usize> {
+    pub fn output(&self, node: NodeId) -> &[usize] {
         match node {
-            NodeId::Start => self.head_modes.input_positions(),
-            NodeId::Body(j) => self.literal_outputs.get(j).cloned().unwrap_or_default(),
-            NodeId::End => Vec::new(),
+            NodeId::Start => &self.head_inputs,
+            NodeId::Body(j) => self.literal_outputs.get(j).map_or(&[], Vec::as_slice),
+            NodeId::End => &[],
         }
     }
 
     /// The term occupying an argument position.
-    pub fn term_at(&self, pos: ArgPos) -> &Term {
+    pub fn term_at(&self, pos: ArgPos) -> &'a Term {
         match pos.node {
             NodeId::Start | NodeId::End => &self.head.args()[pos.pos],
             NodeId::Body(j) => &self.literals[j].args()[pos.pos],
@@ -252,10 +243,9 @@ impl Ddg {
             out.extend(inputs.iter().map(|&i| ArgPos::new(NodeId::Body(j), i)));
         }
         out.extend(
-            self.head_modes
-                .output_positions()
-                .into_iter()
-                .map(|i| ArgPos::new(NodeId::End, i)),
+            self.head_outputs
+                .iter()
+                .map(|&i| ArgPos::new(NodeId::End, i)),
         );
         out
     }
@@ -327,7 +317,7 @@ impl Ddg {
     pub fn measure_at(&self, pos: ArgPos, measures: &BTreeMap<PredId, MeasureVec>) -> Measure {
         let pred = match pos.node {
             NodeId::Start | NodeId::End => self.head_pred,
-            NodeId::Body(j) => PredId::of_term(&self.literals[j]),
+            NodeId::Body(j) => PredId::of_term(self.literals[j]),
         };
         pred.and_then(|p| measures.get(&p))
             .and_then(|ms| ms.get(pos.pos))
@@ -375,19 +365,13 @@ impl Ddg {
     /// The label of a node: the set of argument positions it carries, in the
     /// paper's `{head_1}` / `{body1_1, body1_2}` notation.
     pub fn node_label(&self, node: NodeId) -> String {
-        let positions: Vec<String> = match node {
-            NodeId::Start => self
-                .head_modes
-                .input_positions()
-                .into_iter()
-                .map(|i| format!("head_{}", i + 1))
-                .collect(),
-            NodeId::End => self
-                .head_modes
-                .output_positions()
-                .into_iter()
-                .map(|i| format!("head_{}", i + 1))
-                .collect(),
+        let head = |positions: &[usize]| -> Vec<String> {
+            let label = |i: &usize| format!("head_{}", i + 1);
+            positions.iter().map(label).collect()
+        };
+        let positions = match node {
+            NodeId::Start => head(&self.head_inputs),
+            NodeId::End => head(&self.head_outputs),
             NodeId::Body(j) => (0..self.literals[j].args().len())
                 .map(|i| format!("body{}_{}", j + 1, i + 1))
                 .collect(),
@@ -396,21 +380,25 @@ impl Ddg {
     }
 }
 
+/// The positions that produced any of `vars`, most recent producer first.
 fn source_positions(
-    vars: &BTreeSet<usize>,
-    producers: &BTreeMap<usize, Vec<ArgPos>>,
+    vars: &BTreeSet<VarId>,
+    producers: &BTreeMap<VarId, Vec<ArgPos>>,
 ) -> Vec<ArgPos> {
     let mut out: Vec<ArgPos> = Vec::new();
-    for v in vars {
-        if let Some(ps) = producers.get(v) {
-            for p in ps {
-                if !out.contains(p) {
-                    out.push(*p);
-                }
-            }
+    for p in vars.iter().filter_map(|v| producers.get(v)).flatten() {
+        if !out.contains(p) {
+            out.push(*p);
         }
     }
+    out.reverse();
     out
+}
+
+/// Leaves the variables of `term` in `out`.
+fn variables_of(term: &Term, out: &mut BTreeSet<VarId>) {
+    out.clear();
+    term.collect_variables(out);
 }
 
 #[cfg(test)]
@@ -434,11 +422,12 @@ mod tests {
         .unwrap()
     }
 
-    fn ddg_of(program: &Program, pred: &str, arity: usize, clause_idx: usize) -> Ddg {
+    fn ddg_of<'p>(program: &'p Program, pred: &str, arity: usize, clause_idx: usize) -> Ddg<'p> {
         let pid = PredId::parse(pred, arity);
-        let clause = program.clauses_of(pid)[clause_idx].clone();
-        let modes = program.mode_of(pid).unwrap().clone();
-        Ddg::build(&clause, &modes)
+        Ddg::build(
+            program.clauses_of(pid)[clause_idx],
+            program.mode_of(pid).unwrap(),
+        )
     }
 
     #[test]

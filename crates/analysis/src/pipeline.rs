@@ -14,13 +14,16 @@
 
 use crate::cost::{clause_cost, combine_mode, CostContext, CostDb, CostMetric, PredCost};
 use crate::ddg::Ddg;
-use crate::diffeq::{DiffEq, DiffEqSystem};
+use crate::diffeq::{CombineMode, DiffEq, DiffEqSystem};
 use crate::expr::{Expr, FnRef};
 use crate::measure::{assign_measures, MeasureVec};
-use crate::sizerel::{analyze_clause, param_symbol, PredSizes, SizeContext, SizeDb};
+use crate::sizerel::{
+    analyze_clause, param_symbol, ClauseSizeAnalysis, PredSizes, SizeContext, SizeDb,
+};
 use crate::solver::{solve_system, SchemaKind};
 use crate::threshold::{driving_parameter, threshold, Threshold, DEFAULT_SEARCH_CAP};
-use granlog_ir::{CallGraph, ModeDecl, PredId, Program, RecursionClass, Symbol};
+use granlog_ir::{CallGraph, Clause, ModeDecl, PredId, Program, RecursionClass, Symbol, Term};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-clause contributions to one difference equation: the base-case guard
@@ -138,9 +141,28 @@ impl ProgramAnalysis {
                 _ => Threshold::AlwaysParallel,
             };
         }
-        let param = driving_parameter(&info.cost).unwrap_or(info.params[0]);
-        threshold(&info.cost, param, overhead, self.threshold_cap)
+        // The search probes the diagonal of all the cost's variables, so
+        // it does not matter which parameter is named as the driving one.
+        threshold(&info.cost, info.params[0], overhead, self.threshold_cap)
     }
+}
+
+/// What the phases of one SCC share about a member predicate.
+struct Member<'a> {
+    pred: PredId,
+    decl: Cow<'a, ModeDecl>,
+    input_positions: Vec<usize>,
+    params: Vec<Symbol>,
+    combine: CombineMode,
+}
+
+/// One clause of a member: its graph and base-case guard, built once, and
+/// its size analysis, redone for the cost phase only if it can differ.
+struct ClauseWork<'a> {
+    clause: &'a Clause,
+    ddg: Ddg<'a>,
+    sizes: ClauseSizeAnalysis,
+    when: Vec<Option<i64>>,
 }
 
 /// Runs the complete granularity analysis over a program.
@@ -152,172 +174,170 @@ pub fn analyze_program(program: &Program, options: &AnalysisOptions) -> ProgramA
     let mut size_db: SizeDb = SizeDb::new();
     let mut cost_db: CostDb = CostDb::new();
     let mut preds: BTreeMap<PredId, PredAnalysis> = BTreeMap::new();
+    let empty_scc: BTreeSet<PredId> = BTreeSet::new();
 
     for scc in callgraph.topological_sccs() {
         let scc_set: BTreeSet<PredId> = scc.members.iter().copied().collect();
+        let members: Vec<Member<'_>> = scc_set
+            .iter()
+            .map(|&pred| {
+                let decl = granlog_ir::modes::mode_or_default(&modes, pred);
+                let input_positions = decl.input_positions();
+                let params = input_positions
+                    .iter()
+                    .map(|&i| param_symbol(&input_positions, i))
+                    .collect();
+                Member {
+                    pred,
+                    combine: combine_mode(program, pred, &decl),
+                    decl,
+                    input_positions,
+                    params,
+                }
+            })
+            .collect();
 
         // ------------------------------------------------------------------
         // Phase 1: argument-size analysis for the SCC.
         // ------------------------------------------------------------------
         let mut size_equations: Vec<DiffEq> = Vec::new();
-        let mut pred_meta: BTreeMap<PredId, (Vec<usize>, Vec<Symbol>)> = BTreeMap::new();
-        let scc_size_funcs: BTreeSet<FnRef> = scc_set
+        let scc_size_funcs: BTreeSet<FnRef> = members
             .iter()
-            .flat_map(|&p| {
-                let decl = granlog_ir::modes::mode_or_default(&modes, p).into_owned();
-                decl.output_positions()
-                    .into_iter()
-                    .map(move |k| FnRef::OutputSize(p, k))
+            .flat_map(|m| {
+                let outputs = m.decl.output_positions().into_iter();
+                outputs.map(move |k| FnRef::OutputSize(m.pred, k))
             })
             .collect();
 
-        for &pred in &scc_set {
-            let decl = granlog_ir::modes::mode_or_default(&modes, pred).into_owned();
-            let input_positions = decl.input_positions();
-            let params: Vec<Symbol> = input_positions
-                .iter()
-                .map(|&i| param_symbol(&input_positions, i))
+        let mut work: Vec<Vec<ClauseWork<'_>>> = Vec::with_capacity(members.len());
+        for m in &members {
+            let ctx = SizeContext {
+                modes: &modes,
+                measures: &measures,
+                size_db: &size_db,
+                scc: &scc_set,
+            };
+            let clauses: Vec<ClauseWork<'_>> = program
+                .clauses_of(m.pred)
+                .into_iter()
+                .map(|clause| {
+                    let ddg = Ddg::build(clause, &m.decl);
+                    let sizes = analyze_clause(&ddg, &ctx);
+                    let when = m
+                        .input_positions
+                        .iter()
+                        .map(|i| sizes.head_input_constants.get(i).copied().flatten())
+                        .collect();
+                    ClauseWork {
+                        clause,
+                        ddg,
+                        sizes,
+                        when,
+                    }
+                })
                 .collect();
-            pred_meta.insert(pred, (input_positions.clone(), params.clone()));
-
-            let mut per_output: BTreeMap<usize, ClauseContribs> = BTreeMap::new();
-            for out_pos in decl.output_positions() {
-                per_output.insert(out_pos, Vec::new());
-            }
-            for clause in program.clauses_of(pred) {
-                let ddg = Ddg::build(clause, &decl);
-                let ctx = SizeContext {
-                    modes: &modes,
-                    measures: &measures,
-                    size_db: &size_db,
-                    scc: &scc_set,
-                };
-                let analysis = analyze_clause(&ddg, &ctx);
-                let when: Vec<Option<i64>> = input_positions
-                    .iter()
-                    .map(|i| analysis.head_input_constants.get(i).copied().flatten())
-                    .collect();
-                for out_pos in decl.output_positions() {
-                    let value = analysis
-                        .head_output_sizes
-                        .get(&out_pos)
-                        .cloned()
-                        .unwrap_or(Expr::Undefined);
-                    per_output
-                        .get_mut(&out_pos)
-                        .expect("initialised above")
-                        .push((when.clone(), value));
-                }
-            }
-            let combine = combine_mode(program, pred, &decl);
-            for (out_pos, clauses) in per_output {
+            for out_pos in m.decl.output_positions() {
+                let contribs = clauses.iter().map(|c| {
+                    let value = c.sizes.head_output_sizes.get(&out_pos).cloned();
+                    (c.when.clone(), value.unwrap_or(Expr::Undefined))
+                });
                 size_equations.push(DiffEq::assemble(
-                    FnRef::OutputSize(pred, out_pos),
-                    params.clone(),
-                    clauses,
+                    FnRef::OutputSize(m.pred, out_pos),
+                    m.params.clone(),
+                    contribs.collect(),
                     &scc_size_funcs,
-                    combine,
+                    m.combine,
                 ));
             }
+            work.push(clauses);
         }
 
         let size_solutions = solve_system(&DiffEqSystem::new(size_equations));
         let mut size_schemas: BTreeMap<PredId, BTreeMap<usize, SchemaKind>> = BTreeMap::new();
-        for &pred in &scc_set {
-            let (input_positions, params) = pred_meta[&pred].clone();
-            let mut outputs = BTreeMap::new();
-            let mut schemas = BTreeMap::new();
-            for sol in &size_solutions {
-                if let FnRef::OutputSize(p, k) = sol.func {
-                    if p == pred {
-                        outputs.insert(k, sol.closed_form.clone());
-                        schemas.insert(k, sol.schema);
-                    }
-                }
+        for m in &members {
+            let sizes = PredSizes {
+                input_positions: m.input_positions.clone(),
+                params: m.params.clone(),
+                outputs: BTreeMap::new(),
+            };
+            size_db.insert(m.pred, sizes);
+        }
+        for sol in size_solutions {
+            if let FnRef::OutputSize(p, k) = sol.func {
+                let sizes = size_db.get_mut(&p).expect("a member of the SCC");
+                sizes.outputs.insert(k, sol.closed_form);
+                size_schemas.entry(p).or_default().insert(k, sol.schema);
             }
-            size_db.insert(
-                pred,
-                PredSizes {
-                    input_positions,
-                    params,
-                    outputs,
-                },
-            );
-            size_schemas.insert(pred, schemas);
         }
 
         // ------------------------------------------------------------------
         // Phase 2: cost analysis for the SCC (with Ψ of the SCC now solved).
         // ------------------------------------------------------------------
-        let empty_scc: BTreeSet<PredId> = BTreeSet::new();
         let scc_cost_funcs: BTreeSet<FnRef> = scc_set.iter().map(|&p| FnRef::Cost(p)).collect();
+        let size_ctx = SizeContext {
+            modes: &modes,
+            measures: &measures,
+            size_db: &size_db,
+            scc: &empty_scc,
+        };
+        let cost_ctx = CostContext {
+            modes: &modes,
+            cost_db: &cost_db,
+            scc: &scc_set,
+            metric: options.metric,
+        };
+        let calls_scc = |l: &&Term| PredId::of_term(l).is_some_and(|p| scc_set.contains(&p));
         let mut cost_equations: Vec<DiffEq> = Vec::new();
-        for &pred in &scc_set {
-            let decl = granlog_ir::modes::mode_or_default(&modes, pred).into_owned();
-            let (input_positions, params) = pred_meta[&pred].clone();
-            let mut clause_contribs: ClauseContribs = Vec::new();
-            for clause in program.clauses_of(pred) {
-                let ddg = Ddg::build(clause, &decl);
-                let size_ctx = SizeContext {
-                    modes: &modes,
-                    measures: &measures,
-                    size_db: &size_db,
-                    scc: &empty_scc,
-                };
-                let analysis = analyze_clause(&ddg, &size_ctx);
-                let cost_ctx = CostContext {
-                    modes: &modes,
-                    cost_db: &cost_db,
-                    scc: &scc_set,
-                    metric: options.metric,
-                };
-                let cost = clause_cost(clause, &analysis, &cost_ctx);
-                let when: Vec<Option<i64>> = input_positions
-                    .iter()
-                    .map(|i| analysis.head_input_constants.get(i).copied().flatten())
-                    .collect();
-                clause_contribs.push((when, cost));
+        for (m, clauses) in members.iter().zip(work) {
+            let mut clause_contribs: ClauseContribs = Vec::with_capacity(clauses.len());
+            for mut c in clauses {
+                // Phase 1 kept the calls to SCC members symbolic and now their
+                // Ψ are in `size_db`. A clause without such a call looked up
+                // the same entries then as it would now: its sizes stand.
+                if c.ddg.literals().iter().any(calls_scc) {
+                    c.sizes = analyze_clause(&c.ddg, &size_ctx);
+                }
+                clause_contribs.push((c.when, clause_cost(c.clause, &c.sizes, &cost_ctx)));
             }
-            let combine = combine_mode(program, pred, &decl);
             cost_equations.push(DiffEq::assemble(
-                FnRef::Cost(pred),
-                params,
+                FnRef::Cost(m.pred),
+                m.params.clone(),
                 clause_contribs,
                 &scc_cost_funcs,
-                combine,
+                m.combine,
             ));
         }
-        let cost_solutions = solve_system(&DiffEqSystem::new(cost_equations));
+        let mut cost_solutions = solve_system(&DiffEqSystem::new(cost_equations));
 
         // ------------------------------------------------------------------
         // Record per-predicate results.
         // ------------------------------------------------------------------
-        for &pred in &scc_set {
-            let (input_positions, params) = pred_meta[&pred].clone();
-            let cost_sol = cost_solutions
+        for m in members {
+            let at = cost_solutions
                 .iter()
-                .find(|s| s.func == FnRef::Cost(pred))
+                .position(|s| s.func == FnRef::Cost(m.pred))
                 .expect("every SCC member has a cost equation");
+            let cost_sol = cost_solutions.swap_remove(at);
             cost_db.insert(
-                pred,
+                m.pred,
                 PredCost {
-                    input_positions: input_positions.clone(),
-                    params: params.clone(),
+                    input_positions: m.input_positions.clone(),
+                    params: m.params.clone(),
                     cost: cost_sol.closed_form.clone(),
                 },
             );
-            let sizes = size_db.get(&pred).expect("inserted in phase 1");
+            let sizes = size_db.get(&m.pred).expect("inserted in phase 1");
             preds.insert(
-                pred,
+                m.pred,
                 PredAnalysis {
-                    pred,
-                    recursion: callgraph.classify_predicate(pred),
-                    input_positions,
-                    params,
-                    measures: measures.get(&pred).cloned().unwrap_or_default(),
+                    pred: m.pred,
+                    recursion: callgraph.classify_predicate(m.pred),
+                    input_positions: m.input_positions,
+                    params: m.params,
+                    measures: measures.get(&m.pred).cloned().unwrap_or_default(),
                     output_sizes: sizes.outputs.clone(),
-                    size_schemas: size_schemas.remove(&pred).unwrap_or_default(),
-                    cost: cost_sol.closed_form.clone(),
+                    size_schemas: size_schemas.remove(&m.pred).unwrap_or_default(),
+                    cost: cost_sol.closed_form,
                     cost_schema: cost_sol.schema,
                 },
             );

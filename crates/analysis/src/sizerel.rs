@@ -15,25 +15,31 @@
 //! The paper presents this as a fixpoint normalization over a set of
 //! equations; because clause bodies execute left to right the same result is
 //! obtained by a single forward pass that substitutes eagerly, which is what
-//! [`analyze_clause`] does. The individual (pre-substitution) relations are
-//! still recorded in [`ClauseSizeAnalysis::relations`] so that examples and
-//! reports can show the normalization steps of the Appendix.
+//! [`analyze_clause`] does. The individual relations can still be listed
+//! with [`ClauseSizeAnalysis::relations`] so that examples and reports can
+//! show the normalization steps of the Appendix.
 
+use crate::cost::known_name;
 use crate::ddg::{ArgPos, Ddg, NodeId};
 use crate::expr::{Expr, FnRef};
 use crate::measure::{Measure, MeasureVec, SizeFunctions};
 use granlog_ir::{ModeDecl, PredId, Symbol, Term, VarId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// The canonical size-parameter symbol for a head input position.
 ///
 /// Predicates with a single input argument use `n`; predicates with several
 /// use `n1`, `n2`, ... (numbered by 1-based argument position).
 pub fn param_symbol(input_positions: &[usize], pos: usize) -> Symbol {
-    if input_positions.len() == 1 {
-        Symbol::intern("n")
-    } else {
-        Symbol::intern(&format!("n{}", pos + 1))
+    // Interned once; positions past the eighth are interned as they come.
+    static PARAMS: OnceLock<[Symbol; 9]> = OnceLock::new();
+    let params = PARAMS
+        .get_or_init(|| ["n", "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8"].map(Symbol::intern));
+    match (input_positions.len(), params.get(pos + 1)) {
+        (1, _) => params[0],
+        (_, Some(param)) => *param,
+        _ => Symbol::intern(&format!("n{}", pos + 1)),
     }
 }
 
@@ -55,18 +61,7 @@ impl PredSizes {
     pub fn apply(&self, pos: usize, args: &[Expr]) -> Expr {
         match self.outputs.get(&pos) {
             None => Expr::Undefined,
-            Some(body) => {
-                if args.len() != self.params.len() {
-                    return Expr::Undefined;
-                }
-                let map: BTreeMap<Symbol, Expr> = self
-                    .params
-                    .iter()
-                    .copied()
-                    .zip(args.iter().cloned())
-                    .collect();
-                body.subst_vars(&map).simplify()
-            }
+            Some(body) => body.apply(&self.params, args),
         }
     }
 }
@@ -75,13 +70,12 @@ impl PredSizes {
 /// topological order by the pipeline.
 pub type SizeDb = BTreeMap<PredId, PredSizes>;
 
-/// One recorded argument size relation (for reports and the worked examples).
+/// One argument size relation (for reports and the worked examples).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SizeRelation {
-    /// The argument position whose size the relation defines.
+    /// The argument position whose size the relation defines (rendered by
+    /// [`ClauseSizeAnalysis::lhs_text`]).
     pub lhs: ArgPos,
-    /// A human-readable left-hand side (e.g. `body2[1]` or `psi_nrev(head[1])`).
-    pub lhs_text: String,
     /// The size expression, in terms of head input size parameters.
     pub rhs: Expr,
 }
@@ -89,6 +83,8 @@ pub struct SizeRelation {
 /// The result of size analysis on a single clause.
 #[derive(Debug, Clone)]
 pub struct ClauseSizeAnalysis {
+    /// The head predicate, if the head is callable.
+    pub head_pred: Option<PredId>,
     /// Parameter symbol per head input position.
     pub params: BTreeMap<usize, Symbol>,
     /// Ordered declared input positions of the head predicate.
@@ -104,8 +100,6 @@ pub struct ClauseSizeAnalysis {
     /// The constant size of each head *input* position's term, when defined
     /// (used to recognise base cases such as `nrev([], [])` handling size 0).
     pub head_input_constants: BTreeMap<usize, Option<i64>>,
-    /// The normalized relations, in derivation order.
-    pub relations: Vec<SizeRelation>,
 }
 
 impl ClauseSizeAnalysis {
@@ -121,17 +115,57 @@ impl ClauseSizeAnalysis {
     /// declared input positions `callee_inputs`. Positions that were not
     /// classified as inputs at this call site yield `Expr::Undefined`.
     pub fn literal_input_args(&self, j: usize, callee_inputs: &[usize]) -> Vec<Expr> {
-        callee_inputs
+        let sizes = self.literal_input_sizes.get(j);
+        input_args(sizes, callee_inputs)
+    }
+
+    /// The normalized relations in derivation order (per body literal its
+    /// input then its output positions, then the head outputs), put
+    /// together for a report: the analysis itself only keeps the sizes.
+    pub fn relations(&self) -> Vec<SizeRelation> {
+        let literals = self
+            .literal_input_sizes
             .iter()
-            .map(|i| {
-                self.literal_input_sizes
-                    .get(j)
-                    .and_then(|m| m.get(i))
-                    .cloned()
-                    .unwrap_or(Expr::Undefined)
+            .zip(&self.literal_output_sizes)
+            .enumerate();
+        let body = literals.flat_map(|(j, (inputs, outputs))| {
+            let sizes = inputs.iter().chain(outputs);
+            sizes.map(move |(&i, rhs)| (ArgPos::new(NodeId::Body(j), i), rhs))
+        });
+        let head = self.head_output_sizes.iter();
+        let head = head.map(|(&i, rhs)| (ArgPos::new(NodeId::End, i), rhs));
+        body.chain(head)
+            .map(|(lhs, rhs)| SizeRelation {
+                lhs,
+                rhs: rhs.clone(),
             })
             .collect()
     }
+
+    /// A human-readable left-hand side for the relation defining `lhs`
+    /// (e.g. `body2[1]` or `psi_nrev[2](n)`).
+    pub fn lhs_text(&self, lhs: ArgPos) -> String {
+        match (lhs.node, self.head_pred) {
+            (NodeId::End, Some(p)) => {
+                let params: Vec<String> = self
+                    .input_positions
+                    .iter()
+                    .map(|k| self.params[k].to_string())
+                    .collect();
+                format!("psi_{}[{}]({})", p.name, lhs.pos + 1, params.join(", "))
+            }
+            _ => lhs.to_string(),
+        }
+    }
+}
+
+/// The sizes of a callee's declared input positions at one call site.
+fn input_args(sizes: Option<&BTreeMap<usize, Expr>>, callee_inputs: &[usize]) -> Vec<Expr> {
+    let size = |i| sizes.and_then(|m| m.get(i)).cloned();
+    callee_inputs
+        .iter()
+        .map(|i| size(i).unwrap_or(Expr::Undefined))
+        .collect()
 }
 
 /// Everything `analyze_clause` needs to know about the rest of the program.
@@ -151,34 +185,29 @@ pub struct SizeContext<'a> {
 /// Analyses the argument size relations of one clause.
 pub fn analyze_clause(ddg: &Ddg, ctx: &SizeContext<'_>) -> ClauseSizeAnalysis {
     let head_pred = ddg.head_pred();
-    let input_positions = ddg.head_modes().input_positions();
+    let input_positions = ddg.output(NodeId::Start).to_vec();
     let params: BTreeMap<usize, Symbol> = input_positions
         .iter()
         .map(|&i| (i, param_symbol(&input_positions, i)))
         .collect();
-
-    let mut known: BTreeMap<ArgPos, Expr> = BTreeMap::new();
     // Sizes of bare variables under a given measure (used for arithmetic
     // builtins and unification).
     let mut var_sizes: BTreeMap<(VarId, Measure), Expr> = BTreeMap::new();
-    let mut relations: Vec<SizeRelation> = Vec::new();
 
-    let head_measures = head_pred
-        .and_then(|p| ctx.measures.get(&p))
-        .cloned()
-        .unwrap_or_default();
+    // The measure of argument `i` of a predicate: as assigned, else guessed
+    // from the term in that position.
+    let measure_in = |measures: Option<&MeasureVec>, i: usize, term: &Term| {
+        let assigned = measures.and_then(|ms| ms.get(i)).copied();
+        assigned.unwrap_or_else(|| Measure::default_for_term(term))
+    };
+    let head_measures = head_pred.and_then(|p| ctx.measures.get(&p));
 
     let mut head_input_constants = BTreeMap::new();
     for &i in &input_positions {
-        let pos = ArgPos::new(NodeId::Start, i);
-        let measure = head_measures
-            .get(i)
-            .copied()
-            .unwrap_or_else(|| Measure::default_for_term(ddg.term_at(pos)));
-        let expr = Expr::Var(params[&i]);
-        record_var_size(ddg.term_at(pos), measure, &expr, &mut var_sizes);
-        head_input_constants.insert(i, measure.size(ddg.term_at(pos)));
-        known.insert(pos, expr);
+        let term = ddg.term_at(ArgPos::new(NodeId::Start, i));
+        let measure = measure_in(head_measures, i, term);
+        record_var_size(term, measure, &Expr::Var(params[&i]), &mut var_sizes);
+        head_input_constants.insert(i, measure.size(term));
     }
 
     let mut literal_input_sizes: Vec<BTreeMap<usize, Expr>> = Vec::new();
@@ -187,33 +216,16 @@ pub fn analyze_clause(ddg: &Ddg, ctx: &SizeContext<'_>) -> ClauseSizeAnalysis {
     for (j, literal) in ddg.literals().iter().enumerate() {
         let node = NodeId::Body(j);
         let callee = PredId::of_term(literal);
-        let callee_measures: MeasureVec = callee
-            .and_then(|p| ctx.measures.get(&p))
-            .cloned()
-            .unwrap_or_else(|| {
-                literal
-                    .args()
-                    .iter()
-                    .map(Measure::default_for_term)
-                    .collect()
-            });
+        let callee_measures = callee.and_then(|p| ctx.measures.get(&p));
+        let measure_at = |i: usize| measure_in(callee_measures, i, &literal.args()[i]);
 
         // --- input positions ---------------------------------------------
         let mut inputs = BTreeMap::new();
-        for i in ddg.input(node) {
+        for &i in ddg.input(node) {
             let pos = ArgPos::new(node, i);
-            let measure = callee_measures
-                .get(i)
-                .copied()
-                .unwrap_or_else(|| Measure::default_for_term(ddg.term_at(pos)));
-            let expr = derive_consumed_size(ddg, pos, measure, &known, &var_sizes);
-            relations.push(SizeRelation {
-                lhs: pos,
-                lhs_text: pos.to_string(),
-                rhs: expr.clone(),
-            });
-            record_var_size(ddg.term_at(pos), measure, &expr, &mut var_sizes);
-            known.insert(pos, expr.clone());
+            let produced = (&params, literal_output_sizes.as_slice());
+            let expr = derive_consumed_size(ddg, pos, measure_at(i), produced, &var_sizes);
+            record_var_size(ddg.term_at(pos), measure_at(i), &expr, &mut var_sizes);
             inputs.insert(i, expr);
         }
 
@@ -224,26 +236,16 @@ pub fn analyze_clause(ddg: &Ddg, ctx: &SizeContext<'_>) -> ClauseSizeAnalysis {
             let out_exprs = literal_output_exprs(
                 literal,
                 callee,
-                &output_positions,
+                output_positions,
                 &inputs,
-                &callee_measures,
+                &measure_at,
                 &var_sizes,
                 ctx,
             );
-            for (&i, expr) in output_positions.iter().zip(out_exprs.iter()) {
-                let pos = ArgPos::new(node, i);
-                relations.push(SizeRelation {
-                    lhs: pos,
-                    lhs_text: pos.to_string(),
-                    rhs: expr.clone(),
-                });
-                let measure = callee_measures
-                    .get(i)
-                    .copied()
-                    .unwrap_or_else(|| Measure::default_for_term(ddg.term_at(pos)));
-                record_var_size(ddg.term_at(pos), measure, expr, &mut var_sizes);
-                known.insert(pos, expr.clone());
-                outputs.insert(i, expr.clone());
+            for (&i, expr) in output_positions.iter().zip(out_exprs) {
+                let term = ddg.term_at(ArgPos::new(node, i));
+                record_var_size(term, measure_at(i), &expr, &mut var_sizes);
+                outputs.insert(i, expr);
             }
         }
 
@@ -252,43 +254,28 @@ pub fn analyze_clause(ddg: &Ddg, ctx: &SizeContext<'_>) -> ClauseSizeAnalysis {
     }
 
     // --- head output positions --------------------------------------------
-    let mut head_output_sizes = BTreeMap::new();
-    for i in ddg.head_modes().output_positions() {
-        let pos = ArgPos::new(NodeId::End, i);
-        let measure = head_measures
-            .get(i)
-            .copied()
-            .unwrap_or_else(|| Measure::default_for_term(ddg.term_at(pos)));
-        let expr = derive_consumed_size(ddg, pos, measure, &known, &var_sizes);
-        let lhs_text = match head_pred {
-            Some(p) => format!(
-                "psi_{}[{}]({})",
-                p.name,
-                i + 1,
-                input_positions
-                    .iter()
-                    .map(|&k| params[&k].to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-            None => pos.to_string(),
-        };
-        relations.push(SizeRelation {
-            lhs: pos,
-            lhs_text,
-            rhs: expr.clone(),
-        });
-        head_output_sizes.insert(i, expr);
-    }
+    let produced = (&params, literal_output_sizes.as_slice());
+    let head_output_sizes = ddg
+        .input(NodeId::End)
+        .iter()
+        .map(|&i| {
+            let pos = ArgPos::new(NodeId::End, i);
+            let measure = measure_in(head_measures, i, ddg.term_at(pos));
+            (
+                i,
+                derive_consumed_size(ddg, pos, measure, produced, &var_sizes),
+            )
+        })
+        .collect();
 
     ClauseSizeAnalysis {
+        head_pred,
         params,
         input_positions,
         literal_input_sizes,
         literal_output_sizes,
         head_output_sizes,
         head_input_constants,
-        relations,
     }
 }
 
@@ -296,11 +283,14 @@ pub fn analyze_clause(ddg: &Ddg, ctx: &SizeContext<'_>) -> ClauseSizeAnalysis {
 /// either directly via `size`, or from a predecessor position via `diff`
 /// (the paper's inter-literal relations), or from a recorded bare-variable
 /// size. Returns ⊥ when no relation applies.
+///
+/// `produced` holds the sizes a source position can have: the parameters of
+/// the head's input positions and the output sizes of the literals so far.
 fn derive_consumed_size(
     ddg: &Ddg,
     pos: ArgPos,
     measure: Measure,
-    known: &BTreeMap<ArgPos, Expr>,
+    produced: (&BTreeMap<usize, Symbol>, &[BTreeMap<usize, Expr>]),
     var_sizes: &BTreeMap<(VarId, Measure), Expr>,
 ) -> Expr {
     let term = ddg.term_at(pos);
@@ -314,12 +304,18 @@ fn derive_consumed_size(
         }
     }
     for src in ddg.sources_of(pos) {
-        let Some(src_size) = known.get(src) else {
+        let param;
+        let src_size = match src.node {
+            NodeId::Start => {
+                param = produced.0.get(&src.pos).map(|p| Expr::Var(*p));
+                param.as_ref()
+            }
+            NodeId::Body(j) => produced.1.get(j).and_then(|m| m.get(&src.pos)),
+            NodeId::End => None,
+        };
+        let Some(src_size) = src_size.filter(|size| !size.is_undefined()) else {
             continue;
         };
-        if src_size.is_undefined() {
-            continue;
-        }
         if let Some(d) = measure.diff(ddg.term_at(*src), term) {
             return Expr::add(src_size.clone(), Expr::Num(d as f64)).simplify();
         }
@@ -377,49 +373,48 @@ fn record_var_size(
     expr: &Expr,
     var_sizes: &mut BTreeMap<(VarId, Measure), Expr>,
 ) {
-    if expr.is_undefined() {
-        return;
-    }
     if let Term::Var(v) = term {
-        var_sizes
-            .entry((*v, measure))
-            .or_insert_with(|| expr.clone());
+        if !expr.is_undefined() {
+            var_sizes
+                .entry((*v, measure))
+                .or_insert_with(|| expr.clone());
+        }
     }
 }
 
 /// Computes the output-size expressions of a body literal, in the order of
-/// `output_positions`.
-#[allow(clippy::too_many_arguments)]
+/// `output_positions`. `measure_at(i)` is the measure of its argument `i`.
 fn literal_output_exprs(
     literal: &Term,
     callee: Option<PredId>,
     output_positions: &[usize],
     input_sizes: &BTreeMap<usize, Expr>,
-    callee_measures: &[Measure],
+    measure_at: &impl Fn(usize) -> Measure,
     var_sizes: &BTreeMap<(VarId, Measure), Expr>,
     ctx: &SizeContext<'_>,
 ) -> Vec<Expr> {
     let Some(callee) = callee else {
         return vec![Expr::Undefined; output_positions.len()];
     };
-    let name = callee.name.as_str();
+    let size_of_input = |i: usize| input_sizes.get(&i).cloned().unwrap_or(Expr::Undefined);
+    // The one output of a builtin that has a size; ⊥ for the others.
+    let only = |pos: usize, size: Expr| -> Vec<Expr> {
+        let size_at = |&i: &usize| {
+            if i == pos {
+                size.clone()
+            } else {
+                Expr::Undefined
+            }
+        };
+        output_positions.iter().map(size_at).collect()
+    };
 
     // --- builtins -----------------------------------------------------------
-    match (name, callee.arity) {
+    match (known_name(callee.name), callee.arity) {
         ("is", 2) => {
             // X is Expr: the output's integer value is the arithmetic
             // expression over the sizes of its variables.
-            let value = translate_arith(&literal.args()[1], var_sizes);
-            return output_positions
-                .iter()
-                .map(|&i| {
-                    if i == 0 {
-                        value.clone()
-                    } else {
-                        Expr::Undefined
-                    }
-                })
-                .collect();
+            return only(0, translate_arith(&literal.args()[1], var_sizes));
         }
         ("=", 2) => {
             // Unification: the output side gets the size of the input side
@@ -428,34 +423,18 @@ fn literal_output_exprs(
                 .iter()
                 .map(|&i| {
                     let other = &literal.args()[1 - i];
-                    let measure = callee_measures
-                        .get(i)
-                        .copied()
-                        .unwrap_or_else(|| Measure::default_for_term(other));
+                    let measure = measure_at(i);
                     if let Some(n) = measure.size(other) {
                         Expr::Num(n as f64)
                     } else if let Some(e) = size_from_parts(other, measure, var_sizes) {
                         e
-                    } else if let Some(e) = input_sizes.get(&(1 - i)) {
-                        e.clone()
                     } else {
-                        Expr::Undefined
+                        size_of_input(1 - i)
                     }
                 })
                 .collect();
         }
-        ("length", 2) => {
-            return output_positions
-                .iter()
-                .map(|&i| {
-                    if i == 1 {
-                        input_sizes.get(&0).cloned().unwrap_or(Expr::Undefined)
-                    } else {
-                        Expr::Undefined
-                    }
-                })
-                .collect();
-        }
+        ("length", 2) => return only(1, size_of_input(0)),
         ("functor", 3) | ("arg", 3) | ("=..", 2) | ("copy_term", 2) => {
             return vec![Expr::Undefined; output_positions.len()];
         }
@@ -464,11 +443,7 @@ fn literal_output_exprs(
 
     // --- user predicates -----------------------------------------------------
     let decl = granlog_ir::modes::mode_or_default(ctx.modes, callee);
-    let callee_inputs = decl.input_positions();
-    let args: Vec<Expr> = callee_inputs
-        .iter()
-        .map(|i| input_sizes.get(i).cloned().unwrap_or(Expr::Undefined))
-        .collect();
+    let args = input_args(Some(input_sizes), &decl.input_positions());
 
     output_positions
         .iter()
@@ -504,47 +479,20 @@ fn translate_arith(term: &Term, var_sizes: &BTreeMap<(VarId, Measure), Expr>) ->
             .cloned()
             .unwrap_or(Expr::Undefined),
         Term::Struct(f, args) => {
-            let name = f.as_str();
-            match (name, args.len()) {
-                ("+", 2) => Expr::add(
-                    translate_arith(&args[0], var_sizes),
-                    translate_arith(&args[1], var_sizes),
-                ),
-                ("-", 2) => Expr::sub(
-                    translate_arith(&args[0], var_sizes),
-                    translate_arith(&args[1], var_sizes),
-                ),
-                ("*", 2) => Expr::mul(
-                    translate_arith(&args[0], var_sizes),
-                    translate_arith(&args[1], var_sizes),
-                ),
-                ("/", 2) | ("//", 2) | ("div", 2) => Expr::div(
-                    translate_arith(&args[0], var_sizes),
-                    translate_arith(&args[1], var_sizes),
-                ),
-                ("-", 1) => Expr::neg(translate_arith(&args[0], var_sizes)),
-                ("+", 1) => translate_arith(&args[0], var_sizes),
-                ("min", 2) => Expr::min(
-                    translate_arith(&args[0], var_sizes),
-                    translate_arith(&args[1], var_sizes),
-                ),
-                ("max", 2) => Expr::max(
-                    translate_arith(&args[0], var_sizes),
-                    translate_arith(&args[1], var_sizes),
-                ),
-                ("abs", 1) => translate_arith(&args[0], var_sizes),
-                ("mod", 2) | ("rem", 2) => {
-                    // 0 <= a mod b < b: bounded above by the divisor minus one.
-                    Expr::sub(translate_arith(&args[1], var_sizes), Expr::Num(1.0))
-                }
-                (">>", 2) => Expr::div(
-                    translate_arith(&args[0], var_sizes),
-                    Expr::pow(Expr::Num(2.0), translate_arith(&args[1], var_sizes)),
-                ),
-                ("<<", 2) => Expr::mul(
-                    translate_arith(&args[0], var_sizes),
-                    Expr::pow(Expr::Num(2.0), translate_arith(&args[1], var_sizes)),
-                ),
+            let arg = |i: usize| translate_arith(&args[i], var_sizes);
+            match (known_name(*f), args.len()) {
+                ("+", 2) => Expr::add(arg(0), arg(1)),
+                ("-", 2) => Expr::sub(arg(0), arg(1)),
+                ("*", 2) => Expr::mul(arg(0), arg(1)),
+                ("/", 2) | ("//", 2) | ("div", 2) => Expr::div(arg(0), arg(1)),
+                ("-", 1) => Expr::neg(arg(0)),
+                ("+", 1) | ("abs", 1) => arg(0),
+                ("min", 2) => Expr::min(arg(0), arg(1)),
+                ("max", 2) => Expr::max(arg(0), arg(1)),
+                // 0 <= a mod b < b: bounded above by the divisor minus one.
+                ("mod", 2) | ("rem", 2) => Expr::sub(arg(1), Expr::Num(1.0)),
+                (">>", 2) => Expr::div(arg(0), Expr::pow(Expr::Num(2.0), arg(1))),
+                ("<<", 2) => Expr::mul(arg(0), Expr::pow(Expr::Num(2.0), arg(1))),
                 _ => Expr::Undefined,
             }
         }
@@ -769,7 +717,7 @@ mod tests {
         let nrev = PredId::parse("nrev", 2);
         let scc: BTreeSet<PredId> = [nrev].into_iter().collect();
         let a = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, nrev, 1);
-        let texts: Vec<String> = a.relations.iter().map(|r| r.lhs_text.clone()).collect();
+        let texts: Vec<String> = a.relations().iter().map(|r| a.lhs_text(r.lhs)).collect();
         assert_eq!(
             texts,
             vec![

@@ -82,16 +82,7 @@ pub struct Solution {
 impl Solution {
     /// Applies the closed form to concrete argument expressions.
     pub fn apply(&self, args: &[Expr]) -> Expr {
-        if args.len() != self.params.len() {
-            return Expr::Undefined;
-        }
-        let map: BTreeMap<Symbol, Expr> = self
-            .params
-            .iter()
-            .copied()
-            .zip(args.iter().cloned())
-            .collect();
-        self.closed_form.subst_vars(&map).simplify()
+        self.closed_form.apply(&self.params, args)
     }
 }
 

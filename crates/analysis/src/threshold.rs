@@ -68,27 +68,24 @@ pub const DEFAULT_SEARCH_CAP: u64 = 1 << 24;
 /// than `param` occurring in `cost` are pessimistically set to the same value
 /// as `param` (the "diagonal", an upper bound for monotone costs).
 pub fn threshold(cost: &Expr, param: Symbol, overhead: f64, cap: u64) -> Threshold {
-    let eval_at = |n: u64| -> Option<f64> {
-        let env: BTreeMap<Symbol, f64> = cost
-            .variables()
-            .into_iter()
-            .map(|v| (v, n as f64))
-            .chain(std::iter::once((param, n as f64)))
-            .collect();
-        cost.eval(&env)
-    };
-    let exceeds = |n: u64| -> bool {
-        match eval_at(n) {
-            Some(v) => v > overhead,
-            // An unevaluable cost (⊥ or unresolved call) is treated as
-            // unbounded: always parallelise, as the paper prescribes.
-            None => true,
-        }
-    };
-
     if cost.is_infinite() || cost.is_undefined() {
         return Threshold::AlwaysParallel;
     }
+    // Every variable rides the diagonal: one environment, overwritten by
+    // each probe.
+    let mut env: BTreeMap<Symbol, f64> = cost
+        .variables()
+        .into_iter()
+        .chain([param])
+        .map(|v| (v, 0.0))
+        .collect();
+    let mut exceeds = |n: u64| -> bool {
+        env.values_mut().for_each(|v| *v = n as f64);
+        // An unevaluable cost (⊥ or unresolved call) is treated as
+        // unbounded: always parallelise, as the paper prescribes.
+        cost.eval(&env).is_none_or(|v| v > overhead)
+    };
+
     if exceeds(0) {
         return Threshold::AlwaysParallel;
     }

@@ -42,8 +42,8 @@ fn main() {
         scc: &scc,
     };
     let sizes = analyze_clause(&ddg, &ctx);
-    for relation in &sizes.relations {
-        println!("  {} = {}", relation.lhs_text, relation.rhs);
+    for relation in sizes.relations() {
+        println!("  {} = {}", sizes.lhs_text(relation.lhs), relation.rhs);
     }
 
     // --- Sections 4-5: cost equations and closed forms ----------------------
