@@ -19,6 +19,7 @@ use granlog_ir::pretty::TermWithNames;
 use granlog_ir::symbol::well_known;
 use granlog_ir::{Clause, FastMap, PredId, Program, Symbol, Term};
 use std::collections::BTreeSet;
+use std::fmt;
 
 /// Identifier of an interned ground term in a [`ConstTable`].
 pub(crate) type ConstId = u32;
@@ -161,14 +162,16 @@ pub(crate) struct LoweredLiteral {
 /// Clause-lowering state: the slot map from source [`granlog_ir::VarId`]s to
 /// dense rule-frame slots, in first-occurrence order.
 pub(crate) struct LowerCtx<'a> {
-    pub(crate) display: String,
+    /// The clause (or goal) being lowered, printed only for a rejection or
+    /// for a rule that is kept — never for a fact that lowers.
+    display: &'a dyn fmt::Display,
     var_names: &'a [Symbol],
     slots: FastMap<usize, u32>,
     pub(crate) slot_names: Vec<Symbol>,
 }
 
 impl<'a> LowerCtx<'a> {
-    pub(crate) fn new(display: String, var_names: &'a [Symbol]) -> Self {
+    pub(crate) fn new(display: &'a dyn fmt::Display, var_names: &'a [Symbol]) -> Self {
         LowerCtx {
             display,
             var_names,
@@ -192,9 +195,14 @@ impl<'a> LowerCtx<'a> {
         s
     }
 
+    /// The clause (or goal) rendered with its source variable names.
+    pub(crate) fn shown(&self) -> String {
+        self.display.to_string()
+    }
+
     fn not_datalog(&self, construct: impl Into<String>) -> DatalogError {
         DatalogError::NotDatalog {
-            clause: self.display.clone(),
+            clause: self.shown(),
             construct: construct.into(),
         }
     }
@@ -320,12 +328,10 @@ fn lower_clause(
     consts: &mut ConstTable,
     fact_args: &mut Vec<ConstId>,
 ) -> Result<LoweredClause, DatalogError> {
-    let mut ctx = LowerCtx::new(clause.display().to_string(), &clause.var_names);
+    let shown = clause.display();
+    let mut ctx = LowerCtx::new(&shown, &clause.var_names);
     let Some((name, arity)) = clause.head.functor() else {
-        return Err(DatalogError::NotDatalog {
-            clause: ctx.display,
-            construct: "non-callable clause head".into(),
-        });
+        return Err(ctx.not_datalog("non-callable clause head"));
     };
     let pred = PredId::new(name, arity);
     let mut resolver = ConstResolver::Intern(consts);
@@ -342,7 +348,7 @@ fn lower_clause(
             if let ArgPat::Var(s) = a {
                 if !positive.contains(s) {
                     return Err(DatalogError::UnsafeClause {
-                        clause: ctx.display.clone(),
+                        clause: ctx.shown(),
                         var: ctx.slot_name(*s).to_string(),
                     });
                 }
@@ -368,7 +374,7 @@ fn lower_clause(
         head_args,
         body,
         num_slots: ctx.slot_names.len(),
-        display: ctx.display,
+        display: ctx.shown(),
     }))
 }
 

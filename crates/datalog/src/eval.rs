@@ -566,8 +566,8 @@ impl Database {
     /// per distinct variable assignment; a probe whose bound columns match
     /// an index the program's rules registered uses it, any other scans.
     pub fn query(&self, goal: &Term, var_names: &[Symbol]) -> Result<QueryAnswers, DatalogError> {
-        let display = granlog_ir::pretty::TermWithNames::new(goal, var_names).to_string();
-        let mut ctx = LowerCtx::new(display, var_names);
+        let shown = granlog_ir::pretty::TermWithNames::new(goal, var_names);
+        let mut ctx = LowerCtx::new(&shown, var_names);
         let mut resolver = ConstResolver::Lookup(&self.consts);
         let mut lowered = Vec::new();
         ctx.lower_body(goal, &mut resolver, &mut lowered)?;
@@ -596,7 +596,7 @@ impl Database {
         let positive_slots: BTreeSet<u32> = body.iter().flat_map(slots).collect();
         if let Some(s) = (0..vars.len() as u32).find(|s| !positive_slots.contains(s)) {
             return Err(DatalogError::UnsafeClause {
-                clause: ctx.display.clone(),
+                clause: ctx.shown(),
                 var: ctx.slot_name(s).to_string(),
             });
         }

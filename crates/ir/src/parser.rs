@@ -17,10 +17,30 @@
 use crate::clause::Clause;
 use crate::modes::ArgMode;
 use crate::program::{Directive, PredId, Program};
-use crate::symbol::Symbol;
+use crate::symbol::{well_known, FastMap, Symbol};
 use crate::term::Term;
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
+
+/// The deepest nesting the reader accepts, in either sense: a term it
+/// returns has no compound more than this many compounds below its root,
+/// and no token is read more than this many brackets, argument lists and
+/// operator operands deep (so `((((a))))` counts although it builds
+/// nothing). Past it the reader reports `term nested deeper than N` at the
+/// token that crossed the limit instead of overflowing the stack.
+///
+/// The elements of `[a, b, ...]` are one level below the list however long
+/// it is: the reader builds the spine in a loop and charges nothing for it.
+/// A left-nested operator chain (`1 - 2 - 3 - ...`) is built by a loop too,
+/// but every link is a level and is counted.
+///
+/// The value is half of what a whole `load` — this reader, then printing,
+/// template compilation and `Drop` — survives on a 2 MiB thread in an
+/// unoptimised build: about 1 050 levels of `[`, the costliest shape, and it
+/// is the reader's own frames that run out first (the walks behind it last
+/// for 2 100 levels and more). `tests/serve_sessions.rs` loads a term at the
+/// limit, in every shape the reader nests, on such a thread.
+pub const MAX_TERM_DEPTH: usize = 512;
 
 /// A parse error with position information.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,8 +49,30 @@ pub struct ParseError {
     pub message: String,
     /// 1-based line number where the error was detected.
     pub line: usize,
-    /// 1-based column number where the error was detected.
+    /// 1-based column number where the error was detected, in characters.
     pub column: usize,
+}
+
+impl ParseError {
+    /// An error at byte `offset` of `src`. Nothing keeps line and column up
+    /// to date while reading; they are counted here, once, for the one
+    /// offset that needs them.
+    fn at(src: &str, offset: usize, message: impl Into<String>) -> Self {
+        let before = &src.as_bytes()[..offset];
+        let line_start = before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |newline| newline + 1);
+        ParseError {
+            message: message.into(),
+            line: 1 + before.iter().filter(|&&b| b == b'\n').count(),
+            // Every byte of a character but its first is `10xxxxxx`.
+            column: 1 + before[line_start..]
+                .iter()
+                .filter(|&&b| b & 0xC0 != 0x80)
+                .count(),
+        }
+    }
 }
 
 impl fmt::Display for ParseError {
@@ -45,103 +87,118 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
+/// What the reader's own functions return. The error is boxed so that a
+/// result is a word or two wide: the recursive descent is what bounds
+/// [`MAX_TERM_DEPTH`], and its frames are mostly results.
+type Fallible<T> = Result<T, Box<ParseError>>;
+
+/// What a token is. `Copy`: an atom was interned when it was lexed and
+/// carries its [`Symbol`], a variable is its [`Token`]'s source span.
+#[derive(Clone, Copy, PartialEq)]
 enum Tok {
-    Atom(String),
-    Var(String),
+    Atom(Symbol),
+    Var,
     Int(i64),
     Float(f64),
-    Punct(char), // ( ) [ ] { } , |
-    End,         // clause-terminating '.'
+    /// One of `( ) [ ] { } , |`.
+    Punct(u8),
+    /// The clause-terminating `.`.
+    End,
     Eof,
 }
 
-#[derive(Debug, Clone)]
+/// A token and the bytes of the source it was read from.
+#[derive(Clone, Copy)]
 struct Token {
     tok: Tok,
-    line: usize,
-    column: usize,
+    start: usize,
+    end: usize,
 }
 
+/// What a byte means where a token may start.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// No token starts with it: control characters, `"`, `` ` ``, every byte
+    /// of a character beyond ASCII — and `%`, which starts a comment.
+    Other,
+    Space,
+    Digit,
+    /// `A`–`Z` and `_`: starts a variable.
+    Upper,
+    Lower,
+    Quote,
+    Punct,
+    /// `!` and `;`: an atom on its own.
+    Solo,
+    Symbol,
+}
+
+const CLASSES: [Class; 256] = {
+    let mut table = [Class::Other; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        table[byte] = match byte as u8 {
+            b' ' | b'\t' | b'\n' | b'\x0c' | b'\r' => Class::Space,
+            b'0'..=b'9' => Class::Digit,
+            b'A'..=b'Z' | b'_' => Class::Upper,
+            b'a'..=b'z' => Class::Lower,
+            b'\'' => Class::Quote,
+            b'(' | b')' | b'[' | b']' | b'{' | b'}' | b',' | b'|' => Class::Punct,
+            b'!' | b';' => Class::Solo,
+            b'+' | b'-' | b'*' | b'/' | b'\\' | b'^' | b'<' | b'>' | b'=' | b'~' | b':' | b'.'
+            | b'?' | b'@' | b'#' | b'&' | b'$' => Class::Symbol,
+            _ => Class::Other,
+        };
+        byte += 1;
+    }
+    table
+};
+
+fn class(byte: u8) -> Class {
+    CLASSES[usize::from(byte)]
+}
+
+/// Letters, digits and `_`: what a name continues with.
+fn is_alnum(byte: u8) -> bool {
+    matches!(class(byte), Class::Digit | Class::Upper | Class::Lower)
+}
+
+/// Pulls tokens out of the source one at a time. `pos` is a byte offset and
+/// always sits on a character boundary between tokens.
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
-    line: usize,
-    column: usize,
 }
-
-const SYMBOL_CHARS: &str = "+-*/\\^<>=~:.?@#&$";
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-            line: 1,
-            column: 1,
-        }
+    fn error(&self, offset: usize, message: impl Into<String>) -> Box<ParseError> {
+        Box::new(ParseError::at(self.src, offset, message))
     }
 
-    fn error(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            message: message.into(),
-            line: self.line,
-            column: self.column,
-        }
+    fn byte_at(&self, offset: usize) -> Option<u8> {
+        self.src.as_bytes().get(offset).copied()
     }
 
-    fn peek_char(&self) -> Option<char> {
-        if self.pos < self.src.len() {
-            Some(self.src[self.pos] as char)
-        } else {
-            None
-        }
+    fn digit_at(&self, offset: usize) -> bool {
+        self.byte_at(offset).is_some_and(|b| b.is_ascii_digit())
     }
 
-    fn peek_char_at(&self, offset: usize) -> Option<char> {
-        self.src.get(self.pos + offset).map(|&b| b as char)
+    /// Moves `pos` past every byte `keep` accepts.
+    fn skip_while(&mut self, keep: impl Fn(u8) -> bool) {
+        let rest = &self.src.as_bytes()[self.pos..];
+        self.pos += rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek_char()?;
-        self.pos += 1;
-        if c == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
-        Some(c)
-    }
-
-    fn skip_ws_and_comments(&mut self) -> Result<(), ParseError> {
+    fn skip_layout(&mut self) -> Fallible<()> {
         loop {
-            match self.peek_char() {
-                Some(c) if c.is_ascii_whitespace() => {
-                    self.bump();
-                }
-                Some('%') => {
-                    while let Some(c) = self.peek_char() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                Some('/') if self.peek_char_at(1) == Some('*') => {
-                    self.bump();
-                    self.bump();
-                    loop {
-                        match self.peek_char() {
-                            Some('*') if self.peek_char_at(1) == Some('/') => {
-                                self.bump();
-                                self.bump();
-                                break;
-                            }
-                            Some(_) => {
-                                self.bump();
-                            }
-                            None => return Err(self.error("unterminated block comment")),
+            self.skip_while(|b| class(b) == Class::Space);
+            match self.byte_at(self.pos) {
+                Some(b'%') => self.skip_while(|b| b != b'\n'),
+                Some(b'/') if self.byte_at(self.pos + 1) == Some(b'*') => {
+                    match self.src[self.pos + 2..].find("*/") {
+                        Some(close) => self.pos += 2 + close + 2,
+                        None => {
+                            return Err(self.error(self.src.len(), "unterminated block comment"))
                         }
                     }
                 }
@@ -150,163 +207,147 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn tokenize(mut self) -> Result<Vec<Token>, ParseError> {
-        let mut tokens = Vec::new();
-        loop {
-            self.skip_ws_and_comments()?;
-            let line = self.line;
-            let column = self.column;
-            let Some(c) = self.peek_char() else {
-                tokens.push(Token {
-                    tok: Tok::Eof,
-                    line,
-                    column,
-                });
-                return Ok(tokens);
-            };
-            let tok = if c.is_ascii_digit() {
-                self.lex_number()?
-            } else if c.is_ascii_uppercase() || c == '_' {
-                self.lex_variable()
-            } else if c.is_ascii_lowercase() {
-                self.lex_plain_atom()
-            } else if c == '\'' {
-                self.lex_quoted_atom()?
-            } else if "()[]{},|".contains(c) {
-                self.bump();
+    fn next_token(&mut self) -> Fallible<Token> {
+        self.skip_layout()?;
+        let start = self.pos;
+        let Some(first) = self.byte_at(start) else {
+            return Ok(Token {
+                tok: Tok::Eof,
+                start,
+                end: start,
+            });
+        };
+        let tok = match class(first) {
+            Class::Digit => self.lex_number()?,
+            Class::Upper => {
+                self.skip_while(is_alnum);
+                Tok::Var
+            }
+            Class::Lower => {
+                self.skip_while(is_alnum);
+                Tok::Atom(Symbol::intern(&self.src[start..self.pos]))
+            }
+            Class::Quote => self.lex_quoted_atom()?,
+            Class::Punct => {
+                self.pos += 1;
                 // '|' doubles as the list-tail separator and (rarely) an
-                // operator; we always emit it as punctuation.
-                Tok::Punct(c)
-            } else if c == '!' {
-                self.bump();
-                Tok::Atom("!".to_owned())
-            } else if c == ';' {
-                self.bump();
-                Tok::Atom(";".to_owned())
-            } else if SYMBOL_CHARS.contains(c) {
-                self.lex_symbolic_atom()
-            } else {
-                return Err(self.error(format!("unexpected character {c:?}")));
-            };
-            tokens.push(Token { tok, line, column });
-        }
+                // operator; it is always punctuation here.
+                Tok::Punct(first)
+            }
+            Class::Solo => {
+                self.pos += 1;
+                let wk = well_known::get();
+                Tok::Atom(if first == b'!' { wk.cut } else { wk.semicolon })
+            }
+            Class::Symbol => {
+                self.skip_while(|b| class(b) == Class::Symbol);
+                match &self.src[start..self.pos] {
+                    // A solitary '.' (not part of a longer symbolic atom)
+                    // terminates a clause.
+                    "." => Tok::End,
+                    text => Tok::Atom(Symbol::intern(text)),
+                }
+            }
+            Class::Space | Class::Other => {
+                let c = self.src[start..].chars().next().expect("not at the end");
+                return Err(self.error(start, format!("unexpected character {c:?}")));
+            }
+        };
+        Ok(Token {
+            tok,
+            start,
+            end: self.pos,
+        })
     }
 
-    fn lex_number(&mut self) -> Result<Tok, ParseError> {
+    fn lex_number(&mut self) -> Fallible<Tok> {
         let start = self.pos;
-        while matches!(self.peek_char(), Some(c) if c.is_ascii_digit()) {
-            self.bump();
-        }
+        self.skip_while(|b| b.is_ascii_digit());
         // 0'c character code notation.
-        if self.pos - start == 1 && self.src[start] == b'0' && self.peek_char() == Some('\'') {
-            self.bump();
-            let c = self
-                .bump()
-                .ok_or_else(|| self.error("unterminated character code"))?;
-            return Ok(Tok::Int(c as i64));
+        if &self.src[start..self.pos] == "0" && self.byte_at(self.pos) == Some(b'\'') {
+            self.pos += 1;
+            let Some(c) = self.src[self.pos..].chars().next() else {
+                return Err(self.error(self.pos, "unterminated character code"));
+            };
+            self.pos += c.len_utf8();
+            return Ok(Tok::Int(i64::from(u32::from(c))));
         }
         let mut is_float = false;
-        if self.peek_char() == Some('.')
-            && matches!(self.peek_char_at(1), Some(c) if c.is_ascii_digit())
-        {
+        if self.byte_at(self.pos) == Some(b'.') && self.digit_at(self.pos + 1) {
             is_float = true;
-            self.bump();
-            while matches!(self.peek_char(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
+            self.pos += 1;
+            self.skip_while(|b| b.is_ascii_digit());
+        }
+        if matches!(self.byte_at(self.pos), Some(b'e' | b'E')) {
+            let signed = matches!(self.byte_at(self.pos + 1), Some(b'+' | b'-'));
+            let digits = self.pos + 1 + usize::from(signed);
+            if self.digit_at(digits) {
+                is_float = true;
+                self.pos = digits;
+                self.skip_while(|b| b.is_ascii_digit());
             }
         }
-        if matches!(self.peek_char(), Some('e' | 'E'))
-            && (matches!(self.peek_char_at(1), Some(c) if c.is_ascii_digit())
-                || (matches!(self.peek_char_at(1), Some('+' | '-'))
-                    && matches!(self.peek_char_at(2), Some(c) if c.is_ascii_digit())))
-        {
-            is_float = true;
-            self.bump();
-            if matches!(self.peek_char(), Some('+' | '-')) {
-                self.bump();
-            }
-            while matches!(self.peek_char(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii digits");
+        let text = &self.src[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(Tok::Float)
-                .map_err(|e| self.error(format!("bad float literal {text:?}: {e}")))
+                .map_err(|e| self.error(self.pos, format!("bad float literal {text:?}: {e}")))
         } else {
             text.parse::<i64>()
                 .map(Tok::Int)
-                .map_err(|e| self.error(format!("bad integer literal {text:?}: {e}")))
+                .map_err(|e| self.error(self.pos, format!("bad integer literal {text:?}: {e}")))
         }
     }
 
-    fn lex_variable(&mut self) -> Tok {
-        let start = self.pos;
-        while matches!(self.peek_char(), Some(c) if c.is_ascii_alphanumeric() || c == '_') {
-            self.bump();
-        }
-        Tok::Var(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
-    }
-
-    fn lex_plain_atom(&mut self) -> Tok {
-        let start = self.pos;
-        while matches!(self.peek_char(), Some(c) if c.is_ascii_alphanumeric() || c == '_') {
-            self.bump();
-        }
-        Tok::Atom(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
-    }
-
-    fn lex_quoted_atom(&mut self) -> Result<Tok, ParseError> {
-        self.bump(); // opening quote
-        let mut text = String::new();
+    /// A quoted atom is interned straight from the source when nothing in it
+    /// is escaped; `unescaped` is touched (and allocates) only from the first
+    /// `''` or `\c` on.
+    fn lex_quoted_atom(&mut self) -> Fallible<Tok> {
+        self.pos += 1; // opening quote
+        let mut unescaped = String::new();
+        // Start of the text not yet copied into `unescaped`.
+        let mut pending = self.pos;
         loop {
-            match self.bump() {
-                Some('\'') => {
-                    if self.peek_char() == Some('\'') {
-                        self.bump();
-                        text.push('\'');
-                    } else {
-                        return Ok(Tok::Atom(text));
-                    }
-                }
-                Some('\\') => {
-                    let esc = self
-                        .bump()
-                        .ok_or_else(|| self.error("unterminated escape"))?;
-                    let replacement = match esc {
+            self.skip_while(|b| b != b'\'' && b != b'\\');
+            let text = &self.src[pending..self.pos];
+            match self.byte_at(self.pos) {
+                None => return Err(self.error(self.pos, "unterminated quoted atom")),
+                Some(b'\\') => {
+                    unescaped.push_str(text);
+                    self.pos += 1;
+                    let Some(c) = self.src[self.pos..].chars().next() else {
+                        return Err(self.error(self.pos, "unterminated escape"));
+                    };
+                    self.pos += c.len_utf8();
+                    unescaped.push(match c {
                         'n' => '\n',
                         't' => '\t',
                         'r' => '\r',
-                        '\\' => '\\',
-                        '\'' => '\'',
                         other => other,
-                    };
-                    text.push(replacement);
+                    });
                 }
-                Some(c) => text.push(c),
-                None => return Err(self.error("unterminated quoted atom")),
+                Some(_) if self.byte_at(self.pos + 1) == Some(b'\'') => {
+                    unescaped.push_str(text);
+                    unescaped.push('\'');
+                    self.pos += 2;
+                }
+                Some(_) => {
+                    self.pos += 1; // closing quote
+                    return Ok(Tok::Atom(if unescaped.is_empty() {
+                        Symbol::intern(text)
+                    } else {
+                        unescaped.push_str(text);
+                        Symbol::intern(&unescaped)
+                    }));
+                }
             }
-        }
-    }
-
-    fn lex_symbolic_atom(&mut self) -> Tok {
-        let start = self.pos;
-        while matches!(self.peek_char(), Some(c) if SYMBOL_CHARS.contains(c)) {
-            self.bump();
-        }
-        let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        // A solitary '.' (not part of a longer symbolic atom) terminates a clause.
-        if text == "." {
-            Tok::End
-        } else {
-            Tok::Atom(text)
+            pending = self.pos;
         }
     }
 }
 
 /// Operator fixity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Fixity {
     Xfx,
     Xfy,
@@ -315,280 +356,373 @@ enum Fixity {
     Fx,
 }
 
-fn infix_op(name: &str) -> Option<(u32, Fixity)> {
-    let entry = match name {
-        ":-" | "-->" => (1200, Fixity::Xfx),
-        ";" => (1100, Fixity::Xfy),
-        "->" => (1050, Fixity::Xfy),
-        "&" => (950, Fixity::Xfy),
-        "," => (1000, Fixity::Xfy),
-        "=" | "\\=" | "==" | "\\==" | "is" | "=.." | "<" | ">" | "=<" | ">=" | "=:=" | "=\\="
-        | "@<" | "@>" | "@=<" | "@>=" => (700, Fixity::Xfx),
-        "+" | "-" | "/\\" | "\\/" | "xor" => (500, Fixity::Yfx),
-        "*" | "/" | "//" | "mod" | "rem" | "div" | "<<" | ">>" => (400, Fixity::Yfx),
-        "**" => (200, Fixity::Xfx),
-        "^" => (200, Fixity::Xfy),
-        _ => return None,
-    };
-    Some(entry)
+use Fixity::{Fx, Fy, Xfx, Xfy, Yfx};
+
+const INFIX_OPS: &[(u32, Fixity, &[&str])] = &[
+    (1200, Xfx, &[":-", "-->"]),
+    (1100, Xfy, &[";"]),
+    (1050, Xfy, &["->"]),
+    (1000, Xfy, &[","]),
+    (950, Xfy, &["&"]),
+    (
+        700,
+        Xfx,
+        &[
+            "=", "\\=", "==", "\\==", "is", "=..", "<", ">", "=<", ">=", "=:=", "=\\=", "@<", "@>",
+            "@=<", "@>=",
+        ],
+    ),
+    (500, Yfx, &["+", "-", "/\\", "\\/", "xor"]),
+    (400, Yfx, &["*", "/", "//", "mod", "rem", "div", "<<", ">>"]),
+    (200, Xfx, &["**"]),
+    (200, Xfy, &["^"]),
+];
+
+const PREFIX_OPS: &[(u32, Fixity, &[&str])] = &[
+    (1200, Fx, &[":-", "?-"]),
+    // Directive keywords behave as low-priority prefix operators so that
+    // `:- mode nrev(+, -).` parses as `mode(nrev(+, -))`.
+    (
+        1150,
+        Fx,
+        &[
+            "mode",
+            "measure",
+            "parallel",
+            "sequential",
+            "entry",
+            "dynamic",
+            "discontiguous",
+            "multifile",
+            "module",
+            "use_module",
+            "public",
+        ],
+    ),
+    (900, Fy, &["\\+"]),
+    (200, Fy, &["-", "+", "\\"]),
+];
+
+/// An operator's priority and the highest priority its right-hand (or only)
+/// operand may have.
+type OpDef = (u32, u32);
+
+/// What an atom means as an operator.
+#[derive(Clone, Copy, Default)]
+struct Ops {
+    infix: Option<OpDef>,
+    prefix: Option<OpDef>,
 }
 
-fn prefix_op(name: &str) -> Option<(u32, Fixity)> {
-    let entry = match name {
-        ":-" | "?-" => (1200, Fixity::Fx),
-        // Directive keywords behave as low-priority prefix operators so that
-        // `:- mode nrev(+, -).` parses as `mode(nrev(+, -))`.
-        "mode" | "measure" | "parallel" | "sequential" | "entry" | "dynamic" | "discontiguous"
-        | "multifile" | "module" | "use_module" | "public" => (1150, Fixity::Fx),
-        "\\+" => (900, Fixity::Fy),
-        "-" | "+" | "\\" => (200, Fixity::Fy),
-        _ => return None,
-    };
-    Some(entry)
+/// The operator table keyed by [`Symbol`], and the symbols the reader builds
+/// terms with; interned once per process.
+struct Syntax {
+    ops: FastMap<Symbol, Ops>,
+    minus: Symbol,
+    curly: Symbol,
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    vars: HashMap<String, usize>,
+fn syntax() -> &'static Syntax {
+    static SYNTAX: OnceLock<Syntax> = OnceLock::new();
+    SYNTAX.get_or_init(|| {
+        let mut ops: FastMap<Symbol, Ops> = FastMap::default();
+        // The highest priority an operator's right-hand (or only) operand
+        // may have.
+        let operand = |prec: u32, fixity: Fixity| match fixity {
+            Xfy | Fy => prec,
+            Xfx | Yfx | Fx => prec - 1,
+        };
+        for &(prec, fixity, names) in INFIX_OPS {
+            for name in names {
+                ops.entry(Symbol::intern(name)).or_default().infix =
+                    Some((prec, operand(prec, fixity)));
+            }
+        }
+        for &(prec, fixity, names) in PREFIX_OPS {
+            for name in names {
+                ops.entry(Symbol::intern(name)).or_default().prefix =
+                    Some((prec, operand(prec, fixity)));
+            }
+        }
+        Syntax {
+            ops,
+            minus: Symbol::intern("-"),
+            curly: Symbol::intern("{}"),
+        }
+    })
+}
+
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The token under the cursor; the lexer is one token ahead of it.
+    tok: Token,
+    syntax: &'static Syntax,
+    /// `parse_expr` calls in progress. A call that fails leaves it raised:
+    /// the first error ends the parse.
+    level: usize,
+    /// Source spellings of the clause's variables, by [`crate::VarId`].
+    vars: Vec<&'a str>,
     var_names: Vec<Symbol>,
+    /// The operand stack. Every `parse_*` method leaves the term it read on
+    /// top and returns only how deep that term nests (see
+    /// [`MAX_TERM_DEPTH`]), so no term travels through a `Result`; the
+    /// arguments of a compound pile up here until its `)` and leave as a
+    /// vector of exactly their number.
+    terms: Vec<Term>,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
-        Parser {
-            tokens,
-            pos: 0,
-            vars: HashMap::new(),
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Fallible<Self> {
+        let mut lexer = Lexer { src, pos: 0 };
+        let tok = lexer.next_token()?;
+        Ok(Parser {
+            lexer,
+            tok,
+            syntax: syntax(),
+            level: 0,
+            vars: Vec::new(),
             var_names: Vec::new(),
+            terms: Vec::new(),
+        })
+    }
+
+    /// Takes the token under the cursor and lexes the one after it.
+    fn bump(&mut self) -> Fallible<Token> {
+        let next = self.lexer.next_token()?;
+        Ok(std::mem::replace(&mut self.tok, next))
+    }
+
+    fn error_here(&self, message: impl Into<String>) -> Box<ParseError> {
+        self.lexer.error(self.tok.start, message)
+    }
+
+    fn too_deep(&self, offset: usize) -> Box<ParseError> {
+        self.lexer
+            .error(offset, format!("term nested deeper than {MAX_TERM_DEPTH}"))
+    }
+
+    /// The depth of a compound whose deepest argument nests `below` deep;
+    /// `offset` is where its functor or operator stands.
+    fn one_deeper(&self, below: usize, offset: usize) -> Fallible<usize> {
+        if below < MAX_TERM_DEPTH {
+            Ok(below + 1)
+        } else {
+            Err(self.too_deep(offset))
         }
     }
 
-    fn reset_clause_state(&mut self) {
-        self.vars.clear();
-        self.var_names.clear();
-    }
-
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
-    }
-
-    fn peek_tok(&self) -> &Tok {
-        &self.peek().tok
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn error_here(&self, message: impl Into<String>) -> ParseError {
-        let t = self.peek();
-        ParseError {
-            message: message.into(),
-            line: t.line,
-            column: t.column,
+    /// The token under the cursor as the user typed it, for messages.
+    fn found(&self) -> String {
+        match (self.tok.tok, &self.lexer.src[self.tok.start..self.tok.end]) {
+            (Tok::Eof, _) => "end of input".to_owned(),
+            (_, quoted) if quoted.starts_with('\'') => quoted.to_owned(),
+            (_, text) => format!("'{text}'"),
         }
     }
 
-    fn at_eof(&self) -> bool {
-        matches!(self.peek_tok(), Tok::Eof)
+    fn pop(&mut self) -> Term {
+        self.terms.pop().expect("a parsed term is on the stack")
     }
 
-    fn var_id(&mut self, name: &str) -> usize {
-        if name == "_" {
-            let id = self.var_names.len();
-            self.var_names.push(Symbol::intern("_"));
-            return id;
+    /// Leaves an atomic term on the stack.
+    fn leaf(&mut self, term: Term) -> Fallible<usize> {
+        self.terms.push(term);
+        Ok(0)
+    }
+
+    fn var_id(&mut self, name: &'a str) -> usize {
+        if name != "_" {
+            if let Some(id) = self.vars.iter().position(|seen| *seen == name) {
+                return id;
+            }
         }
-        if let Some(&id) = self.vars.get(name) {
-            return id;
-        }
-        let id = self.var_names.len();
-        self.vars.insert(name.to_owned(), id);
+        self.vars.push(name);
         self.var_names.push(Symbol::intern(name));
-        id
+        self.vars.len() - 1
+    }
+
+    /// The infix operator under the cursor, if one of priority at most
+    /// `max_prec` stands there: its name and the highest priority its right
+    /// operand may have.
+    fn infix_here(&self, max_prec: u32) -> Option<(Symbol, u32)> {
+        let (name, (prec, right_max)) = match self.tok.tok {
+            // The comma punctuation acts as the 1000-priority infix ','.
+            Tok::Punct(b',') => (well_known::get().comma, (1000, 1000)),
+            Tok::Punct(b'|') => (well_known::get().semicolon, (1100, 1100)),
+            Tok::Atom(name) => (name, self.syntax.ops.get(&name)?.infix?),
+            _ => return None,
+        };
+        (prec <= max_prec).then_some((name, right_max))
     }
 
     /// Parses one term with priority at most `max_prec`.
-    fn parse_expr(&mut self, max_prec: u32) -> Result<Term, ParseError> {
-        let mut left = self.parse_primary(max_prec)?;
-        loop {
-            // The comma punctuation acts as the 1000-priority infix ','.
-            let (op_name, prec, fixity) = match self.peek_tok() {
-                Tok::Punct(',') if max_prec >= 1000 => (",".to_owned(), 1000, Fixity::Xfy),
-                Tok::Punct('|') if max_prec >= 1100 => (";".to_owned(), 1100, Fixity::Xfy),
-                Tok::Atom(name) => match infix_op(name) {
-                    Some((prec, fixity)) if prec <= max_prec => (name.clone(), prec, fixity),
-                    _ => break,
-                },
-                _ => break,
-            };
-            self.bump();
-            let right_max = match fixity {
-                Fixity::Xfx | Fixity::Yfx => prec - 1,
-                Fixity::Xfy => prec,
-                Fixity::Fy | Fixity::Fx => unreachable!("prefix fixity in infix position"),
-            };
-            let right = self.parse_expr(right_max)?;
-            left = Term::compound(&op_name, vec![left, right]);
-            if fixity == Fixity::Xfx {
-                // xfx operators do not chain at the same priority.
-                // (Continuing the loop with prec-1 left operand is handled by
-                // the next iteration's precedence check.)
-            }
+    fn parse_expr(&mut self, max_prec: u32) -> Fallible<usize> {
+        if self.level > MAX_TERM_DEPTH {
+            return Err(self.too_deep(self.tok.start));
         }
-        Ok(left)
+        self.level += 1;
+        let mut depth = self.parse_primary(max_prec)?;
+        // The left operand's priority is not checked: `a = b = c` reads
+        // left-nested.
+        while let Some((name, right_max)) = self.infix_here(max_prec) {
+            let op = self.bump()?.start;
+            let right_depth = self.parse_expr(right_max)?;
+            depth = self.one_deeper(depth.max(right_depth), op)?;
+            self.wrap(name, 2);
+        }
+        self.level -= 1;
+        Ok(depth)
     }
 
-    fn parse_primary(&mut self, max_prec: u32) -> Result<Term, ParseError> {
-        let token = self.bump();
+    fn parse_primary(&mut self, max_prec: u32) -> Fallible<usize> {
+        let token = self.bump()?;
         match token.tok {
-            Tok::Int(i) => Ok(Term::Int(i)),
-            Tok::Float(x) => Ok(Term::float(x)),
-            Tok::Var(name) => Ok(Term::Var(self.var_id(&name))),
-            Tok::Punct('(') => {
-                let t = self.parse_expr(1200)?;
-                self.expect_punct(')')?;
-                Ok(t)
+            Tok::Int(i) => self.leaf(Term::Int(i)),
+            Tok::Float(x) => self.leaf(Term::float(x)),
+            Tok::Var => {
+                let id = self.var_id(&self.lexer.src[token.start..token.end]);
+                self.leaf(Term::Var(id))
             }
-            Tok::Punct('[') => self.parse_list(),
-            Tok::Punct('{') => {
-                if matches!(self.peek_tok(), Tok::Punct('}')) {
-                    self.bump();
-                    return Ok(Term::atom("{}"));
-                }
-                let t = self.parse_expr(1200)?;
-                self.expect_punct('}')?;
-                Ok(Term::compound("{}", vec![t]))
+            Tok::Atom(name) => self.parse_after_atom(name, token.start, max_prec),
+            Tok::Punct(b'(') => {
+                let depth = self.parse_expr(1200)?;
+                self.expect_punct(b')')?;
+                Ok(depth)
             }
-            Tok::Atom(name) => {
-                // Compound term: atom immediately followed by '('.
-                if matches!(self.peek_tok(), Tok::Punct('(')) {
-                    self.bump();
-                    let args = self.parse_arglist()?;
-                    self.expect_punct(')')?;
-                    return Ok(Term::compound(&name, args));
+            Tok::Punct(b'[') => self.parse_list(token.start),
+            Tok::Punct(b'{') => {
+                if self.tok.tok == Tok::Punct(b'}') {
+                    self.bump()?;
+                    return self.leaf(Term::Atom(self.syntax.curly));
                 }
-                // Negative numeric literal.
-                if name == "-" {
-                    if let Tok::Int(i) = *self.peek_tok() {
-                        self.bump();
-                        return Ok(Term::Int(-i));
-                    }
-                    if let Tok::Float(x) = *self.peek_tok() {
-                        self.bump();
-                        return Ok(Term::float(-x));
-                    }
-                }
-                // Prefix operator application.
-                if let Some((prec, fixity)) = prefix_op(&name) {
-                    if prec <= max_prec && self.starts_term() {
-                        let arg_max = match fixity {
-                            Fixity::Fy => prec,
-                            Fixity::Fx => prec - 1,
-                            _ => unreachable!(),
-                        };
-                        let arg = self.parse_expr(arg_max)?;
-                        return Ok(Term::compound(&name, vec![arg]));
-                    }
-                }
-                Ok(Term::atom(&name))
+                let depth = self.parse_expr(1200)?;
+                self.expect_punct(b'}')?;
+                self.wrap(self.syntax.curly, 1);
+                self.one_deeper(depth, token.start)
             }
-            Tok::End => Err(ParseError {
-                message: "unexpected end of clause".into(),
-                line: token.line,
-                column: token.column,
-            }),
-            Tok::Eof => Err(ParseError {
-                message: "unexpected end of input".into(),
-                line: token.line,
-                column: token.column,
-            }),
-            Tok::Punct(c) => Err(ParseError {
-                message: format!("unexpected {c:?}"),
-                line: token.line,
-                column: token.column,
-            }),
+            Tok::End | Tok::Eof | Tok::Punct(_) => Err(self.unexpected(token)),
         }
+    }
+
+    /// The error for a token no term starts with.
+    fn unexpected(&self, token: Token) -> Box<ParseError> {
+        let what = match token.tok {
+            Tok::End => "end of clause".to_owned(),
+            Tok::Eof => "end of input".to_owned(),
+            _ => format!("{:?}", char::from(self.lexer.src.as_bytes()[token.start])),
+        };
+        self.lexer.error(token.start, format!("unexpected {what}"))
+    }
+
+    /// What the atom `name` (at byte `start`, already taken) begins.
+    fn parse_after_atom(&mut self, name: Symbol, start: usize, max_prec: u32) -> Fallible<usize> {
+        match self.tok.tok {
+            // Compound term: an atom followed by '(', even across layout.
+            Tok::Punct(b'(') => {
+                self.bump()?;
+                let base = self.terms.len();
+                let depth = self.parse_args()?;
+                self.expect_punct(b')')?;
+                self.wrap(name, self.terms.len() - base);
+                return self.one_deeper(depth, start);
+            }
+            // Negative numeric literal.
+            Tok::Int(i) if name == self.syntax.minus => {
+                self.bump()?;
+                return self.leaf(Term::Int(-i));
+            }
+            Tok::Float(x) if name == self.syntax.minus => {
+                self.bump()?;
+                return self.leaf(Term::float(-x));
+            }
+            _ => {}
+        }
+        // Prefix operator application.
+        if let Some((prec, arg_max)) = self.syntax.ops.get(&name).and_then(|ops| ops.prefix) {
+            if prec <= max_prec && self.starts_term() {
+                let depth = self.parse_expr(arg_max)?;
+                self.wrap(name, 1);
+                return self.one_deeper(depth, start);
+            }
+        }
+        self.leaf(Term::Atom(name))
+    }
+
+    /// Replaces the top `arity` terms of the stack by the compound
+    /// `name(...)` over them, in a vector of exactly their number.
+    fn wrap(&mut self, name: Symbol, arity: usize) {
+        let args = self.terms.drain(self.terms.len() - arity..).collect();
+        self.terms.push(Term::Struct(name, args));
     }
 
     /// Can the upcoming token begin a term? (Used to decide whether a prefix
     /// operator is being applied or stands alone as an atom.)
     fn starts_term(&self) -> bool {
-        match self.peek_tok() {
-            Tok::Int(_) | Tok::Float(_) | Tok::Var(_) => true,
-            Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{') => true,
-            Tok::Atom(name) => {
-                // An infix operator cannot start a term (e.g. `- , foo`).
-                infix_op(name).is_none() || prefix_op(name).is_some()
-            }
-            _ => false,
+        match self.tok.tok {
+            Tok::Int(_) | Tok::Float(_) | Tok::Var => true,
+            Tok::Punct(c) => matches!(c, b'(' | b'[' | b'{'),
+            // An infix operator cannot start a term (e.g. `- , foo`).
+            Tok::Atom(name) => self
+                .syntax
+                .ops
+                .get(&name)
+                .is_none_or(|ops| ops.infix.is_none() || ops.prefix.is_some()),
+            Tok::End | Tok::Eof => false,
         }
     }
 
-    fn parse_arglist(&mut self) -> Result<Vec<Term>, ParseError> {
-        let mut args = vec![self.parse_expr(999)?];
-        while matches!(self.peek_tok(), Tok::Punct(',')) {
-            self.bump();
-            args.push(self.parse_expr(999)?);
-        }
-        Ok(args)
-    }
-
-    fn parse_list(&mut self) -> Result<Term, ParseError> {
-        if matches!(self.peek_tok(), Tok::Punct(']')) {
-            self.bump();
-            return Ok(Term::nil());
-        }
-        let mut items = vec![self.parse_expr(999)?];
-        let mut tail = Term::nil();
+    /// Parses comma-separated arguments, each left on the stack; returns the
+    /// depth of the deepest.
+    fn parse_args(&mut self) -> Fallible<usize> {
+        let mut depth = 0;
         loop {
-            match self.peek_tok() {
-                Tok::Punct(',') => {
-                    self.bump();
-                    items.push(self.parse_expr(999)?);
-                }
-                Tok::Punct('|') => {
-                    self.bump();
-                    tail = self.parse_expr(999)?;
-                    break;
-                }
-                _ => break,
+            depth = depth.max(self.parse_expr(999)?);
+            if self.tok.tok != Tok::Punct(b',') {
+                return Ok(depth);
             }
-        }
-        self.expect_punct(']')?;
-        Ok(Term::list_with_tail(items, tail))
-    }
-
-    fn expect_punct(&mut self, c: char) -> Result<(), ParseError> {
-        if matches!(self.peek_tok(), Tok::Punct(p) if *p == c) {
-            self.bump();
-            Ok(())
-        } else {
-            Err(self.error_here(format!("expected {c:?}, found {:?}", self.peek_tok())))
+            self.bump()?;
         }
     }
 
-    fn expect_end(&mut self) -> Result<(), ParseError> {
-        if matches!(self.peek_tok(), Tok::End) {
-            self.bump();
-            Ok(())
-        } else {
-            Err(self.error_here(format!("expected '.', found {:?}", self.peek_tok())))
+    /// The rest of a list whose `[` (at byte `open`) has been taken.
+    fn parse_list(&mut self, open: usize) -> Fallible<usize> {
+        if self.tok.tok == Tok::Punct(b']') {
+            self.bump()?;
+            return self.leaf(Term::nil());
         }
+        let base = self.terms.len();
+        // Every element is one cell below the list, however long the spine.
+        let depth = self.parse_args()?;
+        let mut depth = self.one_deeper(depth, open)?;
+        let mut tail = Term::nil();
+        if self.tok.tok == Tok::Punct(b'|') {
+            self.bump()?;
+            depth = depth.max(self.parse_expr(999)?);
+            tail = self.pop();
+        }
+        self.expect_punct(b']')?;
+        let list = self
+            .terms
+            .drain(base..)
+            .rev()
+            .fold(tail, |tail, item| Term::cons(item, tail));
+        self.terms.push(list);
+        Ok(depth)
     }
 
-    /// Parses a full clause-level term followed by `.`; returns the term and
-    /// its variable-name table.
-    fn parse_clause_term(&mut self) -> Result<(Term, Vec<Symbol>), ParseError> {
-        self.reset_clause_state();
-        let term = self.parse_expr(1200)?;
-        self.expect_end()?;
-        Ok((term, std::mem::take(&mut self.var_names)))
+    fn expect_punct(&mut self, c: u8) -> Fallible<()> {
+        if self.tok.tok != Tok::Punct(c) {
+            return Err(self.expected(c));
+        }
+        self.bump()?;
+        Ok(())
+    }
+
+    /// The error for a cursor that is not on the punctuation (or the
+    /// clause-ending `.`) `c`.
+    fn expected(&self, c: u8) -> Box<ParseError> {
+        let (expected, found) = (char::from(c), self.found());
+        self.error_here(format!("expected {expected:?}, found {found}"))
     }
 }
 
@@ -610,13 +744,19 @@ impl Parser {
 /// assert_eq!(t.to_string(), "f(_0,[1,2|_1])");
 /// ```
 pub fn parse_term(src: &str) -> Result<(Term, Vec<Symbol>), ParseError> {
-    let tokens = Lexer::new(src).tokenize()?;
-    let mut parser = Parser::new(tokens);
-    let term = parser.parse_expr(1200)?;
-    if !parser.at_eof() && !matches!(parser.peek_tok(), Tok::End) {
-        return Err(parser.error_here(format!("trailing input: {:?}", parser.peek_tok())));
+    read_term(src).map_err(|e| *e)
+}
+
+fn read_term(src: &str) -> Fallible<(Term, Vec<Symbol>)> {
+    let mut parser = Parser::new(src)?;
+    parser.parse_expr(1200)?;
+    match parser.tok.tok {
+        Tok::Eof => {}
+        // Whatever follows a `.` is not read as syntax, but it must lex.
+        Tok::End => while parser.bump()?.tok != Tok::Eof {},
+        _ => return Err(parser.error_here(format!("trailing input: {}", parser.found()))),
     }
-    Ok((term, parser.var_names))
+    Ok((parser.pop(), parser.var_names))
 }
 
 /// Parses a Prolog program: a sequence of clauses and directives.
@@ -633,42 +773,45 @@ pub fn parse_term(src: &str) -> Result<(Term, Vec<Symbol>), ParseError> {
 /// assert_eq!(p.len(), 2);
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let tokens = Lexer::new(src).tokenize()?;
-    let mut parser = Parser::new(tokens);
+    read_program(src).map_err(|e| *e)
+}
+
+fn read_program(src: &str) -> Fallible<Program> {
+    let mut parser = Parser::new(src)?;
+    let neck = well_known::get().neck;
     let mut program = Program::new();
-    while !parser.at_eof() {
-        let (term, var_names) = parser.parse_clause_term()?;
-        match term {
+    while parser.tok.tok != Tok::Eof {
+        let clause_start = parser.tok.start;
+        parser.vars.clear();
+        parser.parse_expr(1200)?;
+        if parser.tok.tok != Tok::End {
+            return Err(parser.expected(b'.'));
+        }
+        parser.bump()?;
+        let var_names = std::mem::take(&mut parser.var_names);
+        let (head, body) = match parser.pop() {
             // Directive `:- D.`
-            Term::Struct(neck, args) if neck.as_str() == ":-" && args.len() == 1 => {
-                let directive = interpret_directive(&args[0]);
-                program.add_directive(directive);
+            Term::Struct(name, args) if name == neck && args.len() == 1 => {
+                program.add_directive(interpret_directive(&args[0]));
+                continue;
             }
             // Rule `H :- B.`
-            Term::Struct(neck, mut args) if neck.as_str() == ":-" && args.len() == 2 => {
+            Term::Struct(name, mut args) if name == neck && args.len() == 2 => {
                 let body = args.pop().expect("arity checked");
-                let head = args.pop().expect("arity checked");
-                if !head.is_callable() {
-                    return Err(ParseError {
-                        message: format!("clause head must be callable, found {head}"),
-                        line: 0,
-                        column: 0,
-                    });
-                }
-                program.add_clause(Clause::new(head, body, var_names));
+                (args.pop().expect("arity checked"), Some(body))
             }
-            // Fact.
-            head => {
-                if !head.is_callable() {
-                    return Err(ParseError {
-                        message: format!("clause head must be callable, found {head}"),
-                        line: 0,
-                        column: 0,
-                    });
-                }
-                program.add_clause(Clause::fact(head, var_names));
-            }
+            fact => (fact, None),
+        };
+        if !head.is_callable() {
+            return Err(parser.lexer.error(
+                clause_start,
+                format!("clause head must be callable, found {head}"),
+            ));
         }
+        program.add_clause(match body {
+            Some(body) => Clause::new(head, body, var_names),
+            None => Clause::fact(head, var_names),
+        });
     }
     Ok(program)
 }
@@ -1015,6 +1158,138 @@ mod tests {
         src.push_str(").");
         let p = parse_program(&src).unwrap();
         assert_eq!(p.clauses()[0].head.args()[0].term_depth(), 200);
+    }
+
+    /// `depth` levels of `open ... close` around `a`, inside `p(...)`.
+    fn nested(open: &str, close: &str, depth: usize) -> String {
+        format!("p({}a{}).", open.repeat(depth), close.repeat(depth))
+    }
+
+    #[test]
+    fn a_term_at_the_depth_limit_reads_and_one_level_more_does_not() {
+        // `p(...)` is a level itself.
+        let n = MAX_TERM_DEPTH - 1;
+        for (open, close) in [("f(", ")"), ("[", "]"), ("{", "}"), ("(", ")"), ("- ", "")] {
+            let program = parse_program(&nested(open, close, n))
+                .unwrap_or_else(|e| panic!("{open} at the limit: {e}"));
+            if open != "(" {
+                assert_eq!(program.clauses()[0].head.term_depth(), MAX_TERM_DEPTH);
+            }
+            let err = parse_program(&nested(open, close, n + 1)).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("term nested deeper than {MAX_TERM_DEPTH}"),
+                "{open}"
+            );
+            // The limit is crossed at the innermost token, `a`.
+            assert_eq!(
+                (err.line, err.column),
+                (1, 3 + open.len() * (n + 1)),
+                "{open}"
+            );
+        }
+    }
+
+    #[test]
+    fn operator_chains_count_toward_the_depth_limit() {
+        // Left-nested: built by a loop, no recursion — and still a level per
+        // link. The operator that would add level N + 1 is named.
+        let chain = |links: usize| vec!["1"; links + 1].join(" - ");
+        let (ok, _) = parse_term(&chain(MAX_TERM_DEPTH)).unwrap();
+        assert_eq!(ok.term_depth(), MAX_TERM_DEPTH);
+        let err = parse_term(&chain(MAX_TERM_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("term nested deeper than {MAX_TERM_DEPTH}")
+        );
+        assert_eq!(err.column, 4 * (MAX_TERM_DEPTH + 1) - 1);
+        // Right-nested: one recursion per link.
+        let body = |goals: usize| format!("p :- {}.", vec!["a"; goals].join(", "));
+        assert!(parse_program(&body(MAX_TERM_DEPTH)).is_ok());
+        let err = parse_program(&body(MAX_TERM_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("term nested deeper than {MAX_TERM_DEPTH}")
+        );
+        // A chain at the limit is an argument too deep: found when the
+        // compound around it is built, and reported at its functor.
+        let err = parse_term(&format!("g(f({}))", chain(MAX_TERM_DEPTH))).unwrap_err();
+        assert_eq!((err.line, err.column), (1, 3));
+    }
+
+    #[test]
+    fn a_list_spine_is_not_nesting() {
+        let items = 8 * MAX_TERM_DEPTH;
+        let (list, _) = parse_term(&format!("[{}]", vec!["a"; items].join(", "))).unwrap();
+        assert_eq!(list.list_length(), Some(items));
+        let (partial, _) = parse_term(&format!("[{} | T]", vec!["a"; items].join(", "))).unwrap();
+        assert_eq!(partial.list_length(), None);
+        // ... but brackets inside brackets are.
+        assert!(parse_term(&nested("[", "]", MAX_TERM_DEPTH)).is_err());
+    }
+
+    #[test]
+    fn text_beyond_ascii_is_read_as_utf8() {
+        let (t, _) = parse_term("'h\u{e9}llo'").unwrap();
+        assert_eq!(t, Term::atom("h\u{e9}llo"));
+        let (t, _) = parse_term("0'\u{e9}").unwrap();
+        assert_eq!(t, Term::int(233));
+        let (t, _) = parse_term("'a\\\u{e9}''\u{65e5}'").unwrap();
+        assert_eq!(t, Term::atom("a\u{e9}'\u{65e5}"));
+        // What is printed reads back as what was printed.
+        let p = parse_program("p('h\u{e9}llo', '\u{65e5}\u{672c}') :- q('\u{e9}').").unwrap();
+        let printed = p.clauses()[0].display().to_string();
+        assert_eq!(
+            printed,
+            "p('h\u{e9}llo','\u{65e5}\u{672c}') :- q('\u{e9}')."
+        );
+        assert_eq!(parse_program(&printed).unwrap().clauses(), p.clauses());
+        // Outside quotes a character beyond ASCII is one error, naming the
+        // character, in a column that counts characters.
+        let err = parse_program("p('\u{e9}',\n  '\u{e9}', \u{e9}).").unwrap_err();
+        assert_eq!(err.message, "unexpected character '\u{e9}'");
+        assert_eq!((err.line, err.column), (2, 8));
+    }
+
+    #[test]
+    fn errors_name_what_the_user_typed() {
+        let err = parse_program("t(a :- b).").unwrap_err();
+        assert_eq!(err.message, "expected ')', found ':-'");
+        let err = parse_program("p :- q").unwrap_err();
+        assert_eq!(err.message, "expected '.', found end of input");
+        let err = parse_program("l([a | b 'c d']).").unwrap_err();
+        assert_eq!(err.message, "expected ']', found 'c d'");
+        let err = parse_term("foo bar").unwrap_err();
+        assert_eq!(err.message, "trailing input: 'bar'");
+        assert_eq!((err.line, err.column), (1, 5));
+    }
+
+    #[test]
+    fn a_head_that_is_not_callable_is_reported_where_its_clause_starts() {
+        let err = parse_program("p.\n\n  1.5 :- q.").unwrap_err();
+        assert_eq!(err.message, "clause head must be callable, found 1.5");
+        assert_eq!((err.line, err.column), (3, 3));
+        let err = parse_program("f(X) :- g(X). Y.").unwrap_err();
+        assert_eq!((err.line, err.column), (1, 15));
+    }
+
+    #[test]
+    fn the_first_error_in_the_text_is_the_one_reported() {
+        // Tokens are read as the parser asks for them, so a syntax error
+        // hides a lexical error after it (a whole-text lexing pass used to
+        // report the unterminated atom).
+        let err = parse_program("p(a b). q('oops").unwrap_err();
+        assert_eq!(err.message, "expected ')', found 'b'");
+        assert_eq!((err.line, err.column), (1, 5));
+        let err = parse_program("p(a). q('oops").unwrap_err();
+        assert_eq!(err.message, "unterminated quoted atom");
+    }
+
+    #[test]
+    fn what_follows_the_end_of_a_term_must_still_lex() {
+        let (t, _) = parse_term("foo(X). bar baz").unwrap();
+        assert_eq!(t.to_string(), "foo(_0)");
+        assert!(parse_term("foo(X). 'oops").is_err());
     }
 
     #[test]

@@ -17,9 +17,8 @@
 use granlog_analysis::annotate::{apply_granularity_control, AnnotateOptions};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions, ProgramAnalysis};
 use granlog_ir::{PredId, Program};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Write as _;
+use support::Section;
 
 mod support;
 
@@ -39,56 +38,8 @@ const OVERHEAD: f64 = 48.0;
 /// and is well under two-thirds of the parent's figure (29 967).
 const ALLOCATION_BUDGET: u64 = 20_000;
 
-thread_local! {
-    /// Allocator calls made by this thread.
-    static ALLOCATOR_CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting calls per thread so the two tests of this
-/// binary can run side by side.
-struct CountingAllocator;
-
-fn count_call() {
-    // `try_with`: a thread that is being torn down may still free memory.
-    let _ = ALLOCATOR_CALLS.try_with(|calls| calls.set(calls.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
-// `Cell<u64>` (const-initialised, no destructor) and never allocates.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_call();
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_call();
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_call();
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// One `@ program item` section of the golden file.
-struct Section {
-    header: String,
-    body: String,
-}
+static ALLOCATOR: support::CountingAllocator = support::CountingAllocator;
 
 fn by_name(pred: &PredId) -> (&'static str, usize) {
     (pred.name.as_str(), pred.arity)
@@ -161,85 +112,21 @@ fn measure() -> Vec<Section> {
     sections
 }
 
-/// The file as committed: `#` lines are comments, an `@ program item` line
-/// opens a section, indented lines are its body.
-fn render(sections: &[Section]) -> String {
-    let mut out = String::from(
-        "# What the granularity analysis computes for the fixed corpus, compared byte for\n\
-         # byte by tests/analysis_oracle.rs. After an intended change, copy\n\
-         # $TMPDIR/granlog-analysis-closed-forms.actual over this file.\n",
-    );
-    for section in sections {
-        out.push_str(&section.header);
-        out.push('\n');
-        out.push_str(&section.body);
-    }
-    out
-}
-
-/// Splits a rendered file back into its sections.
-fn parse(text: &str) -> Vec<Section> {
-    let mut sections: Vec<Section> = Vec::new();
-    for line in text.lines().filter(|line| !line.starts_with('#')) {
-        match sections.last_mut() {
-            Some(open) if !line.starts_with('@') => {
-                open.body.push_str(line);
-                open.body.push('\n');
-            }
-            _ => sections.push(Section {
-                header: line.to_owned(),
-                body: String::new(),
-            }),
-        }
-    }
-    sections
-}
+const GOLDEN_PREAMBLE: &str = "\
+# What the granularity analysis computes for the fixed corpus, compared byte for
+# byte by tests/analysis_oracle.rs. After an intended change, copy
+# $TMPDIR/granlog-analysis-closed-forms.actual over this file.
+";
 
 #[test]
 fn closed_forms_and_annotations_match_the_golden_file() {
-    let sections = measure();
-    let actual = render(&sections);
-    let golden = include_str!("golden/analysis_closed_forms.txt");
-    if actual == golden {
-        return;
-    }
-    let path = std::env::temp_dir().join("granlog-analysis-closed-forms.actual");
-    std::fs::write(&path, &actual).unwrap();
-
-    let want = parse(golden);
-    let mut moved = Vec::new();
-    for section in &sections {
-        match want.iter().find(|w| w.header == section.header) {
-            None => moved.push(format!("{}: not in the golden file", section.header)),
-            Some(w) if w.body != section.body => {
-                let lines = w.body.lines().zip(section.body.lines());
-                let (expected, got) = lines
-                    .clone()
-                    .find(|(e, g)| e != g)
-                    .unwrap_or(("(a different number of lines)", ""));
-                moved.push(format!(
-                    "{}: expected `{}`, got `{}`",
-                    section.header,
-                    expected.trim(),
-                    got.trim()
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-    for w in &want {
-        if !sections.iter().any(|s| s.header == w.header) {
-            moved.push(format!("{}: only in the golden file", w.header));
-        }
-    }
-    if moved.is_empty() {
-        moved.push("only comments, spacing or section order differ".to_owned());
-    }
-    panic!(
-        "the analysis left tests/golden/analysis_closed_forms.txt:\n  {}\n\
-         (the file as computed was written to {})",
-        moved.join("\n  "),
-        path.display()
+    support::assert_matches_golden(
+        "the analysis",
+        "analysis_closed_forms.txt",
+        include_str!("golden/analysis_closed_forms.txt"),
+        "granlog-analysis-closed-forms.actual",
+        GOLDEN_PREAMBLE,
+        &measure(),
     );
 }
 
@@ -254,12 +141,12 @@ fn analysing_the_corpus_stays_inside_the_allocation_budget() {
     for program in &programs {
         analyze_program(program, &options);
     }
-    let before = ALLOCATOR_CALLS.with(Cell::get);
+    let before = support::allocator_calls();
     let mut predicates = 0;
     for program in &programs {
         predicates += analyze_program(program, &options).preds.len();
     }
-    let calls = ALLOCATOR_CALLS.with(Cell::get) - before;
+    let calls = support::allocator_calls() - before;
     assert_eq!(predicates, 40, "the corpus defines 40 predicates");
     assert!(
         calls <= ALLOCATION_BUDGET,

@@ -115,3 +115,23 @@ fn usage_errors_exit_nonzero() {
         "error output should explain the failure"
     );
 }
+
+/// ROADMAP item 1, the reader: a 200 000-deep term used to overflow the
+/// stack (`exit 134`). It is a parse error with a position now.
+#[test]
+fn a_term_nested_past_the_limit_is_a_parse_error_not_an_abort() {
+    let deep = format!("p({}a{}).", "f(".repeat(200_000), ")".repeat(200_000));
+    let path = write_temp("deep.pl", &deep);
+    let output = Command::new(env!("CARGO_BIN_EXE_granlog"))
+        .args(["analyze", path.to_str().unwrap()])
+        .output()
+        .expect("granlog binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    // `p(f(` ... is 512 deep at its 511th `f`; the reader stops at the 513th,
+    // in column 3 + 2 * 512.
+    assert!(
+        stderr.contains("parse error at 1:1027: term nested deeper than 512"),
+        "{stderr}"
+    );
+}

@@ -13,7 +13,9 @@
 mod support;
 
 use granlog_benchmarks::all_benchmarks;
-use granlog_serve::{ServeClient, ServeConfig, Server};
+use granlog_engine::MachineConfig;
+use granlog_ir::parser::MAX_TERM_DEPTH;
+use granlog_serve::{PoolConfig, ServeClient, ServeConfig, Server, TemplateCache};
 use granlog_store::StoreConfig;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -431,6 +433,84 @@ fn an_endless_command_line_is_refused_and_costs_the_neighbour_nothing() {
     }
     tenant.quit().unwrap();
     server.shutdown();
+}
+
+/// ROADMAP item 1, the reader: a 200 000-deep term used to overflow the
+/// stack of the connection thread and abort the server under every tenant.
+/// It is a parse error now, for the session that sent it alone.
+#[test]
+fn a_term_nested_past_the_limit_is_a_parse_error_and_costs_the_neighbour_nothing() {
+    let server = start_server(ServeConfig::default());
+    let mut tenant = ServeClient::connect(server.addr()).unwrap();
+    tenant.load("p(1).").unwrap().unwrap();
+
+    let mut hostile = ServeClient::connect(server.addr()).unwrap();
+    let deep = format!("p({}a{}).", "f(".repeat(200_000), ")".repeat(200_000));
+    let err = hostile.load(&deep).unwrap().expect_err("nested too deep");
+    assert!(
+        err.starts_with("parse") && err.contains(&format!("nested deeper than {MAX_TERM_DEPTH}")),
+        "{err}"
+    );
+
+    let reply = tenant.query("p(X)").unwrap().unwrap();
+    assert_eq!(reply.bindings, vec![("X".to_string(), "1".to_string())]);
+    // The session that was refused is still served, and a goal goes
+    // through the same reader.
+    hostile.load("q(2).").unwrap().unwrap();
+    let err = hostile.query(&deep).unwrap().expect_err("so is the goal");
+    assert!(err.contains("nested deeper than"), "{err}");
+    assert!(hostile.query("q(2)").unwrap().unwrap().succeeded);
+    assert_eq!(tenant.stats().unwrap().quarantined, 0);
+    hostile.quit().unwrap();
+    tenant.quit().unwrap();
+    server.shutdown();
+}
+
+/// One clause per shape the reader nests, each `depth` deep as
+/// `MAX_TERM_DEPTH` counts it.
+fn clauses_nested(depth: usize) -> Vec<String> {
+    let k = depth - 1;
+    vec![
+        format!("p({}a{}).", "f(".repeat(k), ")".repeat(k)),
+        format!("p :- q({}a{}).", "f(".repeat(k - 1), ")".repeat(k - 1)),
+        format!("p({}a{}).", "[".repeat(k), "]".repeat(k)),
+        format!("p({}a{}).", "{".repeat(k), "}".repeat(k)),
+        format!("p({}a{}).", "(".repeat(k), ")".repeat(k)),
+        format!("p(1{}).", " - 1".repeat(k)),
+        format!("p :- {}a.", "a, ".repeat(k)),
+        format!("p :- {}a.", "\\+ ".repeat(k)),
+    ]
+}
+
+/// What `MAX_TERM_DEPTH` was chosen for: a term at the limit, in each shape
+/// the reader nests, goes through a whole `load` — read, normalize, compile
+/// to templates, drop — on a thread with the 2 MiB stack a connection
+/// thread has, in this (unoptimised) build. One level more is refused.
+#[test]
+fn a_term_at_the_depth_limit_survives_a_whole_load_on_a_connection_sized_stack() {
+    std::thread::Builder::new()
+        .stack_size(2 * 1024 * 1024)
+        .spawn(|| {
+            let cache = TemplateCache::new(2, MachineConfig::default(), PoolConfig::default());
+            for program in clauses_nested(MAX_TERM_DEPTH) {
+                let shape = &program[..12];
+                let (entry, _) = cache
+                    .load(&program)
+                    .unwrap_or_else(|e| panic!("{shape}... is at the limit, not past it: {e}"));
+                assert_eq!(entry.clause_count(), 1, "{shape}...");
+            }
+            for program in clauses_nested(MAX_TERM_DEPTH + 1) {
+                let shape = &program[..12];
+                let err = cache.load(&program).err().expect("past the limit");
+                assert!(
+                    err.to_string().contains("nested deeper than"),
+                    "{shape}...: {err}"
+                );
+            }
+        })
+        .expect("spawn")
+        .join()
+        .expect("no shape overflows the stack or panics");
 }
 
 /// The wire format, byte for byte: one scripted session whose replies are

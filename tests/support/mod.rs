@@ -1,6 +1,7 @@
 //! The integration suites' shared kit: the 15-program corpus, the sequential
 //! oracle, answer canonicalization, a parallel hook that steals every arm,
-//! scratch directories and server start-up.
+//! scratch directories, server start-up, and what the golden-file oracles
+//! share — a counting allocator and the sectioned-file comparison.
 //! Each suite pulls it in with `mod support;` and uses its own subset.
 #![allow(dead_code)]
 
@@ -10,6 +11,8 @@ use granlog_engine::{ClauseTemplate, Machine, MachineConfig};
 use granlog_ir::parser::parse_program;
 use granlog_ir::Program;
 use granlog_serve::{ServeConfig, Server, ServerHandle};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -127,4 +130,141 @@ pub fn temp_dir(tag: &str) -> PathBuf {
 /// loopback port).
 pub fn start_server(config: ServeConfig) -> ServerHandle {
     Server::start(config).expect("server must bind an ephemeral port")
+}
+
+thread_local! {
+    /// Allocator calls made by this thread.
+    static ALLOCATOR_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting calls (`alloc`, `alloc_zeroed`, `realloc`)
+/// per thread so the tests of one binary can run side by side. A suite that
+/// holds code to an allocation budget installs it with `#[global_allocator]`
+/// and reads [`allocator_calls`] before and after.
+pub struct CountingAllocator;
+
+/// Allocator calls this thread has made so far, in a binary whose global
+/// allocator is [`CountingAllocator`].
+pub fn allocator_calls() -> u64 {
+    ALLOCATOR_CALLS.with(Cell::get)
+}
+
+fn count_call() {
+    // `try_with`: a thread that is being torn down may still free memory.
+    let _ = ALLOCATOR_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// `Cell<u64>` (const-initialised, no destructor) and never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_call();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_call();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_call();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// One `@ ...` section of a golden file: `#` lines are comments, an `@` line
+/// opens a section, indented lines are its body.
+pub struct Section {
+    pub header: String,
+    pub body: String,
+}
+
+/// Splits a golden file back into its sections.
+fn parse_sections(text: &str) -> Vec<Section> {
+    let mut sections: Vec<Section> = Vec::new();
+    for line in text.lines().filter(|line| !line.starts_with('#')) {
+        match sections.last_mut() {
+            Some(open) if !line.starts_with('@') => {
+                open.body.push_str(line);
+                open.body.push('\n');
+            }
+            _ => sections.push(Section {
+                header: line.to_owned(),
+                body: String::new(),
+            }),
+        }
+    }
+    sections
+}
+
+/// Compares `preamble` followed by `sections` with the committed file
+/// `tests/golden/<file>` (whose text is `golden`), byte for byte. On a
+/// mismatch the panic names every section of `subject` that moved, and the
+/// whole file as computed is left in `$TMPDIR/<actual>`.
+pub fn assert_matches_golden(
+    subject: &str,
+    file: &str,
+    golden: &str,
+    actual: &str,
+    preamble: &str,
+    sections: &[Section],
+) {
+    let mut rendered = String::from(preamble);
+    for section in sections {
+        rendered.push_str(&section.header);
+        rendered.push('\n');
+        rendered.push_str(&section.body);
+    }
+    if rendered == golden {
+        return;
+    }
+    let path = std::env::temp_dir().join(actual);
+    std::fs::write(&path, &rendered).unwrap();
+
+    let want = parse_sections(golden);
+    let mut moved = Vec::new();
+    for section in sections {
+        match want.iter().find(|w| w.header == section.header) {
+            None => moved.push(format!("{}: not in the golden file", section.header)),
+            Some(w) if w.body != section.body => {
+                let (expected, got) = w
+                    .body
+                    .lines()
+                    .zip(section.body.lines())
+                    .find(|(e, g)| e != g)
+                    .unwrap_or(("(a different number of lines)", ""));
+                moved.push(format!(
+                    "{}: expected `{}`, got `{}`",
+                    section.header,
+                    expected.trim(),
+                    got.trim()
+                ));
+            }
+            Some(_) => {}
+        }
+    }
+    for w in &want {
+        if !sections.iter().any(|s| s.header == w.header) {
+            moved.push(format!("{}: only in the golden file", w.header));
+        }
+    }
+    if moved.is_empty() {
+        moved.push("only comments, spacing or section order differ".to_owned());
+    }
+    panic!(
+        "{subject} left tests/golden/{file}:\n  {}\n\
+         (the file as computed was written to {})",
+        moved.join("\n  "),
+        path.display()
+    );
 }
