@@ -1,16 +1,31 @@
 //! Arithmetic evaluation for `is/2` and the arithmetic comparison builtins.
 //!
-//! Expressions are evaluated either directly off arena heap cells (`eval`)
-//! or off precompiled template cells (`eval_template`, both crate-private) —
-//! the eager clause-activation path uses the latter to run arithmetic guards
-//! and `is/2` without ever building the expression term.
+//! An expression is evaluated in one of two ways, which apply the same
+//! operators (`apply1` / `apply2`) and report the same errors:
+//!
+//! * **compiled** — an expression written in a clause body is translated
+//!   once, when the clause template is compiled (`compile`), to postfix
+//!   `Instr` code with every operator already resolved; `run` executes
+//!   it over a fixed operand array, reading variables straight from the
+//!   activation's cells. Nothing is hashed, built or allocated per
+//!   evaluation.
+//! * **heap** — an expression that only exists at run time (`X = 1+2, Y is
+//!   X`, a query goal, a metacall) is a term in the arena; `eval` walks it
+//!   with an explicit work stack, so an expression of any depth evaluates on
+//!   constant native stack. Compiled code falls to it for a variable that
+//!   turns out to be bound to a compound or an atom.
+//!
+//! Both carry a failure as an `ArithError` — a small `Copy` value — and
+//! render it to [`EngineError::Arithmetic`] text once, where the evaluation
+//! leaves this module.
 
 use crate::error::{EngineError, EngineResult};
-use crate::heap::HCell;
+use crate::heap::{self, HCell};
 use crate::machine::Machine;
 use crate::template::Cell;
 use granlog_ir::{FastMap, Symbol};
 use std::cmp::Ordering;
+use std::fmt;
 use std::sync::OnceLock;
 
 /// A Prolog number: integer or float.
@@ -39,64 +54,58 @@ impl Num {
         }
     }
 
-    /// Numeric comparison (floats and integers compare by value).
-    pub fn compare(self, other: Num) -> Ordering {
+    /// Numeric comparison (floats and integers compare by value). `None`
+    /// when a NaN makes the pair unordered — never `Equal`.
+    pub fn compare(self, other: Num) -> Option<Ordering> {
         match (self, other) {
-            (Num::Int(a), Num::Int(b)) => a.cmp(&b),
-            (a, b) => a
-                .as_f64()
-                .partial_cmp(&b.as_f64())
-                .unwrap_or(Ordering::Equal),
+            (Num::Int(a), Num::Int(b)) => Some(a.cmp(&b)),
+            (a, b) => a.as_f64().partial_cmp(&b.as_f64()),
         }
     }
 }
 
-fn err(msg: impl Into<String>) -> EngineError {
-    EngineError::Arithmetic(msg.into())
+/// An arithmetic comparison: `<`, `>`, `=<`, `>=`, `=:=`, `=\=`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpOp {
+    /// `<`
+    Lt,
+    /// `>`
+    Gt,
+    /// `=<`
+    Le,
+    /// `>=`
+    Ge,
+    /// `=:=`
+    Eq,
+    /// `=\=`
+    Ne,
 }
 
-/// The result of a checked `i64` operation: `None` is an overflow, which is
-/// an error (ISO's `evaluation_error(int_overflow)`), never a wrapped value
-/// and never a panic.
-fn int(checked: Option<i64>, op: &str) -> EngineResult<Num> {
-    checked
-        .map(Num::Int)
-        .ok_or_else(|| err(format!("integer overflow in {op}")))
-}
-
-/// `+`, `-`, `*`: checked on two integers, floating point otherwise.
-fn int_or_float(
-    a: Num,
-    b: Num,
-    op: &str,
-    fi: impl Fn(i64, i64) -> Option<i64>,
-    ff: impl Fn(f64, f64) -> f64,
-) -> EngineResult<Num> {
-    match (a, b) {
-        (Num::Int(x), Num::Int(y)) => int(fi(x, y), op),
-        _ => Ok(Num::Float(ff(a.as_f64(), b.as_f64()))),
+impl CmpOp {
+    /// Whether `a op b` holds. An unordered pair (a NaN operand) satisfies
+    /// only `=\=`.
+    pub fn holds(self, a: Num, b: Num) -> bool {
+        let Some(ord) = a.compare(b) else {
+            return self == CmpOp::Ne;
+        };
+        match self {
+            CmpOp::Lt => ord == Ordering::Less,
+            CmpOp::Gt => ord == Ordering::Greater,
+            CmpOp::Le => ord != Ordering::Greater,
+            CmpOp::Ge => ord != Ordering::Less,
+            CmpOp::Eq => ord == Ordering::Equal,
+            CmpOp::Ne => ord != Ordering::Equal,
+        }
     }
 }
 
-/// An arithmetic function identified by one `(functor, arity)` entry of the
-/// dispatch table.
+/// A one-argument arithmetic function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ArithOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    IntDiv,
-    Mod,
-    Rem,
+pub(crate) enum UnOp {
     Neg,
     Plus,
     Abs,
     Sign,
-    Min,
-    Max,
-    PowFloat,
-    PowInt,
     Sqrt,
     Sin,
     Cos,
@@ -104,15 +113,150 @@ enum ArithOp {
     Log,
     Exp,
     ToFloat,
+    Integer,
     Truncate,
     Round,
     Floor,
     Ceiling,
+}
+
+/// A two-argument arithmetic function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BinOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    IntDiv,
+    Mod,
+    Rem,
+    Min,
+    Max,
+    PowFloat,
+    PowInt,
     Shr,
     Shl,
     BitAnd,
     BitOr,
 }
+
+/// An arithmetic function identified by one `(functor, arity)` entry of the
+/// dispatch table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ArithOp {
+    Unary(UnOp),
+    Binary(BinOp),
+}
+
+impl ArithOp {
+    /// The operator as error messages name it.
+    fn name(self) -> &'static str {
+        match self {
+            ArithOp::Unary(op) => match op {
+                UnOp::Neg => "-",
+                UnOp::Plus => "+",
+                UnOp::Abs => "abs",
+                UnOp::Sign => "sign",
+                UnOp::Sqrt => "sqrt",
+                UnOp::Sin => "sin",
+                UnOp::Cos => "cos",
+                UnOp::Atan => "atan",
+                UnOp::Log => "log",
+                UnOp::Exp => "exp",
+                UnOp::ToFloat => "float",
+                UnOp::Integer => "integer",
+                UnOp::Truncate => "truncate",
+                UnOp::Round => "round",
+                UnOp::Floor => "floor",
+                UnOp::Ceiling => "ceiling",
+            },
+            ArithOp::Binary(op) => match op {
+                BinOp::Add => "+",
+                BinOp::Sub => "-",
+                BinOp::Mul => "*",
+                BinOp::Div => "/",
+                BinOp::IntDiv => "//",
+                BinOp::Mod => "mod",
+                BinOp::Rem => "rem",
+                BinOp::Min => "min",
+                BinOp::Max => "max",
+                BinOp::PowFloat => "**",
+                BinOp::PowInt => "^",
+                BinOp::Shr => ">>",
+                BinOp::Shl => "<<",
+                BinOp::BitAnd => "/\\",
+                BinOp::BitOr => "\\/",
+            },
+        }
+    }
+}
+
+/// Why an evaluation failed. `Copy` and three words, so the evaluators pass
+/// it by value; the message is only formatted when the error leaves this
+/// module as an [`EngineError::Arithmetic`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ArithError {
+    /// An unbound variable in the expression.
+    Unbound,
+    /// An atom that is not an arithmetic constant.
+    UnknownConstant(Symbol),
+    /// A compound whose functor is not an arithmetic function.
+    UnknownFunction(Symbol, u32),
+    DivisionByZero,
+    ModuloByZero,
+    /// An integer result that does not fit in 64 bits (ISO's
+    /// `evaluation_error(int_overflow)`): never a wrapped or saturated
+    /// value, never a panic.
+    Overflow(ArithOp),
+    /// A result that is not a number: a float function outside its domain
+    /// (`sqrt(-1)`, `log(-1)`, `-8 ** 0.5`).
+    Undefined(ArithOp),
+    /// A float operand where the function takes integers only.
+    NotInteger(ArithOp),
+    /// A negative shift count.
+    NegativeShift(ArithOp),
+    /// An integer exponent past `u32`.
+    ExponentTooLarge,
+}
+
+impl fmt::Display for ArithError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ArithError::Unbound => f.write_str("unbound variable in arithmetic expression"),
+            ArithError::UnknownConstant(s) => write!(f, "unknown arithmetic constant {s}"),
+            ArithError::UnknownFunction(name, arity) => {
+                write!(f, "unknown arithmetic function {name}/{arity}")
+            }
+            ArithError::DivisionByZero => f.write_str("division by zero"),
+            ArithError::ModuloByZero => f.write_str("modulo by zero"),
+            ArithError::Overflow(op) => write!(f, "integer overflow in {}", op.name()),
+            ArithError::Undefined(op) => write!(f, "undefined result in {}", op.name()),
+            ArithError::NotInteger(ArithOp::Binary(BinOp::IntDiv)) => {
+                f.write_str("// requires integer operands")
+            }
+            ArithError::NotInteger(ArithOp::Binary(BinOp::Mod | BinOp::Rem)) => {
+                f.write_str("mod requires integer operands")
+            }
+            ArithError::NotInteger(op) => write!(f, "{} requires integers", op.name()),
+            ArithError::NegativeShift(op) => {
+                write!(f, "{} requires a non-negative shift", op.name())
+            }
+            ArithError::ExponentTooLarge => f.write_str("exponent too large"),
+        }
+    }
+}
+
+impl From<ArithError> for EngineError {
+    // Formatting is kept out of line, so the `?` of an evaluation's caller
+    // costs its success path a compare and a jump.
+    #[cold]
+    #[inline(never)]
+    fn from(e: ArithError) -> EngineError {
+        EngineError::Arithmetic(e.to_string())
+    }
+}
+
+type ArithResult = Result<Num, ArithError>;
 
 /// Arithmetic constants recognised in atom position.
 struct ArithConsts {
@@ -120,71 +264,443 @@ struct ArithConsts {
     e: Symbol,
 }
 
-fn consts() -> &'static ArithConsts {
+fn constant(s: Symbol) -> Result<f64, ArithError> {
     static CONSTS: OnceLock<ArithConsts> = OnceLock::new();
-    CONSTS.get_or_init(|| ArithConsts {
+    let c = CONSTS.get_or_init(|| ArithConsts {
         pi: Symbol::intern("pi"),
         e: Symbol::intern("e"),
-    })
-}
-
-fn eval_const(s: Symbol) -> EngineResult<Num> {
-    let c = consts();
+    });
     if s == c.pi {
-        Ok(Num::Float(std::f64::consts::PI))
+        Ok(std::f64::consts::PI)
     } else if s == c.e {
-        Ok(Num::Float(std::f64::consts::E))
+        Ok(std::f64::consts::E)
     } else {
-        Err(err(format!("unknown arithmetic constant {s}")))
+        Err(ArithError::UnknownConstant(s))
     }
 }
 
-/// The function dispatch table: interned `(functor, arity)` → operation,
-/// built once per process so evaluating an expression node costs one hash
-/// probe instead of a string match (and its interner lock).
-fn table() -> &'static FastMap<(Symbol, usize), ArithOp> {
-    static TABLE: OnceLock<FastMap<(Symbol, usize), ArithOp>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        use ArithOp::*;
-        let entries: &[(&str, usize, ArithOp)] = &[
-            ("+", 2, Add),
-            ("-", 2, Sub),
-            ("*", 2, Mul),
-            ("/", 2, Div),
-            ("//", 2, IntDiv),
-            ("div", 2, IntDiv),
-            ("mod", 2, Mod),
-            ("rem", 2, Rem),
-            ("-", 1, Neg),
-            ("+", 1, Plus),
-            ("abs", 1, Abs),
-            ("sign", 1, Sign),
-            ("min", 2, Min),
-            ("max", 2, Max),
-            ("**", 2, PowFloat),
-            ("^", 2, PowInt),
-            ("sqrt", 1, Sqrt),
-            ("sin", 1, Sin),
-            ("cos", 1, Cos),
-            ("atan", 1, Atan),
-            ("log", 1, Log),
-            ("exp", 1, Exp),
-            ("float", 1, ToFloat),
-            ("integer", 1, Truncate),
-            ("truncate", 1, Truncate),
-            ("round", 1, Round),
-            ("floor", 1, Floor),
-            ("ceiling", 1, Ceiling),
-            (">>", 2, Shr),
-            ("<<", 2, Shl),
-            ("/\\", 2, BitAnd),
-            ("\\/", 2, BitOr),
+/// The function behind `name/arity`, if it is an arithmetic function. One
+/// hash probe on interned symbols — paid per node by the heap evaluator and
+/// once per node, at template-compile time, by compiled code.
+fn function(name: Symbol, arity: u32) -> Result<ArithOp, ArithError> {
+    static TABLE: OnceLock<FastMap<(Symbol, u32), ArithOp>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        use ArithOp::{Binary, Unary};
+        use BinOp::*;
+        use UnOp::*;
+        let entries: &[(&str, ArithOp)] = &[
+            ("+", Binary(Add)),
+            ("-", Binary(Sub)),
+            ("*", Binary(Mul)),
+            ("/", Binary(Div)),
+            ("//", Binary(IntDiv)),
+            ("div", Binary(IntDiv)),
+            ("mod", Binary(Mod)),
+            ("rem", Binary(Rem)),
+            ("-", Unary(Neg)),
+            ("+", Unary(Plus)),
+            ("abs", Unary(Abs)),
+            ("sign", Unary(Sign)),
+            ("min", Binary(Min)),
+            ("max", Binary(Max)),
+            ("**", Binary(PowFloat)),
+            ("^", Binary(PowInt)),
+            ("sqrt", Unary(Sqrt)),
+            ("sin", Unary(Sin)),
+            ("cos", Unary(Cos)),
+            ("atan", Unary(Atan)),
+            ("log", Unary(Log)),
+            ("exp", Unary(Exp)),
+            ("float", Unary(ToFloat)),
+            ("integer", Unary(Integer)),
+            ("truncate", Unary(Truncate)),
+            ("round", Unary(Round)),
+            ("floor", Unary(Floor)),
+            ("ceiling", Unary(Ceiling)),
+            (">>", Binary(Shr)),
+            ("<<", Binary(Shl)),
+            ("/\\", Binary(BitAnd)),
+            ("\\/", Binary(BitOr)),
         ];
         entries
             .iter()
-            .map(|&(name, arity, op)| ((Symbol::intern(name), arity), op))
+            .map(|&(name, op)| {
+                let arity = match op {
+                    Unary(_) => 1,
+                    Binary(_) => 2,
+                };
+                ((Symbol::intern(name), arity), op)
+            })
             .collect()
-    })
+    });
+    table
+        .get(&(name, arity))
+        .copied()
+        .ok_or(ArithError::UnknownFunction(name, arity))
+}
+
+// ----------------------------------------------------------------------
+// Operator application
+// ----------------------------------------------------------------------
+
+/// The result of a checked `i64` operation; `None` is an overflow.
+#[inline]
+fn int(checked: Option<i64>, op: ArithOp) -> ArithResult {
+    checked.map(Num::Int).ok_or(ArithError::Overflow(op))
+}
+
+/// The result of a float function (`sqrt`, `log`, `**`, ...): a NaN means it
+/// was applied outside its domain. The four basic operators keep IEEE
+/// semantics instead — an overflowed product is an infinity, and `inf - inf`
+/// the one NaN an expression can still produce.
+#[inline]
+fn float(x: f64, op: ArithOp) -> ArithResult {
+    if x.is_nan() {
+        Err(ArithError::Undefined(op))
+    } else {
+        Ok(Num::Float(x))
+    }
+}
+
+/// A float rounded to an integral value, as an integer — if it is one.
+#[inline]
+fn float_to_int(x: f64, op: ArithOp) -> ArithResult {
+    // Both bounds are exact in `f64`; `i64::MAX as f64` would round up to
+    // 2^63 and let it through to a saturating cast.
+    const LOW: f64 = -9_223_372_036_854_775_808.0;
+    const HIGH: f64 = 9_223_372_036_854_775_808.0;
+    if x.is_nan() {
+        Err(ArithError::Undefined(op))
+    } else if (LOW..HIGH).contains(&x) {
+        Ok(Num::Int(x as i64))
+    } else {
+        Err(ArithError::Overflow(op))
+    }
+}
+
+/// Applies a one-argument function to an evaluated operand.
+#[inline]
+fn apply1(op: UnOp, a: Num) -> ArithResult {
+    let f = ArithOp::Unary(op);
+    let x = match (op, a) {
+        (UnOp::Neg, Num::Int(x)) => return int(x.checked_neg(), f),
+        (UnOp::Neg, Num::Float(x)) => return Ok(Num::Float(-x)),
+        (UnOp::Plus, _) => return Ok(a),
+        (UnOp::Abs, Num::Int(x)) => return int(x.checked_abs(), f),
+        (UnOp::Abs, Num::Float(x)) => return Ok(Num::Float(x.abs())),
+        (UnOp::Sign, Num::Int(x)) => return Ok(Num::Int(x.signum())),
+        (UnOp::Sign, Num::Float(x)) => return Ok(Num::Float(x.signum())),
+        (UnOp::Sqrt, _) => a.as_f64().sqrt(),
+        (UnOp::Sin, _) => a.as_f64().sin(),
+        (UnOp::Cos, _) => a.as_f64().cos(),
+        (UnOp::Atan, _) => a.as_f64().atan(),
+        (UnOp::Log, _) => a.as_f64().ln(),
+        (UnOp::Exp, _) => a.as_f64().exp(),
+        (UnOp::ToFloat, _) => return Ok(Num::Float(a.as_f64())),
+        // An integer is already integral; routing it through `f64` would
+        // lose its low bits above 2^53.
+        (
+            UnOp::Integer | UnOp::Truncate | UnOp::Round | UnOp::Floor | UnOp::Ceiling,
+            Num::Int(_),
+        ) => return Ok(a),
+        (UnOp::Integer | UnOp::Truncate, Num::Float(x)) => return float_to_int(x.trunc(), f),
+        (UnOp::Round, Num::Float(x)) => return float_to_int(x.round(), f),
+        (UnOp::Floor, Num::Float(x)) => return float_to_int(x.floor(), f),
+        (UnOp::Ceiling, Num::Float(x)) => return float_to_int(x.ceil(), f),
+    };
+    float(x, f)
+}
+
+/// Applies a two-argument function to evaluated operands.
+#[inline]
+fn apply2(op: BinOp, a: Num, b: Num) -> ArithResult {
+    let f = ArithOp::Binary(op);
+    match op {
+        BinOp::Add => match (a, b) {
+            (Num::Int(x), Num::Int(y)) => int(x.checked_add(y), f),
+            _ => Ok(Num::Float(a.as_f64() + b.as_f64())),
+        },
+        BinOp::Sub => match (a, b) {
+            (Num::Int(x), Num::Int(y)) => int(x.checked_sub(y), f),
+            _ => Ok(Num::Float(a.as_f64() - b.as_f64())),
+        },
+        BinOp::Mul => match (a, b) {
+            (Num::Int(x), Num::Int(y)) => int(x.checked_mul(y), f),
+            _ => Ok(Num::Float(a.as_f64() * b.as_f64())),
+        },
+        BinOp::Div => {
+            if b.as_f64() == 0.0 {
+                return Err(ArithError::DivisionByZero);
+            }
+            match (a, b) {
+                // An exact integer quotient stays an integer. `checked_rem`
+                // is `None` only for `i64::MIN / -1`: exact, but too large.
+                (Num::Int(x), Num::Int(y)) if matches!(x.checked_rem(y), None | Some(0)) => {
+                    int(x.checked_div(y), f)
+                }
+                _ => Ok(Num::Float(a.as_f64() / b.as_f64())),
+            }
+        }
+        BinOp::IntDiv => match (a, b) {
+            (_, Num::Int(0)) => Err(ArithError::DivisionByZero),
+            (Num::Int(x), Num::Int(y)) => int(x.checked_div_euclid(y), f),
+            _ => Err(ArithError::NotInteger(f)),
+        },
+        BinOp::Mod | BinOp::Rem => match (a, b) {
+            (_, Num::Int(0)) => Err(ArithError::ModuloByZero),
+            (Num::Int(x), Num::Int(y)) if op == BinOp::Mod => int(x.checked_rem_euclid(y), f),
+            (Num::Int(x), Num::Int(y)) => int(x.checked_rem(y), f),
+            _ => Err(ArithError::NotInteger(f)),
+        },
+        BinOp::Min => Ok(if a.compare(b) == Some(Ordering::Greater) {
+            b
+        } else {
+            a
+        }),
+        BinOp::Max => Ok(if a.compare(b) == Some(Ordering::Less) {
+            b
+        } else {
+            a
+        }),
+        BinOp::PowFloat | BinOp::PowInt => match (a, b) {
+            (Num::Int(x), Num::Int(y)) if y >= 0 && op == BinOp::PowInt => {
+                let y = u32::try_from(y).map_err(|_| ArithError::ExponentTooLarge)?;
+                int(x.checked_pow(y), f)
+            }
+            _ => float(a.as_f64().powf(b.as_f64()), f),
+        },
+        BinOp::Shr | BinOp::Shl => match (a, b) {
+            (Num::Int(_), Num::Int(y)) if y < 0 => Err(ArithError::NegativeShift(f)),
+            // An arithmetic shift right by 64 or more is one by 63.
+            (Num::Int(x), Num::Int(y)) if op == BinOp::Shr => Ok(Num::Int(x >> y.min(63))),
+            (Num::Int(0), Num::Int(_)) => Ok(a),
+            // In range exactly when shifting back recovers the operand.
+            (Num::Int(x), Num::Int(y)) => int(
+                Some(x << (y & 63)).filter(|shifted| y < 64 && shifted >> y == x),
+                f,
+            ),
+            _ => Err(ArithError::NotInteger(f)),
+        },
+        BinOp::BitAnd => match (a, b) {
+            (Num::Int(x), Num::Int(y)) => Ok(Num::Int(x & y)),
+            _ => Err(ArithError::NotInteger(f)),
+        },
+        BinOp::BitOr => match (a, b) {
+            (Num::Int(x), Num::Int(y)) => Ok(Num::Int(x | y)),
+            _ => Err(ArithError::NotInteger(f)),
+        },
+    }
+}
+
+// ----------------------------------------------------------------------
+// Compiled expressions
+// ----------------------------------------------------------------------
+
+/// One instruction of a compiled expression, in postfix order: operands
+/// push, operators pop their arguments and push the result.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Instr {
+    /// An integer literal.
+    Int(i64),
+    /// A float literal (`pi` and `e` are folded to one).
+    Float(f64),
+    /// A clause variable, read at `var_base + v` when the code runs.
+    Var(u32),
+    Op1(UnOp),
+    Op2(BinOp),
+    /// Fails with this error when reached: an unknown function or constant,
+    /// placed where a walk of the expression term would have met it — at the
+    /// node's *pre-order* position, before the code of its arguments. So
+    /// `foo(1/0)` reports the unknown function and `1/0 + foo(1)` the
+    /// division, as the heap evaluator does.
+    Trap(ArithError),
+}
+
+/// The operand-array size of [`run`]. [`compile`] refuses an expression
+/// that would need more, which leaves it to the heap evaluator.
+pub(crate) const MAX_OPERANDS: usize = 8;
+
+/// Compiles the expression subtree of `cells` at `pos` to postfix code
+/// appended to `out`, in one pass over the preorder cells. Returns `false`,
+/// with `out` as it was, if the expression needs more than [`MAX_OPERANDS`]
+/// operand slots.
+///
+/// Nothing after a trap can run, so the code of an expression with an
+/// unknown function or constant ends at the trap.
+pub(crate) fn compile(cells: &[Cell], pos: usize, out: &mut Vec<Instr>) -> bool {
+    let start = out.len();
+    // Operators whose arguments are still being emitted, innermost last,
+    // each with its count of arguments to go.
+    let mut pending: Vec<(Instr, u32)> = Vec::new();
+    let mut operands = 0usize;
+    let mut pos = pos;
+    loop {
+        let cell = cells[pos];
+        pos += 1;
+        let leaf = match cell {
+            Cell::Int(i) => Instr::Int(i),
+            Cell::Float(x) => Instr::Float(x),
+            Cell::Var(v) | Cell::VarFirst(v) => Instr::Var(v),
+            Cell::Atom(s) => match constant(s) {
+                Ok(value) => Instr::Float(value),
+                Err(unknown) => Instr::Trap(unknown),
+            },
+            Cell::Struct(name, arity) => match function(name, arity) {
+                Ok(ArithOp::Unary(op)) => {
+                    pending.push((Instr::Op1(op), 1));
+                    continue;
+                }
+                Ok(ArithOp::Binary(op)) => {
+                    pending.push((Instr::Op2(op), 2));
+                    continue;
+                }
+                Err(unknown) => Instr::Trap(unknown),
+            },
+        };
+        out.push(leaf);
+        if matches!(leaf, Instr::Trap(_)) {
+            return true;
+        }
+        operands += 1;
+        if operands > MAX_OPERANDS {
+            out.truncate(start);
+            return false;
+        }
+        // The operand just emitted may complete any number of operators.
+        loop {
+            let Some((op, left)) = pending.last_mut() else {
+                return true;
+            };
+            *left -= 1;
+            if *left > 0 {
+                break;
+            }
+            if matches!(op, Instr::Op2(_)) {
+                operands -= 1;
+            }
+            out.push(*op);
+            pending.pop();
+        }
+    }
+}
+
+/// Runs compiled code against the activation whose variable block starts at
+/// `var_base`.
+///
+/// # Errors
+///
+/// An [`ArithError`] for an unbound variable, a non-numeric operand, an
+/// unknown function, division by zero, or a result that is undefined or
+/// does not fit in 64 bits.
+#[inline]
+pub(crate) fn run(
+    heap: &[HCell],
+    scratch: &mut Scratch,
+    code: &[Instr],
+    var_base: usize,
+) -> ArithResult {
+    // `compile` bounds the operand count, so the masks below never wrap:
+    // they only let the compiler drop the bounds checks.
+    const MASK: usize = MAX_OPERANDS - 1;
+    const _: () = assert!(MAX_OPERANDS.is_power_of_two());
+    let mut operands = [Num::Int(0); MAX_OPERANDS];
+    let mut top = 0usize;
+    for instr in code {
+        match *instr {
+            Instr::Int(i) => {
+                operands[top & MASK] = Num::Int(i);
+                top += 1;
+            }
+            Instr::Float(x) => {
+                operands[top & MASK] = Num::Float(x);
+                top += 1;
+            }
+            Instr::Var(v) => {
+                let idx = heap::deref(heap, var_base + v as usize);
+                operands[top & MASK] = match heap[idx] {
+                    HCell::Int(i) => Num::Int(i),
+                    HCell::Float(x) => Num::Float(x),
+                    _ => eval_heap(heap, scratch, idx)?,
+                };
+                top += 1;
+            }
+            Instr::Op1(op) => {
+                let a = top.wrapping_sub(1) & MASK;
+                operands[a] = apply1(op, operands[a])?;
+            }
+            Instr::Op2(op) => {
+                top -= 1;
+                let a = top.wrapping_sub(1) & MASK;
+                operands[a] = apply2(op, operands[a], operands[top & MASK])?;
+            }
+            Instr::Trap(e) => return Err(e),
+        }
+    }
+    Ok(operands[0])
+}
+
+// ----------------------------------------------------------------------
+// Run-time expressions
+// ----------------------------------------------------------------------
+
+/// One entry of the heap evaluator's work stack.
+#[derive(Debug, Clone, Copy)]
+enum Work {
+    /// Evaluate the term at this heap index.
+    Eval(u32),
+    Apply1(UnOp),
+    Apply2(BinOp),
+}
+
+/// The heap evaluator's work and value stacks, owned by the machine so that
+/// an evaluation allocates nothing once they are warm.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    work: Vec<Work>,
+    values: Vec<Num>,
+}
+
+/// Evaluates the expression term at heap index `idx` in postorder off an
+/// explicit work stack: native stack use does not depend on the term.
+fn eval_heap(heap: &[HCell], scratch: &mut Scratch, idx: usize) -> ArithResult {
+    let Scratch { work, values } = scratch;
+    work.clear();
+    values.clear();
+    work.push(Work::Eval(idx as u32));
+    while let Some(item) = work.pop() {
+        let value = match item {
+            Work::Eval(idx) => match heap[heap::deref(heap, idx as usize)] {
+                HCell::Int(i) => Num::Int(i),
+                HCell::Float(x) => Num::Float(x),
+                HCell::Ref(_) => return Err(ArithError::Unbound),
+                HCell::Atom(s) => Num::Float(constant(s)?),
+                HCell::Struct(name, arity, base) => {
+                    // Pushed in reverse: the first argument is evaluated
+                    // first, the operator applied last.
+                    match function(name, arity)? {
+                        ArithOp::Unary(op) => work.push(Work::Apply1(op)),
+                        ArithOp::Binary(op) => {
+                            work.push(Work::Apply2(op));
+                            work.push(Work::Eval(base + 1));
+                        }
+                    }
+                    work.push(Work::Eval(base));
+                    continue;
+                }
+            },
+            Work::Apply1(op) => {
+                let a = values.pop().expect("an operand per argument");
+                apply1(op, a)?
+            }
+            Work::Apply2(op) => {
+                let b = values.pop().expect("an operand per argument");
+                let a = values.pop().expect("an operand per argument");
+                apply2(op, a, b)?
+            }
+        };
+        values.push(value);
+    }
+    Ok(values.pop().expect("the expression's value"))
 }
 
 /// Evaluates the arithmetic expression at a heap index.
@@ -192,173 +708,10 @@ fn table() -> &'static FastMap<(Symbol, usize), ArithOp> {
 /// # Errors
 ///
 /// Returns [`EngineError::Arithmetic`] for unbound variables, non-numeric
-/// operands, unknown functions, division by zero, or an integer result
-/// that does not fit in 64 bits.
-pub(crate) fn eval(machine: &Machine<'_>, idx: usize) -> EngineResult<Num> {
-    let d = machine.deref_idx(idx);
-    match machine.cell(d) {
-        HCell::Int(i) => Ok(Num::Int(i)),
-        HCell::Float(x) => Ok(Num::Float(x)),
-        HCell::Ref(_) => Err(err("unbound variable in arithmetic expression")),
-        HCell::Atom(s) => eval_const(s),
-        HCell::Struct(name, arity, base) => {
-            let Some(&op) = table().get(&(name, arity as usize)) else {
-                return Err(err(format!("unknown arithmetic function {name}/{arity}")));
-            };
-            let a = eval(machine, base as usize)?;
-            let b = if arity == 2 {
-                Some(eval(machine, base as usize + 1)?)
-            } else {
-                None
-            };
-            apply_op(op, a, b)
-        }
-    }
-}
-
-/// Evaluates an arithmetic expression directly from precompiled template
-/// cells (the subtree starting at `*pos`, clause-local variables offset by
-/// `var_base`), advancing `*pos` past it. Semantically identical to writing
-/// the subtree into the arena and calling [`eval`], but arena-free: the
-/// eager-builtin fast path of clause activation uses this to run arithmetic
-/// guards and `is/2` without ever building the expression term.
-///
-/// # Errors
-///
-/// Same as [`eval`].
-pub(crate) fn eval_template(
-    machine: &Machine<'_>,
-    cells: &[Cell],
-    pos: &mut usize,
-    var_base: usize,
-) -> EngineResult<Num> {
-    let cell = cells[*pos];
-    *pos += 1;
-    match cell {
-        Cell::Int(i) => Ok(Num::Int(i)),
-        Cell::Float(x) => Ok(Num::Float(x)),
-        Cell::Var(v) | Cell::VarFirst(v) => eval(machine, var_base + v as usize),
-        Cell::Atom(s) => eval_const(s),
-        Cell::Struct(name, arity) => {
-            let Some(&op) = table().get(&(name, arity as usize)) else {
-                return Err(err(format!("unknown arithmetic function {name}/{arity}")));
-            };
-            let a = eval_template(machine, cells, pos, var_base)?;
-            let b = if arity == 2 {
-                Some(eval_template(machine, cells, pos, var_base)?)
-            } else {
-                None
-            };
-            apply_op(op, a, b)
-        }
-    }
-}
-
-/// Applies an arithmetic operation to already-evaluated operands (`b` is
-/// `None` for unary operations — the table keys operations by arity, so the
-/// operand count always matches).
-fn apply_op(op: ArithOp, a: Num, b: Option<Num>) -> EngineResult<Num> {
-    match op {
-        ArithOp::Add => {
-            let b = b.expect("binary op");
-            int_or_float(a, b, "+", i64::checked_add, |x, y| x + y)
-        }
-        ArithOp::Sub => {
-            let b = b.expect("binary op");
-            int_or_float(a, b, "-", i64::checked_sub, |x, y| x - y)
-        }
-        ArithOp::Mul => {
-            let b = b.expect("binary op");
-            int_or_float(a, b, "*", i64::checked_mul, |x, y| x * y)
-        }
-        ArithOp::Div => {
-            let b = b.expect("binary op");
-            if b.as_f64() == 0.0 {
-                return Err(err("division by zero"));
-            }
-            match (a, b) {
-                // An exact integer quotient stays an integer. `checked_rem`
-                // is `None` only for `i64::MIN / -1`: exact, but too large.
-                (Num::Int(x), Num::Int(y)) if matches!(x.checked_rem(y), None | Some(0)) => {
-                    int(x.checked_div(y), "/")
-                }
-                _ => Ok(Num::Float(a.as_f64() / b.as_f64())),
-            }
-        }
-        ArithOp::IntDiv => match (a, b.expect("binary op")) {
-            (_, Num::Int(0)) => Err(err("division by zero")),
-            (Num::Int(x), Num::Int(y)) => int(x.checked_div_euclid(y), "//"),
-            _ => Err(err("// requires integer operands")),
-        },
-        ArithOp::Mod | ArithOp::Rem => match (a, b.expect("binary op")) {
-            (_, Num::Int(0)) => Err(err("modulo by zero")),
-            (Num::Int(x), Num::Int(y)) if op == ArithOp::Mod => int(x.checked_rem_euclid(y), "mod"),
-            (Num::Int(x), Num::Int(y)) => int(x.checked_rem(y), "rem"),
-            _ => Err(err("mod requires integer operands")),
-        },
-        ArithOp::Neg => match a {
-            Num::Int(x) => int(x.checked_neg(), "-"),
-            Num::Float(x) => Ok(Num::Float(-x)),
-        },
-        ArithOp::Plus => Ok(a),
-        ArithOp::Abs => match a {
-            Num::Int(x) => int(x.checked_abs(), "abs"),
-            Num::Float(x) => Ok(Num::Float(x.abs())),
-        },
-        ArithOp::Sign => Ok(match a {
-            Num::Int(x) => Num::Int(x.signum()),
-            Num::Float(x) => Num::Float(x.signum()),
-        }),
-        ArithOp::Min => {
-            let b = b.expect("binary op");
-            Ok(if a.compare(b) == Ordering::Greater {
-                b
-            } else {
-                a
-            })
-        }
-        ArithOp::Max => {
-            let b = b.expect("binary op");
-            Ok(if a.compare(b) == Ordering::Less { b } else { a })
-        }
-        ArithOp::PowFloat | ArithOp::PowInt => {
-            let b = b.expect("binary op");
-            match (a, b) {
-                (Num::Int(x), Num::Int(y)) if y >= 0 && op == ArithOp::PowInt => {
-                    let y = u32::try_from(y).map_err(|_| err("exponent too large"))?;
-                    int(x.checked_pow(y), "^")
-                }
-                _ => Ok(Num::Float(a.as_f64().powf(b.as_f64()))),
-            }
-        }
-        ArithOp::Sqrt => Ok(Num::Float(a.as_f64().sqrt())),
-        ArithOp::Sin => Ok(Num::Float(a.as_f64().sin())),
-        ArithOp::Cos => Ok(Num::Float(a.as_f64().cos())),
-        ArithOp::Atan => Ok(Num::Float(a.as_f64().atan())),
-        ArithOp::Log => Ok(Num::Float(a.as_f64().ln())),
-        ArithOp::Exp => Ok(Num::Float(a.as_f64().exp())),
-        ArithOp::ToFloat => Ok(Num::Float(a.as_f64())),
-        ArithOp::Truncate => Ok(Num::Int(a.as_f64().trunc() as i64)),
-        ArithOp::Round => Ok(Num::Int(a.as_f64().round() as i64)),
-        ArithOp::Floor => Ok(Num::Int(a.as_f64().floor() as i64)),
-        ArithOp::Ceiling => Ok(Num::Int(a.as_f64().ceil() as i64)),
-        ArithOp::Shr => match (a, b.expect("binary op")) {
-            (Num::Int(x), Num::Int(y)) => Ok(Num::Int(x >> y.clamp(0, 63))),
-            _ => Err(err(">> requires integers")),
-        },
-        ArithOp::Shl => match (a, b.expect("binary op")) {
-            (Num::Int(x), Num::Int(y)) => Ok(Num::Int(x << y.clamp(0, 63))),
-            _ => Err(err("<< requires integers")),
-        },
-        ArithOp::BitAnd => match (a, b.expect("binary op")) {
-            (Num::Int(x), Num::Int(y)) => Ok(Num::Int(x & y)),
-            _ => Err(err("/\\ requires integers")),
-        },
-        ArithOp::BitOr => match (a, b.expect("binary op")) {
-            (Num::Int(x), Num::Int(y)) => Ok(Num::Int(x | y)),
-            _ => Err(err("\\/ requires integers")),
-        },
-    }
+/// operands, unknown functions, division by zero, or a result that is
+/// undefined or does not fit in 64 bits.
+pub(crate) fn eval(machine: &mut Machine<'_>, idx: usize) -> EngineResult<Num> {
+    Ok(eval_heap(&machine.heap, &mut machine.arith, idx)?)
 }
 
 #[cfg(test)]
@@ -379,7 +732,7 @@ mod tests {
         // No variables are bound in these tests: the term is loaded into the
         // arena and evaluated in place.
         let idx = machine.write_term(&t);
-        eval(&machine, idx)
+        eval(&mut machine, idx)
     }
 
     #[test]
@@ -407,6 +760,17 @@ mod tests {
         }
         assert_eq!(eval_src("truncate(3.9)").unwrap(), Num::Int(3));
         assert_eq!(eval_src("round(3.5)").unwrap(), Num::Int(4));
+        assert_eq!(eval_src("floor(-3.5)").unwrap(), Num::Int(-4));
+        assert_eq!(eval_src("ceiling(3.2)").unwrap(), Num::Int(4));
+        // An integer operand is already integral: no trip through `f64`.
+        assert_eq!(
+            eval_src("truncate(9007199254740993)").unwrap(),
+            Num::Int(9_007_199_254_740_993)
+        );
+        assert_eq!(
+            eval_src("round(9223372036854775807)").unwrap(),
+            Num::Int(i64::MAX)
+        );
     }
 
     #[test]
@@ -423,13 +787,34 @@ mod tests {
         assert_eq!(eval_src("16 >> 3").unwrap(), Num::Int(2));
     }
 
+    fn error_text(src: &str) -> String {
+        match eval_src(src) {
+            Err(EngineError::Arithmetic(msg)) => msg,
+            other => panic!("{src} must be an arithmetic error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn errors() {
-        assert!(eval_src("1 / 0").is_err());
-        assert!(eval_src("5 // 0").is_err());
-        assert!(eval_src("X + 1").is_err());
-        assert!(eval_src("foo(3)").is_err());
-        assert!(eval_src("hello").is_err());
+        assert_eq!(error_text("1 / 0"), "division by zero");
+        assert_eq!(error_text("5 // 0"), "division by zero");
+        assert_eq!(error_text("5 mod 0"), "modulo by zero");
+        assert_eq!(
+            error_text("X + 1"),
+            "unbound variable in arithmetic expression"
+        );
+        assert_eq!(error_text("foo(3)"), "unknown arithmetic function foo/1");
+        assert_eq!(error_text("hello"), "unknown arithmetic constant hello");
+        assert_eq!(error_text("1.5 // 2"), "// requires integer operands");
+        assert_eq!(error_text("1.5 rem 2"), "mod requires integer operands");
+        assert_eq!(error_text("1.5 /\\ 2"), "/\\ requires integers");
+        // An unknown function is met before its arguments are evaluated; a
+        // known one after.
+        assert_eq!(
+            error_text("foo(1 / 0)"),
+            "unknown arithmetic function foo/1"
+        );
+        assert_eq!(error_text("1 / 0 + foo(1)"), "division by zero");
         // An integer result that does not fit is an error: never a wrapped
         // value, never a panic.
         const MIN: &str = "(-9223372036854775807 - 1)";
@@ -445,12 +830,8 @@ mod tests {
             "abs(MIN)",
             "2 ^ 63",
         ] {
-            match eval_src(&src.replace("MIN", MIN)) {
-                Err(EngineError::Arithmetic(msg)) => {
-                    assert!(msg.contains("integer overflow"), "{src}: {msg}")
-                }
-                other => panic!("{src} must overflow, got {other:?}"),
-            }
+            let msg = error_text(&src.replace("MIN", MIN));
+            assert!(msg.contains("integer overflow"), "{src}: {msg}");
         }
         // The extremes themselves are representable.
         assert_eq!(eval_src(MIN).unwrap(), Num::Int(i64::MIN));
@@ -463,13 +844,64 @@ mod tests {
             eval_src(&format!("{MIN} // 1")).unwrap(),
             Num::Int(i64::MIN)
         );
+        // A float too large for an integer used to saturate, and a NaN to
+        // become 0.
+        assert_eq!(
+            error_text("truncate(1.0e300)"),
+            "integer overflow in truncate"
+        );
+        assert_eq!(
+            error_text("integer(-1.0e300)"),
+            "integer overflow in integer"
+        );
+        assert_eq!(
+            error_text("round(9223372036854775808.0)"),
+            "integer overflow in round"
+        );
+        assert_eq!(
+            eval_src("truncate(-9223372036854775808.0)").unwrap(),
+            Num::Int(i64::MIN)
+        );
+        assert_eq!(error_text("integer(log(-1))"), "undefined result in log");
+        // A shift used to clamp its count to 0..=63.
+        assert_eq!(error_text("1 << 64"), "integer overflow in <<");
+        assert_eq!(error_text("1 << 63"), "integer overflow in <<");
+        assert_eq!(error_text("3 << 62"), "integer overflow in <<");
+        assert_eq!(error_text("1 << -1"), "<< requires a non-negative shift");
+        assert_eq!(error_text("1 >> -1"), ">> requires a non-negative shift");
+        assert_eq!(error_text("1.0 << 2"), "<< requires integers");
+        assert_eq!(eval_src("1 << 62").unwrap(), Num::Int(1 << 62));
+        assert_eq!(eval_src("-1 << 63").unwrap(), Num::Int(i64::MIN));
+        assert_eq!(eval_src("0 << 100").unwrap(), Num::Int(0));
+        assert_eq!(eval_src("7 >> 100").unwrap(), Num::Int(0));
+        assert_eq!(eval_src("-8 >> 100").unwrap(), Num::Int(-1));
+        // A float function outside its domain used to hand on a NaN, which
+        // then compared equal to everything.
+        assert_eq!(error_text("sqrt(-1)"), "undefined result in sqrt");
+        assert_eq!(error_text("log(-1)"), "undefined result in log");
+        assert_eq!(error_text("-8 ** 0.5"), "undefined result in **");
+        assert_eq!(error_text("sin(1.0e308 * 10)"), "undefined result in sin");
     }
 
     #[test]
     fn comparison_ordering() {
-        assert_eq!(Num::Int(3).compare(Num::Int(4)), Ordering::Less);
-        assert_eq!(Num::Float(3.0).compare(Num::Int(3)), Ordering::Equal);
-        assert_eq!(Num::Int(5).compare(Num::Float(4.5)), Ordering::Greater);
+        assert_eq!(Num::Int(3).compare(Num::Int(4)), Some(Ordering::Less));
+        assert_eq!(Num::Float(3.0).compare(Num::Int(3)), Some(Ordering::Equal));
+        assert_eq!(
+            Num::Int(5).compare(Num::Float(4.5)),
+            Some(Ordering::Greater)
+        );
+        // No evaluation yields a NaN, but one that arrived would be
+        // unordered: equal to nothing, not even itself.
+        let nan = Num::Float(f64::NAN);
+        assert_eq!(nan.compare(Num::Int(5)), None);
+        for op in [CmpOp::Lt, CmpOp::Gt, CmpOp::Le, CmpOp::Ge, CmpOp::Eq] {
+            assert!(!op.holds(nan, Num::Int(5)), "{op:?}");
+            assert!(!op.holds(nan, nan), "{op:?}");
+        }
+        assert!(CmpOp::Ne.holds(nan, Num::Int(5)));
+        assert!(CmpOp::Le.holds(Num::Int(5), Num::Float(5.0)));
+        assert!(CmpOp::Gt.holds(Num::Float(5.5), Num::Int(5)));
     }
 
     #[test]
@@ -477,5 +909,73 @@ mod tests {
         assert_eq!(Num::Int(7).to_cell(), HCell::Int(7));
         assert_eq!(Num::Float(1.5).to_cell(), HCell::Float(1.5));
         assert_eq!(Num::Int(7).as_f64(), 7.0);
+    }
+
+    #[test]
+    fn instructions_and_errors_stay_small() {
+        // Code is an array of these and every operator application returns
+        // a `Result` of the other two.
+        assert!(std::mem::size_of::<Instr>() <= 16);
+        assert!(std::mem::size_of::<ArithError>() <= 12);
+        assert!(std::mem::size_of::<ArithResult>() <= 24);
+    }
+
+    /// Compiles `src` as a clause-body expression and runs it with no
+    /// variable bound.
+    fn run_src(src: &str) -> Option<ArithResult> {
+        let program = parse_program(&format!("p :- q({src}).")).unwrap();
+        let templates = crate::template::compile_program(&program);
+        let cells = templates[0].cells();
+        let arg = cells
+            .iter()
+            .position(|c| matches!(c, Cell::Struct(_, 1)))
+            .expect("q/1")
+            + 1;
+        let mut code = Vec::new();
+        if !compile(cells, arg, &mut code) {
+            assert!(code.is_empty());
+            return None;
+        }
+        let mut machine = Machine::new(&program);
+        let var_base = machine.fresh_vars(templates[0].num_vars());
+        Some(run(&machine.heap, &mut machine.arith, &code, var_base))
+    }
+
+    #[test]
+    fn compiled_code_is_postfix_with_traps_in_preorder() {
+        assert_eq!(run_src("1 + 2 * 3"), Some(Ok(Num::Int(7))));
+        assert_eq!(run_src("- (3 - 5)"), Some(Ok(Num::Int(2))));
+        assert_eq!(
+            run_src("2 * pi"),
+            Some(Ok(Num::Float(std::f64::consts::TAU)))
+        );
+        assert_eq!(run_src("X + 1"), Some(Err(ArithError::Unbound)));
+        assert_eq!(
+            run_src("1 / 0 + foo(1)"),
+            Some(Err(ArithError::DivisionByZero))
+        );
+        let foo = Symbol::intern("foo");
+        assert_eq!(
+            run_src("foo(1 / 0)"),
+            Some(Err(ArithError::UnknownFunction(foo, 1)))
+        );
+        assert_eq!(
+            run_src("1 + foo"),
+            Some(Err(ArithError::UnknownConstant(foo)))
+        );
+    }
+
+    #[test]
+    fn an_expression_past_the_operand_array_is_not_compiled() {
+        // Left-nested: two operands however long the chain.
+        let chain = (0..100).fold("0".to_owned(), |e, k| format!("({e} + {k})"));
+        assert_eq!(run_src(&chain), Some(Ok(Num::Int(4950))));
+        // Right-nested: one more operand per level.
+        let nest = |depth: usize| (1..depth).fold("1".to_owned(), |e, _| format!("(1 + {e})"));
+        assert_eq!(
+            run_src(&nest(MAX_OPERANDS)),
+            Some(Ok(Num::Int(MAX_OPERANDS as i64)))
+        );
+        assert_eq!(run_src(&nest(MAX_OPERANDS + 1)), None);
     }
 }

@@ -27,7 +27,7 @@
 //! allocation-free and leaves no bindings — with operation counters
 //! identical to the seed's resolve-and-mgu implementation.
 
-use crate::arith::eval;
+use crate::arith::{eval, CmpOp};
 use crate::error::{EngineError, EngineResult};
 use crate::heap::HCell;
 use crate::machine::Machine;
@@ -38,37 +38,58 @@ use std::sync::OnceLock;
 /// The builtin identified by one `(functor, arity)` pair of the dispatch
 /// table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Builtin {
+pub enum Builtin {
+    /// `=/2`.
     Unify,
+    /// `\=/2`.
     NotUnifiable,
+    /// `==/2`.
     StructEq,
+    /// `\==/2`.
     StructNe,
+    /// `@</2`.
     TermLt,
+    /// `@>/2`.
     TermGt,
+    /// `@=</2`.
     TermLe,
+    /// `@>=/2`.
     TermGe,
+    /// `is/2`.
     Is,
-    NumLt,
-    NumGt,
-    NumLe,
-    NumGe,
-    NumEq,
-    NumNe,
+    /// `</2`, `>/2`, `=</2`, `>=/2`, `=:=/2`, `=\=/2`.
+    NumCompare(CmpOp),
+    /// `var/1`.
     IsVar,
+    /// `nonvar/1`.
     Nonvar,
+    /// `atom/1`.
     IsAtom,
+    /// `number/1`.
     IsNumber,
+    /// `integer/1`.
     IsInteger,
+    /// `float/1`.
     IsFloat,
+    /// `atomic/1`.
     IsAtomic,
+    /// `ground/1`.
     Ground,
+    /// `is_list/1`.
     IsList,
+    /// `functor/3`.
     Functor,
+    /// `arg/3`.
     Arg,
+    /// `=../2`.
     Univ,
+    /// `length/2`.
     Length,
+    /// `'$grain_ge'/3`, the grain-size test.
     GrainGe,
+    /// `write/1`, `print/1`, `write_canonical/1`, `tab/1`: charged, no output.
     WriteLike,
+    /// `nl/0`.
     Nl,
 }
 
@@ -91,12 +112,12 @@ pub(crate) fn table() -> &'static FastMap<(Symbol, usize), Builtin> {
             ("@=<", 2, TermLe),
             ("@>=", 2, TermGe),
             ("is", 2, Is),
-            ("<", 2, NumLt),
-            (">", 2, NumGt),
-            ("=<", 2, NumLe),
-            (">=", 2, NumGe),
-            ("=:=", 2, NumEq),
-            ("=\\=", 2, NumNe),
+            ("<", 2, NumCompare(CmpOp::Lt)),
+            (">", 2, NumCompare(CmpOp::Gt)),
+            ("=<", 2, NumCompare(CmpOp::Le)),
+            (">=", 2, NumCompare(CmpOp::Ge)),
+            ("=:=", 2, NumCompare(CmpOp::Eq)),
+            ("=\\=", 2, NumCompare(CmpOp::Ne)),
             ("var", 1, IsVar),
             ("nonvar", 1, Nonvar),
             ("atom", 1, IsAtom),
@@ -177,24 +198,11 @@ pub(crate) fn dispatch(
             let value = eval(machine, args + 1)?;
             machine.unify_cell(args, value.to_cell())
         }
-        Builtin::NumLt
-        | Builtin::NumGt
-        | Builtin::NumLe
-        | Builtin::NumGe
-        | Builtin::NumEq
-        | Builtin::NumNe => {
+        Builtin::NumCompare(op) => {
             machine.charge_builtin();
             let a = eval(machine, args)?;
             let b = eval(machine, args + 1)?;
-            let ord = a.compare(b);
-            match builtin {
-                Builtin::NumLt => ord == Ordering::Less,
-                Builtin::NumGt => ord == Ordering::Greater,
-                Builtin::NumLe => ord != Ordering::Greater,
-                Builtin::NumGe => ord != Ordering::Less,
-                Builtin::NumEq => ord == Ordering::Equal,
-                _ => ord != Ordering::Equal,
-            }
+            op.holds(a, b)
         }
         Builtin::IsVar => {
             machine.charge_builtin();

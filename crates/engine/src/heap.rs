@@ -81,6 +81,18 @@ impl HCell {
     }
 }
 
+/// Dereferences a heap index: follows bound `Ref` chains to the
+/// representative cell. O(chain length), allocation-free.
+#[inline]
+pub(crate) fn deref(heap: &[HCell], mut idx: usize) -> usize {
+    loop {
+        match heap[idx] {
+            HCell::Ref(next) if next as usize != idx => idx = next as usize,
+            _ => return idx,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

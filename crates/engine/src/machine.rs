@@ -51,13 +51,14 @@
 //! idle thread claims first is skipped, and its answer is joined back
 //! deterministically once the local arms are done.
 
+use crate::arith;
 use crate::builtins::{self, Builtin};
 use crate::cost::{CostModel, Counters};
 use crate::error::{BudgetKind, EngineError, EngineResult};
-use crate::heap::HCell;
+use crate::heap::{self, HCell};
 use crate::par::{ArmAnswer, Offer, Packet, ParHook};
 use crate::tasktree::{TaskId, TaskRecorder, TaskTree};
-use crate::template::{Cell, ClauseTemplate, Seq, Step};
+use crate::template::{Cell, ClauseTemplate, GoalImage, Seq, Step};
 use granlog_ir::symbol::well_known::{self, WellKnownSymbols};
 use granlog_ir::{
     parser, ClauseId, FastMap, Guard, GuardTable, IndexKey, Measure, PredId, Predicate, Program,
@@ -336,21 +337,28 @@ enum CallTarget<'p> {
     User(&'p Predicate),
 }
 
-/// A program's `(functor, arity)` → call target table, built once at program
-/// load so the solve loop identifies a goal with a single fast-hash probe
-/// instead of a missed builtin-table probe followed by a `BTreeMap`
-/// predicate walk. Builtins shadow user predicates of the same name and
-/// arity, as they always have. Like the templates it is immutable and
-/// shared through an `Arc` by every machine over the program
-/// ([`Machine::with_dispatch`]).
+/// A program's call targets, built once at program load. Like the templates
+/// it is immutable and shared through an `Arc` by every machine over the
+/// program ([`Machine::with_dispatch`]).
 #[derive(Debug)]
-pub struct Dispatch<'p>(FastMap<(Symbol, usize), CallTarget<'p>>);
+pub struct Dispatch<'p> {
+    /// `(functor, arity)` → call target, so the solve loop identifies a goal
+    /// it only meets at run time with a single fast-hash probe instead of a
+    /// missed builtin-table probe followed by a `BTreeMap` predicate walk.
+    /// Builtins shadow user predicates of the same name and arity, as they
+    /// always have.
+    table: FastMap<(Symbol, usize), CallTarget<'p>>,
+    /// The program's predicates in [`Program::predicates`] order: the
+    /// numbering a compiled [`Step::Call`] names its callee by.
+    preds: Vec<&'p Predicate>,
+}
 
 impl<'p> Dispatch<'p> {
     /// Builds the table for `program`.
     pub fn new(program: &'p Program) -> Arc<Self> {
+        let preds: Vec<&'p Predicate> = program.predicates().collect();
         let mut table: FastMap<(Symbol, usize), CallTarget<'p>> = FastMap::default();
-        for predicate in program.predicates() {
+        for &predicate in &preds {
             table.insert(
                 (predicate.id.name, predicate.id.arity),
                 CallTarget::User(predicate),
@@ -359,7 +367,7 @@ impl<'p> Dispatch<'p> {
         for (&key, &builtin) in builtins::table() {
             table.insert(key, CallTarget::Builtin(builtin));
         }
-        Arc::new(Dispatch(table))
+        Arc::new(Dispatch { table, preds })
     }
 }
 
@@ -583,6 +591,9 @@ pub struct Machine<'p> {
     /// Emptied packet buffers awaiting the next pack (see
     /// [`Machine::recycle`]).
     packet_pool: Vec<Vec<HCell>>,
+    /// The work stacks of the heap arithmetic evaluator (see
+    /// [`crate::arith`]).
+    pub(crate) arith: arith::Scratch,
     pub(crate) counters: Counters,
     recorder: TaskRecorder,
     stats: MachineStats,
@@ -686,6 +697,7 @@ impl<'p> Machine<'p> {
             offer_batch: Vec::new(),
             pack_scratch: Vec::new(),
             packet_pool: Vec::new(),
+            arith: arith::Scratch::default(),
             counters: Counters::default(),
             recorder: TaskRecorder::new(),
             stats: MachineStats::default(),
@@ -990,13 +1002,9 @@ impl<'p> Machine<'p> {
 
     /// Dereferences a heap index: follows bound `Ref` chains to the
     /// representative cell. O(chain length), allocation-free.
-    pub(crate) fn deref_idx(&self, mut idx: usize) -> usize {
-        loop {
-            match self.heap[idx] {
-                HCell::Ref(next) if next as usize != idx => idx = next as usize,
-                _ => return idx,
-            }
-        }
+    #[inline]
+    pub(crate) fn deref_idx(&self, idx: usize) -> usize {
+        heap::deref(&self.heap, idx)
     }
 
     /// The cell at a heap index.
@@ -1161,17 +1169,40 @@ impl<'p> Machine<'p> {
     /// cells, then its body with every `Ref` and `Struct` base moved by one
     /// offset each — and returns the heap index of its first root.
     fn unpack(&mut self, packet: &Packet) -> usize {
-        let vars = self.fresh_vars(packet.nvars as usize) as u32;
-        self.check_arena_capacity(packet.cells.len());
-        let body = self.heap.len();
-        let offset = body as u32;
-        self.heap
-            .extend(packet.cells.iter().map(|&cell| match cell {
-                HCell::Ref(var) => HCell::Ref(vars + var),
-                HCell::Struct(name, arity, block) => HCell::Struct(name, arity, offset + block),
-                constant => constant,
-            }));
-        body
+        let vars = self.fresh_vars(packet.nvars as usize);
+        self.write_relocated(&packet.cells, vars)
+    }
+
+    /// Appends position-independent `cells` — a packet's body, a goal's
+    /// argument image — to the arena in one pass, moving every `Ref` by
+    /// `vars` (where the cells' variable 0 lives) and every `Struct` block
+    /// index by the position the copy starts at, which is returned.
+    fn write_relocated(&mut self, cells: &[HCell], vars: usize) -> usize {
+        self.check_arena_capacity(cells.len());
+        let at = self.heap.len();
+        let (vars, offset) = (vars as u32, at as u32);
+        self.heap.extend(cells.iter().map(|&cell| match cell {
+            HCell::Ref(var) => HCell::Ref(vars + var),
+            HCell::Struct(name, arity, block) => HCell::Struct(name, arity, offset + block),
+            constant => constant,
+        }));
+        at
+    }
+
+    /// Materializes a statically known goal from its argument image (see
+    /// [`GoalImage`]) for the activation whose variable block starts at
+    /// `var_base`, and returns the goal cell.
+    pub(crate) fn write_image(
+        &mut self,
+        images: &[HCell],
+        goal: GoalImage,
+        var_base: usize,
+    ) -> HCell {
+        if goal.arity == 0 {
+            return HCell::Atom(goal.name);
+        }
+        let args = self.write_relocated(&images[goal.args.range()], var_base);
+        HCell::Struct(goal.name, goal.arity, args as u32)
     }
 
     /// Builds a proper list of the given element cells in the arena,
@@ -2159,58 +2190,61 @@ impl<'p> Machine<'p> {
             _ => {
                 // One probe identifies the goal: builtin or user predicate
                 // (builtins shadow same-name user predicates).
-                match self.dispatch.0.get(&(name, arity)).copied() {
+                match self.dispatch.table.get(&(name, arity)).copied() {
                     Some(CallTarget::Builtin(builtin)) => builtins::dispatch(self, builtin, cell),
-                    Some(CallTarget::User(predicate)) => {
-                        // First-argument indexing: the principal functor of
-                        // the dereferenced first argument selects the
-                        // candidate clauses.
-                        let goal_key = if arity == 0 {
-                            None
-                        } else {
-                            self.index_key_at(args)
-                        };
-                        let cands = match self.config.clause_selection {
-                            // Fast path: one probe of the persistent index,
-                            // borrowing the precomputed candidate list — no
-                            // per-call allocation or scan.
-                            ClauseSelection::Indexed => {
-                                Cands::Indexed(predicate.candidates(goal_key.as_ref()))
-                            }
-                            // Reference path: the seed's per-call linear
-                            // scan with a key filter, kept for differential
-                            // testing of the index.
-                            ClauseSelection::LinearScan => {
-                                let clauses = self.program.clauses();
-                                Cands::Scanned(
-                                    predicate
-                                        .clause_ids
-                                        .iter()
-                                        .copied()
-                                        .filter(|&id| {
-                                            match (
-                                                goal_key.as_ref(),
-                                                IndexKey::of_clause_head(&clauses[id]),
-                                            ) {
-                                                (Some(gk), Some(hk)) => *gk == hk,
-                                                _ => true,
-                                            }
-                                        })
-                                        .collect(),
-                                )
-                            }
-                        };
-                        self.profiled_clauses(templates, cell, cands, 0)
-                    }
+                    Some(CallTarget::User(predicate)) => self.call_user(templates, predicate, cell),
                     None => Err(EngineError::UnknownPredicate(PredId::new(name, arity))),
                 }
             }
         }
     }
 
+    /// Calls a predicate of the program with the materialized goal `goal`:
+    /// selects the candidate clauses and tries them in order.
+    fn call_user(
+        &mut self,
+        templates: &[ClauseTemplate],
+        predicate: &'p Predicate,
+        goal: HCell,
+    ) -> EngineResult<bool> {
+        // First-argument indexing: the principal functor of the
+        // dereferenced first argument selects the candidate clauses.
+        let goal_key = match goal {
+            HCell::Struct(_, _, args) => self.index_key_at(args as usize),
+            _ => None,
+        };
+        let cands = match self.config.clause_selection {
+            // Fast path: one probe of the persistent index, borrowing the
+            // precomputed candidate list — no per-call allocation or scan.
+            ClauseSelection::Indexed => Cands::Indexed(predicate.candidates(goal_key.as_ref())),
+            // Reference path: the seed's per-call linear scan with a key
+            // filter, kept for differential testing of the index.
+            ClauseSelection::LinearScan => {
+                let clauses = self.program.clauses();
+                Cands::Scanned(
+                    predicate
+                        .clause_ids
+                        .iter()
+                        .copied()
+                        .filter(|&id| {
+                            match (goal_key.as_ref(), IndexKey::of_clause_head(&clauses[id])) {
+                                (Some(gk), Some(hk)) => *gk == hk,
+                                _ => true,
+                            }
+                        })
+                        .collect(),
+                )
+            }
+        };
+        self.profiled_clauses(templates, goal, cands, 0)
+    }
+
     /// Executes one compiled body step. Control steps push barriers or
-    /// choice points with their precompiled arm sequences; plain goal steps
-    /// materialize their subtree and take the cell dispatch path.
+    /// choice points with their precompiled arm sequences; a call
+    /// materializes its goal from the argument image and goes straight to
+    /// clause selection; builtin steps run in place; a goal only identified
+    /// at run time materializes its subtree and takes the cell dispatch
+    /// path.
     fn exec_step(
         &mut self,
         templates: &[ClauseTemplate],
@@ -2225,11 +2259,23 @@ impl<'p> Machine<'p> {
             cut,
         } = sref;
         let templ = &templates[clause as usize];
+        let heap_before = self.heap.len();
         match templ.steps()[step as usize] {
             Step::Goal(pos) => {
                 let mut pos = pos as usize;
                 let cell = self.write_template(templ.cells(), &mut pos, var_base as usize);
+                self.profile_body_cells(clause, heap_before);
                 self.exec_cell(templates, cell, wk, hook)
+            }
+            Step::Call { pred, goal } => {
+                let goal = self.write_image(templ.images(), goal, var_base as usize);
+                self.profile_body_cells(clause, heap_before);
+                self.call_user(templates, self.dispatch.preds[pred as usize], goal)
+            }
+            builtin @ (Step::Builtin { .. } | Step::Is { .. } | Step::NumCompare { .. }) => {
+                let ok = self.exec_builtin_step(templ, builtin, var_base as usize)?;
+                self.profile_body_cells(clause, heap_before);
+                Ok(ok)
             }
             Step::Cut => {
                 // Prune to the activation's barrier, clamped to the
@@ -2627,6 +2673,19 @@ impl<'p> Machine<'p> {
         result
     }
 
+    /// Charges the arena cells a body step of `clause` has written since
+    /// `heap_before` — a call's argument image, a builtin's goal term — to
+    /// the clause's predicate, when the profiler is on.
+    #[inline]
+    fn profile_body_cells(&mut self, clause: u32, heap_before: usize) {
+        if let Some(profiler) = self.profiler.as_mut() {
+            let written = self.heap.len().saturating_sub(heap_before) as u64;
+            if let Some(pred) = self.program.clauses()[clause as usize].head_pred() {
+                profiler.entry(pred).heap_cells += written;
+            }
+        }
+    }
+
     fn try_clauses(
         &mut self,
         templates: &[ClauseTemplate],
@@ -2683,48 +2742,52 @@ impl<'p> Machine<'p> {
         Ok(false)
     }
 
-    /// Executes a clause body's eager builtin prefix directly from the
-    /// template cells. Returns `Ok(false)` as soon as one builtin fails.
-    /// Counter-for-counter identical to materializing each goal and running
-    /// it through the solve loop, minus the arena writes.
+    /// Executes a clause body's eager prefix — the leading builtin steps of
+    /// its top-level sequence — during activation, with no goal-stack
+    /// traffic. Returns `Ok(false)` as soon as one builtin fails.
+    /// Counter-for-counter identical to pushing each step and running it
+    /// through the solve loop.
     fn run_eager_prefix(&mut self, templ: &ClauseTemplate, var_base: usize) -> EngineResult<bool> {
-        for step in templ.eager() {
-            let cells = templ.cells();
-            let ok = match *step {
-                crate::template::EagerGoal::NumCompare { op, lhs, rhs } => {
-                    self.charge_builtin();
-                    let mut pos = lhs as usize;
-                    let a = crate::arith::eval_template(self, cells, &mut pos, var_base)?;
-                    let mut pos = rhs as usize;
-                    let b = crate::arith::eval_template(self, cells, &mut pos, var_base)?;
-                    let ord = a.compare(b);
-                    match op {
-                        Builtin::NumLt => ord == std::cmp::Ordering::Less,
-                        Builtin::NumGt => ord == std::cmp::Ordering::Greater,
-                        Builtin::NumLe => ord != std::cmp::Ordering::Greater,
-                        Builtin::NumGe => ord != std::cmp::Ordering::Less,
-                        Builtin::NumEq => ord == std::cmp::Ordering::Equal,
-                        _ => ord != std::cmp::Ordering::Equal,
-                    }
-                }
-                crate::template::EagerGoal::Is { lhs, rhs } => {
-                    self.charge_builtin();
-                    let mut pos = rhs as usize;
-                    let value = crate::arith::eval_template(self, cells, &mut pos, var_base)?;
-                    let mut pos = lhs as usize;
-                    self.unify_value_template(value.to_cell(), cells, &mut pos, var_base)
-                }
-                crate::template::EagerGoal::Other { builtin, goal } => {
-                    let mut pos = goal as usize;
-                    let g = self.write_template(cells, &mut pos, var_base);
-                    builtins::dispatch(self, builtin, g)?
-                }
-            };
-            if !ok {
+        for &step in &templ.steps()[templ.eager_seq().range()] {
+            if !self.exec_builtin_step(templ, step, var_base)? {
                 return Ok(false);
             }
         }
         Ok(true)
+    }
+
+    /// Executes a builtin step of `templ` — the one executor behind the
+    /// eager prefix and the solve loop. Arithmetic runs as compiled code
+    /// against the activation's variables and builds no term; any other
+    /// builtin materializes its goal from the argument image and
+    /// dispatches.
+    fn exec_builtin_step(
+        &mut self,
+        templ: &ClauseTemplate,
+        step: Step,
+        var_base: usize,
+    ) -> EngineResult<bool> {
+        match step {
+            Step::NumCompare { op, lhs, rhs } => {
+                self.charge_builtin();
+                let code = templ.code();
+                let a = arith::run(&self.heap, &mut self.arith, &code[lhs.range()], var_base)?;
+                let b = arith::run(&self.heap, &mut self.arith, &code[rhs.range()], var_base)?;
+                Ok(op.holds(a, b))
+            }
+            Step::Is { lhs, rhs } => {
+                self.charge_builtin();
+                let code = &templ.code()[rhs.range()];
+                let value = arith::run(&self.heap, &mut self.arith, code, var_base)?;
+                let mut pos = lhs as usize;
+                Ok(self.unify_value_template(value.to_cell(), templ.cells(), &mut pos, var_base))
+            }
+            Step::Builtin { builtin, goal } => {
+                let goal = self.write_image(templ.images(), goal, var_base);
+                builtins::dispatch(self, builtin, goal)
+            }
+            other => unreachable!("{other:?} is not a builtin step"),
+        }
     }
 
     /// Flattens a (possibly nested) `&` conjunction into dereferenced arm

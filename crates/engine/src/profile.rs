@@ -20,12 +20,15 @@
 //! work it caused — head attempts, elementary unification steps, and net
 //! arena growth — attributed to the predicate being *entered* (work done by
 //! body goals is attributed to those goals' own predicates when they are
-//! executed). This is the observable counterpart of the per-predicate cost
-//! functions the granularity analysis derives, and `granlog run --profile`
-//! joins the two.
+//! executed). The arena cells a clause's body steps write once it is
+//! running — the argument block of each call it makes, the goal term of a
+//! builtin — are charged to the clause's own predicate, so `heap_cells /
+//! calls` is what a resolution of the predicate costs the arena. This is the
+//! observable counterpart of the per-predicate cost functions the
+//! granularity analysis derives, and `granlog run --profile` joins the two.
 //!
 //! Profiling is off by default and costs exactly one pointer-null branch per
-//! clause-selection entry when off; the operation [`crate::Counters`] are
+//! clause-selection entry and per materializing body step when off; the operation [`crate::Counters`] are
 //! never touched by the profiler, so profiled and unprofiled runs stay
 //! counter-identical (enforced by the differential suite in
 //! `granlog-bench`).
@@ -48,9 +51,11 @@ pub struct PredProfile {
     /// Elementary unification steps performed across this predicate's
     /// entries (head unification plus eager builtin prefixes).
     pub unifications: u64,
-    /// Net arena cells allocated across this predicate's entries (fresh
-    /// clause variables and eager-prefix structure, net of within-entry
-    /// backtracking).
+    /// Arena cells this predicate's clauses wrote: across its entries, fresh
+    /// clause variables, head structure and the eager prefix (net of
+    /// within-entry backtracking); and what the body steps of its
+    /// activations materialized afterwards — a call's argument block, a
+    /// builtin's goal term.
     pub heap_cells: u64,
 }
 

@@ -1,41 +1,72 @@
 //! Precompiled clause templates: a WAM-lite flattening of clause heads and
-//! bodies into compact preorder cell arrays, plus a compiled control skeleton
-//! for the body.
+//! bodies into compact arrays, built once per clause at program-load time.
 //!
 //! The seed interpreter re-translated every candidate clause's head (and, on
 //! success, its body) from the IR tree into `Rc`-based runtime terms on
 //! *every* activation attempt — a tree walk plus one allocation per compound
-//! subterm, dominating the engine's hot path. A [`ClauseTemplate`] is built
-//! once per clause at program-load time instead:
+//! subterm, dominating the engine's hot path. A [`ClauseTemplate`] holds
+//! four arrays instead:
 //!
-//! * the head's arguments and the body are flattened into one contiguous
-//!   [`Cell`] array in preorder, so walking a template is a cursor bump over
-//!   a cache-friendly slice rather than pointer chasing;
-//! * head unification ([`crate::machine::Machine`]) matches goal arguments
-//!   directly against the cells and only *writes arena cells* for a template
-//!   subtree when unification actually demands them (the goal side is an
-//!   unbound variable) — bound input arguments unify without touching the
-//!   term heap;
-//! * the body is compiled into a flat array of executable [`Step`]s: plain
-//!   goals keep their cell offset and are written into the arena at most
-//!   once per execution, while control constructs — `;`, `->`/`;`
-//!   if-then-else, `\+`, `!` and (nested) `&` — become dedicated steps whose
-//!   arm positions are resolved at compile time, so the solve loop never
-//!   materializes a control spine and never re-inspects its functor;
-//! * `true` bodies (facts) are recognised up front and never materialized at
-//!   all.
+//! ```text
+//!   cells   head argument subtrees, then the body subtree, in preorder
+//!   steps   the body's executable skeleton; the leading run of builtin
+//!           steps is the eager prefix, the rest the pushed body
+//!   code    postfix arithmetic, one range per static expression  (Is, NumCompare)
+//!   images  relocatable argument blocks, one per static goal     (Call, Builtin)
+//! ```
 //!
-//! The one construct that cannot always be classified statically is a
-//! disjunction whose left operand is a variable: `(X ; E)` behaves as an
-//! if-then-else when `X` is bound to `(C -> T)` at run time. Such goals (and
-//! `&` conjunctions with variable arms, whose fork arity depends on run-time
-//! flattening) conservatively compile to [`Step::Goal`] and take the
-//! machine's materialized-cell dispatch path, which performs the run-time
-//! check the seed engine always paid.
+//! * **cells** — walking a template is a cursor bump over a cache-friendly
+//!   slice rather than pointer chasing. Head unification
+//!   ([`crate::machine::Machine`]) matches goal arguments directly against
+//!   the cells and only *writes arena cells* for a template subtree when
+//!   unification actually demands them (the goal side is an unbound
+//!   variable) — bound input arguments unify without touching the term heap.
+//! * **steps** — the body compiled to a flat array of executable [`Step`]s.
+//!   Control constructs — `;`, `->`/`;` if-then-else, `\+`, `!` and (nested)
+//!   `&` — become dedicated steps whose arm positions are resolved at
+//!   compile time, so the solve loop never materializes a control spine and
+//!   never re-inspects its functor. Every other goal is classified once,
+//!   here, wherever in the body it stands — top level, condition, branch,
+//!   negation, disjunction or `&` arm: `is/2` and the arithmetic
+//!   comparisons become [`Step::Is`] / [`Step::NumCompare`], any other
+//!   builtin [`Step::Builtin`], a call to a predicate of the program
+//!   [`Step::Call`]. `true` bodies (facts) are recognised up front and
+//!   compile to nothing.
+//! * **code** — each expression written in the clause is translated to
+//!   postfix instructions with the operators already resolved
+//!   ([`crate::arith`]); an arithmetic step never builds its goal term.
+//! * **images** — the argument block of each static goal, laid out as it
+//!   will sit in the arena, with variables clause-relative and nested blocks
+//!   image-relative: materializing the goal is one relocating copy.
+//!
+//! # What is still decided at run time
+//!
+//! A goal that names no builtin and no predicate of the program, a variable
+//! goal, and `fail` stay [`Step::Goal`]: the subtree is materialized from the
+//! cells and dispatched by inspection, so an unknown predicate is reported
+//! when — and only if — execution reaches it. The same path takes the one
+//! control construct that cannot be classified statically, a disjunction
+//! whose left operand is a variable (`(X ; E)` behaves as an if-then-else
+//! when `X` is bound to `(C -> T)`), and `&` conjunctions with variable arms,
+//! whose fork arity depends on run-time flattening. An expression built at
+//! run time (`X = 1+2, Y is X`) reaches compiled code as a variable bound to
+//! a compound, which the arithmetic module's heap evaluator takes over; so
+//! does a written expression too deep for the compiled evaluator's operand
+//! array, whose goal compiles to a plain [`Step::Builtin`].
+//!
+//! # Errors keep their place
+//!
+//! Compiling an expression cannot fail: an unknown function or constant
+//! becomes a *trap* instruction at the position a walk of the term would
+//! have met it, so the same error is raised at the same point of the same
+//! execution as if the goal had been materialized and evaluated.
 
+use crate::arith::{self, CmpOp, Instr};
 use crate::builtins::{self, Builtin};
+use crate::heap::HCell;
 use granlog_ir::symbol::well_known;
-use granlog_ir::{Clause, Program, Symbol, Term};
+use granlog_ir::{Clause, FastMap, Program, Symbol, Term};
+use std::ops::Range;
 
 /// One node of a flattened term, in preorder. A [`Cell::Struct`] with arity
 /// `n` is immediately followed by its `n` argument subtrees.
@@ -61,49 +92,95 @@ pub enum Cell {
     Struct(Symbol, u32),
 }
 
-/// A body goal the engine can execute *eagerly* during clause activation,
-/// straight off the template cells, without materializing the goal term or
-/// pushing a continuation frame. Only the deterministic builtin prefix of a
-/// body qualifies — execution order is preserved exactly, so counters and
-/// bindings are identical to pushing and popping the goals one by one.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum EagerGoal {
-    /// An arithmetic comparison (`<`, `>`, `=<`, `>=`, `=:=`, `=\=`): both
-    /// operand subtrees are evaluated directly from the cells.
-    NumCompare { op: Builtin, lhs: u32, rhs: u32 },
-    /// `Lhs is Rhs`: the right-hand side is evaluated from the cells and the
-    /// result unified with the left-hand subtree.
-    Is { lhs: u32, rhs: u32 },
-    /// Any other builtin: the goal term is materialized and dispatched.
-    Other { builtin: Builtin, goal: u32 },
-}
-
-/// A contiguous range of compiled [`Step`]s: `steps[start .. start + len]`.
+/// A contiguous range of one of a template's arrays: `start .. start + len`.
 ///
-/// Sequences are what control constructs schedule — a disjunction arm, an
-/// if-then-else branch, a negated goal, a parallel arm — and what the machine
-/// pushes onto its goal stack (in reverse, so execution runs left to right).
+/// Mostly of compiled [`Step`]s: sequences are what control constructs
+/// schedule — a disjunction arm, an if-then-else branch, a negated goal, a
+/// parallel arm — and what the machine pushes onto its goal stack (in
+/// reverse, so execution runs left to right). An arithmetic step names its
+/// code, and a [`GoalImage`] its cells, the same way.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Seq {
-    /// Index of the sequence's first step within [`ClauseTemplate::steps`].
+    /// Index of the sequence's first element within its array
+    /// ([`ClauseTemplate::steps`], for a step sequence).
     pub start: u32,
-    /// Number of steps in the sequence (zero for a `true`-only arm).
+    /// Number of elements in the sequence (zero for a `true`-only arm).
     pub len: u32,
+}
+
+impl Seq {
+    fn since(start: usize, end: usize) -> Seq {
+        Seq {
+            start: start as u32,
+            len: (end - start) as u32,
+        }
+    }
+
+    pub(crate) fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A goal whose functor is known at compile time, ready to be materialized:
+/// its argument block — and, behind it, the blocks of its compound
+/// arguments — sits in [`ClauseTemplate::images`] exactly as the machine's
+/// recursive template writer would lay it out in the arena, except that a
+/// variable is `Ref(v)` for clause variable `v` and a compound's block index
+/// is relative to the image. Writing the goal is therefore one pass that
+/// copies the image and adds the activation's variable base to the one and
+/// the arena position to the other.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GoalImage {
+    pub(crate) name: Symbol,
+    pub(crate) arity: u32,
+    pub(crate) args: Seq,
 }
 
 /// One compiled, executable body step.
 ///
-/// Plain goals carry their preorder cell offset and are materialized into
-/// the arena when (and only when) they are executed. Control constructs
-/// carry the compiled [`Seq`]s of their operands, so the solve loop starts a
-/// disjunction, condition, negation or parallel conjunction without
-/// materializing the construct or re-dispatching on its functor.
+/// Control constructs carry the compiled [`Seq`]s of their operands, so the
+/// solve loop starts a disjunction, condition, negation or parallel
+/// conjunction without materializing the construct or re-dispatching on its
+/// functor. Arithmetic steps carry code and never materialize; the other
+/// statically identified goals carry the image they materialize from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Step {
-    /// An ordinary goal (user predicate, builtin, or a run-time-classified
-    /// construct such as a variable goal): materialize the subtree at this
-    /// cell offset and dispatch the resulting cell.
+    /// A goal identified only at run time — a variable goal, a name that is
+    /// neither a builtin nor a predicate of the program, a
+    /// run-time-classified construct: materialize the subtree at this cell
+    /// offset and dispatch the resulting cell.
     Goal(u32),
+    /// A call to a predicate of the program, resolved at compile time.
+    Call {
+        /// The predicate's position in [`Program::predicates`] order.
+        pred: u32,
+        /// The goal's functor and argument image.
+        goal: GoalImage,
+    },
+    /// A builtin other than the arithmetic ones below.
+    Builtin {
+        /// The builtin to dispatch.
+        builtin: Builtin,
+        /// The goal's functor and argument image.
+        goal: GoalImage,
+    },
+    /// `Lhs is Rhs`: run the right-hand side's code and unify the result
+    /// with the left-hand subtree.
+    Is {
+        /// Cell offset of the left-hand subtree.
+        lhs: u32,
+        /// The right-hand side's code, a range of the template's code array.
+        rhs: Seq,
+    },
+    /// An arithmetic comparison: run both operands' code and compare.
+    NumCompare {
+        /// The comparison.
+        op: CmpOp,
+        /// The left operand's code.
+        lhs: Seq,
+        /// The right operand's code.
+        rhs: Seq,
+    },
     /// `!`: prune choice points down to the activation's cut barrier.
     Cut,
     /// A plain disjunction `(Left ; Right)`.
@@ -145,19 +222,36 @@ pub enum Step {
     },
 }
 
-/// A clause compiled to preorder cell arrays: head argument subtrees first,
-/// then the body subtree, plus the body's compiled [`Step`] skeleton.
+impl Step {
+    /// Whether the step is a deterministic builtin, which needs no goal-stack
+    /// slot of its own: a leading run of these is executed during clause
+    /// activation (the *eager prefix*). Execution order is preserved
+    /// exactly, so counters and bindings are identical to pushing and
+    /// popping the goals one by one.
+    fn is_builtin(&self) -> bool {
+        matches!(
+            self,
+            Step::Is { .. } | Step::NumCompare { .. } | Step::Builtin { .. }
+        )
+    }
+}
+
+/// A clause compiled to its arrays (see the module docs): preorder cells,
+/// the body's [`Step`] skeleton, arithmetic code and goal images.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClauseTemplate {
     cells: Vec<Cell>,
     /// Start offset of each head argument's subtree within `cells`.
     head_args: Vec<u32>,
-    /// The body's leading builtin goals, executed during activation without
-    /// materialization (see [`EagerGoal`]).
-    eager: Vec<EagerGoal>,
     /// All compiled body steps (the top-level sequence and, after it, the
     /// sequences of nested control arms). Each [`Seq`] indexes into this.
     steps: Vec<Step>,
+    /// The postfix code of every compiled expression; [`Step::Is`] and
+    /// [`Step::NumCompare`] index into this.
+    code: Vec<Instr>,
+    /// The argument images of every static goal, back to back;
+    /// [`GoalImage::args`] indexes into this.
+    images: Vec<HCell>,
     /// Arm sequences of the clause's compiled parallel conjunctions;
     /// [`Step::Par`] indexes into this.
     par_arms: Vec<Seq>,
@@ -165,16 +259,23 @@ pub struct ClauseTemplate {
     /// `par_arms`. The spawn path materializes an arm from here when a
     /// parallel hook wants the arm as a self-contained term.
     par_arm_cells: Vec<u32>,
-    /// The body's top-level sequence after the eager prefix: `','`-flattened
-    /// with `true` literals dropped. Empty for facts: nothing to materialize,
-    /// nothing to push.
+    /// The leading builtin steps of the body's top-level sequence, run
+    /// during activation.
+    eager: Seq,
+    /// The rest of the top-level sequence, pushed on the goal stack. Empty
+    /// for facts: nothing to materialize, nothing to push.
     body: Seq,
     num_vars: u32,
 }
 
+/// A program's predicates numbered in [`Program::predicates`] order — how a
+/// [`Step::Call`] names its callee. The machine's dispatch table resolves
+/// the number against the same iteration order.
+pub(crate) type PredTable = FastMap<(Symbol, usize), u32>;
+
 impl ClauseTemplate {
-    /// Compiles a clause into its template.
-    pub fn compile(clause: &Clause) -> ClauseTemplate {
+    /// Compiles a clause of the program whose predicates are `preds`.
+    pub(crate) fn compile(clause: &Clause, preds: &PredTable) -> ClauseTemplate {
         let mut cells = Vec::new();
         let mut head_args = Vec::with_capacity(clause.head.args().len());
         for arg in clause.head.args() {
@@ -191,36 +292,46 @@ impl ClauseTemplate {
                 }
             }
         }
-        let body_start = cells.len() as u32;
+        let body_start = cells.len();
         flatten(&clause.body, &mut cells);
-        let mut goal_offsets = Vec::new();
-        collect_body_goals(&cells, body_start as usize, &mut goal_offsets);
-        // Split off the eagerly executable builtin prefix.
-        let mut eager = Vec::new();
-        let mut rest = Vec::new();
-        let mut prefix = true;
-        for &pos in &goal_offsets {
-            if prefix {
-                if let Some(step) = classify_eager(&cells, pos as usize) {
-                    eager.push(step);
-                    continue;
-                }
-                prefix = false;
-            }
-            rest.push(pos);
-        }
-        // Compile the remaining body into its control skeleton.
-        let mut steps = Vec::new();
-        let mut par_arms = ParArms::default();
-        let body = compile_seq(&cells, &rest, &mut steps, &mut par_arms);
+        let mut compiler = Compiler {
+            cells: &cells,
+            preds,
+            steps: Vec::new(),
+            code: Vec::new(),
+            images: Vec::new(),
+            par_arms: Vec::new(),
+            par_arm_cells: Vec::new(),
+        };
+        let top = compiler.subgoal(body_start);
+        let eager = compiler.steps[top.range()]
+            .iter()
+            .take_while(|step| step.is_builtin())
+            .count() as u32;
+        let Compiler {
+            steps,
+            code,
+            images,
+            par_arms,
+            par_arm_cells,
+            ..
+        } = compiler;
         ClauseTemplate {
             cells,
             head_args,
-            eager,
             steps,
-            par_arms: par_arms.seqs,
-            par_arm_cells: par_arms.cell_positions,
-            body,
+            code,
+            images,
+            par_arms,
+            par_arm_cells,
+            eager: Seq {
+                start: top.start,
+                len: eager,
+            },
+            body: Seq {
+                start: top.start + eager,
+                len: top.len - eager,
+            },
             num_vars: clause.num_vars() as u32,
         }
     }
@@ -240,10 +351,23 @@ impl ClauseTemplate {
         self.num_vars as usize
     }
 
-    /// The compiled body steps. [`Seq`]s — including [`Self::body_seq`] and
-    /// every control-construct arm — index into this array.
+    /// The compiled body steps. [`Seq`]s — including [`Self::eager_seq`],
+    /// [`Self::body_seq`] and every control-construct arm — index into this
+    /// array.
     pub fn steps(&self) -> &[Step] {
         &self.steps
+    }
+
+    /// The compiled arithmetic of the clause's [`Step::Is`] and
+    /// [`Step::NumCompare`] steps.
+    pub(crate) fn code(&self) -> &[Instr] {
+        &self.code
+    }
+
+    /// The argument images of the clause's static goals (see
+    /// [`GoalImage`]).
+    pub fn images(&self) -> &[HCell] {
+        &self.images
     }
 
     /// Arm sequences of the clause's parallel conjunctions, indexed by
@@ -259,6 +383,12 @@ impl ClauseTemplate {
         &self.par_arm_cells
     }
 
+    /// The body's eager prefix: the leading builtin steps of its top-level
+    /// sequence, executed during clause activation.
+    pub fn eager_seq(&self) -> Seq {
+        self.eager
+    }
+
     /// The body's top-level step sequence after the eager prefix,
     /// `','`-flattened with `true` literals dropped. Empty for facts:
     /// nothing to materialize, nothing to push.
@@ -266,24 +396,24 @@ impl ClauseTemplate {
         self.body
     }
 
-    /// The body's eagerly executable builtin prefix.
-    pub(crate) fn eager(&self) -> &[EagerGoal] {
-        &self.eager
-    }
-
     /// `true` if the clause body contributes no goals (a fact, or a body that
     /// is only `true` literals).
     pub fn body_is_true(&self) -> bool {
-        self.body.len == 0 && self.eager.is_empty()
+        self.body.len == 0 && self.eager.len == 0
     }
 }
 
 /// Compiles every clause of a program, indexed by clause id.
 pub fn compile_program(program: &Program) -> Vec<ClauseTemplate> {
+    let preds: PredTable = program
+        .predicates()
+        .enumerate()
+        .map(|(k, predicate)| ((predicate.id.name, predicate.id.arity), k as u32))
+        .collect();
     program
         .clauses()
         .iter()
-        .map(ClauseTemplate::compile)
+        .map(|clause| ClauseTemplate::compile(clause, &preds))
         .collect()
 }
 
@@ -306,116 +436,196 @@ fn collect_body_goals(cells: &[Cell], pos: usize, out: &mut Vec<u32>) -> usize {
     }
 }
 
-/// The collected parallel-conjunction arms of one clause: the compiled
-/// [`Seq`] of each arm plus the cell offset of the arm's term subtree (the
-/// spawn path's materialization point), kept aligned.
-#[derive(Default)]
-struct ParArms {
-    seqs: Vec<Seq>,
-    cell_positions: Vec<u32>,
+/// The arrays of a clause body under compilation.
+struct Compiler<'a> {
+    cells: &'a [Cell],
+    preds: &'a PredTable,
+    steps: Vec<Step>,
+    code: Vec<Instr>,
+    images: Vec<HCell>,
+    /// The compiled [`Seq`] of each parallel arm and, aligned with it, the
+    /// cell offset of the arm's term subtree (the spawn path's
+    /// materialization point).
+    par_arms: Vec<Seq>,
+    par_arm_cells: Vec<u32>,
 }
 
-/// Compiles a list of goal cell-offsets into a contiguous [`Seq`] of steps.
-///
-/// The sequence's own slots are reserved first and patched afterwards, so
-/// every sequence occupies a contiguous range of `steps` even though
-/// compiling a control construct appends its arm sequences behind it.
-fn compile_seq(
-    cells: &[Cell],
-    goals: &[u32],
-    steps: &mut Vec<Step>,
-    par_arms: &mut ParArms,
-) -> Seq {
-    let start = steps.len();
-    steps.resize(start + goals.len(), Step::Cut);
-    for (k, &pos) in goals.iter().enumerate() {
-        let step = compile_step(cells, pos as usize, steps, par_arms);
-        steps[start + k] = step;
+impl Compiler<'_> {
+    /// Compiles the (possibly `','`-structured) subtree at `pos` into a
+    /// contiguous [`Seq`] of steps: the compile-time image of pushing the
+    /// subtree as a goal and letting the solve loop flatten its
+    /// conjunctions.
+    ///
+    /// The sequence's own slots are reserved first and patched afterwards,
+    /// so every sequence occupies a contiguous range of `steps` even though
+    /// compiling a control construct appends its arm sequences behind it.
+    fn subgoal(&mut self, pos: usize) -> Seq {
+        let mut goals = Vec::new();
+        collect_body_goals(self.cells, pos, &mut goals);
+        let start = self.steps.len();
+        self.steps.resize(start + goals.len(), Step::Cut);
+        for (k, &pos) in goals.iter().enumerate() {
+            self.steps[start + k] = self.step(pos as usize);
+        }
+        Seq::since(start, start + goals.len())
     }
-    Seq {
-        start: start as u32,
-        len: goals.len() as u32,
+
+    /// Compiles one body goal into its [`Step`]. Control constructs
+    /// recognised statically get dedicated steps; the run-time ambiguous
+    /// ones documented in the module docs become [`Step::Goal`]; anything
+    /// else is a plain goal.
+    fn step(&mut self, pos: usize) -> Step {
+        let wk = well_known::get();
+        let cells = self.cells;
+        match cells[pos] {
+            Cell::Atom(s) if s == wk.cut => Step::Cut,
+            Cell::Struct(s, 2) if s == wk.semicolon => {
+                let left = pos + 1;
+                let right = skip_subtree(cells, left);
+                match cells[left] {
+                    Cell::Struct(a, 2) if a == wk.arrow => {
+                        let cond = left + 1;
+                        let then_pos = skip_subtree(cells, cond);
+                        Step::IfThenElse {
+                            cond: self.subgoal(cond),
+                            then_: self.subgoal(then_pos),
+                            else_: self.subgoal(right),
+                        }
+                    }
+                    // A variable in the left operand can only be classified at
+                    // run time (it may be bound to `->`, turning the disjunction
+                    // into an if-then-else): keep the materialized-cell path.
+                    Cell::Var(_) | Cell::VarFirst(_) => Step::Goal(pos as u32),
+                    _ => Step::Disj {
+                        left: self.subgoal(left),
+                        right: self.subgoal(right),
+                    },
+                }
+            }
+            Cell::Struct(s, 2) if s == wk.arrow => {
+                let cond = pos + 1;
+                let then_pos = skip_subtree(cells, cond);
+                Step::IfThen {
+                    cond: self.subgoal(cond),
+                    then_: self.subgoal(then_pos),
+                }
+            }
+            Cell::Struct(s, 1) if s == wk.not => Step::Not {
+                inner: self.subgoal(pos + 1),
+            },
+            Cell::Struct(s, 2) if s == wk.par_and => {
+                // Flatten nested `&` into arms at compile time. A variable arm
+                // would be flattened further at run time if bound to another
+                // `&` — the fork arity is then data-dependent, so such
+                // conjunctions keep the materialized-cell path.
+                let mut arm_pos = Vec::new();
+                if collect_par_arms(cells, pos, &mut arm_pos) {
+                    let arms: Vec<Seq> = arm_pos.iter().map(|&p| self.subgoal(p)).collect();
+                    let arms_at = self.par_arms.len() as u32;
+                    let arms_len = arms.len() as u32;
+                    self.par_arms.extend(arms);
+                    self.par_arm_cells.extend(arm_pos.iter().map(|&p| p as u32));
+                    Step::Par { arms_at, arms_len }
+                } else {
+                    Step::Goal(pos as u32)
+                }
+            }
+            _ => self.goal(pos),
+        }
     }
-}
 
-/// Compiles the (possibly `','`-structured) subtree at `pos` into a step
-/// sequence: the compile-time image of pushing the subtree as a goal and
-/// letting the solve loop flatten its conjunctions.
-fn compile_subgoal(
-    cells: &[Cell],
-    pos: usize,
-    steps: &mut Vec<Step>,
-    par_arms: &mut ParArms,
-) -> Seq {
-    let mut goals = Vec::new();
-    collect_body_goals(cells, pos, &mut goals);
-    compile_seq(cells, &goals, steps, par_arms)
-}
-
-/// Compiles one body goal into its [`Step`]. Control constructs recognised
-/// statically get dedicated steps; anything else — including the run-time
-/// ambiguous cases documented in the module docs — becomes [`Step::Goal`].
-fn compile_step(cells: &[Cell], pos: usize, steps: &mut Vec<Step>, par_arms: &mut ParArms) -> Step {
-    let wk = well_known::get();
-    match cells[pos] {
-        Cell::Atom(s) if s == wk.cut => Step::Cut,
-        Cell::Struct(s, 2) if s == wk.semicolon => {
-            let left = pos + 1;
-            let right = skip_subtree(cells, left);
-            match cells[left] {
-                Cell::Struct(a, 2) if a == wk.arrow => {
-                    let cond = left + 1;
-                    let then_pos = skip_subtree(cells, cond);
-                    Step::IfThenElse {
-                        cond: compile_subgoal(cells, cond, steps, par_arms),
-                        then_: compile_subgoal(cells, then_pos, steps, par_arms),
-                        else_: compile_subgoal(cells, right, steps, par_arms),
+    /// Classifies a goal that is not a control construct — the one place a
+    /// body goal is identified, whatever its position in the body. The
+    /// order is the machine's run-time dispatch order: `fail` by name, then
+    /// builtins (which shadow same-name predicates), then the program.
+    fn goal(&mut self, pos: usize) -> Step {
+        let wk = well_known::get();
+        let (name, arity) = match self.cells[pos] {
+            Cell::Atom(s) if s != wk.fail && s != wk.false_ => (s, 0),
+            Cell::Struct(s, arity) => (s, arity),
+            _ => return Step::Goal(pos as u32),
+        };
+        let key = (name, arity as usize);
+        if let Some(&builtin) = builtins::table().get(&key) {
+            let lhs = pos + 1;
+            let code_mark = self.code.len();
+            match builtin {
+                Builtin::Is => {
+                    if let Some(rhs) = self.expr(skip_subtree(self.cells, lhs)) {
+                        return Step::Is {
+                            lhs: lhs as u32,
+                            rhs,
+                        };
                     }
                 }
-                // A variable in the left operand can only be classified at
-                // run time (it may be bound to `->`, turning the disjunction
-                // into an if-then-else): keep the materialized-cell path.
-                Cell::Var(_) | Cell::VarFirst(_) => Step::Goal(pos as u32),
-                _ => Step::Disj {
-                    left: compile_subgoal(cells, left, steps, par_arms),
-                    right: compile_subgoal(cells, right, steps, par_arms),
-                },
+                Builtin::NumCompare(op) => {
+                    let rhs = skip_subtree(self.cells, lhs);
+                    if let (Some(lhs), Some(rhs)) = (self.expr(lhs), self.expr(rhs)) {
+                        return Step::NumCompare { op, lhs, rhs };
+                    }
+                    self.code.truncate(code_mark);
+                }
+                _ => {}
             }
+            return Step::Builtin {
+                builtin,
+                goal: self.image(pos, name, arity),
+            };
         }
-        Cell::Struct(s, 2) if s == wk.arrow => {
-            let cond = pos + 1;
-            let then_pos = skip_subtree(cells, cond);
-            Step::IfThen {
-                cond: compile_subgoal(cells, cond, steps, par_arms),
-                then_: compile_subgoal(cells, then_pos, steps, par_arms),
+        match self.preds.get(&key) {
+            Some(&pred) => Step::Call {
+                pred,
+                goal: self.image(pos, name, arity),
+            },
+            None => Step::Goal(pos as u32),
+        }
+    }
+
+    /// Compiles the expression at `pos`, unless it is too deep for the
+    /// compiled evaluator.
+    fn expr(&mut self, pos: usize) -> Option<Seq> {
+        let start = self.code.len();
+        arith::compile(self.cells, pos, &mut self.code).then(|| Seq::since(start, self.code.len()))
+    }
+
+    /// Lays out the argument image of the goal `name/arity` at `pos` (see
+    /// [`GoalImage`]) in one pass over its preorder cells: a block is
+    /// reserved when its compound is met and filled as the cells after it
+    /// go by, which is the order the recursive writer reserves and fills in.
+    fn image(&mut self, pos: usize, name: Symbol, arity: u32) -> GoalImage {
+        let start = self.images.len();
+        let placeholder = HCell::Int(0);
+        self.images.resize(start + arity as usize, placeholder);
+        // Blocks being filled, innermost last: next slot, slots to go.
+        let mut open = vec![(start, arity)];
+        let mut pos = pos + 1;
+        while let Some((slot, left)) = open.last_mut() {
+            if *left == 0 {
+                open.pop();
+                continue;
             }
+            let at = *slot;
+            *slot += 1;
+            *left -= 1;
+            self.images[at] = match self.cells[pos] {
+                Cell::Var(v) | Cell::VarFirst(v) => HCell::Ref(v),
+                Cell::Atom(s) => HCell::Atom(s),
+                Cell::Int(i) => HCell::Int(i),
+                Cell::Float(x) => HCell::Float(x),
+                Cell::Struct(s, n) => {
+                    let block = self.images.len();
+                    self.images.resize(block + n as usize, placeholder);
+                    open.push((block, n));
+                    HCell::Struct(s, n, (block - start) as u32)
+                }
+            };
+            pos += 1;
         }
-        Cell::Struct(s, 1) if s == wk.not => Step::Not {
-            inner: compile_subgoal(cells, pos + 1, steps, par_arms),
-        },
-        Cell::Struct(s, 2) if s == wk.par_and => {
-            // Flatten nested `&` into arms at compile time. A variable arm
-            // would be flattened further at run time if bound to another
-            // `&` — the fork arity is then data-dependent, so such
-            // conjunctions keep the materialized-cell path.
-            let mut arm_pos = Vec::new();
-            if collect_par_arms(cells, pos, &mut arm_pos) {
-                let arms: Vec<Seq> = arm_pos
-                    .iter()
-                    .map(|&p| compile_subgoal(cells, p, steps, par_arms))
-                    .collect();
-                let arms_at = par_arms.seqs.len() as u32;
-                let arms_len = arms.len() as u32;
-                par_arms.seqs.extend(arms);
-                par_arms
-                    .cell_positions
-                    .extend(arm_pos.iter().map(|&p| p as u32));
-                Step::Par { arms_at, arms_len }
-            } else {
-                Step::Goal(pos as u32)
-            }
+        GoalImage {
+            name,
+            arity,
+            args: Seq::since(start, self.images.len()),
         }
-        _ => Step::Goal(pos as u32),
     }
 }
 
@@ -437,56 +647,18 @@ fn collect_par_arms(cells: &[Cell], pos: usize, out: &mut Vec<usize>) -> bool {
     }
 }
 
-/// Classifies a body goal as eagerly executable, if it is a builtin.
-fn classify_eager(cells: &[Cell], pos: usize) -> Option<EagerGoal> {
-    let (name, arity) = match cells[pos] {
-        Cell::Atom(s) => (s, 0usize),
-        Cell::Struct(s, a) => (s, a as usize),
-        _ => return None,
-    };
-    let builtin = *builtins::table().get(&(name, arity))?;
-    Some(match builtin {
-        Builtin::NumLt
-        | Builtin::NumGt
-        | Builtin::NumLe
-        | Builtin::NumGe
-        | Builtin::NumEq
-        | Builtin::NumNe => {
-            let lhs = pos + 1;
-            let rhs = skip_subtree(cells, lhs);
-            EagerGoal::NumCompare {
-                op: builtin,
-                lhs: lhs as u32,
-                rhs: rhs as u32,
-            }
-        }
-        Builtin::Is => {
-            let lhs = pos + 1;
-            let rhs = skip_subtree(cells, lhs);
-            EagerGoal::Is {
-                lhs: lhs as u32,
-                rhs: rhs as u32,
-            }
-        }
-        _ => EagerGoal::Other {
-            builtin,
-            goal: pos as u32,
-        },
-    })
-}
-
 /// The offset just past the preorder subtree starting at `pos`.
 pub(crate) fn skip_subtree(cells: &[Cell], pos: usize) -> usize {
-    match cells[pos] {
-        Cell::Struct(_, arity) => {
-            let mut p = pos + 1;
-            for _ in 0..arity {
-                p = skip_subtree(cells, p);
-            }
-            p
+    let mut pos = pos;
+    let mut pending = 1usize;
+    while pending > 0 {
+        if let Cell::Struct(_, arity) = cells[pos] {
+            pending += arity as usize;
         }
-        _ => pos + 1,
+        pending -= 1;
+        pos += 1;
     }
+    pos
 }
 
 fn flatten(term: &Term, cells: &mut Vec<Cell>) {
@@ -514,6 +686,12 @@ mod tests {
         parse_program(src).unwrap().clauses()[0].clone()
     }
 
+    /// The template of the first clause of `src`, compiled against the
+    /// predicates `src` defines.
+    fn compile(src: &str) -> ClauseTemplate {
+        compile_program(&parse_program(src).unwrap()).swap_remove(0)
+    }
+
     /// Materializes the template subtree at `*pos` the way the machine does
     /// — written into an arena whose activation variable block starts at
     /// `var_base` — and resolves it back to a source term, so clause
@@ -528,8 +706,9 @@ mod tests {
 
     #[test]
     fn template_matches_from_ir_materialization() {
-        let c = clause("app([H|T], L, [H|R]) :- app(T, L, R).");
-        let t = ClauseTemplate::compile(&c);
+        let src = "app([H|T], L, [H|R]) :- app(T, L, R).";
+        let c = clause(src);
+        let t = compile(src);
         assert_eq!(t.num_vars(), 4);
         assert!(!t.body_is_true());
         for offset in [0usize, 10, 1000] {
@@ -552,12 +731,12 @@ mod tests {
 
     /// The steps of a sequence, as a slice of the template's step array.
     fn seq_steps(t: &ClauseTemplate, seq: Seq) -> &[Step] {
-        &t.steps()[seq.start as usize..(seq.start + seq.len) as usize]
+        &t.steps()[seq.range()]
     }
 
     #[test]
     fn facts_are_recognised() {
-        let t = ClauseTemplate::compile(&clause("p(a, f(b))."));
+        let t = compile("p(a, f(b)).");
         assert!(t.body_is_true());
         assert_eq!(t.body_seq().len, 0);
         assert_eq!(t.head_arg_positions().len(), 2);
@@ -565,8 +744,7 @@ mod tests {
 
     #[test]
     fn body_steps_flatten_conjunctions_and_drop_true() {
-        let c = clause("p(X) :- a(X), true, (b(X) ; c(X)), d(X) & e(X), f.");
-        let t = ClauseTemplate::compile(&c);
+        let t = compile("p(X) :- a(X), true, (b(X) ; c(X)), d(X) & e(X), f.");
         // Top-level steps: a(X), the disjunction, the parallel conjunction,
         // and f — `true` is dropped, `;` and `&` compile to control steps.
         let steps = seq_steps(&t, t.body_seq());
@@ -583,8 +761,7 @@ mod tests {
 
     #[test]
     fn if_then_else_compiles_with_arm_sequences() {
-        let c = clause("p(X) :- ( q(X), r(X) -> a(X), b(X) ; c(X) ).");
-        let t = ClauseTemplate::compile(&c);
+        let t = compile("p(X) :- ( q(X), r(X) -> a(X), b(X) ; c(X) ).");
         let steps = seq_steps(&t, t.body_seq());
         assert_eq!(steps.len(), 1);
         let (cond, then_, else_) = match steps[0] {
@@ -600,8 +777,7 @@ mod tests {
 
     #[test]
     fn cut_and_negation_compile_to_steps() {
-        let c = clause("p(X) :- q(X), !, \\+ r(X).");
-        let t = ClauseTemplate::compile(&c);
+        let t = compile("p(X) :- q(X), !, \\+ r(X).");
         let steps = seq_steps(&t, t.body_seq());
         assert_eq!(steps.len(), 3);
         assert!(matches!(steps[0], Step::Goal(_)));
@@ -615,8 +791,7 @@ mod tests {
 
     #[test]
     fn nested_parallel_arms_flatten_at_compile_time() {
-        let c = clause("p(X, Y, Z) :- a(X) & b(Y) & c(Z).");
-        let t = ClauseTemplate::compile(&c);
+        let t = compile("p(X, Y, Z) :- a(X) & b(Y) & c(Z).");
         let steps = seq_steps(&t, t.body_seq());
         let (arms_at, arms_len) = match steps[0] {
             Step::Par { arms_at, arms_len } => (arms_at, arms_len),
@@ -632,49 +807,201 @@ mod tests {
         // `(Cond ; Else)` with a variable condition may turn out to be an
         // if-then-else at run time; `G & b` with a variable arm may flatten
         // further. Both must stay on the materialized-cell path.
-        let c = clause("p(G) :- ( G ; a ).");
-        let t = ClauseTemplate::compile(&c);
+        let t = compile("p(G) :- ( G ; a ).");
         assert!(matches!(seq_steps(&t, t.body_seq())[0], Step::Goal(_)));
-        let c = clause("p(G) :- G & b.");
-        let t = ClauseTemplate::compile(&c);
+        let t = compile("p(G) :- G & b.");
         assert!(matches!(seq_steps(&t, t.body_seq())[0], Step::Goal(_)));
         // A variable *goal* is also a plain step (metacall at run time).
-        let c = clause("p(G) :- G.");
-        let t = ClauseTemplate::compile(&c);
+        let t = compile("p(G) :- G.");
         assert!(matches!(seq_steps(&t, t.body_seq())[0], Step::Goal(_)));
     }
 
     #[test]
     fn true_only_bodies_have_no_goals() {
-        let t = ClauseTemplate::compile(&clause("p :- true, true."));
+        let t = compile("p :- true, true.");
         assert!(t.body_is_true());
     }
 
     #[test]
+    fn goals_are_resolved_at_compile_time() {
+        // Numbered in `Program::predicates` order, whatever that is.
+        let src = "p(X) :- q(X), r, X = 1, undefined(X), fail, 7. q(_). r.";
+        let program = parse_program(src).unwrap();
+        let number = |name: &str, arity| {
+            program
+                .predicates()
+                .position(|p| p.id == granlog_ir::PredId::parse(name, arity))
+                .unwrap() as u32
+        };
+        let t = compile(src);
+        let steps = seq_steps(&t, t.body_seq());
+        assert!(
+            matches!(steps[0], Step::Call { pred, goal } if pred == number("q", 1) && goal.arity == 1)
+        );
+        assert!(
+            matches!(steps[1], Step::Call { pred, goal } if pred == number("r", 0) && goal.arity == 0)
+        );
+        assert!(matches!(
+            steps[2],
+            Step::Builtin {
+                builtin: Builtin::Unify,
+                ..
+            }
+        ));
+        // An unknown predicate, `fail` and a non-callable goal are met at run
+        // time, if execution gets there.
+        assert!(steps[3..].iter().all(|s| matches!(s, Step::Goal(_))));
+        assert_eq!(steps.len(), 6);
+    }
+
+    #[test]
     fn leading_builtins_compile_to_eager_steps() {
-        let c = clause("fib(M, N) :- M > 1, M1 is M - 1, fib(M1, N1), N is N1.");
-        let t = ClauseTemplate::compile(&c);
-        // `M > 1` and `M1 is M - 1` are eager; the recursive call stops the
-        // prefix, so the trailing `is` is pushed like any other goal.
-        assert_eq!(t.eager().len(), 2);
-        assert!(matches!(t.eager()[0], EagerGoal::NumCompare { .. }));
-        assert!(matches!(t.eager()[1], EagerGoal::Is { .. }));
-        assert_eq!(t.body_seq().len, 2);
+        let t = compile("fib(M, N) :- M > 1, M1 is M - 1, fib(M1, N1), N is N1.");
+        // `M > 1` and `M1 is M - 1` run during activation; the recursive
+        // call ends the prefix, and the trailing `is` is the same kind of
+        // step, pushed.
+        let eager = seq_steps(&t, t.eager_seq());
+        assert!(matches!(
+            eager,
+            [Step::NumCompare { op: CmpOp::Gt, .. }, Step::Is { .. }]
+        ));
+        let body = seq_steps(&t, t.body_seq());
+        assert!(matches!(body, [Step::Call { .. }, Step::Is { .. }]));
+        assert_eq!(t.body_seq().start, t.eager_seq().len);
         assert!(!t.body_is_true());
     }
 
     #[test]
+    fn arithmetic_after_a_call_is_compiled_too() {
+        let t = compile("p(N) :- q(N1), N is N1 + 1. q(0).");
+        assert_eq!(t.eager_seq().len, 0);
+        assert!(matches!(
+            seq_steps(&t, t.body_seq()),
+            [Step::Call { .. }, Step::Is { .. }]
+        ));
+    }
+
+    #[test]
     fn builtin_only_bodies_are_fully_eager() {
-        let t = ClauseTemplate::compile(&clause("check(X) :- X > 0, X < 10."));
-        assert_eq!(t.eager().len(), 2);
+        let t = compile("check(X) :- X > 0, X < 10.");
+        assert_eq!(t.eager_seq().len, 2);
         assert_eq!(t.body_seq().len, 0);
         assert!(!t.body_is_true());
     }
 
     #[test]
+    fn arithmetic_is_compiled_in_every_body_position() {
+        let t = compile(
+            "p(X, Y) :- ( X mod 2 =:= 0 -> Y is X // 2 ; Y is 3 * X + 1 ), \
+             \\+ X < 0, ( X > 5 ; X =< 5 ), (Y >= 0 & Y =\\= 1).",
+        );
+        let arithmetic = t
+            .steps()
+            .iter()
+            .filter(|s| matches!(s, Step::Is { .. } | Step::NumCompare { .. }))
+            .count();
+        assert_eq!(arithmetic, 8);
+        assert!(t
+            .steps()
+            .iter()
+            .all(|s| !matches!(s, Step::Goal(_) | Step::Builtin { .. })));
+    }
+
+    #[test]
+    fn an_expression_too_deep_to_compile_is_a_plain_builtin() {
+        let deep = (0..arith::MAX_OPERANDS).fold("X".to_owned(), |e, _| format!("(1 + {e})"));
+        let t = compile(&format!("p(X, Y) :- Y is {deep}, {deep} < Y."));
+        assert!(matches!(
+            seq_steps(&t, t.eager_seq()),
+            [
+                Step::Builtin {
+                    builtin: Builtin::Is,
+                    ..
+                },
+                Step::Builtin {
+                    builtin: Builtin::NumCompare(CmpOp::Lt),
+                    ..
+                }
+            ]
+        ));
+        assert!(t.code().is_empty());
+    }
+
+    /// The goal of the only `Call` step of `t`'s body.
+    fn call_goal(t: &ClauseTemplate) -> GoalImage {
+        let calls: Vec<GoalImage> = t
+            .steps()
+            .iter()
+            .filter_map(|s| match s {
+                Step::Call { goal, .. } => Some(*goal),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(calls.len(), 1);
+        calls[0]
+    }
+
+    #[test]
+    fn an_image_materializes_what_the_recursive_writer_does() {
+        for src in [
+            // Flat, nested list, nested structure, no arguments.
+            "p(X, Y) :- q(X, a, 1, 2.5, Y, X). q(_, _, _, _, _, _).",
+            "p(X, Y) :- q([X, [1, Y], []], [a | Y]). q(_, _).",
+            "p(X, Y) :- q(f(g(X, h(Y)), k), X, t(t(t(Y)))). q(_, _, _).",
+            "p(X, Y) :- X = Y, q. q.",
+        ] {
+            let t = compile(src);
+            let goal = call_goal(&t);
+            // The call is the last body goal: its subtree starts where the
+            // last conjunct does.
+            let mut goals = Vec::new();
+            let body = *t.head_arg_positions().last().unwrap() as usize;
+            let body = skip_subtree(t.cells(), body);
+            collect_body_goals(t.cells(), body, &mut goals);
+            let call_pos = *goals.last().unwrap() as usize;
+            let program = Program::new();
+            for var_base in [0usize, 10, 1000] {
+                let mut by_walk = Machine::new(&program);
+                by_walk.fresh_vars(var_base + t.num_vars());
+                let before = by_walk.heap.len();
+                let mut pos = call_pos;
+                let walked = by_walk.write_template(t.cells(), &mut pos, var_base);
+
+                let mut by_image = Machine::new(&program);
+                by_image.fresh_vars(var_base + t.num_vars());
+                let copied = by_image.write_image(t.images(), goal, var_base);
+
+                assert_eq!(
+                    by_image.resolve_cell(copied),
+                    by_walk.resolve_cell(walked),
+                    "{src} at {var_base}"
+                );
+                assert_eq!(by_image.heap, by_walk.heap, "{src} at {var_base}");
+                assert_eq!(
+                    by_image.heap.len() - before,
+                    goal.args.range().len(),
+                    "{src} at {var_base}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn skip_subtree_steps_over_nested_structure() {
+        let t = compile("p(f(g(1), [a]), X).");
+        let first = t.head_arg_positions()[0] as usize;
+        assert_eq!(
+            skip_subtree(t.cells(), first),
+            t.head_arg_positions()[1] as usize
+        );
+        assert_eq!(skip_subtree(t.cells(), first + 1), first + 3);
+    }
+
+    #[test]
     fn materialize_advances_cursor_past_subtree() {
-        let c = clause("p(f(g(1), [a]), X).");
-        let t = ClauseTemplate::compile(&c);
+        let src = "p(f(g(1), [a]), X).";
+        let c = clause(src);
+        let t = compile(src);
         let mut pos = t.head_arg_positions()[0] as usize;
         let first = materialize(&t, &mut pos, 0);
         assert_eq!(pos, t.head_arg_positions()[1] as usize);

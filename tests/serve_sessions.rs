@@ -466,6 +466,40 @@ fn a_term_nested_past_the_limit_is_a_parse_error_and_costs_the_neighbour_nothing
     server.shutdown();
 }
 
+/// ROADMAP item 1, the arithmetic evaluator: a `+` chain 300 000 deep, built
+/// at run time by a two-clause predicate, used to overflow the stack of the
+/// connection thread inside `V is E` and abort the server under every
+/// tenant (a reader limit cannot help: the source is three short clauses).
+/// The heap evaluator walks it off an explicit work stack.
+#[test]
+fn a_deep_run_time_expression_is_evaluated_and_costs_the_neighbour_nothing() {
+    let server = start_server(ServeConfig::default());
+    let mut tenant = ServeClient::connect(server.addr()).unwrap();
+    tenant.load("p(1).").unwrap().unwrap();
+
+    let mut hostile = ServeClient::connect(server.addr()).unwrap();
+    hostile
+        .load(
+            "mk(0, 0).\n\
+             mk(N, X + 1) :- N > 0, N1 is N - 1, mk(N1, X).\n\
+             deep(V) :- mk(300000, E), V is E.\n",
+        )
+        .unwrap()
+        .unwrap();
+    let reply = hostile.query("deep(V)").unwrap().unwrap();
+    assert_eq!(
+        reply.bindings,
+        vec![("V".to_string(), "300000".to_string())]
+    );
+
+    let reply = tenant.query("p(X)").unwrap().unwrap();
+    assert_eq!(reply.bindings, vec![("X".to_string(), "1".to_string())]);
+    assert_eq!(tenant.stats().unwrap().quarantined, 0);
+    hostile.quit().unwrap();
+    tenant.quit().unwrap();
+    server.shutdown();
+}
+
 /// One clause per shape the reader nests, each `depth` deep as
 /// `MAX_TERM_DEPTH` counts it.
 fn clauses_nested(depth: usize) -> Vec<String> {
