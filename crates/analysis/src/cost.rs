@@ -13,10 +13,11 @@
 use crate::diffeq::CombineMode;
 use crate::expr::{Expr, FnRef};
 use crate::sizerel::ClauseSizeAnalysis;
+use granlog_ir::builtins::{self, Builtin};
+use granlog_ir::symbol::well_known;
 use granlog_ir::{Clause, ModeDecl, PredId, Program, Symbol, Term};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// The unit in which work is counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
@@ -52,75 +53,24 @@ impl CostMetric {
         }
     }
 
-    /// The cost of a builtin call.
-    pub fn builtin_cost(self, pred: PredId) -> f64 {
-        match self {
-            CostMetric::Resolutions | CostMetric::Unifications => 0.0,
-            CostMetric::Steps => {
-                // Arithmetic costs a little more than a test.
-                if known_name(pred.name) == "is" {
-                    2.0
-                } else {
-                    1.0
-                }
-            }
+    /// The cost of a goal of constant cost — a row of
+    /// [`granlog_ir::builtins`] or a control atom (`true`, `fail`, `false`,
+    /// `!`) — and `None` for every other goal.
+    pub fn builtin_cost(self, pred: PredId) -> Option<f64> {
+        let wk = well_known::get();
+        let control =
+            pred.arity == 0 && [wk.true_, wk.fail, wk.false_, wk.cut].contains(&pred.name);
+        let builtin = builtins::lookup(pred.name, pred.arity);
+        if builtin.is_none() && !control {
+            return None;
         }
+        Some(match self {
+            CostMetric::Resolutions | CostMetric::Unifications => 0.0,
+            // Arithmetic costs a little more than a test.
+            CostMetric::Steps if builtin.is_some_and(|row| row.id == Builtin::Is) => 2.0,
+            CostMetric::Steps => 1.0,
+        })
     }
-}
-
-/// The name of a builtin predicate or arithmetic functor the analysis
-/// dispatches on, `""` for every other symbol. The names are interned once,
-/// so the lookup, unlike `Symbol::as_str`, takes no interner lock.
-pub(crate) fn known_name(symbol: Symbol) -> &'static str {
-    const NAMES: &str = "is = \\= == \\== < > =< >= =:= =\\= @< @> @=< @>= true fail false ! nl \
-        write var nonvar atom atomic number integer float ground functor arg =.. length \
-        $grain_ge copy_term + - * / // div min max abs mod rem >> <<";
-    static KNOWN: OnceLock<Vec<(Symbol, &str)>> = OnceLock::new();
-    let intern = |name| (Symbol::intern(name), name);
-    let known = KNOWN.get_or_init(|| NAMES.split(' ').map(intern).collect());
-    let found = known.iter().find(|(s, _)| *s == symbol);
-    found.map_or("", |(_, name)| name)
-}
-
-/// Predicates the cost analysis treats as builtins with constant cost.
-pub fn is_builtin(pred: PredId) -> bool {
-    matches!(
-        (known_name(pred.name), pred.arity),
-        ("is", 2)
-            | ("=", 2)
-            | ("\\=", 2)
-            | ("==", 2)
-            | ("\\==", 2)
-            | ("<", 2)
-            | (">", 2)
-            | ("=<", 2)
-            | (">=", 2)
-            | ("=:=", 2)
-            | ("=\\=", 2)
-            | ("@<", 2)
-            | ("@>", 2)
-            | ("@=<", 2)
-            | ("@>=", 2)
-            | ("true", 0)
-            | ("fail", 0)
-            | ("false", 0)
-            | ("!", 0)
-            | ("nl", 0)
-            | ("write", 1)
-            | ("var", 1)
-            | ("nonvar", 1)
-            | ("atom", 1)
-            | ("atomic", 1)
-            | ("number", 1)
-            | ("integer", 1)
-            | ("float", 1)
-            | ("ground", 1)
-            | ("functor", 3)
-            | ("arg", 3)
-            | ("=..", 2)
-            | ("length", 2)
-            | ("$grain_ge", 3)
-    )
 }
 
 /// Closed-form cost information for an already-analysed predicate.
@@ -184,8 +134,8 @@ fn literal_cost(
         // A variable goal (call/N style): unknown cost.
         return Expr::Undefined;
     };
-    if is_builtin(pred) {
-        return Expr::Num(ctx.metric.builtin_cost(pred));
+    if let Some(cost) = ctx.metric.builtin_cost(pred) {
+        return Expr::Num(cost);
     }
     let decl = granlog_ir::modes::mode_or_default(ctx.modes, pred);
     let inputs = decl.input_positions();
@@ -278,12 +228,12 @@ fn same_principal_functor(a: &Term, b: &Term) -> bool {
 
 /// The arithmetic comparisons the clause body starts with.
 fn leading_guards(clause: &Clause) -> Vec<&Term> {
-    let is_guard = |literal: &&Term| match literal.functor() {
-        Some((name, 2)) => matches!(
-            known_name(name),
-            ">" | "<" | ">=" | "=<" | "=:=" | "=\\=" | "==" | "\\=="
-        ),
-        _ => false,
+    let is_guard = |literal: &&Term| {
+        let builtin = PredId::of_term(literal).and_then(|p| builtins::lookup(p.name, p.arity));
+        matches!(
+            builtin.map(|row| row.id),
+            Some(Builtin::NumCompare(_) | Builtin::StructEq | Builtin::StructNe)
+        )
     };
     let literals = clause.body_literals().into_iter();
     literals.take_while(is_guard).collect()
@@ -565,8 +515,10 @@ mod tests {
 
     #[test]
     fn grain_test_builtin_is_recognised() {
-        assert!(is_builtin(PredId::parse("$grain_ge", 3)));
-        assert!(is_builtin(PredId::parse("is", 2)));
-        assert!(!is_builtin(PredId::parse("append", 3)));
+        let cost = |name, arity| CostMetric::Steps.builtin_cost(PredId::parse(name, arity));
+        assert_eq!(cost("$grain_ge", 3), Some(1.0));
+        assert_eq!(cost("is", 2), Some(2.0));
+        assert_eq!(cost("!", 0), Some(1.0));
+        assert_eq!(cost("append", 3), None);
     }
 }

@@ -111,11 +111,6 @@ impl Expr {
         Expr::Var(Symbol::intern(name))
     }
 
-    /// A size variable from an interned symbol.
-    pub fn var_sym(name: Symbol) -> Expr {
-        Expr::Var(name)
-    }
-
     /// `a + b`.
     #[allow(clippy::should_implement_trait)] // constructor, not operator overloading
     pub fn add(a: Expr, b: Expr) -> Expr {

@@ -12,7 +12,7 @@
 //! `diff([H|L], L) = −1` gives `body[1] = head[1] − 1` for `nrev`).
 
 pub use granlog_ir::Measure;
-use granlog_ir::{Symbol, Term};
+use granlog_ir::Term;
 use std::collections::BTreeMap;
 
 /// The paper's size functions over a [`Measure`] (the enum and its names are
@@ -320,11 +320,6 @@ pub fn assign_measures(program: &granlog_ir::Program) -> BTreeMap<granlog_ir::Pr
         );
     }
     out
-}
-
-/// Parses a measure symbol (used when reading `:- measure` directives).
-pub fn measure_from_symbol(s: Symbol) -> Option<Measure> {
-    Measure::from_name(s.as_str())
 }
 
 #[cfg(test)]

@@ -500,6 +500,31 @@ mod tests {
     }
 
     #[test]
+    fn a_builtin_the_engine_runs_does_not_unbound_its_caller() {
+        // Every builtin of `granlog_ir::builtins` costs a constant, whichever
+        // one stands in the recursive clause: Cost(n) = Cost(n − 1) + 1,
+        // Cost(0) = 1.
+        let goals = [
+            "is_list(T)",
+            "print(T)",
+            "write_canonical(T)",
+            "tab(T)",
+            "atomic(T)",
+        ];
+        for goal in goals {
+            let src = format!(
+                ":- mode len(+, -).
+                 len([], 0).
+                 len([_|T], N) :- {goal}, len(T, M), N is M + 1."
+            );
+            let a = analyze(&src);
+            let len = PredId::parse("len", 2);
+            assert_eq!(a.cost_of(len).unwrap().to_string(), "n + 1", "{goal}");
+            assert_eq!(a.threshold_for(len, 60.0), Threshold::SizeAtLeast(60));
+        }
+    }
+
+    #[test]
     fn quicksort_style_program_is_bounded() {
         let src = r#"
             :- mode qsort(+, -).

@@ -19,10 +19,10 @@
 //! with [`ClauseSizeAnalysis::relations`] so that examples and reports can
 //! show the normalization steps of the Appendix.
 
-use crate::cost::known_name;
 use crate::ddg::{ArgPos, Ddg, NodeId};
 use crate::expr::{Expr, FnRef};
 use crate::measure::{Measure, MeasureVec, SizeFunctions};
+use granlog_ir::builtins::{self, Builtin};
 use granlog_ir::{ModeDecl, PredId, Symbol, Term, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -103,14 +103,6 @@ pub struct ClauseSizeAnalysis {
 }
 
 impl ClauseSizeAnalysis {
-    /// The parameter expressions in declared input-position order.
-    pub fn param_exprs(&self) -> Vec<Expr> {
-        self.input_positions
-            .iter()
-            .map(|i| Expr::Var(self.params[i]))
-            .collect()
-    }
-
     /// The input-size expressions of body literal `j`, ordered by the callee's
     /// declared input positions `callee_inputs`. Positions that were not
     /// classified as inputs at this call site yield `Expr::Undefined`.
@@ -410,16 +402,14 @@ fn literal_output_exprs(
     };
 
     // --- builtins -----------------------------------------------------------
-    match (known_name(callee.name), callee.arity) {
-        ("is", 2) => {
+    if let Some(builtin) = builtins::lookup(callee.name, callee.arity) {
+        return match builtin.id {
             // X is Expr: the output's integer value is the arithmetic
             // expression over the sizes of its variables.
-            return only(0, translate_arith(&literal.args()[1], var_sizes));
-        }
-        ("=", 2) => {
+            Builtin::Is => only(0, translate_arith(&literal.args()[1], var_sizes)),
             // Unification: the output side gets the size of the input side
             // (under the output side's measure).
-            return output_positions
+            Builtin::Unify => output_positions
                 .iter()
                 .map(|&i| {
                     let other = &literal.args()[1 - i];
@@ -432,13 +422,11 @@ fn literal_output_exprs(
                         size_of_input(1 - i)
                     }
                 })
-                .collect();
-        }
-        ("length", 2) => return only(1, size_of_input(0)),
-        ("functor", 3) | ("arg", 3) | ("=..", 2) | ("copy_term", 2) => {
-            return vec![Expr::Undefined; output_positions.len()];
-        }
-        _ => {}
+                .collect(),
+            Builtin::Length => only(1, size_of_input(0)),
+            // No other builtin produces an output whose size is known.
+            _ => vec![Expr::Undefined; output_positions.len()],
+        };
     }
 
     // --- user predicates -----------------------------------------------------
@@ -466,6 +454,18 @@ fn literal_output_exprs(
             }
         })
         .collect()
+}
+
+/// The name of an arithmetic functor [`translate_arith`] bounds, `""` for
+/// every other symbol. The names are interned once, so the lookup, unlike
+/// `Symbol::as_str`, takes no interner lock.
+fn known_name(symbol: Symbol) -> &'static str {
+    const NAMES: &str = "+ - * / // div min max abs mod rem >> <<";
+    static KNOWN: OnceLock<Vec<(Symbol, &str)>> = OnceLock::new();
+    let intern = |name| (Symbol::intern(name), name);
+    let known = KNOWN.get_or_init(|| NAMES.split(' ').map(intern).collect());
+    let found = known.iter().find(|(s, _)| *s == symbol);
+    found.map_or("", |(_, name)| name)
 }
 
 /// Translates an arithmetic term (`M - 1`, `N1 + N2`, ...) into a size

@@ -17,7 +17,7 @@
 use crate::error::DatalogError;
 use granlog_ir::pretty::TermWithNames;
 use granlog_ir::symbol::well_known;
-use granlog_ir::{Clause, FastMap, PredId, Program, Symbol, Term};
+use granlog_ir::{builtins, Clause, FastMap, PredId, Program, Symbol, Term};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -87,51 +87,6 @@ pub(crate) struct Rule {
     pub(crate) body: Vec<Literal>,
     pub(crate) num_slots: usize,
     pub(crate) display: String,
-}
-
-/// `(name, arity)` pairs the SLD engine resolves as builtins (mirrors the
-/// engine's dispatch table) — all outside the Datalog subset, all rejected
-/// with a diagnostic rather than silently treated as empty relations (which
-/// would be a *wrong answer* relative to SLD, not a rejection).
-const BUILTINS: &[(&str, usize)] = &[
-    ("=", 2),
-    ("\\=", 2),
-    ("==", 2),
-    ("\\==", 2),
-    ("@<", 2),
-    ("@>", 2),
-    ("@=<", 2),
-    ("@>=", 2),
-    ("is", 2),
-    ("<", 2),
-    (">", 2),
-    ("=<", 2),
-    (">=", 2),
-    ("=:=", 2),
-    ("=\\=", 2),
-    ("var", 1),
-    ("nonvar", 1),
-    ("atom", 1),
-    ("number", 1),
-    ("integer", 1),
-    ("float", 1),
-    ("atomic", 1),
-    ("ground", 1),
-    ("is_list", 1),
-    ("functor", 3),
-    ("arg", 3),
-    ("=..", 2),
-    ("length", 2),
-    ("$grain_ge", 3),
-    ("write", 1),
-    ("print", 1),
-    ("write_canonical", 1),
-    ("tab", 1),
-    ("nl", 0),
-];
-
-fn is_builtin(name: &str, arity: usize) -> bool {
-    BUILTINS.contains(&(name, arity))
 }
 
 /// How constants are resolved while lowering: the program side interns new
@@ -255,7 +210,11 @@ impl<'a> LowerCtx<'a> {
             )));
         };
         let name_str = name.as_str();
-        if is_builtin(name_str, arity) {
+        // Everything the SLD engine resolves as a builtin is outside the
+        // Datalog subset: rejected with a diagnostic rather than silently
+        // treated as an empty relation (which would be a *wrong answer*
+        // relative to SLD, not a rejection).
+        if builtins::lookup(name, arity).is_some() {
             return Err(self.not_datalog(format!("builtin `{name_str}/{arity}`")));
         }
         if name_str == "call" {

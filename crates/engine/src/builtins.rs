@@ -1,13 +1,14 @@
 //! Builtin predicates.
 //!
-//! All builtins are deterministic (at most one solution). The machine folds
-//! the crate-private `table` into its per-program call-target map at load
-//! time and invokes `dispatch` directly; goals absent from the table fall
-//! back to user-clause resolution. Builtins operate on arena heap cells
-//! throughout ([`crate::heap::HCell`]): the structural-comparison family
-//! (`==`, `\==`, the `@<` relations and `\=`) walks cells directly under
-//! the standard order of terms — no boundary [`granlog_ir::Term`] is ever
-//! materialized on these paths.
+//! All builtins are deterministic (at most one solution). Which goals are
+//! builtins is [`granlog_ir::builtins`]' table; the machine folds its rows
+//! into the per-program call-target map at load time and invokes `dispatch`
+//! with the row's [`Builtin`] id, matched exhaustively; goals absent from
+//! the table fall back to user-clause resolution. Builtins operate on arena
+//! heap cells throughout ([`crate::heap::HCell`]): the structural-comparison
+//! family (`==`, `\==`, the `@<` relations and `\=`) walks cells directly
+//! under the standard order of terms — no boundary [`granlog_ir::Term`] is
+//! ever materialized on these paths.
 //!
 //! # Standard order of terms
 //!
@@ -27,123 +28,13 @@
 //! allocation-free and leaves no bindings — with operation counters
 //! identical to the seed's resolve-and-mgu implementation.
 
-use crate::arith::{eval, CmpOp};
+use crate::arith::eval;
 use crate::error::{EngineError, EngineResult};
 use crate::heap::HCell;
 use crate::machine::Machine;
-use granlog_ir::{FastMap, Measure, Symbol};
+use granlog_ir::builtins::Builtin;
+use granlog_ir::Measure;
 use std::cmp::Ordering;
-use std::sync::OnceLock;
-
-/// The builtin identified by one `(functor, arity)` pair of the dispatch
-/// table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Builtin {
-    /// `=/2`.
-    Unify,
-    /// `\=/2`.
-    NotUnifiable,
-    /// `==/2`.
-    StructEq,
-    /// `\==/2`.
-    StructNe,
-    /// `@</2`.
-    TermLt,
-    /// `@>/2`.
-    TermGt,
-    /// `@=</2`.
-    TermLe,
-    /// `@>=/2`.
-    TermGe,
-    /// `is/2`.
-    Is,
-    /// `</2`, `>/2`, `=</2`, `>=/2`, `=:=/2`, `=\=/2`.
-    NumCompare(CmpOp),
-    /// `var/1`.
-    IsVar,
-    /// `nonvar/1`.
-    Nonvar,
-    /// `atom/1`.
-    IsAtom,
-    /// `number/1`.
-    IsNumber,
-    /// `integer/1`.
-    IsInteger,
-    /// `float/1`.
-    IsFloat,
-    /// `atomic/1`.
-    IsAtomic,
-    /// `ground/1`.
-    Ground,
-    /// `is_list/1`.
-    IsList,
-    /// `functor/3`.
-    Functor,
-    /// `arg/3`.
-    Arg,
-    /// `=../2`.
-    Univ,
-    /// `length/2`.
-    Length,
-    /// `'$grain_ge'/3`, the grain-size test.
-    GrainGe,
-    /// `write/1`, `print/1`, `write_canonical/1`, `tab/1`: charged, no output.
-    WriteLike,
-    /// `nl/0`.
-    Nl,
-}
-
-/// The dispatch table: interned `(functor, arity)` → builtin, built once per
-/// process. Lookup is a single hash probe on a `Copy` key — no string
-/// comparison (and no interner lock) per call. The machine folds this table
-/// into its per-program call-target map at load time, so the solve loop pays
-/// one probe total per goal.
-pub(crate) fn table() -> &'static FastMap<(Symbol, usize), Builtin> {
-    static TABLE: OnceLock<FastMap<(Symbol, usize), Builtin>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        use Builtin::*;
-        let entries: &[(&str, usize, Builtin)] = &[
-            ("=", 2, Unify),
-            ("\\=", 2, NotUnifiable),
-            ("==", 2, StructEq),
-            ("\\==", 2, StructNe),
-            ("@<", 2, TermLt),
-            ("@>", 2, TermGt),
-            ("@=<", 2, TermLe),
-            ("@>=", 2, TermGe),
-            ("is", 2, Is),
-            ("<", 2, NumCompare(CmpOp::Lt)),
-            (">", 2, NumCompare(CmpOp::Gt)),
-            ("=<", 2, NumCompare(CmpOp::Le)),
-            (">=", 2, NumCompare(CmpOp::Ge)),
-            ("=:=", 2, NumCompare(CmpOp::Eq)),
-            ("=\\=", 2, NumCompare(CmpOp::Ne)),
-            ("var", 1, IsVar),
-            ("nonvar", 1, Nonvar),
-            ("atom", 1, IsAtom),
-            ("number", 1, IsNumber),
-            ("integer", 1, IsInteger),
-            ("float", 1, IsFloat),
-            ("atomic", 1, IsAtomic),
-            ("ground", 1, Ground),
-            ("is_list", 1, IsList),
-            ("functor", 3, Functor),
-            ("arg", 3, Arg),
-            ("=..", 2, Univ),
-            ("length", 2, Length),
-            ("$grain_ge", 3, GrainGe),
-            ("write", 1, WriteLike),
-            ("print", 1, WriteLike),
-            ("write_canonical", 1, WriteLike),
-            ("tab", 1, WriteLike),
-            ("nl", 0, Nl),
-        ];
-        entries
-            .iter()
-            .map(|&(name, arity, builtin)| ((Symbol::intern(name), arity), builtin))
-            .collect()
-    })
-}
 
 /// Executes an already-identified builtin (the machine resolves the goal to a
 /// [`Builtin`] through its per-program call-target map). The goal cell's
@@ -202,7 +93,7 @@ pub(crate) fn dispatch(
             machine.charge_builtin();
             let a = eval(machine, args)?;
             let b = eval(machine, args + 1)?;
-            op.holds(a, b)
+            op.holds(a.compare(b))
         }
         Builtin::IsVar => {
             machine.charge_builtin();

@@ -2,7 +2,7 @@
 //!
 //! The engine counts the operations it performs in the same abstract units the
 //! static analysis reasons about (resolutions, unifications, builtin calls,
-//! grain-size tests). A [`CostModel`] converts those counters into a single
+//! grain-size tests). [`Counters::work`] converts those counters into a single
 //! scalar number of *work units*, which is what the task tree records and the
 //! multiprocessor simulator schedules.
 
@@ -51,65 +51,14 @@ impl Counters {
             grain_test_elements: self.grain_test_elements + other.grain_test_elements,
         }
     }
-}
 
-/// Weights converting operation counters into scalar work units.
-///
-/// The defaults mirror the paper's "resolutions" metric: each resolution is
-/// one unit, unification and builtins are free, and grain-size tests charge
-/// one unit plus one unit per traversed element (the runtime overhead of
-/// granularity control, studied in Section 7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
-    /// Work per successful resolution.
-    pub per_resolution: f64,
-    /// Work per head-unification attempt (including failing ones).
-    pub per_head_attempt: f64,
-    /// Work per elementary unification step.
-    pub per_unification: f64,
-    /// Work per builtin call.
-    pub per_builtin: f64,
-    /// Fixed work per `$grain_ge` test.
-    pub per_grain_test: f64,
-    /// Work per element traversed by a grain-size test.
-    pub per_grain_test_element: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            per_resolution: 1.0,
-            per_head_attempt: 0.0,
-            per_unification: 0.0,
-            per_builtin: 0.0,
-            per_grain_test: 1.0,
-            per_grain_test_element: 1.0,
-        }
-    }
-}
-
-impl CostModel {
-    /// A model that counts every elementary operation (closer to "number of
-    /// instructions executed").
-    pub fn instruction_like() -> Self {
-        CostModel {
-            per_resolution: 4.0,
-            per_head_attempt: 1.0,
-            per_unification: 1.0,
-            per_builtin: 2.0,
-            per_grain_test: 2.0,
-            per_grain_test_element: 1.0,
-        }
-    }
-
-    /// Converts counters into scalar work units under this model.
-    pub fn work(&self, c: &Counters) -> f64 {
-        self.per_resolution * c.resolutions as f64
-            + self.per_head_attempt * c.head_attempts as f64
-            + self.per_unification * c.unifications as f64
-            + self.per_builtin * c.builtins as f64
-            + self.per_grain_test * c.grain_tests as f64
-            + self.per_grain_test_element * c.grain_test_elements as f64
+    /// The counters as scalar work units under the paper's "resolutions"
+    /// metric: each resolution is one unit, unification and builtins are
+    /// free, and a grain-size test charges one unit plus one per traversed
+    /// element (the runtime overhead of granularity control, studied in
+    /// Section 7).
+    pub fn work(&self) -> f64 {
+        (self.resolutions + self.grain_tests + self.grain_test_elements) as f64
     }
 }
 
@@ -127,22 +76,7 @@ mod tests {
             grain_tests: 2,
             grain_test_elements: 6,
         };
-        let w = CostModel::default().work(&c);
-        assert_eq!(w, 10.0 + 2.0 + 6.0);
-    }
-
-    #[test]
-    fn instruction_model_counts_everything() {
-        let c = Counters {
-            resolutions: 1,
-            head_attempts: 1,
-            unifications: 1,
-            builtins: 1,
-            grain_tests: 1,
-            grain_test_elements: 1,
-        };
-        let w = CostModel::instruction_like().work(&c);
-        assert_eq!(w, 4.0 + 1.0 + 1.0 + 2.0 + 2.0 + 1.0);
+        assert_eq!(c.work(), 10.0 + 2.0 + 6.0);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! * the `'$grain_ge'(Term, Measure, K)` runtime grain-size test emitted by
 //!   the granularity-control transformation, charged with a cost proportional
 //!   to the traversal it performs;
-//! * configurable cost models ([`CostModel`]) and per-operation counters
-//!   ([`Counters`]);
+//! * per-operation counters ([`Counters`]), converted to work units under
+//!   the paper's resolutions metric;
 //! * a **preemptible** solve loop: [`machine::Budget`] bounds a slice by
 //!   steps, arena cells or wall clock, and the machine either yields a
 //!   resumable [`machine::SolveToken`] or raises a typed
@@ -65,7 +65,7 @@ pub mod profile;
 pub mod tasktree;
 pub mod template;
 
-pub use cost::{CostModel, Counters};
+pub use cost::Counters;
 pub use error::{BudgetKind, EngineError, EngineResult};
 pub use heap::HCell;
 pub use machine::{

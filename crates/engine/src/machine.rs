@@ -52,8 +52,8 @@
 //! deterministically once the local arms are done.
 
 use crate::arith;
-use crate::builtins::{self, Builtin};
-use crate::cost::{CostModel, Counters};
+use crate::builtins;
+use crate::cost::Counters;
 use crate::error::{BudgetKind, EngineError, EngineResult};
 use crate::heap::{self, HCell};
 use crate::par::{ArmAnswer, Offer, Packet, ParHook};
@@ -91,8 +91,6 @@ pub struct MachineConfig {
     /// goals along one path) and the nesting of isolation barriers
     /// (negation, conditions, parallel arms).
     pub max_depth: usize,
-    /// The cost model converting operations into work units.
-    pub cost_model: CostModel,
     /// Candidate-clause selection strategy.
     pub clause_selection: ClauseSelection,
     /// Enable the per-predicate port profiler (see [`crate::profile`]).
@@ -107,7 +105,6 @@ impl Default for MachineConfig {
         MachineConfig {
             max_steps: 200_000_000,
             max_depth: 4_000_000,
-            cost_model: CostModel::default(),
             clause_selection: ClauseSelection::Indexed,
             profile: false,
         }
@@ -202,16 +199,6 @@ pub enum Solve {
     /// The budget ran out first; the machine is suspended mid-solve and
     /// [`Machine::resume`] continues it.
     Yield(SolveToken),
-}
-
-impl Solve {
-    /// The finished outcome, if the slice completed.
-    pub fn into_done(self) -> Option<QueryOutcome> {
-        match self {
-            Solve::Done(outcome) => Some(outcome),
-            Solve::Yield(_) => None,
-        }
-    }
 }
 
 /// Proof of a suspended solve, issued by [`Solve::Yield`] and consumed by
@@ -333,7 +320,7 @@ pub struct MachineStats {
 /// What a non-control goal resolves to: a builtin or a user predicate.
 #[derive(Debug, Clone, Copy)]
 enum CallTarget<'p> {
-    Builtin(Builtin),
+    Builtin(granlog_ir::builtins::Builtin),
     User(&'p Predicate),
 }
 
@@ -364,8 +351,8 @@ impl<'p> Dispatch<'p> {
                 CallTarget::User(predicate),
             );
         }
-        for (&key, &builtin) in builtins::table() {
-            table.insert(key, CallTarget::Builtin(builtin));
+        for row in granlog_ir::builtins::rows() {
+            table.insert((row.name, row.arity()), CallTarget::Builtin(row.id));
         }
         Arc::new(Dispatch { table, preds })
     }
@@ -952,7 +939,7 @@ impl<'p> Machine<'p> {
                     succeeded,
                     bindings,
                     counters: self.counters,
-                    work: self.config.cost_model.work(&self.counters),
+                    work: self.counters.work(),
                     task_tree: std::mem::take(&mut self.recorder).into_tree(),
                 }))
             }
@@ -1330,7 +1317,6 @@ impl<'p> Machine<'p> {
     #[inline]
     fn count_unification(&mut self) {
         self.counters.unifications += 1;
-        self.record_work(self.config.cost_model.per_unification);
     }
 
     /// Unifies the terms at two heap indices, recording bindings on the
@@ -1582,29 +1568,20 @@ impl<'p> Machine<'p> {
     // Work accounting
     // ------------------------------------------------------------------
 
-    fn record_work(&mut self, units: f64) {
-        if units > 0.0 {
-            self.recorder.record_work(units);
-        }
-    }
-
     pub(crate) fn charge_builtin(&mut self) {
         self.counters.builtins += 1;
-        self.record_work(self.config.cost_model.per_builtin);
     }
 
+    /// One grain-size test over `elements` list or term elements: a unit of
+    /// work plus one per element traversed (see [`Counters::work`]).
     pub(crate) fn charge_grain_test(&mut self, elements: u64) {
         self.counters.grain_tests += 1;
         self.counters.grain_test_elements += elements;
-        self.record_work(
-            self.config.cost_model.per_grain_test
-                + self.config.cost_model.per_grain_test_element * elements as f64,
-        );
+        self.recorder.record_work(1.0 + elements as f64);
     }
 
     fn charge_head_attempt(&mut self) -> EngineResult<()> {
         self.counters.head_attempts += 1;
-        self.record_work(self.config.cost_model.per_head_attempt);
         if self.counters.head_attempts > self.config.max_steps {
             return Err(EngineError::StepLimit(self.config.max_steps));
         }
@@ -1613,7 +1590,7 @@ impl<'p> Machine<'p> {
 
     fn charge_resolution(&mut self) {
         self.counters.resolutions += 1;
-        self.record_work(self.config.cost_model.per_resolution);
+        self.recorder.record_work(1.0);
     }
 
     // ------------------------------------------------------------------
@@ -2773,7 +2750,7 @@ impl<'p> Machine<'p> {
                 let code = templ.code();
                 let a = arith::run(&self.heap, &mut self.arith, &code[lhs.range()], var_base)?;
                 let b = arith::run(&self.heap, &mut self.arith, &code[rhs.range()], var_base)?;
-                Ok(op.holds(a, b))
+                Ok(op.holds(a.compare(b)))
             }
             Step::Is { lhs, rhs } => {
                 self.charge_builtin();
@@ -3562,17 +3539,18 @@ mod tests {
 
     #[test]
     fn work_respects_cost_model() {
+        // The paper's resolutions model: a unit per resolution, and per
+        // grain test one unit plus one per element it traversed. The task
+        // tree, charged operation by operation, totals the same.
         let program = parse_program(APPEND).unwrap();
-        let mut machine = Machine::with_config(
-            &program,
-            MachineConfig {
-                cost_model: CostModel::instruction_like(),
-                ..MachineConfig::default()
-            },
-        );
-        let out = machine.run_query("append([1,2], [3], X)").unwrap();
+        let mut machine = Machine::new(&program);
+        let query = "'$grain_ge'([a,b,c], length, 2), append([1,2], [3], X)";
+        let out = machine.run_query(query).unwrap();
         assert!(out.succeeded);
-        assert!(out.work > out.counters.resolutions as f64);
+        assert_eq!(out.counters.resolutions, 3);
+        assert_eq!(out.counters.grain_test_elements, 2);
+        assert_eq!(out.work, 3.0 + 1.0 + 2.0);
+        assert_eq!(out.task_tree.total_work(), out.work);
     }
 
     #[test]

@@ -255,12 +255,6 @@ impl TaskTree {
 
     // -- construction (used by the recorder) --------------------------------
 
-    /// Adds a fresh, empty task and returns its id.
-    pub fn add_task(&mut self) -> TaskId {
-        self.tasks.push(Task::default());
-        self.tasks.len() - 1
-    }
-
     /// Adds `n` fresh, empty tasks and returns their (consecutive) id range.
     pub fn add_tasks(&mut self, n: usize) -> std::ops::Range<TaskId> {
         let start = self.tasks.len();

@@ -61,9 +61,9 @@
 //! have met it, so the same error is raised at the same point of the same
 //! execution as if the goal had been materialized and evaluated.
 
-use crate::arith::{self, CmpOp, Instr};
-use crate::builtins::{self, Builtin};
+use crate::arith::{self, Instr};
 use crate::heap::HCell;
+use granlog_ir::builtins::{self, Builtin, CmpOp};
 use granlog_ir::symbol::well_known;
 use granlog_ir::{Clause, FastMap, Program, Symbol, Term};
 use std::ops::Range;
@@ -546,7 +546,7 @@ impl Compiler<'_> {
             _ => return Step::Goal(pos as u32),
         };
         let key = (name, arity as usize);
-        if let Some(&builtin) = builtins::table().get(&key) {
+        if let Some(builtin) = builtins::lookup(key.0, key.1).map(|row| row.id) {
             let lhs = pos + 1;
             let code_mark = self.code.len();
             match builtin {

@@ -21,7 +21,9 @@
 //! * [`callgraph`] — predicate call graphs, Tarjan SCCs, topological
 //!   processing order and the recursion classification used in Section 3 of
 //!   the paper (nonrecursive / simple recursive / mutually recursive).
-//! * [`unify`] — substitution-based unification over [`Term`]s.
+//! * [`builtins`] — the one table of builtin predicates: name and arity,
+//!   the id the engine dispatches on, argument modes. Every crate that must
+//!   know "is this goal a builtin" asks [`builtins::lookup`].
 //! * [`grain`] — the grain-size decision shared by the analysis that
 //!   produces it and the annotator and engine that enforce it: the
 //!   [`Measure`] vocabulary, the per-predicate [`Guard`] and the
@@ -41,6 +43,7 @@
 //! assert_eq!(program.predicates().count(), 1);
 //! ```
 
+pub mod builtins;
 pub mod callgraph;
 pub mod clause;
 pub mod grain;
@@ -50,7 +53,6 @@ pub mod pretty;
 pub mod program;
 pub mod symbol;
 pub mod term;
-pub mod unify;
 
 pub use callgraph::{CallGraph, RecursionClass, Scc};
 pub use clause::{Clause, ClauseId};

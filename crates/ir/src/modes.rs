@@ -8,8 +8,8 @@
 //! order. Predicates that remain unreached fall back to "all input", the
 //! conservative choice for an upper-bound cost analysis.
 
+use crate::builtins;
 use crate::program::{PredId, Program};
-use crate::symbol::Symbol;
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -137,44 +137,6 @@ impl fmt::Display for ModeDecl {
     }
 }
 
-/// Builtin predicates whose modes are known a priori to the inference.
-fn builtin_modes(pred: PredId) -> Option<Vec<ArgMode>> {
-    let name = pred.name.as_str();
-    let modes = match (name, pred.arity) {
-        ("is", 2) => vec![ArgMode::Out, ArgMode::In],
-        ("=", 2) => vec![ArgMode::Out, ArgMode::In],
-        ("<", 2)
-        | (">", 2)
-        | ("=<", 2)
-        | (">=", 2)
-        | ("=:=", 2)
-        | ("=\\=", 2)
-        | ("==", 2)
-        | ("\\==", 2)
-        | ("@<", 2)
-        | ("@>", 2)
-        | ("@=<", 2)
-        | ("@>=", 2) => {
-            vec![ArgMode::In, ArgMode::In]
-        }
-        ("true", 0) | ("fail", 0) | ("!", 0) => vec![],
-        ("functor", 3) => vec![ArgMode::In, ArgMode::Out, ArgMode::Out],
-        ("arg", 3) => vec![ArgMode::In, ArgMode::In, ArgMode::Out],
-        ("length", 2) => vec![ArgMode::In, ArgMode::Out],
-        ("write", 1)
-        | ("nl", 0)
-        | ("atom", 1)
-        | ("integer", 1)
-        | ("var", 1)
-        | ("nonvar", 1)
-        | ("number", 1)
-        | ("atomic", 1)
-        | ("ground", 1) => vec![ArgMode::In; pred.arity],
-        _ => return None,
-    };
-    Some(modes)
-}
-
 /// Infers modes for every predicate of `program`.
 ///
 /// Declared modes are kept verbatim. Starting from predicates with declared
@@ -183,9 +145,10 @@ fn builtin_modes(pred: PredId) -> Option<Vec<ArgMode>> {
 /// occurring in input head arguments are ground at clause entry; for each body
 /// goal, an argument whose variables are all ground is an input, otherwise an
 /// output, and after the goal succeeds all variables of the goal become
-/// ground. The join over different call sites is "input only if input at every
-/// site" (i.e. output wins), which is the conservative direction for size
-/// analysis. Predicates never reached default to all-input.
+/// ground — unless the goal is a builtin test ([`builtins::Row::is_test`]),
+/// which binds nothing. The join over different call sites is "input only if
+/// input at every site" (i.e. output wins), which is the conservative
+/// direction for size analysis. Predicates never reached default to all-input.
 pub fn infer_modes(program: &Program) -> BTreeMap<PredId, ModeDecl> {
     let mut result: BTreeMap<PredId, ModeDecl> = program.modes().clone();
     let mut worklist: VecDeque<PredId> = result.keys().copied().collect();
@@ -225,7 +188,8 @@ pub fn infer_modes(program: &Program) -> BTreeMap<PredId, ModeDecl> {
                     })
                     .collect();
                 // Builtins have fixed modes; user predicates join call patterns.
-                if builtin_modes(goal_pred).is_none() && program.defines(goal_pred) {
+                let builtin = builtins::lookup(goal_pred.name, goal_pred.arity);
+                if builtin.is_none() && program.defines(goal_pred) {
                     let entry = result
                         .entry(goal_pred)
                         .or_insert_with(|| ModeDecl::new(goal_pred, inferred.clone()));
@@ -241,9 +205,12 @@ pub fn infer_modes(program: &Program) -> BTreeMap<PredId, ModeDecl> {
                     }
                     worklist.push_back(goal_pred);
                 }
-                // After success, every variable of the goal is bound.
-                for arg in goal.args() {
-                    arg.collect_variables(&mut ground);
+                // After success, every variable of the goal is bound, unless
+                // the goal only tests its arguments.
+                if !builtin.is_some_and(builtins::Row::is_test) {
+                    for arg in goal.args() {
+                        arg.collect_variables(&mut ground);
+                    }
                 }
             }
         }
@@ -258,14 +225,8 @@ pub fn infer_modes(program: &Program) -> BTreeMap<PredId, ModeDecl> {
     result
 }
 
-/// Returns the measure-name symbols declared for a predicate, if any, checking
-/// that the arity matches.
-pub fn declared_measures(program: &Program, pred: PredId) -> Option<Vec<Symbol>> {
-    program.measure_of(pred).map(|m| m.to_vec())
-}
-
-/// Convenience: looks a term's predicate up in a mode table, falling back to
-/// all-input.
+/// Convenience: looks a predicate up in a mode table, falling back to the
+/// builtin table's modes and then to all-input.
 pub fn mode_or_default<'a>(
     modes: &'a BTreeMap<PredId, ModeDecl>,
     pred: PredId,
@@ -273,8 +234,8 @@ pub fn mode_or_default<'a>(
     match modes.get(&pred) {
         Some(m) => std::borrow::Cow::Borrowed(m),
         None => std::borrow::Cow::Owned(
-            builtin_modes(pred)
-                .map(|ms| ModeDecl { pred, modes: ms })
+            builtins::lookup(pred.name, pred.arity)
+                .map(|row| ModeDecl::new(pred, row.modes.to_vec()))
                 .unwrap_or_else(|| ModeDecl::all_input(pred)),
         ),
     }
@@ -360,11 +321,11 @@ mod tests {
 
     #[test]
     fn builtin_modes_known() {
-        assert_eq!(
-            builtin_modes(PredId::parse("is", 2)),
-            Some(vec![ArgMode::Out, ArgMode::In])
-        );
-        assert!(builtin_modes(PredId::parse("frobnicate", 7)).is_none());
+        let map = BTreeMap::new();
+        let d = mode_or_default(&map, PredId::parse("is", 2));
+        assert_eq!(d.modes, vec![ArgMode::Out, ArgMode::In]);
+        let d = mode_or_default(&map, PredId::parse("=..", 2));
+        assert_eq!(d.modes, vec![ArgMode::In, ArgMode::Out]);
     }
 
     #[test]

@@ -362,14 +362,6 @@ impl Program {
             .unwrap_or_default()
     }
 
-    /// The clause ids defining `pred`.
-    pub fn clause_ids_of(&self, pred: PredId) -> &[ClauseId] {
-        self.predicates
-            .get(&pred)
-            .map(|p| p.clause_ids.as_slice())
-            .unwrap_or(&[])
-    }
-
     /// All directives in source order.
     pub fn directives(&self) -> &[Directive] {
         &self.directives
@@ -383,11 +375,6 @@ impl Program {
     /// All declared modes.
     pub fn modes(&self) -> &BTreeMap<PredId, ModeDecl> {
         &self.modes
-    }
-
-    /// Declares (or overrides) the mode of a predicate programmatically.
-    pub fn set_mode(&mut self, decl: ModeDecl) {
-        self.modes.insert(decl.pred, decl);
     }
 
     /// The declared size measures for `pred`'s argument positions, if any.

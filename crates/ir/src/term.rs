@@ -154,11 +154,6 @@ impl Term {
         matches!(self, Term::Struct(s, args) if *s == well_known::cons() && args.len() == 2)
     }
 
-    /// Returns `true` for atoms, integers and floats.
-    pub fn is_atomic(&self) -> bool {
-        matches!(self, Term::Atom(_) | Term::Int(_) | Term::Float(_))
-    }
-
     /// Returns `true` if the term is a variable.
     pub fn is_var(&self) -> bool {
         matches!(self, Term::Var(_))

@@ -188,15 +188,6 @@ impl ProgramEntry {
         Ok(db)
     }
 
-    /// Whether this entry currently holds an evaluated bottom-up database
-    /// (for tests and gauges).
-    pub fn datalog_cached(&self) -> bool {
-        self.datalog_db
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some()
-    }
-
     /// Takes a machine for this program — warm from the pool when one is
     /// parked, freshly built over the shared templates otherwise. The lease
     /// returns (or retires) the machine on drop.
