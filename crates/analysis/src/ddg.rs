@@ -207,8 +207,7 @@ impl<'a> Ddg<'a> {
 
     /// The paper's `input(G, n)`: input argument positions of a node.
     /// For the start node these are the head's input positions; the end node
-    /// has none (its "inputs" are the head outputs it consumes, see
-    /// [`Ddg::consumed_positions`]).
+    /// has none of its own: its "inputs" are the head outputs it consumes.
     pub fn input(&self, node: NodeId) -> &[usize] {
         match node {
             NodeId::Start => &[],
@@ -232,32 +231,6 @@ impl<'a> Ddg<'a> {
             NodeId::Start | NodeId::End => &self.head.args()[pos.pos],
             NodeId::Body(j) => &self.literals[j].args()[pos.pos],
         }
-    }
-
-    /// The positions whose sizes must be derived from predecessors: body
-    /// literal inputs and head outputs (the paper's set `D`), in execution
-    /// order.
-    pub fn consumed_positions(&self) -> Vec<ArgPos> {
-        let mut out = Vec::new();
-        for (j, inputs) in self.literal_inputs.iter().enumerate() {
-            out.extend(inputs.iter().map(|&i| ArgPos::new(NodeId::Body(j), i)));
-        }
-        out.extend(
-            self.head_outputs
-                .iter()
-                .map(|&i| ArgPos::new(NodeId::End, i)),
-        );
-        out
-    }
-
-    /// The positions produced by body literals (the paper's set `I`): output
-    /// argument positions of body literals.
-    pub fn produced_positions(&self) -> Vec<ArgPos> {
-        let mut out = Vec::new();
-        for (j, outputs) in self.literal_outputs.iter().enumerate() {
-            out.extend(outputs.iter().map(|&i| ArgPos::new(NodeId::Body(j), i)));
-        }
-        out
     }
 
     /// The candidate source positions for a consuming position, most recent
@@ -508,14 +481,24 @@ mod tests {
     fn consumed_and_produced_sets() {
         let p = nrev_program();
         let g = ddg_of(&p, "nrev", 2, 1);
+        let at = |node: NodeId, positions: &[usize]| -> Vec<ArgPos> {
+            positions.iter().map(|&i| ArgPos::new(node, i)).collect()
+        };
         // D = body inputs ∪ head outputs.
-        let consumed = g.consumed_positions();
+        let consumed: Vec<ArgPos> = g
+            .nodes()
+            .into_iter()
+            .flat_map(|node| at(node, g.input(node)))
+            .collect();
         assert!(consumed.contains(&ArgPos::new(NodeId::Body(0), 0)));
         assert!(consumed.contains(&ArgPos::new(NodeId::Body(1), 0)));
         assert!(consumed.contains(&ArgPos::new(NodeId::Body(1), 1)));
         assert!(consumed.contains(&ArgPos::new(NodeId::End, 1)));
         // I = body outputs.
-        let produced = g.produced_positions();
+        let produced: Vec<ArgPos> = (0..2)
+            .map(NodeId::Body)
+            .flat_map(|node| at(node, g.output(node)))
+            .collect();
         assert_eq!(
             produced,
             vec![

@@ -161,11 +161,6 @@ impl Expr {
         Expr::Max(vec![a, b])
     }
 
-    /// Maximum of many operands.
-    pub fn max_of<I: IntoIterator<Item = Expr>>(items: I) -> Expr {
-        Expr::Max(items.into_iter().collect())
-    }
-
     /// `min(a, b)`.
     pub fn min(a: Expr, b: Expr) -> Expr {
         Expr::Min(vec![a, b])
@@ -839,22 +834,6 @@ impl Polynomial {
     pub fn coeff(&self, d: usize) -> Expr {
         self.coeffs.get(d).cloned().unwrap_or(Expr::Num(0.0))
     }
-
-    /// Rebuilds the expression `Σ coeffs[i] * var^i`.
-    pub fn to_expr(&self, var: Symbol) -> Expr {
-        let terms: Vec<Expr> = self
-            .coeffs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                Expr::Mul(vec![
-                    c.clone(),
-                    Expr::Pow(Box::new(Expr::Var(var)), Box::new(Expr::Num(i as f64))),
-                ])
-            })
-            .collect();
-        Expr::Add(terms).simplify()
-    }
 }
 
 /// Attempts to view `e` as a polynomial in `var` with coefficients free of
@@ -1190,7 +1169,7 @@ mod tests {
 
     #[test]
     fn max_min_simplification() {
-        let e = Expr::max_of(vec![Expr::num(3.0), Expr::num(7.0), Expr::num(5.0)]).simplify();
+        let e = Expr::Max(vec![Expr::num(3.0), Expr::num(7.0), Expr::num(5.0)]).simplify();
         assert_eq!(e, Expr::Num(7.0));
         let e = Expr::max(n(), n()).simplify();
         assert_eq!(e, n());
@@ -1223,8 +1202,6 @@ mod tests {
         assert_eq!(p.coeff(2), Expr::Num(0.5));
         assert_eq!(p.coeff(1), Expr::Num(1.5));
         assert_eq!(p.coeff(0), Expr::Num(1.0));
-        // Round trip.
-        assert!(p.to_expr(Symbol::intern("n")).equivalent(&e));
     }
 
     #[test]

@@ -57,6 +57,8 @@
 //! assert_eq!(analysis.threshold_for(nrev, 48.0), Threshold::SizeAtLeast(9));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod annotate;
 pub mod cost;
 pub mod ddg;

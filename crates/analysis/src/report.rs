@@ -6,8 +6,6 @@
 //! thresholds.
 
 use crate::pipeline::ProgramAnalysis;
-use crate::threshold::Threshold;
-use granlog_ir::PredId;
 use std::fmt::Write as _;
 
 /// Renders a per-predicate summary of the analysis.
@@ -62,48 +60,6 @@ pub fn render_report(analysis: &ProgramAnalysis, overhead: Option<f64>) -> Strin
     out
 }
 
-/// Renders a compact one-line-per-predicate table (predicate, cost, threshold).
-pub fn render_table(analysis: &ProgramAnalysis, overhead: f64) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<24} {:<40} {:<20}",
-        "predicate", "cost upper bound", "threshold"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(86));
-    for (pred, info) in &analysis.preds {
-        let threshold = analysis.threshold_for(*pred, overhead);
-        let threshold_text = match threshold {
-            Threshold::AlwaysParallel => "always parallel".to_owned(),
-            Threshold::NeverParallel => "never parallel".to_owned(),
-            Threshold::SizeAtLeast(k) => format!("size >= {k}"),
-        };
-        let _ = writeln!(
-            out,
-            "{:<24} {:<40} {:<20}",
-            pred.to_string(),
-            info.cost.to_string(),
-            threshold_text
-        );
-    }
-    out
-}
-
-/// Renders the threshold of one predicate for a range of overheads — handy for
-/// seeing how sensitive the grain size is to the overhead estimate.
-pub fn render_threshold_sweep(
-    analysis: &ProgramAnalysis,
-    pred: PredId,
-    overheads: &[f64],
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "threshold sweep for {pred}");
-    for &w in overheads {
-        let _ = writeln!(out, "  W = {:>10}: {}", w, analysis.threshold_for(pred, w));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,21 +95,5 @@ mod tests {
         let a = analysis();
         let text = render_report(&a, None);
         assert!(!text.contains("threshold"));
-    }
-
-    #[test]
-    fn table_lists_every_predicate() {
-        let a = analysis();
-        let text = render_table(&a, 48.0);
-        assert!(text.contains("nrev/2"));
-        assert!(text.contains("append/3"));
-        assert!(text.contains("size >= 9"));
-    }
-
-    #[test]
-    fn threshold_sweep_covers_all_overheads() {
-        let a = analysis();
-        let text = render_threshold_sweep(&a, PredId::parse("nrev", 2), &[1.0, 48.0, 1000.0]);
-        assert_eq!(text.matches("W =").count(), 3);
     }
 }

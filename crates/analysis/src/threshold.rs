@@ -36,15 +36,6 @@ impl Threshold {
             Threshold::SizeAtLeast(k) => *k,
         }
     }
-
-    /// Does an input of size `n` warrant parallel execution?
-    pub fn should_parallelise(&self, n: u64) -> bool {
-        match self {
-            Threshold::AlwaysParallel => true,
-            Threshold::NeverParallel => false,
-            Threshold::SizeAtLeast(k) => n >= *k,
-        }
-    }
 }
 
 impl fmt::Display for Threshold {
@@ -110,11 +101,6 @@ pub fn threshold(cost: &Expr, param: Symbol, overhead: f64, cap: u64) -> Thresho
     Threshold::SizeAtLeast(hi)
 }
 
-/// Convenience wrapper using [`DEFAULT_SEARCH_CAP`].
-pub fn threshold_default(cost: &Expr, param: Symbol, overhead: f64) -> Threshold {
-    threshold(cost, param, overhead, DEFAULT_SEARCH_CAP)
-}
-
 /// Picks the parameter a runtime grain-size test should measure: the variable
 /// of `cost` whose growth dominates (highest polynomial degree, breaking ties
 /// by name). Returns `None` when the cost mentions no variable (it is a
@@ -145,6 +131,10 @@ mod tests {
         Symbol::intern("n")
     }
 
+    fn threshold_default(cost: &Expr, param: Symbol, overhead: f64) -> Threshold {
+        threshold(cost, param, overhead, DEFAULT_SEARCH_CAP)
+    }
+
     #[test]
     fn paper_example_threshold() {
         // Section 2: cost 3n², overhead 48 ⇒ parallel iff 3n² > 48 ⇔ n ≥ 5
@@ -154,8 +144,6 @@ mod tests {
         let cost = Expr::mul(Expr::num(3.0), Expr::pow(Expr::var("n"), Expr::num(2.0)));
         let t = threshold_default(&cost, n(), 48.0);
         assert_eq!(t, Threshold::SizeAtLeast(5));
-        assert!(!t.should_parallelise(4));
-        assert!(t.should_parallelise(5));
     }
 
     #[test]
@@ -177,7 +165,6 @@ mod tests {
     fn constant_cost_below_overhead_is_never_parallel() {
         let t = threshold_default(&Expr::num(3.0), n(), 48.0);
         assert_eq!(t, Threshold::NeverParallel);
-        assert!(!t.should_parallelise(1_000_000));
         assert_eq!(t.as_size(), u64::MAX);
     }
 
@@ -185,7 +172,6 @@ mod tests {
     fn constant_cost_above_overhead_is_always_parallel() {
         let t = threshold_default(&Expr::num(100.0), n(), 48.0);
         assert_eq!(t, Threshold::AlwaysParallel);
-        assert!(t.should_parallelise(0));
         assert_eq!(t.as_size(), 0);
     }
 

@@ -19,6 +19,8 @@
 //! wall clock: timings come from `benchmark/`, and the engines' operation
 //! counts are pinned by `tests/counter_oracle.rs`.
 
+#![forbid(unsafe_code)]
+
 use granlog_benchmarks::TableRow;
 use std::fmt::Write as _;
 

@@ -28,6 +28,8 @@
 //!          row.label, row.t_without, row.t_with, row.speedup_percent);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod generate;
 pub mod harness;
 pub mod suite;

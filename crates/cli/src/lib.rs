@@ -4,6 +4,8 @@
 //! the argument parsing and each subcommand can be unit-tested without
 //! spawning processes.
 
+#![forbid(unsafe_code)]
+
 use granlog_analysis::annotate::{
     apply_granularity_control, prepare_program, AnnotateOptions, ControlMode,
 };
@@ -233,7 +235,17 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
     while let Some(arg) = iter.next() {
         let flag = arg.as_str();
         match flag {
-            "--overhead" => options.overhead = value(flag, "overhead", &mut iter)?,
+            "--overhead" => {
+                let overhead: f64 = value(flag, "overhead", &mut iter)?;
+                // A task cannot cost NaN, infinitely many or fewer than no
+                // units: every threshold downstream would be meaningless.
+                if !overhead.is_finite() || overhead < 0.0 {
+                    return Err(usage(&format!(
+                        "--overhead must be a finite, non-negative number, not {overhead}"
+                    )));
+                }
+                options.overhead = overhead;
+            }
             "--processors" => {
                 options.processors =
                     at_least_one(flag, value(flag, "processor count", &mut iter)?)?;
@@ -1066,6 +1078,27 @@ mod tests {
         ));
         let help = run(&["help"]).unwrap();
         assert!(help.contains("usage"));
+    }
+
+    #[test]
+    fn an_overhead_that_is_not_a_cost_is_a_usage_error() {
+        let path = write_temp("overhead_domain.pl", QSORT);
+        let path = path.to_str().unwrap();
+        for overhead in ["nan", "NaN", "inf", "-inf", "infinity", "-1", "-0.5"] {
+            for command in [
+                vec!["analyze", path],
+                vec!["annotate", path],
+                vec!["run", path, "qsort([3,1,2], S)", "--control"],
+            ] {
+                let args = [command, vec!["--overhead", overhead]].concat();
+                match run(&args) {
+                    Err(CliError::Usage(msg)) => assert!(msg.contains("--overhead"), "{msg}"),
+                    other => panic!("{args:?}: expected a usage error, got {other:?}"),
+                }
+            }
+        }
+        // The boundary is inside the domain: spawning for free is a model.
+        assert!(run(&["analyze", path, "--overhead", "0"]).is_ok());
     }
 
     /// A `Write` sink the serve thread and the test can share.

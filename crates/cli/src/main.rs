@@ -19,6 +19,8 @@
 //!   a shared compiled-template cache, per-session step/heap budgets enforced
 //!   through the engine's preemptible solve loop.
 
+#![forbid(unsafe_code)]
+
 use granlog_cli::{run_cli, CliError};
 use std::process::ExitCode;
 

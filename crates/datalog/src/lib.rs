@@ -19,6 +19,8 @@
 //! source-level [`granlog_ir::Term`]s directly comparable to SLD answer
 //! sets.
 
+#![forbid(unsafe_code)]
+
 mod compile;
 mod error;
 mod eval;

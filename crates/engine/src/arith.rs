@@ -675,7 +675,7 @@ fn eval_heap(heap: &[HCell], scratch: &mut Scratch, idx: usize) -> ArithResult {
 /// Returns [`EngineError::Arithmetic`] for unbound variables, non-numeric
 /// operands, unknown functions, division by zero, or a result that is
 /// undefined or does not fit in 64 bits.
-pub(crate) fn eval(machine: &mut Machine<'_>, idx: usize) -> EngineResult<Num> {
+pub(crate) fn eval(machine: &mut Machine, idx: usize) -> EngineResult<Num> {
     Ok(eval_heap(&machine.heap, &mut machine.arith, idx)?)
 }
 

@@ -43,11 +43,7 @@ use std::cmp::Ordering;
 /// # Errors
 ///
 /// Propagates arithmetic and type errors from the individual builtins.
-pub(crate) fn dispatch(
-    machine: &mut Machine<'_>,
-    builtin: Builtin,
-    goal: HCell,
-) -> EngineResult<bool> {
+pub(crate) fn dispatch(machine: &mut Machine, builtin: Builtin, goal: HCell) -> EngineResult<bool> {
     let args = match goal {
         HCell::Struct(_, _, base) => base as usize,
         _ => 0,
@@ -197,7 +193,7 @@ pub(crate) fn dispatch(
     Ok(result)
 }
 
-fn builtin_functor(machine: &mut Machine<'_>, args: usize) -> EngineResult<bool> {
+fn builtin_functor(machine: &mut Machine, args: usize) -> EngineResult<bool> {
     let t = machine.deref_idx(args);
     match machine.cell(t) {
         HCell::Ref(_) => {
@@ -237,7 +233,7 @@ fn builtin_functor(machine: &mut Machine<'_>, args: usize) -> EngineResult<bool>
     }
 }
 
-fn builtin_univ(machine: &mut Machine<'_>, args: usize) -> EngineResult<bool> {
+fn builtin_univ(machine: &mut Machine, args: usize) -> EngineResult<bool> {
     let t = machine.deref_idx(args);
     match machine.cell(t) {
         HCell::Struct(s, arity, base) => {
@@ -304,7 +300,7 @@ fn builtin_univ(machine: &mut Machine<'_>, args: usize) -> EngineResult<bool> {
 /// The standard order of terms, computed directly over heap cells (see the
 /// module docs for the exact order). Recursion is bounded by term depth,
 /// like unification.
-pub(crate) fn compare_cells(machine: &Machine<'_>, a: usize, b: usize) -> Ordering {
+pub(crate) fn compare_cells(machine: &Machine, a: usize, b: usize) -> Ordering {
     /// Var < Number < Atom < Compound.
     fn rank(c: HCell) -> u8 {
         match c {
@@ -348,7 +344,7 @@ pub(crate) fn compare_cells(machine: &Machine<'_>, a: usize, b: usize) -> Orderi
 
 /// Is the term at `idx` free of unbound variables? A cell walk — nothing is
 /// materialized.
-fn is_ground(machine: &Machine<'_>, idx: usize) -> bool {
+fn is_ground(machine: &Machine, idx: usize) -> bool {
     match machine.cell(machine.deref_idx(idx)) {
         HCell::Ref(_) => false,
         HCell::Atom(_) | HCell::Int(_) | HCell::Float(_) => true,
@@ -360,7 +356,7 @@ fn is_ground(machine: &Machine<'_>, idx: usize) -> bool {
 
 /// Walks a list spine counting elements, up to `limit`. Returns `None` for
 /// partial or improper lists. A pure cell walk: no clones, no allocation.
-fn list_length(machine: &Machine<'_>, idx: usize, limit: u64) -> Option<u64> {
+fn list_length(machine: &Machine, idx: usize, limit: u64) -> Option<u64> {
     let wk = granlog_ir::symbol::well_known::get();
     let mut count = 0u64;
     let mut cur = machine.deref_idx(idx);
@@ -387,7 +383,7 @@ fn list_length(machine: &Machine<'_>, idx: usize, limit: u64) -> Option<u64> {
 /// soon as `K` elements have been seen, mirroring the cheap tests the paper
 /// generates; an argument whose size is unknown errs on the parallel side.
 pub(crate) fn bounded_measure(
-    machine: &Machine<'_>,
+    machine: &Machine,
     measure: Measure,
     term: usize,
     k: u64,
@@ -411,7 +407,7 @@ pub(crate) fn int_at_least(cell: HCell, k: u64) -> bool {
     }
 }
 
-fn bounded_list_length(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
+fn bounded_list_length(machine: &Machine, idx: usize, limit: u64) -> u64 {
     let wk = granlog_ir::symbol::well_known::get();
     let mut count = 0u64;
     let mut cur = machine.deref_idx(idx);
@@ -427,7 +423,7 @@ fn bounded_list_length(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
     count
 }
 
-fn bounded_term_size(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
+fn bounded_term_size(machine: &Machine, idx: usize, limit: u64) -> u64 {
     let mut stack = vec![machine.deref_idx(idx)];
     let mut count = 0u64;
     while let Some(cur) = stack.pop() {
@@ -448,8 +444,8 @@ fn bounded_term_size(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
     count
 }
 
-fn bounded_depth(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
-    fn go(machine: &Machine<'_>, idx: usize, limit: u64) -> u64 {
+fn bounded_depth(machine: &Machine, idx: usize, limit: u64) -> u64 {
+    fn go(machine: &Machine, idx: usize, limit: u64) -> u64 {
         if limit == 0 {
             return 0;
         }

@@ -52,6 +52,7 @@
 //! assert_eq!(out.counters.resolutions, 4); // n + 1, as the paper derives
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arith;
@@ -59,6 +60,7 @@ pub mod builtins;
 pub mod cost;
 pub mod error;
 pub mod heap;
+pub mod image;
 pub mod machine;
 pub mod par;
 pub mod profile;
@@ -68,9 +70,9 @@ pub mod template;
 pub use cost::Counters;
 pub use error::{BudgetKind, EngineError, EngineResult};
 pub use heap::HCell;
+pub use image::Image;
 pub use machine::{
-    Budget, ClauseSelection, Dispatch, Machine, MachineConfig, MachineStats, QueryOutcome, Solve,
-    SolveToken,
+    Budget, ClauseSelection, Machine, MachineConfig, MachineStats, QueryOutcome, Solve, SolveToken,
 };
 pub use par::{ArmAnswer, ArmResult, Offer, Packet, ParHook};
 pub use profile::PredProfile;

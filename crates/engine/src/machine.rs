@@ -56,13 +56,13 @@ use crate::builtins;
 use crate::cost::Counters;
 use crate::error::{BudgetKind, EngineError, EngineResult};
 use crate::heap::{self, HCell};
+use crate::image::{CallTarget, Image};
 use crate::par::{ArmAnswer, Offer, Packet, ParHook};
 use crate::tasktree::{TaskId, TaskRecorder, TaskTree};
 use crate::template::{Cell, ClauseTemplate, GoalImage, Seq, Step};
 use granlog_ir::symbol::well_known::{self, WellKnownSymbols};
 use granlog_ir::{
-    parser, ClauseId, FastMap, Guard, GuardTable, IndexKey, Measure, PredId, Predicate, Program,
-    Symbol, Term,
+    parser, ClauseId, FastMap, Guard, GuardTable, IndexKey, Measure, PredId, Program, Symbol, Term,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,8 +70,8 @@ use std::time::{Duration, Instant};
 /// How candidate clauses are selected for a user-predicate call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClauseSelection {
-    /// Use the program's persistent first-argument index: one hash probe
-    /// returning a borrowed candidate slice (the default).
+    /// Use the image's first-argument index: one hash probe returning a
+    /// range of its candidate array (the default).
     Indexed,
     /// Reference semantics: linearly scan the predicate's clauses on every
     /// call, filtering by first-argument principal functor (the seed
@@ -317,59 +317,18 @@ pub struct MachineStats {
     pub max_barrier_depth: usize,
 }
 
-/// What a non-control goal resolves to: a builtin or a user predicate.
-#[derive(Debug, Clone, Copy)]
-enum CallTarget<'p> {
-    Builtin(granlog_ir::builtins::Builtin),
-    User(&'p Predicate),
-}
-
-/// A program's call targets, built once at program load. Like the templates
-/// it is immutable and shared through an `Arc` by every machine over the
-/// program ([`Machine::with_dispatch`]).
-#[derive(Debug)]
-pub struct Dispatch<'p> {
-    /// `(functor, arity)` → call target, so the solve loop identifies a goal
-    /// it only meets at run time with a single fast-hash probe instead of a
-    /// missed builtin-table probe followed by a `BTreeMap` predicate walk.
-    /// Builtins shadow user predicates of the same name and arity, as they
-    /// always have.
-    table: FastMap<(Symbol, usize), CallTarget<'p>>,
-    /// The program's predicates in [`Program::predicates`] order: the
-    /// numbering a compiled [`Step::Call`] names its callee by.
-    preds: Vec<&'p Predicate>,
-}
-
-impl<'p> Dispatch<'p> {
-    /// Builds the table for `program`.
-    pub fn new(program: &'p Program) -> Arc<Self> {
-        let preds: Vec<&'p Predicate> = program.predicates().collect();
-        let mut table: FastMap<(Symbol, usize), CallTarget<'p>> = FastMap::default();
-        for &predicate in &preds {
-            table.insert(
-                (predicate.id.name, predicate.id.arity),
-                CallTarget::User(predicate),
-            );
-        }
-        for row in granlog_ir::builtins::rows() {
-            table.insert((row.name, row.arity()), CallTarget::Builtin(row.id));
-        }
-        Arc::new(Dispatch { table, preds })
-    }
-}
-
 /// The candidate-clause list of one call, owned by its choice point while
-/// alternatives remain. The indexed path borrows the program's persistent
-/// bucket; the reference linear scan owns its filtered scratch list.
-enum Cands<'p> {
-    Indexed(&'p [ClauseId]),
+/// alternatives remain. The indexed path names a range of the image's
+/// candidate array; the reference linear scan owns its filtered list.
+enum Cands {
+    Indexed(Seq),
     Scanned(Box<[ClauseId]>),
 }
 
-impl Cands<'_> {
-    fn as_slice(&self) -> &[ClauseId] {
+impl Cands {
+    fn as_slice<'a>(&'a self, image: &'a Image) -> &'a [ClauseId] {
         match self {
-            Cands::Indexed(s) => s,
+            Cands::Indexed(list) => image.clauses(*list),
             Cands::Scanned(v) => v,
         }
     }
@@ -416,11 +375,11 @@ enum Pend {
 }
 
 /// What to run when a choice point is resumed by backtracking.
-enum Resume<'p> {
+enum Resume {
     /// Retry the pending call's remaining candidate clauses from `cursor`.
     Clauses {
         goal: HCell,
-        cands: Cands<'p>,
+        cands: Cands,
         cursor: usize,
     },
     /// Run the saved alternative (the right arm of a disjunction).
@@ -429,8 +388,8 @@ enum Resume<'p> {
 
 /// An explicit choice point: everything needed to restore the machine to the
 /// moment the choice was made and continue with the next alternative.
-struct ChoicePoint<'p> {
-    resume: Resume<'p>,
+struct ChoicePoint {
+    resume: Resume,
     /// Goal-stack height at creation — the saved continuation.
     goal_top: usize,
     /// The machine's goal-protection watermark before this record was
@@ -519,17 +478,15 @@ struct Barrier {
 }
 
 /// The resolution engine.
-pub struct Machine<'p> {
-    program: &'p Program,
+pub struct Machine {
     config: MachineConfig,
-    /// Precompiled clause templates, indexed by [`ClauseId`]. Shared via
-    /// `Arc` so clause activation can borrow a template while mutating the
-    /// machine (one refcount bump per query, not per term), and so several
-    /// machines — one per worker thread of a parallel executor — can share
-    /// one compiled program.
-    templates: Arc<[ClauseTemplate]>,
-    /// `(functor, arity)` → call target, shared like the templates.
-    dispatch: Arc<Dispatch<'p>>,
+    /// The compiled program: templates, call targets, clause index. Shared
+    /// via `Arc`, so the solve loop can borrow it while mutating the machine
+    /// (one refcount bump per slice, not per term), several machines — one
+    /// per worker thread of a parallel executor, one per lease of a server
+    /// pool — can run one compiled program, and none of them borrows the
+    /// [`Program`] it came from.
+    image: Arc<Image>,
     /// The arena term heap (see [`crate::heap`]).
     pub(crate) heap: Vec<HCell>,
     /// Bound-variable trail: indices of cells to restore to self-references.
@@ -546,7 +503,7 @@ pub struct Machine<'p> {
     /// Maximum goal height any live choice point needs preserved; 0 when
     /// execution is deterministic, in which case pushes never trail.
     protect: usize,
-    choice_points: Vec<ChoicePoint<'p>>,
+    choice_points: Vec<ChoicePoint>,
     /// The barrier stack (see [`Barrier`]).
     barriers: Vec<Barrier>,
     /// The innermost live barrier's `goal_base`, cached (0 with no barrier):
@@ -600,72 +557,44 @@ pub struct Machine<'p> {
     profiler: Option<Box<crate::profile::Profiler>>,
 }
 
-impl<'p> Machine<'p> {
+impl Machine {
     /// Creates a machine with the default configuration.
-    pub fn new(program: &'p Program) -> Self {
+    pub fn new(program: &Program) -> Self {
         Machine::with_config(program, MachineConfig::default())
     }
 
     /// Creates a machine with an explicit configuration.
     ///
-    /// Program load happens here: every clause is compiled once into its
-    /// [`ClauseTemplate`], and the goal-dispatch table ([`Dispatch`]) is
-    /// built, so the solve loop never revisits the IR and identifies every
-    /// goal with one hash probe.
-    pub fn with_config(program: &'p Program, config: MachineConfig) -> Self {
-        let templates: Arc<[ClauseTemplate]> = crate::template::compile_program(program).into();
-        Machine::with_templates(program, config, templates)
+    /// Program load happens here: the program is compiled into its
+    /// [`Image`], so the solve loop never revisits the IR, and the machine
+    /// keeps no reference to `program`.
+    pub fn with_config(program: &Program, config: MachineConfig) -> Self {
+        Machine::from_image(Image::new(program), config)
     }
 
-    /// Creates a machine over an already-compiled template array (as
-    /// returned by [`Machine::templates`]), skipping per-machine clause
-    /// compilation; the dispatch table is still built here. A pool that
-    /// makes many machines over one program shares that too
-    /// ([`Machine::with_dispatch`]).
-    ///
-    /// `templates` must be the compilation of `program`
-    /// ([`crate::template::compile_program`]); clause ids index into it.
+    /// [`Machine::with_config`] around already compiled templates
+    /// ([`Image::with_templates`]).
     ///
     /// # Panics
     ///
     /// Panics if the template array's length does not match the program's
     /// clause count.
     pub fn with_templates(
-        program: &'p Program,
+        program: &Program,
         config: MachineConfig,
         templates: Arc<[ClauseTemplate]>,
     ) -> Self {
-        Machine::with_dispatch(program, config, templates, Dispatch::new(program))
+        Machine::from_image(Image::with_templates(program, templates), config)
     }
 
-    /// [`Machine::with_templates`] over an already-built dispatch table as
-    /// well: nothing here depends on the size of the program, so a machine
-    /// costs a handful of empty `Vec`s. This is how a parallel executor
-    /// makes a machine per stolen arm, and a server one per cold lease,
-    /// cheaply: the program is compiled once and both `Arc`s are shared.
-    ///
-    /// `templates` and `dispatch` must both have been built from `program`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the template array's length does not match the program's
-    /// clause count.
-    pub fn with_dispatch(
-        program: &'p Program,
-        config: MachineConfig,
-        templates: Arc<[ClauseTemplate]>,
-        dispatch: Arc<Dispatch<'p>>,
-    ) -> Self {
-        assert_eq!(
-            templates.len(),
-            program.clauses().len(),
-            "template array does not match the program"
-        );
+    /// Creates a machine that runs an already compiled program. Nothing
+    /// here depends on the size of the program — a machine costs a handful
+    /// of empty `Vec`s — which is how a parallel executor makes a machine
+    /// per stolen arm, and a server one per cold lease, cheaply.
+    pub fn from_image(image: Arc<Image>, config: MachineConfig) -> Self {
         Machine {
-            program,
             config,
-            templates,
-            dispatch,
+            image,
             heap: Vec::new(),
             trail: Vec::new(),
             goal_stack: Vec::new(),
@@ -697,17 +626,6 @@ impl<'p> Machine<'p> {
                 None
             },
         }
-    }
-
-    /// The program being executed.
-    pub fn program(&self) -> &Program {
-        self.program
-    }
-
-    /// The compiled clause templates, shareable across machines (and across
-    /// threads) via [`Machine::with_templates`].
-    pub fn templates(&self) -> Arc<[ClauseTemplate]> {
-        Arc::clone(&self.templates)
     }
 
     /// The operation counters accumulated so far.
@@ -1655,7 +1573,7 @@ impl<'p> Machine<'p> {
 
     fn push_choice_point(
         &mut self,
-        resume: Resume<'p>,
+        resume: Resume,
         trail_mark: usize,
         heap_mark: usize,
         goal_trail_mark: usize,
@@ -1688,7 +1606,7 @@ impl<'p> Machine<'p> {
     /// and protection watermark, then resumes the record's alternative.
     /// Returns `false` when no choice point above the floor remains (the
     /// current (sub-)solve fails).
-    fn backtrack(&mut self, templates: &[ClauseTemplate]) -> EngineResult<bool> {
+    fn backtrack(&mut self, image: &Image) -> EngineResult<bool> {
         while self.choice_points.len() > self.base_cp {
             let cp = self.choice_points.pop().expect("length checked");
             self.protect = cp.protect_prev;
@@ -1707,7 +1625,7 @@ impl<'p> Machine<'p> {
                     cands,
                     cursor,
                 } => {
-                    if self.profiled_clauses(templates, goal, cands, cursor)? {
+                    if self.profiled_clauses(image, goal, cands, cursor)? {
                         return Ok(true);
                     }
                     // Candidates exhausted: keep unwinding.
@@ -1779,10 +1697,9 @@ impl<'p> Machine<'p> {
     /// and be re-entered later — which is exactly what a preempted slice
     /// does.
     fn run(&mut self, hook: Option<&dyn ParHook>, limits: &SliceLimits) -> EngineResult<RunState> {
-        // One refcount bump per slice: the template array is immutable for
-        // the machine's lifetime, so the solve loop borrows it once instead
-        // of re-cloning per clause activation.
-        let templates = Arc::clone(&self.templates);
+        // One refcount bump per slice: the image is immutable, so the solve
+        // loop borrows it once instead of re-cloning per clause activation.
+        let image = Arc::clone(&self.image);
         let wk = well_known::get();
         // Wall-clock is polled once per `wall_poll_mask + 1` loop iterations
         // (the stride tightens adaptively near the deadline — see
@@ -1804,7 +1721,7 @@ impl<'p> Machine<'p> {
                 if self.barriers.is_empty() {
                     return Ok(RunState::Done(true));
                 }
-                if !self.barrier_done(&templates, hook)? && !self.fail(&templates, hook)? {
+                if !self.barrier_done(&image, hook)? && !self.fail(&image, hook)? {
                     return Ok(RunState::Done(false));
                 }
             }
@@ -1859,10 +1776,10 @@ impl<'p> Machine<'p> {
             }
             self.goal_top -= 1;
             let ok = match self.goal_stack[self.goal_top] {
-                Goal::Cell(cell) => self.exec_cell(&templates, cell, wk, hook)?,
-                Goal::Step(step) => self.exec_step(&templates, step, wk, hook)?,
+                Goal::Cell(cell) => self.exec_cell(&image, cell, wk, hook)?,
+                Goal::Step(step) => self.exec_step(&image, step, wk, hook)?,
             };
-            if !ok && !self.fail(&templates, hook)? {
+            if !ok && !self.fail(&image, hook)? {
                 return Ok(RunState::Done(false));
             }
         }
@@ -1872,11 +1789,7 @@ impl<'p> Machine<'p> {
     /// (success). Returns `Ok(false)` when the construct's semantics turn
     /// that success into failure (a succeeded `\+`), which the caller
     /// propagates through [`Machine::fail`].
-    fn barrier_done(
-        &mut self,
-        templates: &[ClauseTemplate],
-        hook: Option<&dyn ParHook>,
-    ) -> EngineResult<bool> {
+    fn barrier_done(&mut self, image: &Image, hook: Option<&dyn ParHook>) -> EngineResult<bool> {
         // A parallel conjunction with arms remaining advances in place: the
         // finished arm's choice points are committed and the next arm starts
         // under the same barrier. An offered arm is claimed back first; one
@@ -1902,7 +1815,7 @@ impl<'p> Machine<'p> {
                 self.commit_choice_points(cp_base);
                 self.recorder.pop();
                 self.recorder.push(state.first_task + arm as usize);
-                self.push_arm(templates, state.arms, arm)?;
+                self.push_arm(image, state.arms, arm)?;
                 return Ok(true);
             }
         }
@@ -2010,13 +1923,9 @@ impl<'p> Machine<'p> {
     /// Propagates failure: backtracks to the nearest resumable choice point,
     /// unwinding barriers (and applying their failure semantics) as their
     /// floors are reached. Returns `false` when the query itself has failed.
-    fn fail(
-        &mut self,
-        templates: &[ClauseTemplate],
-        hook: Option<&dyn ParHook>,
-    ) -> EngineResult<bool> {
+    fn fail(&mut self, image: &Image, hook: Option<&dyn ParHook>) -> EngineResult<bool> {
         loop {
-            if self.backtrack(templates)? {
+            if self.backtrack(image)? {
                 return Ok(true);
             }
             // No choice point above the floor: the innermost sub-solve
@@ -2067,7 +1976,7 @@ impl<'p> Machine<'p> {
     /// probe. Returns `Ok(false)` on failure (the caller backtracks).
     fn exec_cell(
         &mut self,
-        templates: &[ClauseTemplate],
+        image: &Image,
         cell: HCell,
         wk: &WellKnownSymbols,
         hook: Option<&dyn ParHook>,
@@ -2167,23 +2076,18 @@ impl<'p> Machine<'p> {
             _ => {
                 // One probe identifies the goal: builtin or user predicate
                 // (builtins shadow same-name user predicates).
-                match self.dispatch.table.get(&(name, arity)).copied() {
+                match image.target(name, arity) {
                     Some(CallTarget::Builtin(builtin)) => builtins::dispatch(self, builtin, cell),
-                    Some(CallTarget::User(predicate)) => self.call_user(templates, predicate, cell),
+                    Some(CallTarget::User(pred)) => self.call_user(image, pred, cell),
                     None => Err(EngineError::UnknownPredicate(PredId::new(name, arity))),
                 }
             }
         }
     }
 
-    /// Calls a predicate of the program with the materialized goal `goal`:
-    /// selects the candidate clauses and tries them in order.
-    fn call_user(
-        &mut self,
-        templates: &[ClauseTemplate],
-        predicate: &'p Predicate,
-        goal: HCell,
-    ) -> EngineResult<bool> {
+    /// Calls predicate number `pred` of the program with the materialized
+    /// goal `goal`: selects the candidate clauses and tries them in order.
+    fn call_user(&mut self, image: &Image, pred: u32, goal: HCell) -> EngineResult<bool> {
         // First-argument indexing: the principal functor of the
         // dereferenced first argument selects the candidate clauses.
         let goal_key = match goal {
@@ -2191,29 +2095,12 @@ impl<'p> Machine<'p> {
             _ => None,
         };
         let cands = match self.config.clause_selection {
-            // Fast path: one probe of the persistent index, borrowing the
-            // precomputed candidate list — no per-call allocation or scan.
-            ClauseSelection::Indexed => Cands::Indexed(predicate.candidates(goal_key.as_ref())),
-            // Reference path: the seed's per-call linear scan with a key
-            // filter, kept for differential testing of the index.
-            ClauseSelection::LinearScan => {
-                let clauses = self.program.clauses();
-                Cands::Scanned(
-                    predicate
-                        .clause_ids
-                        .iter()
-                        .copied()
-                        .filter(|&id| {
-                            match (goal_key.as_ref(), IndexKey::of_clause_head(&clauses[id])) {
-                                (Some(gk), Some(hk)) => *gk == hk,
-                                _ => true,
-                            }
-                        })
-                        .collect(),
-                )
-            }
+            ClauseSelection::Indexed => Cands::Indexed(image.select(pred, goal_key.as_ref())),
+            // The seed's per-call linear scan with a key filter, kept for
+            // differential testing of the index.
+            ClauseSelection::LinearScan => Cands::Scanned(image.scan(pred, goal_key.as_ref())),
         };
-        self.profiled_clauses(templates, goal, cands, 0)
+        self.profiled_clauses(image, goal, cands, 0)
     }
 
     /// Executes one compiled body step. Control steps push barriers or
@@ -2224,7 +2111,7 @@ impl<'p> Machine<'p> {
     /// path.
     fn exec_step(
         &mut self,
-        templates: &[ClauseTemplate],
+        image: &Image,
         sref: StepRef,
         wk: &WellKnownSymbols,
         hook: Option<&dyn ParHook>,
@@ -2235,19 +2122,19 @@ impl<'p> Machine<'p> {
             var_base,
             cut,
         } = sref;
-        let templ = &templates[clause as usize];
+        let templ = &image.templates()[clause as usize];
         let heap_before = self.heap.len();
         match templ.steps()[step as usize] {
             Step::Goal(pos) => {
                 let mut pos = pos as usize;
                 let cell = self.write_template(templ.cells(), &mut pos, var_base as usize);
                 self.profile_body_cells(clause, heap_before);
-                self.exec_cell(templates, cell, wk, hook)
+                self.exec_cell(image, cell, wk, hook)
             }
             Step::Call { pred, goal } => {
                 let goal = self.write_image(templ.images(), goal, var_base as usize);
                 self.profile_body_cells(clause, heap_before);
-                self.call_user(templates, self.dispatch.preds[pred as usize], goal)
+                self.call_user(image, pred, goal)
             }
             builtin @ (Step::Builtin { .. } | Step::Is { .. } | Step::NumCompare { .. }) => {
                 let ok = self.exec_builtin_step(templ, builtin, var_base as usize)?;
@@ -2317,7 +2204,6 @@ impl<'p> Machine<'p> {
             Step::Par { arms_at, arms_len } => {
                 let mut offers = NOT_OFFERED;
                 if let Some(h) = hook {
-                    let templ = &templates[clause as usize];
                     // Template-level pre-screen: with granularity on, a
                     // below-threshold conjunction is recognised here from
                     // the template cells and the activation's variable
@@ -2344,13 +2230,10 @@ impl<'p> Machine<'p> {
                         let heap_mark = self.heap.len();
                         let base = self.arm_scratch.len();
                         for k in 0..arms_len {
-                            let positions = templates[clause as usize].par_arm_cell_positions();
+                            let positions = templ.par_arm_cell_positions();
                             let mut pos = positions[(arms_at + k) as usize] as usize;
-                            let cell = self.write_template(
-                                templates[clause as usize].cells(),
-                                &mut pos,
-                                var_base as usize,
-                            );
+                            let cell =
+                                self.write_template(templ.cells(), &mut pos, var_base as usize);
                             self.arm_scratch.push(cell);
                         }
                         offers = self.try_offer(h, base);
@@ -2373,7 +2256,7 @@ impl<'p> Machine<'p> {
                     offers,
                 }))?;
                 self.recorder.push(children.start);
-                self.push_arm(templates, arms, 0)?;
+                self.push_arm(image, arms, 0)?;
                 Ok(true)
             }
         }
@@ -2453,12 +2336,7 @@ impl<'p> Machine<'p> {
 
     /// Pushes parallel arm `k` from its source (compiled sequence or
     /// run-time scratch cell).
-    fn push_arm(
-        &mut self,
-        templates: &[ClauseTemplate],
-        arms: ArmSource,
-        k: u32,
-    ) -> EngineResult<()> {
+    fn push_arm(&mut self, image: &Image, arms: ArmSource, k: u32) -> EngineResult<()> {
         match arms {
             ArmSource::Compiled {
                 clause,
@@ -2466,7 +2344,7 @@ impl<'p> Machine<'p> {
                 var_base,
                 cut,
             } => {
-                let seq = templates[clause as usize].par_arms()[(arms_at + k) as usize];
+                let seq = image.templates()[clause as usize].par_arms()[(arms_at + k) as usize];
                 self.push_seq(clause, seq, var_base, cut)
             }
             ArmSource::Scratch { base } => {
@@ -2607,25 +2485,25 @@ impl<'p> Machine<'p> {
     #[inline]
     fn profiled_clauses(
         &mut self,
-        templates: &[ClauseTemplate],
+        image: &Image,
         goal: HCell,
-        cands: Cands<'p>,
+        cands: Cands,
         cursor: usize,
     ) -> EngineResult<bool> {
         if self.profiler.is_none() {
-            return self.try_clauses(templates, goal, cands, cursor);
+            return self.try_clauses(image, goal, cands, cursor);
         }
         let pred = match goal {
             HCell::Struct(name, arity, _) => PredId::new(name, arity as usize),
             HCell::Atom(name) => PredId::new(name, 0),
             // Unreachable: clause selection only runs for user-predicate
             // goals, which are atoms or structures. Fall through untracked.
-            _ => return self.try_clauses(templates, goal, cands, cursor),
+            _ => return self.try_clauses(image, goal, cands, cursor),
         };
         let head_attempts_before = self.counters.head_attempts;
         let unifications_before = self.counters.unifications;
         let heap_before = self.heap.len();
-        let result = self.try_clauses(templates, goal, cands, cursor);
+        let result = self.try_clauses(image, goal, cands, cursor);
         // Compute deltas into locals before borrowing the profiler mutably.
         let head_attempts = self.counters.head_attempts - head_attempts_before;
         let unifications = self.counters.unifications - unifications_before;
@@ -2657,17 +2535,16 @@ impl<'p> Machine<'p> {
     fn profile_body_cells(&mut self, clause: u32, heap_before: usize) {
         if let Some(profiler) = self.profiler.as_mut() {
             let written = self.heap.len().saturating_sub(heap_before) as u64;
-            if let Some(pred) = self.program.clauses()[clause as usize].head_pred() {
-                profiler.entry(pred).heap_cells += written;
-            }
+            let pred = self.image.head_pred(clause as usize);
+            profiler.entry(pred).heap_cells += written;
         }
     }
 
     fn try_clauses(
         &mut self,
-        templates: &[ClauseTemplate],
+        image: &Image,
         goal: HCell,
-        cands: Cands<'p>,
+        cands: Cands,
         cursor: usize,
     ) -> EngineResult<bool> {
         let cut_cp = self.choice_points.len() as u32;
@@ -2678,11 +2555,12 @@ impl<'p> Machine<'p> {
             HCell::Struct(_, _, base) => base as usize,
             _ => 0,
         };
-        let total = cands.as_slice().len();
+        let list = cands.as_slice(image);
+        let total = list.len();
         let mut i = cursor;
         while i < total {
-            let clause_id = cands.as_slice()[i];
-            let templ = &templates[clause_id];
+            let clause_id = list[i];
+            let templ = &image.templates()[clause_id];
             self.charge_head_attempt()?;
             let var_base = self.fresh_vars(templ.num_vars());
             if self.unify_head(goal_args, templ, var_base) {
@@ -2803,8 +2681,31 @@ mod tests {
         // The parallel executor moves machines between worker threads (one
         // machine per worker, plus a shared free-list). Nothing in the
         // machine may reintroduce a non-Send handle.
-        fn assert_send<T: Send>() {}
-        assert_send::<Machine<'static>>();
+        fn assert_send<T: Send + 'static>() {}
+        assert_send::<Machine>();
+    }
+
+    #[test]
+    fn a_machine_outlives_the_program_it_was_compiled_from() {
+        fn owned() -> Machine {
+            let program = parse_program(APPEND).unwrap();
+            Machine::new(&program)
+        }
+        let mut machine = owned();
+        let out = machine.run_query("append(X, [3], [1, 2, 3])").unwrap();
+        assert_eq!(out.binding("X").unwrap().to_string(), "[1,2]");
+        // ... and so does a second machine made from the first one's image,
+        // on another thread.
+        let image = Arc::clone(&machine.image);
+        drop(machine);
+        let out = std::thread::spawn(move || {
+            Machine::from_image(image, MachineConfig::default())
+                .run_query("append([1], [2], X)")
+                .unwrap()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(out.binding("X").unwrap().to_string(), "[1,2]");
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub struct Seq {
 }
 
 impl Seq {
-    fn since(start: usize, end: usize) -> Seq {
+    pub(crate) fn since(start: usize, end: usize) -> Seq {
         Seq {
             start: start as u32,
             len: (end - start) as u32,
@@ -269,8 +269,8 @@ pub struct ClauseTemplate {
 }
 
 /// A program's predicates numbered in [`Program::predicates`] order — how a
-/// [`Step::Call`] names its callee. The machine's dispatch table resolves
-/// the number against the same iteration order.
+/// [`Step::Call`] names its callee. The image ([`crate::Image`]) numbers its
+/// index entries in the same iteration order.
 pub(crate) type PredTable = FastMap<(Symbol, usize), u32>;
 
 impl ClauseTemplate {
@@ -394,12 +394,6 @@ impl ClauseTemplate {
     /// nothing to materialize, nothing to push.
     pub fn body_seq(&self) -> Seq {
         self.body
-    }
-
-    /// `true` if the clause body contributes no goals (a fact, or a body that
-    /// is only `true` literals).
-    pub fn body_is_true(&self) -> bool {
-        self.body.len == 0 && self.eager.len == 0
     }
 }
 
@@ -686,6 +680,11 @@ mod tests {
         parse_program(src).unwrap().clauses()[0].clone()
     }
 
+    /// A fact, or a body of `true` literals only.
+    fn no_goals(t: &ClauseTemplate) -> bool {
+        t.body_seq().len == 0 && t.eager_seq().len == 0
+    }
+
     /// The template of the first clause of `src`, compiled against the
     /// predicates `src` defines.
     fn compile(src: &str) -> ClauseTemplate {
@@ -710,7 +709,7 @@ mod tests {
         let c = clause(src);
         let t = compile(src);
         assert_eq!(t.num_vars(), 4);
-        assert!(!t.body_is_true());
+        assert!(!no_goals(&t));
         for offset in [0usize, 10, 1000] {
             let mut pos = 0;
             for (k, pos0) in t.head_arg_positions().iter().enumerate() {
@@ -737,7 +736,7 @@ mod tests {
     #[test]
     fn facts_are_recognised() {
         let t = compile("p(a, f(b)).");
-        assert!(t.body_is_true());
+        assert!(no_goals(&t));
         assert_eq!(t.body_seq().len, 0);
         assert_eq!(t.head_arg_positions().len(), 2);
     }
@@ -819,7 +818,7 @@ mod tests {
     #[test]
     fn true_only_bodies_have_no_goals() {
         let t = compile("p :- true, true.");
-        assert!(t.body_is_true());
+        assert!(no_goals(&t));
     }
 
     #[test]
@@ -868,7 +867,7 @@ mod tests {
         let body = seq_steps(&t, t.body_seq());
         assert!(matches!(body, [Step::Call { .. }, Step::Is { .. }]));
         assert_eq!(t.body_seq().start, t.eager_seq().len);
-        assert!(!t.body_is_true());
+        assert!(!no_goals(&t));
     }
 
     #[test]
@@ -886,7 +885,7 @@ mod tests {
         let t = compile("check(X) :- X > 0, X < 10.");
         assert_eq!(t.eager_seq().len, 2);
         assert_eq!(t.body_seq().len, 0);
-        assert!(!t.body_is_true());
+        assert!(!no_goals(&t));
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! `granlog serve`, built with `--features failpoints`, be chaos-tested
 //! from the outside without any CLI surface.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::Duration;

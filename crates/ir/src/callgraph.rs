@@ -6,9 +6,8 @@
 //! order so that callees are analysed before callers. This module provides
 //! exactly those notions: [`CallGraph::sccs`] (Tarjan), the bottom-up
 //! [`CallGraph::topological_sccs`] order, and
-//! [`CallGraph::classify_clause`] / [`CallGraph::classify_predicate`].
+//! [`CallGraph::classify_predicate`].
 
-use crate::clause::Clause;
 use crate::program::{PredId, Program};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -55,14 +54,12 @@ impl Scc {
 
 /// The call graph of a program, restricted to predicates the program defines.
 ///
-/// Calls to builtins and to undefined predicates appear in
-/// [`CallGraph::external_calls`] but are not graph nodes.
+/// Calls to builtins and to undefined predicates are not graph nodes.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
     nodes: Vec<PredId>,
     index_of: BTreeMap<PredId, usize>,
     edges: Vec<BTreeSet<usize>>,
-    external: BTreeSet<PredId>,
     sccs: Vec<Scc>,
     scc_of: BTreeMap<PredId, usize>,
     topo: Vec<usize>,
@@ -75,20 +72,16 @@ impl CallGraph {
         let index_of: BTreeMap<PredId, usize> =
             nodes.iter().enumerate().map(|(i, &p)| (p, i)).collect();
         let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
-        let mut external = BTreeSet::new();
 
         for (caller_idx, &caller) in nodes.iter().enumerate() {
             for clause in program.clauses_of(caller) {
                 for goal in clause.called_goals() {
                     match PredId::of_term(goal) {
-                        Some(callee) => match index_of.get(&callee) {
-                            Some(&callee_idx) => {
+                        Some(callee) => {
+                            if let Some(&callee_idx) = index_of.get(&callee) {
                                 edges[caller_idx].insert(callee_idx);
                             }
-                            None => {
-                                external.insert(callee);
-                            }
-                        },
+                        }
                         // An unknown-target metacall (a `Var` leaf from
                         // `called_goals`) may call any predicate at run
                         // time; over-approximate it as an edge to every
@@ -109,7 +102,6 @@ impl CallGraph {
             nodes,
             index_of,
             edges,
-            external,
             sccs: Vec::new(),
             scc_of: BTreeMap::new(),
             topo: Vec::new(),
@@ -121,12 +113,6 @@ impl CallGraph {
     /// The predicates that are nodes of the graph.
     pub fn nodes(&self) -> &[PredId] {
         &self.nodes
-    }
-
-    /// Predicates called by the program but not defined by it (builtins,
-    /// library predicates, typos).
-    pub fn external_calls(&self) -> &BTreeSet<PredId> {
-        &self.external
     }
 
     /// Direct callees of `pred` (only defined predicates).
@@ -161,59 +147,9 @@ impl CallGraph {
         self.topo.iter().map(|&i| &self.sccs[i]).collect()
     }
 
-    /// Predicates in bottom-up topological order (members of the same SCC are
-    /// adjacent).
-    pub fn topological_predicates(&self) -> Vec<PredId> {
-        self.topological_sccs()
-            .into_iter()
-            .flat_map(|scc| scc.members.iter().copied())
-            .collect()
-    }
-
-    /// Returns `true` if the two predicates belong to the same SCC.
-    pub fn same_scc(&self, a: PredId, b: PredId) -> bool {
-        match (self.scc_of.get(&a), self.scc_of.get(&b)) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        }
-    }
-
     /// Returns `true` if `pred` is recursive (its SCC contains a cycle).
     pub fn is_recursive(&self, pred: PredId) -> bool {
         self.scc_of(pred).map(|s| s.recursive).unwrap_or(false)
-    }
-
-    /// Is a body goal of a clause with head predicate `head` a *recursive
-    /// literal*, i.e. part of a call-graph cycle containing `head`?
-    pub fn literal_is_recursive(&self, head: PredId, goal_pred: PredId) -> bool {
-        self.same_scc(head, goal_pred) && self.is_recursive(head)
-    }
-
-    /// Classifies a clause as nonrecursive, simple recursive or mutually
-    /// recursive (Section 3 of the paper).
-    pub fn classify_clause(&self, clause: &Clause) -> RecursionClass {
-        let Some(head) = clause.head_pred() else {
-            return RecursionClass::NonRecursive;
-        };
-        let mut any_recursive = false;
-        let mut any_mutual = false;
-        for goal in clause.called_goals() {
-            if let Some(goal_pred) = PredId::of_term(goal) {
-                if self.literal_is_recursive(head, goal_pred) {
-                    any_recursive = true;
-                    if goal_pred != head {
-                        any_mutual = true;
-                    }
-                }
-            }
-        }
-        if !any_recursive {
-            RecursionClass::NonRecursive
-        } else if any_mutual {
-            RecursionClass::MutuallyRecursive
-        } else {
-            RecursionClass::SimpleRecursive
-        }
     }
 
     /// Classifies a predicate: mutually recursive if its SCC has several
@@ -338,6 +274,13 @@ mod tests {
         PredId::parse(name, arity)
     }
 
+    /// Predicates in bottom-up topological order (members of the same SCC
+    /// are adjacent).
+    fn topological_predicates(g: &CallGraph) -> Vec<PredId> {
+        let sccs = g.topological_sccs().into_iter();
+        sccs.flat_map(|scc| scc.members.iter().copied()).collect()
+    }
+
     const NREV: &str = r#"
         nrev([], []).
         nrev([H|L], R) :- nrev(L, R1), append(R1, [H], R).
@@ -353,7 +296,9 @@ mod tests {
         assert!(g.calls(pid("q", 1), pid("p", 1)));
         assert!(g.calls(pid("p", 1), pid("r", 1)));
         assert!(!g.calls(pid("r", 1), pid("p", 1)));
-        assert!(g.external_calls().contains(&pid(">", 2)));
+        // A builtin is called, but it is no node.
+        assert!(!g.nodes().contains(&pid(">", 2)));
+        assert!(!g.calls(pid("p", 1), pid(">", 2)));
     }
 
     #[test]
@@ -361,7 +306,7 @@ mod tests {
         let p = parse_program(NREV).unwrap();
         let g = CallGraph::build(&p);
         assert_eq!(g.sccs().len(), 2);
-        let order = g.topological_predicates();
+        let order = topological_predicates(&g);
         let pos_append = order.iter().position(|&x| x == pid("append", 3)).unwrap();
         let pos_nrev = order.iter().position(|&x| x == pid("nrev", 2)).unwrap();
         assert!(
@@ -380,16 +325,6 @@ mod tests {
         );
         assert_eq!(
             g.classify_predicate(pid("append", 3)),
-            RecursionClass::SimpleRecursive
-        );
-        // Clause-level: the fact is nonrecursive, the recursive clause is simple recursive.
-        let nrev_clauses = p.clauses_of(pid("nrev", 2));
-        assert_eq!(
-            g.classify_clause(nrev_clauses[0]),
-            RecursionClass::NonRecursive
-        );
-        assert_eq!(
-            g.classify_clause(nrev_clauses[1]),
             RecursionClass::SimpleRecursive
         );
     }
@@ -411,12 +346,7 @@ mod tests {
             g.classify_predicate(pid("odd", 1)),
             RecursionClass::MutuallyRecursive
         );
-        assert!(g.same_scc(pid("even", 1), pid("odd", 1)));
-        let even_clauses = p.clauses_of(pid("even", 1));
-        assert_eq!(
-            g.classify_clause(even_clauses[1]),
-            RecursionClass::MutuallyRecursive
-        );
+        assert!(g.scc_of(pid("even", 1)).unwrap().contains(pid("odd", 1)));
     }
 
     #[test]
@@ -430,7 +360,7 @@ mod tests {
             );
             assert!(!g.is_recursive(pid(name, 1)));
         }
-        let order = g.topological_predicates();
+        let order = topological_predicates(&g);
         assert_eq!(order, vec![pid("leaf", 1), pid("mid", 1), pid("top", 1)]);
     }
 
@@ -479,11 +409,11 @@ mod tests {
                 callee.1
             );
         }
-        // `call(q(X))` is transparent: a precise edge, no `call/1` external.
+        // `call(q(X))` is transparent: a precise edge to `q/1`.
         let p = parse_program("p(X) :- call(q(X)). q(_).").unwrap();
         let g = CallGraph::build(&p);
         assert!(g.calls(pid("p", 1), pid("q", 1)));
-        assert!(!g.external_calls().contains(&pid("call", 1)));
+        assert_eq!(g.callees(pid("p", 1)), vec![pid("q", 1)]);
     }
 
     #[test]
@@ -497,7 +427,7 @@ mod tests {
         let p = parse_program(&src).unwrap();
         let g = CallGraph::build(&p);
         assert_eq!(g.sccs().len(), 2001);
-        let order = g.topological_predicates();
+        let order = topological_predicates(&g);
         assert_eq!(order.first().copied(), Some(pid("p2000", 1)));
         assert_eq!(order.last().copied(), Some(pid("p0", 1)));
     }

@@ -43,6 +43,8 @@
 //! assert_eq!(program.predicates().count(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builtins;
 pub mod callgraph;
 pub mod clause;
@@ -59,6 +61,6 @@ pub use clause::{Clause, ClauseId};
 pub use grain::{Guard, GuardTable, Measure};
 pub use modes::{ArgMode, ModeDecl};
 pub use parser::{parse_program, parse_term, ParseError};
-pub use program::{ClauseIndex, Directive, IndexKey, PredId, Predicate, Program};
+pub use program::{Directive, IndexKey, PredId, Predicate, Program};
 pub use symbol::{FastHasher, FastMap, Symbol};
 pub use term::{Term, VarId};

@@ -93,7 +93,7 @@ impl ModeDecl {
     }
 
     /// Declares every argument position as input.
-    pub fn all_input(pred: PredId) -> Self {
+    fn all_input(pred: PredId) -> Self {
         ModeDecl {
             pred,
             modes: vec![ArgMode::In; pred.arity],

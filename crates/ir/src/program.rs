@@ -2,7 +2,7 @@
 
 use crate::clause::{Clause, ClauseId};
 use crate::modes::{ArgMode, ModeDecl};
-use crate::symbol::{FastMap, Symbol};
+use crate::symbol::Symbol;
 use crate::term::Term;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -77,7 +77,7 @@ pub enum IndexKey {
 }
 
 /// Float key bits: `-0.0` unifies with `0.0`, so both map to the same key.
-pub(crate) fn float_key_bits(x: f64) -> u64 {
+fn float_key_bits(x: f64) -> u64 {
     if x == 0.0 {
         0
     } else {
@@ -111,62 +111,7 @@ impl IndexKey {
     }
 }
 
-/// A persistent first-argument index over one predicate's clauses, built
-/// incrementally as clauses are added and kept in lock-step with the
-/// predicate's `clause_ids`.
-///
-/// Each bucket holds the *merged* candidate list for one key: the clauses
-/// whose head first argument has that principal functor **plus** the clauses
-/// whose head first argument is a variable, in source order — exactly the
-/// sequence a per-call linear scan with a key filter would visit. Lookups are
-/// therefore a single hash probe returning a borrowed slice, with no per-call
-/// allocation or key recomputation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClauseIndex {
-    /// Clauses whose first argument is a variable (or whose head has no
-    /// arguments): candidates for every call, in source order.
-    any: Vec<ClauseId>,
-    /// Key → merged candidate list (key-matching clauses and variable-headed
-    /// clauses, in source order).
-    buckets: FastMap<IndexKey, Vec<ClauseId>>,
-}
-
-impl ClauseIndex {
-    fn insert(&mut self, id: ClauseId, key: Option<IndexKey>) {
-        match key {
-            None => {
-                self.any.push(id);
-                for bucket in self.buckets.values_mut() {
-                    bucket.push(id);
-                }
-            }
-            Some(k) => {
-                self.buckets
-                    .entry(k)
-                    .or_insert_with(|| self.any.clone())
-                    .push(id);
-            }
-        }
-    }
-
-    fn rebuild<'a>(&mut self, entries: impl Iterator<Item = (ClauseId, &'a Clause)>) {
-        self.any.clear();
-        self.buckets.clear();
-        for (id, clause) in entries {
-            self.insert(id, IndexKey::of_clause_head(clause));
-        }
-    }
-
-    /// The candidate clauses for a call whose first argument has the given
-    /// key (`None` when the first argument is unbound or absent is handled by
-    /// [`Predicate::candidates`], which returns every clause).
-    fn bucket(&self, key: &IndexKey) -> &[ClauseId] {
-        self.buckets.get(key).map_or(&self.any, Vec::as_slice)
-    }
-}
-
-/// A predicate: the ordered list of clauses defining it, plus its persistent
-/// first-argument index.
+/// A predicate: the ordered list of clauses defining it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Predicate {
     /// The predicate's identifier.
@@ -174,24 +119,6 @@ pub struct Predicate {
     /// Indices (into [`Program::clauses`]) of the clauses defining it, in
     /// source order.
     pub clause_ids: Vec<ClauseId>,
-    /// First-argument index over `clause_ids`, maintained by
-    /// [`Program::add_clause`] / [`Program::set_clause`].
-    index: ClauseIndex,
-}
-
-impl Predicate {
-    /// The candidate clauses for a call whose (dereferenced) first argument
-    /// has the given index key, in source order.
-    ///
-    /// `None` — an unbound or absent first argument — matches every clause.
-    /// The returned slice is borrowed from the persistent index: no per-call
-    /// allocation, scan, or key recomputation happens here.
-    pub fn candidates(&self, key: Option<&IndexKey>) -> &[ClauseId] {
-        match key {
-            None => &self.clause_ids,
-            Some(k) => self.index.bucket(k),
-        }
-    }
 }
 
 /// A source-level directive (`:- ...`) recognised by the toolchain.
@@ -212,7 +139,7 @@ pub enum Directive {
     Other(Term),
 }
 
-/// A logic program: clauses, predicate index and directives.
+/// A logic program: clauses, the predicates they define and directives.
 ///
 /// # Example
 ///
@@ -240,7 +167,7 @@ impl Program {
         Program::default()
     }
 
-    /// Adds a clause, indexing it under its head predicate.
+    /// Adds a clause, listing it under its head predicate.
     ///
     /// Returns the new clause's id.
     ///
@@ -252,15 +179,12 @@ impl Program {
             .head_pred()
             .expect("clause head must be an atom or compound term");
         let id = self.clauses.len();
-        let key = IndexKey::of_clause_head(&clause);
         self.clauses.push(clause);
         let predicate = self.predicates.entry(pred).or_insert_with(|| Predicate {
             id: pred,
             clause_ids: Vec::new(),
-            index: ClauseIndex::default(),
         });
         predicate.clause_ids.push(id);
-        predicate.index.insert(id, key);
         id
     }
 
@@ -295,48 +219,6 @@ impl Program {
     /// All clauses in source order.
     pub fn clauses(&self) -> &[Clause] {
         &self.clauses
-    }
-
-    /// Mutates a clause in place through a closure (used by program
-    /// transformations), then reindexes its predicate — so a head rewrite can
-    /// never leave the persistent first-argument index stale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the closure changes the clause's predicate.
-    pub fn update_clause(&mut self, id: ClauseId, f: impl FnOnce(&mut Clause)) {
-        let before = self.clauses[id].head_pred();
-        f(&mut self.clauses[id]);
-        assert_eq!(
-            before,
-            self.clauses[id].head_pred(),
-            "update_clause must not change the clause's predicate"
-        );
-        self.reindex_predicate(before.expect("indexed clauses have callable heads"));
-    }
-
-    /// Replaces a clause wholesale (used by program transformations), keeping
-    /// the predicate's first-argument index up to date.
-    pub fn set_clause(&mut self, id: ClauseId, clause: Clause) {
-        let pred = self.clauses[id].head_pred();
-        assert_eq!(
-            pred,
-            clause.head_pred(),
-            "set_clause must not change the clause's predicate"
-        );
-        self.clauses[id] = clause;
-        self.reindex_predicate(pred.expect("indexed clauses have callable heads"));
-    }
-
-    fn reindex_predicate(&mut self, pred: PredId) {
-        let predicate = self
-            .predicates
-            .get_mut(&pred)
-            .expect("clause belongs to an indexed predicate");
-        let clauses = &self.clauses;
-        predicate
-            .index
-            .rebuild(predicate.clause_ids.iter().map(|&i| (i, &clauses[i])));
     }
 
     /// Iterates over the predicates defined by the program.
@@ -402,16 +284,6 @@ impl Program {
     pub fn is_empty(&self) -> bool {
         self.clauses.is_empty()
     }
-
-    /// Merges another program's clauses and directives into this one.
-    pub fn extend_from(&mut self, other: &Program) {
-        for directive in &other.directives {
-            self.add_directive(directive.clone());
-        }
-        for clause in &other.clauses {
-            self.add_clause(clause.clone());
-        }
-    }
 }
 
 impl fmt::Display for Program {
@@ -476,117 +348,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must not change")]
-    fn set_clause_rejects_predicate_change() {
-        let mut p = parse_program("p(1).").unwrap();
-        let other = parse_program("q(1).").unwrap().clauses()[0].clone();
-        p.set_clause(0, other);
-    }
-
-    #[test]
-    fn extend_from_merges() {
-        let mut a = parse_program("p(1).").unwrap();
-        let b = parse_program(":- mode q(+). q(X) :- p(X).").unwrap();
-        a.extend_from(&b);
-        assert_eq!(a.len(), 2);
-        assert!(a.mode_of(PredId::parse("q", 1)).is_some());
-    }
-
-    #[test]
-    fn first_arg_index_buckets_match_a_filtered_scan() {
-        let p =
-            parse_program("p(a, 1). p(b, 2). p(X, 3). p(a, 4). p(f(Y), 5). p(7, 6). p(f(g), 7).")
-                .unwrap();
-        let pred = p.predicate(PredId::parse("p", 2)).unwrap();
-        // Reference: a linear scan keeping clauses whose first-arg key is
-        // absent (variable) or equal to the probe key.
-        let scan = |key: Option<IndexKey>| -> Vec<ClauseId> {
-            pred.clause_ids
-                .iter()
-                .copied()
-                .filter(
-                    |&id| match (key, IndexKey::of_clause_head(&p.clauses()[id])) {
-                        (Some(gk), Some(hk)) => gk == hk,
-                        _ => true,
-                    },
-                )
-                .collect()
-        };
-        for key in [
-            None,
-            IndexKey::of_term(&Term::atom("a")),
-            IndexKey::of_term(&Term::atom("b")),
-            IndexKey::of_term(&Term::atom("zzz")),
-            IndexKey::of_term(&Term::int(7)),
-            IndexKey::of_term(&Term::int(99)),
-            IndexKey::of_term(&Term::compound("f", vec![Term::var(0)])),
-            IndexKey::of_term(&Term::compound("f", vec![Term::var(0), Term::var(1)])),
-        ] {
-            assert_eq!(
-                pred.candidates(key.as_ref()),
-                scan(key).as_slice(),
-                "key {key:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn unseen_key_falls_back_to_var_headed_clauses() {
-        let p = parse_program("q(a). q(X). q(b).").unwrap();
-        let pred = p.predicate(PredId::parse("q", 1)).unwrap();
-        let key = IndexKey::of_term(&Term::atom("unseen"));
-        assert_eq!(pred.candidates(key.as_ref()), &[1]);
-        // An unbound first argument matches everything, in source order.
-        assert_eq!(pred.candidates(None), &[0, 1, 2]);
-    }
-
-    #[test]
-    fn set_clause_reindexes_the_predicate() {
-        let mut p = parse_program("r(a, 1). r(b, 2).").unwrap();
-        let rid = PredId::parse("r", 2);
-        let b_key = IndexKey::of_term(&Term::atom("b"));
-        assert_eq!(p.predicate(rid).unwrap().candidates(b_key.as_ref()), &[1]);
-        // Replace clause 0 with a variable-headed one: it must now show up in
-        // every bucket.
-        let replacement = parse_program("r(X, 9).").unwrap().clauses()[0].clone();
-        p.set_clause(0, replacement);
-        assert_eq!(
-            p.predicate(rid).unwrap().candidates(b_key.as_ref()),
-            &[0, 1]
-        );
-    }
-
-    #[test]
-    fn update_clause_reindexes_head_rewrites() {
-        let mut p = parse_program("r(a, 1). r(b, 2).").unwrap();
-        let rid = PredId::parse("r", 2);
-        // Rewrite clause 0's head first argument from `a` to `b` in place.
-        p.update_clause(0, |c| {
-            c.head = Term::compound("r", vec![Term::atom("b"), Term::int(1)]);
-        });
-        let b_key = IndexKey::of_term(&Term::atom("b"));
-        let a_key = IndexKey::of_term(&Term::atom("a"));
-        assert_eq!(
-            p.predicate(rid).unwrap().candidates(b_key.as_ref()),
-            &[0, 1]
-        );
-        assert!(p
-            .predicate(rid)
-            .unwrap()
-            .candidates(a_key.as_ref())
-            .is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "must not change")]
-    fn update_clause_rejects_predicate_change() {
-        let mut p = parse_program("p(1).").unwrap();
-        p.update_clause(0, |c| {
-            c.head = Term::compound("q", vec![Term::int(1)]);
-        });
-    }
-
-    #[test]
     fn float_keys_normalize_negative_zero() {
         assert_eq!(
             IndexKey::of_term(&Term::float(0.0)),
@@ -594,13 +355,6 @@ mod tests {
         );
         assert_eq!(IndexKey::of_float(-0.0), IndexKey::of_float(0.0));
         assert_ne!(IndexKey::of_float(1.0), IndexKey::of_float(-1.0));
-    }
-
-    #[test]
-    fn zero_arity_predicates_index_everything_under_no_key() {
-        let p = parse_program("go. go.").unwrap();
-        let pred = p.predicate(PredId::parse("go", 0)).unwrap();
-        assert_eq!(pred.candidates(None), &[0, 1]);
     }
 
     #[test]

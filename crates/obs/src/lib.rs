@@ -20,6 +20,7 @@
 //! additionally gates [`Tracer::emit`] on a relaxed atomic load so a disabled
 //! tracer costs one branch.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, VecDeque};
@@ -297,15 +298,6 @@ impl Registry {
         let metrics = self.metrics.lock().expect("registry poisoned");
         match metrics.get(name) {
             Some(Metric::Counter(c)) => Some(c.get()),
-            _ => None,
-        }
-    }
-
-    /// Current value of gauge `name`, if registered.
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        let metrics = self.metrics.lock().expect("registry poisoned");
-        match metrics.get(name) {
-            Some(Metric::Gauge(g)) => Some(g.get()),
             _ => None,
         }
     }
@@ -604,7 +596,7 @@ mod tests {
         let g = reg.gauge("granlog_sessions");
         g.set(3);
         g.sub(1);
-        assert_eq!(reg.gauge_value("granlog_sessions"), Some(2));
+        assert_eq!(reg.gauge("granlog_sessions").get(), 2);
         // Re-registration returns the same handle.
         reg.counter("granlog_queries_total").inc();
         assert_eq!(c.get(), 6);

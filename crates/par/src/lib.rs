@@ -31,8 +31,8 @@
 //!   arena of its own ([`Machine::run_arm`]), solves it, and the values of
 //!   the arm's variables travel back as a second packet. No heap cell is
 //!   ever shared between threads. The executor keeps one idle machine and
-//!   makes others on the spot: templates and dispatch table are shared, so
-//!   a new machine is a handful of empty `Vec`s.
+//!   makes others on the spot: the compiled image is shared, so a new
+//!   machine is a handful of empty `Vec`s.
 //! * **Deterministic join, help-first waiting.** When its local arms are
 //!   done the forker joins the stolen ones *in arm order*. While a thief is
 //!   still running, the joiner runs other offers instead of blocking —
@@ -84,13 +84,13 @@
 //! assert!(out.spawned_tasks > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_engine::par::{ArmResult, Offer, ParHook};
 use granlog_engine::{
-    Budget, ClauseTemplate, Counters, Dispatch, EngineError, EngineResult, Machine, MachineConfig,
-    Solve,
+    Budget, Counters, EngineError, EngineResult, Image, Machine, MachineConfig, Solve,
 };
 use granlog_ir::{parser, GuardTable, Program, Symbol, Term};
 use std::collections::VecDeque;
@@ -218,10 +218,8 @@ struct Lane {
 
 /// State shared between the calling thread and the pool workers for the
 /// lifetime of the executor.
-struct Shared<'p> {
-    program: &'p Program,
-    templates: Arc<[ClauseTemplate]>,
-    dispatch: Arc<Dispatch<'p>>,
+struct Shared {
+    image: Arc<Image>,
     machine_config: MachineConfig,
     granularity: Granularity,
     /// The analysis' guards (granularity-on only): evaluated by the machine
@@ -238,26 +236,19 @@ struct Shared<'p> {
     /// One idle machine, arena warm; a machine released while the slot is
     /// taken is dropped. Not a free-list: inline arms leave their garbage in
     /// the forker's arena, so each retained machine is a grown arena.
-    idle: Mutex<Option<Machine<'p>>>,
+    idle: Mutex<Option<Machine>>,
     /// Instrumentation bundle; `None` leaves every path unmeasured. The
     /// outcome's own spawn/inline counts never route through this.
     obs: Option<Arc<ParObs>>,
 }
 
-impl<'p> Shared<'p> {
-    fn acquire_machine(&self) -> Machine<'p> {
+impl Shared {
+    fn acquire_machine(&self) -> Machine {
         let idle = lock_recovering(&self.idle).take();
-        idle.unwrap_or_else(|| {
-            Machine::with_dispatch(
-                self.program,
-                self.machine_config,
-                Arc::clone(&self.templates),
-                Arc::clone(&self.dispatch),
-            )
-        })
+        idle.unwrap_or_else(|| Machine::from_image(Arc::clone(&self.image), self.machine_config))
     }
 
-    fn release_machine(&self, machine: Machine<'p>) {
+    fn release_machine(&self, machine: Machine) {
         let mut idle = lock_recovering(&self.idle);
         if idle.is_none() {
             *idle = Some(machine);
@@ -311,12 +302,12 @@ impl<'p> Shared<'p> {
 
 /// One thread's view of the executor — the [`ParHook`] its machines call at
 /// every `&`. `index` names the thread's own lane.
-struct Worker<'a, 'p> {
-    shared: &'a Shared<'p>,
+struct Worker<'a> {
+    shared: &'a Shared,
     index: usize,
 }
 
-impl Worker<'_, '_> {
+impl Worker<'_> {
     fn lane(&self) -> &Lane {
         &self.shared.lanes[self.index]
     }
@@ -403,7 +394,7 @@ impl Worker<'_, '_> {
     }
 }
 
-impl ParHook for Worker<'_, '_> {
+impl ParHook for Worker<'_> {
     fn spawn_guards(&self) -> Option<&GuardTable> {
         self.shared.guards.as_ref()
     }
@@ -468,22 +459,23 @@ impl ParHook for Worker<'_, '_> {
     }
 }
 
-/// The multi-threaded and-parallel executor: a program's templates and
-/// dispatch table, the spawn guards, a deque per thread and one warm
-/// machine. Reusable across queries; one query runs at a time.
-pub struct ParExecutor<'p> {
-    shared: Shared<'p>,
+/// The multi-threaded and-parallel executor: a program's compiled image,
+/// the spawn guards, a deque per thread and one warm machine. Reusable
+/// across queries; one query runs at a time. It owns what it runs — the
+/// program it was made from may be dropped.
+pub struct ParExecutor {
+    shared: Shared,
     /// Does any clause body mention `&` at all? Purely sequential programs
     /// skip worker startup (a dynamically constructed `&` still executes
     /// correctly — the calling thread takes every arm back).
     has_par: bool,
 }
 
-impl<'p> ParExecutor<'p> {
+impl ParExecutor {
     /// Creates an executor for a program. With [`Granularity::On`] the
     /// program is analysed here and the thresholds are lowered into runtime
     /// spawn guards; the other modes skip the analysis.
-    pub fn new(program: &'p Program, config: ParConfig) -> Self {
+    pub fn new(program: &Program, config: ParConfig) -> Self {
         let guards = matches!(config.granularity, Granularity::On).then(|| {
             analyze_program(program, &AnalysisOptions::default()).guards_at(config.overhead)
         });
@@ -493,9 +485,7 @@ impl<'p> ParExecutor<'p> {
             .any(|clause| mentions_par(&clause.body));
         ParExecutor {
             shared: Shared {
-                program,
-                templates: granlog_engine::template::compile_program(program).into(),
-                dispatch: Dispatch::new(program),
+                image: Image::new(program),
                 machine_config: config.machine,
                 granularity: config.granularity,
                 guards,
@@ -683,6 +673,28 @@ mod tests {
     "#;
 
     #[test]
+    fn an_executor_owns_what_it_runs() {
+        fn assert_send<T: Send + 'static>() {}
+        assert_send::<ParExecutor>();
+        fn owned() -> ParExecutor {
+            let program = parse_program(FIB).unwrap();
+            let config = ParConfig {
+                threads: 2,
+                granularity: Granularity::AlwaysSpawn,
+                ..ParConfig::default()
+            };
+            ParExecutor::new(&program, config)
+        }
+        #[cfg(feature = "failpoints")]
+        let _shared = fault_shared();
+        // The program is gone; the executor answers, from another thread.
+        let mut exec = owned();
+        let out = std::thread::spawn(move || exec.run_query("fib(10, X)").unwrap());
+        let out = out.join().unwrap();
+        assert_eq!(out.binding("X").unwrap().to_string(), "55");
+    }
+
+    #[test]
     fn parallel_fib_matches_sequential_answer() {
         for threads in [1, 2, 4] {
             let out = run(FIB, "fib(14, X)", threads, Granularity::AlwaysSpawn);
@@ -697,11 +709,7 @@ mod tests {
     fn observed_executor(
         program: &Program,
         threads: usize,
-    ) -> (
-        ParExecutor<'_>,
-        granlog_obs::Registry,
-        Arc<granlog_obs::Tracer>,
-    ) {
+    ) -> (ParExecutor, granlog_obs::Registry, Arc<granlog_obs::Tracer>) {
         let registry = granlog_obs::Registry::new();
         let tracer = Arc::new(granlog_obs::Tracer::new(1 << 16));
         let mut exec = ParExecutor::new(
@@ -1056,11 +1064,11 @@ mod tests {
         /// (bounded: a worker that loses the race to a reclaim leaves the
         /// query an ordinary success), and returns that run's error and the
         /// executor.
-        fn error_of_a_stolen_arm<'p>(
-            program: &'p Program,
+        fn error_of_a_stolen_arm(
+            program: &Program,
             site: &'static str,
             action: Action,
-        ) -> (EngineError, ParExecutor<'p>) {
+        ) -> (EngineError, ParExecutor) {
             let (mut exec, registry, _tracer) = observed_executor(program, 2);
             for _ in 0..50 {
                 granlog_fault::arm(site, action, 1.0);

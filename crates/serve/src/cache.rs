@@ -29,7 +29,7 @@
 
 use crate::ServeError;
 use granlog_datalog::{CompiledDatalog, Database, DatalogError};
-use granlog_engine::{ClauseTemplate, Dispatch, Machine, MachineConfig};
+use granlog_engine::{Image, Machine, MachineConfig};
 use granlog_ir::parser::parse_program;
 use granlog_ir::Program;
 use std::collections::{HashMap, VecDeque};
@@ -78,16 +78,14 @@ pub(crate) struct PoolCounters {
 /// Checkouts discard machines from generations older than the entry's
 /// current one (a quarantine happened since they were pooled).
 struct PooledMachine {
-    machine: Machine<'static>,
+    machine: Machine,
     generation: u64,
 }
 
-/// One cached program: its parsed form, compiled templates and warm machine
+/// One cached program: its parsed form, compiled image and warm machine
 /// pool, shared as an `Arc` across every session that loaded the same
 /// (normalized) program text.
 pub struct ProgramEntry {
-    // SAFETY-ORDER: `machines` is declared before `program` so pooled
-    // machines drop before the program they borrow.
     machines: Mutex<Vec<PooledMachine>>,
     /// Bumped on every quarantine; stale-generation pooled machines are
     /// discarded at checkout instead of handed out.
@@ -97,14 +95,11 @@ pub struct ProgramEntry {
     clause_count: usize,
     pool: PoolConfig,
     machine_config: MachineConfig,
-    templates: Arc<[ClauseTemplate]>,
-    /// The goal-dispatch table, built on the first lease and shared by every
-    /// machine of the entry like the templates, so a cold lease makes a
-    /// machine without walking the program. It borrows `program` under the
-    /// same `'static` fiction as the machines (see [`ProgramEntry::lease`]);
-    /// it holds plain references, so its place in the drop order is
-    /// immaterial.
-    dispatch: OnceLock<Arc<Dispatch<'static>>>,
+    /// What every machine of the entry runs, owned by the machines that
+    /// share it, so a lease outlives an eviction. Compiled on the first
+    /// lease, not at `load`: an entry that is journaled, replayed at boot or
+    /// evicted without ever being queried never pays for it.
+    image: OnceLock<Arc<Image>>,
     /// Bottom-up join plans, compiled lazily on the first `engine
     /// bottom-up` query of this program. Compilation is deterministic (no
     /// failpoints cross it), so the result — including a rejection — is
@@ -143,17 +138,6 @@ impl ProgramEntry {
         &self.program
     }
 
-    /// Number of machines currently parked in this entry's pool.
-    pub fn pooled_machines(&self) -> usize {
-        lock_pool(&self.machines).len()
-    }
-
-    /// The pool generation: bumped each time a machine of this entry is
-    /// quarantined. Exposed for tests and gauges.
-    pub fn pool_generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
     /// The bottom-up fact database of this program: compiles the join
     /// plans on first use (cached, like the SLD templates), then runs the
     /// stratified semi-naive fixpoint once and shares the evaluated
@@ -188,8 +172,13 @@ impl ProgramEntry {
         Ok(db)
     }
 
+    /// The compiled image, built on first use.
+    fn image(&self) -> &Arc<Image> {
+        self.image.get_or_init(|| Image::new(&self.program))
+    }
+
     /// Takes a machine for this program — warm from the pool when one is
-    /// parked, freshly built over the shared templates otherwise. The lease
+    /// parked, freshly built over the shared image otherwise. The lease
     /// returns (or retires) the machine on drop.
     ///
     /// # Errors
@@ -213,27 +202,8 @@ impl ProgramEntry {
                 }
             }
         };
-        let machine = pooled.unwrap_or_else(|| {
-            // SAFETY: the `'static` is a crate-internal fiction. The machine
-            // borrows `self.program`, which lives inside this `Arc`
-            // allocation: it is address-stable and never mutated after
-            // construction. Every `Machine<'static>` is confined to either
-            // a `MachineLease` (which holds a clone of this `Arc`, so the
-            // program outlives the lease) or `self.machines` (declared
-            // before `program`, so pooled machines drop first). The dispatch
-            // table built from the same reference lives only in the private
-            // `self.dispatch` and in those machines. Neither the lease's
-            // machine accessor nor this method is public, so no machine can
-            // outlive the entry from safe client code.
-            let program: &'static Program = unsafe { &*(&self.program as *const Program) };
-            let dispatch = self.dispatch.get_or_init(|| Dispatch::new(program));
-            Machine::with_dispatch(
-                program,
-                self.machine_config,
-                Arc::clone(&self.templates),
-                Arc::clone(dispatch),
-            )
-        });
+        let machine = pooled
+            .unwrap_or_else(|| Machine::from_image(Arc::clone(self.image()), self.machine_config));
         self.counters.leases_active.fetch_add(1, Ordering::Relaxed);
         Ok(MachineLease {
             machine: Some(machine),
@@ -260,7 +230,7 @@ fn lock_pool(pool: &Mutex<Vec<PooledMachine>>) -> std::sync::MutexGuard<'_, Vec<
 /// or the thread is panic-unwinding, in which cases the machine never
 /// re-enters the pool.
 pub(crate) struct MachineLease {
-    machine: Option<Machine<'static>>,
+    machine: Option<Machine>,
     /// The entry's pool generation at checkout; parking back under a newer
     /// generation retires the machine instead.
     generation: u64,
@@ -269,7 +239,7 @@ pub(crate) struct MachineLease {
 }
 
 impl MachineLease {
-    pub(crate) fn machine(&mut self) -> &mut Machine<'static> {
+    pub(crate) fn machine(&mut self) -> &mut Machine {
         self.machine.as_mut().expect("machine present until drop")
     }
 
@@ -416,8 +386,6 @@ impl TemplateCache {
             ServeError::Fault("serve.cache.insert")
         })?;
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let templates: Arc<[ClauseTemplate]> =
-            granlog_engine::template::compile_program(&program).into();
         let entry = Arc::new(ProgramEntry {
             machines: Mutex::new(Vec::new()),
             generation: AtomicU64::new(0),
@@ -426,8 +394,7 @@ impl TemplateCache {
             clause_count: program.clauses().len(),
             pool: self.pool,
             machine_config: self.machine_config,
-            templates,
-            dispatch: OnceLock::new(),
+            image: OnceLock::new(),
             datalog_plans: OnceLock::new(),
             datalog_db: Mutex::new(None),
             normalized: normalized.clone(),
@@ -515,6 +482,11 @@ mod tests {
         TemplateCache::new(capacity, MachineConfig::default(), PoolConfig::default())
     }
 
+    /// Number of machines currently parked in the entry's pool.
+    fn pooled_machines(entry: &ProgramEntry) -> usize {
+        lock_pool(&entry.machines).len()
+    }
+
     #[test]
     fn identical_programs_share_one_entry() {
         #[cfg(feature = "failpoints")]
@@ -581,6 +553,29 @@ mod tests {
     }
 
     #[test]
+    fn a_lease_outlives_its_evicted_entry_and_the_image_is_freed_with_it() {
+        #[cfg(feature = "failpoints")]
+        let _shared = crate::faultsync::shared();
+        let cache = cache(1);
+        let (entry, _) = cache.load(APPEND).unwrap();
+        // One tenant is mid-query ...
+        let mut lease = entry.lease().unwrap();
+        let image = Arc::downgrade(entry.image());
+        drop(entry);
+        // ... when another's program takes the cache's only slot.
+        cache.load("p(1).").unwrap();
+        assert_eq!((cache.stats().evictions, cache.stats().entries), (1, 1));
+        let out = lease.machine().run_query("append(X, [3], [1, 2, 3])");
+        assert_eq!(out.unwrap().binding("X").unwrap().to_string(), "[1,2]");
+        // The lease is the last owner of the evicted entry, its pool and its
+        // image: returning the machine frees all three.
+        assert_eq!(image.strong_count(), 2, "the entry and the leased machine");
+        drop(lease);
+        assert_eq!(image.strong_count(), 0);
+        assert_eq!(cache.stats().leases_active, 0);
+    }
+
+    #[test]
     fn leases_pool_and_retire_machines() {
         #[cfg(feature = "failpoints")]
         let _shared = crate::faultsync::shared();
@@ -602,14 +597,14 @@ mod tests {
             let out = lease.machine().run_query("build(3, L)").unwrap();
             assert!(out.succeeded);
         }
-        assert_eq!(entry.pooled_machines(), 1, "small query pools its machine");
+        assert_eq!(pooled_machines(&entry), 1, "small query pools its machine");
         {
             let mut lease = entry.lease().unwrap();
             let out = lease.machine().run_query("build(200, L)").unwrap();
             assert!(out.succeeded);
         }
         assert_eq!(
-            entry.pooled_machines(),
+            pooled_machines(&entry),
             0,
             "a query past the high-water threshold retires its machine"
         );
@@ -629,9 +624,9 @@ mod tests {
             lease.machine().run_query("append([1], [2], X)").unwrap();
             lease.quarantine();
         }
-        assert_eq!(entry.pooled_machines(), 0, "quarantined machine dropped");
+        assert_eq!(pooled_machines(&entry), 0, "quarantined machine dropped");
         assert_eq!(cache.stats().quarantined, 1);
-        assert_eq!(entry.pool_generation(), 1);
+        assert_eq!(entry.generation.load(Ordering::Relaxed), 1);
         // A fresh lease works fine and pools normally under the new
         // generation.
         {
@@ -639,7 +634,7 @@ mod tests {
             let out = lease.machine().run_query("append([1], [2], X)").unwrap();
             assert!(out.succeeded);
         }
-        assert_eq!(entry.pooled_machines(), 1);
+        assert_eq!(pooled_machines(&entry), 1);
         assert_eq!(cache.stats().leases_active, 0);
     }
 
@@ -654,7 +649,7 @@ mod tests {
             let _a = entry.lease().unwrap();
             let _b = entry.lease().unwrap();
         }
-        assert_eq!(entry.pooled_machines(), 2);
+        assert_eq!(pooled_machines(&entry), 2);
         // Quarantine a third: generation bumps, the two parked machines are
         // now stale.
         {
@@ -668,7 +663,7 @@ mod tests {
             assert!(out.succeeded);
         }
         assert_eq!(
-            entry.pooled_machines(),
+            pooled_machines(&entry),
             1,
             "only the fresh machine (new generation) is pooled"
         );
@@ -686,7 +681,7 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(
-            entry.pooled_machines(),
+            pooled_machines(&entry),
             0,
             "a machine unwound through a panic must not be pooled"
         );

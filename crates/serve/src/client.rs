@@ -242,18 +242,6 @@ impl ServeClient {
         }
     }
 
-    /// Sets the session heap budget in cells (`None` = unlimited).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures or a server-side rejection.
-    pub fn budget_heap(&mut self, cells: Option<u64>) -> io::Result<()> {
-        match cells {
-            Some(n) => self.simple_command(&format!("budget heap {n}")),
-            None => self.simple_command("budget heap off"),
-        }
-    }
-
     /// Sets the session wall-clock budget in milliseconds (`None` =
     /// unlimited).
     ///

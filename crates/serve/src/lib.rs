@@ -17,6 +17,7 @@
 //!
 //! The CLI exposes all of this as `granlog serve` (see the README).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -376,7 +376,7 @@ fn query_bottom_up(
 /// number of slices the query ran in.
 #[allow(clippy::too_many_arguments)]
 fn run_sliced(
-    machine: &mut granlog_engine::Machine<'static>,
+    machine: &mut granlog_engine::Machine,
     goal: &granlog_ir::Term,
     var_names: &[granlog_ir::Symbol],
     session_steps: Option<u64>,

@@ -36,6 +36,8 @@
 //! assert!(parallel.makespan < sequential.makespan);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod sched;
 

@@ -23,6 +23,7 @@
 //! serve layer, which re-compiles each program exactly once through the
 //! same normalized-text-keyed cache a live `load` uses.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod obs;

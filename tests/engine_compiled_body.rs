@@ -26,7 +26,7 @@ struct Observed {
     builtins: u64,
 }
 
-fn observe(machine: &mut Machine<'_>, query: &str) -> Observed {
+fn observe(machine: &mut Machine, query: &str) -> Observed {
     let result = machine
         .run_query(query)
         .map(|outcome| (outcome.succeeded, outcome.binding("V").map(Term::to_string)))

@@ -60,7 +60,7 @@ fn bottom_up_answers(db: &Database, query: &str) -> BTreeSet<Vec<String>> {
 /// domain: soundness, completeness, and first-solution consistency.
 fn check_unary_pred(
     db: &Database,
-    machine: &mut Machine<'_>,
+    machine: &mut Machine,
     pred: &str,
     domain: &[String],
     label: &str,

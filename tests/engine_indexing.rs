@@ -1,7 +1,7 @@
 //! Differential properties for clause indexing and the arena/goal-stack
 //! engine core.
 //!
-//! The engine's persistent per-predicate index must be observationally
+//! The compiled image's flat first-argument index must be observationally
 //! identical to the reference per-call linear scan (the seed engine's
 //! behaviour, kept as [`ClauseSelection::LinearScan`]): same success/failure,
 //! same bindings, same operation counters (which pins the clause-trial
@@ -15,7 +15,7 @@
 //! nested `;`/`->`/`\+` step sequences, real cut pruning under deep
 //! backtracking, and control inside `&` arms — against the same reference.
 
-use granlog_engine::{ClauseSelection, Machine, MachineConfig, QueryOutcome};
+use granlog_engine::{ClauseSelection, Image, Machine, MachineConfig, QueryOutcome};
 use granlog_ir::parser::parse_program;
 use granlog_ir::{IndexKey, PredId, Term};
 use proptest::prelude::*;
@@ -98,6 +98,7 @@ proptest! {
     fn index_buckets_match_reference_scan(first_args in prop::collection::vec(0usize..9, 1..12)) {
         let src = program_src(&first_args);
         let program = parse_program(&src).unwrap();
+        let image = Image::new(&program);
         let pred = program.predicate(PredId::parse("p", 2)).unwrap();
         let mut probes: Vec<Option<IndexKey>> = vec![None];
         for probe in PROBES {
@@ -117,7 +118,7 @@ proptest! {
                 })
                 .collect();
             prop_assert_eq!(
-                pred.candidates(key.as_ref()),
+                image.candidates(pred.id, key.as_ref()),
                 reference.as_slice(),
                 "key {:?}", key
             );

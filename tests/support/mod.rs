@@ -7,7 +7,7 @@
 
 use granlog_benchmarks::{all_benchmarks, control_benchmarks, nrev_benchmark, Benchmark};
 use granlog_engine::par::{ArmResult, Offer, ParHook};
-use granlog_engine::{ClauseTemplate, Machine, MachineConfig};
+use granlog_engine::{Image, Machine, MachineConfig};
 use granlog_ir::parser::parse_program;
 use granlog_ir::Program;
 use granlog_serve::{ServeConfig, Server, ServerHandle};
@@ -79,32 +79,27 @@ pub fn expected_answer(bench: &Benchmark, query: &str) -> (bool, Vec<(String, St
 /// this hook every arm `1..` of every independent conjunction does — pack,
 /// unpack, solve, answer pack, unpack, join — deterministically, on the
 /// calling thread. No spawn guards: every conjunction is offered.
-pub struct EagerThief<'p> {
-    program: &'p Program,
-    templates: Arc<[ClauseTemplate]>,
+pub struct EagerThief {
+    image: Arc<Image>,
     /// Arms run on a second machine so far.
     pub stolen: AtomicUsize,
 }
 
-impl<'p> EagerThief<'p> {
-    pub fn new(program: &'p Program) -> Self {
+impl EagerThief {
+    pub fn new(program: &Program) -> Self {
         EagerThief {
-            program,
-            templates: granlog_engine::template::compile_program(program).into(),
+            image: Image::new(program),
             stolen: AtomicUsize::new(0),
         }
     }
 }
 
-impl ParHook for EagerThief<'_> {
+impl ParHook for EagerThief {
     fn offer(&self, arms: &[Arc<Offer>]) {
         for arm in arms {
             assert!(arm.claim(), "nobody else has seen the arm yet");
-            let mut machine = Machine::with_templates(
-                self.program,
-                MachineConfig::default(),
-                Arc::clone(&self.templates),
-            );
+            let mut machine =
+                Machine::from_image(Arc::clone(&self.image), MachineConfig::default());
             arm.complete(machine.run_arm(arm.arm(), Some(self)));
             self.stolen.fetch_add(1, Ordering::Relaxed);
         }
