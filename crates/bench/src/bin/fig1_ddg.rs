@@ -5,37 +5,6 @@
 //! cargo run -p granlog-bench --bin fig1_ddg
 //! ```
 
-use granlog_analysis::ddg::Ddg;
-use granlog_bench::emit;
-use granlog_benchmarks::nrev_benchmark;
-use granlog_ir::PredId;
-use std::fmt::Write as _;
-
 fn main() {
-    let program = nrev_benchmark().program().expect("nrev parses");
-    let mut out = String::new();
-    for (pred, arity) in [("nrev", 2usize), ("append", 3usize)] {
-        let pid = PredId::parse(pred, arity);
-        let modes = program.mode_of(pid).expect("modes declared").clone();
-        for (i, clause) in program.clauses_of(pid).iter().enumerate() {
-            let ddg = Ddg::build(clause, &modes);
-            let _ = writeln!(
-                out,
-                "Figure 1 — data dependency graph of {pred}/{arity}, clause {}",
-                i + 1
-            );
-            let _ = writeln!(out, "  clause: {}", clause.display());
-            let _ = writeln!(out, "{}", indent(&ddg.to_ascii(), 2));
-            let _ = writeln!(out, "  graphviz:\n{}", indent(&ddg.to_dot(), 4));
-        }
-    }
-    emit("fig1_ddg", &out);
-}
-
-fn indent(text: &str, by: usize) -> String {
-    let pad = " ".repeat(by);
-    text.lines()
-        .map(|l| format!("{pad}{l}"))
-        .collect::<Vec<_>>()
-        .join("\n")
+    granlog_bench::emit("fig1_ddg", &granlog_bench::fig1_ddg());
 }

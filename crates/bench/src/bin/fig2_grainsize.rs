@@ -14,33 +14,7 @@
 //! cargo run --release -p granlog-bench --bin fig2_grainsize
 //! ```
 
-use granlog_bench::{default_grain_sizes, emit, format_sweep};
-use granlog_benchmarks::{benchmark, grain_size_sweep};
-use granlog_sim::SimConfig;
-
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
-    let config = SimConfig::rolog4();
-    let subjects = [
-        ("fib", if small { 12 } else { 15 }),
-        ("quick_sort", if small { 25 } else { 75 }),
-        ("hanoi", if small { 5 } else { 6 }),
-        ("merge_sort", if small { 32 } else { 128 }),
-    ];
-    let grains = default_grain_sizes();
-    let mut output = String::new();
-    for (name, size) in subjects {
-        let bench = benchmark(name).expect("benchmark exists");
-        eprintln!(
-            "sweeping {name}({size}) over {} grain sizes ...",
-            grains.len()
-        );
-        let points = grain_size_sweep(&bench, size, &config, &grains);
-        output.push_str(&format_sweep(
-            &format!("Figure 2 — {name}({size}), execution time vs. grain size"),
-            &points,
-        ));
-        output.push('\n');
-    }
-    emit("fig2_grainsize", &output);
+    granlog_bench::emit("fig2_grainsize", &granlog_bench::fig2_grainsize(small));
 }

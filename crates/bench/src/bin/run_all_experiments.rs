@@ -7,10 +7,8 @@
 
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_analysis::CostMetric;
-use granlog_bench::{default_grain_sizes, emit, format_sweep, format_table};
-use granlog_benchmarks::{
-    all_benchmarks, benchmark, grain_size_sweep, table2_benchmarks, table_row,
-};
+use granlog_bench::{emit, fig1_ddg, fig2_grainsize, table1_rolog, table2_andprolog};
+use granlog_benchmarks::{benchmark, table_row};
 use granlog_ir::PredId;
 use granlog_sim::{OverheadModel, SimConfig};
 use std::fmt::Write as _;
@@ -20,56 +18,11 @@ fn main() {
     let small = args.iter().any(|a| a == "--small");
     let ablations = args.iter().any(|a| a == "--ablations");
 
-    // ---- Table 1 ----------------------------------------------------------
-    let rolog = SimConfig::rolog4();
-    let mut rows = Vec::new();
-    for bench in all_benchmarks() {
-        let size = if small {
-            bench.test_size
-        } else {
-            bench.default_size
-        };
-        eprintln!("[table 1] {}({size})", bench.name);
-        rows.push(table_row(&bench, size, &rolog));
-    }
-    emit(
-        "table1_rolog",
-        &format_table("Table 1 — ROLOG-like machine, 4 processors", &rows),
-    );
-
-    // ---- Table 2 ----------------------------------------------------------
-    let andp = SimConfig::and_prolog4();
-    let mut rows = Vec::new();
-    for bench in table2_benchmarks() {
-        let size = if small {
-            bench.test_size
-        } else {
-            bench.default_size
-        };
-        eprintln!("[table 2] {}({size})", bench.name);
-        rows.push(table_row(&bench, size, &andp));
-    }
-    emit(
-        "table2_andprolog",
-        &format_table("Table 2 — &-Prolog-like machine, 4 processors", &rows),
-    );
-
-    // ---- Figure 2 ---------------------------------------------------------
-    let mut fig2 = String::new();
-    for (name, size) in [
-        ("fib", if small { 12 } else { 15 }),
-        ("quick_sort", if small { 25 } else { 75 }),
-    ] {
-        let bench = benchmark(name).expect("benchmark exists");
-        eprintln!("[figure 2] {name}({size})");
-        let points = grain_size_sweep(&bench, size, &rolog, &default_grain_sizes());
-        fig2.push_str(&format_sweep(
-            &format!("Figure 2 — {name}({size}) on the ROLOG-like machine"),
-            &points,
-        ));
-        fig2.push('\n');
-    }
-    emit("fig2_grainsize", &fig2);
+    // ---- The paper's four artefacts, as their own binaries print them ----
+    emit("fig1_ddg", &fig1_ddg());
+    emit("table1_rolog", &table1_rolog(small));
+    emit("table2_andprolog", &table2_andprolog(small));
+    emit("fig2_grainsize", &fig2_grainsize(small));
 
     if !ablations {
         return;

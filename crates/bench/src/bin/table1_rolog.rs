@@ -9,27 +9,7 @@
 //! Pass `--small` to run reduced input sizes (used by CI / the integration
 //! tests).
 
-use granlog_bench::{emit, format_table};
-use granlog_benchmarks::{all_benchmarks, table_row};
-use granlog_sim::SimConfig;
-
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
-    let config = SimConfig::rolog4();
-    let mut rows = Vec::new();
-    for bench in all_benchmarks() {
-        let size = if small {
-            bench.test_size
-        } else {
-            bench.default_size
-        };
-        eprintln!("running {}({size}) ...", bench.name);
-        rows.push(table_row(&bench, size, &config));
-    }
-    let title = format!(
-        "Table 1 — ROLOG-like machine, {} processors (per-task overhead {:.0} units)",
-        config.processors,
-        config.overhead.per_task_overhead()
-    );
-    emit("table1_rolog", &format_table(&title, &rows));
+    granlog_bench::emit("table1_rolog", &granlog_bench::table1_rolog(small));
 }

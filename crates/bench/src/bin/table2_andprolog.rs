@@ -6,27 +6,7 @@
 //! cargo run --release -p granlog-bench --bin table2_andprolog
 //! ```
 
-use granlog_bench::{emit, format_table};
-use granlog_benchmarks::{table2_benchmarks, table_row};
-use granlog_sim::SimConfig;
-
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
-    let config = SimConfig::and_prolog4();
-    let mut rows = Vec::new();
-    for bench in table2_benchmarks() {
-        let size = if small {
-            bench.test_size
-        } else {
-            bench.default_size
-        };
-        eprintln!("running {}({size}) ...", bench.name);
-        rows.push(table_row(&bench, size, &config));
-    }
-    let title = format!(
-        "Table 2 — &-Prolog-like machine, {} processors (per-task overhead {:.0} units)",
-        config.processors,
-        config.overhead.per_task_overhead()
-    );
-    emit("table2_andprolog", &format_table(&title, &rows));
+    granlog_bench::emit("table2_andprolog", &granlog_bench::table2_andprolog(small));
 }

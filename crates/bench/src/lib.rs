@@ -13,19 +13,129 @@
 //! | `table2_andprolog` | Table 2 — 4 benchmarks on the &-Prolog-like machine |
 //! | `run_all_experiments` | everything above, plus ablations |
 //!
-//! This library crate contains small formatting helpers shared by the
-//! binaries and the integration tests. The package also hosts the
-//! workspace-level integration suites under `tests/`. Nothing here measures
-//! wall clock: timings come from `benchmark/`, and the engines' operation
-//! counts are pinned by `tests/counter_oracle.rs`.
+//! Each artefact is one function of this library ([`fig1_ddg`],
+//! [`table1_rolog`], [`table2_andprolog`], [`fig2_grainsize`]); its binary
+//! and `run_all_experiments` print what that function returns. The package
+//! also hosts the workspace-level integration suites under `tests/`.
+//! Nothing here measures wall clock: timings come from `benchmark/`, and the
+//! engines' operation counts are pinned by `tests/counter_oracle.rs`.
 
 #![forbid(unsafe_code)]
 
-use granlog_benchmarks::TableRow;
+use granlog_analysis::ddg::Ddg;
+use granlog_benchmarks::{
+    all_benchmarks, benchmark, grain_size_sweep, nrev_benchmark, table2_benchmarks, table_row,
+    Benchmark, TableRow,
+};
+use granlog_ir::PredId;
+use granlog_sim::SimConfig;
 use std::fmt::Write as _;
 
+/// **Figure 1**: the data dependency graphs of the two clauses of `nrev/2`
+/// (and, for completeness, of `append/3`), as ASCII and as Graphviz.
+pub fn fig1_ddg() -> String {
+    let program = nrev_benchmark().program().expect("nrev parses");
+    let mut out = String::new();
+    for (pred, arity) in [("nrev", 2usize), ("append", 3usize)] {
+        let pid = PredId::parse(pred, arity);
+        let modes = program.mode_of(pid).expect("modes declared").clone();
+        for (i, clause) in program.clauses_of(pid).iter().enumerate() {
+            let ddg = Ddg::build(clause, &modes);
+            let _ = writeln!(
+                out,
+                "Figure 1 — data dependency graph of {pred}/{arity}, clause {}",
+                i + 1
+            );
+            let _ = writeln!(out, "  clause: {}", clause.display());
+            let _ = writeln!(out, "{}", indent(&ddg.to_ascii(), 2));
+            let _ = writeln!(out, "  graphviz:\n{}", indent(&ddg.to_dot(), 4));
+        }
+    }
+    out
+}
+
+fn indent(text: &str, by: usize) -> String {
+    let pad = " ".repeat(by);
+    text.lines()
+        .map(|l| format!("{pad}{l}"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// **Table 1**: the twelve benchmarks on a 4-processor machine with a
+/// ROLOG-like (high) task-management overhead, with (`T1`) and without
+/// (`T0`) granularity control. `small` runs the reduced test sizes.
+pub fn table1_rolog(small: bool) -> String {
+    table(
+        "Table 1 — ROLOG-like machine",
+        &SimConfig::rolog4(),
+        all_benchmarks(),
+        small,
+    )
+}
+
+/// **Table 2**: the four benchmarks the paper measured on &-Prolog (low
+/// task-management overhead), with and without granularity control.
+pub fn table2_andprolog(small: bool) -> String {
+    table(
+        "Table 2 — &-Prolog-like machine",
+        &SimConfig::and_prolog4(),
+        table2_benchmarks(),
+        small,
+    )
+}
+
+fn table(name: &str, config: &SimConfig, benches: Vec<Benchmark>, small: bool) -> String {
+    let rows: Vec<TableRow> = benches
+        .iter()
+        .map(|bench| {
+            let size = if small {
+                bench.test_size
+            } else {
+                bench.default_size
+            };
+            eprintln!("running {}({size}) ...", bench.name);
+            table_row(bench, size, config)
+        })
+        .collect();
+    let title = format!(
+        "{name}, {} processors (per-task overhead {:.0} units)",
+        config.processors,
+        config.overhead.per_task_overhead()
+    );
+    format_table(&title, &rows)
+}
+
+/// **Figure 2**: total execution time as a function of the grain-size
+/// threshold, for four benchmarks on the ROLOG-like 4-processor machine.
+pub fn fig2_grainsize(small: bool) -> String {
+    let config = SimConfig::rolog4();
+    let subjects = [
+        ("fib", if small { 12 } else { 15 }),
+        ("quick_sort", if small { 25 } else { 75 }),
+        ("hanoi", if small { 5 } else { 6 }),
+        ("merge_sort", if small { 32 } else { 128 }),
+    ];
+    let grains = default_grain_sizes();
+    let mut output = String::new();
+    for (name, size) in subjects {
+        let bench = benchmark(name).expect("benchmark exists");
+        eprintln!(
+            "sweeping {name}({size}) over {} grain sizes ...",
+            grains.len()
+        );
+        let points = grain_size_sweep(&bench, size, &config, &grains);
+        output.push_str(&format_sweep(
+            &format!("Figure 2 — {name}({size}), execution time vs. grain size"),
+            &points,
+        ));
+        output.push('\n');
+    }
+    output
+}
+
 /// Renders Table-1/Table-2 style rows as a fixed-width text table.
-pub fn format_table(title: &str, rows: &[TableRow]) -> String {
+fn format_table(title: &str, rows: &[TableRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
     let _ = writeln!(out, "{}", "=".repeat(title.len()));
@@ -54,7 +164,7 @@ pub fn format_table(title: &str, rows: &[TableRow]) -> String {
 /// Renders a Figure-2 style series (grain size vs. execution time) as text,
 /// including a crude horizontal bar chart so the "trough" shape is visible in
 /// a terminal.
-pub fn format_sweep(title: &str, points: &[granlog_benchmarks::SweepPoint]) -> String {
+fn format_sweep(title: &str, points: &[granlog_benchmarks::SweepPoint]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
     let _ = writeln!(out, "{}", "=".repeat(title.len()));
@@ -93,7 +203,7 @@ pub fn emit(name: &str, content: &str) {
 }
 
 /// The grain-size grid used for the Figure 2 sweep.
-pub fn default_grain_sizes() -> Vec<u64> {
+fn default_grain_sizes() -> Vec<u64> {
     vec![
         0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 256, 512, 1024, 4096,
     ]

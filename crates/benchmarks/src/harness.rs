@@ -74,8 +74,8 @@ pub struct SweepPoint {
     pub spawned_tasks: usize,
 }
 
-/// Executes a prepared program on the engine (on a large-stack worker thread)
-/// and returns the engine outcome.
+/// Executes a prepared program on the engine, on the caller's stack (no walk
+/// over run-time terms recurses), and returns the engine outcome.
 ///
 /// # Panics
 ///
@@ -83,12 +83,9 @@ pub struct SweepPoint {
 /// bundled benchmarks both indicate a bug, and the experiment harness wants a
 /// loud failure rather than a silently missing table row.
 pub fn execute(program: Program, query: String) -> QueryOutcome {
-    granlog_engine::with_large_stack(move || {
-        let mut machine = Machine::with_config(&program, MachineConfig::default());
-        machine
-            .run_query(&query)
-            .unwrap_or_else(|e| panic!("engine error while running {query}: {e}"))
-    })
+    Machine::with_config(&program, MachineConfig::default())
+        .run_query(&query)
+        .unwrap_or_else(|e| panic!("engine error while running {query}: {e}"))
 }
 
 /// Runs one benchmark at one size in one control mode on one simulated

@@ -426,6 +426,9 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         return Err(usage("run expects a file and a query"));
     };
     let program = load_program(path)?;
+    // One reading of the goal, whichever engine answers it: a malformed
+    // goal is a parse error, not an execution error of one engine.
+    let (goal, var_names) = granlog_ir::parser::parse_term(query)?;
     if options.engine == Engine::BottomUp {
         // Bottom-up evaluation is set-at-a-time: there is no task tree to
         // simulate and no spawn decision to control, so the SLD-side knobs
@@ -442,7 +445,14 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
                  has none (its fixpoint stats are printed unconditionally)",
             ));
         }
-        return cmd_run_bottom_up(&program, query, options.trace.as_deref(), out);
+        return cmd_run_bottom_up(
+            &program,
+            query,
+            &goal,
+            &var_names,
+            options.trace.as_deref(),
+            out,
+        );
     }
     if let Some(threads) = options.threads {
         // Real execution and the simulation path are mutually exclusive:
@@ -465,7 +475,7 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
                  each worker has its own machine (profile sequentially)",
             ));
         }
-        return cmd_run_parallel(options, threads, &program, query, out);
+        return cmd_run_parallel(options, threads, &program, query, &goal, &var_names, out);
     }
     let analysis = analyze_program(&program, &AnalysisOptions::default());
     let mode = options.mode.unwrap_or(ControlMode::WithControl);
@@ -478,7 +488,7 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         },
     );
     let outcome = traced(options.trace.as_deref(), query, |_| {
-        let outcome = machine.run_query(query)?;
+        let outcome = machine.run_goal(&goal, &var_names)?;
         let end = vec![
             ("ok", outcome.succeeded.into()),
             ("resolutions", outcome.counters.resolutions.into()),
@@ -617,6 +627,8 @@ fn cmd_run_parallel(
     threads: usize,
     program: &Program,
     query: &str,
+    goal: &Term,
+    var_names: &[Symbol],
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
     let mut executor = ParExecutor::new(
@@ -636,7 +648,7 @@ fn cmd_run_parallel(
             Arc::new(granlog_par::ParObs::register(&registry, Arc::clone(t)))
         }));
         let start = std::time::Instant::now();
-        let outcome = executor.run_query(query)?;
+        let outcome = executor.run_goal(goal, var_names)?;
         let wall = start.elapsed();
         let end = vec![
             ("ok", outcome.succeeded.into()),
@@ -672,14 +684,15 @@ fn cmd_run_parallel(
 fn cmd_run_bottom_up(
     program: &Program,
     query: &str,
+    goal: &Term,
+    var_names: &[Symbol],
     trace: Option<&str>,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
     let compiled = granlog_datalog::CompiledDatalog::compile(program)?;
     let (database, answers) = traced(trace, query, |tracer| {
         let database = compiled.evaluate_traced(tracer.map(|t| &**t))?;
-        let (goal, var_names) = granlog_ir::parser::parse_term(query)?;
-        let answers = database.query(&goal, &var_names)?;
+        let answers = database.query(goal, var_names)?;
         let end = vec![
             ("ok", answers.succeeded().into()),
             ("answers", answers.rows.len().into()),
@@ -1460,5 +1473,21 @@ mod tests {
             run(&["analyze", path.to_str().unwrap()]),
             Err(CliError::Parse(_))
         ));
+    }
+
+    #[test]
+    fn a_malformed_goal_is_a_parse_error_on_every_engine() {
+        let path = write_temp("goal_parse.pl", "e(1).");
+        let path = path.to_str().unwrap();
+        for engine in [
+            &["run", path, "e("][..],
+            &["run", path, "e(", "--threads", "2"],
+            &["run", path, "e(", "--engine", "bottom-up"],
+        ] {
+            match run(engine) {
+                Err(CliError::Parse(e)) => assert!(e.to_string().contains("1:3"), "{e}"),
+                other => panic!("{engine:?}: {other:?}"),
+            }
+        }
     }
 }

@@ -23,15 +23,16 @@
 //! * compound terms by arity, then functor name alphabetically, then
 //!   arguments left to right.
 //!
-//! `\=` runs an *uncounted* unifiability probe over cells (the machine's
-//! crate-private `unify_probe`) and undoes its trail entries, so it is
-//! allocation-free and leaves no bindings — with operation counters
-//! identical to the seed's resolve-and-mgu implementation.
+//! `\=` runs the machine's unifier *uncounted* over cells and undoes its
+//! trail entries, so it is allocation-free and leaves no bindings — with
+//! operation counters identical to the seed's resolve-and-mgu
+//! implementation. Comparison and `ground/1` are loops over the same pair
+//! walker as unification.
 
 use crate::arith::eval;
-use crate::error::{EngineError, EngineResult};
+use crate::error::{EngineError, EngineResult, TermLimit};
 use crate::heap::HCell;
-use crate::machine::Machine;
+use crate::machine::{Charge, Machine, Pair};
 use granlog_ir::builtins::Builtin;
 use granlog_ir::Measure;
 use std::cmp::Ordering;
@@ -51,28 +52,28 @@ pub(crate) fn dispatch(machine: &mut Machine, builtin: Builtin, goal: HCell) -> 
     let result = match builtin {
         Builtin::Unify => {
             machine.charge_builtin();
-            machine.unify(args, args + 1)
+            machine.unify(args, args + 1, Charge::Counted)?
         }
         Builtin::NotUnifiable => {
             machine.charge_builtin();
             // Probe-and-undo directly over cells: bind through the trail,
             // then rewind to the mark. No materialization, no allocation.
             let mark = machine.trail_mark();
-            let unifiable = machine.unify_probe(args, args + 1);
+            let unifiable = machine.unify(args, args + 1, Charge::Uncounted);
             machine.undo_trail(mark);
-            !unifiable
+            !unifiable?
         }
         Builtin::StructEq => {
             machine.charge_builtin();
-            compare_cells(machine, args, args + 1) == Ordering::Equal
+            compare_cells(machine, args, args + 1)? == Ordering::Equal
         }
         Builtin::StructNe => {
             machine.charge_builtin();
-            compare_cells(machine, args, args + 1) != Ordering::Equal
+            compare_cells(machine, args, args + 1)? != Ordering::Equal
         }
         Builtin::TermLt | Builtin::TermGt | Builtin::TermLe | Builtin::TermGe => {
             machine.charge_builtin();
-            let ord = compare_cells(machine, args, args + 1);
+            let ord = compare_cells(machine, args, args + 1)?;
             match builtin {
                 Builtin::TermLt => ord == Ordering::Less,
                 Builtin::TermGt => ord == Ordering::Greater,
@@ -83,7 +84,7 @@ pub(crate) fn dispatch(machine: &mut Machine, builtin: Builtin, goal: HCell) -> 
         Builtin::Is => {
             machine.charge_builtin();
             let value = eval(machine, args + 1)?;
-            machine.unify_cell(args, value.to_cell())
+            machine.unify_cell(args, value.to_cell())?
         }
         Builtin::NumCompare(op) => {
             machine.charge_builtin();
@@ -124,11 +125,11 @@ pub(crate) fn dispatch(machine: &mut Machine, builtin: Builtin, goal: HCell) -> 
         }
         Builtin::Ground => {
             machine.charge_builtin();
-            is_ground(machine, args)
+            is_ground(machine, args)?
         }
         Builtin::IsList => {
             machine.charge_builtin();
-            list_length(machine, args, u64::MAX).is_some()
+            list_length(machine, args).is_some()
         }
         Builtin::Functor => {
             machine.charge_builtin();
@@ -143,14 +144,14 @@ pub(crate) fn dispatch(machine: &mut Machine, builtin: Builtin, goal: HCell) -> 
                         builtin: "arg",
                         message: format!(
                             "first argument must be an integer, got {:?}",
-                            machine.resolve_cell(other)
+                            machine.extract_cell(other)?
                         ),
                     })
                 }
             };
             match machine.deref_arg(args, 1) {
                 HCell::Struct(_, arity, base) if n >= 1 && n as u32 <= arity => {
-                    machine.unify(args + 2, base as usize + (n - 1) as usize)
+                    machine.unify(args + 2, base as usize + (n - 1) as usize, Charge::Counted)?
                 }
                 _ => false,
             }
@@ -161,8 +162,8 @@ pub(crate) fn dispatch(machine: &mut Machine, builtin: Builtin, goal: HCell) -> 
         }
         Builtin::Length => {
             machine.charge_builtin();
-            match list_length(machine, args, u64::MAX) {
-                Some(n) => machine.unify_cell(args + 1, HCell::Int(n as i64)),
+            match list_length(machine, args) {
+                Some(n) => machine.unify_cell(args + 1, HCell::Int(n as i64))?,
                 None => false,
             }
         }
@@ -211,25 +212,30 @@ fn builtin_functor(machine: &mut Machine, args: usize) -> EngineResult<bool> {
             match name {
                 HCell::Atom(s) => {
                     if arity == 0 {
-                        Ok(machine.unify_cell(args, HCell::Atom(s)))
+                        Ok(machine.unify_cell(args, HCell::Atom(s))?)
                     } else {
                         // The fresh argument block doubles as the fresh
                         // variables themselves.
                         let base = machine.fresh_vars(arity);
-                        Ok(machine.unify_cell(args, HCell::Struct(s, arity as u32, base as u32)))
+                        Ok(
+                            machine
+                                .unify_cell(args, HCell::Struct(s, arity as u32, base as u32))?,
+                        )
                     }
                 }
-                HCell::Int(_) | HCell::Float(_) if arity == 0 => Ok(machine.unify_cell(args, name)),
+                HCell::Int(_) | HCell::Float(_) if arity == 0 => {
+                    Ok(machine.unify_cell(args, name)?)
+                }
                 _ => Ok(false),
             }
         }
-        HCell::Atom(s) => Ok(machine.unify_cell(args + 1, HCell::Atom(s))
-            && machine.unify_cell(args + 2, HCell::Int(0))),
+        HCell::Atom(s) => Ok(machine.unify_cell(args + 1, HCell::Atom(s))?
+            && machine.unify_cell(args + 2, HCell::Int(0))?),
         c @ (HCell::Int(_) | HCell::Float(_)) => {
-            Ok(machine.unify_cell(args + 1, c) && machine.unify_cell(args + 2, HCell::Int(0)))
+            Ok(machine.unify_cell(args + 1, c)? && machine.unify_cell(args + 2, HCell::Int(0))?)
         }
-        HCell::Struct(s, arity, _) => Ok(machine.unify_cell(args + 1, HCell::Atom(s))
-            && machine.unify_cell(args + 2, HCell::Int(arity as i64))),
+        HCell::Struct(s, arity, _) => Ok(machine.unify_cell(args + 1, HCell::Atom(s))?
+            && machine.unify_cell(args + 2, HCell::Int(arity as i64))?),
     }
 }
 
@@ -244,11 +250,11 @@ fn builtin_univ(machine: &mut Machine, args: usize) -> EngineResult<bool> {
                 items.push(machine.cell(base as usize + k));
             }
             let list = machine.write_list(&items);
-            Ok(machine.unify_cell(args + 1, list))
+            Ok(machine.unify_cell(args + 1, list)?)
         }
         c @ (HCell::Atom(_) | HCell::Int(_) | HCell::Float(_)) => {
             let list = machine.write_list(&[c]);
-            Ok(machine.unify_cell(args + 1, list))
+            Ok(machine.unify_cell(args + 1, list)?)
         }
         HCell::Ref(_) => {
             // Construct from the list.
@@ -281,15 +287,15 @@ fn builtin_univ(machine: &mut Machine, args: usize) -> EngineResult<bool> {
             match head {
                 HCell::Atom(s) => {
                     if rest.is_empty() {
-                        Ok(machine.unify_cell(args, HCell::Atom(s)))
+                        Ok(machine.unify_cell(args, HCell::Atom(s))?)
                     } else {
                         let base = machine.write_args(rest);
                         Ok(machine
-                            .unify_cell(args, HCell::Struct(s, rest.len() as u32, base as u32)))
+                            .unify_cell(args, HCell::Struct(s, rest.len() as u32, base as u32))?)
                     }
                 }
                 HCell::Int(_) | HCell::Float(_) if rest.is_empty() => {
-                    Ok(machine.unify_cell(args, head))
+                    Ok(machine.unify_cell(args, head)?)
                 }
                 _ => Ok(false),
             }
@@ -297,10 +303,9 @@ fn builtin_univ(machine: &mut Machine, args: usize) -> EngineResult<bool> {
     }
 }
 
-/// The standard order of terms, computed directly over heap cells (see the
-/// module docs for the exact order). Recursion is bounded by term depth,
-/// like unification.
-pub(crate) fn compare_cells(machine: &Machine, a: usize, b: usize) -> Ordering {
+/// The standard order of terms over heap cells (see the module docs): the
+/// order of the first pair of cells that differ.
+fn compare_cells(machine: &mut Machine, a: usize, b: usize) -> Result<Ordering, TermLimit> {
     /// Var < Number < Atom < Compound.
     fn rank(c: HCell) -> u8 {
         match c {
@@ -310,53 +315,55 @@ pub(crate) fn compare_cells(machine: &Machine, a: usize, b: usize) -> Ordering {
             HCell::Struct(..) => 3,
         }
     }
-    let da = machine.deref_idx(a);
-    let db = machine.deref_idx(b);
-    let (ca, cb) = (machine.cell(da), machine.cell(db));
-    match (ca, cb) {
-        (HCell::Ref(_), HCell::Ref(_)) => da.cmp(&db),
-        (HCell::Int(x), HCell::Int(y)) => x.cmp(&y),
-        (HCell::Float(x), HCell::Float(y)) => x.total_cmp(&y),
-        // Mixed numbers embed the integer into the float total order
-        // (`total_cmp`, so NaN sits consistently above +inf on both the
-        // homogeneous and the mixed path — the order stays transitive);
-        // on a numeric tie the float comes first. (The f64 round trip
-        // loses precision above 2^53, the usual caveat of the standard
-        // order's mixed comparison.)
-        (HCell::Int(x), HCell::Float(y)) => (x as f64).total_cmp(&y).then(Ordering::Greater),
-        (HCell::Float(x), HCell::Int(y)) => x.total_cmp(&(y as f64)).then(Ordering::Less),
-        (HCell::Atom(x), HCell::Atom(y)) => x.as_str().cmp(y.as_str()),
-        (HCell::Struct(f, n, pa), HCell::Struct(g, m, pb)) => n
-            .cmp(&m)
-            .then_with(|| f.as_str().cmp(g.as_str()))
-            .then_with(|| {
-                for k in 0..n as usize {
-                    let ord = compare_cells(machine, pa as usize + k, pb as usize + k);
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
+    let order = machine.walk_pairs(a, b, TermLimit::Compare, |machine, a, b| {
+        let (da, db) = (machine.deref_idx(a), machine.deref_idx(b));
+        let (ca, cb) = (machine.cell(da), machine.cell(db));
+        let ord = match (ca, cb) {
+            (HCell::Ref(_), HCell::Ref(_)) => da.cmp(&db),
+            (HCell::Int(x), HCell::Int(y)) => x.cmp(&y),
+            (HCell::Float(x), HCell::Float(y)) => x.total_cmp(&y),
+            // Mixed numbers embed the integer into the float total order
+            // (`total_cmp`, so NaN sits consistently above +inf on both the
+            // homogeneous and the mixed path — the order stays transitive);
+            // on a numeric tie the float comes first. (The f64 round trip
+            // loses precision above 2^53, the usual caveat of the standard
+            // order's mixed comparison.)
+            (HCell::Int(x), HCell::Float(y)) => (x as f64).total_cmp(&y).then(Ordering::Greater),
+            (HCell::Float(x), HCell::Int(y)) => x.total_cmp(&(y as f64)).then(Ordering::Less),
+            (HCell::Atom(x), HCell::Atom(y)) => x.as_str().cmp(y.as_str()),
+            (HCell::Struct(f, n, pa), HCell::Struct(g, m, pb)) => {
+                match n.cmp(&m).then_with(|| f.as_str().cmp(g.as_str())) {
+                    Ordering::Equal => return Pair::Args(pa, pb, n),
+                    ord => ord,
                 }
-                Ordering::Equal
-            }),
-        _ => rank(ca).cmp(&rank(cb)),
-    }
-}
-
-/// Is the term at `idx` free of unbound variables? A cell walk — nothing is
-/// materialized.
-fn is_ground(machine: &Machine, idx: usize) -> bool {
-    match machine.cell(machine.deref_idx(idx)) {
-        HCell::Ref(_) => false,
-        HCell::Atom(_) | HCell::Int(_) | HCell::Float(_) => true,
-        HCell::Struct(_, arity, base) => {
-            (0..arity as usize).all(|k| is_ground(machine, base as usize + k))
+            }
+            _ => rank(ca).cmp(&rank(cb)),
+        };
+        match ord {
+            Ordering::Equal => Pair::Same,
+            ord => Pair::Differ(ord),
         }
-    }
+    })?;
+    Ok(order.unwrap_or(Ordering::Equal))
 }
 
-/// Walks a list spine counting elements, up to `limit`. Returns `None` for
-/// partial or improper lists. A pure cell walk: no clones, no allocation.
-fn list_length(machine: &Machine, idx: usize, limit: u64) -> Option<u64> {
+/// Is the term at `idx` free of unbound variables? The term is walked
+/// against itself, up to its first unbound cell.
+fn is_ground(machine: &mut Machine, idx: usize) -> Result<bool, TermLimit> {
+    let unbound = machine.walk_pairs(idx, idx, TermLimit::Ground, |machine, a, _| {
+        let cell = machine.cell(machine.deref_idx(a));
+        match cell {
+            HCell::Ref(_) => Pair::Differ(()),
+            HCell::Struct(_, arity, base) => Pair::Args(base, base, arity),
+            _ => Pair::Same,
+        }
+    })?;
+    Ok(unbound.is_none())
+}
+
+/// Walks a list spine counting elements. Returns `None` for partial or
+/// improper lists. A pure cell walk: no clones, no allocation.
+fn list_length(machine: &Machine, idx: usize) -> Option<u64> {
     let wk = granlog_ir::symbol::well_known::get();
     let mut count = 0u64;
     let mut cur = machine.deref_idx(idx);
@@ -365,9 +372,6 @@ fn list_length(machine: &Machine, idx: usize, limit: u64) -> Option<u64> {
             HCell::Atom(s) if s == wk.nil => return Some(count),
             HCell::Struct(s, 2, base) if s == wk.cons => {
                 count += 1;
-                if count >= limit {
-                    return Some(count);
-                }
                 cur = machine.deref_idx(base as usize + 1);
             }
             _ => return None,
@@ -445,21 +449,20 @@ fn bounded_term_size(machine: &Machine, idx: usize, limit: u64) -> u64 {
 }
 
 fn bounded_depth(machine: &Machine, idx: usize, limit: u64) -> u64 {
-    fn go(machine: &Machine, idx: usize, limit: u64) -> u64 {
-        if limit == 0 {
-            return 0;
-        }
-        match machine.cell(machine.deref_idx(idx)) {
-            HCell::Struct(_, arity, base) => {
-                1 + (0..arity as usize)
-                    .map(|k| go(machine, base as usize + k, limit - 1))
-                    .max()
-                    .unwrap_or(0)
+    let mut deepest = 0;
+    // Cells to look at, each with the number of structs above it.
+    let mut stack = vec![(idx, 0)];
+    while let Some((cur, above)) = stack.pop() {
+        if let HCell::Struct(_, arity, base) = machine.cell(machine.deref_idx(cur)) {
+            let depth = above + 1;
+            if depth >= limit {
+                return limit;
             }
-            _ => 0,
+            deepest = deepest.max(depth);
+            stack.extend((0..arity as usize).map(|k| (base as usize + k, depth)));
         }
     }
-    go(machine, idx, limit)
+    deepest
 }
 
 #[cfg(test)]

@@ -14,6 +14,23 @@ pub enum BudgetKind {
     Wall,
 }
 
+/// The walk over run-time term cells that stopped at its bound (see
+/// [`EngineError::TermLimit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TermLimit {
+    /// Copying a term out of the arena went more levels deep than the arena
+    /// has cells, which only a cyclic term can do.
+    Cyclic,
+    /// Copying a term out of the arena.
+    Copy,
+    /// Unification.
+    Unify,
+    /// A standard-order comparison.
+    Compare,
+    /// `ground/1`.
+    Ground,
+}
+
 /// An error produced while executing a query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
@@ -36,6 +53,11 @@ pub enum EngineError {
     },
     /// A goal was not callable (e.g. an unbound variable or a number).
     NotCallable(Term),
+    /// A walk over a run-time term stopped at its bound instead of looping
+    /// or exhausting memory: there is no occurs check, so `X = f(X)` builds
+    /// a cyclic term. Past [`crate::machine::MAX_WALK_CELLS`] cells the
+    /// term is cyclic or too large to walk.
+    TermLimit(TermLimit),
     /// A non-preemptible solve budget was exhausted (see `Budget`): the run
     /// state has been unwound (arena truncated, trail empty) and the machine
     /// is immediately reusable for the next query.
@@ -68,6 +90,14 @@ impl fmt::Display for EngineError {
                 write!(f, "type error in {builtin}: {message}")
             }
             EngineError::NotCallable(t) => write!(f, "goal is not callable: {t}"),
+            EngineError::TermLimit(TermLimit::Cyclic) => {
+                write!(f, "cyclic term: it has no finite copy")
+            }
+            EngineError::TermLimit(walk) => write!(
+                f,
+                "{walk:?} walk stopped after {} cells: the term is cyclic or too large",
+                crate::machine::MAX_WALK_CELLS
+            ),
             EngineError::BudgetExceeded { resource, limit } => match resource {
                 BudgetKind::Steps => {
                     write!(f, "step budget of {limit} head attempts exceeded")
@@ -86,6 +116,12 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+impl From<TermLimit> for EngineError {
+    fn from(walk: TermLimit) -> Self {
+        EngineError::TermLimit(walk)
+    }
+}
 
 /// Result alias for engine operations.
 pub type EngineResult<T> = Result<T, EngineError>;
@@ -131,5 +167,11 @@ mod tests {
         assert!(e.to_string().contains("engine.arena.grow"));
         let e = EngineError::WorkerPanic("arm 3 exploded".into());
         assert!(e.to_string().contains("arm 3 exploded"));
+        let e = EngineError::TermLimit(TermLimit::Cyclic);
+        assert!(e.to_string().starts_with("cyclic term"));
+        let e = EngineError::TermLimit(TermLimit::Unify);
+        assert!(e
+            .to_string()
+            .starts_with("Unify walk stopped after 16777216 cells"));
     }
 }

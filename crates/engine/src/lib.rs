@@ -18,7 +18,11 @@
 //! * a fully iterative machine: clause bodies — control constructs included —
 //!   compile once into template step sequences, and negation / conditions /
 //!   `&` arms run behind explicit barrier records instead of native Rust
-//!   recursion (see [`machine`] and [`template`]);
+//!   recursion (see [`machine`] and [`template`]). Walks over run-time
+//!   terms are bounded loops too — a cyclic term (`X = f(X)`: there is no
+//!   occurs check) is a typed [`EngineError::TermLimit`] — so native
+//!   recursion is left only over source text, whose depth the reader
+//!   bounds (`granlog_ir::parser::MAX_TERM_DEPTH`; list spines excepted);
 //! * independent and-parallel semantics for `&` (each arm solved to its first
 //!   solution; the conjunction fails if any arm fails), executed inline,
 //!   with the later arms of a conjunction on offer to a pluggable parallel
@@ -68,7 +72,7 @@ pub mod tasktree;
 pub mod template;
 
 pub use cost::Counters;
-pub use error::{BudgetKind, EngineError, EngineResult};
+pub use error::{BudgetKind, EngineError, EngineResult, TermLimit};
 pub use heap::HCell;
 pub use image::Image;
 pub use machine::{
@@ -78,43 +82,3 @@ pub use par::{ArmAnswer, ArmResult, Offer, Packet, ParHook};
 pub use profile::PredProfile;
 pub use tasktree::{ForkSpan, Segment, Task, TaskId, TaskRecorder, TaskTree};
 pub use template::{Cell, ClauseTemplate, Seq, Step};
-
-/// Runs a closure on a thread with a large stack.
-///
-/// The explicit goal stack and barrier stack execute deterministic
-/// recursion, clause backtracking *and* control-construct nesting (`&` arms,
-/// negation, conditions) iteratively; the native stack only grows with term
-/// depth during unification, materialization and answer extraction.
-/// Experiment harnesses still wrap their runs in this helper as head-room
-/// for pathologically deep terms.
-///
-/// # Panics
-///
-/// Panics if the worker thread cannot be spawned or itself panics.
-pub fn with_large_stack<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
-    const STACK_BYTES: usize = 1024 * 1024 * 1024;
-    std::thread::Builder::new()
-        .stack_size(STACK_BYTES)
-        .spawn(f)
-        .expect("failed to spawn worker thread")
-        .join()
-        .expect("worker thread panicked")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use granlog_ir::parser::parse_program;
-
-    #[test]
-    fn with_large_stack_runs_deep_recursion() {
-        let result = with_large_stack(|| {
-            let program =
-                parse_program("count(0). count(N) :- N > 0, N1 is N - 1, count(N1).").unwrap();
-            let mut machine = Machine::new(&program);
-            let out = machine.run_query("count(50000)").unwrap();
-            out.counters.resolutions
-        });
-        assert_eq!(result, 50_001);
-    }
-}

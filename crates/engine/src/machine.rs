@@ -28,8 +28,12 @@
 //!   says what success and failure of the sub-solve mean. The machine is
 //!   fully iterative — no native Rust frame is consumed per barrier nesting
 //!   level, so control nesting is bounded by memory, not by the call stack.
-//!   (Native recursion remains only where it is bounded by *term depth*:
-//!   unification, template materialization and answer extraction.)
+//! * **Walks over run-time cells are bounded loops**: unification,
+//!   comparison and `ground/1` pop cell pairs off one stack, and a term
+//!   leaves the arena — answer, error message, stolen arm — by one
+//!   iterative copy, or as a typed [`EngineError::TermLimit`] when it is
+//!   cyclic or too large. Native recursion is left only over source text
+//!   (template materialization, writing a query goal).
 //! * **Cut** (`!`) is real: each clause activation records the choice-point
 //!   height at its call, and executing `!` prunes back to it — clamped to
 //!   the innermost barrier, which makes cut local to `\+` and to
@@ -54,7 +58,7 @@
 use crate::arith;
 use crate::builtins;
 use crate::cost::Counters;
-use crate::error::{BudgetKind, EngineError, EngineResult};
+use crate::error::{BudgetKind, EngineError, EngineResult, TermLimit};
 use crate::heap::{self, HCell};
 use crate::image::{CallTarget, Image};
 use crate::par::{ArmAnswer, Offer, Packet, ParHook};
@@ -64,6 +68,7 @@ use granlog_ir::symbol::well_known::{self, WellKnownSymbols};
 use granlog_ir::{
     parser, ClauseId, FastMap, Guard, GuardTable, IndexKey, Measure, PredId, Program, Symbol, Term,
 };
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -477,6 +482,38 @@ struct Barrier {
     heap_mark: usize,
 }
 
+/// The most cell pairs unification, comparison or `ground/1` visits, and
+/// the most cells a copy out of the arena writes, before the query ends in
+/// [`EngineError::TermLimit`]: far above any term a query legitimately
+/// builds, far below exhausting memory.
+pub const MAX_WALK_CELLS: usize = 1 << 24;
+
+/// Whether a unification counts toward [`Counters::unifications`]: `\=`'s
+/// probe and the join's binding of a stolen answer do not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Charge {
+    Counted,
+    Uncounted,
+}
+
+/// What [`Machine::walk_pairs`] found at one cell pair: a match, the
+/// verdict that ends the walk, or `n` argument pairs at two blocks to visit
+/// next.
+pub(crate) enum Pair<R> {
+    Same,
+    Differ(R),
+    Args(u32, u32, u32),
+}
+
+/// Why [`Machine::pack`] gave up: an unbound cell an earlier packet of the
+/// conjunction numbered (the arms are not independent), or a term that is
+/// cyclic or too large.
+#[derive(Debug)]
+enum PackStop {
+    Shared,
+    Limit(TermLimit),
+}
+
 /// The resolution engine.
 pub struct Machine {
     config: MachineConfig,
@@ -535,6 +572,8 @@ pub struct Machine {
     /// Emptied packet buffers awaiting the next pack (see
     /// [`Machine::recycle`]).
     packet_pool: Vec<Vec<HCell>>,
+    /// [`Machine::walk_pairs`]'s `(left block, right block, pairs left)`.
+    walk_stack: Vec<(u32, u32, u32)>,
     /// The work stacks of the heap arithmetic evaluator (see
     /// [`crate::arith`]).
     pub(crate) arith: arith::Scratch,
@@ -613,6 +652,7 @@ impl Machine {
             offer_batch: Vec::new(),
             pack_scratch: Vec::new(),
             packet_pool: Vec::new(),
+            walk_stack: Vec::new(),
             arith: arith::Scratch::default(),
             counters: Counters::default(),
             recorder: TaskRecorder::new(),
@@ -753,11 +793,7 @@ impl Machine {
         if !outcome.succeeded {
             return Ok(None);
         }
-        self.pack_vars.clear();
-        self.pack_parents.clear();
-        let packet = self
-            .pack((0..arm.nvars).map(HCell::Ref))
-            .expect("a lone packet has no earlier packet to share a variable with");
+        let packet = self.pack_lone((0..arm.nvars).map(HCell::Ref))?;
         Ok(Some(ArmAnswer {
             packet,
             counters: outcome.counters,
@@ -844,38 +880,37 @@ impl Machine {
         // path as any engine error below.
         let injected =
             granlog_fault::fail_or("engine.solve", || EngineError::Fault("engine.solve"));
-        match injected.and_then(|()| self.run(hook, &limits)) {
-            Ok(RunState::Done(succeeded)) => {
-                self.note_heap_high_water();
-                let bindings = self
-                    .query_vars
-                    .iter()
-                    .enumerate()
-                    .map(|(i, name)| (*name, self.resolve_idx(i)))
-                    .collect();
-                Ok(Solve::Done(QueryOutcome {
-                    succeeded,
-                    bindings,
-                    counters: self.counters,
-                    work: self.counters.work(),
-                    task_tree: std::mem::take(&mut self.recorder).into_tree(),
-                }))
-            }
-            Ok(RunState::Suspended) => {
+        let solved = injected.and_then(|()| match self.run(hook, &limits)? {
+            RunState::Done(succeeded) => self.outcome(succeeded).map(Solve::Done),
+            RunState::Suspended => {
                 self.suspended = true;
                 Ok(Solve::Yield(SolveToken {
                     gen: self.solve_gen,
                 }))
             }
-            Err(e) => {
-                // Errors unwind eagerly: truncate the arena and empty the
-                // trail *now*, so an erroring query can never leave a large
-                // heap pinned while the machine sits idle in a pool.
-                self.cancel_offers(hook, 0);
-                self.reset_run_state();
-                Err(e)
-            }
+        });
+        if solved.is_err() {
+            // Errors unwind eagerly: truncate the arena and empty the
+            // trail *now*, so an erroring query can never leave a large
+            // heap pinned while the machine sits idle in a pool.
+            self.cancel_offers(hook, 0);
+            self.reset_run_state();
         }
+        solved
+    }
+
+    /// Packages a finished solve: the query variables (arena cells `0..n`)
+    /// leave it as one extraction.
+    fn outcome(&mut self, succeeded: bool) -> EngineResult<QueryOutcome> {
+        self.note_heap_high_water();
+        let values = self.extract((0..self.query_vars.len()).map(HCell::unbound))?;
+        Ok(QueryOutcome {
+            succeeded,
+            bindings: self.query_vars.iter().copied().zip(values).collect(),
+            counters: self.counters,
+            work: self.counters.work(),
+            task_tree: std::mem::take(&mut self.recorder).into_tree(),
+        })
     }
 
     /// Clears every per-run machine structure (arena, trail, goal stack and
@@ -1004,16 +1039,17 @@ impl Machine {
     /// the caller clears before the first packet of a conjunction (or
     /// before a lone answer) and which this call extends — so the packets of
     /// one conjunction draw on one numbering, each packet's variables being
-    /// the tail this call added, rebased to 0. Returns `None` on reaching an
-    /// unbound cell an *earlier* packet already numbered: the two arms are
-    /// not independent.
-    fn pack(&mut self, roots: impl IntoIterator<Item = HCell>) -> Option<Packet> {
+    /// the tail this call added, rebased to 0. Stops with
+    /// [`PackStop::Shared`] on reaching an unbound cell an *earlier* packet
+    /// already numbered (the two arms are not independent), and with
+    /// [`PackStop::Limit`] on a cyclic or too large term.
+    fn pack(&mut self, roots: impl IntoIterator<Item = HCell>) -> Result<Packet, PackStop> {
         let mut cells = self.packet_pool.pop().unwrap_or_default();
         match self.pack_into(&mut cells, roots) {
-            Some(nvars) => Some(Packet { nvars, cells }),
-            None => {
+            Ok(nvars) => Ok(Packet { nvars, cells }),
+            Err(stop) => {
                 self.packet_pool.push(cells);
-                None
+                Err(stop)
             }
         }
     }
@@ -1021,16 +1057,25 @@ impl Machine {
     /// [`Machine::pack`] into a caller-supplied (emptied) buffer, returning
     /// the packet's variable count: what an arm that is packed only to be
     /// checked for independence, and never shipped, goes through.
+    /// The scan is breadth first; no acyclic path meets an arena cell twice,
+    /// so a copy more levels deep than the arena has cells is a cycle.
     fn pack_into(
         &mut self,
         cells: &mut Vec<HCell>,
         roots: impl IntoIterator<Item = HCell>,
-    ) -> Option<u32> {
+    ) -> Result<u32, PackStop> {
         let first_var = self.pack_parents.len() as u32;
         cells.clear();
         cells.extend(roots);
-        let mut at = 0;
+        let (mut at, mut level, mut level_end) = (0, 0, cells.len());
         while at < cells.len() {
+            if at == level_end {
+                level += 1;
+                level_end = cells.len();
+                if level > self.heap.len() {
+                    return Err(PackStop::Limit(TermLimit::Cyclic));
+                }
+            }
             cells[at] = match self.deref_cell(cells[at]) {
                 HCell::Ref(idx) => {
                     let fresh = self.pack_parents.len() as u32;
@@ -1038,13 +1083,15 @@ impl Machine {
                     if var == fresh {
                         self.pack_parents.push(idx);
                     } else if var < first_var {
-                        return None;
+                        return Err(PackStop::Shared);
                     }
                     HCell::Ref(var - first_var)
                 }
                 HCell::Struct(name, arity, base) => {
-                    let block =
-                        u32::try_from(cells.len()).expect("packet exceeds u32 cell addressing");
+                    if cells.len() + arity as usize > MAX_WALK_CELLS {
+                        return Err(PackStop::Limit(TermLimit::Copy));
+                    }
+                    let block = cells.len() as u32;
                     let base = base as usize;
                     cells.extend_from_slice(&self.heap[base..base + arity as usize]);
                     HCell::Struct(name, arity, block)
@@ -1053,7 +1100,63 @@ impl Machine {
             };
             at += 1;
         }
-        Some(self.pack_parents.len() as u32 - first_var)
+        Ok(self.pack_parents.len() as u32 - first_var)
+    }
+
+    /// Packs `roots` over a fresh variable numbering: a thief's answer, or
+    /// terms on their way out of the arena.
+    fn pack_lone(&mut self, roots: impl IntoIterator<Item = HCell>) -> EngineResult<Packet> {
+        self.pack_vars.clear();
+        self.pack_parents.clear();
+        self.pack(roots).map_err(|stop| match stop {
+            PackStop::Limit(limit) => EngineError::TermLimit(limit),
+            PackStop::Shared => {
+                unreachable!("a lone packet shares no variable with an earlier one")
+            }
+        })
+    }
+
+    /// Copies the terms at `roots` out of the arena as [`Term`]s — the one
+    /// exit, for answers and error messages alike. The roots are packed as
+    /// a stolen arm's answer is, and the packet is read back to front. An
+    /// argument block sits after the cell pointing to it and blocks follow
+    /// their parents' order, so a struct's arguments are always the
+    /// highest-placed terms built but not yet claimed: nothing recurses.
+    /// Unbound cells become `Term::Var` of their arena index.
+    pub(crate) fn extract(
+        &mut self,
+        roots: impl IntoIterator<Item = HCell>,
+    ) -> EngineResult<Vec<Term>> {
+        let packet = self.pack_lone(roots)?;
+        // Built terms whose parent is not built yet, highest-placed first.
+        let mut built = VecDeque::new();
+        for &cell in packet.cells.iter().rev() {
+            let term = match cell {
+                HCell::Ref(var) => Term::Var(self.pack_parents[var as usize] as usize),
+                HCell::Atom(s) => Term::Atom(s),
+                HCell::Int(i) => Term::Int(i),
+                HCell::Float(x) => Term::float(x),
+                HCell::Struct(name, arity, _) => {
+                    let mut args: Vec<Term> = (0..arity)
+                        .map(|_| built.pop_front().expect("built"))
+                        .collect();
+                    args.reverse();
+                    Term::Struct(name, args)
+                }
+            };
+            built.push_back(term);
+        }
+        // Kept for the next pack unless it outgrew the arena, as an answer
+        // that shares subterms heavily can.
+        if packet.cells.capacity() <= self.heap.capacity() {
+            self.packet_pool.push(packet.cells);
+        }
+        Ok(built.into_iter().rev().collect())
+    }
+
+    /// [`Machine::extract`] for one cell.
+    pub(crate) fn extract_cell(&mut self, cell: HCell) -> EngineResult<Term> {
+        Ok(self.extract(std::iter::once(cell))?.remove(0))
     }
 
     /// Keeps the buffer of a packet that has served its purpose — an arm
@@ -1173,9 +1276,6 @@ impl Machine {
         *pos += 1;
         match cell {
             Cell::Var(v) | Cell::VarFirst(v) => HCell::Ref((var_base + v as usize) as u32),
-            Cell::Atom(s) => HCell::Atom(s),
-            Cell::Int(i) => HCell::Int(i),
-            Cell::Float(x) => HCell::Float(x),
             Cell::Struct(s, arity) => {
                 let base = self.fresh_vars(arity as usize);
                 for k in 0..arity as usize {
@@ -1184,43 +1284,7 @@ impl Machine {
                 }
                 HCell::Struct(s, arity, base as u32)
             }
-        }
-    }
-
-    /// Fully resolves the term at a heap index back into a source-level
-    /// [`Term`] (unbound variables become source variables numbered by their
-    /// cell index). This is the query-answer boundary: answers materialize
-    /// out of the arena here and nowhere else.
-    pub(crate) fn resolve_idx(&self, idx: usize) -> Term {
-        let d = self.deref_idx(idx);
-        match self.heap[d] {
-            HCell::Ref(_) => Term::Var(d),
-            HCell::Atom(s) => Term::Atom(s),
-            HCell::Int(i) => Term::Int(i),
-            HCell::Float(x) => Term::float(x),
-            HCell::Struct(name, arity, base) => Term::Struct(
-                name,
-                (0..arity as usize)
-                    .map(|k| self.resolve_idx(base as usize + k))
-                    .collect(),
-            ),
-        }
-    }
-
-    /// [`Machine::resolve_idx`] for a cell value that need not live in the
-    /// arena (goal-stack entries, error reporting).
-    pub(crate) fn resolve_cell(&self, cell: HCell) -> Term {
-        match cell {
-            HCell::Ref(i) => self.resolve_idx(i as usize),
-            HCell::Atom(s) => Term::Atom(s),
-            HCell::Int(i) => Term::Int(i),
-            HCell::Float(x) => Term::float(x),
-            HCell::Struct(name, arity, base) => Term::Struct(
-                name,
-                (0..arity as usize)
-                    .map(|k| self.resolve_idx(base as usize + k))
-                    .collect(),
-            ),
+            constant => constant.constant(),
         }
     }
 
@@ -1237,80 +1301,96 @@ impl Machine {
         self.counters.unifications += 1;
     }
 
+    /// Walks the terms at `a` and `b` in step, `pair` judging each pair of
+    /// cells, in pre-order left to right (a recursive walk's order) off
+    /// `walk_stack`. The root pair stays off the stack: most head
+    /// unifications are one pair. `Ok(None)` means every pair matched;
+    /// `Err(limit)` that more than [`MAX_WALK_CELLS`] pairs were visited.
+    pub(crate) fn walk_pairs<R>(
+        &mut self,
+        a: usize,
+        b: usize,
+        limit: TermLimit,
+        mut pair: impl FnMut(&mut Machine, usize, usize) -> Pair<R>,
+    ) -> Result<Option<R>, TermLimit> {
+        let (a, b, n) = match pair(self, a, b) {
+            Pair::Same | Pair::Args(_, _, 0) => return Ok(None),
+            Pair::Differ(verdict) => return Ok(Some(verdict)),
+            Pair::Args(a, b, n) => (a, b, n),
+        };
+        let mut stack = std::mem::take(&mut self.walk_stack);
+        stack.push((a, b, n));
+        let mut visits = 0;
+        let result = loop {
+            let Some(top) = stack.last_mut() else {
+                break Ok(None);
+            };
+            let (a, b) = (top.0 as usize, top.1 as usize);
+            *top = (top.0 + 1, top.1 + 1, top.2 - 1);
+            if top.2 == 0 {
+                stack.pop();
+            }
+            visits += 1;
+            if visits > MAX_WALK_CELLS {
+                break Err(limit);
+            }
+            match pair(self, a, b) {
+                Pair::Same | Pair::Args(_, _, 0) => {}
+                Pair::Differ(verdict) => break Ok(Some(verdict)),
+                Pair::Args(a, b, n) => stack.push((a, b, n)),
+            }
+        };
+        stack.clear();
+        self.walk_stack = stack;
+        result
+    }
+
     /// Unifies the terms at two heap indices, recording bindings on the
-    /// trail. Counts one unification per visited subterm pair, exactly as
-    /// the seed interpreter did.
-    pub(crate) fn unify(&mut self, a: usize, b: usize) -> bool {
-        self.count_unification();
+    /// trail; a counted unification counts one per visited pair, as the
+    /// seed interpreter did.
+    pub(crate) fn unify(&mut self, a: usize, b: usize, charge: Charge) -> Result<bool, TermLimit> {
+        let differ = self.walk_pairs(a, b, TermLimit::Unify, |machine, a, b| {
+            machine.unify_pair(a, b, charge)
+        })?;
+        Ok(differ.is_none())
+    }
+
+    #[inline]
+    fn unify_pair(&mut self, a: usize, b: usize, charge: Charge) -> Pair<()> {
+        if charge == Charge::Counted {
+            self.count_unification();
+        }
         let a = self.deref_idx(a);
         let b = self.deref_idx(b);
         match (self.heap[a], self.heap[b]) {
-            (HCell::Ref(_), HCell::Ref(_)) if a == b => true,
+            (HCell::Ref(_), HCell::Ref(_)) if a == b => Pair::Same,
             (HCell::Ref(_), _) => {
                 self.bind_to(a, b);
-                true
+                Pair::Same
             }
             (_, HCell::Ref(_)) => {
                 self.bind_to(b, a);
-                true
+                Pair::Same
             }
-            (HCell::Atom(x), HCell::Atom(y)) => x == y,
-            (HCell::Int(x), HCell::Int(y)) => x == y,
-            (HCell::Float(x), HCell::Float(y)) => x == y,
-            (HCell::Struct(f, n, pa), HCell::Struct(g, m, pb)) => {
-                if f != g || n != m {
-                    return false;
-                }
-                (0..n as usize).all(|k| self.unify(pa as usize + k, pb as usize + k))
+            (HCell::Struct(f, n, pa), HCell::Struct(g, m, pb)) if f == g && n == m => {
+                Pair::Args(pa, pb, n)
             }
-            _ => false,
+            (x, y) if x == y => Pair::Same,
+            _ => Pair::Differ(()),
         }
     }
 
     /// Unifies the term at a heap index with a cell value, parking the cell
     /// in the arena when it needs an address (it is garbage afterwards;
     /// truncation reclaims it).
-    pub(crate) fn unify_cell(&mut self, a: usize, value: HCell) -> bool {
+    pub(crate) fn unify_cell(&mut self, a: usize, value: HCell) -> Result<bool, TermLimit> {
         match value {
-            HCell::Ref(j) => self.unify(a, j as usize),
+            HCell::Ref(j) => self.unify(a, j as usize, Charge::Counted),
             other => {
                 let idx = self.heap.len();
                 self.heap.push(other);
-                self.unify(a, idx)
+                self.unify(a, idx, Charge::Counted)
             }
-        }
-    }
-
-    /// Like [`Machine::unify`] but *uncounted*: the unifiability probe
-    /// behind `\=` (whose caller undoes the bindings with
-    /// [`Machine::undo_trail`] from a saved [`Machine::trail_mark`]), and the
-    /// binding of a stolen arm's answer at the join. Bindings go on the
-    /// trail as usual. Kept separate so that neither the probe's internal
-    /// steps nor which arms happened to be stolen perturb the operation
-    /// counters the experiments pin.
-    pub(crate) fn unify_probe(&mut self, a: usize, b: usize) -> bool {
-        let a = self.deref_idx(a);
-        let b = self.deref_idx(b);
-        match (self.heap[a], self.heap[b]) {
-            (HCell::Ref(_), HCell::Ref(_)) if a == b => true,
-            (HCell::Ref(_), _) => {
-                self.bind_to(a, b);
-                true
-            }
-            (_, HCell::Ref(_)) => {
-                self.bind_to(b, a);
-                true
-            }
-            (HCell::Atom(x), HCell::Atom(y)) => x == y,
-            (HCell::Int(x), HCell::Int(y)) => x == y,
-            (HCell::Float(x), HCell::Float(y)) => x == y,
-            (HCell::Struct(f, n, pa), HCell::Struct(g, m, pb)) => {
-                if f != g || n != m {
-                    return false;
-                }
-                (0..n as usize).all(|k| self.unify_probe(pa as usize + k, pb as usize + k))
-            }
-            _ => false,
         }
     }
 
@@ -1331,50 +1411,11 @@ impl Machine {
         cells: &[Cell],
         pos: &mut usize,
         var_base: usize,
-    ) -> bool {
+    ) -> Result<bool, TermLimit> {
         match cells[*pos] {
             Cell::Var(v) => {
                 *pos += 1;
-                self.unify(goal, var_base + v as usize)
-            }
-            Cell::Atom(s) => {
-                *pos += 1;
-                self.count_unification();
-                let g = self.deref_idx(goal);
-                match self.heap[g] {
-                    HCell::Ref(_) => {
-                        self.bind_cell(g, HCell::Atom(s));
-                        true
-                    }
-                    HCell::Atom(x) => x == s,
-                    _ => false,
-                }
-            }
-            Cell::Int(i) => {
-                *pos += 1;
-                self.count_unification();
-                let g = self.deref_idx(goal);
-                match self.heap[g] {
-                    HCell::Ref(_) => {
-                        self.bind_cell(g, HCell::Int(i));
-                        true
-                    }
-                    HCell::Int(x) => x == i,
-                    _ => false,
-                }
-            }
-            Cell::Float(f) => {
-                *pos += 1;
-                self.count_unification();
-                let g = self.deref_idx(goal);
-                match self.heap[g] {
-                    HCell::Ref(_) => {
-                        self.bind_cell(g, HCell::Float(f));
-                        true
-                    }
-                    HCell::Float(x) => x == f,
-                    _ => false,
-                }
+                self.unify(goal, var_base + v as usize, Charge::Counted)
             }
             Cell::VarFirst(v) => {
                 // First occurrence of a head variable: its cell is unbound
@@ -1393,7 +1434,7 @@ impl Machine {
                     HCell::Ref(_) => self.bind_cell(g, HCell::Ref(head_var as u32)),
                     value => self.bind_cell(head_var, value),
                 }
-                true
+                Ok(true)
             }
             Cell::Struct(f, arity) => {
                 self.count_unification();
@@ -1404,19 +1445,33 @@ impl Machine {
                         // template subtree become arena cells.
                         let value = self.write_template(cells, pos, var_base);
                         self.bind_cell(g, value);
-                        true
+                        Ok(true)
                     }
                     HCell::Struct(gf, gn, gargs) if gf == f && gn == arity => {
                         *pos += 1;
                         for k in 0..arity as usize {
-                            if !self.unify_template(gargs as usize + k, cells, pos, var_base) {
-                                return false;
+                            if !self.unify_template(gargs as usize + k, cells, pos, var_base)? {
+                                return Ok(false);
                             }
                         }
+                        Ok(true)
+                    }
+                    _ => Ok(false),
+                }
+            }
+            constant => {
+                // An atom, integer or float binds or compares one cell.
+                *pos += 1;
+                self.count_unification();
+                let value = constant.constant();
+                let g = self.deref_idx(goal);
+                Ok(match self.heap[g] {
+                    HCell::Ref(_) => {
+                        self.bind_cell(g, value);
                         true
                     }
-                    _ => false,
-                }
+                    other => other == value,
+                })
             }
         }
     }
@@ -1430,7 +1485,7 @@ impl Machine {
         cells: &[Cell],
         pos: &mut usize,
         var_base: usize,
-    ) -> bool {
+    ) -> Result<bool, TermLimit> {
         match cells[*pos] {
             Cell::Var(v) => {
                 *pos += 1;
@@ -1440,28 +1495,18 @@ impl Machine {
                 *pos += 1;
                 self.count_unification();
                 self.bind_cell(var_base + v as usize, value);
-                true
-            }
-            Cell::Atom(_) => {
-                *pos += 1;
-                self.count_unification();
-                false
-            }
-            Cell::Int(i) => {
-                *pos += 1;
-                self.count_unification();
-                matches!(value, HCell::Int(x) if x == i)
-            }
-            Cell::Float(f) => {
-                *pos += 1;
-                self.count_unification();
-                matches!(value, HCell::Float(x) if x == f)
+                Ok(true)
             }
             Cell::Struct(..) => {
                 // A number never matches a compound; the cursor is abandoned
                 // with the failed activation.
                 self.count_unification();
-                false
+                Ok(false)
+            }
+            constant => {
+                *pos += 1;
+                self.count_unification();
+                Ok(constant.constant() == value)
             }
         }
     }
@@ -1470,16 +1515,21 @@ impl Machine {
     /// variables by `var_base`. Counts exactly what the seed's
     /// `unify(goal, rename(head))` counted: one for the whole-head pair plus
     /// one per visited subterm pair.
-    fn unify_head(&mut self, goal_args: usize, templ: &ClauseTemplate, var_base: usize) -> bool {
+    fn unify_head(
+        &mut self,
+        goal_args: usize,
+        templ: &ClauseTemplate,
+        var_base: usize,
+    ) -> Result<bool, TermLimit> {
         self.count_unification();
         let cells = templ.cells();
         for (k, start) in templ.head_arg_positions().iter().enumerate() {
             let mut pos = *start as usize;
-            if !self.unify_template(goal_args + k, cells, &mut pos, var_base) {
-                return false;
+            if !self.unify_template(goal_args + k, cells, &mut pos, var_base)? {
+                return Ok(false);
             }
         }
-        true
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -1889,7 +1939,7 @@ impl Machine {
             self.packet_pool.push(answer.packet.cells);
             for var in 0..offer.arm().nvars as usize {
                 let parent = self.offer_parents[parents + var] as usize;
-                if !self.unify_probe(parent, root + var) {
+                if !self.unify(parent, root + var, Charge::Uncounted)? {
                     ok = false;
                     break 'join;
                 }
@@ -1989,7 +2039,7 @@ impl Machine {
         let (name, arity, args) = match cell {
             HCell::Atom(s) => (s, 0usize, 0usize),
             HCell::Struct(s, a, base) => (s, a as usize, base as usize),
-            other => return Err(EngineError::NotCallable(self.resolve_cell(other))),
+            other => return Err(EngineError::NotCallable(self.extract_cell(other)?)),
         };
         match arity {
             0 if name == wk.true_ => Ok(true),
@@ -2319,16 +2369,17 @@ impl Machine {
     /// later arms must not share), each later arm into a slot pushed on
     /// `offer_batch`. Returns arm 0's variable count — where the later arms'
     /// tables start in `pack_parents` — or `None` when two arms share an
-    /// unbound cell.
+    /// unbound cell, or one is cyclic or too large to copy: such an arm runs
+    /// inline, as a dependent one does.
     fn pack_arms(&mut self, base: usize) -> Option<usize> {
         self.pack_vars.clear();
         self.pack_parents.clear();
         let mut own = std::mem::take(&mut self.pack_scratch);
         let own_vars = self.pack_into(&mut own, [self.arm_scratch[base]]);
         self.pack_scratch = own;
-        let own_vars = own_vars? as usize;
+        let own_vars = own_vars.ok()? as usize;
         for k in base + 1..self.arm_scratch.len() {
-            let arm = self.pack([self.arm_scratch[k]])?;
+            let arm = self.pack([self.arm_scratch[k]]).ok()?;
             self.offer_batch.push(Offer::new(arm));
         }
         Some(own_vars)
@@ -2563,7 +2614,7 @@ impl Machine {
             let templ = &image.templates()[clause_id];
             self.charge_head_attempt()?;
             let var_base = self.fresh_vars(templ.num_vars());
-            if self.unify_head(goal_args, templ, var_base) {
+            if self.unify_head(goal_args, templ, var_base)? {
                 self.charge_resolution();
                 // Run the body's leading builtins straight off the template
                 // (no materialization, no goal-stack traffic). A failure
@@ -2635,7 +2686,7 @@ impl Machine {
                 let code = &templ.code()[rhs.range()];
                 let value = arith::run(&self.heap, &mut self.arith, code, var_base)?;
                 let mut pos = lhs as usize;
-                Ok(self.unify_value_template(value.to_cell(), templ.cells(), &mut pos, var_base))
+                Ok(self.unify_value_template(value.to_cell(), templ.cells(), &mut pos, var_base)?)
             }
             Step::Builtin { builtin, goal } => {
                 let goal = self.write_image(templ.images(), goal, var_base);
@@ -2646,16 +2697,21 @@ impl Machine {
     }
 
     /// Flattens a (possibly nested) `&` conjunction into dereferenced arm
-    /// cells appended to the shared scratch buffer.
+    /// cells appended to the shared scratch buffer, left to right.
     fn collect_arms(&mut self, cell: HCell) {
-        let c = self.deref_cell(cell);
-        match c {
-            HCell::Struct(s, 2, base) if s == well_known::get().par_and => {
-                let (l, r) = (self.heap[base as usize], self.heap[base as usize + 1]);
-                self.collect_arms(l);
-                self.collect_arms(r);
+        let par_and = well_known::get().par_and;
+        // Right operands still to flatten, innermost last.
+        let mut rights = vec![cell];
+        while let Some(right) = rights.pop() {
+            let mut cell = self.deref_cell(right);
+            while let HCell::Struct(s, 2, base) = cell {
+                if s != par_and {
+                    break;
+                }
+                rights.push(self.heap[base as usize + 1]);
+                cell = self.deref_cell(self.heap[base as usize]);
             }
-            other => self.arm_scratch.push(other),
+            self.arm_scratch.push(cell);
         }
     }
 }
@@ -2770,8 +2826,7 @@ mod tests {
     #[test]
     fn deep_deterministic_recursion_runs_iteratively() {
         // The goal stack replaces solver recursion: 50k deterministic
-        // resolutions execute on a test thread's default stack, no
-        // `with_large_stack` required.
+        // resolutions execute on a test thread's default stack.
         let src = "count(0). count(N) :- N > 0, N1 is N - 1, count(N1).";
         let out = run(src, "count(50000)");
         assert!(out.succeeded);
@@ -2950,7 +3005,7 @@ mod tests {
         // 10,000 recursion levels each opening negation, condition and
         // parallel-arm barriers: the explicit barrier stack executes them
         // without native recursion, so this runs on the default test-thread
-        // stack (no with_large_stack).
+        // stack.
         let src = r#"
             nn(0).
             nn(N) :- N > 0, N1 is N - 1, \+ \+ nn(N1).
@@ -3028,8 +3083,8 @@ mod tests {
         };
         let arm = |m: &Machine, k: usize| m.heap[arms as usize + k];
         // X, Y, Z, W, V are cells 0..5.
-        assert!(m.unify(2, 1));
-        assert!(m.unify_cell(3, HCell::Int(7)));
+        assert_eq!(m.unify(2, 1, Charge::Counted), Ok(true));
+        assert_eq!(m.unify_cell(3, HCell::Int(7)), Ok(true));
 
         let first = m.pack([arm(&m, 0)]).expect("independent");
         assert_eq!((first.nvars, first.cells()), (2, 2 + 1 + 2 + 3));
@@ -3045,12 +3100,15 @@ mod tests {
             ]
         );
         assert_eq!(m.pack_parents, [0, 1, 4]);
-        assert!(m.pack([arm(&m, 2)]).is_none(), "X is arm 0's");
+        assert!(
+            matches!(m.pack([arm(&m, 2)]), Err(PackStop::Shared)),
+            "X is arm 0's"
+        );
 
         // Arm 0 unpacked above everything else reads back as a variant.
         let root = m.unpack(&first);
         assert_eq!(
-            m.resolve_idx(root).to_string(),
+            m.extract_cell(HCell::unbound(root)).unwrap().to_string(),
             format!("f(_{0},g(_{1},_{1},1.5))", root - 2, root - 1)
         );
     }

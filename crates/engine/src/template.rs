@@ -92,6 +92,24 @@ pub enum Cell {
     Struct(Symbol, u32),
 }
 
+impl Cell {
+    /// The arena cell of an atom, integer or float — what a constant binds
+    /// a variable to or is compared with.
+    ///
+    /// # Panics
+    ///
+    /// On a variable or structure cell.
+    #[inline]
+    pub(crate) fn constant(self) -> HCell {
+        match self {
+            Cell::Atom(s) => HCell::Atom(s),
+            Cell::Int(i) => HCell::Int(i),
+            Cell::Float(x) => HCell::Float(x),
+            other => unreachable!("{other:?} is not a constant"),
+        }
+    }
+}
+
 /// A contiguous range of one of a template's arrays: `start .. start + len`.
 ///
 /// Mostly of compiled [`Step`]s: sequences are what control constructs
@@ -603,15 +621,13 @@ impl Compiler<'_> {
             *left -= 1;
             self.images[at] = match self.cells[pos] {
                 Cell::Var(v) | Cell::VarFirst(v) => HCell::Ref(v),
-                Cell::Atom(s) => HCell::Atom(s),
-                Cell::Int(i) => HCell::Int(i),
-                Cell::Float(x) => HCell::Float(x),
                 Cell::Struct(s, n) => {
                     let block = self.images.len();
                     self.images.resize(block + n as usize, placeholder);
                     open.push((block, n));
                     HCell::Struct(s, n, (block - start) as u32)
                 }
+                constant => constant.constant(),
             };
             pos += 1;
         }
@@ -700,7 +716,7 @@ mod tests {
         let mut machine = Machine::new(&program);
         machine.fresh_vars(var_base + t.num_vars());
         let cell = machine.write_template(t.cells(), pos, var_base);
-        machine.resolve_cell(cell)
+        machine.extract_cell(cell).unwrap()
     }
 
     #[test]
@@ -971,8 +987,8 @@ mod tests {
                 let copied = by_image.write_image(t.images(), goal, var_base);
 
                 assert_eq!(
-                    by_image.resolve_cell(copied),
-                    by_walk.resolve_cell(walked),
+                    by_image.extract_cell(copied).unwrap(),
+                    by_walk.extract_cell(walked).unwrap(),
                     "{src} at {var_base}"
                 );
                 assert_eq!(by_image.heap, by_walk.heap, "{src} at {var_base}");

@@ -79,11 +79,6 @@ impl Clause {
         out
     }
 
-    /// Structured view of the body (see [`BodyView`]).
-    pub fn body_view(&self) -> BodyView<'_> {
-        BodyView::of(&self.body)
-    }
-
     /// Returns the goal terms called by this clause, descending into control
     /// structures (`;`, `->`, `\+`, `&`, `,`). Used for call-graph
     /// construction. Control atoms (`true`, `!`) are not calls and are
@@ -102,14 +97,6 @@ impl Clause {
         let mut out = Vec::new();
         collect_called_goals(&self.body, &mut out);
         out
-    }
-
-    /// Returns `true` if the clause body contains a cut (`!`) anywhere,
-    /// including inside control structures. Cut makes clause selection
-    /// order-sensitive, which analyses that reorder or parallelise goals
-    /// must respect.
-    pub fn has_cut(&self) -> bool {
-        self.body_view().has_cut()
     }
 
     /// Renders the clause with its source variable names.
@@ -158,131 +145,6 @@ fn collect_called_goals<'a>(body: &'a Term, out: &mut Vec<&'a Term>) {
     }
 }
 
-/// A structured, borrowed view of a clause body.
-///
-/// This decomposes the control skeleton that both the execution engine and the
-/// cost analysis care about, leaving ordinary goals as leaves.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BodyView<'a> {
-    /// The trivial body `true`.
-    True,
-    /// The cut `!`: commits to the choices made since the clause was
-    /// activated. Classified separately from ordinary goals because it is
-    /// control, not a call — it constrains goal reordering and pruning.
-    Cut,
-    /// A sequential conjunction `G1, G2, ..., Gn` (flattened, n >= 2).
-    Conj(Vec<BodyView<'a>>),
-    /// A parallel conjunction `G1 & G2 & ... & Gn` (flattened, n >= 2).
-    Par(Vec<BodyView<'a>>),
-    /// A disjunction `G1 ; G2`.
-    Disj(Box<BodyView<'a>>, Box<BodyView<'a>>),
-    /// An if-then-else `(Cond -> Then ; Else)`.
-    IfThenElse(Box<BodyView<'a>>, Box<BodyView<'a>>, Box<BodyView<'a>>),
-    /// An if-then without an else `(Cond -> Then)`.
-    IfThen(Box<BodyView<'a>>, Box<BodyView<'a>>),
-    /// Negation as failure `\+ G`.
-    Not(Box<BodyView<'a>>),
-    /// An ordinary goal.
-    Goal(&'a Term),
-}
-
-impl<'a> BodyView<'a> {
-    /// Builds the structured view of a body term.
-    pub fn of(body: &'a Term) -> BodyView<'a> {
-        match body {
-            Term::Atom(s) if *s == well_known::true_() => BodyView::True,
-            Term::Atom(s) if *s == well_known::get().cut => BodyView::Cut,
-            Term::Struct(s, args) if *s == well_known::comma() && args.len() == 2 => {
-                let mut items = Vec::new();
-                flatten_assoc(body, well_known::comma(), &mut items);
-                BodyView::Conj(items.into_iter().map(BodyView::of).collect())
-            }
-            Term::Struct(s, args) if *s == well_known::par_and() && args.len() == 2 => {
-                let mut items = Vec::new();
-                flatten_assoc(body, well_known::par_and(), &mut items);
-                BodyView::Par(items.into_iter().map(BodyView::of).collect())
-            }
-            Term::Struct(s, args) if *s == well_known::semicolon() && args.len() == 2 => {
-                // Recognize (Cond -> Then ; Else).
-                if let Term::Struct(arrow, ite) = &args[0] {
-                    if *arrow == well_known::arrow() && ite.len() == 2 {
-                        return BodyView::IfThenElse(
-                            Box::new(BodyView::of(&ite[0])),
-                            Box::new(BodyView::of(&ite[1])),
-                            Box::new(BodyView::of(&args[1])),
-                        );
-                    }
-                }
-                BodyView::Disj(
-                    Box::new(BodyView::of(&args[0])),
-                    Box::new(BodyView::of(&args[1])),
-                )
-            }
-            Term::Struct(s, args) if *s == well_known::arrow() && args.len() == 2 => {
-                BodyView::IfThen(
-                    Box::new(BodyView::of(&args[0])),
-                    Box::new(BodyView::of(&args[1])),
-                )
-            }
-            Term::Struct(s, args) if *s == well_known::get().not && args.len() == 1 => {
-                BodyView::Not(Box::new(BodyView::of(&args[0])))
-            }
-            other => BodyView::Goal(other),
-        }
-    }
-
-    /// Iterates over every goal leaf in the view.
-    pub fn goals(&self) -> Vec<&'a Term> {
-        let mut out = Vec::new();
-        self.collect_goals(&mut out);
-        out
-    }
-
-    /// `true` if a cut occurs anywhere in the view.
-    pub fn has_cut(&self) -> bool {
-        match self {
-            BodyView::Cut => true,
-            BodyView::True | BodyView::Goal(_) => false,
-            BodyView::Conj(items) | BodyView::Par(items) => items.iter().any(BodyView::has_cut),
-            BodyView::Disj(a, b) | BodyView::IfThen(a, b) => a.has_cut() || b.has_cut(),
-            BodyView::IfThenElse(c, t, e) => c.has_cut() || t.has_cut() || e.has_cut(),
-            BodyView::Not(g) => g.has_cut(),
-        }
-    }
-
-    fn collect_goals(&self, out: &mut Vec<&'a Term>) {
-        match self {
-            BodyView::True | BodyView::Cut => {}
-            BodyView::Conj(items) | BodyView::Par(items) => {
-                for item in items {
-                    item.collect_goals(out);
-                }
-            }
-            BodyView::Disj(a, b) | BodyView::IfThen(a, b) => {
-                a.collect_goals(out);
-                b.collect_goals(out);
-            }
-            BodyView::IfThenElse(c, t, e) => {
-                c.collect_goals(out);
-                t.collect_goals(out);
-                e.collect_goals(out);
-            }
-            BodyView::Not(g) => g.collect_goals(out),
-            BodyView::Goal(g) => out.push(g),
-        }
-    }
-}
-
-fn flatten_assoc<'a>(term: &'a Term, op: Symbol, out: &mut Vec<&'a Term>) {
-    match term {
-        Term::Struct(s, args) if *s == op && args.len() == 2 => {
-            flatten_assoc(&args[0], op, out);
-            flatten_assoc(&args[1], op, out);
-        }
-        other => out.push(other),
-    }
-}
-
 /// Display adapter rendering a clause with its variable names.
 #[derive(Debug, Clone, Copy)]
 pub struct ClauseDisplay<'a>(&'a Clause);
@@ -326,28 +188,6 @@ mod tests {
         let p = parse_program("p(X) :- a(X) & b(X), c(X).").unwrap();
         let lits = p.clauses()[0].body_literals();
         assert_eq!(lits.len(), 3);
-    }
-
-    #[test]
-    fn body_view_if_then_else() {
-        let p = parse_program("p(X) :- ( X > 1 -> a(X) ; b(X) ).").unwrap();
-        match p.clauses()[0].body_view() {
-            BodyView::IfThenElse(c, t, e) => {
-                assert!(matches!(*c, BodyView::Goal(_)));
-                assert!(matches!(*t, BodyView::Goal(_)));
-                assert!(matches!(*e, BodyView::Goal(_)));
-            }
-            other => panic!("expected if-then-else, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn body_view_parallel() {
-        let p = parse_program("p(X) :- a(X) & b(X) & c(X).").unwrap();
-        match p.clauses()[0].body_view() {
-            BodyView::Par(items) => assert_eq!(items.len(), 3),
-            other => panic!("expected parallel conjunction, got {other:?}"),
-        }
     }
 
     #[test]
@@ -414,20 +254,8 @@ mod tests {
     #[test]
     fn cut_is_classified_as_control() {
         let p = parse_program("m(X, [X|_]) :- !. m(X, [_|T]) :- m(X, T).").unwrap();
-        let c = &p.clauses()[0];
-        assert!(c.has_cut());
-        assert!(!p.clauses()[1].has_cut());
-        assert_eq!(c.body_view(), BodyView::Cut);
         // `!` is control, not a call: call graphs must not see it.
-        assert!(c.called_goals().is_empty());
-    }
-
-    #[test]
-    fn has_cut_descends_into_control() {
-        let p = parse_program("p(X) :- ( q(X) -> r(X), ! ; s(X) ).").unwrap();
-        assert!(p.clauses()[0].has_cut());
-        let p = parse_program("p(X) :- ( q(X) -> r(X) ; s(X) ).").unwrap();
-        assert!(!p.clauses()[0].has_cut());
+        assert!(p.clauses()[0].called_goals().is_empty());
     }
 
     #[test]

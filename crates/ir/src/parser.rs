@@ -789,18 +789,19 @@ fn read_program(src: &str) -> Fallible<Program> {
         }
         parser.bump()?;
         let var_names = std::mem::take(&mut parser.var_names);
-        let (head, body) = match parser.pop() {
+        let mut clause = parser.pop();
+        let (head, body) = match &mut clause {
             // Directive `:- D.`
-            Term::Struct(name, args) if name == neck && args.len() == 1 => {
+            Term::Struct(name, args) if *name == neck && args.len() == 1 => {
                 program.add_directive(interpret_directive(&args[0]));
                 continue;
             }
             // Rule `H :- B.`
-            Term::Struct(name, mut args) if name == neck && args.len() == 2 => {
+            Term::Struct(name, args) if *name == neck && args.len() == 2 => {
                 let body = args.pop().expect("arity checked");
                 (args.pop().expect("arity checked"), Some(body))
             }
-            fact => (fact, None),
+            _ => (clause, None),
         };
         if !head.is_callable() {
             return Err(parser.lexer.error(

@@ -801,12 +801,13 @@ fn cmd_query(
     if obs.tracer.is_enabled() {
         obs.tracer.emit("query_begin", vec![("goal", goal.into())]);
     }
-    let started = Instant::now();
     match session.query(goal) {
         Ok(reply) => {
-            let elapsed = started.elapsed();
-            let ms = elapsed.as_secs_f64() * 1e3;
+            // One clock: the latency is the sum of the stage laps, so the
+            // stage histograms sum to the latency histogram.
             let stages = session.last_stages();
+            let elapsed = stages.total();
+            let ms = elapsed.as_secs_f64() * 1e3;
             obs.queries.inc();
             obs.query_latency_ms.observe(ms);
             obs.stage_parse_ms.observe_duration_ms(stages.parse);

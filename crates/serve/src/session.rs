@@ -120,6 +120,14 @@ pub(crate) struct QueryStages {
     pub(crate) render: Duration,
 }
 
+impl QueryStages {
+    /// The answered query's whole time: the laps' sum, so the stages add
+    /// up to it by construction.
+    pub(crate) fn total(&self) -> Duration {
+        self.parse + self.lease + self.solve + self.render
+    }
+}
+
 /// A clock read once per stage boundary.
 struct Laps(Instant);
 

@@ -135,3 +135,32 @@ fn a_term_nested_past_the_limit_is_a_parse_error_not_an_abort() {
         "{stderr}"
     );
 }
+
+/// ROADMAP item 1, the answer boundary: a 300 000-element list built at run
+/// time by a two-clause program used to overflow the stack while it was
+/// copied out of the arena (`exit 134`). It is printed now, and a cyclic
+/// answer (there is no occurs check) is a typed error, not a hang.
+#[test]
+fn run_prints_a_300_000_element_answer_and_refuses_a_cyclic_one() {
+    let path = write_temp(
+        "mk.pl",
+        "mk(0, []).\nmk(N, [a|T]) :- N > 0, N1 is N - 1, mk(N1, T).\n",
+    );
+    let path = path.to_str().unwrap();
+    let (stdout, stderr, ok) = granlog(&["run", path, "mk(300000, L)"]);
+    assert!(ok, "{stderr}");
+    let list = stdout
+        .lines()
+        .find_map(|line| line.trim().strip_prefix("L = "))
+        .unwrap_or_else(|| panic!("no binding in {stdout}"));
+    assert_eq!(list.len(), 2 * 300_000 + 1, "[a,a,...,a]");
+    assert_eq!(list.matches('a').count(), 300_000);
+
+    let output = Command::new(env!("CARGO_BIN_EXE_granlog"))
+        .args(["run", path, "X = f(X)"])
+        .output()
+        .expect("granlog binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cyclic term"), "{stderr}");
+}

@@ -359,15 +359,10 @@ fn long_lists_cross_the_spawn_boundary() {
 /// does a run in which *every* arm is stolen. What makes that true by
 /// construction is that the join's bindings are charged to no counter. The
 /// spawn and inline counts under `On` are the guards' decisions, pinned
-/// here to the values they have always had. (On a large stack: extracting
-/// `hanoi(11)`'s 2 047-move answer recurses per list cell in a debug build,
-/// sequentially too; that is the answer boundary, not the spawn boundary.)
+/// here to the values they have always had. On the test thread's own stack:
+/// `hanoi(11)`'s 2 047-move answer leaves the arena by a loop.
 #[test]
 fn spawn_boundary_moves_no_observable_count() {
-    granlog_engine::with_large_stack(counts_equal_the_sequential_ones);
-}
-
-fn counts_equal_the_sequential_ones() {
     for (name, size, spawned, inlined) in [
         ("fib", 19, 752, 6_388),
         ("hanoi", 11, 510, 1_792),

@@ -500,6 +500,49 @@ fn a_deep_run_time_expression_is_evaluated_and_costs_the_neighbour_nothing() {
     server.shutdown();
 }
 
+/// ROADMAP item 1, the answer boundary: a 300 000-element list built at run
+/// time by the two-clause `mk/2`, and the cyclic terms `X = f(X)` and `X =
+/// f(X, X)` (there is no occurs check), each used to overflow the stack of a
+/// connection thread (2 MiB, the default) while the answer was copied out
+/// of the arena, and so abort the server under every tenant. The list is
+/// answered; a cyclic term is one typed `err` line; both sessions go on.
+#[test]
+fn a_deep_answer_and_a_cyclic_one_cost_the_neighbour_nothing() {
+    let server = start_server(ServeConfig::default());
+    let mut tenant = ServeClient::connect(server.addr()).unwrap();
+    tenant.load("p(1).").unwrap().unwrap();
+
+    let mut hostile = ServeClient::connect(server.addr()).unwrap();
+    hostile
+        .load("mk(0, []).\nmk(N, [a|T]) :- N > 0, N1 is N - 1, mk(N1, T).\n")
+        .unwrap()
+        .unwrap();
+    let reply = hostile.query("mk(300000, L)").unwrap().unwrap();
+    let [(name, list)] = &reply.bindings[..] else {
+        panic!("one binding: {:?}", reply.bindings.len());
+    };
+    assert_eq!(name, "L");
+    assert_eq!(list.len(), 2 * 300_000 + 1, "[a,a,...,a]");
+    assert_eq!(list.matches('a').count(), 300_000);
+
+    for cyclic in ["X = f(X)", "X = f(X, X)"] {
+        let err = hostile
+            .query(cyclic)
+            .unwrap()
+            .expect_err("no finite answer");
+        assert_eq!(err, "engine cyclic term: it has no finite copy", "{cyclic}");
+        let reply = hostile.query("mk(3, L)").unwrap().unwrap();
+        assert_eq!(reply.bindings, [("L".to_string(), "[a,a,a]".to_string())]);
+    }
+
+    let reply = tenant.query("p(X)").unwrap().unwrap();
+    assert_eq!(reply.bindings, vec![("X".to_string(), "1".to_string())]);
+    assert_eq!(tenant.stats().unwrap().quarantined, 0);
+    hostile.quit().unwrap();
+    tenant.quit().unwrap();
+    server.shutdown();
+}
+
 /// One clause per shape the reader nests, each `depth` deep as
 /// `MAX_TERM_DEPTH` counts it.
 fn clauses_nested(depth: usize) -> Vec<String> {
