@@ -190,8 +190,9 @@ struct ClauseContext<'a> {
 
 impl ClauseContext<'_> {
     /// Rewrites a body term, transforming every maximal parallel conjunction.
-    /// Each arm is judged as written — the goal the spawn site would measure
-    /// — and then rewritten itself (it may contain parallel conjunctions).
+    /// Each arm is judged as written — by the goal its grain test will
+    /// measure — and then rewritten itself (it may contain parallel
+    /// conjunctions).
     fn rewrite(&mut self, body: &Term) -> Term {
         match body {
             Term::Struct(s, args) if *s == well_known::par_and() && args.len() == 2 => {

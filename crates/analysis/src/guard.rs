@@ -1,12 +1,12 @@
 //! Threshold → guard lowering: the *producer* of the grain-size decision.
 //!
 //! The decision itself — one [`Guard`] per predicate, in a [`GuardTable`] —
-//! is defined in [`granlog_ir::grain`], where both of its enforcement points
-//! can see it: the annotator ([`crate::annotate`]) rewrites `&` conjunctions
-//! into `'$grain_ge'`-guarded source code over the table, and a
-//! multi-threaded executor hands the same table to the engine, which
-//! evaluates it at the spawn site over heap cells. This module only fills
-//! the table in, in the two ways the experiments need:
+//! is defined in [`granlog_ir::grain`]. Its one enforcement point is the
+//! annotator ([`crate::annotate`]), which rewrites `&` conjunctions into
+//! `'$grain_ge'`-guarded source code over the table; the sequential
+//! machine, the simulator and the multi-threaded executor all run that
+//! rewritten program. This module only fills the table in, in the two ways
+//! the experiments need:
 //!
 //! * [`ProgramAnalysis::guards_at`] lowers each predicate's cost function
 //!   and threshold for a task-management overhead `W`: unbounded cost or

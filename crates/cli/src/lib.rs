@@ -42,7 +42,8 @@ usage:
                    [--metrics-addr HOST:PORT] [--slow-ms MS]
 
 with --threads N the query executes on a real pool of N worker threads
-(measured wall-clock, granularity control as a runtime spawn decision);
+(measured wall-clock; with granularity on, the pool runs the annotated
+program, whose grain tests decide at run time which conjunctions spawn);
 without it, execution is sequential and parallelism is *simulated* on
 --processors P.
 
@@ -620,8 +621,9 @@ fn write_profile(
 }
 
 /// `granlog run --threads N`: real multi-threaded execution on the
-/// work-sharing pool, with granularity control as a runtime spawn decision
-/// and measured (not simulated) wall-clock time.
+/// work-sharing pool — under `--granularity on` on the annotated program,
+/// whose grain tests decide which conjunctions spawn — and measured (not
+/// simulated) wall-clock time.
 fn cmd_run_parallel(
     options: &Options,
     threads: usize,

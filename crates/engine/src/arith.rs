@@ -19,9 +19,9 @@
 //! render it to [`EngineError::Arithmetic`] text once, where the evaluation
 //! leaves this module.
 
-use crate::error::{EngineError, EngineResult};
+use crate::error::{EngineError, EngineResult, TermLimit};
 use crate::heap::{self, HCell};
-use crate::machine::Machine;
+use crate::machine::{Machine, MAX_WALK_CELLS};
 use crate::template::Cell;
 use granlog_ir::{FastMap, Symbol};
 use std::cmp::Ordering;
@@ -182,6 +182,9 @@ pub(crate) enum ArithError {
     NegativeShift(ArithOp),
     /// An integer exponent past `u32`.
     ExponentTooLarge,
+    /// The heap evaluator stopped at its bound: the expression is cyclic or
+    /// too large to walk. Leaves this module as [`EngineError::TermLimit`].
+    Walk(TermLimit),
 }
 
 impl fmt::Display for ArithError {
@@ -207,6 +210,7 @@ impl fmt::Display for ArithError {
                 write!(f, "{} requires a non-negative shift", op.name())
             }
             ArithError::ExponentTooLarge => f.write_str("exponent too large"),
+            ArithError::Walk(limit) => EngineError::TermLimit(limit).fmt(f),
         }
     }
 }
@@ -217,7 +221,10 @@ impl From<ArithError> for EngineError {
     #[cold]
     #[inline(never)]
     fn from(e: ArithError) -> EngineError {
-        EngineError::Arithmetic(e.to_string())
+        match e {
+            ArithError::Walk(limit) => EngineError::TermLimit(limit),
+            e => EngineError::Arithmetic(e.to_string()),
+        }
     }
 }
 
@@ -627,11 +634,19 @@ pub(crate) struct Scratch {
 
 /// Evaluates the expression term at heap index `idx` in postorder off an
 /// explicit work stack: native stack use does not depend on the term.
+///
+/// Both stacks and the running time are bounded. The work stack holds at
+/// most two entries per ancestor of the subterm in hand, and an acyclic
+/// term has no more ancestors than the arena has cells, so a longer stack
+/// means a cycle (`X = X + 1`). A shared subterm is evaluated once per
+/// occurrence, so past [`MAX_WALK_CELLS`] compound subterms the walk stops
+/// too.
 fn eval_heap(heap: &[HCell], scratch: &mut Scratch, idx: usize) -> ArithResult {
     let Scratch { work, values } = scratch;
     work.clear();
     values.clear();
     work.push(Work::Eval(idx as u32));
+    let mut visits = 0usize;
     while let Some(item) = work.pop() {
         let value = match item {
             Work::Eval(idx) => match heap[heap::deref(heap, idx as usize)] {
@@ -640,6 +655,13 @@ fn eval_heap(heap: &[HCell], scratch: &mut Scratch, idx: usize) -> ArithResult {
                 HCell::Ref(_) => return Err(ArithError::Unbound),
                 HCell::Atom(s) => Num::Float(constant(s)?),
                 HCell::Struct(name, arity, base) => {
+                    visits += 1;
+                    if work.len() > 2 * heap.len() {
+                        return Err(ArithError::Walk(TermLimit::Cyclic));
+                    }
+                    if visits > MAX_WALK_CELLS {
+                        return Err(ArithError::Walk(TermLimit::Eval));
+                    }
                     // Pushed in reverse: the first argument is evaluated
                     // first, the operator applied last.
                     match function(name, arity)? {

@@ -129,7 +129,8 @@ pub(crate) fn dispatch(machine: &mut Machine, builtin: Builtin, goal: HCell) -> 
         }
         Builtin::IsList => {
             machine.charge_builtin();
-            list_length(machine, args).is_some()
+            // A cyclic spine is not a list.
+            matches!(list_spine(machine, args, |_| {}), Ok(Some(_)))
         }
         Builtin::Functor => {
             machine.charge_builtin();
@@ -162,7 +163,7 @@ pub(crate) fn dispatch(machine: &mut Machine, builtin: Builtin, goal: HCell) -> 
         }
         Builtin::Length => {
             machine.charge_builtin();
-            match list_length(machine, args) {
+            match list_spine(machine, args, |_| {})? {
                 Some(n) => machine.unify_cell(args + 1, HCell::Int(n as i64))?,
                 None => false,
             }
@@ -258,28 +259,19 @@ fn builtin_univ(machine: &mut Machine, args: usize) -> EngineResult<bool> {
         }
         HCell::Ref(_) => {
             // Construct from the list.
-            let wk = granlog_ir::symbol::well_known::get();
             let mut items: Vec<HCell> = Vec::new();
-            let mut cur = machine.deref_idx(args + 1);
-            loop {
-                match machine.cell(cur) {
-                    HCell::Atom(s) if s == wk.nil => break,
-                    HCell::Struct(s, 2, base) if s == wk.cons => {
-                        let elem = machine.deref_idx(base as usize);
-                        let cell = match machine.cell(elem) {
-                            HCell::Ref(_) => HCell::Ref(elem as u32),
-                            other => other,
-                        };
-                        items.push(cell);
-                        cur = machine.deref_idx(base as usize + 1);
-                    }
-                    _ => {
-                        return Err(EngineError::TypeError {
-                            builtin: "=..",
-                            message: "second argument must be a proper list".into(),
-                        })
-                    }
-                }
+            let proper = list_spine(machine, args + 1, |at| {
+                let elem = machine.deref_idx(at);
+                items.push(match machine.cell(elem) {
+                    HCell::Ref(_) => HCell::Ref(elem as u32),
+                    other => other,
+                });
+            })?;
+            if proper.is_none() {
+                return Err(EngineError::TypeError {
+                    builtin: "=..",
+                    message: "second argument must be a proper list".into(),
+                });
             }
             let Some((&head, rest)) = items.split_first() else {
                 return Ok(false);
@@ -361,54 +353,59 @@ fn is_ground(machine: &mut Machine, idx: usize) -> Result<bool, TermLimit> {
     Ok(unbound.is_none())
 }
 
-/// Walks a list spine counting elements. Returns `None` for partial or
-/// improper lists. A pure cell walk: no clones, no allocation.
-fn list_length(machine: &Machine, idx: usize) -> Option<u64> {
+/// Walks the list spine at `idx`, handing `each` the arena index of every
+/// element cell in order. Returns the element count of a proper list and
+/// `None` for a partial or improper one. A spine with more elements than
+/// the arena has cells can only be cyclic (`X = [a|X]`): the walk stops
+/// there with [`TermLimit::Cyclic`] instead of looping.
+fn list_spine(
+    machine: &Machine,
+    idx: usize,
+    mut each: impl FnMut(usize),
+) -> Result<Option<u64>, TermLimit> {
     let wk = granlog_ir::symbol::well_known::get();
+    let cells = machine.heap_len() as u64;
     let mut count = 0u64;
     let mut cur = machine.deref_idx(idx);
     loop {
         match machine.cell(cur) {
-            HCell::Atom(s) if s == wk.nil => return Some(count),
+            HCell::Atom(s) if s == wk.nil => return Ok(Some(count)),
             HCell::Struct(s, 2, base) if s == wk.cons => {
+                if count == cells {
+                    return Err(TermLimit::Cyclic);
+                }
                 count += 1;
+                each(base as usize);
                 cur = machine.deref_idx(base as usize + 1);
             }
-            _ => return None,
+            _ => return Ok(None),
         }
     }
 }
 
 /// `size(Term) >= K` under `measure`, plus the number of elements the test
-/// had to traverse. The one bounded measurement behind both enforcement
-/// points of the grain-size decision: the `'$grain_ge'` builtin charges the
+/// had to traverse: the measurement behind `'$grain_ge'`, the one place the
+/// grain-size decision is enforced at run time. The builtin charges the
 /// machine for the traversal (the runtime overhead the paper's Section 7
-/// studies), the spawn-site pre-screens do not. List and term walks stop as
-/// soon as `K` elements have been seen, mirroring the cheap tests the paper
-/// generates; an argument whose size is unknown errs on the parallel side.
-pub(crate) fn bounded_measure(
-    machine: &Machine,
-    measure: Measure,
-    term: usize,
-    k: u64,
-) -> (bool, u64) {
+/// studies). List and term walks stop as soon as `K` elements have been
+/// seen, mirroring the cheap tests the paper generates; an argument whose
+/// size is unknown errs on the parallel side.
+fn bounded_measure(machine: &Machine, measure: Measure, term: usize, k: u64) -> (bool, u64) {
     let seen = match measure {
         Measure::ListLength => bounded_list_length(machine, term, k),
         Measure::TermDepth => bounded_depth(machine, term, k),
         Measure::TermSize => bounded_term_size(machine, term, k),
-        Measure::IntValue => return (int_at_least(machine.cell(machine.deref_idx(term)), k), 1),
+        Measure::IntValue => {
+            let holds = match machine.cell(machine.deref_idx(term)) {
+                HCell::Int(v) => (v.max(0) as u64) >= k,
+                HCell::Float(v) => v >= k as f64,
+                _ => true, // unknown size: err on the parallel side
+            };
+            return (holds, 1);
+        }
         Measure::Ignore => return (true, 0),
     };
     (seen >= k, seen)
-}
-
-/// [`bounded_measure`] under `int` for a cell already in hand.
-pub(crate) fn int_at_least(cell: HCell, k: u64) -> bool {
-    match cell {
-        HCell::Int(v) => (v.max(0) as u64) >= k,
-        HCell::Float(v) => v >= k as f64,
-        _ => true, // unknown size: err on the parallel side
-    }
 }
 
 fn bounded_list_length(machine: &Machine, idx: usize, limit: u64) -> u64 {

@@ -18,8 +18,9 @@ pub enum BudgetKind {
 /// [`EngineError::TermLimit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TermLimit {
-    /// Copying a term out of the arena went more levels deep than the arena
-    /// has cells, which only a cyclic term can do.
+    /// A walk — copying a term out of the arena, a list spine, an
+    /// arithmetic expression — went further than the arena has cells, which
+    /// only a cyclic term can make it do.
     Cyclic,
     /// Copying a term out of the arena.
     Copy,
@@ -29,6 +30,9 @@ pub enum TermLimit {
     Compare,
     /// `ground/1`.
     Ground,
+    /// Evaluating an arithmetic expression built at run time (one whose
+    /// subterms are shared can be exponentially larger than its cells).
+    Eval,
 }
 
 /// An error produced while executing a query.

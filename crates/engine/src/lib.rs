@@ -30,7 +30,8 @@
 //!   the `granlog-par` crate's multi-threaded work-stealing executor);
 //! * the `'$grain_ge'(Term, Measure, K)` runtime grain-size test emitted by
 //!   the granularity-control transformation, charged with a cost proportional
-//!   to the traversal it performs;
+//!   to the traversal it performs — the only place the engine enforces the
+//!   grain-size decision, with or without a parallel hook;
 //! * per-operation counters ([`Counters`]), converted to work units under
 //!   the paper's resolutions metric;
 //! * a **preemptible** solve loop: [`machine::Budget`] bounds a slice by

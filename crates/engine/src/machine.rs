@@ -50,10 +50,11 @@
 //! fork/join structure and each arm's work are recorded in a
 //! [`crate::tasktree::TaskTree`] for the multiprocessor simulator. With a
 //! parallel hook installed ([`Machine::run_goal_par`], [`crate::par`]),
-//! a conjunction that passes an optional cell-level granularity pre-screen
-//! still runs here, but arms `1..` are also offered to the hook: an arm an
-//! idle thread claims first is skipped, and its answer is joined back
-//! deterministically once the local arms are done.
+//! an independent conjunction still runs here, but arms `1..` are also
+//! offered to the hook: an arm an idle thread claims first is skipped, and
+//! its answer is joined back deterministically once the local arms are done.
+//! Whether a `&` is worth offering is decided before it is reached, by the
+//! `'$grain_ge'` tests the annotator placed in front of it.
 
 use crate::arith;
 use crate::builtins;
@@ -65,9 +66,7 @@ use crate::par::{ArmAnswer, Offer, Packet, ParHook};
 use crate::tasktree::{TaskId, TaskRecorder, TaskTree};
 use crate::template::{Cell, ClauseTemplate, GoalImage, Seq, Step};
 use granlog_ir::symbol::well_known::{self, WellKnownSymbols};
-use granlog_ir::{
-    parser, ClauseId, FastMap, Guard, GuardTable, IndexKey, Measure, PredId, Program, Symbol, Term,
-};
+use granlog_ir::{parser, ClauseId, FastMap, IndexKey, PredId, Program, Symbol, Term};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -2254,42 +2253,20 @@ impl Machine {
             Step::Par { arms_at, arms_len } => {
                 let mut offers = NOT_OFFERED;
                 if let Some(h) = hook {
-                    // Template-level pre-screen: with granularity on, a
-                    // below-threshold conjunction is recognised here from
-                    // the template cells and the activation's variable
-                    // bindings — nothing is materialized, the compiled
-                    // path below runs exactly as without a hook.
-                    let screened_out = h.spawn_guards().is_some_and(|guards| {
-                        (0..arms_len).any(|k| {
-                            let pos = templ.par_arm_cell_positions()[(arms_at + k) as usize];
-                            self.template_guard_decision(
-                                guards,
-                                templ.cells(),
-                                pos as usize,
-                                var_base as usize,
-                            ) == Some(false)
-                        })
-                    });
-                    if screened_out {
-                        h.note_inlined();
-                    } else {
-                        // Materialize the arm terms only to measure and
-                        // pack them: the arms that run here run off their
-                        // compiled sequences below, so the copies are
-                        // dropped again.
-                        let heap_mark = self.heap.len();
-                        let base = self.arm_scratch.len();
-                        for k in 0..arms_len {
-                            let positions = templ.par_arm_cell_positions();
-                            let mut pos = positions[(arms_at + k) as usize] as usize;
-                            let cell =
-                                self.write_template(templ.cells(), &mut pos, var_base as usize);
-                            self.arm_scratch.push(cell);
-                        }
-                        offers = self.try_offer(h, base);
-                        self.arm_scratch.truncate(base);
-                        self.heap.truncate(heap_mark);
+                    // Materialize the arm terms only to pack them: the arms
+                    // that run here run off their compiled sequences below,
+                    // so the copies are dropped again.
+                    let heap_mark = self.heap.len();
+                    let base = self.arm_scratch.len();
+                    for k in 0..arms_len {
+                        let positions = templ.par_arm_cell_positions();
+                        let mut pos = positions[(arms_at + k) as usize] as usize;
+                        let cell = self.write_template(templ.cells(), &mut pos, var_base as usize);
+                        self.arm_scratch.push(cell);
                     }
+                    offers = self.try_offer(h, base);
+                    self.arm_scratch.truncate(base);
+                    self.heap.truncate(heap_mark);
                 }
                 let children = self.recorder.record_fork(arms_len as usize);
                 let arms = ArmSource::Compiled {
@@ -2315,9 +2292,9 @@ impl Machine {
     /// Offers arms `1..` of the conjunction whose arm cells sit in
     /// `arm_scratch[base..]` (left in place) to the parallel hook, and
     /// returns where their entries start in the offer table — or
-    /// [`NOT_OFFERED`], with the hook notified, when a spawn guard found an
-    /// arm too small or the arms are not independent. Either way the caller
-    /// then runs the conjunction on its ordinary inline path.
+    /// [`NOT_OFFERED`], with the hook notified, when the arms are not
+    /// independent. Either way the caller then runs the conjunction on its
+    /// ordinary inline path.
     ///
     /// This is the forking half of the spawn boundary documented in
     /// [`crate::par`]. Every arm is packed, arm 0 included: packing is also
@@ -2326,20 +2303,6 @@ impl Machine {
     /// conjunction is not offered and parallel execution stays
     /// answer-equivalent to sequential execution.
     fn try_offer(&mut self, hook: &dyn ParHook, base: usize) -> u32 {
-        // Cell-level pre-screen: a bounded cell walk per arm decides most
-        // granularity-control inlines for (at most) the cost of the
-        // threshold, before any arm is packed.
-        if let Some(guards) = hook.spawn_guards() {
-            for k in base..self.arm_scratch.len() {
-                if !self
-                    .cell_guard_decision(guards, self.arm_scratch[k])
-                    .unwrap_or(true)
-                {
-                    hook.note_inlined();
-                    return NOT_OFFERED;
-                }
-            }
-        }
         let Some(own_vars) = self.pack_arms(base) else {
             hook.note_inlined();
             self.offer_batch.clear();
@@ -2402,106 +2365,6 @@ impl Machine {
                 let arm = self.arm_scratch[base as usize + k as usize];
                 self.push_goal(Goal::Cell(arm))
             }
-        }
-    }
-
-    /// Evaluates an arm's spawn guard over heap cells: walks the arm's
-    /// `','`-spine for the first goal with a guard and returns its verdict
-    /// (`None` if no goal in the arm is guarded, which spawns).
-    fn cell_guard_decision(&self, guards: &GuardTable, cell: HCell) -> Option<bool> {
-        let wk = well_known::get();
-        match self.deref_cell(cell) {
-            HCell::Struct(s, 2, base) if s == wk.comma => self
-                .cell_guard_decision(guards, self.heap[base as usize])
-                .or_else(|| self.cell_guard_decision(guards, self.heap[base as usize + 1])),
-            HCell::Atom(s) => guards
-                .get(PredId::new(s, 0))
-                .map(|g| self.eval_guard(g, 0, 0)),
-            HCell::Struct(s, arity, base) => guards
-                .get(PredId::new(s, arity as usize))
-                .map(|g| self.eval_guard(g, arity as usize, base as usize)),
-            _ => None,
-        }
-    }
-
-    /// Evaluates one goal's guard against its argument block, through the
-    /// bounded measurement the `'$grain_ge'` builtin performs (uncharged: no
-    /// grain test was executed, a spawn was screened).
-    fn eval_guard(&self, guard: Guard, arity: usize, args: usize) -> bool {
-        match guard {
-            Guard::Always => true,
-            Guard::Never => false,
-            Guard::SizeAtLeast {
-                arg_pos,
-                measure,
-                k,
-            } => arg_pos >= arity || builtins::bounded_measure(self, measure, args + arg_pos, k).0,
-        }
-    }
-
-    /// [`Machine::cell_guard_decision`] straight off template cells, before
-    /// any materialization: walks the arm subtree's `','`-spine for the
-    /// first guarded goal and evaluates its guard. The measured argument is
-    /// almost always a clause variable, whose binding already lives in the
-    /// arena at `var_base + v` — zero cells are written. Returns `None`
-    /// when the decision needs the materialized arm (no guarded goal found,
-    /// or a guarded goal whose measured argument is a template literal),
-    /// which the cell-level pre-screen in [`Machine::try_offer`] then
-    /// settles.
-    fn template_guard_decision(
-        &self,
-        guards: &GuardTable,
-        cells: &[Cell],
-        pos: usize,
-        var_base: usize,
-    ) -> Option<bool> {
-        let wk = well_known::get();
-        match cells[pos] {
-            Cell::Struct(s, 2) if s == wk.comma => {
-                let left = pos + 1;
-                self.template_guard_decision(guards, cells, left, var_base)
-                    .or_else(|| {
-                        let right = crate::template::skip_subtree(cells, left);
-                        self.template_guard_decision(guards, cells, right, var_base)
-                    })
-            }
-            // A variable goal: its binding is in the arena — decide there.
-            Cell::Var(v) | Cell::VarFirst(v) => {
-                self.cell_guard_decision(guards, HCell::Ref((var_base + v as usize) as u32))
-            }
-            Cell::Atom(s) => guards
-                .get(PredId::new(s, 0))
-                .map(|g| self.eval_guard(g, 0, 0)),
-            Cell::Struct(s, arity) => {
-                let arity = arity as usize;
-                match guards.get(PredId::new(s, arity))? {
-                    Guard::SizeAtLeast {
-                        arg_pos,
-                        measure,
-                        k,
-                    } if arg_pos < arity => {
-                        let mut arg = pos + 1;
-                        for _ in 0..arg_pos {
-                            arg = crate::template::skip_subtree(cells, arg);
-                        }
-                        match cells[arg] {
-                            Cell::Var(v) | Cell::VarFirst(v) => Some(
-                                builtins::bounded_measure(self, measure, var_base + v as usize, k)
-                                    .0,
-                            ),
-                            Cell::Int(i) if measure == Measure::IntValue => {
-                                Some(builtins::int_at_least(HCell::Int(i), k))
-                            }
-                            // A structured template literal: measuring it
-                            // needs materialization — defer.
-                            _ => None,
-                        }
-                    }
-                    // No argument to measure: the verdict is the guard's own.
-                    guard => Some(self.eval_guard(guard, 0, 0)),
-                }
-            }
-            _ => None,
         }
     }
 
@@ -3190,55 +3053,20 @@ mod tests {
     }
 
     #[test]
-    fn unmeasured_arguments_err_parallel_in_the_builtin_and_at_the_spawn_site() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        /// Carries a guard table; counts conjunctions offered and screened.
-        /// Nobody takes its offers up, so the machine runs every arm itself.
-        struct Screen(GuardTable, AtomicUsize, AtomicUsize);
-        impl ParHook for Screen {
-            fn offer(&self, arms: &[Arc<Offer>]) {
-                assert_eq!(arms.len(), 1, "arm 0 is not on offer");
-                self.1.fetch_add(1, Ordering::Relaxed);
-            }
-            fn join(&self, _arm: &Offer) -> crate::par::ArmResult {
-                unreachable!("no arm was stolen")
-            }
-            fn spawn_guards(&self) -> Option<&GuardTable> {
-                Some(&self.0)
-            }
-            fn note_inlined(&self) {
-                self.2.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let program = parse_program("p(X, Y) :- w(X) & w(Y). w(_).").unwrap();
-        let (goal, vars) = parser::parse_term("p(a, b)").unwrap();
-        let verdicts = |measure, k| {
-            let guard = Guard::SizeAtLeast {
-                arg_pos: 0,
-                measure,
-                k,
-            };
-            let table = [(PredId::parse("w", 1), guard)].into_iter().collect();
-            let screen = Screen(table, AtomicUsize::new(0), AtomicUsize::new(0));
-            let mut machine = Machine::new(&program);
-            let out = machine.run_goal_par(&goal, &vars, Some(&screen)).unwrap();
-            assert!(out.succeeded);
-            assert_eq!(machine.outstanding_offers(), 0);
-            let spawn_site = (screen.1.into_inner(), screen.2.into_inner()) == (1, 0);
-            let builtin = run("d.", &format!("'$grain_ge'(a, {measure}, {k})")).succeeded;
-            (spawn_site, builtin)
+    fn unmeasured_arguments_err_parallel_in_the_grain_test() {
+        let holds = |measure: &str, k| {
+            let out = run("d.", &format!("'$grain_ge'(a, {measure}, {k})"));
+            assert_eq!(out.counters.grain_tests, 1, "{measure}");
+            (out.succeeded, out.counters.grain_test_elements)
         };
-        // An argument without size information passes both enforcement
-        // points (the paper's rule: unknown size errs parallel) ...
-        assert_eq!(verdicts(Measure::Ignore, 5), (true, true));
+        // An argument without size information passes, for free (the paper's
+        // rule: unknown size errs parallel) ...
         for name in ["void", "ignore", "none", "'_'"] {
-            let out = run("d.", &format!("'$grain_ge'(a, {name}, 5)"));
-            assert!(out.succeeded, "{name}");
-            assert_eq!(out.counters.grain_test_elements, 0);
+            assert_eq!(holds(name, 5), (true, 0), "{name}");
         }
-        // ... and a measured one gets one verdict from both.
-        assert_eq!(verdicts(Measure::TermSize, 5), (false, false));
-        assert_eq!(verdicts(Measure::TermSize, 1), (true, true));
+        // ... and a measured one is measured.
+        assert_eq!(holds("size", 5), (false, 1));
+        assert_eq!(holds("size", 1), (true, 1));
     }
 
     #[test]

@@ -4,12 +4,18 @@
 //! arena, one goal stack and one set of choice points, and nothing in it is
 //! shared. Real and-parallel execution is layered *on top* through the
 //! [`ParHook`] trait, by **lazy task creation**: when a hook is passed to
-//! [`crate::Machine::run_goal_par`], a parallel conjunction (`&`) that
-//! passes the hook's spawn guards and whose arms are independent runs on the
-//! forking machine's ordinary inline path, exactly as it does without a hook
-//! — but arms `1..` are first packed and *offered* to the hook as [`Offer`]
-//! slots. An offer is a standing invitation, not a hand-over: whoever wins
-//! the slot's one compare-and-swap runs the arm.
+//! [`crate::Machine::run_goal_par`], every parallel conjunction (`&`) the
+//! machine reaches whose arms are independent runs on the forking machine's
+//! ordinary inline path, exactly as it does without a hook — but arms `1..`
+//! are first packed and *offered* to the hook as [`Offer`] slots. An offer
+//! is a standing invitation, not a hand-over: whoever wins the slot's one
+//! compare-and-swap runs the arm.
+//!
+//! The boundary makes no grain-size decision. Granularity control is the
+//! annotator's source rewrite: a `&` too small to pay for an offer has
+//! already taken the sequential branch of its `'$grain_ge'` test — a test
+//! charged to the grain-test counters and the work — before the machine
+//! could reach it.
 //!
 //! * The forking machine claims each arm back as it reaches it and runs it
 //!   in place, on its compiled arm sequence. This is the common case, and it
@@ -55,7 +61,6 @@
 use crate::cost::Counters;
 use crate::error::EngineResult;
 use crate::heap::HCell;
-use granlog_ir::GuardTable;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -183,26 +188,16 @@ impl Offer {
 /// own machine so nested conjunctions are offered recursively), hence the
 /// `Sync` bound.
 pub trait ParHook: Sync {
-    /// The grain-size decision ([`granlog_ir::grain`]) the machine enforces
-    /// at the spawn site, over heap cells, *before* packing an arm: if any
-    /// arm's first guarded goal measures below its threshold, the
-    /// conjunction is inlined for the cost of a bounded cell walk (the same
-    /// walk `'$grain_ge'` performs) instead of a pack. `None` (the default)
-    /// lets every independent conjunction through to [`ParHook::offer`].
-    fn spawn_guards(&self) -> Option<&GuardTable> {
-        None
-    }
-
     /// Notification that the machine inlined a conjunction without offering
-    /// it — the spawn-guard pre-screen found it too small, or packing found
-    /// an unbound variable shared between arms — so executors can keep
-    /// their statistics. Default: no-op.
+    /// it — packing found an unbound variable shared between arms, or an
+    /// arm too large or cyclic to copy — so executors can keep their
+    /// statistics. Default: no-op.
     fn note_inlined(&self) {}
 
-    /// Arms `1..` of a conjunction that passed the guards and the
-    /// independence check, in arm order. The machine runs arm 0 now and
-    /// will want `arms[0]` back first, so the cheap place for it is the
-    /// newest end of whatever the hook keeps.
+    /// Arms `1..` of a conjunction that passed the independence check, in
+    /// arm order. The machine runs arm 0 now and will want `arms[0]` back
+    /// first, so the cheap place for it is the newest end of whatever the
+    /// hook keeps.
     fn offer(&self, arms: &[Arc<Offer>]);
 
     /// The forking machine won `arm`'s claim — to run it in place, or

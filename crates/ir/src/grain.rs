@@ -2,12 +2,12 @@
 //!
 //! The paper's runtime story is a single decision: a compile-time cost bound
 //! becomes a threshold on the size of one input argument, checked by a cheap
-//! bounded test before a spawn. This module is the contract between whoever
+//! bounded test before a spawn. This module is the contract between what
 //! *produces* that decision (`granlog-analysis`, from thresholds at a task
-//! overhead `W` or with one constant for the Figure 2 sweep) and whoever
-//! *enforces* it (the annotator's `'$grain_ge'` rewrite, and the engine's
-//! spawn-site pre-screens): one [`Measure`] vocabulary with one name table,
-//! one per-predicate [`Guard`], one [`GuardTable`].
+//! overhead `W` or with one constant for the Figure 2 sweep) and what
+//! *enforces* it (the annotator's `'$grain_ge'` rewrite, whose output every
+//! engine runs): one [`Measure`] vocabulary with one name table, one
+//! per-predicate [`Guard`], one [`GuardTable`].
 
 use crate::symbol::FastMap;
 use crate::{PredId, Symbol, Term};

@@ -25,9 +25,9 @@
 //!   the id the engine dispatches on, argument modes. Every crate that must
 //!   know "is this goal a builtin" asks [`builtins::lookup`].
 //! * [`grain`] — the grain-size decision shared by the analysis that
-//!   produces it and the annotator and engine that enforce it: the
-//!   [`Measure`] vocabulary, the per-predicate [`Guard`] and the
-//!   [`GuardTable`].
+//!   produces it and the annotator that enforces it: the [`Measure`]
+//!   vocabulary (which the engine's `'$grain_ge'` reads back), the
+//!   per-predicate [`Guard`] and the [`GuardTable`].
 //!
 //! # Example
 //!

@@ -7,6 +7,7 @@
 
 use crate::symbol::Symbol;
 use crate::term::Term;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Operators rendered infix by the pretty printer, with their display glyph.
@@ -42,73 +43,100 @@ fn infix_glyph(name: &str, arity: usize) -> Option<&'static str> {
     Some(glyph)
 }
 
+/// What is left of a compound once the subterm in hand is printed.
+enum Frame<'t> {
+    /// A compound's remaining arguments, each after a `,`, then `)`.
+    Args(&'t [Term]),
+    /// An infix operator's glyph and right operand, then `)`.
+    Infix(&'static str, &'t Term),
+    /// A list's spine after an element.
+    Spine(&'t Term),
+    /// The `]` after an improper list's tail.
+    CloseList,
+}
+
 /// Formats a single term.
 ///
 /// `var_names`, when provided, maps [`crate::term::VarId`]s to their source
 /// names; variables outside the table (or when the table is absent) render as
 /// `_N`.
+///
+/// One loop over an explicit work stack, one frame per open compound: native
+/// stack use does not depend on the term's depth, so any answer an engine can
+/// build prints.
 pub fn fmt_term(
     term: &Term,
     var_names: Option<&[Symbol]>,
     f: &mut fmt::Formatter<'_>,
 ) -> fmt::Result {
-    match term {
-        Term::Var(v) => match var_names.and_then(|names| names.get(*v)) {
-            Some(name) => write!(f, "{name}"),
-            None => write!(f, "_{v}"),
-        },
-        Term::Int(i) => write!(f, "{i}"),
-        Term::Float(x) => write!(f, "{}", x.0),
-        Term::Atom(a) => write!(f, "{}", atom_text(a.as_str())),
-        Term::Struct(_, _) if term.is_cons() => fmt_list(term, var_names, f),
-        Term::Struct(name, args) => {
-            if let Some(glyph) = infix_glyph(name.as_str(), args.len()) {
-                write!(f, "(")?;
-                fmt_term(&args[0], var_names, f)?;
-                write!(f, "{glyph}")?;
-                fmt_term(&args[1], var_names, f)?;
-                write!(f, ")")
-            } else {
-                write!(f, "{}(", atom_text(name.as_str()))?;
-                for (i, arg) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    fmt_term(arg, var_names, f)?;
-                }
-                write!(f, ")")
-            }
-        }
-    }
-}
-
-fn fmt_list(term: &Term, var_names: Option<&[Symbol]>, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    write!(f, "[")?;
-    let mut cur = term;
-    let mut first = true;
+    let mut work = Vec::new();
+    let mut next = Some(term);
     loop {
-        match cur {
-            Term::Struct(s, args) if *s == crate::symbol::well_known::cons() && args.len() == 2 => {
-                if !first {
-                    write!(f, ",")?;
+        // Print the term in hand; a compound prints its opening, leaves the
+        // rest of itself on the stack and hands over its first subterm.
+        while let Some(term) = next.take() {
+            match term {
+                Term::Var(v) => match var_names.and_then(|names| names.get(*v)) {
+                    Some(name) => write!(f, "{name}")?,
+                    None => write!(f, "_{v}")?,
+                },
+                Term::Int(i) => write!(f, "{i}")?,
+                Term::Float(x) => write!(f, "{}", x.0)?,
+                Term::Atom(a) => f.write_str(&atom_text(a.as_str()))?,
+                Term::Struct(_, args) if term.is_cons() => {
+                    f.write_str("[")?;
+                    work.push(Frame::Spine(&args[1]));
+                    next = Some(&args[0]);
                 }
-                fmt_term(&args[0], var_names, f)?;
-                first = false;
-                cur = &args[1];
-            }
-            t if t.is_nil() => break,
-            tail => {
-                write!(f, "|")?;
-                fmt_term(tail, var_names, f)?;
-                break;
+                Term::Struct(name, args) => match infix_glyph(name.as_str(), args.len()) {
+                    Some(glyph) => {
+                        f.write_str("(")?;
+                        work.push(Frame::Infix(glyph, &args[1]));
+                        next = Some(&args[0]);
+                    }
+                    None => {
+                        write!(f, "{}(", atom_text(name.as_str()))?;
+                        work.push(Frame::Args(args.get(1..).unwrap_or_default()));
+                        next = args.first();
+                    }
+                },
             }
         }
+        let Some(frame) = work.pop() else {
+            return Ok(());
+        };
+        match frame {
+            Frame::Args([]) => f.write_str(")")?,
+            Frame::Args([arg, rest @ ..]) => {
+                f.write_str(",")?;
+                work.push(Frame::Args(rest));
+                next = Some(arg);
+            }
+            Frame::Infix(glyph, right) => {
+                f.write_str(glyph)?;
+                work.push(Frame::Args(&[]));
+                next = Some(right);
+            }
+            Frame::Spine(rest) => match rest {
+                Term::Struct(_, args) if rest.is_cons() => {
+                    f.write_str(",")?;
+                    work.push(Frame::Spine(&args[1]));
+                    next = Some(&args[0]);
+                }
+                t if t.is_nil() => f.write_str("]")?,
+                tail => {
+                    f.write_str("|")?;
+                    work.push(Frame::CloseList);
+                    next = Some(tail);
+                }
+            },
+            Frame::CloseList => f.write_str("]")?,
+        }
     }
-    write!(f, "]")
 }
 
 /// Quotes an atom's text if it would not read back as an unquoted atom.
-fn atom_text(s: &str) -> String {
+fn atom_text(s: &str) -> Cow<'_, str> {
     let plain_alpha = s
         .chars()
         .next()
@@ -118,9 +146,9 @@ fn atom_text(s: &str) -> String {
     let symbolic = !s.is_empty() && s.chars().all(|c| "+-*/\\^<>=~:.?@#&$".contains(c));
     let special = matches!(s, "[]" | "!" | ";" | "{}" | ",");
     if plain_alpha || symbolic || special {
-        s.to_owned()
+        Cow::Borrowed(s)
     } else {
-        format!("'{}'", s.replace('\'', "\\'"))
+        Cow::Owned(format!("'{}'", s.replace('\'', "\\'")))
     }
 }
 
@@ -191,6 +219,28 @@ mod tests {
     fn nested_lists() {
         let t = Term::list(vec![Term::list(vec![Term::int(1)]), Term::nil()]);
         assert_eq!(t.to_string(), "[[1],[]]");
+    }
+
+    #[test]
+    fn deep_terms_print_on_a_small_stack() {
+        // `mk(300000, E)` over `mk(N, X+1)`: a left-deep `+` chain.
+        let deep = (0..300_000).fold(Term::int(0), |acc, _| {
+            Term::compound("+", vec![acc, Term::int(1)])
+        });
+        let printed = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || deep.to_string())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(printed.len(), 300_000 * 4 + 1);
+        assert_eq!(printed.find('0'), Some(300_000), "every `(` comes first");
+        assert!(printed[300_000..].starts_with("0+1)+1)"));
+        let nested = Term::list(vec![
+            Term::compound("f", vec![Term::list(vec![])]),
+            Term::var(2),
+        ]);
+        assert_eq!(nested.to_string(), "[f([]),_2]");
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!
 //! # Architecture
 //!
-//! * **Offer, don't ship.** A conjunction that passes the guards runs on
-//!   the machine that forked it, on the ordinary inline path; arms `1..` are
-//!   packed and *offered* (see [`granlog_engine::par`]): one `Arc` slot
-//!   each, pushed on the forking thread's own deque. When the forker reaches
-//!   an arm it claims it back with one compare-and-swap, pops it and runs it
-//!   in place. Only an arm an idle thread claimed first (a *steal*) crosses
-//!   the spawn boundary — and almost none does.
+//! * **Offer, don't ship.** An independent conjunction runs on the machine
+//!   that forked it, on the ordinary inline path; arms `1..` are packed and
+//!   *offered* (see [`granlog_engine::par`]): one `Arc` slot each, pushed on
+//!   the forking thread's own deque. When the forker reaches an arm it claims
+//!   it back with one compare-and-swap, pops it and runs it in place. Only an
+//!   arm an idle thread claimed first (a *steal*) crosses the spawn boundary —
+//!   and almost none does.
 //! * **A deque per thread.** The owner pushes and pops at the newest end of
 //!   its `Mutex<VecDeque>`; idle workers take the oldest entry of any deque
 //!   (the biggest piece of work on offer). A worker with nothing to take
@@ -41,13 +41,14 @@
 //!   so the wait-for graph stays acyclic and nested conjunctions cannot
 //!   deadlock. Join bindings are charged to no counter: answers,
 //!   [`Counters`] and work are the same under every schedule, and the same
-//!   as [`Granularity::Off`]'s.
-//! * **Runtime granularity control.** With [`Granularity::On`], the
-//!   analysis' thresholds are lowered into per-predicate guards (a
-//!   [`GuardTable`], the same one the annotator rewrites source code over):
-//!   at each `&` the machine measures the driving argument of each arm and
-//!   the conjunction is offered only if every arm's estimated work reaches
-//!   the spawn overhead — otherwise nothing is packed.
+//!   as the sequential machine's on the program the executor runs.
+//! * **Granularity control is the annotated program.** With
+//!   [`Granularity::On`] the executor runs what the paper's compiler emits:
+//!   the program the annotator ([`granlog_analysis::annotate`]) rewrites for
+//!   the configured overhead, each `&` behind `'$grain_ge'` tests of its
+//!   arms' driving arguments. A conjunction too small to pay for an offer
+//!   takes the sequential branch and never reaches the spawn boundary; its
+//!   tests are charged like any grain test.
 //! * **Fault isolation.** A stolen arm runs under `catch_unwind`: a panic
 //!   completes its slot as [`EngineError::WorkerPanic`] instead of hanging
 //!   its joiner, and the arm's machine is discarded. A failed conjunction,
@@ -87,12 +88,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use granlog_analysis::annotate::{prepare_program, ControlMode};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_engine::par::{ArmResult, Offer, ParHook};
 use granlog_engine::{
     Budget, Counters, EngineError, EngineResult, Image, Machine, MachineConfig, Solve,
 };
-use granlog_ir::{parser, GuardTable, Program, Symbol, Term};
+use granlog_ir::{parser, Program, Symbol, Term};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -124,10 +126,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// How the executor decides whether a `&` conjunction is spawned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Granularity {
-    /// Granularity control on: offer a conjunction's arms only when every
-    /// arm's estimated work (the analysis cost function evaluated on the
-    /// measured size of the arm's driving argument) reaches the spawn
-    /// overhead; otherwise run it inline with nothing packed.
+    /// Granularity control on: run the program as the annotator rewrites it
+    /// for [`ParConfig::overhead`]. A conjunction's charged `'$grain_ge'`
+    /// tests offer its arms only when every arm's estimated work (the cost
+    /// function at the measured size of its driving argument) reaches the
+    /// spawn overhead; otherwise it runs sequentially.
     On,
     /// Parallelism disabled: no hook is installed and every conjunction
     /// runs inline on the one machine (the sequential baseline, on the same
@@ -150,7 +153,7 @@ pub struct ParConfig {
     pub threads: usize,
     /// The spawn-decision mode.
     pub granularity: Granularity,
-    /// Task-management overhead `W` used to compile the spawn guards, in the
+    /// Task-management overhead `W` the program is annotated for, in the
     /// analysis' cost units (resolutions by default). Only read with
     /// [`Granularity::On`].
     pub overhead: f64,
@@ -177,15 +180,18 @@ pub struct ParOutcome {
     /// Bindings of the query's named variables, in source order.
     pub bindings: Vec<(Symbol, Term)>,
     /// Operation counters, aggregated across every machine that worked on
-    /// the query. Schedule-independent: equal to [`Granularity::Off`]'s.
+    /// the query. Schedule-independent: those of the sequential machine on
+    /// the program the executor runs, which is the annotated one (grain
+    /// tests included) under [`Granularity::On`].
     pub counters: Counters,
     /// Total work in cost-model units, aggregated like the counters.
     pub work: f64,
-    /// Number of arms of conjunctions that passed the guards and the
-    /// independence check (first arms included), wherever they then ran.
+    /// Number of arms of conjunctions that passed the independence check
+    /// (first arms included), wherever they then ran.
     pub spawned_tasks: usize,
-    /// Number of `&` conjunctions the granularity guards (or an
-    /// independence fallback) ran inline instead of spawning.
+    /// Number of `&` conjunctions run inline because their arms share an
+    /// unbound variable or could not be packed (one that granularity control
+    /// sequentialises takes the `,` branch of its grain test instead).
     pub inlined_conjunctions: usize,
 }
 
@@ -222,9 +228,6 @@ struct Shared {
     image: Arc<Image>,
     machine_config: MachineConfig,
     granularity: Granularity,
-    /// The analysis' guards (granularity-on only): evaluated by the machine
-    /// over heap cells before anything is packed.
-    guards: Option<GuardTable>,
     /// One lane per thread of a query (0 = the caller).
     lanes: Box<[Lane]>,
     /// Threads parked on `wake` or about to be: what a push, a completed
@@ -395,10 +398,6 @@ impl Worker<'_> {
 }
 
 impl ParHook for Worker<'_> {
-    fn spawn_guards(&self) -> Option<&GuardTable> {
-        self.shared.guards.as_ref()
-    }
-
     fn note_inlined(&self) {
         self.lane().inlined.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &self.shared.obs {
@@ -408,9 +407,9 @@ impl ParHook for Worker<'_> {
     }
 
     fn offer(&self, arms: &[Arc<Offer>]) {
-        // Conjunctions that reach this point already passed the machine's
-        // spawn-guard pre-screen and its independence check. `spawned`
-        // counts their arms, the one the forker starts on included.
+        // Conjunctions that reach this point passed the machine's
+        // independence check. `spawned` counts their arms, the one the
+        // forker starts on included.
         let (shared, count) = (self.shared, arms.len() + 1);
         self.lane().spawned.fetch_add(count, Ordering::Relaxed);
         if let Some(obs) = &shared.obs {
@@ -459,26 +458,34 @@ impl ParHook for Worker<'_> {
     }
 }
 
-/// The multi-threaded and-parallel executor: a program's compiled image,
-/// the spawn guards, a deque per thread and one warm machine. Reusable
-/// across queries; one query runs at a time. It owns what it runs — the
-/// program it was made from may be dropped.
+/// The multi-threaded and-parallel executor: a program's compiled image, a
+/// deque per thread and one warm machine. Reusable across queries; one query
+/// runs at a time. It owns what it runs — the program it was made from may
+/// be dropped.
 pub struct ParExecutor {
     shared: Shared,
-    /// Does any clause body mention `&` at all? Purely sequential programs
-    /// skip worker startup (a dynamically constructed `&` still executes
+    /// Does any clause body of the program run mention `&` at all? Purely
+    /// sequential programs skip worker startup (a dynamically constructed `&` still executes
     /// correctly — the calling thread takes every arm back).
     has_par: bool,
 }
 
 impl ParExecutor {
     /// Creates an executor for a program. With [`Granularity::On`] the
-    /// program is analysed here and the thresholds are lowered into runtime
-    /// spawn guards; the other modes skip the analysis.
+    /// program is analysed and annotated for [`ParConfig::overhead`] here,
+    /// and the annotated program is what runs; the other modes compile the
+    /// program as written.
     pub fn new(program: &Program, config: ParConfig) -> Self {
-        let guards = matches!(config.granularity, Granularity::On).then(|| {
-            analyze_program(program, &AnalysisOptions::default()).guards_at(config.overhead)
-        });
+        let annotated;
+        let program = match config.granularity {
+            Granularity::On => {
+                let analysis = analyze_program(program, &AnalysisOptions::default());
+                let control = ControlMode::WithControl;
+                annotated = prepare_program(program, &analysis, control, config.overhead);
+                &annotated
+            }
+            Granularity::Off | Granularity::AlwaysSpawn => program,
+        };
         let has_par = program
             .clauses()
             .iter()
@@ -488,7 +495,6 @@ impl ParExecutor {
                 image: Image::new(program),
                 machine_config: config.machine,
                 granularity: config.granularity,
-                guards,
                 lanes: (0..config.threads.max(1))
                     .map(|_| Lane::default())
                     .collect(),
@@ -879,7 +885,7 @@ mod tests {
         let out = run(&src, "fib(14, X)", 2, Granularity::On);
         assert!(out.succeeded);
         assert_eq!(out.binding("X").unwrap().to_string(), "377");
-        assert!(out.inlined_conjunctions > 0, "small calls must inline");
+        assert!(out.counters.grain_tests > 0, "every conjunction is tested");
         assert!(out.spawned_tasks > 0, "big calls must spawn");
         // Always-spawn pays the boundary on every level.
         let all = run(&src, "fib(14, X)", 2, Granularity::AlwaysSpawn);

@@ -25,11 +25,11 @@ use std::time::Instant;
 /// Metric and trace handles for the and-parallel executor.
 #[derive(Debug, Clone)]
 pub struct ParObs {
-    /// Arms of conjunctions that passed the guards and the independence
-    /// check (first arms included), wherever they then ran.
+    /// Arms of conjunctions that passed the independence check (first arms
+    /// included), wherever they then ran.
     pub spawned: Arc<Counter>,
-    /// Conjunctions run inline (guard said too small, or arms not
-    /// independent).
+    /// Conjunctions run inline because their arms are not independent (or
+    /// one could not be packed).
     pub inlined: Arc<Counter>,
     /// Offered arms that crossed the spawn boundary: claimed by a pool
     /// worker or a help-first joiner and run on a second machine.

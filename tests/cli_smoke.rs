@@ -164,3 +164,44 @@ fn run_prints_a_300_000_element_answer_and_refuses_a_cyclic_one() {
     assert_eq!(output.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("cyclic term"), "{stderr}");
 }
+
+/// ROADMAP item 1, printing and the last unbounded loops: `mk(300000, E)`
+/// over `mk(N, X + 1)` builds a `+` chain 300 000 deep, which used to be
+/// extracted and then overflow the stack in `Display` (`exit 134`); the
+/// cyclic goals below used to loop forever or abort on a 2 GiB allocation.
+/// The chain prints, and each cyclic goal is a typed error in seconds.
+#[test]
+fn run_prints_a_300_000_deep_answer_and_stops_cyclic_loops() {
+    let path = write_temp(
+        "mk_deep.pl",
+        "mk(0, 0).\nmk(N, X + 1) :- N > 0, N1 is N - 1, mk(N1, X).\n",
+    );
+    let path = path.to_str().unwrap();
+    let (stdout, stderr, ok) = granlog(&["run", path, "mk(300000, E)"]);
+    assert!(ok, "{stderr}");
+    let chain = stdout
+        .lines()
+        .find_map(|line| line.trim().strip_prefix("E = "))
+        .unwrap_or_else(|| panic!("no binding in {}", &stdout[..200]));
+    assert_eq!(chain.len(), 4 * 300_000 + 1, "((0+1)+1)...");
+
+    for goal in [
+        "X = [a|X], length(X, N)",
+        "X = [a|X], is_list(X)",
+        "X = [a|X], T =.. X",
+        "X = X + 1, Y is X",
+    ] {
+        let started = std::time::Instant::now();
+        let output = Command::new(env!("CARGO_BIN_EXE_granlog"))
+            .args(["run", path, goal])
+            .output()
+            .expect("granlog binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{goal}: {stderr}");
+        assert!(
+            stderr.contains("cyclic term: it has no finite copy"),
+            "{goal}: {stderr}"
+        );
+        assert!(started.elapsed().as_secs() < 60, "{goal}");
+    }
+}

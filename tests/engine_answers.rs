@@ -319,3 +319,49 @@ fn a_cyclic_arm_runs_inline() {
         }
     });
 }
+
+/// The last unbounded loops over arena cells: a list spine and the heap
+/// arithmetic evaluator. `X = [a|X]` made `length/2` and `is_list/1` loop
+/// forever and `=../2` grow its element vector until the allocator aborted;
+/// `X = X + 1, Y is X` grew the evaluator's work stack the same way. A spine
+/// longer than the arena is cyclic, so `is_list/1` fails and the others
+/// stop with a typed error, as does an expression whose shared subterms
+/// unfold past `MAX_WALK_CELLS` — in seconds, and the machine answers its
+/// next query.
+#[test]
+fn cyclic_lists_and_expressions_end_on_a_connection_stack() {
+    const CYCLIC: &str = "not_a_list :- X = [a|X], \\+ is_list(X).\n\
+        len(N) :- X = [a|X], length(X, N).\n\
+        univ(T) :- X = [a|X], T =.. X.\n\
+        loop(Y) :- X = X + 1, Y is X.\n\
+        dbl(0, 1).\n\
+        dbl(N, X + X) :- N > 0, N1 is N - 1, dbl(N1, X).\n\
+        unfold(V) :- dbl(40, E), V is E.\n";
+    on_connection_stack(|| {
+        let program = parse_program(&format!("{PROGRAM}{CYCLIC}")).unwrap();
+        let mut machine = Machine::new(&program);
+        assert!(machine.run_query("not_a_list").unwrap().succeeded);
+        for (goal, limit) in [
+            ("len(N)", TermLimit::Cyclic),
+            ("univ(T)", TermLimit::Cyclic),
+            ("loop(Y)", TermLimit::Cyclic),
+            ("unfold(V)", TermLimit::Eval),
+        ] {
+            let started = Instant::now();
+            let err = machine.run_query(goal).unwrap_err();
+            assert_eq!(err, EngineError::TermLimit(limit), "{goal}");
+            assert!(
+                started.elapsed() < Duration::from_secs(60),
+                "{goal}: {:?}",
+                started.elapsed()
+            );
+            let out = machine
+                .run_query("mk(3, L), length(L, N), L =.. U, V is N + 1")
+                .unwrap();
+            assert_eq!(out.binding("V").unwrap().to_string(), "4", "after {goal}");
+            assert_eq!(out.binding("U").unwrap().to_string(), "[.,a,[a,a]]");
+        }
+        let out = machine.run_query("dbl(10, E), V is E").unwrap();
+        assert_eq!(out.binding("V").unwrap().to_string(), "1024");
+    });
+}

@@ -1,10 +1,11 @@
-//! The grain-size decision has one definition (`granlog_ir::grain`) and two
-//! enforcement points: the annotator rewrites `&` into `'$grain_ge'`-guarded
-//! source code, and the parallel executor screens the *unannotated*
-//! program's conjunctions at the spawn site. `sim_crossvalidation` compares
-//! a simulation driven by the first with a measurement driven by the second,
-//! so this suite pins that the two agree — with observables both already
-//! expose, over the 15 programs and three task overheads.
+//! The grain-size decision has one definition (`granlog_ir::grain`) and one
+//! enforcement point: the annotator rewrites each `&` into
+//! `'$grain_ge'`-guarded source code. Everything that runs with granularity
+//! control on runs that rewritten program — the sequential machine, the
+//! simulator's task trees and, under `Granularity::On`, the parallel
+//! executor. This suite pins both halves: the executor is the annotated
+//! program run in parallel (same answers, same counts), and the annotator
+//! consults the guard table exactly as its decision records say.
 
 mod support;
 
@@ -18,11 +19,13 @@ use support::fifteen_benchmarks;
 
 const OVERHEADS: [f64; 3] = [8.0, 48.0, 400.0];
 
-/// Dynamic agreement: the sequential machine running the annotated program
-/// forks exactly the tasks a one-thread executor with granularity control on
-/// spawns from the unannotated one.
+/// `Granularity::On` is the annotated program, run in parallel: at every
+/// overhead and thread count the executor reports exactly the answer, the
+/// operation counters (grain tests included) and the work of the sequential
+/// machine on `apply_granularity_control`'s output, and it offers exactly
+/// the tasks that machine's task tree forks.
 #[test]
-fn annotated_and_spawn_site_control_spawn_the_same_tasks() {
+fn the_executor_under_on_runs_exactly_the_annotated_program() {
     for bench in fifteen_benchmarks() {
         let program = bench.program().expect("benchmark parses");
         let analysis = analyze_program(&program, &AnalysisOptions::default());
@@ -33,27 +36,33 @@ fn annotated_and_spawn_site_control_spawn_the_same_tasks() {
             let sequential = Machine::new(&annotated.program)
                 .run_query(&query)
                 .unwrap_or_else(|e| panic!("{query} (annotated, W = {overhead}): {e}"));
-            let config = ParConfig {
-                threads: 1,
-                granularity: Granularity::On,
-                overhead,
-                ..ParConfig::default()
-            };
-            let parallel = ParExecutor::new(&program, config)
-                .run_query(&query)
-                .unwrap_or_else(|e| panic!("{query} (spawn site, W = {overhead}): {e}"));
-            assert_eq!(sequential.succeeded, parallel.succeeded, "{query}");
-            assert_eq!(
-                sequential.task_tree.spawned_tasks(),
-                parallel.spawned_tasks,
-                "{query} at W = {overhead}: annotator and spawn-site guard disagree"
-            );
+            for threads in [1, 2, 4] {
+                let at = format!("{query} at W = {overhead}, {threads} threads");
+                let config = ParConfig {
+                    threads,
+                    granularity: Granularity::On,
+                    overhead,
+                    ..ParConfig::default()
+                };
+                let parallel = ParExecutor::new(&program, config)
+                    .run_query(&query)
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(sequential.succeeded, parallel.succeeded, "{at}");
+                assert_eq!(sequential.bindings, parallel.bindings, "{at}");
+                assert_eq!(sequential.counters, parallel.counters, "{at}");
+                assert_eq!(sequential.work, parallel.work, "{at}");
+                assert_eq!(
+                    sequential.task_tree.spawned_tasks(),
+                    parallel.spawned_tasks,
+                    "{at}"
+                );
+            }
         }
     }
 }
 
 /// The guard of the first goal along an arm's `','`-spine that has one — the
-/// spawn site's rule, restated over source terms.
+/// annotator's rule, restated over source terms.
 fn first_guarded(arm: &Term, guards: &GuardTable) -> Option<(PredId, Guard)> {
     match arm {
         Term::Struct(s, args) if *s == well_known::comma() && args.len() == 2 => {
@@ -67,7 +76,7 @@ fn first_guarded(arm: &Term, guards: &GuardTable) -> Option<(PredId, Guard)> {
 }
 
 /// Every maximal `&` conjunction of a body, innermost first, as the per-arm
-/// table entries the spawn site would consult.
+/// table entries the annotator consults.
 fn expected_arms(body: &Term, guards: &GuardTable, out: &mut Vec<Vec<Option<(PredId, Guard)>>>) {
     fn arms_of<'t>(t: &'t Term, arms: &mut Vec<&'t Term>) {
         match t {

@@ -543,6 +543,57 @@ fn a_deep_answer_and_a_cyclic_one_cost_the_neighbour_nothing() {
     server.shutdown();
 }
 
+/// ROADMAP item 1, printing and the last unbounded loops. `mk(300000, E)`
+/// over `mk(N, X + 1)` builds a `+` chain 300 000 deep: it was extracted,
+/// then overflowed the connection thread's 2 MiB stack while the reply was
+/// printed, aborting the server under every tenant. `length/2`, `is_list/1`
+/// and `=../2` on `X = [a|X]` looped forever (the last until the allocator
+/// aborted), and so did `is/2` on `X = X + 1`. The answer prints; each
+/// cyclic goal is one typed `err` line (or a `no`); both sessions go on.
+#[test]
+fn a_deep_printed_answer_and_cyclic_loops_cost_the_neighbour_nothing() {
+    let server = start_server(ServeConfig::default());
+    let mut tenant = ServeClient::connect(server.addr()).unwrap();
+    tenant.load("p(1).").unwrap().unwrap();
+
+    let mut hostile = ServeClient::connect(server.addr()).unwrap();
+    hostile
+        .load(
+            "mk(0, 0).\n\
+             mk(N, X + 1) :- N > 0, N1 is N - 1, mk(N1, X).\n\
+             not_a_list :- X = [a|X], is_list(X).\n",
+        )
+        .unwrap()
+        .unwrap();
+    let reply = hostile.query("mk(300000, E)").unwrap().unwrap();
+    let [(name, chain)] = &reply.bindings[..] else {
+        panic!("one binding: {:?}", reply.bindings.len());
+    };
+    assert_eq!(name, "E");
+    assert_eq!(chain.len(), 4 * 300_000 + 1, "((0+1)+1)...");
+    let reply = tenant.query("p(X)").unwrap().unwrap();
+    assert_eq!(reply.bindings, vec![("X".to_string(), "1".to_string())]);
+
+    assert!(!hostile.query("not_a_list").unwrap().unwrap().succeeded);
+    for cyclic in [
+        "X = [a|X], length(X, N)",
+        "X = [a|X], T =.. X",
+        "X = X + 1, Y is X",
+    ] {
+        let err = hostile
+            .query(cyclic)
+            .unwrap()
+            .expect_err("no finite answer");
+        assert_eq!(err, "engine cyclic term: it has no finite copy", "{cyclic}");
+        let reply = tenant.query("p(X)").unwrap().unwrap();
+        assert_eq!(reply.bindings, vec![("X".to_string(), "1".to_string())]);
+    }
+    assert_eq!(tenant.stats().unwrap().quarantined, 0);
+    hostile.quit().unwrap();
+    tenant.quit().unwrap();
+    server.shutdown();
+}
+
 /// One clause per shape the reader nests, each `depth` deep as
 /// `MAX_TERM_DEPTH` counts it.
 fn clauses_nested(depth: usize) -> Vec<String> {

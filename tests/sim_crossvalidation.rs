@@ -126,8 +126,9 @@ fn simulated_ordering_is_not_contradicted_by_measurement() {
         let sim_always = simulated_makespan(&program, &query);
         let sim_ratio = sim_always / sim_on.max(1e-9);
 
-        // Measured: the same comparison on the real executor (runtime spawn
-        // guards vs. unconditional spawning).
+        // Measured: the same comparison on the real executor, which under
+        // `On` runs the same annotated program (grain tests and all) and
+        // under `AlwaysSpawn` the program as written.
         let (meas_on, meas_always) = measured_ms(&program, &query);
         let meas_ratio = meas_always / meas_on.max(1e-9);
 

@@ -78,7 +78,8 @@ pub fn expected_answer(bench: &Benchmark, query: &str) -> (bool, Vec<(String, St
 /// the spawn boundary is a race (and at one thread it never does); under
 /// this hook every arm `1..` of every independent conjunction does — pack,
 /// unpack, solve, answer pack, unpack, join — deterministically, on the
-/// calling thread. No spawn guards: every conjunction is offered.
+/// calling thread. Every independent conjunction the machine reaches is
+/// offered, as on the executor.
 pub struct EagerThief {
     image: Arc<Image>,
     /// Arms run on a second machine so far.
