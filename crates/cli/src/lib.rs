@@ -36,7 +36,7 @@ usage:
                    [--trace FILE] [--profile]
   granlog ddg      <file.pl> <name/arity>
   granlog serve    [--addr HOST:PORT] [--steps N] [--heap CELLS]
-                   [--wall MS] [--quantum N] [--cache N] [--max-conns N]
+                   [--wall MS] [--cache N] [--max-conns N]
                    [--idle-timeout SECS] [--data-dir DIR]
                    [--fsync always|interval[=MS]|never] [--wal-limit BYTES]
                    [--metrics-addr HOST:PORT] [--slow-ms MS]
@@ -56,8 +56,8 @@ rejected with a diagnostic naming the offending clause.
 
 serve starts a multi-tenant query service: one session per connection,
 compiled programs shared through a cache of --cache entries, each query
-bounded by the per-session budgets (--steps head attempts, --heap arena
-cells, --wall milliseconds) and preempted every --quantum steps. Past
+one engine call under the per-session budget (--steps head attempts,
+200000000 when unset; --heap arena cells; --wall milliseconds). Past
 --max-conns concurrent connections new ones are shed with a typed
 `err overloaded` line (0 = unlimited); connections idle longer than
 --idle-timeout seconds are reaped (0 = never). With --data-dir the
@@ -170,8 +170,6 @@ struct Options {
     serve_heap: Option<usize>,
     /// `serve`: per-session wall-clock budget, in milliseconds.
     serve_wall_ms: Option<u64>,
-    /// `serve`: preemption quantum, in steps.
-    quantum: u64,
     /// `serve`: template-cache capacity, in programs.
     cache: usize,
     /// `serve`: connection cap before shedding (0 = unlimited).
@@ -219,7 +217,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         serve_steps: None,
         serve_heap: None,
         serve_wall_ms: None,
-        quantum: SessionBudget::default().quantum,
         cache: 64,
         max_conns: 0,
         idle_timeout_secs: 0,
@@ -295,9 +292,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 })?;
             }
             "--wal-limit" => options.wal_limit = value(flag, "wal limit", &mut iter)?,
-            "--quantum" => {
-                options.quantum = at_least_one(flag, value(flag, "quantum", &mut iter)?)?;
-            }
             "--cache" => {
                 options.cache = at_least_one(flag, value(flag, "cache capacity", &mut iter)?)?;
             }
@@ -735,7 +729,6 @@ fn cmd_serve(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
             steps: options.serve_steps,
             heap_cells: options.serve_heap,
             wall: options.serve_wall_ms.map(std::time::Duration::from_millis),
-            quantum: options.quantum,
         },
         machine_config: MachineConfig::default(),
         pool: PoolConfig::default(),
@@ -1434,10 +1427,6 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_flags() {
-        assert!(matches!(
-            run(&["serve", "--quantum", "0"]),
-            Err(CliError::Usage(_))
-        ));
         assert!(matches!(
             run(&["serve", "--cache", "0"]),
             Err(CliError::Usage(_))

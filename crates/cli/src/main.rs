@@ -5,7 +5,7 @@
 //! granlog annotate <file.pl> [--overhead W]
 //! granlog run      <file.pl> <query> [--processors P] [--overhead W] [--control|--no-control|--sequential]
 //! granlog ddg      <file.pl> <name/arity>
-//! granlog serve    [--addr HOST:PORT] [--steps N] [--heap CELLS] [--quantum N] [--cache N]
+//! granlog serve    [--addr HOST:PORT] [--steps N] [--heap CELLS] [--wall MS] [--cache N]
 //! ```
 //!
 //! * `analyze` prints the per-predicate report: modes, measures, argument-size
@@ -16,8 +16,8 @@
 //!   the simulated parallel execution time on a P-processor machine.
 //! * `ddg` prints the data dependency graphs of a predicate's clauses.
 //! * `serve` starts the multi-tenant query service: concurrent sessions over
-//!   a shared compiled-template cache, per-session step/heap budgets enforced
-//!   through the engine's preemptible solve loop.
+//!   a shared compiled-template cache, each query one engine call under its
+//!   session's step/heap/wall budget.
 
 #![forbid(unsafe_code)]
 

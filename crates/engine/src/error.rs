@@ -41,8 +41,6 @@ pub enum EngineError {
     /// A goal called a predicate that is neither defined by the program nor a
     /// builtin.
     UnknownPredicate(PredId),
-    /// The configured resolution-step limit was exceeded.
-    StepLimit(u64),
     /// The configured recursion-depth limit was exceeded.
     DepthLimit(usize),
     /// An arithmetic expression could not be evaluated (unbound variable,
@@ -62,8 +60,8 @@ pub enum EngineError {
     /// a cyclic term. Past [`crate::machine::MAX_WALK_CELLS`] cells the
     /// term is cyclic or too large to walk.
     TermLimit(TermLimit),
-    /// A non-preemptible solve budget was exhausted (see `Budget`): the run
-    /// state has been unwound (arena truncated, trail empty) and the machine
+    /// The query's budget was exhausted (see `Budget`): the run state has
+    /// been unwound (arena truncated, trail empty) and the machine
     /// is immediately reusable for the next query.
     BudgetExceeded {
         /// Which resource ran out.
@@ -87,7 +85,6 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::UnknownPredicate(p) => write!(f, "unknown predicate {p}"),
-            EngineError::StepLimit(n) => write!(f, "step limit of {n} resolutions exceeded"),
             EngineError::DepthLimit(n) => write!(f, "depth limit of {n} exceeded"),
             EngineError::Arithmetic(msg) => write!(f, "arithmetic error: {msg}"),
             EngineError::TypeError { builtin, message } => {
@@ -138,8 +135,6 @@ mod tests {
     fn display_messages_are_informative() {
         let e = EngineError::UnknownPredicate(PredId::parse("foo", 3));
         assert!(e.to_string().contains("foo/3"));
-        let e = EngineError::StepLimit(10);
-        assert!(e.to_string().contains("10"));
         let e = EngineError::Arithmetic("unbound variable".into());
         assert!(e.to_string().contains("unbound"));
         let e = EngineError::NotCallable(Term::int(3));

@@ -34,11 +34,10 @@
 //!   grain-size decision, with or without a parallel hook;
 //! * per-operation counters ([`Counters`]), converted to work units under
 //!   the paper's resolutions metric;
-//! * a **preemptible** solve loop: [`machine::Budget`] bounds a slice by
-//!   steps, arena cells or wall clock, and the machine either yields a
-//!   resumable [`machine::SolveToken`] or raises a typed
-//!   [`EngineError::BudgetExceeded`] — the substrate of the `granlog serve`
-//!   multi-tenant query service.
+//! * one [`machine::Budget`] per query: steps, arena cells and wall clock,
+//!   each ending the query in a typed [`EngineError::BudgetExceeded`] with
+//!   the machine unwound and reusable — what bounds a tenant's query in the
+//!   `granlog serve` multi-tenant query service.
 //!
 //! # Example
 //!
@@ -76,9 +75,7 @@ pub use cost::Counters;
 pub use error::{BudgetKind, EngineError, EngineResult, TermLimit};
 pub use heap::HCell;
 pub use image::Image;
-pub use machine::{
-    Budget, ClauseSelection, Machine, MachineConfig, MachineStats, QueryOutcome, Solve, SolveToken,
-};
+pub use machine::{Budget, ClauseSelection, Machine, MachineConfig, MachineStats, QueryOutcome};
 pub use par::{ArmAnswer, ArmResult, Offer, Packet, ParHook};
 pub use profile::PredProfile;
 pub use tasktree::{ForkSpan, Segment, Task, TaskId, TaskRecorder, TaskTree};

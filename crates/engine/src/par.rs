@@ -4,7 +4,7 @@
 //! arena, one goal stack and one set of choice points, and nothing in it is
 //! shared. Real and-parallel execution is layered *on top* through the
 //! [`ParHook`] trait, by **lazy task creation**: when a hook is passed to
-//! [`crate::Machine::run_goal_par`], every parallel conjunction (`&`) the
+//! [`crate::Machine::solve_goal`], every parallel conjunction (`&`) the
 //! machine reaches whose arms are independent runs on the forking machine's
 //! ordinary inline path, exactly as it does without a hook — but arms `1..`
 //! are first packed and *offered* to the hook as [`Offer`] slots. An offer
@@ -25,9 +25,9 @@
 //!   leaves an [`ArmAnswer`] in the slot. The forker skips that arm, and
 //!   when its local arms are done it asks the hook for each stolen arm's
 //!   result ([`ParHook::join`], which may block or help), in arm order.
-//! * A conjunction that fails, an engine error and a new solve on a machine
-//!   with a suspended one all claim the outstanding slots so nobody else
-//!   starts them; an arm a thief already runs finishes unobserved.
+//! * A conjunction that fails and an engine error both claim the
+//!   outstanding slots so nobody else starts them; an arm a thief already
+//!   runs finishes unobserved.
 //!
 //! # Copy semantics at the spawn boundary
 //!

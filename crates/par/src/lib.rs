@@ -91,9 +91,7 @@
 use granlog_analysis::annotate::{prepare_program, ControlMode};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_engine::par::{ArmResult, Offer, ParHook};
-use granlog_engine::{
-    Budget, Counters, EngineError, EngineResult, Image, Machine, MachineConfig, Solve,
-};
+use granlog_engine::{Budget, Counters, EngineError, EngineResult, Image, Machine, MachineConfig};
 use granlog_ir::{parser, Program, Symbol, Term};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
@@ -532,41 +530,16 @@ impl ParExecutor {
     /// Runs an already-parsed goal whose variables are numbered
     /// `0..var_names.len()`.
     ///
-    /// The calling thread executes the query, every conjunction included;
-    /// `threads - 1` scoped workers, alive for the duration of the call,
-    /// steal the arms it has on offer (and offer arms of their own).
+    /// The calling thread executes the query, every conjunction included,
+    /// under the default [`Budget`]; `threads - 1` scoped workers, alive for
+    /// the duration of the call, steal the arms it has on offer (and offer
+    /// arms of their own).
     ///
     /// # Errors
     ///
     /// Returns an error if execution hits a limit or runtime error on any
     /// machine.
     pub fn run_goal(&mut self, goal: &Term, var_names: &[Symbol]) -> EngineResult<ParOutcome> {
-        let (outcome, _slices) = self.run_goal_budgeted(goal, var_names, &Budget::UNLIMITED)?;
-        Ok(outcome)
-    }
-
-    /// [`ParExecutor::run_goal`] under a per-slice [`Budget`]: the calling
-    /// thread's machine runs in budget slices, resuming after each
-    /// [`Solve::Yield`] while the scoped workers stay alive (and arms on
-    /// offer stay on offer) across slices. Stolen arms run to completion on
-    /// their thieves; the budget throttles and bounds what the calling
-    /// thread's machine runs itself. Returns the outcome plus the number of
-    /// slices the solve took (1 = never preempted).
-    ///
-    /// Parallel execution is deterministic here (in-order join, uncounted
-    /// join bindings), so a budgeted run produces bit-identical answers and
-    /// counters to an unbudgeted run of any configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if execution hits a limit, a runtime error on any
-    /// machine, or exhausts a non-preemptible budget.
-    pub fn run_goal_budgeted(
-        &mut self,
-        goal: &Term,
-        var_names: &[Symbol],
-        budget: &Budget,
-    ) -> EngineResult<(ParOutcome, usize)> {
         self.shared.done.store(false, Ordering::SeqCst);
         let shared = &self.shared;
         // Workers are useful only when something can reach a deque: a
@@ -587,37 +560,23 @@ impl ParExecutor {
             let caller = Worker { shared, index: 0 };
             let hook = (shared.granularity != Granularity::Off).then_some(&caller as &dyn ParHook);
             let mut machine = shared.acquire_machine();
-            let mut slices = 1usize;
-            let mut state = machine.solve_goal(goal, var_names, hook, budget);
-            let outcome = loop {
-                match state {
-                    Ok(Solve::Done(outcome)) => break Ok(outcome),
-                    Ok(Solve::Yield(token)) => {
-                        slices += 1;
-                        state = machine.resume(token, hook, budget);
-                    }
-                    Err(e) => break Err(e),
-                }
-            };
+            let outcome = machine.solve_goal(goal, var_names, hook, &Budget::default());
             shared.release_machine(machine);
             shared.finish();
-            outcome.map(|outcome| (outcome, slices))
+            outcome
         });
         // Taken (and so reset) whether or not the query got to report them.
         let spawned_tasks = self.shared.take_count(|lane| &lane.spawned);
         let inlined_conjunctions = self.shared.take_count(|lane| &lane.inlined);
-        let (outcome, slices) = solved?;
-        Ok((
-            ParOutcome {
-                succeeded: outcome.succeeded,
-                bindings: outcome.bindings,
-                counters: outcome.counters,
-                work: outcome.work,
-                spawned_tasks,
-                inlined_conjunctions,
-            },
-            slices,
-        ))
+        let outcome = solved?;
+        Ok(ParOutcome {
+            succeeded: outcome.succeeded,
+            bindings: outcome.bindings,
+            counters: outcome.counters,
+            work: outcome.work,
+            spawned_tasks,
+            inlined_conjunctions,
+        })
     }
 }
 
@@ -778,17 +737,20 @@ mod tests {
         assert_eq!(events_of(&tracer, "par_join"), steals);
     }
 
-    /// [`FIB`] plus a conjunction whose second arm fails and one whose
-    /// second arm raises, each with arms behind it to withdraw.
+    /// [`FIB`] plus a conjunction whose second arm fails, one whose second
+    /// arm raises, each with arms behind it to withdraw, and a nest of
+    /// conjunctions whose innermost first arm raises.
     const WAYS_TO_END: &str = r#"
         ok(_).
         fails(N) :- fib(N, _) & fail & ok(N) & ok(N).
         bad(N) :- fib(N, _) & undefined_pred(N) & ok(N).
+        deep(0) :- _ is foo + 1.
+        deep(N) :- N > 0, N1 is N - 1, deep(N1) & ok(N).
     "#;
 
     /// The executor's resting state, checked as "every query preserves it":
-    /// whatever a query did — succeed, fail in an arm, raise in an arm, run
-    /// out of budget with a nest of conjunctions open — afterwards no deque
+    /// whatever a query did — succeed, fail in an arm, raise in an arm,
+    /// raise with a nest of conjunctions open — afterwards no deque
     /// holds an arm, the retained machine has nothing on offer, and every
     /// arm the query offered was resolved exactly once. Before arms were
     /// offered rather than shipped, `threads: 1` left every spawned arm in a
@@ -840,12 +802,9 @@ mod tests {
                 assert!(matches!(err, EngineError::UnknownPredicate(_)), "{err}");
                 at_rest(&exec, "an error in an arm");
 
-                let (goal, vars) = granlog_ir::parser::parse_term("fib(16, X)").unwrap();
-                let err = exec
-                    .run_goal_budgeted(&goal, &vars, &Budget::hard_steps(500))
-                    .unwrap_err();
-                assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
-                at_rest(&exec, "a budget overrun");
+                let err = exec.run_query("deep(9)").unwrap_err();
+                assert!(matches!(err, EngineError::Arithmetic(_)), "{err}");
+                at_rest(&exec, "an error under nine open conjunctions");
             }
         }
     }
@@ -988,54 +947,6 @@ mod tests {
         let b = exec.run_query("fib(8, X)").unwrap();
         assert!(a.succeeded && b.succeeded);
         assert_eq!(b.binding("X").unwrap().to_string(), "21");
-    }
-
-    #[test]
-    fn budgeted_parallel_run_matches_unbudgeted() {
-        #[cfg(feature = "failpoints")]
-        let _shared = fault_shared();
-        let program = parse_program(FIB).unwrap();
-        let mut exec = ParExecutor::new(
-            &program,
-            ParConfig {
-                threads: 2,
-                granularity: Granularity::AlwaysSpawn,
-                ..ParConfig::default()
-            },
-        );
-        let full = exec.run_query("fib(12, X)").unwrap();
-        let (goal, vars) = granlog_ir::parser::parse_term("fib(12, X)").unwrap();
-        let (sliced, slices) = exec
-            .run_goal_budgeted(&goal, &vars, &Budget::steps(16))
-            .unwrap();
-        assert!(slices > 1, "a 16-step quantum must preempt the root");
-        assert_eq!(full.succeeded, sliced.succeeded);
-        assert_eq!(full.bindings, sliced.bindings);
-        assert_eq!(full.counters, sliced.counters);
-        assert_eq!(full.spawned_tasks, sliced.spawned_tasks);
-    }
-
-    #[test]
-    fn hard_budget_errors_through_the_executor() {
-        #[cfg(feature = "failpoints")]
-        let _shared = fault_shared();
-        let program = parse_program(FIB).unwrap();
-        let mut exec = ParExecutor::new(
-            &program,
-            ParConfig {
-                threads: 2,
-                granularity: Granularity::AlwaysSpawn,
-                ..ParConfig::default()
-            },
-        );
-        let (goal, vars) = granlog_ir::parser::parse_term("fib(18, X)").unwrap();
-        let err = exec
-            .run_goal_budgeted(&goal, &vars, &Budget::hard_steps(10))
-            .unwrap_err();
-        assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
-        // The executor (and its machine pool) stays usable.
-        let again = exec.run_query("fib(10, X)").unwrap();
-        assert!(again.succeeded);
     }
 
     #[test]

@@ -23,7 +23,8 @@ pub struct ClientReply {
     pub steps: u64,
     /// Arena high-water mark the server reported, in cells.
     pub heap_high_water: u64,
-    /// Preemptible slices the query ran in.
+    /// Always 0: the server no longer reports a `slices=` field, and the
+    /// field stays only for the readers that still sum it.
     pub slices: u64,
     /// Fixpoint statistics (`answers=`/`rounds=`/`facts=` fields) when the
     /// bottom-up engine answered; `None` for SLD replies.
@@ -221,7 +222,7 @@ impl ServeClient {
                     bindings,
                     steps: num("steps")?,
                     heap_high_water: num("heap")?,
-                    slices: num("slices")?,
+                    slices: 0,
                     datalog,
                 }));
             } else {
@@ -253,15 +254,6 @@ impl ServeClient {
             Some(n) => self.simple_command(&format!("budget wall {n}")),
             None => self.simple_command("budget wall off"),
         }
-    }
-
-    /// Sets the preemption quantum in steps.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures or a server-side rejection.
-    pub fn budget_quantum(&mut self, steps: u64) -> io::Result<()> {
-        self.simple_command(&format!("budget quantum {steps}"))
     }
 
     /// Selects the evaluation engine for subsequent queries (`"sld"` or

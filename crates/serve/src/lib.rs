@@ -1,4 +1,4 @@
-//! Multi-tenant query service over the preemptible granlog engine.
+//! Multi-tenant query service over the granlog engine.
 //!
 //! This crate turns the single-shot [`granlog_engine::Machine`] into a
 //! long-lived *service*:
@@ -7,10 +7,9 @@
 //!   normalized program text, shared as [`std::sync::Arc`] across tenants,
 //!   LRU-bounded, with hit/miss/eviction counters and a per-program machine
 //!   pool recycled by arena high-water mark.
-//! - [`session::Session`] — one tenant's loaded program and budgets; runs
-//!   queries in quantum-sized preemptible slices over the engine's
-//!   [`granlog_engine::Budget`] API, with a hard tail slice so over-budget
-//!   queries unwind through the engine's own error path.
+//! - [`session::Session`] — one tenant's loaded program and budget; runs
+//!   each query as one engine call under its [`granlog_engine::Budget`], so
+//!   an over-budget query unwinds through the engine's own error path.
 //! - [`server::Server`] — a thread-per-connection TCP front end speaking a
 //!   line protocol, plus [`client::ServeClient`], a scripted client used by
 //!   the integration tests and by the serve workloads of `benchmark/`.

@@ -4,7 +4,7 @@
 //!
 //! The bundle is created once in [`crate::Server::start`] and lives on the
 //! server state. Query-path metrics (latency/steps/heap histograms, the
-//! query/error/slice counters) are *pushed* as queries complete;
+//! query/error counters) are *pushed* as queries complete;
 //! cache/pool/store/session figures are *sampled* at scrape time into
 //! gauges, so the cache's own counters remain the single source of truth
 //! and a scrape never double-counts. The tracer starts **disabled**: until
@@ -56,14 +56,12 @@ pub struct ServeObs {
     pub query_steps: Arc<Histogram>,
     /// Heap high water per answered query, cells.
     pub query_heap: Arc<Histogram>,
-    /// Preemption slices consumed, summed over queries.
-    pub slices: Arc<Counter>,
     /// Bottom-up fixpoint rounds, summed over datalog queries.
     pub datalog_rounds: Arc<Counter>,
     /// Facts derived by bottom-up evaluation, summed over datalog queries.
     pub datalog_facts: Arc<Counter>,
     /// Where an answered query's time went, one histogram per stage, in
-    /// milliseconds: goal parse, machine lease, solve (every slice), answer
+    /// milliseconds: goal parse, machine lease, solve, answer
     /// rendering — these four add up to [`ServeObs::query_latency_ms`] —
     /// and the reply's socket write, which the latency histogram excludes.
     pub stage_parse_ms: Arc<Histogram>,
@@ -99,7 +97,6 @@ impl ServeObs {
             query_latency_ms: registry.histogram("granlog_query_latency_ms", LATENCY_BUCKETS_MS),
             query_steps: registry.histogram("granlog_query_steps", WORK_BUCKETS),
             query_heap: registry.histogram("granlog_query_heap_cells", WORK_BUCKETS),
-            slices: registry.counter("granlog_slices_total"),
             datalog_rounds: registry.counter("granlog_datalog_rounds_total"),
             datalog_facts: registry.counter("granlog_datalog_derived_facts_total"),
             stage_parse_ms: registry.histogram("granlog_query_parse_ms", STAGE_BUCKETS_MS),

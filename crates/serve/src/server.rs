@@ -10,11 +10,10 @@
 //! | command | reply |
 //! |---|---|
 //! | `load <nbytes>` + exactly N raw bytes of program text | `ok program=<hash> clauses=<n> cache=<hit\|miss>` |
-//! | `query <goal>` | `bind <name> = <term>` lines, then `done ok\|no steps=<n> heap=<n> slices=<n>` |
+//! | `query <goal>` | `bind <name> = <term>` lines, then `done ok\|no steps=<n> heap=<n>` |
 //! | `budget steps <n\|off>` | `ok` |
 //! | `budget heap <n\|off>` | `ok` |
 //! | `budget wall <ms\|off>` | `ok` |
-//! | `budget quantum <n>` | `ok` |
 //! | `engine <sld\|bottom-up>` | `ok engine=<name>` |
 //! | `stats` | `ok hits=<n> misses=<n> evictions=<n> entries=<n> sessions=<n> quarantined=<n> retired=<n> leases=<n> shed=<n>` plus, with a store configured, ` recovered=<n> stored=<n> wal_bytes=<n> wal_records=<n> unsynced=<n> snapshot_age_ms=<n> last_fsync_ms=<n>`, always ending ` uptime_ms=<n> version=<semver>` |
 //! | `metrics` | `ok <nbytes>` + exactly N bytes of Prometheus text exposition |
@@ -32,9 +31,9 @@
 //! read normally. The `load` payload is a byte-counted blob, so programs
 //! may contain newlines without any quoting scheme.
 //!
-//! Under `engine bottom-up` a query's `done` line keeps the legacy
-//! `steps=0 heap=0 slices=0` fields (a fixpoint has no SLD resource
-//! meters) and appends `answers=<n> rounds=<n> facts=<n>`; `bind` lines
+//! Under `engine bottom-up` a query's `done` line keeps the
+//! `steps=0 heap=0` fields (a fixpoint has no SLD resource meters) and
+//! appends `answers=<n> rounds=<n> facts=<n>`; `bind` lines
 //! enumerate every answer, so variable names repeat once per answer.
 //!
 //! # Framing
@@ -61,7 +60,7 @@
 //!
 //! - **graceful shutdown** — when the stop flag rises, in-flight commands
 //!   finish and write their reply (long queries are already bounded by the
-//!   session budget's hard tail slice); any command read after the flag —
+//!   session's budget); any command read after the flag —
 //!   and the next otherwise-idle read tick — closes the connection with
 //!   `err shutdown ...`.
 //! - **idle reaping** — a connection with *no partial command* buffered for
@@ -613,7 +612,6 @@ fn command_loop<W: Write>(
     writeln!(frame, "ok granlog-serve")?;
     frame.finish()?;
     let mut session = Session::new(Arc::clone(&state.cache), state.default_budget);
-    session.set_tracer(Some(Arc::clone(&state.obs.tracer)));
     let mut line = Vec::new();
     loop {
         match read_command(reader, &mut line, state)? {
@@ -816,7 +814,6 @@ fn cmd_query(
             obs.stage_render_ms.observe_duration_ms(stages.render);
             obs.query_steps.observe(reply.steps as f64);
             obs.query_heap.observe(reply.heap_high_water as f64);
-            obs.slices.add(reply.slices as u64);
             if let Some(d) = &reply.datalog {
                 obs.datalog_rounds.add(d.rounds);
                 obs.datalog_facts.add(d.facts);
@@ -831,11 +828,10 @@ fn cmd_query(
                     let stage_ms = |d: Duration| d.as_secs_f64() * 1e3;
                     eprintln!(
                         "slow-query program={program:016x} goal={goal} ms={ms:.1} \
-                         steps={} heap={} slices={} parse_ms={:.3} lease_ms={:.3} \
+                         steps={} heap={} parse_ms={:.3} lease_ms={:.3} \
                          solve_ms={:.3} render_ms={:.3}",
                         reply.steps,
                         reply.heap_high_water,
-                        reply.slices,
                         stage_ms(stages.parse),
                         stage_ms(stages.lease),
                         stage_ms(stages.solve),
@@ -861,7 +857,6 @@ fn cmd_query(
                         ("ok", reply.succeeded.into()),
                         ("ms", ms.into()),
                         ("steps", reply.steps.into()),
-                        ("slices", reply.slices.into()),
                     ],
                 );
             }
@@ -874,13 +869,13 @@ fn cmd_query(
             match reply.datalog {
                 Some(d) => writeln!(
                     out,
-                    "done {status} steps={} heap={} slices={} answers={} rounds={} facts={}",
-                    reply.steps, reply.heap_high_water, reply.slices, d.answers, d.rounds, d.facts,
+                    "done {status} steps={} heap={} answers={} rounds={} facts={}",
+                    reply.steps, reply.heap_high_water, d.answers, d.rounds, d.facts,
                 )?,
                 None => writeln!(
                     out,
-                    "done {status} steps={} heap={} slices={}",
-                    reply.steps, reply.heap_high_water, reply.slices,
+                    "done {status} steps={} heap={}",
+                    reply.steps, reply.heap_high_water,
                 )?,
             }
             Ok(Then::Answered)
@@ -1059,13 +1054,7 @@ fn cmd_budget(out: &mut impl Write, session: &mut Session, args: &str) -> io::Re
         Some(("wall", v)) => v
             .parse()
             .map(|ms| budget.wall = Some(Duration::from_millis(ms))),
-        Some(("quantum", v)) => v.parse().map(|n| budget.quantum = n),
-        _ => {
-            return writeln!(
-                out,
-                "err proto usage: budget steps|heap|wall <n|off> | budget quantum <n>"
-            );
-        }
+        _ => return writeln!(out, "err proto usage: budget steps|heap|wall <n|off>"),
     };
     match parsed {
         Ok(()) => {
@@ -1194,7 +1183,6 @@ mod tests {
             ("budget steps off\n".into(), "ok\n"),
             ("budget heap 64\n".into(), "ok\n"),
             ("budget wall 1000\n".into(), "ok\n"),
-            ("budget quantum 9\n".into(), "ok\n"),
             ("budget heap off\n".into(), "ok\n"),
             ("budget\n".into(), "err proto usage: budget"),
             ("budget steps many\n".into(), "err proto not a number"),
@@ -1346,7 +1334,7 @@ mod tests {
         }
         let d = reply.datalog.expect("bottom-up stats");
         whole.push_str(&format!(
-            "done ok steps=0 heap=0 slices=0 answers={} rounds={} facts={}\n",
+            "done ok steps=0 heap=0 answers={} rounds={} facts={}\n",
             d.answers, d.rounds, d.facts
         ));
         assert_eq!(d.answers, 6000);

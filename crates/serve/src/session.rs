@@ -1,53 +1,23 @@
-//! One tenant's session: its loaded program, its budgets, and the quantum
-//! slicing that keeps long queries preemptible.
+//! One tenant's session: its loaded program, its budget, and the one
+//! engine call each query makes.
 //!
-//! A session never hands the engine its whole step budget at once. It runs
-//! the query in *quantum*-sized preemptible slices ([`Budget::steps`]),
-//! resuming after each yield, which keeps every session responsive to
-//! cancellation and bounds how long one tenant can monopolize a thread
-//! between scheduling points. When the steps left in the session budget fit
-//! inside one quantum, the final slice is issued *non-preemptible*
-//! ([`Budget::hard_steps`]): the engine itself raises
-//! [`EngineError::BudgetExceeded`] and performs its eager unwind (arena
-//! truncated, trail emptied), so an over-budget query can never leave a
-//! suspended machine pinning a large heap in the pool. The engine reports
-//! the tail slice's limit; the session remaps it to the session-level limit
-//! before surfacing the error.
+//! A query leases a machine and runs to completion under the session's own
+//! [`Budget`]: a query that exhausts it ends in the engine's typed
+//! [`EngineError::BudgetExceeded`], carrying the session's limit, after the
+//! engine's eager unwind (arena truncated, trail emptied), so an over-budget
+//! query never leaves a large heap pinned in the pool.
 
 use crate::cache::{ProgramEntry, TemplateCache};
 use crate::ServeError;
-use granlog_engine::{Budget, BudgetKind, EngineError, Solve};
+use granlog_engine::{Budget, EngineError};
 use granlog_ir::parser::parse_term;
-use granlog_obs::Tracer;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-session resource limits, applied to every query the session runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionBudget {
-    /// Total head attempts allowed per query (`None` = unlimited).
-    pub steps: Option<u64>,
-    /// Arena heap ceiling in cells per query (`None` = unlimited). Always a
-    /// hard error when exceeded — waiting cannot reclaim memory.
-    pub heap_cells: Option<usize>,
-    /// Wall-clock allowance per query (`None` = unlimited). The deadline is
-    /// taken at query start; each slice carries the time remaining, so the
-    /// engine's own coarse-grained wall polling enforces it.
-    pub wall: Option<Duration>,
-    /// Steps per preemptible slice.
-    pub quantum: u64,
-}
-
-impl Default for SessionBudget {
-    fn default() -> Self {
-        SessionBudget {
-            steps: None,
-            heap_cells: None,
-            wall: None,
-            quantum: 4096,
-        }
-    }
-}
+/// Per-session resource limits, applied to every query the session runs:
+/// the engine's [`Budget`]. A session without a step limit runs each query
+/// under the engine's default one.
+pub type SessionBudget = Budget;
 
 /// Result of loading a program into a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,9 +66,6 @@ pub struct QueryReply {
     /// Arena high-water mark of this query, in cells (0 under the
     /// bottom-up engine — it does not lease a machine).
     pub heap_high_water: usize,
-    /// Preemptible slices the query ran in (1 = never yielded; 0 under the
-    /// bottom-up engine).
-    pub slices: usize,
     /// Fixpoint statistics when the bottom-up engine answered, `None` for
     /// SLD replies.
     pub datalog: Option<DatalogReplyStats>,
@@ -113,8 +80,8 @@ pub(crate) struct QueryStages {
     /// Checking a machine out of the program's pool (zero under the
     /// bottom-up engine, which leases none).
     pub(crate) lease: Duration,
-    /// Solving: every slice under SLD, fixpoint lookup plus answer join
-    /// under bottom-up.
+    /// Solving: the engine call under SLD, fixpoint lookup plus answer
+    /// join under bottom-up.
     pub(crate) solve: Duration,
     /// Rendering the bindings to text.
     pub(crate) render: Duration,
@@ -147,9 +114,6 @@ pub struct Session {
     budget: SessionBudget,
     engine: EngineKind,
     stages: QueryStages,
-    /// Event sink for slice yield/resume events; `None` (the default) and a
-    /// disabled tracer both cost one branch per slice.
-    tracer: Option<Arc<Tracer>>,
 }
 
 impl Session {
@@ -161,15 +125,7 @@ impl Session {
             budget,
             engine: EngineKind::default(),
             stages: QueryStages::default(),
-            tracer: None,
         }
-    }
-
-    /// Installs (or removes) the trace sink for this session's slice
-    /// events. The server installs its global ring on every connection; the
-    /// ring's own enabled flag then gates recording.
-    pub fn set_tracer(&mut self, tracer: Option<Arc<Tracer>>) {
-        self.tracer = tracer;
     }
 
     /// This session's current budget.
@@ -191,10 +147,7 @@ impl Session {
 
     /// Replaces the session budget (applies to subsequent queries).
     pub fn set_budget(&mut self, budget: SessionBudget) {
-        self.budget = SessionBudget {
-            quantum: budget.quantum.max(1),
-            ..budget
-        };
+        self.budget = budget;
     }
 
     /// Loads (or re-loads) program text through the shared template cache.
@@ -225,7 +178,7 @@ impl Session {
         self.stages
     }
 
-    /// Runs one query under the session budget, slicing by quantum.
+    /// Runs one query on a leased machine under the session budget.
     ///
     /// The whole solve runs under `catch_unwind`: a panic anywhere inside
     /// the engine (or injected by a failpoint) is caught here, the leased
@@ -238,8 +191,8 @@ impl Session {
     ///
     /// [`ServeError::NoProgram`] before any successful [`Session::load`];
     /// [`ServeError::Parse`] for a malformed goal; [`ServeError::Engine`]
-    /// for engine failures, including `BudgetExceeded` with the
-    /// session-level limit when this query ran out of steps or heap;
+    /// for engine failures, including `BudgetExceeded` with the session's
+    /// limit when this query ran out of steps, heap or time;
     /// [`ServeError::Internal`] for a caught panic;
     /// [`ServeError::Fault`] for an injected lease fault;
     /// [`ServeError::Datalog`] under the bottom-up engine when the program
@@ -256,34 +209,18 @@ impl Session {
         if self.engine == EngineKind::BottomUp {
             return query_bottom_up(&entry, &goal, &var_names, &mut clock, &mut self.stages);
         }
-        let quantum = self.budget.quantum.max(1);
-        let heap_cells = self.budget.heap_cells;
-        let session_steps = self.budget.steps;
-        let session_wall = self.budget.wall;
-        // The wall deadline is per *query*, fixed now; slices get whatever
-        // remains of it.
-        let deadline = session_wall.map(|w| Instant::now() + w);
-
         let mut lease = entry.lease()?;
         self.stages.lease = clock.lap();
-        let tracer = self.tracer.as_deref();
-        // AssertUnwindSafe: on panic the closure's only captured state, the
+        // AssertUnwindSafe: on panic the closure's only mutated state, the
         // leased machine, is quarantined below and never observed again.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_sliced(
-                lease.machine(),
-                &goal,
-                &var_names,
-                session_steps,
-                quantum,
-                heap_cells,
-                deadline,
-                tracer,
-            )
+            lease
+                .machine()
+                .solve_goal(&goal, &var_names, None, &self.budget)
         }));
         self.stages.solve = clock.lap();
         match caught {
-            Ok(Ok((outcome, slices))) => {
+            Ok(Ok(outcome)) => {
                 let heap_high_water = lease.machine().stats().heap_high_water;
                 let bindings = outcome
                     .bindings
@@ -296,28 +233,9 @@ impl Session {
                     bindings,
                     steps: outcome.counters.head_attempts,
                     heap_high_water,
-                    slices,
                     datalog: None,
                 })
             }
-            // The hard tail slice reports its own (possibly clamped) limit;
-            // surface the session-level limit instead.
-            Ok(Err(EngineError::BudgetExceeded {
-                resource: BudgetKind::Steps,
-                ..
-            })) => Err(ServeError::Engine(EngineError::BudgetExceeded {
-                resource: BudgetKind::Steps,
-                limit: session_steps.unwrap_or(u64::MAX),
-            })),
-            // Same remap for wall time: the final slice saw only the
-            // residue of the deadline; report the session's allowance (ms).
-            Ok(Err(EngineError::BudgetExceeded {
-                resource: BudgetKind::Wall,
-                ..
-            })) => Err(ServeError::Engine(EngineError::BudgetExceeded {
-                resource: BudgetKind::Wall,
-                limit: session_wall.map_or(u64::MAX, |w| w.as_millis() as u64),
-            })),
             Ok(Err(e)) => {
                 // An injected engine fault unwinds the machine like any
                 // engine error, but the point of injecting it is to model
@@ -342,8 +260,8 @@ impl Session {
 }
 
 /// The bottom-up query path: fetch (or build) the entry's shared fact
-/// database and read *all* answers out of it. No machine lease, no
-/// slicing — the fixpoint ran (or was cached) inside
+/// database and read *all* answers out of it. No machine lease — the
+/// fixpoint ran (or was cached) inside
 /// [`ProgramEntry::datalog`], and reading answers out of an immutable
 /// database is join work bounded by the database itself, not by a
 /// tenant-controlled search space, so the session budgets do not apply.
@@ -370,61 +288,12 @@ fn query_bottom_up(
         bindings,
         steps: 0,
         heap_high_water: 0,
-        slices: 0,
         datalog: Some(DatalogReplyStats {
             answers: answers.rows.len() as u64,
             rounds: stats.rounds,
             facts: stats.derived_facts,
         }),
     })
-}
-
-/// The quantum-slicing solve loop, separated out so [`Session::query`] can
-/// wrap exactly this much in `catch_unwind`. Returns the outcome plus the
-/// number of slices the query ran in.
-#[allow(clippy::too_many_arguments)]
-fn run_sliced(
-    machine: &mut granlog_engine::Machine,
-    goal: &granlog_ir::Term,
-    var_names: &[granlog_ir::Symbol],
-    session_steps: Option<u64>,
-    quantum: u64,
-    heap_cells: Option<usize>,
-    deadline: Option<Instant>,
-    tracer: Option<&Tracer>,
-) -> Result<(granlog_engine::QueryOutcome, usize), EngineError> {
-    let mut slices = 1usize;
-    let mut state = machine.solve_goal(
-        goal,
-        var_names,
-        None,
-        &next_slice(session_steps, 0, quantum, heap_cells, deadline),
-    );
-    loop {
-        match state {
-            Ok(Solve::Done(outcome)) => return Ok((outcome, slices)),
-            Ok(Solve::Yield(token)) => {
-                slices += 1;
-                let used = machine.counters().head_attempts;
-                if let Some(t) = tracer {
-                    if t.is_enabled() {
-                        t.emit(
-                            "slice_yield",
-                            vec![("slice", (slices - 1).into()), ("steps", used.into())],
-                        );
-                    }
-                }
-                let slice = next_slice(session_steps, used, quantum, heap_cells, deadline);
-                if let Some(t) = tracer {
-                    if t.is_enabled() {
-                        t.emit("slice_resume", vec![("slice", slices.into())]);
-                    }
-                }
-                state = machine.resume(token, None, &slice);
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 /// Renders a caught panic payload: panics carry a `&str` or `String`
@@ -439,57 +308,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// The budget for the next slice: a preemptible quantum while more than one
-/// quantum of session steps remains, a **hard** tail slice once the
-/// remainder fits (so the engine's own error path unwinds the machine).
-///
-/// The wall deadline rides along on every slice as the time remaining. A
-/// preemptible slice whose wall residue expires *yields* (the engine
-/// suspends on wall exhaustion when preemptible); the next slice then sees
-/// zero remaining and is issued hard, so the engine's own
-/// `BudgetExceeded { Wall }` path unwinds the machine.
-fn next_slice(
-    session_steps: Option<u64>,
-    used: u64,
-    quantum: u64,
-    heap_cells: Option<usize>,
-    deadline: Option<Instant>,
-) -> Budget {
-    let remaining_wall = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-    let wall_expired = remaining_wall.is_some_and(|r| r.is_zero());
-    let mut slice = if wall_expired {
-        // Past the deadline, the expired wall must be the budget that
-        // fires: a step-bounded slice could raise `Steps` first and
-        // misreport the failure class. Step-unbounded is safe — the engine
-        // polls the wall within a few hundred resolutions.
-        let mut tail = Budget::UNLIMITED;
-        tail.preemptible = false;
-        tail
-    } else {
-        match session_steps {
-            None => Budget::steps(quantum),
-            Some(limit) => {
-                let remaining = limit.saturating_sub(used);
-                if remaining > quantum {
-                    Budget::steps(quantum)
-                } else {
-                    // `hard_steps` clamps to ≥ 1, so a session already at
-                    // its limit errors after at most one more goal.
-                    Budget::hard_steps(remaining)
-                }
-            }
-        }
-    };
-    slice.heap_cells = heap_cells;
-    slice.wall = remaining_wall;
-    slice
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::PoolConfig;
-    use granlog_engine::MachineConfig;
+    use granlog_engine::{BudgetKind, MachineConfig};
 
     const COUNT: &str = r#"
         count(0).
@@ -514,37 +337,11 @@ mod tests {
     }
 
     #[test]
-    fn small_quantum_slices_but_matches_the_answer() {
-        #[cfg(feature = "failpoints")]
-        let _shared = crate::faultsync::shared();
-        let mut fine = session(SessionBudget {
-            quantum: 7,
-            ..SessionBudget::default()
-        });
-        fine.load(COUNT).unwrap();
-        let sliced = fine.query("count(200)").unwrap();
-        assert!(sliced.succeeded);
-        assert!(
-            sliced.slices > 10,
-            "quantum 7 must slice: {}",
-            sliced.slices
-        );
-
-        let mut coarse = session(SessionBudget::default());
-        coarse.load(COUNT).unwrap();
-        let whole = coarse.query("count(200)").unwrap();
-        assert_eq!(whole.slices, 1);
-        assert_eq!(sliced.steps, whole.steps, "slicing must not change work");
-        assert_eq!(sliced.bindings, whole.bindings);
-    }
-
-    #[test]
     fn step_budget_is_enforced_and_remapped_to_the_session_limit() {
         #[cfg(feature = "failpoints")]
         let _shared = crate::faultsync::shared();
         let mut s = session(SessionBudget {
             steps: Some(50),
-            quantum: 8,
             ..SessionBudget::default()
         });
         s.load(COUNT).unwrap();
@@ -552,10 +349,7 @@ mod tests {
             Err(ServeError::Engine(EngineError::BudgetExceeded {
                 resource: BudgetKind::Steps,
                 limit,
-            })) => assert_eq!(
-                limit, 50,
-                "limit must be the session's, not the tail slice's"
-            ),
+            })) => assert_eq!(limit, 50, "limit must be the session's"),
             other => panic!("expected a step-budget error, got {other:?}"),
         }
         // The machine unwound and went back to the pool; the session works.
@@ -569,7 +363,6 @@ mod tests {
         let _shared = crate::faultsync::shared();
         let mut s = session(SessionBudget {
             wall: Some(Duration::from_millis(30)),
-            quantum: 512,
             ..SessionBudget::default()
         });
         s.load("loop :- loop.").unwrap();
@@ -706,10 +499,7 @@ mod tests {
             reply.bindings.iter().all(|(n, _)| n == "X"),
             "one bind per answer, all for X"
         );
-        assert_eq!(
-            (reply.steps, reply.heap_high_water, reply.slices),
-            (0, 0, 0)
-        );
+        assert_eq!((reply.steps, reply.heap_high_water), (0, 0));
 
         // The evaluated database is cached on the shared entry: a second
         // query reuses it (same fixpoint stats object, no recompute).

@@ -187,7 +187,6 @@ fn run_prints_a_300_000_deep_answer_and_stops_cyclic_loops() {
 
     for goal in [
         "X = [a|X], length(X, N)",
-        "X = [a|X], is_list(X)",
         "X = [a|X], T =.. X",
         "X = X + 1, Y is X",
     ] {
@@ -203,5 +202,29 @@ fn run_prints_a_300_000_deep_answer_and_stops_cyclic_loops() {
             "{goal}: {stderr}"
         );
         assert!(started.elapsed().as_secs() < 60, "{goal}");
+    }
+}
+
+/// ROADMAP item 1: a query that fails has no answer to print, so one that
+/// bound a variable to a cyclic term on the way (`is_list/1` fails on a
+/// cyclic list) prints `no` and exits 0 — sequentially and on the thread
+/// pool in every granularity mode. Copying the failed query's variables out
+/// of the arena used to end it in the cyclic-term error.
+#[test]
+fn run_answers_no_to_a_failed_query_over_a_cyclic_term() {
+    let path = write_temp("p.pl", "p(1).\n");
+    let path = path.to_str().unwrap();
+    for goal in ["X = f(X), fail", "X = [a|X], is_list(X)"] {
+        for extra in [
+            &[][..],
+            &["--threads", "2", "--granularity", "on"],
+            &["--threads", "2", "--granularity", "off"],
+            &["--threads", "2", "--granularity", "always-spawn"],
+        ] {
+            let args: Vec<&str> = ["run", path, goal].iter().chain(extra).copied().collect();
+            let (stdout, stderr, ok) = granlog(&args);
+            assert!(ok, "{args:?}: {stderr}");
+            assert_eq!(stdout.lines().next(), Some("no"), "{args:?}: {stdout}");
+        }
     }
 }

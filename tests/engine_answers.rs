@@ -14,7 +14,9 @@
 //!   T` succeeds and `T \= T` fails;
 //! * **bounded** — deep goals answer, and goals over cyclic terms (there is
 //!   no occurs check) end in a typed `EngineError::TermLimit` within
-//!   seconds instead of hanging; a cyclic `&` arm runs inline.
+//!   seconds instead of hanging; a cyclic `&` arm runs inline;
+//! * **failure** — a query that fails has no answer to copy out, so one
+//!   that bound a variable to a cyclic term on the way answers `no`.
 
 use granlog_engine::{EngineError, Machine, MachineConfig, TermLimit};
 use granlog_ir::parser::{parse_program, parse_term};
@@ -363,5 +365,60 @@ fn cyclic_lists_and_expressions_end_on_a_connection_stack() {
         }
         let out = machine.run_query("dbl(10, E), V is E").unwrap();
         assert_eq!(out.binding("V").unwrap().to_string(), "1024");
+    });
+}
+
+/// Goals that bind a query variable to a cyclic term and then fail: on the
+/// way out of the last choice point the binding is not undone (nothing
+/// below a choice point is trailed), so copying the failed query's
+/// variables out of the arena used to end it in `TermLimit::Cyclic`.
+const FAILING_CYCLIC: &[&str] = &[
+    "X = f(X), fail",
+    "X = [a|X], is_list(X)",
+    "(X = f(X), Y = 1 ; Y = 2), Y > 5",
+    "p(A) & q, X = f(A, X), fail",
+];
+
+/// A failed query answers `no` on every engine front end: a `Machine`, the
+/// executor in each granularity mode, and a serve `Session`.
+#[test]
+fn a_failed_query_extracts_no_bindings() {
+    on_connection_stack(|| {
+        let program = parse_program(PROGRAM).unwrap();
+        let mut machine = Machine::new(&program);
+        let cache = TemplateCache::new(1, MachineConfig::default(), PoolConfig::default());
+        let mut session = Session::new(Arc::new(cache), SessionBudget::default());
+        session.load(PROGRAM).unwrap();
+        let mut executors: Vec<_> = [Granularity::On, Granularity::Off, Granularity::AlwaysSpawn]
+            .into_iter()
+            .flat_map(|granularity| [1, 2].map(|threads| (granularity, threads)))
+            .map(|(granularity, threads)| {
+                let config = ParConfig {
+                    threads,
+                    granularity,
+                    ..ParConfig::default()
+                };
+                (
+                    format!("{granularity:?}, {threads}t"),
+                    ParExecutor::new(&program, config),
+                )
+            })
+            .collect();
+        for goal in FAILING_CYCLIC {
+            let out = machine.run_query(goal).unwrap();
+            assert!(!out.succeeded && out.bindings.is_empty(), "machine: {goal}");
+            for (config, executor) in &mut executors {
+                let out = executor.run_query(goal).unwrap();
+                assert!(
+                    !out.succeeded && out.bindings.is_empty(),
+                    "{config}: {goal}"
+                );
+            }
+            let reply = session.query(goal).unwrap();
+            assert!(
+                !reply.succeeded && reply.bindings.is_empty(),
+                "session: {goal}"
+            );
+        }
     });
 }

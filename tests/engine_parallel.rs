@@ -26,7 +26,7 @@ mod support;
 
 use granlog_analysis::annotate::{apply_granularity_control, AnnotateOptions};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
-use granlog_engine::{EngineResult, Machine, QueryOutcome};
+use granlog_engine::{Budget, EngineResult, Machine, QueryOutcome};
 use granlog_ir::parser::parse_program;
 use granlog_ir::Term;
 use granlog_par::{Granularity, ParConfig, ParExecutor, ParOutcome};
@@ -120,7 +120,7 @@ fn run_stolen(
     let (goal, names) = granlog_ir::parser::parse_term(query).expect("query parses");
     let seq = Machine::new(&program).run_goal(&goal, &names);
     let thief = support::EagerThief::new(&program);
-    let par = Machine::new(&program).run_goal_par(&goal, &names, Some(&thief));
+    let par = Machine::new(&program).solve_goal(&goal, &names, Some(&thief), &Budget::default());
     let stolen = thief.stolen.load(std::sync::atomic::Ordering::Relaxed);
     (seq, par, stolen)
 }
