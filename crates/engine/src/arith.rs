@@ -517,7 +517,7 @@ pub(crate) fn compile(cells: &[Cell], pos: usize, out: &mut Vec<Instr>) -> bool 
                 Ok(value) => Instr::Float(value),
                 Err(unknown) => Instr::Trap(unknown),
             },
-            Cell::Struct(name, arity) => match function(name, arity) {
+            Cell::Struct(name, arity, _) => match function(name, arity) {
                 Ok(ArithOp::Unary(op)) => {
                     pending.push((Instr::Op1(op), 1));
                     continue;
@@ -916,7 +916,7 @@ mod tests {
         let cells = templates[0].cells();
         let arg = cells
             .iter()
-            .position(|c| matches!(c, Cell::Struct(_, 1)))
+            .position(|c| matches!(c, Cell::Struct(_, 1, _)))
             .expect("q/1")
             + 1;
         let mut code = Vec::new();

@@ -18,11 +18,12 @@
 //! * a fully iterative machine: clause bodies — control constructs included —
 //!   compile once into template step sequences, and negation / conditions /
 //!   `&` arms run behind explicit barrier records instead of native Rust
-//!   recursion (see [`machine`] and [`template`]). Walks over run-time
-//!   terms are bounded loops too — a cyclic term (`X = f(X)`: there is no
-//!   occurs check) is a typed [`EngineError::TermLimit`] — so native
-//!   recursion is left only over source text, whose depth the reader
-//!   bounds (`granlog_ir::parser::MAX_TERM_DEPTH`; list spines excepted);
+//!   recursion (see [`machine`] and [`template`]). Program and query text
+//!   enter the arena as one relocating copy of a compile-time layout, clause
+//!   heads are matched by a loop, and walks over run-time terms are bounded
+//!   loops too — a cyclic term (`X = f(X)`: there is no occurs check) is a
+//!   typed [`EngineError::TermLimit`] — so no term's depth, list spines
+//!   included, costs the machine native stack;
 //! * independent and-parallel semantics for `&` (each arm solved to its first
 //!   solution; the conjunction fails if any arm fails), executed inline,
 //!   with the later arms of a conjunction on offer to a pluggable parallel

@@ -28,12 +28,16 @@
 //!   says what success and failure of the sub-solve mean. The machine is
 //!   fully iterative — no native Rust frame is consumed per barrier nesting
 //!   level, so control nesting is bounded by memory, not by the call stack.
-//! * **Walks over run-time cells are bounded loops**: unification,
-//!   comparison and `ground/1` pop cell pairs off one stack, and a term
-//!   leaves the arena — answer, error message, stolen arm — by one
-//!   iterative copy, or as a typed [`EngineError::TermLimit`] when it is
-//!   cyclic or too large. Native recursion is left only over source text
-//!   (template materialization, writing a query goal).
+//! * **One way into the arena, one way out, and no recursion between**:
+//!   every term of program or query text — a head structure, a call's
+//!   arguments, a query goal — enters the arena as one relocating copy of
+//!   its compile-time `Layout`; a term leaves it — answer, error message,
+//!   stolen arm — by one iterative copy, or as a typed
+//!   [`EngineError::TermLimit`] when it is cyclic or too large. Head
+//!   unification walks the head's cells with one cursor and a stack of goal
+//!   blocks; unification, comparison and `ground/1` pop cell pairs off one
+//!   stack. No walk in the machine spends a native frame per level of a
+//!   term, so a 200 000-element list literal runs like any other.
 //! * **Cut** (`!`) is real: each clause activation records the choice-point
 //!   height at its call, and executing `!` prunes back to it — clamped to
 //!   the innermost barrier, which makes cut local to `\+` and to
@@ -64,7 +68,7 @@ use crate::heap::{self, HCell};
 use crate::image::{CallTarget, Image};
 use crate::par::{ArmAnswer, Offer, Packet, ParHook};
 use crate::tasktree::{TaskId, TaskRecorder, TaskTree};
-use crate::template::{Cell, ClauseTemplate, GoalImage, Seq, Step};
+use crate::template::{Cell, ClauseTemplate, Layout, Seq, Step};
 use granlog_ir::symbol::well_known::{self, WellKnownSymbols};
 use granlog_ir::{parser, ClauseId, FastMap, IndexKey, PredId, Program, Symbol, Term};
 use std::collections::VecDeque;
@@ -478,6 +482,11 @@ pub struct Machine {
     packet_pool: Vec<Vec<HCell>>,
     /// [`Machine::walk_pairs`]'s `(left block, right block, pairs left)`.
     walk_stack: Vec<(u32, u32, u32)>,
+    /// The last query goal's layout, whose buffers the next one reuses.
+    goal_layout: Layout,
+    /// [`Machine::unify_head`]'s goal argument blocks still being matched,
+    /// innermost last: `(next goal cell, cells to go)`.
+    head_blocks: Vec<(u32, u32)>,
     /// The work stacks of the heap arithmetic evaluator (see
     /// [`crate::arith`]).
     pub(crate) arith: arith::Scratch,
@@ -550,6 +559,8 @@ impl Machine {
             pack_scratch: Vec::new(),
             packet_pool: Vec::new(),
             walk_stack: Vec::new(),
+            goal_layout: Layout::default(),
+            head_blocks: Vec::new(),
             arith: arith::Scratch::default(),
             counters: Counters::default(),
             recorder: TaskRecorder::new(),
@@ -628,10 +639,14 @@ impl Machine {
         budget: &Budget,
     ) -> EngineResult<QueryOutcome> {
         self.begin_solve();
+        let mut layout = std::mem::take(&mut self.goal_layout);
+        layout.clear();
+        let root = layout.add(goal);
         // Query variables occupy the bottom of the arena, so their cell
         // indices double as binding-table slots for answer extraction.
-        self.fresh_vars(var_names.len().max(goal.var_bound()));
-        let root = self.write_ir(goal, 0);
+        self.fresh_vars(var_names.len().max(layout.vars()));
+        let root = self.write(&layout, root, 0);
+        self.goal_layout = layout;
         self.push_goal(Goal::Cell(root))?;
         self.drive(hook, budget, |machine, succeeded| {
             machine.outcome(succeeded, var_names)
@@ -1016,39 +1031,41 @@ impl Machine {
     /// offset each — and returns the heap index of its first root.
     fn unpack(&mut self, packet: &Packet) -> usize {
         let vars = self.fresh_vars(packet.nvars as usize);
-        self.write_relocated(&packet.cells, vars)
+        self.write_relocated(&packet.cells, 0, vars)
     }
 
-    /// Appends position-independent `cells` — a packet's body, a goal's
-    /// argument image — to the arena in one pass, moving every `Ref` by
-    /// `vars` (where the cells' variable 0 lives) and every `Struct` block
-    /// index by the position the copy starts at, which is returned.
-    fn write_relocated(&mut self, cells: &[HCell], vars: usize) -> usize {
+    /// Appends position-independent `cells` — a packet's body, a span of a
+    /// layout — to the arena in one pass, moving every `Ref` by `vars`
+    /// (where the cells' variable 0 lives) and every `Struct` block index
+    /// from counting at `origin` to counting at the position the copy
+    /// starts at, which is returned.
+    fn write_relocated(&mut self, cells: &[HCell], origin: u32, vars: usize) -> usize {
         self.check_arena_capacity(cells.len());
         let at = self.heap.len();
-        let (vars, offset) = (vars as u32, at as u32);
+        let (vars, shift) = (vars as u32, (at as u32).wrapping_sub(origin));
         self.heap.extend(cells.iter().map(|&cell| match cell {
             HCell::Ref(var) => HCell::Ref(vars + var),
-            HCell::Struct(name, arity, block) => HCell::Struct(name, arity, offset + block),
+            HCell::Struct(name, arity, block) => {
+                HCell::Struct(name, arity, block.wrapping_add(shift))
+            }
             constant => constant,
         }));
         at
     }
 
-    /// Materializes a statically known goal from its argument image (see
-    /// [`GoalImage`]) for the activation whose variable block starts at
-    /// `var_base`, and returns the goal cell.
-    pub(crate) fn write_image(
-        &mut self,
-        images: &[HCell],
-        goal: GoalImage,
-        var_base: usize,
-    ) -> HCell {
-        if goal.arity == 0 {
-            return HCell::Atom(goal.name);
+    /// Writes the subterm of `layout` whose root cell is at `pos` for the
+    /// variable block starting at `var_base` — a compound's argument blocks
+    /// as one relocating copy of its span — and returns its root cell.
+    pub(crate) fn write(&mut self, layout: &Layout, pos: usize, var_base: usize) -> HCell {
+        match layout.cells()[pos] {
+            Cell::Var(v) | Cell::VarFirst(v) => HCell::Ref(var_base as u32 + v),
+            Cell::Struct(name, arity, span) => {
+                let (origin, cells) = layout.span(span);
+                let at = self.write_relocated(cells, origin, var_base);
+                HCell::Struct(name, arity, at as u32)
+            }
+            constant => constant.constant(),
         }
-        let args = self.write_relocated(&images[goal.args.range()], var_base);
-        HCell::Struct(goal.name, goal.arity, args as u32)
     }
 
     /// Builds a proper list of the given element cells in the arena,
@@ -1066,64 +1083,18 @@ impl Machine {
         acc
     }
 
-    /// Writes a source-level term into the arena, renaming its variables by
-    /// `var_base` (whose slots must already exist), and returns its root
-    /// cell.
-    fn write_ir(&mut self, term: &Term, var_base: usize) -> HCell {
-        match term {
-            Term::Var(v) => HCell::Ref((var_base + v) as u32),
-            Term::Atom(s) => HCell::Atom(*s),
-            Term::Int(i) => HCell::Int(*i),
-            Term::Float(x) => HCell::Float(x.0),
-            Term::Struct(name, args) => {
-                // Reserve the argument block first (children may themselves
-                // grow the arena), then fill it in order.
-                let base = self.fresh_vars(args.len());
-                for (k, arg) in args.iter().enumerate() {
-                    let cell = self.write_ir(arg, var_base);
-                    self.heap[base + k] = cell;
-                }
-                HCell::Struct(*name, args.len() as u32, base as u32)
-            }
-        }
-    }
-
     /// Loads a term into the arena (reserving slots for its variables) and
     /// returns a heap index for it. Test-only plumbing for unit tests that
     /// want to evaluate or inspect a term outside a query.
     #[cfg(test)]
     pub(crate) fn write_term(&mut self, term: &Term) -> usize {
-        let var_base = self.heap.len();
-        self.fresh_vars(term.var_bound());
-        let cell = self.write_ir(term, var_base);
+        let mut layout = Layout::default();
+        let root = layout.add(term);
+        let var_base = self.fresh_vars(layout.vars());
+        let cell = self.write(&layout, root, var_base);
         let idx = self.heap.len();
         self.heap.push(cell);
         idx
-    }
-
-    /// Writes the template subtree at `*pos` into the arena, advancing
-    /// `*pos` past it, and returns its root cell. Clause-local variables are
-    /// renamed by `var_base` (the activation's variable block).
-    pub(crate) fn write_template(
-        &mut self,
-        cells: &[Cell],
-        pos: &mut usize,
-        var_base: usize,
-    ) -> HCell {
-        let cell = cells[*pos];
-        *pos += 1;
-        match cell {
-            Cell::Var(v) | Cell::VarFirst(v) => HCell::Ref((var_base + v as usize) as u32),
-            Cell::Struct(s, arity) => {
-                let base = self.fresh_vars(arity as usize);
-                for k in 0..arity as usize {
-                    let arg = self.write_template(cells, pos, var_base);
-                    self.heap[base + k] = arg;
-                }
-                HCell::Struct(s, arity, base as u32)
-            }
-            constant => constant.constant(),
-        }
     }
 
     fn note_heap_high_water(&mut self) {
@@ -1237,20 +1208,22 @@ impl Machine {
         self.trail.len()
     }
 
-    /// Unifies a goal subterm (by heap index) against the template subtree
-    /// at `*pos`, advancing `*pos` past it on success (on failure the cursor
-    /// is abandoned along with the whole head attempt). Counter-for-counter
-    /// identical to materializing the subtree and unifying: one count per
-    /// visited pair, and a template subtree is only *written into the arena*
-    /// when the goal side is an unbound variable.
-    fn unify_template(
+    /// Unifies a goal subterm (by heap index) with the head cell at `*pos`,
+    /// moving `*pos` past what it matched (on failure the cursor is
+    /// abandoned along with the whole head attempt): a compound whose
+    /// functor matches the goal's leaves its argument pairs to
+    /// [`Machine::unify_head`], pushing the goal's argument block on
+    /// `head_blocks`. Counter-for-counter identical to writing the head and
+    /// unifying: one count per visited pair, and a head subtree is only
+    /// *written into the arena* when the goal side is an unbound variable.
+    fn unify_head_cell(
         &mut self,
         goal: usize,
-        cells: &[Cell],
+        layout: &Layout,
         pos: &mut usize,
         var_base: usize,
     ) -> Result<bool, TermLimit> {
-        match cells[*pos] {
+        match layout.cells()[*pos] {
             Cell::Var(v) => {
                 *pos += 1;
                 self.unify(goal, var_base + v as usize, Charge::Counted)
@@ -1274,24 +1247,21 @@ impl Machine {
                 }
                 Ok(true)
             }
-            Cell::Struct(f, arity) => {
+            Cell::Struct(f, arity, _) => {
                 self.count_unification();
                 let g = self.deref_idx(goal);
                 match self.heap[g] {
                     HCell::Ref(_) => {
-                        // Materialization on demand: only here does a
-                        // template subtree become arena cells.
-                        let value = self.write_template(cells, pos, var_base);
+                        // Written on demand: only here does a head subtree
+                        // become arena cells.
+                        let value = self.write(layout, *pos, var_base);
+                        *pos = layout.end(*pos);
                         self.bind_cell(g, value);
                         Ok(true)
                     }
                     HCell::Struct(gf, gn, gargs) if gf == f && gn == arity => {
                         *pos += 1;
-                        for k in 0..arity as usize {
-                            if !self.unify_template(gargs as usize + k, cells, pos, var_base)? {
-                                return Ok(false);
-                            }
-                        }
+                        self.head_blocks.push((gargs, arity));
                         Ok(true)
                     }
                     _ => Ok(false),
@@ -1316,7 +1286,7 @@ impl Machine {
 
     /// Unifies an immediate (numeric) value against the template subtree at
     /// `*pos` — the `Lhs is Rhs` eager path. Same counts as routing the
-    /// value through [`Machine::unify_template`] with a parked goal cell.
+    /// value through [`Machine::unify_head_cell`] with a parked goal cell.
     fn unify_value_template(
         &mut self,
         value: HCell,
@@ -1352,7 +1322,9 @@ impl Machine {
     /// Unifies a goal with a clause head template, renaming clause-local
     /// variables by `var_base`. Counts exactly what the seed's
     /// `unify(goal, rename(head))` counted: one for the whole-head pair plus
-    /// one per visited subterm pair.
+    /// one per visited subterm pair. The head's cells are matched in
+    /// preorder by one cursor, against the goal argument blocks stacked on
+    /// `head_blocks`, so no native frame is spent per level of the head.
     fn unify_head(
         &mut self,
         goal_args: usize,
@@ -1360,14 +1332,30 @@ impl Machine {
         var_base: usize,
     ) -> Result<bool, TermLimit> {
         self.count_unification();
-        let cells = templ.cells();
-        for (k, start) in templ.head_arg_positions().iter().enumerate() {
-            let mut pos = *start as usize;
-            if !self.unify_template(goal_args + k, cells, &mut pos, var_base)? {
-                return Ok(false);
-            }
+        let layout = templ.layout();
+        let arity = templ.head_arity() as u32;
+        if arity > 0 {
+            self.head_blocks.push((goal_args as u32, arity));
         }
-        Ok(true)
+        let mut pos = 0;
+        let matched = loop {
+            let Some(top) = self.head_blocks.last_mut() else {
+                break Ok(true);
+            };
+            let goal = top.0 as usize;
+            *top = (top.0 + 1, top.1 - 1);
+            // A block is dropped as its last cell is taken, so a list spine
+            // takes no stack.
+            if top.1 == 0 {
+                self.head_blocks.pop();
+            }
+            match self.unify_head_cell(goal, layout, &mut pos, var_base) {
+                Ok(true) => {}
+                unmatched => break unmatched,
+            }
+        };
+        self.head_blocks.clear();
+        matched
     }
 
     // ------------------------------------------------------------------
@@ -1976,11 +1964,10 @@ impl Machine {
     }
 
     /// Executes one compiled body step. Control steps push barriers or
-    /// choice points with their precompiled arm sequences; a call
-    /// materializes its goal from the argument image and goes straight to
-    /// clause selection; builtin steps run in place; a goal only identified
-    /// at run time materializes its subtree and takes the cell dispatch
-    /// path.
+    /// choice points with their precompiled arm sequences; a call writes
+    /// its goal from the clause's layout and goes straight to clause
+    /// selection; builtin steps run in place; a goal only identified at run
+    /// time is written the same way and takes the cell dispatch path.
     fn exec_step(
         &mut self,
         image: &Image,
@@ -1998,13 +1985,12 @@ impl Machine {
         let heap_before = self.heap.len();
         match templ.steps()[step as usize] {
             Step::Goal(pos) => {
-                let mut pos = pos as usize;
-                let cell = self.write_template(templ.cells(), &mut pos, var_base as usize);
+                let cell = self.write(templ.layout(), pos as usize, var_base as usize);
                 self.profile_body_cells(clause, heap_before);
                 self.exec_cell(image, cell, wk, hook)
             }
             Step::Call { pred, goal } => {
-                let goal = self.write_image(templ.images(), goal, var_base as usize);
+                let goal = self.write(templ.layout(), goal as usize, var_base as usize);
                 self.profile_body_cells(clause, heap_before);
                 self.call_user(image, pred, goal)
             }
@@ -2076,15 +2062,14 @@ impl Machine {
             Step::Par { arms_at, arms_len } => {
                 let mut offers = NOT_OFFERED;
                 if let Some(h) = hook {
-                    // Materialize the arm terms only to pack them: the arms
-                    // that run here run off their compiled sequences below,
-                    // so the copies are dropped again.
+                    // Write the arm terms only to pack them: the arms that
+                    // run here run off their compiled sequences below, so
+                    // the copies are dropped again.
                     let heap_mark = self.heap.len();
                     let base = self.arm_scratch.len();
                     for k in 0..arms_len {
-                        let positions = templ.par_arm_cell_positions();
-                        let mut pos = positions[(arms_at + k) as usize] as usize;
-                        let cell = self.write_template(templ.cells(), &mut pos, var_base as usize);
+                        let pos = templ.par_arm_cell_positions()[(arms_at + k) as usize];
+                        let cell = self.write(templ.layout(), pos as usize, var_base as usize);
                         self.arm_scratch.push(cell);
                     }
                     offers = self.try_offer(h, base);
@@ -2351,8 +2336,7 @@ impl Machine {
     /// Executes a builtin step of `templ` — the one executor behind the
     /// eager prefix and the solve loop. Arithmetic runs as compiled code
     /// against the activation's variables and builds no term; any other
-    /// builtin materializes its goal from the argument image and
-    /// dispatches.
+    /// builtin writes its goal from the clause's layout and dispatches.
     fn exec_builtin_step(
         &mut self,
         templ: &ClauseTemplate,
@@ -2375,7 +2359,7 @@ impl Machine {
                 Ok(self.unify_value_template(value.to_cell(), templ.cells(), &mut pos, var_base)?)
             }
             Step::Builtin { builtin, goal } => {
-                let goal = self.write_image(templ.images(), goal, var_base);
+                let goal = self.write(templ.layout(), goal as usize, var_base);
                 builtins::dispatch(self, builtin, goal)
             }
             other => unreachable!("{other:?} is not a builtin step"),

@@ -5,14 +5,14 @@
 //! success, its body) from the IR tree into `Rc`-based runtime terms on
 //! *every* activation attempt — a tree walk plus one allocation per compound
 //! subterm, dominating the engine's hot path. A [`ClauseTemplate`] holds
-//! four arrays instead:
+//! the clause's `Layout` and the body compiled against it:
 //!
 //! ```text
-//!   cells   head argument subtrees, then the body subtree, in preorder
+//!   cells   head argument subtrees, then the body subtree, in preorder  } the
+//!   images  every compound's argument blocks, as the arena holds them   } layout
 //!   steps   the body's executable skeleton; the leading run of builtin
 //!           steps is the eager prefix, the rest the pushed body
 //!   code    postfix arithmetic, one range per static expression  (Is, NumCompare)
-//!   images  relocatable argument blocks, one per static goal     (Call, Builtin)
 //! ```
 //!
 //! * **cells** — walking a template is a cursor bump over a cache-friendly
@@ -21,6 +21,12 @@
 //!   the cells and only *writes arena cells* for a template subtree when
 //!   unification actually demands them (the goal side is an unbound
 //!   variable) — bound input arguments unify without touching the term heap.
+//! * **images** — every compound of the clause, head or body, at any depth,
+//!   has its argument block here, followed by the blocks of its compound
+//!   arguments: a subterm's blocks are one contiguous range, and writing the
+//!   subterm — the head structure an unbound goal variable is bound to, a
+//!   call's arguments, a goal dispatched at run time, an `&` arm on its way
+//!   to another thread — is one relocating copy of that range.
 //! * **steps** — the body compiled to a flat array of executable [`Step`]s.
 //!   Control constructs — `;`, `->`/`;` if-then-else, `\+`, `!` and (nested)
 //!   `&` — become dedicated steps whose arm positions are resolved at
@@ -35,15 +41,12 @@
 //! * **code** — each expression written in the clause is translated to
 //!   postfix instructions with the operators already resolved
 //!   ([`crate::arith`]); an arithmetic step never builds its goal term.
-//! * **images** — the argument block of each static goal, laid out as it
-//!   will sit in the arena, with variables clause-relative and nested blocks
-//!   image-relative: materializing the goal is one relocating copy.
 //!
 //! # What is still decided at run time
 //!
 //! A goal that names no builtin and no predicate of the program, a variable
-//! goal, and `fail` stay [`Step::Goal`]: the subtree is materialized from the
-//! cells and dispatched by inspection, so an unknown predicate is reported
+//! goal, and `fail` stay [`Step::Goal`]: the subtree is written from the
+//! layout and dispatched by inspection, so an unknown predicate is reported
 //! when — and only if — execution reaches it. The same path takes the one
 //! control construct that cannot be classified statically, a disjunction
 //! whose left operand is a variable (`(X ; E)` behaves as an if-then-else
@@ -59,7 +62,7 @@
 //! Compiling an expression cannot fail: an unknown function or constant
 //! becomes a *trap* instruction at the position a walk of the term would
 //! have met it, so the same error is raised at the same point of the same
-//! execution as if the goal had been materialized and evaluated.
+//! execution as if the goal had been written and evaluated.
 
 use crate::arith::{self, Instr};
 use crate::heap::HCell;
@@ -77,10 +80,9 @@ pub enum Cell {
     /// Like [`Cell::Var`], but statically known to be this variable's *first*
     /// occurrence within the clause head. At activation time the heap slot is
     /// therefore guaranteed unbound, so head unification binds it directly
-    /// without dereferencing it first. (Materialization treats it exactly
-    /// like `Var`; a first occurrence consumed by materialization leaves the
-    /// slot unbound, which later `Var` occurrences handle by the general
-    /// path.)
+    /// without dereferencing it first. (A write treats it exactly like `Var`;
+    /// a first occurrence inside a written subterm leaves the slot unbound,
+    /// which later `Var` occurrences handle by the general path.)
     VarFirst(u32),
     /// An atom.
     Atom(Symbol),
@@ -88,8 +90,9 @@ pub enum Cell {
     Int(i64),
     /// A float.
     Float(f64),
-    /// A compound term: functor and arity; arguments follow in preorder.
-    Struct(Symbol, u32),
+    /// A compound term: functor, arity and the number of its span in the
+    /// clause's layout; arguments follow in preorder.
+    Struct(Symbol, u32, u32),
 }
 
 impl Cell {
@@ -116,7 +119,7 @@ impl Cell {
 /// schedule — a disjunction arm, an if-then-else branch, a negated goal, a
 /// parallel arm — and what the machine pushes onto its goal stack (in
 /// reverse, so execution runs left to right). An arithmetic step names its
-/// code, and a [`GoalImage`] its cells, the same way.
+/// code, and a compound its span of the layout's images, the same way.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Seq {
     /// Index of the sequence's first element within its array
@@ -139,19 +142,120 @@ impl Seq {
     }
 }
 
-/// A goal whose functor is known at compile time, ready to be materialized:
-/// its argument block — and, behind it, the blocks of its compound
-/// arguments — sits in [`ClauseTemplate::images`] exactly as the machine's
-/// recursive template writer would lay it out in the arena, except that a
-/// variable is `Ref(v)` for clause variable `v` and a compound's block index
-/// is relative to the image. Writing the goal is therefore one pass that
-/// copies the image and adds the activation's variable base to the one and
-/// the arena position to the other.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GoalImage {
-    pub(crate) name: Symbol,
-    pub(crate) arity: u32,
-    pub(crate) args: Seq,
+/// Terms compiled once into the two forms the machine reads: the preorder
+/// [`Cell`]s that head unification matches, that arithmetic compiles from
+/// and that body goals are classified by, and the *images* the arena is
+/// written from.
+///
+/// The images hold every compound's argument block, reserved when the
+/// compound is met in preorder and filled as its arguments go by: a block
+/// is followed by the blocks of its compound arguments, so all the blocks
+/// of a subterm are one contiguous range, the compound's *span*. A variable
+/// is `Ref(v)` for term variable `v`, and a block index is an index of the
+/// images. Writing the subterm at any cell is therefore one relocating copy
+/// of its span, which adds the variable base to every `Ref` and moves every
+/// block index to where the copy lands — the one way program and query text
+/// enter the machine's arena. A clause's layout holds its head arguments
+/// and body ([`ClauseTemplate`]); a query goal is laid out on its own.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Layout {
+    cells: Vec<Cell>,
+    images: Vec<HCell>,
+    /// Each compound's span, numbered as its [`Cell::Struct`] says.
+    spans: Vec<Seq>,
+    /// One more than the largest variable number, or 0 with no variable.
+    vars: u32,
+}
+
+impl Layout {
+    /// Appends `term` and returns the position of its root cell. One pass
+    /// with an explicit stack: nothing here recurses on the term's depth.
+    pub(crate) fn add(&mut self, term: &Term) -> usize {
+        let root = self.cells.len();
+        // Compounds whose arguments are still being added, innermost last:
+        // the arguments to go, the image slot of the next one and the
+        // compound's span.
+        let mut open: Vec<(std::slice::Iter<'_, Term>, usize, usize)> = Vec::new();
+        let mut term = term;
+        loop {
+            let mut opened = None;
+            let (cell, image) = match term {
+                Term::Var(v) => {
+                    let v = *v as u32;
+                    self.vars = self.vars.max(v + 1);
+                    (Cell::Var(v), HCell::Ref(v))
+                }
+                Term::Atom(s) => (Cell::Atom(*s), HCell::Atom(*s)),
+                Term::Int(i) => (Cell::Int(*i), HCell::Int(*i)),
+                Term::Float(x) => (Cell::Float(x.0), HCell::Float(x.0)),
+                Term::Struct(name, args) => {
+                    let (block, span) = (self.images.len(), self.spans.len());
+                    self.images.resize(block + args.len(), HCell::Int(0));
+                    self.spans.push(Seq::since(block, block));
+                    opened = Some((args.iter(), block, span));
+                    let arity = args.len() as u32;
+                    (
+                        Cell::Struct(*name, arity, span as u32),
+                        HCell::Struct(*name, arity, block as u32),
+                    )
+                }
+            };
+            self.cells.push(cell);
+            if let Some((_, slot, _)) = open.last_mut() {
+                self.images[*slot] = image;
+                *slot += 1;
+            }
+            open.extend(opened);
+            // The next argument of the innermost open compound; a compound
+            // whose arguments are all in has its span complete.
+            term = loop {
+                let Some((args, _, span)) = open.last_mut() else {
+                    return root;
+                };
+                if let Some(arg) = args.next() {
+                    break arg;
+                }
+                let span = &mut self.spans[*span];
+                span.len = (self.images.len() - span.start as usize) as u32;
+                open.pop();
+            };
+        }
+    }
+
+    /// Empties the layout, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.cells.clear();
+        self.images.clear();
+        self.spans.clear();
+        self.vars = 0;
+    }
+
+    /// The preorder cells of the terms added, back to back.
+    pub(crate) fn cells(&self) -> &[Cell] {
+        &self.cells
+    }
+
+    /// One more than the largest variable number of the terms added, or 0:
+    /// the size of the variable block a write of them refers to.
+    pub(crate) fn vars(&self) -> usize {
+        self.vars as usize
+    }
+
+    /// The position just past the subterm whose root cell is at `pos`: a
+    /// compound's descendants are one cell each, in preorder and in its span.
+    pub(crate) fn end(&self, pos: usize) -> usize {
+        match self.cells[pos] {
+            Cell::Struct(_, _, span) => pos + 1 + self.spans[span as usize].len as usize,
+            _ => pos + 1,
+        }
+    }
+
+    /// The images of span number `span`, with the image index of the first:
+    /// the block indices in them count from there.
+    pub(crate) fn span(&self, span: u32) -> (u32, &[HCell]) {
+        let span = self.spans[span as usize];
+        (span.start, &self.images[span.range()])
+    }
 }
 
 /// One compiled, executable body step.
@@ -159,28 +263,29 @@ pub struct GoalImage {
 /// Control constructs carry the compiled [`Seq`]s of their operands, so the
 /// solve loop starts a disjunction, condition, negation or parallel
 /// conjunction without materializing the construct or re-dispatching on its
-/// functor. Arithmetic steps carry code and never materialize; the other
-/// statically identified goals carry the image they materialize from.
+/// functor. Arithmetic steps carry code and never build their goal; the
+/// other statically identified goals carry the cell offset of the goal they
+/// write.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Step {
     /// A goal identified only at run time — a variable goal, a name that is
     /// neither a builtin nor a predicate of the program, a
-    /// run-time-classified construct: materialize the subtree at this cell
-    /// offset and dispatch the resulting cell.
+    /// run-time-classified construct: write the subterm at this cell offset
+    /// and dispatch the resulting cell.
     Goal(u32),
     /// A call to a predicate of the program, resolved at compile time.
     Call {
         /// The predicate's position in [`Program::predicates`] order.
         pred: u32,
-        /// The goal's functor and argument image.
-        goal: GoalImage,
+        /// The goal's cell offset.
+        goal: u32,
     },
     /// A builtin other than the arithmetic ones below.
     Builtin {
         /// The builtin to dispatch.
         builtin: Builtin,
-        /// The goal's functor and argument image.
-        goal: GoalImage,
+        /// The goal's cell offset.
+        goal: u32,
     },
     /// `Lhs is Rhs`: run the right-hand side's code and unify the result
     /// with the left-hand subtree.
@@ -254,34 +359,32 @@ impl Step {
     }
 }
 
-/// A clause compiled to its arrays (see the module docs): preorder cells,
-/// the body's [`Step`] skeleton, arithmetic code and goal images.
+/// A clause compiled to its arrays (see the module docs): its layout, the
+/// body's [`Step`] skeleton and arithmetic code.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClauseTemplate {
-    cells: Vec<Cell>,
-    /// Start offset of each head argument's subtree within `cells`.
-    head_args: Vec<u32>,
+    /// The head argument subtrees, one after another from cell 0, then the
+    /// body subtree.
+    layout: Layout,
+    head_arity: u32,
     /// All compiled body steps (the top-level sequence and, after it, the
     /// sequences of nested control arms). Each [`Seq`] indexes into this.
     steps: Vec<Step>,
     /// The postfix code of every compiled expression; [`Step::Is`] and
     /// [`Step::NumCompare`] index into this.
     code: Vec<Instr>,
-    /// The argument images of every static goal, back to back;
-    /// [`GoalImage::args`] indexes into this.
-    images: Vec<HCell>,
     /// Arm sequences of the clause's compiled parallel conjunctions;
     /// [`Step::Par`] indexes into this.
     par_arms: Vec<Seq>,
     /// Cell offset of each parallel arm's *term subtree*, aligned with
-    /// `par_arms`. The spawn path materializes an arm from here when a
-    /// parallel hook wants the arm as a self-contained term.
+    /// `par_arms`. The spawn path writes an arm from here when a parallel
+    /// hook wants the arm as a self-contained term.
     par_arm_cells: Vec<u32>,
     /// The leading builtin steps of the body's top-level sequence, run
     /// during activation.
     eager: Seq,
     /// The rest of the top-level sequence, pushed on the goal stack. Empty
-    /// for facts: nothing to materialize, nothing to push.
+    /// for facts: nothing to write, nothing to push.
     body: Seq,
     num_vars: u32,
 }
@@ -294,30 +397,26 @@ pub(crate) type PredTable = FastMap<(Symbol, usize), u32>;
 impl ClauseTemplate {
     /// Compiles a clause of the program whose predicates are `preds`.
     pub(crate) fn compile(clause: &Clause, preds: &PredTable) -> ClauseTemplate {
-        let mut cells = Vec::new();
-        let mut head_args = Vec::with_capacity(clause.head.args().len());
+        let mut layout = Layout::default();
         for arg in clause.head.args() {
-            head_args.push(cells.len() as u32);
-            flatten(arg, &mut cells);
+            layout.add(arg);
         }
         // Mark first occurrences of head variables (head traversal order is
         // exactly head-unification order).
         let mut seen = vec![false; clause.num_vars()];
-        for cell in &mut cells {
+        for cell in &mut layout.cells {
             if let Cell::Var(v) = *cell {
                 if !std::mem::replace(&mut seen[v as usize], true) {
                     *cell = Cell::VarFirst(v);
                 }
             }
         }
-        let body_start = cells.len();
-        flatten(&clause.body, &mut cells);
+        let body_start = layout.add(&clause.body);
         let mut compiler = Compiler {
-            cells: &cells,
+            layout: &layout,
             preds,
             steps: Vec::new(),
             code: Vec::new(),
-            images: Vec::new(),
             par_arms: Vec::new(),
             par_arm_cells: Vec::new(),
         };
@@ -329,17 +428,15 @@ impl ClauseTemplate {
         let Compiler {
             steps,
             code,
-            images,
             par_arms,
             par_arm_cells,
             ..
         } = compiler;
         ClauseTemplate {
-            cells,
-            head_args,
+            layout,
+            head_arity: clause.head.args().len() as u32,
             steps,
             code,
-            images,
             par_arms,
             par_arm_cells,
             eager: Seq {
@@ -356,12 +453,18 @@ impl ClauseTemplate {
 
     /// The flattened cell array (head argument subtrees, then the body).
     pub fn cells(&self) -> &[Cell] {
-        &self.cells
+        self.layout.cells()
     }
 
-    /// Start offsets of the head argument subtrees within [`Self::cells`].
-    pub fn head_arg_positions(&self) -> &[u32] {
-        &self.head_args
+    /// The clause's layout: its cells and the images its subterms are
+    /// written from.
+    pub(crate) fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
+    /// Number of head arguments, whose subtrees start [`Self::cells`].
+    pub fn head_arity(&self) -> usize {
+        self.head_arity as usize
     }
 
     /// Number of distinct variables in the clause.
@@ -382,12 +485,6 @@ impl ClauseTemplate {
         &self.code
     }
 
-    /// The argument images of the clause's static goals (see
-    /// [`GoalImage`]).
-    pub fn images(&self) -> &[HCell] {
-        &self.images
-    }
-
     /// Arm sequences of the clause's parallel conjunctions, indexed by
     /// [`Step::Par`].
     pub fn par_arms(&self) -> &[Seq] {
@@ -396,7 +493,7 @@ impl ClauseTemplate {
 
     /// Cell offset of each parallel arm's term subtree within
     /// [`Self::cells`], aligned with [`Self::par_arms`]. Used by the spawn
-    /// path to materialize an arm as a self-contained goal term.
+    /// path to write an arm as a self-contained goal term.
     pub fn par_arm_cell_positions(&self) -> &[u32] {
         &self.par_arm_cells
     }
@@ -409,7 +506,7 @@ impl ClauseTemplate {
 
     /// The body's top-level step sequence after the eager prefix,
     /// `','`-flattened with `true` literals dropped. Empty for facts:
-    /// nothing to materialize, nothing to push.
+    /// nothing to write, nothing to push.
     pub fn body_seq(&self) -> Seq {
         self.body
     }
@@ -433,31 +530,30 @@ pub fn compile_program(program: &Program) -> Vec<ClauseTemplate> {
 /// subtree rooted at `pos`, flattening `','` and dropping `true` literals —
 /// the compile-time image of what the solve loop's conjunction dispatch would
 /// do at run time. Returns the offset just past the subtree.
-fn collect_body_goals(cells: &[Cell], pos: usize, out: &mut Vec<u32>) -> usize {
+fn collect_body_goals(layout: &Layout, pos: usize, out: &mut Vec<u32>) -> usize {
     let wk = well_known::get();
-    match cells[pos] {
-        Cell::Struct(s, 2) if s == wk.comma => {
-            let mid = collect_body_goals(cells, pos + 1, out);
-            collect_body_goals(cells, mid, out)
+    match layout.cells()[pos] {
+        Cell::Struct(s, 2, _) if s == wk.comma => {
+            let mid = collect_body_goals(layout, pos + 1, out);
+            collect_body_goals(layout, mid, out)
         }
         Cell::Atom(s) if s == wk.true_ => pos + 1,
         _ => {
             out.push(pos as u32);
-            skip_subtree(cells, pos)
+            layout.end(pos)
         }
     }
 }
 
 /// The arrays of a clause body under compilation.
 struct Compiler<'a> {
-    cells: &'a [Cell],
+    layout: &'a Layout,
     preds: &'a PredTable,
     steps: Vec<Step>,
     code: Vec<Instr>,
-    images: Vec<HCell>,
     /// The compiled [`Seq`] of each parallel arm and, aligned with it, the
-    /// cell offset of the arm's term subtree (the spawn path's
-    /// materialization point).
+    /// cell offset of the arm's term subtree (where the spawn path writes
+    /// the arm from).
     par_arms: Vec<Seq>,
     par_arm_cells: Vec<u32>,
 }
@@ -473,7 +569,7 @@ impl Compiler<'_> {
     /// compiling a control construct appends its arm sequences behind it.
     fn subgoal(&mut self, pos: usize) -> Seq {
         let mut goals = Vec::new();
-        collect_body_goals(self.cells, pos, &mut goals);
+        collect_body_goals(self.layout, pos, &mut goals);
         let start = self.steps.len();
         self.steps.resize(start + goals.len(), Step::Cut);
         for (k, &pos) in goals.iter().enumerate() {
@@ -488,16 +584,17 @@ impl Compiler<'_> {
     /// else is a plain goal.
     fn step(&mut self, pos: usize) -> Step {
         let wk = well_known::get();
-        let cells = self.cells;
+        let layout = self.layout;
+        let cells = layout.cells();
         match cells[pos] {
             Cell::Atom(s) if s == wk.cut => Step::Cut,
-            Cell::Struct(s, 2) if s == wk.semicolon => {
+            Cell::Struct(s, 2, _) if s == wk.semicolon => {
                 let left = pos + 1;
-                let right = skip_subtree(cells, left);
+                let right = layout.end(left);
                 match cells[left] {
-                    Cell::Struct(a, 2) if a == wk.arrow => {
+                    Cell::Struct(a, 2, _) if a == wk.arrow => {
                         let cond = left + 1;
-                        let then_pos = skip_subtree(cells, cond);
+                        let then_pos = layout.end(cond);
                         Step::IfThenElse {
                             cond: self.subgoal(cond),
                             then_: self.subgoal(then_pos),
@@ -506,7 +603,7 @@ impl Compiler<'_> {
                     }
                     // A variable in the left operand can only be classified at
                     // run time (it may be bound to `->`, turning the disjunction
-                    // into an if-then-else): keep the materialized-cell path.
+                    // into an if-then-else): keep the written-cell path.
                     Cell::Var(_) | Cell::VarFirst(_) => Step::Goal(pos as u32),
                     _ => Step::Disj {
                         left: self.subgoal(left),
@@ -514,24 +611,24 @@ impl Compiler<'_> {
                     },
                 }
             }
-            Cell::Struct(s, 2) if s == wk.arrow => {
+            Cell::Struct(s, 2, _) if s == wk.arrow => {
                 let cond = pos + 1;
-                let then_pos = skip_subtree(cells, cond);
+                let then_pos = layout.end(cond);
                 Step::IfThen {
                     cond: self.subgoal(cond),
                     then_: self.subgoal(then_pos),
                 }
             }
-            Cell::Struct(s, 1) if s == wk.not => Step::Not {
+            Cell::Struct(s, 1, _) if s == wk.not => Step::Not {
                 inner: self.subgoal(pos + 1),
             },
-            Cell::Struct(s, 2) if s == wk.par_and => {
+            Cell::Struct(s, 2, _) if s == wk.par_and => {
                 // Flatten nested `&` into arms at compile time. A variable arm
                 // would be flattened further at run time if bound to another
                 // `&` — the fork arity is then data-dependent, so such
-                // conjunctions keep the materialized-cell path.
+                // conjunctions keep the written-cell path.
                 let mut arm_pos = Vec::new();
-                if collect_par_arms(cells, pos, &mut arm_pos) {
+                if collect_par_arms(layout, pos, &mut arm_pos) {
                     let arms: Vec<Seq> = arm_pos.iter().map(|&p| self.subgoal(p)).collect();
                     let arms_at = self.par_arms.len() as u32;
                     let arms_len = arms.len() as u32;
@@ -552,18 +649,18 @@ impl Compiler<'_> {
     /// builtins (which shadow same-name predicates), then the program.
     fn goal(&mut self, pos: usize) -> Step {
         let wk = well_known::get();
-        let (name, arity) = match self.cells[pos] {
+        let key = match self.layout.cells()[pos] {
             Cell::Atom(s) if s != wk.fail && s != wk.false_ => (s, 0),
-            Cell::Struct(s, arity) => (s, arity),
+            Cell::Struct(s, arity, _) => (s, arity as usize),
             _ => return Step::Goal(pos as u32),
         };
-        let key = (name, arity as usize);
+        let goal = pos as u32;
         if let Some(builtin) = builtins::lookup(key.0, key.1).map(|row| row.id) {
             let lhs = pos + 1;
             let code_mark = self.code.len();
             match builtin {
                 Builtin::Is => {
-                    if let Some(rhs) = self.expr(skip_subtree(self.cells, lhs)) {
+                    if let Some(rhs) = self.expr(self.layout.end(lhs)) {
                         return Step::Is {
                             lhs: lhs as u32,
                             rhs,
@@ -571,7 +668,7 @@ impl Compiler<'_> {
                     }
                 }
                 Builtin::NumCompare(op) => {
-                    let rhs = skip_subtree(self.cells, lhs);
+                    let rhs = self.layout.end(lhs);
                     if let (Some(lhs), Some(rhs)) = (self.expr(lhs), self.expr(rhs)) {
                         return Step::NumCompare { op, lhs, rhs };
                     }
@@ -579,17 +676,11 @@ impl Compiler<'_> {
                 }
                 _ => {}
             }
-            return Step::Builtin {
-                builtin,
-                goal: self.image(pos, name, arity),
-            };
+            return Step::Builtin { builtin, goal };
         }
         match self.preds.get(&key) {
-            Some(&pred) => Step::Call {
-                pred,
-                goal: self.image(pos, name, arity),
-            },
-            None => Step::Goal(pos as u32),
+            Some(&pred) => Step::Call { pred, goal },
+            None => Step::Goal(goal),
         }
     }
 
@@ -597,91 +688,25 @@ impl Compiler<'_> {
     /// compiled evaluator.
     fn expr(&mut self, pos: usize) -> Option<Seq> {
         let start = self.code.len();
-        arith::compile(self.cells, pos, &mut self.code).then(|| Seq::since(start, self.code.len()))
-    }
-
-    /// Lays out the argument image of the goal `name/arity` at `pos` (see
-    /// [`GoalImage`]) in one pass over its preorder cells: a block is
-    /// reserved when its compound is met and filled as the cells after it
-    /// go by, which is the order the recursive writer reserves and fills in.
-    fn image(&mut self, pos: usize, name: Symbol, arity: u32) -> GoalImage {
-        let start = self.images.len();
-        let placeholder = HCell::Int(0);
-        self.images.resize(start + arity as usize, placeholder);
-        // Blocks being filled, innermost last: next slot, slots to go.
-        let mut open = vec![(start, arity)];
-        let mut pos = pos + 1;
-        while let Some((slot, left)) = open.last_mut() {
-            if *left == 0 {
-                open.pop();
-                continue;
-            }
-            let at = *slot;
-            *slot += 1;
-            *left -= 1;
-            self.images[at] = match self.cells[pos] {
-                Cell::Var(v) | Cell::VarFirst(v) => HCell::Ref(v),
-                Cell::Struct(s, n) => {
-                    let block = self.images.len();
-                    self.images.resize(block + n as usize, placeholder);
-                    open.push((block, n));
-                    HCell::Struct(s, n, (block - start) as u32)
-                }
-                constant => constant.constant(),
-            };
-            pos += 1;
-        }
-        GoalImage {
-            name,
-            arity,
-            args: Seq::since(start, self.images.len()),
-        }
+        arith::compile(self.layout.cells(), pos, &mut self.code)
+            .then(|| Seq::since(start, self.code.len()))
     }
 }
 
 /// Collects the arm offsets of a (possibly nested) `&` conjunction, exactly
 /// as the machine's run-time flattening would. Returns `false` if any arm is
 /// a variable, in which case the fork arity is not known statically.
-fn collect_par_arms(cells: &[Cell], pos: usize, out: &mut Vec<usize>) -> bool {
-    match cells[pos] {
-        Cell::Struct(s, 2) if s == well_known::get().par_and => {
+fn collect_par_arms(layout: &Layout, pos: usize, out: &mut Vec<usize>) -> bool {
+    match layout.cells()[pos] {
+        Cell::Struct(s, 2, _) if s == well_known::get().par_and => {
             let left = pos + 1;
-            let right = skip_subtree(cells, left);
-            collect_par_arms(cells, left, out) && collect_par_arms(cells, right, out)
+            let right = layout.end(left);
+            collect_par_arms(layout, left, out) && collect_par_arms(layout, right, out)
         }
         Cell::Var(_) | Cell::VarFirst(_) => false,
         _ => {
             out.push(pos);
             true
-        }
-    }
-}
-
-/// The offset just past the preorder subtree starting at `pos`.
-pub(crate) fn skip_subtree(cells: &[Cell], pos: usize) -> usize {
-    let mut pos = pos;
-    let mut pending = 1usize;
-    while pending > 0 {
-        if let Cell::Struct(_, arity) = cells[pos] {
-            pending += arity as usize;
-        }
-        pending -= 1;
-        pos += 1;
-    }
-    pos
-}
-
-fn flatten(term: &Term, cells: &mut Vec<Cell>) {
-    match term {
-        Term::Var(v) => cells.push(Cell::Var(*v as u32)),
-        Term::Atom(s) => cells.push(Cell::Atom(*s)),
-        Term::Int(i) => cells.push(Cell::Int(*i)),
-        Term::Float(x) => cells.push(Cell::Float(x.0)),
-        Term::Struct(s, args) => {
-            cells.push(Cell::Struct(*s, args.len() as u32));
-            for arg in args {
-                flatten(arg, cells);
-            }
         }
     }
 }
@@ -701,21 +726,35 @@ mod tests {
         t.body_seq().len == 0 && t.eager_seq().len == 0
     }
 
+    /// Where each head argument's subtree starts.
+    fn head_positions(t: &ClauseTemplate) -> Vec<usize> {
+        let mut next = 0;
+        (0..t.head_arity())
+            .map(|_| {
+                let at = next;
+                next = t.layout().end(at);
+                at
+            })
+            .collect()
+    }
+
     /// The template of the first clause of `src`, compiled against the
     /// predicates `src` defines.
     fn compile(src: &str) -> ClauseTemplate {
         compile_program(&parse_program(src).unwrap()).swap_remove(0)
     }
 
-    /// Materializes the template subtree at `*pos` the way the machine does
-    /// — written into an arena whose activation variable block starts at
-    /// `var_base` — and resolves it back to a source term, so clause
-    /// variable `v` reads `Term::Var(var_base + v)`.
+    /// Writes the template subtree at `*pos` the way the machine does —
+    /// into an arena whose activation variable block starts at `var_base` —
+    /// moves `*pos` past it, as head unification does after a write, and
+    /// resolves it back to a source term, so clause variable `v` reads
+    /// `Term::Var(var_base + v)`.
     fn materialize(t: &ClauseTemplate, pos: &mut usize, var_base: usize) -> Term {
         let program = Program::new();
         let mut machine = Machine::new(&program);
         machine.fresh_vars(var_base + t.num_vars());
-        let cell = machine.write_template(t.cells(), pos, var_base);
+        let cell = machine.write(t.layout(), *pos, var_base);
+        *pos = t.layout().end(*pos);
         machine.extract_cell(cell).unwrap()
     }
 
@@ -728,8 +767,8 @@ mod tests {
         assert!(!no_goals(&t));
         for offset in [0usize, 10, 1000] {
             let mut pos = 0;
-            for (k, pos0) in t.head_arg_positions().iter().enumerate() {
-                pos = *pos0 as usize;
+            for (k, pos0) in head_positions(&t).into_iter().enumerate() {
+                pos = pos0;
                 assert_eq!(
                     materialize(&t, &mut pos, offset),
                     c.head.args()[k].offset_vars(offset),
@@ -754,7 +793,7 @@ mod tests {
         let t = compile("p(a, f(b)).");
         assert!(no_goals(&t));
         assert_eq!(t.body_seq().len, 0);
-        assert_eq!(t.head_arg_positions().len(), 2);
+        assert_eq!(t.head_arity(), 2);
     }
 
     #[test]
@@ -851,10 +890,12 @@ mod tests {
         let t = compile(src);
         let steps = seq_steps(&t, t.body_seq());
         assert!(
-            matches!(steps[0], Step::Call { pred, goal } if pred == number("q", 1) && goal.arity == 1)
+            matches!(steps[0], Step::Call { pred, goal } if pred == number("q", 1)
+                && matches!(t.cells()[goal as usize], Cell::Struct(_, 1, _)))
         );
         assert!(
-            matches!(steps[1], Step::Call { pred, goal } if pred == number("r", 0) && goal.arity == 0)
+            matches!(steps[1], Step::Call { pred, goal } if pred == number("r", 0)
+                && matches!(t.cells()[goal as usize], Cell::Atom(_)))
         );
         assert!(matches!(
             steps[2],
@@ -942,74 +983,90 @@ mod tests {
         assert!(t.code().is_empty());
     }
 
-    /// The goal of the only `Call` step of `t`'s body.
-    fn call_goal(t: &ClauseTemplate) -> GoalImage {
-        let calls: Vec<GoalImage> = t
-            .steps()
-            .iter()
-            .filter_map(|s| match s {
-                Step::Call { goal, .. } => Some(*goal),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(calls.len(), 1);
-        calls[0]
+    /// The source term of the preorder subtree at `*pos`, moving `*pos`
+    /// past it; clause variable `v` reads `Term::Var(var_base + v)`.
+    fn decode(cells: &[Cell], pos: &mut usize, var_base: usize) -> Term {
+        let cell = cells[*pos];
+        *pos += 1;
+        match cell {
+            Cell::Var(v) | Cell::VarFirst(v) => Term::Var(var_base + v as usize),
+            Cell::Atom(s) => Term::Atom(s),
+            Cell::Int(i) => Term::Int(i),
+            Cell::Float(x) => Term::float(x),
+            Cell::Struct(name, arity, _) => Term::Struct(
+                name,
+                (0..arity).map(|_| decode(cells, pos, var_base)).collect(),
+            ),
+        }
     }
 
     #[test]
-    fn an_image_materializes_what_the_recursive_writer_does() {
+    fn every_subterm_is_one_relocating_copy_of_its_span() {
         for src in [
-            // Flat, nested list, nested structure, no arguments.
+            // Flat, nested list, nested structure in head and body, no
+            // arguments.
             "p(X, Y) :- q(X, a, 1, 2.5, Y, X). q(_, _, _, _, _, _).",
             "p(X, Y) :- q([X, [1, Y], []], [a | Y]). q(_, _).",
-            "p(X, Y) :- q(f(g(X, h(Y)), k), X, t(t(t(Y)))). q(_, _, _).",
+            "p(f(g(X, h(Y)), k), [X | T], T) :- q(f(g(X, h(Y)), k), X, t(t(t(Y)))). q(_, _, _).",
             "p(X, Y) :- X = Y, q. q.",
         ] {
             let t = compile(src);
-            let goal = call_goal(&t);
-            // The call is the last body goal: its subtree starts where the
-            // last conjunct does.
-            let mut goals = Vec::new();
-            let body = *t.head_arg_positions().last().unwrap() as usize;
-            let body = skip_subtree(t.cells(), body);
-            collect_body_goals(t.cells(), body, &mut goals);
-            let call_pos = *goals.last().unwrap() as usize;
+            let layout = t.layout();
             let program = Program::new();
-            for var_base in [0usize, 10, 1000] {
-                let mut by_walk = Machine::new(&program);
-                by_walk.fresh_vars(var_base + t.num_vars());
-                let before = by_walk.heap.len();
-                let mut pos = call_pos;
-                let walked = by_walk.write_template(t.cells(), &mut pos, var_base);
-
-                let mut by_image = Machine::new(&program);
-                by_image.fresh_vars(var_base + t.num_vars());
-                let copied = by_image.write_image(t.images(), goal, var_base);
-
-                assert_eq!(
-                    by_image.extract_cell(copied).unwrap(),
-                    by_walk.extract_cell(walked).unwrap(),
-                    "{src} at {var_base}"
-                );
-                assert_eq!(by_image.heap, by_walk.heap, "{src} at {var_base}");
-                assert_eq!(
-                    by_image.heap.len() - before,
-                    goal.args.range().len(),
-                    "{src} at {var_base}"
-                );
+            for pos in 0..layout.cells().len() {
+                for var_base in [0usize, 10, 1000] {
+                    let mut machine = Machine::new(&program);
+                    machine.fresh_vars(var_base + t.num_vars());
+                    let before = machine.heap.len();
+                    let cell = machine.write(layout, pos, var_base);
+                    // The subterm's argument blocks and nothing else.
+                    let end = layout.end(pos);
+                    assert_eq!(machine.heap.len() - before, end - pos - 1, "{src} at {pos}");
+                    let mut past = pos;
+                    let source = decode(layout.cells(), &mut past, var_base);
+                    assert_eq!(past, end, "{src} at {pos}");
+                    assert_eq!(
+                        machine.extract_cell(cell).unwrap(),
+                        source,
+                        "{src} at {pos} from {var_base}"
+                    );
+                }
             }
         }
     }
 
     #[test]
+    fn a_layout_is_built_and_written_without_recursion() {
+        // A 200 000-element list literal: laying it out and writing it are
+        // loops, so neither needs a native frame per element.
+        let n = 200_000;
+        let list = Term::list((0..n).map(|i| Term::int(i as i64)));
+        let mut layout = Layout::default();
+        let root = layout.add(&Term::Struct(
+            Symbol::intern("len"),
+            vec![list, Term::Var(3)],
+        ));
+        assert_eq!((layout.end(root), layout.vars()), (2 * n + 3, 4));
+        let program = Program::new();
+        let mut machine = Machine::new(&program);
+        machine.fresh_vars(layout.vars());
+        let cell = machine.write(&layout, root, 0);
+        assert_eq!(machine.heap.len(), layout.vars() + 2 * n + 2);
+        let HCell::Struct(_, 2, args) = cell else {
+            panic!("len/2")
+        };
+        let written = machine.extract_cell(machine.heap[args as usize]).unwrap();
+        assert_eq!(written.list_length(), Some(n));
+    }
+
+    #[test]
     fn skip_subtree_steps_over_nested_structure() {
+        // Cells: f/2 g/1 1 '.'/2 a [] | X | true.
         let t = compile("p(f(g(1), [a]), X).");
-        let first = t.head_arg_positions()[0] as usize;
-        assert_eq!(
-            skip_subtree(t.cells(), first),
-            t.head_arg_positions()[1] as usize
-        );
-        assert_eq!(skip_subtree(t.cells(), first + 1), first + 3);
+        assert_eq!(t.layout().end(0), 6);
+        assert_eq!(t.layout().end(1), 3);
+        assert_eq!(t.layout().end(3), 6);
+        assert_eq!(t.layout().end(6), 7);
     }
 
     #[test]
@@ -1017,9 +1074,9 @@ mod tests {
         let src = "p(f(g(1), [a]), X).";
         let c = clause(src);
         let t = compile(src);
-        let mut pos = t.head_arg_positions()[0] as usize;
+        let mut pos = 0;
         let first = materialize(&t, &mut pos, 0);
-        assert_eq!(pos, t.head_arg_positions()[1] as usize);
+        assert_eq!(pos, 6);
         assert_eq!(first, c.head.args()[0]);
     }
 
@@ -1028,7 +1085,7 @@ mod tests {
         let p = parse_program("a(1). b(2). a(3).").unwrap();
         let templates = compile_program(&p);
         assert_eq!(templates.len(), 3);
-        let mut pos = templates[2].head_arg_positions()[0] as usize;
+        let mut pos = 0;
         assert_eq!(materialize(&templates[2], &mut pos, 0), Term::Int(3));
     }
 }

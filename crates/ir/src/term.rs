@@ -280,11 +280,6 @@ impl Term {
     pub fn offset_vars(&self, offset: usize) -> Term {
         self.map_vars(&mut |v| Term::Var(v + offset))
     }
-
-    /// Largest variable index occurring in the term plus one, or 0 if none.
-    pub fn var_bound(&self) -> usize {
-        self.variables().iter().next_back().map_or(0, |v| v + 1)
-    }
 }
 
 /// Dropping a term takes no native stack per level: a 300 000-element
@@ -422,7 +417,6 @@ mod tests {
         assert_eq!(vars.into_iter().collect::<Vec<_>>(), vec![1, 3]);
         assert!(t.contains_var(1));
         assert!(!t.contains_var(0));
-        assert_eq!(t.var_bound(), 4);
     }
 
     #[test]

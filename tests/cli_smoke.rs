@@ -165,6 +165,31 @@ fn run_prints_a_300_000_element_answer_and_refuses_a_cyclic_one() {
     assert!(stderr.contains("cyclic term"), "{stderr}");
 }
 
+/// ROADMAP item 1, the way in: a fact holding a 200 000-element list
+/// literal used to abort `granlog run` without granularity control
+/// (`exit 134`) in the recursive template writer and head matcher. The list
+/// is written into a variable, matched against itself and counted now.
+#[test]
+fn run_without_control_reads_a_200_000_element_list_literal() {
+    let items: Vec<String> = (0..200_000).map(|i| i.to_string()).collect();
+    let path = write_temp("big.pl", &format!("big([{}]).\n", items.join(",")));
+    let (stdout, stderr, ok) = granlog(&[
+        "run",
+        "--threads",
+        "1",
+        "--granularity",
+        "off",
+        path.to_str().unwrap(),
+        "big(L), big(L), big([0|T]), length(T, N)",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.lines().any(|line| line.trim() == "N = 199999"),
+        "no count in {}",
+        &stdout[stdout.len().saturating_sub(300)..]
+    );
+}
+
 /// ROADMAP item 1, printing and the last unbounded loops: `mk(300000, E)`
 /// over `mk(N, X + 1)` builds a `+` chain 300 000 deep, which used to be
 /// extracted and then overflow the stack in `Display` (`exit 134`); the

@@ -16,7 +16,11 @@
 //!   no occurs check) end in a typed `EngineError::TermLimit` within
 //!   seconds instead of hanging; a cyclic `&` arm runs inline;
 //! * **failure** — a query that fails has no answer to copy out, so one
-//!   that bound a variable to a cyclic term on the way answers `no`.
+//!   that bound a variable to a cyclic term on the way answers `no`;
+//! * **the way in** — program and query text enter the arena as one
+//!   relocating copy of their layout and a clause head is matched by a
+//!   loop, so a 200 000-element list literal in a fact's head and in a
+//!   query goal runs.
 
 use granlog_engine::{EngineError, Machine, MachineConfig, TermLimit};
 use granlog_ir::parser::{parse_program, parse_term};
@@ -419,6 +423,42 @@ fn a_failed_query_extracts_no_bindings() {
                 !reply.succeeded && reply.bindings.is_empty(),
                 "session: {goal}"
             );
+        }
+    });
+}
+
+/// A 200 000-element list literal in a fact's head — written into an
+/// unbound variable, matched against a bound list, matched one cell deep —
+/// and in the query goal itself: the recursive template writer, head
+/// matcher and query-goal writer each used to abort the process on it.
+/// Control on is left out: the analysis still recurses over clause text.
+#[test]
+fn a_200_000_element_list_literal_runs_on_a_connection_stack() {
+    on_connection_stack(|| {
+        let n = 200_000;
+        let items: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+        let items = items.join(",");
+        let program = parse_program(&format!("{PROGRAM}big([{items}]).\n")).unwrap();
+        let query = format!("big(L), big(L), big([0|T]), length(T, N), M = [{items}], L == M");
+        let check = |front: &str, succeeded: bool, bindings: &[(granlog_ir::Symbol, Term)]| {
+            assert!(succeeded, "{front}");
+            let binding =
+                |name: &str| &bindings.iter().find(|(v, _)| v.as_str() == name).unwrap().1;
+            assert_eq!(binding("N"), &Term::int(n - 1), "{front}");
+            assert_eq!(binding("M").list_length(), Some(n as usize), "{front}");
+        };
+        let out = Machine::new(&program).run_query(&query).unwrap();
+        check("machine", out.succeeded, &out.bindings);
+        for granularity in [Granularity::Off, Granularity::AlwaysSpawn] {
+            let config = ParConfig {
+                threads: 2,
+                granularity,
+                ..ParConfig::default()
+            };
+            let out = ParExecutor::new(&program, config)
+                .run_query(&query)
+                .unwrap();
+            check(&format!("{granularity:?}"), out.succeeded, &out.bindings);
         }
     });
 }
