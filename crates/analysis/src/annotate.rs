@@ -22,7 +22,8 @@
 
 use crate::pipeline::ProgramAnalysis;
 use granlog_ir::symbol::well_known;
-use granlog_ir::{Clause, Guard, GuardTable, PredId, Program, Symbol, Term};
+use granlog_ir::term::Args;
+use granlog_ir::{AsTerm, Clause, Guard, GuardTable, PredId, Program, Symbol, Term, TermRef, View};
 
 /// Options for the granularity-control transformation.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -88,7 +89,7 @@ pub fn apply_granularity_control(
     analysis: &ProgramAnalysis,
     options: &AnnotateOptions,
 ) -> AnnotatedProgram {
-    rewrite_with_guards(program, &analysis.guards_at(options.overhead))
+    rewrite_with_guards(program, Some(&analysis.guards_at(options.overhead)))
 }
 
 /// Prepares a program according to the control mode.
@@ -105,10 +106,10 @@ pub fn prepare_program(
         ControlMode::NoControl => program.clone(),
         ControlMode::Sequential => sequentialize(program),
         ControlMode::WithControl => {
-            rewrite_with_guards(program, &analysis.guards_at(overhead)).program
+            rewrite_with_guards(program, Some(&analysis.guards_at(overhead))).program
         }
         ControlMode::FixedThreshold(k) => {
-            rewrite_with_guards(program, &analysis.fixed_guards(k)).program
+            rewrite_with_guards(program, Some(&analysis.fixed_guards(k))).program
         }
     }
 }
@@ -116,8 +117,9 @@ pub fn prepare_program(
 /// The source-level enforcement of a guard table: rewrites every parallel
 /// conjunction of `program` into the conditional code the table calls for.
 /// A pure function of the program and the table — where the table came from
-/// (thresholds at some `W`, one fixed grain size) makes no difference.
-fn rewrite_with_guards(program: &Program, guards: &GuardTable) -> AnnotatedProgram {
+/// (thresholds at some `W`, one fixed grain size) makes no difference. With
+/// no table, every conjunction is sequentialised, as under `:- sequential`.
+fn rewrite_with_guards(program: &Program, guards: Option<&GuardTable>) -> AnnotatedProgram {
     let mut out = Program::new();
     for directive in program.directives() {
         out.add_directive(directive.clone());
@@ -125,7 +127,8 @@ fn rewrite_with_guards(program: &Program, guards: &GuardTable) -> AnnotatedProgr
     let mut decisions = Vec::new();
     for predicate in program.predicates() {
         // Respect explicit `:- sequential p/N.` markings: strip parallelism.
-        let force_sequential = program.parallel_marking(predicate.id) == Some(false);
+        let marking = program.parallel_marking(predicate.id);
+        let force_sequential = guards.is_none() || marking == Some(false);
         for (clause_index, clause) in program.clauses_of(predicate.id).into_iter().enumerate() {
             let mut ctx = ClauseContext {
                 guards,
@@ -134,7 +137,7 @@ fn rewrite_with_guards(program: &Program, guards: &GuardTable) -> AnnotatedProgr
                 force_sequential,
                 decisions: &mut decisions,
             };
-            let new_body = ctx.rewrite(&clause.body);
+            let new_body = ctx.rewrite(clause.body.term_ref());
             out.add_clause(Clause::new(
                 clause.head.clone(),
                 new_body,
@@ -151,37 +154,30 @@ fn rewrite_with_guards(program: &Program, guards: &GuardTable) -> AnnotatedProgr
 /// Removes every parallel annotation, producing the purely sequential version
 /// of a program (used as the `T_seq` baseline in the experiments).
 pub fn sequentialize(program: &Program) -> Program {
-    let mut out = Program::new();
-    for directive in program.directives() {
-        out.add_directive(directive.clone());
-    }
-    for clause in program.clauses() {
-        let body = replace_par_with_seq(&clause.body);
-        out.add_clause(Clause::new(
-            clause.head.clone(),
-            body,
-            clause.var_names.clone(),
-        ));
-    }
-    out
+    rewrite_with_guards(program, None).program
 }
 
-fn replace_par_with_seq(body: &Term) -> Term {
-    match body {
-        Term::Struct(s, args) if *s == well_known::par_and() && args.len() == 2 => Term::Struct(
-            well_known::comma(),
-            vec![
-                replace_par_with_seq(&args[0]),
-                replace_par_with_seq(&args[1]),
-            ],
-        ),
-        Term::Struct(s, args) => Term::Struct(*s, args.iter().map(replace_par_with_seq).collect()),
-        other => other.clone(),
+/// The functor and operands of a control construct — `,`, `;`, `->`, `&`,
+/// `\+` — the constructs a body is built from. A rewrite descends through
+/// these only, and copies every goal whole, as the slice it is: the
+/// recursion follows the control spine, which the reader nests no deeper
+/// than [`granlog_ir::parser::MAX_TERM_DEPTH`], and never a goal's
+/// arguments.
+fn control(term: TermRef<'_>) -> Option<(Symbol, Args<'_>)> {
+    let wk = well_known::get();
+    match term.view() {
+        View::Struct(s, args)
+            if args.len() == 2 && [wk.comma, wk.semicolon, wk.arrow, wk.par_and].contains(&s) =>
+        {
+            Some((s, args))
+        }
+        View::Struct(s, args) if args.len() == 1 && s == wk.not => Some((s, args)),
+        _ => None,
     }
 }
 
 struct ClauseContext<'a> {
-    guards: &'a GuardTable,
+    guards: Option<&'a GuardTable>,
     clause_pred: PredId,
     clause_index: usize,
     force_sequential: bool,
@@ -193,31 +189,29 @@ impl ClauseContext<'_> {
     /// Each arm is judged as written — by the goal its grain test will
     /// measure — and then rewritten itself (it may contain parallel
     /// conjunctions).
-    fn rewrite(&mut self, body: &Term) -> Term {
-        match body {
-            Term::Struct(s, args) if *s == well_known::par_and() && args.len() == 2 => {
+    fn rewrite(&mut self, body: TermRef<'_>) -> Term {
+        match control(body) {
+            Some((s, _)) if s == well_known::par_and() => {
                 let mut arms = Vec::new();
                 flatten_par(body, &mut arms);
-                let deciding: Vec<_> = arms.iter().map(|a| self.first_guarded_goal(a)).collect();
-                let arms: Vec<Term> = arms.iter().map(|arm| self.rewrite(arm)).collect();
+                let deciding: Vec<_> = arms.iter().map(|&a| self.first_guarded_goal(a)).collect();
+                let arms: Vec<Term> = arms.iter().map(|&arm| self.rewrite(arm)).collect();
                 self.transform_parallel(&arms, &deciding)
             }
-            Term::Struct(s, args) => {
-                Term::Struct(*s, args.iter().map(|a| self.rewrite(a)).collect())
-            }
-            other => other.clone(),
+            Some((s, args)) => Term::structure(s, args.map(|a| self.rewrite(a)).collect()),
+            None => body.to_term(),
         }
     }
 
     fn transform_parallel(
         &mut self,
         arms: &[Term],
-        deciding: &[Option<(&Term, PredId, Guard)>],
+        deciding: &[Option<(TermRef<'_>, PredId, Guard)>],
     ) -> Term {
         let tests: Vec<Term> = deciding
             .iter()
             .flatten()
-            .filter_map(|(goal, _, guard)| guard.test_for(goal))
+            .filter_map(|&(goal, _, guard)| guard.test_for(goal))
             .collect();
         let any_never = deciding
             .iter()
@@ -233,10 +227,10 @@ impl ClauseContext<'_> {
             (par_conjunction(arms), None)
         } else {
             let cond = seq_conjunction(&tests);
-            let ite = Term::Struct(
+            let ite = Term::structure(
                 well_known::semicolon(),
                 vec![
-                    Term::Struct(well_known::arrow(), vec![cond, par_conjunction(arms)]),
+                    Term::structure(well_known::arrow(), vec![cond, par_conjunction(arms)]),
                     seq_conjunction(arms),
                 ],
             );
@@ -256,27 +250,29 @@ impl ClauseContext<'_> {
 
     /// The first goal of an arm (in execution order, descending through `,`
     /// only — nested control stays opaque) whose predicate has a guard, with
-    /// that guard: it decides how the arm is treated.
-    fn first_guarded_goal<'t>(&self, arm: &'t Term) -> Option<(&'t Term, PredId, Guard)> {
-        match arm {
-            Term::Struct(s, args) if *s == well_known::comma() && args.len() == 2 => self
-                .first_guarded_goal(&args[0])
-                .or_else(|| self.first_guarded_goal(&args[1])),
-            goal => {
-                let pred = PredId::of_term(goal)?;
-                Some((goal, pred, self.guards.get(pred)?))
+    /// that guard: it decides how the arm is treated. Recurses along `,`,
+    /// a control spine (see [`control`]).
+    fn first_guarded_goal<'t>(&self, arm: TermRef<'t>) -> Option<(TermRef<'t>, PredId, Guard)> {
+        match arm.view() {
+            View::Struct(s, args) if s == well_known::comma() && args.len() == 2 => self
+                .first_guarded_goal(args.at(0))
+                .or_else(|| self.first_guarded_goal(args.at(1))),
+            _ => {
+                let pred = PredId::of_term(arm)?;
+                Some((arm, pred, self.guards?.get(pred)?))
             }
         }
     }
 }
 
-fn flatten_par<'a>(term: &'a Term, out: &mut Vec<&'a Term>) {
-    match term {
-        Term::Struct(s, args) if *s == well_known::par_and() && args.len() == 2 => {
-            flatten_par(&args[0], out);
-            flatten_par(&args[1], out);
+/// The arms of a `&` conjunction, recursing along its `&` spine (see [`control`]).
+fn flatten_par<'a>(term: TermRef<'a>, out: &mut Vec<TermRef<'a>>) {
+    match term.view() {
+        View::Struct(s, args) if s == well_known::par_and() && args.len() == 2 => {
+            flatten_par(args.at(0), out);
+            flatten_par(args.at(1), out);
         }
-        other => out.push(other),
+        _ => out.push(term),
     }
 }
 
@@ -290,12 +286,12 @@ fn par_conjunction(goals: &[Term]) -> Term {
 
 fn fold_conjunction(goals: &[Term], op: Symbol) -> Term {
     match goals.len() {
-        0 => Term::Atom(well_known::true_()),
+        0 => Term::from(well_known::true_()),
         1 => goals[0].clone(),
         _ => {
             let mut iter = goals.iter().rev();
             let last = iter.next().expect("len >= 2").clone();
-            iter.fold(last, |acc, g| Term::Struct(op, vec![g.clone(), acc]))
+            iter.fold(last, |acc, g| Term::structure(op, vec![g.clone(), acc]))
         }
     }
 }

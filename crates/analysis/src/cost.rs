@@ -15,7 +15,8 @@ use crate::expr::{Expr, FnRef};
 use crate::sizerel::ClauseSizeAnalysis;
 use granlog_ir::builtins::{self, Builtin};
 use granlog_ir::symbol::well_known;
-use granlog_ir::{Clause, ModeDecl, PredId, Program, Symbol, Term};
+use granlog_ir::term::{AsTerm, Cell, TermRef};
+use granlog_ir::{Clause, IndexKey, ModeDecl, PredId, Program, Symbol};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -125,7 +126,7 @@ pub fn clause_cost(clause: &Clause, sizes: &ClauseSizeAnalysis, ctx: &CostContex
 }
 
 fn literal_cost(
-    literal: &Term,
+    literal: TermRef<'_>,
     index: usize,
     sizes: &ClauseSizeAnalysis,
     ctx: &CostContext<'_>,
@@ -176,18 +177,18 @@ pub fn clauses_are_exclusive(program: &Program, pred: PredId, modes: &ModeDecl) 
     let positions = modes.input_positions();
     // Per clause and input position: (the head argument unless it is a
     // variable, guarded).
-    let info: Vec<Vec<(Option<&Term>, bool)>> = clauses
+    let info: Vec<Vec<(Option<TermRef<'_>>, bool)>> = clauses
         .iter()
         .map(|clause| {
             let guards = leading_guards(clause);
             positions
                 .iter()
                 .map(|&pos| {
-                    let arg = &clause.head.args()[pos];
+                    let arg = clause.head.args().at(pos);
                     let guarded = guards
                         .iter()
-                        .any(|guard| guard.args().iter().any(|a| share_a_variable(arg, a)));
-                    ((!matches!(arg, Term::Var(_))).then_some(arg), guarded)
+                        .any(|guard| guard.args().any(|a| share_a_variable(arg, a)));
+                    ((!arg.is_var()).then_some(arg), guarded)
                 })
                 .collect()
         })
@@ -199,7 +200,7 @@ pub fn clauses_are_exclusive(program: &Program, pred: PredId, modes: &ModeDecl) 
                 let (ka, ga) = &info[i][p];
                 let (kb, gb) = &info[j][p];
                 match (ka, kb) {
-                    (Some(a), Some(b)) if !same_principal_functor(a, b) => true,
+                    (Some(a), Some(b)) if IndexKey::of_term(*a) != IndexKey::of_term(*b) => true,
                     (Some(_), Some(_)) => *ga && *gb,
                     (Some(_), None) => *gb,
                     (None, Some(_)) => *ga,
@@ -214,22 +215,10 @@ pub fn clauses_are_exclusive(program: &Program, pred: PredId, modes: &ModeDecl) 
     true
 }
 
-/// First-argument-style indexing keys: do two non-variable head arguments
-/// have the same constant or the same functor and arity?
-fn same_principal_functor(a: &Term, b: &Term) -> bool {
-    match (a, b) {
-        (Term::Atom(x), Term::Atom(y)) => x == y,
-        (Term::Int(x), Term::Int(y)) => x == y,
-        (Term::Float(x), Term::Float(y)) => x.0.to_bits() == y.0.to_bits(),
-        (Term::Struct(f, xs), Term::Struct(g, ys)) => f == g && xs.len() == ys.len(),
-        _ => false,
-    }
-}
-
 /// The arithmetic comparisons the clause body starts with.
-fn leading_guards(clause: &Clause) -> Vec<&Term> {
-    let is_guard = |literal: &&Term| {
-        let builtin = PredId::of_term(literal).and_then(|p| builtins::lookup(p.name, p.arity));
+fn leading_guards(clause: &Clause) -> Vec<TermRef<'_>> {
+    let is_guard = |literal: &TermRef<'_>| {
+        let builtin = PredId::of_term(*literal).and_then(|p| builtins::lookup(p.name, p.arity));
         matches!(
             builtin.map(|row| row.id),
             Some(Builtin::NumCompare(_) | Builtin::StructEq | Builtin::StructNe)
@@ -239,12 +228,9 @@ fn leading_guards(clause: &Clause) -> Vec<&Term> {
     literals.take_while(is_guard).collect()
 }
 
-fn share_a_variable(a: &Term, b: &Term) -> bool {
-    match a {
-        Term::Var(v) => b.contains_var(*v),
-        Term::Struct(_, args) => args.iter().any(|x| share_a_variable(x, b)),
-        Term::Atom(_) | Term::Int(_) | Term::Float(_) => false,
-    }
+fn share_a_variable(a: TermRef<'_>, b: TermRef<'_>) -> bool {
+    let shared = |c: &Cell| matches!(*c, Cell::Var(v) if b.contains_var(v));
+    a.cells().iter().any(shared)
 }
 
 /// The combine mode to use for a predicate's difference equations.

@@ -13,7 +13,7 @@
 //! the program's mode table.
 
 use crate::measure::{Measure, MeasureVec, SizeFunctions};
-use granlog_ir::{Clause, ModeDecl, PredId, Term, VarId};
+use granlog_ir::{AsTerm, Clause, ModeDecl, PredId, TermRef, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -71,13 +71,13 @@ impl fmt::Display for ArgPos {
 /// terms and the head's mode declaration.
 #[derive(Debug, Clone)]
 pub struct Ddg<'a> {
-    head: &'a Term,
+    head: TermRef<'a>,
     head_pred: Option<PredId>,
     head_modes: &'a ModeDecl,
     /// The head's input and output positions under `head_modes`.
     head_inputs: Vec<usize>,
     head_outputs: Vec<usize>,
-    literals: Vec<&'a Term>,
+    literals: Vec<TermRef<'a>>,
     /// Input positions per body literal (0-based indices).
     literal_inputs: Vec<Vec<usize>>,
     /// Output positions per body literal.
@@ -103,7 +103,7 @@ impl<'a> Ddg<'a> {
             "mode declaration does not match head arity"
         );
         let literals = clause.body_literals();
-        let head = &clause.head;
+        let head = clause.head.term_ref();
         let head_inputs = head_modes.input_positions();
         let head_outputs = head_modes.output_positions();
 
@@ -114,7 +114,7 @@ impl<'a> Ddg<'a> {
         let mut vars: BTreeSet<VarId> = BTreeSet::new();
 
         for &pos in &head_inputs {
-            variables_of(&head.args()[pos], &mut vars);
+            variables_of(head.args().at(pos), &mut vars);
             for &v in &vars {
                 let produced = producers.entry(v).or_default();
                 produced.push(ArgPos::new(NodeId::Start, pos));
@@ -130,7 +130,7 @@ impl<'a> Ddg<'a> {
             let node = NodeId::Body(j);
             let mut inputs = Vec::new();
             let mut outputs = Vec::new();
-            for (i, arg) in lit.args().iter().enumerate() {
+            for (i, arg) in lit.args().enumerate() {
                 variables_of(arg, &mut vars);
                 if vars.iter().all(|v| producers.contains_key(v)) {
                     inputs.push(i);
@@ -146,7 +146,7 @@ impl<'a> Ddg<'a> {
             // After success, every variable of the literal becomes bound and
             // its output positions become producers.
             for &i in &outputs {
-                variables_of(&lit.args()[i], &mut vars);
+                variables_of(lit.args().at(i), &mut vars);
                 for &v in &vars {
                     producers.entry(v).or_default().push(ArgPos::new(node, i));
                 }
@@ -157,7 +157,7 @@ impl<'a> Ddg<'a> {
 
         // Head output positions (the end node).
         for &pos in &head_outputs {
-            variables_of(&head.args()[pos], &mut vars);
+            variables_of(head.args().at(pos), &mut vars);
             let srcs = source_positions(&vars, &producers);
             edges.extend(srcs.iter().map(|s| (s.node, NodeId::End)));
             sources.insert(ArgPos::new(NodeId::End, pos), srcs);
@@ -178,7 +178,7 @@ impl<'a> Ddg<'a> {
     }
 
     /// The clause head term.
-    pub fn head(&self) -> &'a Term {
+    pub fn head(&self) -> TermRef<'a> {
         self.head
     }
 
@@ -193,7 +193,7 @@ impl<'a> Ddg<'a> {
     }
 
     /// The body literals, in textual order.
-    pub fn literals(&self) -> &[&'a Term] {
+    pub fn literals(&self) -> &[TermRef<'a>] {
         &self.literals
     }
 
@@ -226,10 +226,10 @@ impl<'a> Ddg<'a> {
     }
 
     /// The term occupying an argument position.
-    pub fn term_at(&self, pos: ArgPos) -> &'a Term {
+    pub fn term_at(&self, pos: ArgPos) -> TermRef<'a> {
         match pos.node {
-            NodeId::Start | NodeId::End => &self.head.args()[pos.pos],
-            NodeId::Body(j) => &self.literals[j].args()[pos.pos],
+            NodeId::Start | NodeId::End => self.head.args().at(pos.pos),
+            NodeId::Body(j) => self.literals[j].args().at(pos.pos),
         }
     }
 
@@ -369,7 +369,7 @@ fn source_positions(
 }
 
 /// Leaves the variables of `term` in `out`.
-fn variables_of(term: &Term, out: &mut BTreeSet<VarId>) {
+fn variables_of(term: TermRef<'_>, out: &mut BTreeSet<VarId>) {
     out.clear();
     term.collect_variables(out);
 }

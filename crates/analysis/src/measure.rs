@@ -11,8 +11,9 @@
 //! inter-literal relation `size_i = size_j + diff(T_j, T_i)` holds (e.g.
 //! `diff([H|L], L) = −1` gives `body[1] = head[1] − 1` for `nrev`).
 
+use granlog_ir::term::Cell;
 pub use granlog_ir::Measure;
-use granlog_ir::Term;
+use granlog_ir::{AsTerm, TermRef, View};
 use std::collections::BTreeMap;
 
 /// The paper's size functions over a [`Measure`] (the enum and its names are
@@ -21,58 +22,43 @@ use std::collections::BTreeMap;
 pub trait SizeFunctions: Copy {
     /// `|t|_m` for a ground term: the size of `t` under this measure, or
     /// `None` (⊥) if the measure does not apply.
-    fn ground_size(self, t: &Term) -> Option<i64>;
+    fn ground_size(self, t: TermRef<'_>) -> Option<i64>;
 
     /// The paper's `size_m(t)`: defined iff every grounding of `t` has the same
     /// size under the measure.
-    fn size(self, t: &Term) -> Option<i64>;
+    fn size(self, t: TermRef<'_>) -> Option<i64>;
 
     /// The paper's `diff_m(t1, t2) = |θ(t2)| − |θ(t1)|`, when that difference
     /// is the same for every grounding `θ`.
-    fn diff(self, t1: &Term, t2: &Term) -> Option<i64>;
+    fn diff(self, t1: TermRef<'_>, t2: TermRef<'_>) -> Option<i64>;
 
     /// Picks a default measure for a term appearing in an argument position:
     /// lists get `length`, integers `int`, other compound/atomic terms `size`.
-    fn default_for_term(t: &Term) -> Self;
+    fn default_for_term(t: TermRef<'_>) -> Self;
 }
 
 impl SizeFunctions for Measure {
-    fn ground_size(self, t: &Term) -> Option<i64> {
+    fn ground_size(self, t: TermRef<'_>) -> Option<i64> {
         match self {
             Measure::ListLength => t.list_length().map(|n| n as i64),
             Measure::TermSize => t.is_ground().then(|| t.term_size() as i64),
             Measure::TermDepth => t.is_ground().then(|| t.term_depth() as i64),
-            Measure::IntValue => match t {
-                Term::Int(v) => Some((*v).max(0)),
+            Measure::IntValue => match t.view() {
+                View::Int(v) => Some(v.max(0)),
                 _ => None,
             },
             Measure::Ignore => Some(0),
         }
     }
 
-    fn size(self, t: &Term) -> Option<i64> {
-        match self {
-            Measure::Ignore => Some(0),
-            Measure::IntValue => match t {
-                Term::Int(v) => Some((*v).max(0)),
-                _ => None,
-            },
-            Measure::ListLength => {
-                // A proper list has a fixed length even if its elements are
-                // variables; a partial list or non-list does not.
-                t.list_length().map(|n| n as i64)
-            }
-            Measure::TermSize | Measure::TermDepth => {
-                if t.is_ground() {
-                    self.ground_size(t)
-                } else {
-                    None
-                }
-            }
-        }
+    /// The same as [`SizeFunctions::ground_size`]: each measure there is
+    /// already defined only on the terms whose every grounding has one size —
+    /// a proper list whatever its elements, an integer, a ground term.
+    fn size(self, t: TermRef<'_>) -> Option<i64> {
+        self.ground_size(t)
     }
 
-    fn diff(self, t1: &Term, t2: &Term) -> Option<i64> {
+    fn diff(self, t1: TermRef<'_>, t2: TermRef<'_>) -> Option<i64> {
         if t1 == t2 {
             return Some(0);
         }
@@ -87,30 +73,21 @@ impl SizeFunctions for Measure {
                 if t1.is_ground() && t2.is_ground() {
                     return Some(self.ground_size(t2)? - self.ground_size(t1)?);
                 }
-                match self {
-                    Measure::TermSize => diff_structural(t1, t2, |ctx| Some(ctx.symbols as i64)),
-                    Measure::TermDepth => diff_structural(t1, t2, |ctx| {
-                        // The depth offset is exact only when the occurrence
-                        // path is at least as deep as every sibling branch;
-                        // otherwise ⊥.
-                        if ctx.path_dominates {
-                            Some(ctx.depth as i64)
-                        } else {
-                            None
-                        }
-                    }),
-                    _ => unreachable!(),
+                // t1 inside t2: |t2| = |t1| + offset; t2 inside t1: the negation.
+                if let Some(offset) = offset_within(self, t2, t1) {
+                    return offset;
                 }
+                offset_within(self, t1, t2)?.map(|d| -d)
             }
         }
     }
 
-    fn default_for_term(t: &Term) -> Measure {
+    fn default_for_term(t: TermRef<'_>) -> Measure {
         if t.is_nil() || t.is_cons() {
             Measure::ListLength
         } else {
-            match t {
-                Term::Int(_) => Measure::IntValue,
+            match t.view() {
+                View::Int(_) => Measure::IntValue,
                 _ => Measure::TermSize,
             }
         }
@@ -120,113 +97,38 @@ impl SizeFunctions for Measure {
 /// `diff` for list length: strip list prefixes; defined when the remaining
 /// tails are syntactically equal (so the unknown part cancels) or when both
 /// are proper lists.
-fn diff_list_length(t1: &Term, t2: &Term) -> Option<i64> {
-    fn spine(t: &Term) -> (i64, &Term) {
-        let cons = granlog_ir::symbol::well_known::cons();
-        let mut count = 0;
-        let mut cur = t;
-        while let Term::Struct(s, args) = cur {
-            if *s == cons && args.len() == 2 {
-                count += 1;
-                cur = &args[1];
-            } else {
-                break;
-            }
-        }
-        (count, cur)
-    }
-    let (n1, rest1) = spine(t1);
-    let (n2, rest2) = spine(t2);
+fn diff_list_length(t1: TermRef<'_>, t2: TermRef<'_>) -> Option<i64> {
+    let ((n1, rest1), (n2, rest2)) = (t1.spine(), t2.spine());
     // (Two nil tails compare equal, so proper lists need no separate case.)
-    if rest1 == rest2 {
-        Some(n2 - n1)
-    } else {
-        None
-    }
+    (rest1 == rest2).then(|| n2 as i64 - n1 as i64)
 }
 
-/// Description of where one term occurs inside another.
-struct Occurrence {
-    /// Number of constant/function symbols in the surrounding context
-    /// (counting the hole as zero symbols).
-    symbols: usize,
-    /// Depth of the hole below the root.
-    depth: usize,
-    /// `true` if along the path to the hole, the hole's subtree is the deepest
-    /// branch at every ancestor (so the depth offset is exact).
-    path_dominates: bool,
-}
-
-/// Structural `diff`: handles (a) both terms ground, (b) one term occurring as
-/// a subterm of the other with an otherwise-ground context. `offset` converts
-/// the occurrence description into a size offset, or `None` if the measure
-/// cannot give an exact difference for this occurrence.
-fn diff_structural(
-    t1: &Term,
-    t2: &Term,
-    offset: impl Fn(&Occurrence) -> Option<i64> + Copy,
-) -> Option<i64> {
-    if let Some(occ) = find_occurrence(t2, t1) {
-        // t1 occurs inside t2: |t2| = |t1| + context ⇒ diff = +offset.
-        return offset(&occ);
+/// Structural `diff` when `inner` occurs in `outer` and the rest of `outer`
+/// is ground: `None` if it does not, else the size `outer` adds to `inner`
+/// under `measure` — every cell outside the occurrence for `term_size`; for
+/// `term_depth` the compounds around it, provided they are the only
+/// compounds outside it (the hole's path is then the deepest), else ⊥.
+///
+/// The rest is ground exactly when `outer` has no more variable cells than
+/// `inner`; the occurrence is then the first in preorder (an `inner` with
+/// variables has only the one).
+fn offset_within(measure: Measure, outer: TermRef<'_>, inner: TermRef<'_>) -> Option<Option<i64>> {
+    let (cells, hole) = (outer.cells(), inner.cells());
+    let vars = |cells: &[Cell]| cells.iter().filter(|c| matches!(c, Cell::Var(_))).count();
+    let compounds = |cells: &[Cell]| cells.iter().filter(|c| c.extent() > 1).count();
+    if vars(cells) != vars(hole) {
+        return None;
     }
-    if let Some(occ) = find_occurrence(t1, t2) {
-        // t2 occurs inside t1: diff = −offset.
-        return offset(&occ).map(|d| -d);
+    let at = cells.windows(hole.len()).position(|w| w == hole)?;
+    if measure == Measure::TermSize {
+        return Some(Some((cells.len() - hole.len()) as i64));
     }
-    None
-}
-
-/// Finds an occurrence of `needle` inside `haystack` such that the rest of
-/// `haystack` (outside the occurrence) is ground, and describes the context.
-fn find_occurrence(haystack: &Term, needle: &Term) -> Option<Occurrence> {
-    if haystack == needle {
-        return Some(Occurrence {
-            symbols: 0,
-            depth: 0,
-            path_dominates: true,
-        });
-    }
-    if let Term::Struct(_, args) = haystack {
-        for (i, arg) in args.iter().enumerate() {
-            if let Some(inner) = find_occurrence(arg, needle) {
-                // All sibling arguments must be ground for the context size to
-                // be fixed.
-                let siblings_ground = args
-                    .iter()
-                    .enumerate()
-                    .all(|(j, a)| j == i || a.is_ground());
-                if !siblings_ground {
-                    return None;
-                }
-                let sibling_symbols: usize = args
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, a)| a.term_size())
-                    .sum();
-                let sibling_depth_max = args
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(_, a)| a.term_depth())
-                    .max()
-                    .unwrap_or(0);
-                // The hole path dominates if the needle side is at least as
-                // deep as every ground sibling (which we can only know when
-                // the needle itself is deeper than the siblings could matter;
-                // we conservatively require siblings to be shallower than the
-                // hole depth contribution — siblings of depth 0 always pass).
-                let path_dominates = inner.path_dominates && sibling_depth_max == 0;
-                return Some(Occurrence {
-                    symbols: inner.symbols + 1 + sibling_symbols,
-                    depth: inner.depth + 1,
-                    path_dominates,
-                });
-            }
-        }
-    }
-    None
+    let around = cells[..at]
+        .iter()
+        .enumerate()
+        .filter(|&(from, c)| from + c.extent() > at)
+        .count();
+    Some((compounds(cells) - compounds(hole) == around).then_some(around as i64))
 }
 
 /// The per-argument measure assignment of a predicate.
@@ -280,8 +182,8 @@ pub fn assign_measures(program: &granlog_ir::Program) -> BTreeMap<granlog_ir::Pr
             .entry(pred)
             .or_insert_with(|| vec![None; pred.arity]);
         for clause in program.clauses_of(pred) {
-            for (i, arg) in clause.head.args().iter().enumerate() {
-                if let Term::Var(_) = arg {
+            for (i, arg) in clause.head.args().enumerate() {
+                if arg.is_var() {
                     continue;
                 }
                 merge(&mut slots[i], Measure::default_for_term(arg));
@@ -298,8 +200,8 @@ pub fn assign_measures(program: &granlog_ir::Program) -> BTreeMap<granlog_ir::Pr
             let Some(slots) = guesses.get_mut(&pred) else {
                 continue;
             };
-            for (i, arg) in goal.args().iter().enumerate() {
-                if let Term::Var(_) = arg {
+            for (i, arg) in goal.args().enumerate() {
+                if arg.is_var() {
                     continue;
                 }
                 if i < slots.len() {
@@ -326,7 +228,7 @@ pub fn assign_measures(program: &granlog_ir::Program) -> BTreeMap<granlog_ir::Pr
 mod tests {
     use super::*;
     use granlog_ir::parser::{parse_program, parse_term};
-    use granlog_ir::PredId;
+    use granlog_ir::{PredId, Term};
 
     fn t(src: &str) -> Term {
         parse_term(src).unwrap().0
@@ -334,31 +236,43 @@ mod tests {
 
     #[test]
     fn ground_sizes() {
-        assert_eq!(Measure::ListLength.ground_size(&t("[a, b]")), Some(2));
-        assert_eq!(Measure::ListLength.ground_size(&t("f(a)")), None);
-        assert_eq!(Measure::TermSize.ground_size(&t("f(a, g(b, c))")), Some(5));
-        assert_eq!(Measure::TermDepth.ground_size(&t("f(a, g(b))")), Some(2));
-        assert_eq!(Measure::IntValue.ground_size(&t("7")), Some(7));
-        assert_eq!(Measure::IntValue.ground_size(&t("-7")), Some(0));
-        assert_eq!(Measure::IntValue.ground_size(&t("a")), None);
-        assert_eq!(Measure::Ignore.ground_size(&t("whatever")), Some(0));
+        assert_eq!(
+            Measure::ListLength.ground_size(t("[a, b]").term_ref()),
+            Some(2)
+        );
+        assert_eq!(Measure::ListLength.ground_size(t("f(a)").term_ref()), None);
+        assert_eq!(
+            Measure::TermSize.ground_size(t("f(a, g(b, c))").term_ref()),
+            Some(5)
+        );
+        assert_eq!(
+            Measure::TermDepth.ground_size(t("f(a, g(b))").term_ref()),
+            Some(2)
+        );
+        assert_eq!(Measure::IntValue.ground_size(t("7").term_ref()), Some(7));
+        assert_eq!(Measure::IntValue.ground_size(t("-7").term_ref()), Some(0));
+        assert_eq!(Measure::IntValue.ground_size(t("a").term_ref()), None);
+        assert_eq!(
+            Measure::Ignore.ground_size(t("whatever").term_ref()),
+            Some(0)
+        );
     }
 
     #[test]
     fn size_of_nonground_terms() {
         // The paper: |[a,b]|_list_length = 2, |f(a)|_list_length = ⊥.
-        assert_eq!(Measure::ListLength.size(&t("[a, b]")), Some(2));
-        assert_eq!(Measure::ListLength.size(&t("f(a)")), None);
+        assert_eq!(Measure::ListLength.size(t("[a, b]").term_ref()), Some(2));
+        assert_eq!(Measure::ListLength.size(t("f(a)").term_ref()), None);
         // A list of variables still has a definite length.
-        assert_eq!(Measure::ListLength.size(&t("[X, Y, Z]")), Some(3));
+        assert_eq!(Measure::ListLength.size(t("[X, Y, Z]").term_ref()), Some(3));
         // A partial list does not.
-        assert_eq!(Measure::ListLength.size(&t("[X | T]")), None);
+        assert_eq!(Measure::ListLength.size(t("[X | T]").term_ref()), None);
         // term_size of a non-ground term is ⊥ (it varies with the grounding).
-        assert_eq!(Measure::TermSize.size(&t("f(X)")), None);
-        assert_eq!(Measure::TermSize.size(&t("f(a)")), Some(2));
+        assert_eq!(Measure::TermSize.size(t("f(X)").term_ref()), None);
+        assert_eq!(Measure::TermSize.size(t("f(a)").term_ref()), Some(2));
         // A bare variable has no intrinsic size.
-        assert_eq!(Measure::ListLength.size(&t("X")), None);
-        assert_eq!(Measure::IntValue.size(&t("X")), None);
+        assert_eq!(Measure::ListLength.size(t("X").term_ref()), None);
+        assert_eq!(Measure::IntValue.size(t("X").term_ref()), None);
     }
 
     #[test]
@@ -366,24 +280,24 @@ mod tests {
         // diff_list_length([c|L], [a,b|L]) = 1.
         // Parse both sides in one term so the variable L is shared.
         let pair = t("pair([c | L], [a, b | L])");
-        let t1 = &pair.args()[0];
-        let t2 = &pair.args()[1];
+        let t1 = pair.args().at(0);
+        let t2 = pair.args().at(1);
         assert_eq!(Measure::ListLength.diff(t1, t2), Some(1));
         // diff([H|L], L) = −1 (the nrev head-to-body relation).
         let pair = t("pair([H | L], L)");
         assert_eq!(
-            Measure::ListLength.diff(&pair.args()[0], &pair.args()[1]),
+            Measure::ListLength.diff(pair.args().at(0), pair.args().at(1)),
             Some(-1)
         );
         // Ground lists.
         assert_eq!(
-            Measure::ListLength.diff(&t("[a]"), &t("[a, b, c]")),
+            Measure::ListLength.diff(t("[a]").term_ref(), t("[a, b, c]").term_ref()),
             Some(2)
         );
         // Different unknown tails: ⊥.
         let pair = t("pair([a | L1], [b | L2])");
         assert_eq!(
-            Measure::ListLength.diff(&pair.args()[0], &pair.args()[1]),
+            Measure::ListLength.diff(pair.args().at(0), pair.args().at(1)),
             None
         );
     }
@@ -393,23 +307,23 @@ mod tests {
         // t1 inside t2 with ground context: f(a, X) vs X → diff(X, f(a,X)) = +2.
         let pair = t("pair(X, f(a, X))");
         assert_eq!(
-            Measure::TermSize.diff(&pair.args()[0], &pair.args()[1]),
+            Measure::TermSize.diff(pair.args().at(0), pair.args().at(1)),
             Some(2)
         );
         // And the reverse direction is negative.
         assert_eq!(
-            Measure::TermSize.diff(&pair.args()[1], &pair.args()[0]),
+            Measure::TermSize.diff(pair.args().at(1), pair.args().at(0)),
             Some(-2)
         );
         // Non-ground sibling context: ⊥.
         let pair = t("pair(X, f(Y, X))");
         assert_eq!(
-            Measure::TermSize.diff(&pair.args()[0], &pair.args()[1]),
+            Measure::TermSize.diff(pair.args().at(0), pair.args().at(1)),
             None
         );
         // Ground terms.
         assert_eq!(
-            Measure::TermSize.diff(&t("f(a)"), &t("g(a, b, c)")),
+            Measure::TermSize.diff(t("f(a)").term_ref(), t("g(a, b, c)").term_ref()),
             Some(2)
         );
     }
@@ -420,31 +334,40 @@ mod tests {
         // with our orientation |X| − |f(a,g(X))| = −2.
         let pair = t("pair(f(a, g(X)), X)");
         assert_eq!(
-            Measure::TermDepth.diff(&pair.args()[0], &pair.args()[1]),
+            Measure::TermDepth.diff(pair.args().at(0), pair.args().at(1)),
             Some(-2)
         );
         // diff_term_depth(f(X, Y), X) = ⊥ (Y's depth unknown).
         let pair = t("pair(f(X, Y), X)");
         assert_eq!(
-            Measure::TermDepth.diff(&pair.args()[0], &pair.args()[1]),
+            Measure::TermDepth.diff(pair.args().at(0), pair.args().at(1)),
             None
         );
         // Sibling with nonzero depth makes the offset inexact: ⊥.
         let pair = t("pair(f(g(a), X), X)");
         assert_eq!(
-            Measure::TermDepth.diff(&pair.args()[0], &pair.args()[1]),
+            Measure::TermDepth.diff(pair.args().at(0), pair.args().at(1)),
             None
         );
     }
 
     #[test]
     fn int_value_diff() {
-        assert_eq!(Measure::IntValue.diff(&t("3"), &t("7")), Some(4));
-        assert_eq!(Measure::IntValue.diff(&t("7"), &t("3")), Some(-4));
-        assert_eq!(Measure::IntValue.diff(&t("X"), &t("3")), None);
+        assert_eq!(
+            Measure::IntValue.diff(t("3").term_ref(), t("7").term_ref()),
+            Some(4)
+        );
+        assert_eq!(
+            Measure::IntValue.diff(t("7").term_ref(), t("3").term_ref()),
+            Some(-4)
+        );
+        assert_eq!(
+            Measure::IntValue.diff(t("X").term_ref(), t("3").term_ref()),
+            None
+        );
         let pair = t("pair(X, X)");
         assert_eq!(
-            Measure::IntValue.diff(&pair.args()[0], &pair.args()[1]),
+            Measure::IntValue.diff(pair.args().at(0), pair.args().at(1)),
             Some(0)
         );
     }
@@ -518,7 +441,7 @@ mod tests {
         ] {
             let pair = t("pair(f(X, [a|T]), f(X, [a|T]))");
             assert_eq!(
-                m.diff(&pair.args()[0], &pair.args()[1]),
+                m.diff(pair.args().at(0), pair.args().at(1)),
                 Some(0),
                 "measure {m}"
             );
@@ -529,6 +452,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use granlog_ir::Term;
     use proptest::prelude::*;
 
     fn arb_ground_list(max_len: usize) -> impl Strategy<Value = Term> {
@@ -541,19 +465,19 @@ mod proptests {
         /// the length difference.
         #[test]
         fn list_length_size_and_diff_consistent(a in arb_ground_list(12), b in arb_ground_list(12)) {
-            let la = Measure::ListLength.size(&a).unwrap();
-            let lb = Measure::ListLength.size(&b).unwrap();
+            let la = Measure::ListLength.size(a.term_ref()).unwrap();
+            let lb = Measure::ListLength.size(b.term_ref()).unwrap();
             prop_assert_eq!(la as usize, a.as_list().unwrap().len());
-            prop_assert_eq!(Measure::ListLength.diff(&a, &b), Some(lb - la));
+            prop_assert_eq!(Measure::ListLength.diff(a.term_ref(), b.term_ref()), Some(lb - la));
         }
 
         /// diff(t, t) = 0 and diff is antisymmetric when defined.
         #[test]
         fn diff_antisymmetric(a in arb_ground_list(8), b in arb_ground_list(8)) {
             for m in [Measure::ListLength, Measure::TermSize] {
-                prop_assert_eq!(m.diff(&a, &a), Some(0));
-                let ab = m.diff(&a, &b);
-                let ba = m.diff(&b, &a);
+                prop_assert_eq!(m.diff(a.term_ref(), a.term_ref()), Some(0));
+                let ab = m.diff(a.term_ref(), b.term_ref());
+                let ba = m.diff(b.term_ref(), a.term_ref());
                 if let (Some(x), Some(y)) = (ab, ba) {
                     prop_assert_eq!(x, -y);
                 }
@@ -564,8 +488,8 @@ mod proptests {
         #[test]
         fn cons_increases_sizes(a in arb_ground_list(8), x in 0i64..10) {
             let consed = Term::cons(Term::int(x), a.clone());
-            prop_assert_eq!(Measure::ListLength.diff(&a, &consed), Some(1));
-            prop_assert_eq!(Measure::TermSize.diff(&a, &consed), Some(2));
+            prop_assert_eq!(Measure::ListLength.diff(a.term_ref(), consed.term_ref()), Some(1));
+            prop_assert_eq!(Measure::TermSize.diff(a.term_ref(), consed.term_ref()), Some(2));
         }
     }
 }

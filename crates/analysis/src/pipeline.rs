@@ -22,7 +22,7 @@ use crate::sizerel::{
 };
 use crate::solver::{solve_system, SchemaKind};
 use crate::threshold::{driving_parameter, threshold, Threshold, DEFAULT_SEARCH_CAP};
-use granlog_ir::{CallGraph, Clause, ModeDecl, PredId, Program, RecursionClass, Symbol, Term};
+use granlog_ir::{CallGraph, Clause, ModeDecl, PredId, Program, RecursionClass, Symbol, TermRef};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -286,7 +286,7 @@ pub fn analyze_program(program: &Program, options: &AnalysisOptions) -> ProgramA
             scc: &scc_set,
             metric: options.metric,
         };
-        let calls_scc = |l: &&Term| PredId::of_term(l).is_some_and(|p| scc_set.contains(&p));
+        let calls_scc = |l: &TermRef<'_>| PredId::of_term(*l).is_some_and(|p| scc_set.contains(&p));
         let mut cost_equations: Vec<DiffEq> = Vec::new();
         for (m, clauses) in members.iter().zip(work) {
             let mut clause_contribs: ClauseContribs = Vec::with_capacity(clauses.len());

@@ -23,7 +23,7 @@ use crate::ddg::{ArgPos, Ddg, NodeId};
 use crate::expr::{Expr, FnRef};
 use crate::measure::{Measure, MeasureVec, SizeFunctions};
 use granlog_ir::builtins::{self, Builtin};
-use granlog_ir::{ModeDecl, PredId, Symbol, Term, VarId};
+use granlog_ir::{AsTerm, ModeDecl, PredId, Symbol, TermRef, VarId, View};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
@@ -188,7 +188,7 @@ pub fn analyze_clause(ddg: &Ddg, ctx: &SizeContext<'_>) -> ClauseSizeAnalysis {
 
     // The measure of argument `i` of a predicate: as assigned, else guessed
     // from the term in that position.
-    let measure_in = |measures: Option<&MeasureVec>, i: usize, term: &Term| {
+    let measure_in = |measures: Option<&MeasureVec>, i: usize, term: TermRef<'_>| {
         let assigned = measures.and_then(|ms| ms.get(i)).copied();
         assigned.unwrap_or_else(|| Measure::default_for_term(term))
     };
@@ -205,11 +205,11 @@ pub fn analyze_clause(ddg: &Ddg, ctx: &SizeContext<'_>) -> ClauseSizeAnalysis {
     let mut literal_input_sizes: Vec<BTreeMap<usize, Expr>> = Vec::new();
     let mut literal_output_sizes: Vec<BTreeMap<usize, Expr>> = Vec::new();
 
-    for (j, literal) in ddg.literals().iter().enumerate() {
+    for (j, &literal) in ddg.literals().iter().enumerate() {
         let node = NodeId::Body(j);
         let callee = PredId::of_term(literal);
         let callee_measures = callee.and_then(|p| ctx.measures.get(&p));
-        let measure_at = |i: usize| measure_in(callee_measures, i, &literal.args()[i]);
+        let measure_at = |i: usize| measure_in(callee_measures, i, literal.args().at(i));
 
         // --- input positions ---------------------------------------------
         let mut inputs = BTreeMap::new();
@@ -290,8 +290,8 @@ fn derive_consumed_size(
         return Expr::Num(n as f64);
     }
     // A bare variable whose size was recorded (e.g. bound by `is/2`).
-    if let Term::Var(v) = term {
-        if let Some(e) = var_sizes.get(&(*v, measure)) {
+    if let View::Var(v) = term.view() {
+        if let Some(e) = var_sizes.get(&(v, measure)) {
             return e.clone();
         }
     }
@@ -324,34 +324,25 @@ fn derive_consumed_size(
 /// variable parts, when the measure decomposes over the structure
 /// (currently: list length of partial lists whose tail size is known).
 fn size_from_parts(
-    term: &Term,
+    term: TermRef<'_>,
     measure: Measure,
     var_sizes: &BTreeMap<(VarId, Measure), Expr>,
 ) -> Option<Expr> {
     match measure {
         Measure::ListLength => {
-            let mut count = 0i64;
-            let mut cur = term;
-            loop {
-                match cur {
-                    t if t.is_nil() => return Some(Expr::Num(count as f64)),
-                    Term::Struct(s, args)
-                        if *s == granlog_ir::symbol::well_known::cons() && args.len() == 2 =>
-                    {
-                        count += 1;
-                        cur = &args[1];
-                    }
-                    Term::Var(v) => {
-                        let tail = var_sizes.get(&(*v, Measure::ListLength))?;
-                        return Some(Expr::add(tail.clone(), Expr::Num(count as f64)).simplify());
-                    }
-                    _ => return None,
+            let (count, end) = term.spine();
+            match end.view() {
+                _ if end.is_nil() => Some(Expr::Num(count as f64)),
+                View::Var(v) => {
+                    let tail = var_sizes.get(&(v, Measure::ListLength))?;
+                    Some(Expr::add(tail.clone(), Expr::Num(count as f64)).simplify())
                 }
+                _ => None,
             }
         }
-        Measure::IntValue => match term {
-            Term::Var(v) => var_sizes.get(&(*v, Measure::IntValue)).cloned(),
-            Term::Int(n) => Some(Expr::Num((*n).max(0) as f64)),
+        Measure::IntValue => match term.view() {
+            View::Var(v) => var_sizes.get(&(v, Measure::IntValue)).cloned(),
+            View::Int(n) => Some(Expr::Num(n.max(0) as f64)),
             _ => None,
         },
         _ => None,
@@ -360,15 +351,15 @@ fn size_from_parts(
 
 /// Records the size of a bare-variable term under a measure.
 fn record_var_size(
-    term: &Term,
+    term: TermRef<'_>,
     measure: Measure,
     expr: &Expr,
     var_sizes: &mut BTreeMap<(VarId, Measure), Expr>,
 ) {
-    if let Term::Var(v) = term {
+    if let View::Var(v) = term.view() {
         if !expr.is_undefined() {
             var_sizes
-                .entry((*v, measure))
+                .entry((v, measure))
                 .or_insert_with(|| expr.clone());
         }
     }
@@ -377,7 +368,7 @@ fn record_var_size(
 /// Computes the output-size expressions of a body literal, in the order of
 /// `output_positions`. `measure_at(i)` is the measure of its argument `i`.
 fn literal_output_exprs(
-    literal: &Term,
+    literal: TermRef<'_>,
     callee: Option<PredId>,
     output_positions: &[usize],
     input_sizes: &BTreeMap<usize, Expr>,
@@ -406,13 +397,13 @@ fn literal_output_exprs(
         return match builtin.id {
             // X is Expr: the output's integer value is the arithmetic
             // expression over the sizes of its variables.
-            Builtin::Is => only(0, translate_arith(&literal.args()[1], var_sizes)),
+            Builtin::Is => only(0, translate_arith(literal.args().at(1), var_sizes)),
             // Unification: the output side gets the size of the input side
             // (under the output side's measure).
             Builtin::Unify => output_positions
                 .iter()
                 .map(|&i| {
-                    let other = &literal.args()[1 - i];
+                    let other = literal.args().at(1 - i);
                     let measure = measure_at(i);
                     if let Some(n) = measure.size(other) {
                         Expr::Num(n as f64)
@@ -469,18 +460,20 @@ fn known_name(symbol: Symbol) -> &'static str {
 }
 
 /// Translates an arithmetic term (`M - 1`, `N1 + N2`, ...) into a size
-/// expression over recorded variable sizes.
-fn translate_arith(term: &Term, var_sizes: &BTreeMap<(VarId, Measure), Expr>) -> Expr {
-    match term {
-        Term::Int(n) => Expr::Num(*n as f64),
-        Term::Float(x) => Expr::Num(x.0),
-        Term::Var(v) => var_sizes
-            .get(&(*v, Measure::IntValue))
+/// expression over recorded variable sizes. It recurses only through the
+/// arithmetic functors it knows, so no deeper than the reader nests a term
+/// ([`granlog_ir::parser::MAX_TERM_DEPTH`]).
+fn translate_arith(term: TermRef<'_>, var_sizes: &BTreeMap<(VarId, Measure), Expr>) -> Expr {
+    match term.view() {
+        View::Int(n) => Expr::Num(n as f64),
+        View::Float(x) => Expr::Num(x),
+        View::Var(v) => var_sizes
+            .get(&(v, Measure::IntValue))
             .cloned()
             .unwrap_or(Expr::Undefined),
-        Term::Struct(f, args) => {
-            let arg = |i: usize| translate_arith(&args[i], var_sizes);
-            match (known_name(*f), args.len()) {
+        View::Struct(f, args) => {
+            let arg = |i: usize| translate_arith(args.at(i), var_sizes);
+            match (known_name(f), args.len()) {
                 ("+", 2) => Expr::add(arg(0), arg(1)),
                 ("-", 2) => Expr::sub(arg(0), arg(1)),
                 ("*", 2) => Expr::mul(arg(0), arg(1)),
@@ -496,7 +489,7 @@ fn translate_arith(term: &Term, var_sizes: &BTreeMap<(VarId, Measure), Expr>) ->
                 _ => Expr::Undefined,
             }
         }
-        Term::Atom(_) => Expr::Undefined,
+        View::Atom(_) => Expr::Undefined,
     }
     .simplify()
 }
@@ -763,10 +756,10 @@ mod tests {
         let t = granlog_ir::parser::parse_term("_X").unwrap();
         let _ = t;
         let (term, _) = granlog_ir::parser::parse_term("3 * 4 + 1").unwrap();
-        assert_eq!(translate_arith(&term, &vs), Expr::Num(13.0));
+        assert_eq!(translate_arith(term.term_ref(), &vs), Expr::Num(13.0));
         // A variable with unknown size is undefined.
         let (term, _) = granlog_ir::parser::parse_term("Y + 1").unwrap();
         // Y gets var id 0 in this standalone term, which maps to "n".
-        assert_eq!(translate_arith(&term, &vs).to_string(), "n + 1");
+        assert_eq!(translate_arith(term.term_ref(), &vs).to_string(), "n + 1");
     }
 }

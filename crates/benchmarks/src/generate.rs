@@ -246,6 +246,7 @@ pub fn attack_cut(n: usize, seed: u64) -> String {
 mod tests {
     use super::*;
     use granlog_ir::parser::parse_term;
+    use granlog_ir::AsTerm;
 
     #[test]
     fn generators_are_deterministic() {

@@ -17,7 +17,8 @@
 use crate::error::DatalogError;
 use granlog_ir::pretty::TermWithNames;
 use granlog_ir::symbol::well_known;
-use granlog_ir::{builtins, Clause, FastMap, PredId, Program, Symbol, Term};
+use granlog_ir::term::Args;
+use granlog_ir::{builtins, AsTerm, Clause, FastMap, PredId, Program, Symbol, Term, TermRef, View};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -27,7 +28,9 @@ pub(crate) type ConstId = u32;
 /// Interning table for ground terms.
 ///
 /// Tuples in the evaluator are fixed-width [`ConstId`] rows; equality and
-/// hashing are word comparisons, never term walks. Atoms are already interned
+/// hashing are word comparisons, never term walks. A term is looked up by
+/// its cells, so a constant that is a subterm of a clause is never copied to
+/// be found. Atoms are already interned
 /// [`Symbol`]s, so for the common atom-constant case this adds one
 /// indirection over the global symbol table rather than a second string
 /// table.
@@ -39,20 +42,20 @@ pub(crate) struct ConstTable {
 
 impl ConstTable {
     /// Interns a ground term, returning its id.
-    pub(crate) fn intern(&mut self, t: &Term) -> ConstId {
-        if let Some(&id) = self.ids.get(t) {
+    pub(crate) fn intern(&mut self, t: TermRef<'_>) -> ConstId {
+        if let Some(id) = self.lookup(t) {
             return id;
         }
         let id = self.terms.len() as ConstId;
-        self.terms.push(t.clone());
-        self.ids.insert(t.clone(), id);
+        self.terms.push(t.to_term());
+        self.ids.insert(t.to_term(), id);
         id
     }
 
     /// Looks a ground term up without interning (query-side: an unknown
     /// constant cannot match any existing tuple).
-    pub(crate) fn lookup(&self, t: &Term) -> Option<ConstId> {
-        self.ids.get(t).copied()
+    pub(crate) fn lookup(&self, t: TermRef<'_>) -> Option<ConstId> {
+        self.ids.get(t.cells()).copied()
     }
 
     /// The term behind an id.
@@ -97,7 +100,7 @@ pub(crate) enum ConstResolver<'a> {
 }
 
 impl ConstResolver<'_> {
-    fn resolve(&mut self, t: &Term) -> Option<ConstId> {
+    fn resolve(&mut self, t: TermRef<'_>) -> Option<ConstId> {
         match self {
             ConstResolver::Intern(table) => Some(table.intern(t)),
             ConstResolver::Lookup(table) => table.lookup(t),
@@ -164,15 +167,15 @@ impl<'a> LowerCtx<'a> {
 
     fn lower_args(
         &mut self,
-        args: &[Term],
+        args: Args<'_>,
         consts: &mut ConstResolver<'_>,
     ) -> Result<(Vec<ArgPat>, bool), DatalogError> {
         let mut out = Vec::with_capacity(args.len());
         let mut impossible = false;
         for arg in args {
-            match arg {
-                Term::Var(v) => out.push(ArgPat::Var(self.slot(*v))),
-                t if t.is_ground() => match consts.resolve(t) {
+            match arg.view() {
+                View::Var(v) => out.push(ArgPat::Var(self.slot(v))),
+                _ if arg.is_ground() => match consts.resolve(arg) {
                     Some(id) => out.push(ArgPat::Const(id)),
                     None => {
                         // Unknown constant (query side): keep the shape but
@@ -182,10 +185,10 @@ impl<'a> LowerCtx<'a> {
                         impossible = true;
                     }
                 },
-                t => {
+                _ => {
                     return Err(self.not_datalog(format!(
                         "non-ground compound argument `{}`",
-                        TermWithNames::new(t, self.var_names)
+                        TermWithNames::new(arg, self.var_names)
                     )))
                 }
             }
@@ -195,7 +198,7 @@ impl<'a> LowerCtx<'a> {
 
     fn lower_literal(
         &mut self,
-        goal: &Term,
+        goal: TermRef<'_>,
         negated: bool,
         consts: &mut ConstResolver<'_>,
         out: &mut Vec<LoweredLiteral>,
@@ -239,40 +242,42 @@ impl<'a> LowerCtx<'a> {
     /// outside the subset.
     pub(crate) fn lower_body(
         &mut self,
-        body: &Term,
+        body: TermRef<'_>,
         consts: &mut ConstResolver<'_>,
         out: &mut Vec<LoweredLiteral>,
     ) -> Result<(), DatalogError> {
         let wk = well_known::get();
-        match body {
-            Term::Atom(s) if *s == wk.true_ => Ok(()),
-            Term::Atom(s) if *s == wk.cut => Err(self.not_datalog("cut `!`")),
-            Term::Struct(s, args) if args.len() == 2 && (*s == wk.comma || *s == wk.par_and) => {
-                self.lower_body(&args[0], consts, out)?;
-                self.lower_body(&args[1], consts, out)
-            }
-            Term::Struct(s, args) if args.len() == 2 && *s == wk.semicolon => {
-                if matches!(&args[0], Term::Struct(a, ite) if *a == wk.arrow && ite.len() == 2) {
-                    Err(self.not_datalog("if-then-else `->;`"))
-                } else {
-                    Err(self.not_datalog("disjunction `;`"))
+        // The conjuncts still to lower, leftmost last.
+        let mut todo = vec![body];
+        while let Some(goal) = todo.pop() {
+            let args = goal.args();
+            match goal.functor() {
+                Some((s, 0)) if s == wk.true_ => {}
+                Some((s, 0)) if s == wk.cut => return Err(self.not_datalog("cut `!`")),
+                Some((s, 2)) if s == wk.comma || s == wk.par_and => {
+                    todo.extend([args.at(1), args.at(0)]);
                 }
-            }
-            Term::Struct(s, args) if args.len() == 2 && *s == wk.arrow => {
-                Err(self.not_datalog("if-then `->`"))
-            }
-            Term::Struct(s, args) if args.len() == 1 && *s == wk.not => {
-                let inner = &args[0];
-                if matches!(inner, Term::Struct(f, a) if a.len() == 2
-                    && (*f == wk.comma || *f == wk.par_and || *f == wk.semicolon || *f == wk.arrow))
-                    || matches!(inner, Term::Struct(f, a) if a.len() == 1 && *f == wk.not)
-                {
-                    return Err(self.not_datalog("non-literal under `\\+`"));
+                Some((s, 2)) if s == wk.semicolon => {
+                    return Err(self.not_datalog(match args.at(0).functor() {
+                        Some((a, 2)) if a == wk.arrow => "if-then-else `->;`",
+                        _ => "disjunction `;`",
+                    }));
                 }
-                self.lower_literal(inner, true, consts, out)
+                Some((s, 2)) if s == wk.arrow => return Err(self.not_datalog("if-then `->`")),
+                Some((s, 1)) if s == wk.not => {
+                    let inner = args.at(0);
+                    if matches!(inner.functor(), Some((f, 2))
+                        if f == wk.comma || f == wk.par_and || f == wk.semicolon || f == wk.arrow)
+                        || inner.functor() == Some((wk.not, 1))
+                    {
+                        return Err(self.not_datalog("non-literal under `\\+`"));
+                    }
+                    self.lower_literal(inner, true, consts, out)?;
+                }
+                _ => self.lower_literal(goal, false, consts, out)?,
             }
-            goal => self.lower_literal(goal, false, consts, out),
         }
+        Ok(())
     }
 
     /// The source name of a slot.
@@ -296,7 +301,7 @@ fn lower_clause(
     let mut resolver = ConstResolver::Intern(consts);
     let (head_args, _) = ctx.lower_args(clause.head.args(), &mut resolver)?;
     let mut body = Vec::new();
-    ctx.lower_body(&clause.body, &mut resolver, &mut body)?;
+    ctx.lower_body(clause.body.term_ref(), &mut resolver, &mut body)?;
     let body: Vec<Literal> = body.into_iter().map(|l| l.lit).collect();
 
     // Range restriction: every head variable and every variable of a negated

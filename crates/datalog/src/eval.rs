@@ -34,7 +34,7 @@ use crate::compile::{
     Literal, LowerCtx, PlannedLiteral, Range,
 };
 use crate::error::DatalogError;
-use granlog_ir::{FastHasher, FastMap, PredId, Symbol, Term};
+use granlog_ir::{AsTerm, FastHasher, FastMap, PredId, Symbol, Term};
 use std::collections::BTreeSet;
 use std::hash::Hasher;
 
@@ -570,7 +570,7 @@ impl Database {
         let mut ctx = LowerCtx::new(&shown, var_names);
         let mut resolver = ConstResolver::Lookup(&self.consts);
         let mut lowered = Vec::new();
-        ctx.lower_body(goal, &mut resolver, &mut lowered)?;
+        ctx.lower_body(goal.term_ref(), &mut resolver, &mut lowered)?;
 
         // The answer columns: every goal variable, first-occurrence order.
         let vars: Vec<Symbol> = ctx.slot_names.clone();

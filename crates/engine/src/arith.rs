@@ -719,7 +719,7 @@ mod tests {
         let (t, _) = parse_term(src).unwrap();
         // No variables are bound in these tests: the term is loaded into the
         // arena and evaluated in place.
-        let idx = machine.write_term(&t);
+        let idx = crate::machine::tests::write_term(&mut machine, &t);
         eval(&mut machine, idx)
     }
 

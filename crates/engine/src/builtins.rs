@@ -466,7 +466,7 @@ fn bounded_depth(machine: &Machine, idx: usize, limit: u64) -> u64 {
 mod tests {
     use crate::machine::{Machine, QueryOutcome};
     use granlog_ir::parser::parse_program;
-    use granlog_ir::Term;
+    use granlog_ir::{AsTerm, Term};
 
     fn run(query: &str) -> QueryOutcome {
         run2("dummy.", query)

@@ -31,9 +31,9 @@
 //! * **One way into the arena, one way out, and no recursion between**:
 //!   every term of program or query text — a head structure, a call's
 //!   arguments, a query goal — enters the arena as one relocating copy of
-//!   its compile-time `Layout`; a term leaves it — answer, error message,
-//!   stolen arm — by one iterative copy, or as a typed
-//!   [`EngineError::TermLimit`] when it is cyclic or too large. Head
+//!   its compile-time `Layout`; a term leaves it by one iterative copy — an
+//!   answer or error message as a [`Term`]'s preorder cells, a stolen arm's
+//!   answer as a packet — or as a typed [`EngineError::TermLimit`]. Head
 //!   unification walks the head's cells with one cursor and a stack of goal
 //!   blocks; unification, comparison and `ground/1` pop cell pairs off one
 //!   stack. No walk in the machine spends a native frame per level of a
@@ -68,10 +68,10 @@ use crate::heap::{self, HCell};
 use crate::image::{CallTarget, Image};
 use crate::par::{ArmAnswer, Offer, Packet, ParHook};
 use crate::tasktree::{TaskId, TaskRecorder, TaskTree};
-use crate::template::{Cell, ClauseTemplate, Layout, Seq, Step};
+use crate::template::{BuiltinStep, Cell, ClauseTemplate, Layout, Seq, Step};
 use granlog_ir::symbol::well_known::{self, WellKnownSymbols};
+use granlog_ir::term::{self, OrderedF64};
 use granlog_ir::{parser, ClauseId, FastMap, IndexKey, PredId, Program, Symbol, Term};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -681,7 +681,6 @@ impl Machine {
             Ok(Some(ArmAnswer {
                 packet: machine.pack_lone((0..arm.nvars).map(HCell::Ref))?,
                 counters: machine.counters,
-                work: machine.counters.work(),
             }))
         })
     }
@@ -752,8 +751,12 @@ impl Machine {
     fn outcome(&mut self, succeeded: bool, var_names: &[Symbol]) -> EngineResult<QueryOutcome> {
         self.note_heap_high_water();
         let bindings = if succeeded {
-            let values = self.extract((0..var_names.len()).map(HCell::unbound))?;
-            var_names.iter().copied().zip(values).collect()
+            let binding = |(var, &name)| Ok((name, self.extract_cell(HCell::unbound(var))?));
+            var_names
+                .iter()
+                .enumerate()
+                .map(binding)
+                .collect::<EngineResult<_>>()?
         } else {
             Vec::new()
         };
@@ -762,7 +765,7 @@ impl Machine {
             bindings,
             counters: self.counters,
             work: self.counters.work(),
-            task_tree: std::mem::take(&mut self.recorder).into_tree(),
+            task_tree: std::mem::take(&mut self.recorder).into_tree(&self.counters),
         })
     }
 
@@ -956,8 +959,7 @@ impl Machine {
         Ok(self.pack_parents.len() as u32 - first_var)
     }
 
-    /// Packs `roots` over a fresh variable numbering: a thief's answer, or
-    /// terms on their way out of the arena.
+    /// Packs `roots` over a fresh variable numbering: a thief's answer.
     fn pack_lone(&mut self, roots: impl IntoIterator<Item = HCell>) -> EngineResult<Packet> {
         self.pack_vars.clear();
         self.pack_parents.clear();
@@ -969,47 +971,53 @@ impl Machine {
         })
     }
 
-    /// Copies the terms at `roots` out of the arena as [`Term`]s — the one
-    /// exit, for answers and error messages alike. The roots are packed as
-    /// a stolen arm's answer is, and the packet is read back to front. An
-    /// argument block sits after the cell pointing to it and blocks follow
-    /// their parents' order, so a struct's arguments are always the
-    /// highest-placed terms built but not yet claimed: nothing recurses.
-    /// Unbound cells become `Term::Var` of their arena index.
-    pub(crate) fn extract(
-        &mut self,
-        roots: impl IntoIterator<Item = HCell>,
-    ) -> EngineResult<Vec<Term>> {
-        let packet = self.pack_lone(roots)?;
-        // Built terms whose parent is not built yet, highest-placed first.
-        let mut built = VecDeque::new();
-        for &cell in packet.cells.iter().rev() {
-            let term = match cell {
-                HCell::Ref(var) => Term::Var(self.pack_parents[var as usize] as usize),
-                HCell::Atom(s) => Term::Atom(s),
-                HCell::Int(i) => Term::Int(i),
-                HCell::Float(x) => Term::float(x),
-                HCell::Struct(name, arity, _) => {
-                    let mut args: Vec<Term> = (0..arity)
-                        .map(|_| built.pop_front().expect("built"))
-                        .collect();
-                    args.reverse();
-                    Term::Struct(name, args)
+    /// Copies the term at `root` out of the arena as a [`Term`] — the one
+    /// exit, for answers and error messages alike — by one preorder walk
+    /// that writes the term's cells as it goes, with a stack of the
+    /// compounds whose arguments are still being copied. No acyclic path
+    /// meets an arena cell twice, so a path of more compounds than the arena
+    /// has cells is a cycle; a copy stops there, and past
+    /// [`MAX_WALK_CELLS`] cells. Unbound cells become variables numbered by
+    /// their arena index.
+    pub(crate) fn extract_cell(&self, root: HCell) -> EngineResult<Term> {
+        let mut cells = Vec::new();
+        // Compounds being copied, innermost last: where the compound's cell
+        // is, the arena index of its next argument and the arguments to go.
+        let mut open: Vec<(usize, usize, u32)> = Vec::new();
+        let mut next = root;
+        loop {
+            cells.push(match self.deref_cell(next) {
+                HCell::Ref(var) => term::Cell::Var(var as usize),
+                HCell::Atom(s) => term::Cell::Atom(s),
+                HCell::Int(i) => term::Cell::Int(i),
+                HCell::Float(x) => term::Cell::Float(OrderedF64(x)),
+                HCell::Struct(name, arity, base) => {
+                    if open.len() > self.heap.len() {
+                        return Err(EngineError::TermLimit(TermLimit::Cyclic));
+                    }
+                    open.push((cells.len(), base as usize, arity));
+                    term::Cell::Struct(name, arity, 0)
                 }
+            });
+            if cells.len() > MAX_WALK_CELLS {
+                return Err(EngineError::TermLimit(TermLimit::Copy));
+            }
+            // The next argument of the innermost compound with one to go;
+            // a compound whose arguments are all in learns its size.
+            next = loop {
+                let Some((at, arg, left)) = open.last_mut() else {
+                    return Ok(Term::from_cells(cells));
+                };
+                if *left > 0 {
+                    (*arg, *left) = (*arg + 1, *left - 1);
+                    break self.heap[*arg - 1];
+                }
+                if let term::Cell::Struct(name, arity, _) = cells[*at] {
+                    cells[*at] = term::Cell::Struct(name, arity, (cells.len() - *at - 1) as u32);
+                }
+                open.pop();
             };
-            built.push_back(term);
         }
-        // Kept for the next pack unless it outgrew the arena, as an answer
-        // that shares subterms heavily can.
-        if packet.cells.capacity() <= self.heap.capacity() {
-            self.packet_pool.push(packet.cells);
-        }
-        Ok(built.into_iter().rev().collect())
-    }
-
-    /// [`Machine::extract`] for one cell.
-    pub(crate) fn extract_cell(&mut self, cell: HCell) -> EngineResult<Term> {
-        Ok(self.extract(std::iter::once(cell))?.remove(0))
     }
 
     /// Keeps the buffer of a packet that has served its purpose — an arm
@@ -1081,20 +1089,6 @@ impl Machine {
             acc = HCell::Struct(wk.cons, 2, base as u32);
         }
         acc
-    }
-
-    /// Loads a term into the arena (reserving slots for its variables) and
-    /// returns a heap index for it. Test-only plumbing for unit tests that
-    /// want to evaluate or inspect a term outside a query.
-    #[cfg(test)]
-    pub(crate) fn write_term(&mut self, term: &Term) -> usize {
-        let mut layout = Layout::default();
-        let root = layout.add(term);
-        let var_base = self.fresh_vars(layout.vars());
-        let cell = self.write(&layout, root, var_base);
-        let idx = self.heap.len();
-        self.heap.push(cell);
-        idx
     }
 
     fn note_heap_high_water(&mut self) {
@@ -1371,7 +1365,6 @@ impl Machine {
     pub(crate) fn charge_grain_test(&mut self, elements: u64) {
         self.counters.grain_tests += 1;
         self.counters.grain_test_elements += elements;
-        self.recorder.record_work(1.0 + elements as f64);
     }
 
     /// One head attempt, the step a [`Budget`] counts: the one past the
@@ -1389,7 +1382,6 @@ impl Machine {
 
     fn charge_resolution(&mut self) {
         self.counters.resolutions += 1;
-        self.recorder.record_work(1.0);
     }
 
     // ------------------------------------------------------------------
@@ -1676,8 +1668,9 @@ impl Machine {
                 let state = *state;
                 let cp_base = self.barriers[top].cp_base;
                 self.commit_choice_points(cp_base);
-                self.recorder.pop();
-                self.recorder.push(state.first_task + arm as usize);
+                self.recorder.pop(&self.counters);
+                self.recorder
+                    .push(state.first_task + arm as usize, &self.counters);
                 self.push_arm(image, state.arms, arm)?;
                 return Ok(true);
             }
@@ -1702,7 +1695,7 @@ impl Machine {
                 // The last local arm succeeded: the conjunction succeeds if
                 // the arms that ran elsewhere did.
                 self.commit_choice_points(barrier.cp_base);
-                self.recorder.pop();
+                self.recorder.pop(&self.counters);
                 if let ArmSource::Scratch { base } = state.arms {
                     self.arm_scratch.truncate(base as usize);
                 }
@@ -1741,10 +1734,9 @@ impl Machine {
                 ok = false;
                 break;
             };
-            self.recorder.push(state.first_task + arm);
-            self.recorder.record_work(answer.work);
-            self.recorder.pop();
+            self.recorder.push(state.first_task + arm, &self.counters);
             self.counters = self.counters.add(&answer.counters);
+            self.recorder.pop(&self.counters);
             let root = self.unpack(&answer.packet);
             self.packet_pool.push(answer.packet.cells);
             for var in 0..offer.arm().nvars as usize {
@@ -1818,7 +1810,7 @@ impl Machine {
                     // Independent and-parallelism: one failed arm fails the
                     // whole conjunction (no backtracking across arms), so
                     // the arms still on offer are withdrawn.
-                    self.recorder.pop();
+                    self.recorder.pop(&self.counters);
                     if let ArmSource::Scratch { base } = state.arms {
                         self.arm_scratch.truncate(base as usize);
                     }
@@ -1872,7 +1864,7 @@ impl Machine {
                 self.collect_arms(cell);
                 let offers = hook.map_or(NOT_OFFERED, |h| self.try_offer(h, base));
                 let count = self.arm_scratch.len() - base;
-                let children = self.recorder.record_fork(count);
+                let children = self.recorder.record_fork(count, &self.counters);
                 self.push_barrier(BarrierExit::Par(ParState {
                     arms: ArmSource::Scratch { base: base as u32 },
                     count: count as u32,
@@ -1880,7 +1872,7 @@ impl Machine {
                     first_task: children.start,
                     offers,
                 }))?;
-                self.recorder.push(children.start);
+                self.recorder.push(children.start, &self.counters);
                 self.push_goal(Goal::Cell(self.arm_scratch[base]))?;
                 Ok(true)
             }
@@ -1994,7 +1986,7 @@ impl Machine {
                 self.profile_body_cells(clause, heap_before);
                 self.call_user(image, pred, goal)
             }
-            builtin @ (Step::Builtin { .. } | Step::Is { .. } | Step::NumCompare { .. }) => {
+            Step::Builtin(builtin) => {
                 let ok = self.exec_builtin_step(templ, builtin, var_base as usize)?;
                 self.profile_body_cells(clause, heap_before);
                 Ok(ok)
@@ -2076,7 +2068,7 @@ impl Machine {
                     self.arm_scratch.truncate(base);
                     self.heap.truncate(heap_mark);
                 }
-                let children = self.recorder.record_fork(arms_len as usize);
+                let children = self.recorder.record_fork(arms_len as usize, &self.counters);
                 let arms = ArmSource::Compiled {
                     clause,
                     arms_at,
@@ -2090,7 +2082,7 @@ impl Machine {
                     first_task: children.start,
                     offers,
                 }))?;
-                self.recorder.push(children.start);
+                self.recorder.push(children.start, &self.counters);
                 self.push_arm(image, arms, 0)?;
                 Ok(true)
             }
@@ -2326,8 +2318,10 @@ impl Machine {
     /// through the solve loop.
     fn run_eager_prefix(&mut self, templ: &ClauseTemplate, var_base: usize) -> EngineResult<bool> {
         for &step in &templ.steps()[templ.eager_seq().range()] {
-            if !self.exec_builtin_step(templ, step, var_base)? {
-                return Ok(false);
+            if let Step::Builtin(step) = step {
+                if !self.exec_builtin_step(templ, step, var_base)? {
+                    return Ok(false);
+                }
             }
         }
         Ok(true)
@@ -2340,29 +2334,28 @@ impl Machine {
     fn exec_builtin_step(
         &mut self,
         templ: &ClauseTemplate,
-        step: Step,
+        step: BuiltinStep,
         var_base: usize,
     ) -> EngineResult<bool> {
         match step {
-            Step::NumCompare { op, lhs, rhs } => {
+            BuiltinStep::NumCompare { op, lhs, rhs } => {
                 self.charge_builtin();
                 let code = templ.code();
                 let a = arith::run(&self.heap, &mut self.arith, &code[lhs.range()], var_base)?;
                 let b = arith::run(&self.heap, &mut self.arith, &code[rhs.range()], var_base)?;
                 Ok(op.holds(a.compare(b)))
             }
-            Step::Is { lhs, rhs } => {
+            BuiltinStep::Is { lhs, rhs } => {
                 self.charge_builtin();
                 let code = &templ.code()[rhs.range()];
                 let value = arith::run(&self.heap, &mut self.arith, code, var_base)?;
                 let mut pos = lhs as usize;
                 Ok(self.unify_value_template(value.to_cell(), templ.cells(), &mut pos, var_base)?)
             }
-            Step::Builtin { builtin, goal } => {
+            BuiltinStep::Dispatch { builtin, goal } => {
                 let goal = self.write(templ.layout(), goal as usize, var_base);
                 builtins::dispatch(self, builtin, goal)
             }
-            other => unreachable!("{other:?} is not a builtin step"),
         }
     }
 
@@ -2387,9 +2380,22 @@ impl Machine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Loads a term into the arena (reserving slots for its variables) and
+    /// returns a heap index for it: for unit tests that want to evaluate or
+    /// inspect a term outside a query.
+    pub(crate) fn write_term(machine: &mut Machine, term: &Term) -> usize {
+        let mut layout = Layout::default();
+        let root = layout.add(term);
+        let var_base = machine.fresh_vars(layout.vars());
+        let cell = machine.write(&layout, root, var_base);
+        machine.heap.push(cell);
+        machine.heap.len() - 1
+    }
     use granlog_ir::parser::parse_program;
+    use granlog_ir::AsTerm;
 
     fn run(program_src: &str, query: &str) -> QueryOutcome {
         let program = parse_program(program_src).unwrap();
@@ -2747,7 +2753,7 @@ mod tests {
         // The chain Z -> Y and the bound W make the packer dereference on
         // its way; variables sit at the bottom of the fresh arena.
         let (term, _) = parser::parse_term("t(f(X, g(Y, Z, 1.5)), h(W, V), k(X))").unwrap();
-        let at = m.write_term(&term);
+        let at = write_term(&mut m, &term);
         let HCell::Struct(_, 3, arms) = m.heap[at] else {
             panic!("t/3")
         };

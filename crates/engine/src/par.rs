@@ -98,11 +98,9 @@ pub struct ArmAnswer {
     /// sharing.
     pub packet: Packet,
     /// The operation counters of the arm's execution, merged into the
-    /// forking machine's counters at the join.
+    /// forking machine's counters at the join: what they add is the forked
+    /// child task's work in the forking machine's task tree.
     pub counters: Counters,
-    /// The arm's work in cost-model units, recorded as the forked child
-    /// task's work in the forking machine's task tree.
-    pub work: f64,
 }
 
 /// What running an arm elsewhere produced: its answer, `None` if the arm

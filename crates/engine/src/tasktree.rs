@@ -9,6 +9,7 @@
 //! overhead model, which is how the paper's Tables 1–2 and Figure 2 are
 //! reproduced without the original Sequent Symmetry hardware.
 
+use crate::cost::Counters;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a task within a [`TaskTree`].
@@ -281,15 +282,17 @@ impl TaskTree {
 
 /// Records the task structure during execution: a stack of "current" tasks.
 ///
-/// Work is accumulated in a scalar and only flushed into the tree at task
-/// boundaries (forks, arm entry/exit, finish), so the per-operation cost of
-/// work recording on the engine's hot path is a single float add.
+/// The work ledger is the machine's [`Counters`]: the recorder keeps the
+/// counters as they were at the current task's last boundary (fork, arm
+/// entry or exit), and at the next one writes what they grew by since —
+/// `now.since(mark).work()` — into the tree. So nothing is recorded per
+/// resolution or grain test.
 #[derive(Debug, Clone)]
 pub struct TaskRecorder {
     tree: TaskTree,
     stack: Vec<TaskId>,
-    /// Work recorded for the current task but not yet written to the tree.
-    pending: f64,
+    /// The counters at the current task's last boundary.
+    mark: Counters,
 }
 
 impl Default for TaskRecorder {
@@ -299,41 +302,36 @@ impl Default for TaskRecorder {
         TaskRecorder {
             tree,
             stack: vec![root],
-            pending: 0.0,
+            mark: Counters::default(),
         }
     }
 }
 
 impl TaskRecorder {
-    /// Creates a recorder with an empty root task.
+    /// Creates a recorder with an empty root task, its counters at zero.
     pub fn new() -> Self {
         TaskRecorder::default()
     }
 
     /// The task currently accumulating work.
-    pub fn current(&self) -> TaskId {
+    fn current(&self) -> TaskId {
         *self.stack.last().expect("the root task is never popped")
     }
 
-    fn flush(&mut self) {
-        if self.pending > 0.0 {
-            let id = self.current();
-            let work = std::mem::take(&mut self.pending);
-            self.tree.add_work(id, work);
-        }
-    }
-
-    /// Adds sequential work to the current task.
-    pub fn record_work(&mut self, work: f64) {
-        self.pending += work;
+    /// Writes the work done since the last boundary, the counters being
+    /// `now`, into the current task.
+    fn flush(&mut self, now: &Counters) {
+        let id = self.current();
+        self.tree.add_work(id, now.since(&self.mark).work());
+        self.mark = *now;
     }
 
     /// Records a fork of `n` children in the current task and returns their
     /// ids (in order). Child ids are consecutive, so both the returned range
     /// and the stored [`ForkSpan`] carry them without allocating: the whole
     /// fork record is batched into one segment push.
-    pub fn record_fork(&mut self, n: usize) -> std::ops::Range<TaskId> {
-        self.flush();
+    pub fn record_fork(&mut self, n: usize, now: &Counters) -> std::ops::Range<TaskId> {
+        self.flush(now);
         let children = self.tree.add_tasks(n);
         let id = self.current();
         self.tree.add_fork(
@@ -347,8 +345,8 @@ impl TaskRecorder {
     }
 
     /// Makes `task` the current task (entering a forked arm).
-    pub fn push(&mut self, task: TaskId) {
-        self.flush();
+    pub fn push(&mut self, task: TaskId, now: &Counters) {
+        self.flush(now);
         self.stack.push(task);
     }
 
@@ -357,22 +355,16 @@ impl TaskRecorder {
     /// # Panics
     ///
     /// Panics if called more often than [`TaskRecorder::push`].
-    pub fn pop(&mut self) {
+    pub fn pop(&mut self, now: &Counters) {
         assert!(self.stack.len() > 1, "cannot pop the root task");
-        self.flush();
+        self.flush(now);
         self.stack.pop();
     }
 
     /// Finishes recording and returns the tree.
-    pub fn into_tree(mut self) -> TaskTree {
-        self.flush();
+    pub fn into_tree(mut self, now: &Counters) -> TaskTree {
+        self.flush(now);
         self.tree
-    }
-
-    /// The tree recorded so far (pending work not yet flushed is invisible —
-    /// call sites that need exact totals should use [`Self::into_tree`]).
-    pub fn tree(&self) -> &TaskTree {
-        &self.tree
     }
 }
 
@@ -380,20 +372,24 @@ impl TaskRecorder {
 mod tests {
     use super::*;
 
+    /// The counters after `work` resolutions.
+    fn at(work: u64) -> Counters {
+        Counters {
+            resolutions: work,
+            ..Counters::default()
+        }
+    }
+
     /// Builds the tree for: root does 10 units, forks two children doing 30
     /// and 50 units, then does 5 more units.
     fn sample() -> TaskTree {
         let mut r = TaskRecorder::new();
-        r.record_work(10.0);
-        let kids: Vec<TaskId> = r.record_fork(2).collect();
-        r.push(kids[0]);
-        r.record_work(30.0);
-        r.pop();
-        r.push(kids[1]);
-        r.record_work(50.0);
-        r.pop();
-        r.record_work(5.0);
-        r.into_tree()
+        let kids: Vec<TaskId> = r.record_fork(2, &at(10)).collect();
+        r.push(kids[0], &at(10));
+        r.pop(&at(40));
+        r.push(kids[1], &at(40));
+        r.pop(&at(90));
+        r.into_tree(&at(95))
     }
 
     #[test]
@@ -419,41 +415,40 @@ mod tests {
 
     #[test]
     fn work_segments_merge() {
+        // What the root does between its arms and after them is one segment.
         let mut r = TaskRecorder::new();
-        r.record_work(1.0);
-        r.record_work(2.0);
-        let t = r.into_tree();
-        assert_eq!(t.task(0).segments.len(), 1);
-        assert_eq!(t.task(0).local_work(), 3.0);
+        let kids: Vec<TaskId> = r.record_fork(2, &at(1)).collect();
+        r.push(kids[0], &at(1));
+        r.pop(&at(2));
+        r.push(kids[1], &at(3));
+        r.pop(&at(4));
+        let t = r.into_tree(&at(6));
+        assert_eq!(t.task(0).segments.len(), 3);
+        assert_eq!(t.task(0).segments[2], Segment::Work(3.0));
+        assert_eq!(t.total_work(), 6.0);
     }
 
     #[test]
     fn zero_work_is_ignored() {
-        let mut r = TaskRecorder::new();
-        r.record_work(0.0);
-        let t = r.into_tree();
+        let r = TaskRecorder::new();
+        let t = r.into_tree(&at(0));
         assert!(t.task(0).segments.is_empty());
     }
 
     #[test]
     fn nested_forks() {
         let mut r = TaskRecorder::new();
-        r.record_work(1.0);
-        let outer: Vec<TaskId> = r.record_fork(2).collect();
-        r.push(outer[0]);
-        r.record_work(2.0);
-        let inner: Vec<TaskId> = r.record_fork(2).collect();
-        r.push(inner[0]);
-        r.record_work(4.0);
-        r.pop();
-        r.push(inner[1]);
-        r.record_work(8.0);
-        r.pop();
-        r.pop();
-        r.push(outer[1]);
-        r.record_work(16.0);
-        r.pop();
-        let t = r.into_tree();
+        let outer: Vec<TaskId> = r.record_fork(2, &at(1)).collect();
+        r.push(outer[0], &at(1));
+        let inner: Vec<TaskId> = r.record_fork(2, &at(3)).collect();
+        r.push(inner[0], &at(3));
+        r.pop(&at(7));
+        r.push(inner[1], &at(7));
+        r.pop(&at(15));
+        r.pop(&at(15));
+        r.push(outer[1], &at(15));
+        r.pop(&at(31));
+        let t = r.into_tree(&at(31));
         assert_eq!(t.len(), 5);
         assert_eq!(t.total_work(), 31.0);
         // Critical path: 1 + max(2 + max(4, 8), 16) = 1 + 16 = 17.
@@ -465,7 +460,7 @@ mod tests {
     #[should_panic(expected = "cannot pop the root task")]
     fn popping_root_panics() {
         let mut r = TaskRecorder::new();
-        r.pop();
+        r.pop(&at(0));
     }
 
     #[test]

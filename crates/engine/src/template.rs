@@ -34,7 +34,7 @@
 //!   never re-inspects its functor. Every other goal is classified once,
 //!   here, wherever in the body it stands — top level, condition, branch,
 //!   negation, disjunction or `&` arm: `is/2` and the arithmetic
-//!   comparisons become [`Step::Is`] / [`Step::NumCompare`], any other
+//!   comparisons become [`BuiltinStep::Is`] / [`BuiltinStep::NumCompare`], any other
 //!   builtin [`Step::Builtin`], a call to a predicate of the program
 //!   [`Step::Call`]. `true` bodies (facts) are recognised up front and
 //!   compile to nothing.
@@ -68,7 +68,8 @@ use crate::arith::{self, Instr};
 use crate::heap::HCell;
 use granlog_ir::builtins::{self, Builtin, CmpOp};
 use granlog_ir::symbol::well_known;
-use granlog_ir::{Clause, FastMap, Program, Symbol, Term};
+use granlog_ir::term::{self, AsTerm};
+use granlog_ir::{Clause, FastMap, Program, Symbol};
 use std::ops::Range;
 
 /// One node of a flattened term, in preorder. A [`Cell::Struct`] with arity
@@ -169,57 +170,48 @@ pub(crate) struct Layout {
 
 impl Layout {
     /// Appends `term` and returns the position of its root cell. One pass
-    /// with an explicit stack: nothing here recurses on the term's depth.
-    pub(crate) fn add(&mut self, term: &Term) -> usize {
+    /// over the term's cells, which are already in preorder, with an
+    /// explicit stack: nothing here recurses on the term's depth.
+    pub(crate) fn add<'t>(&mut self, term: impl AsTerm<'t>) -> usize {
         let root = self.cells.len();
         // Compounds whose arguments are still being added, innermost last:
         // the arguments to go, the image slot of the next one and the
         // compound's span.
-        let mut open: Vec<(std::slice::Iter<'_, Term>, usize, usize)> = Vec::new();
-        let mut term = term;
-        loop {
-            let mut opened = None;
-            let (cell, image) = match term {
-                Term::Var(v) => {
-                    let v = *v as u32;
+        let mut open: Vec<(u32, usize, usize)> = Vec::new();
+        for &cell in term.cells() {
+            let (block, span) = (self.images.len(), self.spans.len());
+            let (cell, image) = match cell {
+                term::Cell::Var(v) => {
+                    let v = v as u32;
                     self.vars = self.vars.max(v + 1);
                     (Cell::Var(v), HCell::Ref(v))
                 }
-                Term::Atom(s) => (Cell::Atom(*s), HCell::Atom(*s)),
-                Term::Int(i) => (Cell::Int(*i), HCell::Int(*i)),
-                Term::Float(x) => (Cell::Float(x.0), HCell::Float(x.0)),
-                Term::Struct(name, args) => {
-                    let (block, span) = (self.images.len(), self.spans.len());
-                    self.images.resize(block + args.len(), HCell::Int(0));
+                term::Cell::Atom(s) => (Cell::Atom(s), HCell::Atom(s)),
+                term::Cell::Int(i) => (Cell::Int(i), HCell::Int(i)),
+                term::Cell::Float(x) => (Cell::Float(x.0), HCell::Float(x.0)),
+                term::Cell::Struct(name, arity, _) => {
+                    self.images.resize(block + arity as usize, HCell::Int(0));
                     self.spans.push(Seq::since(block, block));
-                    opened = Some((args.iter(), block, span));
-                    let arity = args.len() as u32;
-                    (
-                        Cell::Struct(*name, arity, span as u32),
-                        HCell::Struct(*name, arity, block as u32),
-                    )
+                    let compound = Cell::Struct(name, arity, span as u32);
+                    (compound, HCell::Struct(name, arity, block as u32))
                 }
             };
             self.cells.push(cell);
-            if let Some((_, slot, _)) = open.last_mut() {
+            if let Some((left, slot, _)) = open.last_mut() {
                 self.images[*slot] = image;
-                *slot += 1;
+                (*left, *slot) = (*left - 1, *slot + 1);
             }
-            open.extend(opened);
-            // The next argument of the innermost open compound; a compound
-            // whose arguments are all in has its span complete.
-            term = loop {
-                let Some((args, _, span)) = open.last_mut() else {
-                    return root;
-                };
-                if let Some(arg) = args.next() {
-                    break arg;
-                }
-                let span = &mut self.spans[*span];
+            if let Cell::Struct(_, arity, _) = cell {
+                open.push((arity, block, span));
+            }
+            // A compound whose arguments are all in has its span complete.
+            while let Some(&(0, _, span)) = open.last() {
+                let span = &mut self.spans[span];
                 span.len = (self.images.len() - span.start as usize) as u32;
                 open.pop();
-            };
+            }
         }
+        root
     }
 
     /// Empties the layout, keeping its buffers.
@@ -280,30 +272,12 @@ pub enum Step {
         /// The goal's cell offset.
         goal: u32,
     },
-    /// A builtin other than the arithmetic ones below.
-    Builtin {
-        /// The builtin to dispatch.
-        builtin: Builtin,
-        /// The goal's cell offset.
-        goal: u32,
-    },
-    /// `Lhs is Rhs`: run the right-hand side's code and unify the result
-    /// with the left-hand subtree.
-    Is {
-        /// Cell offset of the left-hand subtree.
-        lhs: u32,
-        /// The right-hand side's code, a range of the template's code array.
-        rhs: Seq,
-    },
-    /// An arithmetic comparison: run both operands' code and compare.
-    NumCompare {
-        /// The comparison.
-        op: CmpOp,
-        /// The left operand's code.
-        lhs: Seq,
-        /// The right operand's code.
-        rhs: Seq,
-    },
+    /// A deterministic builtin, which needs no goal-stack slot of its own: a
+    /// leading run of these is executed during clause activation (the
+    /// *eager prefix*). Execution order is preserved exactly, so counters
+    /// and bindings are identical to pushing and popping the goals one by
+    /// one.
+    Builtin(BuiltinStep),
     /// `!`: prune choice points down to the activation's cut barrier.
     Cut,
     /// A plain disjunction `(Left ; Right)`.
@@ -345,18 +319,34 @@ pub enum Step {
     },
 }
 
-impl Step {
-    /// Whether the step is a deterministic builtin, which needs no goal-stack
-    /// slot of its own: a leading run of these is executed during clause
-    /// activation (the *eager prefix*). Execution order is preserved
-    /// exactly, so counters and bindings are identical to pushing and
-    /// popping the goals one by one.
-    fn is_builtin(&self) -> bool {
-        matches!(
-            self,
-            Step::Is { .. } | Step::NumCompare { .. } | Step::Builtin { .. }
-        )
-    }
+/// A [`Step::Builtin`]: compiled arithmetic, or any other builtin.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BuiltinStep {
+    /// A builtin other than the arithmetic ones below: write the goal at
+    /// this cell offset and dispatch it.
+    Dispatch {
+        /// The builtin to dispatch.
+        builtin: Builtin,
+        /// The goal's cell offset.
+        goal: u32,
+    },
+    /// `Lhs is Rhs`: run the right-hand side's code and unify the result
+    /// with the left-hand subtree.
+    Is {
+        /// Cell offset of the left-hand subtree.
+        lhs: u32,
+        /// The right-hand side's code, a range of the template's code array.
+        rhs: Seq,
+    },
+    /// An arithmetic comparison: run both operands' code and compare.
+    NumCompare {
+        /// The comparison.
+        op: CmpOp,
+        /// The left operand's code.
+        lhs: Seq,
+        /// The right operand's code.
+        rhs: Seq,
+    },
 }
 
 /// A clause compiled to its arrays (see the module docs): its layout, the
@@ -370,8 +360,8 @@ pub struct ClauseTemplate {
     /// All compiled body steps (the top-level sequence and, after it, the
     /// sequences of nested control arms). Each [`Seq`] indexes into this.
     steps: Vec<Step>,
-    /// The postfix code of every compiled expression; [`Step::Is`] and
-    /// [`Step::NumCompare`] index into this.
+    /// The postfix code of every compiled expression; [`BuiltinStep::Is`] and
+    /// [`BuiltinStep::NumCompare`] index into this.
     code: Vec<Instr>,
     /// Arm sequences of the clause's compiled parallel conjunctions;
     /// [`Step::Par`] indexes into this.
@@ -423,7 +413,7 @@ impl ClauseTemplate {
         let top = compiler.subgoal(body_start);
         let eager = compiler.steps[top.range()]
             .iter()
-            .take_while(|step| step.is_builtin())
+            .take_while(|step| matches!(step, Step::Builtin(_)))
             .count() as u32;
         let Compiler {
             steps,
@@ -479,8 +469,8 @@ impl ClauseTemplate {
         &self.steps
     }
 
-    /// The compiled arithmetic of the clause's [`Step::Is`] and
-    /// [`Step::NumCompare`] steps.
+    /// The compiled arithmetic of the clause's [`BuiltinStep::Is`] and
+    /// [`BuiltinStep::NumCompare`] steps.
     pub(crate) fn code(&self) -> &[Instr] {
         &self.code
     }
@@ -661,22 +651,20 @@ impl Compiler<'_> {
             match builtin {
                 Builtin::Is => {
                     if let Some(rhs) = self.expr(self.layout.end(lhs)) {
-                        return Step::Is {
-                            lhs: lhs as u32,
-                            rhs,
-                        };
+                        let lhs = lhs as u32;
+                        return Step::Builtin(BuiltinStep::Is { lhs, rhs });
                     }
                 }
                 Builtin::NumCompare(op) => {
                     let rhs = self.layout.end(lhs);
                     if let (Some(lhs), Some(rhs)) = (self.expr(lhs), self.expr(rhs)) {
-                        return Step::NumCompare { op, lhs, rhs };
+                        return Step::Builtin(BuiltinStep::NumCompare { op, lhs, rhs });
                     }
                     self.code.truncate(code_mark);
                 }
                 _ => {}
             }
-            return Step::Builtin { builtin, goal };
+            return Step::Builtin(BuiltinStep::Dispatch { builtin, goal });
         }
         match self.preds.get(&key) {
             Some(&pred) => Step::Call { pred, goal },
@@ -716,6 +704,7 @@ mod tests {
     use super::*;
     use crate::machine::Machine;
     use granlog_ir::parser::parse_program;
+    use granlog_ir::Term;
 
     fn clause(src: &str) -> Clause {
         parse_program(src).unwrap().clauses()[0].clone()
@@ -748,7 +737,7 @@ mod tests {
     /// into an arena whose activation variable block starts at `var_base` —
     /// moves `*pos` past it, as head unification does after a write, and
     /// resolves it back to a source term, so clause variable `v` reads
-    /// `Term::Var(var_base + v)`.
+    /// variable `var_base + v`.
     fn materialize(t: &ClauseTemplate, pos: &mut usize, var_base: usize) -> Term {
         let program = Program::new();
         let mut machine = Machine::new(&program);
@@ -771,7 +760,7 @@ mod tests {
                 pos = pos0;
                 assert_eq!(
                     materialize(&t, &mut pos, offset),
-                    c.head.args()[k].offset_vars(offset),
+                    c.head.args().at(k).offset_vars(offset),
                     "head arg {k} at offset {offset}"
                 );
             }
@@ -899,10 +888,10 @@ mod tests {
         );
         assert!(matches!(
             steps[2],
-            Step::Builtin {
+            Step::Builtin(BuiltinStep::Dispatch {
                 builtin: Builtin::Unify,
                 ..
-            }
+            })
         ));
         // An unknown predicate, `fail` and a non-callable goal are met at run
         // time, if execution gets there.
@@ -919,10 +908,16 @@ mod tests {
         let eager = seq_steps(&t, t.eager_seq());
         assert!(matches!(
             eager,
-            [Step::NumCompare { op: CmpOp::Gt, .. }, Step::Is { .. }]
+            [
+                Step::Builtin(BuiltinStep::NumCompare { op: CmpOp::Gt, .. }),
+                Step::Builtin(BuiltinStep::Is { .. })
+            ]
         ));
         let body = seq_steps(&t, t.body_seq());
-        assert!(matches!(body, [Step::Call { .. }, Step::Is { .. }]));
+        assert!(matches!(
+            body,
+            [Step::Call { .. }, Step::Builtin(BuiltinStep::Is { .. })]
+        ));
         assert_eq!(t.body_seq().start, t.eager_seq().len);
         assert!(!no_goals(&t));
     }
@@ -933,7 +928,7 @@ mod tests {
         assert_eq!(t.eager_seq().len, 0);
         assert!(matches!(
             seq_steps(&t, t.body_seq()),
-            [Step::Call { .. }, Step::Is { .. }]
+            [Step::Call { .. }, Step::Builtin(BuiltinStep::Is { .. })]
         ));
     }
 
@@ -954,13 +949,18 @@ mod tests {
         let arithmetic = t
             .steps()
             .iter()
-            .filter(|s| matches!(s, Step::Is { .. } | Step::NumCompare { .. }))
+            .filter(|s| {
+                matches!(
+                    s,
+                    Step::Builtin(BuiltinStep::Is { .. } | BuiltinStep::NumCompare { .. })
+                )
+            })
             .count();
         assert_eq!(arithmetic, 8);
-        assert!(t
-            .steps()
-            .iter()
-            .all(|s| !matches!(s, Step::Goal(_) | Step::Builtin { .. })));
+        assert!(t.steps().iter().all(|s| !matches!(
+            s,
+            Step::Goal(_) | Step::Builtin(BuiltinStep::Dispatch { .. })
+        )));
     }
 
     #[test]
@@ -970,34 +970,34 @@ mod tests {
         assert!(matches!(
             seq_steps(&t, t.eager_seq()),
             [
-                Step::Builtin {
+                Step::Builtin(BuiltinStep::Dispatch {
                     builtin: Builtin::Is,
                     ..
-                },
-                Step::Builtin {
+                }),
+                Step::Builtin(BuiltinStep::Dispatch {
                     builtin: Builtin::NumCompare(CmpOp::Lt),
                     ..
-                }
+                })
             ]
         ));
         assert!(t.code().is_empty());
     }
 
     /// The source term of the preorder subtree at `*pos`, moving `*pos`
-    /// past it; clause variable `v` reads `Term::Var(var_base + v)`.
-    fn decode(cells: &[Cell], pos: &mut usize, var_base: usize) -> Term {
-        let cell = cells[*pos];
-        *pos += 1;
-        match cell {
-            Cell::Var(v) | Cell::VarFirst(v) => Term::Var(var_base + v as usize),
-            Cell::Atom(s) => Term::Atom(s),
-            Cell::Int(i) => Term::Int(i),
-            Cell::Float(x) => Term::float(x),
-            Cell::Struct(name, arity, _) => Term::Struct(
-                name,
-                (0..arity).map(|_| decode(cells, pos, var_base)).collect(),
-            ),
-        }
+    /// past it; clause variable `v` reads variable `var_base + v`.
+    fn decode(layout: &Layout, pos: &mut usize, var_base: usize) -> Term {
+        let (from, to) = (*pos, layout.end(*pos));
+        *pos = to;
+        let cell = |at: usize| match layout.cells()[at] {
+            Cell::Var(v) | Cell::VarFirst(v) => term::Cell::Var(var_base + v as usize),
+            Cell::Atom(s) => term::Cell::Atom(s),
+            Cell::Int(i) => term::Cell::Int(i),
+            Cell::Float(x) => term::Cell::Float(term::OrderedF64(x)),
+            Cell::Struct(name, arity, _) => {
+                term::Cell::Struct(name, arity, (layout.end(at) - at - 1) as u32)
+            }
+        };
+        Term::from_cells((from..to).map(cell).collect())
     }
 
     #[test]
@@ -1023,7 +1023,7 @@ mod tests {
                     let end = layout.end(pos);
                     assert_eq!(machine.heap.len() - before, end - pos - 1, "{src} at {pos}");
                     let mut past = pos;
-                    let source = decode(layout.cells(), &mut past, var_base);
+                    let source = decode(layout, &mut past, var_base);
                     assert_eq!(past, end, "{src} at {pos}");
                     assert_eq!(
                         machine.extract_cell(cell).unwrap(),
@@ -1042,10 +1042,7 @@ mod tests {
         let n = 200_000;
         let list = Term::list((0..n).map(|i| Term::int(i as i64)));
         let mut layout = Layout::default();
-        let root = layout.add(&Term::Struct(
-            Symbol::intern("len"),
-            vec![list, Term::Var(3)],
-        ));
+        let root = layout.add(&Term::compound("len", vec![list, Term::var(3)]));
         assert_eq!((layout.end(root), layout.vars()), (2 * n + 3, 4));
         let program = Program::new();
         let mut machine = Machine::new(&program);
@@ -1077,7 +1074,7 @@ mod tests {
         let mut pos = 0;
         let first = materialize(&t, &mut pos, 0);
         assert_eq!(pos, 6);
-        assert_eq!(first, c.head.args()[0]);
+        assert_eq!(c.head.args().at(0), first);
     }
 
     #[test]
@@ -1086,6 +1083,6 @@ mod tests {
         let templates = compile_program(&p);
         assert_eq!(templates.len(), 3);
         let mut pos = 0;
-        assert_eq!(materialize(&templates[2], &mut pos, 0), Term::Int(3));
+        assert_eq!(materialize(&templates[2], &mut pos, 0), Term::int(3));
     }
 }

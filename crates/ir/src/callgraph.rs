@@ -8,7 +8,7 @@
 //! [`CallGraph::topological_sccs`] order, and
 //! [`CallGraph::classify_predicate`].
 
-use crate::program::{PredId, Program};
+use crate::{AsTerm, PredId, Program};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 

@@ -2,7 +2,7 @@
 
 use crate::program::PredId;
 use crate::symbol::{well_known, Symbol};
-use crate::term::Term;
+use crate::term::{AsTerm, Term, TermRef, View};
 use std::fmt;
 
 /// Index of a clause within a [`crate::Program`].
@@ -46,14 +46,14 @@ impl Clause {
     pub fn fact(head: Term, var_names: Vec<Symbol>) -> Self {
         Clause {
             head,
-            body: Term::Atom(well_known::true_()),
+            body: Term::from(well_known::true_()),
             var_names,
         }
     }
 
     /// Returns `true` if the clause is a fact (body is the atom `true`).
     pub fn is_fact(&self) -> bool {
-        matches!(&self.body, Term::Atom(s) if *s == well_known::true_())
+        matches!(self.body.view(), View::Atom(s) if s == well_known::true_())
     }
 
     /// The predicate defined by this clause, if the head is callable.
@@ -73,10 +73,12 @@ impl Clause {
     /// Conjunctions (`,`) and parallel conjunctions (`&`) are flattened;
     /// control structures (`;`, `->`, `\+`) are kept as single literals, as is
     /// each ordinary goal. The atom `true` yields an empty list.
-    pub fn body_literals(&self) -> Vec<&Term> {
-        let mut out = Vec::new();
-        collect_literals(&self.body, &mut out);
-        out
+    pub fn body_literals(&self) -> Vec<TermRef<'_>> {
+        let wk = well_known::get();
+        self.leaves(
+            |name, arity| arity == 2 && (name == wk.comma || name == wk.par_and),
+            &[wk.true_],
+        )
     }
 
     /// Returns the goal terms called by this clause, descending into control
@@ -88,60 +90,47 @@ impl Clause {
     /// runtime targets: `call(G)` is transparent (the result names `G`'s own
     /// target, so `call(q(X))` reports `q/1`, not `call/1`), and a variable
     /// goal — bare (`p :- X.`) or behind `call/1` (`p :- call(X).`) — is
-    /// kept as the `Term::Var` leaf itself, the "may call any predicate"
+    /// kept as the variable leaf itself, the "may call any predicate"
     /// marker. Callers that map goals to [`PredId`]s must treat `Var` leaves
     /// conservatively (see [`crate::callgraph::CallGraph::build`], which
     /// over-approximates them as edges to every defined predicate) rather
     /// than silently dropping them.
-    pub fn called_goals(&self) -> Vec<&Term> {
+    pub fn called_goals(&self) -> Vec<TermRef<'_>> {
+        let wk = well_known::get();
+        let control = [wk.comma, wk.par_and, wk.semicolon, wk.arrow];
+        // `call/1` is transparent: the called goal is its argument. A
+        // variable argument is then the variable leaf, so `p :- call(X).` and
+        // `p :- X.` report the same unknown-target marker instead of the
+        // former naming a phantom `call/1` predicate.
+        let opens = |name: Symbol, arity| match arity {
+            2 => control.contains(&name),
+            _ => name == wk.not || name.as_str() == "call",
+        };
+        self.leaves(opens, &[wk.true_, wk.cut])
+    }
+
+    /// The body's leaves, left to right, by a loop: the body is opened at
+    /// every compound whose name and arity `opens` accepts, and the atoms in
+    /// `skip` are dropped.
+    fn leaves(&self, opens: impl Fn(Symbol, usize) -> bool, skip: &[Symbol]) -> Vec<TermRef<'_>> {
         let mut out = Vec::new();
-        collect_called_goals(&self.body, &mut out);
+        let mut todo = vec![self.body.term_ref()];
+        while let Some(goal) = todo.pop() {
+            match goal.functor() {
+                Some((name, 0)) if skip.contains(&name) => {}
+                Some((name, arity @ 1..=2)) if opens(name, arity) => {
+                    let args = goal.args();
+                    todo.extend((0..arity).rev().map(|i| args.at(i)));
+                }
+                _ => out.push(goal),
+            }
+        }
         out
     }
 
     /// Renders the clause with its source variable names.
     pub fn display(&self) -> ClauseDisplay<'_> {
         ClauseDisplay(self)
-    }
-}
-
-fn collect_literals<'a>(body: &'a Term, out: &mut Vec<&'a Term>) {
-    match body {
-        Term::Atom(s) if *s == well_known::true_() => {}
-        Term::Struct(s, args)
-            if (*s == well_known::comma() || *s == well_known::par_and()) && args.len() == 2 =>
-        {
-            collect_literals(&args[0], out);
-            collect_literals(&args[1], out);
-        }
-        other => out.push(other),
-    }
-}
-
-fn collect_called_goals<'a>(body: &'a Term, out: &mut Vec<&'a Term>) {
-    match body {
-        Term::Atom(s) if *s == well_known::true_() || *s == well_known::get().cut => {}
-        Term::Struct(s, args)
-            if args.len() == 2
-                && (*s == well_known::comma()
-                    || *s == well_known::par_and()
-                    || *s == well_known::semicolon()
-                    || *s == well_known::arrow()) =>
-        {
-            collect_called_goals(&args[0], out);
-            collect_called_goals(&args[1], out);
-        }
-        Term::Struct(s, args) if *s == well_known::get().not && args.len() == 1 => {
-            collect_called_goals(&args[0], out);
-        }
-        // `call/1` is transparent: the called goal is its argument. A
-        // variable argument falls through to the `Var` leaf below, so
-        // `p :- call(X).` and `p :- X.` report the same unknown-target
-        // marker instead of the former naming a phantom `call/1` predicate.
-        Term::Struct(s, args) if s.as_str() == "call" && args.len() == 1 => {
-            collect_called_goals(&args[0], out);
-        }
-        other => out.push(other),
     }
 }
 
@@ -152,10 +141,10 @@ pub struct ClauseDisplay<'a>(&'a Clause);
 impl fmt::Display for ClauseDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let c = self.0;
-        crate::pretty::fmt_term(&c.head, Some(&c.var_names), f)?;
+        crate::pretty::fmt_term(c.head.term_ref(), Some(&c.var_names), f)?;
         if !c.is_fact() {
             write!(f, " :- ")?;
-            crate::pretty::fmt_term(&c.body, Some(&c.var_names), f)?;
+            crate::pretty::fmt_term(c.body.term_ref(), Some(&c.var_names), f)?;
         }
         write!(f, ".")
     }

@@ -10,7 +10,7 @@
 //! per-predicate [`Guard`], one [`GuardTable`].
 
 use crate::symbol::FastMap;
-use crate::{PredId, Symbol, Term};
+use crate::{AsTerm, PredId, Symbol, Term};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -106,7 +106,7 @@ impl Guard {
     /// The `'$grain_ge'(Arg, Measure, K)` test this guard places before a
     /// spawn of `goal`; `None` when the guard needs no runtime test (or the
     /// goal lacks the measured argument).
-    pub fn test_for(self, goal: &Term) -> Option<Term> {
+    pub fn test_for<'a>(self, goal: impl AsTerm<'a>) -> Option<Term> {
         let Guard::SizeAtLeast {
             arg_pos,
             measure,
@@ -115,13 +115,13 @@ impl Guard {
         else {
             return None;
         };
-        let arg = goal.args().get(arg_pos)?.clone();
+        let arg = goal.args().nth(arg_pos)?.to_term();
         Some(Term::compound(
             "$grain_ge",
             vec![
                 arg,
                 Term::atom(measure.name()),
-                Term::Int(i64::try_from(k).unwrap_or(i64::MAX)),
+                Term::int(i64::try_from(k).unwrap_or(i64::MAX)),
             ],
         ))
     }

@@ -10,7 +10,10 @@
 //! * [`Symbol`] — a cheap interned representation of Prolog atoms and functor
 //!   names (see [`symbol`]).
 //! * [`Term`] — the Prolog term algebra: variables, atoms, integers, floats
-//!   and compound terms, with list sugar (see [`term`]).
+//!   and compound terms, with list sugar (see [`term`]). A term is one flat
+//!   vector of cells in preorder; [`TermRef`] borrows a subterm as a slice
+//!   of it, [`View`] matches on its root, and [`AsTerm`] holds the readers,
+//!   none of which recurses along a term's arguments.
 //! * [`parser`] — a tokenizer and operator-precedence reader for a practical
 //!   subset of ISO Prolog syntax, including the directives the analysis
 //!   consumes (`:- mode ...`, `:- measure ...`, `:- parallel ...`).
@@ -63,4 +66,4 @@ pub use modes::{ArgMode, ModeDecl};
 pub use parser::{parse_program, parse_term, ParseError};
 pub use program::{Directive, IndexKey, PredId, Predicate, Program};
 pub use symbol::{FastHasher, FastMap, Symbol};
-pub use term::{Term, VarId};
+pub use term::{AsTerm, Term, TermRef, VarId, View};

@@ -8,8 +8,8 @@
 //! order. Predicates that remain unreached fall back to "all input", the
 //! conservative choice for an upper-bound cost analysis.
 
-use crate::builtins;
 use crate::program::{PredId, Program};
+use crate::{builtins, AsTerm};
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -166,7 +166,7 @@ pub fn infer_modes(program: &Program) -> BTreeMap<PredId, ModeDecl> {
         }
         for clause in program.clauses_of(pred) {
             let mut ground: BTreeSet<usize> = BTreeSet::new();
-            for (pos, arg) in clause.head.args().iter().enumerate() {
+            for (pos, arg) in clause.head.args().enumerate() {
                 if decl.mode(pos).is_input() {
                     arg.collect_variables(&mut ground);
                 }
@@ -177,7 +177,6 @@ pub fn infer_modes(program: &Program) -> BTreeMap<PredId, ModeDecl> {
                 };
                 let inferred: Vec<ArgMode> = goal
                     .args()
-                    .iter()
                     .map(|arg| {
                         let vars = arg.variables();
                         if vars.iter().all(|v| ground.contains(v)) {

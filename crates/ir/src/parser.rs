@@ -18,7 +18,7 @@ use crate::clause::Clause;
 use crate::modes::ArgMode;
 use crate::program::{Directive, PredId, Program};
 use crate::symbol::{well_known, FastMap, Symbol};
-use crate::term::Term;
+use crate::term::{push_list, AsTerm, Cell, OrderedF64, Term, TermRef, View};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -34,11 +34,11 @@ use std::sync::OnceLock;
 /// A left-nested operator chain (`1 - 2 - 3 - ...`) is built by a loop too,
 /// but every link is a level and is counted.
 ///
-/// The value is half of what a whole `load` — this reader, then printing,
-/// template compilation and `Drop` — survives on a 2 MiB thread in an
-/// unoptimised build: about 1 050 levels of `[`, the costliest shape, and it
-/// is the reader's own frames that run out first (the walks behind it last
-/// for 2 100 levels and more). `tests/serve_sessions.rs` loads a term at the
+/// The value is half of what a whole `load` — this reader, then printing
+/// and template compilation — survives on a 2 MiB thread in an unoptimised
+/// build: about 1 050 levels of `[`, the costliest shape, and it is the
+/// reader's own frames that run out first (the walks behind it are loops).
+/// `tests/serve_sessions.rs` loads a term at the
 /// limit, in every shape the reader nests, on such a thread.
 pub const MAX_TERM_DEPTH: usize = 512;
 
@@ -463,12 +463,15 @@ struct Parser<'a> {
     /// Source spellings of the clause's variables, by [`crate::VarId`].
     vars: Vec<&'a str>,
     var_names: Vec<Symbol>,
-    /// The operand stack. Every `parse_*` method leaves the term it read on
-    /// top and returns only how deep that term nests (see
-    /// [`MAX_TERM_DEPTH`]), so no term travels through a `Result`; the
-    /// arguments of a compound pile up here until its `)` and leave as a
-    /// vector of exactly their number.
-    terms: Vec<Term>,
+    /// The operand stack, as preorder cells. Every `parse_*` method leaves
+    /// the term it read on top and returns only how deep that term nests
+    /// (see [`MAX_TERM_DEPTH`]), so no term travels through a `Result`. The
+    /// operands lie back to back, the top one running to the end of
+    /// `cells`, and `starts` holds where each begins: the arguments of a
+    /// compound are in place when its `)` comes, and only its own cell goes
+    /// in before them.
+    cells: Vec<Cell>,
+    starts: Vec<usize>,
 }
 
 impl<'a> Parser<'a> {
@@ -482,7 +485,8 @@ impl<'a> Parser<'a> {
             level: 0,
             vars: Vec::new(),
             var_names: Vec::new(),
-            terms: Vec::new(),
+            cells: Vec::new(),
+            starts: Vec::new(),
         })
     }
 
@@ -520,13 +524,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn pop(&mut self) -> Term {
-        self.terms.pop().expect("a parsed term is on the stack")
-    }
-
     /// Leaves an atomic term on the stack.
-    fn leaf(&mut self, term: Term) -> Fallible<usize> {
-        self.terms.push(term);
+    fn leaf(&mut self, cell: Cell) -> Fallible<usize> {
+        self.starts.push(self.cells.len());
+        self.cells.push(cell);
         Ok(0)
     }
 
@@ -577,11 +578,11 @@ impl<'a> Parser<'a> {
     fn parse_primary(&mut self, max_prec: u32) -> Fallible<usize> {
         let token = self.bump()?;
         match token.tok {
-            Tok::Int(i) => self.leaf(Term::Int(i)),
-            Tok::Float(x) => self.leaf(Term::float(x)),
+            Tok::Int(i) => self.leaf(Cell::Int(i)),
+            Tok::Float(x) => self.leaf(Cell::Float(OrderedF64(x))),
             Tok::Var => {
                 let id = self.var_id(&self.lexer.src[token.start..token.end]);
-                self.leaf(Term::Var(id))
+                self.leaf(Cell::Var(id))
             }
             Tok::Atom(name) => self.parse_after_atom(name, token.start, max_prec),
             Tok::Punct(b'(') => {
@@ -593,7 +594,7 @@ impl<'a> Parser<'a> {
             Tok::Punct(b'{') => {
                 if self.tok.tok == Tok::Punct(b'}') {
                     self.bump()?;
-                    return self.leaf(Term::Atom(self.syntax.curly));
+                    return self.leaf(Cell::Atom(self.syntax.curly));
                 }
                 let depth = self.parse_expr(1200)?;
                 self.expect_punct(b'}')?;
@@ -620,20 +621,20 @@ impl<'a> Parser<'a> {
             // Compound term: an atom followed by '(', even across layout.
             Tok::Punct(b'(') => {
                 self.bump()?;
-                let base = self.terms.len();
+                let base = self.starts.len();
                 let depth = self.parse_args()?;
                 self.expect_punct(b')')?;
-                self.wrap(name, self.terms.len() - base);
+                self.wrap(name, self.starts.len() - base);
                 return self.one_deeper(depth, start);
             }
             // Negative numeric literal.
             Tok::Int(i) if name == self.syntax.minus => {
                 self.bump()?;
-                return self.leaf(Term::Int(-i));
+                return self.leaf(Cell::Int(-i));
             }
             Tok::Float(x) if name == self.syntax.minus => {
                 self.bump()?;
-                return self.leaf(Term::float(-x));
+                return self.leaf(Cell::Float(OrderedF64(-x)));
             }
             _ => {}
         }
@@ -645,14 +646,18 @@ impl<'a> Parser<'a> {
                 return self.one_deeper(depth, start);
             }
         }
-        self.leaf(Term::Atom(name))
+        self.leaf(Cell::Atom(name))
     }
 
     /// Replaces the top `arity` terms of the stack by the compound
-    /// `name(...)` over them, in a vector of exactly their number.
+    /// `name(...)` over them: its cell goes in before the first.
     fn wrap(&mut self, name: Symbol, arity: usize) {
-        let args = self.terms.drain(self.terms.len() - arity..).collect();
-        self.terms.push(Term::Struct(name, args));
+        let first = self.starts.len() - arity;
+        let at = self.starts[first];
+        self.starts.truncate(first + 1);
+        let below = (self.cells.len() - at) as u32;
+        self.cells
+            .insert(at, Cell::Struct(name, arity as u32, below));
     }
 
     /// Can the upcoming token begin a term? (Used to decide whether a prefix
@@ -686,27 +691,32 @@ impl<'a> Parser<'a> {
 
     /// The rest of a list whose `[` (at byte `open`) has been taken.
     fn parse_list(&mut self, open: usize) -> Fallible<usize> {
+        let nil = Cell::Atom(well_known::nil());
         if self.tok.tok == Tok::Punct(b']') {
             self.bump()?;
-            return self.leaf(Term::nil());
+            return self.leaf(nil);
         }
-        let base = self.terms.len();
+        let base = self.starts.len();
         // Every element is one cell below the list, however long the spine.
         let depth = self.parse_args()?;
         let mut depth = self.one_deeper(depth, open)?;
-        let mut tail = Term::nil();
+        let items = self.starts.len() - base;
         if self.tok.tok == Tok::Punct(b'|') {
             self.bump()?;
             depth = depth.max(self.parse_expr(999)?);
-            tail = self.pop();
+        } else {
+            self.leaf(nil)?;
         }
         self.expect_punct(b']')?;
-        let list = self
-            .terms
-            .drain(base..)
-            .rev()
-            .fold(tail, |tail, item| Term::cons(item, tail));
-        self.terms.push(list);
+        // The elements and the tail lie back to back: take them out and put
+        // them back with a `'.'/2` cell before each element.
+        let first = self.starts[base];
+        let region = self.cells.split_off(first);
+        let bounds = &self.starts[base..];
+        let item = |k: usize| &region[bounds[k] - first..bounds[k + 1] - first];
+        let tail = &region[bounds[items] - first..];
+        push_list(&mut self.cells, (0..items).map(item), tail);
+        self.starts.truncate(base + 1);
         Ok(depth)
     }
 
@@ -756,7 +766,7 @@ fn read_term(src: &str) -> Fallible<(Term, Vec<Symbol>)> {
         Tok::End => while parser.bump()?.tok != Tok::Eof {},
         _ => return Err(parser.error_here(format!("trailing input: {}", parser.found()))),
     }
-    Ok((parser.pop(), parser.var_names))
+    Ok((Term::from_cells(parser.cells), parser.var_names))
 }
 
 /// Parses a Prolog program: a sequence of clauses and directives.
@@ -783,59 +793,61 @@ fn read_program(src: &str) -> Fallible<Program> {
     while parser.tok.tok != Tok::Eof {
         let clause_start = parser.tok.start;
         parser.vars.clear();
+        parser.cells.clear();
+        parser.starts.clear();
         parser.parse_expr(1200)?;
         if parser.tok.tok != Tok::End {
             return Err(parser.expected(b'.'));
         }
         parser.bump()?;
         let var_names = std::mem::take(&mut parser.var_names);
-        let mut clause = parser.pop();
-        let (head, body) = match &mut clause {
+        let cells = &parser.cells[..];
+        let clause = TermRef { cells };
+        let (head, body) = match clause.view() {
             // Directive `:- D.`
-            Term::Struct(name, args) if *name == neck && args.len() == 1 => {
-                program.add_directive(interpret_directive(&args[0]));
+            View::Struct(name, args) if name == neck && args.len() == 1 => {
+                program.add_directive(interpret_directive(args.at(0)));
                 continue;
             }
             // Rule `H :- B.`
-            Term::Struct(name, args) if *name == neck && args.len() == 2 => {
-                let body = args.pop().expect("arity checked");
-                (args.pop().expect("arity checked"), Some(body))
+            View::Struct(name, args) if name == neck && args.len() == 2 => {
+                (args.at(0), Some(args.at(1)))
             }
             _ => (clause, None),
         };
-        if !head.is_callable() {
+        if head.functor().is_none() {
             return Err(parser.lexer.error(
                 clause_start,
                 format!("clause head must be callable, found {head}"),
             ));
         }
         program.add_clause(match body {
-            Some(body) => Clause::new(head, body, var_names),
-            None => Clause::fact(head, var_names),
+            Some(body) => Clause::new(head.to_term(), body.to_term(), var_names),
+            None => Clause::fact(head.to_term(), var_names),
         });
     }
     Ok(program)
 }
 
 /// Interprets a directive body term into a [`Directive`].
-fn interpret_directive(body: &Term) -> Directive {
+fn interpret_directive(body: TermRef<'_>) -> Directive {
+    let other = || Directive::Other(body.to_term());
     let Some((name, _arity)) = body.functor() else {
-        return Directive::Other(body.clone());
+        return other();
     };
     match name.as_str() {
         "mode" if body.args().len() == 1 => {
             // :- mode p(+, -).  (equivalently :- mode(p(+, -)).)
-            parse_mode_spec(&body.args()[0])
+            parse_mode_spec(body.args().at(0))
                 .map(|(pred, modes)| Directive::Mode(pred, modes))
-                .unwrap_or_else(|| Directive::Other(body.clone()))
+                .unwrap_or_else(other)
         }
         "measure" if body.args().len() == 1 => {
-            let spec = &body.args()[0];
+            let spec = body.args().at(0);
             match spec.functor() {
                 Some((pred_name, arity)) if arity > 0 => {
                     let measures: Vec<Symbol> = spec
                         .args()
-                        .iter()
                         .map(|a| match a.functor() {
                             Some((m, 0)) => m,
                             _ => Symbol::intern("unknown"),
@@ -843,32 +855,31 @@ fn interpret_directive(body: &Term) -> Directive {
                         .collect();
                     Directive::Measure(PredId::new(pred_name, arity), measures)
                 }
-                _ => Directive::Other(body.clone()),
+                _ => other(),
             }
         }
         "parallel" | "sequential" if body.args().len() == 1 => {
-            match parse_pred_indicator(&body.args()[0]) {
+            match parse_pred_indicator(body.args().at(0)) {
                 Some(pred) if name.as_str() == "parallel" => Directive::Parallel(pred),
                 Some(pred) => Directive::Sequential(pred),
-                None => Directive::Other(body.clone()),
+                None => other(),
             }
         }
-        "entry" if body.args().len() == 1 => parse_mode_spec(&body.args()[0])
+        "entry" if body.args().len() == 1 => parse_mode_spec(body.args().at(0))
             .map(|(pred, modes)| Directive::Entry(pred, modes))
-            .unwrap_or_else(|| Directive::Other(body.clone())),
-        _ => Directive::Other(body.clone()),
+            .unwrap_or_else(other),
+        _ => other(),
     }
 }
 
 /// Parses `p(+,-)`-style mode specs.
-fn parse_mode_spec(spec: &Term) -> Option<(PredId, Vec<ArgMode>)> {
+fn parse_mode_spec(spec: TermRef<'_>) -> Option<(PredId, Vec<ArgMode>)> {
     let (name, arity) = spec.functor()?;
     if arity == 0 {
         return None;
     }
     let modes: Option<Vec<ArgMode>> = spec
         .args()
-        .iter()
         .map(|a| match a.functor() {
             Some((ind, 0)) => ArgMode::from_indicator(ind.as_str()),
             _ => None,
@@ -879,11 +890,11 @@ fn parse_mode_spec(spec: &Term) -> Option<(PredId, Vec<ArgMode>)> {
 
 /// Parses `p/2`-style predicate indicators (also accepts a bare callable term,
 /// using its own functor/arity).
-fn parse_pred_indicator(term: &Term) -> Option<PredId> {
-    if let Term::Struct(slash, args) = term {
+fn parse_pred_indicator(term: TermRef<'_>) -> Option<PredId> {
+    if let View::Struct(slash, args) = term.view() {
         if slash.as_str() == "/" && args.len() == 2 {
-            if let (Some((name, 0)), Term::Int(arity)) = (args[0].functor(), &args[1]) {
-                return Some(PredId::new(name, usize::try_from(*arity).ok()?));
+            if let (Some((name, 0)), View::Int(arity)) = (args.at(0).functor(), args.at(1).view()) {
+                return Some(PredId::new(name, usize::try_from(arity).ok()?));
             }
         }
     }
@@ -952,8 +963,8 @@ mod tests {
         let (t, _) = parse_term("-5").unwrap();
         assert_eq!(t, Term::int(-5));
         let (t, _) = parse_term("f(-5, -1.5)").unwrap();
-        assert_eq!(t.args()[0], Term::int(-5));
-        assert_eq!(t.args()[1], Term::float(-1.5));
+        assert_eq!(t.args().at(0), Term::int(-5));
+        assert_eq!(t.args().at(1), Term::float(-1.5));
         // Unary minus applied to a variable stays symbolic.
         let (t, _) = parse_term("-X").unwrap();
         assert_eq!(t.functor().unwrap().0.as_str(), "-");
@@ -984,7 +995,7 @@ mod tests {
         let p = parse_program("p(X) :- ( X > 1 -> q(X) ; r(X) ).").unwrap();
         let body = &p.clauses()[0].body;
         assert_eq!(body.functor().unwrap().0.as_str(), ";");
-        assert_eq!(body.args()[0].functor().unwrap().0.as_str(), "->");
+        assert_eq!(body.args().at(0).functor().unwrap().0.as_str(), "->");
     }
 
     #[test]
@@ -1006,7 +1017,7 @@ mod tests {
     fn parse_cut_and_true() {
         let p = parse_program("p(X) :- q(X), !, r(X). t.").unwrap();
         let lits = p.clauses()[0].body_literals();
-        assert_eq!(lits[1], &Term::atom("!"));
+        assert_eq!(lits[1], Term::atom("!"));
         assert!(p.clauses()[1].is_fact());
     }
 
@@ -1072,16 +1083,16 @@ mod tests {
         // Each clause numbers its own X from zero.
         assert_eq!(p.clauses()[0].var_names.len(), 1);
         assert_eq!(p.clauses()[1].var_names.len(), 1);
-        assert_eq!(p.clauses()[0].head.args()[0], Term::var(0));
-        assert_eq!(p.clauses()[1].head.args()[0], Term::var(0));
+        assert_eq!(p.clauses()[0].head.args().at(0), Term::var(0));
+        assert_eq!(p.clauses()[1].head.args().at(0), Term::var(0));
     }
 
     #[test]
     fn anonymous_variables_are_distinct() {
         let p = parse_program("p(_, _, X, X).").unwrap();
         let head = &p.clauses()[0].head;
-        assert_ne!(head.args()[0], head.args()[1]);
-        assert_eq!(head.args()[2], head.args()[3]);
+        assert_ne!(head.args().at(0), head.args().at(1));
+        assert_eq!(head.args().at(2), head.args().at(3));
     }
 
     #[test]
@@ -1142,8 +1153,8 @@ mod tests {
     #[test]
     fn operators_as_atoms_in_arglists() {
         let (t, _) = parse_term("f(+, -)").unwrap();
-        assert_eq!(t.args()[0], Term::atom("+"));
-        assert_eq!(t.args()[1], Term::atom("-"));
+        assert_eq!(t.args().at(0), Term::atom("+"));
+        assert_eq!(t.args().at(1), Term::atom("-"));
     }
 
     #[test]
@@ -1158,7 +1169,7 @@ mod tests {
         }
         src.push_str(").");
         let p = parse_program(&src).unwrap();
-        assert_eq!(p.clauses()[0].head.args()[0].term_depth(), 200);
+        assert_eq!(p.clauses()[0].head.args().at(0).term_depth(), 200);
     }
 
     /// `depth` levels of `open ... close` around `a`, inside `p(...)`.
@@ -1296,9 +1307,15 @@ mod tests {
     #[test]
     fn pred_indicator_parsing() {
         let (t, _) = parse_term("foo/3").unwrap();
-        assert_eq!(parse_pred_indicator(&t), Some(PredId::parse("foo", 3)));
+        assert_eq!(
+            parse_pred_indicator(t.term_ref()),
+            Some(PredId::parse("foo", 3))
+        );
         let (t, _) = parse_term("foo(a, b)").unwrap();
-        assert_eq!(parse_pred_indicator(&t), Some(PredId::parse("foo", 2)));
+        assert_eq!(
+            parse_pred_indicator(t.term_ref()),
+            Some(PredId::parse("foo", 2))
+        );
     }
 
     #[test]
@@ -1307,6 +1324,6 @@ mod tests {
         assert_eq!(t.functor().unwrap().0.as_str(), ";");
         let (t, _) = parse_term("a ; b, c").unwrap();
         assert_eq!(t.functor().unwrap().0.as_str(), ";");
-        assert_eq!(t.args()[1].functor().unwrap().0.as_str(), ",");
+        assert_eq!(t.args().at(1).functor().unwrap().0.as_str(), ",");
     }
 }

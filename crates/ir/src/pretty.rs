@@ -6,7 +6,7 @@
 //! supplied) or as `_N`.
 
 use crate::symbol::Symbol;
-use crate::term::Term;
+use crate::term::{Args, AsTerm, TermRef, View};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -46,13 +46,14 @@ fn infix_glyph(name: &str, arity: usize) -> Option<&'static str> {
 /// What is left of a compound once the subterm in hand is printed.
 enum Frame<'t> {
     /// A compound's remaining arguments, each after a `,`, then `)`.
-    Args(&'t [Term]),
+    Args(Args<'t>),
     /// An infix operator's glyph and right operand, then `)`.
-    Infix(&'static str, &'t Term),
+    Infix(&'static str, TermRef<'t>),
     /// A list's spine after an element.
-    Spine(&'t Term),
-    /// The `]` after an improper list's tail.
-    CloseList,
+    Spine(TermRef<'t>),
+    /// The `)` after an infix operator's right operand, or the `]` after
+    /// an improper list's tail.
+    Close(&'static str),
 }
 
 /// Formats a single term.
@@ -65,7 +66,7 @@ enum Frame<'t> {
 /// stack use does not depend on the term's depth, so any answer an engine can
 /// build prints.
 pub fn fmt_term(
-    term: &Term,
+    term: TermRef<'_>,
     var_names: Option<&[Symbol]>,
     f: &mut fmt::Formatter<'_>,
 ) -> fmt::Result {
@@ -75,29 +76,29 @@ pub fn fmt_term(
         // Print the term in hand; a compound prints its opening, leaves the
         // rest of itself on the stack and hands over its first subterm.
         while let Some(term) = next.take() {
-            match term {
-                Term::Var(v) => match var_names.and_then(|names| names.get(*v)) {
+            match term.view() {
+                View::Var(v) => match var_names.and_then(|names| names.get(v)) {
                     Some(name) => write!(f, "{name}")?,
                     None => write!(f, "_{v}")?,
                 },
-                Term::Int(i) => write!(f, "{i}")?,
-                Term::Float(x) => write!(f, "{}", x.0)?,
-                Term::Atom(a) => f.write_str(&atom_text(a.as_str()))?,
-                Term::Struct(_, args) if term.is_cons() => {
+                View::Int(i) => write!(f, "{i}")?,
+                View::Float(x) => write!(f, "{x}")?,
+                View::Atom(a) => f.write_str(&atom_text(a.as_str()))?,
+                View::Struct(_, args) if term.is_cons() => {
                     f.write_str("[")?;
-                    work.push(Frame::Spine(&args[1]));
-                    next = Some(&args[0]);
+                    work.push(Frame::Spine(args.at(1)));
+                    next = Some(args.at(0));
                 }
-                Term::Struct(name, args) => match infix_glyph(name.as_str(), args.len()) {
+                View::Struct(name, mut args) => match infix_glyph(name.as_str(), args.len()) {
                     Some(glyph) => {
                         f.write_str("(")?;
-                        work.push(Frame::Infix(glyph, &args[1]));
-                        next = Some(&args[0]);
+                        work.push(Frame::Infix(glyph, args.at(1)));
+                        next = Some(args.at(0));
                     }
                     None => {
                         write!(f, "{}(", atom_text(name.as_str()))?;
-                        work.push(Frame::Args(args.get(1..).unwrap_or_default()));
-                        next = args.first();
+                        next = args.next();
+                        work.push(Frame::Args(args));
                     }
                 },
             }
@@ -106,31 +107,31 @@ pub fn fmt_term(
             return Ok(());
         };
         match frame {
-            Frame::Args([]) => f.write_str(")")?,
-            Frame::Args([arg, rest @ ..]) => {
-                f.write_str(",")?;
-                work.push(Frame::Args(rest));
-                next = Some(arg);
-            }
-            Frame::Infix(glyph, right) => {
-                f.write_str(glyph)?;
-                work.push(Frame::Args(&[]));
-                next = Some(right);
-            }
-            Frame::Spine(rest) => match rest {
-                Term::Struct(_, args) if rest.is_cons() => {
+            Frame::Args(mut rest) => match rest.next() {
+                None => f.write_str(")")?,
+                Some(arg) => {
                     f.write_str(",")?;
-                    work.push(Frame::Spine(&args[1]));
-                    next = Some(&args[0]);
-                }
-                t if t.is_nil() => f.write_str("]")?,
-                tail => {
-                    f.write_str("|")?;
-                    work.push(Frame::CloseList);
-                    next = Some(tail);
+                    work.push(Frame::Args(rest));
+                    next = Some(arg);
                 }
             },
-            Frame::CloseList => f.write_str("]")?,
+            Frame::Infix(glyph, right) => {
+                f.write_str(glyph)?;
+                work.push(Frame::Close(")"));
+                next = Some(right);
+            }
+            Frame::Spine(rest) if rest.is_cons() => {
+                f.write_str(",")?;
+                work.push(Frame::Spine(rest.args().at(1)));
+                next = Some(rest.args().at(0));
+            }
+            Frame::Spine(rest) if rest.is_nil() => f.write_str("]")?,
+            Frame::Spine(tail) => {
+                f.write_str("|")?;
+                work.push(Frame::Close("]"));
+                next = Some(tail);
+            }
+            Frame::Close(text) => f.write_str(text)?,
         }
     }
 }
@@ -165,13 +166,14 @@ fn atom_text(s: &str) -> Cow<'_, str> {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct TermWithNames<'a> {
-    term: &'a Term,
+    term: TermRef<'a>,
     names: &'a [Symbol],
 }
 
 impl<'a> TermWithNames<'a> {
     /// Pairs `term` with the variable-name table `names`.
-    pub fn new(term: &'a Term, names: &'a [Symbol]) -> Self {
+    pub fn new(term: impl AsTerm<'a>, names: &'a [Symbol]) -> Self {
+        let term = term.term_ref();
         TermWithNames { term, names }
     }
 }
@@ -184,7 +186,7 @@ impl fmt::Display for TermWithNames<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::term::Term;
+    use crate::term::{Cell, Term};
 
     #[test]
     fn quoting_of_atoms() {
@@ -223,10 +225,13 @@ mod tests {
 
     #[test]
     fn deep_terms_print_on_a_small_stack() {
-        // `mk(300000, E)` over `mk(N, X+1)`: a left-deep `+` chain.
-        let deep = (0..300_000).fold(Term::int(0), |acc, _| {
-            Term::compound("+", vec![acc, Term::int(1)])
-        });
+        // `mk(300000, E)` over `mk(N, X+1)`: a left-deep `+` chain, laid out
+        // directly (building it a level at a time copies it at every level).
+        let plus = crate::Symbol::intern("+");
+        let headers = (1..=300_000u32).rev().map(|k| Cell::Struct(plus, 2, 2 * k));
+        let leaves =
+            std::iter::once(Cell::Int(0)).chain(std::iter::repeat_n(Cell::Int(1), 300_000));
+        let deep = Term::from_cells(headers.chain(leaves).collect());
         let printed = std::thread::Builder::new()
             .stack_size(256 * 1024)
             .spawn(move || deep.to_string())

@@ -3,7 +3,7 @@
 use crate::clause::{Clause, ClauseId};
 use crate::modes::{ArgMode, ModeDecl};
 use crate::symbol::Symbol;
-use crate::term::Term;
+use crate::term::{AsTerm, Term, View};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -38,7 +38,7 @@ impl PredId {
     }
 
     /// The predicate identifier of a callable term.
-    pub fn of_term(term: &Term) -> Option<Self> {
+    pub fn of_term<'a>(term: impl AsTerm<'a>) -> Option<Self> {
         term.functor().map(|(name, arity)| PredId::new(name, arity))
     }
 }
@@ -87,18 +87,18 @@ fn float_key_bits(x: f64) -> u64 {
 
 impl IndexKey {
     /// The index key of a source term: `None` for variables.
-    pub fn of_term(t: &Term) -> Option<IndexKey> {
-        match t {
-            Term::Var(_) => None,
-            Term::Atom(s) => Some(IndexKey::Atom(*s)),
-            Term::Int(i) => Some(IndexKey::Int(*i)),
-            Term::Float(x) => Some(IndexKey::FloatBits(float_key_bits(x.0))),
-            Term::Struct(s, args) => Some(IndexKey::Struct(*s, args.len())),
+    pub fn of_term<'a>(t: impl AsTerm<'a>) -> Option<IndexKey> {
+        match t.view() {
+            View::Var(_) => None,
+            View::Atom(s) => Some(IndexKey::Atom(s)),
+            View::Int(i) => Some(IndexKey::Int(i)),
+            View::Float(x) => Some(IndexKey::FloatBits(float_key_bits(x))),
+            View::Struct(s, args) => Some(IndexKey::Struct(s, args.len())),
         }
     }
 
     /// The index key of a runtime float value (the goal-side counterpart of
-    /// the `Term::Float` case of [`IndexKey::of_term`]).
+    /// the float case of [`IndexKey::of_term`]).
     pub fn of_float(x: f64) -> IndexKey {
         IndexKey::FloatBits(float_key_bits(x))
     }
@@ -107,7 +107,7 @@ impl IndexKey {
     /// (`None` for variable first arguments and zero-arity heads, which match
     /// every call).
     pub fn of_clause_head(clause: &Clause) -> Option<IndexKey> {
-        clause.head.args().first().and_then(IndexKey::of_term)
+        clause.head.args().next().and_then(IndexKey::of_term)
     }
 }
 

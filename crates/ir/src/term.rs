@@ -1,9 +1,15 @@
-//! The Prolog term algebra.
+//! The Prolog term algebra, stored flat.
 //!
-//! [`Term`] is the central data type of the system: clause heads, clause
-//! bodies, goals and runtime data are all terms. Variables are represented by
-//! clause-local indices ([`VarId`]); the mapping from indices back to source
-//! names lives in [`crate::Clause::var_names`].
+//! A [`Term`] is one vector of [`Cell`]s in preorder: a compound's cell
+//! carries its functor, its arity and the number of cells beneath it, and
+//! its arguments follow it, one after another. So every subterm is one
+//! contiguous slice, read through the borrowed [`TermRef`]; equality,
+//! hashing, cloning and dropping are the slice's own loops, and no reader
+//! here recurses along a term's arguments, however deep or long the term.
+//! [`AsTerm`] holds the readers, for an owned term and a subterm alike.
+//!
+//! Variables are clause-local indices ([`VarId`]); the mapping from indices
+//! back to source names lives in [`crate::Clause::var_names`].
 
 use crate::symbol::{well_known, Symbol};
 use std::collections::BTreeSet;
@@ -16,39 +22,307 @@ use std::fmt;
 /// identifiers when a clause is activated.
 pub type VarId = usize;
 
-/// A Prolog term.
-///
-/// Lists use the standard encoding: `[]` is [`Term::nil`] (the atom `[]`) and
-/// `[H|T]` is the compound `'.'(H, T)`; the helpers [`Term::list`],
-/// [`Term::cons`] and [`Term::as_list`] hide that encoding.
-///
-/// # Example
-///
-/// ```
-/// use granlog_ir::Term;
-/// let t = Term::list(vec![Term::int(1), Term::int(2), Term::int(3)]);
-/// assert_eq!(t.list_length(), Some(3));
-/// assert_eq!(t.to_string(), "[1,2,3]");
-/// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Term {
+/// One cell of a term's preorder.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Cell {
     /// A logic variable, identified by a clause-local index.
     Var(VarId),
     /// An atom (constant), e.g. `foo`, `[]`, `'hello world'`.
     Atom(Symbol),
     /// An integer constant.
     Int(i64),
-    /// A floating-point constant. Stored as ordered bits so terms can be
-    /// hashed and totally ordered.
+    /// A floating-point constant, hashed and compared by [`OrderedF64`].
     Float(OrderedF64),
-    /// A compound term `f(t1, ..., tn)` with `n >= 1`.
-    Struct(Symbol, Vec<Term>),
+    /// A compound `f(t1, ..., tn)` with `n >= 1`: the functor, `n`, and the
+    /// number of cells of `t1 ... tn`, which follow it in preorder.
+    Struct(Symbol, u32, u32),
+}
+
+impl Cell {
+    /// The number of cells of the subterm this cell is the root of.
+    pub fn extent(self) -> usize {
+        match self {
+            Cell::Struct(_, _, below) => 1 + below as usize,
+            _ => 1,
+        }
+    }
+}
+
+/// A Prolog term: its preorder [`Cell`]s. An atomic term keeps its one
+/// cell inline, so an atom, a number or a fact's `true` body allocates
+/// nothing.
+///
+/// Lists use the standard encoding: `[]` is [`Term::nil`] (the atom `[]`) and
+/// `[H|T]` is the compound `'.'(H, T)`; the helpers [`Term::list`],
+/// [`Term::cons`] and [`AsTerm::as_list`] hide that encoding.
+///
+/// # Example
+///
+/// ```
+/// use granlog_ir::term::{AsTerm, Term};
+/// let t = Term::list(vec![Term::int(1), Term::int(2), Term::int(3)]);
+/// assert_eq!(t.list_length(), Some(3));
+/// assert_eq!(t.to_string(), "[1,2,3]");
+/// ```
+#[derive(Clone)]
+pub struct Term(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Atomic(Cell),
+    Compound(Vec<Cell>),
+}
+
+/// A borrowed term: a subterm of a [`Term`], or a whole one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct TermRef<'a> {
+    pub(crate) cells: &'a [Cell],
+}
+
+/// A term's root, to match on: its [`Cell`], a compound's arguments as
+/// [`Args`].
+#[derive(Clone, Copy, Debug)]
+pub enum View<'a> {
+    Var(VarId),
+    Atom(Symbol),
+    Int(i64),
+    Float(f64),
+    Struct(Symbol, Args<'a>),
+}
+
+/// A compound's arguments, in order, each a [`TermRef`].
+#[derive(Clone, Copy, Debug)]
+pub struct Args<'a> {
+    cells: &'a [Cell],
+    len: usize,
+}
+
+impl<'a> Args<'a> {
+    /// Argument `i`, counting from 0. Panics past the last one, as indexing
+    /// a slice does.
+    pub fn at(mut self, i: usize) -> TermRef<'a> {
+        self.nth(i).expect("an argument past the last")
+    }
+}
+
+impl<'a> Iterator for Args<'a> {
+    type Item = TermRef<'a>;
+
+    fn next(&mut self) -> Option<TermRef<'a>> {
+        let first = *self.cells.first().filter(|_| self.len > 0)?;
+        let (arg, rest) = self.cells.split_at(first.extent());
+        (self.cells, self.len) = (rest, self.len - 1);
+        Some(TermRef { cells: arg })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len, Some(self.len))
+    }
+}
+
+impl ExactSizeIterator for Args<'_> {}
+
+/// The readers of a term, for `&`[`Term`] and [`TermRef`] alike. Each is a
+/// loop over the cells or along a list spine.
+pub trait AsTerm<'a>: Copy {
+    /// The term's cells: its root, then its descendants in preorder.
+    fn cells(self) -> &'a [Cell];
+
+    /// The term as a borrowed view.
+    fn term_ref(self) -> TermRef<'a> {
+        let cells = self.cells();
+        TermRef { cells }
+    }
+
+    /// The term's root, to match on.
+    fn view(self) -> View<'a> {
+        let cells = self.cells();
+        match cells[0] {
+            Cell::Var(v) => View::Var(v),
+            Cell::Atom(s) => View::Atom(s),
+            Cell::Int(i) => View::Int(i),
+            Cell::Float(x) => View::Float(x.0),
+            Cell::Struct(name, arity, _) => View::Struct(
+                name,
+                Args {
+                    cells: &cells[1..],
+                    len: arity as usize,
+                },
+            ),
+        }
+    }
+
+    /// The functor symbol and arity if the term is callable.
+    fn functor(self) -> Option<(Symbol, usize)> {
+        match self.cells()[0] {
+            Cell::Atom(s) => Some((s, 0)),
+            Cell::Struct(s, arity, _) => Some((s, arity as usize)),
+            _ => None,
+        }
+    }
+
+    /// The arguments of a compound term; none for any other term.
+    fn args(self) -> Args<'a> {
+        match self.view() {
+            View::Struct(_, args) => args,
+            _ => Args { cells: &[], len: 0 },
+        }
+    }
+
+    /// Is this the atom `[]`?
+    fn is_nil(self) -> bool {
+        self.cells()[0] == Cell::Atom(well_known::nil())
+    }
+
+    /// Is this a `'.'/2` list cell?
+    fn is_cons(self) -> bool {
+        matches!(self.cells()[0], Cell::Struct(s, 2, _) if s == well_known::cons())
+    }
+
+    /// Is this a variable?
+    fn is_var(self) -> bool {
+        matches!(self.cells()[0], Cell::Var(_))
+    }
+
+    /// The elements of a proper list; `None` for partial lists (`[1|X]`)
+    /// and non-lists.
+    fn as_list(self) -> Option<Vec<TermRef<'a>>> {
+        let mut out = Vec::new();
+        let mut cur = self.term_ref();
+        while cur.is_cons() {
+            let args = cur.args();
+            out.push(args.at(0));
+            cur = args.at(1);
+        }
+        cur.is_nil().then_some(out)
+    }
+
+    /// Length of a proper list, or `None` if the term is not a proper list.
+    fn list_length(self) -> Option<usize> {
+        let (n, end) = self.spine();
+        end.is_nil().then_some(n)
+    }
+
+    /// The number of list cells along the term's spine, and the term that
+    /// ends it: `[]` for a proper list.
+    fn spine(self) -> (usize, TermRef<'a>) {
+        let (mut n, mut cur) = (0, self.term_ref());
+        while cur.is_cons() {
+            (n, cur) = (n + 1, cur.args().at(1));
+        }
+        (n, cur)
+    }
+
+    /// Does the term contain no variables?
+    fn is_ground(self) -> bool {
+        !self.cells().iter().any(|c| matches!(c, Cell::Var(_)))
+    }
+
+    /// The set of variables occurring in the term.
+    fn variables(self) -> BTreeSet<VarId> {
+        let mut set = BTreeSet::new();
+        self.collect_variables(&mut set);
+        set
+    }
+
+    /// Collects variables into an existing set (avoids repeated allocation).
+    fn collect_variables(self, out: &mut BTreeSet<VarId>) {
+        out.extend(self.cells().iter().filter_map(|c| match *c {
+            Cell::Var(v) => Some(v),
+            _ => None,
+        }));
+    }
+
+    /// Does variable `v` occur in the term?
+    fn contains_var(self, v: VarId) -> bool {
+        self.cells().contains(&Cell::Var(v))
+    }
+
+    /// Number of constant and function symbols in the term (the paper's
+    /// `term_size` measure): one per cell, variables included (the
+    /// conservative upper-bound convention is handled at the measure level).
+    fn term_size(self) -> usize {
+        self.cells().len()
+    }
+
+    /// Depth of the term's tree (the paper's `term_depth` measure): the most
+    /// compounds on a path from the root. Atomic terms have depth 0.
+    fn term_depth(self) -> usize {
+        // The ends of the compounds around the cell at hand, innermost last.
+        let mut ends = Vec::new();
+        let mut deepest = 0;
+        for (at, cell) in self.cells().iter().enumerate() {
+            while ends.last().is_some_and(|&end| end <= at) {
+                ends.pop();
+            }
+            if let Cell::Struct(..) = cell {
+                ends.push(at + cell.extent());
+                deepest = deepest.max(ends.len());
+            }
+        }
+        deepest
+    }
+
+    /// Renames every variable by `f`.
+    fn map_vars(self, mut f: impl FnMut(VarId) -> VarId) -> Term {
+        let cells = self.cells().iter().map(|&c| match c {
+            Cell::Var(v) => Cell::Var(f(v)),
+            other => other,
+        });
+        Term::from_cells(cells.collect())
+    }
+
+    /// Shifts every variable index by `offset` (used for clause renaming).
+    fn offset_vars(self, offset: usize) -> Term {
+        self.map_vars(|v| v + offset)
+    }
+
+    /// An owned copy of the term.
+    fn to_term(self) -> Term {
+        match *self.cells() {
+            [cell] => Term(Repr::Atomic(cell)),
+            ref cells => Term(Repr::Compound(cells.to_vec())),
+        }
+    }
+}
+
+impl<'a> AsTerm<'a> for &'a Term {
+    fn cells(self) -> &'a [Cell] {
+        match &self.0 {
+            Repr::Atomic(cell) => std::slice::from_ref(cell),
+            Repr::Compound(cells) => cells,
+        }
+    }
+}
+
+impl<'a> AsTerm<'a> for TermRef<'a> {
+    fn cells(self) -> &'a [Cell] {
+        self.cells
+    }
+}
+
+/// Appends the list `[e1, ..., en | tail]` to `out`, given the cells of its
+/// elements and of its tail: a `'.'/2` cell before each element, counting
+/// every cell from there to the end of the list.
+pub(crate) fn push_list<'c>(
+    out: &mut Vec<Cell>,
+    items: impl ExactSizeIterator<Item = &'c [Cell]> + Clone,
+    tail: &[Cell],
+) {
+    let below: usize = items.clone().map(<[Cell]>::len).sum();
+    let end = out.len() + items.len() + below + tail.len();
+    let cons = well_known::cons();
+    for item in items {
+        out.push(Cell::Struct(cons, 2, (end - out.len() - 1) as u32));
+        out.extend_from_slice(item);
+    }
+    out.extend_from_slice(tail);
 }
 
 /// An `f64` wrapper with total ordering and hashing by bit pattern.
 ///
-/// Prolog floats inside terms need `Eq`/`Ord`/`Hash`; this wrapper provides
-/// them with the usual caveat that `NaN` compares by bit pattern.
+/// Prolog floats inside terms need `Eq`/`Hash`; this wrapper provides them
+/// with the usual caveat that `NaN` compares by bit pattern.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OrderedF64(pub f64);
 
@@ -74,60 +348,69 @@ impl std::hash::Hash for OrderedF64 {
     }
 }
 
-impl From<f64> for OrderedF64 {
-    fn from(v: f64) -> Self {
-        OrderedF64(v)
-    }
-}
-
 impl Term {
+    /// The term whose preorder is `cells`: the root first, and every
+    /// [`Cell::Struct`] counting exactly the cells of its arguments, which
+    /// follow it.
+    pub fn from_cells(cells: Vec<Cell>) -> Term {
+        debug_assert!(
+            !cells.is_empty() && cells[0].extent() == cells.len(),
+            "preorder cells of one term"
+        );
+        match *cells {
+            [cell] => Term(Repr::Atomic(cell)),
+            _ => Term(Repr::Compound(cells)),
+        }
+    }
+
     /// Creates an atom term.
     pub fn atom(name: &str) -> Term {
-        Term::Atom(Symbol::intern(name))
+        Term::from(Symbol::intern(name))
     }
 
     /// Creates an integer term.
     pub fn int(v: i64) -> Term {
-        Term::Int(v)
+        Term(Repr::Atomic(Cell::Int(v)))
     }
 
     /// Creates a float term.
     pub fn float(v: f64) -> Term {
-        Term::Float(OrderedF64(v))
+        Term(Repr::Atomic(Cell::Float(OrderedF64(v))))
     }
 
     /// Creates a variable term.
     pub fn var(id: VarId) -> Term {
-        Term::Var(id)
+        Term(Repr::Atomic(Cell::Var(id)))
     }
 
     /// Creates a compound term `name(args...)`. If `args` is empty this
     /// degenerates to an atom, mirroring Prolog's `=..`.
     pub fn compound(name: &str, args: Vec<Term>) -> Term {
-        if args.is_empty() {
-            Term::atom(name)
-        } else {
-            Term::Struct(Symbol::intern(name), args)
-        }
+        Term::structure(Symbol::intern(name), args)
     }
 
     /// Creates a compound term from an already-interned functor symbol.
     pub fn structure(name: Symbol, args: Vec<Term>) -> Term {
         if args.is_empty() {
-            Term::Atom(name)
-        } else {
-            Term::Struct(name, args)
+            return Term::from(name);
         }
+        let below: usize = args.iter().map(|a| a.cells().len()).sum();
+        let mut cells = Vec::with_capacity(1 + below);
+        cells.push(Cell::Struct(name, args.len() as u32, below as u32));
+        for arg in &args {
+            cells.extend_from_slice(arg.cells());
+        }
+        Term(Repr::Compound(cells))
     }
 
     /// The empty list `[]`.
     pub fn nil() -> Term {
-        Term::Atom(well_known::nil())
+        Term::from(well_known::nil())
     }
 
     /// The list cell `[head | tail]`.
     pub fn cons(head: Term, tail: Term) -> Term {
-        Term::Struct(well_known::cons(), vec![head, tail])
+        Term::structure(well_known::cons(), vec![head, tail])
     }
 
     /// Builds a proper list from the given elements.
@@ -138,182 +421,31 @@ impl Term {
     /// Builds a (possibly improper) list `[e1, ..., en | tail]`.
     pub fn list_with_tail<I: IntoIterator<Item = Term>>(items: I, tail: Term) -> Term {
         let items: Vec<Term> = items.into_iter().collect();
-        items
-            .into_iter()
-            .rev()
-            .fold(tail, |acc, item| Term::cons(item, acc))
-    }
-
-    /// Returns `true` if this term is the atom `[]`.
-    pub fn is_nil(&self) -> bool {
-        matches!(self, Term::Atom(s) if *s == well_known::nil())
-    }
-
-    /// Returns `true` if this term is a `'.'/2` list cell.
-    pub fn is_cons(&self) -> bool {
-        matches!(self, Term::Struct(s, args) if *s == well_known::cons() && args.len() == 2)
-    }
-
-    /// Returns `true` if the term is a variable.
-    pub fn is_var(&self) -> bool {
-        matches!(self, Term::Var(_))
-    }
-
-    /// Returns `true` if the term is callable (an atom or a compound term),
-    /// i.e. could appear as a goal.
-    pub fn is_callable(&self) -> bool {
-        matches!(self, Term::Atom(_) | Term::Struct(..))
-    }
-
-    /// Returns the functor symbol and arity if the term is callable.
-    pub fn functor(&self) -> Option<(Symbol, usize)> {
-        match self {
-            Term::Atom(s) => Some((*s, 0)),
-            Term::Struct(s, args) => Some((*s, args.len())),
-            _ => None,
-        }
-    }
-
-    /// Returns the argument list of a compound term, or an empty slice.
-    pub fn args(&self) -> &[Term] {
-        match self {
-            Term::Struct(_, args) => args,
-            _ => &[],
-        }
-    }
-
-    /// If the term is a proper list, returns its elements.
-    ///
-    /// Returns `None` for partial lists (`[1|X]`) and non-lists.
-    pub fn as_list(&self) -> Option<Vec<&Term>> {
-        let mut out = Vec::new();
-        let mut cur = self;
-        loop {
-            if cur.is_nil() {
-                return Some(out);
-            }
-            match cur {
-                Term::Struct(s, args) if *s == well_known::cons() && args.len() == 2 => {
-                    out.push(&args[0]);
-                    cur = &args[1];
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    /// Length of a proper list, or `None` if the term is not a proper list.
-    pub fn list_length(&self) -> Option<usize> {
-        self.as_list().map(|v| v.len())
-    }
-
-    /// Returns `true` if the term contains no variables.
-    pub fn is_ground(&self) -> bool {
-        match self {
-            Term::Var(_) => false,
-            Term::Atom(_) | Term::Int(_) | Term::Float(_) => true,
-            Term::Struct(_, args) => args.iter().all(Term::is_ground),
-        }
-    }
-
-    /// Collects the set of variables occurring in the term.
-    pub fn variables(&self) -> BTreeSet<VarId> {
-        let mut set = BTreeSet::new();
-        self.collect_variables(&mut set);
-        set
-    }
-
-    /// Collects variables into an existing set (avoids repeated allocation).
-    pub fn collect_variables(&self, out: &mut BTreeSet<VarId>) {
-        match self {
-            Term::Var(v) => {
-                out.insert(*v);
-            }
-            Term::Atom(_) | Term::Int(_) | Term::Float(_) => {}
-            Term::Struct(_, args) => {
-                for a in args {
-                    a.collect_variables(out);
-                }
-            }
-        }
-    }
-
-    /// Returns `true` if variable `v` occurs in the term.
-    pub fn contains_var(&self, v: VarId) -> bool {
-        match self {
-            Term::Var(w) => *w == v,
-            Term::Atom(_) | Term::Int(_) | Term::Float(_) => false,
-            Term::Struct(_, args) => args.iter().any(|a| a.contains_var(v)),
-        }
-    }
-
-    /// Number of constant and function symbols in the term (the paper's
-    /// `term_size` measure). Variables count 1 (conservative upper-bound
-    /// convention is handled at the measure level, not here).
-    pub fn term_size(&self) -> usize {
-        match self {
-            Term::Var(_) => 1,
-            Term::Atom(_) | Term::Int(_) | Term::Float(_) => 1,
-            Term::Struct(_, args) => 1 + args.iter().map(Term::term_size).sum::<usize>(),
-        }
-    }
-
-    /// Depth of the term's tree representation (the paper's `term_depth`
-    /// measure). Atomic terms and variables have depth 0.
-    pub fn term_depth(&self) -> usize {
-        match self {
-            Term::Var(_) | Term::Atom(_) | Term::Int(_) | Term::Float(_) => 0,
-            Term::Struct(_, args) => 1 + args.iter().map(Term::term_depth).max().unwrap_or(0),
-        }
-    }
-
-    /// Applies a variable renaming / substitution function to every variable.
-    pub fn map_vars(&self, f: &mut impl FnMut(VarId) -> Term) -> Term {
-        match self {
-            Term::Var(v) => f(*v),
-            Term::Atom(_) | Term::Int(_) | Term::Float(_) => self.clone(),
-            Term::Struct(s, args) => Term::Struct(*s, args.iter().map(|a| a.map_vars(f)).collect()),
-        }
-    }
-
-    /// Shifts every variable index by `offset` (used for clause renaming).
-    pub fn offset_vars(&self, offset: usize) -> Term {
-        self.map_vars(&mut |v| Term::Var(v + offset))
+        let mut cells = Vec::new();
+        push_list(&mut cells, items.iter().map(|t| t.cells()), tail.cells());
+        Term::from_cells(cells)
     }
 }
 
-/// Dropping a term takes no native stack per level: a 300 000-element
-/// answer list is freed by a loop. Argument vectors nested two deep are
-/// taken out onto a work list, so the drop glue only ever frees terms whose
-/// arguments' arguments are atomic; a term that shallow needs no work list.
-impl Drop for Term {
-    fn drop(&mut self) {
-        fn nested(term: &Term) -> bool {
-            matches!(term, Term::Struct(_, args) if args.iter().any(|a| matches!(a, Term::Struct(..))))
-        }
-        let Term::Struct(_, args) = self else {
-            return;
-        };
-        if !args.iter().any(nested) {
-            return;
-        }
-        let mut args = std::mem::take(args);
-        let mut pending = Vec::new();
-        loop {
-            // Last argument pushed first: a list's head is freed before its
-            // tail is opened, so the work list stays short.
-            for arg in args.iter_mut().rev() {
-                if let Term::Struct(_, inner) = arg {
-                    if inner.iter().any(nested) {
-                        pending.push(std::mem::take(inner));
-                    }
-                }
-            }
-            match pending.pop() {
-                Some(next) => args = next,
-                None => return,
-            }
-        }
+/// Terms are equal, and hash, as their cells do; so a map keyed by terms
+/// is searched with the cells of a subterm.
+impl PartialEq for Term {
+    fn eq(&self, other: &Term) -> bool {
+        self.cells() == other.cells()
+    }
+}
+
+impl Eq for Term {}
+
+impl std::hash::Hash for Term {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.cells().hash(state);
+    }
+}
+
+impl std::borrow::Borrow<[Cell]> for Term {
+    fn borrow(&self) -> &[Cell] {
+        self.cells()
     }
 }
 
@@ -326,13 +458,25 @@ impl fmt::Debug for Term {
 
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        crate::pretty::fmt_term(self, None, f)
+        crate::pretty::fmt_term(self.term_ref(), None, f)
+    }
+}
+
+impl fmt::Display for TermRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        crate::pretty::fmt_term(*self, None, f)
+    }
+}
+
+impl PartialEq<Term> for TermRef<'_> {
+    fn eq(&self, other: &Term) -> bool {
+        self.cells == other.cells()
     }
 }
 
 impl From<i64> for Term {
     fn from(v: i64) -> Self {
-        Term::Int(v)
+        Term::int(v)
     }
 }
 
@@ -344,7 +488,7 @@ impl From<f64> for Term {
 
 impl From<Symbol> for Term {
     fn from(s: Symbol) -> Self {
-        Term::Atom(s)
+        Term(Repr::Atomic(Cell::Atom(s)))
     }
 }
 
@@ -357,8 +501,8 @@ mod tests {
         let t = Term::list(vec![Term::int(1), Term::int(2), Term::int(3)]);
         let elems = t.as_list().unwrap();
         assert_eq!(elems.len(), 3);
-        assert_eq!(*elems[0], Term::int(1));
-        assert_eq!(*elems[2], Term::int(3));
+        assert_eq!(elems[0], Term::int(1));
+        assert_eq!(elems[2], Term::int(3));
         assert_eq!(t.list_length(), Some(3));
     }
 
@@ -389,6 +533,7 @@ mod tests {
         assert_eq!(name.as_str(), "f");
         assert_eq!(arity, 2);
         assert_eq!(t.args().len(), 2);
+        assert_eq!(t.args().at(1), Term::atom("a"));
         assert_eq!(Term::atom("x").functor().unwrap().1, 0);
         assert!(Term::var(0).functor().is_none());
     }
@@ -439,6 +584,10 @@ mod tests {
         assert_eq!(t.term_depth(), 2);
         assert_eq!(Term::atom("a").term_depth(), 0);
         assert_eq!(Term::var(0).term_depth(), 0);
+        // A shallow argument after a deep one: the deep one's compounds
+        // have closed by then.
+        let t = Term::compound("f", vec![t, Term::compound("h", vec![Term::int(1)])]);
+        assert_eq!(t.term_depth(), 3);
     }
 
     #[test]
@@ -461,8 +610,8 @@ mod tests {
     #[test]
     fn map_vars_substitutes() {
         let t = Term::compound("f", vec![Term::var(0), Term::var(1)]);
-        let out = t.map_vars(&mut |v| if v == 0 { Term::int(7) } else { Term::Var(v) });
-        assert_eq!(out, Term::compound("f", vec![Term::int(7), Term::var(1)]));
+        let out = t.map_vars(|v| if v == 0 { 7 } else { v });
+        assert_eq!(out, Term::compound("f", vec![Term::var(7), Term::var(1)]));
     }
 
     #[test]
@@ -495,5 +644,24 @@ mod tests {
         assert_eq!(t, Term::float(1.5));
         let t: Term = Symbol::intern("abc").into();
         assert_eq!(t, Term::atom("abc"));
+    }
+
+    #[test]
+    fn every_subterm_is_a_slice_of_its_parent() {
+        // f(g(X), [1, 2]) in preorder: each argument is the slice after the
+        // one before it, and the list's tail is the slice after its head.
+        let t = Term::compound(
+            "f",
+            vec![
+                Term::compound("g", vec![Term::var(0)]),
+                Term::list(vec![Term::int(1), Term::int(2)]),
+            ],
+        );
+        assert!(matches!(t.cells()[0], Cell::Struct(_, 2, 7)));
+        let (g, list) = (t.args().at(0), t.args().at(1));
+        assert_eq!(g.cells(), &t.cells()[1..3]);
+        assert_eq!(list.cells(), &t.cells()[3..]);
+        assert_eq!(list.args().at(1).to_term(), Term::list(vec![Term::int(2)]));
+        assert_eq!(t.clone(), t);
     }
 }

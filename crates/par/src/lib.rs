@@ -92,7 +92,8 @@ use granlog_analysis::annotate::{prepare_program, ControlMode};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_engine::par::{ArmResult, Offer, ParHook};
 use granlog_engine::{Budget, Counters, EngineError, EngineResult, Image, Machine, MachineConfig};
-use granlog_ir::{parser, Program, Symbol, Term};
+use granlog_ir::term::Cell;
+use granlog_ir::{parser, AsTerm, Program, Symbol, Term};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -583,13 +584,9 @@ impl ParExecutor {
 /// Does a clause-body term mention the parallel-conjunction functor
 /// anywhere (including under control constructs)?
 fn mentions_par(term: &Term) -> bool {
-    match term {
-        Term::Struct(s, args) => {
-            (*s == granlog_ir::symbol::well_known::par_and() && args.len() == 2)
-                || args.iter().any(mentions_par)
-        }
-        _ => false,
-    }
+    let par_and = granlog_ir::symbol::well_known::par_and();
+    let is_par = |cell: &Cell| matches!(*cell, Cell::Struct(s, 2, _) if s == par_and);
+    term.cells().iter().any(is_par)
 }
 
 #[cfg(test)]

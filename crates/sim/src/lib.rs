@@ -18,18 +18,16 @@
 //! # Example
 //!
 //! ```
-//! use granlog_engine::TaskRecorder;
+//! use granlog_engine::{ForkSpan, TaskTree};
 //! use granlog_sim::{simulate, OverheadModel, SimConfig};
 //!
 //! // A root task forking two 1000-unit children.
-//! let mut recorder = TaskRecorder::new();
-//! let kids = recorder.record_fork(2);
+//! let mut tree = TaskTree::new();
+//! let kids = tree.add_tasks(2);
+//! tree.add_fork(tree.root(), ForkSpan { first: kids.start, count: 2 });
 //! for k in kids {
-//!     recorder.push(k);
-//!     recorder.record_work(1000.0);
-//!     recorder.pop();
+//!     tree.add_work(k, 1000.0);
 //! }
-//! let tree = recorder.into_tree();
 //!
 //! let sequential = simulate(&tree, &SimConfig::new(1, OverheadModel::zero()));
 //! let parallel = simulate(&tree, &SimConfig::new(4, OverheadModel::and_prolog_like()));
@@ -63,13 +61,10 @@ pub fn speedup_percent(t_without: f64, t_with: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use granlog_engine::TaskRecorder;
-
     #[test]
     fn compare_runs_all_configs() {
-        let mut r = TaskRecorder::new();
-        r.record_work(100.0);
-        let tree = r.into_tree();
+        let mut tree = granlog_engine::TaskTree::new();
+        tree.add_work(0, 100.0);
         let outs = compare(
             &tree,
             &[
@@ -95,29 +90,35 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use granlog_engine::{TaskRecorder, TaskTree};
+    use granlog_engine::{ForkSpan, TaskTree};
     use proptest::prelude::*;
 
     /// Builds a random fork-join tree from a recipe of (work, fanout) pairs.
     fn build_tree(recipe: &[(u16, u8)]) -> TaskTree {
-        fn go(r: &mut TaskRecorder, recipe: &[(u16, u8)], depth: usize) {
+        fn go(t: &mut TaskTree, task: usize, recipe: &[(u16, u8)], depth: usize) {
             if recipe.is_empty() || depth > 3 {
                 return;
             }
             let (work, fanout) = recipe[0];
-            r.record_work(work as f64);
+            t.add_work(task, work as f64);
             if fanout > 0 {
-                let kids = r.record_fork((fanout % 3 + 1) as usize);
+                let count = (fanout % 3 + 1) as usize;
+                let kids = t.add_tasks(count);
+                t.add_fork(
+                    task,
+                    ForkSpan {
+                        first: kids.start,
+                        count,
+                    },
+                );
                 for k in kids {
-                    r.push(k);
-                    go(r, &recipe[1..], depth + 1);
-                    r.pop();
+                    go(t, k, &recipe[1..], depth + 1);
                 }
             }
         }
-        let mut r = TaskRecorder::new();
-        go(&mut r, recipe, 0);
-        r.into_tree()
+        let mut t = TaskTree::new();
+        go(&mut t, 0, recipe, 0);
+        t
     }
 
     proptest! {

@@ -218,21 +218,30 @@ pub fn simulate(tree: &TaskTree, config: &SimConfig) -> SimOutcome {
 mod tests {
     use super::*;
     use crate::config::OverheadModel;
-    use granlog_engine::TaskRecorder;
+    use granlog_engine::ForkSpan;
+
+    /// Adds `n` children to `task` as one fork.
+    fn fork(tree: &mut TaskTree, task: usize, n: usize) -> std::ops::Range<usize> {
+        let kids = tree.add_tasks(n);
+        tree.add_fork(
+            task,
+            ForkSpan {
+                first: kids.start,
+                count: n,
+            },
+        );
+        kids
+    }
 
     /// root: 10 work, fork(a: 30, b: 50), then 5 more work.
     fn sample_tree() -> TaskTree {
-        let mut r = TaskRecorder::new();
-        r.record_work(10.0);
-        let kids: Vec<usize> = r.record_fork(2).collect();
-        r.push(kids[0]);
-        r.record_work(30.0);
-        r.pop();
-        r.push(kids[1]);
-        r.record_work(50.0);
-        r.pop();
-        r.record_work(5.0);
-        r.into_tree()
+        let mut t = TaskTree::new();
+        t.add_work(0, 10.0);
+        let kids = fork(&mut t, 0, 2);
+        t.add_work(kids.start, 30.0);
+        t.add_work(kids.start + 1, 50.0);
+        t.add_work(0, 5.0);
+        t
     }
 
     fn config(p: usize, overhead: OverheadModel) -> SimConfig {
@@ -276,9 +285,8 @@ mod tests {
 
     #[test]
     fn sequential_tree_is_unaffected_by_processor_count() {
-        let mut r = TaskRecorder::new();
-        r.record_work(100.0);
-        let tree = r.into_tree();
+        let mut tree = TaskTree::new();
+        tree.add_work(0, 100.0);
         let p1 = simulate(&tree, &config(1, OverheadModel::rolog_like()));
         let p4 = simulate(&tree, &config(4, OverheadModel::rolog_like()));
         // Only the root dispatch overhead applies in both cases.
@@ -290,17 +298,12 @@ mod tests {
     fn fine_grained_forks_with_high_overhead_are_slower_than_sequential() {
         // Many tiny tasks: parallel execution pays more in overhead than it
         // gains — exactly the phenomenon granularity control avoids.
-        let mut r = TaskRecorder::new();
+        let mut tree = TaskTree::new();
         for _ in 0..50 {
-            let kids: Vec<usize> = r.record_fork(2).collect();
-            r.push(kids[0]);
-            r.record_work(1.0);
-            r.pop();
-            r.push(kids[1]);
-            r.record_work(1.0);
-            r.pop();
+            for kid in fork(&mut tree, 0, 2) {
+                tree.add_work(kid, 1.0);
+            }
         }
-        let tree = r.into_tree();
         let ideal = tree.total_work();
         let out = simulate(&tree, &SimConfig::rolog4());
         assert!(
@@ -312,14 +315,10 @@ mod tests {
 
     #[test]
     fn coarse_grained_forks_with_high_overhead_still_speed_up() {
-        let mut r = TaskRecorder::new();
-        let kids = r.record_fork(4);
-        for k in kids {
-            r.push(k);
-            r.record_work(10_000.0);
-            r.pop();
+        let mut tree = TaskTree::new();
+        for kid in fork(&mut tree, 0, 4) {
+            tree.add_work(kid, 10_000.0);
         }
-        let tree = r.into_tree();
         let out = simulate(&tree, &SimConfig::rolog4());
         let sequential = tree.total_work();
         assert!(
@@ -342,19 +341,12 @@ mod tests {
     #[test]
     fn nested_forks_schedule_correctly() {
         // root forks two children; each child forks two grandchildren of 10.
-        let mut r = TaskRecorder::new();
-        let kids = r.record_fork(2);
-        for k in kids {
-            r.push(k);
-            let grand = r.record_fork(2);
-            for g in grand {
-                r.push(g);
-                r.record_work(10.0);
-                r.pop();
+        let mut tree = TaskTree::new();
+        for kid in fork(&mut tree, 0, 2) {
+            for grandchild in fork(&mut tree, kid, 2) {
+                tree.add_work(grandchild, 10.0);
             }
-            r.pop();
         }
-        let tree = r.into_tree();
         let out = simulate(&tree, &config(4, OverheadModel::zero()));
         // 4 leaves of 10 units on 4 processors: makespan 10.
         assert_eq!(out.makespan, 10.0);

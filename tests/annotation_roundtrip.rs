@@ -9,7 +9,7 @@
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_benchmarks::harness::{execute, prepare_program, ControlMode};
 use granlog_benchmarks::{benchmark, nrev_benchmark, Benchmark};
-use granlog_ir::Term;
+use granlog_ir::{AsTerm, Term, TermRef, View};
 use granlog_sim::OverheadModel;
 
 const MODES: [ControlMode; 4] = [
@@ -69,9 +69,9 @@ fn quick_sort_actually_sorts() {
         .as_list()
         .expect("proper list")
         .iter()
-        .map(|t| match t {
-            Term::Int(i) => *i,
-            other => panic!("non-integer element {other}"),
+        .map(|t| match t.view() {
+            View::Int(i) => i,
+            _ => panic!("non-integer element {t}"),
         })
         .collect();
     assert_eq!(items.len(), 30);
@@ -160,19 +160,19 @@ fn fft_reproduces_a_known_small_transform() {
     );
     let spectrum = outcome.binding("Y").unwrap().as_list().expect("list");
     assert_eq!(spectrum.len(), 4);
-    let component = |t: &Term| -> (f64, f64) {
+    let component = |t: TermRef<'_>| -> (f64, f64) {
         let args = t.args();
-        let to_f = |x: &Term| match x {
-            Term::Float(v) => v.0,
-            Term::Int(v) => *v as f64,
-            other => panic!("unexpected component {other}"),
+        let to_f = |x: TermRef<'_>| match x.view() {
+            View::Float(v) => v,
+            View::Int(v) => v as f64,
+            _ => panic!("unexpected component {x}"),
         };
-        (to_f(&args[0]), to_f(&args[1]))
+        (to_f(args.at(0)), to_f(args.at(1)))
     };
     let (re0, im0) = component(spectrum[0]);
     assert!((re0 - 4.0).abs() < 1e-9 && im0.abs() < 1e-9);
     for t in &spectrum[1..] {
-        let (re, im) = component(t);
+        let (re, im) = component(*t);
         assert!(
             re.abs() < 1e-9 && im.abs() < 1e-9,
             "nonzero bin: {re} + {im}i"

@@ -165,29 +165,46 @@ fn run_prints_a_300_000_element_answer_and_refuses_a_cyclic_one() {
     assert!(stderr.contains("cyclic term"), "{stderr}");
 }
 
-/// ROADMAP item 1, the way in: a fact holding a 200 000-element list
+/// ROADMAP item 1, the front door: a fact holding a 200 000-element list
 /// literal used to abort `granlog run` without granularity control
-/// (`exit 134`) in the recursive template writer and head matcher. The list
-/// is written into a variable, matched against itself and counted now.
+/// (`exit 134`) in the recursive template writer and head matcher, and
+/// every command that reads it through the analysis, the annotator or the
+/// Datalog lowering in their recursive term walks. Every command reads it
+/// now; the list is written into a variable, matched against itself and
+/// counted, on every engine and in every granularity mode.
 #[test]
 fn run_without_control_reads_a_200_000_element_list_literal() {
     let items: Vec<String> = (0..200_000).map(|i| i.to_string()).collect();
     let path = write_temp("big.pl", &format!("big([{}]).\n", items.join(",")));
-    let (stdout, stderr, ok) = granlog(&[
-        "run",
-        "--threads",
-        "1",
-        "--granularity",
-        "off",
-        path.to_str().unwrap(),
-        "big(L), big(L), big([0|T]), length(T, N)",
-    ]);
+    let path = path.to_str().unwrap();
+    let tail = |stdout: &str| stdout[stdout.len().saturating_sub(300)..].to_owned();
+
+    let (stdout, stderr, ok) = granlog(&["analyze", path]);
+    assert!(ok && stdout.contains("predicate big/1"), "{stderr}");
+    let (stdout, stderr, ok) = granlog(&["annotate", path]);
+    assert!(ok && stdout.contains("big([0,1,2,"), "{stderr}");
+    assert!(stdout.contains(",199999])."), "{}", tail(&stdout));
+
+    let goal = "big(L), big(L), big([0|T]), length(T, N)";
+    for mode in [
+        &["--threads", "1", "--granularity", "off"][..],
+        &[],
+        &["--threads", "2", "--granularity", "on"],
+        &["--threads", "2", "--granularity", "off"],
+        &["--threads", "2", "--granularity", "always-spawn"],
+    ] {
+        let (stdout, stderr, ok) = granlog(&[&["run"], mode, &[path, goal]].concat());
+        assert!(ok, "{mode:?}: {stderr}");
+        assert!(
+            stdout.lines().any(|line| line.trim() == "N = 199999"),
+            "{mode:?}: no count in {}",
+            tail(&stdout)
+        );
+    }
+    let (stdout, stderr, ok) = granlog(&["run", "--engine", "bottom-up", path, "big(L)"]);
     assert!(ok, "{stderr}");
-    assert!(
-        stdout.lines().any(|line| line.trim() == "N = 199999"),
-        "no count in {}",
-        &stdout[stdout.len().saturating_sub(300)..]
-    );
+    assert!(stdout.contains("L = [0,1,2,"), "{stderr}");
+    assert!(stdout.contains(",199999]"), "{}", tail(&stdout));
 }
 
 /// ROADMAP item 1, printing and the last unbounded loops: `mk(300000, E)`

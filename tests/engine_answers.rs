@@ -24,7 +24,8 @@
 
 use granlog_engine::{EngineError, Machine, MachineConfig, TermLimit};
 use granlog_ir::parser::{parse_program, parse_term};
-use granlog_ir::Term;
+use granlog_ir::term::Cell;
+use granlog_ir::{AsTerm, Term};
 use granlog_par::{Granularity, ParConfig, ParExecutor};
 use granlog_serve::{PoolConfig, Session, SessionBudget, TemplateCache};
 use proptest::prelude::*;
@@ -123,7 +124,7 @@ fn text(spec: &Spec, prefix: &mut Vec<String>) -> String {
     }
 }
 
-/// The term `spec` denotes, variable `Vk` being `Term::Var(class[k])`.
+/// The term `spec` denotes, variable `Vk` being `Term::var(class[k])`.
 fn expected(spec: &Spec, class: &[usize; 4]) -> Term {
     match spec {
         Spec::Int(i) => Term::int(*i),
@@ -143,30 +144,17 @@ fn expected(spec: &Spec, class: &[usize; 4]) -> Term {
     }
 }
 
-/// Are `a` and `b` the same term up to a renaming of variables? A loop, so
-/// a 10⁵-cell list is compared on a 2 MiB stack.
+/// Are `a` and `b` the same term up to a renaming of variables? Their
+/// preorder cells agree one by one, variables through a bijection.
 fn variant(a: &Term, b: &Term) -> bool {
     let (mut ab, mut ba) = (HashMap::new(), HashMap::new());
-    let mut pending = vec![(a, b)];
-    while let Some(pair) = pending.pop() {
-        let same = match pair {
-            (Term::Var(x), Term::Var(y)) => {
-                *ab.entry(*x).or_insert(*y) == *y && *ba.entry(*y).or_insert(*x) == *x
+    a.cells().len() == b.cells().len()
+        && a.cells().iter().zip(b.cells()).all(|pair| match pair {
+            (Cell::Var(x), Cell::Var(y)) => {
+                *ab.entry(x).or_insert(y) == y && *ba.entry(y).or_insert(x) == x
             }
-            (Term::Struct(f, xs), Term::Struct(g, ys)) => {
-                pending.extend(xs.iter().zip(ys));
-                f == g && xs.len() == ys.len()
-            }
-            (Term::Atom(x), Term::Atom(y)) => x == y,
-            (Term::Int(x), Term::Int(y)) => x == y,
-            (Term::Float(x), Term::Float(y)) => x == y,
-            _ => false,
-        };
-        if !same {
-            return false;
-        }
-    }
-    true
+            (x, y) => x == y,
+        })
 }
 
 /// One generated case: `w(T, L)` where `L` is `len` run-time cells around

@@ -211,7 +211,7 @@ fn a_run_time_expression_of_any_depth_evaluates_on_a_connection_sized_stack() {
             let mut machine = Machine::new(&program);
             let out = machine.run_query("deep(V)").unwrap();
             assert!(out.succeeded);
-            assert_eq!(out.binding("V"), Some(&Term::Int(300_000)));
+            assert_eq!(out.binding("V"), Some(&Term::int(300_000)));
             assert!(machine.run_query("deeper(300001)").unwrap().succeeded);
             assert!(!machine.run_query("deeper(300000)").unwrap().succeeded);
         })

@@ -17,7 +17,7 @@
 
 use granlog_engine::{ClauseSelection, Image, Machine, MachineConfig, QueryOutcome};
 use granlog_ir::parser::parse_program;
-use granlog_ir::{IndexKey, PredId, Term};
+use granlog_ir::{AsTerm, IndexKey, PredId, Term, View};
 use proptest::prelude::*;
 
 /// First-argument shapes covering atoms, ints, structs and variables.
@@ -153,7 +153,7 @@ proptest! {
         let indexed = run_differential(&src, &query);
         if indexed.succeeded {
             let r = indexed.binding("R").expect("R bound on success");
-            prop_assert!(matches!(r, Term::Int(v) if *v >= threshold));
+            prop_assert!(matches!(r.view(), View::Int(v) if v >= threshold));
         }
     }
 
@@ -251,7 +251,7 @@ proptest! {
         if !xs.is_empty() {
             let reversed = outcome.binding("R").unwrap().as_list().unwrap();
             prop_assert_eq!(reversed.len(), xs.len());
-            prop_assert_eq!(reversed[0], &Term::int(*xs.last().unwrap()));
+            prop_assert_eq!(reversed[0], Term::int(*xs.last().unwrap()));
         }
     }
 

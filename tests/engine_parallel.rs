@@ -28,7 +28,7 @@ use granlog_analysis::annotate::{apply_granularity_control, AnnotateOptions};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_engine::{Budget, EngineResult, Machine, QueryOutcome};
 use granlog_ir::parser::parse_program;
-use granlog_ir::Term;
+use granlog_ir::{AsTerm, Term, TermRef, View};
 use granlog_par::{Granularity, ParConfig, ParExecutor, ParOutcome};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -38,17 +38,17 @@ use std::collections::BTreeMap;
 /// variable numbering (sequential cell indices vs. parallel fresh
 /// variables) compare equal, while sharing differences still show.
 fn canonical_bindings(bindings: &[(granlog_ir::Symbol, Term)]) -> Vec<(String, String)> {
-    fn canon(term: &Term, map: &mut BTreeMap<usize, usize>, out: &mut String) {
-        match term {
-            Term::Var(v) => {
+    fn canon(term: TermRef<'_>, map: &mut BTreeMap<usize, usize>, out: &mut String) {
+        match term.view() {
+            View::Var(v) => {
                 let next = map.len();
-                let id = *map.entry(*v).or_insert(next);
+                let id = *map.entry(v).or_insert(next);
                 out.push_str(&format!("_V{id}"));
             }
-            Term::Struct(name, args) => {
+            View::Struct(name, args) => {
                 out.push_str(name.as_str());
                 out.push('(');
-                for (i, arg) in args.iter().enumerate() {
+                for (i, arg) in args.enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
@@ -56,7 +56,7 @@ fn canonical_bindings(bindings: &[(granlog_ir::Symbol, Term)]) -> Vec<(String, S
                 }
                 out.push(')');
             }
-            other => out.push_str(&other.to_string()),
+            _ => out.push_str(&term.to_string()),
         }
     }
     let mut map = BTreeMap::new();
@@ -64,7 +64,7 @@ fn canonical_bindings(bindings: &[(granlog_ir::Symbol, Term)]) -> Vec<(String, S
         .iter()
         .map(|(name, term)| {
             let mut s = String::new();
-            canon(term, &mut map, &mut s);
+            canon(term.term_ref(), &mut map, &mut s);
             (name.to_string(), s)
         })
         .collect()
@@ -233,15 +233,15 @@ proptest! {
 
 /// Renders a term as query text: variable `n` is `Vn`, floats keep their
 /// decimal point.
-fn term_text(term: &Term) -> String {
-    match term {
-        Term::Var(v) => format!("V{v}"),
-        Term::Float(x) => format!("{:?}", x.0),
-        Term::Struct(name, args) => {
-            let args: Vec<String> = args.iter().map(term_text).collect();
+fn term_text(term: TermRef<'_>) -> String {
+    match term.view() {
+        View::Var(v) => format!("V{v}"),
+        View::Float(x) => format!("{x:?}"),
+        View::Struct(name, args) => {
+            let args: Vec<String> = args.map(term_text).collect();
             format!("{name}({})", args.join(","))
         }
-        other => other.to_string(),
+        _ => term.to_string(),
     }
 }
 
@@ -280,7 +280,7 @@ proptest! {
         threads in 1usize..3,
     ) {
         let prefix: String = aliases.iter().map(|(a, b)| format!("V{a} = V{b}, ")).collect();
-        let query = format!("{prefix}V3 = k(2.5, V4), (true & same({}, Out))", term_text(&term));
+        let query = format!("{prefix}V3 = k(2.5, V4), (true & same({}, Out))", term_text(term.term_ref()));
         let stolen = assert_stolen_differential(PACKET_SRC, &query);
         prop_assert_eq!(stolen, 1, "{}: the arm must cross the boundary", query);
         let par = assert_differential(PACKET_SRC, &query, threads, Granularity::AlwaysSpawn);
@@ -295,7 +295,7 @@ proptest! {
         right in arb_term(),
         threads in 1usize..3,
     ) {
-        let src = format!("mk({}, {}).", term_text(&left), term_text(&right));
+        let src = format!("mk({}, {}).", term_text(left.term_ref()), term_text(right.term_ref()));
         prop_assert_eq!(assert_stolen_differential(&src, "mk(_, _) & mk(A, B)"), 1);
         let par = assert_differential(&src, "mk(_, _) & mk(A, B)", threads, Granularity::AlwaysSpawn);
         prop_assert_eq!(par.spawned_tasks, 2);
@@ -311,8 +311,8 @@ proptest! {
     ) {
         let query = format!(
             "same(f({}, V0), Out) & same(g(V0, {}), Back)",
-            term_text(&left),
-            term_text(&right),
+            term_text(left.term_ref()),
+            term_text(right.term_ref()),
         );
         let par = assert_differential(PACKET_SRC, &query, threads, Granularity::AlwaysSpawn);
         prop_assert_eq!(par.spawned_tasks, 0, "{}", query);

@@ -13,7 +13,7 @@ use granlog_analysis::annotate::{apply_granularity_control, AnnotateOptions};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_engine::Machine;
 use granlog_ir::symbol::well_known;
-use granlog_ir::{Guard, GuardTable, PredId, Term};
+use granlog_ir::{AsTerm, Guard, GuardTable, PredId, TermRef, View};
 use granlog_par::{Granularity, ParConfig, ParExecutor};
 use support::fifteen_benchmarks;
 
@@ -63,40 +63,47 @@ fn the_executor_under_on_runs_exactly_the_annotated_program() {
 
 /// The guard of the first goal along an arm's `','`-spine that has one — the
 /// annotator's rule, restated over source terms.
-fn first_guarded(arm: &Term, guards: &GuardTable) -> Option<(PredId, Guard)> {
-    match arm {
-        Term::Struct(s, args) if *s == well_known::comma() && args.len() == 2 => {
-            first_guarded(&args[0], guards).or_else(|| first_guarded(&args[1], guards))
+fn first_guarded(arm: TermRef<'_>, guards: &GuardTable) -> Option<(PredId, Guard)> {
+    match arm.view() {
+        View::Struct(s, args) if s == well_known::comma() && args.len() == 2 => {
+            first_guarded(args.at(0), guards).or_else(|| first_guarded(args.at(1), guards))
         }
-        goal => {
-            let pred = PredId::of_term(goal)?;
+        _ => {
+            let pred = PredId::of_term(arm)?;
             Some((pred, guards.get(pred)?))
         }
     }
 }
 
-/// Every maximal `&` conjunction of a body, innermost first, as the per-arm
-/// table entries the annotator consults.
-fn expected_arms(body: &Term, guards: &GuardTable, out: &mut Vec<Vec<Option<(PredId, Guard)>>>) {
-    fn arms_of<'t>(t: &'t Term, arms: &mut Vec<&'t Term>) {
-        match t {
-            Term::Struct(s, args) if *s == well_known::par_and() && args.len() == 2 => {
-                arms_of(&args[0], arms);
-                arms_of(&args[1], arms);
+/// Every maximal `&` conjunction of a body's control constructs, innermost
+/// first, as the per-arm table entries the annotator consults.
+fn expected_arms(
+    body: TermRef<'_>,
+    guards: &GuardTable,
+    out: &mut Vec<Vec<Option<(PredId, Guard)>>>,
+) {
+    fn arms_of<'t>(t: TermRef<'t>, arms: &mut Vec<TermRef<'t>>) {
+        match t.view() {
+            View::Struct(s, args) if s == well_known::par_and() && args.len() == 2 => {
+                arms_of(args.at(0), arms);
+                arms_of(args.at(1), arms);
             }
-            arm => arms.push(arm),
+            _ => arms.push(t),
         }
     }
-    match body {
-        Term::Struct(s, args) if *s == well_known::par_and() && args.len() == 2 => {
+    let wk = well_known::get();
+    match body.view() {
+        View::Struct(s, args) if s == wk.par_and && args.len() == 2 => {
             let mut arms = Vec::new();
             arms_of(body, &mut arms);
-            for arm in &arms {
+            for &arm in &arms {
                 expected_arms(arm, guards, out);
             }
-            out.push(arms.iter().map(|arm| first_guarded(arm, guards)).collect());
+            out.push(arms.iter().map(|&arm| first_guarded(arm, guards)).collect());
         }
-        Term::Struct(_, args) => args.iter().for_each(|a| expected_arms(a, guards, out)),
+        View::Struct(s, args) if [wk.comma, wk.semicolon, wk.arrow, wk.not].contains(&s) => {
+            args.for_each(|a| expected_arms(a, guards, out))
+        }
         _ => {}
     }
 }
@@ -119,7 +126,7 @@ fn every_decision_arm_is_the_table_entry_of_its_first_guarded_goal() {
             for predicate in program.predicates() {
                 for (clause_index, clause) in program.clauses_of(predicate.id).iter().enumerate() {
                     let mut expected = Vec::new();
-                    expected_arms(&clause.body, &guards, &mut expected);
+                    expected_arms(clause.body.term_ref(), &guards, &mut expected);
                     for arms in expected {
                         let decision = decisions.next().expect("one decision per conjunction");
                         let at =

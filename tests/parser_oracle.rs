@@ -20,7 +20,7 @@
 
 use granlog_benchmarks::datalog_benchmarks;
 use granlog_ir::parser::{parse_program, parse_term};
-use granlog_ir::{Clause, Directive, PredId, Program, Symbol, Term};
+use granlog_ir::{AsTerm, Clause, Directive, PredId, Program, Symbol, Term, TermRef, View};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 use support::Section;
@@ -206,23 +206,23 @@ const INPUTS: &[&str] = &[
 /// Writes `term` in canonical form: `_N` variables, quoted atoms, plain
 /// integers, floats with their `Debug` text, `"f"(args)` compounds — lists
 /// and operators included, so the shape the reader built is all there is.
-fn write_canonical(term: &Term, out: &mut String) {
-    match term {
-        Term::Var(v) => {
+fn write_canonical(term: TermRef<'_>, out: &mut String) {
+    match term.view() {
+        View::Var(v) => {
             let _ = write!(out, "_{v}");
         }
-        Term::Atom(name) => {
+        View::Atom(name) => {
             let _ = write!(out, "{:?}", name.as_str());
         }
-        Term::Int(i) => {
+        View::Int(i) => {
             let _ = write!(out, "{i}");
         }
-        Term::Float(x) => {
-            let _ = write!(out, "{:?}", x.0);
+        View::Float(x) => {
+            let _ = write!(out, "{x:?}");
         }
-        Term::Struct(name, args) => {
+        View::Struct(name, args) => {
             let _ = write!(out, "{:?}(", name.as_str());
-            for (i, arg) in args.iter().enumerate() {
+            for (i, arg) in args.enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -235,7 +235,7 @@ fn write_canonical(term: &Term, out: &mut String) {
 
 fn canonical(term: &Term) -> String {
     let mut out = String::new();
-    write_canonical(term, &mut out);
+    write_canonical(term.term_ref(), &mut out);
     out
 }
 
@@ -484,7 +484,7 @@ fn clause_of(head: &Term, body: &Term) -> Clause {
             order.push(v);
             order.len() - 1
         });
-        Term::Var(id)
+        id
     };
     let head = head.map_vars(&mut renumber);
     let body = body.map_vars(&mut renumber);

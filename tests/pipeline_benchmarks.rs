@@ -5,6 +5,8 @@ use granlog_analysis::annotate::{apply_granularity_control, AnnotateOptions};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions, ProgramAnalysis};
 use granlog_analysis::{SchemaKind, Threshold};
 use granlog_benchmarks::all_benchmarks;
+use granlog_datalog::CompiledDatalog;
+use granlog_ir::parser::{parse_program, parse_term};
 use granlog_ir::{PredId, Program};
 
 fn analyze(name: &str) -> (Program, ProgramAnalysis) {
@@ -12,6 +14,40 @@ fn analyze(name: &str) -> (Program, ProgramAnalysis) {
     let program = bench.program().expect("program parses");
     let analysis = analyze_program(&program, &AnalysisOptions::default());
     (program, analysis)
+}
+
+/// ROADMAP item 1, the analysis half of the front door: a fact holding a
+/// 200 000-element list literal used to overflow the stack in the
+/// analysis' size walks, the annotator's rewrite and the Datalog lowering.
+/// Each reads the term's cells or walks its control spine by a loop now, so
+/// all three run on a 2 MiB thread in an unoptimised build.
+#[test]
+fn a_200_000_element_literal_is_analysed_annotated_and_lowered_on_a_small_stack() {
+    let items: Vec<String> = (0..200_000).map(|i| i.to_string()).collect();
+    let list = format!("[{}]", items.join(","));
+    let src = format!("big({list}).\ntwo(L) :- big(L) & big(L).\n");
+    let answer = std::thread::Builder::new()
+        .stack_size(2 * 1024 * 1024)
+        .spawn(move || {
+            let program = parse_program(&src).expect("parses");
+            let analysis = analyze_program(&program, &AnalysisOptions::default());
+            assert!(analysis.pred(PredId::parse("big", 1)).is_some());
+            let options = AnnotateOptions::default();
+            let annotated = apply_granularity_control(&program, &analysis, &options);
+            assert_eq!(annotated.program.clauses()[0], program.clauses()[0]);
+            assert_eq!(annotated.decisions.len(), 1);
+            let database = CompiledDatalog::compile(&program)
+                .expect("a Datalog program")
+                .evaluate()
+                .expect("evaluates");
+            let (goal, names) = parse_term("two(L)").unwrap();
+            let answers = database.query(&goal, &names).expect("answers");
+            answers.bindings(0)[0].1.to_string()
+        })
+        .unwrap()
+        .join()
+        .expect("no stack overflow");
+    assert_eq!(answer, list);
 }
 
 #[test]

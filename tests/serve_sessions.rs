@@ -462,6 +462,39 @@ fn a_term_nested_past_the_limit_is_a_parse_error_and_costs_the_neighbour_nothing
     server.shutdown();
 }
 
+/// ROADMAP item 1, the Datalog lowering: a tenant that loads a fact holding
+/// a 200 000-element list literal and queries it under `engine bottom-up`
+/// used to overflow the connection thread's stack while the fact's constant
+/// was interned (a recursive clone, hash and compare of the list), aborting
+/// the server under every tenant. The constant is interned by its cells now:
+/// the tenant gets its answer, and the neighbour and a new connection are
+/// served.
+#[test]
+fn a_200_000_element_literal_under_bottom_up_costs_the_neighbour_nothing() {
+    let server = start_server(ServeConfig::default());
+    let mut tenant = ServeClient::connect(server.addr()).unwrap();
+    tenant.load("p(1).").unwrap().unwrap();
+
+    let mut hostile = ServeClient::connect(server.addr()).unwrap();
+    let items: Vec<String> = (0..200_000).map(|i| i.to_string()).collect();
+    let list = format!("[{}]", items.join(","));
+    hostile.load(&format!("big({list}).")).unwrap().unwrap();
+    hostile.engine("bottom-up").unwrap().unwrap();
+    let reply = hostile.query("big(L)").unwrap().unwrap();
+    assert_eq!(reply.bindings, [("L".to_string(), list)]);
+
+    let reply = tenant.query("p(X)").unwrap().unwrap();
+    assert_eq!(reply.bindings, vec![("X".to_string(), "1".to_string())]);
+    let mut second = ServeClient::connect(server.addr()).unwrap();
+    second.load("q(2).").unwrap().unwrap();
+    assert!(second.query("q(2)").unwrap().unwrap().succeeded);
+    assert_eq!(tenant.stats().unwrap().quarantined, 0);
+    for client in [hostile, tenant, second] {
+        client.quit().unwrap();
+    }
+    server.shutdown();
+}
+
 /// ROADMAP item 1, the arithmetic evaluator: a `+` chain 300 000 deep, built
 /// at run time by a two-clause predicate, used to overflow the stack of the
 /// connection thread inside `V is E` and abort the server under every
