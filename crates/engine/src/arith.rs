@@ -22,7 +22,7 @@
 use crate::error::{EngineError, EngineResult, TermLimit};
 use crate::heap::{self, HCell};
 use crate::machine::{Machine, MAX_WALK_CELLS};
-use crate::template::Cell;
+use granlog_ir::term::Cell;
 use granlog_ir::{FastMap, Symbol};
 use std::cmp::Ordering;
 use std::fmt;
@@ -511,8 +511,8 @@ pub(crate) fn compile(cells: &[Cell], pos: usize, out: &mut Vec<Instr>) -> bool 
         pos += 1;
         let leaf = match cell {
             Cell::Int(i) => Instr::Int(i),
-            Cell::Float(x) => Instr::Float(x),
-            Cell::Var(v) | Cell::VarFirst(v) => Instr::Var(v),
+            Cell::Float(x) => Instr::Float(x.0),
+            Cell::Var(v) => Instr::Var(v as u32),
             Cell::Atom(s) => match constant(s) {
                 Ok(value) => Instr::Float(value),
                 Err(unknown) => Instr::Trap(unknown),
@@ -913,7 +913,7 @@ mod tests {
     fn run_src(src: &str) -> Option<ArithResult> {
         let program = parse_program(&format!("p :- q({src}).")).unwrap();
         let templates = crate::template::compile_program(&program);
-        let cells = templates[0].cells();
+        let cells = templates[0].layout().cells();
         let arg = cells
             .iter()
             .position(|c| matches!(c, Cell::Struct(_, 1, _)))

@@ -45,6 +45,7 @@
 //! * A bound variable's overwritten cell is restored from the trail before
 //!   any truncation that would remove the binding's target.
 
+use granlog_ir::term::Cell;
 use granlog_ir::Symbol;
 
 /// One tagged heap cell. `Copy`, 16 bytes; see the module docs for the tag
@@ -68,6 +69,22 @@ impl HCell {
     #[inline]
     pub fn unbound(idx: usize) -> HCell {
         HCell::Ref(idx as u32)
+    }
+
+    /// The arena cell of an atom, integer or float of a term — what a
+    /// constant binds a variable to or is compared with.
+    ///
+    /// # Panics
+    ///
+    /// On a variable or compound cell.
+    #[inline]
+    pub(crate) fn constant(cell: Cell) -> HCell {
+        match cell {
+            Cell::Atom(s) => HCell::Atom(s),
+            Cell::Int(i) => HCell::Int(i),
+            Cell::Float(x) => HCell::Float(x.0),
+            other => unreachable!("{other:?} is not a constant"),
+        }
     }
 
     /// The functor name and arity of a callable cell.

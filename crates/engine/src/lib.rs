@@ -80,4 +80,4 @@ pub use machine::{Budget, ClauseSelection, Machine, MachineConfig, MachineStats,
 pub use par::{ArmAnswer, ArmResult, Offer, Packet, ParHook};
 pub use profile::PredProfile;
 pub use tasktree::{ForkSpan, Segment, Task, TaskId, TaskRecorder, TaskTree};
-pub use template::{BuiltinStep, Cell, ClauseTemplate, Seq, Step};
+pub use template::{BuiltinStep, ClauseTemplate, Seq, Step};

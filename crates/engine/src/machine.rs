@@ -68,9 +68,9 @@ use crate::heap::{self, HCell};
 use crate::image::{CallTarget, Image};
 use crate::par::{ArmAnswer, Offer, Packet, ParHook};
 use crate::tasktree::{TaskId, TaskRecorder, TaskTree};
-use crate::template::{BuiltinStep, Cell, ClauseTemplate, Layout, Seq, Step};
+use crate::template::{BuiltinStep, ClauseTemplate, Layout, Seq, Step};
 use granlog_ir::symbol::well_known::{self, WellKnownSymbols};
-use granlog_ir::term::{self, OrderedF64};
+use granlog_ir::term::{self, AsTerm, OrderedF64};
 use granlog_ir::{parser, ClauseId, FastMap, IndexKey, PredId, Program, Symbol, Term};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -641,7 +641,8 @@ impl Machine {
         self.begin_solve();
         let mut layout = std::mem::take(&mut self.goal_layout);
         layout.clear();
-        let root = layout.add(goal);
+        let root = layout.add(goal.cells());
+        layout.lay_out(root);
         // Query variables occupy the bottom of the arena, so their cell
         // indices double as binding-table slots for answer extraction.
         self.fresh_vars(var_names.len().max(layout.vars()));
@@ -1063,16 +1064,17 @@ impl Machine {
 
     /// Writes the subterm of `layout` whose root cell is at `pos` for the
     /// variable block starting at `var_base` — a compound's argument blocks
-    /// as one relocating copy of its span — and returns its root cell.
+    /// as one relocating copy of its span, which only a compound the layout
+    /// laid out has — and returns its root cell.
     pub(crate) fn write(&mut self, layout: &Layout, pos: usize, var_base: usize) -> HCell {
         match layout.cells()[pos] {
-            Cell::Var(v) | Cell::VarFirst(v) => HCell::Ref(var_base as u32 + v),
-            Cell::Struct(name, arity, span) => {
-                let (origin, cells) = layout.span(span);
+            term::Cell::Var(v) => HCell::Ref((var_base + v) as u32),
+            term::Cell::Struct(name, arity, _) => {
+                let (origin, cells) = layout.images(pos);
                 let at = self.write_relocated(cells, origin, var_base);
                 HCell::Struct(name, arity, at as u32)
             }
-            constant => constant.constant(),
+            constant => HCell::constant(constant),
         }
     }
 
@@ -1213,23 +1215,20 @@ impl Machine {
     fn unify_head_cell(
         &mut self,
         goal: usize,
-        layout: &Layout,
+        templ: &ClauseTemplate,
         pos: &mut usize,
         var_base: usize,
     ) -> Result<bool, TermLimit> {
+        let layout = templ.layout();
         match layout.cells()[*pos] {
-            Cell::Var(v) => {
-                *pos += 1;
-                self.unify(goal, var_base + v as usize, Charge::Counted)
-            }
-            Cell::VarFirst(v) => {
+            term::Cell::Var(v) if templ.first_in_head(v) == *pos => {
                 // First occurrence of a head variable: its cell is unbound
                 // by construction, so this is a plain bind — same
                 // one-unification count and binding direction as the general
                 // path, minus its dereferences.
                 *pos += 1;
                 self.count_unification();
-                let head_var = var_base + v as usize;
+                let head_var = var_base + v;
                 debug_assert!(
                     matches!(self.heap[head_var], HCell::Ref(x) if x as usize == head_var),
                     "first occurrence is unbound"
@@ -1241,7 +1240,11 @@ impl Machine {
                 }
                 Ok(true)
             }
-            Cell::Struct(f, arity, _) => {
+            term::Cell::Var(v) => {
+                *pos += 1;
+                self.unify(goal, var_base + v, Charge::Counted)
+            }
+            term::Cell::Struct(f, arity, _) => {
                 self.count_unification();
                 let g = self.deref_idx(goal);
                 match self.heap[g] {
@@ -1265,7 +1268,7 @@ impl Machine {
                 // An atom, integer or float binds or compares one cell.
                 *pos += 1;
                 self.count_unification();
-                let value = constant.constant();
+                let value = HCell::constant(constant);
                 let g = self.deref_idx(goal);
                 Ok(match self.heap[g] {
                     HCell::Ref(_) => {
@@ -1278,37 +1281,25 @@ impl Machine {
         }
     }
 
-    /// Unifies an immediate (numeric) value against the template subtree at
-    /// `*pos` — the `Lhs is Rhs` eager path. Same counts as routing the
+    /// Unifies an immediate (numeric) value with the template subterm whose
+    /// root is `cell` — the `Lhs is Rhs` path. Same counts as routing the
     /// value through [`Machine::unify_head_cell`] with a parked goal cell.
     fn unify_value_template(
         &mut self,
         value: HCell,
-        cells: &[Cell],
-        pos: &mut usize,
+        cell: term::Cell,
         var_base: usize,
     ) -> Result<bool, TermLimit> {
-        match cells[*pos] {
-            Cell::Var(v) => {
-                *pos += 1;
-                self.unify_cell(var_base + v as usize, value)
-            }
-            Cell::VarFirst(v) => {
-                *pos += 1;
-                self.count_unification();
-                self.bind_cell(var_base + v as usize, value);
-                Ok(true)
-            }
-            Cell::Struct(..) => {
-                // A number never matches a compound; the cursor is abandoned
-                // with the failed activation.
+        match cell {
+            term::Cell::Var(v) => self.unify_cell(var_base + v, value),
+            term::Cell::Struct(..) => {
+                // A number never matches a compound.
                 self.count_unification();
                 Ok(false)
             }
             constant => {
-                *pos += 1;
                 self.count_unification();
-                Ok(constant.constant() == value)
+                Ok(HCell::constant(constant) == value)
             }
         }
     }
@@ -1326,7 +1317,6 @@ impl Machine {
         var_base: usize,
     ) -> Result<bool, TermLimit> {
         self.count_unification();
-        let layout = templ.layout();
         let arity = templ.head_arity() as u32;
         if arity > 0 {
             self.head_blocks.push((goal_args as u32, arity));
@@ -1343,7 +1333,7 @@ impl Machine {
             if top.1 == 0 {
                 self.head_blocks.pop();
             }
-            match self.unify_head_cell(goal, layout, &mut pos, var_base) {
+            match self.unify_head_cell(goal, templ, &mut pos, var_base) {
                 Ok(true) => {}
                 unmatched => break unmatched,
             }
@@ -2349,8 +2339,8 @@ impl Machine {
                 self.charge_builtin();
                 let code = &templ.code()[rhs.range()];
                 let value = arith::run(&self.heap, &mut self.arith, code, var_base)?;
-                let mut pos = lhs as usize;
-                Ok(self.unify_value_template(value.to_cell(), templ.cells(), &mut pos, var_base)?)
+                let lhs = templ.layout().cells()[lhs as usize];
+                Ok(self.unify_value_template(value.to_cell(), lhs, var_base)?)
             }
             BuiltinStep::Dispatch { builtin, goal } => {
                 let goal = self.write(templ.layout(), goal as usize, var_base);
@@ -2388,14 +2378,14 @@ pub(crate) mod tests {
     /// inspect a term outside a query.
     pub(crate) fn write_term(machine: &mut Machine, term: &Term) -> usize {
         let mut layout = Layout::default();
-        let root = layout.add(term);
+        let root = layout.add(term.cells());
+        layout.lay_out(root);
         let var_base = machine.fresh_vars(layout.vars());
         let cell = machine.write(&layout, root, var_base);
         machine.heap.push(cell);
         machine.heap.len() - 1
     }
     use granlog_ir::parser::parse_program;
-    use granlog_ir::AsTerm;
 
     fn run(program_src: &str, query: &str) -> QueryOutcome {
         let program = parse_program(program_src).unwrap();
@@ -2456,6 +2446,55 @@ pub(crate) mod tests {
         // Cost_append(n) = n + 1 resolutions (the Appendix).
         assert_eq!(out.counters.resolutions, 4);
         assert_eq!(out.work, 4.0);
+    }
+
+    #[test]
+    fn a_head_with_repeated_variables_binds_bound_unbound_and_aliased_goals() {
+        // `X` three times at three depths, `Y` twice at the top level: the
+        // first occurrence of each binds, every later one unifies with it.
+        // Pinned per goal: the answer, then resolutions, head attempts,
+        // unifications and the arena's high water.
+        let program =
+            parse_program("p(f(X, g(X)), X, Y, Y). q(Z) :- p(f(Z, _), _, _, Z).").unwrap();
+        let mut machine = Machine::new(&program);
+        for (goal, answer, counts) in [
+            ("p(f(a, g(a)), a, b, b)", "yes", "1 1 8 9"),
+            ("p(f(a, g(b)), B, C, D)", "no", "0 1 5 12"),
+            (
+                "p(A, B, C, D)",
+                "A = f(_8,g(_8)) B = _8 C = _9 D = _9",
+                "1 1 5 13",
+            ),
+            ("p(A, B, C, C)", "A = f(_7,g(_7)) B = _7 C = _8", "1 1 5 12"),
+            (
+                "p(f(A, B), A, C, A)",
+                "A = _10 B = g(_10) C = _10",
+                "1 1 7 12",
+            ),
+            ("p(f(1, g(B)), B, C, C)", "B = 1 C = _10", "1 1 8 11"),
+            ("q(Z)", "Z = _13", "2 2 9 15"),
+        ] {
+            let out = machine.run_query(goal).unwrap();
+            let rendered = if !out.succeeded {
+                "no".to_owned()
+            } else if out.bindings.is_empty() {
+                "yes".to_owned()
+            } else {
+                let bindings = out.bindings.iter().map(|(v, t)| format!("{v} = {t}"));
+                bindings.collect::<Vec<_>>().join(" ")
+            };
+            let c = out.counters;
+            let high_water = machine.stats().heap_high_water;
+            let counted = format!(
+                "{} {} {} {high_water}",
+                c.resolutions, c.head_attempts, c.unifications
+            );
+            assert_eq!(
+                (rendered.as_str(), counted.as_str()),
+                (answer, counts),
+                "{goal}"
+            );
+        }
     }
 
     #[test]

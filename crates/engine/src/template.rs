@@ -1,32 +1,31 @@
 //! Precompiled clause templates: a WAM-lite flattening of clause heads and
 //! bodies into compact arrays, built once per clause at program-load time.
 //!
-//! The seed interpreter re-translated every candidate clause's head (and, on
-//! success, its body) from the IR tree into `Rc`-based runtime terms on
-//! *every* activation attempt — a tree walk plus one allocation per compound
-//! subterm, dominating the engine's hot path. A [`ClauseTemplate`] holds
-//! the clause's `Layout` and the body compiled against it:
+//! A [`ClauseTemplate`] holds the clause's `Layout` and the body compiled
+//! against it:
 //!
 //! ```text
-//!   cells   head argument subtrees, then the body subtree, in preorder  } the
-//!   images  every compound's argument blocks, as the arena holds them   } layout
+//!   cells   head arguments, then the body: the reader's preorder cells  } the
+//!   images  the argument blocks of the subterms the machine writes      } layout
 //!   steps   the body's executable skeleton; the leading run of builtin
 //!           steps is the eager prefix, the rest the pushed body
 //!   code    postfix arithmetic, one range per static expression  (Is, NumCompare)
 //! ```
 //!
-//! * **cells** — walking a template is a cursor bump over a cache-friendly
-//!   slice rather than pointer chasing. Head unification
+//! * **cells** — the clause's own [`Cell`]s, copied as they are:
+//!   walking a template is a cursor bump over a cache-friendly slice
+//!   rather than pointer chasing. Head unification
 //!   ([`crate::machine::Machine`]) matches goal arguments directly against
 //!   the cells and only *writes arena cells* for a template subtree when
 //!   unification actually demands them (the goal side is an unbound
 //!   variable) — bound input arguments unify without touching the term heap.
-//! * **images** — every compound of the clause, head or body, at any depth,
-//!   has its argument block here, followed by the blocks of its compound
-//!   arguments: a subterm's blocks are one contiguous range, and writing the
-//!   subterm — the head structure an unbound goal variable is bound to, a
-//!   call's arguments, a goal dispatched at run time, an `&` arm on its way
-//!   to another thread — is one relocating copy of that range.
+//! * **images** — the argument blocks of exactly the subterms the machine
+//!   can be asked to write: every compound of the head, at any depth (what
+//!   an unbound goal variable is bound to), each goal a call or a dispatch
+//!   writes, and each `&` arm (on its way to another thread). A compound's
+//!   block is followed by the blocks of its compound arguments, so writing
+//!   it is one relocating copy of one contiguous range. The control spine
+//!   and compiled arithmetic are never written and have no images.
 //! * **steps** — the body compiled to a flat array of executable [`Step`]s.
 //!   Control constructs — `;`, `->`/`;` if-then-else, `\+`, `!` and (nested)
 //!   `&` — become dedicated steps whose arm positions are resolved at
@@ -68,51 +67,9 @@ use crate::arith::{self, Instr};
 use crate::heap::HCell;
 use granlog_ir::builtins::{self, Builtin, CmpOp};
 use granlog_ir::symbol::well_known;
-use granlog_ir::term::{self, AsTerm};
+use granlog_ir::term::{AsTerm, Cell};
 use granlog_ir::{Clause, FastMap, Program, Symbol};
 use std::ops::Range;
-
-/// One node of a flattened term, in preorder. A [`Cell::Struct`] with arity
-/// `n` is immediately followed by its `n` argument subtrees.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Cell {
-    /// A clause-local variable index (offset by the activation's heap mark).
-    Var(u32),
-    /// Like [`Cell::Var`], but statically known to be this variable's *first*
-    /// occurrence within the clause head. At activation time the heap slot is
-    /// therefore guaranteed unbound, so head unification binds it directly
-    /// without dereferencing it first. (A write treats it exactly like `Var`;
-    /// a first occurrence inside a written subterm leaves the slot unbound,
-    /// which later `Var` occurrences handle by the general path.)
-    VarFirst(u32),
-    /// An atom.
-    Atom(Symbol),
-    /// An integer.
-    Int(i64),
-    /// A float.
-    Float(f64),
-    /// A compound term: functor, arity and the number of its span in the
-    /// clause's layout; arguments follow in preorder.
-    Struct(Symbol, u32, u32),
-}
-
-impl Cell {
-    /// The arena cell of an atom, integer or float — what a constant binds
-    /// a variable to or is compared with.
-    ///
-    /// # Panics
-    ///
-    /// On a variable or structure cell.
-    #[inline]
-    pub(crate) fn constant(self) -> HCell {
-        match self {
-            Cell::Atom(s) => HCell::Atom(s),
-            Cell::Int(i) => HCell::Int(i),
-            Cell::Float(x) => HCell::Float(x),
-            other => unreachable!("{other:?} is not a constant"),
-        }
-    }
-}
 
 /// A contiguous range of one of a template's arrays: `start .. start + len`.
 ///
@@ -120,7 +77,7 @@ impl Cell {
 /// schedule — a disjunction arm, an if-then-else branch, a negated goal, a
 /// parallel arm — and what the machine pushes onto its goal stack (in
 /// reverse, so execution runs left to right). An arithmetic step names its
-/// code, and a compound its span of the layout's images, the same way.
+/// code the same way.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Seq {
     /// Index of the sequence's first element within its array
@@ -143,82 +100,92 @@ impl Seq {
     }
 }
 
-/// Terms compiled once into the two forms the machine reads: the preorder
-/// [`Cell`]s that head unification matches, that arithmetic compiles from
-/// and that body goals are classified by, and the *images* the arena is
+/// Terms compiled once into the two forms the machine reads: the reader's
+/// preorder [`Cell`]s, which head unification matches, arithmetic compiles
+/// from and body goals are classified by, and the *images* the arena is
 /// written from.
 ///
-/// The images hold every compound's argument block, reserved when the
-/// compound is met in preorder and filled as its arguments go by: a block
-/// is followed by the blocks of its compound arguments, so all the blocks
-/// of a subterm are one contiguous range, the compound's *span*. A variable
-/// is `Ref(v)` for term variable `v`, and a block index is an index of the
-/// images. Writing the subterm at any cell is therefore one relocating copy
-/// of its span, which adds the variable base to every `Ref` and moves every
-/// block index to where the copy lands — the one way program and query text
-/// enter the machine's arena. A clause's layout holds its head arguments
-/// and body ([`ClauseTemplate`]); a query goal is laid out on its own.
+/// Only a subterm [`Layout::lay_out`] was asked for has images: its
+/// compounds' argument blocks, each reserved when its compound is met in
+/// preorder and filled as the arguments go by. A block is followed by the
+/// blocks of its compound arguments, so all the blocks of a laid-out
+/// compound are one contiguous range, its *span*, whose length is the
+/// compound's number of descendants: each fills one argument slot of it.
+/// A variable is `Ref(v)` for term variable `v`, and a block index is an
+/// index of the images. Writing a laid-out compound is therefore one
+/// relocating copy of its span, which adds the variable base to every `Ref`
+/// and moves every block index to where the copy lands — the one way
+/// program and query text enter the machine's arena. A clause's layout
+/// holds its head arguments and body ([`ClauseTemplate`]); a query goal is
+/// laid out on its own.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Layout {
     cells: Vec<Cell>,
     images: Vec<HCell>,
-    /// Each compound's span, numbered as its [`Cell::Struct`] says.
-    spans: Vec<Seq>,
+    /// Per cell, where a laid-out compound's span starts in `images`, or
+    /// [`NOT_LAID_OUT`].
+    starts: Vec<u32>,
     /// One more than the largest variable number, or 0 with no variable.
     vars: u32,
 }
 
+/// The span start of a cell that has no images.
+const NOT_LAID_OUT: u32 = u32::MAX;
+
 impl Layout {
-    /// Appends `term` and returns the position of its root cell. One pass
-    /// over the term's cells, which are already in preorder, with an
-    /// explicit stack: nothing here recurses on the term's depth.
-    pub(crate) fn add<'t>(&mut self, term: impl AsTerm<'t>) -> usize {
+    /// Appends the preorder `cells` of one or more terms and returns the
+    /// position of the first.
+    pub(crate) fn add(&mut self, cells: &[Cell]) -> usize {
         let root = self.cells.len();
-        // Compounds whose arguments are still being added, innermost last:
-        // the arguments to go, the image slot of the next one and the
-        // compound's span.
-        let mut open: Vec<(u32, usize, usize)> = Vec::new();
-        for &cell in term.cells() {
-            let (block, span) = (self.images.len(), self.spans.len());
-            let (cell, image) = match cell {
-                term::Cell::Var(v) => {
-                    let v = v as u32;
-                    self.vars = self.vars.max(v + 1);
-                    (Cell::Var(v), HCell::Ref(v))
-                }
-                term::Cell::Atom(s) => (Cell::Atom(s), HCell::Atom(s)),
-                term::Cell::Int(i) => (Cell::Int(i), HCell::Int(i)),
-                term::Cell::Float(x) => (Cell::Float(x.0), HCell::Float(x.0)),
-                term::Cell::Struct(name, arity, _) => {
-                    self.images.resize(block + arity as usize, HCell::Int(0));
-                    self.spans.push(Seq::since(block, block));
-                    let compound = Cell::Struct(name, arity, span as u32);
-                    (compound, HCell::Struct(name, arity, block as u32))
-                }
-            };
-            self.cells.push(cell);
-            if let Some((left, slot, _)) = open.last_mut() {
-                self.images[*slot] = image;
-                (*left, *slot) = (*left - 1, *slot + 1);
-            }
-            if let Cell::Struct(_, arity, _) = cell {
-                open.push((arity, block, span));
-            }
-            // A compound whose arguments are all in has its span complete.
-            while let Some(&(0, _, span)) = open.last() {
-                let span = &mut self.spans[span];
-                span.len = (self.images.len() - span.start as usize) as u32;
-                open.pop();
+        for &cell in cells {
+            if let Cell::Var(v) = cell {
+                self.vars = self.vars.max(v as u32 + 1);
             }
         }
+        self.cells.extend_from_slice(cells);
+        self.starts.resize(self.cells.len(), NOT_LAID_OUT);
         root
+    }
+
+    /// Gives the subterm at `pos`, if it is a compound that has none yet,
+    /// its images: every compound's argument block reserved in preorder,
+    /// then filled from its arguments' cells. Two loops over the subterm's
+    /// cells; nothing here recurses on the term's depth. A compound inside
+    /// a laid-out one is laid out with it.
+    pub(crate) fn lay_out(&mut self, pos: usize) {
+        if !matches!(self.cells[pos], Cell::Struct(..)) || self.starts[pos] != NOT_LAID_OUT {
+            return;
+        }
+        let end = self.end(pos);
+        for at in pos..end {
+            if let Cell::Struct(_, arity, _) = self.cells[at] {
+                self.starts[at] = self.images.len() as u32;
+                let block = self.images.len() + arity as usize;
+                self.images.resize(block, HCell::Int(0));
+            }
+        }
+        for at in pos..end {
+            if let Cell::Struct(_, arity, _) = self.cells[at] {
+                let (mut arg, block) = (at + 1, self.starts[at] as usize);
+                for slot in block..block + arity as usize {
+                    self.images[slot] = match self.cells[arg] {
+                        Cell::Var(v) => HCell::Ref(v as u32),
+                        Cell::Struct(name, arity, _) => {
+                            HCell::Struct(name, arity, self.starts[arg])
+                        }
+                        constant => HCell::constant(constant),
+                    };
+                    arg = self.end(arg);
+                }
+            }
+        }
     }
 
     /// Empties the layout, keeping its buffers.
     pub(crate) fn clear(&mut self) {
         self.cells.clear();
         self.images.clear();
-        self.spans.clear();
+        self.starts.clear();
         self.vars = 0;
     }
 
@@ -233,20 +200,18 @@ impl Layout {
         self.vars as usize
     }
 
-    /// The position just past the subterm whose root cell is at `pos`: a
-    /// compound's descendants are one cell each, in preorder and in its span.
+    /// The position just past the subterm whose root cell is at `pos`.
     pub(crate) fn end(&self, pos: usize) -> usize {
-        match self.cells[pos] {
-            Cell::Struct(_, _, span) => pos + 1 + self.spans[span as usize].len as usize,
-            _ => pos + 1,
-        }
+        pos + self.cells[pos].extent()
     }
 
-    /// The images of span number `span`, with the image index of the first:
-    /// the block indices in them count from there.
-    pub(crate) fn span(&self, span: u32) -> (u32, &[HCell]) {
-        let span = self.spans[span as usize];
-        (span.start, &self.images[span.range()])
+    /// The span of the laid-out compound at `pos`, with the image index of
+    /// its first cell: the block indices in it count from there.
+    pub(crate) fn images(&self, pos: usize) -> (u32, &[HCell]) {
+        let start = self.starts[pos];
+        debug_assert_ne!(start, NOT_LAID_OUT, "cell {pos} is not laid out");
+        let len = self.cells[pos].extent() - 1;
+        (start, &self.images[start as usize..start as usize + len])
     }
 }
 
@@ -376,6 +341,9 @@ pub struct ClauseTemplate {
     /// The rest of the top-level sequence, pushed on the goal stack. Empty
     /// for facts: nothing to write, nothing to push.
     body: Seq,
+    /// Per clause variable, the cell position of its first occurrence in
+    /// the head, or `u32::MAX` for a variable only the body has.
+    first: Vec<u32>,
     num_vars: u32,
 }
 
@@ -388,20 +356,9 @@ impl ClauseTemplate {
     /// Compiles a clause of the program whose predicates are `preds`.
     pub(crate) fn compile(clause: &Clause, preds: &PredTable) -> ClauseTemplate {
         let mut layout = Layout::default();
-        for arg in clause.head.args() {
-            layout.add(arg);
-        }
-        // Mark first occurrences of head variables (head traversal order is
-        // exactly head-unification order).
-        let mut seen = vec![false; clause.num_vars()];
-        for cell in &mut layout.cells {
-            if let Cell::Var(v) = *cell {
-                if !std::mem::replace(&mut seen[v as usize], true) {
-                    *cell = Cell::VarFirst(v);
-                }
-            }
-        }
-        let body_start = layout.add(&clause.body);
+        // The head's arguments follow its root cell.
+        layout.add(&clause.head.cells()[1..]);
+        let body_start = layout.add(clause.body.cells());
         let mut compiler = Compiler {
             layout: &layout,
             preds,
@@ -422,6 +379,31 @@ impl ClauseTemplate {
             par_arm_cells,
             ..
         } = compiler;
+        // What the machine writes: any compound of the head, and the goals
+        // and arms the steps name. In order of position, so an arm is laid
+        // out before the goals inside it, which share its images.
+        let mut written: Vec<usize> = steps
+            .iter()
+            .filter_map(|step| match *step {
+                Step::Goal(goal)
+                | Step::Call { goal, .. }
+                | Step::Builtin(BuiltinStep::Dispatch { goal, .. }) => Some(goal as usize),
+                _ => None,
+            })
+            .chain(par_arm_cells.iter().map(|&arm| arm as usize))
+            .collect();
+        written.sort_unstable();
+        for pos in (0..body_start).chain(written) {
+            layout.lay_out(pos);
+        }
+        // Head unification meets the head's cells in order, so a variable
+        // is unbound at the first of its positions.
+        let mut first = vec![u32::MAX; clause.num_vars()];
+        for (pos, cell) in layout.cells()[..body_start].iter().enumerate().rev() {
+            if let Cell::Var(v) = *cell {
+                first[v] = pos as u32;
+            }
+        }
         ClauseTemplate {
             layout,
             head_arity: clause.head.args().len() as u32,
@@ -437,24 +419,26 @@ impl ClauseTemplate {
                 start: top.start + eager,
                 len: top.len - eager,
             },
+            first,
             num_vars: clause.num_vars() as u32,
         }
     }
 
-    /// The flattened cell array (head argument subtrees, then the body).
-    pub fn cells(&self) -> &[Cell] {
-        self.layout.cells()
-    }
-
-    /// The clause's layout: its cells and the images its subterms are
-    /// written from.
+    /// The clause's layout: its preorder cells (head argument subtrees, then
+    /// the body) and the images the machine writes its subterms from.
     pub(crate) fn layout(&self) -> &Layout {
         &self.layout
     }
 
-    /// Number of head arguments, whose subtrees start [`Self::cells`].
+    /// Number of head arguments, whose subtrees start the clause's cells.
     pub fn head_arity(&self) -> usize {
         self.head_arity as usize
+    }
+
+    /// The cell position of variable `v`'s first occurrence in the head,
+    /// where head unification meets it unbound.
+    pub(crate) fn first_in_head(&self, v: usize) -> usize {
+        self.first[v] as usize
     }
 
     /// Number of distinct variables in the clause.
@@ -482,7 +466,7 @@ impl ClauseTemplate {
     }
 
     /// Cell offset of each parallel arm's term subtree within
-    /// [`Self::cells`], aligned with [`Self::par_arms`]. Used by the spawn
+    /// the clause's cells, aligned with [`Self::par_arms`]. Used by the spawn
     /// path to write an arm as a self-contained goal term.
     pub fn par_arm_cell_positions(&self) -> &[u32] {
         &self.par_arm_cells
@@ -594,7 +578,7 @@ impl Compiler<'_> {
                     // A variable in the left operand can only be classified at
                     // run time (it may be bound to `->`, turning the disjunction
                     // into an if-then-else): keep the written-cell path.
-                    Cell::Var(_) | Cell::VarFirst(_) => Step::Goal(pos as u32),
+                    Cell::Var(_) => Step::Goal(pos as u32),
                     _ => Step::Disj {
                         left: self.subgoal(left),
                         right: self.subgoal(right),
@@ -691,7 +675,7 @@ fn collect_par_arms(layout: &Layout, pos: usize, out: &mut Vec<usize>) -> bool {
             let right = layout.end(left);
             collect_par_arms(layout, left, out) && collect_par_arms(layout, right, out)
         }
-        Cell::Var(_) | Cell::VarFirst(_) => false,
+        Cell::Var(_) => false,
         _ => {
             out.push(pos);
             true
@@ -880,11 +864,11 @@ mod tests {
         let steps = seq_steps(&t, t.body_seq());
         assert!(
             matches!(steps[0], Step::Call { pred, goal } if pred == number("q", 1)
-                && matches!(t.cells()[goal as usize], Cell::Struct(_, 1, _)))
+                && matches!(t.layout().cells()[goal as usize], Cell::Struct(_, 1, _)))
         );
         assert!(
             matches!(steps[1], Step::Call { pred, goal } if pred == number("r", 0)
-                && matches!(t.cells()[goal as usize], Cell::Atom(_)))
+                && matches!(t.layout().cells()[goal as usize], Cell::Atom(_)))
         );
         assert!(matches!(
             steps[2],
@@ -983,56 +967,83 @@ mod tests {
         assert!(t.code().is_empty());
     }
 
-    /// The source term of the preorder subtree at `*pos`, moving `*pos`
-    /// past it; clause variable `v` reads variable `var_base + v`.
-    fn decode(layout: &Layout, pos: &mut usize, var_base: usize) -> Term {
-        let (from, to) = (*pos, layout.end(*pos));
-        *pos = to;
-        let cell = |at: usize| match layout.cells()[at] {
-            Cell::Var(v) | Cell::VarFirst(v) => term::Cell::Var(var_base + v as usize),
-            Cell::Atom(s) => term::Cell::Atom(s),
-            Cell::Int(i) => term::Cell::Int(i),
-            Cell::Float(x) => term::Cell::Float(term::OrderedF64(x)),
-            Cell::Struct(name, arity, _) => {
-                term::Cell::Struct(name, arity, (layout.end(at) - at - 1) as u32)
-            }
-        };
-        Term::from_cells((from..to).map(cell).collect())
+    /// Every position the machine writes from: each head cell, each goal a
+    /// step writes and each `&` arm.
+    fn written_positions(t: &ClauseTemplate) -> Vec<usize> {
+        let body_start = head_positions(t).last().map_or(0, |&at| t.layout().end(at));
+        let goals = t.steps().iter().filter_map(|step| match *step {
+            Step::Goal(goal)
+            | Step::Call { goal, .. }
+            | Step::Builtin(BuiltinStep::Dispatch { goal, .. }) => Some(goal as usize),
+            _ => None,
+        });
+        let arms = t.par_arm_cell_positions().iter().map(|&arm| arm as usize);
+        (0..body_start).chain(goals).chain(arms).collect()
     }
 
     #[test]
-    fn every_subterm_is_one_relocating_copy_of_its_span() {
+    fn every_written_subterm_is_one_relocating_copy_of_its_span() {
         for src in [
             // Flat, nested list, nested structure in head and body, no
-            // arguments.
+            // arguments, a dispatched builtin and a goal met at run time.
             "p(X, Y) :- q(X, a, 1, 2.5, Y, X). q(_, _, _, _, _, _).",
             "p(X, Y) :- q([X, [1, Y], []], [a | Y]). q(_, _).",
             "p(f(g(X, h(Y)), k), [X | T], T) :- q(f(g(X, h(Y)), k), X, t(t(t(Y)))). q(_, _, _).",
-            "p(X, Y) :- X = Y, q. q.",
+            "p(X, Y) :- X = f(Y, [Y]), q, r(g(X)). q.",
+            // Arms, one a conjunction around a call, and a construct with a
+            // variable arm, written whole.
+            "p(X, Y) :- (q(f(X)), Y > 1) & q([Y]), (X & q(Y)). q(_).",
         ] {
             let t = compile(src);
             let layout = t.layout();
             let program = Program::new();
-            for pos in 0..layout.cells().len() {
+            let written = written_positions(&t);
+            assert!(written.len() > t.head_arity(), "{src}");
+            for pos in written {
+                let end = layout.end(pos);
                 for var_base in [0usize, 10, 1000] {
                     let mut machine = Machine::new(&program);
                     machine.fresh_vars(var_base + t.num_vars());
                     let before = machine.heap.len();
                     let cell = machine.write(layout, pos, var_base);
                     // The subterm's argument blocks and nothing else.
-                    let end = layout.end(pos);
                     assert_eq!(machine.heap.len() - before, end - pos - 1, "{src} at {pos}");
-                    let mut past = pos;
-                    let source = decode(layout, &mut past, var_base);
-                    assert_eq!(past, end, "{src} at {pos}");
+                    let source = Term::from_cells(layout.cells()[pos..end].to_vec());
                     assert_eq!(
                         machine.extract_cell(cell).unwrap(),
-                        source,
+                        source.offset_vars(var_base),
                         "{src} at {pos} from {var_base}"
                     );
                 }
             }
         }
+    }
+
+    /// The images a template holds and the compounds they belong to.
+    fn laid_out(t: &ClauseTemplate) -> (usize, usize) {
+        let layout = t.layout();
+        let compounds = layout.starts.iter().filter(|&&at| at != NOT_LAID_OUT);
+        (layout.images.len(), compounds.count())
+    }
+
+    #[test]
+    fn only_what_the_machine_writes_is_laid_out() {
+        // The clause of the template pipeline's documentation: the head
+        // arguments are variables, and the control spine and the arithmetic
+        // are never written, so the recursive call is all there is.
+        let t = compile(
+            "steps(N, L) :- ( N mod 2 =:= 0 -> M is N // 2 ; M is 3 * N + 1 ), \
+             steps(M, L1), L is L1 + 1.",
+        );
+        assert_eq!(laid_out(&t), (2, 1));
+        // Every compound of the head, at any depth, and the called goal
+        // with the compound inside it; `X = ...` is dispatched, not
+        // compiled, so it is written too.
+        let t = compile("p(f(g(X)), [Y]) :- q(h(X)), X = k(Y), Y > 0. q(_).");
+        assert_eq!(laid_out(&t), (1 + 1 + 2 + 1 + 1 + 2 + 1, 7));
+        // An arm and the goals inside it share the arm's images.
+        let t = compile("p(X) :- (q(X), q(f(X))) & q(X). q(_).");
+        assert_eq!(laid_out(&t), (2 + 1 + 1 + 1 + 1, 5));
     }
 
     #[test]
@@ -1042,7 +1053,8 @@ mod tests {
         let n = 200_000;
         let list = Term::list((0..n).map(|i| Term::int(i as i64)));
         let mut layout = Layout::default();
-        let root = layout.add(&Term::compound("len", vec![list, Term::var(3)]));
+        let root = layout.add(Term::compound("len", vec![list, Term::var(3)]).cells());
+        layout.lay_out(root);
         assert_eq!((layout.end(root), layout.vars()), (2 * n + 3, 4));
         let program = Program::new();
         let mut machine = Machine::new(&program);
