@@ -26,9 +26,10 @@
 //!   included, costs the machine native stack;
 //! * independent and-parallel semantics for `&` (each arm solved to its first
 //!   solution; the conjunction fails if any arm fails), executed inline,
-//!   with the later arms of a conjunction on offer to a pluggable parallel
-//!   executor through the [`par::ParHook`] spawn boundary (implemented by
-//!   the `granlog-par` crate's multi-threaded work-stealing executor);
+//!   with the later arms of a conjunction on offer — when the forking thread
+//!   has none on offer yet — to a pluggable parallel executor through the
+//!   [`par::ParHook`] spawn boundary (implemented by the `granlog-par`
+//!   crate's multi-threaded work-stealing executor);
 //! * the `'$grain_ge'(Term, Measure, K)` runtime grain-size test emitted by
 //!   the granularity-control transformation, charged with a cost proportional
 //!   to the traversal it performs — the only place the engine enforces the
@@ -77,7 +78,7 @@ pub use error::{BudgetKind, EngineError, EngineResult, TermLimit};
 pub use heap::HCell;
 pub use image::Image;
 pub use machine::{Budget, ClauseSelection, Machine, MachineConfig, MachineStats, QueryOutcome};
-pub use par::{ArmAnswer, ArmResult, Offer, Packet, ParHook};
+pub use par::{ArmAnswer, ArmEnd, ArmResult, Offer, Packet, ParHook};
 pub use profile::PredProfile;
 pub use tasktree::{ForkSpan, Segment, Task, TaskId, TaskRecorder, TaskTree};
 pub use template::{BuiltinStep, ClauseTemplate, Seq, Step};

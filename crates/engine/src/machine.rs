@@ -54,11 +54,12 @@
 //! fork/join structure and each arm's work are recorded in a
 //! [`crate::tasktree::TaskTree`] for the multiprocessor simulator. With a
 //! parallel hook installed ([`Machine::solve_goal`], [`crate::par`]),
-//! an independent conjunction still runs here, but arms `1..` are also
-//! offered to the hook: an arm an idle thread claims first is skipped, and
-//! its answer is joined back deterministically once the local arms are done.
-//! Whether a `&` is worth offering is decided before it is reached, by the
-//! `'$grain_ge'` tests the annotator placed in front of it.
+//! every conjunction still runs here. One reached while the forking thread
+//! has nothing on offer, and whose arms are independent, also offers arms
+//! `1..` to the hook: an arm an idle thread claims first is skipped, and its
+//! answer is joined back deterministically once the local arms are done.
+//! Whether a `&` is worth offering at all is decided before it is reached,
+//! by the `'$grain_ge'` tests the annotator placed in front of it.
 
 use crate::arith;
 use crate::builtins;
@@ -66,7 +67,7 @@ use crate::cost::Counters;
 use crate::error::{BudgetKind, EngineError, EngineResult, TermLimit};
 use crate::heap::{self, HCell};
 use crate::image::{CallTarget, Image};
-use crate::par::{ArmAnswer, Offer, Packet, ParHook};
+use crate::par::{ArmAnswer, ArmEnd, ArmResult, Offer, Packet, ParHook};
 use crate::tasktree::{TaskId, TaskRecorder, TaskTree};
 use crate::template::{BuiltinStep, ClauseTemplate, Layout, Seq, Step};
 use granlog_ir::symbol::well_known::{self, WellKnownSymbols};
@@ -338,6 +339,9 @@ struct ParState {
     count: u32,
     /// Index of the next arm to start.
     next: u32,
+    /// Index of the next arm to join, once every arm has been started or
+    /// passed over.
+    joined: u32,
     /// Task id of arm 0 (fork children get consecutive ids).
     first_task: TaskId,
     /// Where arm 1's entry sits in the machine's offer table (arm `k`'s is
@@ -347,6 +351,17 @@ struct ParState {
 
 /// [`ParState::offers`] of a conjunction no hook was offered.
 const NOT_OFFERED: u32 = u32::MAX;
+
+/// What a parallel conjunction does after one of its arms succeeded (see
+/// [`Machine::next_arm`]).
+enum ArmNext {
+    /// Run arm `k` here.
+    Run(u32),
+    /// An arm that ran elsewhere failed: so does the conjunction.
+    Fail,
+    /// Every arm succeeded.
+    Done,
+}
 
 /// The forking machine's record of one arm on offer (see [`crate::par`]).
 struct Offered {
@@ -415,11 +430,11 @@ pub(crate) enum Pair<R> {
 
 /// Why [`Machine::pack`] gave up: an unbound cell an earlier packet of the
 /// conjunction numbered (the arms are not independent), or a term that is
-/// cyclic or too large.
+/// cyclic or too large to copy.
 #[derive(Debug)]
 enum PackStop {
     Shared,
-    Limit(TermLimit),
+    Limit,
 }
 
 /// The resolution engine.
@@ -475,8 +490,6 @@ pub struct Machine {
     /// Reusable staging buffer for the slots of one conjunction between
     /// packing and [`ParHook::offer`].
     offer_batch: Vec<Arc<Offer>>,
-    /// Reusable buffer arm 0 of an offered conjunction is packed into.
-    pack_scratch: Vec<HCell>,
     /// Emptied packet buffers awaiting the next pack (see
     /// [`Machine::recycle`]).
     packet_pool: Vec<Vec<HCell>>,
@@ -484,9 +497,11 @@ pub struct Machine {
     walk_stack: Vec<(u32, u32, u32)>,
     /// The last query goal's layout, whose buffers the next one reuses.
     goal_layout: Layout,
-    /// [`Machine::unify_head`]'s goal argument blocks still being matched,
-    /// innermost last: `(next goal cell, cells to go)`.
-    head_blocks: Vec<(u32, u32)>,
+    /// The argument blocks a walk over one term still has to visit,
+    /// innermost last: `(next cell, cells to go)` — [`Machine::unify_head`]'s
+    /// goal blocks, [`Machine::number_unbound`]'s open compounds. Neither
+    /// walk runs inside the other.
+    arg_blocks: Vec<(u32, u32)>,
     /// The work stacks of the heap arithmetic evaluator (see
     /// [`crate::arith`]).
     pub(crate) arith: arith::Scratch,
@@ -556,11 +571,10 @@ impl Machine {
             offers: Vec::new(),
             offer_parents: Vec::new(),
             offer_batch: Vec::new(),
-            pack_scratch: Vec::new(),
             packet_pool: Vec::new(),
             walk_stack: Vec::new(),
             goal_layout: Layout::default(),
-            head_blocks: Vec::new(),
+            arg_blocks: Vec::new(),
             arith: arith::Scratch::default(),
             counters: Counters::default(),
             recorder: TaskRecorder::new(),
@@ -620,9 +634,10 @@ impl Machine {
 
     /// Runs an already-parsed goal whose variables are numbered
     /// `0..var_names.len()` to its first solution under `budget`. With a
-    /// parallel-execution hook, the later arms of every `&` conjunction the
-    /// solve loop reaches are offered to `hook` while the machine works on
-    /// the first (see [`crate::par`]); with `None` nothing is offered.
+    /// parallel-execution hook, the later arms of a `&` conjunction the solve
+    /// loop reaches are offered to `hook` while the machine works on the
+    /// first, unless the hook keeps the conjunction in place (see
+    /// [`crate::par`]); with `None` nothing is offered.
     ///
     /// # Errors
     ///
@@ -659,30 +674,35 @@ impl Machine {
     /// machine of its own, passing a hook so nested conjunctions are offered
     /// in turn — under the default budget. The packet is unpacked at the
     /// bottom of the emptied arena, so its variables are cells `0..nvars`; on
-    /// success their values are packed back out as the answer. `Ok(None)`
-    /// means the arm failed.
+    /// success their values are packed back out as the answer, over a fresh
+    /// variable numbering. An answer that has no finite copy or is too large
+    /// to pack is [`ArmEnd::HandedBack`]: the forker runs the arm itself.
     ///
     /// # Errors
     ///
     /// Returns an error if execution hits a limit or runtime error (local or
     /// inside a nested stolen arm); the run state is unwound as in
     /// [`Machine::solve_goal`].
-    pub fn run_arm(
-        &mut self,
-        arm: &Packet,
-        hook: Option<&dyn ParHook>,
-    ) -> EngineResult<Option<ArmAnswer>> {
+    pub fn run_arm(&mut self, arm: &Packet, hook: Option<&dyn ParHook>) -> ArmResult {
         self.begin_solve();
         let root = self.unpack(arm);
         self.push_goal(Goal::Cell(self.heap[root]))?;
         self.drive(hook, &Budget::default(), |machine, succeeded| {
             if !succeeded {
-                return Ok(None);
+                return Ok(ArmEnd::Failed);
             }
-            Ok(Some(ArmAnswer {
-                packet: machine.pack_lone((0..arm.nvars).map(HCell::Ref))?,
-                counters: machine.counters,
-            }))
+            machine.pack_vars.clear();
+            machine.pack_parents.clear();
+            Ok(match machine.pack((0..arm.nvars).map(HCell::Ref)) {
+                Ok(packet) => ArmEnd::Answer(ArmAnswer {
+                    packet,
+                    counters: machine.counters,
+                }),
+                Err(PackStop::Limit) => ArmEnd::HandedBack,
+                Err(PackStop::Shared) => {
+                    unreachable!("a lone packet shares no variable with an earlier one")
+                }
+            })
         })
     }
 
@@ -911,11 +931,10 @@ impl Machine {
         }
     }
 
-    /// [`Machine::pack`] into a caller-supplied (emptied) buffer, returning
-    /// the packet's variable count: what an arm that is packed only to be
-    /// checked for independence, and never shipped, goes through.
-    /// The scan is breadth first; no acyclic path meets an arena cell twice,
-    /// so a copy more levels deep than the arena has cells is a cycle.
+    /// [`Machine::pack`] into an emptied buffer, returning the packet's
+    /// variable count. The scan is breadth first; no acyclic path meets an
+    /// arena cell twice, so a copy more levels deep than the arena has cells
+    /// is a cycle.
     fn pack_into(
         &mut self,
         cells: &mut Vec<HCell>,
@@ -930,23 +949,20 @@ impl Machine {
                 level += 1;
                 level_end = cells.len();
                 if level > self.heap.len() {
-                    return Err(PackStop::Limit(TermLimit::Cyclic));
+                    return Err(PackStop::Limit);
                 }
             }
             cells[at] = match self.deref_cell(cells[at]) {
                 HCell::Ref(idx) => {
-                    let fresh = self.pack_parents.len() as u32;
-                    let var = *self.pack_vars.entry(idx).or_insert(fresh);
-                    if var == fresh {
-                        self.pack_parents.push(idx);
-                    } else if var < first_var {
+                    let var = self.pack_var(idx);
+                    if var < first_var {
                         return Err(PackStop::Shared);
                     }
                     HCell::Ref(var - first_var)
                 }
                 HCell::Struct(name, arity, base) => {
                     if cells.len() + arity as usize > MAX_WALK_CELLS {
-                        return Err(PackStop::Limit(TermLimit::Copy));
+                        return Err(PackStop::Limit);
                     }
                     let block = cells.len() as u32;
                     let base = base as usize;
@@ -960,16 +976,60 @@ impl Machine {
         Ok(self.pack_parents.len() as u32 - first_var)
     }
 
-    /// Packs `roots` over a fresh variable numbering: a thief's answer.
-    fn pack_lone(&mut self, roots: impl IntoIterator<Item = HCell>) -> EngineResult<Packet> {
-        self.pack_vars.clear();
-        self.pack_parents.clear();
-        self.pack(roots).map_err(|stop| match stop {
-            PackStop::Limit(limit) => EngineError::TermLimit(limit),
-            PackStop::Shared => {
-                unreachable!("a lone packet shares no variable with an earlier one")
+    /// The number of unbound cell `idx` in the conjunction's variable
+    /// numbering (see [`Machine::pack`]), the next one if it has none yet.
+    fn pack_var(&mut self, idx: u32) -> u32 {
+        let fresh = self.pack_parents.len() as u32;
+        let var = *self.pack_vars.entry(idx).or_insert(fresh);
+        if var == fresh {
+            self.pack_parents.push(idx);
+        }
+        var
+    }
+
+    /// Numbers the unbound cells of the term at `root` as [`Machine::pack`]
+    /// would, without copying it: arm 0 of an offered conjunction never
+    /// leaves, and is walked only for the cells the later arms must not
+    /// share. One preorder walk with a stack of the compounds on the current
+    /// path, under the copy's bounds: a path of more compounds than the
+    /// arena has cells is a cycle, and the walk stops past
+    /// [`MAX_WALK_CELLS`] cells.
+    fn number_unbound(&mut self, root: HCell) -> Result<(), PackStop> {
+        // A compound leaves the stack only after its last argument's
+        // subterm, so the stack is the path.
+        let mut open = std::mem::take(&mut self.arg_blocks);
+        let (mut next, mut visits) = (root, 0);
+        let walked = 'walk: loop {
+            match self.deref_cell(next) {
+                HCell::Ref(idx) => {
+                    self.pack_var(idx);
+                }
+                HCell::Struct(_, arity, base) => {
+                    if open.len() > self.heap.len() {
+                        break Err(PackStop::Limit);
+                    }
+                    open.push((base, arity));
+                }
+                _ => {}
             }
-        })
+            visits += 1;
+            if visits > MAX_WALK_CELLS {
+                break Err(PackStop::Limit);
+            }
+            next = loop {
+                let Some((arg, left)) = open.last_mut() else {
+                    break 'walk Ok(());
+                };
+                if *left > 0 {
+                    (*arg, *left) = (*arg + 1, *left - 1);
+                    break self.heap[*arg as usize - 1];
+                }
+                open.pop();
+            };
+        };
+        open.clear();
+        self.arg_blocks = open;
+        walked
     }
 
     /// Copies the term at `root` out of the arena as a [`Term`] — the one
@@ -1209,7 +1269,7 @@ impl Machine {
     /// abandoned along with the whole head attempt): a compound whose
     /// functor matches the goal's leaves its argument pairs to
     /// [`Machine::unify_head`], pushing the goal's argument block on
-    /// `head_blocks`. Counter-for-counter identical to writing the head and
+    /// `arg_blocks`. Counter-for-counter identical to writing the head and
     /// unifying: one count per visited pair, and a head subtree is only
     /// *written into the arena* when the goal side is an unbound variable.
     fn unify_head_cell(
@@ -1258,7 +1318,7 @@ impl Machine {
                     }
                     HCell::Struct(gf, gn, gargs) if gf == f && gn == arity => {
                         *pos += 1;
-                        self.head_blocks.push((gargs, arity));
+                        self.arg_blocks.push((gargs, arity));
                         Ok(true)
                     }
                     _ => Ok(false),
@@ -1309,7 +1369,7 @@ impl Machine {
     /// `unify(goal, rename(head))` counted: one for the whole-head pair plus
     /// one per visited subterm pair. The head's cells are matched in
     /// preorder by one cursor, against the goal argument blocks stacked on
-    /// `head_blocks`, so no native frame is spent per level of the head.
+    /// `arg_blocks`, so no native frame is spent per level of the head.
     fn unify_head(
         &mut self,
         goal_args: usize,
@@ -1319,11 +1379,11 @@ impl Machine {
         self.count_unification();
         let arity = templ.head_arity() as u32;
         if arity > 0 {
-            self.head_blocks.push((goal_args as u32, arity));
+            self.arg_blocks.push((goal_args as u32, arity));
         }
         let mut pos = 0;
         let matched = loop {
-            let Some(top) = self.head_blocks.last_mut() else {
+            let Some(top) = self.arg_blocks.last_mut() else {
                 break Ok(true);
             };
             let goal = top.0 as usize;
@@ -1331,14 +1391,14 @@ impl Machine {
             // A block is dropped as its last cell is taken, so a list spine
             // takes no stack.
             if top.1 == 0 {
-                self.head_blocks.pop();
+                self.arg_blocks.pop();
             }
             match self.unify_head_cell(goal, templ, &mut pos, var_base) {
                 Ok(true) => {}
                 unmatched => break unmatched,
             }
         };
-        self.head_blocks.clear();
+        self.arg_blocks.clear();
         matched
     }
 
@@ -1635,34 +1695,26 @@ impl Machine {
     /// that success into failure (a succeeded `\+`), which the caller
     /// propagates through [`Machine::fail`].
     fn barrier_done(&mut self, image: &Image, hook: Option<&dyn ParHook>) -> EngineResult<bool> {
-        // A parallel conjunction with arms remaining advances in place: the
-        // finished arm's choice points are committed and the next arm starts
-        // under the same barrier. An offered arm is claimed back first; one
-        // a thief holds is passed over, to be joined after the last arm.
+        // The arm of a parallel conjunction that just succeeded commits to
+        // its first solution, and while arms remain the conjunction advances
+        // in place, under the same barrier.
         let top = self.barriers.len() - 1;
-        if let BarrierExit::Par(state) = &mut self.barriers[top].exit {
-            while state.next < state.count {
-                let arm = state.next;
-                state.next += 1;
-                if state.offers != NOT_OFFERED {
-                    let slot = &mut self.offers[(state.offers + arm - 1) as usize].arm;
-                    if !slot.as_ref().is_some_and(|offer| offer.claim()) {
-                        continue;
-                    }
-                    let offer = slot.take().expect("claimed just above");
-                    if let Some(hook) = hook {
-                        hook.taken_back(&offer, false);
-                    }
-                    Self::recycle(&mut self.packet_pool, offer);
+        if let BarrierExit::Par(mut state) = self.barriers[top].exit {
+            self.commit_choice_points(self.barriers[top].cp_base);
+            let next = self.next_arm(hook, &mut state);
+            self.barriers[top].exit = BarrierExit::Par(state);
+            match next? {
+                ArmNext::Run(arm) => {
+                    self.recorder.pop(&self.counters);
+                    self.recorder
+                        .push(state.first_task + arm as usize, &self.counters);
+                    self.push_arm(image, state.arms, arm)?;
+                    return Ok(true);
                 }
-                let state = *state;
-                let cp_base = self.barriers[top].cp_base;
-                self.commit_choice_points(cp_base);
-                self.recorder.pop(&self.counters);
-                self.recorder
-                    .push(state.first_task + arm as usize, &self.counters);
-                self.push_arm(image, state.arms, arm)?;
-                return Ok(true);
+                // `fail` unwinds the barrier: the conjunction's bindings are
+                // undone and what is still on offer is withdrawn.
+                ArmNext::Fail => return Ok(false),
+                ArmNext::Done => {}
             }
         }
         let barrier = self.pop_barrier();
@@ -1682,64 +1734,78 @@ impl Machine {
                 Ok(true)
             }
             BarrierExit::Par(state) => {
-                // The last local arm succeeded: the conjunction succeeds if
-                // the arms that ran elsewhere did.
-                self.commit_choice_points(barrier.cp_base);
+                // Every arm succeeded, here or elsewhere.
                 self.recorder.pop(&self.counters);
                 if let ArmSource::Scratch { base } = state.arms {
                     self.arm_scratch.truncate(base as usize);
                 }
-                if state.offers == NOT_OFFERED {
-                    return Ok(true);
+                if state.offers != NOT_OFFERED {
+                    self.cancel_offers(hook, state.offers as usize);
                 }
-                let ok = self.join_stolen(hook, state)?;
-                if !ok {
-                    // A stolen arm failed: leave what a local arm's failure
-                    // leaves, the conjunction's bindings undone.
-                    self.undo_to_barrier(barrier.trail_mark, barrier.heap_mark);
-                }
-                Ok(ok)
+                Ok(true)
             }
         }
     }
 
-    /// The join of an offered conjunction whose local arms are done: every
-    /// arm still in the offer table was claimed by a thief. In arm order,
-    /// each one's answer is waited for ([`ParHook::join`]), its counters and
-    /// work are merged as if the arm had run here, and its packet is
-    /// unpacked and bound to the parent cells saved when the arm was packed
-    /// — uncounted: a join binding is boundary bookkeeping, not program
-    /// work, which is what makes the counters schedule-independent. Returns
-    /// `Ok(false)` when a stolen arm failed.
-    fn join_stolen(&mut self, hook: Option<&dyn ParHook>, state: ParState) -> EngineResult<bool> {
-        let first = state.offers as usize;
-        let mut ok = true;
-        'join: for arm in 1..state.count as usize {
-            let offered = &mut self.offers[first + arm - 1];
+    /// What a parallel conjunction does after one of its arms succeeded
+    /// here. First the arms not yet started, in order: an offered one is
+    /// claimed back to run here, or passed over if a thief holds it. Then
+    /// the stolen arms are joined, in arm order: each one's answer is
+    /// waited for ([`ParHook::join`]), its counters and work are merged as
+    /// if the arm had run here, and its packet is unpacked and bound to the
+    /// parent cells saved when the arm was packed — uncounted: a join
+    /// binding is boundary bookkeeping, not program work, which is what
+    /// makes the counters schedule-independent. An arm its thief handed
+    /// back runs here after all, the thief's counters dropped.
+    fn next_arm(
+        &mut self,
+        hook: Option<&dyn ParHook>,
+        state: &mut ParState,
+    ) -> EngineResult<ArmNext> {
+        while state.next < state.count {
+            let arm = state.next;
+            state.next += 1;
+            if state.offers == NOT_OFFERED {
+                return Ok(ArmNext::Run(arm));
+            }
+            let slot = &mut self.offers[(state.offers + arm - 1) as usize].arm;
+            if slot.as_ref().is_some_and(|offer| offer.claim()) {
+                let offer = slot.take().expect("claimed just above");
+                if let Some(hook) = hook {
+                    hook.taken_back(&offer, false);
+                }
+                Self::recycle(&mut self.packet_pool, offer);
+                return Ok(ArmNext::Run(arm));
+            }
+        }
+        while state.offers != NOT_OFFERED && state.joined < state.count {
+            let arm = state.joined;
+            state.joined += 1;
+            let offered = &mut self.offers[(state.offers + arm - 1) as usize];
             let (Some(offer), parents) = (offered.arm.take(), offered.parents as usize) else {
                 continue;
             };
             let hook = hook.expect("arms are offered only through a hook");
-            let Some(answer) = hook.join(&offer)? else {
-                ok = false;
-                break;
+            let answer = match hook.join(&offer)? {
+                ArmEnd::Answer(answer) => answer,
+                ArmEnd::Failed => return Ok(ArmNext::Fail),
+                ArmEnd::HandedBack => return Ok(ArmNext::Run(arm)),
             };
-            self.recorder.push(state.first_task + arm, &self.counters);
-            self.counters = self.counters.add(&answer.counters);
             self.recorder.pop(&self.counters);
+            self.recorder
+                .push(state.first_task + arm as usize, &self.counters);
+            self.counters = self.counters.add(&answer.counters);
             let root = self.unpack(&answer.packet);
             self.packet_pool.push(answer.packet.cells);
+            self.note_heap_high_water();
             for var in 0..offer.arm().nvars as usize {
                 let parent = self.offer_parents[parents + var] as usize;
                 if !self.unify(parent, root + var, Charge::Uncounted)? {
-                    ok = false;
-                    break 'join;
+                    return Ok(ArmNext::Fail);
                 }
             }
         }
-        self.note_heap_high_water();
-        self.cancel_offers(hook, first);
-        Ok(ok)
+        Ok(ArmNext::Done)
     }
 
     /// Drops the offer table from entry `from` up: an arm nobody has
@@ -1797,9 +1863,10 @@ impl Machine {
                     // in the enclosing region.
                 }
                 BarrierExit::Par(state) => {
-                    // Independent and-parallelism: one failed arm fails the
-                    // whole conjunction (no backtracking across arms), so
-                    // the arms still on offer are withdrawn.
+                    // Independent and-parallelism: one failed arm, here or
+                    // elsewhere, fails the whole conjunction (no
+                    // backtracking across arms), so the arms still on offer
+                    // are withdrawn.
                     self.recorder.pop(&self.counters);
                     if let ArmSource::Scratch { base } = state.arms {
                         self.arm_scratch.truncate(base as usize);
@@ -1852,13 +1919,16 @@ impl Machine {
             2 if name == wk.par_and => {
                 let base = self.arm_scratch.len();
                 self.collect_arms(cell);
-                let offers = hook.map_or(NOT_OFFERED, |h| self.try_offer(h, base));
                 let count = self.arm_scratch.len() - base;
+                let offers = hook
+                    .filter(|h| !h.keep_in_place(count))
+                    .map_or(NOT_OFFERED, |h| self.try_offer(h, base));
                 let children = self.recorder.record_fork(count, &self.counters);
                 self.push_barrier(BarrierExit::Par(ParState {
                     arms: ArmSource::Scratch { base: base as u32 },
                     count: count as u32,
                     next: 1,
+                    joined: 1,
                     first_task: children.start,
                     offers,
                 }))?;
@@ -2043,7 +2113,7 @@ impl Machine {
             }
             Step::Par { arms_at, arms_len } => {
                 let mut offers = NOT_OFFERED;
-                if let Some(h) = hook {
+                if let Some(h) = hook.filter(|h| !h.keep_in_place(arms_len as usize)) {
                     // Write the arm terms only to pack them: the arms that
                     // run here run off their compiled sequences below, so
                     // the copies are dropped again.
@@ -2069,6 +2139,7 @@ impl Machine {
                     arms,
                     count: arms_len,
                     next: 1,
+                    joined: 1,
                     first_task: children.start,
                     offers,
                 }))?;
@@ -2087,11 +2158,11 @@ impl Machine {
     /// ordinary inline path.
     ///
     /// This is the forking half of the spawn boundary documented in
-    /// [`crate::par`]. Every arm is packed, arm 0 included: packing is also
-    /// the independence check, and an unbound variable shared between arms
-    /// would make their first solutions order-dependent, so such a
-    /// conjunction is not offered and parallel execution stays
-    /// answer-equivalent to sequential execution.
+    /// [`crate::par`], reached only by a conjunction the hook did not keep
+    /// in place. Packing is also the independence check: an unbound
+    /// variable shared between arms would make their first solutions
+    /// order-dependent, so such a conjunction is not offered and parallel
+    /// execution stays answer-equivalent to sequential execution.
     fn try_offer(&mut self, hook: &dyn ParHook, base: usize) -> u32 {
         let Some(own_vars) = self.pack_arms(base) else {
             hook.note_inlined();
@@ -2117,20 +2188,19 @@ impl Machine {
         first
     }
 
-    /// Packs the arms in `arm_scratch[base..]` over one variable numbering:
-    /// arm 0 into scratch (it never leaves; it is scanned for the cells the
-    /// later arms must not share), each later arm into a slot pushed on
-    /// `offer_batch`. Returns arm 0's variable count — where the later arms'
-    /// tables start in `pack_parents` — or `None` when two arms share an
-    /// unbound cell, or one is cyclic or too large to copy: such an arm runs
-    /// inline, as a dependent one does.
+    /// Numbers the unbound cells of the arms in `arm_scratch[base..]` over
+    /// one variable numbering: arm 0's by a walk (it never leaves; its cells
+    /// are the ones the later arms must not share), each later arm's by
+    /// packing it into a slot pushed on `offer_batch`. Returns arm 0's
+    /// variable count — where the later arms' tables start in
+    /// `pack_parents` — or `None` when two arms share an unbound cell, or
+    /// one is cyclic or too large to copy: such an arm runs inline, as a
+    /// dependent one does.
     fn pack_arms(&mut self, base: usize) -> Option<usize> {
         self.pack_vars.clear();
         self.pack_parents.clear();
-        let mut own = std::mem::take(&mut self.pack_scratch);
-        let own_vars = self.pack_into(&mut own, [self.arm_scratch[base]]);
-        self.pack_scratch = own;
-        let own_vars = own_vars.ok()? as usize;
+        self.number_unbound(self.arm_scratch[base]).ok()?;
+        let own_vars = self.pack_parents.len();
         for k in base + 1..self.arm_scratch.len() {
             let arm = self.pack([self.arm_scratch[k]]).ok()?;
             self.offer_batch.push(Offer::new(arm));
@@ -2819,6 +2889,12 @@ pub(crate) mod tests {
             matches!(m.pack([arm(&m, 2)]), Err(PackStop::Shared)),
             "X is arm 0's"
         );
+        // Arm 0 walked instead of packed is numbered the same way.
+        m.pack_vars.clear();
+        m.pack_parents.clear();
+        assert!(m.number_unbound(arm(&m, 0)).is_ok());
+        assert_eq!(m.pack_parents, [0, 1]);
+        assert!(matches!(m.pack([arm(&m, 2)]), Err(PackStop::Shared)));
 
         // Arm 0 unpacked above everything else reads back as a variant.
         let root = m.unpack(&first);
@@ -2826,6 +2902,16 @@ pub(crate) mod tests {
             m.extract_cell(HCell::unbound(root)).unwrap().to_string(),
             format!("f(_{0},g(_{1},_{1},1.5))", root - 2, root - 1)
         );
+
+        // A cyclic term stops the walk as it stops the copy: V = f(V).
+        let block = m.heap.len();
+        m.heap.push(HCell::Ref(4));
+        m.bind_cell(4, HCell::Struct(Symbol::intern("f"), 1, block as u32));
+        assert!(matches!(
+            m.number_unbound(HCell::Ref(4)),
+            Err(PackStop::Limit)
+        ));
+        assert!(matches!(m.pack([HCell::Ref(4)]), Err(PackStop::Limit)));
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! shared. Real and-parallel execution is layered *on top* through the
 //! [`ParHook`] trait, by **lazy task creation**: when a hook is passed to
 //! [`crate::Machine::solve_goal`], every parallel conjunction (`&`) the
-//! machine reaches whose arms are independent runs on the forking machine's
-//! ordinary inline path, exactly as it does without a hook — but arms `1..`
-//! are first packed and *offered* to the hook as [`Offer`] slots. An offer
-//! is a standing invitation, not a hand-over: whoever wins the slot's one
-//! compare-and-swap runs the arm.
+//! machine reaches runs on the forking machine's ordinary inline path,
+//! exactly as it does without a hook. Some of them also *offer* arms `1..`
+//! to the hook as [`Offer`] slots. An offer is a standing invitation, not a
+//! hand-over: whoever wins the slot's one compare-and-swap runs the arm.
 //!
 //! The boundary makes no grain-size decision. Granularity control is the
 //! annotator's source rewrite: a `&` too small to pay for an offer has
@@ -17,14 +16,25 @@
 //! charged to the grain-test counters and the work — before the machine
 //! could reach it.
 //!
-//! * The forking machine claims each arm back as it reaches it and runs it
-//!   in place, on its compiled arm sequence. This is the common case, and it
-//!   costs the pack, one `Arc`, and two uncontended deque operations.
+//! * **Offer only to a taker.** At each `&` the machine first asks the hook
+//!   whether the forking thread still has an arm on offer
+//!   ([`ParHook::keep_in_place`]). If it has, an idle thread already has
+//!   that arm to take, and the conjunction runs in place as it would
+//!   without a hook: no arm is written, checked or packed. Only a
+//!   conjunction that is actually offered pays for the independence check
+//!   and the packets.
+//! * The forking machine claims each offered arm back as it reaches it and
+//!   runs it in place, on its compiled arm sequence. This is the common
+//!   case for an offered arm, and it costs the pack, one `Arc`, and two
+//!   uncontended deque operations.
 //! * An idle thread that claims the slot first (a *thief*) unpacks the arm
 //!   on a machine of its own ([`crate::Machine::run_arm`]), solves it and
-//!   leaves an [`ArmAnswer`] in the slot. The forker skips that arm, and
-//!   when its local arms are done it asks the hook for each stolen arm's
-//!   result ([`ParHook::join`], which may block or help), in arm order.
+//!   leaves an [`ArmEnd`] in the slot. The forker skips that arm, and when
+//!   its local arms are done it asks the hook for each stolen arm's result
+//!   ([`ParHook::join`], which may block or help), in arm order.
+//! * A thief whose answer has no finite copy (a cyclic binding) or is too
+//!   large to pack hands the arm back ([`ArmEnd::HandedBack`]); the joiner
+//!   runs it in place after all, so a stolen arm answers as an inline one.
 //! * A conjunction that fails and an engine error both claim the
 //!   outstanding slots so nobody else starts them; an arm a thief already
 //!   runs finishes unobserved.
@@ -33,20 +43,21 @@
 //!
 //! Arms cross the boundary **by value**, as [`Packet`]s: flat, relocatable
 //! runs of heap cells with no pointer into any arena. The machine packs each
-//! arm straight out of its arena in one iterative pass — bound `Ref` chains
-//! are dereferenced away, every distinct unbound parent cell becomes the
-//! next dense packet variable (the machine keeps the variable → parent cell
-//! table of every offered arm on its side of the boundary), and a parent
-//! cell reached from two arms inlines the conjunction without offering it,
-//! because such arms are not independent. A thief's answer is a second
-//! packet holding the values of the arm's variables, in order, over a
-//! fresh-variable alphabet shared across the bindings of that answer, so
-//! sharing between answer terms is preserved. The forking machine unpacks it
-//! into its own arena and binds each parent cell to its value through the
-//! ordinary trail, so backtracking past the conjunction undoes the joined
-//! bindings. No `Term` is built anywhere on this path, and neither packing
-//! nor unpacking recurses on term depth: a list of any length crosses the
-//! boundary on a constant amount of native stack.
+//! offered arm straight out of its arena in one iterative pass — bound `Ref`
+//! chains are dereferenced away, every distinct unbound parent cell becomes
+//! the next dense packet variable (the machine keeps the variable → parent
+//! cell table of every offered arm on its side of the boundary), and a
+//! parent cell reached from two arms inlines the conjunction without
+//! offering it, because such arms are not independent. Arm 0 never leaves,
+//! so it is walked for its unbound cells rather than copied. A thief's
+//! answer is a second packet holding the values of the arm's variables, in
+//! order, over a fresh-variable alphabet shared across the bindings of that
+//! answer, so sharing between answer terms is preserved. The forking
+//! machine unpacks it into its own arena and binds each parent cell to its
+//! value through the ordinary trail, so backtracking past the conjunction
+//! undoes the joined bindings. No `Term` is built anywhere on this path,
+//! and neither packing nor unpacking recurses on term depth: a list of any
+//! length crosses the boundary on a constant amount of native stack.
 //!
 //! # Determinism guarantees
 //!
@@ -56,7 +67,9 @@
 //! forking machine, and the join's bindings are boundary bookkeeping that no
 //! operation counter is charged for. So for independent arms a run with a
 //! hook reports the same answer, the same [`Counters`] and the same work as
-//! the run without one, whatever the schedule.
+//! the run without one, whatever the schedule. A conjunction kept in place
+//! is not checked for independence at all: it runs as the sequential
+//! machine runs it.
 
 use crate::cost::Counters;
 use crate::error::EngineResult;
@@ -103,9 +116,23 @@ pub struct ArmAnswer {
     pub counters: Counters,
 }
 
-/// What running an arm elsewhere produced: its answer, `None` if the arm
-/// failed, or the engine error that aborts the query.
-pub type ArmResult = EngineResult<Option<ArmAnswer>>;
+/// How an arm that a thief ran ended.
+#[derive(Debug, Clone)]
+pub enum ArmEnd {
+    /// It succeeded with this answer.
+    Answer(ArmAnswer),
+    /// It failed.
+    Failed,
+    /// It succeeded, but its answer has no finite copy or is too large to
+    /// pack ([`crate::EngineError::TermLimit`]). The joiner runs the arm in
+    /// place, where no copy is needed, and the thief's counters are dropped,
+    /// so the run counts what the sequential machine counts.
+    HandedBack,
+}
+
+/// What running an arm elsewhere produced: how it ended, or the engine
+/// error that aborts the query.
+pub type ArmResult = EngineResult<ArmEnd>;
 
 /// In a deque (or about to be): the first claim wins the arm.
 const QUEUED: u8 = 0;
@@ -186,16 +213,27 @@ impl Offer {
 /// own machine so nested conjunctions are offered recursively), hence the
 /// `Sync` bound.
 pub trait ParHook: Sync {
+    /// Asked at every `&` before anything is written: does the forking
+    /// thread still have an arm on offer? If so the conjunction of `arms`
+    /// arms runs in place, unchecked and unoffered, exactly as without a
+    /// hook, and the hook counts its arms as spawned ones: an idle thread
+    /// has older, bigger work to take already (lazy task creation's
+    /// "split only when the own deque is empty"). Default: `false`, every
+    /// conjunction is offered.
+    fn keep_in_place(&self, _arms: usize) -> bool {
+        false
+    }
+
     /// Notification that the machine inlined a conjunction without offering
     /// it — packing found an unbound variable shared between arms, or an
     /// arm too large or cyclic to copy — so executors can keep their
     /// statistics. Default: no-op.
     fn note_inlined(&self) {}
 
-    /// Arms `1..` of a conjunction that passed the independence check, in
-    /// arm order. The machine runs arm 0 now and will want `arms[0]` back
-    /// first, so the cheap place for it is the newest end of whatever the
-    /// hook keeps.
+    /// Arms `1..` of a conjunction that was not kept in place and passed the
+    /// independence check, in arm order. The machine runs arm 0 now and
+    /// will want `arms[0]` back first, so the cheap place for it is the
+    /// newest end of whatever the hook keeps.
     fn offer(&self, arms: &[Arc<Offer>]);
 
     /// The forking machine won `arm`'s claim — to run it in place, or
@@ -205,6 +243,7 @@ pub trait ParHook: Sync {
 
     /// The result of an arm a thief claimed, requested when the forking
     /// machine has run out of local arms; blocks until the thief is done.
+    /// An arm handed back ([`ArmEnd::HandedBack`]) still counts as stolen.
     ///
     /// # Errors
     ///

@@ -13,13 +13,19 @@
 //!
 //! # Architecture
 //!
-//! * **Offer, don't ship.** An independent conjunction runs on the machine
-//!   that forked it, on the ordinary inline path; arms `1..` are packed and
+//! * **Offer, don't ship — and offer only to a taker.** Every conjunction
+//!   runs on the machine that forked it, on the ordinary inline path. While
+//!   the forking thread still has an arm on offer (one relaxed atomic load
+//!   of its deque's length), a conjunction is *kept*: it runs in place as
+//!   under [`Granularity::Off`], with nothing written, checked or packed.
+//!   Otherwise, if its arms are independent, arms `1..` are packed and
 //!   *offered* (see [`granlog_engine::par`]): one `Arc` slot each, pushed on
-//!   the forking thread's own deque. When the forker reaches an arm it claims
-//!   it back with one compare-and-swap, pops it and runs it in place. Only an
-//!   arm an idle thread claimed first (a *steal*) crosses the spawn boundary —
-//!   and almost none does.
+//!   the forking thread's own deque. When the forker reaches an arm it
+//!   claims it back with one compare-and-swap, pops it and runs it in place.
+//!   Only an arm an idle thread claimed first (a *steal*) crosses the spawn
+//!   boundary. So a thread splits work off only when its own deque is empty
+//!   (lazy binary splitting), and almost every conjunction costs what it
+//!   costs without parallelism.
 //! * **A deque per thread.** The owner pushes and pops at the newest end of
 //!   its `Mutex<VecDeque>`; idle workers take the oldest entry of any deque
 //!   (the biggest piece of work on offer). A worker with nothing to take
@@ -30,9 +36,11 @@
 //!   value: the thief unpacks the arm's packet at the bottom of an empty
 //!   arena of its own ([`Machine::run_arm`]), solves it, and the values of
 //!   the arm's variables travel back as a second packet. No heap cell is
-//!   ever shared between threads. The executor keeps one idle machine and
-//!   makes others on the spot: the compiled image is shared, so a new
-//!   machine is a handful of empty `Vec`s.
+//!   ever shared between threads. An answer that has no finite copy (a
+//!   cyclic binding) is handed back instead, and the joiner runs the arm in
+//!   place. The executor keeps one idle machine and makes others on the
+//!   spot: the compiled image is shared, so a new machine is a handful of
+//!   empty `Vec`s.
 //! * **Deterministic join, help-first waiting.** When its local arms are
 //!   done the forker joins the stolen ones *in arm order*. While a thief is
 //!   still running, the joiner runs other offers instead of blocking —
@@ -60,7 +68,8 @@
 //!
 //! Arms that share an unbound variable are not independent: the machine
 //! detects this while packing and does not offer such conjunctions, so
-//! parallel execution computes the sequential engine's first answer.
+//! parallel execution computes the sequential engine's first answer. A kept
+//! conjunction is not checked — it runs as the sequential machine runs it.
 //!
 //! # Example
 //!
@@ -90,7 +99,7 @@
 
 use granlog_analysis::annotate::{prepare_program, ControlMode};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
-use granlog_engine::par::{ArmResult, Offer, ParHook};
+use granlog_engine::par::{ArmEnd, ArmResult, Offer, ParHook};
 use granlog_engine::{Budget, Counters, EngineError, EngineResult, Image, Machine, MachineConfig};
 use granlog_ir::term::Cell;
 use granlog_ir::{parser, AsTerm, Program, Symbol, Term};
@@ -135,10 +144,13 @@ pub enum Granularity {
     /// runs inline on the one machine (the sequential baseline, on the same
     /// code path).
     Off,
-    /// Offers every independent conjunction (the "no control" baseline
-    /// whose task-management overhead the paper measures). An offer nobody
-    /// takes up is cheap, so what this mode pays over [`Granularity::On`] is
-    /// mostly packing: far less than when every arm was shipped.
+    /// Spawns every conjunction (the "no control" baseline whose
+    /// task-management overhead the paper measures). Spawning costs what it
+    /// does under [`Granularity::On`]: a conjunction reached while its
+    /// thread has an arm on offer is kept in place for one atomic load, and
+    /// only the others are checked, packed and offered. So this mode no
+    /// longer pays for packing at every `&`, and `par.control_gain` in
+    /// `benchmark/` falls toward 1.
     AlwaysSpawn,
 }
 
@@ -147,8 +159,9 @@ pub enum Granularity {
 pub struct ParConfig {
     /// Total number of threads executing the query: the caller plus
     /// `threads - 1` pool workers. `1` = everything in place, nothing
-    /// crosses: arms are still packed (the independence check) and offered,
-    /// and the caller takes every one back.
+    /// crosses: the caller offers a conjunction (checked and packed) only
+    /// when it has no arm on offer, keeps every other one in place, and
+    /// takes every offered arm back.
     pub threads: usize,
     /// The spawn-decision mode.
     pub granularity: Granularity,
@@ -185,12 +198,19 @@ pub struct ParOutcome {
     pub counters: Counters,
     /// Total work in cost-model units, aggregated like the counters.
     pub work: f64,
-    /// Number of arms of conjunctions that passed the independence check
-    /// (first arms included), wherever they then ran.
+    /// Number of arms of conjunctions that reached the spawn boundary (first
+    /// arms included), wherever they then ran: those kept in place because
+    /// their thread had an arm on offer, and those offered after passing the
+    /// independence check. Schedule-independent on programs whose `&` arms
+    /// are independent; a dependent `&` counts here when it is kept
+    /// (unchecked) and in `inlined_conjunctions` when it is checked, a
+    /// split that depends on the schedule.
     pub spawned_tasks: usize,
     /// Number of `&` conjunctions run inline because their arms share an
-    /// unbound variable or could not be packed (one that granularity control
-    /// sequentialises takes the `,` branch of its grain test instead).
+    /// unbound variable or could not be packed. Only a conjunction about to
+    /// be offered is checked, so one kept in place never counts here (one
+    /// that granularity control sequentialises takes the `,` branch of its
+    /// grain test instead).
     pub inlined_conjunctions: usize,
 }
 
@@ -217,8 +237,24 @@ const POLLS_BEFORE_PARK: u32 = 200;
 #[derive(Default)]
 struct Lane {
     deque: Mutex<VecDeque<Arc<Offer>>>,
+    /// The deque's length, republished under its lock by every change: what
+    /// the owner reads, without the lock, at each `&` (an entry in the deque
+    /// is an arm nobody has claimed). A hint that publishes nothing — the
+    /// entries themselves are read under the lock — so `Relaxed`; a stale
+    /// read keeps or offers one conjunction too many, never a wrong answer.
+    queued: AtomicUsize,
     spawned: AtomicUsize,
     inlined: AtomicUsize,
+}
+
+impl Lane {
+    /// Changes the deque under its lock and republishes its length.
+    fn with_deque<R>(&self, change: impl FnOnce(&mut VecDeque<Arc<Offer>>) -> R) -> R {
+        let mut deque = lock_recovering(&self.deque);
+        let result = change(&mut deque);
+        self.queued.store(deque.len(), Ordering::Relaxed);
+        result
+    }
 }
 
 /// State shared between the calling thread and the pool workers for the
@@ -326,7 +362,7 @@ impl Worker<'_> {
         };
         for step in 0..lanes.len() {
             let lane = &lanes[(self.index + step) % lanes.len()];
-            while let Some(arm) = { pop(&mut lock_recovering(&lane.deque)) } {
+            while let Some(arm) = lane.with_deque(pop) {
                 if arm.claim() {
                     return Some(arm);
                 }
@@ -360,8 +396,11 @@ impl Worker<'_> {
             ))
         });
         if let Some(obs) = &shared.obs {
-            let answer = result.as_ref().ok().and_then(Option::as_ref);
-            let cells = arm.arm().cells() + answer.map_or(0, |a| a.packet.cells());
+            let answer = match &result {
+                Ok(ArmEnd::Answer(answer)) => answer.packet.cells(),
+                _ => 0,
+            };
+            let cells = arm.arm().cells() + answer;
             obs.copied_cells.observe(cells as f64);
             obs.steals.inc();
             obs.tracer.emit("par_steal", vec![("cells", cells.into())]);
@@ -397,6 +436,22 @@ impl Worker<'_> {
 }
 
 impl ParHook for Worker<'_> {
+    fn keep_in_place(&self, arms: usize) -> bool {
+        // An arm of this thread's is still on offer: an idle thread has it
+        // to take, so this conjunction runs in place, unoffered. `spawned`
+        // counts its arms all the same.
+        let lane = self.lane();
+        if lane.queued.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
+        lane.spawned.fetch_add(arms, Ordering::Relaxed);
+        if let Some(obs) = &self.shared.obs {
+            obs.spawned.add(arms as u64);
+            obs.kept.add(arms as u64);
+        }
+        true
+    }
+
     fn note_inlined(&self) {
         self.lane().inlined.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &self.shared.obs {
@@ -406,9 +461,9 @@ impl ParHook for Worker<'_> {
     }
 
     fn offer(&self, arms: &[Arc<Offer>]) {
-        // Conjunctions that reach this point passed the machine's
-        // independence check. `spawned` counts their arms, the one the
-        // forker starts on included.
+        // Conjunctions that reach this point were not kept and passed the
+        // machine's independence check. `spawned` counts their arms, the one
+        // the forker starts on included.
         let (shared, count) = (self.shared, arms.len() + 1);
         self.lane().spawned.fetch_add(count, Ordering::Relaxed);
         if let Some(obs) = &shared.obs {
@@ -419,7 +474,8 @@ impl ParHook for Worker<'_> {
         }
         // Last arm first: the forker wants arm 1 back next, from the newest
         // end.
-        lock_recovering(&self.lane().deque).extend(arms.iter().rev().cloned());
+        self.lane()
+            .with_deque(|deque| deque.extend(arms.iter().rev().cloned()));
         shared.wake_sleepers();
     }
 
@@ -428,11 +484,11 @@ impl ParHook for Worker<'_> {
         // offered after it belonged to conjunctions nested in earlier arms,
         // which are over) and a cancelled one is near it. The search finds
         // nothing when a thief popped the arm and is about to lose the claim.
-        let mut deque = lock_recovering(&self.lane().deque);
-        if let Some(at) = deque.iter().rposition(|entry| Arc::ptr_eq(entry, arm)) {
-            deque.remove(at);
-        }
-        drop(deque);
+        self.lane().with_deque(|deque| {
+            if let Some(at) = deque.iter().rposition(|entry| Arc::ptr_eq(entry, arm)) {
+                deque.remove(at);
+            }
+        });
         if let Some(obs) = &self.shared.obs {
             if cancelled {
                 obs.cancelled.inc();
@@ -710,17 +766,19 @@ mod tests {
         // ...and the instrumented run is counter-identical to the plain one.
         assert_eq!(out.counters, plain.counters);
         assert_eq!(out.spawned_tasks, plain.spawned_tasks);
-        // Every arm ends one way: it was its conjunction's first, its forker
-        // took it back, or a thief ran it (nothing fails here, so nothing is
-        // cancelled). fib's conjunctions are all two-armed.
+        // Every arm ends one way: it was an offered conjunction's first, its
+        // forker took it back, a thief ran it, or its conjunction was kept
+        // in place (nothing fails here, so nothing is cancelled). fib's
+        // conjunctions are all two-armed.
         let steals = count("granlog_par_steals_total");
         let reclaimed = count("granlog_par_reclaimed_total");
+        let kept = count("granlog_par_kept_total");
         assert_eq!(count("granlog_par_cancelled_total"), 0);
         assert_eq!(
-            events_of(&tracer, "par_spawn") * 2,
+            events_of(&tracer, "par_spawn") + reclaimed + steals + kept,
             out.spawned_tasks as u64
         );
-        assert_eq!((reclaimed + steals) * 2, out.spawned_tasks as u64);
+        assert_eq!(events_of(&tracer, "par_spawn"), reclaimed + steals);
         assert_eq!(events_of(&tracer, "par_reclaim"), reclaimed);
         // The boundary histograms hold one observation per arm that crossed.
         for name in [
@@ -773,7 +831,8 @@ mod tests {
                     events_of(&tracer, "par_spawn")
                         + count("granlog_par_reclaimed_total")
                         + count("granlog_par_steals_total")
-                        + count("granlog_par_cancelled_total"),
+                        + count("granlog_par_cancelled_total")
+                        + count("granlog_par_kept_total"),
                     "arms resolved once each, after {after} at {threads} threads"
                 );
             };
@@ -822,6 +881,58 @@ mod tests {
             let out = run(chain, "chain(2000)", threads, Granularity::AlwaysSpawn);
             assert!(out.succeeded);
             assert_eq!(out.spawned_tasks, 4000);
+        }
+    }
+
+    /// Offer only to a taker: at `threads: 1` nobody takes an offer, so
+    /// while one is out every further conjunction runs in place, unwritten,
+    /// unchecked and unpacked. `fib(15)` offers one conjunction per arm it
+    /// takes back, a chain of seven, where offering at every `&` offered
+    /// 986; the answer, counters, work and spawned tasks are what they were.
+    #[test]
+    fn a_kept_conjunction_costs_nothing() {
+        #[cfg(feature = "failpoints")]
+        let _shared = fault_shared();
+        let program = parse_program(FIB).unwrap();
+        let off = run(FIB, "fib(15, X)", 1, Granularity::Off);
+        let (mut exec, registry, _tracer) = observed_executor(&program, 1);
+        let out = exec.run_query("fib(15, X)").unwrap();
+        assert_eq!(out.binding("X").unwrap().to_string(), "610");
+        assert_eq!(out.bindings, off.bindings);
+        assert_eq!((out.counters, out.work), (off.counters, off.work));
+        assert_eq!((out.spawned_tasks, out.inlined_conjunctions), (1_972, 0));
+        let count = |name: &str| registry.counter_value(name).expect("registered");
+        let offered = count("granlog_par_reclaimed_total") + count("granlog_par_steals_total");
+        assert!(offered < 16, "{offered} conjunctions offered");
+        assert_eq!(count("granlog_par_kept_total") + 2 * offered, 1_972);
+    }
+
+    /// A dependent `&` inside an offered arm. Where its forker still has an
+    /// arm on offer it is kept in place, unchecked; otherwise the
+    /// independence check declines it. Either way it runs as the sequential
+    /// machine runs it (`q` binds `X` to 2 before `p` is tried; arms run
+    /// apart would bind it to 2 and 1), at every thread count. At one
+    /// thread the split is fixed: `dep(A)` runs while arm 1 is on offer and
+    /// is kept, `dep(B)` runs once everything is taken back and is checked.
+    #[test]
+    fn a_dependent_conjunction_in_an_offered_arm_answers_sequentially() {
+        let src = FIB.to_owned()
+            + r#"
+            p(1). p(2).
+            q(2).
+            dep(X) :- q(X) & p(X).
+            go(N, A, B) :- (fib(N, _), dep(A)) & (fib(N, _), dep(B)).
+        "#;
+        let program = parse_program(&src).unwrap();
+        let seq = Machine::new(&program).run_query("go(12, A, B)").unwrap();
+        assert_eq!(seq.binding("A").unwrap().to_string(), "2");
+        for threads in [1, 2, 4] {
+            let out = run(&src, "go(12, A, B)", threads, Granularity::AlwaysSpawn);
+            assert_eq!(out.bindings, seq.bindings, "{threads} threads");
+            assert_eq!(out.counters, seq.counters, "{threads} threads");
+            if threads == 1 {
+                assert_eq!(out.inlined_conjunctions, 1);
+            }
         }
     }
 

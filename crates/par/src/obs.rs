@@ -7,9 +7,9 @@
 //! `spawned`/`inlined` counters (reported in [`crate::ParOutcome`]) are
 //! untouched either way, so instrumented runs stay counter-identical.
 //!
-//! Every offered arm ends exactly one way, so the counters balance:
-//! `spawned` = conjunctions (one `par_spawn` event and one first arm each)
-//! plus `reclaimed`, `steals` and `cancelled`. The histograms describe the arms that
+//! Every arm ends exactly one way, so the counters balance: `spawned` =
+//! offered conjunctions (one `par_spawn` event and one first arm each) plus
+//! `reclaimed`, `steals`, `cancelled` and `kept`. The histograms describe the arms that
 //! actually crossed the spawn boundary — one observation per *stolen* arm —
 //! which is what the ROADMAP's "adaptive granularity control" item needs:
 //! calibrating the spawn-overhead constant W online means comparing
@@ -25,20 +25,24 @@ use std::time::Instant;
 /// Metric and trace handles for the and-parallel executor.
 #[derive(Debug, Clone)]
 pub struct ParObs {
-    /// Arms of conjunctions that passed the independence check (first arms
-    /// included), wherever they then ran.
+    /// Arms of conjunctions kept in place or offered (first arms included),
+    /// wherever they then ran.
     pub spawned: Arc<Counter>,
-    /// Conjunctions run inline because their arms are not independent (or
-    /// one could not be packed).
+    /// Conjunctions about to be offered but run inline because their arms
+    /// are not independent (or one could not be packed).
     pub inlined: Arc<Counter>,
     /// Offered arms that crossed the spawn boundary: claimed by a pool
-    /// worker or a help-first joiner and run on a second machine.
+    /// worker or a help-first joiner and run on a second machine (an arm
+    /// handed back and rerun by its joiner included).
     pub steals: Arc<Counter>,
     /// Offered arms their forker claimed back and ran in place.
     pub reclaimed: Arc<Counter>,
     /// Offered arms withdrawn unrun: their conjunction failed, or the query
     /// ended in an error, before the forker reached them.
     pub cancelled: Arc<Counter>,
+    /// Arms of conjunctions run in place unoffered, first arms included,
+    /// because their forker already had an arm on offer.
+    pub kept: Arc<Counter>,
     /// Wall time one stolen arm's goal took to solve on its thief.
     pub arm_ms: Arc<Histogram>,
     /// Wall time a forker spent waiting for one stolen arm (helping
@@ -73,6 +77,7 @@ impl ParObs {
             steals: registry.counter("granlog_par_steals_total"),
             reclaimed: registry.counter("granlog_par_reclaimed_total"),
             cancelled: registry.counter("granlog_par_cancelled_total"),
+            kept: registry.counter("granlog_par_kept_total"),
             arm_ms: registry.histogram("granlog_par_arm_ms", LATENCY_BUCKETS_MS),
             join_wait_ms: registry.histogram("granlog_par_join_wait_ms", LATENCY_BUCKETS_MS),
             copied_cells: registry.histogram("granlog_par_copied_cells", WORK_BUCKETS),
