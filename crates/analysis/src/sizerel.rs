@@ -22,6 +22,11 @@
 use crate::ddg::{ArgPos, Ddg, NodeId};
 use crate::expr::{Expr, FnRef};
 use crate::measure::{Measure, MeasureVec, SizeFunctions};
+use granlog_ir::arith::{
+    self,
+    ArithOp::{Binary, Unary},
+    BinOp, UnOp,
+};
 use granlog_ir::builtins::{self, Builtin};
 use granlog_ir::{AsTerm, ModeDecl, PredId, Symbol, TermRef, VarId, View};
 use std::collections::{BTreeMap, BTreeSet};
@@ -447,18 +452,6 @@ fn literal_output_exprs(
         .collect()
 }
 
-/// The name of an arithmetic functor [`translate_arith`] bounds, `""` for
-/// every other symbol. The names are interned once, so the lookup, unlike
-/// `Symbol::as_str`, takes no interner lock.
-fn known_name(symbol: Symbol) -> &'static str {
-    const NAMES: &str = "+ - * / // div min max abs mod rem >> <<";
-    static KNOWN: OnceLock<Vec<(Symbol, &str)>> = OnceLock::new();
-    let intern = |name| (Symbol::intern(name), name);
-    let known = KNOWN.get_or_init(|| NAMES.split(' ').map(intern).collect());
-    let found = known.iter().find(|(s, _)| *s == symbol);
-    found.map_or("", |(_, name)| name)
-}
-
 /// Translates an arithmetic term (`M - 1`, `N1 + N2`, ...) into a size
 /// expression over recorded variable sizes. It recurses only through the
 /// arithmetic functors it knows, so no deeper than the reader nests a term
@@ -473,19 +466,19 @@ fn translate_arith(term: TermRef<'_>, var_sizes: &BTreeMap<(VarId, Measure), Exp
             .unwrap_or(Expr::Undefined),
         View::Struct(f, args) => {
             let arg = |i: usize| translate_arith(args.at(i), var_sizes);
-            match (known_name(f), args.len()) {
-                ("+", 2) => Expr::add(arg(0), arg(1)),
-                ("-", 2) => Expr::sub(arg(0), arg(1)),
-                ("*", 2) => Expr::mul(arg(0), arg(1)),
-                ("/", 2) | ("//", 2) | ("div", 2) => Expr::div(arg(0), arg(1)),
-                ("-", 1) => Expr::neg(arg(0)),
-                ("+", 1) | ("abs", 1) => arg(0),
-                ("min", 2) => Expr::min(arg(0), arg(1)),
-                ("max", 2) => Expr::max(arg(0), arg(1)),
+            match arith::lookup(f, args.len()) {
+                Some(Binary(BinOp::Add)) => Expr::add(arg(0), arg(1)),
+                Some(Binary(BinOp::Sub)) => Expr::sub(arg(0), arg(1)),
+                Some(Binary(BinOp::Mul)) => Expr::mul(arg(0), arg(1)),
+                Some(Binary(BinOp::Div | BinOp::IntDiv)) => Expr::div(arg(0), arg(1)),
+                Some(Unary(UnOp::Neg)) => Expr::neg(arg(0)),
+                Some(Unary(UnOp::Plus | UnOp::Abs)) => arg(0),
+                Some(Binary(BinOp::Min)) => Expr::min(arg(0), arg(1)),
+                Some(Binary(BinOp::Max)) => Expr::max(arg(0), arg(1)),
                 // 0 <= a mod b < b: bounded above by the divisor minus one.
-                ("mod", 2) | ("rem", 2) => Expr::sub(arg(1), Expr::Num(1.0)),
-                (">>", 2) => Expr::div(arg(0), Expr::pow(Expr::Num(2.0), arg(1))),
-                ("<<", 2) => Expr::mul(arg(0), Expr::pow(Expr::Num(2.0), arg(1))),
+                Some(Binary(BinOp::Mod | BinOp::Rem)) => Expr::sub(arg(1), Expr::Num(1.0)),
+                Some(Binary(BinOp::Shr)) => Expr::div(arg(0), Expr::pow(Expr::Num(2.0), arg(1))),
+                Some(Binary(BinOp::Shl)) => Expr::mul(arg(0), Expr::pow(Expr::Num(2.0), arg(1))),
                 _ => Expr::Undefined,
             }
         }

@@ -1,4 +1,6 @@
 //! Arithmetic evaluation for `is/2` and the arithmetic comparison builtins.
+//! Which compound names which function, and which atoms are constants, is
+//! [`granlog_ir::arith`]'s table; this module applies the functions.
 //!
 //! An expression is evaluated in one of two ways, which apply the same
 //! operators (`apply1` / `apply2`) and report the same errors:
@@ -22,11 +24,11 @@
 use crate::error::{EngineError, EngineResult, TermLimit};
 use crate::heap::{self, HCell};
 use crate::machine::{Machine, MAX_WALK_CELLS};
+use granlog_ir::arith::{self, ArithOp, BinOp, UnOp};
 use granlog_ir::term::Cell;
-use granlog_ir::{FastMap, Symbol};
+use granlog_ir::Symbol;
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// A Prolog number: integer or float.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,98 +62,6 @@ impl Num {
         match (self, other) {
             (Num::Int(a), Num::Int(b)) => Some(a.cmp(&b)),
             (a, b) => a.as_f64().partial_cmp(&b.as_f64()),
-        }
-    }
-}
-
-/// A one-argument arithmetic function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum UnOp {
-    Neg,
-    Plus,
-    Abs,
-    Sign,
-    Sqrt,
-    Sin,
-    Cos,
-    Atan,
-    Log,
-    Exp,
-    ToFloat,
-    Integer,
-    Truncate,
-    Round,
-    Floor,
-    Ceiling,
-}
-
-/// A two-argument arithmetic function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    IntDiv,
-    Mod,
-    Rem,
-    Min,
-    Max,
-    PowFloat,
-    PowInt,
-    Shr,
-    Shl,
-    BitAnd,
-    BitOr,
-}
-
-/// An arithmetic function identified by one `(functor, arity)` entry of the
-/// dispatch table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ArithOp {
-    Unary(UnOp),
-    Binary(BinOp),
-}
-
-impl ArithOp {
-    /// The operator as error messages name it.
-    fn name(self) -> &'static str {
-        match self {
-            ArithOp::Unary(op) => match op {
-                UnOp::Neg => "-",
-                UnOp::Plus => "+",
-                UnOp::Abs => "abs",
-                UnOp::Sign => "sign",
-                UnOp::Sqrt => "sqrt",
-                UnOp::Sin => "sin",
-                UnOp::Cos => "cos",
-                UnOp::Atan => "atan",
-                UnOp::Log => "log",
-                UnOp::Exp => "exp",
-                UnOp::ToFloat => "float",
-                UnOp::Integer => "integer",
-                UnOp::Truncate => "truncate",
-                UnOp::Round => "round",
-                UnOp::Floor => "floor",
-                UnOp::Ceiling => "ceiling",
-            },
-            ArithOp::Binary(op) => match op {
-                BinOp::Add => "+",
-                BinOp::Sub => "-",
-                BinOp::Mul => "*",
-                BinOp::Div => "/",
-                BinOp::IntDiv => "//",
-                BinOp::Mod => "mod",
-                BinOp::Rem => "rem",
-                BinOp::Min => "min",
-                BinOp::Max => "max",
-                BinOp::PowFloat => "**",
-                BinOp::PowInt => "^",
-                BinOp::Shr => ">>",
-                BinOp::Shl => "<<",
-                BinOp::BitAnd => "/\\",
-                BinOp::BitOr => "\\/",
-            },
         }
     }
 }
@@ -229,87 +139,6 @@ impl From<ArithError> for EngineError {
 }
 
 type ArithResult = Result<Num, ArithError>;
-
-/// Arithmetic constants recognised in atom position.
-struct ArithConsts {
-    pi: Symbol,
-    e: Symbol,
-}
-
-fn constant(s: Symbol) -> Result<f64, ArithError> {
-    static CONSTS: OnceLock<ArithConsts> = OnceLock::new();
-    let c = CONSTS.get_or_init(|| ArithConsts {
-        pi: Symbol::intern("pi"),
-        e: Symbol::intern("e"),
-    });
-    if s == c.pi {
-        Ok(std::f64::consts::PI)
-    } else if s == c.e {
-        Ok(std::f64::consts::E)
-    } else {
-        Err(ArithError::UnknownConstant(s))
-    }
-}
-
-/// The function behind `name/arity`, if it is an arithmetic function. One
-/// hash probe on interned symbols — paid per node by the heap evaluator and
-/// once per node, at template-compile time, by compiled code.
-fn function(name: Symbol, arity: u32) -> Result<ArithOp, ArithError> {
-    static TABLE: OnceLock<FastMap<(Symbol, u32), ArithOp>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        use ArithOp::{Binary, Unary};
-        use BinOp::*;
-        use UnOp::*;
-        let entries: &[(&str, ArithOp)] = &[
-            ("+", Binary(Add)),
-            ("-", Binary(Sub)),
-            ("*", Binary(Mul)),
-            ("/", Binary(Div)),
-            ("//", Binary(IntDiv)),
-            ("div", Binary(IntDiv)),
-            ("mod", Binary(Mod)),
-            ("rem", Binary(Rem)),
-            ("-", Unary(Neg)),
-            ("+", Unary(Plus)),
-            ("abs", Unary(Abs)),
-            ("sign", Unary(Sign)),
-            ("min", Binary(Min)),
-            ("max", Binary(Max)),
-            ("**", Binary(PowFloat)),
-            ("^", Binary(PowInt)),
-            ("sqrt", Unary(Sqrt)),
-            ("sin", Unary(Sin)),
-            ("cos", Unary(Cos)),
-            ("atan", Unary(Atan)),
-            ("log", Unary(Log)),
-            ("exp", Unary(Exp)),
-            ("float", Unary(ToFloat)),
-            ("integer", Unary(Integer)),
-            ("truncate", Unary(Truncate)),
-            ("round", Unary(Round)),
-            ("floor", Unary(Floor)),
-            ("ceiling", Unary(Ceiling)),
-            (">>", Binary(Shr)),
-            ("<<", Binary(Shl)),
-            ("/\\", Binary(BitAnd)),
-            ("\\/", Binary(BitOr)),
-        ];
-        entries
-            .iter()
-            .map(|&(name, op)| {
-                let arity = match op {
-                    Unary(_) => 1,
-                    Binary(_) => 2,
-                };
-                ((Symbol::intern(name), arity), op)
-            })
-            .collect()
-    });
-    table
-        .get(&(name, arity))
-        .copied()
-        .ok_or(ArithError::UnknownFunction(name, arity))
-}
 
 // ----------------------------------------------------------------------
 // Operator application
@@ -513,20 +342,20 @@ pub(crate) fn compile(cells: &[Cell], pos: usize, out: &mut Vec<Instr>) -> bool 
             Cell::Int(i) => Instr::Int(i),
             Cell::Float(x) => Instr::Float(x.0),
             Cell::Var(v) => Instr::Var(v as u32),
-            Cell::Atom(s) => match constant(s) {
-                Ok(value) => Instr::Float(value),
-                Err(unknown) => Instr::Trap(unknown),
-            },
-            Cell::Struct(name, arity, _) => match function(name, arity) {
-                Ok(ArithOp::Unary(op)) => {
+            Cell::Atom(s) => {
+                arith::constant(s).map_or(Instr::Trap(ArithError::UnknownConstant(s)), Instr::Float)
+            }
+            // One probe of the table per node, here at template-compile time.
+            Cell::Struct(name, arity, _) => match arith::lookup(name, arity as usize) {
+                Some(ArithOp::Unary(op)) => {
                     pending.push((Instr::Op1(op), 1));
                     continue;
                 }
-                Ok(ArithOp::Binary(op)) => {
+                Some(ArithOp::Binary(op)) => {
                     pending.push((Instr::Op2(op), 2));
                     continue;
                 }
-                Err(unknown) => Instr::Trap(unknown),
+                None => Instr::Trap(ArithError::UnknownFunction(name, arity)),
             },
         };
         out.push(leaf);
@@ -653,7 +482,9 @@ fn eval_heap(heap: &[HCell], scratch: &mut Scratch, idx: usize) -> ArithResult {
                 HCell::Int(i) => Num::Int(i),
                 HCell::Float(x) => Num::Float(x),
                 HCell::Ref(_) => return Err(ArithError::Unbound),
-                HCell::Atom(s) => Num::Float(constant(s)?),
+                HCell::Atom(s) => {
+                    Num::Float(arith::constant(s).ok_or(ArithError::UnknownConstant(s))?)
+                }
                 HCell::Struct(name, arity, base) => {
                     visits += 1;
                     if work.len() > 2 * heap.len() {
@@ -664,7 +495,8 @@ fn eval_heap(heap: &[HCell], scratch: &mut Scratch, idx: usize) -> ArithResult {
                     }
                     // Pushed in reverse: the first argument is evaluated
                     // first, the operator applied last.
-                    match function(name, arity)? {
+                    let op = arith::lookup(name, arity as usize);
+                    match op.ok_or(ArithError::UnknownFunction(name, arity))? {
                         ArithOp::Unary(op) => work.push(Work::Apply1(op)),
                         ArithOp::Binary(op) => {
                             work.push(Work::Apply2(op));

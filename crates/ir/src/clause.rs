@@ -140,13 +140,7 @@ pub struct ClauseDisplay<'a>(&'a Clause);
 
 impl fmt::Display for ClauseDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let c = self.0;
-        crate::pretty::fmt_term(c.head.term_ref(), Some(&c.var_names), f)?;
-        if !c.is_fact() {
-            write!(f, " :- ")?;
-            crate::pretty::fmt_term(c.body.term_ref(), Some(&c.var_names), f)?;
-        }
-        write!(f, ".")
+        crate::pretty::fmt_clause(self.0, f)
     }
 }
 

@@ -27,6 +27,9 @@
 //! * [`builtins`] — the one table of builtin predicates: name and arity,
 //!   the id the engine dispatches on, argument modes. Every crate that must
 //!   know "is this goal a builtin" asks [`builtins::lookup`].
+//! * [`arith`] — the one table of arithmetic functions and constants: the
+//!   engine evaluates the op [`arith::lookup`] names, and the size analysis
+//!   bounds `is/2`'s output by it.
 //! * [`grain`] — the grain-size decision shared by the analysis that
 //!   produces it and the annotator that enforces it: the [`Measure`]
 //!   vocabulary (which the engine's `'$grain_ge'` reads back), the
@@ -48,6 +51,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod arith;
 pub mod builtins;
 pub mod callgraph;
 pub mod clause;

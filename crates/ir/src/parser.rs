@@ -115,9 +115,9 @@ struct Token {
     end: usize,
 }
 
-/// What a byte means where a token may start.
+/// What a byte means where a token may start; the printer quotes by it.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Class {
+pub(crate) enum Class {
     /// No token starts with it: control characters, `"`, `` ` ``, every byte
     /// of a character beyond ASCII — and `%`, which starts a comment.
     Other,
@@ -154,12 +154,12 @@ const CLASSES: [Class; 256] = {
     table
 };
 
-fn class(byte: u8) -> Class {
+pub(crate) fn class(byte: u8) -> Class {
     CLASSES[usize::from(byte)]
 }
 
 /// Letters, digits and `_`: what a name continues with.
-fn is_alnum(byte: u8) -> bool {
+pub(crate) fn is_alnum(byte: u8) -> bool {
     matches!(class(byte), Class::Digit | Class::Upper | Class::Lower)
 }
 
@@ -409,20 +409,20 @@ type OpDef = (u32, u32);
 
 /// What an atom means as an operator.
 #[derive(Clone, Copy, Default)]
-struct Ops {
-    infix: Option<OpDef>,
+pub(crate) struct Ops {
+    pub(crate) infix: Option<OpDef>,
     prefix: Option<OpDef>,
 }
 
 /// The operator table keyed by [`Symbol`], and the symbols the reader builds
-/// terms with; interned once per process.
-struct Syntax {
-    ops: FastMap<Symbol, Ops>,
+/// terms with; interned once per process. The printer reads it too.
+pub(crate) struct Syntax {
+    pub(crate) ops: FastMap<Symbol, Ops>,
     minus: Symbol,
     curly: Symbol,
 }
 
-fn syntax() -> &'static Syntax {
+pub(crate) fn syntax() -> &'static Syntax {
     static SYNTAX: OnceLock<Syntax> = OnceLock::new();
     SYNTAX.get_or_init(|| {
         let mut ops: FastMap<Symbol, Ops> = FastMap::default();

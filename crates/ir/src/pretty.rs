@@ -1,54 +1,26 @@
-//! Human-readable rendering of terms and clauses.
+//! Rendering of terms and clauses as text the reader reads back.
 //!
-//! The printer aims at readability rather than strict re-parsability: lists
-//! print in bracket notation, well-known binary operators print infix, and
-//! variables print either by their source name (when a name table is
+//! The printer keeps no syntax of its own: a binary compound prints infix
+//! exactly when the reader's operator table has its name as an infix
+//! operator, and an atom is quoted exactly when the lexer's character
+//! classes would not read it back bare. Every infix compound is
+//! parenthesised, so `parse(print(t)) == t` whatever the priorities. Lists
+//! print in bracket notation, floats in positional notation with a `.0`
+//! when integral, and variables by their source name (when a name table is
 //! supplied) or as `_N`.
 
+use crate::clause::Clause;
+use crate::parser::{class, is_alnum, syntax, Class};
 use crate::symbol::Symbol;
 use crate::term::{Args, AsTerm, TermRef, View};
-use std::borrow::Cow;
-use std::fmt;
-
-/// Operators rendered infix by the pretty printer, with their display glyph.
-fn infix_glyph(name: &str, arity: usize) -> Option<&'static str> {
-    if arity != 2 {
-        return None;
-    }
-    let glyph = match name {
-        "," => ",",
-        ";" => ";",
-        "->" => "->",
-        "&" => "&",
-        ":-" => ":-",
-        "is" => " is ",
-        "=" => "=",
-        "\\=" => "\\=",
-        "==" => "==",
-        "\\==" => "\\==",
-        "<" => "<",
-        ">" => ">",
-        "=<" => "=<",
-        ">=" => ">=",
-        "=:=" => "=:=",
-        "=\\=" => "=\\=",
-        "+" => "+",
-        "-" => "-",
-        "*" => "*",
-        "/" => "/",
-        "//" => "//",
-        "mod" => " mod ",
-        _ => return None,
-    };
-    Some(glyph)
-}
+use std::fmt::{self, Write};
 
 /// What is left of a compound once the subterm in hand is printed.
 enum Frame<'t> {
     /// A compound's remaining arguments, each after a `,`, then `)`.
     Args(Args<'t>),
-    /// An infix operator's glyph and right operand, then `)`.
-    Infix(&'static str, TermRef<'t>),
+    /// An infix operator's name and right operand, then `)`.
+    Infix(Symbol, TermRef<'t>),
     /// A list's spine after an element.
     Spine(TermRef<'t>),
     /// The `)` after an infix operator's right operand, or the `]` after
@@ -56,101 +28,183 @@ enum Frame<'t> {
     Close(&'static str),
 }
 
+/// The formatter and the last byte written to it. A token is one write, or
+/// starts with one: a write that starts with a symbol character is spaced
+/// off one that ended with one, which the lexer would join to it.
+struct Out<'a, 'b> {
+    f: &'a mut fmt::Formatter<'b>,
+    last: u8,
+}
+
+impl Write for Out<'_, '_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let (Some(&first), Some(&last)) = (s.as_bytes().first(), s.as_bytes().last()) else {
+            return Ok(());
+        };
+        if class(self.last) == Class::Symbol && class(first) == Class::Symbol {
+            self.f.write_str(" ")?;
+        }
+        self.last = last;
+        self.f.write_str(s)
+    }
+}
+
+impl Out<'_, '_> {
+    /// Prints one term: one loop over an explicit work stack, one frame per
+    /// open compound, so native stack use does not depend on the term's
+    /// depth and any answer an engine can build prints.
+    fn term(&mut self, term: TermRef<'_>, var_names: Option<&[Symbol]>) -> fmt::Result {
+        let ops = &syntax().ops;
+        let infix = |name| ops.get(&name).is_some_and(|op| op.infix.is_some());
+        let mut work = Vec::new();
+        // The term in hand, and whether it is an infix operator's operand.
+        let mut next = Some((term, false));
+        loop {
+            // Print the term in hand; a compound prints its opening, leaves
+            // the rest of itself on the stack and hands over its first
+            // subterm.
+            while let Some((term, operand)) = next.take() {
+                match term.view() {
+                    View::Var(v) => match var_names.and_then(|names| names.get(v)) {
+                        Some(name) => write!(self, "{name}")?,
+                        None => write!(self, "_{v}")?,
+                    },
+                    View::Int(i) => write!(self, "{i}")?,
+                    View::Float(x) => {
+                        write!(self, "{x}")?;
+                        if x.is_finite() && x.fract() == 0.0 {
+                            self.write_str(".0")?;
+                        }
+                    }
+                    View::Atom(a) if operand && ops.contains_key(&a) => {
+                        self.write_str("(")?;
+                        self.name(a, false)?;
+                        self.write_str(")")?;
+                    }
+                    View::Atom(a) => self.name(a, false)?,
+                    View::Struct(_, args) if term.is_cons() => {
+                        self.write_str("[")?;
+                        work.push(Frame::Spine(args.at(1)));
+                        next = Some((args.at(0), false));
+                    }
+                    View::Struct(name, args) if args.len() == 2 && infix(name) => {
+                        self.write_str("(")?;
+                        work.push(Frame::Infix(name, args.at(1)));
+                        next = Some((args.at(0), true));
+                    }
+                    View::Struct(name, mut args) => {
+                        self.name(name, true)?;
+                        self.write_str("(")?;
+                        next = args.next().map(|arg| (arg, false));
+                        work.push(Frame::Args(args));
+                    }
+                }
+            }
+            let Some(frame) = work.pop() else {
+                return Ok(());
+            };
+            match frame {
+                Frame::Args(mut rest) => match rest.next() {
+                    None => self.write_str(")")?,
+                    Some(arg) => {
+                        self.write_str(",")?;
+                        work.push(Frame::Args(rest));
+                        next = Some((arg, false));
+                    }
+                },
+                Frame::Infix(name, right) => {
+                    // An alphanumeric operator is spaced on both sides; a
+                    // symbolic one only off a symbolic neighbour.
+                    match name.as_str() {
+                        op if class(op.as_bytes()[0]) == Class::Lower => write!(self, " {op} ")?,
+                        op => self.write_str(op)?,
+                    }
+                    work.push(Frame::Close(")"));
+                    next = Some((right, true));
+                }
+                Frame::Spine(rest) if rest.is_cons() => {
+                    self.write_str(",")?;
+                    work.push(Frame::Spine(rest.args().at(1)));
+                    next = Some((rest.args().at(0), false));
+                }
+                Frame::Spine(rest) if rest.is_nil() => self.write_str("]")?,
+                Frame::Spine(tail) => {
+                    self.write_str("|")?;
+                    work.push(Frame::Close("]"));
+                    next = Some((tail, false));
+                }
+                Frame::Close(text) => self.write_str(text)?,
+            }
+        }
+    }
+
+    /// An atom or a functor's name, quoted if the lexer would not read it
+    /// back bare.
+    fn name(&mut self, name: Symbol, functor: bool) -> fmt::Result {
+        let text = name.as_str();
+        if reads_bare(text, functor) {
+            return self.write_str(text);
+        }
+        // The quoted text is one token: it goes to the formatter directly.
+        self.write_str("'")?;
+        for c in text.chars() {
+            match c {
+                '\\' => self.f.write_str("\\\\")?,
+                '\'' => self.f.write_str("\\'")?,
+                '\n' => self.f.write_str("\\n")?,
+                '\t' => self.f.write_str("\\t")?,
+                '\r' => self.f.write_str("\\r")?,
+                c => self.f.write_char(c)?,
+            }
+        }
+        self.write_str("'")
+    }
+}
+
+/// Whether the lexer reads `text` back as this one atom unquoted: a name,
+/// a run of symbol characters (not the clause-ending `.`, not a comment's
+/// `/*`), a solo character, or, as an atom but not before `(`, `[]` and
+/// `{}`.
+fn reads_bare(text: &str, functor: bool) -> bool {
+    let bytes = text.as_bytes();
+    let Some(&first) = bytes.first() else {
+        return false;
+    };
+    match class(first) {
+        Class::Lower => bytes.iter().all(|&b| is_alnum(b)),
+        Class::Symbol => {
+            bytes.iter().all(|&b| class(b) == Class::Symbol)
+                && text != "."
+                && !text.starts_with("/*")
+        }
+        Class::Solo => bytes.len() == 1,
+        Class::Punct => !functor && matches!(text, "[]" | "{}"),
+        _ => false,
+    }
+}
+
 /// Formats a single term.
 ///
 /// `var_names`, when provided, maps [`crate::term::VarId`]s to their source
 /// names; variables outside the table (or when the table is absent) render as
 /// `_N`.
-///
-/// One loop over an explicit work stack, one frame per open compound: native
-/// stack use does not depend on the term's depth, so any answer an engine can
-/// build prints.
 pub fn fmt_term(
     term: TermRef<'_>,
     var_names: Option<&[Symbol]>,
     f: &mut fmt::Formatter<'_>,
 ) -> fmt::Result {
-    let mut work = Vec::new();
-    let mut next = Some(term);
-    loop {
-        // Print the term in hand; a compound prints its opening, leaves the
-        // rest of itself on the stack and hands over its first subterm.
-        while let Some(term) = next.take() {
-            match term.view() {
-                View::Var(v) => match var_names.and_then(|names| names.get(v)) {
-                    Some(name) => write!(f, "{name}")?,
-                    None => write!(f, "_{v}")?,
-                },
-                View::Int(i) => write!(f, "{i}")?,
-                View::Float(x) => write!(f, "{x}")?,
-                View::Atom(a) => f.write_str(&atom_text(a.as_str()))?,
-                View::Struct(_, args) if term.is_cons() => {
-                    f.write_str("[")?;
-                    work.push(Frame::Spine(args.at(1)));
-                    next = Some(args.at(0));
-                }
-                View::Struct(name, mut args) => match infix_glyph(name.as_str(), args.len()) {
-                    Some(glyph) => {
-                        f.write_str("(")?;
-                        work.push(Frame::Infix(glyph, args.at(1)));
-                        next = Some(args.at(0));
-                    }
-                    None => {
-                        write!(f, "{}(", atom_text(name.as_str()))?;
-                        next = args.next();
-                        work.push(Frame::Args(args));
-                    }
-                },
-            }
-        }
-        let Some(frame) = work.pop() else {
-            return Ok(());
-        };
-        match frame {
-            Frame::Args(mut rest) => match rest.next() {
-                None => f.write_str(")")?,
-                Some(arg) => {
-                    f.write_str(",")?;
-                    work.push(Frame::Args(rest));
-                    next = Some(arg);
-                }
-            },
-            Frame::Infix(glyph, right) => {
-                f.write_str(glyph)?;
-                work.push(Frame::Close(")"));
-                next = Some(right);
-            }
-            Frame::Spine(rest) if rest.is_cons() => {
-                f.write_str(",")?;
-                work.push(Frame::Spine(rest.args().at(1)));
-                next = Some(rest.args().at(0));
-            }
-            Frame::Spine(rest) if rest.is_nil() => f.write_str("]")?,
-            Frame::Spine(tail) => {
-                f.write_str("|")?;
-                work.push(Frame::Close("]"));
-                next = Some(tail);
-            }
-            Frame::Close(text) => f.write_str(text)?,
-        }
-    }
+    Out { f, last: b' ' }.term(term, var_names)
 }
 
-/// Quotes an atom's text if it would not read back as an unquoted atom.
-fn atom_text(s: &str) -> Cow<'_, str> {
-    let plain_alpha = s
-        .chars()
-        .next()
-        .map(|c| c.is_ascii_lowercase())
-        .unwrap_or(false)
-        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-    let symbolic = !s.is_empty() && s.chars().all(|c| "+-*/\\^<>=~:.?@#&$".contains(c));
-    let special = matches!(s, "[]" | "!" | ";" | "{}" | ",");
-    if plain_alpha || symbolic || special {
-        Cow::Borrowed(s)
-    } else {
-        Cow::Owned(format!("'{}'", s.replace('\'', "\\'")))
+/// Formats a clause as `head :- body.`, or `head.` for a fact.
+pub(crate) fn fmt_clause(clause: &Clause, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    let mut out = Out { f, last: b' ' };
+    out.term(clause.head.term_ref(), Some(&clause.var_names))?;
+    if !clause.is_fact() {
+        out.write_str(" :- ")?;
+        out.term(clause.body.term_ref(), Some(&clause.var_names))?;
     }
+    out.write_str(".")
 }
 
 /// A display adapter pairing a term with a variable-name table.
@@ -246,6 +300,35 @@ mod tests {
             Term::var(2),
         ]);
         assert_eq!(nested.to_string(), "[f([]),_2]");
+    }
+
+    #[test]
+    fn every_infix_operator_reads_back() {
+        // Walks the reader's own table, so an operator added there is
+        // covered here without a second list.
+        let ops = &crate::parser::syntax().ops;
+        let mut seen = 0;
+        for (&op, _) in ops.iter().filter(|(_, o)| o.infix.is_some()) {
+            let name = op.as_str();
+            let operands = [
+                (Term::int(-1), Term::float(-2.0)),
+                (Term::atom(name), Term::atom(name)),
+                (Term::atom(","), Term::float(-0.0)),
+                (
+                    Term::compound("\\+", vec![Term::atom("|")]),
+                    Term::compound("-", vec![Term::atom(".")]),
+                ),
+            ];
+            for (left, right) in operands {
+                let term = Term::compound(name, vec![left, right]);
+                let text = term.to_string();
+                let (back, _) = crate::parser::parse_term(&text)
+                    .unwrap_or_else(|e| panic!("`{text}` does not read back: {e}"));
+                assert!(back == term, "`{text}` reads back as `{back}`");
+            }
+            seen += 1;
+        }
+        assert_eq!(seen, 37);
     }
 
     #[test]

@@ -83,6 +83,7 @@ use crate::session::{EngineKind, Session, SessionBudget};
 use crate::ServeError;
 use granlog_engine::MachineConfig;
 use granlog_store::{ProgramStore, StoreConfig, StoreError, StoreObs};
+use std::collections::HashSet;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -258,15 +259,23 @@ impl Server {
         // listener exists, so the first client query of a recovered program
         // is a cache hit. A record whose text no longer parses (impossible
         // via our own journaling, conceivable via hand-edited files) is
-        // skipped — recovery never panics over bad bytes.
-        let mut recovered = 0u64;
+        // skipped — recovery never panics over bad bytes. A key journaled
+        // by an older printer differs from its program's normalized text
+        // today, so two keys can name one cache entry; the count is of
+        // distinct entries.
+        let mut distinct = HashSet::new();
         if let Some(store) = &store {
-            for (_name, text) in store.programs() {
-                if cache.load(&text).is_ok() {
-                    recovered += 1;
+            for (name, text) in store.programs() {
+                if let Ok((entry, _)) = cache.load(&text) {
+                    distinct.insert(if entry.normalized_text() == name {
+                        name
+                    } else {
+                        entry.normalized_text().to_owned()
+                    });
                 }
             }
         }
+        let recovered = distinct.len() as u64;
         let bind_err = |source| BootError::Bind {
             addr: config.addr.clone(),
             source,

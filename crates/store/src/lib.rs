@@ -5,8 +5,8 @@
 //! crash. The design is the classic pairing:
 //!
 //! - a **write-ahead log** ([`mod@record`] + an append-only `wal.log`) of
-//!   CRC-framed `Load` / `Remove` records with a configurable
-//!   [`FsyncPolicy`], and
+//!   CRC-framed `Load` records with a configurable [`FsyncPolicy`] (a
+//!   program never leaves the corpus, so there is no removal record), and
 //! - **snapshot compaction**: when the log outgrows
 //!   [`StoreConfig::wal_limit_bytes`], the whole corpus is written to a
 //!   tempfile, fsynced, atomically renamed over `snapshot.bin`, and the

@@ -33,11 +33,6 @@ pub enum Record {
         /// Program source text, exactly as it should replay.
         text: String,
     },
-    /// The named program left the corpus.
-    Remove {
-        /// Store key of the removed program.
-        name: String,
-    },
     /// Marks a completed snapshot: written as the first record of the fresh
     /// WAL after compaction (cross-referencing the snapshot id) and as the
     /// snapshot file's terminator proving the file is complete.
@@ -48,7 +43,8 @@ pub enum Record {
 }
 
 const TAG_LOAD: u8 = 1;
-const TAG_REMOVE: u8 = 2;
+// Tag 2 is unassigned: a record carrying it reads as torn, as every unknown
+// tag does.
 const TAG_SNAPSHOT_MARK: u8 = 3;
 
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), table-driven. Implemented
@@ -96,10 +92,6 @@ pub fn encode(record: &Record) -> Vec<u8> {
             payload.push(TAG_LOAD);
             push_str(&mut payload, name);
             push_str(&mut payload, text);
-        }
-        Record::Remove { name } => {
-            payload.push(TAG_REMOVE);
-            push_str(&mut payload, name);
         }
         Record::SnapshotMark { id } => {
             payload.push(TAG_SNAPSHOT_MARK);
@@ -166,9 +158,6 @@ fn decode_payload(payload: &[u8]) -> Result<Record, &'static str> {
             let text = take_str(&mut rest)?.to_string();
             Record::Load { name, text }
         }
-        TAG_REMOVE => Record::Remove {
-            name: take_str(&mut rest)?.to_string(),
-        },
         TAG_SNAPSHOT_MARK => {
             if rest.len() < 8 {
                 return Err("truncated snapshot id");
@@ -237,7 +226,6 @@ mod tests {
             name: "p(_0) :- q(_0)\n".into(),
             text: "p(X) :- q(X).".into(),
         });
-        roundtrip(Record::Remove { name: "key".into() });
         roundtrip(Record::SnapshotMark { id: 42 });
         roundtrip(Record::Load {
             name: String::new(),
@@ -294,6 +282,8 @@ mod tests {
     fn unknown_tags_and_trailing_bytes_are_torn() {
         for payload in [
             vec![99u8],
+            // The unassigned tag 2, over a well-formed name.
+            vec![2u8, 3, 0, 0, 0, b'k', b'e', b'y'],
             vec![TAG_SNAPSHOT_MARK, 0, 0, 0, 0, 0, 0, 0, 0, 1],
         ] {
             let mut framed = Vec::new();

@@ -113,11 +113,6 @@ pub(crate) fn read_snapshot(dir: &Path) -> SnapshotContents {
     loop {
         match read_record(&mut reader) {
             ReadOutcome::Record(Record::Load { name, text }) => programs.push((name, text)),
-            // Remove records never appear in snapshots (the corpus is
-            // materialized); tolerate them anyway for forward compatibility.
-            ReadOutcome::Record(Record::Remove { name }) => {
-                programs.retain(|(n, _)| *n != name);
-            }
             ReadOutcome::Record(Record::SnapshotMark { id }) => {
                 return SnapshotContents {
                     programs,

@@ -103,11 +103,6 @@ impl Inner {
                     self.order.push(name);
                 }
             }
-            Record::Remove { name } => {
-                if self.texts.remove(&name).is_some() {
-                    self.order.retain(|n| *n != name);
-                }
-            }
             Record::SnapshotMark { id } => {
                 self.next_snapshot_id = self.next_snapshot_id.max(id + 1);
             }
@@ -258,27 +253,6 @@ impl ProgramStore {
             Record::Load {
                 name: name.to_string(),
                 text: text.to_string(),
-            },
-            &self.config,
-        )?;
-        self.maybe_compact(&mut inner)?;
-        Ok(true)
-    }
-
-    /// Journals a program removal. Returns `Ok(false)` when `name` was not
-    /// stored (nothing to journal).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ProgramStore::record_load`].
-    pub fn record_remove(&self, name: &str) -> Result<bool, StoreError> {
-        let mut inner = self.lock();
-        if !inner.texts.contains_key(name) {
-            return Ok(false);
-        }
-        inner.apply_journaled(
-            Record::Remove {
-                name: name.to_string(),
             },
             &self.config,
         )?;
@@ -463,24 +437,6 @@ mod tests {
         assert_eq!(
             std::fs::metadata(&wal_path).expect("stat").len(),
             intact as u64
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn removal_is_journaled_and_replayed() {
-        let dir = temp_dir("remove");
-        {
-            let store = ProgramStore::open(config(&dir)).expect("open");
-            store.record_load("k1", "p(a).").expect("load");
-            store.record_load("k2", "q(b).").expect("load");
-            assert!(store.record_remove("k1").expect("remove"));
-            assert!(!store.record_remove("k1").expect("absent"));
-        }
-        let store = ProgramStore::open(config(&dir)).expect("reopen");
-        assert_eq!(
-            store.programs(),
-            vec![("k2".to_string(), "q(b).".to_string())]
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

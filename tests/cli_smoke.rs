@@ -270,3 +270,31 @@ fn run_answers_no_to_a_failed_query_over_a_cyclic_term() {
         }
     }
 }
+
+/// The annotator's output is a program: `granlog annotate` prints text the
+/// reader reads back, and `granlog run` on it answers as on the source. A
+/// negative number after `=` or `-`, a parenthesised operator atom and the
+/// atoms the lexer reads as punctuation used to print as `(X=-1)`, `(X--2)`
+/// and `f(,,|,.)`, which the reader refuses.
+#[test]
+fn annotated_output_reads_back_and_answers_as_the_source() {
+    const SOURCE: &str = "p(X, Y) :- X = -1, Y is X - -2.\n\
+        q(Z) :- Z = (+).\n\
+        c(X) :- X = f(',', '|', '.').\n";
+    let source = write_temp("readback.pl", SOURCE);
+    let (annotated, stderr, ok) = granlog(&["annotate", source.to_str().unwrap()]);
+    assert!(ok, "annotate failed: {stderr}");
+    let annotated = write_temp("readback_annotated.pl", &annotated);
+    // The answer lines of a run: everything before its cost summary.
+    let answers = |path: &PathBuf, goal: &str| {
+        let (stdout, stderr, ok) = granlog(&["run", path.to_str().unwrap(), goal]);
+        assert!(ok, "run {goal} on {}: {stderr}", path.display());
+        let lines = stdout.lines().take_while(|line| !line.starts_with("work:"));
+        lines.collect::<Vec<_>>().join("\n")
+    };
+    for goal in ["p(X, Y)", "q(Z)", "c(X)"] {
+        let want = answers(&source, goal);
+        assert!(want.starts_with("yes"), "{goal}: {want}");
+        assert_eq!(answers(&annotated, goal), want, "{goal}");
+    }
+}

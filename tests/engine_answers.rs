@@ -353,7 +353,7 @@ fn cyclic_lists_and_expressions_end_on_a_connection_stack() {
                 .run_query("mk(3, L), length(L, N), L =.. U, V is N + 1")
                 .unwrap();
             assert_eq!(out.binding("V").unwrap().to_string(), "4", "after {goal}");
-            assert_eq!(out.binding("U").unwrap().to_string(), "[.,a,[a,a]]");
+            assert_eq!(out.binding("U").unwrap().to_string(), "['.',a,[a,a]]");
         }
         let out = machine.run_query("dbl(10, E), V is E").unwrap();
         assert_eq!(out.binding("V").unwrap().to_string(), "1024");

@@ -358,6 +358,20 @@ const GOLDEN_HEADER: &str = "\
 #   source text (they printed the `Debug` form of a private enum);
 # - `clause head must be callable` carries the position of the clause's first
 #   token (it carried 0:0).
+# - the printer reads the reader's tables, so every `text` line reads back
+#   as its `clause` line. Only `text` lines moved, for these inputs:
+#   - every binary operator of the reader's table prints infix (`=..(a,b)`
+#     became `(a=..b)`): \"p --> q.\", the four `t(...)` operator rows,
+#     \"t(a ** b, a ^ b).\", \"t(1 - 2 - 3, 2 ^ 3 ^ 4, ...)\" and
+#     \"p :- a =.. b, c \\== d.\";
+#   - a symbolic operator is spaced off a symbolic neighbour (`(3--1)` became
+#     `(3- -1)`): \"p(- 1, -1, ...)\", \"p(a- -1, ...)\" and \"X is 2 + -3 * - 4.\";
+#   - floats print with `.0` when integral (`-0` became `-0.0`): the same
+#     \"p(- 1, -1, ...)\" and \"n(1.5, 0.0, 1.0e3, ...)\";
+#   - quoted atoms escape `\\`, newline, tab and carriage return, so their
+#     text stays on one line: \"q('line\\\\nbreak', ...)\" and \"q('two\\nlines').\";
+#   - `{}` is quoted before `(`, as the lexer reads `{}(` as an atom and a
+#     stray `(`: \"{a}.\" and \"c({}, {a}, ...)\".
 ";
 
 #[test]
@@ -420,21 +434,40 @@ fn token_soup() -> impl Strategy<Value = String> {
         .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
 }
 
+/// The infix operators of the reader's table (`granlog_ir::parser`), copied
+/// because the table is private to the crate; the unit test
+/// `pretty::tests::every_infix_operator_reads_back` walks the table itself.
+const INFIX_OPS: &[&str] = &[
+    ":-", "-->", ";", "->", ",", "&", "=", "\\=", "==", "\\==", "is", "=..", "<", ">", "=<", ">=",
+    "=:=", "=\\=", "@<", "@>", "@=<", "@>=", "+", "-", "/\\", "\\/", "xor", "*", "/", "//", "mod",
+    "rem", "div", "<<", ">>", "**", "^",
+];
+
 /// A term the printer writes in a form the reader reads back: atoms plain,
-/// quoted and beyond ASCII, integers, variables, lists (proper and partial)
-/// and compounds in canonical notation. Variables are numbered `0..4` here
-/// and renumbered by [`clause_of`].
+/// quoted, symbolic, beyond ASCII and the ones the lexer reads as
+/// punctuation; integers and floats of either sign; variables; lists
+/// (proper and partial); compounds in canonical notation, under each
+/// operator of [`INFIX_OPS`] and under the prefix `-` and `\+`.
+/// Variables are numbered `0..4` here and renumbered by [`clause_of`].
 fn printable_term() -> impl Strategy<Value = Term> {
     let atom = prop_oneof![
         "[a-z][a-zA-Z0-9_]{0,4}".prop_map(|s| Term::atom(&s)),
-        "[ A-Za-z0-9_'+\u{e9}\u{3bb}\u{65e5}]{0,5}".prop_map(|s| Term::atom(&s)),
+        "[ A-Za-z0-9_'+\u{e9}\u{3bb}\u{65e5}\\]{0,5}".prop_map(|s| Term::atom(&s)),
         Just(Term::nil()),
         Just(Term::atom("{}")),
+        "[+*/\\^<>=~:.?@#&$-]{1,3}".prop_map(|s| Term::atom(&s)),
+        (0..INFIX_OPS.len()).prop_map(|i| Term::atom(INFIX_OPS[i])),
+        (0usize..4).prop_map(|i| Term::atom([",", ".", "|", "\\+"][i])),
     ];
     let leaf = prop_oneof![
         atom,
         (i64::MIN + 1..i64::MAX).prop_map(Term::int),
         (-9i64..10).prop_map(Term::int),
+        (-1000i64..1000).prop_map(|i| Term::float(i as f64)),
+        Just(Term::float(-0.0)),
+        (-1.0e6..1.0e6).prop_map(Term::float),
+        (-1.0e-9..1.0e-9).prop_map(Term::float),
+        (-1.0e300..1.0e300).prop_map(Term::float),
         (0usize..4).prop_map(Term::var),
     ];
     leaf.prop_recursive(3, 24, 3, |inner| {
@@ -450,8 +483,11 @@ fn printable_term() -> impl Strategy<Value = Term> {
             )
                 .prop_map(|(name, args)| Term::compound(&name, args)),
             prop::collection::vec(inner.clone(), 1..4).prop_map(Term::list),
-            (prop::collection::vec(inner.clone(), 1..3), inner)
+            (prop::collection::vec(inner.clone(), 1..3), inner.clone())
                 .prop_map(|(items, tail)| Term::list_with_tail(items, tail)),
+            (0..INFIX_OPS.len(), inner.clone(), inner.clone())
+                .prop_map(|(i, left, right)| Term::compound(INFIX_OPS[i], vec![left, right])),
+            (0usize..2, inner).prop_map(|(i, arg)| Term::compound(["-", "\\+"][i], vec![arg])),
         ]
     })
 }

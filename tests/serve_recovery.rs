@@ -160,6 +160,29 @@ fn a_wal_only_store_boots_into_the_template_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A key journaled by an older printer (`p(1) :- true`, from when
+/// integral floats printed bare) and the key today's printer writes for the
+/// same text (`p(1.0) :- true`) name one program: boot compiles it once
+/// and counts it once.
+#[test]
+fn two_keys_for_one_program_recover_as_one() {
+    let dir = temp_dir("stalekey");
+    {
+        let store = ProgramStore::open(store_config(&dir)).unwrap();
+        store.record_load("p(1) :- true\n", "p(1.0).").unwrap();
+        store.record_load("p(1.0) :- true\n", "p(1.0).").unwrap();
+        store.record_load("q(a) :- true\n", "q(a).").unwrap();
+    }
+    let server = start_server(durable(&dir));
+    assert_eq!(server.recovered_programs(), 2);
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    let (_, _, hit) = client.load("p(1.0).").unwrap().unwrap();
+    assert!(hit, "the stale key's text is the program");
+    client.quit().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A torn half-record at the WAL tail — what a mid-append crash leaves —
 /// costs exactly the torn record: the server boots with the intact prefix.
 #[test]

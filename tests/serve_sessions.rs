@@ -206,6 +206,31 @@ fn cache_keys_on_normalized_text_and_evicts_lru() {
     server.shutdown();
 }
 
+/// A float is not an integer, so a program with a float is not the program
+/// with the integer in its place: the cache key is the normalized text, and
+/// `1.0` used to normalize to `1`. Then a tenant loading `p(1).` after
+/// another loaded `p(1.0).` got `cache=hit` and the other tenant's
+/// program, and `p(X), integer(X)` failed.
+#[test]
+fn a_float_and_an_integer_are_different_programs() {
+    let server = start_server(ServeConfig::default());
+    let mut first = ServeClient::connect(server.addr()).unwrap();
+    let (float_hash, _, float_hit) = first.load("p(1.0).").unwrap().unwrap();
+    assert!(!float_hit);
+    let mut second = ServeClient::connect(server.addr()).unwrap();
+    let (int_hash, _, int_hit) = second.load("p(1).").unwrap().unwrap();
+    assert!(!int_hit, "p(1). must not be served p(1.0).'s entry");
+    assert_ne!(float_hash, int_hash);
+    let reply = second.query("p(X), integer(X)").unwrap().unwrap();
+    assert!(reply.succeeded, "p(1). must answer an integer");
+    assert_eq!(reply.bindings, vec![("X".to_string(), "1".to_string())]);
+    let reply = first.query("p(X), float(X)").unwrap().unwrap();
+    assert_eq!(reply.bindings, vec![("X".to_string(), "1.0".to_string())]);
+    first.quit().unwrap();
+    second.quit().unwrap();
+    server.shutdown();
+}
+
 /// Protocol robustness: errors leave the session alive, and malformed
 /// commands get `err` replies rather than hangs or disconnects.
 #[test]
