@@ -10,7 +10,7 @@
 use crate::suite::Benchmark;
 pub use granlog_analysis::annotate::{prepare_program, ControlMode};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
-use granlog_engine::{Machine, MachineConfig, QueryOutcome};
+use granlog_engine::{Machine, MachineConfig, RecordedOutcome};
 use granlog_ir::Program;
 use granlog_sim::{simulate, speedup_percent, SimConfig, SimOutcome};
 use serde::{Deserialize, Serialize};
@@ -75,16 +75,17 @@ pub struct SweepPoint {
 }
 
 /// Executes a prepared program on the engine, on the caller's stack (no walk
-/// over run-time terms recurses), and returns the engine outcome.
+/// over run-time terms recurses), and returns the engine outcome with the
+/// task tree the simulator schedules.
 ///
 /// # Panics
 ///
 /// Panics if the query fails to parse or the engine reports an error — for the
 /// bundled benchmarks both indicate a bug, and the experiment harness wants a
 /// loud failure rather than a silently missing table row.
-pub fn execute(program: Program, query: String) -> QueryOutcome {
+pub fn execute(program: Program, query: String) -> RecordedOutcome {
     Machine::with_config(&program, MachineConfig::default())
-        .run_query(&query)
+        .run_query_recorded(&query)
         .unwrap_or_else(|e| panic!("engine error while running {query}: {e}"))
 }
 
@@ -103,15 +104,15 @@ pub fn run_benchmark(
     let overhead = sim_config.overhead.per_task_overhead();
     let prepared = prepare_program(&program, &analysis, mode, overhead);
     let query = bench.query(size);
-    let outcome = execute(prepared, query);
-    let sim = simulate(&outcome.task_tree, sim_config);
+    let RecordedOutcome { outcome, task_tree } = execute(prepared, query);
+    let sim = simulate(&task_tree, sim_config);
     RunResult {
         benchmark: bench.name.to_owned(),
         size,
         mode,
         succeeded: outcome.succeeded,
         total_work: outcome.work,
-        spawned_tasks: outcome.task_tree.spawned_tasks(),
+        spawned_tasks: task_tree.spawned_tasks(),
         grain_tests: outcome.counters.grain_tests,
         sim,
     }

@@ -13,7 +13,7 @@ use granlog_analysis::ddg::Ddg;
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_analysis::report::render_report;
 use granlog_analysis::CostMetric;
-use granlog_engine::{Machine, MachineConfig};
+use granlog_engine::{Machine, MachineConfig, RecordedOutcome};
 use granlog_ir::{parser::parse_program, PredId, Program, Symbol, Term};
 use granlog_par::{Granularity, ParConfig, ParExecutor};
 use granlog_serve::{BootError, PoolConfig, ServeConfig, Server, SessionBudget};
@@ -482,13 +482,13 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
             ..MachineConfig::default()
         },
     );
-    let outcome = traced(options.trace.as_deref(), query, |_| {
-        let outcome = machine.run_goal(&goal, &var_names)?;
+    let RecordedOutcome { outcome, task_tree } = traced(options.trace.as_deref(), query, |_| {
+        let run = machine.run_goal_recorded(&goal, &var_names)?;
         let end = vec![
-            ("ok", outcome.succeeded.into()),
-            ("resolutions", outcome.counters.resolutions.into()),
+            ("ok", run.outcome.succeeded.into()),
+            ("resolutions", run.outcome.counters.resolutions.into()),
         ];
-        Ok((outcome, end))
+        Ok((run, end))
     })?;
     write_answers(out, outcome.succeeded.then_some(outcome.bindings), "\n  ")?;
     writeln!(
@@ -497,7 +497,7 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         outcome.work,
         outcome.counters.resolutions,
         outcome.counters.grain_tests,
-        outcome.task_tree.spawned_tasks()
+        task_tree.spawned_tasks()
     )?;
     if let Some(rows) = machine.profile() {
         write_profile(out, &rows, &analysis)?;
@@ -505,10 +505,7 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let scaled = OverheadModel::rolog_like();
     let per_task = scaled.per_task_overhead();
     let overhead = scaled.scaled(options.overhead / per_task.max(1e-9));
-    let sim = simulate(
-        &outcome.task_tree,
-        &SimConfig::new(options.processors, overhead),
-    );
+    let sim = simulate(&task_tree, &SimConfig::new(options.processors, overhead));
     writeln!(
         out,
         "simulated time on {} processors: {:.0} units (speedup {:.2}x, utilisation {:.0}%)",

@@ -5,10 +5,10 @@
 //! reproduce the evaluation of *Task Granularity Analysis in Logic Programs*
 //! (Debray, Lin & Hermenegildo, PLDI 1990): the original experiments ran on
 //! ROLOG and &-Prolog on a Sequent Symmetry; here the engine executes the
-//! benchmark programs, counts their work in abstract units and records the
-//! fork-join structure induced by parallel conjunctions (`&`), and the
-//! `granlog-sim` crate then schedules that structure on a simulated
-//! multiprocessor.
+//! benchmark programs, counts their work in abstract units and, when asked
+//! to ([`Machine::run_goal_recorded`]), records the fork-join structure
+//! induced by parallel conjunctions (`&`), which the `granlog-sim` crate
+//! then schedules on a simulated multiprocessor.
 //!
 //! Features:
 //!
@@ -77,7 +77,9 @@ pub use cost::Counters;
 pub use error::{BudgetKind, EngineError, EngineResult, TermLimit};
 pub use heap::HCell;
 pub use image::Image;
-pub use machine::{Budget, ClauseSelection, Machine, MachineConfig, MachineStats, QueryOutcome};
+pub use machine::{
+    Budget, ClauseSelection, Machine, MachineConfig, MachineStats, QueryOutcome, RecordedOutcome,
+};
 pub use par::{ArmAnswer, ArmEnd, ArmResult, Offer, Packet, ParHook};
 pub use profile::PredProfile;
 pub use tasktree::{ForkSpan, Segment, Task, TaskId, TaskRecorder, TaskTree};

@@ -45,14 +45,17 @@
 //!   exactly the standard semantics.
 //!
 //! The quantities the experiments need are *operation counts* (resolutions,
-//! unifications, grain tests) and the *fork-join task structure*, both of
-//! which the machine records bit-identically to the seed interpreter.
+//! unifications, grain tests), which every solve keeps bit-identically to
+//! the seed interpreter, and the *fork-join task structure*, which only a
+//! solve started through [`Machine::run_query_recorded`] or
+//! [`Machine::run_goal_recorded`] records.
 //!
 //! Parallel conjunctions (`&`) are executed with independent and-parallel
 //! semantics: each arm is solved to its first solution in order, and the
-//! conjunction fails if any arm fails (no backtracking across arms). The
-//! fork/join structure and each arm's work are recorded in a
-//! [`crate::tasktree::TaskTree`] for the multiprocessor simulator. With a
+//! conjunction fails if any arm fails (no backtracking across arms). A
+//! recorded solve writes the fork/join structure and each arm's work into a
+//! [`crate::tasktree::TaskTree`] for the multiprocessor simulator; any other
+//! solve pays one null check per fork and arm boundary for it. With a
 //! parallel hook installed ([`Machine::solve_goal`], [`crate::par`]),
 //! every conjunction still runs here. One reached while the forking thread
 //! has nothing on offer, and whose arms are independent, also offers arms
@@ -192,6 +195,15 @@ fn next_wall_poll_mask(mask: u32, remaining: Duration, allowance: Duration) -> u
     }
 }
 
+/// Reads a query's text into its goal and variable names; a syntax error is
+/// the query's type error.
+fn parse_query(query: &str) -> EngineResult<(Term, Vec<Symbol>)> {
+    parser::parse_term(query).map_err(|e| EngineError::TypeError {
+        builtin: "query",
+        message: e.to_string(),
+    })
+}
+
 /// The outcome of running a query.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
@@ -204,8 +216,6 @@ pub struct QueryOutcome {
     pub counters: Counters,
     /// Total work in cost-model units.
     pub work: f64,
-    /// The recorded fork-join task tree.
-    pub task_tree: TaskTree,
 }
 
 impl QueryOutcome {
@@ -216,6 +226,17 @@ impl QueryOutcome {
             .find(|(n, _)| n.as_str() == name)
             .map(|(_, t)| t)
     }
+}
+
+/// A query's outcome beside the fork-join task tree its solve recorded
+/// (see [`Machine::run_goal_recorded`]).
+#[derive(Debug, Clone)]
+pub struct RecordedOutcome {
+    /// The outcome, as [`Machine::run_goal`] reports it.
+    pub outcome: QueryOutcome,
+    /// The fork-join task tree: one task per `&` arm, each holding the work
+    /// done in it, for the multiprocessor simulator.
+    pub task_tree: TaskTree,
 }
 
 /// Peak-usage statistics of the machine's memory structures, reset per
@@ -342,7 +363,8 @@ struct ParState {
     /// Index of the next arm to join, once every arm has been started or
     /// passed over.
     joined: u32,
-    /// Task id of arm 0 (fork children get consecutive ids).
+    /// Task id of arm 0 (fork children get consecutive ids); 0 in a solve
+    /// that records no task tree.
     first_task: TaskId,
     /// Where arm 1's entry sits in the machine's offer table (arm `k`'s is
     /// at `offers + k - 1`), or [`NOT_OFFERED`].
@@ -506,7 +528,10 @@ pub struct Machine {
     /// [`crate::arith`]).
     pub(crate) arith: arith::Scratch,
     pub(crate) counters: Counters,
-    recorder: TaskRecorder,
+    /// The task-tree recorder; `Some` only during a solve started through
+    /// [`Machine::run_goal_recorded`], so every other solve pays one
+    /// null-check per fork and arm boundary.
+    recorder: Option<TaskRecorder>,
     stats: MachineStats,
     /// The current solve's step budget: a head attempt past it ends the
     /// solve in [`EngineError::BudgetExceeded`].
@@ -577,7 +602,7 @@ impl Machine {
             arg_blocks: Vec::new(),
             arith: arith::Scratch::default(),
             counters: Counters::default(),
-            recorder: TaskRecorder::new(),
+            recorder: None,
             stats: MachineStats::default(),
             step_limit: DEFAULT_STEPS,
             profiler: if config.profile {
@@ -607,19 +632,27 @@ impl Machine {
 
     /// Parses and runs a query (e.g. `"fib(15, X)"`), returning its outcome.
     ///
-    /// The machine's heap, counters and task recording are reset first, so a
-    /// machine can be reused for several queries.
+    /// The machine's heap and counters are reset first, so a machine can be
+    /// reused for several queries.
     ///
     /// # Errors
     ///
     /// Returns an error if the query does not parse or execution hits a limit
     /// or runtime error.
     pub fn run_query(&mut self, query: &str) -> EngineResult<QueryOutcome> {
-        let (goal, var_names) = parser::parse_term(query).map_err(|e| EngineError::TypeError {
-            builtin: "query",
-            message: e.to_string(),
-        })?;
+        let (goal, var_names) = parse_query(query)?;
         self.run_goal(&goal, &var_names)
+    }
+
+    /// [`Machine::run_query`], recording the fork-join task tree as well
+    /// (see [`Machine::run_goal_recorded`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run_query`].
+    pub fn run_query_recorded(&mut self, query: &str) -> EngineResult<RecordedOutcome> {
+        let (goal, var_names) = parse_query(query)?;
+        self.run_goal_recorded(&goal, &var_names)
     }
 
     /// [`Machine::solve_goal`] with no parallel hook, under the default
@@ -630,6 +663,32 @@ impl Machine {
     /// Returns an error if execution hits a limit or runtime error.
     pub fn run_goal(&mut self, goal: &Term, var_names: &[Symbol]) -> EngineResult<QueryOutcome> {
         self.solve_goal(goal, var_names, None, &Budget::default())
+    }
+
+    /// [`Machine::run_goal`], recording the fork-join task tree of the solve
+    /// for the multiprocessor simulator: every `&` conjunction reached is a
+    /// fork of one task per arm, and each task holds the work done in it.
+    /// This is the only solve that records one; the outcome and counters
+    /// are those of [`Machine::run_goal`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run_goal`]; the partial tree is dropped.
+    pub fn run_goal_recorded(
+        &mut self,
+        goal: &Term,
+        var_names: &[Symbol],
+    ) -> EngineResult<RecordedOutcome> {
+        self.begin_solve(Some(TaskRecorder::new()));
+        let outcome = self.solve(goal, var_names, None, &Budget::default());
+        let recorder = self
+            .recorder
+            .take()
+            .expect("a recorded solve keeps its recorder");
+        Ok(RecordedOutcome {
+            outcome: outcome?,
+            task_tree: recorder.into_tree(&self.counters),
+        })
     }
 
     /// Runs an already-parsed goal whose variables are numbered
@@ -653,7 +712,19 @@ impl Machine {
         hook: Option<&dyn ParHook>,
         budget: &Budget,
     ) -> EngineResult<QueryOutcome> {
-        self.begin_solve();
+        self.begin_solve(None);
+        self.solve(goal, var_names, hook, budget)
+    }
+
+    /// Lays out `goal` at the bottom of the arena and solves it: the body of
+    /// [`Machine::solve_goal`] after [`Machine::begin_solve`].
+    fn solve(
+        &mut self,
+        goal: &Term,
+        var_names: &[Symbol],
+        hook: Option<&dyn ParHook>,
+        budget: &Budget,
+    ) -> EngineResult<QueryOutcome> {
         let mut layout = std::mem::take(&mut self.goal_layout);
         layout.clear();
         let root = layout.add(goal.cells());
@@ -684,7 +755,7 @@ impl Machine {
     /// inside a nested stolen arm); the run state is unwound as in
     /// [`Machine::solve_goal`].
     pub fn run_arm(&mut self, arm: &Packet, hook: Option<&dyn ParHook>) -> ArmResult {
-        self.begin_solve();
+        self.begin_solve(None);
         let root = self.unpack(arm);
         self.push_goal(Goal::Cell(self.heap[root]))?;
         self.drive(hook, &Budget::default(), |machine, succeeded| {
@@ -706,12 +777,13 @@ impl Machine {
         })
     }
 
-    /// Resets the machine for a new solve: run state, counters, task
-    /// recording, stats and profile are cleared.
-    fn begin_solve(&mut self) {
+    /// Resets the machine for a new solve: run state, counters, stats and
+    /// profile are cleared, and `recorder` (a fresh one, or none) records
+    /// the solve's task tree.
+    fn begin_solve(&mut self, recorder: Option<TaskRecorder>) {
         self.reset_run_state();
         self.counters = Counters::default();
-        self.recorder = TaskRecorder::new();
+        self.recorder = recorder;
         self.stats = MachineStats::default();
         if let Some(profiler) = self.profiler.as_mut() {
             profiler.clear();
@@ -786,7 +858,6 @@ impl Machine {
             bindings,
             counters: self.counters,
             work: self.counters.work(),
-            task_tree: std::mem::take(&mut self.recorder).into_tree(&self.counters),
         })
     }
 
@@ -1705,9 +1776,7 @@ impl Machine {
             self.barriers[top].exit = BarrierExit::Par(state);
             match next? {
                 ArmNext::Run(arm) => {
-                    self.recorder.pop(&self.counters);
-                    self.recorder
-                        .push(state.first_task + arm as usize, &self.counters);
+                    self.record_arm_exit(Some(state.first_task + arm as usize));
                     self.push_arm(image, state.arms, arm)?;
                     return Ok(true);
                 }
@@ -1735,7 +1804,7 @@ impl Machine {
             }
             BarrierExit::Par(state) => {
                 // Every arm succeeded, here or elsewhere.
-                self.recorder.pop(&self.counters);
+                self.record_arm_exit(None);
                 if let ArmSource::Scratch { base } = state.arms {
                     self.arm_scratch.truncate(base as usize);
                 }
@@ -1791,9 +1860,6 @@ impl Machine {
                 ArmEnd::Failed => return Ok(ArmNext::Fail),
                 ArmEnd::HandedBack => return Ok(ArmNext::Run(arm)),
             };
-            self.recorder.pop(&self.counters);
-            self.recorder
-                .push(state.first_task + arm as usize, &self.counters);
             self.counters = self.counters.add(&answer.counters);
             let root = self.unpack(&answer.packet);
             self.packet_pool.push(answer.packet.cells);
@@ -1867,7 +1933,7 @@ impl Machine {
                     // elsewhere, fails the whole conjunction (no
                     // backtracking across arms), so the arms still on offer
                     // are withdrawn.
-                    self.recorder.pop(&self.counters);
+                    self.record_arm_exit(None);
                     if let ArmSource::Scratch { base } = state.arms {
                         self.arm_scratch.truncate(base as usize);
                     }
@@ -1923,16 +1989,15 @@ impl Machine {
                 let offers = hook
                     .filter(|h| !h.keep_in_place(count))
                     .map_or(NOT_OFFERED, |h| self.try_offer(h, base));
-                let children = self.recorder.record_fork(count, &self.counters);
+                let first_task = self.record_fork(count);
                 self.push_barrier(BarrierExit::Par(ParState {
                     arms: ArmSource::Scratch { base: base as u32 },
                     count: count as u32,
                     next: 1,
                     joined: 1,
-                    first_task: children.start,
+                    first_task,
                     offers,
                 }))?;
-                self.recorder.push(children.start, &self.counters);
                 self.push_goal(Goal::Cell(self.arm_scratch[base]))?;
                 Ok(true)
             }
@@ -2128,7 +2193,7 @@ impl Machine {
                     self.arm_scratch.truncate(base);
                     self.heap.truncate(heap_mark);
                 }
-                let children = self.recorder.record_fork(arms_len as usize, &self.counters);
+                let first_task = self.record_fork(arms_len as usize);
                 let arms = ArmSource::Compiled {
                     clause,
                     arms_at,
@@ -2140,12 +2205,33 @@ impl Machine {
                     count: arms_len,
                     next: 1,
                     joined: 1,
-                    first_task: children.start,
+                    first_task,
                     offers,
                 }))?;
-                self.recorder.push(children.start, &self.counters);
                 self.push_arm(image, arms, 0)?;
                 Ok(true)
+            }
+        }
+    }
+
+    /// Records, in a recorded solve, a fork of `n` arm tasks in the current
+    /// task and enters the first; returns its id (0 in any other solve).
+    fn record_fork(&mut self, n: usize) -> TaskId {
+        let Some(recorder) = self.recorder.as_mut() else {
+            return 0;
+        };
+        let first = recorder.record_fork(n, &self.counters).start;
+        recorder.push(first, &self.counters);
+        first
+    }
+
+    /// Records, in a recorded solve, the end of the running arm's task and
+    /// the start of task `next`, if there is one.
+    fn record_arm_exit(&mut self, next: Option<TaskId>) {
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.pop(&self.counters);
+            if let Some(task) = next {
+                recorder.push(task, &self.counters);
             }
         }
     }
@@ -2807,9 +2893,9 @@ pub(crate) mod tests {
         let out = machine.run_query("cc(10000)").unwrap();
         assert!(out.succeeded);
         assert!(machine.stats().max_barrier_depth >= 10_000);
-        let out = machine.run_query("pp(10000)").unwrap();
-        assert!(out.succeeded);
-        assert_eq!(out.task_tree.spawned_tasks(), 20_000);
+        let run = machine.run_query_recorded("pp(10000)").unwrap();
+        assert!(run.outcome.succeeded);
+        assert_eq!(run.task_tree.spawned_tasks(), 20_000);
         assert!(machine.stats().max_barrier_depth >= 10_000);
     }
 
@@ -2840,9 +2926,12 @@ pub(crate) mod tests {
             work(N) :- N > 0, N1 is N - 1, work(N1).
             both(N) :- work(N) & work(N).
         "#;
-        let out = run(src, "both(10)");
-        assert!(out.succeeded);
-        let tree = &out.task_tree;
+        let program = parse_program(src).unwrap();
+        let run = Machine::new(&program)
+            .run_query_recorded("both(10)")
+            .unwrap();
+        assert!(run.outcome.succeeded);
+        let tree = &run.task_tree;
         assert_eq!(tree.spawned_tasks(), 2);
         assert_eq!(tree.fork_count(), 1);
         // Each arm does 11 resolutions of work/1.
@@ -2988,13 +3077,17 @@ pub(crate) mod tests {
             app([], L, L).
             app([H|T], L, [H|R]) :- app(T, L, R).
         "#;
-        let out = run(src, "qs([5,3,8,1,9,2,7,4,6,0], S)");
+        let program = parse_program(src).unwrap();
+        let run = Machine::new(&program)
+            .run_query_recorded("qs([5,3,8,1,9,2,7,4,6,0], S)")
+            .unwrap();
+        let out = &run.outcome;
         assert!(out.succeeded);
         let sorted = out.binding("S").unwrap();
         assert_eq!(sorted.to_string(), "[0,1,2,3,4,5,6,7,8,9]");
         assert!(out.counters.grain_tests > 0);
         // Some conjunctions ran in parallel (big sublists), some sequentially.
-        assert!(out.task_tree.spawned_tasks() > 0);
+        assert!(run.task_tree.spawned_tasks() > 0);
     }
 
     #[test]
@@ -3214,12 +3307,13 @@ pub(crate) mod tests {
         let program = parse_program(APPEND).unwrap();
         let mut machine = Machine::new(&program);
         let query = "'$grain_ge'([a,b,c], length, 2), append([1,2], [3], X)";
-        let out = machine.run_query(query).unwrap();
+        let run = machine.run_query_recorded(query).unwrap();
+        let out = &run.outcome;
         assert!(out.succeeded);
         assert_eq!(out.counters.resolutions, 3);
         assert_eq!(out.counters.grain_test_elements, 2);
         assert_eq!(out.work, 3.0 + 1.0 + 2.0);
-        assert_eq!(out.task_tree.total_work(), out.work);
+        assert_eq!(run.task_tree.total_work(), out.work);
     }
 
     #[test]

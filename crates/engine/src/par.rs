@@ -111,8 +111,7 @@ pub struct ArmAnswer {
     /// sharing.
     pub packet: Packet,
     /// The operation counters of the arm's execution, merged into the
-    /// forking machine's counters at the join: what they add is the forked
-    /// child task's work in the forking machine's task tree.
+    /// forking machine's counters at the join, as if the arm had run there.
     pub counters: Counters,
 }
 

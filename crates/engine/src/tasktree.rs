@@ -1,10 +1,12 @@
 //! And-parallel task trees.
 //!
-//! While the engine executes a program *sequentially*, it records the
-//! fork/join structure induced by parallel conjunctions (`&`) together with
-//! the sequential work performed inside each task. The result is a
-//! [`TaskTree`]: a fork-join DAG whose nodes alternate between chunks of
-//! sequential work and forks of child tasks. The multiprocessor simulator in
+//! A solve started through [`crate::Machine::run_goal_recorded`] (or
+//! [`crate::Machine::run_query_recorded`]) runs the program sequentially and
+//! records the fork/join structure induced by parallel conjunctions (`&`)
+//! together with the sequential work performed inside each task; no other
+//! solve records anything. The result is a [`TaskTree`]: a fork-join DAG
+//! whose nodes alternate between chunks of sequential work and forks of
+//! child tasks. The multiprocessor simulator in
 //! `granlog-sim` schedules this tree on P processors under a configurable
 //! overhead model, which is how the paper's Tables 1–2 and Figure 2 are
 //! reproduced without the original Sequent Symmetry hardware.
@@ -218,25 +220,23 @@ impl TaskTree {
 
     /// The critical-path length: the minimum possible execution time with
     /// unlimited processors and zero overhead.
+    ///
+    /// A task's path is its work plus, per fork, its longest child's path.
+    /// A child's id is always above its parent's, so one sweep from the last
+    /// task down meets every child before its parent: no recursion, however
+    /// deeply the forks nest.
     pub fn critical_path(&self) -> f64 {
-        self.critical_path_of(self.root())
-    }
-
-    fn critical_path_of(&self, id: TaskId) -> f64 {
-        let mut total = 0.0;
-        for segment in &self.tasks[id].segments {
-            match segment {
-                Segment::Work(w) => total += w,
-                Segment::Fork(span) => {
-                    let longest = span
-                        .ids()
-                        .map(|k| self.critical_path_of(k))
-                        .fold(0.0f64, f64::max);
-                    total += longest;
-                }
-            }
+        let mut path = vec![0.0f64; self.tasks.len()];
+        for id in (0..self.tasks.len()).rev() {
+            path[id] = self.tasks[id]
+                .segments
+                .iter()
+                .fold(0.0, |total, segment| match segment {
+                    Segment::Work(w) => total + w,
+                    Segment::Fork(span) => total + span.ids().map(|k| path[k]).fold(0.0, f64::max),
+                });
         }
-        total
+        path[self.root()]
     }
 
     /// Number of fork points in the whole tree (each fork is a task-spawning
@@ -274,8 +274,10 @@ impl TaskTree {
         }
     }
 
-    /// Appends a fork segment to a task.
+    /// Appends a fork segment to a task. The children must have been added
+    /// after the task ([`TaskTree::add_tasks`]): their ids are above `id`.
     pub fn add_fork(&mut self, id: TaskId, children: ForkSpan) {
+        debug_assert!(children.first > id, "a child's id is above its parent's");
         self.tasks[id].segments.push(Segment::Fork(children));
     }
 }
@@ -461,6 +463,50 @@ mod tests {
     fn popping_root_panics() {
         let mut r = TaskRecorder::new();
         r.pop(&at(0));
+    }
+
+    /// The critical path by its recursive definition: one native frame per
+    /// fork nesting level.
+    fn critical_path_by_recursion(t: &TaskTree, id: TaskId) -> f64 {
+        let mut total = 0.0;
+        for segment in &t.task(id).segments {
+            total += match segment {
+                Segment::Work(w) => *w,
+                Segment::Fork(span) => span
+                    .ids()
+                    .map(|k| critical_path_by_recursion(t, k))
+                    .fold(0.0, f64::max),
+            };
+        }
+        total
+    }
+
+    #[test]
+    fn critical_path_of_a_deep_fork_chain_needs_no_stack() {
+        // Each level of `p/1` forks `q` beside the next level: a chain of
+        // 2n tasks, n forks deep. On a 2 MiB thread the recursive definition
+        // still fits at n = 1 000; the sweep must also return at 200 000.
+        let program =
+            granlog_ir::parser::parse_program("q. p(0). p(N) :- N > 0, M is N - 1, (q & p(M)).")
+                .unwrap();
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut machine = crate::Machine::new(&program);
+                let shallow = machine.run_query_recorded("p(1000)").unwrap().task_tree;
+                assert_eq!(shallow.spawned_tasks(), 2_000);
+                assert_eq!(
+                    shallow.critical_path(),
+                    critical_path_by_recursion(&shallow, shallow.root())
+                );
+                let deep = machine.run_query_recorded("p(200000)").unwrap().task_tree;
+                assert_eq!(deep.spawned_tasks(), 400_000);
+                deep.critical_path()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(run > 200_000.0, "critical path {run}");
     }
 
     #[test]

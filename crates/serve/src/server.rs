@@ -261,17 +261,18 @@ impl Server {
         // via our own journaling, conceivable via hand-edited files) is
         // skipped — recovery never panics over bad bytes. A key journaled
         // by an older printer differs from its program's normalized text
-        // today, so two keys can name one cache entry; the count is of
-        // distinct entries.
+        // today: the store re-keys that program, so the next compaction
+        // writes today's key and a reload is not journaled again. Two keys
+        // can name one cache entry; the count is of distinct entries.
         let mut distinct = HashSet::new();
         if let Some(store) = &store {
             for (name, text) in store.programs() {
                 if let Ok((entry, _)) = cache.load(&text) {
-                    distinct.insert(if entry.normalized_text() == name {
-                        name
-                    } else {
-                        entry.normalized_text().to_owned()
-                    });
+                    let key = entry.normalized_text();
+                    if key != name {
+                        store.rekey(&name, key);
+                    }
+                    distinct.insert(key.to_owned());
                 }
             }
         }

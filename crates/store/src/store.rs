@@ -260,6 +260,29 @@ impl ProgramStore {
         Ok(true)
     }
 
+    /// Moves the program stored under `old` to `new`, keeping its place in
+    /// load order; when `new` is stored already, `old` is just dropped.
+    /// Nothing is journaled: the log keeps `old` until the next compaction
+    /// writes the corpus under `new`, and a replay before then finds `old`
+    /// again. Boot replay uses this for a key an older printer wrote.
+    pub fn rekey(&self, old: &str, new: &str) {
+        let mut inner = self.lock();
+        let Some(text) = inner.texts.remove(old) else {
+            return;
+        };
+        let at = inner
+            .order
+            .iter()
+            .position(|name| name == old)
+            .expect("order mirrors texts");
+        if inner.texts.contains_key(new) {
+            inner.order.remove(at);
+        } else {
+            inner.texts.insert(new.to_owned(), text);
+            inner.order[at] = new.to_owned();
+        }
+    }
+
     /// Forces a snapshot + WAL reset now, regardless of the size trigger.
     /// Used by graceful shutdown so a clean restart replays a snapshot
     /// instead of the whole log.
@@ -374,6 +397,35 @@ mod tests {
                 ("k2".to_string(), "q(b).".to_string()),
             ]
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rekeying_moves_a_program_in_place_and_compaction_keeps_the_new_key() {
+        let dir = temp_dir("rekey");
+        {
+            let store = ProgramStore::open(config(&dir)).expect("open");
+            store.record_load("old-a", "a.").expect("load");
+            store.record_load("b", "b.").expect("load");
+            store.record_load("old-b", "b.").expect("load");
+            let wal_records = store.stats().wal_records;
+            store.rekey("old-a", "a");
+            // `b` is stored already: its stale twin is dropped.
+            store.rekey("old-b", "b");
+            store.rekey("absent", "c");
+            assert_eq!(store.stats().wal_records, wal_records, "nothing journaled");
+            let expected = vec![
+                ("a".to_string(), "a.".to_string()),
+                ("b".to_string(), "b.".to_string()),
+            ];
+            assert_eq!(store.programs(), expected);
+            // The reload of a re-keyed program is a duplicate.
+            assert!(!store.record_load("a", "a.").expect("dup"));
+            store.snapshot().expect("compact");
+        }
+        let store = ProgramStore::open(config(&dir)).expect("reopen");
+        assert_eq!(store.recovery().programs, 2);
+        assert_eq!(store.programs()[0].0, "a");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -52,14 +52,14 @@ fn main() {
 
     // 4. Run the transformed program.
     let mut machine = Machine::new(&annotated.program);
-    let outcome = machine
-        .run_query("qsort([7,3,9,1,8,2,6,5,4,0,11,10], S)")
+    let run = machine
+        .run_query_recorded("qsort([7,3,9,1,8,2,6,5,4,0,11,10], S)")
         .expect("the query runs");
     println!(
         "sorted: {}\nresolutions: {}, grain tests: {}, tasks spawned: {}",
-        outcome.binding("S").expect("answer"),
-        outcome.counters.resolutions,
-        outcome.counters.grain_tests,
-        outcome.task_tree.spawned_tasks()
+        run.outcome.binding("S").expect("answer"),
+        run.outcome.counters.resolutions,
+        run.outcome.counters.grain_tests,
+        run.task_tree.spawned_tasks()
     );
 }

@@ -28,7 +28,7 @@ fn answers(bench: &Benchmark, size: usize) -> Vec<(ControlMode, Vec<(String, Ter
         .iter()
         .map(|&mode| {
             let prepared = prepare_program(&program, &analysis, mode, overhead);
-            let outcome = execute(prepared, bench.query(size));
+            let outcome = execute(prepared, bench.query(size)).outcome;
             assert!(outcome.succeeded, "{} failed in mode {mode:?}", bench.name);
             let bindings = outcome
                 .bindings
@@ -63,7 +63,7 @@ fn quick_sort_actually_sorts() {
     let program = bench.program().expect("parses");
     let analysis = analyze_program(&program, &AnalysisOptions::default());
     let prepared = prepare_program(&program, &analysis, ControlMode::WithControl, 60.0);
-    let outcome = execute(prepared, bench.query(30));
+    let outcome = execute(prepared, bench.query(30)).outcome;
     let sorted = outcome.binding("Sorted").expect("binding exists");
     let items: Vec<i64> = sorted
         .as_list()
@@ -87,7 +87,7 @@ fn fib_answers_are_mode_independent() {
     assert_same_answers(&bench, 12);
     // And the value is right.
     let program = bench.program().expect("parses");
-    let outcome = execute(program, "fib(12, R)".to_owned());
+    let outcome = execute(program, "fib(12, R)".to_owned()).outcome;
     assert_eq!(outcome.binding("R"), Some(&Term::int(144)));
 }
 
@@ -106,7 +106,7 @@ fn hanoi_produces_the_right_number_of_moves() {
     let bench = benchmark("hanoi").unwrap();
     assert_same_answers(&bench, 4);
     let program = bench.program().expect("parses");
-    let outcome = execute(program, "hanoi(5, a, b, c, Moves)".to_owned());
+    let outcome = execute(program, "hanoi(5, a, b, c, Moves)".to_owned()).outcome;
     assert_eq!(
         outcome.binding("Moves").unwrap().list_length(),
         Some(31),
@@ -120,7 +120,7 @@ fn matrix_mult_is_correct_on_a_small_instance() {
     let program = bench.program().expect("parses");
     // [[1,2],[3,4]] × [[5,6],[7,8]] with the second matrix transposed:
     // columns of B are [5,7] and [6,8].
-    let outcome = execute(program, "mmult([[1,2],[3,4]], [[5,7],[6,8]], C)".to_owned());
+    let outcome = execute(program, "mmult([[1,2],[3,4]], [[5,7],[6,8]], C)".to_owned()).outcome;
     assert!(outcome.succeeded);
     assert_eq!(
         outcome.binding("C").unwrap().to_string(),
@@ -138,7 +138,7 @@ fn tree_traversal_and_flatten_are_mode_independent() {
 fn flatten_preserves_all_elements() {
     let bench = benchmark("flatten").unwrap();
     let program = bench.program().expect("parses");
-    let outcome = execute(program, "flat([[1,2],[3],[],[4,5,6]], R)".to_owned());
+    let outcome = execute(program, "flat([[1,2],[3],[],[4,5,6]], R)".to_owned()).outcome;
     assert_eq!(outcome.binding("R").unwrap().to_string(), "[1,2,3,4,5,6]");
 }
 
@@ -157,7 +157,8 @@ fn fft_reproduces_a_known_small_transform() {
     let outcome = execute(
         program,
         "fft([c(1.0,0.0), c(1.0,0.0), c(1.0,0.0), c(1.0,0.0)], Y)".to_owned(),
-    );
+    )
+    .outcome;
     let spectrum = outcome.binding("Y").unwrap().as_list().expect("list");
     assert_eq!(spectrum.len(), 4);
     let component = |t: TermRef<'_>| -> (f64, f64) {

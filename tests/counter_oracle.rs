@@ -13,6 +13,10 @@
 //! * `bottom-up` — the three attack-graph topologies through
 //!   `CompiledDatalog::evaluate`.
 //!
+//! The SLD rows run through the recording entry point
+//! (`Machine::run_query_recorded`), and each checks that its task tree's
+//! work totals the counters' work.
+//!
 //! On a mismatch the failure names every program and counter that moved and
 //! the whole table as this build computes it is left in
 //! `$TMPDIR/granlog-engine-counters.actual`. If the move is intended, copy
@@ -22,10 +26,14 @@ use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_benchmarks::harness::{execute, prepare_program, ControlMode};
 use granlog_benchmarks::{datalog_benchmarks, Benchmark};
 use granlog_datalog::CompiledDatalog;
-use granlog_ir::Program;
+use granlog_engine::{Machine, RecordedOutcome};
+use granlog_ir::{parser, Program};
 use std::fmt::Write as _;
 
 mod support;
+
+#[global_allocator]
+static ALLOCATOR: support::CountingAllocator = support::CountingAllocator;
 
 /// The per-task overhead `W` the `control` rows are annotated for
 /// (`AnnotateOptions::default`).
@@ -58,8 +66,19 @@ struct Row {
 }
 
 fn sld_row(block: &'static str, bench: &Benchmark, program: Program) -> Row {
-    let out = execute(program, bench.default_query());
+    let RecordedOutcome {
+        outcome: out,
+        task_tree,
+    } = execute(program, bench.default_query());
     assert!(out.succeeded, "{} ({block}) did not succeed", bench.name);
+    // The tree is charged boundary by boundary from the same counters, so
+    // its tasks' work must add up to the query's.
+    assert_eq!(
+        task_tree.total_work(),
+        out.work,
+        "{} ({block}): the recorded tree disagrees with the counters",
+        bench.name
+    );
     let c = out.counters;
     Row {
         block,
@@ -73,7 +92,7 @@ fn sld_row(block: &'static str, bench: &Benchmark, program: Program) -> Row {
             c.grain_tests.to_string(),
             c.grain_test_elements.to_string(),
             format!("{:.1}", out.work),
-            out.task_tree.spawned_tasks().to_string(),
+            task_tree.spawned_tasks().to_string(),
         ],
     }
 }
@@ -186,5 +205,32 @@ fn engine_counters_match_the_golden_table() {
          (the table as computed was written to {})",
         moved.join("\n  "),
         path.display()
+    );
+}
+
+/// Off is free: a solve not started through the recording entry point
+/// records no task tree, so on a machine whose buffers a first run already
+/// grew, `fib(15)` (986 forks) makes no more allocator calls than `fib(10)`
+/// (88 forks).
+#[test]
+fn a_solve_that_records_no_tree_allocates_nothing_per_fork() {
+    let fib = support::fifteen_benchmarks()
+        .into_iter()
+        .find(|bench| bench.name == "fib")
+        .expect("the suite has fib");
+    let mut machine = Machine::new(&fib.program().expect("fib parses"));
+    let mut calls = |query: &str| {
+        let (goal, vars) = parser::parse_term(query).expect("the query parses");
+        let before = support::allocator_calls();
+        let outcome = machine.run_goal(&goal, &vars).expect("fib runs");
+        let calls = support::allocator_calls() - before;
+        assert!(outcome.succeeded, "{query}");
+        calls
+    };
+    calls("fib(15, X)");
+    let (big, small) = (calls("fib(15, X)"), calls("fib(10, X)"));
+    assert!(
+        big <= small,
+        "fib(15) made {big} allocator calls, fib(10) {small}: a solve allocates per fork"
     );
 }

@@ -15,7 +15,7 @@
 //! nested `;`/`->`/`\+` step sequences, real cut pruning under deep
 //! backtracking, and control inside `&` arms — against the same reference.
 
-use granlog_engine::{ClauseSelection, Image, Machine, MachineConfig, QueryOutcome};
+use granlog_engine::{ClauseSelection, Image, Machine, MachineConfig, RecordedOutcome};
 use granlog_ir::parser::parse_program;
 use granlog_ir::{AsTerm, IndexKey, PredId, Term, View};
 use proptest::prelude::*;
@@ -41,7 +41,7 @@ fn program_src(first_args: &[usize]) -> String {
     src
 }
 
-fn run(src: &str, query: &str, selection: ClauseSelection) -> QueryOutcome {
+fn run(src: &str, query: &str, selection: ClauseSelection) -> RecordedOutcome {
     let program = parse_program(src).unwrap_or_else(|e| panic!("program does not parse: {e}"));
     let mut machine = Machine::with_config(
         &program,
@@ -51,25 +51,26 @@ fn run(src: &str, query: &str, selection: ClauseSelection) -> QueryOutcome {
         },
     );
     machine
-        .run_query(query)
+        .run_query_recorded(query)
         .unwrap_or_else(|e| panic!("query {query} failed: {e}"))
 }
 
 /// Runs a query under both clause-selection strategies, asserts full
 /// observational equivalence, and returns the indexed outcome.
-fn run_differential(src: &str, query: &str) -> QueryOutcome {
+fn run_differential(src: &str, query: &str) -> RecordedOutcome {
     let indexed = run(src, query, ClauseSelection::Indexed);
     let scanned = run(src, query, ClauseSelection::LinearScan);
     assert_equivalent(&indexed, &scanned, query);
     indexed
 }
 
-fn assert_equivalent(a: &QueryOutcome, b: &QueryOutcome, context: &str) {
+fn assert_equivalent(a: &RecordedOutcome, b: &RecordedOutcome, context: &str) {
+    assert_eq!(a.task_tree, b.task_tree, "task tree differs: {context}");
+    let (a, b) = (&a.outcome, &b.outcome);
     assert_eq!(a.succeeded, b.succeeded, "success differs: {context}");
     assert_eq!(a.bindings, b.bindings, "bindings differ: {context}");
     assert_eq!(a.counters, b.counters, "counters differ: {context}");
     assert_eq!(a.work, b.work, "work differs: {context}");
-    assert_eq!(a.task_tree, b.task_tree, "task tree differs: {context}");
 }
 
 /// Renders a small digraph over atoms `n0..n5` as `edge/2` facts.
@@ -151,8 +152,8 @@ proptest! {
         let src = program_src(&first_args);
         let query = format!("p({}, R), R >= {threshold}", PROBES[probe % PROBES.len()]);
         let indexed = run_differential(&src, &query);
-        if indexed.succeeded {
-            let r = indexed.binding("R").expect("R bound on success");
+        if indexed.outcome.succeeded {
+            let r = indexed.outcome.binding("R").expect("R bound on success");
             prop_assert!(matches!(r.view(), View::Int(v) if v >= threshold));
         }
     }
@@ -227,8 +228,8 @@ proptest! {
         // trail, goal stack and choice points must reproduce the outcome.
         let program = parse_program(src).unwrap();
         let mut machine = Machine::new(&program);
-        let first = machine.run_query(&query).unwrap();
-        let second = machine.run_query(&query).unwrap();
+        let first = machine.run_query_recorded(&query).unwrap();
+        let second = machine.run_query_recorded(&query).unwrap();
         assert_equivalent(&first, &second, "machine reuse");
         assert_equivalent(&first, &indexed, "fresh vs reused machine");
     }
@@ -249,7 +250,7 @@ proptest! {
         let query = format!("nrev([{}], R)", list.join(","));
         let outcome = run_differential(src, &query);
         if !xs.is_empty() {
-            let reversed = outcome.binding("R").unwrap().as_list().unwrap();
+            let reversed = outcome.outcome.binding("R").unwrap().as_list().unwrap();
             prop_assert_eq!(reversed.len(), xs.len());
             prop_assert_eq!(reversed[0], Term::int(*xs.last().unwrap()));
         }
@@ -272,7 +273,7 @@ proptest! {
         "#;
         let query = format!("both({n}, {cutoff})");
         let outcome = run_differential(src, &query);
-        if outcome.succeeded {
+        if outcome.outcome.succeeded {
             prop_assert_eq!(outcome.task_tree.spawned_tasks(), 2);
         }
     }
@@ -295,7 +296,7 @@ proptest! {
         let list: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
         let query = format!("probe([{}], {threshold}, R)", list.join(","));
         let outcome = run_differential(src, &query);
-        prop_assert!(outcome.succeeded);
+        prop_assert!(outcome.outcome.succeeded);
         // The committed answer is the head of the list if it clears the
         // threshold, `none` otherwise — cut forbids trying later members.
         let expected = if xs[0] >= threshold {
@@ -303,7 +304,7 @@ proptest! {
         } else {
             Term::atom("none")
         };
-        prop_assert_eq!(outcome.binding("R").unwrap(), &expected);
+        prop_assert_eq!(outcome.outcome.binding("R").unwrap(), &expected);
     }
 
     /// Random nesting of `;`, `->`, `\+` and `!` executed per list element:
@@ -328,8 +329,8 @@ proptest! {
         let list: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
         let query = format!("cls([{}], Out)", list.join(","));
         let outcome = run_differential(&src, &query);
-        prop_assert!(outcome.succeeded);
-        let out = outcome.binding("Out").unwrap().as_list().unwrap();
+        prop_assert!(outcome.outcome.succeeded);
+        let out = outcome.outcome.binding("Out").unwrap().as_list().unwrap();
         for (x, s) in xs.iter().zip(out) {
             let expected = if *x == pivot {
                 "dropped"
@@ -383,7 +384,7 @@ proptest! {
         "#;
         let query = format!("both({n}, {limit})");
         let outcome = run_differential(src, &query);
-        prop_assert!(outcome.succeeded);
+        prop_assert!(outcome.outcome.succeeded);
         prop_assert_eq!(outcome.task_tree.spawned_tasks(), 2);
     }
 }

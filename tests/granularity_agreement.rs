@@ -11,7 +11,7 @@ mod support;
 
 use granlog_analysis::annotate::{apply_granularity_control, AnnotateOptions};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
-use granlog_engine::Machine;
+use granlog_engine::{Machine, RecordedOutcome};
 use granlog_ir::symbol::well_known;
 use granlog_ir::{AsTerm, Guard, GuardTable, PredId, TermRef, View};
 use granlog_par::{Granularity, ParConfig, ParExecutor};
@@ -33,8 +33,11 @@ fn the_executor_under_on_runs_exactly_the_annotated_program() {
         for overhead in OVERHEADS {
             let annotated =
                 apply_granularity_control(&program, &analysis, &AnnotateOptions { overhead });
-            let sequential = Machine::new(&annotated.program)
-                .run_query(&query)
+            let RecordedOutcome {
+                outcome: sequential,
+                task_tree,
+            } = Machine::new(&annotated.program)
+                .run_query_recorded(&query)
                 .unwrap_or_else(|e| panic!("{query} (annotated, W = {overhead}): {e}"));
             for threads in [1, 2, 4] {
                 let at = format!("{query} at W = {overhead}, {threads} threads");
@@ -51,11 +54,7 @@ fn the_executor_under_on_runs_exactly_the_annotated_program() {
                 assert_eq!(sequential.bindings, parallel.bindings, "{at}");
                 assert_eq!(sequential.counters, parallel.counters, "{at}");
                 assert_eq!(sequential.work, parallel.work, "{at}");
-                assert_eq!(
-                    sequential.task_tree.spawned_tasks(),
-                    parallel.spawned_tasks,
-                    "{at}"
-                );
+                assert_eq!(task_tree.spawned_tasks(), parallel.spawned_tasks, "{at}");
             }
         }
     }

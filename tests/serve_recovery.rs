@@ -183,6 +183,33 @@ fn two_keys_for_one_program_recover_as_one() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A program journaled under a key an older printer wrote is re-keyed at
+/// boot: its reload is a duplicate, and the compaction at shutdown writes
+/// today's key only, so the next boot stores one program, not two.
+#[test]
+fn a_stale_key_is_rekeyed_at_boot_and_compacted_away() {
+    let dir = temp_dir("rekey");
+    {
+        let store = ProgramStore::open(store_config(&dir)).unwrap();
+        store.record_load("p(1) :- true\n", "p(1.0).").unwrap();
+    }
+    let server = start_server(durable(&dir));
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    let (_, _, hit) = client.load("p(1.0).").unwrap().unwrap();
+    assert!(hit, "the stale key's text is the program");
+    assert_eq!(client.stats().unwrap().stored, 1);
+    client.quit().unwrap();
+    server.shutdown();
+
+    let server = start_server(durable(&dir));
+    assert_eq!(server.recovered_programs(), 1);
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    assert_eq!(client.stats().unwrap().stored, 1);
+    client.quit().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A torn half-record at the WAL tail — what a mid-append crash leaves —
 /// costs exactly the torn record: the server boots with the intact prefix.
 #[test]

@@ -51,13 +51,13 @@ const P: usize = 4;
 /// ROLOG-like overhead model scaled to `OVERHEAD` units per task.
 fn simulated_makespan(program: &Program, query: &str) -> f64 {
     let mut machine = Machine::new(program);
-    let out = machine
-        .run_query(query)
+    let run = machine
+        .run_query_recorded(query)
         .unwrap_or_else(|e| panic!("sequential {query} failed: {e}"));
-    assert!(out.succeeded, "{query} did not succeed");
+    assert!(run.outcome.succeeded, "{query} did not succeed");
     let base = OverheadModel::rolog_like();
     let overhead = base.scaled(OVERHEAD / base.per_task_overhead().max(1e-9));
-    simulate(&out.task_tree, &SimConfig::new(P, overhead)).makespan
+    simulate(&run.task_tree, &SimConfig::new(P, overhead)).makespan
 }
 
 /// Measured wall-clock of the real executor under granularity-on and under
