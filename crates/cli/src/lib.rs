@@ -16,24 +16,24 @@ use granlog_analysis::CostMetric;
 use granlog_engine::{Machine, MachineConfig, RecordedOutcome};
 use granlog_ir::{parser::parse_program, PredId, Program, Symbol, Term};
 use granlog_par::{Granularity, ParConfig, ParExecutor};
-use granlog_serve::{BootError, PoolConfig, ServeConfig, Server, SessionBudget};
+use granlog_serve::{BootError, ServeConfig, Server};
 use granlog_sim::{simulate, OverheadModel, SimConfig};
 use granlog_store::{FsyncPolicy, StoreConfig};
 use std::fmt;
 use std::io::Write;
 use std::str::FromStr;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The usage string printed on argument errors.
 pub const USAGE: &str = "\
 usage:
   granlog analyze  <file.pl> [--overhead W] [--metric resolutions|unifications|steps]
   granlog annotate <file.pl> [--overhead W]
-  granlog run      <file.pl> <query> [--engine sld|bottom-up]
-                   [--processors P] [--overhead W]
-                   [--control | --no-control | --sequential]
-                   [--threads N [--granularity on|off|always-spawn]]
-                   [--trace FILE] [--profile]
+  granlog run      <file.pl> <query> [--granularity on|always-spawn|off]
+                   [--overhead W] [--processors P [--profile] | --threads N]
+                   [--trace FILE]
+  granlog run      <file.pl> <query> --engine bottom-up [--trace FILE]
   granlog ddg      <file.pl> <name/arity>
   granlog serve    [--addr HOST:PORT] [--steps N] [--heap CELLS]
                    [--wall MS] [--cache N] [--max-conns N]
@@ -41,18 +41,23 @@ usage:
                    [--fsync always|interval[=MS]|never] [--wal-limit BYTES]
                    [--metrics-addr HOST:PORT] [--slow-ms MS]
 
-with --threads N the query executes on a real pool of N worker threads
-(measured wall-clock; with granularity on, the pool runs the annotated
-program, whose grain tests decide at run time which conjunctions spawn);
-without it, execution is sequential and parallelism is *simulated* on
---processors P.
+--granularity is the spawn policy of an SLD run: on (the default)
+guards each parallel conjunction with its grain-size test (the paper's
+T1), always-spawn spawns every one (T0), off spawns none (the
+sequential baseline). Without --threads the query executes sequentially
+and its parallelism is *simulated* on --processors P; with --threads N
+it executes on a real pool of N worker threads (measured wall-clock;
+under on, the pool runs the annotated program, whose grain tests decide
+at run time which conjunctions spawn). A flag the command, or the run
+path, does not read is a usage error.
 
 --engine bottom-up evaluates the program as stratified Datalog: a
 semi-naive fixpoint materialises every derivable fact, and the query
-prints *all* answers (SLD resolution prints the first). Programs
-outside the Datalog subset (cut, disjunction, arithmetic, builtins,
-metacalls, non-ground compound arguments, unstratified negation) are
-rejected with a diagnostic naming the offending clause.
+prints *all* answers (SLD resolution, --engine sld, the default, prints
+the first). Programs outside the Datalog subset (cut, disjunction,
+arithmetic, builtins, metacalls, non-ground compound arguments,
+unstratified negation) are rejected with a diagnostic naming the
+offending clause.
 
 serve starts a multi-tenant query service: one session per connection,
 compiled programs shared through a cache of --cache entries, each query
@@ -146,52 +151,47 @@ impl From<granlog_datalog::DatalogError> for CliError {
 }
 
 /// Parsed command-line options shared by the subcommands.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct Options {
     overhead: f64,
     metric: CostMetric,
     processors: usize,
-    /// `run`: `--control`/`--no-control`/`--sequential`, if one was passed
-    /// (simulated runs default to control).
-    mode: Option<ControlMode>,
     /// `Some(n)`: execute on a real pool of `n` threads instead of
     /// simulating.
     threads: Option<usize>,
+    /// `run`: the spawn policy of an SLD run, simulated or threaded.
     granularity: Granularity,
     /// `run`: which evaluation engine answers the query.
     engine: Engine,
-    /// Was `--processors` passed explicitly?
-    processors_explicit: bool,
-    /// `serve`: listen address.
-    addr: String,
-    /// `serve`: per-session step budget.
-    serve_steps: Option<u64>,
-    /// `serve`: per-session heap budget, in cells.
-    serve_heap: Option<usize>,
-    /// `serve`: per-session wall-clock budget, in milliseconds.
-    serve_wall_ms: Option<u64>,
-    /// `serve`: template-cache capacity, in programs.
-    cache: usize,
-    /// `serve`: connection cap before shedding (0 = unlimited).
-    max_conns: usize,
-    /// `serve`: idle-session reaping bound, in seconds (0 = never).
-    idle_timeout_secs: u64,
-    /// `serve`: data directory for the durable program store (None = the
-    /// corpus is in-memory only).
-    data_dir: Option<String>,
-    /// `serve`: WAL fsync policy.
-    fsync: FsyncPolicy,
-    /// `serve`: WAL size that triggers snapshot compaction, in bytes.
-    wal_limit: u64,
     /// `run`: dump structured trace events as JSONL to this file.
     trace: Option<String>,
     /// `run`: enable the per-predicate port profiler and print its table.
     profile: bool,
-    /// `serve`: address for the Prometheus scrape listener.
-    metrics_addr: Option<String>,
-    /// `serve`: slow-query threshold in milliseconds.
-    slow_ms: Option<u64>,
+    /// `serve`: the server's configuration, but for its store.
+    serve: ServeConfig,
+    /// `serve`: data directory for the durable program store (None = the
+    /// corpus is in-memory only).
+    data_dir: Option<String>,
+    /// `serve`: the store's fsync policy and WAL bound (its `dir` is
+    /// `data_dir`).
+    store: StoreConfig,
     positional: Vec<String>,
+    /// Every flag on the command line, in order; a command refuses any it
+    /// does not read ([`Options::reads`]).
+    given: Vec<String>,
+}
+
+impl Options {
+    /// Refuses the first flag given that `command` does not read (`flags`,
+    /// space-separated): every flag either changes what the command does or
+    /// is a usage error.
+    fn reads(&self, command: &str, flags: &str) -> Result<(), CliError> {
+        let unread = |flag: &&String| !flags.split(' ').any(|f| f == flag.as_str());
+        match self.given.iter().find(unread) {
+            Some(flag) => Err(usage(&format!("{command} does not take {flag}"))),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Which evaluation strategy `granlog run` uses.
@@ -208,30 +208,27 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         overhead: OverheadModel::rolog_like().per_task_overhead(),
         metric: CostMetric::Resolutions,
         processors: 4,
-        mode: None,
         threads: None,
         granularity: Granularity::On,
         engine: Engine::Sld,
-        processors_explicit: false,
-        addr: "127.0.0.1:4517".to_string(),
-        serve_steps: None,
-        serve_heap: None,
-        serve_wall_ms: None,
-        cache: 64,
-        max_conns: 0,
-        idle_timeout_secs: 0,
-        data_dir: None,
-        fsync: FsyncPolicy::Always,
-        wal_limit: 4 * 1024 * 1024,
         trace: None,
         profile: false,
-        metrics_addr: None,
-        slow_ms: None,
+        serve: ServeConfig {
+            addr: "127.0.0.1:4517".to_string(),
+            ..ServeConfig::default()
+        },
+        data_dir: None,
+        store: StoreConfig::new(""),
         positional: Vec::new(),
+        given: Vec::new(),
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         let flag = arg.as_str();
+        if flag.starts_with("--") {
+            options.given.push(arg.clone());
+        }
+        let serve = &mut options.serve;
         match flag {
             "--overhead" => {
                 let overhead: f64 = value(flag, "overhead", &mut iter)?;
@@ -247,7 +244,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             "--processors" => {
                 options.processors =
                     at_least_one(flag, value(flag, "processor count", &mut iter)?)?;
-                options.processors_explicit = true;
             }
             "--metric" => {
                 options.metric = match value::<String>(flag, "", &mut iter)?.as_str() {
@@ -278,34 +274,36 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                     other => return Err(usage(&format!("unknown granularity mode {other:?}"))),
                 };
             }
-            "--addr" => options.addr = value(flag, "", &mut iter)?,
-            "--steps" => options.serve_steps = Some(value(flag, "step budget", &mut iter)?),
-            "--heap" => options.serve_heap = Some(value(flag, "heap budget", &mut iter)?),
-            "--wall" => options.serve_wall_ms = Some(value(flag, "wall budget", &mut iter)?),
+            "--trace" => options.trace = Some(value(flag, "", &mut iter)?),
+            "--profile" => options.profile = true,
+            "--addr" => serve.addr = value(flag, "", &mut iter)?,
+            "--steps" => serve.budget.steps = Some(value(flag, "step budget", &mut iter)?),
+            "--heap" => serve.budget.heap_cells = Some(value(flag, "heap budget", &mut iter)?),
+            "--wall" => {
+                let ms = value(flag, "wall budget", &mut iter)?;
+                serve.budget.wall = Some(Duration::from_millis(ms));
+            }
+            "--cache" => {
+                serve.cache_capacity =
+                    at_least_one(flag, value(flag, "cache capacity", &mut iter)?)?;
+            }
+            "--max-conns" => serve.max_conns = value(flag, "connection cap", &mut iter)?,
+            "--idle-timeout" => {
+                let secs = value(flag, "idle timeout", &mut iter)?;
+                serve.idle_timeout = (secs > 0).then(|| Duration::from_secs(secs));
+            }
+            "--metrics-addr" => serve.metrics_addr = Some(value(flag, "", &mut iter)?),
+            "--slow-ms" => serve.slow_ms = Some(value(flag, "slow threshold", &mut iter)?),
             "--data-dir" => options.data_dir = Some(value(flag, "", &mut iter)?),
             "--fsync" => {
                 let policy: String = value(flag, "", &mut iter)?;
-                options.fsync = FsyncPolicy::parse(&policy).ok_or_else(|| {
+                options.store.fsync = FsyncPolicy::parse(&policy).ok_or_else(|| {
                     usage(&format!(
                         "invalid fsync policy {policy:?} (always|interval[=MS]|never)"
                     ))
                 })?;
             }
-            "--wal-limit" => options.wal_limit = value(flag, "wal limit", &mut iter)?,
-            "--cache" => {
-                options.cache = at_least_one(flag, value(flag, "cache capacity", &mut iter)?)?;
-            }
-            "--max-conns" => options.max_conns = value(flag, "connection cap", &mut iter)?,
-            "--idle-timeout" => {
-                options.idle_timeout_secs = value(flag, "idle timeout", &mut iter)?;
-            }
-            "--trace" => options.trace = Some(value(flag, "", &mut iter)?),
-            "--profile" => options.profile = true,
-            "--metrics-addr" => options.metrics_addr = Some(value(flag, "", &mut iter)?),
-            "--slow-ms" => options.slow_ms = Some(value(flag, "slow threshold", &mut iter)?),
-            "--control" => options.mode = Some(ControlMode::WithControl),
-            "--no-control" => options.mode = Some(ControlMode::NoControl),
-            "--sequential" => options.mode = Some(ControlMode::Sequential),
+            "--wal-limit" => options.store.wal_limit_bytes = value(flag, "wal limit", &mut iter)?,
             other if other.starts_with("--") => {
                 return Err(usage(&format!("unknown option {other}")));
             }
@@ -361,6 +359,7 @@ pub fn run_cli(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "ddg" => cmd_ddg(&options, out),
         "serve" => cmd_serve(&options, out),
         "help" | "--help" | "-h" => {
+            options.reads("help", "")?;
             writeln!(out, "{USAGE}")?;
             Ok(())
         }
@@ -369,6 +368,7 @@ pub fn run_cli(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_analyze(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
+    options.reads("analyze", "--overhead --metric")?;
     let [path] = options.positional.as_slice() else {
         return Err(usage("analyze expects exactly one file"));
     };
@@ -385,6 +385,7 @@ fn cmd_analyze(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_annotate(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
+    options.reads("annotate", "--overhead")?;
     let [path] = options.positional.as_slice() else {
         return Err(usage("annotate expects exactly one file"));
     };
@@ -416,65 +417,81 @@ fn cmd_annotate(options: &Options, out: &mut dyn Write) -> Result<(), CliError> 
     Ok(())
 }
 
+/// The three ways `run` answers a query, picked by `--engine` and `--threads`.
+#[derive(Clone, Copy)]
+enum RunPath {
+    /// SLD resolution on one machine, parallelism simulated on
+    /// `--processors`.
+    Simulated,
+    /// SLD resolution on a real pool of this many threads.
+    Threaded(usize),
+    /// Bottom-up Datalog evaluation.
+    BottomUp,
+}
+
+/// What a `run` path reports: its answers and the lines printed after them.
+struct RunReport {
+    answers: Vec<Vec<(Symbol, Term)>>,
+    summary: Vec<u8>,
+}
+
 fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
-    let [path, query] = options.positional.as_slice() else {
+    let (path, command, flags) = match (options.engine, options.threads) {
+        (Engine::BottomUp, _) => (RunPath::BottomUp, "run --engine bottom-up", ""),
+        (Engine::Sld, Some(threads)) => (
+            RunPath::Threaded(threads),
+            "run --threads",
+            "--threads --granularity --overhead",
+        ),
+        (Engine::Sld, None) => (
+            RunPath::Simulated,
+            "run",
+            "--granularity --overhead --processors --profile",
+        ),
+    };
+    options.reads(command, &format!("--engine --trace {flags}"))?;
+    let [file, query] = options.positional.as_slice() else {
         return Err(usage("run expects a file and a query"));
     };
-    let program = load_program(path)?;
+    let program = load_program(file)?;
     // One reading of the goal, whichever engine answers it: a malformed
     // goal is a parse error, not an execution error of one engine.
     let (goal, var_names) = granlog_ir::parser::parse_term(query)?;
-    if options.engine == Engine::BottomUp {
-        // Bottom-up evaluation is set-at-a-time: there is no task tree to
-        // simulate and no spawn decision to control, so the SLD-side knobs
-        // are refused instead of silently ignored.
-        if options.threads.is_some() || options.mode.is_some() || options.processors_explicit {
-            return Err(usage(
-                "--engine bottom-up evaluates a fixpoint; it cannot be combined \
-                 with --threads/--processors/--control/--no-control/--sequential",
-            ));
+    let report = traced(options.trace.as_deref(), query, |tracer| match path {
+        RunPath::Simulated => run_simulated(options, &program, &goal, &var_names),
+        RunPath::Threaded(threads) => {
+            run_threaded(options, threads, &program, &goal, &var_names, tracer)
         }
-        if options.profile {
-            return Err(usage(
-                "--profile counts SLD resolution ports; the bottom-up engine \
-                 has none (its fixpoint stats are printed unconditionally)",
-            ));
-        }
-        return cmd_run_bottom_up(
-            &program,
-            query,
-            &goal,
-            &var_names,
-            options.trace.as_deref(),
-            out,
-        );
-    }
-    if let Some(threads) = options.threads {
-        // Real execution and the simulation path are mutually exclusive:
-        // refuse silently-ignored flags instead of guessing.
-        if options.mode.is_some() {
-            return Err(usage(
-                "--threads selects real execution; it cannot be combined with \
-                 --control/--no-control/--sequential (use --granularity)",
-            ));
-        }
-        if options.processors_explicit {
-            return Err(usage(
-                "--processors configures the simulator; with --threads the \
-                 thread count is the processor count",
-            ));
-        }
-        if options.profile {
-            return Err(usage(
-                "--profile reads one machine's port counters; with --threads \
-                 each worker has its own machine (profile sequentially)",
-            ));
-        }
-        return cmd_run_parallel(options, threads, &program, query, &goal, &var_names, out);
-    }
-    let analysis = analyze_program(&program, &AnalysisOptions::default());
-    let mode = options.mode.unwrap_or(ControlMode::WithControl);
-    let prepared = prepare_program(&program, &analysis, mode, options.overhead);
+        RunPath::BottomUp => run_bottom_up(&program, &goal, &var_names, tracer),
+    })?;
+    // SLD prints its one answer a binding a line, bottom-up an answer a line.
+    let separator = match path {
+        RunPath::BottomUp => ", ",
+        _ => "\n  ",
+    };
+    write_answers(out, report.answers, separator)?;
+    out.write_all(&report.summary)?;
+    Ok(())
+}
+
+/// `granlog run`: sequential execution of the program prepared for the
+/// spawn policy — `on` guards each `&` with its grain test (the paper's
+/// T1), `always-spawn` spawns every `&` (T0), `off` runs sequentially —
+/// with the recorded fork-join tree scheduled on a simulated machine of
+/// `--processors` processors.
+fn run_simulated(
+    options: &Options,
+    program: &Program,
+    goal: &Term,
+    var_names: &[Symbol],
+) -> Result<(RunReport, TraceFields), CliError> {
+    let mode = match options.granularity {
+        Granularity::On => ControlMode::WithControl,
+        Granularity::AlwaysSpawn => ControlMode::NoControl,
+        Granularity::Off => ControlMode::Sequential,
+    };
+    let analysis = analyze_program(program, &AnalysisOptions::default());
+    let prepared = prepare_program(program, &analysis, mode, options.overhead);
     let mut machine = Machine::with_config(
         &prepared,
         MachineConfig {
@@ -482,17 +499,10 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
             ..MachineConfig::default()
         },
     );
-    let RecordedOutcome { outcome, task_tree } = traced(options.trace.as_deref(), query, |_| {
-        let run = machine.run_goal_recorded(&goal, &var_names)?;
-        let end = vec![
-            ("ok", run.outcome.succeeded.into()),
-            ("resolutions", run.outcome.counters.resolutions.into()),
-        ];
-        Ok((run, end))
-    })?;
-    write_answers(out, outcome.succeeded.then_some(outcome.bindings), "\n  ")?;
+    let RecordedOutcome { outcome, task_tree } = machine.run_goal_recorded(goal, var_names)?;
+    let mut summary = Vec::new();
     writeln!(
-        out,
+        summary,
         "work: {:.0} units ({} resolutions, {} grain tests); tasks spawned: {}",
         outcome.work,
         outcome.counters.resolutions,
@@ -500,21 +510,27 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         task_tree.spawned_tasks()
     )?;
     if let Some(rows) = machine.profile() {
-        write_profile(out, &rows, &analysis)?;
+        write_profile(&mut summary, &rows, &analysis)?;
     }
     let scaled = OverheadModel::rolog_like();
     let per_task = scaled.per_task_overhead();
     let overhead = scaled.scaled(options.overhead / per_task.max(1e-9));
     let sim = simulate(&task_tree, &SimConfig::new(options.processors, overhead));
     writeln!(
-        out,
+        summary,
         "simulated time on {} processors: {:.0} units (speedup {:.2}x, utilisation {:.0}%)",
         options.processors,
         sim.makespan,
         sim.speedup_vs_sequential,
         sim.utilisation * 100.0
     )?;
-    Ok(())
+    let end = vec![
+        ("ok", outcome.succeeded.into()),
+        ("resolutions", outcome.counters.resolutions.into()),
+    ];
+    let answers = outcome.succeeded.then_some(outcome.bindings);
+    let answers = answers.into_iter().collect();
+    Ok((RunReport { answers, summary }, end))
 }
 
 /// Events the `--trace` ring can hold; past this the oldest are dropped
@@ -615,15 +631,14 @@ fn write_profile(
 /// work-sharing pool — under `--granularity on` on the annotated program,
 /// whose grain tests decide which conjunctions spawn — and measured (not
 /// simulated) wall-clock time.
-fn cmd_run_parallel(
+fn run_threaded(
     options: &Options,
     threads: usize,
     program: &Program,
-    query: &str,
     goal: &Term,
     var_names: &[Symbol],
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
+    tracer: Option<&Arc<granlog_obs::Tracer>>,
+) -> Result<(RunReport, TraceFields), CliError> {
     let mut executor = ParExecutor::new(
         program,
         ParConfig {
@@ -633,25 +648,18 @@ fn cmd_run_parallel(
             machine: MachineConfig::default(),
         },
     );
-    let (outcome, wall) = traced(options.trace.as_deref(), query, |tracer| {
-        // With --trace, hook a local registry + the ring into the executor
-        // so the spawn/inline/steal/join stream lands in the dump.
-        executor.set_obs(tracer.map(|t| {
-            let registry = granlog_obs::Registry::new();
-            Arc::new(granlog_par::ParObs::register(&registry, Arc::clone(t)))
-        }));
-        let start = std::time::Instant::now();
-        let outcome = executor.run_goal(goal, var_names)?;
-        let wall = start.elapsed();
-        let end = vec![
-            ("ok", outcome.succeeded.into()),
-            ("spawned", outcome.spawned_tasks.into()),
-        ];
-        Ok(((outcome, wall), end))
-    })?;
-    write_answers(out, outcome.succeeded.then_some(outcome.bindings), "\n  ")?;
+    // With --trace, hook a local registry + the ring into the executor so
+    // the spawn/inline/steal/join stream lands in the dump.
+    executor.set_obs(tracer.map(|t| {
+        let registry = granlog_obs::Registry::new();
+        Arc::new(granlog_par::ParObs::register(&registry, Arc::clone(t)))
+    }));
+    let start = std::time::Instant::now();
+    let outcome = executor.run_goal(goal, var_names)?;
+    let wall = start.elapsed();
+    let mut summary = Vec::new();
     writeln!(
-        out,
+        summary,
         "work: {:.0} units ({} resolutions, {} grain tests)",
         outcome.work, outcome.counters.resolutions, outcome.counters.grain_tests
     )?;
@@ -661,45 +669,38 @@ fn cmd_run_parallel(
         Granularity::AlwaysSpawn => "always spawn",
     };
     writeln!(
-        out,
+        summary,
         "measured time on {} threads ({mode}): {:.3} ms; tasks spawned: {}, conjunctions inlined: {}",
         threads,
         wall.as_secs_f64() * 1e3,
         outcome.spawned_tasks,
         outcome.inlined_conjunctions
     )?;
-    Ok(())
+    let end = vec![
+        ("ok", outcome.succeeded.into()),
+        ("spawned", outcome.spawned_tasks.into()),
+    ];
+    let answers = outcome.succeeded.then_some(outcome.bindings);
+    let answers = answers.into_iter().collect();
+    Ok((RunReport { answers, summary }, end))
 }
 
 /// `granlog run --engine bottom-up`: compile the program as stratified
 /// Datalog, run the semi-naive fixpoint, and print *every* answer to the
-/// query (SLD resolution prints the first).
-fn cmd_run_bottom_up(
+/// query (SLD resolution prints the first), one answer a line.
+fn run_bottom_up(
     program: &Program,
-    query: &str,
     goal: &Term,
     var_names: &[Symbol],
-    trace: Option<&str>,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
+    tracer: Option<&Arc<granlog_obs::Tracer>>,
+) -> Result<(RunReport, TraceFields), CliError> {
     let compiled = granlog_datalog::CompiledDatalog::compile(program)?;
-    let (database, answers) = traced(trace, query, |tracer| {
-        let database = compiled.evaluate_traced(tracer.map(|t| &**t))?;
-        let answers = database.query(goal, var_names)?;
-        let end = vec![
-            ("ok", answers.succeeded().into()),
-            ("answers", answers.rows.len().into()),
-        ];
-        Ok(((database, answers), end))
-    })?;
-    write_answers(
-        out,
-        (0..answers.rows.len()).map(|i| answers.bindings(i)),
-        ", ",
-    )?;
+    let database = compiled.evaluate_traced(tracer.map(|t| &**t))?;
+    let answers = database.query(goal, var_names)?;
     let stats = database.stats();
+    let mut summary = Vec::new();
     writeln!(
-        out,
+        summary,
         "bottom-up: {} answers; {} facts derived in {} rounds \
          ({} edb facts, {} join batches, {} tuples tried)",
         answers.rows.len(),
@@ -709,39 +710,33 @@ fn cmd_run_bottom_up(
         stats.join_batches,
         stats.tuples_tried
     )?;
-    Ok(())
+    let end = vec![
+        ("ok", answers.succeeded().into()),
+        ("answers", answers.rows.len().into()),
+    ];
+    let answers = (0..answers.rows.len()).map(|i| answers.bindings(i));
+    let answers = answers.collect();
+    Ok((RunReport { answers, summary }, end))
 }
 
 /// `granlog serve`: run the multi-tenant query service until a client sends
 /// `shutdown`. The listening line is printed (and flushed) before blocking,
 /// so scripts can scrape the bound port even when `--addr` asked for port 0.
 fn cmd_serve(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
+    options.reads(
+        "serve",
+        "--addr --steps --heap --wall --cache --max-conns --idle-timeout --data-dir \
+         --fsync --wal-limit --metrics-addr --slow-ms",
+    )?;
     if !options.positional.is_empty() {
         return Err(usage("serve takes no positional arguments"));
     }
     let handle = Server::start(ServeConfig {
-        addr: options.addr.clone(),
-        cache_capacity: options.cache,
-        budget: SessionBudget {
-            steps: options.serve_steps,
-            heap_cells: options.serve_heap,
-            wall: options.serve_wall_ms.map(std::time::Duration::from_millis),
-        },
-        machine_config: MachineConfig::default(),
-        pool: PoolConfig::default(),
-        max_conns: options.max_conns,
-        idle_timeout: match options.idle_timeout_secs {
-            0 => None,
-            secs => Some(std::time::Duration::from_secs(secs)),
-        },
         store: options.data_dir.as_ref().map(|dir| StoreConfig {
             dir: dir.into(),
-            fsync: options.fsync,
-            wal_limit_bytes: options.wal_limit,
+            ..options.store.clone()
         }),
-        metrics_addr: options.metrics_addr.clone(),
-        slow_ms: options.slow_ms,
-        ..ServeConfig::default()
+        ..options.serve.clone()
     })?;
     if options.data_dir.is_some() {
         writeln!(out, "recovered {} programs", handle.recovered_programs())?;
@@ -757,6 +752,7 @@ fn cmd_serve(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_ddg(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
+    options.reads("ddg", "")?;
     let [path, indicator] = options.positional.as_slice() else {
         return Err(usage(
             "ddg expects a file and a predicate indicator (name/arity)",
@@ -861,11 +857,12 @@ mod tests {
     #[test]
     fn run_executes_queries_with_and_without_control() {
         let path = write_temp("qsort_run.pl", QSORT);
-        for mode in ["--control", "--no-control", "--sequential"] {
+        for mode in ["on", "always-spawn", "off"] {
             let out = run(&[
                 "run",
                 path.to_str().unwrap(),
                 "qsort([3,1,2], S)",
+                "--granularity",
                 mode,
                 "--processors",
                 "2",
@@ -910,30 +907,6 @@ mod tests {
         // Bad values are usage errors.
         assert!(matches!(
             run(&["run", path.to_str().unwrap(), "q", "--threads", "0"]),
-            Err(CliError::Usage(_))
-        ));
-        // Simulation-path flags conflict with real execution.
-        assert!(matches!(
-            run(&[
-                "run",
-                path.to_str().unwrap(),
-                "q",
-                "--threads",
-                "2",
-                "--sequential"
-            ]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&[
-                "run",
-                path.to_str().unwrap(),
-                "q",
-                "--processors",
-                "8",
-                "--threads",
-                "2"
-            ]),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
@@ -1032,33 +1005,6 @@ mod tests {
     }
 
     #[test]
-    fn run_bottom_up_refuses_sld_side_flags() {
-        let path = write_temp("attack_flags.pl", ATTACK);
-        for extra in [
-            &["--threads", "2"][..],
-            &["--sequential"][..],
-            &["--processors", "4"][..],
-        ] {
-            let mut args = vec![
-                "run",
-                path.to_str().unwrap(),
-                "reach(X)",
-                "--engine",
-                "bottom-up",
-            ];
-            args.extend_from_slice(extra);
-            assert!(
-                matches!(run(&args), Err(CliError::Usage(_))),
-                "{extra:?} must conflict with --engine bottom-up"
-            );
-        }
-        assert!(matches!(
-            run(&["run", path.to_str().unwrap(), "q", "--engine", "magic"]),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
     fn ddg_prints_graphs() {
         let path = write_temp("nrev_ddg.pl", NREV);
         let out = run(&["ddg", path.to_str().unwrap(), "nrev/2"]).unwrap();
@@ -1085,6 +1031,82 @@ mod tests {
         assert!(help.contains("usage"));
     }
 
+    /// Every flag a command, or the `run` path picked, does not read is a
+    /// usage error naming that flag and the command; none is dropped. The
+    /// spawn policy has one spelling: the old ones are unknown options.
+    #[test]
+    fn a_flag_the_command_does_not_read_is_a_usage_error() {
+        let pl = write_temp("flags.pl", &format!("{NREV}\n{ATTACK}\ncount(0).\n"));
+        let file = pl.to_str().unwrap();
+        for (line, expected) in [
+            (
+                "run F count(100000) --steps 10",
+                "run does not take --steps",
+            ),
+            ("serve --threads 2", "serve does not take --threads"),
+            (
+                "analyze F --granularity off",
+                "analyze does not take --granularity",
+            ),
+            (
+                "annotate F --processors 2",
+                "annotate does not take --processors",
+            ),
+            (
+                "ddg F nrev/2 --threads 3 --profile",
+                "ddg does not take --threads",
+            ),
+            ("help --trace t.jsonl", "help does not take --trace"),
+            (
+                "run F reach(X) --metric steps",
+                "run does not take --metric",
+            ),
+            (
+                "run --engine bottom-up F reach(X) --granularity off --overhead 7",
+                "run --engine bottom-up does not take --granularity",
+            ),
+            (
+                "run F reach(X) --engine bottom-up --threads 2",
+                "run --engine bottom-up does not take --threads",
+            ),
+            (
+                "run F reach(X) --engine bottom-up --processors 4",
+                "run --engine bottom-up does not take --processors",
+            ),
+            (
+                "run F nrev([1],R) --profile --engine bottom-up",
+                "run --engine bottom-up does not take --profile",
+            ),
+            (
+                "run F nrev([1],R) --profile --threads 2",
+                "run --threads does not take --profile",
+            ),
+            (
+                "run F nrev([1],R) --processors 8 --threads 2",
+                "run --threads does not take --processors",
+            ),
+            (
+                "run F nrev([1],R) --threads 2 --sequential",
+                "unknown option --sequential",
+            ),
+            ("run F nrev([1],R) --control", "unknown option --control"),
+            (
+                "run F nrev([1],R) --no-control",
+                "unknown option --no-control",
+            ),
+            ("run F reach(X) --engine magic", "unknown engine \"magic\""),
+        ] {
+            let args: Vec<&str> = line
+                .split(' ')
+                .map(|arg| if arg == "F" { file } else { arg })
+                .collect();
+            match run(&args) {
+                Err(CliError::Usage(msg)) => assert!(msg.starts_with(expected), "{line}: {msg}"),
+                other => panic!("{line}: expected a usage error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn an_overhead_that_is_not_a_cost_is_a_usage_error() {
         let path = write_temp("overhead_domain.pl", QSORT);
@@ -1093,7 +1115,7 @@ mod tests {
             for command in [
                 vec!["analyze", path],
                 vec!["annotate", path],
-                vec!["run", path, "qsort([3,1,2], S)", "--control"],
+                vec!["run", path, "qsort([3,1,2], S)", "--granularity", "on"],
             ] {
                 let args = [command, vec!["--overhead", overhead]].concat();
                 match run(&args) {
@@ -1298,33 +1320,6 @@ mod tests {
         // Without the flag the table never appears.
         let plain = run(&["run", path.to_str().unwrap(), "nrev([1,2,3,4], R)"]).unwrap();
         assert!(!plain.contains("profile:"), "{plain}");
-    }
-
-    #[test]
-    fn run_profile_refuses_threads_and_bottom_up() {
-        let path = write_temp("nrev_profile_refuse.pl", NREV);
-        assert!(matches!(
-            run(&[
-                "run",
-                path.to_str().unwrap(),
-                "nrev([1], R)",
-                "--profile",
-                "--threads",
-                "2"
-            ]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            run(&[
-                "run",
-                path.to_str().unwrap(),
-                "nrev([1], R)",
-                "--profile",
-                "--engine",
-                "bottom-up"
-            ]),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]

@@ -2327,16 +2327,6 @@ impl Machine {
         }
     }
 
-    /// Tries the candidate clauses of a call from `cursor` on. On the first
-    /// activation whose head and eager builtin prefix succeed, pushes the
-    /// compiled body sequence (and a choice point if candidates remain) and
-    /// returns `true`. Returns `false` with the candidates exhausted.
-    ///
-    /// The choice-point height at entry is the activation's *cut barrier*:
-    /// a `!` in the body prunes back to it, discarding both this call's
-    /// remaining candidates and every choice point created since. (Retried
-    /// calls observe the same height, because backtracking pops the
-    /// alternatives record before retrying.)
     /// [`Machine::try_clauses`] with per-predicate port accounting when the
     /// profiler is on. Both clause-selection entry points (`exec_cell` for
     /// fresh calls, `backtrack` for redos) route through here; with the
@@ -2400,6 +2390,16 @@ impl Machine {
         }
     }
 
+    /// Tries the candidate clauses of a call from `cursor` on. On the first
+    /// activation whose head and eager builtin prefix succeed, pushes the
+    /// compiled body sequence (and a choice point if candidates remain) and
+    /// returns `true`. Returns `false` with the candidates exhausted.
+    ///
+    /// The choice-point height at entry is the activation's *cut barrier*:
+    /// a `!` in the body prunes back to it, discarding both this call's
+    /// remaining candidates and every choice point created since. (Retried
+    /// calls observe the same height, because backtracking pops the
+    /// alternatives record before retrying.)
     fn try_clauses(
         &mut self,
         image: &Image,

@@ -4,8 +4,8 @@
 //! Section 3 of the paper distinguishes *nonrecursive*, *simple recursive* and
 //! *mutually recursive* clauses, and processes the call graph in topological
 //! order so that callees are analysed before callers. This module provides
-//! exactly those notions: [`CallGraph::sccs`] (Tarjan), the bottom-up
-//! [`CallGraph::topological_sccs`] order, and
+//! exactly those notions: the strongly-connected components (Tarjan) in
+//! bottom-up order, [`CallGraph::topological_sccs`], and
 //! [`CallGraph::classify_predicate`].
 
 use crate::{AsTerm, PredId, Program};
@@ -58,11 +58,10 @@ impl Scc {
 #[derive(Debug, Clone)]
 pub struct CallGraph {
     nodes: Vec<PredId>,
-    index_of: BTreeMap<PredId, usize>,
     edges: Vec<BTreeSet<usize>>,
+    /// The components in bottom-up (callee-first) order.
     sccs: Vec<Scc>,
     scc_of: BTreeMap<PredId, usize>,
-    topo: Vec<usize>,
 }
 
 impl CallGraph {
@@ -100,11 +99,9 @@ impl CallGraph {
 
         let mut graph = CallGraph {
             nodes,
-            index_of,
             edges,
             sccs: Vec::new(),
             scc_of: BTreeMap::new(),
-            topo: Vec::new(),
         };
         graph.compute_sccs();
         graph
@@ -115,27 +112,6 @@ impl CallGraph {
         &self.nodes
     }
 
-    /// Direct callees of `pred` (only defined predicates).
-    pub fn callees(&self, pred: PredId) -> Vec<PredId> {
-        match self.index_of.get(&pred) {
-            Some(&i) => self.edges[i].iter().map(|&j| self.nodes[j]).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Returns `true` if `caller` has a direct edge to `callee`.
-    pub fn calls(&self, caller: PredId, callee: PredId) -> bool {
-        match (self.index_of.get(&caller), self.index_of.get(&callee)) {
-            (Some(&i), Some(&j)) => self.edges[i].contains(&j),
-            _ => false,
-        }
-    }
-
-    /// The strongly-connected components, in no particular order.
-    pub fn sccs(&self) -> &[Scc] {
-        &self.sccs
-    }
-
     /// The SCC containing `pred`, if it is a node.
     pub fn scc_of(&self, pred: PredId) -> Option<&Scc> {
         self.scc_of.get(&pred).map(|&i| &self.sccs[i])
@@ -144,12 +120,7 @@ impl CallGraph {
     /// SCCs in bottom-up (callee-first) topological order — the order in which
     /// the paper processes the call graph.
     pub fn topological_sccs(&self) -> Vec<&Scc> {
-        self.topo.iter().map(|&i| &self.sccs[i]).collect()
-    }
-
-    /// Returns `true` if `pred` is recursive (its SCC contains a cycle).
-    pub fn is_recursive(&self, pred: PredId) -> bool {
-        self.scc_of(pred).map(|s| s.recursive).unwrap_or(false)
+        self.sccs.iter().collect()
     }
 
     /// Classifies a predicate: mutually recursive if its SCC has several
@@ -261,7 +232,6 @@ impl CallGraph {
             .enumerate()
             .flat_map(|(i, scc)| scc.members.iter().map(move |&p| (p, i)))
             .collect();
-        self.topo = (0..self.sccs.len()).collect();
     }
 }
 
@@ -292,20 +262,33 @@ mod tests {
     fn edges_and_external_calls() {
         let p = parse_program("p(X) :- q(X), r(X), X > 1. q(X) :- p(X). r(_).").unwrap();
         let g = CallGraph::build(&p);
-        assert!(g.calls(pid("p", 1), pid("q", 1)));
-        assert!(g.calls(pid("q", 1), pid("p", 1)));
-        assert!(g.calls(pid("p", 1), pid("r", 1)));
-        assert!(!g.calls(pid("r", 1), pid("p", 1)));
+        // p → q and q → p put both in one component; p → r puts r first.
+        assert_eq!(
+            g.classify_predicate(pid("p", 1)),
+            RecursionClass::MutuallyRecursive
+        );
+        assert!(g.scc_of(pid("p", 1)).unwrap().contains(pid("q", 1)));
+        assert_eq!(
+            g.classify_predicate(pid("r", 1)),
+            RecursionClass::NonRecursive
+        );
+        assert_eq!(topological_predicates(&g)[0], pid("r", 1));
         // A builtin is called, but it is no node.
         assert!(!g.nodes().contains(&pid(">", 2)));
-        assert!(!g.calls(pid("p", 1), pid(">", 2)));
+        assert!(g.scc_of(pid(">", 2)).is_none());
     }
 
     #[test]
     fn nrev_sccs_and_topological_order() {
         let p = parse_program(NREV).unwrap();
         let g = CallGraph::build(&p);
-        assert_eq!(g.sccs().len(), 2);
+        assert_eq!(g.topological_sccs().len(), 2);
+        // An undefined predicate is no node and calls nothing.
+        assert!(g.scc_of(pid("missing", 9)).is_none());
+        assert_eq!(
+            g.classify_predicate(pid("missing", 9)),
+            RecursionClass::NonRecursive
+        );
         let order = topological_predicates(&g);
         let pos_append = order.iter().position(|&x| x == pid("append", 3)).unwrap();
         let pos_nrev = order.iter().position(|&x| x == pid("nrev", 2)).unwrap();
@@ -358,7 +341,6 @@ mod tests {
                 g.classify_predicate(pid(name, 1)),
                 RecursionClass::NonRecursive
             );
-            assert!(!g.is_recursive(pid(name, 1)));
         }
         let order = topological_predicates(&g);
         assert_eq!(order, vec![pid("leaf", 1), pid("mid", 1), pid("top", 1)]);
@@ -368,30 +350,34 @@ mod tests {
     fn self_loop_is_recursive_even_as_singleton_scc() {
         let p = parse_program("loop(X) :- loop(X). lone(_).").unwrap();
         let g = CallGraph::build(&p);
-        assert!(g.is_recursive(pid("loop", 1)));
-        assert!(!g.is_recursive(pid("lone", 1)));
+        assert_eq!(
+            g.classify_predicate(pid("loop", 1)),
+            RecursionClass::SimpleRecursive
+        );
+        assert_eq!(g.scc_of(pid("loop", 1)).unwrap().members.len(), 1);
+        assert_eq!(
+            g.classify_predicate(pid("lone", 1)),
+            RecursionClass::NonRecursive
+        );
     }
 
     #[test]
     fn calls_inside_control_structures_are_edges() {
-        let p = parse_program("p(X) :- ( q(X) -> r(X) ; s(X) ). q(_). r(_). s(_).").unwrap();
+        // Each of q, r, s calls p back, so all four share a component
+        // exactly when p's if-then-else reaches each of them.
+        let p = parse_program(
+            "p(X) :- ( q(X) -> r(X) ; s(X) ). q(X) :- p(X). r(X) :- p(X). s(X) :- p(X).",
+        )
+        .unwrap();
         let g = CallGraph::build(&p);
+        let scc = g.scc_of(pid("p", 1)).unwrap();
         for callee in ["q", "r", "s"] {
-            assert!(
-                g.calls(pid("p", 1), pid(callee, 1)),
-                "missing edge to {callee}"
-            );
+            assert!(scc.contains(pid(callee, 1)), "missing edge to {callee}");
         }
-    }
-
-    #[test]
-    fn callees_listing() {
-        let p = parse_program(NREV).unwrap();
-        let g = CallGraph::build(&p);
-        let callees = g.callees(pid("nrev", 2));
-        assert!(callees.contains(&pid("nrev", 2)));
-        assert!(callees.contains(&pid("append", 3)));
-        assert_eq!(g.callees(pid("missing", 9)), Vec::<PredId>::new());
+        assert_eq!(
+            g.classify_predicate(pid("p", 1)),
+            RecursionClass::MutuallyRecursive
+        );
     }
 
     #[test]
@@ -401,19 +387,21 @@ mod tests {
         // with itself (it may call itself through the metacall).
         let p = parse_program("p(X) :- q(X), X. q(_). r(_).").unwrap();
         let g = CallGraph::build(&p);
-        for callee in [("p", 1), ("q", 1), ("r", 1)] {
-            assert!(
-                g.calls(pid("p", 1), pid(callee.0, callee.1)),
-                "missing conservative edge to {}/{}",
-                callee.0,
-                callee.1
-            );
-        }
-        // `call(q(X))` is transparent: a precise edge to `q/1`.
+        assert_eq!(
+            g.classify_predicate(pid("p", 1)),
+            RecursionClass::SimpleRecursive
+        );
+        // Both q and r are callees of p, so both come before it.
+        assert_eq!(topological_predicates(&g).last(), Some(&pid("p", 1)));
+        // `call(q(X))` is transparent: a precise edge to `q/1`, and no
+        // self-edge.
         let p = parse_program("p(X) :- call(q(X)). q(_).").unwrap();
         let g = CallGraph::build(&p);
-        assert!(g.calls(pid("p", 1), pid("q", 1)));
-        assert_eq!(g.callees(pid("p", 1)), vec![pid("q", 1)]);
+        assert_eq!(
+            g.classify_predicate(pid("p", 1)),
+            RecursionClass::NonRecursive
+        );
+        assert_eq!(topological_predicates(&g), vec![pid("q", 1), pid("p", 1)]);
     }
 
     #[test]
@@ -426,7 +414,7 @@ mod tests {
         src.push_str("p2000(done).\n");
         let p = parse_program(&src).unwrap();
         let g = CallGraph::build(&p);
-        assert_eq!(g.sccs().len(), 2001);
+        assert_eq!(g.topological_sccs().len(), 2001);
         let order = topological_predicates(&g);
         assert_eq!(order.first().copied(), Some(pid("p2000", 1)));
         assert_eq!(order.last().copied(), Some(pid("p0", 1)));

@@ -90,7 +90,8 @@ fn run_executes_annotated_program_on_simulated_machine() {
         "run",
         path.to_str().unwrap(),
         "qsort([3,1,4,1,5,9,2,6], S)",
-        "--control",
+        "--granularity",
+        "on",
         "--processors",
         "4",
     ]);
@@ -104,6 +105,54 @@ fn run_executes_annotated_program_on_simulated_machine() {
         stdout.contains("simulated time"),
         "missing simulator summary:\n{stdout}"
     );
+}
+
+/// `granlog run --granularity on|always-spawn|off` is the paper harness'
+/// T1, T0 and sequential run: at the default overhead and processor count
+/// it prints the work, grain tests, tasks and simulated time that
+/// `harness::run_benchmark` computes on the 4-processor ROLOG-like machine.
+#[test]
+fn simulated_run_agrees_with_the_paper_harness() {
+    use granlog_benchmarks::harness::{run_benchmark, ControlMode};
+    use granlog_benchmarks::suite::benchmark;
+    use granlog_sim::SimConfig;
+    // At their test sizes: fib(10) and a 20-element quicksort.
+    for name in ["fib", "quick_sort"] {
+        let bench = benchmark(name).unwrap();
+        let size = bench.test_size;
+        let path = write_temp(&format!("harness_{name}.pl"), bench.source);
+        for (policy, mode) in [
+            ("on", ControlMode::WithControl),
+            ("always-spawn", ControlMode::NoControl),
+            ("off", ControlMode::Sequential),
+        ] {
+            let (stdout, stderr, ok) = granlog(&[
+                "run",
+                path.to_str().unwrap(),
+                &bench.query(size),
+                "--granularity",
+                policy,
+            ]);
+            assert!(ok, "{name} {policy}: {stderr}");
+            let run = run_benchmark(&bench, size, &SimConfig::rolog4(), mode);
+            for expected in [
+                format!("work: {:.0} units (", run.total_work),
+                format!(
+                    " {} grain tests); tasks spawned: {}\n",
+                    run.grain_tests, run.spawned_tasks
+                ),
+                format!(
+                    "simulated time on 4 processors: {:.0} units (speedup {:.2}x",
+                    run.sim.makespan, run.sim.speedup_vs_sequential
+                ),
+            ] {
+                assert!(
+                    stdout.contains(&expected),
+                    "{name} {policy}: missing {expected:?} in\n{stdout}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
