@@ -1031,71 +1031,11 @@ mod tests {
         assert!(help.contains("usage"));
     }
 
-    /// Every flag a command, or the `run` path picked, does not read is a
-    /// usage error naming that flag and the command; none is dropped. The
-    /// spawn policy has one spelling: the old ones are unknown options.
-    #[test]
-    fn a_flag_the_command_does_not_read_is_a_usage_error() {
-        let pl = write_temp("flags.pl", &format!("{NREV}\n{ATTACK}\ncount(0).\n"));
-        let file = pl.to_str().unwrap();
-        for (line, expected) in [
-            (
-                "run F count(100000) --steps 10",
-                "run does not take --steps",
-            ),
-            ("serve --threads 2", "serve does not take --threads"),
-            (
-                "analyze F --granularity off",
-                "analyze does not take --granularity",
-            ),
-            (
-                "annotate F --processors 2",
-                "annotate does not take --processors",
-            ),
-            (
-                "ddg F nrev/2 --threads 3 --profile",
-                "ddg does not take --threads",
-            ),
-            ("help --trace t.jsonl", "help does not take --trace"),
-            (
-                "run F reach(X) --metric steps",
-                "run does not take --metric",
-            ),
-            (
-                "run --engine bottom-up F reach(X) --granularity off --overhead 7",
-                "run --engine bottom-up does not take --granularity",
-            ),
-            (
-                "run F reach(X) --engine bottom-up --threads 2",
-                "run --engine bottom-up does not take --threads",
-            ),
-            (
-                "run F reach(X) --engine bottom-up --processors 4",
-                "run --engine bottom-up does not take --processors",
-            ),
-            (
-                "run F nrev([1],R) --profile --engine bottom-up",
-                "run --engine bottom-up does not take --profile",
-            ),
-            (
-                "run F nrev([1],R) --profile --threads 2",
-                "run --threads does not take --profile",
-            ),
-            (
-                "run F nrev([1],R) --processors 8 --threads 2",
-                "run --threads does not take --processors",
-            ),
-            (
-                "run F nrev([1],R) --threads 2 --sequential",
-                "unknown option --sequential",
-            ),
-            ("run F nrev([1],R) --control", "unknown option --control"),
-            (
-                "run F nrev([1],R) --no-control",
-                "unknown option --no-control",
-            ),
-            ("run F reach(X) --engine magic", "unknown engine \"magic\""),
-        ] {
+    /// Runs each command line, with `F` standing for `file`, and asserts
+    /// that it is a usage error whose message starts with the expected text.
+    fn assert_usage_errors(file: &std::path::Path, cases: &[(&str, &str)]) {
+        let file = file.to_str().unwrap();
+        for (line, expected) in cases {
             let args: Vec<&str> = line
                 .split(' ')
                 .map(|arg| if arg == "F" { file } else { arg })
@@ -1105,6 +1045,99 @@ mod tests {
                 other => panic!("{line}: expected a usage error, got {other:?}"),
             }
         }
+    }
+
+    /// Every flag a command, or the `run` path picked, does not read is a
+    /// usage error naming that flag and the command; none is dropped. The
+    /// spawn policy has one spelling: the old ones are unknown options.
+    #[test]
+    fn a_flag_the_command_does_not_read_is_a_usage_error() {
+        let pl = write_temp("flags.pl", &format!("{NREV}\n{ATTACK}\ncount(0).\n"));
+        assert_usage_errors(
+            &pl,
+            &[
+                (
+                    "run F count(100000) --steps 10",
+                    "run does not take --steps",
+                ),
+                ("serve --threads 2", "serve does not take --threads"),
+                (
+                    "analyze F --granularity off",
+                    "analyze does not take --granularity",
+                ),
+                (
+                    "annotate F --processors 2",
+                    "annotate does not take --processors",
+                ),
+                (
+                    "ddg F nrev/2 --threads 3 --profile",
+                    "ddg does not take --threads",
+                ),
+                ("help --trace t.jsonl", "help does not take --trace"),
+                (
+                    "run F reach(X) --metric steps",
+                    "run does not take --metric",
+                ),
+                (
+                    "run --engine bottom-up F reach(X) --granularity off --overhead 7",
+                    "run --engine bottom-up does not take --granularity",
+                ),
+                (
+                    "run F nrev([1],R) --processors 8 --threads 2",
+                    "run --threads does not take --processors",
+                ),
+                (
+                    "run F nrev([1],R) --threads 2 --sequential",
+                    "unknown option --sequential",
+                ),
+                ("run F nrev([1],R) --control", "unknown option --control"),
+                (
+                    "run F nrev([1],R) --no-control",
+                    "unknown option --no-control",
+                ),
+            ],
+        );
+    }
+
+    #[test]
+    fn run_bottom_up_refuses_sld_side_flags() {
+        let pl = write_temp("attack_flags.pl", ATTACK);
+        assert_usage_errors(
+            &pl,
+            &[
+                (
+                    "run F reach(X) --engine bottom-up --threads 2",
+                    "run --engine bottom-up does not take --threads",
+                ),
+                (
+                    "run F reach(X) --engine bottom-up --processors 4",
+                    "run --engine bottom-up does not take --processors",
+                ),
+                (
+                    "run F reach(X) --engine bottom-up --granularity off",
+                    "run --engine bottom-up does not take --granularity",
+                ),
+                ("run F reach(X) --engine magic", "unknown engine \"magic\""),
+            ],
+        );
+    }
+
+    #[test]
+    fn run_profile_refuses_threads_and_bottom_up() {
+        let pl = write_temp("nrev_profile_refuse.pl", NREV);
+        assert_usage_errors(
+            &pl,
+            &[
+                (
+                    "run F nrev([1],R) --profile --threads 2",
+                    "run --threads does not take --profile",
+                ),
+                (
+                    "run F nrev([1],R) --profile --engine bottom-up",
+                    "run --engine bottom-up does not take --profile",
+                ),
+            ],
+        );
     }
 
     #[test]

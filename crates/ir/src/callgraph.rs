@@ -283,18 +283,33 @@ mod tests {
         let p = parse_program(NREV).unwrap();
         let g = CallGraph::build(&p);
         assert_eq!(g.topological_sccs().len(), 2);
-        // An undefined predicate is no node and calls nothing.
-        assert!(g.scc_of(pid("missing", 9)).is_none());
-        assert_eq!(
-            g.classify_predicate(pid("missing", 9)),
-            RecursionClass::NonRecursive
-        );
         let order = topological_predicates(&g);
         let pos_append = order.iter().position(|&x| x == pid("append", 3)).unwrap();
         let pos_nrev = order.iter().position(|&x| x == pid("nrev", 2)).unwrap();
         assert!(
             pos_append < pos_nrev,
             "append must be processed before nrev"
+        );
+    }
+
+    #[test]
+    fn callees_listing() {
+        // nrev calls itself and append: it is recursive, and append, in a
+        // component of its own, comes before it.
+        let p = parse_program(NREV).unwrap();
+        let g = CallGraph::build(&p);
+        let nrev = g.scc_of(pid("nrev", 2)).unwrap();
+        assert!(nrev.recursive);
+        assert!(!nrev.contains(pid("append", 3)));
+        let order = topological_predicates(&g);
+        let pos_append = order.iter().position(|&x| x == pid("append", 3)).unwrap();
+        let pos_nrev = order.iter().position(|&x| x == pid("nrev", 2)).unwrap();
+        assert!(pos_append < pos_nrev);
+        // An undefined predicate is no node and calls nothing.
+        assert!(g.scc_of(pid("missing", 9)).is_none());
+        assert_eq!(
+            g.classify_predicate(pid("missing", 9)),
+            RecursionClass::NonRecursive
         );
     }
 
