@@ -316,7 +316,7 @@ impl<'a> Ddg<'a> {
     }
 
     /// Renders the graph as indented ASCII, one node per line with its
-    /// successors — the form used by the `fig1_ddg` experiment binary.
+    /// successors — the form the `fig1_ddg` artefact prints.
     pub fn to_ascii(&self) -> String {
         let mut out = String::new();
         for node in self.nodes() {

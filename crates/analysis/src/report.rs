@@ -1,6 +1,6 @@
 //! Human-readable reports of analysis results.
 //!
-//! The experiment binaries and examples use these helpers to print the kind of
+//! The CLI and the examples use these helpers to print the kind of
 //! per-predicate summary a compiler writer would want to inspect: modes,
 //! measures, argument-size functions, cost functions, solver schemas and
 //! thresholds.

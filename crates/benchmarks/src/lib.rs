@@ -13,7 +13,9 @@
 //!   polygons, ...);
 //! * [`harness`] — run a benchmark through analysis → granularity control →
 //!   engine → simulator, with or without control, producing the rows of
-//!   Tables 1 and 2 and the points of Figure 2.
+//!   Tables 1 and 2 and the points of Figure 2;
+//! * [`artefacts`] — those rows and points, and Figure 1 and two ablations,
+//!   rendered as the text the `experiments` binary prints.
 //!
 //! # Example
 //!
@@ -30,6 +32,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod artefacts;
 pub mod generate;
 pub mod harness;
 pub mod suite;
@@ -42,3 +45,71 @@ pub use suite::{
     datalog_benchmarks, nrev_benchmark, table2_benchmarks, Benchmark, DatalogBenchmark,
     ATTACK_RULES,
 };
+
+/// The artefact formatters' unit tests.
+#[cfg(test)]
+mod tests {
+    use crate::artefacts::{default_grain_sizes, format_sweep, format_table};
+    use crate::{SweepPoint, TableRow};
+
+    fn sample_row() -> TableRow {
+        TableRow {
+            label: "fib(15)".into(),
+            t_without: 1170.0,
+            t_with: 850.0,
+            speedup_percent: 27.3,
+            tasks_without: 1000,
+            tasks_with: 120,
+            grain_tests: 300,
+        }
+    }
+
+    #[test]
+    fn table_formatting_contains_all_fields() {
+        let text = format_table("Table 1", &[sample_row()]);
+        assert!(text.contains("fib(15)"));
+        assert!(text.contains("1170"));
+        assert!(text.contains("850"));
+        assert!(text.contains("27.3%"));
+    }
+
+    #[test]
+    fn sweep_formatting_scales_bars() {
+        let points = vec![
+            SweepPoint {
+                grain_size: 0,
+                time: 100.0,
+                spawned_tasks: 50,
+            },
+            SweepPoint {
+                grain_size: 8,
+                time: 50.0,
+                spawned_tasks: 10,
+            },
+            SweepPoint {
+                grain_size: 1024,
+                time: 200.0,
+                spawned_tasks: 0,
+            },
+        ];
+        let text = format_sweep("Figure 2", &points);
+        assert!(text.contains("Figure 2"));
+        assert!(text.matches('\n').count() >= 5);
+        // The largest time gets the longest bar.
+        let lines: Vec<&str> = text.lines().collect();
+        let bar_len = |line: &str| line.chars().filter(|c| *c == '#').count();
+        let last = lines.iter().find(|l| l.contains("1024")).unwrap();
+        let first = lines
+            .iter()
+            .find(|l| l.trim_start().starts_with('0'))
+            .unwrap();
+        assert!(bar_len(last) > bar_len(first));
+    }
+
+    #[test]
+    fn default_grain_sizes_are_sorted_and_start_at_zero() {
+        let g = default_grain_sizes();
+        assert_eq!(g[0], 0);
+        assert!(g.windows(2).all(|w| w[0] < w[1]));
+    }
+}

@@ -30,8 +30,8 @@
 //! Profiling is off by default and costs exactly one pointer-null branch per
 //! clause-selection entry and per materializing body step when off; the operation [`crate::Counters`] are
 //! never touched by the profiler, so profiled and unprofiled runs stay
-//! counter-identical (enforced by the differential suite in
-//! `granlog-bench`).
+//! counter-identical (enforced by the differential suite
+//! `tests/obs_differential.rs`).
 
 use granlog_ir::{FastMap, PredId};
 

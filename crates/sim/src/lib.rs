@@ -42,12 +42,6 @@ pub mod sched;
 pub use config::{OverheadModel, SimConfig};
 pub use sched::{simulate, SimOutcome};
 
-/// Simulates the same task tree under several configurations, returning the
-/// outcomes in the same order. Convenient for building comparison tables.
-pub fn compare(tree: &granlog_engine::TaskTree, configs: &[SimConfig]) -> Vec<SimOutcome> {
-    configs.iter().map(|c| simulate(tree, c)).collect()
-}
-
 /// The conventional speedup figure used in the paper's tables:
 /// `(t_without − t_with) / t_without`, as a percentage.
 pub fn speedup_percent(t_without: f64, t_with: f64) -> f64 {
@@ -61,21 +55,6 @@ pub fn speedup_percent(t_without: f64, t_with: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[test]
-    fn compare_runs_all_configs() {
-        let mut tree = granlog_engine::TaskTree::new();
-        tree.add_work(0, 100.0);
-        let outs = compare(
-            &tree,
-            &[
-                SimConfig::new(1, OverheadModel::zero()),
-                SimConfig::rolog4(),
-            ],
-        );
-        assert_eq!(outs.len(), 2);
-        assert_eq!(outs[0].makespan, 100.0);
-    }
-
     #[test]
     fn speedup_percent_matches_paper_convention() {
         // Table 1, fib(15): T0 = 1170, T1 = 850 ⇒ 27.3%.

@@ -1,7 +1,7 @@
-//! The paper-artefact oracle: Figure 1, Tables 1 and 2 and Figure 2 at
-//! their reduced (`small`) sizes, exactly as `granlog_bench` renders them
-//! and the experiment binaries print them, compared byte for byte with
-//! `tests/golden/paper_artefacts.txt`.
+//! The paper-artefact oracle: every artefact the `experiments` binary can
+//! print — Figure 1, Tables 1 and 2, Figure 2 and the two ablations — at
+//! its reduced (`--small`) size, exactly as `granlog_benchmarks::artefacts`
+//! renders it, compared byte for byte with `tests/golden/paper_artefacts.txt`.
 //!
 //! The tables and the sweep come out of the engine's counters and the
 //! simulator, so a change anywhere from the reader to the scheduler that
@@ -10,20 +10,26 @@
 //! `$TMPDIR/granlog-paper-artefacts.actual`. If the move is intended, copy
 //! that file over the golden one and say why in the PR.
 
-use granlog_bench::{fig1_ddg, fig2_grainsize, table1_rolog, table2_andprolog};
+use granlog_benchmarks::artefacts::{Renderer, ARTEFACTS};
 
 mod support;
 
 use support::Section;
 
-/// One artefact as a golden-file section: its text, each line indented so
-/// that no line of it reads as a comment or a section header.
-fn section(name: &str, text: &str) -> Section {
-    let body = text.lines().map(|line| format!("  {line}\n")).collect();
-    Section {
-        header: format!("@ {name}"),
-        body,
-    }
+/// One artefact at its reduced size as a golden-file section, headed by
+/// the `experiments` arguments that print it: its text, each line indented
+/// so that no line of it reads as a comment or a section header.
+fn section(name: &str, renderer: Renderer) -> Section {
+    let body = renderer
+        .render(true)
+        .lines()
+        .map(|line| format!("  {line}\n"))
+        .collect();
+    let header = match renderer {
+        Renderer::Fixed(_) => format!("@ {name}"),
+        Renderer::Sized(_) => format!("@ {name} --small"),
+    };
+    Section { header, body }
 }
 
 const GOLDEN_HEADER: &str = "\
@@ -34,12 +40,10 @@ const GOLDEN_HEADER: &str = "\
 
 #[test]
 fn the_paper_artefacts_are_what_the_golden_file_says() {
-    let sections = [
-        section("fig1_ddg", &fig1_ddg()),
-        section("table1_rolog --small", &table1_rolog(true)),
-        section("table2_andprolog --small", &table2_andprolog(true)),
-        section("fig2_grainsize --small", &fig2_grainsize(true)),
-    ];
+    let sections: Vec<Section> = ARTEFACTS
+        .into_iter()
+        .map(|(name, renderer)| section(name, renderer))
+        .collect();
     support::assert_matches_golden(
         "the paper artefacts",
         "paper_artefacts.txt",
