@@ -7,15 +7,18 @@
 //!
 //! * **compiled** — an expression written in a clause body is translated
 //!   once, when the clause template is compiled (`compile`), to postfix
-//!   `Instr` code with every operator already resolved; `run` executes
-//!   it over a fixed operand array, reading variables straight from the
-//!   activation's cells. Nothing is hashed, built or allocated per
-//!   evaluation.
+//!   `Instr` code with every operator already resolved. `run` reads the
+//!   short code most bodies have — one leaf, or two leaves and one binary
+//!   operator — straight from the activation's cells, with no operand
+//!   array and no dispatch loop; longer code runs over a fixed operand
+//!   array, reading variables from the same cells. Nothing is hashed,
+//!   built or allocated per evaluation.
 //! * **heap** — an expression that only exists at run time (`X = 1+2, Y is
 //!   X`, a query goal, a metacall) is a term in the arena; `eval` walks it
 //!   with an explicit work stack, so an expression of any depth evaluates on
 //!   constant native stack. Compiled code falls to it for a variable that
-//!   turns out to be bound to a compound or an atom.
+//!   turns out to be bound to a compound or an atom (short code first
+//!   falls back to the operand-array loop, which then calls it).
 //!
 //! Both carry a failure as an `ArithError` — a small `Copy` value — and
 //! render it to [`EngineError::Arithmetic`] text once, where the evaluation
@@ -212,8 +215,10 @@ fn apply1(op: UnOp, a: Num) -> ArithResult {
     float(x, f)
 }
 
-/// Applies a two-argument function to evaluated operands.
-#[inline]
+/// Applies a two-argument function to evaluated operands. Inlined at each
+/// of its sites in [`run`] and [`run_loop`]: called out of line, its
+/// 24-byte result would go through memory on every operator applied.
+#[inline(always)]
 fn apply2(op: BinOp, a: Num, b: Num) -> ArithResult {
     let f = ArithOp::Binary(op);
     match op {
@@ -388,18 +393,63 @@ pub(crate) fn compile(cells: &[Cell], pos: usize, out: &mut Vec<Instr>) -> bool 
 /// Runs compiled code against the activation whose variable block starts at
 /// `var_base`.
 ///
+/// The two shapes most bodies are made of — one leaf (`N1 is N`, `N > 0`)
+/// and two leaves under one binary operator (`N1 is N - 1`, `X =< P`) — are
+/// read straight from the activation when every leaf is a number. Any other
+/// code, and a leaf that is not a number, runs the operand-array loop from
+/// the start, so both give the same value and the same error.
+///
 /// # Errors
 ///
 /// An [`ArithError`] for an unbound variable, a non-numeric operand, an
 /// unknown function, division by zero, or a result that is undefined or
 /// does not fit in 64 bits.
-#[inline]
+#[inline(always)]
 pub(crate) fn run(
     heap: &[HCell],
     scratch: &mut Scratch,
     code: &[Instr],
     var_base: usize,
 ) -> ArithResult {
+    match *code {
+        [leaf] => {
+            if let Some(a) = number(heap, leaf, var_base) {
+                return Ok(a);
+            }
+        }
+        [left, right, Instr::Op2(op)] => {
+            if let (Some(a), Some(b)) =
+                (number(heap, left, var_base), number(heap, right, var_base))
+            {
+                return apply2(op, a, b);
+            }
+        }
+        _ => {}
+    }
+    run_loop(heap, scratch, code, var_base)
+}
+
+/// The number a leaf instruction stands for: a literal, or a clause variable
+/// bound to a number. `None` for anything else, which [`run_loop`] handles.
+#[inline(always)]
+fn number(heap: &[HCell], instr: Instr, var_base: usize) -> Option<Num> {
+    match instr {
+        Instr::Int(i) => Some(Num::Int(i)),
+        Instr::Float(x) => Some(Num::Float(x)),
+        Instr::Var(v) => match heap[heap::deref(heap, var_base + v as usize)] {
+            HCell::Int(i) => Some(Num::Int(i)),
+            HCell::Float(x) => Some(Num::Float(x)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// [`run`] for code of any shape: postfix evaluation over a fixed operand
+/// array. Kept out of line so that `run`, inlined into the machine's
+/// arithmetic steps, is only the short path and this call.
+#[inline(never)]
+fn run_loop(heap: &[HCell], scratch: &mut Scratch, code: &[Instr], var_base: usize) -> ArithResult {
     // `compile` bounds the operand count, so the masks below never wrap:
     // they only let the compiler drop the bounds checks.
     const MASK: usize = MAX_OPERANDS - 1;

@@ -1316,16 +1316,31 @@ impl Machine {
         }
     }
 
-    /// Unifies the term at a heap index with a cell value, parking the cell
-    /// in the arena when it needs an address (it is garbage afterwards;
-    /// truncation reclaims it).
+    /// Unifies the term at a heap index with a cell value, counting one
+    /// unification for the root pair as [`Machine::unify`] does. An unbound
+    /// target is bound in place and a constant compared in place; only when
+    /// both sides are compounds is the value parked in the arena (garbage
+    /// afterwards; truncation reclaims it) so their arguments can be walked.
+    #[inline]
     pub(crate) fn unify_cell(&mut self, a: usize, value: HCell) -> Result<bool, TermLimit> {
-        match value {
-            HCell::Ref(j) => self.unify(a, j as usize, Charge::Counted),
-            other => {
+        if let HCell::Ref(j) = value {
+            return self.unify(a, j as usize, Charge::Counted);
+        }
+        let target = self.deref_idx(a);
+        match (self.heap[target], value) {
+            (HCell::Struct(..), HCell::Struct(..)) => {
                 let idx = self.heap.len();
-                self.heap.push(other);
-                self.unify(a, idx, Charge::Counted)
+                self.heap.push(value);
+                self.unify(target, idx, Charge::Counted)
+            }
+            (HCell::Ref(_), value) => {
+                self.count_unification();
+                self.bind_cell(target, value);
+                Ok(true)
+            }
+            (cell, value) => {
+                self.count_unification();
+                Ok(cell == value)
             }
         }
     }

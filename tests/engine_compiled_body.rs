@@ -54,6 +54,11 @@ fn observe(machine: &mut Machine, query: &str) -> Observed {
 /// The heap clause executes one `=/2` per expression before the arithmetic
 /// goal is reached, whatever happens then: that many more builtins and
 /// unifications, and nothing else, may separate the two.
+///
+/// Each pair runs with `V` unbound, then with `V` bound before the call: to
+/// the compiled side's own answer, to that number in the other numeric type
+/// (`1` against `1.0`), and to a compound — so `is/2` both binds its result
+/// and compares it.
 fn check_both_ways(e1: &str, e2: &str, cmp: &str, a: &str, b: &str) {
     let src = format!(
         "nop.\n\
@@ -74,18 +79,48 @@ fn check_both_ways(e1: &str, e2: &str, cmp: &str, a: &str, b: &str) {
         ("cc", "hc", 2),
         ("cp", "hp", 2),
     ] {
-        let c = observe(&mut machine, &format!("{compiled}({a}, {b}, V)"));
-        let h = observe(&mut machine, &format!("{heap}({a}, {b}, V)"));
-        let expected = Observed {
-            unifications: c.unifications + bound_first,
-            builtins: c.builtins + bound_first,
-            ..c
+        let mut check = |v: &str| {
+            let c = observe(&mut machine, &format!("{compiled}({a}, {b}, {v})"));
+            let h = observe(&mut machine, &format!("{heap}({a}, {b}, {v})"));
+            let result = c.result.clone().ok();
+            let expected = Observed {
+                unifications: c.unifications + bound_first,
+                builtins: c.builtins + bound_first,
+                ..c
+            };
+            assert_eq!(
+                h, expected,
+                "{compiled} against {heap} on `{e1}` {cmp} `{e2}` with A = {a}, B = {b}, V = {v}"
+            );
+            result
         };
-        assert_eq!(
-            h, expected,
-            "{compiled} against {heap} on `{e1}` {cmp} `{e2}` with A = {a}, B = {b}"
-        );
+        check("f(1)");
+        if let Some((_, Some(answer))) = check("V") {
+            check(&answer);
+            if let Some(other) = other_numeric_type(&answer) {
+                let result = check(&other);
+                // Both sides unify through the same `unify_cell`, so the
+                // differential alone cannot see it confuse `1` with `1.0`.
+                if bound_first == 1 {
+                    assert_eq!(
+                        result,
+                        Some((false, None)),
+                        "{compiled}: {e1} is not {other}"
+                    );
+                }
+            }
+        }
     }
+}
+
+/// The printed number `answer` in the other numeric type, if it has one:
+/// `1` for `1.0` and `1.0` for `1`.
+fn other_numeric_type(answer: &str) -> Option<String> {
+    if let Ok(i) = answer.parse::<i64>() {
+        return Some(format!("{i}.0"));
+    }
+    let x = answer.parse::<f64>().ok()?;
+    (x.fract() == 0.0 && x.abs() < 1e15).then(|| format!("{}", x as i64))
 }
 
 const LEAVES: &[&str] = &[
@@ -141,11 +176,20 @@ fn expression() -> impl Strategy<Value = String> {
     })
 }
 
+/// Values for `A` and `B` that are not numbers, so compiled code meets them
+/// as terms and hands them to the heap evaluator: compound expressions, an
+/// arithmetic constant, an unknown atom and a compound that is no
+/// expression.
+const NOT_NUMBERS: &[&str] = &["1 + 2", "-(3.5)", "pi", "foo", "f(1)"];
+
+/// A value for `A` or `B`: a number, which compiled code reads straight
+/// from the activation, or one of [`NOT_NUMBERS`].
 fn operand() -> impl Strategy<Value = String> {
     prop_oneof![
         (-70i64..70).prop_map(|i| i.to_string()),
         (-40i64..40).prop_map(|q| format!("{:?}", q as f64 / 4.0)),
         Just("9223372036854775807".to_owned()),
+        (0..NOT_NUMBERS.len()).prop_map(|k| NOT_NUMBERS[k].to_owned()),
     ]
 }
 
@@ -241,16 +285,18 @@ fn cells_per_call(src: &str, query: &str, pred: PredId) -> (u64, u64) {
 /// The clock-free guard on the mechanism: what a resolution writes into the
 /// arena. A predicate is charged its clauses' variable blocks, the head
 /// structure it builds and what its body steps materialize. With the body
-/// compiled that is the argument block of each call and the one cell `is/2`
-/// parks its value in — the goal terms of `is/2` and the comparisons are
-/// never built. (Materializing them cost `steps/2` 20 or 22 cells a
-/// resolution instead of 8 — 2 302 over this query — and `fib/2` 17 instead
-/// of 13.)
+/// compiled that is the argument block of each call — the goal terms of
+/// `is/2` and the comparisons are never built, and `is/2` binds its value
+/// in place instead of parking it in a cell of its own. (Materializing the
+/// goals cost `steps/2` 20 or 22 cells a resolution instead of 6 — 2 302
+/// over this query — and `fib/2` 17 instead of 10; parking each `is/2`
+/// value cost them 8 and 13.) A builtin that binds a number or an atom to
+/// an unbound output — `is/2` on an expression bound at run time or too
+/// long to compile, `length/2`, `functor/3` — parks nothing either.
 #[test]
 fn a_resolution_writes_its_variables_and_its_calls_arguments_only() {
-    // 111 resolutions of the second clause — 4 variables, 2 cells of
-    // `steps(M, L1)`, 1 parked by each of the two `is` it runs — and the
-    // `steps(1, 0)` fact, which writes nothing.
+    // 111 resolutions of the second clause — 4 variables and 2 cells of
+    // `steps(M, L1)` — and the `steps(1, 0)` fact, which writes nothing.
     assert_eq!(
         cells_per_call(
             granlog_benchmarks::benchmark("ite_dispatch")
@@ -259,16 +305,42 @@ fn a_resolution_writes_its_variables_and_its_calls_arguments_only() {
             "collatz_lens([27], L)",
             PredId::parse("steps", 2),
         ),
-        (111 * (4 + 2 + 1 + 1), 112)
+        (111 * (4 + 2), 112)
     );
-    // 986 resolutions of the recursive clause — 6 variables, 2 + 2 cells of
-    // the calls, 1 parked by each of its three `is` — and 987 of the facts.
+    // 986 resolutions of the recursive clause — 6 variables and 2 + 2 cells
+    // of the calls — and 987 of the facts.
     assert_eq!(
         cells_per_call(
             granlog_benchmarks::benchmark("fib").unwrap().source,
             "fib(15, F)",
             PredId::parse("fib", 2),
         ),
-        (986 * (6 + 2 + 2 + 3), 1973)
+        (986 * (6 + 2 + 2), 1973)
+    );
+    const OUTPUTS: &str = "dec(N, M) :- E = N - 1, M is E.\n\
+        far(N, M) :- M is N + (1 + (1 + (1 + (1 + (1 + (1 + (1 + 1))))))).\n\
+        len(L, N) :- length(L, N).\n\
+        fun(T, F, A) :- functor(T, F, A).\n";
+    // 3 variables and the 2 + 2 cells of `E = N - 1`.
+    assert_eq!(
+        cells_per_call(OUTPUTS, "dec(5, M)", PredId::parse("dec", 2)),
+        (3 + 4, 1)
+    );
+    // 2 variables and the goal term of an `is/2` whose expression is past
+    // the compiled evaluator's operand array, so it runs as a builtin: 2
+    // cells of `is/2`, 2 of each of the eight `+`.
+    assert_eq!(
+        cells_per_call(OUTPUTS, "far(5, M)", PredId::parse("far", 2)),
+        (2 + 2 + 8 * 2, 1)
+    );
+    // 2 variables and the 2 cells of `length(L, N)`.
+    assert_eq!(
+        cells_per_call(OUTPUTS, "len([a, b, c], N)", PredId::parse("len", 2)),
+        (2 + 2, 1)
+    );
+    // 3 variables and the 3 cells of `functor(T, F, A)`, which binds two.
+    assert_eq!(
+        cells_per_call(OUTPUTS, "fun(g(x, y), F, A)", PredId::parse("fun", 3)),
+        (3 + 3, 1)
     );
 }
