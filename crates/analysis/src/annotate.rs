@@ -28,8 +28,7 @@ use granlog_ir::{AsTerm, Clause, Guard, GuardTable, PredId, Program, Symbol, Ter
 /// Options for the granularity-control transformation.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct AnnotateOptions {
-    /// The task creation/management overhead `W`, in the same units as the
-    /// analysis cost metric.
+    /// The task creation/management overhead `W`, in resolutions.
     pub overhead: f64,
 }
 

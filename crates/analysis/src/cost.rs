@@ -1,14 +1,13 @@
 //! Cost estimation (Section 4).
 //!
-//! The cost of a clause is bounded by the cost of head unification plus the
+//! The cost of a clause is bounded by the one resolution of its head plus the
 //! cost of its body literals (every literal is assumed to succeed, giving an
 //! upper bound); the cost of a predicate is the sum of its clause costs, or —
 //! when clauses can be shown mutually exclusive by first-argument indexing or
 //! arithmetic guards — the maximum over the exclusive groups.
 //!
-//! Costs are measured in an abstract unit chosen by [`CostMetric`]: the number
-//! of resolutions, the number of (head-argument) unifications, or a
-//! per-operation step count.
+//! Costs are counted in resolutions, the unit the engine's `resolutions`
+//! counter counts: a clause head costs 1, and a builtin or control atom 0.
 
 use crate::diffeq::CombineMode;
 use crate::expr::{Expr, FnRef};
@@ -18,60 +17,14 @@ use granlog_ir::symbol::well_known;
 use granlog_ir::term::{AsTerm, Cell, TermRef};
 use granlog_ir::{Clause, IndexKey, ModeDecl, PredId, Program, Symbol};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
-/// The unit in which work is counted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
-pub enum CostMetric {
-    /// Number of resolutions (clause activations). Builtins cost 0.
-    #[default]
-    Resolutions,
-    /// Number of head-argument unifications.
-    Unifications,
-    /// Abstract instruction count: head unification costs `1 + arity`, each
-    /// builtin costs 1.
-    Steps,
-}
-
-impl fmt::Display for CostMetric {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CostMetric::Resolutions => write!(f, "resolutions"),
-            CostMetric::Unifications => write!(f, "unifications"),
-            CostMetric::Steps => write!(f, "steps"),
-        }
-    }
-}
-
-impl CostMetric {
-    /// The cost of resolving a clause head (the paper's `Cost_H`).
-    pub fn head_cost(self, clause: &Clause) -> f64 {
-        let arity = clause.head.args().len() as f64;
-        match self {
-            CostMetric::Resolutions => 1.0,
-            CostMetric::Unifications => arity.max(1.0),
-            CostMetric::Steps => 1.0 + arity,
-        }
-    }
-
-    /// The cost of a goal of constant cost — a row of
-    /// [`granlog_ir::builtins`] or a control atom (`true`, `fail`, `false`,
-    /// `!`) — and `None` for every other goal.
-    pub fn builtin_cost(self, pred: PredId) -> Option<f64> {
-        let wk = well_known::get();
-        let control =
-            pred.arity == 0 && [wk.true_, wk.fail, wk.false_, wk.cut].contains(&pred.name);
-        let builtin = builtins::lookup(pred.name, pred.arity);
-        if builtin.is_none() && !control {
-            return None;
-        }
-        Some(match self {
-            CostMetric::Resolutions | CostMetric::Unifications => 0.0,
-            // Arithmetic costs a little more than a test.
-            CostMetric::Steps if builtin.is_some_and(|row| row.id == Builtin::Is) => 2.0,
-            CostMetric::Steps => 1.0,
-        })
-    }
+/// Whether `pred` is a row of [`granlog_ir::builtins`] or a control atom
+/// (`true`, `fail`, `false`, `!`): a goal the engine runs without a
+/// resolution, so the analysis charges it 0.
+fn is_builtin_or_control(pred: PredId) -> bool {
+    let wk = well_known::get();
+    let control = pred.arity == 0 && [wk.true_, wk.fail, wk.false_, wk.cut].contains(&pred.name);
+    control || builtins::lookup(pred.name, pred.arity).is_some()
 }
 
 /// Closed-form cost information for an already-analysed predicate.
@@ -105,12 +58,10 @@ pub struct CostContext<'a> {
     pub cost_db: &'a CostDb,
     /// Members of the SCC currently being analysed.
     pub scc: &'a BTreeSet<PredId>,
-    /// The cost metric.
-    pub metric: CostMetric,
 }
 
 /// Computes the cost expression of a clause (the paper's equation (3)):
-/// head-unification cost plus the cost of every body literal, with the
+/// one resolution for the head plus the cost of every body literal, with the
 /// literals' argument sizes taken from the clause's size analysis.
 ///
 /// Calls to predicates in the current SCC stay symbolic
@@ -118,7 +69,7 @@ pub struct CostContext<'a> {
 /// Calls to predicates with no known cost yield `Undefined` (which the solver
 /// turns into ∞ — "always parallelise").
 pub fn clause_cost(clause: &Clause, sizes: &ClauseSizeAnalysis, ctx: &CostContext<'_>) -> Expr {
-    let mut total = Expr::Num(ctx.metric.head_cost(clause));
+    let mut total = Expr::Num(1.0);
     for (j, literal) in clause.body_literals().into_iter().enumerate() {
         total = Expr::add(total, literal_cost(literal, j, sizes, ctx));
     }
@@ -135,8 +86,8 @@ fn literal_cost(
         // A variable goal (call/N style): unknown cost.
         return Expr::Undefined;
     };
-    if let Some(cost) = ctx.metric.builtin_cost(pred) {
-        return Expr::Num(cost);
+    if is_builtin_or_control(pred) {
+        return Expr::Num(0.0);
     }
     let decl = granlog_ir::modes::mode_or_default(ctx.modes, pred);
     let inputs = decl.input_positions();
@@ -308,7 +259,6 @@ mod tests {
             modes: &s.modes,
             cost_db: &cost_db,
             scc: &scc,
-            metric: CostMetric::Resolutions,
         };
         // Base clause: cost 1 (head unification only).
         let (c0, a0) = clause_sizes(&s, &size_db, &scc, append, 0);
@@ -361,7 +311,6 @@ mod tests {
             modes: &s.modes,
             cost_db: &cost_db,
             scc: &scc,
-            metric: CostMetric::Resolutions,
         };
         // The size pass sees the solved Ψ functions (empty "still-symbolic" SCC).
         let (c1, a1) = clause_sizes(&s, &size_db, &BTreeSet::new(), nrev, 1);
@@ -382,15 +331,8 @@ mod tests {
             modes: &s.modes,
             cost_db: &cost_db,
             scc: &scc,
-            metric: CostMetric::Resolutions,
         };
         assert_eq!(clause_cost(&c, &a, &ctx), Expr::Num(1.0));
-        // Under the Steps metric the builtins do cost something.
-        let ctx = CostContext {
-            metric: CostMetric::Steps,
-            ..ctx
-        };
-        assert_eq!(clause_cost(&c, &a, &ctx).as_const(), Some(3.0 + 1.0 + 2.0));
     }
 
     #[test]
@@ -404,18 +346,8 @@ mod tests {
             modes: &s.modes,
             cost_db: &cost_db,
             scc: &scc,
-            metric: CostMetric::Resolutions,
         };
         assert!(clause_cost(&c, &a, &ctx).is_undefined());
-    }
-
-    #[test]
-    fn metric_head_costs() {
-        let s = setup("p(a, b, c).");
-        let clause = s.program.clauses()[0].clone();
-        assert_eq!(CostMetric::Resolutions.head_cost(&clause), 1.0);
-        assert_eq!(CostMetric::Unifications.head_cost(&clause), 3.0);
-        assert_eq!(CostMetric::Steps.head_cost(&clause), 4.0);
     }
 
     #[test]
@@ -501,10 +433,10 @@ mod tests {
 
     #[test]
     fn grain_test_builtin_is_recognised() {
-        let cost = |name, arity| CostMetric::Steps.builtin_cost(PredId::parse(name, arity));
-        assert_eq!(cost("$grain_ge", 3), Some(1.0));
-        assert_eq!(cost("is", 2), Some(2.0));
-        assert_eq!(cost("!", 0), Some(1.0));
-        assert_eq!(cost("append", 3), None);
+        let free = |name, arity| is_builtin_or_control(PredId::parse(name, arity));
+        assert!(free("$grain_ge", 3));
+        assert!(free("is", 2));
+        assert!(free("!", 0));
+        assert!(!free("append", 3));
     }
 }

@@ -20,8 +20,8 @@
 //! 2. **Argument size relations** ([`measure`], [`sizerel`]) relate the sizes
 //!    of body-literal arguments and head outputs to the head's input sizes
 //!    (Section 3), yielding difference equations for recursive predicates.
-//! 3. **Cost relations** ([`cost`]) bound each clause's work by head
-//!    unification plus the (upper-bound) cost of its body literals
+//! 3. **Cost relations** ([`cost`]) bound each clause's work, in resolutions,
+//!    by one for its head plus the (upper-bound) cost of its body literals
 //!    (Section 4).
 //! 4. A **table-driven difference equation solver** ([`diffeq`], [`solver`])
 //!    maps the equations onto schemas with known closed-form upper bounds
@@ -76,7 +76,6 @@ pub use annotate::{
     apply_granularity_control, prepare_program, sequentialize, AnnotateOptions, AnnotatedProgram,
     ControlMode,
 };
-pub use cost::CostMetric;
 pub use expr::{Expr, FnRef};
 pub use measure::Measure;
 pub use pipeline::{analyze_program, AnalysisOptions, PredAnalysis, ProgramAnalysis};

@@ -12,7 +12,7 @@
 //!    cost upper bound, and enough metadata (parameters, measures, input
 //!    positions) for threshold computation and program annotation.
 
-use crate::cost::{clause_cost, combine_mode, CostContext, CostDb, CostMetric, PredCost};
+use crate::cost::{clause_cost, combine_mode, CostContext, CostDb, PredCost};
 use crate::ddg::Ddg;
 use crate::diffeq::{CombineMode, DiffEq, DiffEqSystem};
 use crate::expr::{Expr, FnRef};
@@ -31,23 +31,12 @@ use std::collections::{BTreeMap, BTreeSet};
 /// derived expression.
 type ClauseContribs = Vec<(Vec<Option<i64>>, Expr)>;
 
-/// Options controlling the analysis.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct AnalysisOptions {
-    /// Cost metric (resolutions by default, as in the paper's examples).
-    pub metric: CostMetric,
-    /// Cap for threshold searches.
-    pub threshold_cap: u64,
-}
-
-impl Default for AnalysisOptions {
-    fn default() -> Self {
-        AnalysisOptions {
-            metric: CostMetric::Resolutions,
-            threshold_cap: DEFAULT_SEARCH_CAP,
-        }
-    }
-}
+/// Options of the analysis, of which there are none: it counts resolutions
+/// and searches thresholds up to [`DEFAULT_SEARCH_CAP`]. The struct stays
+/// because the `benchmark/` workloads `compile_pipeline` and `par_control`
+/// call `analyze_program(&p, &AnalysisOptions::default())`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct AnalysisOptions {}
 
 /// Per-predicate analysis results.
 #[derive(Debug, Clone)]
@@ -107,10 +96,6 @@ pub struct ProgramAnalysis {
     pub modes: BTreeMap<PredId, ModeDecl>,
     /// The measure assignment used.
     pub measures: BTreeMap<PredId, MeasureVec>,
-    /// The cost metric used.
-    pub metric: CostMetric,
-    /// The threshold search cap used.
-    pub threshold_cap: u64,
 }
 
 impl ProgramAnalysis {
@@ -130,7 +115,7 @@ impl ProgramAnalysis {
     }
 
     /// The grain-size threshold of a predicate for a given task-management
-    /// overhead `W` (in the same cost units as the analysis metric).
+    /// overhead `W`, in resolutions.
     pub fn threshold_for(&self, pred: PredId, overhead: f64) -> Threshold {
         let Some(info) = self.preds.get(&pred) else {
             return Threshold::AlwaysParallel;
@@ -143,7 +128,7 @@ impl ProgramAnalysis {
         }
         // The search probes the diagonal of all the cost's variables, so
         // it does not matter which parameter is named as the driving one.
-        threshold(&info.cost, info.params[0], overhead, self.threshold_cap)
+        threshold(&info.cost, info.params[0], overhead, DEFAULT_SEARCH_CAP)
     }
 }
 
@@ -166,7 +151,7 @@ struct ClauseWork<'a> {
 }
 
 /// Runs the complete granularity analysis over a program.
-pub fn analyze_program(program: &Program, options: &AnalysisOptions) -> ProgramAnalysis {
+pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> ProgramAnalysis {
     let modes = granlog_ir::modes::infer_modes(program);
     let measures = assign_measures(program);
     let callgraph = CallGraph::build(program);
@@ -284,7 +269,6 @@ pub fn analyze_program(program: &Program, options: &AnalysisOptions) -> ProgramA
             modes: &modes,
             cost_db: &cost_db,
             scc: &scc_set,
-            metric: options.metric,
         };
         let calls_scc = |l: &TermRef<'_>| PredId::of_term(*l).is_some_and(|p| scc_set.contains(&p));
         let mut cost_equations: Vec<DiffEq> = Vec::new();
@@ -348,8 +332,6 @@ pub fn analyze_program(program: &Program, options: &AnalysisOptions) -> ProgramA
         preds,
         modes,
         measures,
-        metric: options.metric,
-        threshold_cap: options.threshold_cap,
     }
 }
 

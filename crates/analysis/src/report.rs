@@ -13,11 +13,7 @@ use std::fmt::Write as _;
 /// When `overhead` is provided, a threshold column is included.
 pub fn render_report(analysis: &ProgramAnalysis, overhead: Option<f64>) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "granularity analysis report ({} metric)",
-        analysis.metric
-    );
+    let _ = writeln!(out, "granularity analysis report (resolutions metric)");
     let _ = writeln!(out, "{}", "=".repeat(72));
     for (pred, info) in &analysis.preds {
         let _ = writeln!(out, "predicate {pred}  [{}]", info.recursion);

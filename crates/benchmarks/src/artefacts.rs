@@ -19,8 +19,6 @@
 use crate::harness::{grain_size_sweep, table_row, SweepPoint, TableRow};
 use crate::suite::{all_benchmarks, benchmark, nrev_benchmark, table2_benchmarks, Benchmark};
 use granlog_analysis::ddg::Ddg;
-use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
-use granlog_analysis::CostMetric;
 use granlog_ir::PredId;
 use granlog_sim::{OverheadModel, SimConfig};
 use std::fmt::Write as _;
@@ -46,14 +44,13 @@ impl Renderer {
 }
 
 /// Every artefact, by the name of the file [`emit`] writes it to. The first
-/// [`PAPER_ARTEFACTS`] are the paper's own; the rest are ablations.
-pub const ARTEFACTS: [(&str, Renderer); 6] = [
+/// [`PAPER_ARTEFACTS`] are the paper's own; the last is an ablation.
+pub const ARTEFACTS: [(&str, Renderer); 5] = [
     ("fig1_ddg", Renderer::Fixed(fig1_ddg)),
     ("table1_rolog", Renderer::Sized(table1_rolog)),
     ("table2_andprolog", Renderer::Sized(table2_andprolog)),
     ("fig2_grainsize", Renderer::Sized(fig2_grainsize)),
     ("ablation_overhead", Renderer::Sized(ablation_overhead)),
-    ("ablation_metric", Renderer::Fixed(ablation_metric)),
 ];
 
 /// How many of [`ARTEFACTS`], from the first, reproduce the paper's
@@ -202,42 +199,6 @@ fn ablation_overhead(small: bool) -> String {
             text,
             "  overhead x{scale:<4}: T0 = {:>9.0}  T1 = {:>9.0}  speedup = {:>6.1}%",
             row.t_without, row.t_with, row.speedup_percent
-        );
-    }
-    text
-}
-
-/// **Ablation**: the cost bound of `partition/4` and the threshold of
-/// `qsort/2` in `quick_sort` under each cost metric the analysis offers.
-fn ablation_metric() -> String {
-    let mut text = String::from("Ablation — cost bounds for quick_sort under different metrics\n");
-    let program = benchmark("quick_sort")
-        .expect("exists")
-        .program()
-        .expect("parses");
-    let qsort = PredId::parse("qsort", 2);
-    let partition = PredId::parse("partition", 4);
-    for metric in [
-        CostMetric::Resolutions,
-        CostMetric::Unifications,
-        CostMetric::Steps,
-    ] {
-        let analysis = analyze_program(
-            &program,
-            &AnalysisOptions {
-                metric,
-                ..AnalysisOptions::default()
-            },
-        );
-        let _ = writeln!(
-            text,
-            "  {metric:<13} cost(partition/4) = {}",
-            analysis.cost_of(partition).expect("analysed")
-        );
-        let _ = writeln!(
-            text,
-            "  {metric:<13} threshold(qsort/2, W = 60) = {}",
-            analysis.threshold_for(qsort, 60.0)
         );
     }
     text

@@ -1,4 +1,4 @@
-//! Prints the paper's artefacts and the ablations, each to stdout and to
+//! Prints the paper's artefacts and the ablation, each to stdout and to
 //! `target/experiments/<name>.txt`.
 //!
 //! ```text
@@ -6,9 +6,9 @@
 //! ```
 //!
 //! With no `NAME` it prints the paper's four artefacts (`fig1_ddg`,
-//! `table1_rolog`, `table2_andprolog`, `fig2_grainsize`); the ablations are
-//! `ablation_overhead` and `ablation_metric`. `--small` runs the reduced
-//! input sizes the tests pin. An unknown name exits 2 before anything runs.
+//! `table1_rolog`, `table2_andprolog`, `fig2_grainsize`); the ablation is
+//! `ablation_overhead`. `--small` runs the reduced input sizes the tests
+//! pin. An unknown name exits 2 before anything runs.
 
 #![forbid(unsafe_code)]
 

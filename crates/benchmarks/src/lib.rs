@@ -14,7 +14,7 @@
 //! * [`harness`] — run a benchmark through analysis → granularity control →
 //!   engine → simulator, with or without control, producing the rows of
 //!   Tables 1 and 2 and the points of Figure 2;
-//! * [`artefacts`] — those rows and points, and Figure 1 and two ablations,
+//! * [`artefacts`] — those rows and points, and Figure 1 and one ablation,
 //!   rendered as the text the `experiments` binary prints.
 //!
 //! # Example

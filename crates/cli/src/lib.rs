@@ -12,7 +12,6 @@ use granlog_analysis::annotate::{
 use granlog_analysis::ddg::Ddg;
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_analysis::report::render_report;
-use granlog_analysis::CostMetric;
 use granlog_engine::{Machine, MachineConfig, RecordedOutcome};
 use granlog_ir::{parser::parse_program, PredId, Program, Symbol, Term};
 use granlog_par::{Granularity, ParConfig, ParExecutor};
@@ -28,7 +27,7 @@ use std::time::Duration;
 /// The usage string printed on argument errors.
 pub const USAGE: &str = "\
 usage:
-  granlog analyze  <file.pl> [--overhead W] [--metric resolutions|unifications|steps]
+  granlog analyze  <file.pl> [--overhead W]
   granlog annotate <file.pl> [--overhead W]
   granlog run      <file.pl> <query> [--granularity on|always-spawn|off]
                    [--overhead W] [--processors P [--profile] | --threads N]
@@ -154,7 +153,6 @@ impl From<granlog_datalog::DatalogError> for CliError {
 #[derive(Debug, Clone)]
 struct Options {
     overhead: f64,
-    metric: CostMetric,
     processors: usize,
     /// `Some(n)`: execute on a real pool of `n` threads instead of
     /// simulating.
@@ -206,7 +204,6 @@ enum Engine {
 fn parse_options(args: &[String]) -> Result<Options, CliError> {
     let mut options = Options {
         overhead: OverheadModel::rolog_like().per_task_overhead(),
-        metric: CostMetric::Resolutions,
         processors: 4,
         threads: None,
         granularity: Granularity::On,
@@ -244,14 +241,6 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             "--processors" => {
                 options.processors =
                     at_least_one(flag, value(flag, "processor count", &mut iter)?)?;
-            }
-            "--metric" => {
-                options.metric = match value::<String>(flag, "", &mut iter)?.as_str() {
-                    "resolutions" => CostMetric::Resolutions,
-                    "unifications" => CostMetric::Unifications,
-                    "steps" => CostMetric::Steps,
-                    other => return Err(usage(&format!("unknown metric {other:?}"))),
-                };
             }
             "--threads" => {
                 let threads = value(flag, "thread count", &mut iter)?;
@@ -368,18 +357,12 @@ pub fn run_cli(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_analyze(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
-    options.reads("analyze", "--overhead --metric")?;
+    options.reads("analyze", "--overhead")?;
     let [path] = options.positional.as_slice() else {
         return Err(usage("analyze expects exactly one file"));
     };
     let program = load_program(path)?;
-    let analysis = analyze_program(
-        &program,
-        &AnalysisOptions {
-            metric: options.metric,
-            ..AnalysisOptions::default()
-        },
-    );
+    let analysis = analyze_program(&program, &AnalysisOptions::default());
     write!(out, "{}", render_report(&analysis, Some(options.overhead)))?;
     Ok(())
 }
@@ -837,15 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_respects_metric_flag() {
-        let path = write_temp("nrev_metric.pl", NREV);
-        let resolutions = run(&["analyze", path.to_str().unwrap()]).unwrap();
-        let steps = run(&["analyze", path.to_str().unwrap(), "--metric", "steps"]).unwrap();
-        assert_ne!(resolutions, steps);
-        assert!(run(&["analyze", path.to_str().unwrap(), "--metric", "bogus"]).is_err());
-    }
-
-    #[test]
     fn annotate_inserts_grain_tests() {
         let path = write_temp("qsort_annotate.pl", QSORT);
         let out = run(&["annotate", path.to_str().unwrap(), "--overhead", "40"]).unwrap();
@@ -1049,7 +1023,8 @@ mod tests {
 
     /// Every flag a command, or the `run` path picked, does not read is a
     /// usage error naming that flag and the command; none is dropped. The
-    /// spawn policy has one spelling: the old ones are unknown options.
+    /// spawn policy has one spelling: the old ones are unknown options, as
+    /// is `--metric`, since the analysis has one cost unit.
     #[test]
     fn a_flag_the_command_does_not_read_is_a_usage_error() {
         let pl = write_temp("flags.pl", &format!("{NREV}\n{ATTACK}\ncount(0).\n"));
@@ -1075,9 +1050,10 @@ mod tests {
                 ),
                 ("help --trace t.jsonl", "help does not take --trace"),
                 (
-                    "run F reach(X) --metric steps",
-                    "run does not take --metric",
+                    "run F reach(X) --wal-limit 9",
+                    "run does not take --wal-limit",
                 ),
+                ("analyze F --metric steps", "unknown option --metric"),
                 (
                     "run --engine bottom-up F reach(X) --granularity off --overhead 7",
                     "run --engine bottom-up does not take --granularity",

@@ -1,7 +1,7 @@
 //! `granlog` — command-line front end for the granularity analysis toolchain.
 //!
 //! ```text
-//! granlog analyze  <file.pl> [--overhead W] [--metric resolutions|unifications|steps]
+//! granlog analyze  <file.pl> [--overhead W]
 //! granlog annotate <file.pl> [--overhead W]
 //! granlog run      <file.pl> <query> [--granularity on|always-spawn|off] [--overhead W]
 //!                  [--processors P [--profile] | --threads N] [--trace FILE]

@@ -1,10 +1,10 @@
 //! Work accounting.
 //!
-//! The engine counts the operations it performs in the same abstract units the
-//! static analysis reasons about (resolutions, unifications, builtin calls,
-//! grain-size tests). [`Counters::work`] converts those counters into a single
-//! scalar number of *work units*, which is what the task tree records and the
-//! multiprocessor simulator schedules.
+//! The engine counts the operations it performs: resolutions, unifications,
+//! builtin calls and grain-size tests. The static analysis bounds only
+//! `resolutions`, the paper's unit. [`Counters::work`] converts the counters
+//! into a single scalar number of *work units*, which is what the task tree
+//! records and the multiprocessor simulator schedules.
 
 use serde::{Deserialize, Serialize};
 
@@ -52,8 +52,8 @@ impl Counters {
         }
     }
 
-    /// The counters as scalar work units under the paper's "resolutions"
-    /// metric: each resolution is one unit, unification and builtins are
+    /// The counters as scalar work units in the paper's unit, resolutions:
+    /// each resolution is one unit, unification and builtins are
     /// free, and a grain-size test charges one unit plus one per traversed
     /// element (the runtime overhead of granularity control, studied in
     /// Section 7).

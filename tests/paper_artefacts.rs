@@ -1,5 +1,5 @@
 //! The paper-artefact oracle: every artefact the `experiments` binary can
-//! print — Figure 1, Tables 1 and 2, Figure 2 and the two ablations — at
+//! print — Figure 1, Tables 1 and 2, Figure 2 and the ablation — at
 //! its reduced (`--small`) size, exactly as `granlog_benchmarks::artefacts`
 //! renders it, compared byte for byte with `tests/golden/paper_artefacts.txt`.
 //!
