@@ -41,6 +41,9 @@
 //!   the machine unwound and reusable — what bounds a tenant's query in the
 //!   `granlog serve` multi-tenant query service.
 //!
+//! [`machine`] is one module per concern: the solve loop, control, budget,
+//! clause heads, `&` offers, the pair walker and the observers' hooks.
+//!
 //! # Example
 //!
 //! ```

@@ -1,0 +1,194 @@
+//! The analysis' cost bound against the engine, in the one unit both
+//! count: for each goal, the resolutions the engine counts running it to
+//! its first answer (or to failure) beside `PredAnalysis::cost_at` of the
+//! goal's predicate at the goal's input sizes. The paper lets this bound
+//! govern spawning, so it must be an upper bound.
+//!
+//! ROADMAP item 1 ("The bound is a bound") is the work that turns every
+//! `Under` row below into `Bounded`: its defects 1 and 2 (`mem/2`'s
+//! non-recursive clause read as a boundary condition, no literal charged
+//! per solution of the ones before it) are the first three rows, its
+//! defects 3 and 3b (exclusive clauses solved one at a time, a clause
+//! rejected by its guard charged nothing) the next two. A row that moves
+//! either way fails here.
+
+use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
+use granlog_benchmarks::suite;
+use granlog_engine::Machine;
+use granlog_ir::parser::parse_program;
+use granlog_ir::PredId;
+
+/// How the analysed cost of a goal stands to the resolutions the engine
+/// counts running it.
+#[derive(Debug, PartialEq)]
+enum Soundness {
+    /// The engine counts no more than the bound.
+    Bounded { analysis: u64, engine: u64 },
+    /// The engine counts more than the bound: it is unsound.
+    Under { analysis: u64, engine: u64 },
+}
+
+use Soundness::{Bounded, Under};
+
+/// A member predicate whose first clause matches at every length, and two
+/// callers that backtrack into it.
+const MEM: &str = "
+    :- mode mem(-, +).
+    mem(X, [X|_]).
+    mem(X, [_|T]) :- mem(X, T).
+    :- mode big(+, -).
+    big(L, X) :- mem(X, L), X > 100.
+    :- mode pairs(+, -).
+    pairs(L, s(X, Y)) :- mem(X, L), mem(Y, L), X + Y > 1000.
+";
+
+/// One goal: its program, the predicate whose bound applies, that
+/// predicate's input sizes in the goal, and how the two counts stand.
+struct Row {
+    source: &'static str,
+    goal: String,
+    pred: PredId,
+    sizes: Vec<f64>,
+    expected: Soundness,
+}
+
+fn row(
+    source: &'static str,
+    goal: String,
+    pred: (&str, usize),
+    sizes: &[f64],
+    expected: Soundness,
+) -> Row {
+    let pred = PredId::parse(pred.0, pred.1);
+    let sizes = sizes.to_vec();
+    Row {
+        source,
+        goal,
+        pred,
+        sizes,
+        expected,
+    }
+}
+
+/// A suite benchmark's source and its query at `size`.
+fn benchmark(name: &str, size: usize) -> (&'static str, String) {
+    let benchmark = suite::benchmark(name).expect("a suite benchmark");
+    (benchmark.source, benchmark.query(size))
+}
+
+/// The Prolog list of the numbers `from, from + step, ...` up to `to`.
+fn list(from: i64, to: i64, step: usize) -> String {
+    let items: Vec<String> = (from..=to).step_by(step).map(|i| i.to_string()).collect();
+    format!("[{}]", items.join(","))
+}
+
+fn rows() -> Vec<Row> {
+    let ten = list(1, 10, 1);
+    let (merge_sort, msort_128) = benchmark("merge_sort", 128);
+    let merge = format!("merge({}, {}, R)", list(1, 19, 2), list(2, 20, 2));
+    let (nrev, nrev_30) = benchmark("nrev", 30);
+    let (fib, fib_15) = benchmark("fib", 15);
+    let (hanoi, hanoi_6) = benchmark("hanoi", 6);
+    vec![
+        row(
+            MEM,
+            format!("mem(X, {ten}), X > 100"),
+            ("mem", 2),
+            &[10.0],
+            Under {
+                analysis: 11,
+                engine: 20,
+            },
+        ),
+        row(
+            MEM,
+            format!("big({ten}, X)"),
+            ("big", 2),
+            &[10.0],
+            Under {
+                analysis: 12,
+                engine: 21,
+            },
+        ),
+        row(
+            MEM,
+            format!("pairs({ten}, P)"),
+            ("pairs", 2),
+            &[10.0],
+            Under {
+                analysis: 23,
+                engine: 221,
+            },
+        ),
+        row(
+            merge_sort,
+            merge,
+            ("merge", 3),
+            &[10.0, 10.0],
+            Under {
+                analysis: 11,
+                engine: 29,
+            },
+        ),
+        row(
+            merge_sort,
+            msort_128,
+            ("msort", 2),
+            &[128.0],
+            Under {
+                analysis: 1576,
+                engine: 2508,
+            },
+        ),
+        row(
+            nrev,
+            nrev_30,
+            ("nrev", 2),
+            &[30.0],
+            Bounded {
+                analysis: 496,
+                engine: 496,
+            },
+        ),
+        row(
+            fib,
+            fib_15,
+            ("fib", 2),
+            &[15.0],
+            Bounded {
+                analysis: 32767,
+                engine: 1973,
+            },
+        ),
+        row(
+            hanoi,
+            hanoi_6,
+            ("hanoi", 5),
+            &[6.0, 0.0, 0.0, 0.0],
+            Bounded {
+                analysis: 4288,
+                engine: 319,
+            },
+        ),
+    ]
+}
+
+#[test]
+fn the_analysed_cost_bounds_the_resolutions_the_engine_counts() {
+    for row in rows() {
+        let program = parse_program(row.source).expect("the program parses");
+        let analysis = analyze_program(&program, &AnalysisOptions::default());
+        let bound = analysis.preds[&row.pred]
+            .cost_at(&row.sizes)
+            .unwrap_or_else(|| panic!("{}: no bound at {:?}", row.goal, row.sizes));
+        let outcome = Machine::new(&program).run_query(&row.goal);
+        let engine = outcome.expect("the goal runs").counters.resolutions;
+        let analysis = bound as u64;
+        let found = if engine as f64 <= bound {
+            Bounded { analysis, engine }
+        } else {
+            Under { analysis, engine }
+        };
+        assert_eq!(found, row.expected, "{}", row.goal);
+    }
+}
