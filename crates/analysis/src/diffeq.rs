@@ -25,6 +25,19 @@ pub enum CombineMode {
     Additive,
 }
 
+impl CombineMode {
+    /// Combines clause contributions: max for an exclusive group, sum
+    /// otherwise.
+    pub(crate) fn apply(self, values: &[Expr]) -> Expr {
+        match (values, self) {
+            ([], _) => Expr::Num(0.0),
+            ([value], _) => value.clone(),
+            (_, CombineMode::Exclusive) => Expr::Max(values.to_vec()).simplify(),
+            (_, CombineMode::Additive) => Expr::Add(values.to_vec()).simplify(),
+        }
+    }
+}
+
 /// A base case: the clause applies when the induction parameters have the
 /// given constant sizes (a `None` entry means "any size"), and contributes the
 /// given value.
@@ -59,6 +72,8 @@ impl DiffEq {
     /// of its head input positions (where defined) with the clause's
     /// contribution expression. A clause is a base case if its contribution
     /// applies no function of `scc_funcs`, and a recursive case otherwise.
+    /// Under `Additive`, a base case whose head pins no input size applies
+    /// at every size, so it is also added to every recursive case.
     pub fn assemble(
         func: FnRef,
         params: Vec<Symbol>,
@@ -68,12 +83,21 @@ impl DiffEq {
     ) -> DiffEq {
         let mut base_cases = Vec::new();
         let mut recursive_cases = Vec::new();
+        let mut everywhere = Vec::new();
         for (when, value) in clauses {
             let is_recursive = value.calls().iter().any(|c| scc_funcs.contains(c));
             if is_recursive {
                 recursive_cases.push(value);
             } else {
+                if combine == CombineMode::Additive && when.iter().all(Option::is_none) {
+                    everywhere.push(value.clone());
+                }
                 base_cases.push(BaseCase { when, value });
+            }
+        }
+        if !everywhere.is_empty() {
+            for case in &mut recursive_cases {
+                *case = Expr::sum(std::iter::once(case.clone()).chain(everywhere.iter().cloned()));
             }
         }
         DiffEq {
@@ -94,13 +118,13 @@ impl DiffEq {
     /// The combined right-hand side of the recursive cases (max for exclusive
     /// clause groups, sum otherwise).
     pub fn combined_recursive_rhs(&self) -> Expr {
-        combine(&self.recursive_cases, self.combine)
+        self.combine.apply(&self.recursive_cases)
     }
 
     /// The combined value of the base cases.
     pub fn combined_base_value(&self) -> Expr {
         let values: Vec<Expr> = self.base_cases.iter().map(|b| b.value.clone()).collect();
-        combine(&values, self.combine)
+        self.combine.apply(&values)
     }
 
     /// The largest constant mentioned by any base case for parameter `idx`
@@ -118,17 +142,6 @@ impl DiffEq {
             .iter()
             .flat_map(|e| e.calls())
             .collect()
-    }
-}
-
-fn combine(values: &[Expr], mode: CombineMode) -> Expr {
-    match values.len() {
-        0 => Expr::Num(0.0),
-        1 => values[0].clone(),
-        _ => match mode {
-            CombineMode::Exclusive => Expr::Max(values.to_vec()).simplify(),
-            CombineMode::Additive => Expr::Add(values.to_vec()).simplify(),
-        },
     }
 }
 
@@ -219,6 +232,36 @@ mod tests {
         assert_eq!(eq.combined_base_value(), Expr::Num(1.0));
         let rhs = eq.combined_recursive_rhs();
         assert!(rhs.contains_call(eq.func));
+    }
+
+    #[test]
+    fn an_additive_clause_that_pins_nothing_is_charged_at_every_level() {
+        // mem(X, [X|_]) matches at every length, so under `Additive` its 1
+        // joins the recursive case; under `Exclusive` it stays a base case.
+        let f = FnRef::Cost(PredId::parse("mem", 2));
+        let rec = Expr::add(
+            Expr::call(f, vec![Expr::sub(Expr::var("n"), Expr::num(1.0))]),
+            Expr::num(1.0),
+        );
+        let assemble = |combine| {
+            let clauses = vec![(vec![None], Expr::num(1.0)), (vec![None], rec.clone())];
+            DiffEq::assemble(
+                f,
+                vec![Symbol::intern("n")],
+                clauses,
+                &[f].into_iter().collect(),
+                combine,
+            )
+        };
+        let additive = assemble(CombineMode::Additive);
+        assert_eq!(additive.base_cases.len(), 1);
+        assert_eq!(
+            additive.recursive_cases,
+            vec![Expr::sum([rec.clone(), Expr::num(1.0)])]
+        );
+        let exclusive = assemble(CombineMode::Exclusive);
+        assert_eq!(exclusive.base_cases.len(), 1);
+        assert_eq!(exclusive.recursive_cases, vec![rec]);
     }
 
     #[test]

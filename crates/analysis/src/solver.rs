@@ -16,13 +16,15 @@
 //! | `f(n) = a·f(n−k) + g(n)`, `a ≥ 2` | `(f0 + a/(a−1)·g(n))·a^((n−n0)/k)` |
 //! | `f(n) = a·f(n/b) + g(n)` (divide and conquer) | master-theorem style bound |
 //! | several recursive calls `f(n−k1) + f(n−k2) + …` | majorised to `a·f(n−min kᵢ)` (monotonicity) |
+//! | exclusive clauses `f(n) = max(rhs₁, rhs₂, …)` | one recurrence: the largest call count, the `max` of the remainders, the slowest step of any call |
+//! | parameter sum `s`: no one parameter shrinks in every call, `s` does | solved in `s`; one call per level, remainder `c`, step `k`, each base `b` of slope ≤ `c/k` in its unpinned parameters: `(c/k)·s + max_b(b(unpinned = 0) − (c/k)·Σ pinned_b)`; otherwise the schemas above from `f0` at `s0 = max_b Σ pinned_b` |
 //! | systems (mutual recursion) | eliminated by unfolding into a single equation |
 //!
 //! The equation's base cases supply the boundary value `f0` and boundary point
 //! `n0`; when they are symbolic (e.g. `Ψ_append(0, y) = y`) they are carried
 //! symbolically into the solution.
 
-use crate::diffeq::{CombineMode, DiffEq, DiffEqSystem};
+use crate::diffeq::{BaseCase, CombineMode, DiffEq, DiffEqSystem};
 use crate::expr::{as_polynomial, Expr, FnRef};
 use granlog_ir::Symbol;
 use std::collections::BTreeMap;
@@ -95,16 +97,18 @@ enum Step {
     Divide(f64),
 }
 
-/// Analysis of the combined recursive right-hand side.
+/// The recursive cases as one recurrence `f(n) = a·f(n − k) + g(n)`.
 #[derive(Debug, Clone)]
 struct RecursionShape {
     /// What the recursion decreases.
     induction: Induction,
-    /// Total (majorised) multiplicity of recursive calls.
+    /// Calls per level `a`: summed over additive cases, the largest of
+    /// exclusive ones.
     multiplicity: f64,
-    /// The slowest shrinking step among the calls.
+    /// The slowest shrinking step among the calls of every case.
     step: Step,
-    /// The inhomogeneous part `g(n)`: the rhs with recursive calls removed.
+    /// The inhomogeneous part `g(n)`: each case with its recursive calls
+    /// removed, combined like the cases (sum or max).
     inhomogeneous: Expr,
 }
 
@@ -120,141 +124,105 @@ enum Induction {
 
 /// Solves a single difference equation, returning an upper-bound closed form.
 pub fn solve(eq: &DiffEq) -> Solution {
-    let infinity = |schema| Solution {
+    let solution = |closed_form: Expr, schema| Solution {
         func: eq.func,
         params: eq.params.clone(),
-        closed_form: Expr::Infinity,
+        closed_form,
         schema,
     };
-
-    if eq.is_closed() {
-        let value = eq.combined_base_value().simplify();
-        return Solution {
-            func: eq.func,
-            params: eq.params.clone(),
-            closed_form: if value.is_undefined() {
-                Expr::Infinity
-            } else {
-                value
-            },
-            schema: SchemaKind::Closed,
-        };
-    }
-
-    // A recursion with no base case cannot terminate at the bottom: ∞.
-    if eq.base_cases.is_empty() {
-        return infinity(SchemaKind::Unmatched);
-    }
-
-    // Mutually exclusive recursive clauses: at every recursion depth only one
-    // of them applies, so the solution is bounded by the maximum of the
-    // per-clause solutions (each solved against the shared base cases). This
-    // keeps e.g. `partition/4` linear instead of doubling per level.
-    if eq.combine == CombineMode::Exclusive && eq.recursive_cases.len() > 1 {
-        let branches: Vec<Solution> = eq
-            .recursive_cases
-            .iter()
-            .map(|rc| {
-                solve(&DiffEq {
-                    recursive_cases: vec![rc.clone()],
-                    ..eq.clone()
-                })
-            })
-            .collect();
-        let schema = branches
-            .iter()
-            .map(|b| b.schema)
-            .find(|s| *s != SchemaKind::Closed)
-            .unwrap_or(SchemaKind::Closed);
-        let closed = Expr::Max(branches.into_iter().map(|b| b.closed_form).collect()).simplify();
-        return Solution {
-            func: eq.func,
-            params: eq.params.clone(),
-            closed_form: closed,
-            schema,
-        };
-    }
-
-    let rhs = eq.combined_recursive_rhs().simplify();
-    // max/min wrappers around recursive calls (typically introduced when the
-    // closed form of an exclusive callee was substituted in) are majorised by
-    // the sum of their operands — sound because sizes and costs are
-    // non-negative — so the rhs stays linear in the recursive calls.
-    let rhs = rhs
-        .transform(&mut |e| match e {
-            Expr::Max(xs) | Expr::Min(xs) if e.contains_call(eq.func) => {
-                Some(Expr::Add(xs.clone()))
-            }
-            _ => None,
-        })
-        .simplify();
-    if rhs.is_undefined() || rhs.is_infinite() {
-        return infinity(SchemaKind::Unmatched);
-    }
-    // Other functions of a system must be eliminated before calling `solve`.
-    if rhs.calls().iter().any(|c| *c != eq.func) {
-        return infinity(SchemaKind::Unmatched);
-    }
-
-    let Some(shape) = analyze_recursion(eq, &rhs) else {
-        return infinity(SchemaKind::Unmatched);
-    };
-
     let f0 = eq.combined_base_value().simplify();
-    if f0.is_undefined() {
-        return infinity(SchemaKind::Unmatched);
+    if eq.is_closed() {
+        let value = if f0.is_undefined() {
+            Expr::Infinity
+        } else {
+            f0
+        };
+        return solution(value, SchemaKind::Closed);
     }
+    // A recursion with no base case cannot terminate at the bottom: ∞.
+    let shape = (!eq.base_cases.is_empty()).then(|| analyze_recursion(eq));
+    let Some(shape) = shape.flatten() else {
+        return solution(Expr::Infinity, SchemaKind::Unmatched);
+    };
     let mut g = shape.inhomogeneous.clone().simplify();
-    if g.is_undefined() {
-        return infinity(SchemaKind::Unmatched);
+    if f0.is_undefined() || g.is_undefined() {
+        return solution(Expr::Infinity, SchemaKind::Unmatched);
     }
 
-    // Determine the induction variable, its boundary point, and (for the
-    // parameter-sum case) rewrite g so it only mentions the induction
-    // variable (sound for monotone g since each parameter is at most the sum).
-    let (n, n0, finalize): (Symbol, f64, Option<Expr>) = match shape.induction {
-        Induction::Param(idx) => (
-            eq.params[idx],
-            eq.base_point(idx).unwrap_or(0).max(0) as f64,
-            None,
-        ),
+    // The induction variable and its boundary point and value. On the
+    // parameter-sum path g is rewritten to mention only the sum (sound for
+    // monotone g since each parameter is at most the sum).
+    let (n, n0, f0, sum) = match shape.induction {
+        Induction::Param(idx) => {
+            let n0 = eq.base_point(idx).unwrap_or(0).max(0) as f64;
+            (eq.params[idx], n0, f0, None)
+        }
         Induction::ParamSum => {
             let sum_sym = Symbol::intern("$param_sum");
-            let n0 = eq
-                .base_cases
-                .iter()
-                .map(|b| b.when.iter().map(|w| w.unwrap_or(0).max(0)).sum::<i64>())
-                .max()
-                .unwrap_or(0) as f64;
-            let sum_expr = Expr::Add(eq.params.iter().map(|&p| Expr::Var(p)).collect()).simplify();
+            let (n0, f0) = match walk_base(eq, &shape, &g) {
+                Some(base) => (0.0, base),
+                None => {
+                    let pinned = |b: &BaseCase| b.when.iter().map(|w| w.unwrap_or(0).max(0)).sum();
+                    (
+                        eq.base_cases.iter().map(pinned).max().unwrap_or(0) as f64,
+                        f0,
+                    )
+                }
+            };
             for &p in &eq.params {
                 g = g.subst_var(p, &Expr::Var(sum_sym));
             }
-            (sum_sym, n0, Some(sum_expr))
+            let sum_expr = Expr::sum(eq.params.iter().map(|&p| Expr::Var(p))).simplify();
+            (sum_sym, n0, f0, Some(sum_expr))
         }
     };
 
     let (closed, schema) = match shape.step {
-        Step::Decrement(k) => {
-            if shape.multiplicity <= 1.0 {
-                solve_linear(n, n0, &f0, &g, k)
-            } else {
-                solve_geometric(n, n0, &f0, &g, shape.multiplicity, k)
-            }
-        }
+        Step::Decrement(k) if shape.multiplicity <= 1.0 => solve_linear(n, n0, &f0, &g, k),
+        Step::Decrement(k) => solve_geometric(n, n0, &f0, &g, shape.multiplicity, k),
         Step::Divide(b) => solve_divide_and_conquer(n, &f0, &g, shape.multiplicity, b),
     };
     // Replace the synthetic sum variable by the actual parameter sum.
-    let closed = match finalize {
+    let closed = match sum {
         Some(sum_expr) => closed.subst_var(n, &sum_expr),
         None => closed,
     };
-    Solution {
-        func: eq.func,
-        params: eq.params.clone(),
-        closed_form: closed.simplify(),
-        schema,
+    solution(closed.simplify(), schema)
+}
+
+/// The base value of a parameter-sum walk that makes one call per level,
+/// with a constant remainder `c ≥ 0` and step `k`, measured from sum 0. A
+/// walk from sum `s` that ends in base case `b` takes at most
+/// `(s − Σ pinned_b − Σ unpinned_b)/k` levels, so it costs at most
+/// `(c/k)·s + b(unpinned := 0) − (c/k)·Σ pinned_b` when `b` is linear in
+/// each unpinned parameter with slope at most `c/k`. `None` when the rule
+/// does not apply.
+fn walk_base(eq: &DiffEq, shape: &RecursionShape, g: &Expr) -> Option<Expr> {
+    let (Some(c), Step::Decrement(k)) = (g.as_const(), shape.step) else {
+        return None;
+    };
+    if shape.multiplicity > 1.0 || c < 0.0 {
+        return None;
     }
+    let rate = c / k;
+    let at_bottom = |b: &BaseCase| -> Option<Expr> {
+        let mut at = BTreeMap::new();
+        let mut pinned = 0.0;
+        for (&p, w) in eq.params.iter().zip(&b.when) {
+            if let Some(v) = *w {
+                pinned += v as f64;
+            } else {
+                let poly = as_polynomial(&b.value, p)?;
+                if poly.degree() > 1 || poly.coeff(1).as_const()? > rate + 1e-9 {
+                    return None;
+                }
+            }
+            at.insert(p, Expr::int(w.unwrap_or(0)));
+        }
+        Some(Expr::sub(b.value.subst_vars(&at), Expr::Num(rate * pinned)))
+    };
+    let values = eq.base_cases.iter().map(at_bottom).collect::<Option<_>>()?;
+    Some(Expr::Max(values).simplify())
 }
 
 /// Solves a system of difference equations (mutual recursion) by eliminating
@@ -340,103 +308,102 @@ fn eliminate(eq: &DiffEq, system: &DiffEqSystem, fuel: usize) -> Option<DiffEq> 
 // Recursion shape extraction
 // ---------------------------------------------------------------------------
 
-/// Decomposes the combined recursive rhs into recursive-call terms and the
-/// inhomogeneous remainder, determining the induction parameter and the
-/// (majorised) step.
-fn analyze_recursion(eq: &DiffEq, rhs: &Expr) -> Option<RecursionShape> {
-    let terms: Vec<Expr> = match rhs {
-        Expr::Add(xs) => xs.clone(),
-        other => vec![other.clone()],
-    };
-
-    let mut call_terms: Vec<(f64, Vec<Expr>)> = Vec::new(); // (coefficient, args)
-    let mut rest: Vec<Expr> = Vec::new();
-    for term in terms {
-        match split_call_term(&term, eq.func) {
-            SplitTerm::Call(coeff, args) => call_terms.push((coeff, args)),
-            SplitTerm::Plain(e) => rest.push(e),
-            SplitTerm::Nonlinear => return None,
-        }
-    }
-    if call_terms.is_empty() {
-        return None;
-    }
-
-    // Find an induction parameter: one for which every call's argument is
-    // params[i] − k (k > 0) or params[i] / b (b > 1), and every other argument
-    // does not grow (is params[j] or params[j] − c, c ≥ 0).
-    let multiplicity: f64 = call_terms.iter().map(|(c, _)| *c).sum();
-    let inhomogeneous = Expr::Add(rest.clone()).simplify();
-
-    'param: for (idx, &param) in eq.params.iter().enumerate() {
-        let mut steps: Vec<Step> = Vec::new();
-        for (_, args) in &call_terms {
-            if args.len() != eq.params.len() {
-                continue 'param;
-            }
-            let Some(step) = classify_step(&args[idx], param) else {
-                continue 'param;
-            };
-            let shrinking = match step {
-                Step::Decrement(k) => k > 0.0,
-                Step::Divide(b) => b > 1.0,
-            };
-            if !shrinking {
-                continue 'param;
-            }
-            // Other arguments must not grow.
-            for (j, other_param) in eq.params.iter().enumerate() {
-                if j == idx {
-                    continue;
+/// Splits every recursive case into its calls of `eq.func` and the rest,
+/// combines the cases by `eq.combine`, and finds the induction parameter
+/// and the (majorised) step over every call of every case.
+fn analyze_recursion(eq: &DiffEq) -> Option<RecursionShape> {
+    let mut calls: Vec<Vec<Expr>> = Vec::new();
+    let mut multiplicities = Vec::new();
+    let mut remainders = Vec::new();
+    for case in &eq.recursive_cases {
+        // max/min wrappers around recursive calls (typically introduced when
+        // the closed form of an exclusive callee was substituted in) are
+        // majorised by the sum of their operands — sound because sizes and
+        // costs are non-negative — so the case stays linear in its calls.
+        let case = case
+            .clone()
+            .simplify()
+            .transform(&mut |e| match e {
+                Expr::Max(xs) | Expr::Min(xs) if e.contains_call(eq.func) => {
+                    Some(Expr::Add(xs.clone()))
                 }
-                match classify_step(&args[j], *other_param) {
-                    Some(Step::Decrement(k)) if k >= 0.0 => {}
-                    Some(Step::Divide(b)) if b >= 1.0 => {}
-                    _ => continue 'param,
-                }
-            }
-            steps.push(step);
+                _ => None,
+            })
+            .simplify();
+        // Other functions of a system must be eliminated before calling `solve`.
+        if case.is_undefined() || case.is_infinite() || case.calls().iter().any(|c| *c != eq.func) {
+            return None;
         }
-        // Majorise: use the slowest shrinking step (minimum decrement /
-        // minimum divisor), which over-approximates every call (monotonicity).
-        let Some(slowest) = steps.iter().copied().reduce(slowest_step) else {
-            continue 'param;
+        let terms = match case {
+            Expr::Add(xs) => xs,
+            other => vec![other],
         };
-        return Some(RecursionShape {
-            induction: Induction::Param(idx),
-            multiplicity,
-            step: slowest,
-            inhomogeneous,
-        });
-    }
-
-    // Fallback: no single parameter decreases in every call, but the *sum* of
-    // the parameters might (merge/3 alternates between its two lists). The
-    // recursion is then well-founded on the sum, and a bound in terms of the
-    // sum is a sound upper bound for the original function.
-    if eq.params.len() > 1 {
-        let params_sum = Expr::Add(eq.params.iter().map(|&p| Expr::Var(p)).collect());
-        let mut steps: Vec<Step> = Vec::new();
-        for (_, args) in &call_terms {
-            if args.len() != eq.params.len() {
-                return None;
-            }
-            let args_sum = Expr::Add(args.to_vec());
-            let delta = Expr::sub(args_sum, params_sum.clone()).simplify();
-            match delta.as_const() {
-                Some(d) if d <= -1.0 => steps.push(Step::Decrement(-d)),
-                _ => return None,
+        let (mut multiplicity, mut rest) = (0.0, Vec::new());
+        for term in terms {
+            match split_call_term(&term, eq.func) {
+                SplitTerm::Call(coeff, args) => {
+                    multiplicity += coeff;
+                    calls.push(args);
+                }
+                SplitTerm::Plain(e) => rest.push(e),
+                SplitTerm::Nonlinear => return None,
             }
         }
-        let slowest = steps.into_iter().reduce(slowest_step)?;
-        return Some(RecursionShape {
-            induction: Induction::ParamSum,
-            multiplicity,
-            step: slowest,
-            inhomogeneous,
-        });
+        multiplicities.push(multiplicity);
+        remainders.push(Expr::Add(rest));
     }
-    None
+    let multiplicity = match eq.combine {
+        CombineMode::Additive => multiplicities.iter().sum(),
+        CombineMode::Exclusive => multiplicities.iter().copied().fold(0.0, f64::max),
+    };
+    let inhomogeneous = eq.combine.apply(&remainders);
+
+    // A call's step under an induction. A single parameter must shrink
+    // (`params[i] − k`, k > 0, or `params[i] / b`, b > 1) while no other
+    // argument grows. Failing that, the *sum* of the parameters may shrink
+    // (merge/3 alternates between its two lists): the recursion is then
+    // well-founded on the sum, and a bound in the sum bounds the function.
+    let step_of = |induction: Induction, args: &[Expr]| -> Option<Step> {
+        if args.len() != eq.params.len() {
+            return None;
+        }
+        match induction {
+            Induction::Param(idx) => {
+                let step = classify_step(&args[idx], eq.params[idx]);
+                let step = step.filter(|s| shrinkage(*s) > 0.0)?;
+                let kept = |j: usize| {
+                    let other = classify_step(&args[j], eq.params[j]);
+                    j == idx || other.is_some_and(|s| shrinkage(s) >= 0.0)
+                };
+                (0..args.len()).all(kept).then_some(step)
+            }
+            Induction::ParamSum => {
+                let params_sum = Expr::sum(eq.params.iter().map(|&p| Expr::Var(p)));
+                let delta = Expr::sub(Expr::sum(args.to_vec()), params_sum).simplify();
+                let d = delta.as_const().filter(|d| *d <= -1.0)?;
+                Some(Step::Decrement(-d))
+            }
+        }
+    };
+    let arity = eq.params.len();
+    let by_sum = (arity > 1).then_some(Induction::ParamSum);
+    (0..arity)
+        .map(Induction::Param)
+        .chain(by_sum)
+        .find_map(|induction| {
+            let steps: Vec<Step> = calls
+                .iter()
+                .map(|a| step_of(induction, a))
+                .collect::<Option<_>>()?;
+            // Majorise: the slowest shrinking step (minimum decrement / minimum
+            // divisor) over-approximates every call (monotonicity).
+            Some(RecursionShape {
+                induction,
+                multiplicity,
+                step: steps.into_iter().reduce(slowest_step)?,
+                inhomogeneous: inhomogeneous.clone(),
+            })
+        })
 }
 
 enum SplitTerm {
@@ -482,6 +449,14 @@ fn split_call_term(term: &Expr, func: FnRef) -> SplitTerm {
             }
         }
         _ => SplitTerm::Nonlinear,
+    }
+}
+
+/// How far a step shrinks its argument: > 0 shrinks, 0 keeps, < 0 grows.
+fn shrinkage(step: Step) -> f64 {
+    match step {
+        Step::Decrement(k) => k,
+        Step::Divide(b) => b - 1.0,
     }
 }
 
@@ -690,7 +665,6 @@ fn solve_divide_and_conquer(n: Symbol, f0: &Expr, g: &Expr, a: f64, b: f64) -> (
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diffeq::BaseCase;
     use granlog_ir::PredId;
 
     fn sym(s: &str) -> Symbol {
@@ -1071,6 +1045,48 @@ mod tests {
         };
         assert!(sol.apply(&[]).is_undefined());
         assert_eq!(sol.apply(&[Expr::Num(3.0)]).as_const(), Some(3.0));
+    }
+
+    /// `merge/3`'s shape: two exclusive recursive cases, each shrinking a
+    /// different parameter by one and adding 1, over two base cases that
+    /// each pin one parameter at 0 and contribute `values`.
+    fn merge_shaped(values: [Expr; 2]) -> DiffEq {
+        let (n1, n2) = (Expr::var("n1"), Expr::var("n2"));
+        let one_less = |n: &Expr| Expr::sub(n.clone(), Expr::num(1.0));
+        let case = |args| Expr::add(Expr::call(f(), args), Expr::num(1.0));
+        let [first, second] = values;
+        DiffEq {
+            func: f(),
+            params: vec![sym("n1"), sym("n2")],
+            base_cases: vec![
+                BaseCase {
+                    when: vec![Some(0), None],
+                    value: first,
+                },
+                BaseCase {
+                    when: vec![None, Some(0)],
+                    value: second,
+                },
+            ],
+            recursive_cases: vec![
+                case(vec![one_less(&n1), n2.clone()]),
+                case(vec![n1.clone(), one_less(&n2)]),
+            ],
+            combine: CombineMode::Exclusive,
+        }
+    }
+
+    #[test]
+    fn exclusive_cases_shrinking_different_parameters_solve_as_one_recurrence() {
+        // A run alternates between the cases, so it takes n1 + n2 levels:
+        // no one parameter shrinks in every call, their sum does.
+        let cost = solve(&merge_shaped([Expr::num(1.0), Expr::num(1.0)]));
+        assert_eq!(cost.schema, SchemaKind::LinearSummation);
+        assert_eq!(cost.closed_form.to_string(), "n1 + n2 + 1");
+        // The base value is not added on top of the walk: merging n1 and
+        // n2 elements outputs n1 + n2, not max(n1, n2) + n1 + n2.
+        let size = solve(&merge_shaped([Expr::var("n2"), Expr::var("n1")]));
+        assert_eq!(size.closed_form.to_string(), "n1 + n2");
     }
 
     #[test]
