@@ -73,7 +73,8 @@ impl DiffEq {
     /// contribution expression. A clause is a base case if its contribution
     /// applies no function of `scc_funcs`, and a recursive case otherwise.
     /// Under `Additive`, a base case whose head pins no input size applies
-    /// at every size, so it is also added to every recursive case.
+    /// at every size, so it is also added to the first recursive case (the
+    /// recursive cases are summed, so it is charged once per level).
     pub fn assemble(
         func: FnRef,
         params: Vec<Symbol>,
@@ -95,10 +96,9 @@ impl DiffEq {
                 base_cases.push(BaseCase { when, value });
             }
         }
-        if !everywhere.is_empty() {
-            for case in &mut recursive_cases {
-                *case = Expr::sum(std::iter::once(case.clone()).chain(everywhere.iter().cloned()));
-            }
+        // Additive sums the recursive cases, so one of them carries it.
+        if let (Some(first), false) = (recursive_cases.first_mut(), everywhere.is_empty()) {
+            *first = Expr::sum(std::iter::once(first.clone()).chain(everywhere));
         }
         DiffEq {
             func,
@@ -261,7 +261,29 @@ mod tests {
         );
         let exclusive = assemble(CombineMode::Exclusive);
         assert_eq!(exclusive.base_cases.len(), 1);
-        assert_eq!(exclusive.recursive_cases, vec![rec]);
+        assert_eq!(exclusive.recursive_cases, vec![rec.clone()]);
+        // With two recursive clauses it joins only the first: the cases
+        // are summed, so it is charged once per level, not twice.
+        let rec2 = Expr::add(
+            Expr::call(f, vec![Expr::sub(Expr::var("n"), Expr::num(2.0))]),
+            Expr::num(1.0),
+        );
+        let clauses = vec![
+            (vec![None], Expr::num(1.0)),
+            (vec![None], rec.clone()),
+            (vec![None], rec2.clone()),
+        ];
+        let two = DiffEq::assemble(
+            f,
+            vec![Symbol::intern("n")],
+            clauses,
+            &[f].into_iter().collect(),
+            CombineMode::Additive,
+        );
+        assert_eq!(
+            two.recursive_cases,
+            vec![Expr::sum([rec, Expr::num(1.0)]), rec2]
+        );
     }
 
     #[test]

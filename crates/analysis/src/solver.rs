@@ -17,7 +17,7 @@
 //! | `f(n) = a·f(n/b) + g(n)` (divide and conquer) | master-theorem style bound |
 //! | several recursive calls `f(n−k1) + f(n−k2) + …` | majorised to `a·f(n−min kᵢ)` (monotonicity) |
 //! | exclusive clauses `f(n) = max(rhs₁, rhs₂, …)` | one recurrence: the largest call count, the `max` of the remainders, the slowest step of any call |
-//! | parameter sum `s`: no one parameter shrinks in every call, `s` does | solved in `s`; one call per level, remainder `c`, step `k`, each base `b` of slope ≤ `c/k` in its unpinned parameters: `(c/k)·s + max_b(b(unpinned = 0) − (c/k)·Σ pinned_b)`; otherwise the schemas above from `f0` at `s0 = max_b Σ pinned_b` |
+//! | parameter sum `s`: no one parameter shrinks in every call, `s` does | solved in `s`; exclusive, one call per level, remainder `c`, step `k`, each base `b` of slope ≤ `c/k` in its unpinned parameters: `(c/k)·s + max_b(b(unpinned = 0) − (c/k)·Σ pinned_b)`; otherwise the schemas above from `f0` at `s0 = max_b Σ pinned_b` |
 //! | systems (mutual recursion) | eliminated by unfolding into a single equation |
 //!
 //! The equation's base cases supply the boundary value `f0` and boundary point
@@ -190,18 +190,19 @@ pub fn solve(eq: &DiffEq) -> Solution {
     solution(closed.simplify(), schema)
 }
 
-/// The base value of a parameter-sum walk that makes one call per level,
-/// with a constant remainder `c ≥ 0` and step `k`, measured from sum 0. A
-/// walk from sum `s` that ends in base case `b` takes at most
+/// The base value of an exclusive parameter-sum walk that makes one call
+/// per level, with a constant remainder `c ≥ 0` and step `k`, measured from
+/// sum 0. A walk from sum `s` that ends in base case `b` takes at most
 /// `(s − Σ pinned_b − Σ unpinned_b)/k` levels, so it costs at most
 /// `(c/k)·s + b(unpinned := 0) − (c/k)·Σ pinned_b` when `b` is linear in
 /// each unpinned parameter with slope at most `c/k`. `None` when the rule
-/// does not apply.
+/// does not apply, and under `Additive`, where a walk is also charged
+/// every other base case that matches on its way.
 fn walk_base(eq: &DiffEq, shape: &RecursionShape, g: &Expr) -> Option<Expr> {
     let (Some(c), Step::Decrement(k)) = (g.as_const(), shape.step) else {
         return None;
     };
-    if shape.multiplicity > 1.0 || c < 0.0 {
+    if eq.combine != CombineMode::Exclusive || shape.multiplicity > 1.0 || c < 0.0 {
         return None;
     }
     let rate = c / k;
@@ -1087,6 +1088,33 @@ mod tests {
         // n2 elements outputs n1 + n2, not max(n1, n2) + n1 + n2.
         let size = solve(&merge_shaped([Expr::var("n2"), Expr::var("n1")]));
         assert_eq!(size.closed_form.to_string(), "n1 + n2");
+    }
+
+    #[test]
+    fn an_additive_parameter_sum_walk_is_charged_every_matching_base_case() {
+        // p([], _). p(_, []). p(A, [_, _|T]) :- p([x|A], T).
+        // The clauses are not exclusive: at p([], []) both base clauses
+        // resolve, so the bound at sum 0 is at least 2, not max(1, 1).
+        let (n1, n2) = (Expr::var("n1"), Expr::var("n2"));
+        let base = |when| BaseCase {
+            when,
+            value: Expr::num(1.0),
+        };
+        let call = Expr::call(
+            f(),
+            vec![Expr::add(n1, Expr::num(1.0)), Expr::sub(n2, Expr::num(2.0))],
+        );
+        let eq = DiffEq {
+            func: f(),
+            params: vec![sym("n1"), sym("n2")],
+            base_cases: vec![base(vec![Some(0), None]), base(vec![None, Some(0)])],
+            recursive_cases: vec![Expr::add(call, Expr::num(1.0))],
+            combine: CombineMode::Additive,
+        };
+        let sol = solve(&eq);
+        let at = |a: f64, b: f64| sol.apply(&[Expr::Num(a), Expr::Num(b)]).as_const().unwrap();
+        assert!(at(0.0, 0.0) >= 2.0, "{}", sol.closed_form);
+        assert_eq!(sol.schema, SchemaKind::LinearSummation);
     }
 
     #[test]

@@ -9,13 +9,19 @@
 //! clause whose head pins no input size is charged at every level, not
 //! only at the bottom (`mem/2` and `big/2` are bounded), and exclusive
 //! clauses are solved as one recurrence (`merge/3` grows with `n1 + n2`).
-//! Two are left, and they are why three rows stay `Under`:
+//! Three are left, and they are why four rows stay `Under`:
 //! - defect 2: no literal is charged per solution of the ones before it,
 //!   so `pairs/2` pays for one `mem/2` answer where it backtracks into
 //!   ten;
 //! - defect 3b: the engine charges a resolution for a head whose guard
 //!   then rejects it, and the analysis charges that clause nothing, so
-//!   `merge/3` and `msort/2` stay under.
+//!   `merge/3` and `msort/2` stay under;
+//! - defect 4: a call argument that is another parameter's size counts
+//!   as a constant, so `swap/2`, whose call trades its two sizes, is
+//!   bounded as if only its first list shrank (`n1 + 2`).
+//!
+//! `walk/2` is bounded only because an additive walk over the parameter
+//! sum is charged every base case, not the largest one.
 //!
 //! A row that moves either way fails here.
 
@@ -47,6 +53,20 @@ const MEM: &str = "
     big(L, X) :- mem(X, L), X > 100.
     :- mode pairs(+, -).
     pairs(L, s(X, Y)) :- mem(X, L), mem(Y, L), X + Y > 1000.
+";
+
+/// Two lists walked by the sum of their lengths under clauses that are not
+/// exclusive: at `walk([], [])` both base clauses resolve. `swap/2` hands
+/// its second list on as its first, so its sizes trade places each level.
+const WALKS: &str = "
+    :- mode walk(+, +).
+    walk([], _).
+    walk(_, []).
+    walk(A, [_, _|T]) :- walk([x|A], T).
+    :- mode swap(+, +).
+    swap([], _).
+    swap(_, []).
+    swap([_|Xs], [Y|Ys]) :- swap([Y|Ys], Xs).
 ";
 
 /// One goal: its program, the predicate whose bound applies, that
@@ -125,6 +145,26 @@ fn rows() -> Vec<Row> {
             Under {
                 analysis: 43,
                 engine: 221,
+            },
+        ),
+        row(
+            WALKS,
+            "walk([], []), fail".to_string(),
+            ("walk", 2),
+            &[0.0, 0.0],
+            Bounded {
+                analysis: 2,
+                engine: 2,
+            },
+        ),
+        row(
+            WALKS,
+            format!("swap({}, {}), fail", list(1, 5, 1), list(1, 5, 1)),
+            ("swap", 2),
+            &[5.0, 5.0],
+            Under {
+                analysis: 7,
+                engine: 10,
             },
         ),
         row(
