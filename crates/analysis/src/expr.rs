@@ -16,7 +16,6 @@ use granlog_ir::{PredId, Symbol};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::io::Write as _;
 
 /// A reference to a function whose definition may not be known yet.
 #[derive(
@@ -339,18 +338,10 @@ impl Expr {
             Expr::Mul(xs) => Expr::Mul(xs.iter().map(|x| x.transform(rewrite)).collect()),
             Expr::Max(xs) => Expr::Max(xs.iter().map(|x| x.transform(rewrite)).collect()),
             Expr::Min(xs) => Expr::Min(xs.iter().map(|x| x.transform(rewrite)).collect()),
-            Expr::Pow(a, b) => Expr::Pow(
-                Box::new(a.transform(rewrite)),
-                Box::new(b.transform(rewrite)),
-            ),
-            Expr::Div(a, b) => Expr::Div(
-                Box::new(a.transform(rewrite)),
-                Box::new(b.transform(rewrite)),
-            ),
-            Expr::Log2(a) => Expr::Log2(Box::new(a.transform(rewrite))),
-            Expr::Call(f, args) => {
-                Expr::Call(*f, args.iter().map(|a| a.transform(rewrite)).collect())
-            }
+            Expr::Pow(a, b) => Expr::pow(a.transform(rewrite), b.transform(rewrite)),
+            Expr::Div(a, b) => Expr::div(a.transform(rewrite), b.transform(rewrite)),
+            Expr::Log2(a) => Expr::log2(a.transform(rewrite)),
+            Expr::Call(f, xs) => Expr::Call(*f, xs.iter().map(|x| x.transform(rewrite)).collect()),
             other => other.clone(),
         };
         rewrite(&rebuilt).unwrap_or(rebuilt)
@@ -414,15 +405,11 @@ impl Expr {
     ///
     /// The canonical order compares variants by name, alphabetically (`Add`
     /// < `Call` < `Div` < `Infinity` < `Log2` < `Max` < `Min` < `Mul` < `Num`
-    /// < `Pow` < `Undefined` < `Var`), then operands left to right. On a
-    /// common prefix the *longer* operand list comes first. Numbers compare
-    /// as their shortest decimal texts (`-1` < `0.5` < `10` < `2`),
-    /// variables and [`FnRef::Sym`] by their quoted, escaped name (`n"` <
-    /// `n1"` < `n10"`), function references as `Cost` < `OutputSize` <
-    /// `Sym`, a predicate by `name/` and then its arity and output position
-    /// as numbers. This is the order of the derived `Debug` texts, which is
-    /// how it was first defined, for every predicate name free of `/`; it is
-    /// computed on the structure, without printing.
+    /// < `Pow` < `Undefined` < `Var`), then operands left to right; on a
+    /// common prefix the shorter operand list comes first. Numbers compare
+    /// by value (`f64::total_cmp`), variables and [`FnRef::Sym`] by name as
+    /// strings (never by interning order), and function references as `Cost`
+    /// < `OutputSize` < `Sym`, then by name, arity and output position.
     pub fn simplify(self) -> Expr {
         simplify(self)
     }
@@ -509,16 +496,12 @@ fn simplify_add(xs: Vec<Expr>) -> Expr {
     }
     let mut result: Vec<Expr> = Vec::with_capacity(combined.len() + 1);
     for (coeff, body) in combined {
-        if coeff == 0.0 {
-            continue;
-        }
-        if is_one(&Expr::Num(coeff)) {
-            result.push(body);
-        } else if is_one(&body) {
-            result.push(Expr::Num(coeff));
-        } else {
-            result.push(Expr::Mul(vec![Expr::Num(coeff), body]));
-        }
+        result.push(match coeff {
+            _ if coeff == 0.0 => continue,
+            _ if coeff == 1.0 => body,
+            _ if is_one(&body) => Expr::Num(coeff),
+            _ => Expr::Mul(vec![Expr::Num(coeff), body]),
+        });
     }
     result.sort_by(cmp_canonical);
     // The numeric constant is kept as the last addend ("n + 1", not "1 + n").
@@ -631,13 +614,11 @@ fn simplify_mul(xs: Vec<Expr>) -> Expr {
     }
     let mut result: Vec<Expr> = Vec::with_capacity(powers.len() + 1);
     for (base, exp) in powers {
-        if exp == 0.0 {
-            continue;
-        } else if exp == 1.0 {
-            result.push(base);
-        } else {
-            result.push(Expr::Pow(Box::new(base), Box::new(Expr::Num(exp))));
-        }
+        result.push(match exp {
+            _ if exp == 0.0 => continue,
+            _ if exp == 1.0 => base,
+            _ => Expr::pow(base, Expr::Num(exp)),
+        });
     }
     result.sort_by(cmp_canonical);
     if constant != 1.0 || result.is_empty() {
@@ -730,9 +711,8 @@ fn cmp_canonical(a: &Expr, b: &Expr) -> Ordering {
         }
     }
     match (a, b) {
-        (Expr::Num(x), Expr::Num(y)) if x.to_bits() == y.to_bits() => Ordering::Equal,
-        (Expr::Num(x), Expr::Num(y)) => cmp_number_text(x, y),
-        (Expr::Var(x), Expr::Var(y)) => cmp_quoted_names(*x, *y),
+        (Expr::Num(x), Expr::Num(y)) => x.total_cmp(y),
+        (Expr::Var(x), Expr::Var(y)) => cmp_names(*x, *y),
         (Expr::Add(xs), Expr::Add(ys))
         | (Expr::Mul(xs), Expr::Mul(ys))
         | (Expr::Max(xs), Expr::Max(ys))
@@ -748,67 +728,36 @@ fn cmp_canonical(a: &Expr, b: &Expr) -> Ordering {
     }
 }
 
-/// Operand lists compare element-wise; on a common prefix the *longer* list
-/// sorts first (its text goes on with `,` where the shorter one closes with
-/// `]`, and `,` < `]`).
+/// Operand lists compare element-wise; on a common prefix the shorter list
+/// sorts first.
 fn cmp_operands(xs: &[Expr], ys: &[Expr]) -> Ordering {
     xs.iter()
         .zip(ys)
         .map(|(x, y)| cmp_canonical(x, y))
         .find(|o| o.is_ne())
-        .unwrap_or_else(|| ys.len().cmp(&xs.len()))
+        .unwrap_or_else(|| xs.len().cmp(&ys.len()))
 }
 
+/// `Cost` < `OutputSize` < `Sym`; then name, arity and output position.
 fn cmp_fn_refs(f: FnRef, g: FnRef) -> Ordering {
-    // `name/arity`, as `PredId` prints itself: a name that is a prefix of
-    // the other meets the other's tail with its `/`.
-    fn cmp_preds(p: PredId, q: PredId) -> Ordering {
-        if p.name == q.name {
-            return cmp_number_text(&p.arity, &q.arity);
-        }
-        let text = |r: PredId| r.name.as_str().bytes().chain([b'/']);
-        text(p).cmp(text(q))
-    }
-    match (f, g) {
-        _ if f == g => Ordering::Equal,
-        (FnRef::Cost(p), FnRef::Cost(q)) => cmp_preds(p, q),
-        (FnRef::OutputSize(p, i), FnRef::OutputSize(q, j)) => {
-            cmp_preds(p, q).then_with(|| cmp_number_text(&i, &j))
-        }
-        (FnRef::Sym(s), FnRef::Sym(t)) => cmp_quoted_names(s, t),
-        // Cost < OutputSize < Sym.
-        (FnRef::Cost(_), _) | (FnRef::OutputSize(..), FnRef::Sym(_)) => Ordering::Less,
-        _ => Ordering::Greater,
-    }
-}
-
-/// Orders two symbols as their `Debug` texts (`Symbol("…")`) order: by name,
-/// escaped the way `str`'s `Debug` escapes, with the closing quote counting.
-fn cmp_quoted_names(a: Symbol, b: Symbol) -> Ordering {
-    if a == b {
-        return Ordering::Equal;
-    }
-    let quoted = |s: Symbol| {
-        // `char::escape_debug` is `str`'s `Debug` except that it escapes `'`.
-        let escaped = |c: char| {
-            let escape = (c != '\'').then(|| c.escape_debug());
-            escape.into_iter().flatten().chain((c == '\'').then_some(c))
-        };
-        s.as_str().chars().flat_map(escaped).chain(['"'])
+    let key = |r: FnRef| match r {
+        FnRef::Cost(p) => (0, p.name, p.arity, 0),
+        FnRef::OutputSize(p, i) => (1, p.name, p.arity, i),
+        FnRef::Sym(s) => (2, s, 0, 0),
     };
-    quoted(a).cmp(quoted(b))
+    let ((k1, s1, a1, i1), (k2, s2, a2, i2)) = (key(f), key(g));
+    k1.cmp(&k2)
+        .then_with(|| cmp_names(s1, s2))
+        .then((a1, i1).cmp(&(a2, i2)))
 }
 
-/// Numbers (`f64`, `usize`) order as their `Debug` texts do (`10` before
-/// `2`, `-1` before `1`), rendered on the stack.
-fn cmp_number_text(a: &impl fmt::Debug, b: &impl fmt::Debug) -> Ordering {
-    fn text<'b>(v: &impl fmt::Debug, buf: &'b mut [u8; 32]) -> &'b [u8] {
-        let mut rest = &mut buf[..];
-        write!(rest, "{v:?}").expect("the longest f64 text has 24 bytes, the longest usize 20");
-        let len = 32 - rest.len();
-        &buf[..len]
+/// Names compare as strings. Equal symbols answer without the interner.
+fn cmp_names(a: Symbol, b: Symbol) -> Ordering {
+    if a == b {
+        Ordering::Equal
+    } else {
+        a.as_str().cmp(b.as_str())
     }
-    text(a, &mut [0; 32]).cmp(text(b, &mut [0; 32]))
 }
 
 // ---------------------------------------------------------------------------
@@ -840,6 +789,16 @@ impl Polynomial {
 /// `var`. Returns `None` if `e` is not polynomial in `var` (e.g. contains
 /// `var` inside a call, exponent, log, division, max or min).
 pub fn as_polynomial(e: &Expr, var: Symbol) -> Option<Polynomial> {
+    /// The coefficients of the product of two polynomials.
+    fn product(p: &[Expr], q: &[Expr]) -> Vec<Expr> {
+        let mut next = vec![Expr::Num(0.0); p.len() + q.len() - 1];
+        for (i, a) in p.iter().enumerate() {
+            for (j, b) in q.iter().enumerate() {
+                next[i + j] = Expr::add(next[i + j].clone(), Expr::mul(a.clone(), b.clone()));
+            }
+        }
+        next
+    }
     fn go(e: &Expr, var: Symbol) -> Option<Vec<Expr>> {
         match e {
             Expr::Var(s) if *s == var => Some(vec![Expr::Num(0.0), Expr::Num(1.0)]),
@@ -858,17 +817,9 @@ pub fn as_polynomial(e: &Expr, var: Symbol) -> Option<Polynomial> {
                 Some(acc)
             }
             Expr::Mul(xs) => {
-                let mut acc: Vec<Expr> = vec![Expr::Num(1.0)];
+                let mut acc = vec![Expr::Num(1.0)];
                 for x in xs {
-                    let p = go(x, var)?;
-                    let mut next = vec![Expr::Num(0.0); acc.len() + p.len() - 1];
-                    for (i, a) in acc.iter().enumerate() {
-                        for (j, b) in p.iter().enumerate() {
-                            next[i + j] =
-                                Expr::add(next[i + j].clone(), Expr::mul(a.clone(), b.clone()));
-                        }
-                    }
-                    acc = next;
+                    acc = product(&acc, &go(x, var)?);
                 }
                 Some(acc)
             }
@@ -886,18 +837,7 @@ pub fn as_polynomial(e: &Expr, var: Symbol) -> Option<Polynomial> {
                     }
                 };
                 let base_p = go(base, var)?;
-                let mut acc = vec![Expr::Num(1.0)];
-                for _ in 0..exp_val {
-                    let mut next = vec![Expr::Num(0.0); acc.len() + base_p.len() - 1];
-                    for (i, a) in acc.iter().enumerate() {
-                        for (j, b) in base_p.iter().enumerate() {
-                            next[i + j] =
-                                Expr::add(next[i + j].clone(), Expr::mul(a.clone(), b.clone()));
-                        }
-                    }
-                    acc = next;
-                }
-                Some(acc)
+                Some((0..exp_val).fold(vec![Expr::Num(1.0)], |acc, _| product(&acc, &base_p)))
             }
             // Anything else is allowed only if it does not mention `var`.
             other => {
@@ -980,26 +920,18 @@ fn fmt_expr(e: &Expr, f: &mut fmt::Formatter<'_>, parent_prec: u8) -> fmt::Resul
             }
             Ok(())
         }
-        Expr::Pow(a, b) => {
+        Expr::Pow(a, b) | Expr::Div(a, b) => {
             fmt_expr(a, f, 2)?;
-            write!(f, "^")?;
-            fmt_expr(b, f, 2)
-        }
-        Expr::Div(a, b) => {
-            fmt_expr(a, f, 2)?;
-            write!(f, "/")?;
+            f.write_str(if matches!(e, Expr::Pow(..)) { "^" } else { "/" })?;
             fmt_expr(b, f, 2)
         }
         Expr::Max(xs) | Expr::Min(xs) => {
-            write!(
-                f,
-                "{}(",
-                if matches!(e, Expr::Max(_)) {
-                    "max"
-                } else {
-                    "min"
-                }
-            )?;
+            let name = if matches!(e, Expr::Max(_)) {
+                "max"
+            } else {
+                "min"
+            };
+            write!(f, "{name}(")?;
             for (i, x) in xs.iter().enumerate() {
                 if i > 0 {
                     write!(f, ", ")?;
@@ -1317,7 +1249,7 @@ mod proptests {
     use proptest::prelude::*;
 
     /// Variable and function names: `n`, `n1` and `n10` are prefixes of one
-    /// another; the rest are names `Debug` escapes (or, for `'`, does not).
+    /// another; the rest hold quotes, a backslash and a combining accent.
     const NAMES: [&str; 9] = [
         "n", "n1", "n10", "x", "y", "it's", "a\"b", "a\\b", "e\u{301}",
     ];
@@ -1402,30 +1334,36 @@ mod proptests {
         a.to_bits() == b.to_bits() || (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0)
     }
 
-    /// The order `cmp_canonical` must reproduce: that of the `Debug` texts.
-    fn sort_key(e: &Expr) -> String {
-        format!("{e:?}")
-    }
-
-    /// Equal but for the last bits of a constant (sums and like-term
-    /// coefficients add up in operand order).
-    fn same_up_to_rounding(a: &Expr, b: &Expr) -> bool {
+    /// The same tree, with constants compared by `same_number`.
+    fn same_tree(a: &Expr, b: &Expr, same_number: fn(f64, f64) -> bool) -> bool {
+        let same = |x: &Expr, y: &Expr| same_tree(x, y, same_number);
         let all = |xs: &[Expr], ys: &[Expr]| {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_up_to_rounding(x, y))
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same(x, y))
         };
         match (a, b) {
-            (Expr::Num(x), Expr::Num(y)) => (x.is_nan() && y.is_nan()) || close(*x, *y),
+            (Expr::Num(x), Expr::Num(y)) => same_number(*x, *y),
             (Expr::Add(xs), Expr::Add(ys))
             | (Expr::Mul(xs), Expr::Mul(ys))
             | (Expr::Max(xs), Expr::Max(ys))
             | (Expr::Min(xs), Expr::Min(ys)) => all(xs, ys),
             (Expr::Call(f, xs), Expr::Call(g, ys)) => f == g && all(xs, ys),
             (Expr::Pow(a1, a2), Expr::Pow(b1, b2)) | (Expr::Div(a1, a2), Expr::Div(b1, b2)) => {
-                same_up_to_rounding(a1, b1) && same_up_to_rounding(a2, b2)
+                same(a1, b1) && same(a2, b2)
             }
-            (Expr::Log2(x), Expr::Log2(y)) => same_up_to_rounding(x, y),
+            (Expr::Log2(x), Expr::Log2(y)) => same(x, y),
             _ => a == b,
         }
+    }
+
+    /// Equal but for the last bits of a constant (sums and like-term
+    /// coefficients add up in operand order).
+    fn same_up_to_rounding(a: &Expr, b: &Expr) -> bool {
+        same_tree(a, b, |x, y| (x.is_nan() && y.is_nan()) || close(x, y))
+    }
+
+    /// The same tree and the same constants, bit for bit.
+    fn identical(a: &Expr, b: &Expr) -> bool {
+        same_tree(a, b, |x, y| x.to_bits() == y.to_bits())
     }
 
     proptest! {
@@ -1453,7 +1391,7 @@ mod proptests {
             let once = e.clone().simplify();
             let twice = once.clone().simplify();
             // Compared as texts: a NaN constant is not equal to itself.
-            prop_assert_eq!(sort_key(&once), sort_key(&twice));
+            prop_assert_eq!(format!("{once:?}"), format!("{twice:?}"));
         }
 
         /// Variable substitution followed by evaluation equals evaluation with
@@ -1472,19 +1410,52 @@ mod proptests {
             }
         }
 
-        /// The canonical order is the order of the `Debug` texts, on every
-        /// pair of subexpressions of an expression and of its normal form.
+        /// The canonical order is a total order on the subexpressions of a
+        /// few expressions and of their normal forms: antisymmetric,
+        /// transitive, and `Equal` only for identical trees.
         #[test]
-        fn canonical_order_is_the_debug_text_order(e in arb_expr()) {
+        fn canonical_order_is_a_total_order(es in prop::collection::vec(arb_expr(), 1..4)) {
             let mut parts = Vec::new();
-            e.walk(&mut |x| parts.push(x.clone()));
-            e.clone().simplify().walk(&mut |x| parts.push(x.clone()));
-            parts.truncate(40);
+            for e in &es {
+                e.walk(&mut |x| parts.push(x.clone()));
+                e.clone().simplify().walk(&mut |x| parts.push(x.clone()));
+            }
+            parts.truncate(24);
             for a in &parts {
                 for b in &parts {
-                    let by_text = sort_key(a).cmp(&sort_key(b));
-                    prop_assert_eq!(cmp_canonical(a, b), by_text, "{:?} vs {:?}", a, b);
+                    let ab = cmp_canonical(a, b);
+                    prop_assert_eq!(ab, cmp_canonical(b, a).reverse(), "{:?} vs {:?}", a, b);
+                    prop_assert_eq!(ab.is_eq(), identical(a, b), "{:?} vs {:?}", a, b);
+                    for c in &parts {
+                        if ab.is_le() && cmp_canonical(b, c).is_le() {
+                            prop_assert!(cmp_canonical(a, c).is_le(), "{a:?} <= {b:?} <= {c:?}");
+                        }
+                    }
                 }
+            }
+        }
+
+        /// The normal form does not depend on the order names were interned
+        /// in: fresh names, interned in reverse alphabetical order, come out
+        /// of a sum, product, max or min in alphabetical order.
+        #[test]
+        fn normal_form_does_not_depend_on_interning_order(k in 2..6usize, seed in 0..u64::MAX) {
+            use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+            static CASE: AtomicUsize = AtomicUsize::new(0);
+            let case = CASE.fetch_add(1, Relaxed);
+            // Interned last letter first.
+            let letters = (b'a'..b'a' + k as u8).rev();
+            let name = |c: u8| format!("interned_late_{case}_{}", c as char);
+            let mut alphabetical: Vec<Expr> = letters.map(|c| Expr::var(&name(c))).collect();
+            alphabetical.reverse();
+            let mut rng = TestRng::new(seed);
+            let mut shuffled = alphabetical.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.usize_in(0, i + 1));
+            }
+            for build in [Expr::Add, Expr::Mul, Expr::Max, Expr::Min] {
+                let simplified = build(shuffled.clone()).simplify();
+                prop_assert_eq!(simplified, build(alphabetical.clone()));
             }
         }
 

@@ -20,12 +20,10 @@ use std::collections::BTreeMap;
 /// part of the grain-size contract in [`granlog_ir::grain`]; what a measure
 /// says about *source* terms is the analysis' business).
 pub trait SizeFunctions: Copy {
-    /// `|t|_m` for a ground term: the size of `t` under this measure, or
-    /// `None` (⊥) if the measure does not apply.
-    fn ground_size(self, t: TermRef<'_>) -> Option<i64>;
-
-    /// The paper's `size_m(t)`: defined iff every grounding of `t` has the same
-    /// size under the measure.
+    /// The paper's `size_m(t)`: the size `|t|_m` of `t` under this measure,
+    /// defined iff every grounding of `t` has that one size, else `None` (⊥).
+    /// Each measure applies only to such terms: a proper list whatever its
+    /// elements, an integer, a ground term.
     fn size(self, t: TermRef<'_>) -> Option<i64>;
 
     /// The paper's `diff_m(t1, t2) = |θ(t2)| − |θ(t1)|`, when that difference
@@ -38,7 +36,7 @@ pub trait SizeFunctions: Copy {
 }
 
 impl SizeFunctions for Measure {
-    fn ground_size(self, t: TermRef<'_>) -> Option<i64> {
+    fn size(self, t: TermRef<'_>) -> Option<i64> {
         match self {
             Measure::ListLength => t.list_length().map(|n| n as i64),
             Measure::TermSize => t.is_ground().then(|| t.term_size() as i64),
@@ -49,13 +47,6 @@ impl SizeFunctions for Measure {
             },
             Measure::Ignore => Some(0),
         }
-    }
-
-    /// The same as [`SizeFunctions::ground_size`]: each measure there is
-    /// already defined only on the terms whose every grounding has one size —
-    /// a proper list whatever its elements, an integer, a ground term.
-    fn size(self, t: TermRef<'_>) -> Option<i64> {
-        self.ground_size(t)
     }
 
     fn diff(self, t1: TermRef<'_>, t2: TermRef<'_>) -> Option<i64> {
@@ -71,7 +62,7 @@ impl SizeFunctions for Measure {
             Measure::ListLength => diff_list_length(t1, t2),
             Measure::TermSize | Measure::TermDepth => {
                 if t1.is_ground() && t2.is_ground() {
-                    return Some(self.ground_size(t2)? - self.ground_size(t1)?);
+                    return Some(self.size(t2)? - self.size(t1)?);
                 }
                 // t1 inside t2: |t2| = |t1| + offset; t2 inside t1: the negation.
                 if let Some(offset) = offset_within(self, t2, t1) {
@@ -236,26 +227,17 @@ mod tests {
 
     #[test]
     fn ground_sizes() {
+        assert_eq!(Measure::ListLength.size(t("[a, b]").term_ref()), Some(2));
+        assert_eq!(Measure::ListLength.size(t("f(a)").term_ref()), None);
         assert_eq!(
-            Measure::ListLength.ground_size(t("[a, b]").term_ref()),
-            Some(2)
-        );
-        assert_eq!(Measure::ListLength.ground_size(t("f(a)").term_ref()), None);
-        assert_eq!(
-            Measure::TermSize.ground_size(t("f(a, g(b, c))").term_ref()),
+            Measure::TermSize.size(t("f(a, g(b, c))").term_ref()),
             Some(5)
         );
-        assert_eq!(
-            Measure::TermDepth.ground_size(t("f(a, g(b))").term_ref()),
-            Some(2)
-        );
-        assert_eq!(Measure::IntValue.ground_size(t("7").term_ref()), Some(7));
-        assert_eq!(Measure::IntValue.ground_size(t("-7").term_ref()), Some(0));
-        assert_eq!(Measure::IntValue.ground_size(t("a").term_ref()), None);
-        assert_eq!(
-            Measure::Ignore.ground_size(t("whatever").term_ref()),
-            Some(0)
-        );
+        assert_eq!(Measure::TermDepth.size(t("f(a, g(b))").term_ref()), Some(2));
+        assert_eq!(Measure::IntValue.size(t("7").term_ref()), Some(7));
+        assert_eq!(Measure::IntValue.size(t("-7").term_ref()), Some(0));
+        assert_eq!(Measure::IntValue.size(t("a").term_ref()), None);
+        assert_eq!(Measure::Ignore.size(t("whatever").term_ref()), Some(0));
     }
 
     #[test]

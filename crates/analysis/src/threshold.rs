@@ -118,7 +118,7 @@ pub fn driving_parameter(cost: &Expr) -> Option<Symbol> {
                 .unwrap_or(usize::MAX);
             (degree, v)
         })
-        .max_by(|a, b| a.0.cmp(&b.0).then_with(|| b.1.cmp(&a.1)))
+        .max_by(|a, b| a.0.cmp(&b.0).then_with(|| b.1.as_str().cmp(a.1.as_str())))
         .map(|(_, v)| v)
 }
 
@@ -239,6 +239,17 @@ mod tests {
         assert_eq!(driving_parameter(&cost), Some(Symbol::intern("m")));
         // Constants have no driving parameter.
         assert_eq!(driving_parameter(&Expr::num(3.0)), None);
+    }
+
+    #[test]
+    fn driving_parameter_breaks_ties_by_name_not_interning_order() {
+        // Interned in reverse alphabetical order, so `Symbol`'s own order
+        // (the interning index) and the names' order disagree.
+        let zeta = Symbol::intern("tie_zeta");
+        let alpha = Symbol::intern("tie_alpha");
+        assert!(zeta < alpha, "both names are fresh here");
+        let cost = Expr::sum([Expr::Var(zeta), Expr::Var(alpha), Expr::num(1.0)]);
+        assert_eq!(driving_parameter(&cost), Some(alpha));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! clause whose head pins no input size is charged at every level, not
 //! only at the bottom (`mem/2` and `big/2` are bounded), and exclusive
 //! clauses are solved as one recurrence (`merge/3` grows with `n1 + n2`).
-//! Three are left, and they are why four rows stay `Under`:
+//! Four are left, and they are why five rows stay `Under`:
 //! - defect 2: no literal is charged per solution of the ones before it,
 //!   so `pairs/2` pays for one `mem/2` answer where it backtracks into
 //!   ten;
@@ -18,7 +18,10 @@
 //!   `merge/3` and `msort/2` stay under;
 //! - defect 4: a call argument that is another parameter's size counts
 //!   as a constant, so `swap/2`, whose call trades its two sizes, is
-//!   bounded as if only its first list shrank (`n1 + 2`).
+//!   bounded as if only its first list shrank (`n1 + 2`);
+//! - defect 5: any two clauses that both guard an input are taken as
+//!   exclusive, so `p/1`, whose guards `X > 0` and `X > 5` both hold at
+//!   7, is charged one clause where the engine runs two.
 //!
 //! `walk/2` is bounded only because an additive walk over the parameter
 //! sum is charged every base case, not the largest one.
@@ -67,6 +70,14 @@ const WALKS: &str = "
     swap([], _).
     swap(_, []).
     swap([_|Xs], [Y|Ys]) :- swap([Y|Ys], Xs).
+";
+
+/// Two clauses whose guards overlap: at `p(7)` both hold, and both run.
+const GUARDS: &str = "
+    :- mode p(+).
+    p(X) :- X > 0, q(X).
+    p(X) :- X > 5, q(X).
+    q(_).
 ";
 
 /// One goal: its program, the predicate whose bound applies, that
@@ -165,6 +176,16 @@ fn rows() -> Vec<Row> {
             Under {
                 analysis: 7,
                 engine: 10,
+            },
+        ),
+        row(
+            GUARDS,
+            "p(7), fail".to_string(),
+            ("p", 1),
+            &[7.0],
+            Under {
+                analysis: 2,
+                engine: 4,
             },
         ),
         row(
