@@ -9,19 +9,27 @@
 //! clause whose head pins no input size is charged at every level, not
 //! only at the bottom (`mem/2` and `big/2` are bounded), and exclusive
 //! clauses are solved as one recurrence (`merge/3` grows with `n1 + n2`).
-//! Four are left, and they are why five rows stay `Under`:
+//! Six are left, and they are why eight rows stay `Under`:
+//! - defect 1′: a base clause that pins a size the recursive head also
+//!   admits runs beside it there, so `last/2`, whose `last([_|T], X)`
+//!   also matches a one-element list and fails one level down, pays one
+//!   resolution the equation does not charge;
 //! - defect 2: no literal is charged per solution of the ones before it,
 //!   so `pairs/2` pays for one `mem/2` answer where it backtracks into
 //!   ten;
 //! - defect 3b: the engine charges a resolution for a head whose guard
 //!   then rejects it, and the analysis charges that clause nothing, so
-//!   `merge/3` and `msort/2` stay under;
+//!   `merge/3`, `msort/2` and `partition/4` stay under;
 //! - defect 4: a call argument that is another parameter's size counts
 //!   as a constant, so `swap/2`, whose call trades its two sizes, is
 //!   bounded as if only its first list shrank (`n1 + 2`);
 //! - defect 5: any two clauses that both guard an input are taken as
 //!   exclusive, so `p/1`, whose guards `X > 0` and `X > 5` both hold at
-//!   7, is charged one clause where the engine runs two.
+//!   7, is charged one clause where the engine runs two;
+//! - defect 6: a size crosses measures, so `lastdown/1` hands `last/2`'s
+//!   output, a term size, to `down/1`, which counts down an integer
+//!   value: the list `[1,2,3,100]` is 9 cells, and `down(100)` alone
+//!   takes 101 resolutions.
 //!
 //! `walk/2` is bounded only because an additive walk over the parameter
 //! sum is charged every base case, not the largest one.
@@ -70,6 +78,20 @@ const WALKS: &str = "
     swap([], _).
     swap(_, []).
     swap([_|Xs], [Y|Ys]) :- swap([Y|Ys], Xs).
+";
+
+/// A last element found by a recursive head that also matches the
+/// one-element list, and a countdown from it: `last/2`'s output is a term
+/// size, `down/1` reads it as an integer value.
+const LAST: &str = "
+    :- mode last(+, -).
+    last([X], X).
+    last([_|T], X) :- last(T, X).
+    :- mode down(+).
+    down(0).
+    down(N) :- N > 0, M is N - 1, down(M).
+    :- mode lastdown(+).
+    lastdown(L) :- last(L, X), down(X).
 ";
 
 /// Two clauses whose guards overlap: at `p(7)` both hold, and both run.
@@ -127,6 +149,7 @@ fn rows() -> Vec<Row> {
     let (nrev, nrev_30) = benchmark("nrev", 30);
     let (fib, fib_15) = benchmark("fib", 15);
     let (hanoi, hanoi_6) = benchmark("hanoi", 6);
+    let (quick_sort, _) = benchmark("quick_sort", 1);
     vec![
         row(
             MEM,
@@ -206,6 +229,37 @@ fn rows() -> Vec<Row> {
             Under {
                 analysis: 2088,
                 engine: 2508,
+            },
+        ),
+        row(
+            quick_sort,
+            format!("partition({ten}, 0, S, B)"),
+            ("partition", 4),
+            &[10.0, 0.0],
+            Under {
+                analysis: 11,
+                engine: 21,
+            },
+        ),
+        row(
+            LAST,
+            format!("last({ten}, X), X > 100"),
+            ("last", 2),
+            &[10.0],
+            Under {
+                analysis: 10,
+                engine: 11,
+            },
+        ),
+        row(
+            LAST,
+            "lastdown([1,2,3,100])".to_string(),
+            ("lastdown", 1),
+            // The term size of the list: four cells, four numbers, `[]`.
+            &[9.0],
+            Under {
+                analysis: 18,
+                engine: 106,
             },
         ),
         row(

@@ -105,7 +105,18 @@ const SHAPES: &[(&str, &str, Agreement)] = &[
         Agreement::Exact(1),
     ),
     ("p(X) :- q(X) & q(X). q(_).", "p(1)", Agreement::Exact(3)),
-    (GUARDED, "p(3)", Agreement::Exact(2)),
+    // ROADMAP item 1, defect 3b: every clause the goal reaches is charged,
+    // so the goal runs to failure. The first clause answers, and on
+    // backtracking the second clause's head resolves before its guard
+    // rejects it: the analysis takes the maximum and misses that head.
+    (
+        GUARDED,
+        "p(3), fail",
+        Agreement::Under {
+            analysis: 2,
+            engine: 3,
+        },
+    ),
     // The analysis has no rule for these control constructs, so it bounds
     // them by ∞.
     (
