@@ -1,21 +1,16 @@
-//! Cost estimation (Section 4).
-//!
-//! The cost of a clause is bounded by the one resolution of its head plus the
-//! cost of its body literals (every literal is assumed to succeed, giving an
-//! upper bound); the cost of a predicate is the sum of its clause costs, or —
-//! when clauses can be shown mutually exclusive by first-argument indexing or
-//! arithmetic guards — the maximum over the exclusive groups.
-//!
-//! Costs are counted in resolutions, the unit the engine's `resolutions`
-//! counter counts: a clause head costs 1, and a builtin or control atom 0.
+//! Cost estimation (Section 4), in resolutions, the unit the engine's
+//! `resolutions` counter counts. A clause costs one for its head plus its
+//! body literals, each assumed to succeed once (a builtin or control atom
+//! costs 0). A predicate sums its clauses' costs, or takes their maximum
+//! where no call runs two bodies ([`combine_mode`]) once each is charged
+//! the sibling heads a call resolves beside it ([`charge_sibling_heads`]).
 
 use crate::diffeq::CombineMode;
 use crate::expr::{Expr, FnRef};
 use crate::sizerel::ClauseSizeAnalysis;
-use granlog_ir::builtins::{self, Builtin};
+use granlog_ir::builtins;
 use granlog_ir::symbol::well_known;
-use granlog_ir::term::{AsTerm, Cell, TermRef};
-use granlog_ir::{Clause, IndexKey, ModeDecl, PredId, Program, Symbol};
+use granlog_ir::{Clause, ClauseShape, ModeDecl, PredId, Symbol};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Whether `pred` is a row of [`granlog_ir::builtins`] or a control atom
@@ -30,9 +25,7 @@ fn is_builtin_or_control(pred: PredId) -> bool {
 /// Closed-form cost information for an already-analysed predicate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredCost {
-    /// The predicate's declared input positions (0-based), in order.
-    pub input_positions: Vec<usize>,
-    /// The parameter symbols corresponding to `input_positions`.
+    /// The parameter symbols, one per input position in order.
     pub params: Vec<Symbol>,
     /// Closed-form cost upper bound in terms of `params`.
     pub cost: Expr,
@@ -60,136 +53,63 @@ pub struct CostContext<'a> {
     pub scc: &'a BTreeSet<PredId>,
 }
 
-/// Computes the cost expression of a clause (the paper's equation (3)):
-/// one resolution for the head plus the cost of every body literal, with the
-/// literals' argument sizes taken from the clause's size analysis.
-///
-/// Calls to predicates in the current SCC stay symbolic
-/// (`Call(Cost(p), sizes)`), turning the result into a difference equation.
-/// Calls to predicates with no known cost yield `Undefined` (which the solver
-/// turns into ∞ — "always parallelise").
+/// The cost of a clause (the paper's equation (3)), its literals' sizes
+/// taken from the clause's size analysis. Calls to the current SCC stay
+/// symbolic (`Call(Cost(p), sizes)`), making a difference equation; a call
+/// with no known cost is `Undefined`, which the solver turns into ∞
+/// ("always parallelise").
 pub fn clause_cost(clause: &Clause, sizes: &ClauseSizeAnalysis, ctx: &CostContext<'_>) -> Expr {
+    let literal_cost = |j, literal| match PredId::of_term(literal) {
+        // A variable goal (call/N style): unknown cost.
+        None => Expr::Undefined,
+        Some(pred) if is_builtin_or_control(pred) => Expr::Num(0.0),
+        Some(pred) => {
+            let inputs = granlog_ir::modes::mode_or_default(ctx.modes, pred).input_positions();
+            let args = sizes.literal_input_args(j, &inputs);
+            match ctx.cost_db.get(&pred) {
+                _ if ctx.scc.contains(&pred) => Expr::Call(FnRef::Cost(pred), args),
+                Some(cost) => cost.apply(&args),
+                None => Expr::Undefined,
+            }
+        }
+    };
     let mut total = Expr::Num(1.0);
     for (j, literal) in clause.body_literals().into_iter().enumerate() {
-        total = Expr::add(total, literal_cost(literal, j, sizes, ctx));
+        total = Expr::add(total, literal_cost(j, literal));
     }
     total.simplify()
 }
 
-fn literal_cost(
-    literal: TermRef<'_>,
-    index: usize,
-    sizes: &ClauseSizeAnalysis,
-    ctx: &CostContext<'_>,
-) -> Expr {
-    let Some(pred) = PredId::of_term(literal) else {
-        // A variable goal (call/N style): unknown cost.
-        return Expr::Undefined;
-    };
-    if is_builtin_or_control(pred) {
-        return Expr::Num(0.0);
-    }
-    let decl = granlog_ir::modes::mode_or_default(ctx.modes, pred);
-    let inputs = decl.input_positions();
-    let args = sizes.literal_input_args(index, &inputs);
-    if ctx.scc.contains(&pred) {
-        Expr::Call(FnRef::Cost(pred), args)
-    } else if let Some(cost) = ctx.cost_db.get(&pred) {
-        cost.apply(&args)
-    } else {
-        Expr::Undefined
+/// `Exclusive` when every two clauses whose heads overlap have guards that
+/// exclude each other, so at most one body runs on a call; else `Additive`.
+pub fn combine_mode(shapes: &[ClauseShape<'_>]) -> CombineMode {
+    let exclude = |a: &ClauseShape<'_>, b| !a.heads_overlap(b) || a.guards_exclude(b);
+    match (0..shapes.len()).all(|i| shapes[i + 1..].iter().all(|b| exclude(&shapes[i], b))) {
+        true => CombineMode::Exclusive,
+        false => CombineMode::Additive,
     }
 }
 
-/// Determines whether the clauses of a predicate are pairwise mutually
-/// exclusive, so that the predicate-level cost may take the maximum of the
-/// clause costs instead of their sum (the paper's indexing refinement).
-///
-/// Two clauses are considered exclusive if, at some input argument position,
-///
-/// * their head arguments carry *distinct* non-variable principal functors
-///   (first-argument-style indexing), or
-/// * both clauses carry leading arithmetic comparison guards over that
-///   argument's variables (assumed complementary, as `X =< P` / `X > P` in
-///   `partition/4`), or
-/// * one clause carries such a guard and the other has a non-variable key
-///   there (the guard is assumed to exclude the specific constant, as
-///   `M > 1` excludes the `fib(0,_)` / `fib(1,_)` facts).
-///
-/// The predicate is exclusive when every pair of its clauses is. This is a
-/// heuristic sufficient condition in the spirit of the paper's "mutually
-/// exclusive groups of clauses"; when it fails the analysis falls back to the
-/// additive (always sound) combination.
-pub fn clauses_are_exclusive(program: &Program, pred: PredId, modes: &ModeDecl) -> bool {
-    let clauses = program.clauses_of(pred);
-    if clauses.len() <= 1 {
-        return true;
-    }
-    let positions = modes.input_positions();
-    // Per clause and input position: (the head argument unless it is a
-    // variable, guarded).
-    let info: Vec<Vec<(Option<TermRef<'_>>, bool)>> = clauses
-        .iter()
-        .map(|clause| {
-            let guards = leading_guards(clause);
-            positions
-                .iter()
-                .map(|&pos| {
-                    let arg = clause.head.args().at(pos);
-                    let guarded = guards
-                        .iter()
-                        .any(|guard| guard.args().any(|a| share_a_variable(arg, a)));
-                    ((!arg.is_var()).then_some(arg), guarded)
-                })
-                .collect()
-        })
-        .collect();
-
-    for i in 0..info.len() {
-        for j in (i + 1)..info.len() {
-            let pair_exclusive = (0..positions.len()).any(|p| {
-                let (ka, ga) = &info[i][p];
-                let (kb, gb) = &info[j][p];
-                match (ka, kb) {
-                    (Some(a), Some(b)) if IndexKey::of_term(*a) != IndexKey::of_term(*b) => true,
-                    (Some(_), Some(_)) => *ga && *gb,
-                    (Some(_), None) => *gb,
-                    (None, Some(_)) => *ga,
-                    (None, None) => *ga && *gb,
-                }
-            });
-            if !pair_exclusive {
-                return false;
-            }
+/// The one charge rule of an `Exclusive` group. The engine resolves every
+/// head that unifies before a guard rejects its clause, so a clause's cost
+/// (`contribs[i]`, after its pinned sizes) gains one resolution per sibling
+/// whose head overlaps its own and can match at its sizes: a sibling that
+/// pins no size at every level, else in a case pinned at the same sizes and
+/// in a base case (a cost calling no `scc` function) that pins none.
+pub fn charge_sibling_heads(
+    shapes: &[ClauseShape<'_>],
+    contribs: &mut [(Vec<Option<i64>>, Expr)],
+    scc: &BTreeSet<FnRef>,
+) {
+    for i in 0..contribs.len() {
+        let (when, cost) = &contribs[i];
+        let base = || !cost.calls().iter().any(|f| scc.contains(f));
+        let pins = |j: usize| contribs[j].0.iter().zip(when);
+        let at_sizes = |j| pins(j).all(|(k, w)| k == w || k.is_none() || w.is_none() && base());
+        let charged = |&j: &usize| j != i && shapes[i].heads_overlap(&shapes[j]) && at_sizes(j);
+        if let n @ 1.. = (0..shapes.len()).filter(charged).count() {
+            contribs[i].1 = Expr::add(cost.clone(), Expr::int(n as i64)).simplify();
         }
-    }
-    true
-}
-
-/// The arithmetic comparisons the clause body starts with.
-fn leading_guards(clause: &Clause) -> Vec<TermRef<'_>> {
-    let is_guard = |literal: &TermRef<'_>| {
-        let builtin = PredId::of_term(*literal).and_then(|p| builtins::lookup(p.name, p.arity));
-        matches!(
-            builtin.map(|row| row.id),
-            Some(Builtin::NumCompare(_) | Builtin::StructEq | Builtin::StructNe)
-        )
-    };
-    let literals = clause.body_literals().into_iter();
-    literals.take_while(is_guard).collect()
-}
-
-fn share_a_variable(a: TermRef<'_>, b: TermRef<'_>) -> bool {
-    let shared = |c: &Cell| matches!(*c, Cell::Var(v) if b.contains_var(v));
-    a.cells().iter().any(shared)
-}
-
-/// The combine mode to use for a predicate's difference equations.
-pub fn combine_mode(program: &Program, pred: PredId, modes: &ModeDecl) -> CombineMode {
-    if clauses_are_exclusive(program, pred, modes) {
-        CombineMode::Exclusive
-    } else {
-        CombineMode::Additive
     }
 }
 
@@ -201,7 +121,7 @@ mod tests {
     use crate::sizerel::{analyze_clause, SizeContext, SizeDb};
     use granlog_ir::modes::infer_modes;
     use granlog_ir::parser::parse_program;
-    use granlog_ir::Symbol;
+    use granlog_ir::{Program, Symbol};
 
     const NREV: &str = r#"
         :- mode nrev(+, -).
@@ -302,7 +222,6 @@ mod tests {
         cost_db.insert(
             append,
             PredCost {
-                input_positions: vec![0, 1],
                 params: vec![Symbol::intern("n1"), Symbol::intern("n2")],
                 cost: Expr::add(Expr::var("n1"), Expr::num(1.0)),
             },
@@ -350,77 +269,60 @@ mod tests {
         assert!(clause_cost(&c, &a, &ctx).is_undefined());
     }
 
+    /// The combine mode of `name/arity` in `src`. The relations it is
+    /// decided from are pinned pair by pair in `granlog_ir::shape`.
+    fn mode_of(src: &str, name: &str, arity: usize) -> CombineMode {
+        let s = setup(src);
+        let pred = PredId::parse(name, arity);
+        let clauses = s.program.clauses_of(pred);
+        let shapes: Vec<_> = clauses
+            .iter()
+            .map(|c| ClauseShape::new(c, &s.modes[&pred]))
+            .collect();
+        combine_mode(&shapes)
+    }
+
     #[test]
     fn exclusivity_by_first_argument_indexing() {
-        let s = setup(NREV);
-        let append = PredId::parse("append", 3);
-        assert!(clauses_are_exclusive(&s.program, append, &s.modes[&append]));
-        let nrev = PredId::parse("nrev", 2);
-        assert!(clauses_are_exclusive(&s.program, nrev, &s.modes[&nrev]));
+        assert_eq!(mode_of(NREV, "append", 3), CombineMode::Exclusive);
+        assert_eq!(mode_of(NREV, "nrev", 2), CombineMode::Exclusive);
     }
 
     #[test]
     fn exclusivity_by_arithmetic_guard() {
-        let s = setup(
-            r#"
-            :- mode fib(+, -).
+        let fib = ":- mode fib(+, -).
             fib(0, 0).
             fib(1, 1).
             fib(M, N) :- M > 1, M1 is M - 1, M2 is M - 2,
-                         fib(M1, N1), fib(M2, N2), N is N1 + N2.
-            "#,
-        );
-        let fib = PredId::parse("fib", 2);
-        assert!(clauses_are_exclusive(&s.program, fib, &s.modes[&fib]));
-        assert_eq!(
-            combine_mode(&s.program, fib, &s.modes[&fib]),
-            CombineMode::Exclusive
-        );
+                         fib(M1, N1), fib(M2, N2), N is N1 + N2.";
+        assert_eq!(mode_of(fib, "fib", 2), CombineMode::Exclusive);
     }
 
     #[test]
     fn non_exclusive_clauses_detected() {
-        let s = setup(
-            r#"
-            :- mode color(+, -).
+        let color = ":- mode color(+, -).
             color(X, red) :- warm(X).
             color(X, blue) :- cold(X).
-            warm(_). cold(_).
-            "#,
-        );
-        let color = PredId::parse("color", 2);
-        assert!(!clauses_are_exclusive(&s.program, color, &s.modes[&color]));
-        assert_eq!(
-            combine_mode(&s.program, color, &s.modes[&color]),
-            CombineMode::Additive
-        );
+            warm(_). cold(_).";
+        assert_eq!(mode_of(color, "color", 2), CombineMode::Additive);
     }
 
     #[test]
     fn duplicate_keys_are_not_exclusive() {
-        let s = setup(
-            r#"
-            :- mode p(+, -).
-            p([H|_], H).
-            p([_|T], X) :- p(T, X).
-            "#,
-        );
-        let p = PredId::parse("p", 2);
-        // Both clauses key on './2': not exclusive.
-        assert!(!clauses_are_exclusive(&s.program, p, &s.modes[&p]));
+        // Both heads match any list of one element or more.
+        let p = ":- mode p(+, -). p([H|_], H). p([_|T], X) :- p(T, X).";
+        assert_eq!(mode_of(p, "p", 2), CombineMode::Additive);
     }
 
     #[test]
     fn single_clause_predicates_are_trivially_exclusive() {
-        let s = setup(":- mode q(+). q(X) :- r(X). r(_).");
-        let q = PredId::parse("q", 1);
-        assert!(clauses_are_exclusive(&s.program, q, &s.modes[&q]));
+        let q = ":- mode q(+). q(X) :- r(X). r(_).";
+        assert_eq!(mode_of(q, "q", 1), CombineMode::Exclusive);
     }
 
     #[test]
     fn pred_cost_apply() {
         let cost = PredCost {
-            input_positions: vec![0],
             params: vec![Symbol::intern("n")],
             cost: Expr::add(
                 Expr::mul(Expr::num(0.5), Expr::pow(Expr::var("n"), Expr::num(2.0))),

@@ -16,9 +16,9 @@ use std::fmt;
 /// predicate-level equation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum CombineMode {
-    /// Clauses are mutually exclusive (first-argument indexing or arithmetic
-    /// guards): take the maximum of the applicable clauses — the paper's
-    /// indexing refinement of equation (1).
+    /// No call runs two clauses' bodies (`cost::combine_mode`): take the
+    /// maximum of the applicable clauses — the paper's refinement of
+    /// equation (1).
     Exclusive,
     /// No exclusivity information: sum the clause costs/sizes (the paper's
     /// conservative default, equation (1)).

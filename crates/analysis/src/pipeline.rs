@@ -12,7 +12,7 @@
 //!    cost upper bound, and enough metadata (parameters, measures, input
 //!    positions) for threshold computation and program annotation.
 
-use crate::cost::{clause_cost, combine_mode, CostContext, CostDb, PredCost};
+use crate::cost::{charge_sibling_heads, clause_cost, combine_mode, CostContext, CostDb, PredCost};
 use crate::ddg::Ddg;
 use crate::diffeq::{CombineMode, DiffEq, DiffEqSystem};
 use crate::expr::{Expr, FnRef};
@@ -22,14 +22,11 @@ use crate::sizerel::{
 };
 use crate::solver::{solve_system, SchemaKind};
 use crate::threshold::{driving_parameter, threshold, Threshold, DEFAULT_SEARCH_CAP};
-use granlog_ir::{CallGraph, Clause, ModeDecl, PredId, Program, RecursionClass, Symbol, TermRef};
+use granlog_ir::{
+    CallGraph, Clause, ClauseShape, ModeDecl, PredId, Program, RecursionClass, Symbol, TermRef,
+};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Per-clause contributions to one difference equation: the base-case guard
-/// (constant head-input sizes, `None` when unconstrained) plus the clause's
-/// derived expression.
-type ClauseContribs = Vec<(Vec<Option<i64>>, Expr)>;
 
 /// Options of the analysis, of which there are none: it counts resolutions
 /// and searches thresholds up to [`DEFAULT_SEARCH_CAP`]. The struct stays
@@ -138,6 +135,8 @@ struct Member<'a> {
     decl: Cow<'a, ModeDecl>,
     input_positions: Vec<usize>,
     params: Vec<Symbol>,
+    clauses: Vec<&'a Clause>,
+    shapes: Vec<ClauseShape<'a>>,
     combine: CombineMode,
 }
 
@@ -172,9 +171,13 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
                     .iter()
                     .map(|&i| param_symbol(&input_positions, i))
                     .collect();
+                let clauses = program.clauses_of(pred);
+                let shapes: Vec<_> = clauses.iter().map(|c| ClauseShape::new(c, &decl)).collect();
                 Member {
                     pred,
-                    combine: combine_mode(program, pred, &decl),
+                    combine: combine_mode(&shapes),
+                    clauses,
+                    shapes,
                     decl,
                     input_positions,
                     params,
@@ -202,10 +205,10 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
                 size_db: &size_db,
                 scc: &scc_set,
             };
-            let clauses: Vec<ClauseWork<'_>> = program
-                .clauses_of(m.pred)
-                .into_iter()
-                .map(|clause| {
+            let clauses: Vec<ClauseWork<'_>> = m
+                .clauses
+                .iter()
+                .map(|&clause| {
                     let ddg = Ddg::build(clause, &m.decl);
                     let sizes = analyze_clause(&ddg, &ctx);
                     let when = m
@@ -273,7 +276,7 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
         let calls_scc = |l: &TermRef<'_>| PredId::of_term(*l).is_some_and(|p| scc_set.contains(&p));
         let mut cost_equations: Vec<DiffEq> = Vec::new();
         for (m, clauses) in members.iter().zip(work) {
-            let mut clause_contribs: ClauseContribs = Vec::with_capacity(clauses.len());
+            let mut clause_contribs = Vec::with_capacity(clauses.len());
             for mut c in clauses {
                 // Phase 1 kept the calls to SCC members symbolic and now their
                 // Ψ are in `size_db`. A clause without such a call looked up
@@ -282,6 +285,9 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
                     c.sizes = analyze_clause(&c.ddg, &size_ctx);
                 }
                 clause_contribs.push((c.when, clause_cost(c.clause, &c.sizes, &cost_ctx)));
+            }
+            if m.combine == CombineMode::Exclusive {
+                charge_sibling_heads(&m.shapes, &mut clause_contribs, &scc_cost_funcs);
             }
             cost_equations.push(DiffEq::assemble(
                 FnRef::Cost(m.pred),
@@ -305,7 +311,6 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
             cost_db.insert(
                 m.pred,
                 PredCost {
-                    input_positions: m.input_positions.clone(),
                     params: m.params.clone(),
                     cost: cost_sol.closed_form.clone(),
                 },

@@ -30,6 +30,9 @@
 //! * [`arith`] — the one table of arithmetic functions and constants: the
 //!   engine evaluates the op [`arith::lookup`] names, and the size analysis
 //!   bounds `is/2`'s output by it.
+//! * [`shape`] — which clauses of a predicate one call can reach: a
+//!   [`ClauseShape`] per clause, whose heads overlap and whose guards
+//!   exclude each other. The cost analysis charges by both.
 //! * [`grain`] — the grain-size decision shared by the analysis that
 //!   produces it and the annotator that enforces it: the [`Measure`]
 //!   vocabulary (which the engine's `'$grain_ge'` reads back), the
@@ -60,6 +63,7 @@ pub mod modes;
 pub mod parser;
 pub mod pretty;
 pub mod program;
+pub mod shape;
 pub mod symbol;
 pub mod term;
 
@@ -69,5 +73,6 @@ pub use grain::{Guard, GuardTable, Measure};
 pub use modes::{ArgMode, ModeDecl};
 pub use parser::{parse_program, parse_term, ParseError};
 pub use program::{Directive, IndexKey, PredId, Predicate, Program};
+pub use shape::ClauseShape;
 pub use symbol::{FastHasher, FastMap, Symbol};
 pub use term::{AsTerm, Term, TermRef, VarId, View};

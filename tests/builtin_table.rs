@@ -105,18 +105,10 @@ const SHAPES: &[(&str, &str, Agreement)] = &[
         Agreement::Exact(1),
     ),
     ("p(X) :- q(X) & q(X). q(_).", "p(1)", Agreement::Exact(3)),
-    // ROADMAP item 1, defect 3b: every clause the goal reaches is charged,
-    // so the goal runs to failure. The first clause answers, and on
-    // backtracking the second clause's head resolves before its guard
-    // rejects it: the analysis takes the maximum and misses that head.
-    (
-        GUARDED,
-        "p(3), fail",
-        Agreement::Under {
-            analysis: 2,
-            engine: 3,
-        },
-    ),
+    // Both heads resolve on every call, whichever guard rejects its
+    // clause, and the analysis charges each clause its sibling's head. The
+    // goal runs to failure, so the second head is reached here too.
+    (GUARDED, "p(3), fail", Agreement::Exact(3)),
     // The analysis has no rule for these control constructs, so it bounds
     // them by ∞.
     (
@@ -134,18 +126,8 @@ const SHAPES: &[(&str, &str, Agreement)] = &[
         "p(1)",
         Agreement::Unbounded { engine: 2 },
     ),
-    // ROADMAP item 1, defect 3b: the analysis takes the maximum over
-    // clauses it finds mutually exclusive by their guards, but the engine
-    // resolves the first clause's head before its guard rejects it, so a
-    // goal the second clause answers costs one resolution more.
-    (
-        GUARDED,
-        "p(7)",
-        Agreement::Under {
-            analysis: 2,
-            engine: 3,
-        },
-    ),
+    // The first clause's head resolves before its guard rejects it.
+    (GUARDED, "p(7)", Agreement::Exact(3)),
 ];
 
 /// Two clauses the analysis finds mutually exclusive by their guards.

@@ -132,8 +132,10 @@ fn consistency_check_has_constant_cost() {
         .unwrap()
         .as_const()
         .expect("constant cost");
-    // W is X mod 16 + 10 spins at most 25 times, plus the two clause entries.
-    assert!((20.0..=40.0).contains(&cost), "check cost {cost}");
+    // W is X mod 16 + 10 spins at most 25 times, and each step resolves
+    // both `spin/1` heads, the first rejected by its guard: with `check/1`'s
+    // own head and the bottom's two, 53 resolutions.
+    assert_eq!(cost, 53.0, "check cost");
     // Below the ROLOG-like overhead (sequentialise), above the &-Prolog-like
     // one (keep parallel): the crux of the consistency benchmark.
     assert_eq!(
