@@ -3,7 +3,7 @@
 //! body literals, each assumed to succeed once (a builtin or control atom
 //! costs 0). A predicate sums its clauses' costs, or takes their maximum
 //! where no call runs two bodies ([`combine_mode`]) once each is charged
-//! the sibling heads a call resolves beside it ([`charge_sibling_heads`]).
+//! the sibling heads a call resolves beside it (`charge_sibling_heads`).
 
 use crate::diffeq::CombineMode;
 use crate::expr::{Expr, FnRef};
@@ -96,7 +96,7 @@ pub fn combine_mode(shapes: &[ClauseShape<'_>]) -> CombineMode {
 /// whose head overlaps its own and can match at its sizes: a sibling that
 /// pins no size at every level, else in a case pinned at the same sizes and
 /// in a base case (a cost calling no `scc` function) that pins none.
-pub fn charge_sibling_heads(
+pub(crate) fn charge_sibling_heads(
     shapes: &[ClauseShape<'_>],
     contribs: &mut [(Vec<Option<i64>>, Expr)],
     scc: &BTreeSet<FnRef>,
