@@ -7,11 +7,12 @@
 
 use crate::diffeq::CombineMode;
 use crate::expr::{Expr, FnRef};
+use crate::pipeline::ProgramAnalysis;
 use crate::sizerel::ClauseSizeAnalysis;
 use granlog_ir::builtins;
 use granlog_ir::symbol::well_known;
-use granlog_ir::{Clause, ClauseShape, ModeDecl, PredId, Symbol};
-use std::collections::{BTreeMap, BTreeSet};
+use granlog_ir::{Clause, ClauseShape, PredId};
+use std::collections::BTreeSet;
 
 /// Whether `pred` is a row of [`granlog_ir::builtins`] or a control atom
 /// (`true`, `fail`, `false`, `!`): a goal the engine runs without a
@@ -22,53 +23,29 @@ fn is_builtin_or_control(pred: PredId) -> bool {
     control || builtins::lookup(pred.name, pred.arity).is_some()
 }
 
-/// Closed-form cost information for an already-analysed predicate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PredCost {
-    /// The parameter symbols, one per input position in order.
-    pub params: Vec<Symbol>,
-    /// Closed-form cost upper bound in terms of `params`.
-    pub cost: Expr,
-}
-
-impl PredCost {
-    /// Applies the cost function to concrete argument size expressions.
-    pub fn apply(&self, args: &[Expr]) -> Expr {
-        self.cost.apply(&self.params, args)
-    }
-}
-
-/// A database of solved cost functions, filled in call-graph topological
-/// order by the pipeline.
-pub type CostDb = BTreeMap<PredId, PredCost>;
-
-/// Context for clause-level cost estimation.
-#[derive(Debug, Clone)]
-pub struct CostContext<'a> {
-    /// Mode declarations (declared or inferred) for every predicate.
-    pub modes: &'a BTreeMap<PredId, ModeDecl>,
-    /// Already-solved cost functions.
-    pub cost_db: &'a CostDb,
-    /// Members of the SCC currently being analysed.
-    pub scc: &'a BTreeSet<PredId>,
-}
-
 /// The cost of a clause (the paper's equation (3)), its literals' sizes
-/// taken from the clause's size analysis. Calls to the current SCC stay
+/// taken from the clause's size analysis and its callees' costs from their
+/// records in `analysis`. Calls to `scc`, the SCC being solved, stay
 /// symbolic (`Call(Cost(p), sizes)`), making a difference equation; a call
 /// with no known cost is `Undefined`, which the solver turns into ∞
 /// ("always parallelise").
-pub fn clause_cost(clause: &Clause, sizes: &ClauseSizeAnalysis, ctx: &CostContext<'_>) -> Expr {
+pub fn clause_cost(
+    clause: &Clause,
+    sizes: &ClauseSizeAnalysis,
+    analysis: &ProgramAnalysis,
+    scc: &BTreeSet<PredId>,
+) -> Expr {
     let literal_cost = |j, literal| match PredId::of_term(literal) {
         // A variable goal (call/N style): unknown cost.
         None => Expr::Undefined,
         Some(pred) if is_builtin_or_control(pred) => Expr::Num(0.0),
         Some(pred) => {
-            let inputs = granlog_ir::modes::mode_or_default(ctx.modes, pred).input_positions();
+            let inputs =
+                granlog_ir::modes::mode_or_default(&analysis.modes, pred).input_positions();
             let args = sizes.literal_input_args(j, &inputs);
-            match ctx.cost_db.get(&pred) {
-                _ if ctx.scc.contains(&pred) => Expr::Call(FnRef::Cost(pred), args),
-                Some(cost) => cost.apply(&args),
+            match analysis.pred(pred) {
+                _ if scc.contains(&pred) => Expr::Call(FnRef::Cost(pred), args),
+                Some(solved) => solved.cost.apply(&solved.params, &args),
                 None => Expr::Undefined,
             }
         }
@@ -117,11 +94,10 @@ pub(crate) fn charge_sibling_heads(
 mod tests {
     use super::*;
     use crate::ddg::Ddg;
-    use crate::measure::assign_measures;
-    use crate::sizerel::{analyze_clause, SizeContext, SizeDb};
+    use crate::pipeline::{analyze_program, AnalysisOptions};
+    use crate::sizerel::analyze_clause;
     use granlog_ir::modes::infer_modes;
     use granlog_ir::parser::parse_program;
-    use granlog_ir::{Program, Symbol};
 
     const NREV: &str = r#"
         :- mode nrev(+, -).
@@ -132,152 +108,65 @@ mod tests {
         append([H|L1], L2, [H|L3]) :- append(L1, L2, L3).
     "#;
 
-    struct Setup {
-        program: Program,
-        modes: BTreeMap<PredId, ModeDecl>,
-        measures: BTreeMap<PredId, crate::measure::MeasureVec>,
-    }
-
-    fn setup(src: &str) -> Setup {
+    /// The cost of clause `idx` of `pred` in `src` as phase 2 of the
+    /// pipeline takes it on the SCC `scc`: every callee's record, sizes and
+    /// cost, comes from `analyze_program` on the same source, and only the
+    /// calls to `scc` stay symbolic in the cost. The size pass reads every
+    /// Ψ, `scc`'s included, as phase 2 does.
+    fn clause_cost_in(src: &str, scc: &[PredId], pred: PredId, idx: usize) -> Expr {
         let program = parse_program(src).unwrap();
-        let modes = infer_modes(&program);
-        let measures = assign_measures(&program);
-        Setup {
-            program,
-            modes,
-            measures,
-        }
-    }
-
-    fn clause_sizes(
-        s: &Setup,
-        size_db: &SizeDb,
-        scc: &BTreeSet<PredId>,
-        pred: PredId,
-        idx: usize,
-    ) -> (Clause, ClauseSizeAnalysis) {
-        let clause = s.program.clauses_of(pred)[idx].clone();
-        let ddg = Ddg::build(&clause, &s.modes[&pred]);
-        let ctx = SizeContext {
-            modes: &s.modes,
-            measures: &s.measures,
-            size_db,
-            scc,
-        };
-        let analysis = analyze_clause(&ddg, &ctx);
-        (clause, analysis)
+        let analysis = analyze_program(&program, &AnalysisOptions::default());
+        let clause = program.clauses_of(pred)[idx];
+        let ddg = Ddg::build(clause, &analysis.modes[&pred]);
+        let sizes = analyze_clause(&ddg, &analysis, &BTreeSet::new());
+        clause_cost(clause, &sizes, &analysis, &scc.iter().copied().collect())
     }
 
     #[test]
     fn append_clause_costs_match_appendix() {
-        let s = setup(NREV);
         let append = PredId::parse("append", 3);
-        let scc: BTreeSet<PredId> = [append].into_iter().collect();
-        let size_db = SizeDb::new();
-        let cost_db = CostDb::new();
-        let ctx = CostContext {
-            modes: &s.modes,
-            cost_db: &cost_db,
-            scc: &scc,
-        };
         // Base clause: cost 1 (head unification only).
-        let (c0, a0) = clause_sizes(&s, &size_db, &scc, append, 0);
-        assert_eq!(clause_cost(&c0, &a0, &ctx), Expr::Num(1.0));
+        assert_eq!(clause_cost_in(NREV, &[append], append, 0), Expr::Num(1.0));
         // Recursive clause: 1 + Cost_append(n1 − 1, n2).
-        let (c1, a1) = clause_sizes(&s, &size_db, &scc, append, 1);
-        let cost = clause_cost(&c1, &a1, &ctx);
+        let cost = clause_cost_in(NREV, &[append], append, 1);
         assert_eq!(cost.to_string(), "cost_append/3(n1 - 1, n2) + 1");
     }
 
     #[test]
     fn nrev_clause_cost_uses_solved_append_cost() {
-        let s = setup(NREV);
         let nrev = PredId::parse("nrev", 2);
-        let append = PredId::parse("append", 3);
-        let scc: BTreeSet<PredId> = [nrev].into_iter().collect();
-        // The size analysis has already been completed (Ψ_append(x, y) = x + y,
-        // Ψ_nrev(n) = n) and Cost_append(x, y) = x + 1 is known (the Appendix);
-        // only Cost_nrev is still being solved, so the size pass uses the full
-        // size database while the cost pass keeps nrev symbolic.
-        let mut size_db = SizeDb::new();
-        size_db.insert(
-            append,
-            crate::sizerel::PredSizes {
-                input_positions: vec![0, 1],
-                params: vec![Symbol::intern("n1"), Symbol::intern("n2")],
-                outputs: [(2usize, Expr::add(Expr::var("n1"), Expr::var("n2")))]
-                    .into_iter()
-                    .collect(),
-            },
-        );
-        size_db.insert(
-            nrev,
-            crate::sizerel::PredSizes {
-                input_positions: vec![0],
-                params: vec![Symbol::intern("n")],
-                outputs: [(1usize, Expr::var("n"))].into_iter().collect(),
-            },
-        );
-        let mut cost_db = CostDb::new();
-        cost_db.insert(
-            append,
-            PredCost {
-                params: vec![Symbol::intern("n1"), Symbol::intern("n2")],
-                cost: Expr::add(Expr::var("n1"), Expr::num(1.0)),
-            },
-        );
-        let ctx = CostContext {
-            modes: &s.modes,
-            cost_db: &cost_db,
-            scc: &scc,
-        };
-        // The size pass sees the solved Ψ functions (empty "still-symbolic" SCC).
-        let (c1, a1) = clause_sizes(&s, &size_db, &BTreeSet::new(), nrev, 1);
-        let cost = clause_cost(&c1, &a1, &ctx);
+        // The size analysis has been completed (Ψ_append(x, y) = x + y,
+        // Ψ_nrev(n) = n) and Cost_append(x, y) = x + 1 is known (the
+        // Appendix); only Cost_nrev is still being solved.
+        let cost = clause_cost_in(NREV, &[nrev], nrev, 1);
         // 1 + Cost_nrev(n−1) + Cost_append(n−1, 1) = Cost_nrev(n−1) + n + 1.
         assert_eq!(cost.to_string(), "cost_nrev/2(n - 1) + n + 1");
     }
 
     #[test]
     fn builtins_cost_zero_resolutions() {
-        let s = setup(":- mode p(+, -). p(X, Y) :- X > 1, Y is X - 1.");
+        let src = ":- mode p(+, -). p(X, Y) :- X > 1, Y is X - 1.";
         let p = PredId::parse("p", 2);
-        let scc = BTreeSet::new();
-        let size_db = SizeDb::new();
-        let cost_db = CostDb::new();
-        let (c, a) = clause_sizes(&s, &size_db, &scc, p, 0);
-        let ctx = CostContext {
-            modes: &s.modes,
-            cost_db: &cost_db,
-            scc: &scc,
-        };
-        assert_eq!(clause_cost(&c, &a, &ctx), Expr::Num(1.0));
+        assert_eq!(clause_cost_in(src, &[], p, 0), Expr::Num(1.0));
     }
 
     #[test]
     fn unknown_predicate_cost_is_undefined() {
-        let s = setup(":- mode p(+). p(X) :- mystery(X).");
+        let src = ":- mode p(+). p(X) :- mystery(X).";
         let p = PredId::parse("p", 1);
-        let scc = BTreeSet::new();
-        let (c, a) = clause_sizes(&s, &SizeDb::new(), &scc, p, 0);
-        let cost_db = CostDb::new();
-        let ctx = CostContext {
-            modes: &s.modes,
-            cost_db: &cost_db,
-            scc: &scc,
-        };
-        assert!(clause_cost(&c, &a, &ctx).is_undefined());
+        assert!(clause_cost_in(src, &[], p, 0).is_undefined());
     }
 
     /// The combine mode of `name/arity` in `src`. The relations it is
     /// decided from are pinned pair by pair in `granlog_ir::shape`.
     fn mode_of(src: &str, name: &str, arity: usize) -> CombineMode {
-        let s = setup(src);
+        let program = parse_program(src).unwrap();
+        let modes = infer_modes(&program);
         let pred = PredId::parse(name, arity);
-        let clauses = s.program.clauses_of(pred);
+        let clauses = program.clauses_of(pred);
         let shapes: Vec<_> = clauses
             .iter()
-            .map(|c| ClauseShape::new(c, &s.modes[&pred]))
+            .map(|c| ClauseShape::new(c, &modes[&pred]))
             .collect();
         combine_mode(&shapes)
     }
@@ -318,19 +207,6 @@ mod tests {
     fn single_clause_predicates_are_trivially_exclusive() {
         let q = ":- mode q(+). q(X) :- r(X). r(_).";
         assert_eq!(mode_of(q, "q", 1), CombineMode::Exclusive);
-    }
-
-    #[test]
-    fn pred_cost_apply() {
-        let cost = PredCost {
-            params: vec![Symbol::intern("n")],
-            cost: Expr::add(
-                Expr::mul(Expr::num(0.5), Expr::pow(Expr::var("n"), Expr::num(2.0))),
-                Expr::num(1.0),
-            ),
-        };
-        assert_eq!(cost.apply(&[Expr::Num(10.0)]).as_const(), Some(51.0));
-        assert!(cost.apply(&[]).is_undefined());
     }
 
     #[test]

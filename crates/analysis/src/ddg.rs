@@ -12,7 +12,6 @@
 //! literal succeeds, all of its variables become bound). Head modes come from
 //! the program's mode table.
 
-use crate::measure::{Measure, MeasureVec, SizeFunctions};
 use granlog_ir::{AsTerm, Clause, ModeDecl, PredId, TermRef, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -68,13 +67,12 @@ impl fmt::Display for ArgPos {
 }
 
 /// The data dependency graph of a single clause, borrowing the clause's
-/// terms and the head's mode declaration.
+/// terms.
 #[derive(Debug, Clone)]
 pub struct Ddg<'a> {
     head: TermRef<'a>,
     head_pred: Option<PredId>,
-    head_modes: &'a ModeDecl,
-    /// The head's input and output positions under `head_modes`.
+    /// The head's input and output positions under its mode declaration.
     head_inputs: Vec<usize>,
     head_outputs: Vec<usize>,
     literals: Vec<TermRef<'a>>,
@@ -96,7 +94,7 @@ impl<'a> Ddg<'a> {
     /// # Panics
     ///
     /// Panics if `head_modes` does not match the head's arity.
-    pub fn build(clause: &'a Clause, head_modes: &'a ModeDecl) -> Ddg<'a> {
+    pub fn build(clause: &'a Clause, head_modes: &ModeDecl) -> Ddg<'a> {
         assert_eq!(
             head_modes.modes.len(),
             clause.head.args().len(),
@@ -166,7 +164,6 @@ impl<'a> Ddg<'a> {
         Ddg {
             head_pred: clause.head_pred(),
             head,
-            head_modes,
             head_inputs,
             head_outputs,
             literals,
@@ -185,11 +182,6 @@ impl<'a> Ddg<'a> {
     /// The head predicate.
     pub fn head_pred(&self) -> Option<PredId> {
         self.head_pred
-    }
-
-    /// The head's mode declaration.
-    pub fn head_modes(&self) -> &'a ModeDecl {
-        self.head_modes
     }
 
     /// The body literals, in textual order.
@@ -249,15 +241,6 @@ impl<'a> Ddg<'a> {
         self.edges.contains(&(from, to))
     }
 
-    /// Predecessor nodes of a node.
-    pub fn predecessors(&self, node: NodeId) -> Vec<NodeId> {
-        self.edges
-            .iter()
-            .filter(|(_, to)| *to == node)
-            .map(|(from, _)| *from)
-            .collect()
-    }
-
     /// Successor nodes of a node.
     pub fn successors(&self, node: NodeId) -> Vec<NodeId> {
         self.edges
@@ -265,37 +248,6 @@ impl<'a> Ddg<'a> {
             .filter(|(from, _)| *from == node)
             .map(|(_, to)| *to)
             .collect()
-    }
-
-    /// The height of the graph: the number of edges on the longest path. This
-    /// bounds the number of normalization iterations (Theorem 3.1).
-    pub fn height(&self) -> usize {
-        // Nodes in execution order form a topological order by construction
-        // (edges only go forward).
-        let order = self.nodes();
-        let index: BTreeMap<NodeId, usize> =
-            order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let mut dist = vec![0usize; order.len()];
-        for &(from, to) in &self.edges {
-            let (fi, ti) = (index[&from], index[&to]);
-            dist[ti] = dist[ti].max(dist[fi] + 1);
-        }
-        dist.into_iter().max().unwrap_or(0)
-    }
-
-    /// The measure chosen for an argument position, given per-predicate
-    /// measure assignments. Head positions use the head predicate's measures;
-    /// body positions use the callee's measures (falling back to a guess from
-    /// the term itself).
-    pub fn measure_at(&self, pos: ArgPos, measures: &BTreeMap<PredId, MeasureVec>) -> Measure {
-        let pred = match pos.node {
-            NodeId::Start | NodeId::End => self.head_pred,
-            NodeId::Body(j) => PredId::of_term(self.literals[j]),
-        };
-        pred.and_then(|p| measures.get(&p))
-            .and_then(|ms| ms.get(pos.pos))
-            .copied()
-            .unwrap_or_else(|| Measure::default_for_term(self.term_at(pos)))
     }
 
     /// Renders the graph in Graphviz DOT format (useful for inspecting
@@ -413,7 +365,6 @@ mod tests {
         assert_eq!(g.input(NodeId::End), vec![1]);
         // [] has no variables, so the end node needs no producer edge.
         assert!(g.edges().is_empty());
-        assert_eq!(g.height(), 0);
         assert_eq!(g.node_label(NodeId::Start), "{head_1}");
         assert_eq!(g.node_label(NodeId::End), "{head_2}");
     }
@@ -434,7 +385,6 @@ mod tests {
         assert!(g.has_edge(NodeId::Body(0), NodeId::Body(1)));
         assert!(g.has_edge(NodeId::Body(1), NodeId::End));
         assert_eq!(g.edges().len(), 4);
-        assert_eq!(g.height(), 3);
     }
 
     #[test]
@@ -537,21 +487,12 @@ mod tests {
     }
 
     #[test]
-    fn term_at_and_measure_at() {
+    fn term_at_reads_an_argument_position() {
         let p = nrev_program();
         let g = ddg_of(&p, "nrev", 2, 1);
         assert_eq!(
             g.term_at(ArgPos::new(NodeId::Body(1), 1)).list_length(),
             Some(1)
-        );
-        let measures = crate::measure::assign_measures(&p);
-        assert_eq!(
-            g.measure_at(ArgPos::new(NodeId::Start, 0), &measures),
-            Measure::ListLength
-        );
-        assert_eq!(
-            g.measure_at(ArgPos::new(NodeId::Body(1), 0), &measures),
-            Measure::ListLength
         );
     }
 

@@ -167,30 +167,6 @@ impl fmt::Display for DiffEq {
     }
 }
 
-/// A system of difference equations for a mutually recursive SCC.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffEqSystem {
-    /// One equation per function of the SCC.
-    pub equations: Vec<DiffEq>,
-}
-
-impl DiffEqSystem {
-    /// Creates a system from its member equations.
-    pub fn new(equations: Vec<DiffEq>) -> Self {
-        DiffEqSystem { equations }
-    }
-
-    /// The equation defining `func`, if present.
-    pub fn equation_for(&self, func: FnRef) -> Option<&DiffEq> {
-        self.equations.iter().find(|e| e.func == func)
-    }
-
-    /// The set of functions defined by the system.
-    pub fn functions(&self) -> BTreeSet<FnRef> {
-        self.equations.iter().map(|e| e.func).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,10 +333,6 @@ mod tests {
             CombineMode::Exclusive,
         );
         assert_eq!(eq.referenced_functions(), [odd].into_iter().collect());
-        let sys = DiffEqSystem::new(vec![eq.clone()]);
-        assert_eq!(sys.functions(), [even].into_iter().collect());
-        assert!(sys.equation_for(even).is_some());
-        assert!(sys.equation_for(odd).is_none());
     }
 
     #[test]

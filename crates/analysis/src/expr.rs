@@ -35,7 +35,8 @@ pub enum FnRef {
 impl fmt::Display for FnRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FnRef::OutputSize(p, i) => write!(f, "psi_{}#{}/{}", p.name, i, p.arity),
+            // The position is 1-based, as in the paper's `psi_nrev[2](n)`.
+            FnRef::OutputSize(p, i) => write!(f, "psi_{}[{}]", p.name, i + 1),
             FnRef::Cost(p) => write!(f, "cost_{}/{}", p.name, p.arity),
             FnRef::Sym(s) => write!(f, "{s}"),
         }
@@ -1082,6 +1083,22 @@ mod tests {
         let e = Expr::call(other, vec![Expr::var("a")]);
         let out = e.subst_calls(&|f, _| (f == psi).then(|| Expr::num(0.0)));
         assert!(out.contains_call(other));
+    }
+
+    #[test]
+    fn apply_substitutes_parameters_and_checks_arity() {
+        let params = [Symbol::intern("n1"), Symbol::intern("n2")];
+        let psi = Expr::add(Expr::var("n1"), Expr::var("n2"));
+        let out = psi.apply(&params, &[Expr::var("a"), Expr::Num(1.0)]);
+        assert_eq!(out.to_string(), "a + 1");
+        assert!(psi.apply(&params, &[Expr::var("a")]).is_undefined());
+        let n = [Symbol::intern("n")];
+        let cost = Expr::add(
+            Expr::mul(Expr::num(0.5), Expr::pow(Expr::var("n"), Expr::num(2.0))),
+            Expr::num(1.0),
+        );
+        assert_eq!(cost.apply(&n, &[Expr::Num(10.0)]).as_const(), Some(51.0));
+        assert!(cost.apply(&n, &[]).is_undefined());
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //! 4. record, per predicate, the closed-form output sizes, the closed-form
 //!    cost upper bound, and enough metadata (parameters, measures, input
 //!    positions) for threshold computation and program annotation.
+//!
+//! The records of step 4 are the only table of solved functions: they go
+//! into the [`ProgramAnalysis`] being built, and the clauses of later SCCs
+//! read their callees' Ψ and cost from there.
 
-use crate::cost::{charge_sibling_heads, clause_cost, combine_mode, CostContext, CostDb, PredCost};
+use crate::cost::{charge_sibling_heads, clause_cost, combine_mode};
 use crate::ddg::Ddg;
-use crate::diffeq::{CombineMode, DiffEq, DiffEqSystem};
+use crate::diffeq::{CombineMode, DiffEq};
 use crate::expr::{Expr, FnRef};
 use crate::measure::{assign_measures, MeasureVec};
-use crate::sizerel::{
-    analyze_clause, param_symbol, ClauseSizeAnalysis, PredSizes, SizeContext, SizeDb,
-};
+use crate::sizerel::{analyze_clause, param_symbol, ClauseSizeAnalysis};
 use crate::solver::{solve_system, SchemaKind};
 use crate::threshold::{driving_parameter, threshold, Threshold, DEFAULT_SEARCH_CAP};
 use granlog_ir::{
@@ -151,21 +153,21 @@ struct ClauseWork<'a> {
 
 /// Runs the complete granularity analysis over a program.
 pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> ProgramAnalysis {
-    let modes = granlog_ir::modes::infer_modes(program);
-    let measures = assign_measures(program);
     let callgraph = CallGraph::build(program);
-
-    let mut size_db: SizeDb = SizeDb::new();
-    let mut cost_db: CostDb = CostDb::new();
-    let mut preds: BTreeMap<PredId, PredAnalysis> = BTreeMap::new();
-    let empty_scc: BTreeSet<PredId> = BTreeSet::new();
+    let mut analysis = ProgramAnalysis {
+        preds: BTreeMap::new(),
+        modes: granlog_ir::modes::infer_modes(program),
+        measures: assign_measures(program),
+    };
+    let modes = &analysis.modes;
+    let no_scc: BTreeSet<PredId> = BTreeSet::new();
 
     for scc in callgraph.topological_sccs() {
         let scc_set: BTreeSet<PredId> = scc.members.iter().copied().collect();
         let members: Vec<Member<'_>> = scc_set
             .iter()
             .map(|&pred| {
-                let decl = granlog_ir::modes::mode_or_default(&modes, pred);
+                let decl = granlog_ir::modes::mode_or_default(modes, pred);
                 let input_positions = decl.input_positions();
                 let params = input_positions
                     .iter()
@@ -199,18 +201,12 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
 
         let mut work: Vec<Vec<ClauseWork<'_>>> = Vec::with_capacity(members.len());
         for m in &members {
-            let ctx = SizeContext {
-                modes: &modes,
-                measures: &measures,
-                size_db: &size_db,
-                scc: &scc_set,
-            };
             let clauses: Vec<ClauseWork<'_>> = m
                 .clauses
                 .iter()
                 .map(|&clause| {
                     let ddg = Ddg::build(clause, &m.decl);
-                    let sizes = analyze_clause(&ddg, &ctx);
+                    let sizes = analyze_clause(&ddg, &analysis, &scc_set);
                     let when = m
                         .input_positions
                         .iter()
@@ -240,21 +236,29 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
             work.push(clauses);
         }
 
-        let size_solutions = solve_system(&DiffEqSystem::new(size_equations));
-        let mut size_schemas: BTreeMap<PredId, BTreeMap<usize, SchemaKind>> = BTreeMap::new();
+        // Each member's record goes in with its solved sizes, and phase 2
+        // writes its cost: inside its own SCC a member's cost is always
+        // symbolic (`clause_cost` checks the SCC first), so the cost stored
+        // here is never read.
         for m in &members {
-            let sizes = PredSizes {
+            let record = PredAnalysis {
+                pred: m.pred,
+                recursion: callgraph.classify_predicate(m.pred),
                 input_positions: m.input_positions.clone(),
                 params: m.params.clone(),
-                outputs: BTreeMap::new(),
+                measures: analysis.measures.get(&m.pred).cloned().unwrap_or_default(),
+                output_sizes: BTreeMap::new(),
+                size_schemas: BTreeMap::new(),
+                cost: Expr::Undefined,
+                cost_schema: SchemaKind::Unmatched,
             };
-            size_db.insert(m.pred, sizes);
+            analysis.preds.insert(m.pred, record);
         }
-        for sol in size_solutions {
+        for sol in solve_system(&size_equations) {
             if let FnRef::OutputSize(p, k) = sol.func {
-                let sizes = size_db.get_mut(&p).expect("a member of the SCC");
-                sizes.outputs.insert(k, sol.closed_form);
-                size_schemas.entry(p).or_default().insert(k, sol.schema);
+                let record = analysis.preds.get_mut(&p).expect("a member of the SCC");
+                record.output_sizes.insert(k, sol.closed_form);
+                record.size_schemas.insert(k, sol.schema);
             }
         }
 
@@ -262,29 +266,19 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
         // Phase 2: cost analysis for the SCC (with Ψ of the SCC now solved).
         // ------------------------------------------------------------------
         let scc_cost_funcs: BTreeSet<FnRef> = scc_set.iter().map(|&p| FnRef::Cost(p)).collect();
-        let size_ctx = SizeContext {
-            modes: &modes,
-            measures: &measures,
-            size_db: &size_db,
-            scc: &empty_scc,
-        };
-        let cost_ctx = CostContext {
-            modes: &modes,
-            cost_db: &cost_db,
-            scc: &scc_set,
-        };
         let calls_scc = |l: &TermRef<'_>| PredId::of_term(*l).is_some_and(|p| scc_set.contains(&p));
         let mut cost_equations: Vec<DiffEq> = Vec::new();
         for (m, clauses) in members.iter().zip(work) {
             let mut clause_contribs = Vec::with_capacity(clauses.len());
             for mut c in clauses {
                 // Phase 1 kept the calls to SCC members symbolic and now their
-                // Ψ are in `size_db`. A clause without such a call looked up
-                // the same entries then as it would now: its sizes stand.
+                // Ψ are in their records. A clause without such a call read
+                // the same records then as it would now: its sizes stand.
                 if c.ddg.literals().iter().any(calls_scc) {
-                    c.sizes = analyze_clause(&c.ddg, &size_ctx);
+                    c.sizes = analyze_clause(&c.ddg, &analysis, &no_scc);
                 }
-                clause_contribs.push((c.when, clause_cost(c.clause, &c.sizes, &cost_ctx)));
+                let cost = clause_cost(c.clause, &c.sizes, &analysis, &scc_set);
+                clause_contribs.push((c.when, cost));
             }
             if m.combine == CombineMode::Exclusive {
                 charge_sibling_heads(&m.shapes, &mut clause_contribs, &scc_cost_funcs);
@@ -297,47 +291,16 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
                 m.combine,
             ));
         }
-        let mut cost_solutions = solve_system(&DiffEqSystem::new(cost_equations));
-
-        // ------------------------------------------------------------------
-        // Record per-predicate results.
-        // ------------------------------------------------------------------
-        for m in members {
-            let at = cost_solutions
-                .iter()
-                .position(|s| s.func == FnRef::Cost(m.pred))
-                .expect("every SCC member has a cost equation");
-            let cost_sol = cost_solutions.swap_remove(at);
-            cost_db.insert(
-                m.pred,
-                PredCost {
-                    params: m.params.clone(),
-                    cost: cost_sol.closed_form.clone(),
-                },
-            );
-            let sizes = size_db.get(&m.pred).expect("inserted in phase 1");
-            preds.insert(
-                m.pred,
-                PredAnalysis {
-                    pred: m.pred,
-                    recursion: callgraph.classify_predicate(m.pred),
-                    input_positions: m.input_positions,
-                    params: m.params,
-                    measures: measures.get(&m.pred).cloned().unwrap_or_default(),
-                    output_sizes: sizes.outputs.clone(),
-                    size_schemas: size_schemas.remove(&m.pred).unwrap_or_default(),
-                    cost: cost_sol.closed_form,
-                    cost_schema: cost_sol.schema,
-                },
-            );
+        for sol in solve_system(&cost_equations) {
+            if let FnRef::Cost(p) = sol.func {
+                let record = analysis.preds.get_mut(&p).expect("inserted in phase 1");
+                record.cost = sol.closed_form;
+                record.cost_schema = sol.schema;
+            }
         }
     }
 
-    ProgramAnalysis {
-        preds,
-        modes,
-        measures,
-    }
+    analysis
 }
 
 #[cfg(test)]

@@ -22,13 +22,14 @@
 use crate::ddg::{ArgPos, Ddg, NodeId};
 use crate::expr::{Expr, FnRef};
 use crate::measure::{Measure, MeasureVec, SizeFunctions};
+use crate::pipeline::ProgramAnalysis;
 use granlog_ir::arith::{
     self,
     ArithOp::{Binary, Unary},
     BinOp, UnOp,
 };
 use granlog_ir::builtins::{self, Builtin};
-use granlog_ir::{AsTerm, ModeDecl, PredId, Symbol, TermRef, VarId, View};
+use granlog_ir::{AsTerm, PredId, Symbol, TermRef, VarId, View};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
@@ -47,33 +48,6 @@ pub fn param_symbol(input_positions: &[usize], pos: usize) -> Symbol {
         _ => Symbol::intern(&format!("n{}", pos + 1)),
     }
 }
-
-/// Closed-form output-size information for an already-analysed predicate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PredSizes {
-    /// The predicate's declared input positions (0-based), in order.
-    pub input_positions: Vec<usize>,
-    /// The parameter symbols corresponding to `input_positions`.
-    pub params: Vec<Symbol>,
-    /// Closed-form size of each output position in terms of `params`.
-    /// `Expr::Undefined` when the analysis could not derive a bound.
-    pub outputs: BTreeMap<usize, Expr>,
-}
-
-impl PredSizes {
-    /// Applies the output-size function of `pos` to concrete argument size
-    /// expressions (one per declared input position, in order).
-    pub fn apply(&self, pos: usize, args: &[Expr]) -> Expr {
-        match self.outputs.get(&pos) {
-            None => Expr::Undefined,
-            Some(body) => body.apply(&self.params, args),
-        }
-    }
-}
-
-/// A database of solved output-size functions, filled in call-graph
-/// topological order by the pipeline.
-pub type SizeDb = BTreeMap<PredId, PredSizes>;
 
 /// One argument size relation (for reports and the worked examples).
 #[derive(Debug, Clone, PartialEq)]
@@ -149,7 +123,7 @@ impl ClauseSizeAnalysis {
                     .iter()
                     .map(|k| self.params[k].to_string())
                     .collect();
-                format!("psi_{}[{}]({})", p.name, lhs.pos + 1, params.join(", "))
+                format!("{}({})", FnRef::OutputSize(p, lhs.pos), params.join(", "))
             }
             _ => lhs.to_string(),
         }
@@ -165,22 +139,14 @@ fn input_args(sizes: Option<&BTreeMap<usize, Expr>>, callee_inputs: &[usize]) ->
         .collect()
 }
 
-/// Everything `analyze_clause` needs to know about the rest of the program.
-#[derive(Debug, Clone)]
-pub struct SizeContext<'a> {
-    /// Mode declarations for every predicate (declared or inferred).
-    pub modes: &'a BTreeMap<PredId, ModeDecl>,
-    /// Measure assignment for every predicate.
-    pub measures: &'a BTreeMap<PredId, MeasureVec>,
-    /// Output-size functions of already-analysed predicates.
-    pub size_db: &'a SizeDb,
-    /// The members of the SCC currently being analysed (calls to these stay
-    /// symbolic).
-    pub scc: &'a BTreeSet<PredId>,
-}
-
-/// Analyses the argument size relations of one clause.
-pub fn analyze_clause(ddg: &Ddg, ctx: &SizeContext<'_>) -> ClauseSizeAnalysis {
+/// Analyses the argument size relations of one clause. A callee's Ψ is read
+/// from its record in `analysis`; a call to a member of `scc`, the SCC being
+/// solved, stays symbolic.
+pub fn analyze_clause(
+    ddg: &Ddg,
+    analysis: &ProgramAnalysis,
+    scc: &BTreeSet<PredId>,
+) -> ClauseSizeAnalysis {
     let head_pred = ddg.head_pred();
     let input_positions = ddg.output(NodeId::Start).to_vec();
     let params: BTreeMap<usize, Symbol> = input_positions
@@ -197,7 +163,7 @@ pub fn analyze_clause(ddg: &Ddg, ctx: &SizeContext<'_>) -> ClauseSizeAnalysis {
         let assigned = measures.and_then(|ms| ms.get(i)).copied();
         assigned.unwrap_or_else(|| Measure::default_for_term(term))
     };
-    let head_measures = head_pred.and_then(|p| ctx.measures.get(&p));
+    let head_measures = head_pred.and_then(|p| analysis.measures.get(&p));
 
     let mut head_input_constants = BTreeMap::new();
     for &i in &input_positions {
@@ -213,7 +179,7 @@ pub fn analyze_clause(ddg: &Ddg, ctx: &SizeContext<'_>) -> ClauseSizeAnalysis {
     for (j, &literal) in ddg.literals().iter().enumerate() {
         let node = NodeId::Body(j);
         let callee = PredId::of_term(literal);
-        let callee_measures = callee.and_then(|p| ctx.measures.get(&p));
+        let callee_measures = callee.and_then(|p| analysis.measures.get(&p));
         let measure_at = |i: usize| measure_in(callee_measures, i, literal.args().at(i));
 
         // --- input positions ---------------------------------------------
@@ -232,12 +198,12 @@ pub fn analyze_clause(ddg: &Ddg, ctx: &SizeContext<'_>) -> ClauseSizeAnalysis {
         if !output_positions.is_empty() {
             let out_exprs = literal_output_exprs(
                 literal,
-                callee,
                 output_positions,
                 &inputs,
                 &measure_at,
                 &var_sizes,
-                ctx,
+                analysis,
+                scc,
             );
             for (&i, expr) in output_positions.iter().zip(out_exprs) {
                 let term = ddg.term_at(ArgPos::new(node, i));
@@ -374,14 +340,14 @@ fn record_var_size(
 /// `output_positions`. `measure_at(i)` is the measure of its argument `i`.
 fn literal_output_exprs(
     literal: TermRef<'_>,
-    callee: Option<PredId>,
     output_positions: &[usize],
     input_sizes: &BTreeMap<usize, Expr>,
     measure_at: &impl Fn(usize) -> Measure,
     var_sizes: &BTreeMap<(VarId, Measure), Expr>,
-    ctx: &SizeContext<'_>,
+    analysis: &ProgramAnalysis,
+    scc: &BTreeSet<PredId>,
 ) -> Vec<Expr> {
-    let Some(callee) = callee else {
+    let Some(callee) = PredId::of_term(literal) else {
         return vec![Expr::Undefined; output_positions.len()];
     };
     let size_of_input = |i: usize| input_sizes.get(&i).cloned().unwrap_or(Expr::Undefined);
@@ -426,9 +392,10 @@ fn literal_output_exprs(
     }
 
     // --- user predicates -----------------------------------------------------
-    let decl = granlog_ir::modes::mode_or_default(ctx.modes, callee);
+    let decl = granlog_ir::modes::mode_or_default(&analysis.modes, callee);
     let args = input_args(Some(input_sizes), &decl.input_positions());
 
+    let solved = analysis.pred(callee);
     output_positions
         .iter()
         .map(|&i| {
@@ -441,12 +408,14 @@ fn literal_output_exprs(
                 // callee's declared mode says input: no size information.
                 return Expr::Undefined;
             }
-            if ctx.scc.contains(&callee) {
-                Expr::Call(FnRef::OutputSize(callee, i), args.clone())
-            } else if let Some(sizes) = ctx.size_db.get(&callee) {
-                sizes.apply(i, &args)
-            } else {
-                Expr::Undefined
+            match solved {
+                _ if scc.contains(&callee) => {
+                    Expr::Call(FnRef::OutputSize(callee, i), args.clone())
+                }
+                Some(p) if p.output_sizes.contains_key(&i) => {
+                    p.output_sizes[&i].apply(&p.params, &args)
+                }
+                _ => Expr::Undefined,
             }
         })
         .collect()
@@ -490,41 +459,17 @@ fn translate_arith(term: TermRef<'_>, var_sizes: &BTreeMap<(VarId, Measure), Exp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use granlog_ir::modes::infer_modes;
+    use crate::pipeline::{analyze_program, AnalysisOptions};
     use granlog_ir::parser::parse_program;
-    use granlog_ir::Program;
 
-    fn setup(
-        src: &str,
-    ) -> (
-        Program,
-        BTreeMap<PredId, ModeDecl>,
-        BTreeMap<PredId, MeasureVec>,
-    ) {
-        let p = parse_program(src).unwrap();
-        let modes = infer_modes(&p);
-        let measures = crate::measure::assign_measures(&p);
-        (p, modes, measures)
-    }
-
-    fn clause_analysis(
-        program: &Program,
-        modes: &BTreeMap<PredId, ModeDecl>,
-        measures: &BTreeMap<PredId, MeasureVec>,
-        size_db: &SizeDb,
-        scc: &BTreeSet<PredId>,
-        pred: PredId,
-        idx: usize,
-    ) -> ClauseSizeAnalysis {
-        let clause = program.clauses_of(pred)[idx];
-        let ddg = Ddg::build(clause, &modes[&pred]);
-        let ctx = SizeContext {
-            modes,
-            measures,
-            size_db,
-            scc,
-        };
-        analyze_clause(&ddg, &ctx)
+    /// The size analysis of clause `idx` of `pred` in `src`, as the pipeline
+    /// runs it on the SCC `scc`: callees are read from `analyze_program` on
+    /// the same source, and calls to `scc` stay symbolic.
+    fn clause_analysis(src: &str, scc: &[PredId], pred: PredId, idx: usize) -> ClauseSizeAnalysis {
+        let program = parse_program(src).unwrap();
+        let analysis = analyze_program(&program, &AnalysisOptions::default());
+        let ddg = Ddg::build(program.clauses_of(pred)[idx], &analysis.modes[&pred]);
+        analyze_clause(&ddg, &analysis, &scc.iter().copied().collect())
     }
 
     const NREV: &str = r#"
@@ -538,25 +483,21 @@ mod tests {
 
     #[test]
     fn append_recursive_clause_relations() {
-        let (p, modes, measures) = setup(NREV);
         let append = PredId::parse("append", 3);
-        let scc: BTreeSet<PredId> = [append].into_iter().collect();
-        let a = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, append, 1);
+        let a = clause_analysis(NREV, &[append], append, 1);
         // body1[1] = n1 - 1, body1[2] = n2 (the paper's Appendix).
         assert_eq!(a.literal_input_sizes[0][&0].to_string(), "n1 - 1");
         assert_eq!(a.literal_input_sizes[0][&1].to_string(), "n2");
         // Head output: psi_append(n1, n2) = psi_append(n1 - 1, n2) + 1.
         let head_out = &a.head_output_sizes[&2];
         assert!(head_out.contains_call(FnRef::OutputSize(append, 2)));
-        assert_eq!(head_out.to_string(), "psi_append#2/3(n1 - 1, n2) + 1");
+        assert_eq!(head_out.to_string(), "psi_append[3](n1 - 1, n2) + 1");
     }
 
     #[test]
     fn append_base_clause_gives_boundary_condition() {
-        let (p, modes, measures) = setup(NREV);
         let append = PredId::parse("append", 3);
-        let scc: BTreeSet<PredId> = [append].into_iter().collect();
-        let a = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, append, 0);
+        let a = clause_analysis(NREV, &[append], append, 0);
         // append([], L, L): head input 1 has constant size 0, output = n2.
         assert_eq!(a.head_input_constants[&0], Some(0));
         assert_eq!(a.head_input_constants[&1], None);
@@ -565,23 +506,10 @@ mod tests {
 
     #[test]
     fn nrev_recursive_clause_with_solved_append() {
-        let (p, modes, measures) = setup(NREV);
         let nrev = PredId::parse("nrev", 2);
-        let append = PredId::parse("append", 3);
-        // Pretend append/3 has already been solved: Ψ_append(x, y) = x + y.
-        let mut size_db = SizeDb::new();
-        size_db.insert(
-            append,
-            PredSizes {
-                input_positions: vec![0, 1],
-                params: vec![Symbol::intern("n1"), Symbol::intern("n2")],
-                outputs: [(2usize, Expr::add(Expr::var("n1"), Expr::var("n2")))]
-                    .into_iter()
-                    .collect(),
-            },
-        );
-        let scc: BTreeSet<PredId> = [nrev].into_iter().collect();
-        let a = clause_analysis(&p, &modes, &measures, &size_db, &scc, nrev, 1);
+        // append/3's record is solved (Ψ_append(x, y) = x + y); nrev/2 is
+        // the SCC being solved.
+        let a = clause_analysis(NREV, &[nrev], nrev, 1);
         // body1[1] = n - 1 (Example 3.2 / 3.3).
         assert_eq!(a.literal_input_sizes[0][&0].to_string(), "n - 1");
         // body2[1] = Ψ_nrev(n - 1) — still symbolic (recursive literal).
@@ -592,15 +520,13 @@ mod tests {
         // Head output: Ψ_nrev(n) = Ψ_nrev(n-1) + 1 after Ψ_append is substituted
         // (Example 3.3's normalized equation).
         let head_out = &a.head_output_sizes[&1];
-        assert_eq!(head_out.to_string(), "psi_nrev#1/2(n - 1) + 1");
+        assert_eq!(head_out.to_string(), "psi_nrev[2](n - 1) + 1");
     }
 
     #[test]
     fn nrev_base_clause() {
-        let (p, modes, measures) = setup(NREV);
         let nrev = PredId::parse("nrev", 2);
-        let scc: BTreeSet<PredId> = [nrev].into_iter().collect();
-        let a = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, nrev, 0);
+        let a = clause_analysis(NREV, &[nrev], nrev, 0);
         assert_eq!(a.head_input_constants[&0], Some(0));
         assert_eq!(a.head_output_sizes[&1], Expr::Num(0.0));
     }
@@ -614,17 +540,15 @@ mod tests {
             fib(M, N) :- M > 1, M1 is M - 1, M2 is M - 2,
                          fib(M1, N1), fib(M2, N2), N is N1 + N2.
         "#;
-        let (p, modes, measures) = setup(src);
         let fib = PredId::parse("fib", 2);
-        let scc: BTreeSet<PredId> = [fib].into_iter().collect();
-        let a = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, fib, 2);
+        let a = clause_analysis(src, &[fib], fib, 2);
         // The recursive calls receive sizes n-1 and n-2.
         assert_eq!(a.literal_input_sizes[3][&0].to_string(), "n - 1");
         assert_eq!(a.literal_input_sizes[4][&0].to_string(), "n - 2");
         // Base clauses handle sizes 0 and 1.
-        let a0 = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, fib, 0);
+        let a0 = clause_analysis(src, &[fib], fib, 0);
         assert_eq!(a0.head_input_constants[&0], Some(0));
-        let a1 = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, fib, 1);
+        let a1 = clause_analysis(src, &[fib], fib, 1);
         assert_eq!(a1.head_input_constants[&0], Some(1));
     }
 
@@ -635,10 +559,8 @@ mod tests {
             halves(0, 0).
             halves(N, R) :- N > 0, N1 is N // 2, halves(N1, R1), R is R1 + 1.
         "#;
-        let (p, modes, measures) = setup(src);
         let pred = PredId::parse("halves", 2);
-        let scc: BTreeSet<PredId> = [pred].into_iter().collect();
-        let a = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, pred, 1);
+        let a = clause_analysis(src, &[pred], pred, 1);
         assert_eq!(a.literal_input_sizes[2][&0].to_string(), "0.5*n");
     }
 
@@ -650,12 +572,10 @@ mod tests {
             copylist([], []).
             copylist([H|T], [H|T1]) :- copylist(T, T1).
         "#;
-        let (p, modes, measures) = setup(src);
         let pred = PredId::parse("copylist", 2);
-        let scc: BTreeSet<PredId> = [pred].into_iter().collect();
-        let a = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, pred, 1);
+        let a = clause_analysis(src, &[pred], pred, 1);
         let out = &a.head_output_sizes[&1];
-        assert_eq!(out.to_string(), "psi_copylist#1/2(n - 1) + 1");
+        assert_eq!(out.to_string(), "psi_copylist[2](n - 1) + 1");
     }
 
     #[test]
@@ -664,10 +584,8 @@ mod tests {
             :- mode dup(+, -).
             dup(L, R) :- R = L.
         "#;
-        let (p, modes, measures) = setup(src);
         let pred = PredId::parse("dup", 2);
-        let scc = BTreeSet::new();
-        let a = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, pred, 0);
+        let a = clause_analysis(src, &[], pred, 0);
         assert_eq!(a.head_output_sizes[&1].to_string(), "n");
     }
 
@@ -677,10 +595,8 @@ mod tests {
             :- mode p(+, -).
             p(X, Y) :- mystery(X, Y).
         "#;
-        let (p, modes, measures) = setup(src);
         let pred = PredId::parse("p", 2);
-        let scc = BTreeSet::new();
-        let a = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, pred, 0);
+        let a = clause_analysis(src, &[], pred, 0);
         assert!(a.head_output_sizes[&1].is_undefined());
     }
 
@@ -690,19 +606,15 @@ mod tests {
             :- mode k(+, -).
             k(_, [a, b, c]).
         "#;
-        let (p, modes, measures) = setup(src);
         let pred = PredId::parse("k", 2);
-        let scc = BTreeSet::new();
-        let a = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, pred, 0);
+        let a = clause_analysis(src, &[], pred, 0);
         assert_eq!(a.head_output_sizes[&1], Expr::Num(3.0));
     }
 
     #[test]
     fn relations_are_recorded_in_derivation_order() {
-        let (p, modes, measures) = setup(NREV);
         let nrev = PredId::parse("nrev", 2);
-        let scc: BTreeSet<PredId> = [nrev].into_iter().collect();
-        let a = clause_analysis(&p, &modes, &measures, &SizeDb::new(), &scc, nrev, 1);
+        let a = clause_analysis(NREV, &[nrev], nrev, 1);
         let texts: Vec<String> = a.relations().iter().map(|r| a.lhs_text(r.lhs)).collect();
         assert_eq!(
             texts,
@@ -723,23 +635,6 @@ mod tests {
         assert_eq!(param_symbol(&[0, 1], 0).as_str(), "n1");
         assert_eq!(param_symbol(&[0, 1], 1).as_str(), "n2");
         assert_eq!(param_symbol(&[0, 2], 2).as_str(), "n3");
-    }
-
-    #[test]
-    fn pred_sizes_apply_substitutes_params() {
-        let sizes = PredSizes {
-            input_positions: vec![0, 1],
-            params: vec![Symbol::intern("n1"), Symbol::intern("n2")],
-            outputs: [(2usize, Expr::add(Expr::var("n1"), Expr::var("n2")))]
-                .into_iter()
-                .collect(),
-        };
-        let out = sizes.apply(2, &[Expr::var("a"), Expr::Num(1.0)]);
-        assert_eq!(out.to_string(), "a + 1");
-        assert!(sizes
-            .apply(0, &[Expr::var("a"), Expr::Num(1.0)])
-            .is_undefined());
-        assert!(sizes.apply(2, &[Expr::var("a")]).is_undefined());
     }
 
     #[test]

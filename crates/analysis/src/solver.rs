@@ -24,7 +24,7 @@
 //! `n0`; when they are symbolic (e.g. `Ψ_append(0, y) = y`) they are carried
 //! symbolically into the solution.
 
-use crate::diffeq::{BaseCase, CombineMode, DiffEq, DiffEqSystem};
+use crate::diffeq::{BaseCase, CombineMode, DiffEq};
 use crate::expr::{as_polynomial, Expr, FnRef};
 use granlog_ir::Symbol;
 use std::collections::BTreeMap;
@@ -226,18 +226,17 @@ fn walk_base(eq: &DiffEq, shape: &RecursionShape, g: &Expr) -> Option<Expr> {
     Some(Expr::Max(values).simplify())
 }
 
-/// Solves a system of difference equations (mutual recursion) by eliminating
-/// the other functions from each equation through unfolding, then solving the
-/// resulting single-function equations.
-pub fn solve_system(system: &DiffEqSystem) -> Vec<Solution> {
+/// Solves the difference equations of one SCC, one per function (mutual
+/// recursion), by eliminating the other functions from each equation through
+/// unfolding, then solving the resulting single-function equations.
+pub fn solve_system(system: &[DiffEq]) -> Vec<Solution> {
     system
-        .equations
         .iter()
         .map(|eq| {
             if eq.referenced_functions().iter().all(|f| *f == eq.func) {
                 return solve(eq);
             }
-            match eliminate(eq, system, system.equations.len()) {
+            match eliminate(eq, system, system.len()) {
                 Some(reduced) => {
                     let mut sol = solve(&reduced);
                     if sol.schema != SchemaKind::Unmatched {
@@ -259,7 +258,7 @@ pub fn solve_system(system: &DiffEqSystem) -> Vec<Solution> {
 /// Unfolds calls to other functions of the system into `eq`'s recursive cases
 /// until only self-calls remain (bounded by `fuel` rounds). Base values of the
 /// unfolded functions are added to the inhomogeneous part (upper bound).
-fn eliminate(eq: &DiffEq, system: &DiffEqSystem, fuel: usize) -> Option<DiffEq> {
+fn eliminate(eq: &DiffEq, system: &[DiffEq], fuel: usize) -> Option<DiffEq> {
     let mut current = eq.clone();
     for _ in 0..=fuel {
         let foreign: Vec<FnRef> = current
@@ -274,7 +273,7 @@ fn eliminate(eq: &DiffEq, system: &DiffEqSystem, fuel: usize) -> Option<DiffEq> 
         for rhs in &current.recursive_cases {
             let mut rewritten = rhs.clone();
             for other in &foreign {
-                let other_eq = system.equation_for(*other)?;
+                let other_eq = system.iter().find(|e| e.func == *other)?;
                 let other_rhs = other_eq.combined_recursive_rhs();
                 let other_base = other_eq.combined_base_value();
                 let other_params = other_eq.params.clone();
@@ -1000,7 +999,7 @@ mod tests {
             )],
             combine: CombineMode::Exclusive,
         };
-        let sols = solve_system(&DiffEqSystem::new(vec![even_eq, odd_eq]));
+        let sols = solve_system(&[even_eq, odd_eq]);
         assert_eq!(sols.len(), 2);
         for sol in &sols {
             assert_eq!(sol.schema, SchemaKind::SystemElimination, "{:?}", sol.func);
@@ -1032,7 +1031,7 @@ mod tests {
             )],
             combine: CombineMode::Exclusive,
         };
-        let sols = solve_system(&DiffEqSystem::new(vec![eq]));
+        let sols = solve_system(&[eq]);
         assert_eq!(sols[0].closed_form.to_string(), "2*n");
     }
 

@@ -6,11 +6,9 @@
 //! ```
 
 use granlog_analysis::ddg::Ddg;
-use granlog_analysis::measure::assign_measures;
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
-use granlog_analysis::sizerel::{analyze_clause, SizeContext, SizeDb};
+use granlog_analysis::sizerel::analyze_clause;
 use granlog_benchmarks::nrev_benchmark;
-use granlog_ir::modes::infer_modes;
 use granlog_ir::PredId;
 use std::collections::BTreeSet;
 
@@ -18,10 +16,11 @@ fn main() {
     let program = nrev_benchmark().program().expect("nrev parses");
     let nrev = PredId::parse("nrev", 2);
     let append = PredId::parse("append", 3);
+    let analysis = analyze_program(&program, &AnalysisOptions::default());
 
     // --- Figure 1: the data dependency graphs --------------------------------
     println!("== Figure 1: data dependency graphs of nrev/2 ==");
-    let modes = infer_modes(&program);
+    let modes = &analysis.modes;
     for (i, clause) in program.clauses_of(nrev).iter().enumerate() {
         let ddg = Ddg::build(clause, &modes[&nrev]);
         println!("clause {}: {}", i + 1, clause.display());
@@ -29,26 +28,18 @@ fn main() {
     }
 
     // --- Section 3: argument size relations ---------------------------------
+    // Clause 2 as the pipeline sees it while it solves nrev/2's SCC: Ψ_append
+    // is read from append/3's record, and the call to nrev/2 stays symbolic.
     println!("== Argument size relations (Example 3.2 / 3.3) ==");
-    let measures = assign_measures(&program);
-    let size_db = SizeDb::new();
     let scc: BTreeSet<PredId> = [nrev].into_iter().collect();
-    let clause = &program.clauses_of(nrev)[1];
-    let ddg = Ddg::build(clause, &modes[&nrev]);
-    let ctx = SizeContext {
-        modes: &modes,
-        measures: &measures,
-        size_db: &size_db,
-        scc: &scc,
-    };
-    let sizes = analyze_clause(&ddg, &ctx);
+    let ddg = Ddg::build(program.clauses_of(nrev)[1], &modes[&nrev]);
+    let sizes = analyze_clause(&ddg, &analysis, &scc);
     for relation in sizes.relations() {
         println!("  {} = {}", sizes.lhs_text(relation.lhs), relation.rhs);
     }
 
     // --- Sections 4-5: cost equations and closed forms ----------------------
     println!("\n== Closed forms (Appendix A) ==");
-    let analysis = analyze_program(&program, &AnalysisOptions::default());
     println!(
         "  psi_append(n1, n2) = {}",
         analysis.output_size_of(append, 2).expect("solved")

@@ -13,6 +13,7 @@
 
 use granlog_analysis::ddg::{ArgPos, Ddg, NodeId};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
+use granlog_analysis::sizerel::analyze_clause;
 use granlog_analysis::solver::SchemaKind;
 use granlog_analysis::Threshold;
 use granlog_benchmarks::nrev_benchmark;
@@ -106,6 +107,34 @@ fn figure1_ddg_structure() {
     assert_eq!(
         g2.node_label(NodeId::Body(1)),
         "{body2_1, body2_2, body2_3}"
+    );
+}
+
+#[test]
+fn example_3_3_relations_read_the_solved_append() {
+    // nrev/2's clause 2 as the pipeline analyses it while solving nrev/2's
+    // SCC: Ψ_append(x, y) = x + y is applied from append/3's record, and the
+    // recursive call stays symbolic.
+    let program = nrev_benchmark().program().expect("nrev parses");
+    let analysis = analyze_program(&program, &AnalysisOptions::default());
+    let nrev = nrev_pid();
+    let ddg = Ddg::build(program.clauses_of(nrev)[1], &analysis.modes[&nrev]);
+    let sizes = analyze_clause(&ddg, &analysis, &[nrev].into_iter().collect());
+    let relations: Vec<String> = sizes
+        .relations()
+        .iter()
+        .map(|r| format!("{} = {}", sizes.lhs_text(r.lhs), r.rhs))
+        .collect();
+    assert_eq!(
+        relations,
+        [
+            "body1[1] = n - 1",
+            "body1[2] = psi_nrev[2](n - 1)",
+            "body2[1] = psi_nrev[2](n - 1)",
+            "body2[2] = 1",
+            "body2[3] = psi_nrev[2](n - 1) + 1",
+            "psi_nrev[2](n) = psi_nrev[2](n - 1) + 1",
+        ]
     );
 }
 
