@@ -144,6 +144,24 @@ mod tests {
     }
 
     #[test]
+    fn pred_cost_apply() {
+        // A callee's cost is its record's closed form applied at the call's
+        // sizes: Cost_nrev(n) = 0.5*n^2 + 1.5*n + 1 is 66 at n = 10, and the
+        // wrong number of sizes makes it Undefined.
+        let program = parse_program(NREV).unwrap();
+        let analysis = analyze_program(&program, &AnalysisOptions::default());
+        let nrev = PredId::parse("nrev", 2);
+        let record = analysis.pred(nrev).unwrap();
+        let at_ten = record.cost.apply(&record.params, &[Expr::Num(10.0)]);
+        assert_eq!(at_ten.as_const(), Some(66.0));
+        assert!(record.cost.apply(&record.params, &[]).is_undefined());
+        // With no SCC open, clause_cost applies both callees' records:
+        // 1 + Cost_nrev(n - 1) + Cost_append(n - 1, 1) = Cost_nrev(n).
+        let cost = clause_cost_in(NREV, &[], nrev, 1);
+        assert_eq!(cost.eval_with(&[("n", 10.0)]), Some(66.0));
+    }
+
+    #[test]
     fn builtins_cost_zero_resolutions() {
         let src = ":- mode p(+, -). p(X, Y) :- X > 1, Y is X - 1.";
         let p = PredId::parse("p", 2);

@@ -524,6 +524,26 @@ mod tests {
     }
 
     #[test]
+    fn pred_sizes_apply_substitutes_params() {
+        // A callee's output size is its record's Ψ applied at the call's
+        // input sizes: Ψ_append(n1, n2) = n1 + n2. An input position has no
+        // Ψ, and the wrong number of sizes makes it Undefined.
+        let program = parse_program(NREV).unwrap();
+        let analysis = analyze_program(&program, &AnalysisOptions::default());
+        let record = analysis.pred(PredId::parse("append", 3)).unwrap();
+        let psi = &record.output_sizes[&2];
+        let out = psi.apply(&record.params, &[Expr::var("a"), Expr::Num(1.0)]);
+        assert_eq!(out.to_string(), "a + 1");
+        assert!(!record.output_sizes.contains_key(&0));
+        assert!(psi.apply(&record.params, &[Expr::var("a")]).is_undefined());
+        // With no SCC open, nrev's recursive clause applies both records:
+        // Ψ_append(Ψ_nrev(n - 1), 1) = (n - 1) + 1.
+        let nrev = PredId::parse("nrev", 2);
+        let a = clause_analysis(NREV, &[], nrev, 1);
+        assert_eq!(a.head_output_sizes[&1].eval_with(&[("n", 7.0)]), Some(7.0));
+    }
+
+    #[test]
     fn nrev_base_clause() {
         let nrev = PredId::parse("nrev", 2);
         let a = clause_analysis(NREV, &[nrev], nrev, 0);
