@@ -24,6 +24,9 @@ pub struct Counters {
     /// Number of list/term elements traversed by grain-size tests (the runtime
     /// overhead of maintaining/evaluating size information).
     pub grain_test_elements: u64,
+    /// Number of choice points pushed: one per call activated with
+    /// candidate clauses left, one per disjunction entered.
+    pub choice_points: u64,
 }
 
 impl Counters {
@@ -37,6 +40,7 @@ impl Counters {
             builtins: self.builtins - earlier.builtins,
             grain_tests: self.grain_tests - earlier.grain_tests,
             grain_test_elements: self.grain_test_elements - earlier.grain_test_elements,
+            choice_points: self.choice_points - earlier.choice_points,
         }
     }
 
@@ -49,6 +53,7 @@ impl Counters {
             builtins: self.builtins + other.builtins,
             grain_tests: self.grain_tests + other.grain_tests,
             grain_test_elements: self.grain_test_elements + other.grain_test_elements,
+            choice_points: self.choice_points + other.choice_points,
         }
     }
 
@@ -75,6 +80,7 @@ mod tests {
             builtins: 5,
             grain_tests: 2,
             grain_test_elements: 6,
+            choice_points: 3,
         };
         assert_eq!(c.work(), 10.0 + 2.0 + 6.0);
     }
@@ -88,6 +94,7 @@ mod tests {
             builtins: 1,
             grain_tests: 0,
             grain_test_elements: 0,
+            choice_points: 4,
         };
         let b = Counters {
             resolutions: 2,
@@ -96,6 +103,7 @@ mod tests {
             builtins: 1,
             grain_tests: 0,
             grain_test_elements: 0,
+            choice_points: 1,
         };
         let diff = a.since(&b);
         assert_eq!(diff.add(&b), a);

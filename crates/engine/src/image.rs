@@ -42,8 +42,10 @@ struct PredIndex {
     /// The clauses whose head's first argument is a variable or absent: the
     /// candidates of a call whose key no clause head has.
     any: Seq,
-    /// Key → the clauses with that key merged with `any`, in source order.
-    keyed: FastMap<IndexKey, Seq>,
+    /// The keys of the clause heads, sorted, each with the clauses that
+    /// have it merged with `any`, in source order. Empty when every head's
+    /// first argument is a variable or absent.
+    keyed: Box<[(IndexKey, Seq)]>,
 }
 
 /// A compiled program. See the [module documentation](self).
@@ -122,7 +124,7 @@ impl Image {
     /// absent). Empty for a predicate the program does not define.
     pub fn candidates(&self, pred: PredId, key: Option<&IndexKey>) -> &[ClauseId] {
         match self.target(pred.name, pred.arity) {
-            Some(CallTarget::User(number)) => self.clauses(self.select(number, key)),
+            Some(CallTarget::User(number)) => self.clauses(self.select(number, || key.copied())),
             _ => &[],
         }
     }
@@ -131,14 +133,22 @@ impl Image {
         self.table.get(&(name, arity)).copied()
     }
 
-    /// The candidate list of a call to predicate number `pred`: one hash
-    /// probe, no allocation, no scan.
+    /// The candidate list of a call to predicate number `pred` whose first
+    /// argument's key `key` gives: a binary search of the predicate's keys,
+    /// no allocation, no scan. A predicate with no keyed clause has one list
+    /// whatever the key, so `key` is not asked.
     #[inline]
-    pub(crate) fn select(&self, pred: u32, key: Option<&IndexKey>) -> Seq {
+    pub(crate) fn select(&self, pred: u32, key: impl FnOnce() -> Option<IndexKey>) -> Seq {
         let index = &self.preds[pred as usize];
-        match key {
+        if index.keyed.is_empty() {
+            return index.all;
+        }
+        match key() {
             None => index.all,
-            Some(key) => index.keyed.get(key).copied().unwrap_or(index.any),
+            Some(key) => match index.keyed.binary_search_by(|(k, _)| k.cmp(&key)) {
+                Ok(at) => index.keyed[at].1,
+                Err(_) => index.any,
+            },
         }
     }
 
@@ -175,19 +185,22 @@ fn index_predicate(
 ) -> PredIndex {
     let all = Seq::since(cands.len(), cands.len() + ids.len());
     cands.extend_from_slice(ids);
-    // First the size of each list (`len` counts the key's own clauses)...
-    let mut keyed: FastMap<IndexKey, Seq> = FastMap::default();
-    let mut unkeyed = 0;
-    for &id in ids {
-        match heads[id].1 {
-            Some(key) => keyed.entry(key).or_insert(Seq::since(0, 0)).len += 1,
-            None => unkeyed += 1,
+    // First the keys, sorted, with the size of each list (`len` counts the
+    // key's own clauses)...
+    let mut keys: Vec<IndexKey> = ids.iter().filter_map(|&id| heads[id].1).collect();
+    let unkeyed = ids.len() - keys.len();
+    keys.sort_unstable();
+    let mut keyed: Vec<(IndexKey, Seq)> = Vec::new();
+    for key in keys {
+        match keyed.last_mut() {
+            Some((last, list)) if *last == key => list.len += 1,
+            _ => keyed.push((key, Seq::since(0, 1))),
         }
     }
     // ... then its place (`len` restarts at 0 as the fill cursor) ...
     let mut any = Seq::since(cands.len(), cands.len());
     let mut end = cands.len() + unkeyed;
-    for list in keyed.values_mut() {
+    for (_, list) in &mut keyed {
         let own = list.len as usize;
         *list = Seq::since(end, end);
         end += own + unkeyed;
@@ -208,14 +221,23 @@ fn index_predicate(
     };
     for &id in ids {
         match heads[id].1 {
-            Some(key) => put(keyed.get_mut(&key).expect("counted above"), id),
+            Some(key) => {
+                let at = keyed
+                    .binary_search_by(|(k, _)| k.cmp(&key))
+                    .expect("counted above");
+                put(&mut keyed[at].1, id);
+            }
             None => {
                 put(&mut any, id);
-                keyed.values_mut().for_each(|list| put(list, id));
+                keyed.iter_mut().for_each(|(_, list)| put(list, id));
             }
         }
     }
-    PredIndex { all, any, keyed }
+    PredIndex {
+        all,
+        any,
+        keyed: keyed.into(),
+    }
 }
 
 #[cfg(test)]
@@ -228,7 +250,7 @@ mod tests {
     const P: u32 = 0;
 
     fn probe(image: &Image, key: Option<IndexKey>) -> &[ClauseId] {
-        image.clauses(image.select(P, key.as_ref()))
+        image.clauses(image.select(P, || key))
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   `&` arms run behind explicit barrier records instead of native Rust
 //!   recursion (see [`machine`] and [`template`]). Program and query text
 //!   enter the arena as one relocating copy of a compile-time layout, clause
-//!   heads are matched by a loop, and walks over run-time terms are bounded
+//!   heads run as straight-line match ops, and walks over run-time terms are bounded
 //!   loops too — a cyclic term (`X = f(X)`: there is no occurs check) is a
 //!   typed [`EngineError::TermLimit`] — so no term's depth, list spines
 //!   included, costs the machine native stack;
@@ -68,6 +68,7 @@ pub mod arith;
 pub mod builtins;
 pub mod cost;
 pub mod error;
+mod head_ops;
 pub mod heap;
 pub mod image;
 pub mod machine;

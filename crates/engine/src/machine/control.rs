@@ -131,12 +131,26 @@ impl Machine {
     }
 
     /// Pushes a compiled step sequence of `act` (in reverse, so execution
-    /// runs left to right).
+    /// runs left to right) in one pass: one depth check, at most one growth
+    /// of the stack, and a goal-trail entry only for a slot below the
+    /// protection watermark.
     pub(super) fn push_seq(&mut self, act: Activation, seq: Seq) -> EngineResult<()> {
-        for k in (0..seq.len).rev() {
-            let step = seq.start + k;
-            self.push_goal(Goal::Step(StepRef { act, step }))?;
+        let (top, end) = (self.goal_top, self.goal_top + seq.len as usize);
+        if end > self.config.max_depth {
+            return Err(EngineError::DepthLimit(self.config.max_depth));
         }
+        let step = |step| Goal::Step(StepRef { act, step });
+        if self.goal_stack.len() < end {
+            self.goal_stack.resize(end, step(seq.start));
+        }
+        let steps = (seq.start..seq.start + seq.len).rev();
+        for (slot, k) in (top..end).zip(steps) {
+            if slot < self.protect {
+                self.goal_trail.push((slot as u32, self.goal_stack[slot]));
+            }
+            self.goal_stack[slot] = step(k);
+        }
+        self.goal_top = end;
         Ok(())
     }
 
@@ -163,6 +177,7 @@ impl Machine {
         heap_mark: usize,
         goal_trail_mark: usize,
     ) {
+        self.counters.choice_points += 1;
         let goal_top = self.goal_top;
         let protect_prev = self.protect;
         self.protect = self.protect.max(goal_top);

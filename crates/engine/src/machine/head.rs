@@ -6,6 +6,7 @@ use super::{Charge, ClauseSelection, Machine};
 use crate::arith;
 use crate::builtins;
 use crate::error::{EngineResult, TermLimit};
+use crate::head_ops::Match;
 use crate::heap::HCell;
 use crate::image::Image;
 use crate::template::{BuiltinStep, ClauseTemplate, Layout, Seq, Step};
@@ -40,16 +41,17 @@ impl Machine {
         goal: HCell,
     ) -> EngineResult<bool> {
         // First-argument indexing: the principal functor of the
-        // dereferenced first argument selects the candidate clauses.
-        let goal_key = match goal {
+        // dereferenced first argument selects the candidate clauses. The
+        // index asks for it only if the predicate has a keyed clause.
+        let goal_key = || match goal {
             HCell::Struct(_, _, args) => self.index_key_at(args as usize),
             _ => None,
         };
         let cands = match self.config.clause_selection {
-            ClauseSelection::Indexed => Cands::Indexed(image.select(pred, goal_key.as_ref())),
+            ClauseSelection::Indexed => Cands::Indexed(image.select(pred, goal_key)),
             // The seed's per-call linear scan with a key filter, kept for
             // differential testing of the index.
-            ClauseSelection::LinearScan => Cands::Scanned(image.scan(pred, goal_key.as_ref())),
+            ClauseSelection::LinearScan => Cands::Scanned(image.scan(pred, goal_key().as_ref())),
         };
         self.profiled_clauses(image, goal, cands, 0)
     }
@@ -186,124 +188,109 @@ impl Machine {
         }
     }
 
-    /// Unifies a goal with a clause head template, renaming clause-local
-    /// variables by `var_base`. Counts exactly what the seed's
-    /// `unify(goal, rename(head))` counted: one for the whole-head pair plus
-    /// one per visited subterm pair. The head's cells are matched in
-    /// preorder by one cursor, against the goal argument blocks stacked on
-    /// `arg_blocks`, so no native frame is spent per level of the head.
-    fn unify_head(
+    /// Unifies a goal with a clause head by running the head's match ops
+    /// (`crate::head_ops`), renaming clause-local variables by `var_base`,
+    /// where the attempt's variable block starts: its heap mark. Counts
+    /// exactly what the seed's `unify(goal, rename(head))` counted: one for
+    /// the whole-head pair plus one per visited subterm pair. An op reads
+    /// its goal cell at `bases[slot] + index`, so no native frame is spent
+    /// per level of the head and a list spine takes one slot.
+    pub(super) fn unify_head(
         &mut self,
         goal_args: usize,
         templ: &ClauseTemplate,
         var_base: usize,
     ) -> Result<bool, TermLimit> {
         self.count_unification();
-        let arity = templ.head_arity() as u32;
-        if arity > 0 {
-            self.arg_blocks.push((goal_args as u32, arity));
+        let ops = templ.head_ops();
+        let slots = templ.head_slots();
+        if slots > 0 {
+            if self.bases.len() < slots {
+                self.bases.resize(slots, 0);
+            }
+            self.bases[0] = goal_args as u32;
         }
-        let mut pos = 0;
-        let matched = loop {
-            let Some(top) = self.arg_blocks.last_mut() else {
-                break Ok(true);
-            };
-            let goal = top.0 as usize;
-            *top = (top.0 + 1, top.1 - 1);
-            // A block is dropped as its last cell is taken, so a list spine
-            // takes no stack.
-            if top.1 == 0 {
-                self.arg_blocks.pop();
-            }
-            match self.unify_head_cell(goal, templ, &mut pos, var_base) {
-                Ok(true) => {}
-                unmatched => break unmatched,
-            }
-        };
-        self.arg_blocks.clear();
-        matched
-    }
-
-    /// Unifies a goal subterm (by heap index) with the head cell at `*pos`,
-    /// moving `*pos` past what it matched (on failure the cursor is
-    /// abandoned along with the whole head attempt): a compound whose
-    /// functor matches the goal's leaves its argument pairs to
-    /// [`Machine::unify_head`], pushing the goal's argument block on
-    /// `arg_blocks`. Counter-for-counter identical to writing the head and
-    /// unifying: one count per visited pair, and a head subtree is only
-    /// *written into the arena* when the goal side is an unbound variable.
-    fn unify_head_cell(
-        &mut self,
-        goal: usize,
-        templ: &ClauseTemplate,
-        pos: &mut usize,
-        var_base: usize,
-    ) -> Result<bool, TermLimit> {
-        let layout = templ.layout();
-        match layout.cells()[*pos] {
-            term::Cell::Var(v) if templ.first_in_head(v) == *pos => {
-                // First occurrence of a head variable: its cell is unbound
-                // by construction, so this is a plain bind — same
-                // one-unification count and binding direction as the general
-                // path, minus its dereferences.
-                *pos += 1;
-                self.count_unification();
-                let head_var = var_base + v;
-                debug_assert!(
-                    matches!(self.heap[head_var], HCell::Ref(x) if x as usize == head_var),
-                    "first occurrence is unbound"
-                );
-                let g = self.deref_idx(goal);
-                match self.heap[g] {
-                    HCell::Ref(_) => self.bind_cell(g, HCell::Ref(head_var as u32)),
-                    value => self.bind_cell(head_var, value),
+        let mut i = 0;
+        while let Some(&op) = ops.get(i) {
+            i += 1;
+            let goal = (self.bases[op.slot as usize] + op.index) as usize;
+            match op.kind {
+                Match::Var(v) => {
+                    // A first occurrence: the variable's cell is unbound and
+                    // nothing points at it yet, so it takes the goal's value
+                    // in place. Against an unbound goal cell the younger of
+                    // the two cells is bound to the older, so a variable
+                    // passed down a recursion stays one step from its
+                    // representative. Both cells a bind here can write are
+                    // at or above the attempt's heap mark: truncation undoes
+                    // it, and the trail is not touched.
+                    self.count_unification();
+                    let head = var_base + v as usize;
+                    let g = self.deref_idx(goal);
+                    let (at, value) = match self.heap[g] {
+                        // Only a variable of this attempt can be younger:
+                        // one a written compound holds, that an earlier op
+                        // bound a goal cell to, numbered after `v`.
+                        HCell::Ref(_) if g > head => (g, HCell::Ref(head as u32)),
+                        HCell::Ref(_) => (head, HCell::Ref(g as u32)),
+                        value => (head, value),
+                    };
+                    debug_assert!(
+                        at >= var_base && self.heap[at] == HCell::unbound(at),
+                        "a head variable binds an unbound cell above the attempt's heap mark"
+                    );
+                    debug_assert!(
+                        !matches!(value, HCell::Ref(to) if to as usize >= at),
+                        "a head variable never points to a younger cell"
+                    );
+                    self.heap[at] = value;
                 }
-                Ok(true)
-            }
-            term::Cell::Var(v) => {
-                *pos += 1;
-                self.unify(goal, var_base + v, Charge::Counted)
-            }
-            term::Cell::Struct(f, arity, _) => {
-                self.count_unification();
-                let g = self.deref_idx(goal);
-                match self.heap[g] {
-                    HCell::Ref(_) => {
-                        // Written on demand: only here does a head subtree
-                        // become arena cells.
-                        let value = self.write(layout, *pos, var_base);
-                        *pos = layout.end(*pos);
-                        self.bind_cell(g, value);
-                        Ok(true)
+                Match::Val(v) => {
+                    if !self.unify(goal, var_base + v as usize, Charge::Counted)? {
+                        return Ok(false);
                     }
-                    HCell::Struct(gf, gn, gargs) if gf == f && gn == arity => {
-                        *pos += 1;
-                        self.arg_blocks.push((gargs, arity));
-                        Ok(true)
+                }
+                Match::Const(value) => {
+                    self.count_unification();
+                    let g = self.deref_idx(goal);
+                    match self.heap[g] {
+                        HCell::Ref(_) => self.bind_cell(g, value),
+                        other if other == value => {}
+                        _ => return Ok(false),
                     }
-                    _ => Ok(false),
+                }
+                Match::Struct {
+                    name,
+                    arity,
+                    pos,
+                    skip,
+                    args,
+                } => {
+                    self.count_unification();
+                    let g = self.deref_idx(goal);
+                    match self.heap[g] {
+                        HCell::Ref(_) => {
+                            // Written on demand: only here does a head
+                            // compound become arena cells, and its
+                            // arguments' ops are passed over.
+                            let value = self.write(templ.layout(), pos as usize, var_base);
+                            self.bind_cell(g, value);
+                            i += skip as usize;
+                        }
+                        HCell::Struct(gf, gn, gargs) if gf == name && gn == arity => {
+                            self.bases[args as usize] = gargs;
+                        }
+                        _ => return Ok(false),
+                    }
                 }
             }
-            constant => {
-                // An atom, integer or float binds or compares one cell.
-                *pos += 1;
-                self.count_unification();
-                let value = HCell::constant(constant);
-                let g = self.deref_idx(goal);
-                Ok(match self.heap[g] {
-                    HCell::Ref(_) => {
-                        self.bind_cell(g, value);
-                        true
-                    }
-                    other => other == value,
-                })
-            }
         }
+        Ok(true)
     }
 
     /// Unifies an immediate (numeric) value with the template subterm whose
-    /// root is `cell` — the `Lhs is Rhs` path. Same counts as routing the
-    /// value through [`Machine::unify_head_cell`] with a parked goal cell.
+    /// root is `cell` — the `Lhs is Rhs` path. Same counts as a head op
+    /// matching the value parked in a goal cell.
     fn unify_value_template(
         &mut self,
         value: HCell,

@@ -34,8 +34,9 @@ use std::sync::Arc;
 /// How candidate clauses are selected for a user-predicate call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClauseSelection {
-    /// Use the image's first-argument index: one hash probe returning a
-    /// range of its candidate array (the default).
+    /// Use the image's first-argument index: a binary search of the
+    /// predicate's sorted head keys returning a range of its candidate
+    /// array (the default).
     Indexed,
     /// Reference semantics: linearly scan the predicate's clauses on every
     /// call, filtering by first-argument principal functor (the seed
@@ -178,11 +179,12 @@ pub struct Machine {
     walk_stack: Vec<(u32, u32, u32)>,
     /// The last query goal's layout, whose buffers the next one reuses.
     goal_layout: Layout,
-    /// The argument blocks a walk over one term still has to visit,
-    /// innermost last: `(next cell, cells to go)` — the head matcher's goal
-    /// blocks, the arm numbering's open compounds. Neither walk runs inside
-    /// the other.
+    /// The argument blocks the arm numbering's walk still has to visit,
+    /// innermost last: `(next cell, cells to go)`.
     arg_blocks: Vec<(u32, u32)>,
+    /// The head matcher's goal blocks: where the goal cells of the head
+    /// ops' slots start (see [`crate::template`]).
+    bases: Vec<u32>,
     /// The work stacks of the heap arithmetic evaluator (see
     /// [`crate::arith`]).
     pub(crate) arith: arith::Scratch,
@@ -254,6 +256,7 @@ impl Machine {
             walk_stack: Vec::new(),
             goal_layout: Layout::default(),
             arg_blocks: Vec::new(),
+            bases: Vec::new(),
             arith: arith::Scratch::default(),
             counters: Counters::default(),
             recorder: None,

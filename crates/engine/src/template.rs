@@ -7,6 +7,7 @@
 //! ```text
 //!   cells   head arguments, then the body: the reader's preorder cells  } the
 //!   images  the argument blocks of the subterms the machine writes      } layout
+//!   head    one match op per head argument cell
 //!   steps   the body's executable skeleton; the leading run of builtin
 //!           steps is the eager prefix, the rest the pushed body
 //!   code    postfix arithmetic, one range per static expression  (Is, NumCompare)
@@ -14,11 +15,17 @@
 //!
 //! * **cells** — the clause's own [`Cell`]s, copied as they are:
 //!   walking a template is a cursor bump over a cache-friendly slice
-//!   rather than pointer chasing. Head unification
-//!   ([`crate::machine::Machine`]) matches goal arguments directly against
-//!   the cells and only *writes arena cells* for a template subtree when
-//!   unification actually demands them (the goal side is an unbound
-//!   variable) — bound input arguments unify without touching the term heap.
+//!   rather than pointer chasing.
+//! * **head ops** — the head's arguments compiled to one match instruction
+//!   per cell (the `head_ops` module): a first occurrence of a variable, a
+//!   later one, a constant, or a compound with the ops to pass over when it
+//!   is written. Each op names its goal cell as `(slot, index)`: `bases[0]`
+//!   is the goal's argument block and a compound matched against a goal
+//!   compound sets its arguments' slot, which a last-argument compound
+//!   shares with its parent. Head unification ([`crate::machine::Machine`])
+//!   runs the ops against the goal and only *writes arena cells* for a
+//!   head compound when the goal side is an unbound variable; bound input
+//!   arguments unify without touching the term heap.
 //! * **images** — the argument blocks of exactly the subterms the machine
 //!   can be asked to write: every compound of the head, at any depth (what
 //!   an unbound goal variable is bound to), each goal a call or a dispatch
@@ -64,6 +71,7 @@
 //! execution as if the goal had been written and evaluated.
 
 use crate::arith::{self, Instr};
+use crate::head_ops::{self, HeadOp};
 use crate::heap::HCell;
 use granlog_ir::builtins::{self, Builtin, CmpOp};
 use granlog_ir::symbol::well_known;
@@ -322,6 +330,10 @@ pub struct ClauseTemplate {
     /// body subtree.
     layout: Layout,
     head_arity: u32,
+    /// The head's match ops, one per cell of its arguments.
+    head: Box<[HeadOp]>,
+    /// The number of `bases` slots the head ops address.
+    head_slots: u32,
     /// All compiled body steps (the top-level sequence and, after it, the
     /// sequences of nested control arms). Each [`Seq`] indexes into this.
     steps: Vec<Step>,
@@ -341,9 +353,6 @@ pub struct ClauseTemplate {
     /// The rest of the top-level sequence, pushed on the goal stack. Empty
     /// for facts: nothing to write, nothing to push.
     body: Seq,
-    /// Per clause variable, the cell position of its first occurrence in
-    /// the head, or `u32::MAX` for a variable only the body has.
-    first: Vec<u32>,
     num_vars: u32,
 }
 
@@ -396,17 +405,14 @@ impl ClauseTemplate {
         for pos in (0..body_start).chain(written) {
             layout.lay_out(pos);
         }
-        // Head unification meets the head's cells in order, so a variable
-        // is unbound at the first of its positions.
-        let mut first = vec![u32::MAX; clause.num_vars()];
-        for (pos, cell) in layout.cells()[..body_start].iter().enumerate().rev() {
-            if let Cell::Var(v) = *cell {
-                first[v] = pos as u32;
-            }
-        }
+        let head_arity = clause.head.args().len();
+        let head_cells = &layout.cells()[..body_start];
+        let (head, head_slots) = head_ops::compile(head_cells, head_arity, layout.vars());
         ClauseTemplate {
             layout,
-            head_arity: clause.head.args().len() as u32,
+            head_arity: head_arity as u32,
+            head,
+            head_slots,
             steps,
             code,
             par_arms,
@@ -419,7 +425,6 @@ impl ClauseTemplate {
                 start: top.start + eager,
                 len: top.len - eager,
             },
-            first,
             num_vars: clause.num_vars() as u32,
         }
     }
@@ -435,10 +440,16 @@ impl ClauseTemplate {
         self.head_arity as usize
     }
 
-    /// The cell position of variable `v`'s first occurrence in the head,
-    /// where head unification meets it unbound.
-    pub(crate) fn first_in_head(&self, v: usize) -> usize {
-        self.first[v] as usize
+    /// The head's match ops, one per cell of its arguments, in preorder.
+    pub(crate) fn head_ops(&self) -> &[HeadOp] {
+        &self.head
+    }
+
+    /// The number of `bases` slots [`Self::head_ops`] address: 0 for an
+    /// atom head, else 1 plus the deepest nesting of compounds that are not
+    /// their parent's last argument.
+    pub(crate) fn head_slots(&self) -> usize {
+        self.head_slots as usize
     }
 
     /// Number of distinct variables in the clause.

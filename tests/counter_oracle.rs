@@ -13,6 +13,10 @@
 //! * `bottom-up` — the three attack-graph topologies through
 //!   `CompiledDatalog::evaluate`.
 //!
+//! The SLD rows' last column, `choice_points`, counts the choice points
+//! the machine pushed: one per call activated with candidates left, one
+//! per disjunction entered.
+//!
 //! The SLD rows run through the recording entry point
 //! (`Machine::run_query_recorded`), and each checks that its task tree's
 //! work totals the counters' work.
@@ -48,6 +52,7 @@ const SLD_COLUMNS: &[&str] = &[
     "grain_test_elements",
     "work",
     "spawned_tasks",
+    "choice_points",
 ];
 
 const DATALOG_COLUMNS: &[&str] = &[
@@ -93,6 +98,7 @@ fn sld_row(block: &'static str, bench: &Benchmark, program: Program) -> Row {
             c.grain_test_elements.to_string(),
             format!("{:.1}", out.work),
             task_tree.spawned_tasks().to_string(),
+            c.choice_points.to_string(),
         ],
     }
 }
