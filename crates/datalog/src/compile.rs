@@ -292,6 +292,15 @@ fn lower_clause(
     consts: &mut ConstTable,
     fact_args: &mut Vec<ConstId>,
 ) -> Result<LoweredClause, DatalogError> {
+    // A ground fact needs no rule frame: its arguments are its constants.
+    // Anything else, a fact with a variable included, takes the rule path,
+    // which accepts or rejects it.
+    if clause.is_fact() && clause.head.is_ground() {
+        if let Some((name, arity)) = clause.head.functor() {
+            fact_args.extend(clause.head.args().map(|arg| consts.intern(arg)));
+            return Ok(LoweredClause::Fact(PredId::new(name, arity)));
+        }
+    }
     let shown = clause.display();
     let mut ctx = LowerCtx::new(&shown, &clause.var_names);
     let Some((name, arity)) = clause.head.functor() else {
@@ -496,11 +505,16 @@ impl CompiledDatalog {
     pub fn compile(program: &Program) -> Result<CompiledDatalog, DatalogError> {
         let mut consts = ConstTable::default();
         let mut rules = Vec::new();
-        let mut fact_preds = Vec::new();
+        // The facts in program order, as runs of one predicate: the
+        // predicate and how many facts in a row are its.
+        let mut fact_runs: Vec<(PredId, usize)> = Vec::new();
         let mut fact_args = Vec::new();
         for clause in program.clauses() {
             match lower_clause(clause, &mut consts, &mut fact_args)? {
-                LoweredClause::Fact(pred) => fact_preds.push(pred),
+                LoweredClause::Fact(pred) => match fact_runs.last_mut() {
+                    Some((last, facts)) if *last == pred => *facts += 1,
+                    _ => fact_runs.push((pred, 1)),
+                },
                 LoweredClause::Rule(rule) => rules.push(rule),
             }
         }
@@ -511,7 +525,7 @@ impl CompiledDatalog {
         let universe: BTreeSet<PredId> = rules
             .iter()
             .flat_map(|r| std::iter::once(r.pred).chain(r.body.iter().map(|l| l.pred)))
-            .chain(fact_preds.iter().copied())
+            .chain(fact_runs.iter().map(|&(pred, _)| pred))
             .collect();
         let preds_ordered: Vec<PredId> = universe.into_iter().collect();
         let pred_ix: FastMap<PredId, usize> = preds_ordered
@@ -556,7 +570,10 @@ impl CompiledDatalog {
             }
         }
 
-        let facts = fact_preds.iter().map(|pred| pred_ix[pred]).collect();
+        let facts = fact_runs
+            .iter()
+            .flat_map(|&(pred, facts)| std::iter::repeat_n(pred_ix[&pred], facts))
+            .collect();
 
         Ok(CompiledDatalog {
             rules: planned,

@@ -100,9 +100,11 @@ fn append_computes_and_counts() {
 #[test]
 fn a_head_with_repeated_variables_binds_bound_unbound_and_aliased_goals() {
     // `X` three times at three depths, `Y` twice at the top level: the
-    // first occurrence of each binds, every later one unifies with it. A
-    // first occurrence against an unbound goal variable binds the head's
-    // younger cell, so an unbound answer is named by the query's own cell.
+    // first occurrence of each binds, every later one unifies with it.
+    // Wherever two unbound cells meet, the younger is bound — the head's
+    // own cell against a goal variable, the later of two goal variables —
+    // so an unbound answer is named by the oldest cell of its class, the
+    // query's own.
     // Pinned per goal: the answer, then resolutions, head attempts,
     // unifications and the arena's high water.
     let program = parse_program("p(f(X, g(X)), X, Y, Y). q(Z) :- p(f(Z, _), _, _, Z).").unwrap();
@@ -112,13 +114,13 @@ fn a_head_with_repeated_variables_binds_bound_unbound_and_aliased_goals() {
         ("p(f(a, g(b)), B, C, D)", "no", "0 1 5 12"),
         (
             "p(A, B, C, D)",
-            "A = f(_8,g(_8)) B = _8 C = _2 D = _2",
+            "A = f(_1,g(_1)) B = _1 C = _2 D = _2",
             "1 1 5 13",
         ),
-        ("p(A, B, C, C)", "A = f(_7,g(_7)) B = _7 C = _2", "1 1 5 12"),
-        ("p(f(A, B), A, C, A)", "A = _2 B = g(_2) C = _2", "1 1 7 12"),
+        ("p(A, B, C, C)", "A = f(_1,g(_1)) B = _1 C = _2", "1 1 5 12"),
+        ("p(f(A, B), A, C, A)", "A = _0 B = g(_0) C = _0", "1 1 7 12"),
         ("p(f(1, g(B)), B, C, C)", "B = 1 C = _1", "1 1 8 11"),
-        ("q(Z)", "Z = _5", "2 2 9 15"),
+        ("q(Z)", "Z = _0", "2 2 9 15"),
     ] {
         let out = machine.run_query(goal).unwrap();
         let rendered = if !out.succeeded {
@@ -171,6 +173,37 @@ fn a_variable_passed_down_stays_two_steps_from_its_representative() {
     let mut elements = 0;
     while let HCell::Struct(_, 2, args) = machine.heap[spine] {
         let (at, steps) = hops(args as usize);
+        assert_eq!(at, representative, "element {elements} is E");
+        assert!(steps <= 2, "element {elements} is {steps} steps from E");
+        elements += 1;
+        spine = machine.deref_idx(args as usize + 1);
+    }
+    assert_eq!(elements, 1000);
+}
+
+#[test]
+fn a_later_occurrence_binds_the_younger_of_two_unbound_cells() {
+    // `E`'s first occurrence is inside the list cell, written against the
+    // caller's unbound tail; its second meets the caller's `E`. Both cells
+    // are unbound there, and binding the older one made element k of the
+    // list reach `E` through a chain of about k cells.
+    let program =
+        parse_program("r(0, [], _).\nr(N, [E|T], E) :- N > 0, M is N - 1, r(M, T, E).").unwrap();
+    let mut machine = Machine::new(&program);
+    let out = machine.run_query("r(1000, L, E)").unwrap();
+    assert!(out.succeeded);
+    // The answer stays in the arena: `L` and `E` are cells 0 and 1.
+    let representative = machine.deref_idx(1);
+    let mut spine = machine.deref_idx(0);
+    let mut elements = 0;
+    while let HCell::Struct(_, 2, args) = machine.heap[spine] {
+        let (mut at, mut steps) = (args as usize, 0);
+        while let HCell::Ref(next) = machine.heap[at] {
+            if next as usize == at {
+                break;
+            }
+            (at, steps) = (next as usize, steps + 1);
+        }
         assert_eq!(at, representative, "element {elements} is E");
         assert!(steps <= 2, "element {elements} is {steps} steps from E");
         elements += 1;

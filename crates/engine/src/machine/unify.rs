@@ -152,6 +152,13 @@ impl Machine {
         let b = self.deref_idx(b);
         match (self.heap[a], self.heap[b]) {
             (HCell::Ref(_), HCell::Ref(_)) if a == b => Pair::Same,
+            // Two unbound cells: the younger (higher) one is bound, so a
+            // variable handed down a recursion stays a step or two from
+            // the older cell that represents it.
+            (HCell::Ref(_), HCell::Ref(_)) => {
+                self.bind_to(a.max(b), a.min(b));
+                Pair::Same
+            }
             (HCell::Ref(_), _) => {
                 self.bind_to(a, b);
                 Pair::Same

@@ -163,14 +163,43 @@ pub(crate) fn is_alnum(byte: u8) -> bool {
     matches!(class(byte), Class::Digit | Class::Upper | Class::Lower)
 }
 
+/// Bytes of text per distinct spelling that the lexer's spelling map is
+/// sized for up front: a generated fact file names a new host about every
+/// 32 bytes, so it is read without the map growing.
+const BYTES_PER_SPELLING: usize = 32;
+
 /// Pulls tokens out of the source one at a time. `pos` is a byte offset and
 /// always sits on a character boundary between tokens.
 struct Lexer<'a> {
     src: &'a str,
     pos: usize,
+    /// The symbol of every atom and variable spelling read so far, keyed by
+    /// its source slice: the global table is asked once per distinct
+    /// spelling of the text, at its first occurrence, so symbols are
+    /// interned in the order they were before the map.
+    spellings: FastMap<&'a str, Symbol>,
 }
 
 impl<'a> Lexer<'a> {
+    fn new(src: &'a str) -> Self {
+        Lexer {
+            src,
+            pos: 0,
+            spellings: FastMap::with_capacity_and_hasher(
+                src.len() / BYTES_PER_SPELLING,
+                Default::default(),
+            ),
+        }
+    }
+
+    /// The symbol of a spelling taken from the source.
+    fn intern(&mut self, spelling: &'a str) -> Symbol {
+        *self
+            .spellings
+            .entry(spelling)
+            .or_insert_with(|| Symbol::intern(spelling))
+    }
+
     fn error(&self, offset: usize, message: impl Into<String>) -> Box<ParseError> {
         Box::new(ParseError::at(self.src, offset, message))
     }
@@ -225,7 +254,7 @@ impl<'a> Lexer<'a> {
             }
             Class::Lower => {
                 self.skip_while(is_alnum);
-                Tok::Atom(Symbol::intern(&self.src[start..self.pos]))
+                Tok::Atom(self.intern(&self.src[start..self.pos]))
             }
             Class::Quote => self.lex_quoted_atom()?,
             Class::Punct => {
@@ -245,7 +274,7 @@ impl<'a> Lexer<'a> {
                     // A solitary '.' (not part of a longer symbolic atom)
                     // terminates a clause.
                     "." => Tok::End,
-                    text => Tok::Atom(Symbol::intern(text)),
+                    text => Tok::Atom(self.intern(text)),
                 }
             }
             Class::Space | Class::Other => {
@@ -299,9 +328,9 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// A quoted atom is interned straight from the source when nothing in it
-    /// is escaped; `unescaped` is touched (and allocates) only from the first
-    /// `''` or `\c` on.
+    /// A quoted atom is looked up by its source slice when nothing in it is
+    /// escaped; `unescaped` is touched (and allocates) only from the first
+    /// `''` or `\c` on, and goes to the global table directly.
     fn lex_quoted_atom(&mut self) -> Fallible<Tok> {
         self.pos += 1; // opening quote
         let mut unescaped = String::new();
@@ -334,7 +363,7 @@ impl<'a> Lexer<'a> {
                 Some(_) => {
                     self.pos += 1; // closing quote
                     return Ok(Tok::Atom(if unescaped.is_empty() {
-                        Symbol::intern(text)
+                        self.intern(text)
                     } else {
                         unescaped.push_str(text);
                         Symbol::intern(&unescaped)
@@ -476,7 +505,7 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Fallible<Self> {
-        let mut lexer = Lexer { src, pos: 0 };
+        let mut lexer = Lexer::new(src);
         let tok = lexer.next_token()?;
         Ok(Parser {
             lexer,
@@ -538,7 +567,7 @@ impl<'a> Parser<'a> {
             }
         }
         self.vars.push(name);
-        self.var_names.push(Symbol::intern(name));
+        self.var_names.push(self.lexer.intern(name));
         self.vars.len() - 1
     }
 
@@ -638,12 +667,15 @@ impl<'a> Parser<'a> {
             }
             _ => {}
         }
-        // Prefix operator application.
-        if let Some((prec, arg_max)) = self.syntax.ops.get(&name).and_then(|ops| ops.prefix) {
-            if prec <= max_prec && self.starts_term() {
-                let depth = self.parse_expr(arg_max)?;
-                self.wrap(name, 1);
-                return self.one_deeper(depth, start);
+        // Prefix operator application. An atom followed by what cannot
+        // start a term — the `,` or `)` after an argument — is not looked up.
+        if self.starts_term() {
+            if let Some((prec, arg_max)) = self.syntax.ops.get(&name).and_then(|ops| ops.prefix) {
+                if prec <= max_prec {
+                    let depth = self.parse_expr(arg_max)?;
+                    self.wrap(name, 1);
+                    return self.one_deeper(depth, start);
+                }
             }
         }
         self.leaf(Cell::Atom(name))
@@ -1261,6 +1293,59 @@ mod tests {
         let err = parse_program("p('\u{e9}',\n  '\u{e9}', \u{e9}).").unwrap_err();
         assert_eq!(err.message, "unexpected character '\u{e9}'");
         assert_eq!((err.line, err.column), (2, 8));
+    }
+
+    /// The lexer's spelling map spans the whole text, so a clause read
+    /// among others must come out as it does alone: a spelling repeated
+    /// across clauses, a variable spelled like an atom, escaped and
+    /// doubled-quote atoms beside their plain spellings.
+    #[test]
+    fn a_text_reads_as_its_clauses_read_alone() {
+        let clauses = [
+            r"likes(mary, 'Mary', 'tab\tin').",
+            r"likes(Mary, mary) :- knows(Mary, 'it''s'), \+ likes(mary, 'tab\tin').",
+            r"knows(X, Mary) :- likes(Mary, X), X = 'Mary', Y = it, Y \= 'it''s'.",
+            // A tab typed inside the quotes: the escaped atom's plain spelling.
+            "'Mary'(X, '\u{3c0}_atom', [mary|T]) :- knows(T, X), likes(_, 'tab\tin').",
+            "likes(X, X) :- 'Mary'(X, '\u{3c0}_atom', [Mary]).",
+        ];
+        let whole = parse_program(&clauses.join("\n")).unwrap();
+        let alone: Vec<Clause> = clauses
+            .iter()
+            .flat_map(|c| parse_program(c).unwrap().clauses().to_vec())
+            .collect();
+        assert_eq!(whole.clauses(), alone);
+        // The variable `Mary` and the atom `'Mary'` share one symbol.
+        let third = &whole.clauses()[2];
+        assert_eq!(third.var_names[1], Symbol::intern("Mary"));
+        assert!(third.body.to_string().contains("'Mary'"));
+    }
+
+    #[test]
+    fn fresh_atoms_get_ascending_ids_in_order_of_first_occurrence() {
+        let p = parse_program(
+            "f(fresh_order_zeta, fresh_order_alpha, fresh_order_zeta).
+             g(fresh_order_alpha, 'fresh_order_mid', fresh_order_beta, 'fresh\\norder').",
+        )
+        .unwrap();
+        let ids: Vec<u32> = p
+            .clauses()
+            .iter()
+            .flat_map(|c| {
+                c.head
+                    .args()
+                    .map(|a| a.functor().unwrap().0.index())
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let [zeta, alpha, zeta_again, alpha_again, mid, beta, escaped] = ids[..] else {
+            panic!("seven arguments: {ids:?}");
+        };
+        assert_eq!((zeta_again, alpha_again), (zeta, alpha));
+        assert!(
+            zeta < alpha && alpha < mid && mid < beta && beta < escaped,
+            "{ids:?}"
+        );
     }
 
     #[test]

@@ -5,15 +5,35 @@
 //! process-wide, append-only table so that atoms compare and hash as a single
 //! `u32` and terms stay `Copy`-light.
 //!
+//! The table has two halves:
+//!
+//! * **names by id** — buckets of doubling size (64, 128, 256, ... names),
+//!   each a `OnceLock` allocated when its first id is handed out, of one
+//!   `OnceLock<&'static str>` per id. A name is written before its id
+//!   leaves [`Symbol::intern`] and never changes, so [`Symbol::as_str`]
+//!   (every printed atom, every normalised `load`, every name comparison)
+//!   is three acquire loads and no lock;
+//! * **ids by name** — one `Mutex` over a [`FastMap`], taken once per
+//!   [`Symbol::intern`]. A poisoned lock is recovered: what it guards is
+//!   changed by a counter bump, one slot write and one insert, in that
+//!   order, so an unwind can leave an unused id behind but never a name
+//!   with two ids.
+//!
+//! Ids are dense and handed out in order of first interning. The reader
+//! asks for each distinct spelling of a text once (its lexer keeps a map
+//! of the spellings it has seen), so reading a fact file costs one lock per
+//! distinct atom, not one per token.
+//!
 //! The table is append-only and never freed: the set of distinct atoms in a
 //! compilation session is tiny compared to the terms built from them, so the
 //! leak is bounded and intentional (the same strategy used by most compilers'
-//! string interners).
+//! string interners). [`Symbol::count`] and [`Symbol::bytes`] say how large
+//! it has grown.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A fast, non-cryptographic hasher for small fixed-size keys (symbols,
 /// predicate ids, index keys) on hot paths.
@@ -21,8 +41,10 @@ use std::sync::{Mutex, OnceLock};
 /// The standard library's default SipHash is DoS-resistant but costs tens of
 /// nanoseconds per probe; engine dispatch tables and clause-index buckets are
 /// probed once per goal, so they use this Fibonacci-multiply / xor-shift
-/// hasher instead. Keys are interner indices and small integers — attacker-
-/// controlled collisions are not a concern here.
+/// hasher instead. Most keys are interner indices and small integers; the
+/// symbol table's names and the reader's spellings are strings from program
+/// text, and since this hasher has no seed, text crafted to collide in it
+/// can lengthen their probes.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FastHasher(u64);
 
@@ -83,19 +105,57 @@ pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u32);
 
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+/// The length of the first bucket of names; bucket `k` holds
+/// `FIRST_BUCKET << k` of them.
+const FIRST_BUCKET: usize = 64;
+
+/// Enough buckets for every `u32` id.
+const BUCKETS: usize = 32 - FIRST_BUCKET.trailing_zeros() as usize + 1;
+
+/// One bucket of names, indexed by id minus the bucket's first id.
+type Bucket = Box<[OnceLock<&'static str>]>;
+
+struct Table {
+    /// Names by id, read without a lock.
+    names: [OnceLock<Bucket>; BUCKETS],
+    /// Ids by name, and how many of each there are.
+    index: Mutex<Index>,
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            map: HashMap::new(),
-            strings: Vec::new(),
-        })
+struct Index {
+    ids: FastMap<&'static str, u32>,
+    /// Ids handed out so far: the next id.
+    len: u32,
+    /// Total length of the names, in bytes.
+    bytes: usize,
+}
+
+fn table() -> &'static Table {
+    static TABLE: OnceLock<Table> = OnceLock::new();
+    TABLE.get_or_init(|| Table {
+        names: std::array::from_fn(|_| OnceLock::new()),
+        index: Mutex::new(Index {
+            ids: FastMap::default(),
+            len: 0,
+            bytes: 0,
+        }),
     })
+}
+
+/// The index, recovered from a poisoned lock: see the module docs for why
+/// it stays consistent across an unwind.
+fn index(table: &Table) -> MutexGuard<'_, Index> {
+    table.index.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Where the name of `id` lives: its bucket and its place in it.
+fn slot(id: u32) -> (usize, usize) {
+    let shifted = u64::from(id) + FIRST_BUCKET as u64;
+    let bucket = (shifted.ilog2() - FIRST_BUCKET.ilog2()) as usize;
+    (
+        bucket,
+        (shifted - ((FIRST_BUCKET as u64) << bucket)) as usize,
+    )
 }
 
 impl Symbol {
@@ -103,26 +163,51 @@ impl Symbol {
     ///
     /// Interning the same string twice returns the same symbol.
     pub fn intern(s: &str) -> Symbol {
-        let mut guard = interner().lock().expect("symbol interner poisoned");
-        if let Some(&id) = guard.map.get(s) {
+        let table = table();
+        let mut index = index(table);
+        if let Some(&id) = index.ids.get(s) {
             return Symbol(id);
         }
-        let id = guard.strings.len() as u32;
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        guard.strings.push(leaked);
-        guard.map.insert(leaked, id);
+        let id = index.len;
+        index.len = id.checked_add(1).expect("more symbols than a u32 numbers");
+        let name: &'static str = Box::leak(s.into());
+        let (bucket, at) = slot(id);
+        let names = table.names[bucket].get_or_init(|| {
+            (0..FIRST_BUCKET << bucket)
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        assert!(
+            names[at].set(name).is_ok(),
+            "symbol id {id} handed out twice"
+        );
+        index.ids.insert(name, id);
+        index.bytes += name.len();
         Symbol(id)
     }
 
     /// Returns the interned string.
     pub fn as_str(self) -> &'static str {
-        let guard = interner().lock().expect("symbol interner poisoned");
-        guard.strings[self.0 as usize]
+        let (bucket, at) = slot(self.0);
+        table().names[bucket]
+            .get()
+            .and_then(|names| names[at].get().copied())
+            .expect("a symbol's name is written before its id is handed out")
     }
 
     /// Returns the raw interner index. Only useful for debugging or dense maps.
     pub fn index(self) -> u32 {
         self.0
+    }
+
+    /// How many distinct names the process has interned.
+    pub fn count() -> usize {
+        index(table()).len as usize
+    }
+
+    /// The total length of those names, in bytes.
+    pub fn bytes() -> usize {
+        index(table()).bytes
     }
 }
 
@@ -347,5 +432,67 @@ mod tests {
     fn unicode_atoms() {
         let s = Symbol::intern("átomo_π");
         assert_eq!(s.as_str(), "átomo_π");
+    }
+
+    #[test]
+    fn ids_fill_every_bucket_from_its_first_place() {
+        let places: Vec<(usize, usize)> = [0, 63, 64, 191, 192, u32::MAX]
+            .into_iter()
+            .map(slot)
+            .collect();
+        assert_eq!(
+            places,
+            [(0, 0), (0, 63), (1, 0), (1, 127), (2, 0), (BUCKETS - 1, 63)]
+        );
+    }
+
+    /// Four threads intern overlapping spellings — plain, quoted with
+    /// escapes, beyond ASCII, 1 000 bytes long — each in its own order,
+    /// enough of them to open several buckets: every thread gets one id per
+    /// spelling, the fresh ids are dense, and every name reads back.
+    #[test]
+    fn threads_interning_overlapping_spellings_agree_on_every_id() {
+        let long = "l".repeat(1_000);
+        let spellings: Vec<String> = (0..600)
+            .map(|i| match i % 4 {
+                0 => format!("concurrent_plain_{i}"),
+                1 => format!("concurrent 'quoted'\\n\t{i}"),
+                2 => format!("concurrent_π_ü_{i}"),
+                _ => format!("{long}{i}"),
+            })
+            .collect();
+        let before = Symbol::count();
+        let ids: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let spellings = &spellings;
+                    scope.spawn(move || {
+                        // Thread t starts a quarter further in and wraps.
+                        let mut ids = vec![0; spellings.len()];
+                        for k in 0..spellings.len() {
+                            let at = (k + t * spellings.len() / 4) % spellings.len();
+                            let symbol = Symbol::intern(&spellings[at]);
+                            assert_eq!(symbol.as_str(), spellings[at]);
+                            ids[at] = symbol.index();
+                        }
+                        ids
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(ids.iter().all(|mine| *mine == ids[0]));
+        let mut fresh = ids[0].clone();
+        fresh.sort_unstable();
+        fresh.dedup();
+        assert_eq!(fresh.len(), spellings.len(), "one id per spelling");
+        // Other tests intern concurrently, so the spellings' ids are dense
+        // only within everything interned meanwhile.
+        assert!(fresh[0] as usize >= before);
+        assert!((*fresh.last().unwrap() as usize) < Symbol::count());
+        for (spelling, &id) in spellings.iter().zip(&ids[0]) {
+            assert_eq!(Symbol(id).as_str(), spelling);
+            assert_eq!(Symbol::intern(spelling).index(), id);
+        }
     }
 }

@@ -10,6 +10,7 @@
 //! and a scrape never double-counts. The tracer starts **disabled**: until
 //! a client sends `trace on` the per-event cost is one relaxed atomic load.
 
+use granlog_ir::Symbol;
 use granlog_obs::{Counter, Histogram, Registry, Tracer, LATENCY_BUCKETS_MS, WORK_BUCKETS};
 use std::sync::Arc;
 use std::time::Instant;
@@ -119,7 +120,8 @@ impl ServeObs {
         self.started.elapsed().as_millis() as u64
     }
 
-    /// Samples cache/pool/session/store figures into scrape-time gauges and
+    /// Samples cache/pool/session/store figures, and the size of the
+    /// process-wide symbol table, into scrape-time gauges and
     /// renders the whole registry as Prometheus text exposition. The inputs
     /// are passed in (rather than read here) so this module stays decoupled
     /// from the server's state layout.
@@ -136,6 +138,8 @@ impl ServeObs {
         g("granlog_cache_misses", cache.misses as i64);
         g("granlog_cache_evictions", cache.evictions as i64);
         g("granlog_cache_entries", cache.entries as i64);
+        g("granlog_symbols", Symbol::count() as i64);
+        g("granlog_symbol_bytes", Symbol::bytes() as i64);
         g("granlog_pool_quarantined", cache.quarantined as i64);
         g("granlog_pool_retired", cache.retired as i64);
         g("granlog_leases_active", cache.leases_active as i64);

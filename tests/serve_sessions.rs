@@ -273,6 +273,31 @@ fn sessions_survive_errors() {
     server.shutdown();
 }
 
+/// Every distinct atom a tenant sends stays in the process-wide symbol
+/// table; the scrape reports how many there are and their bytes.
+#[test]
+fn a_never_seen_atom_raises_the_symbol_gauges() {
+    let server = start_server(ServeConfig::default());
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    let gauge = |exposition: &str, name: &str| -> i64 {
+        exposition
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in the exposition"))
+    };
+    let before = client.metrics().unwrap();
+    let atom = "an_atom_no_other_test_sends_to_the_symbol_gauges";
+    client.load(&format!("p({atom}).")).unwrap().unwrap();
+    let after = client.metrics().unwrap();
+    assert!(gauge(&after, "granlog_symbols") > gauge(&before, "granlog_symbols"));
+    assert!(
+        gauge(&after, "granlog_symbol_bytes")
+            >= gauge(&before, "granlog_symbol_bytes") + atom.len() as i64
+    );
+    client.quit().unwrap();
+    server.shutdown();
+}
+
 /// The `engine` command switches one session to bottom-up evaluation over
 /// the wire: the `done` line grows `answers=/rounds=/facts=` fields, every
 /// answer arrives as a `bind` line, non-Datalog programs get a typed
