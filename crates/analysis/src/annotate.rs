@@ -207,11 +207,14 @@ impl ClauseContext<'_> {
         arms: &[Term],
         deciding: &[Option<(TermRef<'_>, PredId, Guard)>],
     ) -> Term {
-        let tests: Vec<Term> = deciding
-            .iter()
-            .flatten()
-            .filter_map(|&(goal, _, guard)| guard.test_for(goal))
-            .collect();
+        // Arms driven by one argument at one grain size share their test.
+        let mut tests: Vec<Term> = Vec::new();
+        for &(goal, _, guard) in deciding.iter().flatten() {
+            match guard.test_for(goal) {
+                Some(test) if !tests.contains(&test) => tests.push(test),
+                _ => {}
+            }
+        }
         let any_never = deciding
             .iter()
             .any(|d| matches!(d, Some((_, _, Guard::Never))));
@@ -492,7 +495,27 @@ mod tests {
         assert_eq!(annotated.decisions[0].guarded, Some(true));
         let t = annotated.program.clauses_of(PredId::parse("t", 2));
         let body = t[0].display().to_string();
-        assert!(body.matches("$grain_ge").count() >= 3, "{body}");
+        // All three arms are driven by `N` at one grain size: one test.
+        assert_eq!(body.matches("$grain_ge").count(), 1, "{body}");
+    }
+
+    #[test]
+    fn arms_that_share_their_driving_argument_share_one_grain_test() {
+        let src = r#"
+            :- mode two(+, -).
+            :- mode work(+, -).
+            two(N, [A, B, C]) :- M is N - 1, (work(M, A) & work(M, B) & work(N, C)).
+            work(0, 0).
+            work(N, R) :- N > 0, N1 is N - 1, work(N1, R1), R is R1 + 1.
+        "#;
+        let annotated = annotate(src, 5.0);
+        assert_eq!(annotated.decisions[0].guarded, Some(true));
+        let two = annotated.program.clauses_of(PredId::parse("two", 2));
+        let body = two[0].display().to_string();
+        // `M` drives two arms and is tested once; `N` drives the third.
+        assert_eq!(body.matches("$grain_ge").count(), 2, "{body}");
+        assert!(body.contains("'$grain_ge'(M,int,"), "{body}");
+        assert!(body.contains("'$grain_ge'(N,int,"), "{body}");
     }
 
     #[test]

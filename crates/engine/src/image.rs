@@ -119,16 +119,6 @@ impl Image {
         &self.templates
     }
 
-    /// The clauses the engine tries, in order, for a call to `pred` whose
-    /// dereferenced first argument has the given key (`None`: unbound or
-    /// absent). Empty for a predicate the program does not define.
-    pub fn candidates(&self, pred: PredId, key: Option<&IndexKey>) -> &[ClauseId] {
-        match self.target(pred.name, pred.arity) {
-            Some(CallTarget::User(number)) => self.clauses(self.select(number, || key.copied())),
-            _ => &[],
-        }
-    }
-
     pub(crate) fn target(&self, name: Symbol, arity: usize) -> Option<CallTarget> {
         self.table.get(&(name, arity)).copied()
     }
@@ -243,14 +233,19 @@ fn index_predicate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use granlog_ir::parser::parse_program;
+    use granlog_ir::parser::{parse_program, parse_term};
     use granlog_ir::Term;
 
     /// `p`'s number in an image of a program that defines only `p`.
     const P: u32 = 0;
 
     fn probe(image: &Image, key: Option<IndexKey>) -> &[ClauseId] {
-        image.clauses(image.select(P, || key))
+        probe_pred(image, P, key)
+    }
+
+    /// The candidate list of a call to predicate number `pred`.
+    fn probe_pred(image: &Image, pred: u32, key: Option<IndexKey>) -> &[ClauseId] {
+        image.clauses(image.select(pred, || key))
     }
 
     #[test]
@@ -277,11 +272,41 @@ mod tests {
         }
         let a = IndexKey::of_term(&Term::atom("a"));
         assert_eq!(probe(&image, a), &[0, 2, 3]);
-        assert_eq!(
-            image.candidates(PredId::parse("p", 2), a.as_ref()),
-            &[0, 2, 3]
-        );
-        assert!(image.candidates(PredId::parse("q", 2), None).is_empty());
+        assert!(image.target(Symbol::intern("q"), 2).is_none());
+    }
+
+    #[test]
+    fn index_buckets_match_reference_scan() {
+        // First-argument shapes covering atoms, ints, structs and variables,
+        // and call-site probes: keys no clause has, and an unbound variable.
+        const FIRST_ARGS: [&str; 9] = ["a", "b", "c", "7", "13", "f(k)", "f(W)", "g(1, 2)", "V"];
+        const PROBES: [&str; 11] = [
+            "a", "b", "c", "7", "13", "f(k)", "f(z)", "g(1, 2)", "zzz", "99", "Q",
+        ];
+        let keys: Vec<Option<IndexKey>> = PROBES
+            .iter()
+            .map(|probe| IndexKey::of_term(&parse_term(probe).unwrap().0))
+            .collect();
+        // Every sequence of up to three first arguments, then 512 longer
+        // ones (four to eleven clauses) read off a multiplicative stride.
+        let short = (1..=3u32).flat_map(|len| (0..9usize.pow(len)).map(move |n| (n, len as usize)));
+        let long =
+            (0..512usize).map(|i| (i.wrapping_mul(2_654_435_761) % 9usize.pow(11), 4 + i % 8));
+        for (mut digits, len) in short.chain(long) {
+            let mut src = String::new();
+            for i in 0..len {
+                src.push_str(&format!("p({}, {i}).\n", FIRST_ARGS[digits % 9]));
+                digits /= 9;
+            }
+            let image = Image::new(&parse_program(&src).unwrap());
+            for &key in &keys {
+                assert_eq!(
+                    probe(&image, key),
+                    &*image.scan(P, key.as_ref()),
+                    "key {key:?} in\n{src}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -307,13 +332,14 @@ mod tests {
             IndexKey::of_term(&Term::atom("a")),
             IndexKey::of_term(&Term::atom("b")),
         );
-        let (p_id, q_id) = (PredId::parse("p", 1), PredId::parse("q", 1));
-        assert_eq!(image.candidates(p_id, a.as_ref()), &[0, 2]);
-        assert_eq!(image.candidates(p_id, b.as_ref()), &[2, 4]);
-        assert_eq!(image.candidates(q_id, a.as_ref()), &[1, 5]);
-        assert_eq!(image.candidates(q_id, b.as_ref()), &[3, 5]);
-        assert_eq!(image.candidates(q_id, None), &[1, 3, 5]);
-        assert_eq!(image.head_pred(3), q_id);
+        // `p` is predicate 0 and `q` predicate 1, in order of appearance.
+        let (p, q) = (0, 1);
+        assert_eq!(probe_pred(&image, p, a), &[0, 2]);
+        assert_eq!(probe_pred(&image, p, b), &[2, 4]);
+        assert_eq!(probe_pred(&image, q, a), &[1, 5]);
+        assert_eq!(probe_pred(&image, q, b), &[3, 5]);
+        assert_eq!(probe_pred(&image, q, None), &[1, 3, 5]);
+        assert_eq!(image.head_pred(3), PredId::parse("q", 1));
     }
 
     #[test]

@@ -86,5 +86,5 @@ pub use machine::{
 };
 pub use par::{ArmAnswer, ArmEnd, ArmResult, Offer, Packet, ParHook};
 pub use profile::PredProfile;
-pub use tasktree::{ForkSpan, Segment, Task, TaskId, TaskRecorder, TaskTree};
+pub use tasktree::{ForkSpan, Segment, TaskId, TaskTree};
 pub use template::{BuiltinStep, ClauseTemplate, Seq, Step};

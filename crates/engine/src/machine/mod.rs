@@ -679,4 +679,6 @@ impl Machine {
 }
 
 #[cfg(test)]
+mod head_tests;
+#[cfg(test)]
 pub(crate) mod tests;

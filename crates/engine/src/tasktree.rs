@@ -5,11 +5,12 @@
 //! records the fork/join structure induced by parallel conjunctions (`&`)
 //! together with the sequential work performed inside each task; no other
 //! solve records anything. The result is a [`TaskTree`]: a fork-join DAG
-//! whose nodes alternate between chunks of sequential work and forks of
-//! child tasks. The multiprocessor simulator in
-//! `granlog-sim` schedules this tree on P processors under a configurable
+//! in which each task is a plain list of [`Segment`]s, chunks of sequential
+//! work alternating with forks of child tasks. The multiprocessor simulator
+//! in `granlog-sim` schedules this tree on P processors under a configurable
 //! overhead model, which is how the paper's Tables 1–2 and Figure 2 are
-//! reproduced without the original Sequent Symmetry hardware.
+//! reproduced without the original Sequent Symmetry hardware. No timed path
+//! records a tree, so a task's segments are an ordinary `Vec`.
 
 use crate::cost::Counters;
 use serde::{Deserialize, Serialize};
@@ -18,8 +19,7 @@ use serde::{Deserialize, Serialize};
 pub type TaskId = usize;
 
 /// A batch of forked child tasks. Children created by one fork always get
-/// consecutive ids, so the segment stores only the first id and the count —
-/// recording a fork is two integer writes, with no per-fork id vector.
+/// consecutive ids, so the segment stores only the first id and the count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ForkSpan {
     /// Id of the first forked child.
@@ -45,134 +45,17 @@ pub enum Segment {
     Fork(ForkSpan),
 }
 
-/// A task's segment list. Recorded tasks overwhelmingly take one of two
-/// shapes — a leaf arm whose entire work lands in a single merged
-/// [`Segment::Work`] chunk, or an inner arm's `[Work, Fork, Work]` sandwich
-/// — so up to three segments are stored inline and spawning such tasks costs
-/// no allocation; longer lists spill into a `Vec`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub enum Segments {
-    /// No segments recorded.
-    #[default]
-    Empty,
-    /// One segment, inline.
-    One([Segment; 1]),
-    /// Two segments, inline.
-    Two([Segment; 2]),
-    /// Three segments, inline.
-    Three([Segment; 3]),
-    /// Four or more segments.
-    Many(Vec<Segment>),
-}
-
-impl Segments {
-    /// The segments as a slice, in execution order.
-    pub fn as_slice(&self) -> &[Segment] {
-        match self {
-            Segments::Empty => &[],
-            Segments::One(a) => a,
-            Segments::Two(a) => a,
-            Segments::Three(a) => a,
-            Segments::Many(v) => v,
-        }
-    }
-
-    /// Number of segments.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// `true` if no segments have been recorded.
-    pub fn is_empty(&self) -> bool {
-        matches!(self, Segments::Empty)
-    }
-
-    /// Iterates the segments in execution order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Segment> {
-        self.as_slice().iter()
-    }
-
-    fn push(&mut self, seg: Segment) {
-        match self {
-            Segments::Many(v) => v.push(seg),
-            Segments::Empty => *self = Segments::One([seg]),
-            Segments::One([a]) => *self = Segments::Two([*a, seg]),
-            Segments::Two([a, b]) => *self = Segments::Three([*a, *b, seg]),
-            Segments::Three([a, b, c]) => {
-                let mut v = Vec::with_capacity(6);
-                v.extend_from_slice(&[*a, *b, *c, seg]);
-                *self = Segments::Many(v);
-            }
-        }
-    }
-
-    fn last_mut(&mut self) -> Option<&mut Segment> {
-        match self {
-            Segments::Empty => None,
-            Segments::One(a) => a.last_mut(),
-            Segments::Two(a) => a.last_mut(),
-            Segments::Three(a) => a.last_mut(),
-            Segments::Many(v) => v.last_mut(),
-        }
-    }
-}
-
-impl std::ops::Index<usize> for Segments {
-    type Output = Segment;
-    fn index(&self, index: usize) -> &Segment {
-        &self.as_slice()[index]
-    }
-}
-
-impl<'a> IntoIterator for &'a Segments {
-    type Item = &'a Segment;
-    type IntoIter = std::slice::Iter<'a, Segment>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// A single task: a sequence of work chunks and forks.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Task {
-    /// The task's segments, in execution order.
-    pub segments: Segments,
-}
-
-impl Task {
-    /// Total sequential work directly inside this task (excluding children).
-    pub fn local_work(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(|s| match s {
-                Segment::Work(w) => *w,
-                Segment::Fork(_) => 0.0,
-            })
-            .sum()
-    }
-
-    /// The child tasks forked by this task.
-    pub fn children(&self) -> Vec<TaskId> {
-        self.segments
-            .iter()
-            .flat_map(|s| match s {
-                Segment::Fork(span) => span.ids(),
-                Segment::Work(_) => 0..0,
-            })
-            .collect()
-    }
-}
-
-/// A fork-join task tree recorded during execution. Task 0 is the root.
+/// A fork-join task tree recorded during execution: each task's segments,
+/// in execution order, indexed by [`TaskId`]. Task 0 is the root.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskTree {
-    tasks: Vec<Task>,
+    tasks: Vec<Vec<Segment>>,
 }
 
 impl Default for TaskTree {
     fn default() -> Self {
         TaskTree {
-            tasks: vec![Task::default()],
+            tasks: vec![Vec::new()],
         }
     }
 }
@@ -198,24 +81,29 @@ impl TaskTree {
         self.tasks.len() <= 1
     }
 
-    /// The task with the given id.
+    /// The segments of the task with the given id, in execution order.
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range.
-    pub fn task(&self, id: TaskId) -> &Task {
+    pub fn task(&self, id: TaskId) -> &[Segment] {
         &self.tasks[id]
     }
 
-    /// All tasks, indexed by id.
-    pub fn tasks(&self) -> &[Task] {
-        &self.tasks
+    /// Every segment of every task, in no particular order.
+    fn segments(&self) -> impl Iterator<Item = &Segment> {
+        self.tasks.iter().flatten()
     }
 
     /// Total sequential work over all tasks — the single-processor execution
     /// time (excluding any task-management overhead).
     pub fn total_work(&self) -> f64 {
-        self.tasks.iter().map(Task::local_work).sum()
+        self.segments()
+            .map(|s| match s {
+                Segment::Work(w) => *w,
+                Segment::Fork(_) => 0.0,
+            })
+            .sum()
     }
 
     /// The critical-path length: the minimum possible execution time with
@@ -229,7 +117,6 @@ impl TaskTree {
         let mut path = vec![0.0f64; self.tasks.len()];
         for id in (0..self.tasks.len()).rev() {
             path[id] = self.tasks[id]
-                .segments
                 .iter()
                 .fold(0.0, |total, segment| match segment {
                     Segment::Work(w) => total + w,
@@ -242,9 +129,7 @@ impl TaskTree {
     /// Number of fork points in the whole tree (each fork is a task-spawning
     /// event the simulator charges overhead for).
     pub fn fork_count(&self) -> usize {
-        self.tasks
-            .iter()
-            .flat_map(|t| &t.segments)
+        self.segments()
             .filter(|s| matches!(s, Segment::Fork(_)))
             .count()
     }
@@ -259,7 +144,7 @@ impl TaskTree {
     /// Adds `n` fresh, empty tasks and returns their (consecutive) id range.
     pub fn add_tasks(&mut self, n: usize) -> std::ops::Range<TaskId> {
         let start = self.tasks.len();
-        self.tasks.resize_with(start + n, Task::default);
+        self.tasks.resize_with(start + n, Vec::new);
         start..start + n
     }
 
@@ -268,9 +153,9 @@ impl TaskTree {
         if work <= 0.0 {
             return;
         }
-        match self.tasks[id].segments.last_mut() {
+        match self.tasks[id].last_mut() {
             Some(Segment::Work(w)) => *w += work,
-            _ => self.tasks[id].segments.push(Segment::Work(work)),
+            _ => self.tasks[id].push(Segment::Work(work)),
         }
     }
 
@@ -278,7 +163,7 @@ impl TaskTree {
     /// after the task ([`TaskTree::add_tasks`]): their ids are above `id`.
     pub fn add_fork(&mut self, id: TaskId, children: ForkSpan) {
         debug_assert!(children.first > id, "a child's id is above its parent's");
-        self.tasks[id].segments.push(Segment::Fork(children));
+        self.tasks[id].push(Segment::Fork(children));
     }
 }
 
@@ -290,15 +175,16 @@ impl TaskTree {
 /// `now.since(mark).work()` — into the tree. So nothing is recorded per
 /// resolution or grain test.
 #[derive(Debug, Clone)]
-pub struct TaskRecorder {
+pub(crate) struct TaskRecorder {
     tree: TaskTree,
     stack: Vec<TaskId>,
     /// The counters at the current task's last boundary.
     mark: Counters,
 }
 
-impl Default for TaskRecorder {
-    fn default() -> Self {
+impl TaskRecorder {
+    /// Creates a recorder with an empty root task, its counters at zero.
+    pub(crate) fn new() -> Self {
         let tree = TaskTree::new();
         let root = tree.root();
         TaskRecorder {
@@ -306,13 +192,6 @@ impl Default for TaskRecorder {
             stack: vec![root],
             mark: Counters::default(),
         }
-    }
-}
-
-impl TaskRecorder {
-    /// Creates a recorder with an empty root task, its counters at zero.
-    pub fn new() -> Self {
-        TaskRecorder::default()
     }
 
     /// The task currently accumulating work.
@@ -330,9 +209,9 @@ impl TaskRecorder {
 
     /// Records a fork of `n` children in the current task and returns their
     /// ids (in order). Child ids are consecutive, so both the returned range
-    /// and the stored [`ForkSpan`] carry them without allocating: the whole
-    /// fork record is batched into one segment push.
-    pub fn record_fork(&mut self, n: usize, now: &Counters) -> std::ops::Range<TaskId> {
+    /// and the stored [`ForkSpan`] carry them: the whole fork record is one
+    /// segment push.
+    pub(crate) fn record_fork(&mut self, n: usize, now: &Counters) -> std::ops::Range<TaskId> {
         self.flush(now);
         let children = self.tree.add_tasks(n);
         let id = self.current();
@@ -347,7 +226,7 @@ impl TaskRecorder {
     }
 
     /// Makes `task` the current task (entering a forked arm).
-    pub fn push(&mut self, task: TaskId, now: &Counters) {
+    pub(crate) fn push(&mut self, task: TaskId, now: &Counters) {
         self.flush(now);
         self.stack.push(task);
     }
@@ -357,14 +236,14 @@ impl TaskRecorder {
     /// # Panics
     ///
     /// Panics if called more often than [`TaskRecorder::push`].
-    pub fn pop(&mut self, now: &Counters) {
+    pub(crate) fn pop(&mut self, now: &Counters) {
         assert!(self.stack.len() > 1, "cannot pop the root task");
         self.flush(now);
         self.stack.pop();
     }
 
     /// Finishes recording and returns the tree.
-    pub fn into_tree(mut self, now: &Counters) -> TaskTree {
+    pub(crate) fn into_tree(mut self, now: &Counters) -> TaskTree {
         self.flush(now);
         self.tree
     }
@@ -425,8 +304,14 @@ mod tests {
         r.push(kids[1], &at(3));
         r.pop(&at(4));
         let t = r.into_tree(&at(6));
-        assert_eq!(t.task(0).segments.len(), 3);
-        assert_eq!(t.task(0).segments[2], Segment::Work(3.0));
+        assert_eq!(
+            t.task(0),
+            &[
+                Segment::Work(1.0),
+                Segment::Fork(ForkSpan { first: 1, count: 2 }),
+                Segment::Work(3.0)
+            ]
+        );
         assert_eq!(t.total_work(), 6.0);
     }
 
@@ -434,7 +319,7 @@ mod tests {
     fn zero_work_is_ignored() {
         let r = TaskRecorder::new();
         let t = r.into_tree(&at(0));
-        assert!(t.task(0).segments.is_empty());
+        assert!(t.task(0).is_empty());
     }
 
     #[test]
@@ -455,7 +340,16 @@ mod tests {
         assert_eq!(t.total_work(), 31.0);
         // Critical path: 1 + max(2 + max(4, 8), 16) = 1 + 16 = 17.
         assert_eq!(t.critical_path(), 17.0);
-        assert_eq!(t.task(outer[0]).children(), inner);
+        assert_eq!(
+            t.task(outer[0]),
+            &[
+                Segment::Work(2.0),
+                Segment::Fork(ForkSpan {
+                    first: inner[0],
+                    count: 2
+                })
+            ]
+        );
     }
 
     #[test]
@@ -469,7 +363,7 @@ mod tests {
     /// fork nesting level.
     fn critical_path_by_recursion(t: &TaskTree, id: TaskId) -> f64 {
         let mut total = 0.0;
-        for segment in &t.task(id).segments {
+        for segment in t.task(id) {
             total += match segment {
                 Segment::Work(w) => *w,
                 Segment::Fork(span) => span
@@ -512,7 +406,7 @@ mod tests {
     #[test]
     fn children_listing() {
         let t = sample();
-        assert_eq!(t.task(0).children(), vec![1, 2]);
-        assert!(t.task(1).children().is_empty());
+        assert_eq!(t.task(0)[1], Segment::Fork(ForkSpan { first: 1, count: 2 }));
+        assert_eq!(t.task(1), &[Segment::Work(30.0)]);
     }
 }

@@ -83,8 +83,8 @@ struct TaskState {
 pub fn simulate(tree: &TaskTree, config: &SimConfig) -> SimOutcome {
     let n_tasks = tree.len();
     let mut states: Vec<TaskState> = vec![TaskState::default(); n_tasks];
-    for (id, task) in tree.tasks().iter().enumerate() {
-        for (seg_idx, seg) in task.segments.iter().enumerate() {
+    for id in 0..n_tasks {
+        for (seg_idx, seg) in tree.task(id).iter().enumerate() {
             if let Segment::Fork(children) = seg {
                 for c in children.ids() {
                     states[c].parent = Some((id, seg_idx));
@@ -133,8 +133,8 @@ pub fn simulate(tree: &TaskTree, config: &SimConfig) -> SimOutcome {
         let task = tree.task(activation.task);
         let mut seg_idx = activation.segment;
         let mut blocked = false;
-        while seg_idx < task.segments.len() {
-            match &task.segments[seg_idx] {
+        while seg_idx < task.len() {
+            match &task[seg_idx] {
                 Segment::Work(w) => {
                     now += w;
                     seg_idx += 1;

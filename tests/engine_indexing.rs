@@ -14,10 +14,12 @@
 //! control-construct properties exercise the compiled control skeleton —
 //! nested `;`/`->`/`\+` step sequences, real cut pruning under deep
 //! backtracking, and control inside `&` arms — against the same reference.
+//! The index's candidate lists themselves are held to that scan by
+//! `granlog-engine`'s `image` unit tests.
 
-use granlog_engine::{ClauseSelection, Image, Machine, MachineConfig, RecordedOutcome};
+use granlog_engine::{ClauseSelection, Machine, MachineConfig, RecordedOutcome};
 use granlog_ir::parser::parse_program;
-use granlog_ir::{AsTerm, IndexKey, PredId, Term, View};
+use granlog_ir::{AsTerm, Term, View};
 use proptest::prelude::*;
 
 /// First-argument shapes covering atoms, ints, structs and variables.
@@ -92,40 +94,6 @@ fn peano(n: usize) -> String {
 }
 
 proptest! {
-    /// Indexed candidate lists equal a filtered linear scan, in order, for
-    /// every probe key — including keys no clause mentions and the no-key
-    /// (variable) probe.
-    #[test]
-    fn index_buckets_match_reference_scan(first_args in prop::collection::vec(0usize..9, 1..12)) {
-        let src = program_src(&first_args);
-        let program = parse_program(&src).unwrap();
-        let image = Image::new(&program);
-        let pred = program.predicate(PredId::parse("p", 2)).unwrap();
-        let mut probes: Vec<Option<IndexKey>> = vec![None];
-        for probe in PROBES {
-            let (t, _) = granlog_ir::parser::parse_term(probe).unwrap();
-            probes.push(IndexKey::of_term(&t));
-        }
-        for key in probes {
-            let reference: Vec<usize> = pred
-                .clause_ids
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    match (key.as_ref(), IndexKey::of_clause_head(&program.clauses()[id])) {
-                        (Some(gk), Some(hk)) => *gk == hk,
-                        _ => true,
-                    }
-                })
-                .collect();
-            prop_assert_eq!(
-                image.candidates(pred.id, key.as_ref()),
-                reference.as_slice(),
-                "key {:?}", key
-            );
-        }
-    }
-
     /// The indexed engine and the reference scan produce identical outcomes
     /// (success, bindings, counters, work, task tree) on single-solution
     /// queries over mixed atom/int/struct/var first arguments.
