@@ -207,14 +207,27 @@ impl ClauseContext<'_> {
         arms: &[Term],
         deciding: &[Option<(TermRef<'_>, PredId, Guard)>],
     ) -> Term {
-        // Arms driven by one argument at one grain size share their test.
-        let mut tests: Vec<Term> = Vec::new();
+        // Arms that measure one argument share its test, at the largest
+        // grain size among them: `size >= k1, size >= k2` holds exactly
+        // when `size >= max(k1, k2)`.
+        let mut tests: Vec<(Term, u64)> = Vec::new();
         for &(goal, _, guard) in deciding.iter().flatten() {
-            match guard.test_for(goal) {
-                Some(test) if !tests.contains(&test) => tests.push(test),
-                _ => {}
+            let Guard::SizeAtLeast { k, .. } = guard else {
+                continue;
+            };
+            let Some(test) = guard.test_for(goal) else {
+                continue;
+            };
+            // `'$grain_ge'(Arg, Measure, K)`: the same test up to `K`.
+            let measures_the_same =
+                |(kept, _): &&mut (Term, u64)| kept.args().take(2).eq(test.args().take(2));
+            match tests.iter_mut().find(measures_the_same) {
+                Some(kept) if kept.1 < k => *kept = (test, k),
+                Some(_) => {}
+                None => tests.push((test, k)),
             }
         }
+        let tests: Vec<Term> = tests.into_iter().map(|(test, _)| test).collect();
         let any_never = deciding
             .iter()
             .any(|d| matches!(d, Some((_, _, Guard::Never))));
@@ -516,6 +529,41 @@ mod tests {
         assert_eq!(body.matches("$grain_ge").count(), 2, "{body}");
         assert!(body.contains("'$grain_ge'(M,int,"), "{body}");
         assert!(body.contains("'$grain_ge'(N,int,"), "{body}");
+    }
+
+    #[test]
+    fn arms_of_different_cost_on_one_argument_share_the_larger_grain_test() {
+        let src = r#"
+            :- mode two(+, -).
+            :- mode work(+, -).
+            :- mode heavy(+, -).
+            two(N, [A, B]) :- work(N, A) & heavy(N, B).
+            work(0, 0).
+            work(N, R) :- N > 0, N1 is N - 1, work(N1, R1), R is R1 + 1.
+            heavy(0, 0).
+            heavy(N, R) :- N > 0, N1 is N - 1, heavy(N1, R1), work(N, W), R is R1 + W.
+        "#;
+        let annotated = annotate(src, 5.0);
+        let decision = &annotated.decisions[0];
+        assert_eq!(decision.guarded, Some(true));
+        let ks: Vec<u64> = decision
+            .arms
+            .iter()
+            .map(|arm| match arm {
+                Some((_, Guard::SizeAtLeast { arg_pos: 0, k, .. })) => *k,
+                other => panic!("expected a test on N, got {other:?}"),
+            })
+            .collect();
+        assert_ne!(ks[0], ks[1], "the arms differ in cost");
+        let two = annotated.program.clauses_of(PredId::parse("two", 2));
+        let body = two[0].display().to_string();
+        // `N >= k1, N >= k2` is `N >= max(k1, k2)`: one test.
+        assert_eq!(body.matches("$grain_ge").count(), 1, "{body}");
+        let largest = ks.iter().max().unwrap();
+        assert!(
+            body.contains(&format!("'$grain_ge'(N,int,{largest})")),
+            "{body}"
+        );
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! 4. A **table-driven difference equation solver** ([`diffeq`], [`solver`])
 //!    maps the equations onto schemas with known closed-form upper bounds
 //!    (Section 5); anything unmatched is solved as "∞ — always parallelise".
-//! 5. **Thresholds** ([`threshold`]) convert a closed-form cost and a task
-//!    overhead `W` into the least input size `K` worth spawning for, and the
+//! 5. **The grain decision** ([`threshold::guard`]) turns a closed-form cost
+//!    and a task overhead `W` into a [`granlog_ir::Guard`]: spawn when one
+//!    input argument reaches the least size `K` worth spawning for. The
 //!    **annotator** ([`annotate`]) rewrites parallel conjunctions into
 //!    conditional code guarded by `'$grain_ge'` tests (Sections 2, 7).
 //!
@@ -36,9 +37,8 @@
 //! # Quick start
 //!
 //! ```
-//! use granlog_ir::{parser::parse_program, PredId};
+//! use granlog_ir::{parser::parse_program, Guard, Measure, PredId};
 //! use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
-//! use granlog_analysis::threshold::Threshold;
 //!
 //! let program = parse_program(r#"
 //!     :- mode nrev(+, -).
@@ -54,7 +54,8 @@
 //! // The paper's Appendix A closed form: Cost_nrev(n) = 0.5 n^2 + 1.5 n + 1.
 //! assert_eq!(analysis.cost_of(nrev).unwrap().to_string(), "0.5*n^2 + 1.5*n + 1");
 //! // With a task-creation overhead of 48 units, spawn only for lists of 9+.
-//! assert_eq!(analysis.threshold_for(nrev, 48.0), Threshold::SizeAtLeast(9));
+//! let guard = Guard::SizeAtLeast { arg_pos: 0, measure: Measure::ListLength, k: 9 };
+//! assert_eq!(analysis.threshold_for(nrev, 48.0), guard);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,7 +65,6 @@ pub mod cost;
 pub mod ddg;
 pub mod diffeq;
 pub mod expr;
-pub mod guard;
 pub mod measure;
 pub mod pipeline;
 pub mod report;
@@ -80,4 +80,3 @@ pub use expr::{Expr, FnRef};
 pub use measure::Measure;
 pub use pipeline::{analyze_program, AnalysisOptions, PredAnalysis, ProgramAnalysis};
 pub use solver::{SchemaKind, Solution};
-pub use threshold::Threshold;

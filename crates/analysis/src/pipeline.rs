@@ -10,11 +10,13 @@
 //!    and solve the cost difference equations (Section 4 + 5);
 //! 4. record, per predicate, the closed-form output sizes, the closed-form
 //!    cost upper bound, and enough metadata (parameters, measures, input
-//!    positions) for threshold computation and program annotation.
+//!    positions) for the grain decision ([`crate::threshold`]) and program
+//!    annotation.
 //!
-//! The records of step 4 are the only table of solved functions: they go
-//! into the [`ProgramAnalysis`] being built, and the clauses of later SCCs
-//! read their callees' Ψ and cost from there.
+//! The records of step 4 are the only table of solved functions and of
+//! measures: an SCC's members go into the [`ProgramAnalysis`] being built,
+//! with their measures, before its clauses are analysed, and the clauses of
+//! later SCCs read their callees' measures, Ψ and cost from there.
 
 use crate::cost::{charge_sibling_heads, clause_cost, combine_mode};
 use crate::ddg::Ddg;
@@ -23,7 +25,6 @@ use crate::expr::{Expr, FnRef};
 use crate::measure::{assign_measures, MeasureVec};
 use crate::sizerel::{analyze_clause, param_symbol, ClauseSizeAnalysis};
 use crate::solver::{solve_system, SchemaKind};
-use crate::threshold::{driving_parameter, threshold, Threshold, DEFAULT_SEARCH_CAP};
 use granlog_ir::{
     CallGraph, Clause, ClauseShape, ModeDecl, PredId, Program, RecursionClass, Symbol, TermRef,
 };
@@ -31,9 +32,9 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Options of the analysis, of which there are none: it counts resolutions
-/// and searches thresholds up to [`DEFAULT_SEARCH_CAP`]. The struct stays
-/// because the `benchmark/` workloads `compile_pipeline` and `par_control`
-/// call `analyze_program(&p, &AnalysisOptions::default())`.
+/// and searches thresholds up to [`crate::threshold::SEARCH_CAP`]. The
+/// struct stays because the `benchmark/` workloads `compile_pipeline` and
+/// `par_control` call `analyze_program(&p, &AnalysisOptions::default())`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AnalysisOptions {}
 
@@ -76,14 +77,6 @@ impl PredAnalysis {
             .collect();
         self.cost.eval(&env)
     }
-
-    /// The input position whose size the runtime grain test should measure
-    /// (the one driving the cost), together with its parameter symbol.
-    pub fn driving_input(&self) -> Option<(usize, Symbol)> {
-        let param = driving_parameter(&self.cost)?;
-        let idx = self.params.iter().position(|p| *p == param)?;
-        Some((self.input_positions[idx], param))
-    }
 }
 
 /// Whole-program analysis results.
@@ -93,8 +86,6 @@ pub struct ProgramAnalysis {
     pub preds: BTreeMap<PredId, PredAnalysis>,
     /// The mode table used (declared plus inferred).
     pub modes: BTreeMap<PredId, ModeDecl>,
-    /// The measure assignment used.
-    pub measures: BTreeMap<PredId, MeasureVec>,
 }
 
 impl ProgramAnalysis {
@@ -111,23 +102,6 @@ impl ProgramAnalysis {
     /// The closed-form output-size bound of a predicate's argument position.
     pub fn output_size_of(&self, pred: PredId, pos: usize) -> Option<&Expr> {
         self.preds.get(&pred).and_then(|p| p.output_sizes.get(&pos))
-    }
-
-    /// The grain-size threshold of a predicate for a given task-management
-    /// overhead `W`, in resolutions.
-    pub fn threshold_for(&self, pred: PredId, overhead: f64) -> Threshold {
-        let Some(info) = self.preds.get(&pred) else {
-            return Threshold::AlwaysParallel;
-        };
-        if info.params.is_empty() {
-            return match info.cost.as_const() {
-                Some(c) if c <= overhead => Threshold::NeverParallel,
-                _ => Threshold::AlwaysParallel,
-            };
-        }
-        // The search probes the diagonal of all the cost's variables, so
-        // it does not matter which parameter is named as the driving one.
-        threshold(&info.cost, info.params[0], overhead, DEFAULT_SEARCH_CAP)
     }
 }
 
@@ -154,10 +128,10 @@ struct ClauseWork<'a> {
 /// Runs the complete granularity analysis over a program.
 pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> ProgramAnalysis {
     let callgraph = CallGraph::build(program);
+    let mut measures = assign_measures(program);
     let mut analysis = ProgramAnalysis {
         preds: BTreeMap::new(),
         modes: granlog_ir::modes::infer_modes(program),
-        measures: assign_measures(program),
     };
     let modes = &analysis.modes;
     let no_scc: BTreeSet<PredId> = BTreeSet::new();
@@ -186,6 +160,26 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
                 }
             })
             .collect();
+
+        // Each member's record goes in with its measures, which its own and
+        // its SCC's clauses read in phase 1, then phase 1 writes its solved
+        // sizes and phase 2 its cost: inside its own SCC a member's sizes and
+        // cost are always symbolic (`analyze_clause` and `clause_cost` check
+        // the SCC first), so the placeholders stored here are never read.
+        for m in &members {
+            let record = PredAnalysis {
+                pred: m.pred,
+                recursion: callgraph.classify_predicate(m.pred),
+                input_positions: m.input_positions.clone(),
+                params: m.params.clone(),
+                measures: measures.remove(&m.pred).unwrap_or_default(),
+                output_sizes: BTreeMap::new(),
+                size_schemas: BTreeMap::new(),
+                cost: Expr::Undefined,
+                cost_schema: SchemaKind::Unmatched,
+            };
+            analysis.preds.insert(m.pred, record);
+        }
 
         // ------------------------------------------------------------------
         // Phase 1: argument-size analysis for the SCC.
@@ -236,27 +230,9 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
             work.push(clauses);
         }
 
-        // Each member's record goes in with its solved sizes, and phase 2
-        // writes its cost: inside its own SCC a member's cost is always
-        // symbolic (`clause_cost` checks the SCC first), so the cost stored
-        // here is never read.
-        for m in &members {
-            let record = PredAnalysis {
-                pred: m.pred,
-                recursion: callgraph.classify_predicate(m.pred),
-                input_positions: m.input_positions.clone(),
-                params: m.params.clone(),
-                measures: analysis.measures.get(&m.pred).cloned().unwrap_or_default(),
-                output_sizes: BTreeMap::new(),
-                size_schemas: BTreeMap::new(),
-                cost: Expr::Undefined,
-                cost_schema: SchemaKind::Unmatched,
-            };
-            analysis.preds.insert(m.pred, record);
-        }
         for sol in solve_system(&size_equations) {
             if let FnRef::OutputSize(p, k) = sol.func {
-                let record = analysis.preds.get_mut(&p).expect("a member of the SCC");
+                let record = analysis.preds.get_mut(&p).expect("inserted before phase 1");
                 record.output_sizes.insert(k, sol.closed_form);
                 record.size_schemas.insert(k, sol.schema);
             }
@@ -293,7 +269,7 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
         }
         for sol in solve_system(&cost_equations) {
             if let FnRef::Cost(p) = sol.func {
-                let record = analysis.preds.get_mut(&p).expect("inserted in phase 1");
+                let record = analysis.preds.get_mut(&p).expect("inserted before phase 1");
                 record.cost = sol.closed_form;
                 record.cost_schema = sol.schema;
             }
@@ -307,6 +283,7 @@ pub fn analyze_program(program: &Program, _options: &AnalysisOptions) -> Program
 mod tests {
     use super::*;
     use granlog_ir::parser::parse_program;
+    use granlog_ir::{Guard, Measure};
 
     const NREV: &str = r#"
         :- mode nrev(+, -).
@@ -344,9 +321,12 @@ mod tests {
         let a = analyze(NREV);
         let nrev = PredId::parse("nrev", 2);
         // With overhead 48: 0.5n² + 1.5n + 1 > 48 first at n = 9.
-        assert_eq!(a.threshold_for(nrev, 48.0), Threshold::SizeAtLeast(9));
+        let Guard::SizeAtLeast { k, .. } = a.threshold_for(nrev, 48.0) else {
+            panic!("expected a size guard");
+        };
+        assert_eq!(k, 9);
         // With an overhead below even the empty call's cost, always parallel.
-        assert_eq!(a.threshold_for(nrev, 0.5), Threshold::AlwaysParallel);
+        assert_eq!(a.threshold_for(nrev, 0.5), Guard::Always);
     }
 
     #[test]
@@ -370,7 +350,7 @@ mod tests {
         );
         // Threshold exists and is small for any realistic overhead.
         match a.threshold_for(fib, 100.0) {
-            Threshold::SizeAtLeast(k) => assert!(k <= 10, "k = {k}"),
+            Guard::SizeAtLeast { k, .. } => assert!(k <= 10, "k = {k}"),
             other => panic!("unexpected threshold {other:?}"),
         }
     }
@@ -401,14 +381,8 @@ mod tests {
             RecursionClass::NonRecursive
         );
         // Constant cost below the overhead: never parallelise.
-        assert_eq!(
-            a.threshold_for(PredId::parse("top", 1), 48.0),
-            Threshold::NeverParallel
-        );
-        assert_eq!(
-            a.threshold_for(PredId::parse("top", 1), 3.0),
-            Threshold::AlwaysParallel
-        );
+        assert_eq!(a.threshold_for(PredId::parse("top", 1), 48.0), Guard::Never);
+        assert_eq!(a.threshold_for(PredId::parse("top", 1), 3.0), Guard::Always);
     }
 
     #[test]
@@ -446,7 +420,7 @@ mod tests {
         let a = analyze(src);
         let loop_p = PredId::parse("loop", 1);
         assert!(a.cost_of(loop_p).unwrap().is_infinite());
-        assert_eq!(a.threshold_for(loop_p, 1e9), Threshold::AlwaysParallel);
+        assert_eq!(a.threshold_for(loop_p, 1e9), Guard::Always);
     }
 
     #[test]
@@ -470,7 +444,10 @@ mod tests {
             let a = analyze(&src);
             let len = PredId::parse("len", 2);
             assert_eq!(a.cost_of(len).unwrap().to_string(), "n + 1", "{goal}");
-            assert_eq!(a.threshold_for(len, 60.0), Threshold::SizeAtLeast(60));
+            assert_eq!(
+                a.threshold_for(len, 60.0).to_string(),
+                "parallel iff size >= 60"
+            );
         }
     }
 
@@ -510,15 +487,19 @@ mod tests {
 
     #[test]
     fn driving_input_identifies_the_list_argument() {
+        // append's cost n1 + 1 is driven by its first input, not its second.
         let a = analyze(NREV);
-        let nrev = PredId::parse("nrev", 2);
-        let (pos, param) = a.pred(nrev).unwrap().driving_input().unwrap();
-        assert_eq!(pos, 0);
-        assert_eq!(param.as_str(), "n");
-        let append = PredId::parse("append", 3);
-        let (pos, param) = a.pred(append).unwrap().driving_input().unwrap();
-        assert_eq!(pos, 0);
-        assert_eq!(param.as_str(), "n1");
+        for (pred, k) in [
+            (PredId::parse("nrev", 2), 9),
+            (PredId::parse("append", 3), 48),
+        ] {
+            let guard = Guard::SizeAtLeast {
+                arg_pos: 0,
+                measure: Measure::ListLength,
+                k,
+            };
+            assert_eq!(a.threshold_for(pred, 48.0), guard, "{pred}");
+        }
     }
 
     #[test]
@@ -527,7 +508,7 @@ mod tests {
         let a = analyze(src);
         let main = PredId::parse("main", 0);
         assert_eq!(a.cost_of(main).unwrap().as_const(), Some(2.0));
-        assert_eq!(a.threshold_for(main, 10.0), Threshold::NeverParallel);
+        assert_eq!(a.threshold_for(main, 10.0), Guard::Never);
     }
 
     #[test]

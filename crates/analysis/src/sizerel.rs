@@ -163,7 +163,9 @@ pub fn analyze_clause(
         let assigned = measures.and_then(|ms| ms.get(i)).copied();
         assigned.unwrap_or_else(|| Measure::default_for_term(term))
     };
-    let head_measures = head_pred.and_then(|p| analysis.measures.get(&p));
+    let head_measures = head_pred
+        .and_then(|p| analysis.pred(p))
+        .map(|r| &r.measures);
 
     let mut head_input_constants = BTreeMap::new();
     for &i in &input_positions {
@@ -179,7 +181,7 @@ pub fn analyze_clause(
     for (j, &literal) in ddg.literals().iter().enumerate() {
         let node = NodeId::Body(j);
         let callee = PredId::of_term(literal);
-        let callee_measures = callee.and_then(|p| analysis.measures.get(&p));
+        let callee_measures = callee.and_then(|p| analysis.pred(p)).map(|r| &r.measures);
         let measure_at = |i: usize| measure_in(callee_measures, i, literal.args().at(i));
 
         // --- input positions ---------------------------------------------

@@ -1305,7 +1305,9 @@ mod tests {
             .expect_err("an infinite loop must blow a 50ms wall budget");
         assert!(err.starts_with("budget"), "{err}");
         // The wall budget can also be lifted per session, protocol-side.
-        client.budget_wall(None).unwrap();
+        client
+            .budget(granlog_engine::BudgetKind::Wall, None)
+            .unwrap();
         assert!(client.query("p(X)").unwrap().unwrap().succeeded);
         client.shutdown_server().unwrap();
         server.join().unwrap().unwrap();

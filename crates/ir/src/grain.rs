@@ -127,6 +127,17 @@ impl Guard {
     }
 }
 
+/// The decision as a report states it: the size test names its bound only.
+impl fmt::Display for Guard {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Guard::Always => write!(f, "always parallel"),
+            Guard::Never => write!(f, "never parallel"),
+            Guard::SizeAtLeast { k, .. } => write!(f, "parallel iff size >= {k}"),
+        }
+    }
+}
+
 /// Per-predicate guards. Predicates without an entry are unknown to the
 /// producer and spawn, following the paper's prescription for unknown costs
 /// (err on the parallel side of a parallel language).

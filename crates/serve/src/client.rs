@@ -6,6 +6,7 @@
 //! payload).
 
 use crate::session::DatalogReplyStats;
+use granlog_engine::BudgetKind;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -231,28 +232,21 @@ impl ServeClient {
         }
     }
 
-    /// Sets the session step budget (`None` = unlimited).
+    /// Sets one of the session's budgets (`None` = unlimited): steps in
+    /// head attempts, heap in cells, wall-clock time in milliseconds.
     ///
     /// # Errors
     ///
     /// I/O failures or a server-side rejection.
-    pub fn budget_steps(&mut self, steps: Option<u64>) -> io::Result<()> {
-        match steps {
-            Some(n) => self.simple_command(&format!("budget steps {n}")),
-            None => self.simple_command("budget steps off"),
-        }
-    }
-
-    /// Sets the session wall-clock budget in milliseconds (`None` =
-    /// unlimited).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures or a server-side rejection.
-    pub fn budget_wall(&mut self, ms: Option<u64>) -> io::Result<()> {
-        match ms {
-            Some(n) => self.simple_command(&format!("budget wall {n}")),
-            None => self.simple_command("budget wall off"),
+    pub fn budget(&mut self, kind: BudgetKind, limit: Option<u64>) -> io::Result<()> {
+        let kind = match kind {
+            BudgetKind::Steps => "steps",
+            BudgetKind::HeapCells => "heap",
+            BudgetKind::Wall => "wall",
+        };
+        match limit {
+            Some(n) => self.simple_command(&format!("budget {kind} {n}")),
+            None => self.simple_command(&format!("budget {kind} off")),
         }
     }
 

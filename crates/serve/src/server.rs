@@ -112,10 +112,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Default budget for new sessions (each can adjust its own).
     pub budget: SessionBudget,
-    /// Engine configuration for pooled machines.
-    pub machine_config: MachineConfig,
-    /// Machine-pool policy per cached program.
-    pub pool: PoolConfig,
     /// Connection cap: past this many concurrent sessions new connections
     /// are shed with `err overloaded ...`. `0` = unlimited.
     pub max_conns: usize,
@@ -145,8 +141,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             cache_capacity: 64,
             budget: SessionBudget::default(),
-            machine_config: MachineConfig::default(),
-            pool: PoolConfig::default(),
             max_conns: 0,
             io_timeout: Duration::from_secs(10),
             idle_timeout: None,
@@ -252,8 +246,8 @@ impl Server {
         }
         let cache = Arc::new(TemplateCache::new(
             config.cache_capacity,
-            config.machine_config,
-            config.pool,
+            MachineConfig::default(),
+            PoolConfig::default(),
         ));
         // Boot replay: warm the cache from the recovered corpus before the
         // listener exists, so the first client query of a recovered program

@@ -9,14 +9,18 @@
 //! decisions at `AnnotateOptions::default()`. Predicates are listed by name,
 //! so the file does not depend on the order symbols were interned in.
 //!
+//! A third test holds every guard to the paper's definition of `K` (§5) as
+//! a property, at three overheads.
+//!
 //! On a mismatch the failure names every program and predicate that moved
 //! and the whole file as this build computes it is left in
 //! `$TMPDIR/granlog-analysis-closed-forms.actual`. If the move is intended,
 //! copy that file over the golden one and say why in the PR.
 
 use granlog_analysis::annotate::{apply_granularity_control, AnnotateOptions};
-use granlog_analysis::pipeline::{analyze_program, AnalysisOptions, ProgramAnalysis};
-use granlog_ir::{PredId, Program};
+use granlog_analysis::pipeline::{analyze_program, AnalysisOptions, PredAnalysis, ProgramAnalysis};
+use granlog_analysis::threshold::SEARCH_CAP;
+use granlog_ir::{Guard, PredId, Program};
 use std::fmt::Write as _;
 use support::Section;
 
@@ -128,6 +132,54 @@ fn closed_forms_and_annotations_match_the_golden_file() {
         GOLDEN_PREAMBLE,
         &measure(),
     );
+}
+
+/// The cost bound with every input size `n` (the diagonal the threshold
+/// search probes).
+fn diagonal_cost(info: &PredAnalysis, n: u64) -> f64 {
+    let sizes = vec![n as f64; info.params.len()];
+    info.cost_at(&sizes).expect("a searched cost evaluates")
+}
+
+#[test]
+fn every_guard_follows_the_definition_of_k() {
+    for bench in &support::fifteen_benchmarks() {
+        let program = bench.program().expect("benchmark parses");
+        let analysis = analyze_program(&program, &AnalysisOptions::default());
+        let label = bench.label();
+        let fixed = analysis.fixed_guards(8);
+        for overhead in [8.0, 48.0, 400.0] {
+            let guards = analysis.guards_at(overhead);
+            for (&pred, info) in &analysis.preds {
+                let at = format!("{label} {pred} at W = {overhead}");
+                match guards
+                    .get(pred)
+                    .expect("every analysed predicate has a guard")
+                {
+                    // K is the least size whose cost exceeds W.
+                    Guard::SizeAtLeast { arg_pos, k, .. } => {
+                        assert!(diagonal_cost(info, k) > overhead, "{at}: cost at K = {k}");
+                        let below = diagonal_cost(info, k - 1);
+                        assert!(
+                            below <= overhead,
+                            "{at}: cost at K - 1 = {} is {below}",
+                            k - 1
+                        );
+                        // The sweep and the threshold test one argument.
+                        if let Some(Guard::SizeAtLeast { arg_pos: swept, .. }) = fixed.get(pred) {
+                            assert_eq!(swept, arg_pos, "{at}: the fixed grain size");
+                        }
+                    }
+                    // No size up to the search cap pays for a spawn.
+                    Guard::Never => {
+                        let capped = diagonal_cost(info, SEARCH_CAP);
+                        assert!(capped <= overhead, "{at}: cost at the cap is {capped}");
+                    }
+                    Guard::Always => {}
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -15,10 +15,9 @@ use granlog_analysis::ddg::{ArgPos, Ddg, NodeId};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions};
 use granlog_analysis::sizerel::analyze_clause;
 use granlog_analysis::solver::SchemaKind;
-use granlog_analysis::Threshold;
 use granlog_benchmarks::nrev_benchmark;
 use granlog_engine::Machine;
-use granlog_ir::PredId;
+use granlog_ir::{Guard, Measure, PredId};
 
 fn nrev_pid() -> PredId {
     PredId::parse("nrev", 2)
@@ -165,20 +164,25 @@ fn section2_threshold_example() {
     // overhead 48 the threshold is 9.
     let program = nrev_benchmark().program().expect("nrev parses");
     let analysis = analyze_program(&program, &AnalysisOptions::default());
-    assert_eq!(
-        analysis.threshold_for(nrev_pid(), 48.0),
-        Threshold::SizeAtLeast(9)
-    );
+    // The test measures the length of nrev's input list.
+    let list_at_least = |k| Guard::SizeAtLeast {
+        arg_pos: 0,
+        measure: Measure::ListLength,
+        k,
+    };
+    assert_eq!(analysis.threshold_for(nrev_pid(), 48.0), list_at_least(9));
     // The threshold grows monotonically with the overhead.
     let mut last = 0;
     for w in [1.0, 10.0, 100.0, 1000.0] {
-        let t = analysis.threshold_for(nrev_pid(), w).as_size();
-        assert!(t >= last);
-        last = t;
+        let Guard::SizeAtLeast { k, .. } = analysis.threshold_for(nrev_pid(), w) else {
+            panic!("nrev has a size guard at W = {w}");
+        };
+        assert!(k >= last);
+        last = k;
     }
     // append/3, being linear, has threshold ≈ W.
     assert_eq!(
         analysis.threshold_for(append_pid(), 10.0),
-        Threshold::SizeAtLeast(10)
+        list_at_least(10)
     );
 }

@@ -3,11 +3,11 @@
 
 use granlog_analysis::annotate::{apply_granularity_control, AnnotateOptions};
 use granlog_analysis::pipeline::{analyze_program, AnalysisOptions, ProgramAnalysis};
-use granlog_analysis::{SchemaKind, Threshold};
+use granlog_analysis::SchemaKind;
 use granlog_benchmarks::all_benchmarks;
 use granlog_datalog::CompiledDatalog;
 use granlog_ir::parser::{parse_program, parse_term};
-use granlog_ir::{PredId, Program};
+use granlog_ir::{Guard, PredId, Program};
 
 fn analyze(name: &str) -> (Program, ProgramAnalysis) {
     let bench = granlog_benchmarks::benchmark(name).expect("benchmark exists");
@@ -82,7 +82,7 @@ fn fib_cost_is_exponential_and_threshold_is_small() {
         assert!(bound >= truth, "fib bound at {n}: {bound} < {truth}");
     }
     match analysis.threshold_for(fib, 60.0) {
-        Threshold::SizeAtLeast(k) => assert!((4..=8).contains(&k), "k = {k}"),
+        Guard::SizeAtLeast { k, .. } => assert!((4..=8).contains(&k), "k = {k}"),
         other => panic!("unexpected threshold {other:?}"),
     }
 }
@@ -113,14 +113,13 @@ fn double_sum_inner_sum_is_linear() {
     let (_, analysis) = analyze("double_sum");
     let sum_list = PredId::parse("sum_list", 2);
     assert_eq!(analysis.cost_of(sum_list).unwrap().to_string(), "n + 1");
-    assert_eq!(
-        analysis.threshold_for(sum_list, 60.0),
-        Threshold::SizeAtLeast(60)
-    );
-    assert_eq!(
-        analysis.threshold_for(sum_list, 7.0),
-        Threshold::SizeAtLeast(7)
-    );
+    for (w, k) in [(60.0, 60), (7.0, 7)] {
+        let guard = analysis.threshold_for(sum_list, w);
+        assert!(
+            matches!(guard, Guard::SizeAtLeast { arg_pos: 0, k: at, .. } if at == k),
+            "{guard:?}"
+        );
+    }
 }
 
 #[test]
@@ -138,14 +137,8 @@ fn consistency_check_has_constant_cost() {
     assert_eq!(cost, 53.0, "check cost");
     // Below the ROLOG-like overhead (sequentialise), above the &-Prolog-like
     // one (keep parallel): the crux of the consistency benchmark.
-    assert_eq!(
-        analysis.threshold_for(check, 60.0),
-        Threshold::NeverParallel
-    );
-    assert_eq!(
-        analysis.threshold_for(check, 7.0),
-        Threshold::AlwaysParallel
-    );
+    assert_eq!(analysis.threshold_for(check, 60.0), Guard::Never);
+    assert_eq!(analysis.threshold_for(check, 7.0), Guard::Always);
 }
 
 #[test]
@@ -187,7 +180,7 @@ fn unbounded_predicates_default_to_always_parallel() {
     let (_, analysis) = analyze("tree_traversal");
     let tsum = PredId::parse("tsum", 2);
     assert!(analysis.cost_of(tsum).unwrap().is_infinite());
-    assert_eq!(analysis.threshold_for(tsum, 1e9), Threshold::AlwaysParallel);
+    assert_eq!(analysis.threshold_for(tsum, 1e9), Guard::Always);
 }
 
 #[test]

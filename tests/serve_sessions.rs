@@ -13,7 +13,7 @@
 mod support;
 
 use granlog_benchmarks::all_benchmarks;
-use granlog_engine::MachineConfig;
+use granlog_engine::{BudgetKind, MachineConfig};
 use granlog_ir::parser::MAX_TERM_DEPTH;
 use granlog_serve::{PoolConfig, ServeClient, ServeConfig, Server, TemplateCache};
 use granlog_store::StoreConfig;
@@ -134,7 +134,7 @@ fn budgets_are_enforced_per_session() {
         "query too small to throttle: {} steps",
         full.steps
     );
-    throttled.budget_steps(Some(limit)).unwrap();
+    throttled.budget(BudgetKind::Steps, Some(limit)).unwrap();
 
     let err = throttled
         .query(&heavy)
@@ -147,7 +147,24 @@ fn budgets_are_enforced_per_session() {
     // budget and can lift it.
     assert!(free.query(&heavy).unwrap().unwrap().succeeded);
     assert!(throttled.query(&light).unwrap().unwrap().succeeded);
-    throttled.budget_steps(None).unwrap();
+    throttled.budget(BudgetKind::Steps, None).unwrap();
+    assert!(throttled.query(&heavy).unwrap().unwrap().succeeded);
+
+    // The heap budget, in cells, is set and lifted the same way.
+    let cells = full.heap_high_water / 2;
+    throttled
+        .budget(BudgetKind::HeapCells, Some(cells))
+        .unwrap();
+    let err = throttled
+        .query(&heavy)
+        .unwrap()
+        .expect_err("half the heap cannot hold the query");
+    assert!(
+        err.contains(&format!("heap budget of {cells} cells")),
+        "{err}"
+    );
+    assert!(free.query(&heavy).unwrap().unwrap().succeeded);
+    throttled.budget(BudgetKind::HeapCells, None).unwrap();
     assert!(throttled.query(&heavy).unwrap().unwrap().succeeded);
 
     throttled.quit().unwrap();
