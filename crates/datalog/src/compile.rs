@@ -21,6 +21,7 @@ use granlog_ir::term::Args;
 use granlog_ir::{builtins, AsTerm, Clause, FastMap, PredId, Program, Symbol, Term, TermRef, View};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an interned ground term in a [`ConstTable`].
 pub(crate) type ConstId = u32;
@@ -34,7 +35,7 @@ pub(crate) type ConstId = u32;
 /// [`Symbol`]s, so for the common atom-constant case this adds one
 /// indirection over the global symbol table rather than a second string
 /// table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct ConstTable {
     terms: Vec<Term>,
     ids: FastMap<Term, ConstId>,
@@ -489,7 +490,8 @@ pub struct CompiledDatalog {
     /// relation's arity.
     pub(crate) facts: Vec<usize>,
     pub(crate) fact_args: Vec<ConstId>,
-    pub(crate) consts: ConstTable,
+    /// Shared with every database evaluated from this program.
+    pub(crate) consts: Arc<ConstTable>,
     pub(crate) preds: Vec<PredInfo>,
     pub(crate) pred_ix: FastMap<PredId, usize>,
     pub(crate) strata: Vec<StratumPlan>,
@@ -579,7 +581,7 @@ impl CompiledDatalog {
             rules: planned,
             facts,
             fact_args,
-            consts,
+            consts: Arc::new(consts),
             preds,
             pred_ix,
             strata,

@@ -20,10 +20,13 @@
 //! Its dedup set and its indexes are open-addressed tables of `u32` tuple
 //! ids that hash and compare *through* the arena; an index chains the
 //! tuples sharing a key oldest-first through one `u32` per tuple, so
-//! inserting, probing and deriving allocate nothing per tuple. Rounds
-//! buffer their derivations and insert them when the round ends; the order
-//! of tuples — and hence of query answers — *within* a round is
-//! unspecified.
+//! inserting, probing and deriving allocate nothing per tuple. Before a
+//! batch goes in — a program's ground facts, or one join batch's
+//! derivations — the relation makes room for all of it
+//! (`Relation::room_for`), so each table grows at most once per batch
+//! instead of doubling its way to size. Rounds buffer their derivations and
+//! insert them when the round ends; the order of tuples — and hence of
+//! query answers — *within* a round is unspecified.
 //!
 //! Failpoint seams: `datalog.join` (one check per join batch, query probes
 //! included) and `datalog.fixpoint.round` (one check per round). Without
@@ -37,6 +40,7 @@ use crate::error::DatalogError;
 use granlog_ir::{AsTerm, FastHasher, FastMap, PredId, Symbol, Term};
 use std::collections::BTreeSet;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 /// Counters of one fixpoint evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,14 +101,16 @@ impl IdTable {
         (id != EMPTY).then_some(id)
     }
 
-    /// Makes room for one more id, re-placing the present ones by `hash_of`
-    /// when the array doubles.
-    fn reserve(&mut self, hash_of: impl Fn(u32) -> u64) {
-        if (self.used + 1) * 2 <= self.slots.len() {
+    /// Makes room for `extra` more ids, re-placing the present ones by
+    /// `hash_of` when the array grows: to the least power of two that keeps
+    /// it at most half full, so room for many ids is one allocation.
+    fn room_for(&mut self, extra: usize, hash_of: impl Fn(u32) -> u64) {
+        let want = (self.used + extra) * 2;
+        if want <= self.slots.len() {
             return;
         }
-        let doubled = vec![EMPTY; (self.slots.len() * 2).max(8)];
-        for id in std::mem::replace(&mut self.slots, doubled) {
+        let grown = vec![EMPTY; want.next_power_of_two().max(8)];
+        for id in std::mem::replace(&mut self.slots, grown) {
             if id != EMPTY {
                 let at = self.probe(hash_of(id), |_| false);
                 self.slots[at] = id;
@@ -164,6 +170,29 @@ impl Relation {
         }
     }
 
+    /// Makes room for `extra` more tuples in the arena, the dedup set and
+    /// every index, so inserting that many allocates nothing.
+    fn room_for(&mut self, extra: usize) {
+        let Relation {
+            arity,
+            data,
+            set,
+            indexes,
+            ..
+        } = self;
+        let arity = *arity;
+        data.reserve(extra * arity);
+        let data = data.as_slice();
+        set.room_for(extra, |i| hash_key(row(data, arity, i).iter().copied()));
+        for Index { cols, newest, next } in indexes {
+            let cols = cols.as_slice();
+            newest.room_for(extra, |i| {
+                hash_key(cols.iter().map(|&c| row(data, arity, i)[c as usize]))
+            });
+            next.reserve(extra);
+        }
+    }
+
     fn tuple(&self, id: u32) -> &[ConstId] {
         row(&self.data, self.arity, id)
     }
@@ -177,22 +206,25 @@ impl Relation {
             indexes,
         } = self;
         let arity = *arity;
-        let hash = hash_key(tuple.iter().copied());
-        if set.find(hash, |id| row(data, arity, id) == tuple).is_some() {
+        // One probe both finds a duplicate and the slot a new tuple takes.
+        set.room_for(1, |i| hash_key(row(data, arity, i).iter().copied()));
+        let at = set.probe(hash_key(tuple.iter().copied()), |id| {
+            row(data, arity, id) == tuple
+        });
+        if set.slots[at] != EMPTY {
             return false;
         }
         let id = *len;
         assert!(id != EMPTY, "relation outgrew its u32 tuple ids");
         *len += 1;
         data.extend_from_slice(tuple);
+        set.put(at, id);
         let data = data.as_slice();
-        set.reserve(|i| hash_key(row(data, arity, i).iter().copied()));
-        set.put(set.probe(hash, |_| false), id);
         for ix in indexes {
             let Index { cols, newest, next } = ix;
             let cols = cols.as_slice();
             let key = |i: u32| cols.iter().map(move |&c| row(data, arity, i)[c as usize]);
-            newest.reserve(|i| hash_key(key(i)));
+            newest.room_for(1, |i| hash_key(key(i)));
             let at = newest.probe(hash_key(key(id)), |i| key(i).eq(key(id)));
             match newest.slots[at] {
                 EMPTY => next.push(id),
@@ -211,7 +243,7 @@ impl Relation {
 /// queries. Immutable once built — safe to cache and share across sessions.
 #[derive(Debug)]
 pub struct Database {
-    consts: ConstTable,
+    consts: Arc<ConstTable>,
     rels: Vec<Relation>,
     preds: Vec<(PredId, usize)>,
     pred_ix: FastMap<PredId, usize>,
@@ -363,6 +395,10 @@ struct Scratch {
 impl CompiledDatalog {
     /// Runs the stratified semi-naive fixpoint to completion.
     ///
+    /// Each call loads the program's ground facts into fresh relations,
+    /// sized for them up front, and the [`Database`] it returns shares the
+    /// program's constant table rather than copying it.
+    ///
     /// Deterministic for a given program; fails only through injected
     /// faults (`--features failpoints`).
     pub fn evaluate(&self) -> Result<Database, DatalogError> {
@@ -387,6 +423,15 @@ impl CompiledDatalog {
             .zip(&self.rel_indexes)
             .map(|(pred, specs)| Relation::new(pred.arity, specs))
             .collect();
+        // Sized for their facts up front, the tables are allocated once
+        // each instead of doubling their way there.
+        let mut facts_of = vec![0; rels.len()];
+        for &rel in &self.facts {
+            facts_of[rel] += 1;
+        }
+        for (rel, n) in rels.iter_mut().zip(facts_of) {
+            rel.room_for(n);
+        }
 
         let mut args = self.fact_args.as_slice();
         for &rel in &self.facts {
@@ -450,6 +495,7 @@ impl CompiledDatalog {
                 let mut inserted = 0u64;
                 let mut tuples = scratch.out.as_slice();
                 for (rel, emitted) in scratch.batches.drain(..) {
+                    rels[rel].room_for(emitted as usize);
                     for _ in 0..emitted {
                         let (tuple, rest) = tuples.split_at(rels[rel].arity);
                         tuples = rest;
@@ -476,7 +522,7 @@ impl CompiledDatalog {
         }
 
         Ok(Database {
-            consts: self.consts.clone(),
+            consts: Arc::clone(&self.consts),
             rels,
             preds: self.preds.iter().map(|p| (p.pred, p.arity)).collect(),
             pred_ix: self.pred_ix.clone(),
@@ -632,5 +678,50 @@ impl Database {
             rows,
             tuples_tried,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use granlog_ir::parser::parse_program;
+
+    #[test]
+    fn a_relation_with_room_fills_without_growing_a_table() {
+        let mut rel = Relation::new(2, &[vec![0], vec![1]]);
+        rel.room_for(100);
+        let tables = |r: &Relation| {
+            let mut lens = vec![r.data.capacity(), r.set.slots.len()];
+            lens.extend(r.indexes.iter().map(|ix| ix.newest.slots.len()));
+            lens
+        };
+        let sized = tables(&rel);
+        for i in 0..100 {
+            assert!(rel.insert(&[i % 10, i]));
+        }
+        assert!(!rel.insert(&[3, 13]), "a duplicate is not inserted");
+        assert_eq!(tables(&rel), sized, "no table grew");
+        let half_full = |t: &IdTable| t.used * 2 <= t.slots.len();
+        assert!(half_full(&rel.set) && rel.indexes.iter().all(|ix| half_full(&ix.newest)));
+        assert_eq!(rel.len, 100);
+        // The first index still chains a key's tuples oldest-first.
+        let ix = &rel.indexes[0];
+        let newest = ix
+            .newest
+            .find(hash_key([3].into_iter()), |id| rel.tuple(id)[0] == 3);
+        let mut chain = vec![ix.next[newest.expect("key 3 is present") as usize]];
+        while chain.len() < 10 {
+            chain.push(ix.next[*chain.last().unwrap() as usize]);
+        }
+        assert_eq!(chain, (0..10).map(|k| k * 10 + 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn databases_share_their_programs_constant_table() {
+        let program = parse_program("edge(a, b). reach(a). reach(T) :- edge(S, T), reach(S).")
+            .expect("program parses");
+        let compiled = CompiledDatalog::compile(&program).expect("compiles");
+        let db = compiled.evaluate().expect("evaluates");
+        assert!(Arc::ptr_eq(&db.consts, &compiled.consts));
     }
 }

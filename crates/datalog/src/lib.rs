@@ -13,8 +13,10 @@
 //! disjunction, arithmetic, builtins, metacalls and non-ground compound
 //! arguments with a typed [`DatalogError`] naming the offending clause),
 //! checks range restriction, stratifies negation, and flattens every rule
-//! into an indexed join plan. [`CompiledDatalog::evaluate`] then runs the
-//! stratified semi-naive fixpoint into an immutable [`Database`], and
+//! into an indexed join plan. [`CompiledDatalog::evaluate`] then loads the
+//! ground facts into relations sized for them and runs the stratified
+//! semi-naive fixpoint into an immutable [`Database`], which shares the
+//! program's constant table, and
 //! [`Database::query`] answers conjunctive goals with *all* answers, as
 //! source-level [`granlog_ir::Term`]s directly comparable to SLD answer
 //! sets.
@@ -308,6 +310,46 @@ mod tests {
         let bindings = answers.bindings(0);
         assert_eq!(bindings[0].1, answers.rows[0][0]);
         assert_eq!(bindings[1].1, Term::atom("door1"));
+    }
+
+    /// `reach/1` has both facts (one of them repeated) and a rule, so one
+    /// relation is filled by both loading and the fixpoint.
+    const REACH: &str = "
+        reach(a). reach(a).
+        edge(a, b). edge(b, c). edge(c, d). edge(x, y).
+        reach(T) :- edge(S, T), reach(S).
+    ";
+
+    #[test]
+    fn every_evaluation_starts_from_the_same_facts() {
+        let program = parse_program(REACH).expect("program parses");
+        let compiled = CompiledDatalog::compile(&program).expect("compiles");
+        let queries = ["reach(X)", "edge(S, T)", "reach(X), edge(X, Y)"];
+        let seen = |db: &Database| {
+            let sizes: Vec<(PredId, usize)> = db.predicates().collect();
+            let answers: Vec<_> = queries.iter().map(|q| rows(db, q)).collect();
+            (*db.stats(), sizes, answers)
+        };
+        let first = seen(&compiled.evaluate().expect("evaluates"));
+        let (stats, sizes, answers) = &first;
+        assert_eq!(stats.edb_facts, 5, "the repeated fact counts once");
+        assert_eq!(stats.derived_facts, 3);
+        assert!(sizes.contains(&(PredId::parse("reach", 1), 4)), "{sizes:?}");
+        assert_eq!(answers[0], vec![vec!["a"], vec!["b"], vec!["c"], vec!["d"]]);
+        for _ in 0..2 {
+            assert_eq!(seen(&compiled.evaluate().expect("evaluates")), first);
+        }
+        let concurrent: Vec<_> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| seen(&compiled.evaluate().expect("evaluates"))))
+                .collect();
+            runs.into_iter()
+                .map(|r| r.join().expect("no panic"))
+                .collect()
+        });
+        for got in concurrent {
+            assert_eq!(got, first);
+        }
     }
 
     #[test]

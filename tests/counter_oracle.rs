@@ -240,3 +240,28 @@ fn a_solve_that_records_no_tree_allocates_nothing_per_fork() {
         "fib(15) made {big} allocator calls, fib(10) {small}: a solve allocates per fork"
     );
 }
+
+/// Fact loading sizes each relation's tables for its facts before it
+/// inserts them, so a fact file four times larger costs `evaluate` the
+/// same allocator calls: no table doubles its way to size.
+#[test]
+fn fact_loading_allocates_each_table_once() {
+    let calls = |hosts: usize| {
+        let mut text = String::from("linked(X) :- edge(X, Y), cut(Y).\n");
+        for i in 0..hosts {
+            writeln!(text, "edge(h{i}, h{}).", i + 1).expect("writes to a string");
+        }
+        let program = parser::parse_program(&text).expect("the facts parse");
+        let compiled = CompiledDatalog::compile(&program).expect("the program is Datalog");
+        let before = support::allocator_calls();
+        let db = compiled.evaluate().expect("fixpoint");
+        let calls = support::allocator_calls() - before;
+        assert_eq!(db.stats().edb_facts, hosts as u64);
+        calls
+    };
+    let (small, big) = (calls(500), calls(2000));
+    assert_eq!(
+        big, small,
+        "2000 facts made {big} allocator calls, 500 made {small}"
+    );
+}
