@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 fn is_builtin_or_control(pred: PredId) -> bool {
     let wk = well_known::get();
     let control = pred.arity == 0 && [wk.true_, wk.fail, wk.false_, wk.cut].contains(&pred.name);
-    control || builtins::lookup(pred.name, pred.arity).is_some()
+    control || builtins::lookup(pred).is_some()
 }
 
 /// The cost of a clause (the paper's equation (3)), its literals' sizes

@@ -366,7 +366,7 @@ fn literal_output_exprs(
     };
 
     // --- builtins -----------------------------------------------------------
-    if let Some(builtin) = builtins::lookup(callee.name, callee.arity) {
+    if let Some(builtin) = builtins::lookup(callee) {
         return match builtin.id {
             // X is Expr: the output's integer value is the arithmetic
             // expression over the sizes of its variables.

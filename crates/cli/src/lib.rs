@@ -628,7 +628,6 @@ fn run_threaded(
             threads,
             granularity: options.granularity,
             overhead: options.overhead,
-            machine: MachineConfig::default(),
         },
     );
     // With --trace, hook a local registry + the ring into the executor so

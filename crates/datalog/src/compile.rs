@@ -218,7 +218,7 @@ impl<'a> LowerCtx<'a> {
         // Datalog subset: rejected with a diagnostic rather than silently
         // treated as an empty relation (which would be a *wrong answer*
         // relative to SLD, not a rejection).
-        if builtins::lookup(name, arity).is_some() {
+        if builtins::lookup(PredId::new(name, arity)).is_some() {
             return Err(self.not_datalog(format!("builtin `{name_str}/{arity}`")));
         }
         if name_str == "call" {

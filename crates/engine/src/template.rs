@@ -76,7 +76,7 @@ use crate::heap::HCell;
 use granlog_ir::builtins::{self, Builtin, CmpOp};
 use granlog_ir::symbol::well_known;
 use granlog_ir::term::{AsTerm, Cell};
-use granlog_ir::{Clause, FastMap, Program, Symbol};
+use granlog_ir::{Clause, FastMap, PredId, Program, Symbol};
 use std::ops::Range;
 
 /// A contiguous range of one of a template's arrays: `start .. start + len`.
@@ -640,7 +640,7 @@ impl Compiler<'_> {
             _ => return Step::Goal(pos as u32),
         };
         let goal = pos as u32;
-        if let Some(builtin) = builtins::lookup(key.0, key.1).map(|row| row.id) {
+        if let Some(builtin) = builtins::lookup(PredId::new(key.0, key.1)).map(|row| row.id) {
             let lhs = pos + 1;
             let code_mark = self.code.len();
             match builtin {

@@ -179,7 +179,7 @@ impl Row {
 
 struct Table {
     rows: Vec<Row>,
-    index: FastMap<(Symbol, usize), usize>,
+    index: FastMap<PredId, usize>,
 }
 
 /// The table with its names interned, built once per process: afterwards
@@ -193,7 +193,7 @@ fn table() -> &'static Table {
             modes,
         };
         let rows: Vec<Row> = ROWS.iter().map(intern).collect();
-        let key = |(i, row): (usize, &Row)| ((row.name, row.arity()), i);
+        let key = |(i, row): (usize, &Row)| (row.pred(), i);
         let index = rows.iter().enumerate().map(key).collect();
         Table { rows, index }
     })
@@ -204,21 +204,21 @@ pub fn rows() -> &'static [Row] {
     &table().rows
 }
 
-/// The builtin called `name/arity`, if there is one: a single hash probe on a
-/// `Copy` key.
+/// The builtin `pred`, if there is one: a single hash probe on a `Copy` key.
 ///
 /// # Example
 ///
 /// ```
 /// use granlog_ir::builtins::{lookup, Builtin};
-/// use granlog_ir::Symbol;
-/// assert_eq!(lookup(Symbol::intern("is"), 2).map(|row| row.id), Some(Builtin::Is));
-/// assert!(lookup(Symbol::intern("is"), 3).is_none());
-/// assert!(lookup(Symbol::intern("append"), 3).is_none());
+/// use granlog_ir::{PredId, Symbol};
+/// let is = |arity| PredId::new(Symbol::intern("is"), arity);
+/// assert_eq!(lookup(is(2)).map(|row| row.id), Some(Builtin::Is));
+/// assert!(lookup(is(3)).is_none());
+/// assert!(lookup(PredId::new(Symbol::intern("append"), 3)).is_none());
 /// ```
-pub fn lookup(name: Symbol, arity: usize) -> Option<&'static Row> {
+pub fn lookup(pred: PredId) -> Option<&'static Row> {
     let table = table();
-    table.index.get(&(name, arity)).map(|&i| &table.rows[i])
+    table.index.get(&pred).map(|&i| &table.rows[i])
 }
 
 #[cfg(test)]
@@ -229,7 +229,7 @@ mod tests {
     fn every_row_is_found_under_its_own_name_and_arity() {
         assert_eq!(rows().len(), ROWS.len());
         for row in rows() {
-            assert_eq!(lookup(row.name, row.arity()), Some(row), "{}", row.pred());
+            assert_eq!(lookup(row.pred()), Some(row), "{}", row.pred());
         }
     }
 }

@@ -187,7 +187,7 @@ pub fn infer_modes(program: &Program) -> BTreeMap<PredId, ModeDecl> {
                     })
                     .collect();
                 // Builtins have fixed modes; user predicates join call patterns.
-                let builtin = builtins::lookup(goal_pred.name, goal_pred.arity);
+                let builtin = builtins::lookup(goal_pred);
                 if builtin.is_none() && program.defines(goal_pred) {
                     let entry = result
                         .entry(goal_pred)
@@ -233,7 +233,7 @@ pub fn mode_or_default<'a>(
     match modes.get(&pred) {
         Some(m) => std::borrow::Cow::Borrowed(m),
         None => std::borrow::Cow::Owned(
-            builtins::lookup(pred.name, pred.arity)
+            builtins::lookup(pred)
                 .map(|row| ModeDecl::new(pred, row.modes.to_vec()))
                 .unwrap_or_else(|| ModeDecl::all_input(pred)),
         ),

@@ -54,7 +54,7 @@ impl<'a> ClauseShape<'a> {
         while let Some(body) = rest {
             let conjunction = body.functor() == Some((well_known::comma(), 2));
             let goal = if conjunction { body.args().at(0) } else { body };
-            let Some(row) = PredId::of_term(goal).and_then(|p| lookup(p.name, p.arity)) else {
+            let Some(row) = PredId::of_term(goal).and_then(lookup) else {
                 break;
             };
             guards.extend(guard(row.id, goal));

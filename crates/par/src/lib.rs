@@ -169,8 +169,6 @@ pub struct ParConfig {
     /// analysis' cost units (resolutions by default). Only read with
     /// [`Granularity::On`].
     pub overhead: f64,
-    /// Configuration of every worker machine.
-    pub machine: MachineConfig,
 }
 
 impl Default for ParConfig {
@@ -179,7 +177,6 @@ impl Default for ParConfig {
             threads: 4,
             granularity: Granularity::On,
             overhead: granlog_analysis::annotate::AnnotateOptions::default().overhead,
-            machine: MachineConfig::default(),
         }
     }
 }
@@ -261,7 +258,6 @@ impl Lane {
 /// lifetime of the executor.
 struct Shared {
     image: Arc<Image>,
-    machine_config: MachineConfig,
     granularity: Granularity,
     /// One lane per thread of a query (0 = the caller).
     lanes: Box<[Lane]>,
@@ -283,7 +279,9 @@ struct Shared {
 impl Shared {
     fn acquire_machine(&self) -> Machine {
         let idle = lock_recovering(&self.idle).take();
-        idle.unwrap_or_else(|| Machine::from_image(Arc::clone(&self.image), self.machine_config))
+        idle.unwrap_or_else(|| {
+            Machine::from_image(Arc::clone(&self.image), MachineConfig::default())
+        })
     }
 
     fn release_machine(&self, machine: Machine) {
@@ -548,7 +546,6 @@ impl ParExecutor {
         ParExecutor {
             shared: Shared {
                 image: Image::new(program),
-                machine_config: config.machine,
                 granularity: config.granularity,
                 lanes: (0..config.threads.max(1))
                     .map(|_| Lane::default())

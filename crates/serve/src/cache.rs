@@ -10,6 +10,10 @@
 //! file path, an mtime, or a truncated digest (the 64-bit FNV hash exposed
 //! as [`ProgramEntry::hash`] is a display id, never the lookup key).
 //!
+//! The cache is one map from that text to the entry and the tick of its
+//! last load: a hit restamps it, and a miss into a full cache scans the
+//! stamps and evicts the smallest, the least recently loaded entry.
+//!
 //! Machines are recycled through a bounded per-entry free-list. A machine
 //! whose last query pushed its arena high-water mark past the pool's
 //! retirement threshold is dropped instead of pooled, returning its arena
@@ -32,7 +36,7 @@ use granlog_datalog::{CompiledDatalog, Database, DatalogError};
 use granlog_engine::{Image, Machine, MachineConfig};
 use granlog_ir::parser::parse_program;
 use granlog_ir::Program;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -92,7 +96,6 @@ pub struct ProgramEntry {
     generation: AtomicU64,
     counters: Arc<PoolCounters>,
     hash: u64,
-    clause_count: usize,
     pool: PoolConfig,
     machine_config: MachineConfig,
     /// What every machine of the entry runs, owned by the machines that
@@ -100,17 +103,13 @@ pub struct ProgramEntry {
     /// lease, not at `load`: an entry that is journaled, replayed at boot or
     /// evicted without ever being queried never pays for it.
     image: OnceLock<Arc<Image>>,
-    /// Bottom-up join plans, compiled lazily on the first `engine
-    /// bottom-up` query of this program. Compilation is deterministic (no
-    /// failpoints cross it), so the result — including a rejection — is
-    /// cached for the entry's lifetime, exactly like the SLD templates.
-    datalog_plans: OnceLock<Result<CompiledDatalog, DatalogError>>,
     /// The evaluated fact database, shared by every bottom-up session of
-    /// this program. Cached only on *success*: an evaluation failed by an
-    /// injected fault leaves this slot empty, so the next query simply
-    /// re-evaluates — a fault never poisons the entry.
-    datalog_db: Mutex<Option<Arc<Database>>>,
-    normalized: String,
+    /// this program, or its rejection from the Datalog subset (compilation
+    /// crosses no failpoint, so a rejection is final). The join plans are
+    /// dropped once evaluated. An injected fault leaves the slot empty.
+    datalog: Mutex<Option<Result<Arc<Database>, DatalogError>>>,
+    /// Shared with the cache's key, so the text is held once.
+    normalized: Arc<str>,
     program: Program,
 }
 
@@ -130,7 +129,7 @@ impl ProgramEntry {
 
     /// Number of clauses in the program.
     pub fn clause_count(&self) -> usize {
-        self.clause_count
+        self.program.clauses().len()
     }
 
     /// The parsed program.
@@ -138,10 +137,10 @@ impl ProgramEntry {
         &self.program
     }
 
-    /// The bottom-up fact database of this program: compiles the join
-    /// plans on first use (cached, like the SLD templates), then runs the
-    /// stratified semi-naive fixpoint once and shares the evaluated
-    /// [`Database`] across every bottom-up session of this entry.
+    /// The bottom-up fact database of this program: on first use compiles
+    /// the join plans and runs the stratified semi-naive fixpoint once,
+    /// then shares the evaluated [`Database`] across every bottom-up
+    /// session of this entry.
     ///
     /// No machine lease is involved: bottom-up evaluation owns its own
     /// relations, so a failure here can never quarantine a pooled machine.
@@ -156,20 +155,16 @@ impl ProgramEntry {
         // The lock is held across the evaluation on purpose: racing
         // sessions would otherwise each run the whole fixpoint only for
         // all but one result to be dropped.
-        let mut slot = self
-            .datalog_db
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(db) = slot.as_ref() {
-            return Ok(Arc::clone(db));
+        let mut slot = self.datalog.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(cached) = slot.as_ref() {
+            return cached.clone();
         }
-        let plans = self
-            .datalog_plans
-            .get_or_init(|| CompiledDatalog::compile(&self.program));
-        let plans = plans.as_ref().map_err(Clone::clone)?;
-        let db = Arc::new(plans.evaluate()?);
-        *slot = Some(Arc::clone(&db));
-        Ok(db)
+        let result = match CompiledDatalog::compile(&self.program) {
+            Ok(plans) => Ok(Arc::new(plans.evaluate()?)),
+            Err(rejection) => Err(rejection),
+        };
+        *slot = Some(result.clone());
+        result
     }
 
     /// The compiled image, built on first use.
@@ -310,11 +305,12 @@ pub struct CacheStats {
 }
 
 struct CacheInner {
-    /// Normalized program text → entry. The *full* text is the key:
-    /// correctness never rests on a hash not colliding.
-    entries: HashMap<String, Arc<ProgramEntry>>,
-    /// LRU order, front = coldest. Keys mirror `entries`.
-    lru: VecDeque<String>,
+    /// Normalized program text → entry and the tick of its last load. The
+    /// *full* text is the key: correctness never rests on a hash not
+    /// colliding.
+    entries: HashMap<Arc<str>, (Arc<ProgramEntry>, u64)>,
+    /// Hits and inserts so far: the stamp of the latest load.
+    tick: u64,
 }
 
 /// The compiled-template cache: bounded, LRU-evicted, shared across every
@@ -342,7 +338,7 @@ impl TemplateCache {
             pool,
             inner: Mutex::new(CacheInner {
                 entries: HashMap::new(),
-                lru: VecDeque::new(),
+                tick: 0,
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -367,17 +363,18 @@ impl TemplateCache {
     pub fn load(&self, source: &str) -> Result<(Arc<ProgramEntry>, bool), ServeError> {
         let program = parse_program(source)?;
         let normalized = normalize(&program);
-        let mut inner = self.lock_inner();
-        if let Some(entry) = inner.entries.get(&normalized).cloned() {
+        let mut guard = self.lock_inner();
+        let inner = &mut *guard;
+        if let Some((entry, last_load)) = inner.entries.get_mut(normalized.as_str()) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            touch_lru(&mut inner.lru, &normalized);
-            return Ok((entry, true));
+            inner.tick += 1;
+            *last_load = inner.tick;
+            return Ok((Arc::clone(entry), true));
         }
-        // Both cache failpoints sit before the insert: the invariant that
-        // `entries` and `lru` mirror each other must hold even under
-        // injected faults, so injection can fail the *operation* but never
-        // interleave with the state update.
-        if inner.entries.len() >= self.capacity {
+        // Both cache failpoints sit before any state update: injection can
+        // fail the *operation*, never leave it half done.
+        let full = inner.entries.len() >= self.capacity;
+        if full {
             granlog_fault::fail_or("serve.cache.evict", || {
                 ServeError::Fault("serve.cache.evict")
             })?;
@@ -386,31 +383,30 @@ impl TemplateCache {
             ServeError::Fault("serve.cache.insert")
         })?;
         self.misses.fetch_add(1, Ordering::Relaxed);
+        if full {
+            let coldest = inner.entries.iter().min_by_key(|(_, (_, at))| *at);
+            if let Some(coldest) = coldest.map(|(key, _)| Arc::clone(key)) {
+                inner.entries.remove(&coldest);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let normalized: Arc<str> = normalized.into();
         let entry = Arc::new(ProgramEntry {
             machines: Mutex::new(Vec::new()),
             generation: AtomicU64::new(0),
             counters: Arc::clone(&self.counters),
             hash: fnv64(normalized.as_bytes()),
-            clause_count: program.clauses().len(),
             pool: self.pool,
             machine_config: self.machine_config,
             image: OnceLock::new(),
-            datalog_plans: OnceLock::new(),
-            datalog_db: Mutex::new(None),
-            normalized: normalized.clone(),
+            datalog: Mutex::new(None),
+            normalized: Arc::clone(&normalized),
             program,
         });
-        inner.entries.insert(normalized.clone(), Arc::clone(&entry));
-        inner.lru.push_back(normalized);
-        while inner.entries.len() > self.capacity {
-            // The LRU mirrors `entries`; if recovery from a poisoned lock
-            // ever finds them out of sync, stop evicting rather than panic.
-            let Some(coldest) = inner.lru.pop_front() else {
-                break;
-            };
-            inner.entries.remove(&coldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        inner.tick += 1;
+        inner
+            .entries
+            .insert(normalized, (Arc::clone(&entry), inner.tick));
         Ok((entry, false))
     }
 
@@ -427,19 +423,11 @@ impl TemplateCache {
         }
     }
 
-    /// Locks the cache map, recovering from poison. The insert path orders
-    /// its two-step update (entry map first, then LRU) so every
-    /// intermediate state is safe: a key missing from the LRU can at worst
-    /// dodge eviction until touched again, never corrupt a lookup.
+    /// Locks the cache map, recovering from poison: each load updates one
+    /// map, and a stamp it left unwritten can at worst make an entry look
+    /// colder than it is, never corrupt a lookup.
     fn lock_inner(&self) -> std::sync::MutexGuard<'_, CacheInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-fn touch_lru(lru: &mut VecDeque<String>, key: &str) {
-    if let Some(pos) = lru.iter().position(|k| k == key) {
-        let key = lru.remove(pos).expect("position just found");
-        lru.push_back(key);
     }
 }
 
@@ -550,6 +538,62 @@ mod tests {
         assert!(p_hit);
         let (_, q_hit) = cache.load("q(1).").unwrap();
         assert!(!q_hit);
+    }
+
+    /// The cache against a reference LRU list (front = coldest) over a
+    /// seeded stream of loads: every hit flag and the final counters agree.
+    #[test]
+    fn loads_hit_and_evict_exactly_as_an_lru_list_does() {
+        #[cfg(feature = "failpoints")]
+        let _shared = crate::faultsync::shared();
+        const CAPACITY: usize = 3;
+        let cache = cache(CAPACITY);
+        let programs: Vec<String> = (0..8)
+            .map(|i| format!("p{i}(a).\nq(X) :- p{i}(X)."))
+            .collect();
+        let mut lru: Vec<usize> = Vec::new();
+        let (mut hits, mut misses, mut evictions) = (0, 0, 0);
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        for step in 0..2_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Half the loads come from a hot set the size of the cache.
+            let pick = (state >> 1) as usize;
+            let i = if state & 1 == 0 {
+                pick % CAPACITY
+            } else {
+                pick % 8
+            };
+            let (_, hit) = cache.load(&programs[i]).unwrap();
+            let expected = match lru.iter().position(|&k| k == i) {
+                Some(at) => {
+                    lru.remove(at);
+                    hits += 1;
+                    true
+                }
+                None => {
+                    misses += 1;
+                    if lru.len() == CAPACITY {
+                        lru.remove(0);
+                        evictions += 1;
+                    }
+                    false
+                }
+            };
+            lru.push(i);
+            assert_eq!(hit, expected, "load {step} of p{i}");
+        }
+        assert!(
+            hits > 0 && evictions > 0,
+            "{hits} hits, {evictions} evictions"
+        );
+        let stats = cache.stats();
+        let expected = (hits, misses, evictions, lru.len());
+        assert_eq!(
+            (stats.hits, stats.misses, stats.evictions, stats.entries),
+            expected
+        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! [`ProgramStore`]: the durable corpus — an in-memory map of programs kept
 //! in lock-step with the WAL, snapshot-compacted when the log grows past
 //! the configured bound, and rebuilt prefix-consistently at open.
+//! One map holds each key's text and the number of its first load, which
+//! alone orders the corpus (a replaced or re-keyed program keeps it).
 
 use crate::record::{read_record, ReadOutcome, Record};
 use crate::snapshot::{read_snapshot, write_snapshot, SNAPSHOT_FILE, SNAPSHOT_TMP};
@@ -80,13 +82,14 @@ fn scan_wal(dir: &std::path::Path) -> WalScan {
 
 struct Inner {
     wal: Wal,
-    /// Program key → source text. The key is whatever the caller chose (the
-    /// serve layer uses the full normalized program text, never a bare
-    /// hash, so dedup cannot be defeated by a collision).
-    texts: HashMap<String, String>,
-    /// Keys in first-load order: recovery replays programs in the order
-    /// tenants loaded them, which keeps compile order deterministic.
-    order: Vec<String>,
+    /// Program key → (first-load number, source text). The key is whatever
+    /// the caller chose (the serve layer uses the full normalized program
+    /// text, never a bare hash, so dedup cannot be defeated by a
+    /// collision); recovery replays programs in first-load order, which
+    /// keeps compile order deterministic.
+    texts: HashMap<String, (u64, String)>,
+    /// Loads applied so far: a new key's first-load number.
+    loads: u64,
     /// Id the next snapshot will carry (last written id + 1).
     next_snapshot_id: u64,
     /// When the current snapshot file was written (file mtime at open for
@@ -99,9 +102,11 @@ impl Inner {
     fn apply(&mut self, record: Record) {
         match record {
             Record::Load { name, text } => {
-                if self.texts.insert(name.clone(), text).is_none() {
-                    self.order.push(name);
-                }
+                self.loads += 1;
+                self.texts
+                    .entry(name)
+                    .or_insert((self.loads, String::new()))
+                    .1 = text;
             }
             Record::SnapshotMark { id } => {
                 self.next_snapshot_id = self.next_snapshot_id.max(id + 1);
@@ -110,13 +115,10 @@ impl Inner {
     }
 
     fn corpus(&self) -> Vec<(String, String)> {
-        self.order
-            .iter()
-            .map(|name| {
-                let text = self.texts.get(name).expect("order mirrors texts");
-                (name.clone(), text.clone())
-            })
-            .collect()
+        let mut corpus: Vec<_> = self.texts.iter().collect();
+        corpus.sort_unstable_by_key(|(_, (first_load, _))| *first_load);
+        let owned = |(name, (_, text)): (&String, &(u64, String))| (name.clone(), text.clone());
+        corpus.into_iter().map(owned).collect()
     }
 
     /// Snapshot + WAL reset, under the caller's lock. Crash-ordering: the
@@ -135,7 +137,7 @@ impl Inner {
             obs.snapshot_ms.observe_duration_ms(started.elapsed());
             obs.tracer.emit(
                 "wal_snapshot",
-                vec![("id", id.into()), ("programs", self.order.len().into())],
+                vec![("id", id.into()), ("programs", self.texts.len().into())],
             );
         }
         Ok(())
@@ -190,7 +192,7 @@ impl ProgramStore {
         let mut inner = Inner {
             wal,
             texts: HashMap::new(),
-            order: Vec::new(),
+            loads: 0,
             next_snapshot_id: snapshot.id.map_or(0, |id| id + 1),
             snapshot_at,
             compactions: 0,
@@ -202,7 +204,7 @@ impl ProgramStore {
             inner.apply(record);
         }
         let recovery = RecoveryReport {
-            programs: inner.order.len(),
+            programs: inner.texts.len(),
             wal_records,
             wal_truncated_bytes,
             snapshot_loaded,
@@ -246,7 +248,7 @@ impl ProgramStore {
     /// also surfaces as an error, but the load itself is journaled.
     pub fn record_load(&self, name: &str, text: &str) -> Result<bool, StoreError> {
         let mut inner = self.lock();
-        if inner.texts.get(name).map(String::as_str) == Some(text) {
+        if inner.texts.get(name).map(|(_, stored)| stored.as_str()) == Some(text) {
             return Ok(false);
         }
         inner.apply_journaled(
@@ -267,19 +269,8 @@ impl ProgramStore {
     /// again. Boot replay uses this for a key an older printer wrote.
     pub fn rekey(&self, old: &str, new: &str) {
         let mut inner = self.lock();
-        let Some(text) = inner.texts.remove(old) else {
-            return;
-        };
-        let at = inner
-            .order
-            .iter()
-            .position(|name| name == old)
-            .expect("order mirrors texts");
-        if inner.texts.contains_key(new) {
-            inner.order.remove(at);
-        } else {
-            inner.texts.insert(new.to_owned(), text);
-            inner.order[at] = new.to_owned();
+        if let Some(stored) = inner.texts.remove(old) {
+            inner.texts.entry(new.to_owned()).or_insert(stored);
         }
     }
 
@@ -314,7 +305,7 @@ impl ProgramStore {
     pub fn stats(&self) -> StoreStats {
         let inner = self.lock();
         StoreStats {
-            programs: inner.order.len(),
+            programs: inner.texts.len(),
             wal_bytes: inner.wal.bytes(),
             wal_records: inner.wal.records(),
             unsynced_records: inner.wal.unsynced(),
@@ -426,6 +417,92 @@ mod tests {
         let store = ProgramStore::open(config(&dir)).expect("reopen");
         assert_eq!(store.recovery().programs, 2);
         assert_eq!(store.programs()[0].0, "a");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What reopening finds: the snapshot's corpus with every load journaled
+    /// since replayed over it, a reloaded key keeping its place.
+    fn replay(base: &[(String, String)], log: &[(String, String)]) -> Vec<(String, String)> {
+        let mut corpus = base.to_vec();
+        for (name, text) in log {
+            match corpus.iter_mut().find(|(stored, _)| stored == name) {
+                Some(slot) => slot.1 = text.clone(),
+                None => corpus.push((name.clone(), text.clone())),
+            }
+        }
+        corpus
+    }
+
+    /// The store against a reference first-load-ordered list over a seeded
+    /// run of loads, re-keys, snapshots and reopens: `programs()` agrees
+    /// after every step.
+    #[test]
+    fn the_corpus_keeps_first_load_order_through_loads_rekeys_snapshots_and_reopens() {
+        let dir = temp_dir("model");
+        let mut store = ProgramStore::open(config(&dir)).expect("open");
+        let key = |n: u64| format!("k{}", n % 6);
+        // The live corpus, the one the last snapshot holds, and the loads
+        // journaled since.
+        let mut model: Vec<(String, String)> = Vec::new();
+        let mut base: Vec<(String, String)> = Vec::new();
+        let mut log: Vec<(String, String)> = Vec::new();
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        for step in 0..400 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let (a, b) = (state >> 8, state >> 24);
+            match state % 20 {
+                0..=9 => {
+                    let (name, text) = (key(a), format!("p({}).", b % 3));
+                    let compactions = store.stats().compactions;
+                    let fresh = store.record_load(&name, &text).expect("load");
+                    match model.iter_mut().find(|(stored, _)| *stored == name) {
+                        Some(slot) => {
+                            assert_eq!(fresh, slot.1 != text, "step {step}");
+                            slot.1 = text.clone();
+                        }
+                        None => {
+                            assert!(fresh, "step {step}");
+                            model.push((name.clone(), text.clone()));
+                        }
+                    }
+                    if fresh {
+                        log.push((name, text));
+                    }
+                    if store.stats().compactions > compactions {
+                        base = model.clone();
+                        log.clear();
+                    }
+                }
+                10..=14 => {
+                    // Keys k6 and k7 are never loaded: a re-key to them is
+                    // fresh, and from them absent.
+                    let (old, new) = (format!("k{}", a % 8), format!("k{}", b % 8));
+                    store.rekey(&old, &new);
+                    if let Some(at) = model.iter().position(|(name, _)| *name == old) {
+                        let (_, text) = model.remove(at);
+                        if !model.iter().any(|(name, _)| *name == new) {
+                            model.insert(at, (new, text));
+                        }
+                    }
+                }
+                15..=16 => {
+                    store.snapshot().expect("snapshot");
+                    base = model.clone();
+                    log.clear();
+                }
+                _ => {
+                    drop(store);
+                    store = ProgramStore::open(config(&dir)).expect("reopen");
+                    model = replay(&base, &log);
+                    assert_eq!(store.recovery().programs, model.len(), "step {step}");
+                }
+            }
+            assert_eq!(store.programs(), model, "step {step}");
+            assert_eq!(store.stats().programs, model.len(), "step {step}");
+        }
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

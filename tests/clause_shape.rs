@@ -124,9 +124,8 @@ fn value() -> impl Strategy<Value = Term> {
 /// `clause`'s head with the leading builtins of its body, or (`prefix`
 /// false) its head alone, as a one-clause program.
 fn cut(clause: &Clause, prefix: bool) -> Program {
-    let is_builtin = |goal: &TermRef<'_>| {
-        PredId::of_term(*goal).is_some_and(|p| builtins::lookup(p.name, p.arity).is_some())
-    };
+    let is_builtin =
+        |goal: &TermRef<'_>| PredId::of_term(*goal).is_some_and(|p| builtins::lookup(p).is_some());
     let literals = clause.body_literals().into_iter();
     let kept: Vec<Term> = literals
         .take_while(|goal| prefix && is_builtin(goal))

@@ -45,7 +45,6 @@ fn the_executor_under_on_runs_exactly_the_annotated_program() {
                     threads,
                     granularity: Granularity::On,
                     overhead,
-                    ..ParConfig::default()
                 };
                 let parallel = ParExecutor::new(&program, config)
                     .run_query(&query)

@@ -80,7 +80,6 @@ fn measured_ms(program: &Program, query: &str) -> (f64, f64) {
                 threads: P,
                 granularity,
                 overhead: OVERHEAD,
-                ..ParConfig::default()
             },
         );
         // Warm up (and check the answer once).
@@ -170,7 +169,6 @@ fn guards_never_spawn_more_than_always_spawn() {
                     threads: 2,
                     granularity,
                     overhead: OVERHEAD,
-                    ..ParConfig::default()
                 },
             );
             executor.run_query(&query).unwrap().spawned_tasks
