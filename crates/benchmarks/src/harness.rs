@@ -111,7 +111,7 @@ pub fn run_benchmark(
         size,
         mode,
         succeeded: outcome.succeeded,
-        total_work: outcome.work,
+        total_work: outcome.counters.work(),
         spawned_tasks: task_tree.spawned_tasks(),
         grain_tests: outcome.counters.grain_tests,
         sim,

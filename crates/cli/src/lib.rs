@@ -487,7 +487,7 @@ fn run_simulated(
     writeln!(
         summary,
         "work: {:.0} units ({} resolutions, {} grain tests); tasks spawned: {}",
-        outcome.work,
+        outcome.counters.work(),
         outcome.counters.resolutions,
         outcome.counters.grain_tests,
         task_tree.spawned_tasks()
@@ -643,7 +643,9 @@ fn run_threaded(
     writeln!(
         summary,
         "work: {:.0} units ({} resolutions, {} grain tests)",
-        outcome.work, outcome.counters.resolutions, outcome.counters.grain_tests
+        outcome.counters.work(),
+        outcome.counters.resolutions,
+        outcome.counters.grain_tests
     )?;
     let mode = match options.granularity {
         Granularity::On => "granularity control on",

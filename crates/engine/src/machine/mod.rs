@@ -89,10 +89,9 @@ pub struct QueryOutcome {
     /// Bindings of the query's named variables (resolved), in source order;
     /// empty when the query failed.
     pub bindings: Vec<(Symbol, Term)>,
-    /// Raw operation counters.
+    /// Raw operation counters; [`Counters::work`] is the query's total work
+    /// in cost-model units.
     pub counters: Counters,
-    /// Total work in cost-model units.
-    pub work: f64,
 }
 
 impl QueryOutcome {
@@ -470,7 +469,6 @@ impl Machine {
             succeeded,
             bindings,
             counters: self.counters,
-            work: self.counters.work(),
         })
     }
 

@@ -93,7 +93,7 @@ fn append_computes_and_counts() {
     assert_eq!(out.binding("X").unwrap().to_string(), "[1,2,3,4,5]");
     // Cost_append(n) = n + 1 resolutions (the Appendix).
     assert_eq!(out.counters.resolutions, 4);
-    assert_eq!(out.work, 4.0);
+    assert_eq!(out.counters.work(), 4.0);
 }
 
 #[test]
@@ -760,8 +760,8 @@ fn work_respects_cost_model() {
     assert!(out.succeeded);
     assert_eq!(out.counters.resolutions, 3);
     assert_eq!(out.counters.grain_test_elements, 2);
-    assert_eq!(out.work, 3.0 + 1.0 + 2.0);
-    assert_eq!(run.task_tree.total_work(), out.work);
+    assert_eq!(out.counters.work(), 3.0 + 1.0 + 2.0);
+    assert_eq!(run.task_tree.total_work(), out.counters.work());
 }
 
 #[test]

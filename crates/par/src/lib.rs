@@ -193,8 +193,6 @@ pub struct ParOutcome {
     /// the program the executor runs, which is the annotated one (grain
     /// tests included) under [`Granularity::On`].
     pub counters: Counters,
-    /// Total work in cost-model units, aggregated like the counters.
-    pub work: f64,
     /// Number of arms of conjunctions that reached the spawn boundary (first
     /// arms included), wherever they then ran: those kept in place because
     /// their thread had an arm on offer, and those offered after passing the
@@ -627,7 +625,6 @@ impl ParExecutor {
             succeeded: outcome.succeeded,
             bindings: outcome.bindings,
             counters: outcome.counters,
-            work: outcome.work,
             spawned_tasks,
             inlined_conjunctions,
         })
@@ -896,7 +893,7 @@ mod tests {
         let out = exec.run_query("fib(15, X)").unwrap();
         assert_eq!(out.binding("X").unwrap().to_string(), "610");
         assert_eq!(out.bindings, off.bindings);
-        assert_eq!((out.counters, out.work), (off.counters, off.work));
+        assert_eq!(out.counters, off.counters);
         assert_eq!((out.spawned_tasks, out.inlined_conjunctions), (1_972, 0));
         let count = |name: &str| registry.counter_value(name).expect("registered");
         let offered = count("granlog_par_reclaimed_total") + count("granlog_par_steals_total");

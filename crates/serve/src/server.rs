@@ -87,7 +87,7 @@ use std::collections::HashSet;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -380,22 +380,27 @@ impl ServerHandle {
     /// then waits for every session thread to finish. This is what
     /// `granlog serve` does after printing its listening line.
     pub fn wait(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        // The accept loop only returns once the stop flag rose, which is
-        // also the metrics loop's exit condition (it polls every tick).
-        if let Some(metrics) = self.metrics.take() {
-            let _ = metrics.join();
-        }
+        self.join(false);
     }
 
     /// Stops accepting connections, lets in-flight commands finish their
     /// reply, and waits for the accept loop and every session thread.
     pub fn shutdown(mut self) {
-        self.state.stop.store(true, Ordering::SeqCst);
-        // Nudge the accept loop out of its blocking `accept()`.
-        let _ = TcpStream::connect(self.local_addr);
+        self.join(true);
+    }
+
+    /// Joins the accept loop, then the metrics listener. With `stop`, first
+    /// raises the stop flag and nudges the accept loop out of its blocking
+    /// `accept()`; without it, the accept loop returns only once a client's
+    /// `shutdown` raised the flag, which is also the metrics loop's exit
+    /// condition (it polls every tick).
+    fn join(&mut self, stop: bool) {
+        if stop {
+            self.state.stop.store(true, Ordering::SeqCst);
+            if self.accept.is_some() {
+                let _ = TcpStream::connect(self.local_addr);
+            }
+        }
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
@@ -407,47 +412,20 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if let Some(accept) = self.accept.take() {
-            self.state.stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(self.local_addr);
-            let _ = accept.join();
-        }
-        if let Some(metrics) = self.metrics.take() {
-            self.state.stop.store(true, Ordering::SeqCst);
-            let _ = metrics.join();
-        }
+        self.join(true);
     }
 }
 
 fn accept_loop(listener: TcpListener, state: Arc<ServerState>, max_conns: usize) {
-    let sessions: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
+    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if state.stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        // Reap finished session threads so a long-lived server's handle
+        // Drop finished session threads' handles so a long-lived server's
         // list tracks live connections, not its whole history.
-        {
-            let mut handles = sessions.lock().unwrap_or_else(PoisonError::into_inner);
-            let finished: Vec<_> = {
-                let mut keep = Vec::new();
-                let mut done = Vec::new();
-                for handle in handles.drain(..) {
-                    if handle.is_finished() {
-                        done.push(handle);
-                    } else {
-                        keep.push(handle);
-                    }
-                }
-                *handles = keep;
-                done
-            };
-            drop(handles);
-            for handle in finished {
-                let _ = handle.join();
-            }
-        }
+        sessions.retain(|handle| !handle.is_finished());
         // Shed past the connection cap: a typed one-line refusal is honest
         // load feedback; an unbounded thread pile-up is an outage.
         if max_conns > 0 && state.active_sessions.load(Ordering::SeqCst) >= max_conns as u64 {
@@ -457,19 +435,12 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>, max_conns: usize)
         }
         state.active_sessions.fetch_add(1, Ordering::SeqCst);
         let session_state = Arc::clone(&state);
-        let handle = std::thread::spawn(move || {
+        sessions.push(std::thread::spawn(move || {
             let _ = serve_connection(stream, &session_state);
             session_state.active_sessions.fetch_sub(1, Ordering::SeqCst);
-        });
-        sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(handle);
+        }));
     }
-    for handle in sessions
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
+    for handle in sessions {
         let _ = handle.join();
     }
     // Graceful drain ends with durability housekeeping: flush whatever the

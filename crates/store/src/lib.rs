@@ -4,13 +4,17 @@
 //! this crate makes the *corpus* — which programs are loaded — survive a
 //! crash. The design is the classic pairing:
 //!
-//! - a **write-ahead log** ([`mod@record`] + an append-only `wal.log`) of
-//!   CRC-framed `Load` records with a configurable [`FsyncPolicy`] (a
-//!   program never leaves the corpus, so there is no removal record), and
+//! - a **write-ahead log**, an append-only `wal.log` of CRC-framed `Load`
+//!   records with a configurable [`FsyncPolicy`] (a program never leaves
+//!   the corpus, so there is no removal record), and
 //! - **snapshot compaction**: when the log outgrows
 //!   [`StoreConfig::wal_limit_bytes`], the whole corpus is written to a
 //!   tempfile, fsynced, atomically renamed over `snapshot.bin`, and the
 //!   log reset to a single `SnapshotMark`.
+//!
+//! Both files hold the same frames, written by one in-place encoder and
+//! read back by one scanner, so a program's text is copied once on its
+//! way to disk and once on its way back.
 //!
 //! Recovery ([`ProgramStore::open`]) replays `snapshot + WAL suffix` and is
 //! **prefix-consistent**: the first torn or corrupt record ends the replay,
@@ -27,7 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod obs;
-pub mod record;
+mod record;
 mod snapshot;
 mod store;
 mod wal;

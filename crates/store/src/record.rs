@@ -1,4 +1,5 @@
-//! The on-disk record format shared by the WAL and the snapshot file.
+//! The on-disk record format of both store files, and the one scanner that
+//! reads them back.
 //!
 //! Every record is framed as
 //!
@@ -12,34 +13,33 @@
 //! a torn or bit-flipped record is detected by its length bound, its CRC or
 //! its payload structure, and everything from that point on is discarded —
 //! the reader returns the valid prefix and never panics on arbitrary bytes.
+//!
+//! A [`Record`] borrows its strings both ways. [`Record::frame`] appends
+//! one to the caller's buffer in place, and [`scan`] reads a whole file
+//! once and hands out records that point into it, so a program's text is
+//! copied once on its way to disk and once on its way back.
 
-use std::io::Read;
+use std::path::Path;
 
 /// Upper bound on one record's payload, matching the serve layer's largest
 /// accepted program (16 MiB) plus framing headroom. A corrupt length field
-/// larger than this is treated as a torn record instead of being trusted
-/// with an allocation.
-pub const MAX_RECORD_BYTES: u32 = 17 * 1024 * 1024;
+/// larger than this is treated as a torn record.
+const MAX_RECORD_BYTES: u32 = 17 * 1024 * 1024;
+
+/// Bytes of a frame's header: the payload's length, then its CRC.
+const HEADER: usize = 8;
 
 /// One durable operation on the program corpus.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Record {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Record<'a> {
     /// A program entered the corpus. `name` is the store key (the serve
     /// layer uses the full normalized program text, so dedup never rests on
     /// a hash not colliding); `text` is the source to re-parse on recovery.
-    Load {
-        /// Store key of the program.
-        name: String,
-        /// Program source text, exactly as it should replay.
-        text: String,
-    },
+    Load { name: &'a str, text: &'a str },
     /// Marks a completed snapshot: written as the first record of the fresh
     /// WAL after compaction (cross-referencing the snapshot id) and as the
     /// snapshot file's terminator proving the file is complete.
-    SnapshotMark {
-        /// Monotonic snapshot id.
-        id: u64,
-    },
+    SnapshotMark { id: u64 },
 }
 
 const TAG_LOAD: u8 = 1;
@@ -50,7 +50,7 @@ const TAG_SNAPSHOT_MARK: u8 = 3;
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), table-driven. Implemented
 /// locally because the build environment is offline; the format is the
 /// standard one, so external tooling can verify WAL files.
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = crc32_table();
     let mut crc: u32 = !0;
     for &b in bytes {
@@ -79,38 +79,47 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Encodes one record with its length/CRC frame, ready to append.
-pub fn encode(record: &Record) -> Vec<u8> {
-    let mut payload = Vec::new();
-    match record {
-        Record::Load { name, text } => {
-            payload.push(TAG_LOAD);
-            push_str(&mut payload, name);
-            push_str(&mut payload, text);
-        }
-        Record::SnapshotMark { id } => {
-            payload.push(TAG_SNAPSHOT_MARK);
-            payload.extend_from_slice(&id.to_le_bytes());
-        }
+impl Record<'_> {
+    /// Bytes the record takes on disk, its frame included.
+    pub(crate) fn framed_len(&self) -> usize {
+        // The tag byte, then two length words and their strings, or the id.
+        HEADER
+            + match self {
+                Record::Load { name, text } => 9 + name.len() + text.len(),
+                Record::SnapshotMark { .. } => 9,
+            }
     }
-    let mut framed = Vec::with_capacity(payload.len() + 8);
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&crc32(&payload).to_le_bytes());
-    framed.extend_from_slice(&payload);
-    framed
+
+    /// Appends the framed record to `out`: a blank header, the payload,
+    /// then the header filled in from the payload just written.
+    pub(crate) fn frame(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; HEADER]);
+        match *self {
+            Record::Load { name, text } => {
+                out.push(TAG_LOAD);
+                for field in [name, text] {
+                    out.extend_from_slice(&(field.len() as u32).to_le_bytes());
+                    out.extend_from_slice(field.as_bytes());
+                }
+            }
+            Record::SnapshotMark { id } => {
+                out.push(TAG_SNAPSHOT_MARK);
+                out.extend_from_slice(&id.to_le_bytes());
+            }
+        }
+        let (header, payload) = out[start..].split_at_mut(HEADER);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    }
 }
 
 /// What one attempt to read a framed record produced.
 #[derive(Debug, PartialEq, Eq)]
-pub enum ReadOutcome {
-    /// A complete, checksum-verified record.
-    Record(Record),
-    /// Clean end of file: the previous record was the last one.
+enum ReadOutcome<'a> {
+    /// A complete, checksum-verified record and the bytes its frame took.
+    Record(Record<'a>, usize),
+    /// Clean end of input: the previous record was the last one.
     Eof,
     /// The tail is torn or corrupt (short frame, bad CRC, oversized length,
     /// malformed payload). The reason is for diagnostics; the reader stops
@@ -118,20 +127,8 @@ pub enum ReadOutcome {
     Torn(&'static str),
 }
 
-/// Reads exactly `buf.len()` bytes, distinguishing a clean EOF before the
-/// first byte (`Ok(false)`) from a short read mid-buffer (`Err`).
-fn read_exact_or_eof(reader: &mut impl Read, buf: &mut [u8]) -> Result<bool, &'static str> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => return Err("short read mid-frame"),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err("i/o error mid-frame"),
-        }
-    }
-    Ok(true)
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("4 bytes"))
 }
 
 fn take_str<'a>(payload: &mut &'a [u8]) -> Result<&'a str, &'static str> {
@@ -139,7 +136,7 @@ fn take_str<'a>(payload: &mut &'a [u8]) -> Result<&'a str, &'static str> {
         return Err("truncated string length");
     }
     let (len_bytes, rest) = payload.split_at(4);
-    let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
+    let len = le_u32(len_bytes) as usize;
     if rest.len() < len {
         return Err("string length exceeds payload");
     }
@@ -148,16 +145,15 @@ fn take_str<'a>(payload: &mut &'a [u8]) -> Result<&'a str, &'static str> {
     std::str::from_utf8(bytes).map_err(|_| "string is not utf-8")
 }
 
-fn decode_payload(payload: &[u8]) -> Result<Record, &'static str> {
+fn decode_payload(payload: &[u8]) -> Result<Record<'_>, &'static str> {
     let Some((&tag, mut rest)) = payload.split_first() else {
         return Err("empty payload");
     };
     let record = match tag {
-        TAG_LOAD => {
-            let name = take_str(&mut rest)?.to_string();
-            let text = take_str(&mut rest)?.to_string();
-            Record::Load { name, text }
-        }
+        TAG_LOAD => Record::Load {
+            name: take_str(&mut rest)?,
+            text: take_str(&mut rest)?,
+        },
         TAG_SNAPSHOT_MARK => {
             if rest.len() < 8 {
                 return Err("truncated snapshot id");
@@ -176,61 +172,86 @@ fn decode_payload(payload: &[u8]) -> Result<Record, &'static str> {
     Ok(record)
 }
 
-/// Reads the next framed record. Never panics: every corruption mode —
-/// short frames, oversized lengths, CRC mismatches, malformed payloads —
-/// maps to [`ReadOutcome::Torn`], and each call consumes a bounded amount
-/// of input, so a reader loop over arbitrary bytes always terminates.
-pub fn read_record(reader: &mut impl Read) -> ReadOutcome {
+/// Reads the framed record at the start of `bytes`. Never panics: every
+/// corruption mode — short frames, oversized lengths, CRC mismatches,
+/// malformed payloads — maps to [`ReadOutcome::Torn`].
+fn read_record(bytes: &[u8]) -> ReadOutcome<'_> {
     if granlog_fault::should_fail("store.recover.read") {
         return ReadOutcome::Torn("injected fault at failpoint `store.recover.read`");
     }
-    let mut header = [0u8; 8];
-    match read_exact_or_eof(reader, &mut header) {
-        Ok(false) => return ReadOutcome::Eof,
-        Ok(true) => {}
-        Err(reason) => return ReadOutcome::Torn(reason),
+    if bytes.is_empty() {
+        return ReadOutcome::Eof;
     }
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let Some((header, rest)) = bytes.split_at_checked(HEADER) else {
+        return ReadOutcome::Torn("frame header cut short");
+    };
+    let (len, crc) = (le_u32(&header[..4]), le_u32(&header[4..]));
     if len > MAX_RECORD_BYTES {
         return ReadOutcome::Torn("record length exceeds the frame bound");
     }
-    let mut payload = vec![0u8; len as usize];
-    match read_exact_or_eof(reader, &mut payload) {
-        Ok(true) => {}
-        Ok(false) | Err(_) => return ReadOutcome::Torn("payload shorter than its length"),
-    }
-    if crc32(&payload) != crc {
+    let Some(payload) = rest.get(..len as usize) else {
+        return ReadOutcome::Torn("payload shorter than its length");
+    };
+    if crc32(payload) != crc {
         return ReadOutcome::Torn("crc mismatch");
     }
-    match decode_payload(&payload) {
-        Ok(record) => ReadOutcome::Record(record),
+    match decode_payload(payload) {
+        Ok(record) => ReadOutcome::Record(record, HEADER + payload.len()),
         Err(reason) => ReadOutcome::Torn(reason),
     }
+}
+
+/// Reads the file at `path` (`magic`, then framed records) in one piece and
+/// hands each record of its valid prefix to `each`, in order. The prefix
+/// ends at the first torn frame, and is empty when the magic is wrong.
+/// Returns the file's length and the valid prefix's, magic included;
+/// `None` when the file cannot be read (a missing file). Never panics and
+/// never errors on corruption.
+pub(crate) fn scan(
+    path: &Path,
+    magic: &[u8],
+    mut each: impl FnMut(Record<'_>),
+) -> Option<(u64, u64)> {
+    let bytes = std::fs::read(path).ok()?;
+    let mut valid = 0;
+    if bytes.starts_with(magic) {
+        valid = magic.len();
+        while let ReadOutcome::Record(record, len) = read_record(&bytes[valid..]) {
+            each(record);
+            valid += len;
+        }
+    }
+    Some((bytes.len() as u64, valid as u64))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(record: Record) {
-        let bytes = encode(&record);
-        let mut cursor = bytes.as_slice();
-        assert_eq!(read_record(&mut cursor), ReadOutcome::Record(record));
-        assert_eq!(read_record(&mut cursor), ReadOutcome::Eof);
+    fn framed(record: Record<'_>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        record.frame(&mut bytes);
+        bytes
+    }
+
+    fn roundtrip(record: Record<'_>) {
+        let bytes = framed(record);
+        assert_eq!(bytes.len(), record.framed_len());
+        assert_eq!(
+            read_record(&bytes),
+            ReadOutcome::Record(record, bytes.len())
+        );
+        assert_eq!(read_record(&bytes[bytes.len()..]), ReadOutcome::Eof);
     }
 
     #[test]
     fn records_roundtrip() {
         roundtrip(Record::Load {
-            name: "p(_0) :- q(_0)\n".into(),
-            text: "p(X) :- q(X).".into(),
+            name: "p(_0) :- q(_0)\n",
+            text: "p(X) :- q(X).",
         });
         roundtrip(Record::SnapshotMark { id: 42 });
-        roundtrip(Record::Load {
-            name: String::new(),
-            text: String::new(),
-        });
+        roundtrip(Record::Load { name: "", text: "" });
     }
 
     #[test]
@@ -242,23 +263,20 @@ mod tests {
 
     #[test]
     fn a_flipped_payload_bit_is_torn() {
-        let mut bytes = encode(&Record::Load {
-            name: "n".into(),
-            text: "t".into(),
+        let mut bytes = framed(Record::Load {
+            name: "n",
+            text: "t",
         });
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
-        assert!(matches!(
-            read_record(&mut bytes.as_slice()),
-            ReadOutcome::Torn(_)
-        ));
+        assert!(matches!(read_record(&bytes), ReadOutcome::Torn(_)));
     }
 
     #[test]
     fn a_truncated_frame_is_torn_not_a_panic() {
-        let bytes = encode(&Record::SnapshotMark { id: 7 });
+        let bytes = framed(Record::SnapshotMark { id: 7 });
         for cut in 1..bytes.len() {
-            let outcome = read_record(&mut &bytes[..cut]);
+            let outcome = read_record(&bytes[..cut]);
             assert!(
                 matches!(outcome, ReadOutcome::Torn(_)),
                 "cut at {cut}: {outcome:?}"
@@ -273,9 +291,38 @@ mod tests {
         bytes.extend_from_slice(&0u32.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 64]);
         assert_eq!(
-            read_record(&mut bytes.as_slice()),
+            read_record(&bytes),
             ReadOutcome::Torn("record length exceeds the frame bound")
         );
+    }
+
+    #[test]
+    fn a_scan_hands_out_the_valid_prefix_and_its_length() {
+        let dir = std::env::temp_dir().join(format!("granlog-scan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let path = dir.join("file");
+        let records = [
+            Record::Load {
+                name: "k",
+                text: "p(é).",
+            },
+            Record::SnapshotMark { id: 9 },
+        ];
+        let mut bytes = b"MAGIC".to_vec();
+        records.iter().for_each(|record| record.frame(&mut bytes));
+        let valid = bytes.len() as u64;
+        bytes.extend_from_slice(&[1, 0, 0]);
+        std::fs::write(&path, &bytes).expect("write the file");
+
+        let mut seen = Vec::new();
+        let lengths = scan(&path, b"MAGIC", |record| seen.push(format!("{record:?}")));
+        assert_eq!(lengths, Some((valid + 3, valid)));
+        assert_eq!(seen, records.map(|record| format!("{record:?}")));
+        seen.clear();
+        let lengths = scan(&path, b"OTHER", |record| seen.push(format!("{record:?}")));
+        assert_eq!((lengths, seen.len()), (Some((valid + 3, 0)), 0));
+        assert_eq!(scan(&dir.join("missing"), b"", |_| {}), None);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -290,10 +337,7 @@ mod tests {
             framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             framed.extend_from_slice(&crc32(&payload).to_le_bytes());
             framed.extend_from_slice(&payload);
-            assert!(matches!(
-                read_record(&mut framed.as_slice()),
-                ReadOutcome::Torn(_)
-            ));
+            assert!(matches!(read_record(&framed), ReadOutcome::Torn(_)));
         }
     }
 }

@@ -3,85 +3,21 @@
 //! the configured bound, and rebuilt prefix-consistently at open.
 //! One map holds each key's text and the number of its first load, which
 //! alone orders the corpus (a replaced or re-keyed program keeps it).
+//! Records cross it borrowed: a load is framed from the caller's strings, a
+//! compaction frames the map's own strings in first-load order, and
+//! recovery copies each scanned string into the map once.
 
-use crate::record::{read_record, ReadOutcome, Record};
-use crate::snapshot::{read_snapshot, write_snapshot, SNAPSHOT_FILE, SNAPSHOT_TMP};
+use crate::record::{scan, Record};
+use crate::snapshot::{write_snapshot, SNAPSHOT_FILE, SNAPSHOT_MAGIC, SNAPSHOT_TMP};
 use crate::wal::{Wal, WAL_FILE};
 use crate::{RecoveryReport, StoreConfig, StoreError, StoreStats};
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::{BufReader, Read};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime};
 
-/// Wraps a reader and counts consumed bytes, so the WAL scan knows the
-/// offset of the last intact record boundary (everything past it is the
-/// torn tail to truncate).
-struct CountingReader<R> {
-    inner: R,
-    count: u64,
-}
-
-impl<R: Read> Read for CountingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.count += n as u64;
-        Ok(n)
-    }
-}
-
-/// Result of scanning the WAL at open: the verified records, the byte
-/// length of the valid prefix, and whether a torn tail was dropped.
-struct WalScan {
-    records: Vec<Record>,
-    valid_bytes: u64,
-    file_bytes: u64,
-}
-
-/// Reads the WAL prefix-consistently: every record up to the first torn or
-/// corrupt frame counts, and `valid_bytes` marks the boundary to truncate
-/// at. A missing file is an empty log. Never errors on corruption.
-fn scan_wal(dir: &std::path::Path) -> WalScan {
-    let path = dir.join(WAL_FILE);
-    let file = match File::open(&path) {
-        Ok(f) => f,
-        Err(_) => {
-            return WalScan {
-                records: Vec::new(),
-                valid_bytes: 0,
-                file_bytes: 0,
-            }
-        }
-    };
-    let file_bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
-    let mut reader = CountingReader {
-        inner: BufReader::new(file),
-        count: 0,
-    };
-    let mut records = Vec::new();
-    let mut valid_bytes = 0;
-    loop {
-        match read_record(&mut reader) {
-            ReadOutcome::Record(record) => {
-                // The BufReader may have pulled bytes past the frame, but a
-                // frame is fully consumed exactly when decoding succeeds, so
-                // re-deriving the boundary from the encoded length is exact.
-                valid_bytes += crate::record::encode(&record).len() as u64;
-                records.push(record);
-            }
-            ReadOutcome::Eof | ReadOutcome::Torn(_) => {
-                return WalScan {
-                    records,
-                    valid_bytes,
-                    file_bytes,
-                }
-            }
-        }
-    }
-}
-
-struct Inner {
-    wal: Wal,
+/// What replaying records rebuilds: the programs and the next snapshot id.
+#[derive(Default)]
+struct Corpus {
     /// Program key → (first-load number, source text). The key is whatever
     /// the caller chose (the serve layer uses the full normalized program
     /// text, never a bare hash, so dedup cannot be defeated by a
@@ -92,21 +28,20 @@ struct Inner {
     loads: u64,
     /// Id the next snapshot will carry (last written id + 1).
     next_snapshot_id: u64,
-    /// When the current snapshot file was written (file mtime at open for
-    /// recovered stores).
-    snapshot_at: Option<SystemTime>,
-    compactions: u64,
 }
 
-impl Inner {
-    fn apply(&mut self, record: Record) {
+impl Corpus {
+    fn apply(&mut self, record: Record<'_>) {
         match record {
             Record::Load { name, text } => {
                 self.loads += 1;
-                self.texts
-                    .entry(name)
-                    .or_insert((self.loads, String::new()))
-                    .1 = text;
+                match self.texts.get_mut(name) {
+                    Some((_, stored)) => text.clone_into(stored),
+                    None => {
+                        self.texts
+                            .insert(name.to_owned(), (self.loads, text.to_owned()));
+                    }
+                }
             }
             Record::SnapshotMark { id } => {
                 self.next_snapshot_id = self.next_snapshot_id.max(id + 1);
@@ -114,30 +49,47 @@ impl Inner {
         }
     }
 
-    fn corpus(&self) -> Vec<(String, String)> {
+    /// Every `(name, text)`, borrowed from the map, in first-load order.
+    fn in_load_order(&self) -> Vec<(&str, &str)> {
         let mut corpus: Vec<_> = self.texts.iter().collect();
         corpus.sort_unstable_by_key(|(_, (first_load, _))| *first_load);
-        let owned = |(name, (_, text)): (&String, &(u64, String))| (name.clone(), text.clone());
-        corpus.into_iter().map(owned).collect()
+        corpus
+            .into_iter()
+            .map(|(name, (_, text))| (name.as_str(), text.as_str()))
+            .collect()
     }
+}
 
+struct Inner {
+    wal: Wal,
+    corpus: Corpus,
+    /// When the current snapshot file was written (file mtime at open for
+    /// recovered stores).
+    snapshot_at: Option<SystemTime>,
+    compactions: u64,
+}
+
+impl Inner {
     /// Snapshot + WAL reset, under the caller's lock. Crash-ordering: the
     /// snapshot rename is atomic, and a crash after the rename but before
     /// the WAL reset leaves a stale log whose replay over the snapshot is
     /// idempotent (the last record per key wins either way).
     fn compact(&mut self, config: &StoreConfig) -> Result<(), StoreError> {
         let started = self.wal.obs().map(|_| Instant::now());
-        let id = self.next_snapshot_id;
-        write_snapshot(&config.dir, id, &self.corpus())?;
+        let id = self.corpus.next_snapshot_id;
+        write_snapshot(&config.dir, id, &self.corpus.in_load_order())?;
         self.snapshot_at = Some(SystemTime::now());
         self.wal.restart_after_snapshot(id)?;
-        self.next_snapshot_id = id + 1;
+        self.corpus.next_snapshot_id = id + 1;
         self.compactions += 1;
         if let (Some(obs), Some(started)) = (self.wal.obs(), started) {
             obs.snapshot_ms.observe_duration_ms(started.elapsed());
             obs.tracer.emit(
                 "wal_snapshot",
-                vec![("id", id.into()), ("programs", self.texts.len().into())],
+                vec![
+                    ("id", id.into()),
+                    ("programs", self.corpus.texts.len().into()),
+                ],
             );
         }
         Ok(())
@@ -176,40 +128,45 @@ impl ProgramStore {
         // file is garbage.
         let _ = std::fs::remove_file(config.dir.join(SNAPSHOT_TMP));
 
-        let snapshot = read_snapshot(&config.dir);
-        let snapshot_loaded = snapshot.id.is_some();
-        let snapshot_torn = snapshot.torn;
-        let snapshot_programs = snapshot.programs.len();
-        let snapshot_at = std::fs::metadata(config.dir.join(SNAPSHOT_FILE))
+        // The snapshot's programs end at its first mark; a file without one
+        // is torn, and its valid prefix still counts.
+        let mut corpus = Corpus::default();
+        let (mut snapshot_id, mut snapshot_programs) = (None, 0);
+        let snapshot_path = config.dir.join(SNAPSHOT_FILE);
+        let snapshot = scan(&snapshot_path, SNAPSHOT_MAGIC, |record| {
+            if snapshot_id.is_none() {
+                match record {
+                    Record::Load { .. } => snapshot_programs += 1,
+                    Record::SnapshotMark { id } => snapshot_id = Some(id),
+                }
+                corpus.apply(record);
+            }
+        });
+        let snapshot_at = std::fs::metadata(&snapshot_path)
             .ok()
             .and_then(|m| m.modified().ok());
 
-        let scan = scan_wal(&config.dir);
-        let wal_records = scan.records.len() as u64;
-        let wal_truncated_bytes = scan.file_bytes.saturating_sub(scan.valid_bytes);
-        let wal = Wal::open(&config.dir, scan.valid_bytes, wal_records)?;
+        let mut wal_records = 0;
+        let (wal_bytes, valid_bytes) = scan(&config.dir.join(WAL_FILE), b"", |record| {
+            wal_records += 1;
+            corpus.apply(record);
+        })
+        .unwrap_or_default();
+        let wal = Wal::open(&config.dir, valid_bytes, wal_records)?;
 
-        let mut inner = Inner {
+        let recovery = RecoveryReport {
+            programs: corpus.texts.len(),
+            wal_records,
+            wal_truncated_bytes: wal_bytes - valid_bytes,
+            snapshot_loaded: snapshot_id.is_some(),
+            snapshot_torn: snapshot.is_some() && snapshot_id.is_none(),
+            snapshot_programs,
+        };
+        let inner = Inner {
             wal,
-            texts: HashMap::new(),
-            loads: 0,
-            next_snapshot_id: snapshot.id.map_or(0, |id| id + 1),
+            corpus,
             snapshot_at,
             compactions: 0,
-        };
-        for (name, text) in snapshot.programs {
-            inner.apply(Record::Load { name, text });
-        }
-        for record in scan.records {
-            inner.apply(record);
-        }
-        let recovery = RecoveryReport {
-            programs: inner.texts.len(),
-            wal_records,
-            wal_truncated_bytes,
-            snapshot_loaded,
-            snapshot_torn,
-            snapshot_programs,
         };
         Ok(ProgramStore {
             config,
@@ -233,7 +190,14 @@ impl ProgramStore {
     /// The recovered corpus as `(name, text)` pairs in first-load order.
     /// Intended for boot-time replay into a compile cache.
     pub fn programs(&self) -> Vec<(String, String)> {
-        self.lock().corpus()
+        let inner = self.lock();
+        let owned = |(name, text): (&str, &str)| (name.to_owned(), text.to_owned());
+        inner
+            .corpus
+            .in_load_order()
+            .into_iter()
+            .map(owned)
+            .collect()
     }
 
     /// Journals a program load. Returns `Ok(false)` without touching the
@@ -248,16 +212,19 @@ impl ProgramStore {
     /// also surfaces as an error, but the load itself is journaled.
     pub fn record_load(&self, name: &str, text: &str) -> Result<bool, StoreError> {
         let mut inner = self.lock();
-        if inner.texts.get(name).map(|(_, stored)| stored.as_str()) == Some(text) {
+        if inner
+            .corpus
+            .texts
+            .get(name)
+            .map(|(_, stored)| stored.as_str())
+            == Some(text)
+        {
             return Ok(false);
         }
-        inner.apply_journaled(
-            Record::Load {
-                name: name.to_string(),
-                text: text.to_string(),
-            },
-            &self.config,
-        )?;
+        // Journal-then-apply: only a durable append changes the corpus.
+        let record = Record::Load { name, text };
+        inner.wal.append(record, self.config.fsync)?;
+        inner.corpus.apply(record);
         self.maybe_compact(&mut inner)?;
         Ok(true)
     }
@@ -268,9 +235,9 @@ impl ProgramStore {
     /// writes the corpus under `new`, and a replay before then finds `old`
     /// again. Boot replay uses this for a key an older printer wrote.
     pub fn rekey(&self, old: &str, new: &str) {
-        let mut inner = self.lock();
-        if let Some(stored) = inner.texts.remove(old) {
-            inner.texts.entry(new.to_owned()).or_insert(stored);
+        let texts = &mut self.lock().corpus.texts;
+        if let Some(stored) = texts.remove(old) {
+            texts.entry(new.to_owned()).or_insert(stored);
         }
     }
 
@@ -305,7 +272,7 @@ impl ProgramStore {
     pub fn stats(&self) -> StoreStats {
         let inner = self.lock();
         StoreStats {
-            programs: inner.texts.len(),
+            programs: inner.corpus.texts.len(),
             wal_bytes: inner.wal.bytes(),
             wal_records: inner.wal.records(),
             unsynced_records: inner.wal.unsynced(),
@@ -330,16 +297,6 @@ impl ProgramStore {
         // of truth and every mutation journals before applying, so the
         // in-memory view is still a valid (possibly slightly stale) corpus.
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-impl Inner {
-    /// Journal-then-apply: the record hits the WAL (and the policy's fsync)
-    /// first; only a durable append mutates the in-memory corpus.
-    fn apply_journaled(&mut self, record: Record, config: &StoreConfig) -> Result<(), StoreError> {
-        self.wal.append(&record, config.fsync)?;
-        self.apply(record);
-        Ok(())
     }
 }
 

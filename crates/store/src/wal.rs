@@ -2,7 +2,7 @@
 //! policy, and truncation back to a fresh log after snapshot compaction.
 
 use crate::obs::StoreObs;
-use crate::record::{encode, Record};
+use crate::record::Record;
 use crate::{FsyncPolicy, StoreError};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -76,14 +76,16 @@ impl Wal {
         self.obs.as_ref()
     }
 
-    /// Appends one record and applies the fsync policy.
+    /// Appends one record, framed into one exactly sized buffer and
+    /// written in one call, and applies the fsync policy.
     pub(crate) fn append(
         &mut self,
-        record: &Record,
+        record: Record<'_>,
         policy: FsyncPolicy,
     ) -> Result<(), StoreError> {
         granlog_fault::fail_or("store.wal.append", || StoreError::Fault("store.wal.append"))?;
-        let framed = encode(record);
+        let mut framed = Vec::with_capacity(record.framed_len());
+        record.frame(&mut framed);
         let started = self.obs.as_ref().map(|_| Instant::now());
         self.file
             .write_all(&framed)
@@ -141,7 +143,7 @@ impl Wal {
         self.records = 0;
         self.unsynced = 0;
         self.append(
-            &Record::SnapshotMark { id: snapshot_id },
+            Record::SnapshotMark { id: snapshot_id },
             FsyncPolicy::Always,
         )
     }

@@ -32,6 +32,7 @@ use granlog_benchmarks::{datalog_benchmarks, Benchmark};
 use granlog_datalog::CompiledDatalog;
 use granlog_engine::{Machine, RecordedOutcome};
 use granlog_ir::{parser, Program};
+use granlog_store::{FsyncPolicy, ProgramStore, StoreConfig};
 use std::fmt::Write as _;
 
 mod support;
@@ -80,7 +81,7 @@ fn sld_row(block: &'static str, bench: &Benchmark, program: Program) -> Row {
     // its tasks' work must add up to the query's.
     assert_eq!(
         task_tree.total_work(),
-        out.work,
+        out.counters.work(),
         "{} ({block}): the recorded tree disagrees with the counters",
         bench.name
     );
@@ -96,7 +97,7 @@ fn sld_row(block: &'static str, bench: &Benchmark, program: Program) -> Row {
             c.builtins.to_string(),
             c.grain_tests.to_string(),
             c.grain_test_elements.to_string(),
-            format!("{:.1}", out.work),
+            format!("{:.1}", out.counters.work()),
             task_tree.spawned_tasks().to_string(),
             c.choice_points.to_string(),
         ],
@@ -263,5 +264,35 @@ fn fact_loading_allocates_each_table_once() {
     assert_eq!(
         big, small,
         "2000 facts made {big} allocator calls, 500 made {small}"
+    );
+}
+
+/// A snapshot frames the corpus' own strings into one buffer: its allocator
+/// calls do not grow with the number of programs.
+#[test]
+fn a_snapshot_copies_no_program() {
+    let calls = |programs: usize| {
+        let dir = support::temp_dir("snapshot-calls");
+        let store = ProgramStore::open(StoreConfig {
+            fsync: FsyncPolicy::Never,
+            ..StoreConfig::new(&dir)
+        })
+        .expect("the store opens");
+        for i in 0..programs {
+            let text = format!("p{i}(a).");
+            store.record_load(&text, &text).expect("the load journals");
+        }
+        let before = support::allocator_calls();
+        store.snapshot().expect("the snapshot is written");
+        let calls = support::allocator_calls() - before;
+        assert_eq!(store.stats().programs, programs);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+        calls
+    };
+    let (small, big) = (calls(50), calls(500));
+    assert_eq!(
+        big, small,
+        "a snapshot of 500 programs made {big} allocator calls, of 50 {small}"
     );
 }

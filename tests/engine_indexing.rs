@@ -72,7 +72,11 @@ fn assert_equivalent(a: &RecordedOutcome, b: &RecordedOutcome, context: &str) {
     assert_eq!(a.succeeded, b.succeeded, "success differs: {context}");
     assert_eq!(a.bindings, b.bindings, "bindings differ: {context}");
     assert_eq!(a.counters, b.counters, "counters differ: {context}");
-    assert_eq!(a.work, b.work, "work differs: {context}");
+    assert_eq!(
+        a.counters.work(),
+        b.counters.work(),
+        "work differs: {context}"
+    );
 }
 
 /// Renders a small digraph over atoms `n0..n5` as `edge/2` facts.

@@ -410,7 +410,7 @@ fn spawn_boundary_moves_no_observable_count() {
                     );
                     if granularity == Granularity::On {
                         assert_eq!(out.counters, controlled.counters, "{what}");
-                        assert_eq!(out.work, controlled.work, "{what}");
+                        assert_eq!(out.counters.work(), controlled.counters.work(), "{what}");
                         assert_eq!(
                             (out.spawned_tasks, out.inlined_conjunctions),
                             (spawned, 0),
@@ -418,7 +418,7 @@ fn spawn_boundary_moves_no_observable_count() {
                         );
                     } else {
                         assert_eq!(out.counters, off.counters, "{what}");
-                        assert_eq!(out.work, off.work, "{what}");
+                        assert_eq!(out.counters.work(), off.counters.work(), "{what}");
                     }
                 }
             }
@@ -435,7 +435,8 @@ fn spawn_boundary_moves_no_observable_count() {
             "{name}({size}) with every arm stolen"
         );
         assert_eq!(
-            stolen.work, off.work,
+            stolen.counters.work(),
+            off.counters.work(),
             "{name}({size}) with every arm stolen"
         );
     }

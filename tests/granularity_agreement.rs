@@ -52,7 +52,7 @@ fn the_executor_under_on_runs_exactly_the_annotated_program() {
                 assert_eq!(sequential.succeeded, parallel.succeeded, "{at}");
                 assert_eq!(sequential.bindings, parallel.bindings, "{at}");
                 assert_eq!(sequential.counters, parallel.counters, "{at}");
-                assert_eq!(sequential.work, parallel.work, "{at}");
+                assert_eq!(sequential.counters.work(), parallel.counters.work(), "{at}");
                 assert_eq!(task_tree.spawned_tasks(), parallel.spawned_tasks, "{at}");
             }
         }

@@ -116,8 +116,8 @@ fn profiler_is_invisible_to_execution_across_all_benchmarks() {
                 bench.name
             );
             assert_eq!(
-                base.work.to_bits(),
-                other.work.to_bits(),
+                base.counters.work().to_bits(),
+                other.counters.work().to_bits(),
                 "{}: {label} changed the work total",
                 bench.name
             );

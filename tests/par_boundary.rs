@@ -41,7 +41,7 @@ fn a_stolen_cyclic_arm_answers_as_an_inline_one() {
         stolen.counters, seq.counters,
         "the thief's counters are dropped"
     );
-    assert_eq!(stolen.work, seq.work);
+    assert_eq!(stolen.counters.work(), seq.counters.work());
 
     for threads in [1, 2, 4] {
         for granularity in [Granularity::On, Granularity::AlwaysSpawn] {
