@@ -12,9 +12,10 @@
 //!   **delay** — and a firing probability drawn from a **deterministic
 //!   seeded** per-failpoint RNG, so chaos runs are reproducible;
 //! * everything is gated behind the `failpoints` cargo feature. Compiled
-//!   out, [`should_fail`] is an `#[inline(always)]` constant `false` and the
-//!   registry does not exist: release builds are observationally identical
-//!   to builds that never heard of this crate.
+//!   out, [`should_fail`] is an `#[inline(always)]` constant `false`, every
+//!   other function a constant no-op, and the registry is never reached:
+//!   release builds are observationally identical to builds that never
+//!   heard of this crate.
 //!
 //! # Environment knob
 //!
@@ -28,6 +29,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// What an armed failpoint injects when it fires.
@@ -51,281 +54,224 @@ pub struct FailpointStats {
     pub fired: u64,
 }
 
-#[cfg(feature = "failpoints")]
-mod imp {
-    use super::{Action, FailpointStats};
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock, PoisonError};
-    use std::time::Duration;
+struct Failpoint {
+    action: Action,
+    /// Firing probability in [0, 1].
+    probability: f64,
+    /// Per-failpoint splitmix64 state, derived from the global seed and
+    /// the failpoint name so arming order does not change the stream.
+    rng: u64,
+    stats: FailpointStats,
+}
 
-    struct Failpoint {
-        action: Action,
-        /// Firing probability in [0, 1].
-        probability: f64,
-        /// Per-failpoint splitmix64 state, derived from the global seed and
-        /// the failpoint name so arming order does not change the stream.
-        rng: u64,
-        stats: FailpointStats,
-    }
+#[derive(Default)]
+struct Registry {
+    points: HashMap<String, Failpoint>,
+    seed: u64,
+}
 
-    #[derive(Default)]
-    struct Registry {
-        points: HashMap<String, Failpoint>,
-        seed: u64,
-    }
-
-    fn registry() -> &'static Mutex<Registry> {
-        static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-        REGISTRY.get_or_init(|| {
-            let mut reg = Registry {
-                points: HashMap::new(),
-                seed: std::env::var("GRANLOG_FAULT_SEED")
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(0x9E37_79B9_7F4A_7C15),
-            };
-            if let Ok(spec) = std::env::var("GRANLOG_FAILPOINTS") {
-                // A bad env spec must not take the process down — it is a
-                // debugging knob, not an interface contract.
-                let _ = apply_spec(&mut reg, &spec);
-            }
-            Mutex::new(reg)
-        })
-    }
-
-    fn fnv64(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h
-    }
-
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn parse_action(text: &str) -> Result<Action, String> {
-        if text == "error" {
-            return Ok(Action::Error);
-        }
-        if text == "panic" {
-            return Ok(Action::Panic);
-        }
-        if let Some(ms) = text
-            .strip_prefix("delay(")
-            .and_then(|rest| rest.strip_suffix(')'))
-        {
-            let ms: u64 = ms
-                .parse()
-                .map_err(|_| format!("bad delay milliseconds in {text:?}"))?;
-            return Ok(Action::Delay(Duration::from_millis(ms)));
-        }
-        Err(format!(
-            "unknown action {text:?} (expected error, panic, or delay(<ms>))"
-        ))
-    }
-
-    fn apply_spec(reg: &mut Registry, spec: &str) -> Result<usize, String> {
-        let mut armed = 0;
-        for part in spec.split(';').filter(|p| !p.trim().is_empty()) {
-            let (name, rest) = part
-                .split_once('=')
-                .ok_or_else(|| format!("missing `=` in failpoint spec {part:?}"))?;
-            let (action, probability) = match rest.rsplit_once(':') {
-                // `delay(5):0.5` splits at the last colon; `delay(5)` alone
-                // has none. A non-numeric tail is part of the action.
-                Some((action, prob)) if prob.trim().parse::<f64>().is_ok() => {
-                    (action, prob.trim().parse::<f64>().unwrap_or(1.0))
-                }
-                _ => (rest, 1.0),
-            };
-            arm_locked(reg, name.trim(), parse_action(action.trim())?, probability);
-            armed += 1;
-        }
-        Ok(armed)
-    }
-
-    fn arm_locked(reg: &mut Registry, name: &str, action: Action, probability: f64) {
-        let rng = reg.seed ^ fnv64(name.as_bytes());
-        reg.points.insert(
-            name.to_string(),
-            Failpoint {
-                action,
-                probability: probability.clamp(0.0, 1.0),
-                rng,
-                stats: FailpointStats::default(),
-            },
-        );
-    }
-
-    fn lock() -> std::sync::MutexGuard<'static, Registry> {
-        // A panic while the registry lock was held (an armed `panic` action
-        // never panics inside the lock, but a test harness might) must not
-        // poison every later evaluation: the map holds plain data.
-        registry().lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub fn configure(spec: &str) -> Result<usize, String> {
-        apply_spec(&mut lock(), spec)
-    }
-
-    pub fn arm(name: &str, action: Action, probability: f64) {
-        arm_locked(&mut lock(), name, action, probability);
-    }
-
-    pub fn disarm(name: &str) {
-        lock().points.remove(name);
-    }
-
-    pub fn disarm_all() {
-        lock().points.clear();
-    }
-
-    pub fn set_seed(seed: u64) {
-        let mut reg = lock();
-        reg.seed = seed;
-        let names: Vec<String> = reg.points.keys().cloned().collect();
-        for name in names {
-            let rng = seed ^ fnv64(name.as_bytes());
-            if let Some(point) = reg.points.get_mut(&name) {
-                point.rng = rng;
-            }
-        }
-    }
-
-    pub fn stats(name: &str) -> FailpointStats {
-        lock().points.get(name).map(|p| p.stats).unwrap_or_default()
-    }
-
-    pub fn should_fail(name: &str) -> bool {
-        // One short critical section per evaluation of an *armed* process;
-        // the common case (nothing armed) is a map lookup and out.
-        let action = {
-            let mut reg = lock();
-            let Some(point) = reg.points.get_mut(name) else {
-                return false;
-            };
-            point.stats.evaluated += 1;
-            let draw = (splitmix64(&mut point.rng) >> 11) as f64 / (1u64 << 53) as f64;
-            if draw >= point.probability {
-                return false;
-            }
-            point.stats.fired += 1;
-            point.action
+fn registry() -> &'static Mutex<Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        let mut reg = Registry {
+            points: HashMap::new(),
+            seed: std::env::var("GRANLOG_FAULT_SEED")
+                .ok()
+                .and_then(|s| s.parse().ok())
+                .unwrap_or(0x9E37_79B9_7F4A_7C15),
         };
-        // Panic and sleep OUTSIDE the registry lock.
-        match action {
-            Action::Error => true,
-            Action::Panic => panic!("injected panic at failpoint `{name}`"),
-            Action::Delay(d) => {
-                std::thread::sleep(d);
-                false
+        if let Ok(spec) = std::env::var("GRANLOG_FAILPOINTS") {
+            // A bad env spec must not take the process down — it is a
+            // debugging knob, not an interface contract.
+            let _ = apply_spec(&mut reg, &spec);
+        }
+        Mutex::new(reg)
+    })
+}
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1_0000_01b3);
+    }
+    h
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn parse_action(text: &str) -> Result<Action, String> {
+    if text == "error" {
+        return Ok(Action::Error);
+    }
+    if text == "panic" {
+        return Ok(Action::Panic);
+    }
+    if let Some(ms) = text
+        .strip_prefix("delay(")
+        .and_then(|rest| rest.strip_suffix(')'))
+    {
+        let ms: u64 = ms
+            .parse()
+            .map_err(|_| format!("bad delay milliseconds in {text:?}"))?;
+        return Ok(Action::Delay(Duration::from_millis(ms)));
+    }
+    Err(format!(
+        "unknown action {text:?} (expected error, panic, or delay(<ms>))"
+    ))
+}
+
+fn apply_spec(reg: &mut Registry, spec: &str) -> Result<usize, String> {
+    let mut armed = 0;
+    for part in spec.split(';').filter(|p| !p.trim().is_empty()) {
+        let (name, rest) = part
+            .split_once('=')
+            .ok_or_else(|| format!("missing `=` in failpoint spec {part:?}"))?;
+        let (action, probability) = match rest.rsplit_once(':') {
+            // `delay(5):0.5` splits at the last colon; `delay(5)` alone
+            // has none. A non-numeric tail is part of the action.
+            Some((action, prob)) if prob.trim().parse::<f64>().is_ok() => {
+                (action, prob.trim().parse::<f64>().unwrap_or(1.0))
             }
+            _ => (rest, 1.0),
+        };
+        arm_locked(reg, name.trim(), parse_action(action.trim())?, probability);
+        armed += 1;
+    }
+    Ok(armed)
+}
+
+fn arm_locked(reg: &mut Registry, name: &str, action: Action, probability: f64) {
+    let rng = reg.seed ^ fnv64(name.as_bytes());
+    reg.points.insert(
+        name.to_string(),
+        Failpoint {
+            action,
+            probability: probability.clamp(0.0, 1.0),
+            rng,
+            stats: FailpointStats::default(),
+        },
+    );
+}
+
+fn lock() -> MutexGuard<'static, Registry> {
+    // A panic while the registry lock was held (an armed `panic` action
+    // never panics inside the lock, but a test harness might) must not
+    // poison every later evaluation: the map holds plain data.
+    registry().lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Draws one evaluation of an armed failpoint.
+fn evaluate(name: &str) -> bool {
+    // One short critical section per evaluation of an *armed* process;
+    // the common case (nothing armed) is a map lookup and out.
+    let action = {
+        let mut reg = lock();
+        let Some(point) = reg.points.get_mut(name) else {
+            return false;
+        };
+        point.stats.evaluated += 1;
+        let draw = (splitmix64(&mut point.rng) >> 11) as f64 / (1u64 << 53) as f64;
+        if draw >= point.probability {
+            return false;
+        }
+        point.stats.fired += 1;
+        point.action
+    };
+    // Panic and sleep OUTSIDE the registry lock.
+    match action {
+        Action::Error => true,
+        Action::Panic => panic!("injected panic at failpoint `{name}`"),
+        Action::Delay(d) => {
+            std::thread::sleep(d);
+            false
         }
     }
 }
+
+/// Whether the `failpoints` feature compiled the registry in. Each public
+/// function below tests it first, so with the feature off every one of
+/// them is a constant and the registry is never reached.
+const ENABLED: bool = cfg!(feature = "failpoints");
 
 /// Evaluates a failpoint. Returns `true` when an armed `error` action fires
 /// — the call site then returns its own typed error. An armed `panic`
 /// action panics here; an armed `delay` sleeps and returns `false`. With the
 /// `failpoints` feature off this is a constant `false` the optimizer
 /// removes.
-#[cfg(feature = "failpoints")]
-pub fn should_fail(name: &str) -> bool {
-    imp::should_fail(name)
-}
-
-/// See the feature-enabled variant; compiled out, always `false`.
-#[cfg(not(feature = "failpoints"))]
 #[inline(always)]
-pub fn should_fail(_name: &str) -> bool {
-    false
+pub fn should_fail(name: &str) -> bool {
+    ENABLED && evaluate(name)
 }
 
 /// Arms failpoints from a spec string:
 /// `name=action[:prob][;name=action[:prob]]...` with actions `error`,
 /// `panic` and `delay(<ms>)`, probability defaulting to 1.0. Returns the
-/// number of failpoints armed.
+/// number of failpoints armed (0 with the feature off).
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed entry.
-#[cfg(feature = "failpoints")]
-pub fn configure(spec: &str) -> Result<usize, String> {
-    imp::configure(spec)
-}
-
-/// See the feature-enabled variant; compiled out, arms nothing.
-#[cfg(not(feature = "failpoints"))]
 #[inline(always)]
-pub fn configure(_spec: &str) -> Result<usize, String> {
-    Ok(0)
+pub fn configure(spec: &str) -> Result<usize, String> {
+    if !ENABLED {
+        return Ok(0);
+    }
+    apply_spec(&mut lock(), spec)
 }
 
 /// Arms one failpoint with an action and firing probability (clamped to
 /// `[0, 1]`). Re-arming resets its RNG stream and counters.
-#[cfg(feature = "failpoints")]
-pub fn arm(name: &str, action: Action, probability: f64) {
-    imp::arm(name, action, probability);
-}
-
-/// See the feature-enabled variant; compiled out, arms nothing.
-#[cfg(not(feature = "failpoints"))]
 #[inline(always)]
-pub fn arm(_name: &str, _action: Action, _probability: f64) {}
+pub fn arm(name: &str, action: Action, probability: f64) {
+    if ENABLED {
+        arm_locked(&mut lock(), name, action, probability);
+    }
+}
 
 /// Disarms one failpoint.
-#[cfg(feature = "failpoints")]
-pub fn disarm(name: &str) {
-    imp::disarm(name);
-}
-
-/// See the feature-enabled variant; compiled out, a no-op.
-#[cfg(not(feature = "failpoints"))]
 #[inline(always)]
-pub fn disarm(_name: &str) {}
+pub fn disarm(name: &str) {
+    if ENABLED {
+        lock().points.remove(name);
+    }
+}
 
 /// Disarms every failpoint (chaos tests call this between scenarios).
-#[cfg(feature = "failpoints")]
-pub fn disarm_all() {
-    imp::disarm_all();
-}
-
-/// See the feature-enabled variant; compiled out, a no-op.
-#[cfg(not(feature = "failpoints"))]
 #[inline(always)]
-pub fn disarm_all() {}
+pub fn disarm_all() {
+    if ENABLED {
+        lock().points.clear();
+    }
+}
 
 /// Sets the global seed and re-derives every armed failpoint's RNG stream,
 /// making a chaos scenario reproducible end to end.
-#[cfg(feature = "failpoints")]
-pub fn set_seed(seed: u64) {
-    imp::set_seed(seed);
-}
-
-/// See the feature-enabled variant; compiled out, a no-op.
-#[cfg(not(feature = "failpoints"))]
 #[inline(always)]
-pub fn set_seed(_seed: u64) {}
+pub fn set_seed(seed: u64) {
+    if ENABLED {
+        let mut reg = lock();
+        reg.seed = seed;
+        for (name, point) in &mut reg.points {
+            point.rng = seed ^ fnv64(name.as_bytes());
+        }
+    }
+}
 
 /// Evaluation/firing counters of one failpoint (zeroes when unarmed or
 /// compiled out).
-#[cfg(feature = "failpoints")]
-pub fn stats(name: &str) -> FailpointStats {
-    imp::stats(name)
-}
-
-/// See the feature-enabled variant; compiled out, always zeroes.
-#[cfg(not(feature = "failpoints"))]
 #[inline(always)]
-pub fn stats(_name: &str) -> FailpointStats {
-    FailpointStats::default()
+pub fn stats(name: &str) -> FailpointStats {
+    if !ENABLED {
+        return FailpointStats::default();
+    }
+    lock().points.get(name).map(|p| p.stats).unwrap_or_default()
 }
 
 /// Returns an injected-fault error for a failpoint if it fires, in one step:
@@ -451,5 +397,24 @@ mod tests {
         disarm_all();
         let r: Result<(), &'static str> = fail_or("t.failor", || "boom");
         assert_eq!(r, Ok(()));
+    }
+}
+
+#[cfg(all(test, not(feature = "failpoints")))]
+mod compiled_out {
+    use super::*;
+
+    /// Without the feature nothing arms and nothing fires: every function
+    /// is its constant.
+    #[test]
+    fn every_function_is_a_constant_without_the_feature() {
+        arm("t.off", Action::Error, 1.0);
+        set_seed(7);
+        assert_eq!(configure("a=error;b=panic"), Ok(0));
+        assert!(!should_fail("t.off") && !should_fail("a") && !should_fail("b"));
+        assert_eq!(stats("t.off"), FailpointStats::default());
+        assert_eq!(fail_or("t.off", || "boom"), Ok(()));
+        disarm("t.off");
+        disarm_all();
     }
 }

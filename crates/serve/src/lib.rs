@@ -12,7 +12,8 @@
 //!   an over-budget query unwinds through the engine's own error path.
 //! - [`server::Server`] — a thread-per-connection TCP front end speaking a
 //!   line protocol, plus [`client::ServeClient`], a scripted client used by
-//!   the integration tests and by the serve workloads of `benchmark/`.
+//!   the integration tests and by the serve workloads of `benchmark/`. Both
+//!   ends and the metrics scrape speak through one private module, `wire`.
 //!
 //! The CLI exposes all of this as `granlog serve` (see the README).
 
@@ -25,6 +26,7 @@ mod frame;
 pub mod obs;
 pub mod server;
 pub mod session;
+mod wire;
 
 pub use cache::{CacheStats, PoolConfig, ProgramEntry, TemplateCache};
 pub use client::{ClientReply, ServeClient, ServerStats};
@@ -34,6 +36,7 @@ pub use session::{DatalogReplyStats, EngineKind, LoadReply, QueryReply, Session,
 
 use granlog_engine::EngineError;
 use granlog_ir::parser::ParseError;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Serializes fault-injection tests against every other test in this
@@ -91,6 +94,12 @@ pub enum ServeError {
     Overloaded,
     /// The server is draining for shutdown and no longer accepts work.
     ShuttingDown,
+    /// The peer broke the line protocol (a bad verb, argument or byte).
+    Proto(Cow<'static, str>),
+    /// A command line, a program or its durable record is too large.
+    TooLarge(String),
+    /// The peer idled past the idle timeout, or stalled mid-frame.
+    Timeout(&'static str),
 }
 
 impl ServeError {
@@ -109,6 +118,9 @@ impl ServeError {
             ServeError::Store(_) => "store",
             ServeError::Overloaded => "overloaded",
             ServeError::ShuttingDown => "shutdown",
+            ServeError::Proto(_) => "proto",
+            ServeError::TooLarge(_) => "too-large",
+            ServeError::Timeout(_) => "timeout",
         }
     }
 }
@@ -127,6 +139,9 @@ impl fmt::Display for ServeError {
                 write!(f, "server at connection capacity, retry later")
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
+            ServeError::Proto(msg) => f.write_str(msg),
+            ServeError::TooLarge(msg) => f.write_str(msg),
+            ServeError::Timeout(msg) => f.write_str(msg),
         }
     }
 }

@@ -10,6 +10,7 @@
 //! and a scrape never double-counts. The tracer starts **disabled**: until
 //! a client sends `trace on` the per-event cost is one relaxed atomic load.
 
+use crate::wire::ServerStats;
 use granlog_ir::Symbol;
 use granlog_obs::{Counter, Histogram, Registry, Tracer, LATENCY_BUCKETS_MS, WORK_BUCKETS};
 use std::sync::Arc;
@@ -120,38 +121,18 @@ impl ServeObs {
         self.started.elapsed().as_millis() as u64
     }
 
-    /// Samples cache/pool/session/store figures, and the size of the
-    /// process-wide symbol table, into scrape-time gauges and
-    /// renders the whole registry as Prometheus text exposition. The inputs
-    /// are passed in (rather than read here) so this module stays decoupled
-    /// from the server's state layout.
-    pub fn scrape(
-        &self,
-        cache: &crate::cache::CacheStats,
-        sessions: u64,
-        shed: u64,
-        recovered: u64,
-        store: Option<&granlog_store::StoreStats>,
-    ) -> String {
-        let g = |name: &str, v: i64| self.registry.gauge(name).set(v);
-        g("granlog_cache_hits", cache.hits as i64);
-        g("granlog_cache_misses", cache.misses as i64);
-        g("granlog_cache_evictions", cache.evictions as i64);
-        g("granlog_cache_entries", cache.entries as i64);
-        g("granlog_symbols", Symbol::count() as i64);
-        g("granlog_symbol_bytes", Symbol::bytes() as i64);
-        g("granlog_pool_quarantined", cache.quarantined as i64);
-        g("granlog_pool_retired", cache.retired as i64);
-        g("granlog_leases_active", cache.leases_active as i64);
-        g("granlog_sessions_active", sessions as i64);
-        g("granlog_shed_connections", shed as i64);
-        g("granlog_recovered_programs", recovered as i64);
-        g("granlog_uptime_ms", self.uptime_ms() as i64);
-        if let Some(d) = store {
-            g("granlog_store_programs", d.programs as i64);
-            g("granlog_wal_bytes", d.wal_bytes as i64);
-            g("granlog_wal_records", d.wal_records as i64);
-            g("granlog_wal_unsynced", d.unsynced_records as i64);
+    /// Sets the scrape-time gauges from a server's figures (the store's
+    /// only when `durable`) and the size of the process-wide symbol table,
+    /// and renders the whole registry as Prometheus text exposition. The
+    /// figures are passed in so this module stays decoupled from the
+    /// server's state layout.
+    pub fn scrape(&self, stats: &ServerStats, durable: bool) -> String {
+        let symbols = [
+            ("granlog_symbols", Symbol::count() as u64),
+            ("granlog_symbol_bytes", Symbol::bytes() as u64),
+        ];
+        for (name, value) in crate::wire::gauges(stats, durable).chain(symbols) {
+            self.registry.gauge(name).set(value as i64);
         }
         self.registry.render()
     }

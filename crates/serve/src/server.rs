@@ -1,55 +1,16 @@
 //! The TCP front end: thread-per-connection sessions over a shared
 //! [`TemplateCache`], speaking a small line protocol.
 //!
-//! # Protocol
-//!
-//! The server greets each connection with `ok granlog-serve`. Commands are
-//! one line each (`\n`-terminated); replies are one or more lines, the last
-//! starting with `ok`, `done` or `err`:
-//!
-//! | command | reply |
-//! |---|---|
-//! | `load <nbytes>` + exactly N raw bytes of program text | `ok program=<hash> clauses=<n> cache=<hit\|miss>` |
-//! | `query <goal>` | `bind <name> = <term>` lines, then `done ok\|no steps=<n> heap=<n>` |
-//! | `budget steps <n\|off>` | `ok` |
-//! | `budget heap <n\|off>` | `ok` |
-//! | `budget wall <ms\|off>` | `ok` |
-//! | `engine <sld\|bottom-up>` | `ok engine=<name>` |
-//! | `stats` | `ok hits=<n> misses=<n> evictions=<n> entries=<n> sessions=<n> quarantined=<n> retired=<n> leases=<n> shed=<n>` plus, with a store configured, ` recovered=<n> stored=<n> wal_bytes=<n> wal_records=<n> unsynced=<n> snapshot_age_ms=<n> last_fsync_ms=<n>`, always ending ` uptime_ms=<n> version=<semver>` |
-//! | `metrics` | `ok <nbytes>` + exactly N bytes of Prometheus text exposition |
-//! | `trace on\|off` | `ok trace=on\|off` — toggles the **server-global** event ring |
-//! | `trace dump` | `ok <nbytes>` + exactly N bytes of JSONL trace events (drains the ring) |
-//! | `quit` | `ok bye`, connection closes |
-//! | `shutdown` | `ok shutting-down`, server stops accepting |
-//!
-//! Any failure (parse error, engine error, exceeded budget, protocol
-//! misuse) is a single `err <code> <message>` line — `code` is the stable
-//! kebab-case class from [`ServeError::code`] (`parse`, `budget`, `engine`,
-//! `no-program`, `proto`, `too-large`, `internal`, `fault`, `store`,
-//! `overloaded`, `timeout`, `shutdown`) — and the session survives: the next
-//! command is
-//! read normally. The `load` payload is a byte-counted blob, so programs
-//! may contain newlines without any quoting scheme.
-//!
-//! Under `engine bottom-up` a query's `done` line keeps the
-//! `steps=0 heap=0` fields (a fixpoint has no SLD resource meters) and
-//! appends `answers=<n> rounds=<n> facts=<n>`; `bind` lines
-//! enumerate every answer, so variable names repeat once per answer.
+//! The protocol itself — commands, replies, `err` codes — is documented
+//! and parsed in `wire`; this module reads, dispatches and frames.
 //!
 //! # Framing
 //!
-//! Nothing in this module writes to a socket except through a
-//! `frame::Frame`, the connection's one reusable reply buffer (16 KiB).
-//! Handlers receive it as `&mut impl io::Write`, render the *whole* reply
-//! and return; the connection loop then sends it with one `write_all` —
-//! one system call and, under `TCP_NODELAY`, one segment per reply rather
-//! than one per format fragment. A reply larger than the buffer streams
-//! out in buffer-sized writes as it is rendered, so per-connection memory
-//! stays bounded. Input is bounded too: a command line that passes 1 MiB
-//! without a newline is refused with `err too-large` and the connection
-//! closed. `granlog_reply_frames_total`, `granlog_reply_writes_total` and
-//! `granlog_reply_bytes_total` count what left; writes equal frames
-//! whenever every reply fits the buffer.
+//! Handlers render the *whole* reply into the connection's `frame::Frame`
+//! through `&mut impl io::Write`, and the connection loop sends it with one
+//! `write_all` (see `frame`). Input is bounded too: a command line that
+//! passes 1 MiB without a newline is refused with `err too-large` and the
+//! connection closed.
 //!
 //! # Robustness
 //!
@@ -79,9 +40,10 @@
 use crate::cache::{PoolConfig, TemplateCache};
 use crate::frame::Frame;
 use crate::obs::ServeObs;
-use crate::session::{EngineKind, Session, SessionBudget};
+use crate::session::{Session, SessionBudget};
+use crate::wire::{self, write_err, Command, ServerStats};
 use crate::ServeError;
-use granlog_engine::MachineConfig;
+use granlog_engine::{BudgetKind, MachineConfig};
 use granlog_store::{ProgramStore, StoreConfig, StoreError, StoreObs};
 use std::collections::HashSet;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -196,9 +158,10 @@ impl From<StoreError> for BootError {
 }
 
 struct ServerState {
-    /// The serve listener's bound address: where `shutdown` nudges the
-    /// accept loop out of its blocking `accept()`.
+    /// The serve and metrics listeners' bound addresses: where stopping
+    /// nudges each out of its blocking `accept()`.
     addr: SocketAddr,
+    metrics_addr: Option<SocketAddr>,
     cache: Arc<TemplateCache>,
     default_budget: SessionBudget,
     stop: AtomicBool,
@@ -214,6 +177,50 @@ struct ServerState {
     /// Metrics registry, trace ring and slow-query threshold, shared by
     /// every connection thread and the metrics listener.
     obs: Arc<ServeObs>,
+}
+
+impl ServerState {
+    /// Raises the stop flag and nudges both listeners out of `accept()`.
+    fn halt(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        for addr in std::iter::once(self.addr).chain(self.metrics_addr) {
+            let _ = TcpStream::connect(addr);
+        }
+    }
+
+    /// The server's figures, as `stats` and the scrape report them.
+    fn stats(&self) -> ServerStats {
+        let cache = self.cache.stats();
+        let store = self.store.as_ref().map(ProgramStore::stats);
+        let store = store.unwrap_or_default();
+        let ms = |age: Option<Duration>| age.map_or(0, |a| a.as_millis() as u64);
+        ServerStats {
+            hits: cache.hits,
+            misses: cache.misses,
+            evictions: cache.evictions,
+            entries: cache.entries as u64,
+            sessions: self.active_sessions.load(Ordering::SeqCst),
+            quarantined: cache.quarantined,
+            retired: cache.retired,
+            lease_leaked: cache.leases_active,
+            shed: self.shed.load(Ordering::Relaxed),
+            recovered: self.recovered,
+            stored: store.programs as u64,
+            wal_bytes: store.wal_bytes,
+            wal_records: store.wal_records,
+            unsynced: store.unsynced_records,
+            snapshot_age_ms: ms(store.snapshot_age),
+            last_fsync_ms: ms(store.last_fsync_age),
+            uptime_ms: self.obs.uptime_ms(),
+            version: env!("CARGO_PKG_VERSION").to_string(),
+            extra: Vec::new(),
+        }
+    }
+
+    /// Samples the scrape-time gauges and renders the registry.
+    fn scrape(&self) -> String {
+        self.obs.scrape(&self.stats(), self.store.is_some())
+    }
 }
 
 /// The serve front end. [`Server::start`] binds, spawns the accept loop and
@@ -271,31 +278,13 @@ impl Server {
             }
         }
         let recovered = distinct.len() as u64;
-        let bind_err = |source| BootError::Bind {
-            addr: config.addr.clone(),
-            source,
-        };
-        let listener = TcpListener::bind(&config.addr).map_err(bind_err)?;
-        let local_addr = listener.local_addr().map_err(bind_err)?;
+        let (listener, addr) = bind(&config.addr)?;
         // Bind the scrape listener before spawning anything: a bad metrics
         // address is a boot error, same as a bad serve address.
-        let metrics_listener = config
-            .metrics_addr
-            .as_ref()
-            .map(|addr| -> Result<TcpListener, BootError> {
-                let err = |source| BootError::Bind {
-                    addr: addr.clone(),
-                    source,
-                };
-                let l = TcpListener::bind(addr).map_err(err)?;
-                // Non-blocking accept so the loop can poll the stop flag
-                // without needing a shutdown nudge on this socket too.
-                l.set_nonblocking(true).map_err(err)?;
-                Ok(l)
-            })
-            .transpose()?;
+        let metrics_listener = config.metrics_addr.as_deref().map(bind).transpose()?;
         let state = Arc::new(ServerState {
-            addr: local_addr,
+            addr,
+            metrics_addr: metrics_listener.as_ref().map(|(_, addr)| *addr),
             cache,
             default_budget: config.budget,
             stop: AtomicBool::new(false),
@@ -310,22 +299,11 @@ impl Server {
         let max_conns = config.max_conns;
         let accept_state = Arc::clone(&state);
         let accept = std::thread::spawn(move || accept_loop(listener, accept_state, max_conns));
-        let (metrics_addr, metrics) = match metrics_listener {
-            Some(listener) => {
-                let addr = listener.local_addr().ok();
-                let metrics_state = Arc::clone(&state);
-                (
-                    addr,
-                    Some(std::thread::spawn(move || {
-                        metrics_loop(listener, &metrics_state)
-                    })),
-                )
-            }
-            None => (None, None),
-        };
+        let metrics = metrics_listener.map(|(listener, _)| {
+            let metrics_state = Arc::clone(&state);
+            std::thread::spawn(move || metrics_loop(listener, &metrics_state))
+        });
         Ok(ServerHandle {
-            local_addr,
-            metrics_addr,
             state,
             accept: Some(accept),
             metrics,
@@ -335,8 +313,6 @@ impl Server {
 
 /// Handle to a running server: its bound address and its lifecycle.
 pub struct ServerHandle {
-    local_addr: SocketAddr,
-    metrics_addr: Option<SocketAddr>,
     state: Arc<ServerState>,
     accept: Option<JoinHandle<()>>,
     metrics: Option<JoinHandle<()>>,
@@ -346,13 +322,13 @@ impl ServerHandle {
     /// The address the server is listening on (with the real port when the
     /// config asked for port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.local_addr
+        self.state.addr
     }
 
     /// The address of the Prometheus scrape listener, when
     /// [`ServeConfig::metrics_addr`] configured one.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics_addr
+        self.state.metrics_addr
     }
 
     /// The shared template cache (for stats inspection).
@@ -390,16 +366,12 @@ impl ServerHandle {
     }
 
     /// Joins the accept loop, then the metrics listener. With `stop`, first
-    /// raises the stop flag and nudges the accept loop out of its blocking
-    /// `accept()`; without it, the accept loop returns only once a client's
-    /// `shutdown` raised the flag, which is also the metrics loop's exit
-    /// condition (it polls every tick).
+    /// raises the stop flag and nudges both out of their blocking
+    /// `accept()`; without it, both return only once a client's `shutdown`
+    /// did the same.
     fn join(&mut self, stop: bool) {
-        if stop {
-            self.state.stop.store(true, Ordering::SeqCst);
-            if self.accept.is_some() {
-                let _ = TcpStream::connect(self.local_addr);
-            }
+        if stop && self.accept.is_some() {
+            self.state.halt();
         }
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -414,6 +386,18 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.join(true);
     }
+}
+
+/// Binds a listener to `addr`, a boot error when it cannot, and reports
+/// the address it bound (with the real port when `addr` asked for port 0).
+fn bind(addr: &str) -> Result<(TcpListener, SocketAddr), BootError> {
+    let err = |source| BootError::Bind {
+        addr: addr.to_string(),
+        source,
+    };
+    let listener = TcpListener::bind(addr).map_err(err)?;
+    let bound = listener.local_addr().map_err(err)?;
+    Ok((listener, bound))
 }
 
 fn accept_loop(listener: TcpListener, state: Arc<ServerState>, max_conns: usize) {
@@ -453,58 +437,82 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>, max_conns: usize)
     }
 }
 
-/// Why the ticked reader returned without a complete line.
-enum ReadStatus {
-    /// A complete command line (newline stripped by the caller).
+/// What a ticked read waits for: a command line, up to its newline and at
+/// most [`MAX_COMMAND_BYTES`], or exactly this many bytes of payload.
+#[derive(Clone, Copy)]
+enum Want {
     Line,
-    /// Clean EOF from the peer.
+    Bytes(usize),
+}
+
+/// How a ticked read ended.
+enum ReadStatus {
+    /// The frame is complete. A command line may lack its newline when the
+    /// peer hung up right after it; the next read sees the clean EOF.
+    Done,
+    /// Clean EOF from the peer before a command line started.
     Eof,
     /// The server's stop flag rose while waiting.
     Stopped,
     /// No input at all for longer than the idle timeout.
     Idle,
-    /// A partial command stalled past the io timeout (torn frame).
+    /// A started frame stalled past the io timeout, or a payload ended
+    /// before its length.
     Torn,
     /// The line passed [`MAX_COMMAND_BYTES`] without a newline.
     TooLong,
 }
 
-/// Reads one command line under the tick discipline: short socket timeouts,
-/// re-checking the stop flag and the idle/torn clocks between ticks.
-fn read_command(
+/// Reads one frame into `buf` under the tick discipline: the socket's
+/// short read timeout brings the loop back every tick to re-check the stop
+/// flag and the idle and torn-frame clocks. Bytes read before a timeout
+/// stay in `buf`, so a torn frame accumulates across ticks instead of
+/// being dropped. A payload is always a started frame: it is torn, never
+/// idle, because its line declared a length it is not delivering.
+fn read_ticked(
     reader: &mut impl BufRead,
-    line: &mut Vec<u8>,
+    buf: &mut Vec<u8>,
+    want: Want,
     state: &ServerState,
 ) -> io::Result<ReadStatus> {
-    line.clear();
+    buf.clear();
     let started = Instant::now();
     loop {
-        if granlog_fault::should_fail("serve.sock.read") {
-            return Err(injected_io_fault("serve.sock.read"));
-        }
-        // One byte past the cap is enough to tell "too long" from "exactly
-        // at the cap"; a peer that never sends a newline cannot make `line`
-        // grow beyond that.
-        let room = (MAX_COMMAND_BYTES + 1 - line.len()) as u64;
-        match reader.by_ref().take(room).read_until(b'\n', line) {
-            Ok(_) if line.ends_with(b"\n") => return Ok(ReadStatus::Line),
-            Ok(_) if line.len() > MAX_COMMAND_BYTES => return Ok(ReadStatus::TooLong),
-            Ok(0) if line.is_empty() => return Ok(ReadStatus::Eof),
-            // EOF mid-line: hand the partial line up; the next read sees
-            // the clean EOF.
-            Ok(0) => return Ok(ReadStatus::Line),
-            Ok(_) => continue,
+        // Each read returns early only at the end of the input or of its
+        // room. A line gets one byte past the cap, enough to tell "too
+        // long" from "exactly at the cap", so a peer that never sends a
+        // newline cannot make `buf` grow beyond that.
+        let read = match want {
+            Want::Line => {
+                if granlog_fault::should_fail("serve.sock.read") {
+                    return Err(injected_io_fault("serve.sock.read"));
+                }
+                let room = MAX_COMMAND_BYTES + 1 - buf.len();
+                reader.by_ref().take(room as u64).read_until(b'\n', buf)
+            }
+            Want::Bytes(n) => reader
+                .by_ref()
+                .take((n - buf.len()) as u64)
+                .read_to_end(buf),
+        };
+        match read {
+            Ok(_) => {
+                return Ok(match want {
+                    Want::Line if buf.ends_with(b"\n") => ReadStatus::Done,
+                    Want::Line if buf.len() > MAX_COMMAND_BYTES => ReadStatus::TooLong,
+                    Want::Line if buf.is_empty() => ReadStatus::Eof,
+                    Want::Bytes(n) if buf.len() < n => ReadStatus::Torn,
+                    Want::Line | Want::Bytes(_) => ReadStatus::Done,
+                })
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                // `read_until` keeps the bytes it consumed before the
-                // timeout in `line`, so a torn frame accumulates across
-                // ticks instead of being dropped.
                 if state.stop.load(Ordering::SeqCst) {
                     return Ok(ReadStatus::Stopped);
                 }
-                if !line.is_empty() {
+                if matches!(want, Want::Bytes(_)) || !buf.is_empty() {
                     if started.elapsed() >= state.io_timeout {
                         return Ok(ReadStatus::Torn);
                     }
@@ -526,27 +534,11 @@ fn injected_io_fault(name: &'static str) -> io::Error {
     )
 }
 
-fn write_err(out: &mut impl Write, err: &ServeError) -> io::Result<()> {
-    writeln!(out, "err {} {}", err.code(), err)
-}
-
 /// The acceptor's refusal past the connection cap: one `err overloaded`
 /// frame instead of the greeting, then the socket is dropped.
 fn shed(sink: impl Write, obs: &ServeObs) {
     let mut frame = Frame::new(sink, obs);
     let _ = write_err(&mut frame, &ServeError::Overloaded).and_then(|()| frame.finish());
-}
-
-/// What the connection loop does once a command's reply has left.
-enum Then {
-    /// Read the next command.
-    Continue,
-    /// The reply answered a query: its flush is the query's `write` stage.
-    Answered,
-    /// `quit`: close the connection.
-    Close,
-    /// `shutdown`: raise the stop flag now that the acknowledgement is out.
-    Shutdown,
 }
 
 fn serve_connection(stream: TcpStream, state: &ServerState) -> io::Result<()> {
@@ -584,192 +576,146 @@ fn command_loop<W: Write>(
     frame: &mut Frame<'_, W>,
     state: &ServerState,
 ) -> io::Result<()> {
-    writeln!(frame, "ok granlog-serve")?;
+    writeln!(frame, "{}", wire::GREETING)?;
     frame.finish()?;
     let mut session = Session::new(Arc::clone(&state.cache), state.default_budget);
     let mut line = Vec::new();
     loop {
-        match read_command(reader, &mut line, state)? {
-            ReadStatus::Line => {}
+        let text = match read_ticked(reader, &mut line, Want::Line, state)? {
+            // Bytes that are not UTF-8 are not a command stream.
+            ReadStatus::Done => std::str::from_utf8(&line)
+                .map_err(|_| ServeError::Proto("command stream is not valid utf-8".into())),
             ReadStatus::Eof => return Ok(()), // client hung up
-            ReadStatus::Stopped => return write_err(frame, &ServeError::ShuttingDown),
-            ReadStatus::Idle => {
-                return writeln!(frame, "err timeout idle for longer than the idle timeout");
-            }
-            ReadStatus::Torn => {
-                return writeln!(frame, "err timeout torn frame: command stalled mid-line");
-            }
-            ReadStatus::TooLong => {
-                return writeln!(
-                    frame,
-                    "err too-large command line longer than {MAX_COMMAND_BYTES} bytes"
-                );
-            }
-        }
-        // Bytes that are not UTF-8 are not a command stream.
-        let Ok(cmd) = std::str::from_utf8(&line) else {
-            return writeln!(frame, "err proto command stream is not valid utf-8");
+            ReadStatus::Stopped => Err(ServeError::ShuttingDown),
+            ReadStatus::Idle => Err(ServeError::Timeout("idle for longer than the idle timeout")),
+            ReadStatus::Torn => Err(ServeError::Timeout("torn frame: command stalled mid-line")),
+            ReadStatus::TooLong => Err(ServeError::TooLarge(format!(
+                "command line longer than {MAX_COMMAND_BYTES} bytes"
+            ))),
         };
         // Drain discipline: a command *read* after the stop flag rose is
         // refused — only commands already dispatched finish their reply.
-        if state.stop.load(Ordering::SeqCst) {
-            return write_err(frame, &ServeError::ShuttingDown);
-        }
+        let text = match text {
+            Ok(_) if state.stop.load(Ordering::SeqCst) => {
+                return write_err(frame, &ServeError::ShuttingDown)
+            }
+            Ok(text) => text,
+            Err(refusal) => return write_err(frame, &refusal),
+        };
         // An injected write fault tears the connection between a command
         // and its reply — the client sees an abandoned frame.
         if granlog_fault::should_fail("serve.sock.write") {
             return Err(injected_io_fault("serve.sock.write"));
         }
-        let cmd = cmd.trim_end_matches(['\r', '\n']);
-        let (verb, rest) = match cmd.split_once(' ') {
-            Some((v, r)) => (v, r.trim()),
-            None => (cmd, ""),
-        };
-        let mut then = Then::Continue;
-        match verb {
-            "load" => cmd_load(reader, frame, &mut session, state, rest)?,
-            "query" => then = cmd_query(frame, &mut session, state, rest)?,
-            "budget" => cmd_budget(frame, &mut session, rest)?,
-            "engine" => cmd_engine(frame, &mut session, rest)?,
-            "metrics" => cmd_metrics(frame, state)?,
-            "trace" => cmd_trace(frame, state, rest)?,
-            "stats" => cmd_stats(frame, state)?,
-            "quit" => {
-                writeln!(frame, "ok bye")?;
-                then = Then::Close;
+        let command = Command::parse(text);
+        let mut answered = false;
+        match command {
+            Err(ref e) => write_err(frame, e)?,
+            Ok(Command::Load(nbytes)) => cmd_load(reader, frame, &mut session, state, nbytes)?,
+            Ok(Command::Query(goal)) => answered = cmd_query(frame, &mut session, state, goal)?,
+            Ok(Command::Budget(kind, limit)) => cmd_budget(frame, &mut session, kind, limit)?,
+            Ok(Command::Engine(engine)) => {
+                session.set_engine(engine);
+                writeln!(frame, "ok engine={}", wire::engine_name(engine))?;
             }
-            "shutdown" => {
-                writeln!(frame, "ok shutting-down")?;
-                then = Then::Shutdown;
+            Ok(Command::Stats) => wire::write_stats(frame, &state.stats(), state.store.is_some())?,
+            Ok(Command::Metrics) => wire::write_counted(frame, &state.scrape())?,
+            // The trace ring is **server-global**: a server diagnostic, not
+            // a per-tenant stream. `dump` drains it.
+            Ok(Command::Trace(on)) => {
+                state.obs.tracer.set_enabled(on);
+                writeln!(frame, "ok trace={}", if on { "on" } else { "off" })?;
             }
-            "" => {} // blank line: ignore
-            other => writeln!(frame, "err proto unknown command `{other}`")?,
+            Ok(Command::TraceDump) => wire::write_counted(frame, &state.obs.tracer.jsonl(true))?,
+            Ok(Command::Quit) => writeln!(frame, "ok bye")?,
+            Ok(Command::Shutdown) => writeln!(frame, "ok shutting-down")?,
+            Ok(Command::Blank) => {}
         }
         let flushing = Instant::now();
         frame.finish()?;
-        match then {
-            Then::Continue => {}
-            Then::Answered => state
-                .obs
-                .stage_write_ms
-                .observe_duration_ms(flushing.elapsed()),
-            Then::Close => return Ok(()),
-            Then::Shutdown => {
-                state.stop.store(true, Ordering::SeqCst);
-                // Nudge the accept loop in case no other connection arrives.
-                let _ = TcpStream::connect(state.addr);
+        match command {
+            // An answer's flush is its query's `write` stage.
+            Ok(Command::Query(_)) if answered => {
+                let write_ms = &state.obs.stage_write_ms;
+                write_ms.observe_duration_ms(flushing.elapsed());
+            }
+            Ok(Command::Quit) => return Ok(()),
+            // The stop flag rises once the acknowledgement is out.
+            Ok(Command::Shutdown) => {
+                state.halt();
                 return Ok(());
             }
+            _ => {}
         }
     }
-}
-
-/// Reads exactly `nbytes` of `load` payload under the tick discipline.
-/// Returns the payload, or `None` when the frame tore (EOF or stall
-/// mid-payload) — the caller reports and drops the connection.
-fn read_payload(
-    reader: &mut impl Read,
-    nbytes: usize,
-    state: &ServerState,
-) -> io::Result<Option<Vec<u8>>> {
-    let mut payload = vec![0u8; nbytes];
-    let mut filled = 0;
-    let started = Instant::now();
-    while filled < nbytes {
-        match reader.read(&mut payload[filled..]) {
-            Ok(0) => return Ok(None), // EOF mid-payload
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Mid-payload is always "torn", never "idle": the frame
-                // declared a length it is not delivering.
-                if state.stop.load(Ordering::SeqCst) || started.elapsed() >= state.io_timeout {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(payload))
 }
 
 fn cmd_load(
-    reader: &mut impl Read,
+    reader: &mut impl BufRead,
     out: &mut impl Write,
     session: &mut Session,
     state: &ServerState,
-    arg: &str,
+    nbytes: u64,
 ) -> io::Result<()> {
-    let nbytes: u64 = match arg.parse() {
-        Ok(n) if n <= MAX_PROGRAM_BYTES => n,
-        Ok(_) => {
-            return writeln!(
-                out,
-                "err too-large program larger than {MAX_PROGRAM_BYTES} bytes"
-            );
-        }
-        Err(_) => return writeln!(out, "err proto usage: load <nbytes>"),
-    };
-    let Some(payload) = read_payload(reader, nbytes as usize, state)? else {
-        let _ = writeln!(out, "err timeout torn frame: load payload truncated");
+    if nbytes > MAX_PROGRAM_BYTES {
+        let message = format!("program larger than {MAX_PROGRAM_BYTES} bytes");
+        return write_err(out, &ServeError::TooLarge(message));
+    }
+    let mut payload = Vec::with_capacity(nbytes as usize);
+    let read = read_ticked(reader, &mut payload, Want::Bytes(nbytes as usize), state)?;
+    if !matches!(read, ReadStatus::Done) {
+        let torn = ServeError::Timeout("torn frame: load payload truncated");
+        let _ = write_err(out, &torn);
         // The stream position is now mid-payload garbage; the only safe
         // continuation is none.
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "load payload truncated",
         ));
-    };
-    let source = match String::from_utf8(payload) {
-        Ok(s) => s,
-        Err(_) => return writeln!(out, "err proto program is not valid utf-8"),
-    };
-    match session.load(&source) {
-        Ok(reply) => {
-            // Journal *after* the parse succeeded, keyed by the entry's
-            // normalized text — recovery dedups exactly like the live
-            // cache. An append failure is surfaced: acking a load the WAL
-            // did not accept would break the durability contract.
-            if let Some(store) = &state.store {
-                let entry = session.entry().expect("load just succeeded");
-                if let Err(e) = store.record_load(entry.normalized_text(), &source) {
-                    return write_err(out, &ServeError::Store(e.to_string()));
-                }
-            }
-            state.obs.loads.inc();
-            if state.obs.tracer.is_enabled() {
-                state.obs.tracer.emit(
-                    "load",
-                    vec![
-                        ("program", format!("{:016x}", reply.hash).into()),
-                        ("clauses", reply.clauses.into()),
-                        ("cache_hit", reply.cache_hit.into()),
-                    ],
-                );
-            }
-            writeln!(
-                out,
-                "ok program={:016x} clauses={} cache={}",
-                reply.hash,
-                reply.clauses,
-                if reply.cache_hit { "hit" } else { "miss" },
-            )
-        }
-        Err(e) => write_err(out, &e),
     }
+    let Ok(source) = String::from_utf8(payload) else {
+        return write_err(out, &ServeError::Proto("program is not valid utf-8".into()));
+    };
+    let reply = match session.load(&source) {
+        Ok(reply) => reply,
+        Err(e) => return write_err(out, &e),
+    };
+    // Journal *after* the parse succeeded, keyed by the entry's normalized
+    // text — recovery dedups exactly like the live cache. An append failure
+    // is surfaced: acking a load the WAL did not accept would break the
+    // durability contract.
+    if let Some(store) = &state.store {
+        let entry = session.entry().expect("load just succeeded");
+        if let Err(e) = store.record_load(entry.normalized_text(), &source) {
+            let err = match e {
+                StoreError::TooLarge { .. } => ServeError::TooLarge(e.to_string()),
+                e => ServeError::Store(e.to_string()),
+            };
+            return write_err(out, &err);
+        }
+    }
+    state.obs.loads.inc();
+    if state.obs.tracer.is_enabled() {
+        state.obs.tracer.emit(
+            "load",
+            vec![
+                ("program", format!("{:016x}", reply.hash).into()),
+                ("clauses", reply.clauses.into()),
+                ("cache_hit", reply.cache_hit.into()),
+            ],
+        );
+    }
+    wire::write_loaded(out, &reply)
 }
 
+/// Runs a query and renders its answer or its `err` line. Returns whether
+/// it was answered.
 fn cmd_query(
     out: &mut impl Write,
     session: &mut Session,
     state: &ServerState,
     goal: &str,
-) -> io::Result<Then> {
-    if goal.is_empty() {
-        writeln!(out, "err proto usage: query <goal>")?;
-        return Ok(Then::Continue);
-    }
+) -> io::Result<bool> {
     let obs = &state.obs;
     if obs.tracer.is_enabled() {
         obs.tracer.emit("query_begin", vec![("goal", goal.into())]);
@@ -835,25 +781,8 @@ fn cmd_query(
                     ],
                 );
             }
-            if reply.succeeded {
-                for (name, term) in &reply.bindings {
-                    writeln!(out, "bind {name} = {term}")?;
-                }
-            }
-            let status = if reply.succeeded { "ok" } else { "no" };
-            match reply.datalog {
-                Some(d) => writeln!(
-                    out,
-                    "done {status} steps={} heap={} answers={} rounds={} facts={}",
-                    reply.steps, reply.heap_high_water, d.answers, d.rounds, d.facts,
-                )?,
-                None => writeln!(
-                    out,
-                    "done {status} steps={} heap={}",
-                    reply.steps, reply.heap_high_water,
-                )?,
-            }
-            Ok(Then::Answered)
+            wire::write_answer(out, &reply)?;
+            Ok(true)
         }
         Err(e) => {
             obs.query_errors.inc();
@@ -862,125 +791,50 @@ fn cmd_query(
                     .emit("query_end", vec![("error", e.code().into())]);
             }
             write_err(out, &e)?;
-            Ok(Then::Continue)
+            Ok(false)
         }
     }
 }
 
-/// The `stats` command: cache, session and (with a store) durability
-/// figures on one `ok key=value ...` line.
-fn cmd_stats(out: &mut impl Write, state: &ServerState) -> io::Result<()> {
-    let s = state.cache.stats();
-    write!(
-        out,
-        "ok hits={} misses={} evictions={} entries={} sessions={} \
-         quarantined={} retired={} leases={} shed={}",
-        s.hits,
-        s.misses,
-        s.evictions,
-        s.entries,
-        state.active_sessions.load(Ordering::SeqCst),
-        s.quarantined,
-        s.retired,
-        s.leases_active,
-        state.shed.load(Ordering::Relaxed),
-    )?;
-    // Durability fields ride the same line, appended so existing
-    // clients (which parse by field name) never notice. Ages are
-    // reported in ms; `last_fsync_ms` is 0 before the first sync.
-    if let Some(store) = &state.store {
-        let d = store.stats();
-        write!(
-            out,
-            " recovered={} stored={} wal_bytes={} wal_records={} unsynced={} \
-             snapshot_age_ms={} last_fsync_ms={}",
-            state.recovered,
-            d.programs,
-            d.wal_bytes,
-            d.wal_records,
-            d.unsynced_records,
-            d.snapshot_age.map_or(0, |a| a.as_millis() as u64),
-            d.last_fsync_age.map_or(0, |a| a.as_millis() as u64),
-        )?;
+/// Sets one of the session's budgets; `None` lifts it.
+fn cmd_budget(
+    out: &mut impl Write,
+    session: &mut Session,
+    kind: BudgetKind,
+    limit: Option<u64>,
+) -> io::Result<()> {
+    let mut budget = session.budget();
+    match kind {
+        BudgetKind::Steps => budget.steps = limit,
+        BudgetKind::HeapCells => {
+            budget.heap_cells = limit.map(|n| usize::try_from(n).unwrap_or(usize::MAX))
+        }
+        BudgetKind::Wall => budget.wall = limit.map(Duration::from_millis),
     }
-    // Liveness and build identity close the line; clients parse
-    // by field name, so position is compatibility-irrelevant.
-    writeln!(
-        out,
-        " uptime_ms={} version={}",
-        state.obs.uptime_ms(),
-        env!("CARGO_PKG_VERSION"),
-    )
-}
-
-/// The `metrics` command: a byte-counted Prometheus exposition frame,
-/// mirroring the `load` payload framing so the body may span lines.
-fn cmd_metrics(out: &mut impl Write, state: &ServerState) -> io::Result<()> {
-    let body = scrape(state);
-    writeln!(out, "ok {}", body.len())?;
-    out.write_all(body.as_bytes())
-}
-
-/// The `trace` command. `on`/`off` toggle the **server-global** ring (the
-/// trace is a server diagnostic, not a per-tenant stream — sessions share
-/// one ring); `dump` drains it as byte-counted JSONL.
-fn cmd_trace(out: &mut impl Write, state: &ServerState, arg: &str) -> io::Result<()> {
-    match arg.trim() {
-        "on" => {
-            state.obs.tracer.set_enabled(true);
-            writeln!(out, "ok trace=on")
-        }
-        "off" => {
-            state.obs.tracer.set_enabled(false);
-            writeln!(out, "ok trace=off")
-        }
-        "dump" => {
-            let body = state.obs.tracer.jsonl(true);
-            writeln!(out, "ok {}", body.len())?;
-            out.write_all(body.as_bytes())
-        }
-        _ => writeln!(out, "err proto usage: trace on|off|dump"),
-    }
-}
-
-/// Samples the scrape-time gauges and renders the registry.
-fn scrape(state: &ServerState) -> String {
-    state.obs.scrape(
-        &state.cache.stats(),
-        state.active_sessions.load(Ordering::SeqCst),
-        state.shed.load(Ordering::Relaxed),
-        state.recovered,
-        state.store.as_ref().map(|s| s.stats()).as_ref(),
-    )
+    session.set_budget(budget);
+    writeln!(out, "ok")
 }
 
 /// The `--metrics-addr` listener: minimal HTTP/1.0, one response per
-/// connection, every request answered with the current exposition. The
-/// accept socket is non-blocking so the loop can poll the stop flag —
-/// shutdown needs no nudge connection here.
-fn metrics_loop(listener: TcpListener, state: &Arc<ServerState>) {
-    while !state.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                // Switch the accepted socket back to blocking with a short
-                // timeout: we only need to consume the request line.
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-                let mut discard = [0u8; 1024];
-                let _ = stream.read(&mut discard);
-                http_scrape(stream, state);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(READ_TICK);
-            }
-            Err(_) => std::thread::sleep(READ_TICK),
+/// connection, every request answered with the current exposition. It
+/// blocks in `accept()` until a scrape arrives or stopping nudges it.
+fn metrics_loop(listener: TcpListener, state: &ServerState) {
+    for stream in listener.incoming() {
+        if state.stop.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(mut stream) = stream else { continue };
+        // A short timeout: we only need to consume the request line.
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+        let mut discard = [0u8; 1024];
+        let _ = stream.read(&mut discard);
+        http_scrape(stream, state);
     }
 }
 
 /// One HTTP/1.0 response carrying the current exposition, as one frame.
 fn http_scrape(sink: impl Write, state: &ServerState) {
-    let body = scrape(state);
+    let body = state.scrape();
     let mut frame = Frame::new(sink, &state.obs);
     let _ = write!(
         frame,
@@ -991,59 +845,11 @@ fn http_scrape(sink: impl Write, state: &ServerState) {
     .and_then(|()| frame.finish());
 }
 
-fn cmd_engine(out: &mut impl Write, session: &mut Session, name: &str) -> io::Result<()> {
-    let engine = match name.trim() {
-        "sld" => EngineKind::Sld,
-        "bottom-up" => EngineKind::BottomUp,
-        _ => return writeln!(out, "err proto usage: engine sld|bottom-up"),
-    };
-    session.set_engine(engine);
-    writeln!(
-        out,
-        "ok engine={}",
-        if engine == EngineKind::Sld {
-            "sld"
-        } else {
-            "bottom-up"
-        }
-    )
-}
-
-fn cmd_budget(out: &mut impl Write, session: &mut Session, args: &str) -> io::Result<()> {
-    let mut budget = session.budget();
-    let parsed = match args.split_once(' ').map(|(k, v)| (k, v.trim())) {
-        Some(("steps", "off")) => {
-            budget.steps = None;
-            Ok(())
-        }
-        Some(("steps", v)) => v.parse().map(|n| budget.steps = Some(n)),
-        Some(("heap", "off")) => {
-            budget.heap_cells = None;
-            Ok(())
-        }
-        Some(("heap", v)) => v.parse().map(|n| budget.heap_cells = Some(n)),
-        Some(("wall", "off")) => {
-            budget.wall = None;
-            Ok(())
-        }
-        Some(("wall", v)) => v
-            .parse()
-            .map(|ms| budget.wall = Some(Duration::from_millis(ms))),
-        _ => return writeln!(out, "err proto usage: budget steps|heap|wall <n|off>"),
-    };
-    match parsed {
-        Ok(()) => {
-            session.set_budget(budget);
-            writeln!(out, "ok")
-        }
-        Err(_) => writeln!(out, "err proto not a number: `{args}`"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::FRAME_BYTES;
+    use crate::session::EngineKind;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1084,6 +890,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let state = ServerState {
             addr: listener.local_addr().expect("bound"),
+            metrics_addr: None,
             cache: Arc::new(TemplateCache::new(
                 8,
                 MachineConfig::default(),

@@ -126,7 +126,7 @@ pub struct RecoveryReport {
 
 /// Point-in-time durability counters, surfaced through the serve `stats`
 /// protocol command.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Programs currently in the corpus.
     pub programs: usize,
@@ -175,6 +175,12 @@ pub enum StoreError {
         /// Underlying I/O error.
         source: std::io::Error,
     },
+    /// A record's payload is larger than the reader takes back; nothing
+    /// was written and the corpus is unchanged.
+    TooLarge {
+        /// The refused payload's size.
+        bytes: usize,
+    },
     /// An armed failpoint injected a failure (test builds only).
     Fault(&'static str),
 }
@@ -216,6 +222,11 @@ impl std::fmt::Display for StoreError {
             StoreError::Dir { path, source } => {
                 write!(f, "data dir {} unusable: {source}", path.display())
             }
+            StoreError::TooLarge { bytes } => write!(
+                f,
+                "a record of {bytes} bytes is larger than the store's bound of {} bytes",
+                record::MAX_RECORD_BYTES
+            ),
             StoreError::Fault(name) => {
                 write!(f, "injected fault at failpoint `{name}`")
             }
@@ -229,7 +240,7 @@ impl std::error::Error for StoreError {
             StoreError::Wal { source, .. }
             | StoreError::Snapshot { source, .. }
             | StoreError::Dir { source, .. } => Some(source),
-            StoreError::Fault(_) => None,
+            StoreError::TooLarge { .. } | StoreError::Fault(_) => None,
         }
     }
 }

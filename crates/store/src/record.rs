@@ -19,12 +19,13 @@
 //! once and hands out records that point into it, so a program's text is
 //! copied once on its way to disk and once on its way back.
 
+use crate::StoreError;
 use std::path::Path;
 
-/// Upper bound on one record's payload, matching the serve layer's largest
-/// accepted program (16 MiB) plus framing headroom. A corrupt length field
-/// larger than this is treated as a torn record.
-const MAX_RECORD_BYTES: u32 = 17 * 1024 * 1024;
+/// Upper bound on one record's payload. The writer refuses a record past
+/// it ([`StoreError::TooLarge`]), so a length field larger than this can
+/// only be corruption, and the reader treats it as a torn record.
+pub(crate) const MAX_RECORD_BYTES: u32 = 17 * 1024 * 1024;
 
 /// Bytes of a frame's header: the payload's length, then its CRC.
 const HEADER: usize = 8;
@@ -90,9 +91,29 @@ impl Record<'_> {
             }
     }
 
+    /// Refuses a record whose payload the reader would not take back.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::TooLarge`] when the payload passes
+    /// [`MAX_RECORD_BYTES`].
+    pub(crate) fn fits(&self) -> Result<(), StoreError> {
+        let payload = self.framed_len() - HEADER;
+        if payload > MAX_RECORD_BYTES as usize {
+            return Err(StoreError::TooLarge { bytes: payload });
+        }
+        Ok(())
+    }
+
     /// Appends the framed record to `out`: a blank header, the payload,
-    /// then the header filled in from the payload just written.
-    pub(crate) fn frame(&self, out: &mut Vec<u8>) {
+    /// then the header filled in from the payload just written. A record
+    /// that does not [fit](Record::fits) appends nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::TooLarge`], from [`Record::fits`].
+    pub(crate) fn frame(&self, out: &mut Vec<u8>) -> Result<(), StoreError> {
+        self.fits()?;
         let start = out.len();
         out.extend_from_slice(&[0; HEADER]);
         match *self {
@@ -111,6 +132,7 @@ impl Record<'_> {
         let (header, payload) = out[start..].split_at_mut(HEADER);
         header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        Ok(())
     }
 }
 
@@ -230,7 +252,7 @@ mod tests {
 
     fn framed(record: Record<'_>) -> Vec<u8> {
         let mut bytes = Vec::new();
-        record.frame(&mut bytes);
+        record.frame(&mut bytes).expect("the record fits");
         bytes
     }
 
@@ -309,7 +331,9 @@ mod tests {
             Record::SnapshotMark { id: 9 },
         ];
         let mut bytes = b"MAGIC".to_vec();
-        records.iter().for_each(|record| record.frame(&mut bytes));
+        for record in &records {
+            record.frame(&mut bytes).expect("the record fits");
+        }
         let valid = bytes.len() as u64;
         bytes.extend_from_slice(&[1, 0, 0]);
         std::fs::write(&path, &bytes).expect("write the file");

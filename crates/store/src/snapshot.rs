@@ -48,7 +48,9 @@ pub(crate) fn write_snapshot(
         .sum::<usize>();
     let mut image = Vec::with_capacity(SNAPSHOT_MAGIC.len() + size);
     image.extend_from_slice(SNAPSHOT_MAGIC);
-    records.for_each(|record| record.frame(&mut image));
+    for record in records {
+        record.frame(&mut image)?;
+    }
 
     let tmp_path = dir.join(SNAPSHOT_TMP);
     let final_path = dir.join(SNAPSHOT_FILE);

@@ -207,9 +207,11 @@ impl ProgramStore {
     /// # Errors
     ///
     /// [`StoreError::Wal`] / [`StoreError::Fault`] when the append or its
-    /// fsync fails — the corpus is left unchanged, so memory never runs
-    /// ahead of the journal. A failed *compaction* after a durable append
-    /// also surfaces as an error, but the load itself is journaled.
+    /// fsync fails, and [`StoreError::TooLarge`] when `name` and `text`
+    /// together pass the record bound — the corpus is left unchanged, so
+    /// memory never runs ahead of the journal. A failed *compaction* after
+    /// a durable append also surfaces as an error, but the load itself is
+    /// journaled.
     pub fn record_load(&self, name: &str, text: &str) -> Result<bool, StoreError> {
         let mut inner = self.lock();
         if inner
@@ -233,10 +235,14 @@ impl ProgramStore {
     /// load order; when `new` is stored already, `old` is just dropped.
     /// Nothing is journaled: the log keeps `old` until the next compaction
     /// writes the corpus under `new`, and a replay before then finds `old`
-    /// again. Boot replay uses this for a key an older printer wrote.
+    /// again. Boot replay uses this for a key an older printer wrote. A
+    /// program whose record under `new` would not fit the record bound
+    /// stays under `old`, so every compaction can still frame the corpus.
     pub fn rekey(&self, old: &str, new: &str) {
         let texts = &mut self.lock().corpus.texts;
-        if let Some(stored) = texts.remove(old) {
+        let fits = |text: &str| Record::Load { name: new, text }.fits().is_ok();
+        if texts.get(old).is_some_and(|(_, text)| fits(text)) {
+            let stored = texts.remove(old).expect("just found");
             texts.entry(new.to_owned()).or_insert(stored);
         }
     }
@@ -591,6 +597,59 @@ mod tests {
             Err(e) => e,
         };
         assert!(matches!(err, StoreError::Dir { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A small load, a 9 MiB text as both key and text (a `Load` record
+    /// past the record bound), another small load, a snapshot, a reopen:
+    /// every load `record_load` acked is recovered and neither file reads
+    /// as torn.
+    #[test]
+    fn every_acked_load_survives_an_oversized_one() {
+        let dir = temp_dir("oversized");
+        let big = "x".repeat(9 * 1024 * 1024);
+        let mut acked = Vec::new();
+        {
+            let store = ProgramStore::open(config(&dir)).expect("open");
+            for (name, text) in [("small-a", "a."), (&big, &big), ("small-b", "b.")] {
+                if store.record_load(name, text).is_ok() {
+                    acked.push((name.to_string(), text.to_string()));
+                }
+            }
+            store.snapshot().expect("compact");
+        }
+        let store = ProgramStore::open(config(&dir)).expect("reopen");
+        let recovery = store.recovery();
+        assert!(!recovery.snapshot_torn, "{recovery:?}");
+        assert_eq!(recovery.wal_truncated_bytes, 0, "{recovery:?}");
+        assert_eq!(store.programs(), acked);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The refusal is typed and writes nothing; a re-key that would make a
+    /// record too large leaves the program under its old key.
+    #[test]
+    fn a_record_past_the_bound_is_refused_before_any_byte() {
+        let dir = temp_dir("refused");
+        let store = ProgramStore::open(config(&dir)).expect("open");
+        store.record_load("k", "p.").expect("load");
+        let written = |s: StoreStats| (s.programs, s.wal_bytes, s.wal_records);
+        let before = written(store.stats());
+        let big = "x".repeat(9 * 1024 * 1024);
+        let refused = store.record_load(&big, &big);
+        assert!(
+            matches!(refused, Err(StoreError::TooLarge { .. })),
+            "{refused:?}"
+        );
+        assert_eq!(
+            written(store.stats()),
+            before,
+            "nothing written, the corpus unchanged"
+        );
+        let long_key = "k".repeat(crate::record::MAX_RECORD_BYTES as usize);
+        store.rekey("k", &long_key);
+        assert_eq!(store.programs(), vec![("k".to_string(), "p.".to_string())]);
+        store.snapshot().expect("the corpus still compacts");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -77,7 +77,8 @@ impl Wal {
     }
 
     /// Appends one record, framed into one exactly sized buffer and
-    /// written in one call, and applies the fsync policy.
+    /// written in one call, and applies the fsync policy. A record that does
+    /// not fit the frame bound writes nothing.
     pub(crate) fn append(
         &mut self,
         record: Record<'_>,
@@ -85,7 +86,7 @@ impl Wal {
     ) -> Result<(), StoreError> {
         granlog_fault::fail_or("store.wal.append", || StoreError::Fault("store.wal.append"))?;
         let mut framed = Vec::with_capacity(record.framed_len());
-        record.frame(&mut framed);
+        record.frame(&mut framed)?;
         let started = self.obs.as_ref().map(|_| Instant::now());
         self.file
             .write_all(&framed)

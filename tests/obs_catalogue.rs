@@ -6,7 +6,7 @@
 mod support;
 
 use granlog_par::ParObs;
-use granlog_serve::{CacheStats, ServeObs};
+use granlog_serve::{ServeObs, ServerStats};
 use granlog_store::{ProgramStore, StoreConfig, StoreObs};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -38,7 +38,7 @@ fn registered() -> BTreeSet<String> {
     ParObs::register(&obs.registry, Arc::clone(&obs.tracer));
     let dir = support::temp_dir("catalogue");
     let store = ProgramStore::open(StoreConfig::new(&dir)).expect("the store opens");
-    let text = obs.scrape(&CacheStats::default(), 0, 0, 0, Some(&store.stats()));
+    let text = obs.scrape(&ServerStats::default(), true);
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
     text.lines()
