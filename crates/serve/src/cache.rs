@@ -2,17 +2,25 @@
 //!
 //! Tenants upload program *text*; the cache parses it, **normalizes** it
 //! (canonical clause/directive printing — whitespace, comments and variable
-//! spelling disappear) and keys the entry by the full normalized text. Two
+//! spelling disappear) and matches entries by the full normalized text. Two
 //! tenants uploading the same program — however differently formatted —
 //! share one [`ProgramEntry`]: one parse, one template compilation, one
 //! machine pool. A modified program normalizes differently and *cannot* get
-//! a stale entry, because the key is the program's entire content, not a
-//! file path, an mtime, or a truncated digest (the 64-bit FNV hash exposed
-//! as [`ProgramEntry::hash`] is a display id, never the lookup key).
+//! a stale entry, because the match is on the program's entire content, not
+//! a file path, an mtime, or a truncated digest (the 64-bit FNV hash exposed
+//! as [`ProgramEntry::hash`] is a display id and a pre-check, never the
+//! match).
 //!
-//! The cache is one map from that text to the entry and the tick of its
-//! last load: a hit restamps it, and a miss into a full cache scans the
-//! stamps and evicts the smallest, the least recently loaded entry.
+//! The cache is one map from the exact text an entry was first loaded from
+//! to the entry and the tick of its last load. A load probes that map with
+//! its own bytes first: a text seen before byte for byte is a hit with no
+//! parse and no normalize. Only a text never seen byte for byte is parsed
+//! and normalized, and one scan of the entries then finds both an entry of
+//! the same normalized text (a hit, which adds no key: the cache holds one
+//! text per entry, at most `capacity` of them) and the least recently loaded
+//! entry, which a miss into a full cache evicts. The map hashes with std's
+//! seeded hasher: its keys are tenant text, so crafted collisions must not
+//! be predictable.
 //!
 //! Machines are recycled through a bounded per-entry free-list. A machine
 //! whose last query pushed its arena high-water mark past the pool's
@@ -108,8 +116,7 @@ pub struct ProgramEntry {
     /// crosses no failpoint, so a rejection is final). The join plans are
     /// dropped once evaluated. An injected fault leaves the slot empty.
     datalog: Mutex<Option<Result<Arc<Database>, DatalogError>>>,
-    /// Shared with the cache's key, so the text is held once.
-    normalized: Arc<str>,
+    normalized: String,
     program: Program,
 }
 
@@ -120,8 +127,8 @@ impl ProgramEntry {
         self.hash
     }
 
-    /// The normalized program text this entry is cached under. This is the
-    /// durable store's key too: journaling by the full normalized text means
+    /// The normalized program text this entry stands for. This is the
+    /// durable store's key: journaling by the full normalized text means
     /// recovery dedups exactly like the live cache, never by hash.
     pub fn normalized_text(&self) -> &str {
         &self.normalized
@@ -305,9 +312,9 @@ pub struct CacheStats {
 }
 
 struct CacheInner {
-    /// Normalized program text → entry and the tick of its last load. The
-    /// *full* text is the key: correctness never rests on a hash not
-    /// colliding.
+    /// The exact text each entry was first loaded from → the entry and the
+    /// tick of its last load. A different spelling of a cached program is
+    /// matched by the entry's full normalized text, never by a hash alone.
     entries: HashMap<Arc<str>, (Arc<ProgramEntry>, u64)>,
     /// Hits and inserts so far: the stamp of the latest load.
     tick: u64,
@@ -347,11 +354,13 @@ impl TemplateCache {
         }
     }
 
-    /// Loads program text: parse, normalize, and either return the shared
-    /// entry for identical normalized text (a *hit* — second element
-    /// `true`) or compile and cache a new entry (a *miss* — `false`),
-    /// evicting the least-recently-used entry past capacity. Evicted
-    /// entries stay alive for sessions still holding their `Arc`.
+    /// Loads program text and either returns the shared entry of the same
+    /// program (a *hit* — second element `true`) or compiles and caches a
+    /// new entry (a *miss* — `false`), evicting the least-recently-used
+    /// entry past capacity. A text seen byte for byte before is a hit
+    /// without a parse; any other text is parsed and normalized, and hits
+    /// when an entry has the same normalized text. Evicted entries stay
+    /// alive for sessions still holding their `Arc`.
     ///
     /// # Errors
     ///
@@ -361,16 +370,32 @@ impl TemplateCache {
     /// An injected cache fault is evaluated *before* any cache state
     /// mutates, so a failed load leaves the cache exactly as it was.
     pub fn load(&self, source: &str) -> Result<(Arc<ProgramEntry>, bool), ServeError> {
+        {
+            let mut guard = self.lock_inner();
+            let inner = &mut *guard;
+            if let Some(slot) = inner.entries.get_mut(source) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((restamp(&mut inner.tick, slot), true));
+            }
+        }
         let program = parse_program(source)?;
         let normalized = normalize(&program);
+        let hash = fnv64(normalized.as_bytes());
+        // A text never seen byte for byte: one scan finds a cached spelling
+        // of the same program, or else the coldest entry.
         let mut guard = self.lock_inner();
         let inner = &mut *guard;
-        if let Some((entry, last_load)) = inner.entries.get_mut(normalized.as_str()) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            inner.tick += 1;
-            *last_load = inner.tick;
-            return Ok((Arc::clone(entry), true));
+        let mut coldest: Option<(&Arc<str>, u64)> = None;
+        for (text, slot) in inner.entries.iter_mut() {
+            if slot.0.hash == hash && slot.0.normalized == normalized {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok((restamp(&mut inner.tick, slot), true));
+            }
+            if coldest.is_none_or(|(_, at)| slot.1 < at) {
+                coldest = Some((text, slot.1));
+            }
         }
+        let coldest = coldest.map(|(text, _)| Arc::clone(text));
         // Both cache failpoints sit before any state update: injection can
         // fail the *operation*, never leave it half done.
         let full = inner.entries.len() >= self.capacity;
@@ -383,30 +408,26 @@ impl TemplateCache {
             ServeError::Fault("serve.cache.insert")
         })?;
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if full {
-            let coldest = inner.entries.iter().min_by_key(|(_, (_, at))| *at);
-            if let Some(coldest) = coldest.map(|(key, _)| Arc::clone(key)) {
-                inner.entries.remove(&coldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(coldest) = coldest.filter(|_| full) {
+            inner.entries.remove(&coldest);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        let normalized: Arc<str> = normalized.into();
         let entry = Arc::new(ProgramEntry {
             machines: Mutex::new(Vec::new()),
             generation: AtomicU64::new(0),
             counters: Arc::clone(&self.counters),
-            hash: fnv64(normalized.as_bytes()),
+            hash,
             pool: self.pool,
             machine_config: self.machine_config,
             image: OnceLock::new(),
             datalog: Mutex::new(None),
-            normalized: Arc::clone(&normalized),
+            normalized,
             program,
         });
         inner.tick += 1;
         inner
             .entries
-            .insert(normalized, (Arc::clone(&entry), inner.tick));
+            .insert(source.into(), (Arc::clone(&entry), inner.tick));
         Ok((entry, false))
     }
 
@@ -447,6 +468,13 @@ fn normalize(program: &Program) -> String {
     out
 }
 
+/// Stamps a cache slot as the latest load and hands out its entry.
+fn restamp(tick: &mut u64, (entry, last_load): &mut (Arc<ProgramEntry>, u64)) -> Arc<ProgramEntry> {
+    *tick += 1;
+    *last_load = *tick;
+    Arc::clone(entry)
+}
+
 /// FNV-1a, 64-bit: the display hash of a normalized program.
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -475,6 +503,16 @@ mod tests {
         lock_pool(&entry.machines).len()
     }
 
+    /// The exact texts the cache answers without a parse, after checking
+    /// that each is a spelling of the program of the entry it keys.
+    fn byte_keys(cache: &TemplateCache) -> Vec<String> {
+        let inner = cache.lock_inner();
+        for (text, (entry, _)) in &inner.entries {
+            assert_eq!(normalize(&parse_program(text).unwrap()), entry.normalized);
+        }
+        inner.entries.keys().map(|text| text.to_string()).collect()
+    }
+
     #[test]
     fn identical_programs_share_one_entry() {
         #[cfg(feature = "failpoints")]
@@ -491,6 +529,33 @@ mod tests {
         assert_eq!(a.hash(), b.hash());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn an_exact_hit_is_the_first_load_and_a_second_spelling_adds_no_key() {
+        #[cfg(feature = "failpoints")]
+        let _shared = crate::faultsync::shared();
+        let cache = cache(8);
+        let (first, _) = cache.load(APPEND).unwrap();
+        let (again, hit) = cache.load(APPEND).unwrap();
+        assert!(hit);
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "an exact hit is the first entry"
+        );
+        let respelled = "append([],Q,Q).\nappend([X|Xs],Q,[X|R]):-append(Xs,Q,R).";
+        for _ in 0..2 {
+            let (b, hit) = cache.load(respelled).unwrap();
+            assert!(hit);
+            assert!(Arc::ptr_eq(&first, &b));
+            assert_eq!(
+                byte_keys(&cache),
+                [APPEND],
+                "only the first spelling is a key"
+            );
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (3, 1, 1));
     }
 
     #[test]
@@ -541,15 +606,23 @@ mod tests {
     }
 
     /// The cache against a reference LRU list (front = coldest) over a
-    /// seeded stream of loads: every hit flag and the final counters agree.
+    /// seeded stream of loads, each program sent in one of two spellings:
+    /// every hit flag and the final counters agree, whether a hit came by
+    /// exact bytes or by normalization, and the cache never holds more
+    /// texts than entries.
     #[test]
     fn loads_hit_and_evict_exactly_as_an_lru_list_does() {
         #[cfg(feature = "failpoints")]
         let _shared = crate::faultsync::shared();
         const CAPACITY: usize = 3;
         let cache = cache(CAPACITY);
-        let programs: Vec<String> = (0..8)
-            .map(|i| format!("p{i}(a).\nq(X) :- p{i}(X)."))
+        let spellings: Vec<[String; 2]> = (0..8)
+            .map(|i| {
+                [
+                    format!("p{i}(a).\nq(X) :- p{i}(X)."),
+                    format!("p{i}( a ).\n\nq(Arg):-\n    p{i}(Arg)."),
+                ]
+            })
             .collect();
         let mut lru: Vec<usize> = Vec::new();
         let (mut hits, mut misses, mut evictions) = (0, 0, 0);
@@ -559,13 +632,14 @@ mod tests {
             state ^= state >> 7;
             state ^= state << 17;
             // Half the loads come from a hot set the size of the cache.
-            let pick = (state >> 1) as usize;
+            let pick = (state >> 2) as usize;
             let i = if state & 1 == 0 {
                 pick % CAPACITY
             } else {
                 pick % 8
             };
-            let (_, hit) = cache.load(&programs[i]).unwrap();
+            let spelling = (state >> 1 & 1) as usize;
+            let (_, hit) = cache.load(&spellings[i][spelling]).unwrap();
             let expected = match lru.iter().position(|&k| k == i) {
                 Some(at) => {
                     lru.remove(at);
@@ -582,7 +656,8 @@ mod tests {
                 }
             };
             lru.push(i);
-            assert_eq!(hit, expected, "load {step} of p{i}");
+            assert_eq!(hit, expected, "load {step} of p{i}, spelling {spelling}");
+            assert!(byte_keys(&cache).len() <= cache.stats().entries);
         }
         assert!(
             hits > 0 && evictions > 0,

@@ -818,17 +818,27 @@ fn cmd_budget(
 /// The `--metrics-addr` listener: minimal HTTP/1.0, one response per
 /// connection, every request answered with the current exposition. It
 /// blocks in `accept()` until a scrape arrives or stopping nudges it.
-fn metrics_loop(listener: TcpListener, state: &ServerState) {
+/// Answers each scrape on its own thread, so a peer that never sends its
+/// request line holds up only itself, never the listener or the next scrape.
+fn metrics_loop(listener: TcpListener, state: &Arc<ServerState>) {
+    let mut scrapes: Vec<JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
         if state.stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(mut stream) = stream else { continue };
-        // A short timeout: we only need to consume the request line.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        let mut discard = [0u8; 1024];
-        let _ = stream.read(&mut discard);
-        http_scrape(stream, state);
+        scrapes.retain(|handle| !handle.is_finished());
+        let state = Arc::clone(state);
+        scrapes.push(std::thread::spawn(move || {
+            // A short timeout: we only need to consume the request line.
+            let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+            let mut discard = [0u8; 1024];
+            let _ = stream.read(&mut discard);
+            http_scrape(stream, &state);
+        }));
+    }
+    for handle in scrapes {
+        let _ = handle.join();
     }
 }
 

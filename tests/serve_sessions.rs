@@ -19,7 +19,7 @@ use granlog_serve::{PoolConfig, ServeClient, ServeConfig, Server, TemplateCache}
 use granlog_store::StoreConfig;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use support::{canonical, expected_answer, start_server, temp_dir};
 
 /// Precomputed `(query, succeeded, bindings)` oracle for one benchmark.
@@ -312,6 +312,35 @@ fn a_never_seen_atom_raises_the_symbol_gauges() {
             >= gauge(&before, "granlog_symbol_bytes") + atom.len() as i64
     );
     client.quit().unwrap();
+    server.shutdown();
+}
+
+/// A scrape peer that connects and sends nothing holds up only itself: a
+/// scrape behind it is answered well inside the 500 ms the listener gives
+/// a peer to send its request line.
+#[test]
+fn a_silent_scrape_peer_does_not_stall_the_next_scrape() {
+    let server = start_server(ServeConfig {
+        metrics_addr: Some("127.0.0.1:0".to_string()),
+        ..ServeConfig::default()
+    });
+    let metrics = server.metrics_addr().expect("a metrics listener");
+    let silent = TcpStream::connect(metrics).unwrap();
+    // Let the listener take the silent peer first.
+    std::thread::sleep(Duration::from_millis(50));
+    let started = Instant::now();
+    let mut scrape = TcpStream::connect(metrics).unwrap();
+    scrape.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    let mut response = String::new();
+    scrape.read_to_string(&mut response).unwrap();
+    let took = started.elapsed();
+    assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
+    assert!(response.contains("granlog_uptime_ms"), "{response}");
+    assert!(
+        took < Duration::from_millis(250),
+        "a scrape behind a silent peer took {took:?}"
+    );
+    drop(silent);
     server.shutdown();
 }
 
