@@ -412,11 +412,8 @@ enum RunPath {
     BottomUp,
 }
 
-/// What a `run` path reports: its answers and the lines printed after them.
-struct RunReport {
-    answers: Vec<Vec<(Symbol, Term)>>,
-    summary: Vec<u8>,
-}
+/// What a `run` path prints: its answers, then its summary lines.
+type RunReport = Vec<u8>;
 
 fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let (path, command, flags) = match (options.engine, options.threads) {
@@ -447,13 +444,7 @@ fn cmd_run(options: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         }
         RunPath::BottomUp => run_bottom_up(&program, &goal, &var_names, tracer),
     })?;
-    // SLD prints its one answer a binding a line, bottom-up an answer a line.
-    let separator = match path {
-        RunPath::BottomUp => ", ",
-        _ => "\n  ",
-    };
-    write_answers(out, report.answers, separator)?;
-    out.write_all(&report.summary)?;
+    out.write_all(&report)?;
     Ok(())
 }
 
@@ -483,9 +474,10 @@ fn run_simulated(
         },
     );
     let RecordedOutcome { outcome, task_tree } = machine.run_goal_recorded(goal, var_names)?;
-    let mut summary = Vec::new();
+    let mut report = Vec::new();
+    write_sld_answer(&mut report, outcome.succeeded, &outcome.bindings)?;
     writeln!(
-        summary,
+        report,
         "work: {:.0} units ({} resolutions, {} grain tests); tasks spawned: {}",
         outcome.counters.work(),
         outcome.counters.resolutions,
@@ -493,14 +485,14 @@ fn run_simulated(
         task_tree.spawned_tasks()
     )?;
     if let Some(rows) = machine.profile() {
-        write_profile(&mut summary, &rows, &analysis)?;
+        write_profile(&mut report, &rows, &analysis)?;
     }
     let scaled = OverheadModel::rolog_like();
     let per_task = scaled.per_task_overhead();
     let overhead = scaled.scaled(options.overhead / per_task.max(1e-9));
     let sim = simulate(&task_tree, &SimConfig::new(options.processors, overhead));
     writeln!(
-        summary,
+        report,
         "simulated time on {} processors: {:.0} units (speedup {:.2}x, utilisation {:.0}%)",
         options.processors,
         sim.makespan,
@@ -511,9 +503,7 @@ fn run_simulated(
         ("ok", outcome.succeeded.into()),
         ("resolutions", outcome.counters.resolutions.into()),
     ];
-    let answers = outcome.succeeded.then_some(outcome.bindings);
-    let answers = answers.into_iter().collect();
-    Ok((RunReport { answers, summary }, end))
+    Ok((report, end))
 }
 
 /// Events the `--trace` ring can hold; past this the oldest are dropped
@@ -545,11 +535,21 @@ fn traced<T>(
 
 type TraceFields = Vec<(&'static str, granlog_obs::Value)>;
 
+/// Prints an SLD query's one answer, if it succeeded, a binding a line.
+fn write_sld_answer(
+    out: &mut dyn Write,
+    succeeded: bool,
+    bindings: &[(Symbol, Term)],
+) -> Result<(), CliError> {
+    let answer = bindings.iter().map(|(name, value)| (*name, value));
+    write_answers(out, succeeded.then_some(answer), "\n  ")
+}
+
 /// Prints `yes` and one line per answer — its named bindings joined by
 /// `sep` — or `no` if there is no answer.
-fn write_answers(
+fn write_answers<'t, A: IntoIterator<Item = (Symbol, &'t Term)>>(
     out: &mut dyn Write,
-    answers: impl IntoIterator<Item = Vec<(Symbol, Term)>>,
+    answers: impl IntoIterator<Item = A>,
     sep: &str,
 ) -> Result<(), CliError> {
     let mut answers = answers.into_iter().peekable();
@@ -560,7 +560,7 @@ fn write_answers(
     }
     for bindings in answers {
         let shown: Vec<String> = bindings
-            .iter()
+            .into_iter()
             .filter(|(name, _)| name.as_str() != "_")
             .map(|(name, value)| format!("{name} = {value}"))
             .collect();
@@ -639,9 +639,10 @@ fn run_threaded(
     let start = std::time::Instant::now();
     let outcome = executor.run_goal(goal, var_names)?;
     let wall = start.elapsed();
-    let mut summary = Vec::new();
+    let mut report = Vec::new();
+    write_sld_answer(&mut report, outcome.succeeded, &outcome.bindings)?;
     writeln!(
-        summary,
+        report,
         "work: {:.0} units ({} resolutions, {} grain tests)",
         outcome.counters.work(),
         outcome.counters.resolutions,
@@ -653,7 +654,7 @@ fn run_threaded(
         Granularity::AlwaysSpawn => "always spawn",
     };
     writeln!(
-        summary,
+        report,
         "measured time on {} threads ({mode}): {:.3} ms; tasks spawned: {}, conjunctions inlined: {}",
         threads,
         wall.as_secs_f64() * 1e3,
@@ -664,9 +665,7 @@ fn run_threaded(
         ("ok", outcome.succeeded.into()),
         ("spawned", outcome.spawned_tasks.into()),
     ];
-    let answers = outcome.succeeded.then_some(outcome.bindings);
-    let answers = answers.into_iter().collect();
-    Ok((RunReport { answers, summary }, end))
+    Ok((report, end))
 }
 
 /// `granlog run --engine bottom-up`: compile the program as stratified
@@ -682,12 +681,16 @@ fn run_bottom_up(
     let database = compiled.evaluate_traced(tracer.map(|t| &**t))?;
     let answers = database.query(goal, var_names)?;
     let stats = database.stats();
-    let mut summary = Vec::new();
+    let mut report = Vec::new();
+    // Every answer, an answer a line.
+    let rows = &answers.rows;
+    let each = (0..rows.len()).map(|i| answers.vars.iter().copied().zip(rows.row(i)));
+    write_answers(&mut report, each, ", ")?;
     writeln!(
-        summary,
+        report,
         "bottom-up: {} answers; {} facts derived in {} rounds \
          ({} edb facts, {} join batches, {} tuples tried)",
-        answers.rows.len(),
+        rows.len(),
         stats.derived_facts,
         stats.rounds,
         stats.edb_facts,
@@ -696,11 +699,9 @@ fn run_bottom_up(
     )?;
     let end = vec![
         ("ok", answers.succeeded().into()),
-        ("answers", answers.rows.len().into()),
+        ("answers", rows.len().into()),
     ];
-    let answers = (0..answers.rows.len()).map(|i| answers.bindings(i));
-    let answers = answers.collect();
-    Ok((RunReport { answers, summary }, end))
+    Ok((report, end))
 }
 
 /// `granlog serve`: run the multi-tenant query service until a client sends

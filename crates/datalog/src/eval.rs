@@ -28,6 +28,12 @@
 //! insert them when the round ends; the order of tuples — and hence of
 //! query answers — *within* a round is unspecified.
 //!
+//! A query's answers are stored the same way: [`Rows`] keeps every answer
+//! back to back in one vector of constant ids, one id per goal variable, so
+//! a query allocates per query, not per answer. The ids resolve to terms
+//! through the constant table the database shares with its program, and
+//! only when a row is read.
+//!
 //! Failpoint seams: `datalog.join` (one check per join batch, query probes
 //! included) and `datalog.fixpoint.round` (one check per round). Without
 //! `--features failpoints` both compile to const no-ops.
@@ -39,6 +45,7 @@ use crate::compile::{
 use crate::error::DatalogError;
 use granlog_ir::{AsTerm, FastHasher, FastMap, PredId, Symbol, Term};
 use std::collections::BTreeSet;
+use std::fmt;
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -253,15 +260,16 @@ pub struct Database {
 /// All answers to a query: the query's variables (first-occurrence order)
 /// and one ground row per answer.
 ///
-/// Rows are source-level [`Term`]s, like the bindings of an SLD
-/// [`granlog_engine::QueryOutcome`], so the two engines' answer sets are
-/// directly comparable.
+/// Rows hold constant ids into the database's shared constant table and
+/// resolve them to source-level [`Term`]s — the shape of an SLD
+/// [`granlog_engine::QueryOutcome`]'s bindings, so the two engines' answer
+/// sets are directly comparable — only when read.
 #[derive(Debug, Clone)]
 pub struct QueryAnswers {
     /// The query's variables, in first-occurrence order.
     pub vars: Vec<Symbol>,
-    /// One ground row per answer (same length as `vars`).
-    pub rows: Vec<Vec<Term>>,
+    /// One ground row per answer, each as wide as `vars`.
+    pub rows: Rows,
     /// Join work the query cost, counted like
     /// [`FixpointStats::tuples_tried`].
     pub tuples_tried: u64,
@@ -277,9 +285,70 @@ impl QueryAnswers {
     pub fn bindings(&self, i: usize) -> Vec<(Symbol, Term)> {
         self.vars
             .iter()
-            .zip(&self.rows[i])
-            .map(|(&name, value)| (name, value.clone()))
+            .copied()
+            .zip(self.rows.row(i).cloned())
             .collect()
+    }
+}
+
+/// A query's answer rows, back to back in one vector of constant ids: row
+/// `i` is `ids[i * width..][..width]`. The row count is kept beside them,
+/// because a goal with no variables has rows of width 0. Ids become terms
+/// through the shared constant table only when a row is read.
+#[derive(Clone)]
+pub struct Rows {
+    consts: Arc<ConstTable>,
+    width: usize,
+    len: usize,
+    ids: Vec<ConstId>,
+}
+
+impl Rows {
+    fn new(consts: &Arc<ConstTable>, width: usize) -> Self {
+        Rows {
+            consts: Arc::clone(consts),
+            width,
+            len: 0,
+            ids: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, row: &[ConstId]) {
+        debug_assert_eq!(row.len(), self.width);
+        self.ids.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// The number of answers.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// No answer at all?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Row `i`, one term per query variable, borrowed from the constant
+    /// table.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not below [`Rows::len`].
+    pub fn row(&self, i: usize) -> impl ExactSizeIterator<Item = &Term> + Clone + '_ {
+        assert!(i < self.len, "row {i} of {} rows", self.len);
+        self.ids[i * self.width..][..self.width]
+            .iter()
+            .map(|&c| self.consts.term(c))
+    }
+}
+
+/// The rows as terms; the constant table behind them is not printed.
+impl fmt::Debug for Rows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.len).map(|i| self.row(i).collect::<Vec<_>>()))
+            .finish()
     }
 }
 
@@ -646,10 +715,11 @@ impl Database {
                 var: ctx.slot_name(s).to_string(),
             });
         }
+        let mut rows = Rows::new(&self.consts, vars.len());
         if impossible {
             return Ok(QueryAnswers {
                 vars,
-                rows: Vec::new(),
+                rows,
                 tuples_tried: 0,
             });
         }
@@ -661,16 +731,14 @@ impl Database {
         });
 
         let bounds: Vec<(u32, u32)> = lits.iter().map(|l| (0, self.rels[l.rel].len)).collect();
-        let mut rows: Vec<Vec<Term>> = Vec::new();
+        // The frame is one slot per goal variable, so it is the row.
         let tuples_tried = Join {
             rels: &self.rels,
             lits: &lits,
             bounds: &bounds,
             bind: &mut vec![0; vars.len()],
             tried: 0,
-            emit: |bind: &[ConstId]| {
-                rows.push(bind.iter().map(|&c| self.consts.term(c).clone()).collect());
-            },
+            emit: |bind: &[ConstId]| rows.push(bind),
         }
         .run()?;
         Ok(QueryAnswers {
@@ -723,5 +791,22 @@ mod tests {
         let compiled = CompiledDatalog::compile(&program).expect("compiles");
         let db = compiled.evaluate().expect("evaluates");
         assert!(Arc::ptr_eq(&db.consts, &compiled.consts));
+    }
+
+    #[test]
+    fn answers_print_their_rows_and_not_the_constant_table() {
+        let program =
+            parse_program("edge(a, b). edge(b, c). secret(zzz).").expect("program parses");
+        let db = CompiledDatalog::compile(&program)
+            .expect("compiles")
+            .evaluate()
+            .expect("evaluates");
+        let (goal, names) = granlog_ir::parser::parse_term("edge(X, Y)").unwrap();
+        let answers = db.query(&goal, &names).expect("query runs");
+        assert!(Arc::ptr_eq(&answers.rows.consts, &db.consts));
+        assert_eq!(answers.rows.ids.len(), 4, "two rows of two ids");
+        let shown = format!("{:?}", answers.rows);
+        assert_eq!(shown, "[[a, b], [b, c]]");
+        assert!(!format!("{answers:?}").contains("zzz"));
     }
 }

@@ -17,9 +17,9 @@
 //! ground facts into relations sized for them and runs the stratified
 //! semi-naive fixpoint into an immutable [`Database`], which shares the
 //! program's constant table, and
-//! [`Database::query`] answers conjunctive goals with *all* answers, as
-//! source-level [`granlog_ir::Term`]s directly comparable to SLD answer
-//! sets.
+//! [`Database::query`] answers conjunctive goals with *all* answers: rows
+//! of constant ids in one flat [`Rows`] store, read as source-level
+//! [`granlog_ir::Term`]s directly comparable to SLD answer sets.
 
 #![forbid(unsafe_code)]
 
@@ -29,7 +29,7 @@ mod eval;
 
 pub use compile::CompiledDatalog;
 pub use error::DatalogError;
-pub use eval::{Database, FixpointStats, QueryAnswers};
+pub use eval::{Database, FixpointStats, QueryAnswers, Rows};
 
 #[cfg(test)]
 mod tests {
@@ -48,17 +48,8 @@ mod tests {
     fn rows(db: &Database, query: &str) -> Vec<Vec<String>> {
         let (goal, names) = parse_term(query).expect("query parses");
         let answers = db.query(&goal, &names).expect("query runs");
-        answers
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                answers
-                    .bindings(i)
-                    .iter()
-                    .map(|(_, t)| t.to_string())
-                    .collect()
-            })
+        (0..answers.rows.len())
+            .map(|i| answers.rows.row(i).map(Term::to_string).collect())
             .collect()
     }
 
@@ -168,8 +159,14 @@ mod tests {
         let answers = db.query(&goal, &names).unwrap();
         assert!(answers.succeeded());
         assert!(answers.vars.is_empty());
+        // A row of width 0 still counts as an answer.
+        assert_eq!(answers.rows.len(), 1);
+        assert_eq!(answers.rows.row(0).len(), 0);
+        assert!(answers.bindings(0).is_empty());
         let (goal, names) = parse_term("path(d, a)").unwrap();
-        assert!(!db.query(&goal, &names).unwrap().succeeded());
+        let answers = db.query(&goal, &names).unwrap();
+        assert!(!answers.succeeded());
+        assert_eq!(answers.rows.len(), 0);
     }
 
     #[test]
@@ -306,9 +303,10 @@ mod tests {
         let answers = db.query(&goal, &names).unwrap();
         assert_eq!(answers.vars, vec![Symbol::intern("K"), Symbol::intern("D")]);
         assert_eq!(answers.rows.len(), 1);
-        assert_eq!(answers.rows[0][0], parse_term("key(red)").unwrap().0);
+        let row: Vec<&Term> = answers.rows.row(0).collect();
+        assert_eq!(*row[0], parse_term("key(red)").unwrap().0);
         let bindings = answers.bindings(0);
-        assert_eq!(bindings[0].1, answers.rows[0][0]);
+        assert_eq!(bindings[0].1, *row[0]);
         assert_eq!(bindings[1].1, Term::atom("door1"));
     }
 

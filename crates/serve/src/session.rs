@@ -275,9 +275,9 @@ fn query_bottom_up(
     let db = entry.datalog()?;
     let answers = db.query(goal, var_names).map_err(ServeError::Datalog)?;
     stages.solve = clock.lap();
-    let mut bindings = Vec::new();
+    let mut bindings = Vec::with_capacity(answers.rows.len() * answers.vars.len());
     for i in 0..answers.rows.len() {
-        for (name, term) in answers.bindings(i) {
+        for (name, term) in answers.vars.iter().zip(answers.rows.row(i)) {
             bindings.push((name.to_string(), term.to_string()));
         }
     }

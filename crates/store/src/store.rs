@@ -201,8 +201,11 @@ impl ProgramStore {
     }
 
     /// Journals a program load. Returns `Ok(false)` without touching the
-    /// WAL when `name` is already stored with the identical text (the dedup
-    /// mirrors the serve cache: a repeat load must not grow the log).
+    /// WAL when `name` is already stored, whatever text it was stored with:
+    /// `name` is the program's normalized key, so another spelling of a
+    /// stored program is the same program, and the text stored first is the
+    /// one replay loads (the dedup mirrors the serve cache: a repeat load,
+    /// in any spelling, must not grow the log or cost an fsync).
     ///
     /// # Errors
     ///
@@ -214,13 +217,7 @@ impl ProgramStore {
     /// journaled.
     pub fn record_load(&self, name: &str, text: &str) -> Result<bool, StoreError> {
         let mut inner = self.lock();
-        if inner
-            .corpus
-            .texts
-            .get(name)
-            .map(|(_, stored)| stored.as_str())
-            == Some(text)
-        {
+        if inner.corpus.texts.contains_key(name) {
             return Ok(false);
         }
         // Journal-then-apply: only a durable append changes the corpus.
@@ -355,6 +352,34 @@ mod tests {
     }
 
     #[test]
+    fn alternating_spellings_of_one_key_append_one_record() {
+        let dir = temp_dir("spellings");
+        {
+            let store = ProgramStore::open(config(&dir)).expect("open");
+            let registry = granlog_obs::Registry::new();
+            let tracer = Arc::new(granlog_obs::Tracer::new(64));
+            store.set_obs(Some(Arc::new(crate::obs::StoreObs::register(
+                &registry, tracer,
+            ))));
+            let spellings = ["p(X) :- q(X).", "p( Y ) :-  q( Y ).  % respelled"];
+            let records = store.stats().wal_records;
+            for n in 0..2 * 50 {
+                let fresh = store.record_load("p(A) :- q(A)", spellings[n % 2]);
+                assert_eq!(fresh.expect("load"), n == 0, "load {n}");
+            }
+            assert_eq!(store.stats().wal_records, records + 1);
+            let fsyncs = registry
+                .histogram_snapshot("granlog_wal_fsync_ms")
+                .expect("registered");
+            assert_eq!(fsyncs.count, 1, "one fsync under `Always`");
+        }
+        let store = ProgramStore::open(config(&dir)).expect("reopen");
+        let first = ("p(A) :- q(A)".to_string(), "p(X) :- q(X).".to_string());
+        assert_eq!(store.programs(), vec![first], "replay loads the first text");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn rekeying_moves_a_program_in_place_and_compaction_keeps_the_new_key() {
         let dir = temp_dir("rekey");
         {
@@ -420,11 +445,10 @@ mod tests {
                     let (name, text) = (key(a), format!("p({}).", b % 3));
                     let compactions = store.stats().compactions;
                     let fresh = store.record_load(&name, &text).expect("load");
-                    match model.iter_mut().find(|(stored, _)| *stored == name) {
-                        Some(slot) => {
-                            assert_eq!(fresh, slot.1 != text, "step {step}");
-                            slot.1 = text.clone();
-                        }
+                    match model.iter().find(|(stored, _)| *stored == name) {
+                        // A stored key keeps its first text, whatever the
+                        // reload's text.
+                        Some(_) => assert!(!fresh, "step {step}"),
                         None => {
                             assert!(fresh, "step {step}");
                             model.push((name.clone(), text.clone()));

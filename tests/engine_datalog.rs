@@ -22,10 +22,10 @@
 //! differs between engines and between semi-naive rounds) never matters.
 
 use granlog_benchmarks::{all_benchmarks, datalog_benchmarks, generate, ATTACK_RULES};
-use granlog_datalog::{CompiledDatalog, Database, DatalogError};
+use granlog_datalog::{CompiledDatalog, Database, DatalogError, QueryAnswers};
 use granlog_engine::{Machine, MachineConfig};
 use granlog_ir::parser::{parse_program, parse_term};
-use granlog_ir::Program;
+use granlog_ir::{Program, Symbol, Term};
 use granlog_par::{Granularity, ParConfig, ParExecutor};
 use std::collections::BTreeSet;
 
@@ -41,18 +41,31 @@ fn compile_source(src: &str) -> (Program, Database) {
     (program, db)
 }
 
-/// All bottom-up answers to `query`, rendered order-insensitively.
-fn bottom_up_answers(db: &Database, query: &str) -> BTreeSet<Vec<String>> {
+/// Runs `query` bottom-up and checks the shape of its rows: row `i`
+/// zipped with the variables is `bindings(i)`, every row is as wide as the
+/// variables, `rows.len()` is the number of rows (each a distinct answer),
+/// and `succeeded()` says whether there is one.
+fn query_rows(db: &Database, query: &str) -> QueryAnswers {
     let (goal, names) = parse_term(query).expect("query parses");
     let answers = db.query(&goal, &names).expect("query is in the subset");
+    let (vars, rows) = (&answers.vars, &answers.rows);
+    let mut distinct = BTreeSet::new();
+    for i in 0..rows.len() {
+        assert_eq!(rows.row(i).len(), vars.len(), "{query}: row {i}'s width");
+        let zipped: Vec<(Symbol, Term)> = vars.iter().copied().zip(rows.row(i).cloned()).collect();
+        assert_eq!(zipped, answers.bindings(i), "{query}: row {i}");
+        distinct.insert(rows.row(i).map(Term::to_string).collect::<Vec<_>>());
+    }
+    assert_eq!(distinct.len(), rows.len(), "{query}: the number of rows");
+    assert_eq!(answers.succeeded(), !rows.is_empty(), "{query}");
+    answers
+}
+
+/// All bottom-up answers to `query`, rendered order-insensitively.
+fn bottom_up_answers(db: &Database, query: &str) -> BTreeSet<Vec<String>> {
+    let answers = query_rows(db, query);
     (0..answers.rows.len())
-        .map(|i| {
-            answers
-                .bindings(i)
-                .iter()
-                .map(|(_, t)| t.to_string())
-                .collect()
-        })
+        .map(|i| answers.rows.row(i).map(Term::to_string).collect())
         .collect()
 }
 
@@ -176,6 +189,46 @@ fn attack_family_bottom_up_matches_parallel_sld() {
     }
 }
 
+/// A goal with no variables has rows of width 0, so its answers are counted
+/// apart from the row store's length: one that holds has exactly one row,
+/// one that fails none, and SLD agrees with both.
+#[test]
+fn goals_without_variables_count_their_rows() {
+    for (name, source) in granlog_benchmarks::attack_instances() {
+        let (program, db) = compile_source(source);
+        let mut machine = Machine::with_config(&program, MachineConfig::default());
+        let owned = bottom_up_answers(&db, "owned(X)");
+        let hosts = bottom_up_answers(&db, "host(X)");
+        let (Some(owned), Some(free)) = (owned.first(), hosts.difference(&owned).next()) else {
+            panic!("{name}: the instance owns a host and leaves one free");
+        };
+        let (owned, free) = (&owned[0], &free[0]);
+        let cases = [
+            (format!("owned({owned})"), true),
+            (format!("reach({owned}), \\+ safe({owned})"), true),
+            (format!("owned({free})"), false),
+            (format!("entry({free})"), false),
+            (format!("owned({owned}), \\+ owned({owned})"), false),
+        ];
+        for (goal, holds) in cases {
+            let answers = query_rows(&db, &goal);
+            assert!(answers.vars.is_empty(), "{name}: {goal}");
+            assert_eq!(answers.rows.len(), usize::from(holds), "{name}: {goal}");
+            assert_eq!(answers.succeeded(), holds, "{name}: {goal}");
+            if holds {
+                assert_eq!(answers.rows.row(0).len(), 0, "{name}: {goal}");
+                assert!(answers.bindings(0).is_empty(), "{name}: {goal}");
+            }
+            let sld = machine.run_query(&goal).expect("ground SLD query runs");
+            assert_eq!(sld.succeeded, holds, "{name}: SLD on {goal}");
+        }
+        // A predicate the program never mentions is an empty relation
+        // (SLD calls it an unknown predicate instead).
+        let ghost = query_rows(&db, &format!("ghost({owned})"));
+        assert_eq!((ghost.rows.len(), ghost.succeeded()), (0, false), "{name}");
+    }
+}
+
 /// Every registered benchmark either compiles into the Datalog subset (and
 /// then must agree with SLD on its own query) or is rejected with a typed
 /// diagnostic — never evaluated into a wrong answer.
@@ -188,8 +241,7 @@ fn benchmark_suite_members_compile_or_reject_typed() {
             Ok(compiled) => {
                 let db = compiled.evaluate().expect("subset member evaluates");
                 let query = bench.query(bench.test_size);
-                let (goal, names) = parse_term(&query).unwrap();
-                let answers = db.query(&goal, &names).expect("query in subset");
+                let answers = query_rows(&db, &query);
                 let mut machine = Machine::with_config(&program, MachineConfig::default());
                 let outcome = machine.run_query(&query).unwrap();
                 assert_eq!(outcome.succeeded, answers.succeeded(), "{}", bench.name);
@@ -626,8 +678,7 @@ mod proptests {
             for (pred, arity) in &idb {
                 for atom in ground_atoms(pred, *arity) {
                     let sld = machine.run_query(&atom).expect("ground query runs");
-                    let (goal, names) = parse_term(&atom).unwrap();
-                    let bu = db.query(&goal, &names).expect("ground query in subset");
+                    let bu = query_rows(&db, &atom);
                     prop_assert_eq!(
                         sld.succeeded, bu.succeeded(),
                         "engines disagree on {} in\n{}", atom, src

@@ -406,6 +406,50 @@ fn engine_command_switches_to_bottom_up_per_session() {
     server.shutdown();
 }
 
+/// A served bottom-up answer has the shape of the rows it was read from:
+/// over each attack-graph instance the reply's `bind` lines are exactly
+/// `Database::query`'s rows in order, one line per variable per row, and
+/// `answers=` is `rows.len()` — a ground goal that holds included, whose
+/// one row binds nothing.
+#[test]
+fn served_bottom_up_answers_are_the_databases_rows_in_order() {
+    let server = start_server(ServeConfig::default());
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    client.engine("bottom-up").unwrap().unwrap();
+    for (name, source) in granlog_benchmarks::attack_instances() {
+        let program = granlog_ir::parser::parse_program(source).unwrap();
+        let db = granlog_datalog::CompiledDatalog::compile(&program)
+            .unwrap()
+            .evaluate()
+            .unwrap();
+        client.load(source).unwrap().unwrap();
+        for goal in [
+            "link(S, T)",
+            "owned(H)",
+            "reach(H), vuln(H)",
+            "frontier(H)",
+            "owned(h0)",
+            "owned(nobody)",
+        ] {
+            let (term, vars) = granlog_ir::parser::parse_term(goal).unwrap();
+            let answers = db.query(&term, &vars).unwrap();
+            let mut want = Vec::new();
+            for i in 0..answers.rows.len() {
+                for (var, value) in answers.vars.iter().zip(answers.rows.row(i)) {
+                    want.push((var.to_string(), value.to_string()));
+                }
+            }
+            let reply = client.query(goal).unwrap().unwrap();
+            assert_eq!(reply.bindings, want, "{name}: {goal}");
+            let stats = reply.datalog.expect("bottom-up done line carries stats");
+            assert_eq!(stats.answers, answers.rows.len() as u64, "{name}: {goal}");
+            assert_eq!(reply.succeeded, answers.succeeded(), "{name}: {goal}");
+        }
+    }
+    client.quit().unwrap();
+    server.shutdown();
+}
+
 /// The acceptor sheds past the connection cap with a typed refusal the
 /// client surfaces as retryable, counts the shed, and recovers as soon as a
 /// slot frees.
